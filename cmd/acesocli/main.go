@@ -170,9 +170,10 @@ func execute(c ftmode.Client, fields []string) (quit bool) {
 				fmt.Printf("cache: entries=%d bytes=%d negHits=%d evictions=%d mirror{buckets=%d hits=%d negHits=%d}\n",
 					entries, bytes, s.CacheNegHits, evictions,
 					offloaded, s.MirrorHits, s.MirrorNegHits)
-				fmt.Printf("write: fused=%d fallback=%d deltaSkips=%d prefetch{hits=%d misses=%d}\n",
+				fmt.Printf("write: fused=%d fallback=%d deltaSkips=%d prefetch{hits=%d misses=%d} chased=%d validateFirst{changed=%d unchanged=%d}\n",
 					s.WriteFused, s.WriteFallback, s.DeltaSkips,
-					s.BlockPrefetchHits, s.BlockPrefetchMisses)
+					s.BlockPrefetchHits, s.BlockPrefetchMisses,
+					s.WriteChased, s.WriteValidatedChanged, s.WriteValidatedSame)
 			} else {
 				cas, reads, writes := c.Counters()
 				fmt.Printf("cas=%d reads=%d writes=%d\n", cas, reads, writes)
@@ -428,6 +429,9 @@ func printMNStats(c ftmode.Client, mn int) {
 	wr.Add("prefetchHits", float64(st.PrefetchHits))
 	wr.Add("prefetchMisses", float64(st.PrefetchMisses))
 	wr.Add("deltaSkips", float64(st.DeltaSkips))
+	wr.Add("chased", float64(st.WriteChased))
+	wr.Add("validatedChanged", float64(st.WriteValidatedChanged))
+	wr.Add("validatedUnchanged", float64(st.WriteValidatedSame))
 	fmt.Print(stats.Table(fmt.Sprintf("mn%d fused write path (co-resident clients)", st.MN), wr))
 }
 

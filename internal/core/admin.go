@@ -92,6 +92,9 @@ func (s *Server) handleAdminStats(_ []byte) ([]byte, time.Duration) {
 	e.u64(st.PrefetchHits)
 	e.u64(st.PrefetchMisses)
 	e.u64(st.DeltaSkips)
+	e.u64(st.WriteChased)
+	e.u64(st.WriteValidatedChanged)
+	e.u64(st.WriteValidatedSame)
 	return e.b, 2 * time.Microsecond
 }
 
@@ -150,6 +153,9 @@ func (c *Client) StatsMN(mn int) (ServerStats, error) {
 	st.PrefetchHits = d.u64()
 	st.PrefetchMisses = d.u64()
 	st.DeltaSkips = d.u64()
+	st.WriteChased = d.u64()
+	st.WriteValidatedChanged = d.u64()
+	st.WriteValidatedSame = d.u64()
 	return st, nil
 }
 

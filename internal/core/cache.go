@@ -30,6 +30,7 @@ type clientCache struct {
 	bytes     uint64
 	evictions uint64
 	met       *obs.CacheMetrics // shared live-export aggregate; may be nil
+	stale     staleEstimate     // drives validate-first writes (DESIGN.md §13)
 }
 
 // Entry flag bits.
@@ -44,6 +45,10 @@ const (
 	// paper's verb count). The next query for the key piggybacks the
 	// two version words and upgrades the entry to a validated negative.
 	entMissed
+	// entShared records the entry's last validation outcome: a GET's
+	// slot-word check or a write's commit found that another client had
+	// moved the slot since the entry was refreshed (staleEstimate).
+	entShared
 )
 
 // cacheEntryOverhead approximates one entry's fixed cost (struct slot
@@ -67,11 +72,15 @@ type cacheEnt struct {
 	meta    layout.SlotMeta
 
 	// Negative state: the candidate buckets' version words at
-	// population time, and the view epoch they were read under (a
-	// rebuilt MN restarts its counters, so entries from an older
-	// membership epoch are never trusted).
+	// population time.
 	negV1, negV2 uint64
-	epoch        uint64
+	// epoch is the view epoch the entry was filled under. Recovery
+	// rebuilds an index partition with fresh version counters and may
+	// re-place keys in other slots, so across an epoch change negative
+	// entries are never trusted and positive ones only as a CAS
+	// expectation (word equality proves the pair) — their slot is never
+	// re-read on trust (Client.rearmSlot).
+	epoch uint64
 }
 
 func (e *cacheEnt) neg() bool  { return e.flags&entNeg != 0 }
@@ -81,6 +90,50 @@ func (e *cacheEnt) tomb() bool { return e.flags&entTomb != 0 }
 // Negative entries and miss candidates carry no slot address — their
 // positive fields are zero or left over from a recycled occupant.
 func (e *cacheEnt) pos() bool { return e.flags&(entNeg|entMissed) == 0 }
+
+// shared reports the entry's last validation outcome (entShared).
+func (e *cacheEnt) shared() bool { return e.flags&entShared != 0 }
+
+// staleEstimate is the knob-free predictor behind validate-first
+// writes (DESIGN.md §13): P(another client moved the slot since the
+// entry was refreshed), conditioned on the only per-key evidence the
+// cache holds — whether the entry's previous validation found it moved.
+// rate[b] is a Q16 moving average over the client's validations of
+// entries whose previous outcome was b. It starts at zero, so a client
+// nobody shares keys with speculates forever.
+type staleEstimate struct{ rate [2]uint32 }
+
+// staleWindow is the averaging window (2^5 validations per class):
+// long enough that a 30 % changed-rate stays under one half, short
+// enough to follow a phase change within a few dozen ops.
+const staleWindow = 5
+
+// validated records one validation of e's cached slot word — a GET's
+// slot-word check, a write's commit CAS or validate-first read — in
+// the estimate and in the entry's last-outcome bit.
+func (cc *clientCache) validated(e *cacheEnt, changed bool) {
+	r := &cc.stale.rate[b2i(e.shared())]
+	*r -= *r >> staleWindow
+	e.flags &^= entShared
+	if changed {
+		*r += 1 << (16 - staleWindow)
+		e.flags |= entShared
+	}
+}
+
+// likelyStale reports whether e has more likely moved than not, i.e.
+// whether a write should read its slot before committing against the
+// cached word.
+func (cc *clientCache) likelyStale(e *cacheEnt) bool {
+	return cc.stale.rate[b2i(e.shared())] > 1<<15
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
 
 // cacheShard is one fixed-capacity segment: ents is the entry arena,
 // table the open-addressed index into it (idx+1; 0 empty, -1

@@ -745,7 +745,7 @@ func (s *Server) ckptSendLoop(ctx rdma.Ctx) {
 		// ship → notify), so the trace timeline shows checkpoint
 		// rounds alongside op spans and recovery tiers.
 		now := ctx.Now()
-		s.cl.trace.Emit(obs.Event{At: now, Kind: "ckpt.round", MN: s.mn,
+		s.cl.trace.EmitPeriodic(obs.Event{At: now, Kind: "ckpt.round", MN: s.mn,
 			Dur: now - roundStart, Note: "differential round"})
 	}
 }

@@ -116,6 +116,7 @@ type writeScratch struct {
 	invDelta [8]byte
 	metaW    [8]byte // length-hint repair word (must outlive the Post)
 	metaOp   [1]rdma.Op
+	slot     [layout.SlotSize]byte // rearmSlot's Atomic+Meta read buffer
 	fuse     fuseSpec
 }
 
@@ -172,6 +173,11 @@ type ClientStats struct {
 	DeltaSkips          uint64 // delta copies not written (dead target or lost write)
 	BlockPrefetchHits   uint64 // block refills served by the prefetcher
 	BlockPrefetchMisses uint64 // refills that fell back to a synchronous alloc
+
+	// Stale-slot-aware commit (DESIGN.md §13).
+	WriteChased           uint64 // lost commit CASes re-armed from the slot itself (no index probe)
+	WriteValidatedChanged uint64 // commits that read the slot before placing (predicted stale) and found it moved
+	WriteValidatedSame    uint64 // ... and found it unmoved (mispredictions)
 }
 
 type pendKey struct {
@@ -490,6 +496,7 @@ func (c *Client) cachedRead(dst, key []byte, ent *cacheEnt) ([]byte, error) {
 	if !curOK {
 		return nil, errStaleCache
 	}
+	c.cache.validated(ent, cur != ent.atomic)
 	if cur == ent.atomic {
 		return c.finishRead(dst, key, ent, kvBuf)
 	}
@@ -526,6 +533,7 @@ func (c *Client) cachedValRead(dst, key []byte, ent *cacheEnt) ([]byte, error) {
 		return nil, errStaleCache
 	}
 	cur := binary.LittleEndian.Uint64(sc.word[0][:])
+	c.cache.validated(ent, cur != ent.atomic)
 	if cur != ent.atomic {
 		ent.atomic = cur
 		newAtom := layout.UnpackAtomic(cur)
@@ -633,7 +641,7 @@ func (c *Client) querySearch(dst, key []byte, h uint64, mn int, fp uint8, sawMis
 			if !bytes.Equal(kv.Key, key) || kv.SlotVersion == layout.InvalidVersion {
 				continue
 			}
-			c.updateCache(key, h, mn, m, kv.Tombstone, kv.Val)
+			c.updateCache(key, h, mn, m, epoch, kv.Tombstone, kv.Val)
 			if kv.Tombstone {
 				return nil, ErrNotFound
 			}
@@ -801,7 +809,7 @@ func (c *Client) mirrorSearch(dst, key []byte, h uint64, mn int, fp uint8) (val 
 				if ei == 1 {
 					bkt = i2
 				}
-				c.cacheSet(h, key, mn, l.SlotOff(bkt, s), w, meta, kv.Tombstone, kv.Val)
+				c.cacheSet(h, key, mn, l.SlotOff(bkt, s), w, meta, e.epoch, kv.Tombstone, kv.Val)
 				if kv.Tombstone {
 					c.Stats.MirrorNegHits++
 					c.met.MirrorNegHits.Add(1)
@@ -853,20 +861,21 @@ func (c *Client) mirrorSearch(dst, key []byte, h uint64, mn int, fp uint8) (val 
 
 // updateCache records the located slot (and, under CacheValues, the
 // decoded value) for future cache-accelerated reads and writes.
-func (c *Client) updateCache(key []byte, h uint64, mn int, m racehash.Match, tomb bool, val []byte) {
+func (c *Client) updateCache(key []byte, h uint64, mn int, m racehash.Match, epoch uint64, tomb bool, val []byte) {
 	l := c.cl.L
 	i1, i2 := racehash.BucketPair(h, l.NumBuckets())
 	bucket := i1
 	if m.Bucket == 1 {
 		bucket = i2
 	}
-	c.cacheSet(h, key, mn, l.SlotOff(bucket, m.Slot), m.Atomic.Pack(), m.Meta, tomb, val)
+	c.cacheSet(h, key, mn, l.SlotOff(bucket, m.Slot), m.Atomic.Pack(), m.Meta, epoch, tomb, val)
 }
 
-// cacheSet installs (or refreshes) a positive cache entry. val is the
+// cacheSet installs (or refreshes) a positive cache entry. epoch is the
+// view epoch read before the verbs that located the slot. val is the
 // committed value (nil for tombstones); it is retained only under
 // Config.CacheValues.
-func (c *Client) cacheSet(h uint64, key []byte, mn int, slotOff, atomic uint64, meta layout.SlotMeta, tomb bool, val []byte) {
+func (c *Client) cacheSet(h uint64, key []byte, mn int, slotOff, atomic uint64, meta layout.SlotMeta, epoch uint64, tomb bool, val []byte) {
 	ent := c.cache.upsert(h, key)
 	if ent == nil {
 		return
@@ -880,6 +889,7 @@ func (c *Client) cacheSet(h uint64, key []byte, mn int, slotOff, atomic uint64, 
 	ent.slotOff = slotOff
 	ent.atomic = atomic
 	ent.meta = meta
+	ent.epoch = epoch
 	if c.cl.Cfg.CacheValues {
 		c.cache.storeVal(ent, val)
 	}
@@ -1016,6 +1026,25 @@ func (c *Client) tracedWrite(name string, key, val []byte, tombstone bool) error
 	return err
 }
 
+// slotLoc is what a write knows about its key's index slot.
+type slotLoc struct {
+	off    uint64 // offset of the slot's Atomic word in the home MN's index
+	atomic uint64 // word the commit CAS expects (0: empty slot, an insert)
+	meta   layout.SlotMeta
+	found  bool   // the key owns this slot ...
+	tomb   bool   // ... and its committed pair is a tombstone
+	moved  bool   // rearmSlot saw the word change since tomb was read: tomb is out of date
+	epoch  uint64 // view epoch read before the attempt's first verb
+	bound  bool   // slot matched to the key under epoch (not an older-epoch cache entry)
+	// ent: the cache entry a speculating attempt took atomic from, which
+	// its commit CAS therefore validates (write mutates no cache state
+	// before that CAS resolves, so the pointer stays good).
+	ent *cacheEnt
+	// armed: rearmSlot just refreshed atomic and meta, skip locating.
+	// bypass: cached state proved untrustworthy, locate through the index.
+	armed, bypass bool
+}
+
 // write implements Algorithm 1 (slot versioning) around the
 // out-of-place write path: place the new KV and its deltas, then
 // commit with one CAS on the slot's Atomic word.
@@ -1025,28 +1054,40 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 	mn := racehash.HomeMN(h, c.cl.Cfg.Layout.NumMNs)
 	fp := racehash.Fingerprint(h)
 	lockWait := time.Duration(0)
+	var loc slotLoc
 
 	for attempt := 0; attempt < maxOpRetries; attempt++ {
 		c.waitIndexReady(mn)
-		slotOff, atomOld, metaOld, found, isTomb, err := c.locateForWrite(key, h, mn, fp)
-		if err != nil {
-			if errors.Is(err, ErrNotFound) && tombstone {
-				return ErrNotFound
+		if !loc.armed {
+			var err error
+			loc, err = c.locateForWrite(key, h, mn, fp, loc.bypass)
+			if err != nil {
+				if errors.Is(err, ErrNotFound) && tombstone {
+					return ErrNotFound
+				}
+				if errors.Is(err, rdma.ErrNodeFailed) {
+					c.ctx.Sleep(100 * time.Microsecond)
+					continue
+				}
+				if errors.Is(err, errTornRead) {
+					// A committed slot pointed at a torn or unwritten pair —
+					// a fused commit's KV write still in flight (or being
+					// repaired). Transient by construction: retry.
+					c.ctx.Sleep(20 * time.Microsecond)
+					continue
+				}
+				return err
 			}
-			if errors.Is(err, rdma.ErrNodeFailed) {
-				c.ctx.Sleep(100 * time.Microsecond)
-				continue
-			}
-			if errors.Is(err, errTornRead) {
-				// A committed slot pointed at a torn or unwritten pair —
-				// a fused commit's KV write still in flight (or being
-				// repaired). Transient by construction: retry.
-				c.ctx.Sleep(20 * time.Microsecond)
-				continue
-			}
-			return err
 		}
-		if tombstone && (!found || isTomb) {
+		if tombstone && loc.moved {
+			// A slot does not say whether its pair is a tombstone, so a
+			// DELETE cannot commit against a re-read word: probe the index.
+			loc = slotLoc{bypass: true}
+			continue
+		}
+		loc.armed = false
+		slotOff, atomOld, metaOld, found := loc.off, loc.atomic, loc.meta, loc.found
+		if tombstone && (!found || loc.tomb) {
 			return ErrNotFound
 		}
 
@@ -1058,8 +1099,8 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 		metaAddr, _ := c.cl.Addr(mn, slotOff+layout.SlotMetaOff)
 		if found {
 			if metaOld.Locked() {
-				// Another client is rolling the epoch: retry, and
-				// after LockTimeout force-relock (remark 2, §3.2.2).
+				// Another client is rolling the epoch: re-read the slot,
+				// and after LockTimeout force-relock (remark 2, §3.2.2).
 				c.Stats.LockWaits++
 				if lockWait < c.cl.Cfg.LockTimeout {
 					waitStart := c.ctx.Now()
@@ -1068,14 +1109,14 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 						c.ot.OpMark("lock.wait", waitStart)
 					}
 					lockWait += c.cl.Cfg.LockRetry
-					c.forgetCache(h, key)
+					c.rearmSlot(&loc, mn, fp, nil)
 					continue
 				}
 				force := layout.SlotMeta{Epoch: metaOld.Epoch + 2, Len: metaOld.Len}
 				prev, err := c.vcas(metaAddr, metaOld.Pack(), force.Pack())
 				if err != nil || prev != metaOld.Pack() {
 					lockWait = 0
-					c.forgetCache(h, key)
+					c.rearmSlot(&loc, mn, fp, nil)
 					continue
 				}
 				lockedVal = force.Pack()
@@ -1092,7 +1133,7 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 					prev, err := c.vcas(metaAddr, metaOld.Pack(), lock.Pack())
 					if err != nil || prev != metaOld.Pack() {
 						c.Stats.CASRetries++
-						c.forgetCache(h, key)
+						c.rearmSlot(&loc, mn, fp, nil)
 						continue
 					}
 					lockedVal = lock.Pack()
@@ -1165,27 +1206,40 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 			newAtomic = layout.SlotAtomic{FP: fp, Ver: verNew, Addr: placed.addr}.Pack()
 			slotAddr, ok := c.cl.Addr(mn, slotOff)
 			if !ok {
-				c.invalidateKV(placed)
+				c.invalidateKV(placed.inv)
 				if lockedVal != 0 {
 					c.unlockMeta(metaAddr, lockedVal, epochKV, metaOld.Len)
 				}
+				loc.bypass = true
 				continue
 			}
 			prev, cerr := c.vcas(slotAddr, atomOld, newAtomic)
 			committed = cerr == nil && prev == atomOld
 		}
+		if loc.ent != nil {
+			c.cache.validated(loc.ent, !committed)
+		}
 		if !committed {
-			// Lost the race (or the CAS itself failed): invalidate our
-			// KV pair (Algorithm 1 line 18) and retry against the fresh
-			// slot state, with bounded backoff so a hot-key herd cannot
-			// starve one client.
+			// Lost the race (or the CAS itself failed): our pair is
+			// orphaned (Algorithm 1 line 18), but the slot is still this
+			// key's. Chase it (DESIGN.md §13): one doorbell carries the
+			// orphan's invalidation and a 16-byte re-read of the slot, and
+			// the next attempt commits against that (a DELETE probes the
+			// index instead: the word moved). Bounded backoff keeps a herd
+			// from starving one client; a slot that aged over it is re-read.
 			c.Stats.CASRetries++
-			c.invalidateKV(placed)
 			c.markObsolete(placed.addr, classUnits)
 			if lockedVal != 0 {
 				c.unlockMeta(metaAddr, lockedVal, epochKV, metaOld.Len)
 			}
-			c.forgetCache(h, key)
+			chaseStart := c.ctx.Now()
+			if c.rearmSlot(&loc, mn, fp, placed.inv); loc.armed && !(tombstone && loc.moved) {
+				c.Stats.WriteChased++
+				c.wmet.Chased.Add(1)
+				if c.ot != nil {
+					c.ot.OpMark("commit.chase", chaseStart)
+				}
+			}
 			c.finishWrite()
 			if attempt > 2 {
 				shift := attempt
@@ -1193,6 +1247,9 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 					shift = 6
 				}
 				c.ctx.Sleep(time.Duration(1+int(c.id)%4) * time.Microsecond << shift)
+				if loc.armed {
+					c.rearmSlot(&loc, mn, fp, nil)
+				}
 			}
 			continue
 		}
@@ -1215,7 +1272,7 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 			c.markObsolete(old.Addr, layout.UnpackMeta(metaOld.Pack()).Len)
 		}
 		c.cacheSet(h, key, mn, slotOff, newAtomic,
-			layout.SlotMeta{Epoch: epochKV, Len: classUnits}, tombstone, val)
+			layout.SlotMeta{Epoch: epochKV, Len: classUnits}, loc.epoch, tombstone, val)
 		c.finishWrite()
 		return nil
 	}
@@ -1232,18 +1289,54 @@ func (c *Client) unlockMeta(addr rdma.GlobalAddr, lockedVal uint64, epochEven ui
 // invalidateKV stamps InvalidVersion into an uncommitted KV pair so
 // recovery never resurrects it (Algorithm 1 line 18). The pair's delta
 // copies receive the matching XOR patch, preserving the stripe
-// invariant DATA = enc ⊕ DELTA; placeKV precomputed the ops.
-func (c *Client) invalidateKV(p placedKV) {
-	if len(p.inv) == 0 {
+// invariant DATA = enc ⊕ DELTA; placeKV precomputed the ops. A chased
+// loss sends the same ops inside rearmSlot's doorbell instead.
+func (c *Client) invalidateKV(inv []rdma.Op) {
+	if len(inv) == 0 {
 		return
 	}
 	c.Stats.Invalidations++
-	c.Stats.WritesIssued += uint64(len(p.inv))
-	c.ctx.Post(p.inv) //nolint:errcheck // best effort
+	c.Stats.WritesIssued += uint64(len(inv))
+	c.ctx.Post(inv) //nolint:errcheck // best effort
 }
 
-// forgetCache drops a (possibly stale) cache entry.
-func (c *Client) forgetCache(h uint64, key []byte) { c.cache.remove(h, key) }
+// rearmSlot refreshes loc from the slot itself — one 16-byte read of
+// its Atomic and Meta words — so a write whose view of the slot went
+// stale (lost commit CAS, cache entry predicted stale, Meta lock wait)
+// pays a small round trip, not an index probe. inv, a lost attempt's
+// invalidation patch, rides the same doorbell. It reports whether the
+// word differs from the one loc held, and records that in loc.moved.
+// Trusting the slot rests on the slot-binding invariant (DESIGN.md §13,
+// TestSlotNeverChangesKey): within a view epoch a slot only ever holds
+// one key's pairs. Whatever falls outside it (epoch moved, fingerprint
+// mismatch, empty word, read error) leaves loc unarmed and bypassing
+// the cache: the next attempt probes the index.
+func (c *Client) rearmSlot(loc *slotLoc, mn int, fp uint8, inv []rdma.Op) (moved bool) {
+	loc.armed, loc.bypass, loc.ent = false, true, nil
+	addr, ok := c.cl.Addr(mn, loc.off)
+	if !ok || !loc.found || !loc.bound || loc.epoch != c.cl.view.epochNow() {
+		c.invalidateKV(inv)
+		return false
+	}
+	sc := &c.wsc
+	if len(inv) > 0 {
+		c.Stats.Invalidations++
+	} else {
+		inv = sc.inv[:0]
+	}
+	ops := append(inv, rdma.Op{Kind: rdma.OpRead, Addr: addr, Buf: sc.slot[:]})
+	c.vbatch(ops) //nolint:errcheck // only the slot read's outcome matters; the patch is best effort
+	sc.inv = ops[:0]
+	cur := binary.LittleEndian.Uint64(sc.slot[:])
+	if a := layout.UnpackAtomic(cur); ops[len(ops)-1].Err != nil || a.FP != fp || a.Addr == 0 {
+		return false
+	}
+	moved = cur != loc.atomic
+	loc.atomic, loc.moved = cur, loc.moved || moved
+	loc.meta = layout.UnpackMeta(binary.LittleEndian.Uint64(sc.slot[layout.SlotMetaOff:]))
+	loc.armed, loc.bypass = true, false
+	return moved
+}
 
 // finishWrite handles deferred post-commit work: sealing filled blocks
 // and flushing batched free-bitmap updates. With the prefetcher
@@ -1264,24 +1357,46 @@ func (c *Client) finishWrite() {
 	}
 }
 
-// locateForWrite finds the key's slot (via cache or index query). It
-// returns the slot's offset, current Atomic word (0 if inserting into
-// an empty slot), Meta word, whether the key already exists, and
-// whether its committed pair is a tombstone.
-func (c *Client) locateForWrite(key []byte, h uint64, mn int, fp uint8) (slotOff uint64, atomic uint64, meta layout.SlotMeta, found, isTomb bool, err error) {
-	if c.cl.Cfg.CacheSlotAddr {
-		// Trust the cache; a stale entry just costs one CAS retry. A
-		// negative entry or miss candidate is no help here — it proves
+// locateForWrite finds the key's slot through the cache or — on a miss
+// or a bypass — an index query. A cached slot is used one of two ways
+// (DESIGN.md §13). Normally the write speculates: it commits against
+// the cached word unread, and a stale word costs a lost CAS plus the
+// chase's two doorbells. When the staleness estimate says the entry
+// has more likely moved than not, the write validates first: a 16-byte
+// slot read, then a commit that places nothing it must invalidate.
+func (c *Client) locateForWrite(key []byte, h uint64, mn int, fp uint8, bypass bool) (slotLoc, error) {
+	loc := slotLoc{epoch: c.cl.view.epochNow(), bound: true}
+	if ent := c.cache.lookup(h, key); ent != nil && ent.pos() && c.cl.Cfg.CacheSlotAddr && !bypass {
+		// A negative entry or miss candidate is no help here — it proves
 		// (suspected) absence, not a slot location — so only positive
 		// entries short-circuit.
-		if ent := c.cache.lookup(h, key); ent != nil && ent.pos() {
-			return ent.slotOff, ent.atomic, ent.meta, true, ent.tomb(), nil
+		loc.off, loc.atomic, loc.meta, loc.found, loc.tomb = ent.slotOff, ent.atomic, ent.meta, true, ent.tomb()
+		loc.bound = ent.epoch == loc.epoch
+		if !loc.bound || !c.cache.likelyStale(ent) {
+			loc.ent = ent
+			return loc, nil
 		}
+		start := c.ctx.Now()
+		if moved := c.rearmSlot(&loc, mn, fp, nil); loc.armed {
+			c.cache.validated(ent, moved)
+			if moved {
+				c.Stats.WriteValidatedChanged++
+				c.wmet.ValidatedChanged.Add(1)
+			} else {
+				c.Stats.WriteValidatedSame++
+				c.wmet.ValidatedSame.Add(1)
+			}
+			if c.ot != nil {
+				c.ot.OpMark("commit.validate", start)
+			}
+			return loc, nil
+		}
+		loc = slotLoc{epoch: loc.epoch, bound: true}
 	}
 	l := c.cl.L
 	b1, b2, err := c.readBuckets(h, mn)
 	if err != nil {
-		return 0, 0, layout.SlotMeta{}, false, false, err
+		return loc, err
 	}
 	i1, i2 := racehash.BucketPair(h, l.NumBuckets())
 	bucketIdx := []uint64{i1, i2}
@@ -1297,12 +1412,13 @@ func (c *Client) locateForWrite(key []byte, h uint64, mn int, fp uint8) (slotOff
 			continue
 		}
 		if bytes.Equal(kv.Key, key) {
-			off := l.SlotOff(bucketIdx[m.Bucket], m.Slot)
-			return off, m.Atomic.Pack(), m.Meta, true, kv.Tombstone, nil
+			loc.off, loc.atomic, loc.meta = l.SlotOff(bucketIdx[m.Bucket], m.Slot), m.Atomic.Pack(), m.Meta
+			loc.found, loc.tomb = true, kv.Tombstone
+			return loc, nil
 		}
 	}
 	if torn {
-		return 0, 0, layout.SlotMeta{}, false, false, errTornRead
+		return loc, errTornRead
 	}
 	// Insert path: the preferred bucket is derived from the key hash
 	// (balancing load across the pair) and the slot choice is the
@@ -1315,18 +1431,21 @@ func (c *Client) locateForWrite(key []byte, h uint64, mn int, fp uint8) (slotOff
 		fi, si = i2, i1
 	}
 	if s := racehash.FreeSlot(first); s >= 0 {
-		return l.SlotOff(fi, s), 0, layout.SlotMeta{}, false, false, nil
+		loc.off = l.SlotOff(fi, s)
+		return loc, nil
 	}
 	if s := racehash.FreeSlot(second); s >= 0 {
-		return l.SlotOff(si, s), 0, layout.SlotMeta{}, false, false, nil
+		loc.off = l.SlotOff(si, s)
+		return loc, nil
 	}
-	return 0, 0, layout.SlotMeta{}, false, false, fmt.Errorf("aceso: both buckets full for key %q (resize not triggered)", key)
+	return loc, fmt.Errorf("aceso: both buckets full for key %q (resize not triggered)", key)
 }
 
 // placedKV describes a placed KV pair: its packed address, the
 // precomputed invalidation ops (version-field patches for the pair and
 // every delta copy), how many delta copies were skipped (dead target
-// or lost write), and — for fused attempts — the commit outcome.
+// or lost write), and the commit outcome (filled by placeKV for fused
+// attempts, by write for two-phase ones).
 type placedKV struct {
 	addr       uint64
 	inv        []rdma.Op

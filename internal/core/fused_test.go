@@ -223,23 +223,32 @@ func TestFusedUpdateSkipsDeltasOnParityMNFailure(t *testing.T) {
 }
 
 // TestFusedConcurrentWritersParityInvariant is the lost-CAS crash
-// stress: contending fused writers race the commit CAS on one key, so
-// losers leave orphaned pairs whose deltas were already applied. The
-// XOR-code invariant DATA ⊕ DELTA ⊕ PARITY = 0 must survive, and
-// obsoleted losers must be invalidated (fence-zeroed), not leaked as
-// committed data.
+// stress: eight contending fused writers race the commit CAS on one hot
+// key, so losers leave orphaned pairs whose deltas were already applied
+// and chase the winner's word (or, once their estimates say so,
+// validate first). The XOR-code invariant DATA ⊕ DELTA ⊕ PARITY = 0
+// must survive, obsoleted losers must be invalidated (fence-zeroed),
+// not leaked as committed data, and no acknowledged write may be lost:
+// the hot key must end at some writer's final acknowledged value (the
+// last commit overall is the last op of whoever issued it), and each
+// writer's private key — written between hot-key rounds through the
+// same client state — at that writer's last value.
 func TestFusedConcurrentWritersParityInvariant(t *testing.T) {
 	tc := newTestCluster(t, nil)
 	k := []byte("fused-contended")
-	const writers = 4
+	const writers, rounds = 8, 100
 	stats := make([]ClientStats, writers)
 	fns := make([]func(*Client), writers)
 	for w := 0; w < writers; w++ {
 		w := w
 		fns[w] = func(c *Client) {
-			for r := 0; r < 100; r++ {
+			for r := 0; r < rounds; r++ {
 				if err := c.Update(k, val(w, r)); err != nil {
 					t.Errorf("writer %d update %d: %v", w, r, err)
+					return
+				}
+				if err := c.Update(key(w), val(w, r)); err != nil {
+					t.Errorf("writer %d private update %d: %v", w, r, err)
 					return
 				}
 			}
@@ -247,20 +256,33 @@ func TestFusedConcurrentWritersParityInvariant(t *testing.T) {
 		}
 	}
 	tc.runClients(t, 120*time.Second, fns...)
-	var fused, retries uint64
+	var fused, retries, chased, validated uint64
 	for w := range stats {
 		fused += stats[w].WriteFused
 		retries += stats[w].CASRetries
+		chased += stats[w].WriteChased
+		validated += stats[w].WriteValidatedChanged + stats[w].WriteValidatedSame
 	}
 	if fused == 0 {
 		t.Fatal("no write took the fused path")
 	}
-	if retries == 0 {
-		t.Fatal("4 contending writers on one key recorded no lost CAS")
+	if retries == 0 || chased == 0 {
+		t.Fatalf("%d contending writers on one key: %d lost CASes, %d chased", writers, retries, chased)
+	}
+	if validated == 0 {
+		t.Error("no writer ever validated first on a key every write finds moved")
 	}
 	tc.runClients(t, 10*time.Second, func(c *Client) {
-		if _, err := c.Search(k); err != nil {
-			t.Errorf("search after contention: %v", err)
+		got, err := c.Search(k)
+		final := false
+		for w := 0; w < writers; w++ {
+			final = final || bytes.Equal(got, val(w, rounds-1))
+			if own, err := c.Search(key(w)); err != nil || !bytes.Equal(own, val(w, rounds-1)) {
+				t.Errorf("writer %d's private key: %v, not its last acknowledged write", w, err)
+			}
+		}
+		if err != nil || !final {
+			t.Errorf("hot key after contention: %v, value is no writer's last acknowledged write", err)
 		}
 	})
 	tc.run(100 * time.Millisecond) // drain seals and encoders

@@ -300,6 +300,10 @@ type ServerStats struct {
 	PrefetchHits   uint64 // block refills served by the prefetch worker
 	PrefetchMisses uint64 // refills that fell back to a synchronous alloc
 	DeltaSkips     uint64 // delta copies skipped (dead target or lost write)
+
+	WriteChased           uint64 // lost commit CASes re-armed from the slot (no index probe)
+	WriteValidatedChanged uint64 // validate-first commits whose slot had moved
+	WriteValidatedSame    uint64 // validate-first commits whose slot had not (mispredictions)
 }
 
 // Stats snapshots the server's counters and scans pool occupancy. On a
@@ -368,6 +372,9 @@ func (s *Server) statsLocked() ServerStats {
 	st.PrefetchHits = ws.PrefetchHits
 	st.PrefetchMisses = ws.PrefetchMisses
 	st.DeltaSkips = ws.DeltaSkips
+	st.WriteChased = ws.Chased
+	st.WriteValidatedChanged = ws.ValidatedChanged
+	st.WriteValidatedSame = ws.ValidatedSame
 	return st
 }
 
@@ -862,7 +869,7 @@ func (s *Server) encoderLoop(ctx rdma.Ctx) {
 				s.mu.Lock()
 				s.ecEncodeNs += uint64(elapsed)
 				s.mu.Unlock()
-				s.cl.trace.Emit(obs.Event{At: ctx.Now(), Kind: "ec.encode", MN: s.mn,
+				s.cl.trace.EmitPeriodic(obs.Event{At: ctx.Now(), Kind: "ec.encode", MN: s.mn,
 					Dur: elapsed, Note: "batched delta fold"})
 			}
 			if memCost > 0 {

@@ -1,0 +1,497 @@
+package core
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math/rand"
+	"testing"
+	"time"
+
+	"repro/internal/layout"
+	"repro/internal/racehash"
+)
+
+// staleCommitPair preloads n keys and returns two direct-driven clients
+// (engine paused, so the test goroutine scripts their interleaving
+// verb by verb) that both hold every key in their index caches.
+func staleCommitPair(t *testing.T, n int) (tc *testCluster, a, b *Client, actx, bctx *directCtx) {
+	t.Helper()
+	tc = newTestCluster(t, fusedTestConfig)
+	tc.runClients(t, 30*time.Second, func(c *Client) {
+		for i := 0; i < n; i++ {
+			if err := c.Insert(key(i), val(i, 0)); err != nil {
+				t.Errorf("insert %d: %v", i, err)
+				return
+			}
+		}
+	})
+	actx, bctx = &directCtx{pl: tc.pl}, &directCtx{pl: tc.pl}
+	a, b = tc.cl.NewClient(), tc.cl.NewClient()
+	a.Attach(actx)
+	b.Attach(bctx)
+	for _, c := range []*Client{a, b} {
+		for i := 0; i < n; i++ {
+			if err := c.Update(key(i), val(i, 1)); err != nil {
+				t.Fatalf("warm update %d: %v", i, err)
+			}
+		}
+	}
+	return tc, a, b, actx, bctx
+}
+
+// verbDelta snapshots the counters the scripted tests assert on.
+type verbDelta struct {
+	doorbells                        int
+	reads, bytesRead, retries, inval uint64
+	chased, validChanged, validSame  uint64
+	fused, fallback                  uint64
+}
+
+func snapVerbs(c *Client, d *directCtx) verbDelta {
+	s := &c.Stats
+	return verbDelta{d.doorbells, s.ReadsIssued, s.BytesRead, s.CASRetries, s.Invalidations,
+		s.WriteChased, s.WriteValidatedChanged, s.WriteValidatedSame,
+		s.WriteFused, s.WriteFallback}
+}
+
+func (v verbDelta) since(o verbDelta) verbDelta {
+	return verbDelta{v.doorbells - o.doorbells, v.reads - o.reads, v.bytesRead - o.bytesRead,
+		v.retries - o.retries, v.inval - o.inval, v.chased - o.chased,
+		v.validChanged - o.validChanged, v.validSame - o.validSame,
+		v.fused - o.fused, v.fallback - o.fallback}
+}
+
+// TestLostFusedCASChasesInThreeDoorbells scripts the write-shared case
+// the chase exists for: B commits between two of A's touches, so A's
+// speculative fused commit loses. A must resolve it in exactly three
+// doorbells — the lost batch, {invalidation patch, 16-byte slot read},
+// the winning batch — reading nothing but those 16 bytes (an index
+// probe would read two 128-byte buckets and the pair).
+func TestLostFusedCASChasesInThreeDoorbells(t *testing.T) {
+	tc, a, b, actx, _ := staleCommitPair(t, 4)
+	k := key(2)
+	if err := b.Update(k, val(2, 7)); err != nil { // B moved the slot after A cached it
+		t.Fatal(err)
+	}
+	before := snapVerbs(a, actx)
+	if err := a.Update(k, val(2, 8)); err != nil {
+		t.Fatal(err)
+	}
+	d := snapVerbs(a, actx).since(before)
+	if d.doorbells != 3 {
+		t.Errorf("lost fused CAS resolved in %d doorbells, want exactly 3", d.doorbells)
+	}
+	if d.reads != 1 || d.bytesRead != layout.SlotSize {
+		t.Errorf("chase read %d verbs / %d bytes, want 1 read of the %d-byte slot and no bucket probe",
+			d.reads, d.bytesRead, layout.SlotSize)
+	}
+	if d.retries != 1 || d.inval != 1 || d.chased != 1 || d.validChanged+d.validSame != 0 {
+		t.Errorf("casRetries=%d invalidations=%d chased=%d validated=%d, want 1 1 1 0",
+			d.retries, d.inval, d.chased, d.validChanged+d.validSame)
+	}
+	if d.fused != 2 || d.fallback != 0 {
+		t.Errorf("fused=%d fallback=%d, want both attempts fused", d.fused, d.fallback)
+	}
+	// Both clients read A's value back, B by chasing its own stale entry.
+	for _, c := range []*Client{a, b} {
+		if got, err := c.Search(k); err != nil || !bytes.Equal(got, val(2, 8)) {
+			t.Errorf("client %d reads %q, %v after the chased commit", c.ID(), got, err)
+		}
+	}
+	tc.run(20 * time.Millisecond)
+	stripeParityInvariant(t, tc) // the orphan's patch reached data and deltas alike
+}
+
+// TestPredictedStaleUpdateTwoDoorbells alternates two writers on one
+// key until each client's staleness estimate crosses one half, then
+// pins the validate-first shape: {16-byte slot read, fused batch} = 2
+// doorbells with nothing placed in vain — no lost CAS, no invalidation —
+// whether the read finds the word moved or (a misprediction) not.
+func TestPredictedStaleUpdateTwoDoorbells(t *testing.T) {
+	_, a, b, actx, _ := staleCommitPair(t, 4)
+	k := key(1)
+	rounds := 0
+	for ; a.cache.stale.rate[1] <= 1<<15 || b.cache.stale.rate[1] <= 1<<15; rounds++ {
+		if rounds > 200 {
+			t.Fatalf("estimate never crossed 1/2 under strict alternation: a=%v b=%v", a.cache.stale, b.cache.stale)
+		}
+		if err := a.Update(k, val(1, rounds)); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Update(k, val(1, rounds)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a.Stats.WriteChased == 0 {
+		t.Fatal("alternating writers never chased")
+	}
+	check := func(name string, wantChanged, wantSame uint64) {
+		t.Helper()
+		before := snapVerbs(a, actx)
+		if err := a.Update(k, val(1, 999)); err != nil {
+			t.Fatal(err)
+		}
+		d := snapVerbs(a, actx).since(before)
+		if d.doorbells != 2 || d.reads != 1 || d.bytesRead != layout.SlotSize {
+			t.Errorf("%s: %d doorbells, %d reads, %d bytes read; want 2, 1, %d",
+				name, d.doorbells, d.reads, d.bytesRead, layout.SlotSize)
+		}
+		if d.retries != 0 || d.inval != 0 || d.chased != 0 {
+			t.Errorf("%s: casRetries=%d invalidations=%d chased=%d, want none", name, d.retries, d.inval, d.chased)
+		}
+		if d.validChanged != wantChanged || d.validSame != wantSame {
+			t.Errorf("%s: validated changed=%d unchanged=%d, want %d %d", name, d.validChanged, d.validSame, wantChanged, wantSame)
+		}
+	}
+	check("moved slot", 1, 0)   // B wrote last
+	check("unmoved slot", 0, 1) // nobody wrote since: the read was a misprediction
+	// The estimate is per entry history, not per client: key 3 was last
+	// written by B during warm-up and never validated since, so A
+	// speculates (the never-moved rate is still zero), loses and chases;
+	// the entry now says "moved last time", so the next write validates
+	// first, finds nothing moved, and the one after speculates again.
+	for i, want := range []int{3, 2, 1} {
+		before := snapVerbs(a, actx)
+		if err := a.Update(key(3), val(3, i)); err != nil {
+			t.Fatal(err)
+		}
+		if d := snapVerbs(a, actx).since(before); d.doorbells != want {
+			t.Errorf("write %d of a key B has left alone: %d doorbells, want %d", i, d.doorbells, want)
+		}
+	}
+}
+
+// TestStaleDeleteProbesTheIndex scripts a DELETE through both stale
+// shapes. A slot does not say whether its pair is a tombstone, so a
+// DELETE that finds the word moved — by losing its CAS or by reading the
+// slot first — must go back to the index and answer from the pair: when
+// B deleted the key first, ErrNotFound and no second tombstone; when B
+// updated it, a committed delete.
+func TestStaleDeleteProbesTheIndex(t *testing.T) {
+	for name, rate := range map[string]uint32{"lost CAS": 0, "validate-first": 1 << 16} {
+		t.Run(name, func(t *testing.T) {
+			_, a, b, actx, _ := staleCommitPair(t, 4)
+			k := key(2)
+			for step, bDeletes := range []bool{true, false} {
+				if bDeletes {
+					if err := b.Delete(k); err != nil {
+						t.Fatal(err)
+					}
+				} else if err := b.Update(k, val(2, 7)); err != nil {
+					t.Fatal(err)
+				}
+				a.cache.stale = staleEstimate{rate: [2]uint32{rate, rate}}
+				before := snapVerbs(a, actx)
+				err := a.Delete(k)
+				d := snapVerbs(a, actx).since(before)
+				if bDeletes != errors.Is(err, ErrNotFound) || (!bDeletes && err != nil) {
+					t.Errorf("step %d: Delete after B's %s returned %v", step, map[bool]string{true: "delete", false: "update"}[bDeletes], err)
+				}
+				if d.chased != 0 || d.reads < 3 {
+					t.Errorf("step %d: chased=%d reads=%d, want no chase and an index probe", step, d.chased, d.reads)
+				}
+				if wantLost := uint64(b2i(rate == 0)); d.retries != wantLost || d.inval != wantLost || d.validChanged != 1-wantLost {
+					t.Errorf("step %d: casRetries=%d invalidations=%d validatedChanged=%d, want %d %d %d",
+						step, d.retries, d.inval, d.validChanged, wantLost, wantLost, 1-wantLost)
+				}
+				if wantFused := 1 + uint64(b2i(rate == 0)) - uint64(b2i(bDeletes)); d.fused != wantFused {
+					t.Errorf("step %d: %d tombstones placed, want %d", step, d.fused, wantFused)
+				}
+				// (A does not look: a cached tombstone answers its next
+				// DELETE without a verb, as it always has.)
+				if _, err := b.Search(k); !errors.Is(err, ErrNotFound) {
+					t.Errorf("step %d: B finds the deleted key: %v", step, err)
+				}
+			}
+		})
+	}
+}
+
+// TestChaseAndValidateFirstZeroAlloc is the allocation pin for the two
+// new commit shapes, each forced by setting the estimate by hand.
+func TestChaseAndValidateFirstZeroAlloc(t *testing.T) {
+	_, a, b, _, _ := staleCommitPair(t, 4)
+	k := key(0)
+	v := val(0, 3)
+	for name, rate := range map[string]uint32{"chase": 0, "validate-first": 1 << 16} {
+		est := staleEstimate{rate: [2]uint32{rate, rate}}
+		step := func() {
+			a.cache.stale, b.cache.stale = est, est
+			if a.Update(k, v) != nil || b.Update(k, v) != nil {
+				t.Fatal("update failed during measurement")
+			}
+		}
+		for i := 0; i < 4; i++ { // grow every pooled buffer on both paths
+			step()
+		}
+		a.FlushBitmaps()
+		b.FlushBitmaps()
+		count := func() (ch, vf uint64) {
+			for _, c := range []*Client{a, b} {
+				ch += c.Stats.WriteChased
+				vf += c.Stats.WriteValidatedChanged + c.Stats.WriteValidatedSame
+			}
+			return ch, vf
+		}
+		ch0, vf0 := count()
+		allocs := testing.AllocsPerRun(50, step)
+		ch, vf := count()
+		ch, vf = ch-ch0, vf-vf0
+		if (name == "chase") != (ch > 0 && vf == 0) {
+			t.Errorf("%s: measured window saw %d chases, %d validate-first commits", name, ch, vf)
+		}
+		if allocs != 0 {
+			t.Errorf("%s: %.2f allocs per pair of updates, want 0", name, allocs)
+		}
+	}
+}
+
+// TestChaseRefusedAcrossEpochChange pins the recovery hazard the chase
+// would otherwise open. Recovery re-places keys inserted since the last
+// checkpoint, so after it a cached slot offset may belong to another
+// key — one whose fingerprint can collide. The test fabricates exactly
+// that: A caches key K at slot S, then the view epoch moves and S is
+// rewritten to a same-fingerprint word pointing at another key's pair.
+// A's commit loses at S; it must not take the returned word on trust
+// and CAS over it, but re-probe the index and leave S alone.
+func TestChaseRefusedAcrossEpochChange(t *testing.T) {
+	tc, a, b, _, _ := staleCommitPair(t, 4)
+	k, other := key(0), key(1)
+	h := racehash.Hash(k)
+	mn := racehash.HomeMN(h, tc.cl.Cfg.Layout.NumMNs)
+	ent := a.cache.lookup(h, k)
+	oent := b.cache.lookup(racehash.Hash(other), other)
+	if ent == nil || !ent.pos() || oent == nil || !oent.pos() {
+		t.Fatal("keys not cached")
+	}
+	// Validate-first must be refused the same way, so arm it.
+	a.cache.stale = staleEstimate{rate: [2]uint32{1 << 16, 1 << 16}}
+
+	foreign := layout.UnpackAtomic(oent.atomic)
+	foreign.FP = racehash.Fingerprint(h)
+	node, _ := tc.cl.view.nodeOf(mn)
+	slot := tc.pl.DirectMemory(node)[ent.slotOff:]
+	binary.LittleEndian.PutUint64(slot, foreign.Pack())
+	tc.cl.view.mu.Lock()
+	tc.cl.view.epoch++ // what FailMN and recovery do
+	tc.cl.view.mu.Unlock()
+
+	reads := a.Stats.ReadsIssued
+	if err := a.Update(k, val(0, 9)); err != nil {
+		t.Fatal(err)
+	}
+	if got := binary.LittleEndian.Uint64(slot); got != foreign.Pack() {
+		t.Fatalf("write of %q overwrote a slot that changed owner across an epoch change: %#x, want %#x", k, got, foreign.Pack())
+	}
+	if v := a.Stats.WriteValidatedChanged + a.Stats.WriteValidatedSame; v != 0 || a.Stats.WriteChased != 0 {
+		t.Errorf("validated=%d chased=%d across an epoch change, want 0 0", v, a.Stats.WriteChased)
+	}
+	if a.Stats.ReadsIssued-reads < 2 {
+		t.Error("no index probe after the stale-epoch entry lost its CAS")
+	}
+	fresh := tc.cl.NewClient()
+	fresh.Attach(&directCtx{pl: tc.pl})
+	if got, err := fresh.Search(k); err != nil || !bytes.Equal(got, val(0, 9)) {
+		t.Errorf("fresh client reads %q, %v", got, err)
+	}
+}
+
+// TestCachedClientsUpdateAfterHomeMNRecovery is the benchmark's
+// failover shape inside the package: clients warm their caches (and
+// their staleness estimates, on write-shared keys), insert fresh keys
+// that no checkpoint will hold, sit out a fail-stop of an index home
+// until blocksReady, then update every key through their pre-failure
+// cache entries. A sweep by a fresh client must read back, for each
+// key, the last acknowledged write of one of its writers.
+func TestCachedClientsUpdateAfterHomeMNRecovery(t *testing.T) {
+	tc := newTestCluster(t, nil)
+	tc.cl.master.AddSpare()
+	const (
+		clients = 4
+		shared  = 40 // written by every client
+		late    = 60 // per client, inserted just before the fail-stop
+		victim  = 1
+	)
+	tc.runClients(t, 60*time.Second, func(c *Client) {
+		for i := 0; i < shared; i++ {
+			if err := c.Insert(key(i), val(i, 0)); err != nil {
+				t.Errorf("insert: %v", err)
+				return
+			}
+		}
+	})
+	tc.run(2 * tc.cl.Cfg.CkptInterval)
+
+	// last[w][i] is client w's last acknowledged value of key i.
+	last := make([]map[int][]byte, clients)
+	ready := 0
+	fns := make([]func(*Client), clients)
+	for w := range fns {
+		w := w
+		last[w] = map[int][]byte{}
+		put := func(c *Client, i, gen int) bool {
+			v := val(i, 10*gen+w)
+			if err := c.Update(key(i), v); err != nil {
+				t.Errorf("client %d key %d gen %d: %v", w, i, gen, err)
+				return false
+			}
+			last[w][i] = v
+			return true
+		}
+		fns[w] = func(c *Client) {
+			for gen := 1; gen <= 12; gen++ {
+				for i := 0; i < shared; i++ {
+					if !put(c, i, gen) {
+						return
+					}
+				}
+			}
+			for j := 0; j < late; j++ {
+				if !put(c, 1000*(w+1)+j, 1) {
+					return
+				}
+			}
+			if ready++; ready == clients {
+				c.cl.FailMN(victim)
+			}
+			for {
+				if failed, _, blocks := c.cl.MNState(victim); ready == clients && !failed && blocks {
+					break
+				}
+				c.ctx.Sleep(200 * time.Microsecond)
+			}
+			for gen := 13; gen <= 16; gen++ {
+				for i := 0; i < shared; i++ {
+					if !put(c, i, gen) {
+						return
+					}
+				}
+				for j := 0; j < late; j++ {
+					if !put(c, 1000*(w+1)+j, gen) {
+						return
+					}
+				}
+			}
+		}
+	}
+	tc.runClients(t, 600*time.Second, fns...)
+	if t.Failed() {
+		return
+	}
+	tc.runClients(t, 120*time.Second, func(c *Client) {
+		for i := 0; i < shared; i++ {
+			got, err := c.Search(key(i))
+			ok := false
+			for w := 0; w < clients; w++ {
+				ok = ok || bytes.Equal(got, last[w][i])
+			}
+			if err != nil || !ok {
+				t.Errorf("shared key %d: %v, value is no client's last acknowledged write", i, err)
+			}
+		}
+		for w := 0; w < clients; w++ {
+			for j := 0; j < late; j++ {
+				i := 1000*(w+1) + j
+				if got, err := c.Search(key(i)); err != nil || !bytes.Equal(got, last[w][i]) {
+					t.Errorf("key %d of client %d: %v, not its last acknowledged write", i, w, err)
+				}
+			}
+		}
+	})
+}
+
+// TestSlotNeverChangesKey is the property the chase and validate-first
+// reads rest on: within one view epoch an index slot, once it holds a
+// key's pair, only ever holds that key's pairs. Random
+// insert/update/delete/reinsert histories from four clients run against
+// a pool small enough that blocks are reclaimed and reused; between
+// bursts every non-empty slot of every index is resolved to the key of
+// the pair it points at and compared with what the slot held before.
+func TestSlotNeverChangesKey(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
+			tc := newTestCluster(t, func(cfg *Config) {
+				cfg.Layout.StripeRows = 24
+				cfg.Layout.PoolBlocks = 16
+				cfg.ReclaimFree = 0.5
+			})
+			const clients, keys, bursts, perBurst = 4, 120, 16, 200
+			owner := map[[2]uint64]string{} // (mn, slot offset) → key
+			check := func() {
+				l := tc.cl.L
+				seen := 0
+				for mn := 0; mn < l.Cfg.NumMNs; mn++ {
+					node, _ := tc.cl.view.nodeOf(mn)
+					mem := tc.pl.DirectMemory(node)
+					for b := uint64(0); b < l.NumBuckets(); b++ {
+						for s := 0; s < layout.BucketSlots; s++ {
+							off := l.SlotOff(b, s)
+							id := [2]uint64{uint64(mn), off}
+							w := binary.LittleEndian.Uint64(mem[off:])
+							if w == 0 {
+								if k, held := owner[id]; held {
+									t.Fatalf("mn %d slot %#x held %q and was zeroed", mn, off, k)
+								}
+								continue
+							}
+							pmn, poff := layout.UnpackAddr(layout.UnpackAtomic(w).Addr)
+							pnode, _ := tc.cl.view.nodeOf(int(pmn))
+							pair := tc.pl.DirectMemory(pnode)[poff:]
+							k := string(pair[layout.KVHeaderSize : layout.KVHeaderSize+int(binary.LittleEndian.Uint16(pair[2:]))])
+							if prev, held := owner[id]; held && prev != k {
+								t.Fatalf("mn %d slot %#x changed key %q → %q", mn, off, prev, k)
+							}
+							owner[id] = k
+							seen++
+						}
+					}
+				}
+				if seen == 0 {
+					t.Fatal("no occupied slots scanned")
+				}
+			}
+			// Long-lived clients (fresh ones would strand their open
+			// blocks every burst); the last to reach each barrier scans
+			// the indexes while the others sit in Sleep.
+			arrived := 0
+			fns := make([]func(*Client), clients)
+			for w := range fns {
+				rng := rand.New(rand.NewSource(seed*1000 + int64(w)))
+				fns[w] = func(c *Client) {
+					for burst := 1; burst <= bursts; burst++ {
+						for n := 0; n < perBurst; n++ {
+							i := rng.Intn(keys)
+							var err error
+							switch op := rng.Intn(10); {
+							case op < 6:
+								err = c.Update(key(i), val(i, rng.Intn(1000)))
+							case op < 8:
+								err = c.Insert(key(i), val(i, rng.Intn(1000)))
+							default:
+								if err = c.Delete(key(i)); errors.Is(err, ErrNotFound) {
+									err = nil
+								}
+							}
+							if err != nil {
+								t.Errorf("op on key %d: %v", i, err)
+								return
+							}
+						}
+						if arrived++; arrived == burst*clients {
+							check()
+						}
+						for arrived < burst*clients && !t.Failed() {
+							c.ctx.Sleep(50 * time.Microsecond)
+						}
+					}
+				}
+			}
+			tc.runClients(t, 600*time.Second, fns...)
+			if tc.cl.Reclaimed() == 0 {
+				t.Error("no block was reclaimed: the history never exercised slot reuse in DATA blocks")
+			}
+		})
+	}
+}

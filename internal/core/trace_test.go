@@ -226,3 +226,55 @@ func TestEndToEndTraceTimeline(t *testing.T) {
 		}
 	}
 }
+
+// TestFailureEventsSurviveBackgroundFlood pins the fix for the
+// benchmark's Finding 4: checkpoint rounds and encode batches used to
+// share the cluster ring with failure and recovery events and pushed
+// fail.detect and the tier marks out of it within one run. With a ring
+// of 16 per lane, a workload that keeps folding deltas and shipping
+// checkpoint rounds long after a recovery must still leave the whole
+// incident — detection to recovery.done — in Cluster.Trace().
+func TestFailureEventsSurviveBackgroundFlood(t *testing.T) {
+	tc := newTestCluster(t, nil)
+	tc.cl.trace = obs.NewRing(16)
+	tc.cl.master.AddSpare()
+	load := func(gens int) {
+		tc.runClients(t, 120*time.Second, func(c *Client) {
+			for g := 0; g < gens; g++ {
+				for i := 0; i < 100; i++ {
+					if err := c.Update(key(i), val(i, g)); err != nil {
+						t.Errorf("update: %v", err)
+						return
+					}
+				}
+			}
+		})
+	}
+	load(2)
+	tc.run(2 * tc.cl.Cfg.CkptInterval)
+	tc.cl.FailMN(1)
+	for i := 0; i < 20000; i++ {
+		tc.run(time.Millisecond)
+		if failed, _, ready := tc.cl.MNState(1); !failed && ready {
+			break
+		}
+	}
+	load(30)
+	tc.run(20 * tc.cl.Cfg.CkptInterval)
+
+	kinds := map[string]int{}
+	for _, ev := range tc.cl.Trace().Events() {
+		kinds[ev.Kind]++
+	}
+	if tc.cl.Trace().Dropped() < 64 {
+		t.Fatalf("only %d events dropped: the background lanes never flooded (have %v)", tc.cl.Trace().Dropped(), kinds)
+	}
+	for _, want := range []string{"fail.detect", "recovery.index_ready", "recovery.tier3", "recovery.done"} {
+		if kinds[want] == 0 {
+			t.Errorf("%q pushed out of the ring by background events (have %v)", want, kinds)
+		}
+	}
+	if kinds["ckpt.round"]+kinds["ec.encode"] == 0 {
+		t.Errorf("no background events retained (have %v)", kinds)
+	}
+}

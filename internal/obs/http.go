@@ -258,6 +258,11 @@ func (e *Exporter) WriteProm(w io.Writer) {
 		fmt.Fprintf(w, "aceso_block_prefetch_misses_total %d\n", s.PrefetchMisses)
 		header(w, "aceso_delta_skips_total", "counter", "Delta copies skipped during placement (dead target or lost write).")
 		fmt.Fprintf(w, "aceso_delta_skips_total %d\n", s.DeltaSkips)
+		header(w, "aceso_write_chase_total", "counter", "Lost commit CASes re-armed from the slot itself instead of an index probe.")
+		fmt.Fprintf(w, "aceso_write_chase_total %d\n", s.Chased)
+		header(w, "aceso_write_validate_first_total", "counter", "Commits that read the slot before placing (cache entry predicted stale), by what the read found.")
+		fmt.Fprintf(w, "aceso_write_validate_first_total{outcome=\"changed\"} %d\n", s.ValidatedChanged)
+		fmt.Fprintf(w, "aceso_write_validate_first_total{outcome=\"unchanged\"} %d\n", s.ValidatedSame)
 	}
 	if e.Trace != nil {
 		header(w, "aceso_trace_events_total", "counter", "Trace events emitted to the ring buffer.")

@@ -18,8 +18,14 @@ func TestMetricsBuildInfoAndSLOFamilies(t *testing.T) {
 	slo.Observe(SLOGet, 100*time.Microsecond, false)
 	slo.Observe(SLOUpdate, 5*time.Millisecond, true)
 	slo.SetDegraded(true)
+	wm := &WriteMetrics{}
+	wm.Fused.Add(7)
+	wm.Chased.Add(3)
+	wm.ValidatedChanged.Add(5)
+	wm.ValidatedSame.Add(2)
 	e := &Exporter{
 		Trace:      ring,
+		Write:      wm,
 		Tracer:     tr,
 		SLO:        slo,
 		Version:    "v1.2.3",
@@ -47,6 +53,13 @@ func TestMetricsBuildInfoAndSLOFamilies(t *testing.T) {
 		"aceso_slo_degraded 1",
 		"# TYPE aceso_slo_latency_seconds gauge",
 		`aceso_ftmode_info{mode="aceso"} 1`,
+		"aceso_write_fused_total 7",
+		`aceso_write_fallback_total{reason="insert"} 0`,
+		"# TYPE aceso_write_chase_total counter",
+		"aceso_write_chase_total 3",
+		"# TYPE aceso_write_validate_first_total counter",
+		`aceso_write_validate_first_total{outcome="changed"} 5`,
+		`aceso_write_validate_first_total{outcome="unchanged"} 2`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q\n%s", want, out)

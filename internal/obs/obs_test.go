@@ -194,3 +194,32 @@ func TestExporterWritesAllFamilies(t *testing.T) {
 		}
 	}
 }
+
+// TestRingLanesKeepLifecycleEvents floods the periodic lane: it wraps
+// on its own, the lifecycle lane keeps every event, and Events()
+// interleaves the two in emission order.
+func TestRingLanesKeepLifecycleEvents(t *testing.T) {
+	r := NewRing(4)
+	r.EmitPeriodic(Event{Kind: "ckpt.round"})
+	r.Emit(Event{Kind: "fail.detect"})
+	for i := 0; i < 100; i++ {
+		r.EmitPeriodic(Event{Kind: "ec.encode"})
+	}
+	r.Emit(Event{Kind: "recovery.done"})
+	r.EmitPeriodic(Event{Kind: "ckpt.round"})
+	evs := r.Events()
+	var kinds []string
+	for i, ev := range evs {
+		kinds = append(kinds, ev.Kind)
+		if i > 0 && ev.Seq <= evs[i-1].Seq {
+			t.Fatalf("events out of emission order at %d: %v", i, evs)
+		}
+	}
+	want := "fail.detect ec.encode ec.encode ec.encode recovery.done ckpt.round"
+	if got := strings.Join(kinds, " "); got != want {
+		t.Errorf("retained %q, want %q", got, want)
+	}
+	if r.Total() != 104 || r.Dropped() != 98 {
+		t.Errorf("total=%d dropped=%d, want 104 and 98", r.Total(), r.Dropped())
+	}
+}

@@ -45,46 +45,84 @@ func (e Event) String() string {
 	return s
 }
 
-// Ring is a bounded, mutex-guarded trace buffer: the newest capacity
-// events are kept, older ones are overwritten. Emit is cheap enough to
-// call from recovery and checkpoint paths; readers copy out.
+// Ring is a bounded, mutex-guarded trace buffer with two lanes of
+// capacity events each: Emit's lane holds the rare lifecycle events
+// (failure injection and detection, recovery tiers, chaos), and
+// EmitPeriodic's the steady background ones (checkpoint rounds, encode
+// batches) — thousands per run, which in a shared buffer overwrote an
+// incident's fail.detect and tier marks before anyone read them. Each
+// lane keeps its newest events and overwrites older ones; Seq is
+// shared, so Events() interleaves the lanes in emission order. Emit is
+// cheap enough to call from recovery and checkpoint paths; readers
+// copy out.
 type Ring struct {
-	mu    sync.Mutex
-	buf   []Event
-	next  int
-	total uint64
+	mu        sync.Mutex
+	lifecycle lane
+	periodic  lane
+	total     uint64
 }
 
-// NewRing returns a ring holding the last capacity events (minimum 1).
+// lane is one fixed-capacity overwrite-oldest buffer.
+type lane struct {
+	buf  []Event
+	next int
+}
+
+func (l *lane) put(e Event) {
+	if len(l.buf) < cap(l.buf) {
+		l.buf = append(l.buf, e)
+		return
+	}
+	l.buf[l.next] = e
+	l.next = (l.next + 1) % cap(l.buf)
+}
+
+// at returns the lane's i-th oldest retained event.
+func (l *lane) at(i int) *Event { return &l.buf[(l.next+i)%len(l.buf)] }
+
+// NewRing returns a ring holding the last capacity events of each lane
+// (minimum 1), so up to 2×capacity in all.
 func NewRing(capacity int) *Ring {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Ring{buf: make([]Event, 0, capacity)}
+	return &Ring{
+		lifecycle: lane{buf: make([]Event, 0, capacity)},
+		periodic:  lane{buf: make([]Event, 0, capacity)},
+	}
 }
 
-// Emit appends an event, stamping its monotonic sequence number and
-// overwriting the oldest once full.
-func (r *Ring) Emit(e Event) {
+// Emit appends a lifecycle event, stamping its monotonic sequence
+// number and overwriting the lane's oldest once full.
+func (r *Ring) Emit(e Event) { r.emit(&r.lifecycle, e) }
+
+// EmitPeriodic appends a background event that recurs for as long as
+// the cluster runs; it can only ever overwrite other periodic events.
+func (r *Ring) EmitPeriodic(e Event) { r.emit(&r.periodic, e) }
+
+func (r *Ring) emit(l *lane, e Event) {
 	r.mu.Lock()
 	e.Seq = r.total
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, e)
-	} else {
-		r.buf[r.next] = e
-		r.next = (r.next + 1) % cap(r.buf)
-	}
+	l.put(e)
 	r.total++
 	r.mu.Unlock()
 }
 
-// Events returns the retained events oldest-first.
+// Events returns the retained events of both lanes oldest-first.
 func (r *Ring) Events() []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Event, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
+	a, b := &r.lifecycle, &r.periodic
+	out := make([]Event, 0, len(a.buf)+len(b.buf))
+	for i, j := 0, 0; i < len(a.buf) || j < len(b.buf); {
+		if j == len(b.buf) || (i < len(a.buf) && a.at(i).Seq < b.at(j).Seq) {
+			out = append(out, *a.at(i))
+			i++
+		} else {
+			out = append(out, *b.at(j))
+			j++
+		}
+	}
 	return out
 }
 
@@ -100,5 +138,5 @@ func (r *Ring) Total() uint64 {
 func (r *Ring) Dropped() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.total - uint64(len(r.buf))
+	return r.total - uint64(len(r.lifecycle.buf)+len(r.periodic.buf))
 }

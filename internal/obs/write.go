@@ -5,7 +5,8 @@ import "sync/atomic"
 // WriteMetrics aggregates write-path activity across every client
 // opened from one cluster handle, for live export (/metrics, admin
 // Stats): fused single-RTT commits, two-phase fallbacks by reason,
-// background block-prefetch effectiveness and skipped delta copies.
+// background block-prefetch effectiveness, skipped delta copies, and
+// the stale-slot-aware commit's chases and validate-first reads.
 // Clients bump the counters with single atomic adds on their op paths;
 // the per-client breakdown stays in core.ClientStats (plain fields,
 // read by the owning goroutine). This aggregate exists so a metrics
@@ -22,6 +23,9 @@ type WriteMetrics struct {
 	PrefetchHits       atomic.Uint64 // block refills served by the prefetcher
 	PrefetchMisses     atomic.Uint64 // refills that fell back to a synchronous alloc
 	DeltaSkips         atomic.Uint64 // delta copies not written (dead target or lost write)
+	Chased             atomic.Uint64 // lost commit CASes re-armed from the slot itself (no index probe)
+	ValidatedChanged   atomic.Uint64 // validate-first commits whose slot read found the word moved
+	ValidatedSame      atomic.Uint64 // ... and found it unmoved (a misprediction)
 }
 
 // WriteSnapshot is a point-in-time copy of WriteMetrics.
@@ -32,6 +36,8 @@ type WriteSnapshot struct {
 	FallbackRollover, FallbackAddr       uint64
 	PrefetchHits, PrefetchMisses         uint64
 	DeltaSkips                           uint64
+	Chased                               uint64
+	ValidatedChanged, ValidatedSame      uint64
 }
 
 // Fallbacks returns the total two-phase commits across all reasons.
@@ -56,5 +62,8 @@ func (m *WriteMetrics) Snapshot() WriteSnapshot {
 		PrefetchHits:       m.PrefetchHits.Load(),
 		PrefetchMisses:     m.PrefetchMisses.Load(),
 		DeltaSkips:         m.DeltaSkips.Load(),
+		Chased:             m.Chased.Load(),
+		ValidatedChanged:   m.ValidatedChanged.Load(),
+		ValidatedSame:      m.ValidatedSame.Load(),
 	}
 }
