@@ -55,8 +55,6 @@ func main() {
 	flag.IntVar(&cfg.Layout.CkptSegments, "ckpt-segments", cfg.Layout.CkptSegments, "checkpoint index segments (geometry: must match the daemons)")
 	flag.IntVar(&cfg.TraceSample, "trace-sample", 1, "op-span sampling: 1 in N of this client's ops records a span tree (<0 disables)")
 	flag.IntVar(&cfg.CacheEntries, "cache-entries", cfg.CacheEntries, "client index cache entry bound (0 = default 16384, <0 disables)")
-	flag.IntVar(&cfg.OffloadBuckets, "offload-buckets", cfg.OffloadBuckets, "hot-bucket mirror budget (0 disables the offload)")
-	flag.BoolVar(&cfg.CacheNegative, "cache-negative", cfg.CacheNegative, "cache negative GET conclusions validated by bucket version reads")
 	flag.BoolVar(&cfg.CacheValues, "cache-values", cfg.CacheValues, "cache committed values; hits cost one 8-byte slot validation read")
 	flag.BoolVar(&cfg.FusedCommit, "fused-commit", cfg.FusedCommit, "fuse the commit CAS into the placement doorbell on ordered fabrics (single-RTT updates)")
 	flag.BoolVar(&cfg.BlockPrefetch, "block-prefetch", cfg.BlockPrefetch, "pre-provision DATA/DELTA blocks on a per-client background worker")
@@ -166,10 +164,8 @@ func execute(c ftmode.Client, fields []string) (quit bool) {
 					s.Ops, s.Searches, s.Inserts, s.Updates, s.Deletes,
 					s.CASIssued, s.ReadsIssued, s.WritesIssued, s.CASRetries,
 					s.CacheHits, s.CacheMisses, s.DegradedReads, s.Invalidations)
-				entries, bytes, offloaded, evictions := cc.CacheStats()
-				fmt.Printf("cache: entries=%d bytes=%d negHits=%d evictions=%d mirror{buckets=%d hits=%d negHits=%d}\n",
-					entries, bytes, s.CacheNegHits, evictions,
-					offloaded, s.MirrorHits, s.MirrorNegHits)
+				entries, bytes, evictions := cc.CacheStats()
+				fmt.Printf("cache: entries=%d bytes=%d evictions=%d\n", entries, bytes, evictions)
 				fmt.Printf("write: fused=%d fallback=%d deltaSkips=%d prefetch{hits=%d misses=%d} chased=%d validateFirst{changed=%d unchanged=%d}\n",
 					s.WriteFused, s.WriteFallback, s.DeltaSkips,
 					s.BlockPrefetchHits, s.BlockPrefetchMisses,
@@ -415,13 +411,9 @@ func printMNStats(c ftmode.Client, mn int) {
 	cache := &stats.Series{Name: "cache"}
 	cache.Add("hits", float64(st.CacheHits))
 	cache.Add("misses", float64(st.CacheMisses))
-	cache.Add("negHits", float64(st.CacheNegHits))
 	cache.Add("evictions", float64(st.CacheEvictions))
-	cache.Add("mirrorHits", float64(st.CacheMirrorHits))
-	cache.Add("mirrorNegHits", float64(st.CacheMirrorNegHits))
 	cache.Add("entries", float64(st.CacheEntries))
 	cache.Add("bytes", float64(st.CacheBytes))
-	cache.Add("offloaded", float64(st.CacheOffloaded))
 	fmt.Print(stats.Table(fmt.Sprintf("mn%d client index cache (co-resident clients)", st.MN), cache))
 	wr := &stats.Series{Name: "write"}
 	wr.Add("fused", float64(st.WriteFused))

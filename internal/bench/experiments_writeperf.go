@@ -136,7 +136,7 @@ func runWritePerf(o Options) (*Result, error) {
 // and returns its row. Doorbells/op averages the instrumented client
 // verbs over warmup+measured ops (steady-state behaviour is uniform
 // within a phase; the prefetch worker's verbs ride an uninstrumented
-// ctx, mirroring how a NIC-offloaded helper would not bill the client).
+// ctx, the way a helper running on the NIC would not bill the client).
 func writePerfCell(o Options, cfgName string, fused, prefetch bool, wl string, writeHeavy workload.Mix, keys uint64) (writePerfRow, error) {
 	mutate := func(cfg *core.Config) {
 		cfg.FusedCommit = fused

@@ -12,10 +12,7 @@ import (
 // silently producing a wrong EXPERIMENTS.md.
 
 func TestShapeFig1aReplicationDegradesWrites(t *testing.T) {
-	res, err := Run("fig1a", Options{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runQuick(t, "fig1a")
 	find := func(name string) []float64 {
 		for _, s := range res.Series {
 			if s.Name == name {
@@ -45,10 +42,7 @@ func TestShapeFig1aReplicationDegradesWrites(t *testing.T) {
 }
 
 func TestShapeFig8AcesoWinsWrites(t *testing.T) {
-	res, err := Run("fig8", Options{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runQuick(t, "fig8")
 	var norm []float64
 	var labels []string
 	for _, s := range res.Series {
@@ -72,10 +66,7 @@ func TestShapeFig8AcesoWinsWrites(t *testing.T) {
 }
 
 func TestShapeFig9AcesoCutsLatency(t *testing.T) {
-	res, err := Run("fig9", Options{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runQuick(t, "fig9")
 	vals := map[string][]float64{}
 	for _, s := range res.Series {
 		vals[s.Name] = s.Values
@@ -90,10 +81,7 @@ func TestShapeFig9AcesoCutsLatency(t *testing.T) {
 }
 
 func TestShapeFig12SpaceSaving(t *testing.T) {
-	res, err := Run("fig12", Options{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runQuick(t, "fig12")
 	var aceso, fusee float64
 	for _, s := range res.Series {
 		if s.Name == "Total" {
@@ -115,10 +103,7 @@ func TestShapeFig12SpaceSaving(t *testing.T) {
 // count-based cost-model test (TestXorCostModelBeatsRS) plus the CI
 // benchmark job cover the performance claim.
 func TestShapeTab2RecoveryEquivalence(t *testing.T) {
-	res, err := Run("tab2", Options{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runQuick(t, "tab2")
 	get := func(name, col string) float64 {
 		for _, s := range res.Series {
 			if s.Name != name {
@@ -153,10 +138,7 @@ func TestShapeTab2RecoveryEquivalence(t *testing.T) {
 }
 
 func TestShapeFig15AcesoLeadsAtAllRatios(t *testing.T) {
-	res, err := Run("fig15", Options{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runQuick(t, "fig15")
 	var norm []float64
 	for _, s := range res.Series {
 		if s.Name == "normalized" {
@@ -171,10 +153,7 @@ func TestShapeFig15AcesoLeadsAtAllRatios(t *testing.T) {
 }
 
 func TestShapeAblDeltaCopiesCost(t *testing.T) {
-	res, err := Run("abl2", Options{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runQuick(t, "abl2")
 	var tput, writes []float64
 	for _, s := range res.Series {
 		switch s.Name {
@@ -199,10 +178,7 @@ func TestShapeAblDeltaCopiesCost(t *testing.T) {
 // allocs-per-op ceiling — the zero-allocation claim, counted rather
 // than timed.
 func TestShapeTCPPerf(t *testing.T) {
-	res, err := Run("tcpperf", Options{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runQuick(t, "tcpperf")
 	sum, ok := res.Summary.(*tcpPerfSummary)
 	if !ok {
 		t.Fatalf("summary has type %T, want *tcpPerfSummary", res.Summary)
@@ -235,10 +211,7 @@ func TestShapeTCPPerf(t *testing.T) {
 // degraded window is recorded, and the machine-readable summary
 // carries per-class totals for all four op classes.
 func TestShapeSloperfDegradedFlip(t *testing.T) {
-	res, err := Run("sloperf", Options{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runQuick(t, "sloperf")
 	sum, ok := res.Summary.(*sloperfSummary)
 	if !ok {
 		t.Fatalf("summary type %T", res.Summary)
@@ -284,10 +257,7 @@ func TestShapeSloperfDegradedFlip(t *testing.T) {
 // 2 RTT -> 1 RTT headline), real reclamation pressure in the reclaim
 // cell, and the knob semantics (baseline never fuses, fused cells do).
 func TestShapeWriteperf(t *testing.T) {
-	res, err := Run("writeperf", Options{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runQuick(t, "writeperf")
 	sum, ok := res.Summary.(*writePerfSummary)
 	if !ok {
 		t.Fatalf("summary type %T", res.Summary)

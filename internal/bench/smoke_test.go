@@ -7,16 +7,32 @@ import (
 	"repro/internal/stats"
 )
 
+// quickResults memoises Quick-mode runs per experiment id for the life
+// of the test binary, so an experiment a shape test asserts on is not
+// run a second time by TestQuickSmoke (tab2 alone is 8 s). Tests in
+// this package do not run in parallel.
+var quickResults = map[string]*Result{}
+
+func runQuick(t *testing.T, id string) *Result {
+	t.Helper()
+	if res := quickResults[id]; res != nil {
+		return res
+	}
+	res, err := Run(id, Options{Quick: true})
+	if err != nil {
+		t.Fatalf("%s: %v", id, err)
+	}
+	quickResults[id] = res
+	return res
+}
+
 // TestQuickSmoke runs every registered experiment in Quick mode: the
 // whole evaluation pipeline must produce a table without errors.
 func TestQuickSmoke(t *testing.T) {
 	for _, id := range IDs() {
 		id := id
 		t.Run(id, func(t *testing.T) {
-			res, err := Run(id, Options{Quick: true})
-			if err != nil {
-				t.Fatalf("%s: %v", id, err)
-			}
+			res := runQuick(t, id)
 			if len(res.Series) == 0 {
 				t.Fatalf("%s: no series", id)
 			}

@@ -112,10 +112,7 @@ func TestScriptedVerbCounts(t *testing.T) {
 // experiment end to end and asserts every measured figure stays within
 // the documented 10% tolerance of the cost model.
 func TestVerbsExperimentWithinTolerance(t *testing.T) {
-	res, err := Run("verbs", Options{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runQuick(t, "verbs")
 	if len(res.Series) == 0 || len(res.Series)%2 != 0 {
 		t.Fatalf("verbs result has %d series, want measured/model pairs", len(res.Series))
 	}

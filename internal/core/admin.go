@@ -51,7 +51,12 @@ func (s *Server) handleAdminChaos(req []byte) ([]byte, time.Duration) {
 // handleAdminStats snapshots the server's counters for the CLI /
 // monitoring surfaces. The dispatch already holds memMu.
 func (s *Server) handleAdminStats(_ []byte) ([]byte, time.Duration) {
-	st := s.statsLocked()
+	return encodeStats(s.statsLocked()), 2 * time.Microsecond
+}
+
+// encodeStats and decodeStats are the admin Stats wire format: stOK,
+// then every ServerStats field in declaration order.
+func encodeStats(st ServerStats) []byte {
 	e := enc{b: []byte{stOK}}
 	e.u16(uint16(st.MN))
 	e.u64(st.IndexVersion)
@@ -80,13 +85,9 @@ func (s *Server) handleAdminStats(_ []byte) ([]byte, time.Duration) {
 	e.u64(st.ECDecodeNs)
 	e.u64(st.CacheHits)
 	e.u64(st.CacheMisses)
-	e.u64(st.CacheNegHits)
 	e.u64(st.CacheEvictions)
-	e.u64(st.CacheMirrorHits)
-	e.u64(st.CacheMirrorNegHits)
 	e.u64(st.CacheEntries)
 	e.u64(st.CacheBytes)
-	e.u64(st.CacheOffloaded)
 	e.u64(st.WriteFused)
 	e.u64(st.WriteFallbacks)
 	e.u64(st.PrefetchHits)
@@ -95,7 +96,7 @@ func (s *Server) handleAdminStats(_ []byte) ([]byte, time.Duration) {
 	e.u64(st.WriteChased)
 	e.u64(st.WriteValidatedChanged)
 	e.u64(st.WriteValidatedSame)
-	return e.b, 2 * time.Microsecond
+	return e.b
 }
 
 // StatsMN fetches the counter snapshot of logical MN mn over the admin
@@ -113,7 +114,12 @@ func (c *Client) StatsMN(mn int) (ServerStats, error) {
 	if len(resp) < 1 || resp[0] != stOK {
 		return st, errRPC
 	}
-	d := dec{b: resp[1:]}
+	return decodeStats(resp[1:]), nil
+}
+
+func decodeStats(b []byte) ServerStats {
+	var st ServerStats
+	d := dec{b: b}
 	st.MN = int(d.u16())
 	st.IndexVersion = d.u64()
 	st.Reclaimed = d.u64()
@@ -141,13 +147,9 @@ func (c *Client) StatsMN(mn int) (ServerStats, error) {
 	st.ECDecodeNs = d.u64()
 	st.CacheHits = d.u64()
 	st.CacheMisses = d.u64()
-	st.CacheNegHits = d.u64()
 	st.CacheEvictions = d.u64()
-	st.CacheMirrorHits = d.u64()
-	st.CacheMirrorNegHits = d.u64()
 	st.CacheEntries = d.u64()
 	st.CacheBytes = d.u64()
-	st.CacheOffloaded = d.u64()
 	st.WriteFused = d.u64()
 	st.WriteFallbacks = d.u64()
 	st.PrefetchHits = d.u64()
@@ -156,7 +158,7 @@ func (c *Client) StatsMN(mn int) (ServerStats, error) {
 	st.WriteChased = d.u64()
 	st.WriteValidatedChanged = d.u64()
 	st.WriteValidatedSame = d.u64()
-	return st, nil
+	return st
 }
 
 // handleAdminTrace dumps the cluster's retained op spans (newest

@@ -36,15 +36,9 @@ type clientCache struct {
 // Entry flag bits.
 const (
 	entRef  uint8 = 1 << iota // CLOCK reference bit
-	entNeg                    // negative entry: key absent as of (negV1, negV2)
-	entTomb                   // positive entry whose committed pair is a tombstone
+	entTomb                   // the committed pair is a tombstone
 	entLive                   // slot holds a live entry (rebuild scans on this)
 	entVal                    // val holds the committed value bytes (Config.CacheValues)
-	// entMissed marks a miss candidate: the key missed cleanly but no
-	// version snapshot was taken (the first miss query stays at the
-	// paper's verb count). The next query for the key piggybacks the
-	// two version words and upgrades the entry to a validated negative.
-	entMissed
 	// entShared records the entry's last validation outcome: a GET's
 	// slot-word check or a write's commit found that another client had
 	// moved the slot since the entry was refreshed (staleEstimate).
@@ -55,41 +49,29 @@ const (
 // plus two table words) for the aceso_cache_bytes gauge.
 const cacheEntryOverhead = 96
 
-// cacheEnt is one cached conclusion about a key: either "its committed
-// pair lives at this slot/address" (positive, validated by re-reading
-// the slot Atomic word) or "it is absent as of these bucket versions"
-// (negative, validated by re-reading the two 8-byte version words).
+// cacheEnt is one cached slot location (§3.5.1): "the key's committed
+// pair — live or tombstone — lives at this slot", validated by
+// re-reading the slot Atomic word.
 type cacheEnt struct {
 	hash  uint64
 	key   []byte // owned copy; capacity is recycled across evictions
 	val   []byte // committed value copy under entVal; capacity recycled
 	flags uint8
 
-	// Positive state (§3.5.1).
 	mn      int
 	slotOff uint64 // offset of the slot's Atomic word in mn's index
 	atomic  uint64 // cached Atomic word
 	meta    layout.SlotMeta
 
-	// Negative state: the candidate buckets' version words at
-	// population time.
-	negV1, negV2 uint64
 	// epoch is the view epoch the entry was filled under. Recovery
-	// rebuilds an index partition with fresh version counters and may
-	// re-place keys in other slots, so across an epoch change negative
-	// entries are never trusted and positive ones only as a CAS
-	// expectation (word equality proves the pair) — their slot is never
+	// rebuilds an index partition and may re-place keys in other slots,
+	// so across an epoch change an entry is trusted only as a CAS
+	// expectation (word equality proves the pair) — its slot is never
 	// re-read on trust (Client.rearmSlot).
 	epoch uint64
 }
 
-func (e *cacheEnt) neg() bool  { return e.flags&entNeg != 0 }
 func (e *cacheEnt) tomb() bool { return e.flags&entTomb != 0 }
-
-// pos reports whether the entry holds positive slot-location state.
-// Negative entries and miss candidates carry no slot address — their
-// positive fields are zero or left over from a recycled occupant.
-func (e *cacheEnt) pos() bool { return e.flags&(entNeg|entMissed) == 0 }
 
 // shared reports the entry's last validation outcome (entShared).
 func (e *cacheEnt) shared() bool { return e.flags&entShared != 0 }
@@ -244,8 +226,8 @@ func (cc *clientCache) lookup(h uint64, key []byte) *cacheEnt {
 
 // upsert returns the key's entry, creating (and, at capacity, evicting
 // with CLOCK) as needed. A fresh entry has only hash/key/flags set —
-// the caller fills the positive or negative state. The returned
-// pointer is valid until the next cache mutation.
+// the caller fills the slot state. The returned pointer is valid until
+// the next cache mutation.
 func (cc *clientCache) upsert(h uint64, key []byte) *cacheEnt {
 	if cc == nil {
 		return nil

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/racehash"
 	"repro/internal/rdma"
 	"repro/internal/rdma/simnet"
 )
@@ -200,12 +201,84 @@ func TestCachedGetZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestGetStateTable pins the doorbells and read verbs of every shape a
+// GET can take, with and without CacheValues. There are exactly two
+// paths: an entry-cache hit validated by the 8-byte slot word, and the
+// bucket-pair probe + KV read for everything else.
+func TestGetStateTable(t *testing.T) {
+	for _, vals := range []bool{false, true} {
+		vals := vals
+		t.Run(fmt.Sprintf("CacheValues=%v", vals), func(t *testing.T) {
+			tc := newTestCluster(t, func(cfg *Config) {
+				fusedTestConfig(cfg)
+				cfg.CacheValues = vals
+			})
+			tc.runClients(t, 30*time.Second, func(c *Client) {
+				for i := 0; i < 2; i++ {
+					if err := c.Insert(key(i), val(i, 0)); err != nil {
+						t.Errorf("insert %d: %v", i, err)
+					}
+				}
+			})
+			rctx := &directCtx{pl: tc.pl}
+			r, w := tc.cl.NewClient(), tc.cl.NewClient()
+			r.Attach(rctx)
+			w.Attach(&directCtx{pl: tc.pl})
+
+			// hitReads: {KV, slot word} in one doorbell, or the slot word
+			// alone when the value is cached.
+			hitReads := uint64(2)
+			if vals {
+				hitReads = 1
+			}
+			absent := key(100)
+			for _, row := range []struct {
+				name      string
+				before    func() error // another client's write, if any
+				key       []byte
+				want      []byte // nil: ErrNotFound
+				doorbells int
+				reads     uint64
+			}{
+				{"cold miss, present key", nil, key(0), val(0, 0), 2, 3},
+				{"hit, unchanged word", nil, key(0), val(0, 0), 1, hitReads},
+				{"hit, changed word", func() error { return w.Update(key(0), val(0, 1)) }, key(0), val(0, 1), 2, hitReads + 1},
+				{"absent key", nil, absent, nil, 1, 2},
+				{"absent key again", nil, absent, nil, 1, 2},
+				{"absent key a third time", nil, absent, nil, 1, 2},
+				{"cold miss, deleted key", func() error { return w.Delete(key(1)) }, key(1), nil, 2, 3},
+				{"hit, cached tombstone", nil, key(1), nil, 1, hitReads},
+			} {
+				if row.before != nil {
+					if err := row.before(); err != nil {
+						t.Fatalf("%s: setup: %v", row.name, err)
+					}
+				}
+				before := snapVerbs(r, rctx)
+				got, err := r.Search(row.key)
+				d := snapVerbs(r, rctx).since(before)
+				if row.want == nil && !errors.Is(err, ErrNotFound) || row.want != nil && (err != nil || !bytes.Equal(got, row.want)) {
+					t.Errorf("%s: got %.16q err=%v", row.name, got, err)
+				}
+				if d.doorbells != row.doorbells || d.reads != row.reads {
+					t.Errorf("%s: %d doorbells, %d reads; want %d, %d", row.name, d.doorbells, d.reads, row.doorbells, row.reads)
+				}
+			}
+			if r.cache.lookup(racehash.Hash(absent), absent) != nil || r.cache.Len() != 2 {
+				t.Errorf("GETs of an absent key left a cache entry (%d entries, want 2)", r.cache.Len())
+			}
+			if s := r.Stats; s.CASIssued != 0 || s.WritesIssued != 0 {
+				t.Errorf("GETs issued %d CAS and %d WRITE verbs", s.CASIssued, s.WritesIssued)
+			}
+		})
+	}
+}
+
 // TestClientMemoryBoundedUnderChurn cycles inserts, updates and
 // deletes across a keyspace far larger than the cache bound and across
 // several value size classes, then asserts every client-side structure
 // that once grew without bound is within its configured budget: the
-// entry cache, the hot-bucket mirror, the open-block map and the
-// pending obsolete-mark buffer.
+// entry cache, the open-block map and the pending obsolete-mark buffer.
 func TestClientMemoryBoundedUnderChurn(t *testing.T) {
 	cfg := testConfig()
 	cfg.Layout.StripeRows = 24
@@ -213,9 +286,7 @@ func TestClientMemoryBoundedUnderChurn(t *testing.T) {
 	cfg.BitmapFlushOps = 8
 	cfg.ReclaimFree = 0.5
 	cfg.CacheEntries = 128
-	cfg.CacheNegative = true
 	cfg.CacheValues = true
-	cfg.OffloadBuckets = 32
 	tc := newTestClusterCfg(t, cfg)
 	const keys, cycles = 600, 6000
 	var cli *Client
@@ -254,9 +325,6 @@ func TestClientMemoryBoundedUnderChurn(t *testing.T) {
 	if cli.cache.Evictions() == 0 {
 		t.Error("churn over 600 keys never evicted from a 128-entry cache")
 	}
-	if got := cli.mirror.Len(); got > cfg.OffloadBuckets {
-		t.Errorf("mirror holds %d buckets, budget %d", got, cfg.OffloadBuckets)
-	}
 	if got := len(cli.open); got > maxOpenClasses {
 		t.Errorf("open-block map holds %d classes, bound %d", got, maxOpenClasses)
 	}
@@ -264,24 +332,22 @@ func TestClientMemoryBoundedUnderChurn(t *testing.T) {
 		t.Errorf("pending obsolete marks %d exceed flush threshold %d", cli.pendingN, cfg.BitmapFlushOps)
 	}
 	// The footprint estimate must stay within a generous static budget:
-	// per-entry overhead + retained key/value capacity, plus the mirror.
-	_, bytesRes, _, _ := cli.CacheStats()
-	budget := uint64(cli.cache.Cap())*(cacheEntryOverhead+64+2048) +
-		uint64(cfg.OffloadBuckets)*(128+mirrorEntOverhead)
+	// per-entry overhead + retained key/value capacity.
+	_, bytesRes, _ := cli.CacheStats()
+	budget := uint64(cli.cache.Cap()) * (cacheEntryOverhead + 64 + 2048)
 	if bytesRes > budget {
 		t.Errorf("resident cache footprint %d exceeds budget %d", bytesRes, budget)
 	}
 }
 
 // TestCacheCoherenceAcrossClients drives two clients in lockstep and
-// checks that every caching shortcut is invalidated by the slot/version
-// protocols: a cached value must not mask an update or a delete by
-// another client, and a validated negative entry must not mask a later
-// insert.
+// checks that the cached-value shortcut is invalidated by the slot-word
+// protocol: a cached value must not mask an update or a delete by
+// another client, and GETs of an absent key leave nothing behind that
+// could mask a later insert.
 func TestCacheCoherenceAcrossClients(t *testing.T) {
 	tc := newTestCluster(t, func(cfg *Config) {
 		cfg.CacheEntries = 256
-		cfg.CacheNegative = true
 		cfg.CacheValues = true
 	})
 	k, k2 := []byte("coherent-key"), []byte("late-insert-key")
@@ -338,22 +404,16 @@ func TestCacheCoherenceAcrossClients(t *testing.T) {
 			t.Errorf("cached value masked a delete: err=%v", err)
 			return
 		}
-		// Install a validated negative entry for k2 (first miss marks
-		// the candidate, second snapshots versions, third is served
-		// from the negative cache).
 		for i := 0; i < 3; i++ {
 			if _, err := c.Search(k2); !errors.Is(err, ErrNotFound) {
 				t.Errorf("absent read %d: err=%v", i, err)
 				return
 			}
 		}
-		if c.Stats.CacheNegHits == 0 {
-			t.Error("negative entry never served a hit")
-		}
 		stage = 6
 		wait(c, 7)
 		if got, err := c.Search(k2); err != nil || !bytes.Equal(got, v2) {
-			t.Errorf("negative entry masked an insert: err=%v", err)
+			t.Errorf("absent reads masked an insert: err=%v", err)
 			return
 		}
 		if c.Stats.CacheHits == 0 {
@@ -364,17 +424,14 @@ func TestCacheCoherenceAcrossClients(t *testing.T) {
 }
 
 // TestRandomOpsWithCrashCachedClients is the model-based crash test
-// with the full client index layer enabled — bounded cache, negative
-// caching, value retention and hot-bucket offload, with an entry bound
+// with the client cache and value retention enabled and an entry bound
 // small enough that CLOCK eviction runs. Clients must agree with their
 // models throughout an MN fail-stop and after recovery (run under
 // -race in CI).
 func TestRandomOpsWithCrashCachedClients(t *testing.T) {
 	tc := newTestCluster(t, func(cfg *Config) {
 		cfg.CacheEntries = 64
-		cfg.CacheNegative = true
 		cfg.CacheValues = true
-		cfg.OffloadBuckets = 32
 	})
 	tc.cl.master.AddSpare()
 	const clients, keysEach, ops = 3, 60, 400

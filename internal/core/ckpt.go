@@ -363,17 +363,6 @@ func (s *Server) observeIndexWrite(off, n uint64) {
 	if end > ib {
 		end = ib
 	}
-	// Bump the version word of every bucket the write overlaps. The
-	// bump lands before the mutating verb's response is released
-	// (observers run pre-ack on both fabrics), so a client whose read
-	// of the word starts after the write's completion always sees it —
-	// the invariant the negative-cache and mirror validation protocol
-	// rests on (DESIGN.md §12).
-	if s.bvAdd != nil {
-		for b := off / layout.BucketSize; b <= (end-1)/layout.BucketSize; b++ {
-			s.bvAdd(s.cl.L.BucketVerOff(b), 1)
-		}
-	}
 	lo := s.cl.L.CkptSegOfOff(off)
 	hi := s.cl.L.CkptSegOfOff(end - 1)
 	for seg := lo; seg <= hi; seg++ {

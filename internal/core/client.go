@@ -39,8 +39,7 @@ const maxOpenClasses = 16
 // Client executes KV requests with one-sided verbs (§3.1). Each client
 // is single-threaded (bind one per process/coroutine, as the paper's
 // clients do); it owns open DATA blocks per size class and a bounded
-// CN-side index cache (§3.5.1, DESIGN.md §12) of positive slot-address
-// entries, negative entries and an optional hot-bucket mirror.
+// CN-side index cache (§3.5.1, DESIGN.md §12) of slot-address entries.
 type Client struct {
 	cl  *Cluster
 	id  uint16
@@ -51,12 +50,7 @@ type Client struct {
 	// waits and degraded reads with OpMark.
 	ot obs.OpTracer
 
-	cache  *clientCache  // nil when CacheEntries < 0
-	mirror *bucketMirror // nil unless OffloadBuckets > 0
-	// bvLive: the fabric maintains bucket version words (servers can
-	// bump them pre-ack), so version-validated state (negative
-	// entries, mirror copies) may be trusted.
-	bvLive   bool
+	cache    *clientCache // nil when CacheEntries < 0
 	met      *obs.CacheMetrics
 	wmet     *obs.WriteMetrics
 	scratch  readScratch
@@ -86,9 +80,9 @@ type Client struct {
 // readScratch holds the cached-GET hot path's reusable buffers, so a
 // steady-state hit performs no heap allocation (TestCachedGetZeroAlloc).
 type readScratch struct {
-	kv   []byte // KV read buffer, grown to the largest class seen
-	word [4][8]byte
-	b1   []byte // bucket image buffers (CacheSlotAddr=false ablation)
+	kv   []byte  // KV read buffer, grown to the largest class seen
+	word [8]byte // slot Atomic word validation read
+	b1   []byte  // bucket image buffers (CacheSlotAddr=false ablation)
 	b2   []byte
 	ops  [6]rdma.Op
 	dkv  layout.KV
@@ -156,9 +150,12 @@ type ClientStats struct {
 	DegradedReads uint64
 	CacheHits     uint64
 	CacheMisses   uint64
-	CacheNegHits  uint64 // negative entries validated: miss answered in one doorbell
-	MirrorHits    uint64 // GETs served from the hot-bucket mirror
-	MirrorNegHits uint64 // absences proven by a mirror scan + version check
+	// Always 0: the negative cache and hot-bucket mirror are gone
+	// (DESIGN.md §12 "Removed"); benchmark/metrics.go still reads these
+	// three until a benchmark PR drops its two ratios.
+	CacheNegHits  uint64
+	MirrorHits    uint64
+	MirrorNegHits uint64
 	BlocksAlloc   uint64
 	BlocksReused  uint64
 	CASIssued     uint64
@@ -212,7 +209,6 @@ func newClient(cl *Cluster, id uint16) *Client {
 	c := &Client{
 		cl:      cl,
 		id:      id,
-		bvLive:  cl.bvLive,
 		met:     &cl.cacheMet,
 		wmet:    &cl.writeMet,
 		open:    make(map[uint8]*openBlock),
@@ -224,15 +220,14 @@ func newClient(cl *Cluster, id uint16) *Client {
 		c.met.Entries.Add(0) // touch so the family exports even before traffic
 		c.met.Bytes.Add(int64(c.cache.Bytes()))
 	}
-	c.mirror = newBucketMirror(cl.Cfg.offloadBuckets(), c.met)
 	return c
 }
 
 // CacheStats reports the client's cache occupancy and footprint
-// (entries, resident bytes including the mirror, mirrored buckets,
-// CLOCK evictions). Harnesses use it to assert the memory bound.
-func (c *Client) CacheStats() (entries int, bytes uint64, offloaded int, evictions uint64) {
-	return c.cache.Len(), c.cache.Bytes() + c.mirror.Bytes(), c.mirror.Len(), c.cache.Evictions()
+// (entries, resident bytes, CLOCK evictions). Harnesses use it to
+// assert the memory bound.
+func (c *Client) CacheStats() (entries int, bytes uint64, evictions uint64) {
+	return c.cache.Len(), c.cache.Bytes(), c.cache.Evictions()
 }
 
 // Attach binds the client to its process context. It must be called
@@ -332,87 +327,19 @@ func (c *Client) search(dst, key []byte) ([]byte, error) {
 	fp := racehash.Fingerprint(h)
 	c.waitIndexReady(mn)
 
-	sawMiss := false
 	if ent := c.cache.lookup(h, key); ent != nil {
-		switch {
-		case ent.neg():
-			if c.negValid(ent, h, mn) {
-				c.Stats.CacheNegHits++
-				c.met.NegHits.Add(1)
-				c.noteHot(h, mn)
-				return nil, ErrNotFound
-			}
-			// Stale negative conclusion: requery with the version
-			// piggyback (which refreshes or replaces the entry).
-			sawMiss = true
-		case ent.flags&entMissed != 0:
-			// Miss candidate: the key missed before, so this query
-			// snapshots versions and installs a validated negative.
-			c.Stats.CacheMisses++
-			c.met.Misses.Add(1)
-			sawMiss = true
-		default:
-			c.Stats.CacheHits++
-			c.met.Hits.Add(1)
-			val, err := c.cachedRead(dst, key, ent)
-			if err == nil || errors.Is(err, ErrNotFound) {
-				c.noteHot(h, mn)
-				return val, err
-			}
-			// Stale or torn: fall back to a full index query.
+		c.Stats.CacheHits++
+		c.met.Hits.Add(1)
+		val, err := c.cachedRead(dst, key, ent)
+		if err == nil || errors.Is(err, ErrNotFound) {
+			return val, err
 		}
+		// Stale or torn: fall back to a full index query.
 	} else {
 		c.Stats.CacheMisses++
 		c.met.Misses.Add(1)
 	}
-	if c.mirror != nil && c.bvLive {
-		if val, err, served := c.mirrorSearch(dst, key, h, mn, fp); served {
-			return val, err
-		}
-	}
-	return c.querySearch(dst, key, h, mn, fp, sawMiss)
-}
-
-// negValid revalidates a negative entry: one doorbell of two 8-byte
-// bucket-version reads. Equality with the populated versions proves
-// neither candidate bucket changed since the absence was observed, so
-// the key is still absent (the bump lands before any writer's ack).
-// Entries from an older view epoch are never trusted — a rebuilt MN
-// restarts its version counters.
-func (c *Client) negValid(ent *cacheEnt, h uint64, mn int) bool {
-	if !c.bvLive || ent.mn != mn || ent.epoch != c.cl.view.epochNow() {
-		return false
-	}
-	l := c.cl.L
-	i1, i2 := racehash.BucketPair(h, l.NumBuckets())
-	a1, ok1 := c.cl.Addr(mn, l.BucketVerOff(i1))
-	a2, ok2 := c.cl.Addr(mn, l.BucketVerOff(i2))
-	if !ok1 || !ok2 {
-		return false
-	}
-	sc := &c.scratch
-	ops := sc.ops[:0]
-	ops = append(ops,
-		rdma.Op{Kind: rdma.OpRead, Addr: a1, Buf: sc.word[0][:]},
-		rdma.Op{Kind: rdma.OpRead, Addr: a2, Buf: sc.word[1][:]})
-	if c.vbatch(ops) != nil || ops[0].Err != nil || ops[1].Err != nil {
-		return false
-	}
-	return binary.LittleEndian.Uint64(sc.word[0][:]) == ent.negV1 &&
-		binary.LittleEndian.Uint64(sc.word[1][:]) == ent.negV2
-}
-
-// noteHot feeds the mirror's promotion counters from the cache-hit
-// stream too, so bucket heat reflects total GET traffic rather than
-// only misses: when CLOCK pressure later evicts a hot key from the
-// entry cache, its bucket is usually already resident and the refill
-// costs one RTT through the mirror.
-func (c *Client) noteHot(h uint64, mn int) {
-	if c.mirror == nil || !c.bvLive {
-		return
-	}
-	i1, _ := racehash.BucketPair(h, c.cl.L.NumBuckets())
-	c.mirror.note(mn, i1)
+	return c.querySearch(dst, key, h, mn, fp)
 }
 
 var errStaleCache = errors.New("core: stale cache entry")
@@ -455,7 +382,7 @@ func (c *Client) cachedRead(dst, key []byte, ent *cacheEnt) ([]byte, error) {
 		if !idxOK {
 			return nil, errStaleCache
 		}
-		ops = append(ops, rdma.Op{Kind: rdma.OpRead, Addr: slotAddr, Buf: sc.word[0][:]})
+		ops = append(ops, rdma.Op{Kind: rdma.OpRead, Addr: slotAddr, Buf: sc.word[:]})
 	} else {
 		// Value-only cache (the "+CKPT" configuration): locating the
 		// slot to validate requires re-reading both candidate buckets,
@@ -528,11 +455,11 @@ func (c *Client) cachedValRead(dst, key []byte, ent *cacheEnt) ([]byte, error) {
 	}
 	sc := &c.scratch
 	ops := sc.ops[:0]
-	ops = append(ops, rdma.Op{Kind: rdma.OpRead, Addr: slotAddr, Buf: sc.word[0][:]})
+	ops = append(ops, rdma.Op{Kind: rdma.OpRead, Addr: slotAddr, Buf: sc.word[:]})
 	if c.vbatch(ops) != nil || ops[0].Err != nil {
 		return nil, errStaleCache
 	}
-	cur := binary.LittleEndian.Uint64(sc.word[0][:])
+	cur := binary.LittleEndian.Uint64(sc.word[:])
 	c.cache.validated(ent, cur != ent.atomic)
 	if cur != ent.atomic {
 		ent.atomic = cur
@@ -598,30 +525,16 @@ func (c *Client) finishRead(dst, key []byte, ent *cacheEnt, kvBuf []byte) ([]byt
 }
 
 // querySearch reads the key's two candidate buckets and chases
-// fingerprint matches. When the fabric maintains bucket version words
-// it piggybacks the two 8-byte words onto the bucket batch (read
-// first, so "word still equals v" later proves the images current) —
-// but only when the extra verbs will pay for themselves: when the
-// bucket pair is hot enough to promote into the mirror, or when the
-// key is a known miss candidate (sawMiss) so a clean miss installs a
-// validated negative entry. A first-time miss stays at the paper's
-// verb count and only marks the candidate.
-func (c *Client) querySearch(dst, key []byte, h uint64, mn int, fp uint8, sawMiss bool) ([]byte, error) {
-	l := c.cl.L
-	i1, i2 := racehash.BucketPair(h, l.NumBuckets())
+// fingerprint matches. A found pair (live or tombstone) is cached at its
+// slot; an absent key leaves no cache entry.
+func (c *Client) querySearch(dst, key []byte, h uint64, mn int, fp uint8) ([]byte, error) {
 	for attempt := 0; attempt < maxOpRetries; attempt++ {
 		c.waitIndexReady(mn)
-		promote := c.bvLive && c.mirror != nil && c.mirror.note(mn, i1)
-		wantVer := c.bvLive && (promote || (c.cl.Cfg.CacheNegative && c.cache != nil && sawMiss))
 		epoch := c.cl.view.epochNow()
-		b1, b2, v1, v2, vOK, err := c.readBucketsVer(mn, i1, i2, wantVer)
+		b1, b2, err := c.readBuckets(h, mn)
 		if err != nil {
 			c.ctx.Sleep(100 * time.Microsecond)
 			continue
-		}
-		if promote && vOK && epoch == c.cl.view.epochNow() {
-			c.mirror.install(mn, i1, b1, v1, epoch)
-			c.mirror.install(mn, i2, b2, v2, epoch)
 		}
 		matches := racehash.ScanBuckets(fp, b1, b2)
 		stale := false
@@ -648,26 +561,6 @@ func (c *Client) querySearch(dst, key []byte, h uint64, mn int, fp uint8, sawMis
 			return append(dst, kv.Val...), nil
 		}
 		if !stale {
-			if c.cl.Cfg.CacheNegative {
-				if vOK {
-					// Clean miss under known bucket versions: remember
-					// the absence. Future GETs revalidate it with one
-					// doorbell of two 8-byte reads.
-					if ent := c.cache.upsert(h, key); ent != nil {
-						ent.flags = ent.flags&^(entTomb|entMissed) | entNeg
-						ent.mn = mn
-						ent.negV1, ent.negV2 = v1, v2
-						ent.epoch = epoch
-					}
-				} else if c.bvLive {
-					// First clean miss: mark the key so the next query
-					// piggybacks the version words and upgrades this to
-					// a validated negative entry.
-					if ent := c.cache.upsert(h, key); ent != nil {
-						ent.flags = ent.flags&^(entTomb|entNeg) | entMissed
-					}
-				}
-			}
 			return nil, ErrNotFound
 		}
 		c.ctx.Sleep(20 * time.Microsecond)
@@ -676,187 +569,25 @@ func (c *Client) querySearch(dst, key []byte, h uint64, mn int, fp uint8, sawMis
 }
 
 // readBuckets fetches the key's two candidate buckets in one doorbell
-// batch (write path; no version piggyback, preserving the paper's verb
-// counts).
+// batch.
 func (c *Client) readBuckets(h uint64, mn int) ([]byte, []byte, error) {
-	i1, i2 := racehash.BucketPair(h, c.cl.L.NumBuckets())
-	b1, b2, _, _, _, err := c.readBucketsVer(mn, i1, i2, false)
-	return b1, b2, err
-}
-
-// readBucketsVer fetches both candidate buckets, optionally preceded —
-// in the same in-order doorbell batch — by their version words. Since
-// servers bump a bucket's word before acking any verb that mutates it,
-// an image read after its word can only be newer: re-reading the word
-// later and finding it unchanged proves the image was still current.
-func (c *Client) readBucketsVer(mn int, i1, i2 uint64, withVer bool) (b1, b2 []byte, v1, v2 uint64, vOK bool, err error) {
 	l := c.cl.L
+	i1, i2 := racehash.BucketPair(h, l.NumBuckets())
 	a1, ok1 := c.cl.Addr(mn, l.BucketOff(i1))
 	a2, ok2 := c.cl.Addr(mn, l.BucketOff(i2))
 	if !ok1 || !ok2 {
-		return nil, nil, 0, 0, false, rdma.ErrNodeFailed
+		return nil, nil, rdma.ErrNodeFailed
 	}
-	b1 = make([]byte, layout.BucketSize)
-	b2 = make([]byte, layout.BucketSize)
-	var w1, w2 [8]byte
-	ops := make([]rdma.Op, 0, 4)
-	if withVer {
-		va1, _ := c.cl.Addr(mn, l.BucketVerOff(i1))
-		va2, _ := c.cl.Addr(mn, l.BucketVerOff(i2))
-		ops = append(ops,
-			rdma.Op{Kind: rdma.OpRead, Addr: va1, Buf: w1[:]},
-			rdma.Op{Kind: rdma.OpRead, Addr: va2, Buf: w2[:]})
+	b1 := make([]byte, layout.BucketSize)
+	b2 := make([]byte, layout.BucketSize)
+	ops := []rdma.Op{
+		{Kind: rdma.OpRead, Addr: a1, Buf: b1},
+		{Kind: rdma.OpRead, Addr: a2, Buf: b2},
 	}
-	ops = append(ops,
-		rdma.Op{Kind: rdma.OpRead, Addr: a1, Buf: b1},
-		rdma.Op{Kind: rdma.OpRead, Addr: a2, Buf: b2})
 	if err := c.vbatch(ops); err != nil {
-		return nil, nil, 0, 0, false, err
+		return nil, nil, err
 	}
-	if withVer && ops[0].Err == nil && ops[1].Err == nil {
-		vOK = true
-		v1 = binary.LittleEndian.Uint64(w1[:])
-		v2 = binary.LittleEndian.Uint64(w2[:])
-	}
-	return b1, b2, v1, v2, vOK, nil
-}
-
-// mirrorSearch tries to serve the GET from CN-resident copies of both
-// candidate buckets: a local fingerprint scan, then one doorbell that
-// reads the KV pair and — after it — both bucket version words. Words
-// unchanged proves the local images (and so the slot the KV was read
-// through) were still current when the KV read executed. On a version
-// mismatch the images are refreshed in place and the scan retried;
-// buckets whose refreshes outpace their hits are demoted (write
-// pressure). served=false falls back to the remote bucket query.
-func (c *Client) mirrorSearch(dst, key []byte, h uint64, mn int, fp uint8) (val []byte, err error, served bool) {
-	l := c.cl.L
-	i1, i2 := racehash.BucketPair(h, l.NumBuckets())
-	e1 := c.mirror.get(mn, i1)
-	e2 := c.mirror.get(mn, i2)
-	if e1 == nil || e2 == nil {
-		return nil, nil, false
-	}
-	va1, ok1 := c.cl.Addr(mn, l.BucketVerOff(i1))
-	va2, ok2 := c.cl.Addr(mn, l.BucketVerOff(i2))
-	if !ok1 || !ok2 {
-		return nil, nil, false
-	}
-	sc := &c.scratch
-	ents := [2]*mirrorEnt{e1, e2}
-	vas := [2]rdma.GlobalAddr{va1, va2}
-	for attempt := 0; attempt < 4; attempt++ {
-		if ep := c.cl.view.epochNow(); e1.epoch != ep || e2.epoch != ep {
-			// Membership moved since the copies were read: a rebuilt MN
-			// restarts its version counters, so the copies are unusable.
-			c.mirror.demote(mn, i1)
-			c.mirror.demote(mn, i2)
-			return nil, nil, false
-		}
-		verMatch := func(ops []rdma.Op, o int) bool {
-			return ops[o].Err == nil && ops[o+1].Err == nil &&
-				binary.LittleEndian.Uint64(sc.word[0][:]) == e1.ver &&
-				binary.LittleEndian.Uint64(sc.word[1][:]) == e2.ver
-		}
-		found := false
-		for ei, e := range ents {
-			for s := 0; s < layout.BucketSlots; s++ {
-				w := binary.LittleEndian.Uint64(e.buf[s*layout.SlotSize:])
-				if w == 0 {
-					continue
-				}
-				a := layout.UnpackAtomic(w)
-				if a.FP != fp || a.Addr == 0 {
-					continue
-				}
-				meta := layout.UnpackMeta(binary.LittleEndian.Uint64(e.buf[s*layout.SlotSize+layout.SlotMetaOff:]))
-				if meta.Len == 0 {
-					return nil, nil, false // stale length hint: take the slow path
-				}
-				kvAddr, ok := c.cl.PackedAddr(a.Addr)
-				if !ok {
-					return nil, nil, false // KV's MN down: slow path handles degraded reads
-				}
-				// A positive hit only needs the matched bucket's
-				// version word: any mutation of this slot — update,
-				// delete, reclamation move — goes through a CAS on it
-				// and bumps this bucket's version before acking. The
-				// sibling bucket is irrelevant to the located pair.
-				kvBuf := sc.growKV(int(meta.Len) * 64)
-				ops := sc.ops[:0]
-				ops = append(ops,
-					rdma.Op{Kind: rdma.OpRead, Addr: kvAddr, Buf: kvBuf},
-					rdma.Op{Kind: rdma.OpRead, Addr: vas[ei], Buf: sc.word[0][:]})
-				if c.vbatch(ops) != nil || ops[0].Err != nil {
-					return nil, nil, false
-				}
-				if ops[1].Err != nil || binary.LittleEndian.Uint64(sc.word[0][:]) != e.ver {
-					found = true // bucket moved: refresh and rescan
-					break
-				}
-				okDec, decErr := layout.DecodeKVInto(&sc.dkv, kvBuf)
-				if decErr != nil || !okDec {
-					return nil, nil, false
-				}
-				kv := &sc.dkv
-				if !bytes.Equal(kv.Key, key) || kv.SlotVersion == layout.InvalidVersion {
-					continue // fingerprint collision: keep scanning
-				}
-				e.hits++
-				// Refill the entry cache from the mirror hit, so the
-				// key's next GET is a single slot-validation read.
-				bkt := i1
-				if ei == 1 {
-					bkt = i2
-				}
-				c.cacheSet(h, key, mn, l.SlotOff(bkt, s), w, meta, e.epoch, kv.Tombstone, kv.Val)
-				if kv.Tombstone {
-					c.Stats.MirrorNegHits++
-					c.met.MirrorNegHits.Add(1)
-					return nil, ErrNotFound, true
-				}
-				c.Stats.MirrorHits++
-				c.met.MirrorHits.Add(1)
-				return append(dst, kv.Val...), nil, true
-			}
-			if found {
-				break
-			}
-		}
-		if !found {
-			// No local candidate: one doorbell of two 8-byte reads
-			// either proves the absence or flags the images stale.
-			ops := sc.ops[:0]
-			ops = append(ops,
-				rdma.Op{Kind: rdma.OpRead, Addr: va1, Buf: sc.word[0][:]},
-				rdma.Op{Kind: rdma.OpRead, Addr: va2, Buf: sc.word[1][:]})
-			if c.vbatch(ops) != nil {
-				return nil, nil, false
-			}
-			if verMatch(ops, 0) {
-				e1.hits++
-				e2.hits++
-				c.Stats.MirrorNegHits++
-				c.met.MirrorNegHits.Add(1)
-				return nil, ErrNotFound, true
-			}
-		}
-		// Version mismatch: refresh both images in place, demoting the
-		// pair when write pressure makes refreshes outpace hits.
-		epoch := c.cl.view.epochNow()
-		b1, b2, v1, v2, vOK, rerr := c.readBucketsVer(mn, i1, i2, true)
-		if rerr != nil || !vOK {
-			return nil, nil, false
-		}
-		e1.refresh(b1, v1, epoch)
-		e2.refresh(b2, v2, epoch)
-		if e1.pressured() || e2.pressured() {
-			c.mirror.demote(mn, i1)
-			c.mirror.demote(mn, i2)
-			return nil, nil, false
-		}
-	}
-	return nil, nil, false
+	return b1, b2, nil
 }
 
 // updateCache records the located slot (and, under CacheValues, the
@@ -871,7 +602,7 @@ func (c *Client) updateCache(key []byte, h uint64, mn int, m racehash.Match, epo
 	c.cacheSet(h, key, mn, l.SlotOff(bucket, m.Slot), m.Atomic.Pack(), m.Meta, epoch, tomb, val)
 }
 
-// cacheSet installs (or refreshes) a positive cache entry. epoch is the
+// cacheSet installs (or refreshes) a cache entry. epoch is the
 // view epoch read before the verbs that located the slot. val is the
 // committed value (nil for tombstones); it is retained only under
 // Config.CacheValues.
@@ -880,7 +611,7 @@ func (c *Client) cacheSet(h uint64, key []byte, mn int, slotOff, atomic uint64, 
 	if ent == nil {
 		return
 	}
-	ent.flags &^= entNeg | entTomb | entMissed
+	ent.flags &^= entTomb
 	if tomb {
 		ent.flags |= entTomb
 		val = nil
@@ -1083,6 +814,15 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 			// A slot does not say whether its pair is a tombstone, so a
 			// DELETE cannot commit against a re-read word: probe the index.
 			loc = slotLoc{bypass: true}
+			continue
+		}
+		if ent := loc.ent; tombstone && loc.tomb && ent != nil {
+			// The only evidence of absence is a cached tombstone, and
+			// another client may have re-inserted the key since: re-read
+			// the slot. Unmoved proves the tombstone; moved probes the index.
+			if moved := c.rearmSlot(&loc, mn, fp, nil); loc.armed {
+				c.cache.validated(ent, moved)
+			}
 			continue
 		}
 		loc.armed = false
@@ -1366,10 +1106,7 @@ func (c *Client) finishWrite() {
 // slot read, then a commit that places nothing it must invalidate.
 func (c *Client) locateForWrite(key []byte, h uint64, mn int, fp uint8, bypass bool) (slotLoc, error) {
 	loc := slotLoc{epoch: c.cl.view.epochNow(), bound: true}
-	if ent := c.cache.lookup(h, key); ent != nil && ent.pos() && c.cl.Cfg.CacheSlotAddr && !bypass {
-		// A negative entry or miss candidate is no help here — it proves
-		// (suspected) absence, not a slot location — so only positive
-		// entries short-circuit.
+	if ent := c.cache.lookup(h, key); ent != nil && c.cl.Cfg.CacheSlotAddr && !bypass {
 		loc.off, loc.atomic, loc.meta, loc.found, loc.tomb = ent.slotOff, ent.atomic, ent.meta, true, ent.tomb()
 		loc.bound = ent.epoch == loc.epoch
 		if !loc.bound || !c.cache.likelyStale(ent) {
@@ -1949,7 +1686,7 @@ func (c *Client) sendFreeBits(node rdma.NodeID, k pendKey, bits []uint32) {
 
 // Close stops the prefetch worker (draining its queued seals and
 // bitmap flushes inline), flushes pending state and returns the cache
-// and mirror gauge contributions to the cluster aggregate; open blocks
+// gauge contributions to the cluster aggregate; open blocks
 // stay unsealed and are safely rescanned by recovery.
 func (c *Client) Close() {
 	if c.pf != nil {
@@ -1963,5 +1700,4 @@ func (c *Client) Close() {
 	}
 	c.FlushBitmaps()
 	c.cache.release()
-	c.mirror.release()
 }

@@ -54,7 +54,6 @@ func (c *Client) Restart(ctx rdma.Ctx) error {
 		c.cache.met = c.met
 		c.met.Bytes.Add(int64(c.cache.Bytes()))
 	}
-	c.mirror = newBucketMirror(c.cl.Cfg.offloadBuckets(), c.met)
 	c.open = make(map[uint8]*openBlock)
 	c.openLRU = nil
 	c.pending = make(map[pendKey][]uint32)
@@ -317,9 +316,7 @@ func (c *Client) clearDeltas(dcs []deltaCopy, lo, n int) {
 // support). Use Restart on a new process to recover the identity.
 func (c *Client) SimulateCrash() {
 	c.cache.release()
-	c.mirror.release()
 	c.cache = nil
-	c.mirror = nil
 	c.open = nil
 	c.openLRU = nil
 	c.pending = nil

@@ -29,10 +29,6 @@ type Cluster struct {
 	trace   *obs.Ring
 	tracer  *obs.Tracer
 
-	// bvLive: the platform supports rdma.LocalAtomics, so MN servers
-	// maintain per-bucket version words and clients may trust
-	// version-validated cache state (negative entries, mirrors).
-	bvLive bool
 	// cacheMet aggregates cache activity across this handle's clients
 	// for live export (/metrics, admin Stats).
 	cacheMet obs.CacheMetrics
@@ -96,7 +92,6 @@ func NewCluster(cfg Config, pl rdma.Platform) (*Cluster, error) {
 		return nil, err
 	}
 	cl := &Cluster{Cfg: cfg, L: l, pl: pl, trace: obs.NewRing(1024)}
-	_, cl.bvLive = pl.(rdma.LocalAtomics)
 	if rate := cfg.traceSample(); rate > 0 {
 		cl.tracer = obs.NewTracer(rate, cfg.traceSpans())
 	}

@@ -72,27 +72,17 @@ type Config struct {
 	// "+CKPT" configuration of the factor analysis (Figure 13).
 	CacheSlotAddr bool
 	// CacheEntries bounds the client index cache: each client keeps at
-	// most this many entries (positive slot-address entries and
-	// negative "key absent" entries alike) in a sharded CLOCK cache.
+	// most this many slot-address entries in a sharded CLOCK cache.
 	// 0 means the 16384-entry default; <0 disables the cache entirely
 	// (the bench "cache off" configuration).
 	CacheEntries int
-	// CacheNegative enables negative caching: a SEARCH miss records
-	// "absent as of bucket versions (v1,v2)" and later misses of the
-	// same key revalidate with two 8-byte version-word reads instead
-	// of two 128-byte bucket reads. Off by default — the paper's verb
-	// cost model (§4.2, Figure 1(a)) has no version reads on the miss
-	// path, and the verbs experiment pins that model; read-heavy
-	// deployments turn it on (see DESIGN.md §12).
-	CacheNegative bool
-	// CacheValues extends positive cache entries with a copy of the
+	// CacheValues extends cache entries with a copy of the
 	// committed value, served under a single 8-byte slot-word
 	// validation read: every mutation of a pair — update, delete,
 	// reclamation move — CASes its slot Atomic word, so an unchanged
 	// word proves the cached bytes are the committed pair. Hits cost 1
 	// verb / 1 RTT instead of the §3.5.1 {KV, slot} pair. Off by
-	// default for the same reason as CacheNegative: the verbs
-	// experiment pins the paper's two-read hit cost.
+	// default: the verbs experiment pins the paper's two-read hit cost.
 	CacheValues bool
 	// FusedCommit fuses the commit CAS into the placement doorbell
 	// batch on fabrics that honour the rdma.OrderedBatcher contract:
@@ -110,11 +100,6 @@ type Config struct {
 	// low-water mark and absorbs block seals and free-bitmap flushes,
 	// so no UPDATE stalls on an RPC. On by default.
 	BlockPrefetch bool
-	// OffloadBuckets bounds the client's hot-bucket mirror: access
-	// counters promote up to this many index buckets into CN-resident
-	// copies revalidated by one 8-byte bucket-version read, making hot
-	// GETs ~1 RTT (Outback-style). 0 disables offloading.
-	OffloadBuckets int
 	// ReclaimObsolete is the obsolete-KV fraction above which a DATA
 	// block becomes a reclamation candidate (paper default 0.75).
 	ReclaimObsolete float64
@@ -259,14 +244,6 @@ func (c *Config) cacheEntries() int {
 		return 16384
 	}
 	return c.CacheEntries
-}
-
-// offloadBuckets resolves the effective hot-bucket mirror bound.
-func (c *Config) offloadBuckets() int {
-	if c.OffloadBuckets <= 0 {
-		return 0
-	}
-	return c.OffloadBuckets
 }
 
 // ckptWorkers resolves the effective checkpoint worker-pool size.

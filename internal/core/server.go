@@ -43,10 +43,9 @@ type Server struct {
 	stopped  bool
 
 	// Segment-parallel checkpoint pipeline state (ckpt.go).
-	ckptDirty    []atomic.Uint64         // per-segment dirty bitmap, set by the write observer
-	ckptTracked  bool                    // observer wired; else every segment ships every round
-	bvAdd        func(off, delta uint64) // fabric-synchronised bucket-version bump; nil when unsupported
-	ckptResync   bool                    // recovered server: first round must overwrite, not XOR
+	ckptDirty    []atomic.Uint64 // per-segment dirty bitmap, set by the write observer
+	ckptTracked  bool            // observer wired; else every segment ships every round
+	ckptResync   bool            // recovered server: first round must overwrite, not XOR
 	ckptFr       *ckptFramer
 	ckptApplier  *ckptApplier
 	ckptShippers []*ckptShipper
@@ -132,9 +131,6 @@ func (s *Server) start() {
 	}
 	segs := l.CkptSegCount()
 	s.ckptDirty = make([]atomic.Uint64, (segs+63)/64)
-	if la, ok := s.cl.pl.(rdma.LocalAtomics); ok {
-		s.bvAdd = la.LocalAdd64(s.node)
-	}
 	if wo, ok := s.cl.pl.(rdma.WriteObserver); ok {
 		s.ckptTracked = wo.SetWriteObserver(s.node, s.observeIndexWrite)
 	}
@@ -284,15 +280,11 @@ type ServerStats struct {
 
 	// Client index-cache aggregate of the cluster handle this server
 	// belongs to (zero on a daemon that runs no clients; DESIGN.md §12).
-	CacheHits          uint64
-	CacheMisses        uint64
-	CacheNegHits       uint64
-	CacheEvictions     uint64
-	CacheMirrorHits    uint64
-	CacheMirrorNegHits uint64
-	CacheEntries       uint64 // gauge: allocated entries across live clients
-	CacheBytes         uint64 // gauge: cache + mirror resident bytes
-	CacheOffloaded     uint64 // gauge: mirrored buckets across live clients
+	CacheHits      uint64
+	CacheMisses    uint64
+	CacheEvictions uint64
+	CacheEntries   uint64 // gauge: allocated entries across live clients
+	CacheBytes     uint64 // gauge: cache resident bytes
 
 	// Client write-path aggregate of the same handle (DESIGN.md §13).
 	WriteFused     uint64 // commits fused into the placement doorbell
@@ -359,13 +351,9 @@ func (s *Server) statsLocked() ServerStats {
 	cs := s.cl.cacheMet.Snapshot()
 	st.CacheHits = cs.Hits
 	st.CacheMisses = cs.Misses
-	st.CacheNegHits = cs.NegHits
 	st.CacheEvictions = cs.Evictions
-	st.CacheMirrorHits = cs.MirrorHits
-	st.CacheMirrorNegHits = cs.MirrorNegHits
 	st.CacheEntries = uint64(cs.Entries)
 	st.CacheBytes = uint64(cs.Bytes)
-	st.CacheOffloaded = uint64(cs.Offloaded)
 	ws := s.cl.writeMet.Snapshot()
 	st.WriteFused = ws.Fused
 	st.WriteFallbacks = ws.Fallbacks()
@@ -424,7 +412,7 @@ func methodName(m uint8) string {
 
 // tracedHandler wraps the RPC dispatch with sampled span recording.
 // Handlers run on fabric executor goroutines with no rdma.Ctx, so
-// handler spans are wall-clock both ways: Start/End mirror
+// handler spans are wall-clock both ways: Start/End equal
 // WallStart/WallEnd (on tcpnet the fabric clock is wall time anyway;
 // on simnet handler spans sit on the wall timeline while the modelled
 // CPU cost is what the engine charges).

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -157,5 +158,27 @@ func TestHandlerQueryOwnedFiltersByClient(t *testing.T) {
 	}
 	if total == 0 {
 		t.Fatal("writer owns no unfilled blocks")
+	}
+}
+
+// TestAdminStatsRoundTrip fills every ServerStats field with a distinct
+// value and sends it through the admin Stats wire format: a field added
+// to (or dropped from) the struct without both codec lines fails here.
+func TestAdminStatsRoundTrip(t *testing.T) {
+	var st ServerStats
+	v := reflect.ValueOf(&st).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.Kind() == reflect.Int {
+			f.SetInt(int64(i + 1))
+		} else {
+			f.SetUint(uint64(i+1) << 33)
+		}
+	}
+	b := encodeStats(st)
+	if b[0] != stOK || len(b) != 1+2+8*(v.NumField()-1) {
+		t.Fatalf("encoded %d bytes (status %d) for %d fields", len(b), b[0], v.NumField())
+	}
+	if got := decodeStats(b[1:]); got != st {
+		t.Fatalf("round trip changed the stats:\n got %+v\nwant %+v", got, st)
 	}
 }

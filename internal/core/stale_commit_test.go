@@ -199,11 +199,48 @@ func TestStaleDeleteProbesTheIndex(t *testing.T) {
 				if wantFused := 1 + uint64(b2i(rate == 0)) - uint64(b2i(bDeletes)); d.fused != wantFused {
 					t.Errorf("step %d: %d tombstones placed, want %d", step, d.fused, wantFused)
 				}
-				// (A does not look: a cached tombstone answers its next
-				// DELETE without a verb, as it always has.)
 				if _, err := b.Search(k); !errors.Is(err, ErrNotFound) {
 					t.Errorf("step %d: B finds the deleted key: %v", step, err)
 				}
+			}
+		})
+	}
+}
+
+// TestCachedTombstoneDeleteRereadsTheSlot pins that a DELETE never
+// answers ErrNotFound on the word of its own cached tombstone alone:
+// another client may have re-inserted the key since. It re-reads the
+// slot — unmoved proves the tombstone in one 16-byte read, moved sends
+// the DELETE to the index probe, which finds the live pair.
+func TestCachedTombstoneDeleteRereadsTheSlot(t *testing.T) {
+	for name, rate := range map[string]uint32{"speculating": 0, "validate-first": 1 << 16} {
+		t.Run(name, func(t *testing.T) {
+			_, a, b, actx, _ := staleCommitPair(t, 1)
+			k := key(7)
+			if err := a.Insert(k, val(7, 0)); err != nil {
+				t.Fatal(err)
+			}
+			if err := a.Delete(k); err != nil {
+				t.Fatal(err)
+			}
+			est := staleEstimate{rate: [2]uint32{rate, rate}}
+			a.cache.stale = est
+			before := snapVerbs(a, actx)
+			if err := a.Delete(k); !errors.Is(err, ErrNotFound) {
+				t.Errorf("second Delete by the only writer = %v, want ErrNotFound", err)
+			}
+			if d := snapVerbs(a, actx).since(before); d.doorbells != 1 || d.bytesRead != 16 {
+				t.Errorf("second Delete: %d doorbells, %d bytes read; want one 16-byte slot read", d.doorbells, d.bytesRead)
+			}
+			if err := b.Insert(k, val(7, 1)); err != nil {
+				t.Fatal(err)
+			}
+			a.cache.stale = est
+			if err := a.Delete(k); err != nil {
+				t.Errorf("Delete of the key B re-inserted = %v, want nil", err)
+			}
+			if _, err := b.Search(k); !errors.Is(err, ErrNotFound) {
+				t.Errorf("B still finds the key A deleted: %v", err)
 			}
 		})
 	}
@@ -263,7 +300,7 @@ func TestChaseRefusedAcrossEpochChange(t *testing.T) {
 	mn := racehash.HomeMN(h, tc.cl.Cfg.Layout.NumMNs)
 	ent := a.cache.lookup(h, k)
 	oent := b.cache.lookup(racehash.Hash(other), other)
-	if ent == nil || !ent.pos() || oent == nil || !oent.pos() {
+	if ent == nil || oent == nil {
 		t.Fatal("keys not cached")
 	}
 	// Validate-first must be refused the same way, so arm it.

@@ -63,10 +63,9 @@ type Caps struct {
 	// serve via optional interfaces (KillMN, ChaosMN, StatsMN,
 	// TraceMN); the replication modes serve kill only.
 	AdminRPC bool
-	// ClientCache: clients run the bounded CN-side index cache
-	// (positive/negative entries, optional hot-bucket mirror) and
-	// expose CacheStats; Config.CacheEntries/OffloadBuckets take
-	// effect. Replication-baseline modes read through every time.
+	// ClientCache: clients run the bounded CN-side slot-address cache
+	// and expose CacheStats; Config.CacheEntries takes effect.
+	// Replication-baseline modes read through every time.
 	ClientCache bool
 }
 

@@ -381,7 +381,7 @@ func TestCrossModeUsage(t *testing.T) {
 // cacheStatser is the optional surface a caching client exposes; the
 // conformance test asserts it tracks Caps().ClientCache exactly.
 type cacheStatser interface {
-	CacheStats() (entries int, bytes uint64, offloaded int, evictions uint64)
+	CacheStats() (entries int, bytes uint64, evictions uint64)
 }
 
 // TestCrossModeClientCacheCapability pins the ClientCache capability to
@@ -397,8 +397,6 @@ func TestCrossModeClientCacheCapability(t *testing.T) {
 			cfg := crossConfig()
 			cfg.FTMode = m
 			cfg.CacheEntries = 1024
-			cfg.CacheNegative = true
-			cfg.OffloadBuckets = 32
 			pl := simnet.New(simnet.DefaultConfig())
 			ft, err := core.OpenFT(cfg, pl)
 			if err != nil {
@@ -435,8 +433,8 @@ func TestCrossModeClientCacheCapability(t *testing.T) {
 							return
 						}
 					}
-					// Absent keys exercise the negative path; the
-					// conclusion must not change across passes.
+					// Absent keys: the conclusion must not change
+					// across passes.
 					for i := n; i < n+16; i++ {
 						if _, err := c.Search(key(i)); !errors.Is(err, core.ErrNotFound) {
 							t.Errorf("pass %d absent search %d: err=%v, want ErrNotFound", pass, i, err)
@@ -447,7 +445,7 @@ func TestCrossModeClientCacheCapability(t *testing.T) {
 				if !hasCache {
 					return
 				}
-				entries, bytes_, _, _ := cs.CacheStats()
+				entries, bytes_, _ := cs.CacheStats()
 				if entries == 0 || bytes_ == 0 {
 					t.Errorf("mode %s: caching client served %d hot GETs but CacheStats()=(%d entries, %d bytes)",
 						ft.Mode(), 2*n, entries, bytes_)

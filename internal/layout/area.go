@@ -94,7 +94,6 @@ type Layout struct {
 	Cfg Config
 
 	indexArea   uint64 // index buckets + index version word
-	bvSize      uint64 // per-bucket version words
 	metaSize    uint64 // records + bitmaps
 	ckptSlot    uint64 // hosted copy + compressed staging, per neighbour
 	metaOff     uint64
@@ -133,8 +132,7 @@ func NewLayout(cfg Config) (*Layout, error) {
 	}
 	l.stagingSize += 64 // padding
 	l.ckptSlot = l.indexArea + l.stagingSize
-	l.bvSize = cfg.IndexBytes / BucketSize * 8
-	l.metaOff = l.indexArea + l.bvSize
+	l.metaOff = l.indexArea
 	l.ckptOff = l.metaOff + l.metaSize
 	l.metaRepOff = l.ckptOff + uint64(cfg.CkptHosts)*l.ckptSlot
 	l.blocksOff = (l.metaRepOff + uint64(cfg.MetaReplicas)*l.metaSize + 4095) &^ 4095
@@ -159,23 +157,6 @@ func (l *Layout) SlotOff(b uint64, s int) uint64 { return b*BucketSize + uint64(
 // IndexVersionOff returns the offset of the MN's 64-bit Index Version,
 // stored at the end of the index (§3.2.3).
 func (l *Layout) IndexVersionOff() uint64 { return l.Cfg.IndexBytes }
-
-// --- Bucket version area ---
-//
-// One 64-bit monotonic counter per index bucket, bumped by the MN
-// server's write observer before the mutating verb's response is
-// released. Clients use the words to validate cached conclusions about
-// a bucket (negative entries, hot-bucket mirrors) with a single 8-byte
-// read instead of re-reading the 128-byte bucket pair. The area is not
-// checkpointed or recovered: a rebuilt MN restarts its counters at
-// zero, and clients drop version-validated state on every view-epoch
-// change, so stale counters can never be confused with live ones.
-
-// BucketVerOff returns the offset of bucket b's version word.
-func (l *Layout) BucketVerOff(b uint64) uint64 { return l.indexArea + b*8 }
-
-// BucketVerBytes returns the size of the bucket version area.
-func (l *Layout) BucketVerBytes() uint64 { return l.bvSize }
 
 // --- Meta area ---
 

@@ -202,6 +202,30 @@ func TestLayoutAreasDisjoint(t *testing.T) {
 	}
 }
 
+// TestLayoutMemBytesIsSumOfAreas pins the region to exactly the areas
+// the store uses: the Meta Area starts right after the index and its
+// §3.2.3 Index Version word (no per-bucket version words in between),
+// and MemBytes is the page-rounded sum of the areas plus the blocks.
+func TestLayoutMemBytesIsSumOfAreas(t *testing.T) {
+	cfg := testConfig()
+	l, err := NewLayout(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	indexArea := cfg.IndexBytes + 64
+	if l.IndexVersionOff() != cfg.IndexBytes || l.MetaOff() != indexArea {
+		t.Fatalf("index version word at %d, meta area at %d; want %d and %d",
+			l.IndexVersionOff(), l.MetaOff(), cfg.IndexBytes, indexArea)
+	}
+	areas := indexArea + l.MetaSize() +
+		uint64(cfg.CkptHosts)*(indexArea+l.CkptStagingBytes()) +
+		uint64(cfg.MetaReplicas)*l.MetaSize()
+	want := (areas+4095)&^4095 + uint64(cfg.BlocksPerMN())*cfg.BlockSize
+	if l.MemBytes() != want {
+		t.Fatalf("MemBytes = %d, want %d (%d over)", l.MemBytes(), want, int64(l.MemBytes())-int64(want))
+	}
+}
+
 func TestLayoutRecordAndBitmapAddressing(t *testing.T) {
 	l, err := NewLayout(testConfig())
 	if err != nil {

@@ -5,28 +5,23 @@ import "sync/atomic"
 // CacheMetrics aggregates client index-cache activity across every
 // client opened from one cluster handle, for live export (/metrics,
 // admin Stats). Clients bump the counters with single atomic adds on
-// their op paths; gauges (Entries, Bytes, Offloaded) are maintained
+// their op paths; gauges (Entries, Bytes) are maintained
 // incrementally and released when a client closes. The per-client
 // breakdown stays in core.ClientStats (plain fields, read by the
 // owning goroutine); this aggregate exists so a metrics scrape never
 // races a running client.
 type CacheMetrics struct {
-	Hits          atomic.Uint64 // positive cache hits
-	Misses        atomic.Uint64 // lookups that found no entry
-	NegHits       atomic.Uint64 // negative entries validated (answered ErrNotFound)
-	Evictions     atomic.Uint64 // CLOCK evictions
-	MirrorHits    atomic.Uint64 // GETs served from the hot-bucket mirror
-	MirrorNegHits atomic.Uint64 // mirror scans that proved absence
-	Entries       atomic.Int64  // allocated cache entries across live clients
-	Bytes         atomic.Int64  // cache + mirror resident bytes across live clients
-	Offloaded     atomic.Int64  // mirrored buckets across live clients
+	Hits      atomic.Uint64 // lookups that found an entry
+	Misses    atomic.Uint64 // lookups that found no entry
+	Evictions atomic.Uint64 // CLOCK evictions
+	Entries   atomic.Int64  // allocated cache entries across live clients
+	Bytes     atomic.Int64  // cache resident bytes across live clients
 }
 
 // CacheSnapshot is a point-in-time copy of CacheMetrics.
 type CacheSnapshot struct {
-	Hits, Misses, NegHits, Evictions uint64
-	MirrorHits, MirrorNegHits        uint64
-	Entries, Bytes, Offloaded        int64
+	Hits, Misses, Evictions uint64
+	Entries, Bytes          int64
 }
 
 // Snapshot reads every counter once.
@@ -35,14 +30,10 @@ func (m *CacheMetrics) Snapshot() CacheSnapshot {
 		return CacheSnapshot{}
 	}
 	return CacheSnapshot{
-		Hits:          m.Hits.Load(),
-		Misses:        m.Misses.Load(),
-		NegHits:       m.NegHits.Load(),
-		Evictions:     m.Evictions.Load(),
-		MirrorHits:    m.MirrorHits.Load(),
-		MirrorNegHits: m.MirrorNegHits.Load(),
-		Entries:       m.Entries.Load(),
-		Bytes:         m.Bytes.Load(),
-		Offloaded:     m.Offloaded.Load(),
+		Hits:      m.Hits.Load(),
+		Misses:    m.Misses.Load(),
+		Evictions: m.Evictions.Load(),
+		Entries:   m.Entries.Load(),
+		Bytes:     m.Bytes.Load(),
 	}
 }

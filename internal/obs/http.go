@@ -222,24 +222,16 @@ func (e *Exporter) WriteProm(w io.Writer) {
 	}
 	if e.Cache != nil {
 		s := e.Cache.Snapshot()
-		header(w, "aceso_cache_hits_total", "counter", "Client index-cache lookups served from a positive entry.")
+		header(w, "aceso_cache_hits_total", "counter", "Client index-cache lookups that found an entry.")
 		fmt.Fprintf(w, "aceso_cache_hits_total %d\n", s.Hits)
 		header(w, "aceso_cache_misses_total", "counter", "Client index-cache lookups that found no entry.")
 		fmt.Fprintf(w, "aceso_cache_misses_total %d\n", s.Misses)
-		header(w, "aceso_cache_negative_hits_total", "counter", "GET misses answered by a validated negative entry.")
-		fmt.Fprintf(w, "aceso_cache_negative_hits_total %d\n", s.NegHits)
 		header(w, "aceso_cache_evictions_total", "counter", "Entries evicted by the CLOCK hand.")
 		fmt.Fprintf(w, "aceso_cache_evictions_total %d\n", s.Evictions)
-		header(w, "aceso_cache_mirror_hits_total", "counter", "GETs served from CN-resident hot-bucket mirrors.")
-		fmt.Fprintf(w, "aceso_cache_mirror_hits_total %d\n", s.MirrorHits)
-		header(w, "aceso_cache_mirror_negative_hits_total", "counter", "Absences proven by a mirror scan plus version check.")
-		fmt.Fprintf(w, "aceso_cache_mirror_negative_hits_total %d\n", s.MirrorNegHits)
 		header(w, "aceso_cache_entries", "gauge", "Allocated cache entries across this process's live clients.")
 		fmt.Fprintf(w, "aceso_cache_entries %d\n", s.Entries)
-		header(w, "aceso_cache_bytes", "gauge", "Resident cache plus mirror bytes across this process's live clients.")
+		header(w, "aceso_cache_bytes", "gauge", "Resident cache bytes across this process's live clients.")
 		fmt.Fprintf(w, "aceso_cache_bytes %d\n", s.Bytes)
-		header(w, "aceso_cache_offloaded_buckets", "gauge", "Index buckets mirrored CN-side across this process's live clients.")
-		fmt.Fprintf(w, "aceso_cache_offloaded_buckets %d\n", s.Offloaded)
 	}
 	if e.Write != nil {
 		s := e.Write.Snapshot()

@@ -82,6 +82,35 @@ func TestMetricsBuildInfoAndSLOFamilies(t *testing.T) {
 	}
 }
 
+// TestMetricsCacheFamilies pins the client-cache series to exactly the
+// five the one GET path can move.
+func TestMetricsCacheFamilies(t *testing.T) {
+	cm := &CacheMetrics{}
+	cm.Hits.Add(9)
+	cm.Misses.Add(4)
+	cm.Evictions.Add(1)
+	cm.Entries.Add(3)
+	cm.Bytes.Add(288)
+	var sb strings.Builder
+	(&Exporter{Cache: cm}).WriteProm(&sb)
+	var got []string
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if strings.HasPrefix(line, "aceso_cache_") {
+			got = append(got, line)
+		}
+	}
+	want := []string{
+		"aceso_cache_hits_total 9",
+		"aceso_cache_misses_total 4",
+		"aceso_cache_evictions_total 1",
+		"aceso_cache_entries 3",
+		"aceso_cache_bytes 288",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("aceso_cache_* series:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
 // chromeEvent is the subset of the trace_event schema Perfetto
 // requires; the optrace test validates every emitted event against it.
 type chromeEvent struct {

@@ -523,13 +523,3 @@ func (p *Platform) SetWriteObserver(node rdma.NodeID, fn func(off, n uint64)) bo
 	}
 	return false
 }
-
-// LocalAdd64 implements rdma.LocalAtomics by delegation (nil when the
-// inner fabric has no synchronised local word update, so callers skip
-// maintaining fabric-resident counters).
-func (p *Platform) LocalAdd64(node rdma.NodeID) func(off, delta uint64) {
-	if la, ok := p.inner.(rdma.LocalAtomics); ok {
-		return la.LocalAdd64(node)
-	}
-	return nil
-}

@@ -321,27 +321,6 @@ type WriteObserver interface {
 	SetWriteObserver(node NodeID, fn func(off, n uint64)) bool
 }
 
-// LocalAtomics is implemented by fabrics that let a process serving a
-// memory node mutate small words of that node's registered region
-// atomically with respect to concurrently executing remote verbs. The
-// MN server uses it to maintain per-bucket version words from inside
-// its write observer: the bump must land before the triggering verb's
-// response is released, which rules out issuing a remote FAA (the
-// observer may not block on the fabric) and rules out a plain store
-// (verb executors read the same bytes under their own locking). Store
-// code type-asserts a Platform to reach it, exactly like FaultInjector.
-type LocalAtomics interface {
-	// LocalAdd64 returns a function that adds delta to the 8-byte
-	// little-endian word at off within node's region, synchronised
-	// with the fabric's remote-verb execution (on lock-based fabrics
-	// the add runs under the same region locks as a remote FAA; on
-	// engine-serialised fabrics a plain read-modify-write suffices).
-	// The returned function is safe to call from a write-observer
-	// callback. It returns nil when node is not served by this
-	// process.
-	LocalAdd64(node NodeID) func(off, delta uint64)
-}
-
 // VirtualTime marks a Platform whose processes run in simulated time:
 // Ctx.Sleep advances an engine clock instead of the wall clock, so a
 // poll-based worker process costs nothing while idle. Wall-clock

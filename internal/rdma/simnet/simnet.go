@@ -205,26 +205,6 @@ func (pl *Platform) SetWriteObserver(nodeID rdma.NodeID, fn func(off, n uint64))
 	return true
 }
 
-var _ rdma.LocalAtomics = (*Platform)(nil)
-
-// LocalAdd64 implements rdma.LocalAtomics. The engine applies verbs
-// one process at a time and write observers run inline in apply, so a
-// plain read-modify-write is already atomic with respect to remote
-// verbs.
-func (pl *Platform) LocalAdd64(nodeID rdma.NodeID) func(off, delta uint64) {
-	n := pl.nodes[nodeID]
-	if n == nil {
-		return nil
-	}
-	return func(off, delta uint64) {
-		if n.mem == nil || off+8 > uint64(len(n.mem)) {
-			return
-		}
-		v := binary.LittleEndian.Uint64(n.mem[off:])
-		binary.LittleEndian.PutUint64(n.mem[off:], v+delta)
-	}
-}
-
 // Spawn starts fn as a simulated process on the given node.
 func (pl *Platform) Spawn(nodeID rdma.NodeID, name string, fn func(rdma.Ctx)) {
 	n := pl.nodes[nodeID]

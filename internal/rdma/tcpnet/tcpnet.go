@@ -48,7 +48,6 @@
 package tcpnet
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -494,35 +493,6 @@ func (pl *Platform) SetWriteObserver(node rdma.NodeID, fn func(off, n uint64)) b
 		n.writeObs.Store(&fn)
 	}
 	return true
-}
-
-var _ rdma.LocalAtomics = (*Platform)(nil)
-
-// LocalAdd64 implements rdma.LocalAtomics: the returned closure runs
-// the read-modify-write under the same stripe locks a remote FAA on
-// that word would take, so it is safe to call from a write observer
-// running on one verb-executor goroutine while others touch
-// neighbouring bytes. It does not notify the write observer (the
-// caller is the observer).
-func (pl *Platform) LocalAdd64(node rdma.NodeID) func(off, delta uint64) {
-	pl.mu.Lock()
-	n := pl.nodes[node]
-	pl.mu.Unlock()
-	if n == nil || n.srv == nil {
-		return nil
-	}
-	s := n.srv
-	return func(off, delta uint64) {
-		mem := s.n.mem
-		if mem == nil || off+8 > uint64(len(mem)) {
-			return
-		}
-		lo, hi := s.locks.rangeIdx(off, 8)
-		s.locks.lockRange(lo, hi)
-		v := binary.LittleEndian.Uint64(mem[off:])
-		binary.LittleEndian.PutUint64(mem[off:], v+delta)
-		s.locks.unlockRange(lo, hi)
-	}
 }
 
 // Memory implements rdma.Platform: only locally served, non-failed
