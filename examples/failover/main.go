@@ -95,6 +95,8 @@ func main() {
 		rep.RBlockCount, rep.ReadRBlock,
 		rep.KVCount, rep.ScanKV,
 		rep.OldLBlockCount, rep.RecoverOldLBlock)
+	fmt.Printf("tier 3: %d old blocks + %d parity rows rebuilt by %d workers, %d bytes into the replacement, read per source MN %v, %d rows given up\n",
+		rep.OldLBlockCount, rep.ParityRowCount, rep.Tier3Workers, rep.Tier3InboundBytes, rep.Tier3SourceBytes, rep.Tier3LostRows)
 
 	// Verify every committed pair with a cold-cache client.
 	bad := 0

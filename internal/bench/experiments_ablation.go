@@ -9,44 +9,8 @@ import (
 )
 
 func init() {
-	register("abl1", "Ablation: two-stage recovery pipelining on/off", runAblPipeline)
 	register("abl2", "Ablation: per-KV delta fan-out (1 vs 2 parity MNs)", runAblDeltaCopies)
 	register("abl3", "Ablation: differential vs raw checkpointing", runAblCkptMode)
-}
-
-// runAblPipeline quantifies §3.4.1 remark 1: recovery with the
-// two-stage fetch/decode pipeline versus strictly sequential stages.
-func runAblPipeline(o Options) (*Result, error) {
-	res := &Result{ID: "abl1", Title: "Recovery staging ablation (ms)"}
-	cases := []struct {
-		name   string
-		mutate func(*core.Config)
-	}{
-		{"sequential", func(cfg *core.Config) { cfg.RecoveryPipeline = false }},
-		{"pipelined", func(cfg *core.Config) { cfg.RecoveryPipeline = true }},
-		{"4 helpers", func(cfg *core.Config) { cfg.RecoveryHelpers = 4 }},
-	}
-	for _, cse := range cases {
-		cse := cse
-		lc, err := loadCluster(o, o.OpsPerClient*2, 2, cse.mutate)
-		if err != nil {
-			return nil, err
-		}
-		rep, err := lc.crashAndWait(1)
-		lc.r.shutdown()
-		if err != nil {
-			return nil, err
-		}
-		s := &stats.Series{Name: cse.name}
-		s.Add("IndexRec", ms(rep.IndexDone))
-		s.Add("BlockRec", ms(rep.RecoverOldLBlock))
-		s.Add("Total", ms(rep.Total))
-		res.Series = append(res.Series, s)
-	}
-	res.Notes = append(res.Notes,
-		"the paper overlaps RDMA reads with decoding (remark 1) and names CN-distributed",
-		"stripe recovery as future work; '4 helpers' implements it (RAMCloud-style)")
-	return res, nil
 }
 
 // runAblCkptMode quantifies the differential checkpointing design

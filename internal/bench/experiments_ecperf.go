@@ -59,9 +59,12 @@ type ecPerfSummary struct {
 
 // runECPerf measures the erasure data path two ways. The simnet half
 // loads a cluster on 1 MB blocks, crashes an MN, and reads the EC
-// encode/decode counters of the recovery (reconstruct fan-outs during
-// block rebuild, batched parity folds during parity-row rebuild and
-// live reclamation) with the worker pool off versus 4 workers. The
+// encode/decode counters of the recovery with the worker pool off
+// versus 4 workers: the decode row is tier 2's reconstruct fan-outs on
+// the replacement's pool; the encode row is live reclamation folds (on
+// the pool) plus tier 3's parity-row folds, which run on the rebuild
+// team's compute nodes, one core each, and which the pool therefore
+// does not speed up (the team does; core/rebuild.go). The
 // wall-clock half times the erasure package's own pooled Encode on the
 // same stripe geometry and pins the zero-allocation steady state of
 // Encode, UpdateOne and ApplyDeltas. Wall-clock speedup is reported
@@ -149,7 +152,7 @@ func runECPerf(o Options) (*Result, error) {
 	res.Summary = sum
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("simnet erasure throughput = EC counter bytes over virtual fan-out time, summed across MNs after one MN recovery on %d MB blocks", blockSize>>20),
-		fmt.Sprintf("worker pool vs inline: decode %.1fx, encode %.1fx (bands charged on distinct simulated cores; expect ~W minus 5us poll quanta)", sum.DecodeSpeedup, sum.EncodeSpeedup),
+		fmt.Sprintf("worker pool vs inline: decode %.1fx (bands charged on distinct simulated cores; expect ~W minus 5us poll quanta), encode %.1fx (this load seals no block, so the encode row is tier 3's parity folds alone: one rebuild worker's core each, outside the pool)", sum.DecodeSpeedup, sum.EncodeSpeedup),
 		fmt.Sprintf("wall-clock pooled encode measured on %d host CPUs: real speedup tracks the container's core count, reported but not asserted", runtime.NumCPU()),
 		"steady-state allocs/op pins: encode path reuses pooled adjuster scratch and staged band jobs (0 expected)")
 	return res, nil

@@ -38,6 +38,10 @@ type Cluster struct {
 
 	mu      sync.Mutex
 	nextCli uint16
+	// team holds the compute nodes of the tier-3 rebuild workers
+	// (rebuild.go), created by the first recovery and reused by every
+	// later one.
+	team []rdma.NodeID
 }
 
 // view is the membership state the master maintains and disseminates.

@@ -118,26 +118,17 @@ type Config struct {
 	// MetaSyncInterval is the period of the asynchronous Meta Area
 	// replication daemon.
 	MetaSyncInterval time.Duration
-	// ChunkBytes is the transfer granularity for bulk RDMA writes
-	// (checkpoint deltas, recovery reads), so they interleave with
-	// foreground traffic instead of head-of-line blocking the NIC.
+	// ChunkBytes is the transfer granularity for bulk RDMA transfers
+	// (checkpoint deltas, recovery reads, rebuilt blocks), so they
+	// interleave with foreground traffic instead of head-of-line
+	// blocking the NIC. Recovery keeps at most chunkDepth chunks per
+	// block in flight (rebuild.go).
 	ChunkBytes int
-	// RecoveryPipeline enables the two-stage recovery pipeline
-	// (§3.4.1 remark 1: overlap stripe fetches with decoding).
-	// Disabling it is an ablation knob.
-	RecoveryPipeline bool
 	// CkptRaw disables differential checkpointing: every round ships
 	// the full, uncompressed index snapshot (the strawman of Figure
 	// 1(b)). Ablation knob; recovery still works because the hosted
 	// copy is overwritten wholesale.
 	CkptRaw bool
-	// RecoveryHelpers distributes tier-3 block decoding across this
-	// many helper compute nodes (the paper's future-work extension,
-	// modelled on RAMCloud's distributed recovery): each helper
-	// fetches stripe survivors, decodes on its own CPU and writes the
-	// rebuilt block to the replacement MN. 0 keeps all decoding on the
-	// replacement node.
-	RecoveryHelpers int
 	// CkptWorkers sizes the checkpoint compression worker pool: that
 	// many extra MN cores XOR+compress dirty segments concurrently
 	// each round. 0 keeps all segment processing inline on the
@@ -145,9 +136,11 @@ type Config struct {
 	CkptWorkers int
 	// ECWorkers sizes the erasure worker pool: that many extra MN
 	// cores run banded encode/reconstruct kernels concurrently, so
-	// delta reclamation and recovery decode overlap across cores. 0
-	// keeps all erasure compute inline on the erasure core (the
-	// pre-parallel behaviour).
+	// delta reclamation and tier-2 recovery decode overlap across
+	// cores. 0 keeps all erasure compute inline on the erasure core
+	// (the pre-parallel behaviour). Tier-3 rebuild does not run on MN
+	// cores at all: its workers decode on compute nodes and the team,
+	// sized from the geometry, is the parallelism (rebuild.go).
 	ECWorkers int
 	// TraceSample is the op-span sampling rate: one in TraceSample
 	// client ops records a full span tree (rounded to a power of two;
@@ -196,7 +189,6 @@ func DefaultConfig() Config {
 		LockTimeout:      500 * time.Microsecond,
 		MetaSyncInterval: 200 * time.Microsecond,
 		ChunkBytes:       64 << 10,
-		RecoveryPipeline: true,
 		CkptWorkers:      2,
 		ECWorkers:        2,
 		Rates:            DefaultCPURates(),

@@ -164,9 +164,18 @@ func (p *ecPool) fanOut(ctx rdma.Ctx, width int, kernel func(lo, hi int) time.Du
 }
 
 // ecTally accumulates erasure compute totals (bytes touched, virtual
-// elapsed time) for paths that run before a server exists — recovery
-// folds its tally into the replacement server's counters at the end.
+// elapsed time) for paths that run outside a server's own processes —
+// recovery decodes before the replacement server exists and, in tier
+// 3, on the rebuild workers' compute nodes; it folds the tally into
+// the replacement server's counters at the end.
 type ecTally struct {
 	encodeBytes, encodeNs uint64
 	decodeBytes, decodeNs uint64
+}
+
+func (t *ecTally) add(o *ecTally) {
+	t.encodeBytes += o.encodeBytes
+	t.encodeNs += o.encodeNs
+	t.decodeBytes += o.decodeBytes
+	t.decodeNs += o.decodeNs
 }

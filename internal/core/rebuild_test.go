@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"repro/internal/layout"
+	"repro/internal/rdma"
+	"repro/internal/rdma/simnet"
 )
 
 // stripeBlockDiff compares every DATA and PARITY stripe block of snap
@@ -40,10 +42,11 @@ func stripeBlockDiff(l *layout.Layout, snap, got []byte) (diff string, data, par
 }
 
 // loadForRebuild fills the cluster from three clients (three sets of
-// open blocks, so sealed and unsealed stripes both exist) with a
-// checkpoint landing between two waves: blocks sealed in the first
-// wave age into tier 3, the second wave's stay tier-2 work.
-func loadForRebuild(t *testing.T, tc *testCluster, perClient int) map[int][]byte {
+// open blocks, so sealed and unsealed stripes both exist) in two waves
+// of perClient inserts each, values padded to valBytes, with a
+// checkpoint landing after each wave: sealed blocks age into tier 3,
+// the blocks still open at the crash stay tier-2 work.
+func loadForRebuild(t *testing.T, tc *testCluster, perClient, valBytes int) map[int][]byte {
 	t.Helper()
 	expect := make(map[int][]byte)
 	for wave := 0; wave < 2; wave++ {
@@ -54,6 +57,9 @@ func loadForRebuild(t *testing.T, tc *testCluster, perClient int) map[int][]byte
 				for i := 0; i < perClient; i++ {
 					id := wave*100000 + w*10000 + i
 					v := val(id, wave)
+					for len(v) < valBytes {
+						v = append(v, v[:min(len(v), valBytes-len(v))]...)
+					}
 					if err := c.Insert(key(id), v); err != nil {
 						t.Errorf("insert %d: %v", id, err)
 						return
@@ -94,7 +100,7 @@ func TestRebuildByteIdentical(t *testing.T) {
 				cfg.Layout.StripeRows = 40
 			})
 			tc.cl.master.AddSpare()
-			expect := loadForRebuild(t, tc, 260)
+			expect := loadForRebuild(t, tc, 260, 0)
 
 			const victim = 1
 			snap := append([]byte(nil), tc.pl.DirectMemory(tc.cl.MNNode(victim))...)
@@ -188,4 +194,128 @@ func TestTCPNetRebuildByteIdentical(t *testing.T) {
 			})
 		})
 	}
+}
+
+// pendingDeltaRow finds an MN holding a PARITY row with a DELTA block
+// still pending (an open data block's stripe), for the tests below.
+func pendingDeltaRow(t *testing.T, tc *testCluster) (mn, row, xid int) {
+	t.Helper()
+	l := tc.cl.L
+	for mn = 0; mn < l.Cfg.NumMNs; mn++ {
+		mem := tc.pl.DirectMemory(tc.cl.MNNode(mn))
+		for row = 0; row < l.Cfg.StripeRows; row++ {
+			rec := layout.DecodeRecord(mem[l.RecordOff(row) : l.RecordOff(row)+layout.RecordSize])
+			if rec.Role != layout.RoleParity {
+				continue
+			}
+			for xid = 0; xid < l.Cfg.K(); xid++ {
+				if rec.DeltaAddr[xid] != 0 && rec.XORMap&(1<<xid) == 0 {
+					return mn, row, xid
+				}
+			}
+		}
+	}
+	t.Fatal("no parity row with a pending delta; the load left no block open")
+	return
+}
+
+// TestRebuildPlacesDeltaWithLostAddress loses a parity record's
+// DeltaAddr to "replication lag" (it is cleared in every meta replica
+// before the crash): the worker restores the DELTA block from the
+// sibling parity's copy and the coordinator finds it a fresh pool block.
+func TestRebuildPlacesDeltaWithLostAddress(t *testing.T) {
+	tc := newTestCluster(t, func(cfg *Config) { cfg.Layout.StripeRows = 40 })
+	tc.cl.master.AddSpare()
+	expect := loadForRebuild(t, tc, 260, 0)
+	l := tc.cl.L
+	victim, row, xid := pendingDeltaRow(t, tc)
+	snap := append([]byte(nil), tc.pl.DirectMemory(tc.cl.MNNode(victim))...)
+	rec := layout.DecodeRecord(snap[l.RecordOff(row) : l.RecordOff(row)+layout.RecordSize])
+	_, dOff := layout.UnpackAddr(rec.DeltaAddr[xid])
+	wantDelta := snap[dOff : dOff+l.Cfg.BlockSize]
+
+	rec.DeltaAddr[xid] = 0
+	for r := 0; r < l.Cfg.MetaReplicas; r++ {
+		host := l.MetaReplicaHostOf(victim, r)
+		base := l.MetaReplicaOff(l.MetaReplicaSlotFor(host, victim)) + (l.RecordOff(row) - l.MetaOff())
+		hmem := tc.pl.DirectMemory(tc.cl.MNNode(host))
+		layout.EncodeRecord(hmem[base:base+layout.RecordSize], &rec)
+	}
+	tc.cl.FailMN(victim)
+	tc.waitBlocksReady(t, victim)
+
+	got := tc.pl.DirectMemory(tc.cl.MNNode(victim))
+	if diff, _, _ := stripeBlockDiff(l, snap, got); diff != "" {
+		t.Error(diff)
+	}
+	after := layout.DecodeRecord(got[l.RecordOff(row) : l.RecordOff(row)+layout.RecordSize])
+	if after.DeltaAddr[xid] == 0 || after.XORMap&(1<<xid) != 0 {
+		t.Fatalf("row %d xid %d: the pending delta was not restored (DeltaAddr %#x, XORMap %#x)", row, xid, after.DeltaAddr[xid], after.XORMap)
+	}
+	dmn, nOff := layout.UnpackAddr(after.DeltaAddr[xid])
+	di := l.BlockOfOff(nOff)
+	if int(dmn) != victim || di < l.Cfg.StripeRows {
+		t.Fatalf("restored delta placed at mn%d block %d, want a pool block of mn%d", dmn, di, victim)
+	}
+	drec := layout.DecodeRecord(got[l.RecordOff(di) : l.RecordOff(di)+layout.RecordSize])
+	if drec.Role != layout.RoleDelta || int(drec.StripeID) != row || int(drec.XORID) != xid {
+		t.Errorf("pool block %d record = %+v, want the DELTA of row %d xid %d", di, drec, row, xid)
+	}
+	if !bytes.Equal(got[nOff:nOff+l.Cfg.BlockSize], wantDelta) {
+		t.Error("restored DELTA block differs from the one lost")
+	}
+	tc.verifyAll(t, expect)
+}
+
+// TestRebuildRedoesRowChangedUnderIt changes a parity row's record on
+// the live replacement between a worker's read of it and the install:
+// the coordinator must notice, leave the newer record alone and have
+// the row rebuilt again from it.
+func TestRebuildRedoesRowChangedUnderIt(t *testing.T) {
+	tc := newTestCluster(t, func(cfg *Config) { cfg.Layout.StripeRows = 40 })
+	tc.cl.master.AddSpare()
+	expect := loadForRebuild(t, tc, 260, 0)
+	l := tc.cl.L
+	const victim = 1
+	snap := append([]byte(nil), tc.pl.DirectMemory(tc.cl.MNNode(victim))...)
+	row := -1
+	for b := 0; b < l.Cfg.StripeRows && row < 0; b++ {
+		if layout.DecodeRecord(snap[l.RecordOff(b):l.RecordOff(b)+layout.RecordSize]).Role == layout.RoleParity {
+			row = b
+		}
+	}
+
+	// The first block write into the row is the worker shipping its
+	// rebuild; the record changes right behind it (CliID means nothing
+	// on a parity record, so the change is harmless but visible).
+	ships := 0
+	simnet.DebugWatch = func(proc string, target rdma.NodeID, op *rdma.Op) {
+		if op.Kind != rdma.OpWrite || target != tc.cl.MNNode(victim) || op.Addr.Off != l.BlockOff(row) {
+			return
+		}
+		if ships++; ships == 1 {
+			mem := tc.pl.DirectMemory(target)
+			rec := layout.DecodeRecord(mem[l.RecordOff(row) : l.RecordOff(row)+layout.RecordSize])
+			rec.CliID = 0xBEEF
+			layout.EncodeRecord(mem[l.RecordOff(row):l.RecordOff(row)+layout.RecordSize], &rec)
+		}
+	}
+	t.Cleanup(func() { simnet.DebugWatch = nil })
+	tc.cl.FailMN(victim)
+	tc.waitBlocksReady(t, victim)
+
+	if ships != 2 {
+		t.Errorf("row %d was shipped %d times, want 2 (rebuilt, found changed, rebuilt again)", row, ships)
+	}
+	got := tc.pl.DirectMemory(tc.cl.MNNode(victim))
+	if rec := layout.DecodeRecord(got[l.RecordOff(row) : l.RecordOff(row)+layout.RecordSize]); rec.CliID != 0xBEEF {
+		t.Errorf("the install overwrote the newer record (CliID %#x)", rec.CliID)
+	}
+	if diff, _, _ := stripeBlockDiff(l, snap, got); diff != "" {
+		t.Error(diff)
+	}
+	if lost := tc.cl.master.Reports[0].Tier3LostRows; lost != 0 {
+		t.Errorf("%d rows given up", lost)
+	}
+	tc.verifyAll(t, expect)
 }

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/erasure"
 	"repro/internal/layout"
 	"repro/internal/obs"
 	"repro/internal/racehash"
@@ -17,7 +16,8 @@ import (
 // RecoveryReport breaks an MN recovery down into the stages of
 // Table 2: reading the metadata replica, reading the latest index
 // checkpoint, decoding new local blocks, reading new remote blocks,
-// scanning their KV pairs, and decoding old local blocks.
+// scanning their KV pairs, and rebuilding the rest of the Block Area
+// (old local blocks and parity rows).
 type RecoveryReport struct {
 	MN          int
 	CkptVersion uint64
@@ -31,9 +31,18 @@ type RecoveryReport struct {
 	ScanKV           time.Duration
 	KVCount          int
 	IndexDone        time.Duration // tier-2 complete: functionality restored
-	RecoverOldLBlock time.Duration
+	RecoverOldLBlock time.Duration // all of tier 3
 	OldLBlockCount   int
-	Total            time.Duration
+	ParityRowCount   int
+	// Tier-3 traffic, counted where the rebuild issues it: the bytes
+	// written into the replacement, the bytes read from each surviving
+	// MN (by logical id), the team size, and the rows given up because
+	// their stripe had lost more than the code tolerates.
+	Tier3InboundBytes uint64
+	Tier3SourceBytes  []uint64
+	Tier3Workers      int
+	Tier3LostRows     int
+	Total             time.Duration
 }
 
 // runRecovery performs tiered recovery of logical MN mn on the calling
@@ -46,12 +55,12 @@ func runRecovery(ctx rdma.Ctx, cl *Cluster, mn int) *RecoveryReport {
 	mem := ctx.LocalMem()
 	start := ctx.Now()
 
-	// Recovery decode runs through its own erasure worker pool on the
-	// replacement node's EC cores (the same cores the replacement
-	// server's pool will use once it starts — UseCPU serialises shared
-	// cores, so the accounting stays honest if tier-3 decode overlaps
-	// the live encoder). The tally folds into the server's counters at
-	// the end, since most decoding happens before the server exists.
+	// Tier-2 decode runs through its own erasure worker pool on the
+	// replacement node's EC cores, the cores the replacement server's
+	// pool takes over once it starts (tier 3 decodes elsewhere, on the
+	// rebuild team's compute nodes). The scratch's tally folds into the
+	// server's counters at the end, since this decoding happens before
+	// the server exists.
 	ecw := 0
 	if rdma.IsVirtual(cl.pl) {
 		ecw = cl.Cfg.ecWorkers()
@@ -62,7 +71,7 @@ func runRecovery(ctx rdma.Ctx, cl *Cluster, mn int) *RecoveryReport {
 		core := rdma.CoreECWorker(cl.Cfg.ckptWorkers(), i)
 		cl.pl.Spawn(ctx.Node(), fmt.Sprintf("recover-ecworker%d", i), ec.workerLoop(core))
 	}
-	tally := &ecTally{}
+	sc := newStripeScratch(cl)
 
 	// abandoned reports that this node died or was re-assigned while
 	// recovery ran; the master retries on another spare.
@@ -152,7 +161,7 @@ func runRecovery(ctx rdma.Ctx, cl *Cluster, mn int) *RecoveryReport {
 
 	// Decode new local blocks (pipelined reads + XOR, §3.4.1 remark 1).
 	t = ctx.Now()
-	recoverBlocks(ctx, cl, mn, newLocal, recovered, ec, tally)
+	recoverBlocks(ctx, cl, mn, newLocal, recovered, ec, sc)
 	rep.LBlockCount = len(newLocal)
 	rep.RecoverLBlock = ctx.Now() - t
 	cl.trace.Emit(obs.Event{At: ctx.Now(), Kind: "recovery.lblocks", MN: mn, Dur: rep.RecoverLBlock,
@@ -201,11 +210,10 @@ func runRecovery(ctx rdma.Ctx, cl *Cluster, mn int) *RecoveryReport {
 				if b >= l.Cfg.StripeRows {
 					continue // pool blocks hold no indexed KVs
 				}
-				f := fetchStripe(ctx, cl, j, b)
-				if !f.ok {
+				if !fetchStripe(ctx, cl, j, b, sc) {
 					continue
 				}
-				out, ok := reconstructLostBlock(ctx, cl, j, b, f, ec, tally)
+				out, ok := reconstructLost(ctx, cl, j, b, sc, ec, rdma.CoreErasure)
 				if !ok {
 					continue
 				}
@@ -288,6 +296,7 @@ func runRecovery(ctx rdma.Ctx, cl *Cluster, mn int) *RecoveryReport {
 	if abandoned() {
 		return nil
 	}
+	ec.close()
 	// Functionality restored: bring up the replacement server and
 	// reopen the index partition (writes full speed, reads degraded).
 	// The server starts before it is published: until failed[mn] flips,
@@ -306,35 +315,26 @@ func runRecovery(ctx rdma.Ctx, cl *Cluster, mn int) *RecoveryReport {
 	cl.trace.Emit(obs.Event{At: ctx.Now(), Kind: "recovery.index_ready", MN: mn, Dur: rep.IndexDone,
 		Note: "tier 2 complete: writes full speed, reads degraded"})
 
-	// --- Tier 3: Block Area (old data blocks, then parity blocks) ---
+	// --- Tier 3: Block Area (old data blocks and parity rows) ---
+	// One queue of lost rows, rebuilt by the team of compute-node
+	// workers (rebuild.go); this process stays behind as coordinator.
 	t = ctx.Now()
-	if cl.Cfg.RecoveryHelpers > 0 {
-		recoverBlocksWithHelpers(ctx, cl, mn, oldLocal, recovered)
-	} else {
-		recoverBlocks(ctx, cl, mn, oldLocal, recovered, ec, tally)
-	}
+	rb := newRebuild(cl, mn, ctx.Node(), oldLocal)
 	rep.OldLBlockCount = len(oldLocal)
-	memMu := cl.pl.MemMutex(ctx.Node())
-	for b := 0; b < l.Cfg.StripeRows; b++ {
-		// The replacement server is live by now, so tier-3's direct
-		// local-memory access must synchronise with the verb executor.
-		off := l.RecordOff(b)
-		memMu.Lock()
-		rec := layout.DecodeRecord(mem[off : off+layout.RecordSize])
-		memMu.Unlock()
-		if rec.Role == layout.RoleParity {
-			recoverParityRow(ctx, cl, mn, mem, b, &rec, ec, tally)
-		}
+	if !rb.run(ctx, abandoned) {
+		return nil
 	}
+	rb.report(rep, &sc.tally)
 	rep.RecoverOldLBlock = ctx.Now() - t
 	cl.trace.Emit(obs.Event{At: ctx.Now(), Kind: "recovery.tier3", MN: mn, Dur: rep.RecoverOldLBlock,
-		Note: fmt.Sprintf("old-blocks=%d", rep.OldLBlockCount)})
+		Note: fmt.Sprintf("old-blocks=%d parity-rows=%d lost-rows=%d workers=%d inbound-bytes=%d",
+			rep.OldLBlockCount, rep.ParityRowCount, rep.Tier3LostRows, rep.Tier3Workers, rep.Tier3InboundBytes)})
 
 	cl.view.mu.Lock()
 	cl.view.blocksReady[mn] = true
 	cl.view.epoch++
 	cl.view.mu.Unlock()
-	srv.addECTally(tally)
+	srv.addECTally(&sc.tally)
 	rep.Total = ctx.Now() - start
 	cl.trace.Emit(obs.Event{At: ctx.Now(), Kind: "recovery.done", MN: mn, Dur: rep.Total})
 	return rep
@@ -521,451 +521,61 @@ func keyOfEntry(ctx rdma.Ctx, cl *Cluster, mn int, mem []byte, atom layout.SlotA
 }
 
 // recoverBlocks decodes the given local DATA blocks from their
-// stripes' survivors, writing results into local memory. Fetching
-// (RDMA reads) and decoding (XOR/GF compute) run as a two-stage
-// pipeline (§3.4.1 remark 1): a prefetch process stays one stripe
-// ahead of the decoder.
-func recoverBlocks(ctx rdma.Ctx, cl *Cluster, mn int, blocks []int, recovered map[int]bool, ec *ecPool, tally *ecTally) {
-	if len(blocks) == 0 {
-		return
-	}
-	if !cl.Cfg.RecoveryPipeline {
-		// Ablation: strictly sequential fetch-then-decode.
-		mem := ctx.LocalMem()
-		if len(mem) == 0 {
-			return // node failed under us; the master retries elsewhere
-		}
-		for _, b := range blocks {
-			f := fetchStripe(ctx, cl, mn, b)
-			if !f.ok {
-				continue
-			}
-			decodeStripeInto(ctx, cl, mn, mem, f.b, f.shards, f.deltas, ec, tally)
-			recovered[f.b] = true
-		}
-		return
-	}
-	var mu sync.Mutex
-	queue := make([]fetchedStripe, 0, 2)
-	done := false
-
-	cl.pl.Spawn(ctx.Node(), "recover-prefetch", func(fctx rdma.Ctx) {
-		for _, b := range blocks {
-			// Bound the pipeline depth at 2 stripes.
-			for {
-				mu.Lock()
-				depth := len(queue)
-				mu.Unlock()
-				if depth < 2 {
-					break
-				}
-				fctx.Sleep(5 * time.Microsecond)
-			}
-			f := fetchStripe(fctx, cl, mn, b)
-			mu.Lock()
-			queue = append(queue, f)
-			mu.Unlock()
-		}
-		mu.Lock()
-		done = true
-		mu.Unlock()
-	})
-
+// stripes' survivors into local memory: tier 2's new blocks, which the
+// KV scan needs in place before the index can be published. Fetching
+// (RDMA reads, every source at once) and decoding (XOR/GF compute) run
+// as a two-stage pipeline (§3.4.1 remark 1): a prefetch process fills
+// one scratch while the decoder works out of the other.
+func recoverBlocks(ctx rdma.Ctx, cl *Cluster, mn int, blocks []int, recovered map[int]bool, ec *ecPool, sc *stripeScratch) {
 	mem := ctx.LocalMem()
-	if len(mem) == 0 {
-		return // node failed under us; the master retries elsewhere
+	if len(blocks) == 0 || len(mem) == 0 {
+		return // nothing to do, or the node failed under us and the master retries elsewhere
 	}
-	for {
-		mu.Lock()
-		if len(queue) == 0 {
-			d := done
+	ring := [2]*stripeScratch{sc, newStripeScratch(cl)}
+	var mu sync.Mutex
+	var fetchedOK [2]bool
+	fetched, decoded := 0, 0 // stripes through each stage
+	waitFor := func(wctx rdma.Ctx, ready func() bool) {
+		for {
+			mu.Lock()
+			ok := ready()
 			mu.Unlock()
-			if d {
+			if ok {
 				return
 			}
-			ctx.Sleep(5 * time.Microsecond)
-			continue
-		}
-		f := queue[0]
-		queue = queue[1:]
-		mu.Unlock()
-		if !f.ok {
-			continue
-		}
-		decodeStripeInto(ctx, cl, mn, mem, f.b, f.shards, f.deltas, ec, tally)
-		recovered[f.b] = true
-	}
-}
-
-// fetchedStripe is one unit of the two-stage recovery pipeline.
-type fetchedStripe struct {
-	b      int
-	shards [][]byte
-	deltas [][]byte // per data shard; nil when none pending
-	ok     bool
-}
-
-// fetchStripe reads everything needed to reconstruct local block b:
-// surviving data blocks (folded with their pending deltas into enc
-// form), parity blocks, and the lost block's own pending delta.
-func fetchStripe(ctx rdma.Ctx, cl *Cluster, mn, b int) (f fetchedStripe) {
-	l := cl.L
-	stripe := uint32(b)
-	k, m := cl.code.K(), cl.code.M()
-	f.b = b
-	f.shards = make([][]byte, k+m)
-	f.deltas = make([][]byte, k)
-
-	// Read one surviving parity record for the delta map.
-	var prec layout.Record
-	havePrec := false
-	for j := 0; j < m; j++ {
-		pmn := l.ParityMN(stripe, j)
-		if rec, err := readParityRecord(ctx, cl, pmn, b); err == nil && rec.Role == layout.RoleParity {
-			prec, havePrec = rec, true
-			break
+			wctx.Sleep(5 * time.Microsecond)
 		}
 	}
 
-	bs := l.Cfg.BlockSize
-	for xid, dm := range l.DataMNs(stripe) {
-		if havePrec && prec.DeltaAddr[xid] != 0 {
-			dmn, dOff := layout.UnpackAddr(prec.DeltaAddr[xid])
-			if _, alive := cl.view.nodeOf(int(dmn)); alive {
-				buf := make([]byte, bs)
-				if readChunked(ctx, cl, int(dmn), dOff, buf) == nil {
-					f.deltas[xid] = buf
-				}
-			}
+	cl.pl.Spawn(ctx.Node(), "recover-prefetch", func(fctx rdma.Ctx) {
+		for i, b := range blocks {
+			waitFor(fctx, func() bool { return i-decoded < len(ring) })
+			ok := fetchStripe(fctx, cl, mn, b, ring[i%len(ring)])
+			mu.Lock()
+			fetchedOK[i%len(ring)] = ok
+			fetched++
+			mu.Unlock()
 		}
-		if dm == mn {
-			f.shards[xid] = make([]byte, bs) // the lost shard
-			continue
-		}
-		if _, alive := cl.view.nodeOf(dm); !alive {
-			f.shards[xid] = make([]byte, bs) // second failure: also lost
-			continue
-		}
-		buf := make([]byte, bs)
-		if err := readChunked(ctx, cl, dm, l.BlockOff(b), buf); err != nil {
-			f.shards[xid] = make([]byte, bs)
-			continue
-		}
-		// Materialise the enc view: enc_b = DATA_b ⊕ DELTA_b.
-		if f.deltas[xid] != nil {
-			erasure.XorInto(buf, f.deltas[xid])
-		}
-		f.shards[xid] = buf
-	}
-	for j := 0; j < m; j++ {
-		pmn := l.ParityMN(stripe, j)
-		buf := make([]byte, bs)
-		if _, alive := cl.view.nodeOf(pmn); alive {
-			readChunked(ctx, cl, pmn, l.BlockOff(b), buf) //nolint:errcheck // zero shard marked absent below
-			f.shards[k+j] = buf
-		} else {
-			f.shards[k+j] = buf
-		}
-	}
-	f.ok = true
-	return f
-}
+	})
 
-// reconstructLostBlock rebuilds owner's block b from a fetched stripe
-// and returns the data bytes (the shard slice, reused), or false when
-// the erasure pattern exceeds the fault bound. The decode solve is
-// planned once, then the band kernel fans out over the erasure worker
-// pool (ec may be nil: the kernel runs inline on the erasure core, the
-// pre-parallel behaviour).
-func reconstructLostBlock(ctx rdma.Ctx, cl *Cluster, owner, b int, f fetchedStripe, ec *ecPool, tally *ecTally) ([]byte, bool) {
-	l := cl.L
-	stripe := uint32(b)
-	k, m := cl.code.K(), cl.code.M()
-	present := make([]bool, k+m)
-	for xid, dm := range l.DataMNs(stripe) {
-		_, alive := cl.view.nodeOf(dm)
-		present[xid] = dm != owner && alive
-	}
-	liveParity := 0
-	for j := 0; j < m; j++ {
-		_, alive := cl.view.nodeOf(l.ParityMN(stripe, j))
-		present[k+j] = alive
-		if alive {
-			liveParity++
-		}
-	}
-	pl, err := cl.code.PlanReconstruct(f.shards, present)
-	if err != nil {
-		return nil, false // beyond the fault bound
-	}
-	if pl != nil {
-		total := cpuTime((k+liveParity)*int(l.Cfg.BlockSize), cl.Cfg.Rates.codeRate(cl.Cfg.Code))
-		width := pl.Width()
-		elapsed := ec.fanOut(ctx, width, func(lo, hi int) time.Duration {
-			if lo == 0 && hi == width {
-				// Inert pool (wall-clock fabric or no workers): the
-				// whole plan runs here, so let the erasure package's
-				// goroutine pool supply the parallelism.
-				pl.RunPooled(f.shards, cl.Cfg.ecWorkers())
-			} else {
-				pl.Run(f.shards, lo, hi)
-			}
-			return time.Duration(float64(total) * float64(hi-lo) / float64(width))
-		}, rdma.CoreErasure)
-		if tally != nil {
-			tally.decodeBytes += uint64(k+liveParity) * uint64(l.Cfg.BlockSize)
-			tally.decodeNs += uint64(elapsed)
-		}
-	}
-	xid := l.XORIDOf(stripe, owner)
-	out := f.shards[xid]
-	// DATA = enc ⊕ DELTA: fold back the owner's pending delta, if any.
-	if f.deltas[xid] != nil {
-		erasure.XorInto(out, f.deltas[xid])
-	}
-	return out, true
-}
-
-// decodeStripeInto reconstructs local block b from a fetched stripe
-// and writes it into local memory.
-func decodeStripeInto(ctx rdma.Ctx, cl *Cluster, mn int, mem []byte, b int, shards, deltas [][]byte, ec *ecPool, tally *ecTally) {
-	out, ok := reconstructLostBlock(ctx, cl, mn, b, fetchedStripe{b: b, shards: shards, deltas: deltas, ok: true}, ec, tally)
-	if !ok {
-		return // leave the block zeroed
-	}
-	// Tier-3 decodes run while the replacement server is serving, so
-	// the install must synchronise with the verb executor (no-op lock
-	// during tier 1/2 on simulated fabrics either way).
 	memMu := cl.pl.MemMutex(ctx.Node())
-	memMu.Lock()
-	copy(mem[cl.L.BlockOff(b):cl.L.BlockOff(b)+cl.L.Cfg.BlockSize], out)
-	memMu.Unlock()
-}
-
-// recoverBlocksWithHelpers distributes block decoding across helper
-// compute nodes (the paper's future-work extension, §4.5 "Impact of
-// Index Size": "the extended recovery time can be alleviated by
-// distributing coding stripe recovery tasks across multiple CNs,
-// similar to RAMCloud"). Each helper fetches a stripe's survivors,
-// reconstructs the lost block on its own CPU, and ships the result to
-// the replacement MN with chunked writes.
-func recoverBlocksWithHelpers(ctx rdma.Ctx, cl *Cluster, mn int, blocks []int, recovered map[int]bool) {
-	if len(blocks) == 0 {
-		return
-	}
-	helpers := cl.Cfg.RecoveryHelpers
-	if helpers > len(blocks) {
-		helpers = len(blocks)
-	}
-	var mu sync.Mutex
-	next := 0
-	doneCount := 0
-	for h := 0; h < helpers; h++ {
-		cn := cl.pl.AddComputeNode()
-		cl.pl.Spawn(cn, fmt.Sprintf("recover-helper%d", h), func(hctx rdma.Ctx) {
-			for {
-				mu.Lock()
-				if next >= len(blocks) {
-					mu.Unlock()
-					return
-				}
-				b := blocks[next]
-				next++
-				mu.Unlock()
-
-				f := fetchStripe(hctx, cl, mn, b)
-				if f.ok && helperDecodeAndShip(hctx, cl, mn, b, f) {
-					mu.Lock()
-					recovered[b] = true
-					doneCount++
-					mu.Unlock()
-				} else {
-					mu.Lock()
-					doneCount++
-					mu.Unlock()
-				}
+	for i, b := range blocks {
+		waitFor(ctx, func() bool { return fetched > i })
+		from := ring[i%len(ring)]
+		if fetchedOK[i%len(ring)] {
+			if out, ok := reconstructLost(ctx, cl, mn, b, from, ec, rdma.CoreErasure); ok {
+				memMu.Lock()
+				copy(mem[cl.L.BlockOff(b):cl.L.BlockOff(b)+cl.L.Cfg.BlockSize], out)
+				memMu.Unlock()
+				recovered[b] = true
 			}
-		})
-	}
-	for {
+		}
+		if from != sc {
+			sc.tally.add(&from.tally)
+			from.tally = ecTally{}
+		}
 		mu.Lock()
-		d := doneCount
+		decoded++
 		mu.Unlock()
-		if d >= len(blocks) {
-			return
-		}
-		ctx.Sleep(20 * time.Microsecond)
 	}
-}
-
-// helperDecodeAndShip reconstructs block b on the helper's CPU and
-// writes it to the replacement MN. It reports success.
-func helperDecodeAndShip(hctx rdma.Ctx, cl *Cluster, mn, b int, f fetchedStripe) bool {
-	l := cl.L
-	stripe := uint32(b)
-	k, m := cl.code.K(), cl.code.M()
-	present := make([]bool, k+m)
-	live := 0
-	for xid, dm := range l.DataMNs(stripe) {
-		_, alive := cl.view.nodeOf(dm)
-		present[xid] = dm != mn && alive
-		if present[xid] {
-			live++
-		}
-	}
-	for j := 0; j < m; j++ {
-		_, alive := cl.view.nodeOf(l.ParityMN(stripe, j))
-		present[k+j] = alive
-		if alive {
-			live++
-		}
-	}
-	if err := cl.code.Reconstruct(f.shards, present); err != nil {
-		return false
-	}
-	hctx.UseCPU(0, cpuTime(live*int(l.Cfg.BlockSize), cl.Cfg.Rates.codeRate(cl.Cfg.Code)))
-	myXID := l.XORIDOf(stripe, mn)
-	out := f.shards[myXID]
-	if f.deltas[myXID] != nil {
-		erasure.XorInto(out, f.deltas[myXID])
-	}
-	// Ship the rebuilt block to the replacement MN in chunks.
-	chunk := cl.Cfg.ChunkBytes
-	for pos := 0; pos < len(out); pos += chunk {
-		end := pos + chunk
-		if end > len(out) {
-			end = len(out)
-		}
-		addr, ok := cl.Addr(mn, l.BlockOff(b)+uint64(pos))
-		if !ok {
-			return false
-		}
-		if err := hctx.Write(addr, out[pos:end]); err != nil {
-			return false
-		}
-	}
-	return true
-}
-
-// recoverParityRow rebuilds a lost PARITY block (background, after
-// functionality is restored — "PARITY blocks will be gradually
-// recovered in the background", §3.4.1) together with the DELTA blocks
-// it tracks, using DELTA_b = DATA_b ⊕ enc_b.
-func recoverParityRow(ctx rdma.Ctx, cl *Cluster, mn int, mem []byte, b int, rec *layout.Record, ec *ecPool, tally *ecTally) {
-	// Parity recovery runs after the replacement server went live, so
-	// every touch of local memory (the parity block, rebuilt delta
-	// blocks, records) races with the verb executor and the encoder
-	// daemon on wall-clock fabrics. Hold the region lock for the row;
-	// the remote reads inside are to other nodes and never wait on this
-	// lock, and foreground verbs stall at most one row's rebuild.
-	memMu := cl.pl.MemMutex(ctx.Node())
-	memMu.Lock()
-	defer memMu.Unlock()
-	l := cl.L
-	stripe := uint32(b)
-	bs := l.Cfg.BlockSize
-	parity := mem[l.BlockOff(b) : l.BlockOff(b)+bs]
-	for i := range parity {
-		parity[i] = 0
-	}
-
-	// Locate the sibling parity MN (to adopt its view of pending
-	// deltas), if configured and alive.
-	var sibRec layout.Record
-	haveSib := false
-	for j := 0; j < l.Cfg.ParityShards; j++ {
-		pmn := l.ParityMN(stripe, j)
-		if pmn == mn || pmn < 0 {
-			continue
-		}
-		if r, err := readParityRecord(ctx, cl, pmn, b); err == nil && r.Role == layout.RoleParity {
-			sibRec, haveSib = r, true
-		}
-	}
-
-	// Collect each live data shard's enc view, then fold them all into
-	// the parity in one batched banded pass below.
-	var folds []erasure.ShardDelta
-	for xid, dm := range l.DataMNs(stripe) {
-		_, alive := cl.view.nodeOf(dm)
-		if !alive {
-			continue // double failure: give up on this shard's contribution
-		}
-		hasData := rec.XORMap&(1<<xid) != 0 || rec.DeltaAddr[xid] != 0
-		if !hasData && haveSib {
-			hasData = sibRec.XORMap&(1<<xid) != 0 || sibRec.DeltaAddr[xid] != 0
-		}
-		if !hasData {
-			continue
-		}
-		data := make([]byte, bs)
-		if err := readChunked(ctx, cl, dm, l.BlockOff(b), data); err != nil {
-			continue
-		}
-		enc := data
-		if rec.XORMap&(1<<xid) == 0 {
-			// Delta still pending from our point of view: rebuild it
-			// from the sibling parity's copy.
-			var delta []byte
-			if haveSib && sibRec.XORMap&(1<<xid) == 0 && sibRec.DeltaAddr[xid] != 0 {
-				dmn, dOff := layout.UnpackAddr(sibRec.DeltaAddr[xid])
-				buf := make([]byte, bs)
-				if readChunked(ctx, cl, int(dmn), dOff, buf) == nil {
-					delta = buf
-				}
-			}
-			if delta != nil {
-				di := -1
-				if rec.DeltaAddr[xid] != 0 {
-					_, dOff := layout.UnpackAddr(rec.DeltaAddr[xid])
-					di = l.BlockOfOff(dOff)
-				}
-				if di < l.Cfg.StripeRows {
-					// The recorded address was lost to replication lag:
-					// place the rebuilt delta in a fresh pool block.
-					di = freePoolBlockIn(cl, mem, b)
-				}
-				if di >= 0 {
-					copy(mem[l.BlockOff(di):l.BlockOff(di)+bs], delta)
-					drec := layout.Record{Role: layout.RoleDelta, Valid: true,
-						XORID: uint8(xid), StripeID: stripe}
-					dOff := l.RecordOff(di)
-					layout.EncodeRecord(mem[dOff:dOff+layout.RecordSize], &drec)
-					rec.DeltaAddr[xid] = layout.PackAddr(uint16(mn), l.BlockOff(di))
-					enc = append([]byte(nil), data...)
-					erasure.XorInto(enc, delta)
-				} else {
-					rec.XORMap |= 1 << xid
-					rec.DeltaAddr[xid] = 0
-				}
-			} else {
-				// No recoverable delta: adopt the current data as
-				// encoded (protection resumes from now; clients refresh
-				// their delta targets on the next view epoch).
-				rec.XORMap |= 1 << xid
-				rec.DeltaAddr[xid] = 0
-			}
-		}
-		folds = append(folds, erasure.ShardDelta{DI: xid, B: enc})
-	}
-	if len(folds) > 0 {
-		total := cpuTime((len(folds)+1)*int(bs), cl.Cfg.Rates.codeRate(cl.Cfg.Code))
-		width := cl.code.BandWidth(len(parity))
-		elapsed := ec.fanOut(ctx, width, func(lo, hi int) time.Duration {
-			if lo == 0 && hi == width {
-				// Inert pool: the batched fold runs whole, through the
-				// erasure package's own goroutine fan-out.
-				cl.code.ApplyDeltas(int(rec.ParityIdx), parity, folds)
-			} else {
-				cl.code.ApplyDeltasBand(int(rec.ParityIdx), parity, folds, lo, hi)
-			}
-			return time.Duration(float64(total) * float64(hi-lo) / float64(width))
-		}, rdma.CoreErasure)
-		if tally != nil {
-			tally.encodeBytes += uint64(len(folds)) * uint64(bs)
-			tally.encodeNs += uint64(elapsed)
-		}
-	}
-	off := l.RecordOff(b)
-	layout.EncodeRecord(mem[off:off+layout.RecordSize], rec)
 }

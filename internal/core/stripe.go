@@ -46,9 +46,10 @@ func readStripeRange(ctx rdma.Ctx, cl *Cluster, packed uint64, buf []byte) error
 	if err != nil {
 		return errStripeUnavailable
 	}
-	if prec.Role == layout.RoleFree {
-		// Stripe never encoded anything: the lost range is all zero
-		// only if no survivor holds data; treat as unavailable.
+	if prec.Role == layout.RoleFree || !prec.Valid {
+		// Stripe never encoded anything (the lost range is all zero
+		// only if no survivor holds data), or the parity row was given
+		// up by its own rebuild (rebuild.go): treat as unavailable.
 		return errStripeUnavailable
 	}
 
@@ -110,9 +111,10 @@ func readParityRecord(ctx rdma.Ctx, cl *Cluster, pmn, bi int) (layout.Record, er
 // when the row-parity MN is down too, the lost range is recovered by
 // fetching every surviving stripe member in full (data blocks folded
 // with their pending deltas into enc form, plus surviving parities)
-// and running the code's generic reconstruction. Expensive — full
-// blocks move for one KV — but it keeps degraded reads available right
-// up to the fault bound.
+// and running the code's generic reconstruction (the same fetch and
+// plan recovery uses, rebuild.go). Expensive — full blocks move for
+// one KV — but it keeps degraded reads available right up to the fault
+// bound.
 func readStripeRangeFull(ctx rdma.Ctx, cl *Cluster, packed uint64, buf []byte) error {
 	l := cl.L
 	mnU, off := layout.UnpackAddr(packed)
@@ -121,32 +123,19 @@ func readStripeRangeFull(ctx rdma.Ctx, cl *Cluster, packed uint64, buf []byte) e
 	if bi < 0 || bi >= l.Cfg.StripeRows {
 		return fmt.Errorf("core: stripe range outside stripe blocks (mn%d+0x%x)", mn, off)
 	}
-	f := fetchStripe(ctx, cl, mn, bi)
-	if !f.ok {
+	sc := newStripeScratch(cl)
+	if !fetchStripe(ctx, cl, mn, bi, sc) {
 		return errStripeUnavailable
 	}
-	stripe := uint32(bi)
-	k, m := cl.code.K(), cl.code.M()
-	present := make([]bool, k+m)
-	for xid, dm := range l.DataMNs(stripe) {
-		_, alive := cl.view.nodeOf(dm)
-		present[xid] = dm != mn && alive
-	}
-	missing := 0
-	for j := 0; j < m; j++ {
-		_, alive := cl.view.nodeOf(l.ParityMN(stripe, j))
-		present[k+j] = alive
-		if !alive {
-			missing++
-		}
-	}
-	if err := cl.code.Reconstruct(f.shards, present); err != nil {
+	myXID := l.XORIDOf(uint32(bi), mn)
+	pl, err := sc.plan(cl.code, myXID)
+	if err != nil {
 		return errStripeUnavailable
 	}
-	myXID := l.XORIDOf(stripe, mn)
-	out := f.shards[myXID]
-	if f.deltas[myXID] != nil {
-		erasure.XorInto(out, f.deltas[myXID])
+	pl.RunPooled(sc.shards, cl.Cfg.ecWorkers())
+	out := sc.shards[myXID]
+	if sc.hasDelta[myXID] {
+		erasure.XorInto(out, sc.deltas[myXID])
 	}
 	rel := off - l.BlockOff(bi)
 	copy(buf, out[rel:rel+uint64(len(buf))])
@@ -158,7 +147,6 @@ func readStripeRangeFull(ctx rdma.Ctx, cl *Cluster, packed uint64, buf []byte) e
 // Chunks are doorbell-batched chunkDepth at a time, keeping the read
 // stream pipelined (the paper's recovery sustains ~2 GB/s).
 func readChunked(ctx rdma.Ctx, cl *Cluster, mn int, off uint64, dst []byte) error {
-	const chunkDepth = 8
 	chunk := cl.Cfg.ChunkBytes
 	var ops []rdma.Op
 	for pos := 0; pos < len(dst); pos += chunk {

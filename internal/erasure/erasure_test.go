@@ -84,6 +84,49 @@ func TestReconstructAllPairs(t *testing.T) {
 	}
 }
 
+// TestPlanKeep erases every pair of shards, narrows the plan to one of
+// the two and checks that Run restores that shard and leaves the other
+// one's buffer untouched — the form recovery uses when a shard is
+// "missing" only because it was never fetched.
+func TestPlanKeep(t *testing.T) {
+	for _, k := range []int{2, 3, 5} {
+		for _, c := range codesForTest(t, k) {
+			size := shardSize(c)
+			_, _, orig := makeStripe(c, size, int64(40+k))
+			n := c.K() + c.M()
+			for a := 0; a < n; a++ {
+				for b := 0; b < n; b++ {
+					if a == b {
+						continue
+					}
+					shards := make([][]byte, n)
+					present := make([]bool, n)
+					for i := range shards {
+						if i == a || i == b {
+							shards[i] = bytes.Repeat([]byte{0xA5}, size)
+						} else {
+							shards[i] = append([]byte(nil), orig[i]...)
+							present[i] = true
+						}
+					}
+					pl, err := c.PlanReconstruct(shards, present)
+					if err != nil {
+						t.Fatalf("%s k=%d erase (%d,%d): %v", c.Name(), k, a, b, err)
+					}
+					pl.Keep(a)
+					pl.Run(shards, 0, pl.Width())
+					if !bytes.Equal(shards[a], orig[a]) {
+						t.Fatalf("%s k=%d erase (%d,%d): kept shard %d wrong", c.Name(), k, a, b, a)
+					}
+					if !bytes.Equal(shards[b], bytes.Repeat([]byte{0xA5}, size)) {
+						t.Fatalf("%s k=%d erase (%d,%d): dropped shard %d was written", c.Name(), k, a, b, b)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestTooManyMissing(t *testing.T) {
 	for _, c := range codesForTest(t, 4) {
 		size := shardSize(c)

@@ -62,6 +62,30 @@ func (pl *Plan) Run(shards [][]byte, lo, hi int) {
 	}
 }
 
+// Keep narrows the plan to the targets of one missing shard. Every
+// target is already expressed in present shards only, so the others can
+// be dropped without touching the ones kept: a caller that wants one
+// lost block back, and marked shards absent merely because it did not
+// fetch them, pays for that block alone.
+func (pl *Plan) Keep(shard int) {
+	n := 0
+	for i, t := range pl.targets {
+		if t.shard == shard {
+			pl.targets[n], pl.terms[n] = t, pl.terms[i]
+			n++
+		}
+	}
+	pl.targets, pl.terms = pl.targets[:n], pl.terms[:n]
+	n = 0
+	for i, t := range pl.rsTargets {
+		if t == shard {
+			pl.rsTargets[n], pl.rsTerms[n] = t, pl.rsTerms[i]
+			n++
+		}
+	}
+	pl.rsTargets, pl.rsTerms = pl.rsTargets[:n], pl.rsTerms[:n]
+}
+
 // RunPooled applies the whole plan, fanning bands out over the
 // package's wall-clock worker pool when workers and the plan width
 // allow (the same split Reconstruct uses internally). Callers that
