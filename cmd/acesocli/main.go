@@ -55,7 +55,6 @@ func main() {
 	flag.IntVar(&cfg.Layout.CkptSegments, "ckpt-segments", cfg.Layout.CkptSegments, "checkpoint index segments (geometry: must match the daemons)")
 	flag.IntVar(&cfg.TraceSample, "trace-sample", 1, "op-span sampling: 1 in N of this client's ops records a span tree (<0 disables)")
 	flag.IntVar(&cfg.CacheEntries, "cache-entries", cfg.CacheEntries, "client index cache entry bound (0 = default 16384, <0 disables)")
-	flag.BoolVar(&cfg.CacheValues, "cache-values", cfg.CacheValues, "cache committed values; hits cost one 8-byte slot validation read")
 	flag.BoolVar(&cfg.FusedCommit, "fused-commit", cfg.FusedCommit, "fuse the commit CAS into the placement doorbell on ordered fabrics (single-RTT updates)")
 	flag.BoolVar(&cfg.BlockPrefetch, "block-prefetch", cfg.BlockPrefetch, "pre-provision DATA/DELTA blocks on a per-client background worker")
 	flag.Parse()
@@ -164,8 +163,9 @@ func execute(c ftmode.Client, fields []string) (quit bool) {
 					s.Ops, s.Searches, s.Inserts, s.Updates, s.Deletes,
 					s.CASIssued, s.ReadsIssued, s.WritesIssued, s.CASRetries,
 					s.CacheHits, s.CacheMisses, s.DegradedReads, s.Invalidations)
-				entries, bytes, evictions := cc.CacheStats()
-				fmt.Printf("cache: entries=%d bytes=%d evictions=%d\n", entries, bytes, evictions)
+				entries, capacity, bytes, evictions := cc.CacheStats()
+				fmt.Printf("cache: entries=%d capacity=%d fill=%.1f%% bytes=%d evictions=%d\n",
+					entries, capacity, 100*stats.Ratio(float64(entries), float64(capacity)), bytes, evictions)
 				fmt.Printf("write: fused=%d fallback=%d deltaSkips=%d prefetch{hits=%d misses=%d} chased=%d validateFirst{changed=%d unchanged=%d}\n",
 					s.WriteFused, s.WriteFallback, s.DeltaSkips,
 					s.BlockPrefetchHits, s.BlockPrefetchMisses,
@@ -413,6 +413,8 @@ func printMNStats(c ftmode.Client, mn int) {
 	cache.Add("misses", float64(st.CacheMisses))
 	cache.Add("evictions", float64(st.CacheEvictions))
 	cache.Add("entries", float64(st.CacheEntries))
+	cache.Add("capacity", float64(st.CacheCapacity))
+	cache.Add("fill%", 100*stats.Ratio(float64(st.CacheEntries), float64(st.CacheCapacity)))
 	cache.Add("bytes", float64(st.CacheBytes))
 	fmt.Print(stats.Table(fmt.Sprintf("mn%d client index cache (co-resident clients)", st.MN), cache))
 	wr := &stats.Series{Name: "write"}

@@ -17,14 +17,16 @@ func init() {
 
 // verbModel is the paper's per-request verb budget in steady state
 // (CacheSlotAddr on, 2 delta copies, §3.1/§3.5): reads, writes, CAS
-// and doorbells per operation.
+// and doorbells per operation. One documented deviation: the paper's
+// cache hit reads {KV, slot-Atomic} (2 reads); ours serves the value
+// from the entry and reads the slot word alone (DESIGN.md §12).
 //
 //	INSERT      = bucket-pair batch read (2 reads, 1 doorbell)
 //	            + {KV, 2 deltas} write batch (3 writes, 1 doorbell)
 //	            + commit CAS (1 doorbell)
 //	            + Meta length-hint repair write (1 doorbell)
 //	UPDATE      = write batch + commit CAS (cache supplies the slot)
-//	SEARCH hit  = one {KV, slot-Atomic} validation batch
+//	SEARCH hit  = one 8-byte slot-Atomic validation read
 //	SEARCH cold = bucket-pair batch + KV read
 //	DELETE      = {tombstone, 2 deltas} batch + CAS + Meta repair
 //	              (the tombstone's size class differs, so the length
@@ -35,7 +37,7 @@ var verbModel = []struct {
 }{
 	{"INSERT", 2, 4, 1, 4},
 	{"UPDATE", 0, 3, 1, 2},
-	{"SEARCH hit", 2, 0, 0, 1},
+	{"SEARCH hit", 1, 0, 0, 1},
 	{"SEARCH cold", 3, 0, 0, 2},
 	{"DELETE", 0, 4, 1, 3},
 }

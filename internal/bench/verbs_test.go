@@ -90,12 +90,13 @@ func TestScriptedVerbCounts(t *testing.T) {
 		t.Errorf("insert doorbells = %d, want %d", got, 4*n)
 	}
 
-	// SEARCH of a just-written key hits the slot-address cache: one
-	// {KV, slot-Atomic} validation batch (2 reads, 1 doorbell) and
-	// nothing else.
+	// SEARCH of a just-written key hits the cache: one 8-byte
+	// slot-Atomic validation read (1 read, 1 doorbell) and nothing else
+	// — the value comes from the entry, where the paper's hit reads the
+	// KV beside the slot word (2 reads; DESIGN.md §12).
 	sea := segs[1].d
-	if got := sea.OpCount(rdma.OpRead); got != 2*n {
-		t.Errorf("search reads = %d, want %d", got, 2*n)
+	if got := sea.OpCount(rdma.OpRead); got != n {
+		t.Errorf("search reads = %d, want %d", got, n)
 	}
 	if got := sea.OpCount(rdma.OpWrite) + sea.OpCount(rdma.OpCAS); got != 0 {
 		t.Errorf("cache-hit search issued %d writes/CAS, want 0", got)

@@ -87,6 +87,7 @@ func encodeStats(st ServerStats) []byte {
 	e.u64(st.CacheMisses)
 	e.u64(st.CacheEvictions)
 	e.u64(st.CacheEntries)
+	e.u64(st.CacheCapacity)
 	e.u64(st.CacheBytes)
 	e.u64(st.WriteFused)
 	e.u64(st.WriteFallbacks)
@@ -149,6 +150,7 @@ func decodeStats(b []byte) ServerStats {
 	st.CacheMisses = d.u64()
 	st.CacheEvictions = d.u64()
 	st.CacheEntries = d.u64()
+	st.CacheCapacity = d.u64()
 	st.CacheBytes = d.u64()
 	st.WriteFused = d.u64()
 	st.WriteFallbacks = d.u64()

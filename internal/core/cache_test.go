@@ -119,158 +119,176 @@ func (d *directCtx) Sleep(time.Duration)              {}
 func (d *directCtx) UseCPU(core int, _ time.Duration) {}
 func (d *directCtx) LocalMem() []byte                 { return nil }
 
-// TestCachedGetZeroAlloc pins the cached GET hot path at zero heap
-// allocations per op, for both validation protocols: the §3.5.1
-// slot-address path ({KV read, slot word} in one doorbell) and the
-// CacheValues path (a single 8-byte slot-word read served from the
-// retained value copy). It also pins each path's verb cost.
-func TestCachedGetZeroAlloc(t *testing.T) {
-	for _, vals := range []bool{false, true} {
-		name := "slotaddr"
-		wantReads := uint64(2)
-		if vals {
-			name = "values"
-			wantReads = 1
+// zeroAllocReader loads n keys through the engine and returns a fresh
+// client driven from the test goroutine over a directCtx (the engine is
+// paused, so memory is static), with TraceSample off — sampled spans
+// allocate.
+func zeroAllocReader(t *testing.T, n, cacheEntries int) *Client {
+	tc := newTestCluster(t, func(cfg *Config) {
+		cfg.CacheEntries = cacheEntries
+		cfg.TraceSample = -1
+	})
+	tc.runClients(t, 30*time.Second, func(c *Client) {
+		for i := 0; i < n; i++ {
+			if err := c.Insert(key(i), val(i, 0)); err != nil {
+				t.Errorf("insert %d: %v", i, err)
+				return
+			}
 		}
-		t.Run(name, func(t *testing.T) {
-			tc := newTestCluster(t, func(cfg *Config) {
-				cfg.CacheEntries = 1024
-				cfg.CacheValues = vals
-				cfg.TraceSample = -1 // sampled spans allocate
-			})
-			const n = 32
-			tc.runClients(t, 30*time.Second, func(c *Client) {
-				for i := 0; i < n; i++ {
-					if err := c.Insert(key(i), val(i, 0)); err != nil {
-						t.Errorf("insert %d: %v", i, err)
-						return
-					}
-				}
-			})
+	})
+	cli := tc.cl.NewClient()
+	cli.Attach(&directCtx{pl: tc.pl})
+	return cli
+}
 
-			// Drive a fresh client from the test goroutine; the engine
-			// is paused, so memory is static.
-			cli := tc.cl.NewClient()
-			cli.Attach(&directCtx{pl: tc.pl})
-			dst := make([]byte, 0, 1024)
-			// Two passes: populate the cache, then warm the scratch
-			// buffers (first hit grows the KV buffer / value copy).
-			for pass := 0; pass < 2; pass++ {
-				for i := 0; i < n; i++ {
-					got, err := cli.SearchAppend(dst[:0], key(i))
-					if err != nil || !bytes.Equal(got, val(i, 0)) {
-						t.Fatalf("warm search %d: err=%v", i, err)
-					}
-				}
+// getAllocsPerOp warms cli over key(0..n) for two passes (populate the
+// cache, then grow the scratch buffers), checks that a third pass costs
+// exactly wantReads read verbs per GET and no other verb, and returns
+// the steady-state heap allocations per GET.
+func getAllocsPerOp(t *testing.T, cli *Client, n int, wantReads uint64) float64 {
+	dst := make([]byte, 0, 1024)
+	keys := make([][]byte, n)
+	for i := range keys {
+		keys[i] = key(i)
+	}
+	for pass := 0; pass < 3; pass++ {
+		r0, c0, w0 := cli.Stats.ReadsIssued, cli.Stats.CASIssued, cli.Stats.WritesIssued
+		for i, k := range keys {
+			got, err := cli.SearchAppend(dst[:0], k)
+			if err != nil || !bytes.Equal(got, val(i, 0)) {
+				t.Fatalf("pass %d search %d: err=%v", pass, i, err)
 			}
+		}
+		if reads := cli.Stats.ReadsIssued - r0; pass == 2 && reads != wantReads*uint64(n) {
+			t.Fatalf("reads = %d over %d GETs, want %d/op", reads, n, wantReads)
+		}
+		if cli.Stats.CASIssued != c0 || cli.Stats.WritesIssued != w0 {
+			t.Fatalf("GET issued CAS/WRITE verbs")
+		}
+	}
+	i := 0
+	return testing.AllocsPerRun(100, func() {
+		got, err := cli.SearchAppend(dst[:0], keys[i%n])
+		if err != nil || len(got) == 0 {
+			t.Fatal("GET failed during measurement")
+		}
+		i++
+	})
+}
 
-			// Steady-state hits must cost exactly wantReads read verbs
-			// and no other verbs.
-			r0, c0, w0 := cli.Stats.ReadsIssued, cli.Stats.CASIssued, cli.Stats.WritesIssued
-			for i := 0; i < n; i++ {
-				if _, err := cli.SearchAppend(dst[:0], key(i)); err != nil {
-					t.Fatalf("hit search %d: %v", i, err)
-				}
-			}
-			if reads := cli.Stats.ReadsIssued - r0; reads != wantReads*n {
-				t.Fatalf("cache-hit reads = %d over %d ops, want %d/op", reads, n, wantReads)
-			}
-			if cli.Stats.CASIssued != c0 || cli.Stats.WritesIssued != w0 {
-				t.Fatalf("cache-hit GET issued CAS/WRITE verbs")
-			}
-
-			keys := make([][]byte, n)
-			for i := range keys {
-				keys[i] = key(i)
-			}
-			i := 0
-			allocs := testing.AllocsPerRun(100, func() {
-				got, err := cli.SearchAppend(dst[:0], keys[i%n])
-				if err != nil || len(got) == 0 {
-					t.Fatal("cache hit failed during measurement")
-				}
-				i++
-			})
-			if allocs != 0 {
-				t.Fatalf("cache-hit GET allocates %.1f objects/op, want 0", allocs)
-			}
-			if cli.Stats.CacheHits == 0 {
-				t.Fatal("no cache hits recorded")
-			}
-		})
+// TestCachedGetZeroAlloc pins the cached GET hot path at one read verb
+// — the 8-byte slot-word validation, the value coming from the entry —
+// and zero heap allocations per op.
+func TestCachedGetZeroAlloc(t *testing.T) {
+	const n = 32
+	cli := zeroAllocReader(t, n, 1024)
+	if allocs := getAllocsPerOp(t, cli, n, 1); allocs != 0 {
+		t.Fatalf("cache-hit GET allocates %.1f objects/op, want 0", allocs)
+	}
+	if cli.Stats.CacheMisses != n {
+		t.Fatalf("%d cache misses over %d keys, want one each", cli.Stats.CacheMisses, n)
 	}
 }
 
-// TestGetStateTable pins the doorbells and read verbs of every shape a
-// GET can take, with and without CacheValues. There are exactly two
-// paths: an entry-cache hit validated by the 8-byte slot word, and the
-// bucket-pair probe + KV read for everything else.
-func TestGetStateTable(t *testing.T) {
-	for _, vals := range []bool{false, true} {
-		vals := vals
-		t.Run(fmt.Sprintf("CacheValues=%v", vals), func(t *testing.T) {
-			tc := newTestCluster(t, func(cfg *Config) {
-				fusedTestConfig(cfg)
-				cfg.CacheValues = vals
-			})
-			tc.runClients(t, 30*time.Second, func(c *Client) {
-				for i := 0; i < 2; i++ {
-					if err := c.Insert(key(i), val(i, 0)); err != nil {
-						t.Errorf("insert %d: %v", i, err)
-					}
-				}
-			})
-			rctx := &directCtx{pl: tc.pl}
-			r, w := tc.cl.NewClient(), tc.cl.NewClient()
-			r.Attach(rctx)
-			w.Attach(&directCtx{pl: tc.pl})
+// TestColdGetZeroAlloc pins the miss path — bucket-pair probe, pair
+// read, entry install over an evicted one — at zero heap allocations
+// per op in steady state: cycling over four times the cache's capacity
+// makes every GET a miss.
+func TestColdGetZeroAlloc(t *testing.T) {
+	const n = 32
+	cli := zeroAllocReader(t, n, n/4)
+	if allocs := getAllocsPerOp(t, cli, n, 3); allocs != 0 {
+		t.Fatalf("cold GET allocates %.1f objects/op, want 0", allocs)
+	}
+	if cli.Stats.CacheHits != 0 {
+		t.Fatalf("%d cache hits while cycling over 4x the capacity, want 0", cli.Stats.CacheHits)
+	}
+}
 
-			// hitReads: {KV, slot word} in one doorbell, or the slot word
-			// alone when the value is cached.
-			hitReads := uint64(2)
-			if vals {
-				hitReads = 1
+// fingerprintTwin returns a key that the index places in front of k in
+// k's own preferred bucket under k's fingerprint: same home MN, same
+// fingerprint byte, same first-choice bucket. Inserted before k it takes
+// the lower slot, so a probe for k meets the twin's pair first.
+func fingerprintTwin(t *testing.T, cl *Cluster, k []byte) []byte {
+	prefer := func(key []byte) (mn int, fp uint8, bucket uint64) {
+		h := racehash.Hash(key)
+		b1, b2 := racehash.BucketPair(h, cl.L.NumBuckets())
+		if h>>32&1 == 1 {
+			b1 = b2
+		}
+		return racehash.HomeMN(h, cl.Cfg.Layout.NumMNs), racehash.Fingerprint(h), b1
+	}
+	mn, fp, bucket := prefer(k)
+	for i := 0; i < 50_000_000; i++ {
+		twin := []byte(fmt.Sprintf("twin-%d", i))
+		if m, f, b := prefer(twin); m == mn && f == fp && b == bucket {
+			return twin
+		}
+	}
+	t.Fatalf("no fingerprint twin found for %q", k)
+	return nil
+}
+
+// TestGetStateTable pins the doorbells and read verbs of every shape a
+// GET can take. There are exactly two paths: an entry-cache hit
+// validated by one 8-byte read of the slot word, and the index probe —
+// the bucket pair, then every fingerprint match's pair in one batch —
+// for everything else.
+func TestGetStateTable(t *testing.T) {
+	tc := newTestCluster(t, fusedTestConfig)
+	behind := key(2)
+	twin := fingerprintTwin(t, tc.cl, behind)
+	tc.runClients(t, 30*time.Second, func(c *Client) {
+		for i, k := range [][]byte{key(0), key(1), twin, behind} {
+			if err := c.Insert(k, val(i, 0)); err != nil {
+				t.Errorf("insert %q: %v", k, err)
 			}
-			absent := key(100)
-			for _, row := range []struct {
-				name      string
-				before    func() error // another client's write, if any
-				key       []byte
-				want      []byte // nil: ErrNotFound
-				doorbells int
-				reads     uint64
-			}{
-				{"cold miss, present key", nil, key(0), val(0, 0), 2, 3},
-				{"hit, unchanged word", nil, key(0), val(0, 0), 1, hitReads},
-				{"hit, changed word", func() error { return w.Update(key(0), val(0, 1)) }, key(0), val(0, 1), 2, hitReads + 1},
-				{"absent key", nil, absent, nil, 1, 2},
-				{"absent key again", nil, absent, nil, 1, 2},
-				{"absent key a third time", nil, absent, nil, 1, 2},
-				{"cold miss, deleted key", func() error { return w.Delete(key(1)) }, key(1), nil, 2, 3},
-				{"hit, cached tombstone", nil, key(1), nil, 1, hitReads},
-			} {
-				if row.before != nil {
-					if err := row.before(); err != nil {
-						t.Fatalf("%s: setup: %v", row.name, err)
-					}
-				}
-				before := snapVerbs(r, rctx)
-				got, err := r.Search(row.key)
-				d := snapVerbs(r, rctx).since(before)
-				if row.want == nil && !errors.Is(err, ErrNotFound) || row.want != nil && (err != nil || !bytes.Equal(got, row.want)) {
-					t.Errorf("%s: got %.16q err=%v", row.name, got, err)
-				}
-				if d.doorbells != row.doorbells || d.reads != row.reads {
-					t.Errorf("%s: %d doorbells, %d reads; want %d, %d", row.name, d.doorbells, d.reads, row.doorbells, row.reads)
-				}
+		}
+	})
+	rctx := &directCtx{pl: tc.pl}
+	r, w := tc.cl.NewClient(), tc.cl.NewClient()
+	r.Attach(rctx)
+	w.Attach(&directCtx{pl: tc.pl})
+
+	absent := key(100)
+	for _, row := range []struct {
+		name      string
+		before    func() error // another client's write, if any
+		key       []byte
+		want      []byte // nil: ErrNotFound
+		doorbells int
+		reads     uint64
+	}{
+		{"cold miss, present key", nil, key(0), val(0, 0), 2, 3},
+		{"hit, unchanged word", nil, key(0), val(0, 0), 1, 1},
+		{"hit, changed word", func() error { return w.Update(key(0), val(0, 1)) }, key(0), val(0, 1), 2, 2},
+		{"absent key", nil, absent, nil, 1, 2},
+		{"absent key again", nil, absent, nil, 1, 2},
+		{"absent key a third time", nil, absent, nil, 1, 2},
+		{"cold miss, deleted key", func() error { return w.Delete(key(1)) }, key(1), nil, 2, 3},
+		{"hit, cached tombstone", nil, key(1), nil, 1, 1},
+		{"cold miss, present key behind a fingerprint twin", nil, behind, val(3, 0), 2, 4},
+	} {
+		if row.before != nil {
+			if err := row.before(); err != nil {
+				t.Fatalf("%s: setup: %v", row.name, err)
 			}
-			if r.cache.lookup(racehash.Hash(absent), absent) != nil || r.cache.Len() != 2 {
-				t.Errorf("GETs of an absent key left a cache entry (%d entries, want 2)", r.cache.Len())
-			}
-			if s := r.Stats; s.CASIssued != 0 || s.WritesIssued != 0 {
-				t.Errorf("GETs issued %d CAS and %d WRITE verbs", s.CASIssued, s.WritesIssued)
-			}
-		})
+		}
+		before := snapVerbs(r, rctx)
+		got, err := r.Search(row.key)
+		d := snapVerbs(r, rctx).since(before)
+		if row.want == nil && !errors.Is(err, ErrNotFound) || row.want != nil && (err != nil || !bytes.Equal(got, row.want)) {
+			t.Errorf("%s: got %.16q err=%v", row.name, got, err)
+		}
+		if d.doorbells != row.doorbells || d.reads != row.reads {
+			t.Errorf("%s: %d doorbells, %d reads; want %d, %d", row.name, d.doorbells, d.reads, row.doorbells, row.reads)
+		}
+	}
+	if r.cache.lookup(racehash.Hash(absent), absent) != nil || r.cache.Len() != 3 {
+		t.Errorf("GETs of an absent key left a cache entry (%d entries, want 3)", r.cache.Len())
+	}
+	if s := r.Stats; s.CASIssued != 0 || s.WritesIssued != 0 {
+		t.Errorf("GETs issued %d CAS and %d WRITE verbs", s.CASIssued, s.WritesIssued)
 	}
 }
 
@@ -286,7 +304,6 @@ func TestClientMemoryBoundedUnderChurn(t *testing.T) {
 	cfg.BitmapFlushOps = 8
 	cfg.ReclaimFree = 0.5
 	cfg.CacheEntries = 128
-	cfg.CacheValues = true
 	tc := newTestClusterCfg(t, cfg)
 	const keys, cycles = 600, 6000
 	var cli *Client
@@ -319,8 +336,8 @@ func TestClientMemoryBoundedUnderChurn(t *testing.T) {
 	if got, cap := cli.cache.Len(), cli.cache.Cap(); got > cap {
 		t.Errorf("cache entries %d exceed bound %d", got, cap)
 	}
-	if cli.cache.Cap() > cfg.CacheEntries+cfg.CacheEntries/2 {
-		t.Errorf("cache capacity %d not near configured %d", cli.cache.Cap(), cfg.CacheEntries)
+	if cli.cache.Cap() != cfg.CacheEntries {
+		t.Errorf("cache capacity %d, configured %d: the bound is exact", cli.cache.Cap(), cfg.CacheEntries)
 	}
 	if cli.cache.Evictions() == 0 {
 		t.Error("churn over 600 keys never evicted from a 128-entry cache")
@@ -333,105 +350,155 @@ func TestClientMemoryBoundedUnderChurn(t *testing.T) {
 	}
 	// The footprint estimate must stay within a generous static budget:
 	// per-entry overhead + retained key/value capacity.
-	_, bytesRes, _ := cli.CacheStats()
+	_, _, bytesRes, _ := cli.CacheStats()
 	budget := uint64(cli.cache.Cap()) * (cacheEntryOverhead + 64 + 2048)
 	if bytesRes > budget {
 		t.Errorf("resident cache footprint %d exceeds budget %d", bytesRes, budget)
 	}
 }
 
-// TestCacheCoherenceAcrossClients drives two clients in lockstep and
-// checks that the cached-value shortcut is invalidated by the slot-word
-// protocol: a cached value must not mask an update or a delete by
-// another client, and GETs of an absent key leave nothing behind that
+// TestCacheCoherenceAcrossClients drives a writer and a caching reader
+// in lockstep through every commit point that can change a key's pair,
+// under the default configuration. The reader serves hits from the
+// value its entry carries, validated by the slot word alone, so each
+// step checks that the word really does change: another client's
+// UPDATE, DELETE, DELETE-then-INSERT, the reuse of the cached pair's
+// home by reclamation, and the home MN's fail-stop and recovery (an
+// epoch change) must all leave the reader's next GET returning the
+// committed bytes. GETs of an absent key must leave nothing behind that
 // could mask a later insert.
 func TestCacheCoherenceAcrossClients(t *testing.T) {
 	tc := newTestCluster(t, func(cfg *Config) {
 		cfg.CacheEntries = 256
-		cfg.CacheValues = true
+		// A pool small enough that overwrites force reclamation.
+		cfg.Layout.StripeRows = 6
+		cfg.Layout.PoolBlocks = 8
+		cfg.BitmapFlushOps = 4
 	})
+	tc.cl.master.AddSpare()
 	k, k2 := []byte("coherent-key"), []byte("late-insert-key")
-	v0, v1, v2 := val(0, 0), val(0, 1), val(0, 2)
+	home := racehash.HomeMN(racehash.Hash(k), tc.cl.Cfg.Layout.NumMNs)
+	const failStage = 12
 	stage := 0
 	wait := func(c *Client, s int) {
 		for stage < s {
 			c.ctx.Sleep(100 * time.Microsecond)
 		}
 	}
+	var last []byte // k's committed value after the reclamation churn
 	writer := func(c *Client) {
-		if err := c.Insert(k, v0); err != nil {
-			t.Errorf("insert: %v", err)
-			return
+		step := func(at int, what string, op func() error) bool {
+			wait(c, at)
+			if err := op(); err != nil {
+				t.Errorf("%s: %v", what, err)
+				return false
+			}
+			stage = at + 1
+			return true
 		}
-		stage = 1
-		wait(c, 2)
-		if err := c.Update(k, v1); err != nil {
-			t.Errorf("update: %v", err)
-			return
-		}
-		stage = 3
-		wait(c, 4)
-		if err := c.Delete(k); err != nil {
-			t.Errorf("delete: %v", err)
-			return
-		}
-		stage = 5
-		wait(c, 6)
-		if err := c.Insert(k2, v2); err != nil {
-			t.Errorf("late insert: %v", err)
-			return
-		}
-		stage = 7
+		_ = step(0, "insert", func() error { return c.Insert(k, val(0, 0)) }) &&
+			step(2, "update", func() error { return c.Update(k, val(0, 1)) }) &&
+			step(4, "delete", func() error { return c.Delete(k) }) &&
+			step(6, "late insert", func() error { return c.Insert(k2, val(0, 2)) }) &&
+			step(8, "delete then insert", func() error {
+				if err := c.Insert(k, val(0, 3)); err != nil { // over the reader's cached tombstone
+					return err
+				}
+				if err := c.Delete(k2); err != nil { // over the reader's cached value
+					return err
+				}
+				return c.Insert(k2, val(0, 4))
+			}) &&
+			step(10, "reclamation churn", func() error {
+				// Overwrite k and 60 filler keys until the blocks that held
+				// the pairs the reader cached have been reclaimed and rewritten.
+				for gen := 0; gen < 40; gen++ {
+					last = val(0, 100+gen)
+					if err := c.Update(k, last); err != nil {
+						return err
+					}
+					for i := 1; i <= 60; i++ {
+						if err := c.Update(key(i), val(i, gen)); err != nil {
+							return err
+						}
+					}
+				}
+				c.FlushBitmaps()
+				return nil
+			}) &&
+			step(failStage+2, "update after recovery", func() error { return c.Update(k, val(0, 5)) })
 	}
 	reader := func(c *Client) {
-		wait(c, 1)
-		// Populate, then hit from cache.
-		for i := 0; i < 2; i++ {
-			if got, err := c.Search(k); err != nil || !bytes.Equal(got, v0) {
-				t.Errorf("read v0 (pass %d): %v", i, err)
-				return
+		expect := func(at int, what string, key, want []byte) bool {
+			wait(c, at)
+			got, err := c.Search(key)
+			if want == nil && !errors.Is(err, ErrNotFound) || want != nil && (err != nil || !bytes.Equal(got, want)) {
+				t.Errorf("%s: got %.16q err=%v", what, got, err)
+				return false
 			}
+			return true
 		}
+		ok := expect(1, "populate", k, val(0, 0)) && expect(1, "hit", k, val(0, 0))
 		stage = 2
-		wait(c, 3)
-		if got, err := c.Search(k); err != nil || !bytes.Equal(got, v1) {
-			t.Errorf("cached value masked an update: got %.16q err=%v", got, err)
-			return
-		}
+		ok = ok && expect(3, "cached value masked an update", k, val(0, 1))
 		stage = 4
-		wait(c, 5)
-		if _, err := c.Search(k); !errors.Is(err, ErrNotFound) {
-			t.Errorf("cached value masked a delete: err=%v", err)
-			return
-		}
+		ok = ok && expect(5, "cached value masked a delete", k, nil)
 		for i := 0; i < 3; i++ {
-			if _, err := c.Search(k2); !errors.Is(err, ErrNotFound) {
-				t.Errorf("absent read %d: err=%v", i, err)
-				return
-			}
+			ok = ok && expect(5, "absent read", k2, nil)
 		}
 		stage = 6
-		wait(c, 7)
-		if got, err := c.Search(k2); err != nil || !bytes.Equal(got, v2) {
-			t.Errorf("absent reads masked an insert: err=%v", err)
-			return
-		}
-		if c.Stats.CacheHits == 0 {
-			t.Error("reader never hit its cache")
+		ok = ok && expect(7, "absent reads masked an insert", k2, val(0, 2))
+		stage = 8
+		ok = ok && expect(9, "cached tombstone masked a re-insert", k, val(0, 3)) &&
+			expect(9, "cached value masked a delete-then-insert", k2, val(0, 4))
+		stage = 10
+		wait(c, 11) // last is set by then
+		ok = ok && expect(11, "cached pair's home was reclaimed", k, last)
+		hits := c.Stats.CacheHits
+		stage = failStage
+		ok = ok && expect(failStage+1, "cached entry from before the recovery", k, last) &&
+			expect(failStage+1, "hit after the recovery", k, last)
+		stage = failStage + 2
+		ok = ok && expect(failStage+3, "cached value masked an update after the recovery", k, val(0, 5))
+		if ok && (hits != 6 || c.Stats.CacheHits != hits+3) {
+			t.Errorf("reader hit its cache %d times before the failure and %d after; want 6 and 3, every GET of a cached key", hits, c.Stats.CacheHits-hits)
 		}
 	}
-	tc.runClients(t, 60*time.Second, writer, reader)
+	done := 0
+	for i, fn := range []func(*Client){writer, reader} {
+		fn := fn
+		tc.cl.SpawnClient(tc.pl.AddComputeNode(), fmt.Sprintf("coherent%d", i), func(c *Client) {
+			fn(c)
+			done++
+		})
+	}
+	// Both clients park at failStage; fail k's home MN under them and
+	// let them go on once the index partition and the blocks are back.
+	for i := 0; stage < failStage && !t.Failed() && i < 600000; i++ {
+		tc.run(time.Millisecond)
+	}
+	if tc.cl.Reclaimed() == 0 {
+		t.Error("no block was reclaimed: the churn never reused a cached pair's home")
+	}
+	tc.cl.FailMN(home)
+	tc.waitBlocksReady(t, home)
+	stage = failStage + 1
+	for i := 0; done < 2 && !t.Failed() && i < 60000; i++ {
+		tc.run(time.Millisecond)
+	}
+	if done < 2 {
+		t.Fatalf("clients stalled at stage %d", stage)
+	}
 }
 
 // TestRandomOpsWithCrashCachedClients is the model-based crash test
-// with the client cache and value retention enabled and an entry bound
-// small enough that CLOCK eviction runs. Clients must agree with their
+// with the default client cache (every entry carries its value) and an
+// entry bound small enough that CLOCK eviction runs. Clients must agree with their
 // models throughout an MN fail-stop and after recovery (run under
 // -race in CI).
 func TestRandomOpsWithCrashCachedClients(t *testing.T) {
 	tc := newTestCluster(t, func(cfg *Config) {
 		cfg.CacheEntries = 64
-		cfg.CacheValues = true
 	})
 	tc.cl.master.AddSpare()
 	const clients, keysEach, ops = 3, 60, 400
@@ -523,87 +590,102 @@ func TestRandomOpsWithCrashCachedClients(t *testing.T) {
 }
 
 // TestCacheUnitBoundAndRecycling exercises the cache data structure
-// directly: the hard entry bound, CLOCK recycling of evicted slots
-// (key and value capacity reuse), removal, the footprint gauge and the
+// directly: the exact entry bound, CLOCK recycling of evicted slots (key
+// and value capacity reuse), the footprint gauge and the table's
 // tombstone-rebuild path.
 func TestCacheUnitBoundAndRecycling(t *testing.T) {
 	cc := newClientCache(128)
-	if cc.Cap() < 128 {
-		t.Fatalf("cap %d < requested 128", cc.Cap())
+	if cc.Cap() != 128 {
+		t.Fatalf("cap %d, requested 128", cc.Cap())
 	}
-	mk := func(i int) ([]byte, uint64) {
-		k := []byte(fmt.Sprintf("unit-key-%05d", i))
-		var h uint64
-		for _, b := range k {
-			h = h*1099511628211 + uint64(b)
-		}
-		return k, h
-	}
-	for i := 0; i < 10*cc.Cap(); i++ {
-		k, h := mk(i)
-		e := cc.upsert(h, k)
-		if e == nil {
-			t.Fatal("upsert returned nil")
-		}
-		cc.storeVal(e, bytes.Repeat([]byte{byte(i)}, 64))
-	}
-	if cc.Len() > cc.Cap() {
-		t.Fatalf("len %d exceeds cap %d", cc.Len(), cc.Cap())
-	}
-	if cc.Evictions() == 0 {
-		t.Fatal("10x overcommit never evicted")
-	}
-	// Steady state: churning existing capacity must not allocate (keys
-	// and values fit recycled slot storage). Keys, hashes and the value
-	// are precomputed so the measurement covers the cache alone.
 	type kh struct {
 		k []byte
 		h uint64
 	}
+	// Keys, hashes and the value are precomputed so the allocation
+	// measurement covers the cache alone.
 	pre := make([]kh, 10*cc.Cap())
-	for j := range pre {
-		pre[j].k, pre[j].h = mk(j)
+	for i := range pre {
+		pre[i].k = []byte(fmt.Sprintf("unit-key-%05d", i))
+		pre[i].h = racehash.Hash(pre[i].k)
 	}
 	v := bytes.Repeat([]byte{2}, 64)
 	i := 0
-	allocs := testing.AllocsPerRun(200, func() {
+	churn := func() {
 		p := pre[i%len(pre)]
 		e := cc.upsert(p.h, p.k)
-		cc.storeVal(e, v)
+		e.val = cc.retain(e.val, v)
 		i++
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state upsert+storeVal allocates %.1f objects, want 0", allocs)
 	}
-	// Remove half the live entries and reinsert: the table must absorb
-	// tombstones (rebuild) without losing entries.
-	removed := 0
-	for j := 0; j < 10*cc.Cap() && removed < cc.Cap()/2; j++ {
-		k, h := mk(j)
-		if cc.lookup(h, k) != nil {
-			cc.remove(h, k)
-			removed++
+	for i < len(pre) {
+		churn()
+	}
+	if cc.Len() != cc.Cap() {
+		t.Fatalf("len %d after a 10x overcommit, cap %d", cc.Len(), cc.Cap())
+	}
+	if got, want := cc.Evictions(), uint64(len(pre)-cc.Cap()); got != want {
+		t.Fatalf("%d evictions over %d distinct keys, want %d", got, len(pre), want)
+	}
+	if got, want := cc.Bytes(), uint64(cc.Cap())*(cacheEntryOverhead+64+64); got > want {
+		t.Fatalf("footprint %d exceeds %d: recycled slots must reuse their key and value storage", got, want)
+	}
+	// Steady state: churning existing capacity must not allocate (keys
+	// and values fit recycled slot storage), table rebuilds included.
+	if allocs := testing.AllocsPerRun(2000, churn); allocs != 0 {
+		t.Fatalf("steady-state upsert+retain allocates %.1f objects, want 0", allocs)
+	}
+	// The 1 300 evictions above left tombstones enough for several
+	// rebuilds; the table must still lead to every live entry.
+	for j := range cc.ents {
+		if e := &cc.ents[j]; cc.lookup(e.hash, e.key) != e {
+			t.Fatalf("live entry %d (%q) is not reachable through the table", j, e.key)
 		}
 	}
-	if cc.Len()+removed > cc.Cap() {
-		t.Fatalf("len %d after removing %d", cc.Len(), removed)
-	}
-	for j := 0; j < 4*cc.Cap(); j++ {
-		k, h := mk(100000 + j)
-		cc.upsert(h, k)
-	}
-	if cc.Len() > cc.Cap() {
-		t.Fatalf("len %d exceeds cap %d after rebuild churn", cc.Len(), cc.Cap())
-	}
-	// Every inserted key that is still live must be findable.
-	found := 0
-	for j := 0; j < 4*cc.Cap(); j++ {
-		k, h := mk(100000 + j)
-		if cc.lookup(h, k) != nil {
-			found++
-		}
-	}
-	if found == 0 {
-		t.Fatal("no recent keys resident after churn")
+}
+
+// TestCacheFillsToCapacity is the placement property: whatever the keys
+// look like, a cache of CacheEntries slots holds that many entries
+// before it evicts one. (The sharded layout this table replaced picked
+// shards from hash bits 33-38, which FNV-1a barely mixes: 10 000
+// user%012d keys landed in 12 of 64 shards and evictions began at 18 %
+// full.)
+func TestCacheFillsToCapacity(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, fam := range []struct {
+		name string
+		key  func(i int) []byte
+	}{
+		{"ycsb", func(i int) []byte { return []byte(fmt.Sprintf("user%012d", i)) }},
+		{"decimal", func(i int) []byte { return []byte(fmt.Sprintf("key-%d", i)) }},
+		{"random16", func(int) []byte {
+			k := make([]byte, 16)
+			rng.Read(k)
+			return k
+		}},
+		{"uuid", func(i int) []byte {
+			return []byte(fmt.Sprintf("6f1c2a9e-3b7d-4e58-%04x-%012x", i>>16, i&0xffff))
+		}},
+	} {
+		t.Run(fam.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cc := newClientCache(cfg.cacheEntries())
+			if cc.Cap() != 16384 {
+				t.Fatalf("default cache holds %d entries, want 16384", cc.Cap())
+			}
+			insert := func(from, n int) {
+				for i := from; i < from+n; i++ {
+					k := fam.key(i)
+					cc.upsert(racehash.Hash(k), k)
+				}
+			}
+			insert(0, cc.Cap())
+			if cc.Evictions() != 0 || cc.Len() != cc.Cap() {
+				t.Fatalf("%d distinct keys: %d entries, %d evictions; want a full cache and none", cc.Cap(), cc.Len(), cc.Evictions())
+			}
+			insert(cc.Cap(), cc.Cap()/4)
+			if got := cc.Evictions(); got != uint64(cc.Cap()/4) || cc.Len() != cc.Cap() {
+				t.Fatalf("%d more keys: %d entries, %d evictions; want one eviction each", cc.Cap()/4, cc.Len(), got)
+			}
+		})
 	}
 }

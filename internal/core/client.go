@@ -77,15 +77,16 @@ type Client struct {
 	Stats ClientStats
 }
 
-// readScratch holds the cached-GET hot path's reusable buffers, so a
-// steady-state hit performs no heap allocation (TestCachedGetZeroAlloc).
+// readScratch holds the GET path's reusable buffers, so neither a
+// steady-state hit nor a steady-state miss allocates
+// (TestCachedGetZeroAlloc, TestColdGetZeroAlloc).
 type readScratch struct {
-	kv   []byte  // KV read buffer, grown to the largest class seen
-	word [8]byte // slot Atomic word validation read
-	b1   []byte  // bucket image buffers (CacheSlotAddr=false ablation)
-	b2   []byte
-	ops  [6]rdma.Op
-	dkv  layout.KV
+	kv      []byte                  // KV read buffers, grown to the largest probe seen
+	word    [8]byte                 // slot Atomic word validation read
+	b1, b2  [layout.BucketSize]byte // the key's candidate bucket pair
+	ops     []rdma.Op
+	matches []racehash.Match // the last probe's fingerprint matches; match i's pair is ops[i].Buf
+	dkv     layout.KV
 }
 
 // growKV returns an n-byte KV buffer, reusing prior capacity.
@@ -215,19 +216,16 @@ func newClient(cl *Cluster, id uint16) *Client {
 		pending: make(map[pendKey][]uint32),
 	}
 	c.cache = newClientCache(cl.Cfg.cacheEntries())
-	if c.cache != nil {
-		c.cache.met = c.met
-		c.met.Entries.Add(0) // touch so the family exports even before traffic
-		c.met.Bytes.Add(int64(c.cache.Bytes()))
-	}
+	c.cache.attach(c.met)
 	return c
 }
 
-// CacheStats reports the client's cache occupancy and footprint
-// (entries, resident bytes, CLOCK evictions). Harnesses use it to
-// assert the memory bound.
-func (c *Client) CacheStats() (entries int, bytes uint64, evictions uint64) {
-	return c.cache.Len(), c.cache.Bytes(), c.cache.Evictions()
+// CacheStats reports the client's cache occupancy against its bound and
+// its footprint (entries, capacity, resident bytes, CLOCK evictions).
+// Harnesses use it to assert the memory bound; evictions while entries
+// is below capacity mean a placement fault.
+func (c *Client) CacheStats() (entries, capacity int, bytes, evictions uint64) {
+	return c.cache.Len(), c.cache.Cap(), c.cache.Bytes(), c.cache.Evictions()
 }
 
 // Attach binds the client to its process context. It must be called
@@ -354,124 +352,34 @@ var errStaleCache = errors.New("core: stale cache entry")
 // moves on.
 var errTornRead = errors.New("core: torn or unwritten KV under a committed slot")
 
-// cachedRead performs the cache-accelerated read of §3.5.1: with
-// CacheSlotAddr it reads the KV pair and the 8-byte slot Atomic word in
-// one doorbell batch; if the slot is unchanged the KV is valid (the
-// slot CAS is the commit point). Without CacheSlotAddr (the "+CKPT"
-// factor-analysis configuration) the client must re-read the whole
-// bucket to locate and validate the slot.
-// All buffers come from the client's readScratch, so a steady-state
-// hit is allocation-free.
+// cachedRead serves a hit (§3.5.1) from the entry's cached value bytes
+// under a single 8-byte read of the slot Atomic word. The word is the
+// commit point of every mutation that can change the key's pair —
+// update, delete and re-insert all CAS it, and reclamation reuses a
+// pair's home only after such a CAS made it obsolete — so finding it
+// unchanged proves the cached bytes are still the committed pair; a
+// changed word is chased to the new pair. All buffers come from the
+// client's readScratch, so a steady-state hit is allocation-free.
 func (c *Client) cachedRead(dst, key []byte, ent *cacheEnt) ([]byte, error) {
 	if ent.meta.Len == 0 {
 		return nil, errStaleCache
 	}
-	if c.cl.Cfg.CacheValues && c.cl.Cfg.CacheSlotAddr && ent.flags&entVal != 0 {
-		return c.cachedValRead(dst, key, ent)
+	if !c.cl.Cfg.CacheSlotAddr {
+		return c.cachedBucketRead(dst, key, ent)
 	}
-	atom := layout.UnpackAtomic(ent.atomic)
-	kvAddr, ok := c.cl.PackedAddr(atom.Addr)
-	sc := &c.scratch
-	kvBuf := sc.growKV(int(ent.meta.Len) * 64)
-
-	ops := sc.ops[:0]
-	ops = append(ops, rdma.Op{Kind: rdma.OpRead, Addr: kvAddr, Buf: kvBuf})
-	if c.cl.Cfg.CacheSlotAddr {
-		// The slot's address is cached: one 8-byte validation read.
-		slotAddr, idxOK := c.cl.Addr(ent.mn, ent.slotOff)
-		if !idxOK {
-			return nil, errStaleCache
-		}
-		ops = append(ops, rdma.Op{Kind: rdma.OpRead, Addr: slotAddr, Buf: sc.word[:]})
-	} else {
-		// Value-only cache (the "+CKPT" configuration): locating the
-		// slot to validate requires re-reading both candidate buckets,
-		// like the FUSEE baseline.
-		h := racehash.Hash(key)
-		i1, i2 := racehash.BucketPair(h, c.cl.L.NumBuckets())
-		if sc.b1 == nil {
-			sc.b1 = make([]byte, layout.BucketSize)
-			sc.b2 = make([]byte, layout.BucketSize)
-		}
-		bufs := [2][]byte{sc.b1, sc.b2}
-		for bi, b := range [2]uint64{i1, i2} {
-			a, idxOK := c.cl.Addr(ent.mn, c.cl.L.BucketOff(b))
-			if !idxOK {
-				return nil, errStaleCache
-			}
-			ops = append(ops, rdma.Op{Kind: rdma.OpRead, Addr: a, Buf: bufs[bi]})
-		}
-	}
-	err := c.vbatch(ops)
-	for i := 1; i < len(ops); i++ {
-		if ops[i].Err != nil {
-			return nil, errStaleCache // index node changed under us
-		}
-	}
-	if ops[0].Err != nil {
-		if !ok || errors.Is(ops[0].Err, rdma.ErrNodeFailed) {
-			if dErr := c.degradedRead(kvBuf, atom.Addr); dErr != nil {
-				return nil, errStaleCache
-			}
-			err = nil
-		} else {
-			return nil, err
-		}
-	}
-
-	cur, curOK := c.currentAtomic(ent, ops)
-	if !curOK {
-		return nil, errStaleCache
-	}
-	c.cache.validated(ent, cur != ent.atomic)
-	if cur == ent.atomic {
-		return c.finishRead(dst, key, ent, kvBuf)
-	}
-	// Slot changed: refresh the cache and read the new KV (§3.5.1
-	// "otherwise, it reads the new KV pair based on the new index
-	// slot").
-	ent.atomic = cur
-	newAtom := layout.UnpackAtomic(cur)
-	if newAtom.Addr == 0 {
-		return nil, errStaleCache
-	}
-	if err := c.readKVBytes(kvBuf, newAtom.Addr); err != nil {
-		return nil, errStaleCache
-	}
-	return c.finishRead(dst, key, ent, kvBuf)
-}
-
-// cachedValRead serves a hit from the entry's cached value bytes under
-// a single 8-byte read of the slot Atomic word (Config.CacheValues).
-// The word is the commit point of every mutation that can change the
-// pair — update, delete and reclamation move all CAS it — so finding it
-// unchanged proves the cached bytes are still the committed pair. On a
-// changed word the new pair is chased through the new Atomic, exactly
-// like the §3.5.1 slot-address path, and the cached copy refreshed.
-func (c *Client) cachedValRead(dst, key []byte, ent *cacheEnt) ([]byte, error) {
 	slotAddr, ok := c.cl.Addr(ent.mn, ent.slotOff)
 	if !ok {
 		return nil, errStaleCache
 	}
 	sc := &c.scratch
-	ops := sc.ops[:0]
-	ops = append(ops, rdma.Op{Kind: rdma.OpRead, Addr: slotAddr, Buf: sc.word[:]})
-	if c.vbatch(ops) != nil || ops[0].Err != nil {
-		return nil, errStaleCache
+	sc.ops = append(sc.ops[:0], rdma.Op{Kind: rdma.OpRead, Addr: slotAddr, Buf: sc.word[:]})
+	if c.vbatch(sc.ops) != nil {
+		return nil, errStaleCache // index node changed under us
 	}
 	cur := binary.LittleEndian.Uint64(sc.word[:])
 	c.cache.validated(ent, cur != ent.atomic)
 	if cur != ent.atomic {
-		ent.atomic = cur
-		newAtom := layout.UnpackAtomic(cur)
-		if newAtom.Addr == 0 {
-			return nil, errStaleCache
-		}
-		kvBuf := sc.growKV(int(ent.meta.Len) * 64)
-		if err := c.readKVBytes(kvBuf, newAtom.Addr); err != nil {
-			return nil, errStaleCache
-		}
-		return c.finishRead(dst, key, ent, kvBuf)
+		return c.chaseSlot(dst, key, ent, cur)
 	}
 	if ent.tomb() {
 		return nil, ErrNotFound
@@ -479,88 +387,112 @@ func (c *Client) cachedValRead(dst, key []byte, ent *cacheEnt) ([]byte, error) {
 	return append(dst, ent.val...), nil
 }
 
-// currentAtomic extracts the slot's current Atomic word from the
-// validation reads.
-func (c *Client) currentAtomic(ent *cacheEnt, ops []rdma.Op) (uint64, bool) {
-	if c.cl.Cfg.CacheSlotAddr {
-		return binary.LittleEndian.Uint64(ops[1].Buf), true
+// chaseSlot follows a slot word that validation found changed (§3.5.1
+// "otherwise, it reads the new KV pair based on the new index slot")
+// and refreshes the entry from the pair it now points at.
+func (c *Client) chaseSlot(dst, key []byte, ent *cacheEnt, cur uint64) ([]byte, error) {
+	ent.atomic = cur
+	addr := layout.UnpackAtomic(cur).Addr
+	kvBuf := c.scratch.growKV(int(ent.meta.Len) * 64)
+	if addr == 0 || c.readKVBytes(kvBuf, addr) != nil {
+		return nil, errStaleCache
 	}
-	// Find the slot within whichever candidate bucket holds it.
-	bucket := ent.slotOff / layout.BucketSize
-	rel := ent.slotOff % layout.BucketSize
-	for _, op := range ops[1:] {
-		if op.Addr.Off == bucket*layout.BucketSize {
-			return binary.LittleEndian.Uint64(op.Buf[rel:]), true
+	return c.finishRead(dst, key, ent, kvBuf)
+}
+
+// cachedBucketRead is the hit path of the CacheSlotAddr=false ablation
+// (fig13's "+CKPT" configuration): a value-only cache like the FUSEE
+// baseline's. Not knowing the slot's address, it re-reads both
+// candidate buckets to locate and validate the slot, and reads the pair
+// beside them in the same doorbell.
+func (c *Client) cachedBucketRead(dst, key []byte, ent *cacheEnt) ([]byte, error) {
+	atom := layout.UnpackAtomic(ent.atomic)
+	kvAddr, kvOK := c.cl.PackedAddr(atom.Addr)
+	sc := &c.scratch
+	kvBuf := sc.growKV(int(ent.meta.Len) * 64)
+	ops, ok := c.bucketReads(append(sc.ops[:0], rdma.Op{Kind: rdma.OpRead, Addr: kvAddr, Buf: kvBuf}), racehash.Hash(key), ent.mn)
+	sc.ops = ops
+	if !ok {
+		return nil, errStaleCache
+	}
+	err := c.vbatch(ops)
+	if ops[1].Err != nil || ops[2].Err != nil {
+		return nil, errStaleCache // index node changed under us
+	}
+	if ops[0].Err != nil {
+		if kvOK && !errors.Is(ops[0].Err, rdma.ErrNodeFailed) {
+			return nil, err
+		}
+		if c.degradedRead(kvBuf, atom.Addr) != nil {
+			return nil, errStaleCache
 		}
 	}
-	return 0, false
+	// Find the slot within whichever candidate bucket holds it.
+	bucketOff, rel := ent.slotOff/layout.BucketSize*layout.BucketSize, ent.slotOff%layout.BucketSize
+	for _, op := range ops[1:] {
+		if op.Addr.Off != bucketOff {
+			continue
+		}
+		cur := binary.LittleEndian.Uint64(op.Buf[rel:])
+		c.cache.validated(ent, cur != ent.atomic)
+		if cur != ent.atomic {
+			return c.chaseSlot(dst, key, ent, cur)
+		}
+		return c.finishRead(dst, key, ent, kvBuf)
+	}
+	return nil, errStaleCache
 }
 
 // finishRead decodes and validates a KV read under a verified slot,
-// keeping the cache entry's tombstone state current. The value is
-// appended to dst (decoding goes through the scratch KV, so no
+// refreshing the cache entry's tombstone state and value copy. The
+// value is appended to dst (decoding goes through the scratch KV, so no
 // allocation happens beyond dst growth).
 func (c *Client) finishRead(dst, key []byte, ent *cacheEnt, kvBuf []byte) ([]byte, error) {
-	sc := &c.scratch
-	ok, err := layout.DecodeKVInto(&sc.dkv, kvBuf)
+	kv := &c.scratch.dkv
+	ok, err := layout.DecodeKVInto(kv, kvBuf)
 	if err != nil || !ok {
 		return nil, errStaleCache
 	}
-	kv := &sc.dkv
 	if !bytes.Equal(kv.Key, key) || kv.SlotVersion == layout.InvalidVersion {
 		return nil, errStaleCache
 	}
 	ent.flags &^= entTomb
 	if kv.Tombstone {
 		ent.flags |= entTomb
-		if c.cl.Cfg.CacheValues {
-			c.cache.storeVal(ent, nil)
-		}
+		ent.val = ent.val[:0]
 		return nil, ErrNotFound
 	}
-	if c.cl.Cfg.CacheValues {
-		c.cache.storeVal(ent, kv.Val)
-	}
+	ent.val = c.cache.retain(ent.val, kv.Val)
 	return append(dst, kv.Val...), nil
 }
 
-// querySearch reads the key's two candidate buckets and chases
-// fingerprint matches. A found pair (live or tombstone) is cached at its
-// slot; an absent key leaves no cache entry.
+// querySearch probes the index for the key. A found pair (live or
+// tombstone) is cached at its slot; an absent key leaves no cache entry.
 func (c *Client) querySearch(dst, key []byte, h uint64, mn int, fp uint8) ([]byte, error) {
 	for attempt := 0; attempt < maxOpRetries; attempt++ {
 		c.waitIndexReady(mn)
 		epoch := c.cl.view.epochNow()
-		b1, b2, err := c.readBuckets(h, mn)
-		if err != nil {
+		if err := c.probe(h, mn, fp); err != nil {
 			c.ctx.Sleep(100 * time.Microsecond)
 			continue
 		}
-		matches := racehash.ScanBuckets(fp, b1, b2)
-		stale := false
-		for _, m := range matches {
-			kv, err := c.readKV(m.Atomic, m.Meta)
-			if err != nil {
-				stale = true
-				continue
-			}
+		torn := false
+		for i, m := range c.scratch.matches {
+			kv := c.matchKV(i)
 			if kv == nil {
-				// Fence-0 pair under a non-empty slot: a fused commit's
-				// KV write still in flight (errTornRead rationale).
-				// Requery rather than conclude absence.
-				stale = true
+				torn = true // requery rather than conclude absence
 				continue
 			}
 			if !bytes.Equal(kv.Key, key) || kv.SlotVersion == layout.InvalidVersion {
 				continue
 			}
-			c.updateCache(key, h, mn, m, epoch, kv.Tombstone, kv.Val)
+			c.cacheSet(h, key, mn, c.matchSlotOff(h, m), m.Atomic.Pack(), m.Meta, epoch, kv.Tombstone, kv.Val)
 			if kv.Tombstone {
 				return nil, ErrNotFound
 			}
 			return append(dst, kv.Val...), nil
 		}
-		if !stale {
+		if !torn {
 			return nil, ErrNotFound
 		}
 		c.ctx.Sleep(20 * time.Microsecond)
@@ -568,44 +500,125 @@ func (c *Client) querySearch(dst, key []byte, h uint64, mn int, fp uint8) ([]byt
 	return nil, ErrRetriesExhausted
 }
 
-// readBuckets fetches the key's two candidate buckets in one doorbell
-// batch.
-func (c *Client) readBuckets(h uint64, mn int) ([]byte, []byte, error) {
-	l := c.cl.L
+// bucketReads appends reads of the key's two candidate buckets, into
+// the scratch bucket images, to ops.
+func (c *Client) bucketReads(ops []rdma.Op, h uint64, mn int) ([]rdma.Op, bool) {
+	l, sc := c.cl.L, &c.scratch
 	i1, i2 := racehash.BucketPair(h, l.NumBuckets())
 	a1, ok1 := c.cl.Addr(mn, l.BucketOff(i1))
 	a2, ok2 := c.cl.Addr(mn, l.BucketOff(i2))
-	if !ok1 || !ok2 {
-		return nil, nil, rdma.ErrNodeFailed
-	}
-	b1 := make([]byte, layout.BucketSize)
-	b2 := make([]byte, layout.BucketSize)
-	ops := []rdma.Op{
-		{Kind: rdma.OpRead, Addr: a1, Buf: b1},
-		{Kind: rdma.OpRead, Addr: a2, Buf: b2},
+	return append(ops,
+		rdma.Op{Kind: rdma.OpRead, Addr: a1, Buf: sc.b1[:]},
+		rdma.Op{Kind: rdma.OpRead, Addr: a2, Buf: sc.b2[:]}), ok1 && ok2
+}
+
+// readBuckets reads the key's two candidate buckets in one doorbell and
+// leaves their fingerprint matches in sc.matches.
+func (c *Client) readBuckets(h uint64, mn int, fp uint8) error {
+	sc := &c.scratch
+	ops, ok := c.bucketReads(sc.ops[:0], h, mn)
+	sc.ops = ops
+	if !ok {
+		return rdma.ErrNodeFailed
 	}
 	if err := c.vbatch(ops); err != nil {
-		return nil, nil, err
+		return err
 	}
-	return b1, b2, nil
+	sc.matches = racehash.AppendMatches(sc.matches[:0], fp, sc.b1[:], sc.b2[:])
+	return nil
 }
 
-// updateCache records the located slot (and, under CacheValues, the
-// decoded value) for future cache-accelerated reads and writes.
-func (c *Client) updateCache(key []byte, h uint64, mn int, m racehash.Match, epoch uint64, tomb bool, val []byte) {
+// probe is the miss path's index query, two doorbells whatever the
+// buckets hold: readBuckets, then one batch reading the pair behind
+// every fingerprint match. Everything lands in readScratch — match i's
+// pair in sc.ops[i].Buf (matchKV decodes it).
+func (c *Client) probe(h uint64, mn int, fp uint8) error {
+	if err := c.readBuckets(h, mn, fp); err != nil {
+		return err
+	}
+	sc := &c.scratch
+	total := 0
+	for _, m := range sc.matches {
+		total += kvHintBytes(m.Meta)
+	}
+	buf, ops, reachable := sc.growKV(total), sc.ops[:0], true
+	for _, m := range sc.matches {
+		n := kvHintBytes(m.Meta)
+		addr, ok := c.cl.PackedAddr(m.Atomic.Addr)
+		reachable = reachable && ok
+		ops = append(ops, rdma.Op{Kind: rdma.OpRead, Addr: addr, Buf: buf[:n:n]})
+		buf = buf[n:]
+	}
+	sc.ops = ops
+	if reachable && len(ops) > 0 {
+		c.vbatch(ops) //nolint:errcheck // per-op outcomes are read below and in matchKV
+	}
+	// A pair on a failed MN is reconstructed from its stripe (§3.4.1).
+	for i := range ops {
+		switch packed := sc.matches[i].Atomic.Addr; {
+		case !reachable:
+			ops[i].Err = c.readKVBytes(ops[i].Buf, packed)
+		case errors.Is(ops[i].Err, rdma.ErrNodeFailed):
+			ops[i].Err = c.degradedRead(ops[i].Buf, packed)
+		}
+	}
+	return nil
+}
+
+// kvHintBytes is the read size a slot's Meta length hint asks for.
+func kvHintBytes(meta layout.SlotMeta) int {
+	if meta.Len == 0 {
+		return 64
+	}
+	return int(meta.Len) * 64
+}
+
+// matchKV decodes the pair behind the last probe's match i into the
+// scratch KV. nil means the pair is unreadable, torn or still unwritten
+// (fence 0) under its committed slot — a fused commit's KV write in
+// flight (errTornRead rationale) — so the caller must retry rather than
+// conclude the key absent. A pair longer than a stale length hint said
+// is read again at its true class size (§3.2.2: the writer repairs the
+// hint).
+func (c *Client) matchKV(i int) *layout.KV {
+	sc := &c.scratch
+	op, kv := &sc.ops[i], &sc.dkv
+	if op.Err != nil {
+		return nil
+	}
+	ok, err := layout.DecodeKVInto(kv, op.Buf)
+	if err != nil {
+		keyLen := int(binary.LittleEndian.Uint16(op.Buf[2:]))
+		valLen := int(binary.LittleEndian.Uint32(op.Buf[4:]))
+		real := layout.KVClassSize(keyLen, valLen)
+		if real <= len(op.Buf) || real > int(c.cl.Cfg.Layout.BlockSize) {
+			return nil
+		}
+		op.Buf = make([]byte, real)
+		if c.readKVBytes(op.Buf, sc.matches[i].Atomic.Addr) != nil {
+			return nil
+		}
+		ok, err = layout.DecodeKVInto(kv, op.Buf)
+	}
+	if err != nil || !ok {
+		return nil
+	}
+	return kv
+}
+
+// matchSlotOff is the index offset of a probe match's slot.
+func (c *Client) matchSlotOff(h uint64, m racehash.Match) uint64 {
 	l := c.cl.L
 	i1, i2 := racehash.BucketPair(h, l.NumBuckets())
-	bucket := i1
 	if m.Bucket == 1 {
-		bucket = i2
+		i1 = i2
 	}
-	c.cacheSet(h, key, mn, l.SlotOff(bucket, m.Slot), m.Atomic.Pack(), m.Meta, epoch, tomb, val)
+	return l.SlotOff(i1, m.Slot)
 }
 
-// cacheSet installs (or refreshes) a cache entry. epoch is the
-// view epoch read before the verbs that located the slot. val is the
-// committed value (nil for tombstones); it is retained only under
-// Config.CacheValues.
+// cacheSet installs (or refreshes) a cache entry. epoch is the view
+// epoch read before the verbs that located the slot. val is the
+// committed value (ignored for tombstones).
 func (c *Client) cacheSet(h uint64, key []byte, mn int, slotOff, atomic uint64, meta layout.SlotMeta, epoch uint64, tomb bool, val []byte) {
 	ent := c.cache.upsert(h, key)
 	if ent == nil {
@@ -621,43 +634,7 @@ func (c *Client) cacheSet(h uint64, key []byte, mn int, slotOff, atomic uint64, 
 	ent.atomic = atomic
 	ent.meta = meta
 	ent.epoch = epoch
-	if c.cl.Cfg.CacheValues {
-		c.cache.storeVal(ent, val)
-	}
-}
-
-// readKV reads and decodes the KV pair a slot points to, using the
-// slot Meta's length hint and falling back to a header-then-body read
-// when the hint is stale (§3.2.2: the client repairs stale hints).
-func (c *Client) readKV(atom layout.SlotAtomic, meta layout.SlotMeta) (*layout.KV, error) {
-	n := int(meta.Len) * 64
-	if n == 0 {
-		n = 64
-	}
-	buf := make([]byte, n)
-	if err := c.readKVBytes(buf, atom.Addr); err != nil {
-		return nil, err
-	}
-	kv, err := layout.DecodeKV(buf)
-	if err == nil && kv != nil {
-		return kv, nil
-	}
-	if kv == nil && err == nil {
-		return nil, nil
-	}
-	// Length hint may be stale: derive the true class from the header
-	// and re-read.
-	keyLen := int(binary.LittleEndian.Uint16(buf[2:]))
-	valLen := int(binary.LittleEndian.Uint32(buf[4:]))
-	real := layout.KVClassSize(keyLen, valLen)
-	if real <= n || real > int(c.cl.Cfg.Layout.BlockSize) {
-		return nil, err
-	}
-	buf = make([]byte, real)
-	if err := c.readKVBytes(buf, atom.Addr); err != nil {
-		return nil, err
-	}
-	return layout.DecodeKV(buf)
+	ent.val = c.cache.retain(ent.val, val)
 }
 
 // readKVBytes reads len(buf) bytes at a packed KV address, falling
@@ -1130,17 +1107,13 @@ func (c *Client) locateForWrite(key []byte, h uint64, mn int, fp uint8, bypass b
 		}
 		loc = slotLoc{epoch: loc.epoch, bound: true}
 	}
-	l := c.cl.L
-	b1, b2, err := c.readBuckets(h, mn)
-	if err != nil {
+	if err := c.probe(h, mn, fp); err != nil {
 		return loc, err
 	}
-	i1, i2 := racehash.BucketPair(h, l.NumBuckets())
-	bucketIdx := []uint64{i1, i2}
 	torn := false
-	for _, m := range racehash.ScanBuckets(fp, b1, b2) {
-		kv, err := c.readKV(m.Atomic, m.Meta)
-		if err != nil || kv == nil {
+	for i, m := range c.scratch.matches {
+		kv := c.matchKV(i)
+		if kv == nil {
 			// Unreadable or fence-0 pair under a committed slot: it may
 			// be this very key mid-placement (fused commit window).
 			// Concluding absence here would insert a duplicate into a
@@ -1149,7 +1122,7 @@ func (c *Client) locateForWrite(key []byte, h uint64, mn int, fp uint8, bypass b
 			continue
 		}
 		if bytes.Equal(kv.Key, key) {
-			loc.off, loc.atomic, loc.meta = l.SlotOff(bucketIdx[m.Bucket], m.Slot), m.Atomic.Pack(), m.Meta
+			loc.off, loc.atomic, loc.meta = c.matchSlotOff(h, m), m.Atomic.Pack(), m.Meta
 			loc.found, loc.tomb = true, kv.Tombstone
 			return loc, nil
 		}
@@ -1161,10 +1134,12 @@ func (c *Client) locateForWrite(key []byte, h uint64, mn int, fp uint8, bypass b
 	// (balancing load across the pair) and the slot choice is the
 	// first free one — deterministic per key, so racing inserters of
 	// the same key collide on the same slot and the CAS resolves them.
-	first, second := b1, b2
+	l, sc := c.cl.L, &c.scratch
+	i1, i2 := racehash.BucketPair(h, l.NumBuckets())
+	first, second := sc.b1[:], sc.b2[:]
 	fi, si := i1, i2
 	if h>>32&1 == 1 {
-		first, second = b2, b1
+		first, second = second, first
 		fi, si = i2, i1
 	}
 	if s := racehash.FreeSlot(first); s >= 0 {

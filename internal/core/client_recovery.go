@@ -50,10 +50,7 @@ type deltaCopy struct {
 func (c *Client) Restart(ctx rdma.Ctx) error {
 	c.ctx = ctx
 	c.cache = newClientCache(c.cl.Cfg.cacheEntries())
-	if c.cache != nil {
-		c.cache.met = c.met
-		c.met.Bytes.Add(int64(c.cache.Bytes()))
-	}
+	c.cache.attach(c.met)
 	c.open = make(map[uint8]*openBlock)
 	c.openLRU = nil
 	c.pending = make(map[pendKey][]uint32)
@@ -265,12 +262,10 @@ func (c *Client) isCommitted(slot []byte, packed uint64) bool {
 	h := racehash.Hash(kv.Key)
 	mn := racehash.HomeMN(h, c.cl.Cfg.Layout.NumMNs)
 	c.waitIndexReady(mn)
-	b1, b2, err := c.readBuckets(h, mn)
-	if err != nil {
+	if c.readBuckets(h, mn, racehash.Fingerprint(h)) != nil {
 		return false
 	}
-	fp := racehash.Fingerprint(h)
-	for _, m := range racehash.ScanBuckets(fp, b1, b2) {
+	for _, m := range c.scratch.matches {
 		if m.Atomic.Addr == packed {
 			return true
 		}

@@ -67,23 +67,18 @@ type Config struct {
 	// CkptInterval is the index checkpointing period (paper default
 	// 500 ms).
 	CkptInterval time.Duration
-	// CacheSlotAddr enables caching index-slot addresses alongside
-	// values in the client cache (§3.5.1); disabling it reproduces the
-	// "+CKPT" configuration of the factor analysis (Figure 13).
+	// CacheSlotAddr caches each entry's index-slot address beside its
+	// value, so a hit validates with one 8-byte read of the slot word
+	// (§3.5.1); disabling it reproduces the "+CKPT" configuration of the
+	// factor analysis (Figure 13), whose hits re-read both buckets.
 	CacheSlotAddr bool
-	// CacheEntries bounds the client index cache: each client keeps at
-	// most this many slot-address entries in a sharded CLOCK cache.
-	// 0 means the 16384-entry default; <0 disables the cache entirely
-	// (the bench "cache off" configuration).
+	// CacheEntries bounds the client index cache: each client keeps
+	// exactly this many entries — slot address plus a copy of the
+	// committed value — in one CLOCK-evicted table (DESIGN.md §12; the
+	// footprint is entries × (96 B + key + value capacity)). 0 means
+	// the 16384-entry default; <0 disables the cache entirely (the
+	// bench "cache off" configuration).
 	CacheEntries int
-	// CacheValues extends cache entries with a copy of the
-	// committed value, served under a single 8-byte slot-word
-	// validation read: every mutation of a pair — update, delete,
-	// reclamation move — CASes its slot Atomic word, so an unchanged
-	// word proves the cached bytes are the committed pair. Hits cost 1
-	// verb / 1 RTT instead of the §3.5.1 {KV, slot} pair. Off by
-	// default: the verbs experiment pins the paper's two-read hit cost.
-	CacheValues bool
 	// FusedCommit fuses the commit CAS into the placement doorbell
 	// batch on fabrics that honour the rdma.OrderedBatcher contract:
 	// a steady-state UPDATE/DELETE of a located slot issues {KV write,

@@ -284,6 +284,7 @@ type ServerStats struct {
 	CacheMisses    uint64
 	CacheEvictions uint64
 	CacheEntries   uint64 // gauge: allocated entries across live clients
+	CacheCapacity  uint64 // gauge: entry bound across live clients
 	CacheBytes     uint64 // gauge: cache resident bytes
 
 	// Client write-path aggregate of the same handle (DESIGN.md §13).
@@ -353,6 +354,7 @@ func (s *Server) statsLocked() ServerStats {
 	st.CacheMisses = cs.Misses
 	st.CacheEvictions = cs.Evictions
 	st.CacheEntries = uint64(cs.Entries)
+	st.CacheCapacity = uint64(cs.Capacity)
 	st.CacheBytes = uint64(cs.Bytes)
 	ws := s.cl.writeMet.Snapshot()
 	st.WriteFused = ws.Fused

@@ -381,7 +381,7 @@ func TestCrossModeUsage(t *testing.T) {
 // cacheStatser is the optional surface a caching client exposes; the
 // conformance test asserts it tracks Caps().ClientCache exactly.
 type cacheStatser interface {
-	CacheStats() (entries int, bytes uint64, evictions uint64)
+	CacheStats() (entries, capacity int, bytes, evictions uint64)
 }
 
 // TestCrossModeClientCacheCapability pins the ClientCache capability to
@@ -445,7 +445,10 @@ func TestCrossModeClientCacheCapability(t *testing.T) {
 				if !hasCache {
 					return
 				}
-				entries, bytes_, _ := cs.CacheStats()
+				entries, capacity, bytes_, _ := cs.CacheStats()
+				if capacity != cfg.CacheEntries {
+					t.Errorf("mode %s: cache capacity %d, config bound is %d", ft.Mode(), capacity, cfg.CacheEntries)
+				}
 				if entries == 0 || bytes_ == 0 {
 					t.Errorf("mode %s: caching client served %d hot GETs but CacheStats()=(%d entries, %d bytes)",
 						ft.Mode(), 2*n, entries, bytes_)

@@ -230,6 +230,8 @@ func (e *Exporter) WriteProm(w io.Writer) {
 		fmt.Fprintf(w, "aceso_cache_evictions_total %d\n", s.Evictions)
 		header(w, "aceso_cache_entries", "gauge", "Allocated cache entries across this process's live clients.")
 		fmt.Fprintf(w, "aceso_cache_entries %d\n", s.Entries)
+		header(w, "aceso_cache_capacity", "gauge", "Entry bound across this process's live clients; evictions while entries is below it mean a placement fault.")
+		fmt.Fprintf(w, "aceso_cache_capacity %d\n", s.Capacity)
 		header(w, "aceso_cache_bytes", "gauge", "Resident cache bytes across this process's live clients.")
 		fmt.Fprintf(w, "aceso_cache_bytes %d\n", s.Bytes)
 	}

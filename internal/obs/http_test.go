@@ -83,13 +83,14 @@ func TestMetricsBuildInfoAndSLOFamilies(t *testing.T) {
 }
 
 // TestMetricsCacheFamilies pins the client-cache series to exactly the
-// five the one GET path can move.
+// six the one GET path can move.
 func TestMetricsCacheFamilies(t *testing.T) {
 	cm := &CacheMetrics{}
 	cm.Hits.Add(9)
 	cm.Misses.Add(4)
 	cm.Evictions.Add(1)
 	cm.Entries.Add(3)
+	cm.Capacity.Add(16)
 	cm.Bytes.Add(288)
 	var sb strings.Builder
 	(&Exporter{Cache: cm}).WriteProm(&sb)
@@ -104,6 +105,7 @@ func TestMetricsCacheFamilies(t *testing.T) {
 		"aceso_cache_misses_total 4",
 		"aceso_cache_evictions_total 1",
 		"aceso_cache_entries 3",
+		"aceso_cache_capacity 16",
 		"aceso_cache_bytes 288",
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {

@@ -82,7 +82,12 @@ type Match struct {
 // ScanBuckets scans raw bucket bytes (each layout.BucketSize long) for
 // slots whose fingerprint equals fp, returning matches in slot order.
 func ScanBuckets(fp uint8, buckets ...[]byte) []Match {
-	var out []Match
+	return AppendMatches(nil, fp, buckets...)
+}
+
+// AppendMatches is ScanBuckets appending to out, so a caller that keeps
+// the slice scans without allocating.
+func AppendMatches(out []Match, fp uint8, buckets ...[]byte) []Match {
 	for bi, b := range buckets {
 		for s := 0; s < layout.BucketSlots; s++ {
 			w := binary.LittleEndian.Uint64(b[s*layout.SlotSize:])
