@@ -257,6 +257,7 @@ type ctx struct {
 	p     *sim.Proc
 	pl    *Platform
 	local *node
+	op    [1]rdma.Op // the op of a Read, Write, CAS or FAA in flight
 }
 
 func (c *ctx) Node() rdma.NodeID     { return c.local.id }
@@ -390,26 +391,31 @@ func (c *ctx) doBatch(ops []rdma.Op) error {
 	return firstErr
 }
 
+// single runs one verb as a batch of one, in the process's own op
+// slot: a fresh []rdma.Op per call would escape to the heap through
+// the DebugWatch indirect call.
+func (c *ctx) single(op rdma.Op) (uint64, error) {
+	c.op[0] = op
+	err := c.doBatch(c.op[:])
+	return c.op[0].Result, err
+}
+
 func (c *ctx) Read(buf []byte, addr rdma.GlobalAddr) error {
-	ops := []rdma.Op{{Kind: rdma.OpRead, Addr: addr, Buf: buf}}
-	return c.doBatch(ops)
+	_, err := c.single(rdma.Op{Kind: rdma.OpRead, Addr: addr, Buf: buf})
+	return err
 }
 
 func (c *ctx) Write(addr rdma.GlobalAddr, data []byte) error {
-	ops := []rdma.Op{{Kind: rdma.OpWrite, Addr: addr, Buf: data}}
-	return c.doBatch(ops)
+	_, err := c.single(rdma.Op{Kind: rdma.OpWrite, Addr: addr, Buf: data})
+	return err
 }
 
 func (c *ctx) CAS(addr rdma.GlobalAddr, old, new uint64) (uint64, error) {
-	ops := []rdma.Op{{Kind: rdma.OpCAS, Addr: addr, Old: old, New: new}}
-	err := c.doBatch(ops)
-	return ops[0].Result, err
+	return c.single(rdma.Op{Kind: rdma.OpCAS, Addr: addr, Old: old, New: new})
 }
 
 func (c *ctx) FAA(addr rdma.GlobalAddr, delta uint64) (uint64, error) {
-	ops := []rdma.Op{{Kind: rdma.OpFAA, Addr: addr, New: delta}}
-	err := c.doBatch(ops)
-	return ops[0].Result, err
+	return c.single(rdma.Op{Kind: rdma.OpFAA, Addr: addr, New: delta})
 }
 
 func (c *ctx) Batch(ops []rdma.Op) error { return c.doBatch(ops) }

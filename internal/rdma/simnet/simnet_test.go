@@ -238,3 +238,39 @@ func TestDirectMemoryBypass(t *testing.T) {
 		t.Fatalf("got %q", got)
 	}
 }
+
+// TestVerbsDoNotAllocate pins the whole verb path of a healthy fabric —
+// the op slot, both NIC charges and the engine events under them — at
+// zero allocations per call.
+func TestVerbsDoNotAllocate(t *testing.T) {
+	pl, mn, cn := testPlatform()
+	defer pl.Shutdown()
+	at := func(off uint64) rdma.GlobalAddr { return rdma.GlobalAddr{Node: mn, Off: off} }
+	allocs := map[string]float64{}
+	pl.Spawn(cn, "client", func(c rdma.Ctx) {
+		buf, kb := make([]byte, 64), make([]byte, 1024)
+		batch := make([]rdma.Op, 8)
+		for i := range batch {
+			batch[i] = rdma.Op{Kind: rdma.OpRead, Addr: at(uint64(i) * 64), Buf: make([]byte, 64)}
+		}
+		// Errors would show as allocations (they are built with fmt).
+		for name, verb := range map[string]func(){
+			"Read":   func() { c.Read(buf, at(0)) },    //nolint:errcheck
+			"Write":  func() { c.Write(at(4096), kb) }, //nolint:errcheck
+			"CAS":    func() { c.CAS(at(64), 0, 0) },   //nolint:errcheck
+			"FAA":    func() { c.FAA(at(72), 1) },      //nolint:errcheck
+			"Batch8": func() { c.Batch(batch) },        //nolint:errcheck
+		} {
+			allocs[name] = testing.AllocsPerRun(200, verb)
+		}
+	})
+	pl.Engine().RunUntilIdle()
+	if len(allocs) != 5 {
+		t.Fatalf("measured %d verbs, want 5", len(allocs))
+	}
+	for name, n := range allocs {
+		if n != 0 {
+			t.Errorf("%s: %v allocs per call, want 0", name, n)
+		}
+	}
+}

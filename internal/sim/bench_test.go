@@ -39,3 +39,25 @@ func BenchmarkResourceAcquire(b *testing.B) {
 	b.ResetTimer()
 	e.RunUntilIdle()
 }
+
+// benchSwitch measures handing the execution token between procs
+// processes that each sleep 1 ns at a time, so that every event is a
+// switch: the shape of the benchmark harness's sim.switch_ns_host
+// (2 processes) and sim.switch8_ns_host kernels.
+func benchSwitch(b *testing.B, procs int) {
+	e := New()
+	defer e.Shutdown()
+	per := b.N/procs + 1
+	for w := 0; w < procs; w++ {
+		e.Go("w", func(p *Proc) {
+			for i := 0; i < per; i++ {
+				p.Sleep(time.Nanosecond)
+			}
+		})
+	}
+	b.ResetTimer()
+	e.RunUntilIdle()
+}
+
+func BenchmarkSwitch2(b *testing.B) { benchSwitch(b, 2) }
+func BenchmarkSwitch8(b *testing.B) { benchSwitch(b, 8) }

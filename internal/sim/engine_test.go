@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"errors"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -162,53 +165,6 @@ func TestResourceUtilization(t *testing.T) {
 	}
 }
 
-func TestMutexFIFO(t *testing.T) {
-	e := New()
-	var m Mutex
-	var order []int
-	for i := 0; i < 3; i++ {
-		i := i
-		e.Go("locker", func(p *Proc) {
-			p.Sleep(time.Duration(i) * time.Microsecond) // stagger arrivals
-			m.Lock(p)
-			order = append(order, i)
-			p.Sleep(10 * time.Microsecond)
-			m.Unlock(p)
-		})
-	}
-	e.RunUntilIdle()
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("lock order %v, want FIFO", order)
-		}
-	}
-	if e.Now() != 30*time.Microsecond {
-		t.Fatalf("critical sections did not serialize: now=%v", e.Now())
-	}
-}
-
-func TestWaitGroup(t *testing.T) {
-	e := New()
-	var wg WaitGroup
-	wg.Add(3)
-	done := time.Duration(-1)
-	for i := 1; i <= 3; i++ {
-		i := i
-		e.Go("worker", func(p *Proc) {
-			p.Sleep(time.Duration(i) * time.Millisecond)
-			wg.Done(p)
-		})
-	}
-	e.Go("waiter", func(p *Proc) {
-		wg.Wait(p)
-		done = p.Now()
-	})
-	e.RunUntilIdle()
-	if done != 3*time.Millisecond {
-		t.Fatalf("waiter released at %v, want 3ms", done)
-	}
-}
-
 func TestParkUnpark(t *testing.T) {
 	e := New()
 	var consumer *Proc
@@ -235,7 +191,7 @@ func TestReserveDelaysLaterArrivals(t *testing.T) {
 	r := NewResource(e, "nic", 1)
 	var finish time.Duration
 	e.Go("bg", func(p *Proc) {
-		r.Reserve(p.Now(), 100*time.Microsecond) // async transfer
+		r.ReserveAt(p.Now(), 100*time.Microsecond) // async transfer
 	})
 	e.Go("fg", func(p *Proc) {
 		p.Sleep(10 * time.Microsecond)
@@ -245,5 +201,141 @@ func TestReserveDelaysLaterArrivals(t *testing.T) {
 	e.RunUntilIdle()
 	if finish != 110*time.Microsecond {
 		t.Fatalf("foreground finished at %v, want 110us", finish)
+	}
+}
+
+var errBoom = errors.New("boom")
+
+//go:noinline
+func explode() { panic(errBoom) }
+
+// parkWithCleanup starts a process that parks for good and reports
+// through *cleaned whether its deferred clean-up ran.
+func parkWithCleanup(e *Engine, cleaned *bool) {
+	e.Go("bystander", func(p *Proc) {
+		defer func() { *cleaned = true }()
+		p.Park()
+	})
+}
+
+// TestProcessPanicSurfacesInRun: a panic in a process body reaches the
+// caller of Run with the process's name, the virtual time, the original
+// value and the process's own stack, and a deferred Shutdown still
+// unwinds the other processes.
+func TestProcessPanicSurfacesInRun(t *testing.T) {
+	e := New()
+	cleaned := false
+	parkWithCleanup(e, &cleaned)
+	e.Go("faulty", func(p *Proc) {
+		p.Sleep(3 * time.Microsecond)
+		explode()
+	})
+	func() {
+		defer e.Shutdown()
+		defer func() {
+			pp, ok := recover().(*ProcPanic)
+			if !ok {
+				t.Fatalf("Run did not panic with a *ProcPanic")
+			}
+			if pp.Proc != "faulty" || pp.At != 3*time.Microsecond || pp.Value != errBoom {
+				t.Errorf("ProcPanic = {%q %v %v}, want {faulty 3µs boom}", pp.Proc, pp.At, pp.Value)
+			}
+			if want := `sim: process "faulty" panicked at t=3µs: boom`; !strings.HasPrefix(pp.Error(), want) {
+				t.Errorf("message %q does not start with %q", pp.Error(), want)
+			}
+			if !strings.Contains(string(pp.Stack), "sim.explode") {
+				t.Errorf("stack does not show the panicking frame:\n%s", pp.Stack)
+			}
+		}()
+		e.RunUntilIdle()
+		t.Error("Run returned normally")
+	}()
+	if !cleaned {
+		t.Error("Shutdown after the panic did not unwind the parked process")
+	}
+}
+
+// TestGoexitInProcessEndsRunCaller: runtime.Goexit in a process body
+// (what t.Fatal does) ends the goroutine that called Run, whose
+// deferred Shutdown still unwinds the other processes.
+func TestGoexitInProcessEndsRunCaller(t *testing.T) {
+	e := New()
+	cleaned, returned := false, false
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		defer e.Shutdown()
+		parkWithCleanup(e, &cleaned)
+		e.Go("quitter", func(p *Proc) {
+			p.Sleep(time.Microsecond)
+			runtime.Goexit()
+		})
+		e.RunUntilIdle()
+		returned = true
+	}()
+	<-done
+	if returned {
+		t.Error("Run returned after a process called Goexit")
+	}
+	if !cleaned {
+		t.Error("Shutdown after the Goexit did not unwind the parked process")
+	}
+}
+
+// TestShutdownLeavesNoGoroutines covers every state a process can be
+// in at Shutdown: sleeping, parked, and never started (which must
+// stay so).
+func TestShutdownLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := New()
+	for i := 0; i < 20; i++ {
+		e.Go("sleeper", func(p *Proc) {
+			for {
+				p.Sleep(time.Microsecond)
+			}
+		})
+		e.Go("parked", func(p *Proc) { p.Park() })
+	}
+	e.Run(10 * time.Microsecond)
+	for i := 0; i < 20; i++ {
+		e.Go("unstarted", func(p *Proc) { t.Error("a process got its first turn from Shutdown") })
+	}
+	if n := runtime.NumGoroutine(); n < before+40 {
+		t.Fatalf("%d goroutines with 60 processes alive, %d before: the check below would be vacuous", n, before)
+	}
+	e.Shutdown()
+	// A goroutine that has handed over for the last time may take a
+	// moment to be gone.
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Shutdown, %d before the engine existed", runtime.NumGoroutine(), before)
+		}
+	}
+}
+
+// TestSleepAndAcquireDoNotAllocate pins the event path at zero
+// allocations, both when the process wakes itself (alone) and when
+// every event is a switch to the other process.
+func TestSleepAndAcquireDoNotAllocate(t *testing.T) {
+	for _, procs := range []int{1, 2} {
+		e := New()
+		r := NewResource(e, "nic", 1)
+		for i := 1; i < procs; i++ {
+			e.Go("other", func(p *Proc) {
+				for {
+					p.Sleep(time.Nanosecond)
+				}
+			})
+		}
+		sleep, acquire := -1.0, -1.0
+		e.Go("measured", func(p *Proc) {
+			sleep = testing.AllocsPerRun(500, func() { p.Sleep(time.Nanosecond) })
+			acquire = testing.AllocsPerRun(500, func() { r.Acquire(p, time.Nanosecond) })
+		})
+		e.Run(time.Millisecond)
+		e.Shutdown()
+		if sleep != 0 || acquire != 0 {
+			t.Errorf("%d process(es): %v allocs per Sleep, %v per Acquire, want 0 and 0", procs, sleep, acquire)
+		}
 	}
 }

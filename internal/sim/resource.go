@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"sort"
-	"time"
-)
+import "time"
 
 // Resource models a FIFO queueing server (or a bank of identical
 // servers): an RNIC's message-processing pipeline, a DMA engine, or a
@@ -31,39 +28,15 @@ func NewResource(eng *Engine, name string, servers int) *Resource {
 	return &Resource{eng: eng, name: name, freeAt: make([]time.Duration, servers)}
 }
 
-// Name returns the resource's debug name.
-func (r *Resource) Name() string { return r.name }
-
 // Acquire blocks the process until a server has completed service of
 // duration d for it, queueing FIFO behind earlier arrivals. It returns
 // the time spent waiting in the queue (excluding service).
 func (r *Resource) Acquire(p *Proc, d time.Duration) time.Duration {
-	if d < 0 {
-		d = 0
-	}
+	d = max(d, 0)
 	now := p.eng.now
-	// Pick the server that frees up earliest.
-	best := 0
-	for i, t := range r.freeAt {
-		if t < r.freeAt[best] {
-			best = i
-		}
-	}
-	start := r.freeAt[best]
-	if start < now {
-		start = now
-	}
-	r.freeAt[best] = start + d
-	r.busy += d
-	p.SleepUntil(start + d)
-	return start - now
-}
-
-// Reserve charges service time d without blocking the caller: the work
-// occupies a server (delaying later arrivals) but completes
-// asynchronously. Used for fire-and-forget DMA-style transfers.
-func (r *Resource) Reserve(now, d time.Duration) {
-	r.ReserveAt(now, d)
+	done := r.ReserveAt(now, d)
+	p.SleepUntil(done)
+	return done - d - now
 }
 
 // ReserveAt charges service time d for work arriving at time at (which
@@ -72,9 +45,8 @@ func (r *Resource) Reserve(now, d time.Duration) {
 // is not blocked; it can SleepUntil the returned time to model a
 // synchronous completion.
 func (r *Resource) ReserveAt(at, d time.Duration) time.Duration {
-	if d < 0 {
-		d = 0
-	}
+	d = max(d, 0)
+	// Pick the server that frees up earliest.
 	best := 0
 	for i, t := range r.freeAt {
 		if t < r.freeAt[best] {
@@ -104,76 +76,4 @@ func (r *Resource) Utilization() float64 {
 		return 0
 	}
 	return float64(r.busy) / float64(window) / float64(len(r.freeAt))
-}
-
-// BusyTime returns the total service time charged in the current
-// measurement window.
-func (r *Resource) BusyTime() time.Duration { return r.busy }
-
-// Mutex is a FIFO mutual-exclusion lock between simulated processes.
-// Unlike Resource it has no notion of service time: the critical
-// section takes however long the holder's own operations take.
-type Mutex struct {
-	holder  *Proc
-	waiters []*Proc
-}
-
-// Lock acquires the mutex, parking the process until it is available.
-func (m *Mutex) Lock(p *Proc) {
-	if m.holder == nil {
-		m.holder = p
-		return
-	}
-	m.waiters = append(m.waiters, p)
-	p.Park()
-}
-
-// Unlock releases the mutex and hands it to the earliest waiter.
-func (m *Mutex) Unlock(p *Proc) {
-	if m.holder != p {
-		panic("sim: unlock of mutex not held by process")
-	}
-	if len(m.waiters) == 0 {
-		m.holder = nil
-		return
-	}
-	next := m.waiters[0]
-	m.waiters = m.waiters[1:]
-	m.holder = next
-	p.Unpark(next)
-}
-
-// WaitGroup lets a process wait for a set of simulated tasks to finish.
-type WaitGroup struct {
-	count   int
-	waiters []*Proc
-}
-
-// Add increments the outstanding-task count.
-func (w *WaitGroup) Add(n int) { w.count += n }
-
-// Done marks one task complete, waking waiters when the count hits zero.
-func (w *WaitGroup) Done(p *Proc) {
-	w.count--
-	if w.count < 0 {
-		panic("sim: WaitGroup count below zero")
-	}
-	if w.count == 0 {
-		ws := w.waiters
-		w.waiters = nil
-		// Wake in deterministic order.
-		sort.Slice(ws, func(i, j int) bool { return ws[i].name < ws[j].name })
-		for _, q := range ws {
-			p.Unpark(q)
-		}
-	}
-}
-
-// Wait parks the process until the count reaches zero.
-func (w *WaitGroup) Wait(p *Proc) {
-	if w.count == 0 {
-		return
-	}
-	w.waiters = append(w.waiters, p)
-	p.Park()
 }
