@@ -145,7 +145,7 @@ func runFig12(o Options) (*Result, error) {
 	}
 	m, err := runPhase(fr, microGens(workload.OpSearch, oa.Clients, writes), 0, 1, oa.KVSize, 10*time.Minute)
 	_ = m
-	fuseeAlloc := fr.cl.AllocatedBytes()
+	fuseeAlloc := fr.cl.Usage().TotalBytes
 	fr.shutdown()
 	if err != nil {
 		return nil, err

@@ -6,10 +6,12 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/ftmode"
 	"repro/internal/fusee"
 	"repro/internal/obs"
 	"repro/internal/rdma"
 	"repro/internal/rdma/simnet"
+	"repro/internal/replica"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -110,13 +112,13 @@ func (r *acesoRun) spawn(i int, name string, fn func(kvClient)) {
 
 type fuseeRun struct {
 	pl   *simnet.Platform
-	cl   *fusee.Cluster
+	cl   *replica.Cluster
 	cns  []rdma.NodeID
 	opts Options
 }
 
-func fuseeConfig(o Options, totalKeys, replicas, slotBytes int) fusee.Config {
-	cfg := fusee.DefaultConfig()
+func fuseeConfig(o Options, totalKeys, replicas, slotBytes int) replica.Config {
+	cfg := replica.DefaultConfig()
 	cfg.Replicas = replicas
 	cfg.SlotBytes = slotBytes
 	kvClass := uint64(o.KVSize + 64 + 64)
@@ -134,7 +136,7 @@ func fuseeConfig(o Options, totalKeys, replicas, slotBytes int) fusee.Config {
 	return cfg
 }
 
-func newFuseeRun(o Options, cfg fusee.Config) (*fuseeRun, error) {
+func newFuseeRun(o Options, cfg replica.Config) (*fuseeRun, error) {
 	pl := simnet.New(simnet.DefaultConfig())
 	cl, err := fusee.NewCluster(cfg, pl)
 	if err != nil {
@@ -152,7 +154,7 @@ func (r *fuseeRun) shutdown()                  { r.pl.Shutdown() }
 
 func (r *fuseeRun) spawn(i int, name string, fn func(kvClient)) {
 	cn := r.cns[i%len(r.cns)]
-	r.cl.SpawnClient(cn, name, func(c *fusee.Client) { fn(c) })
+	r.cl.SpawnClient(cn, name, func(c ftmode.Client) { fn(c) })
 }
 
 // --- measurement harness ---
@@ -231,7 +233,7 @@ func runPhase(r runner, gens []workload.Generator, warmup, ops, kvSize int, dead
 			for n := 0; n < warmup; n++ {
 				op := g.Next()
 				if err := execOp(c, op, kvSize); err != nil &&
-					!errors.Is(err, core.ErrNotFound) && !errors.Is(err, fusee.ErrNotFound) {
+					!errors.Is(err, core.ErrNotFound) {
 					if firstErr == nil {
 						firstErr = fmt.Errorf("client %d warmup op %d (%v %s): %w", i, n, op.Kind, op.Key, err)
 					}
@@ -258,7 +260,7 @@ func runPhase(r runner, gens []workload.Generator, warmup, ops, kvSize int, dead
 				lat := ctxNow() - t0
 				switch {
 				case err == nil:
-				case errors.Is(err, core.ErrNotFound) || errors.Is(err, fusee.ErrNotFound):
+				case errors.Is(err, core.ErrNotFound):
 					m.notFound++
 				default:
 					m.errs++

@@ -7,576 +7,98 @@
 // Aceso's hybrid design.
 //
 // The baseline shares the verb fabric, KV encoding and hashing with
-// Aceso so comparisons isolate the fault-tolerance mechanism. The slot
-// width is configurable (8 B as in FUSEE, or 16 B) to reproduce the
-// "+SLOT" step of the factor analysis (Figure 13).
+// Aceso so comparisons isolate the fault-tolerance mechanism, and the
+// replicated index, block provisioning and failure view with the other
+// replication mode (internal/replica). What is FUSEE's own is here: a
+// cache of slot values only, which a read validates by re-reading the
+// buckets, and the commit — place n copies, CAS the n−1 backup slots,
+// CAS the primary. The slot width is 8 B as in FUSEE, or 16 B to
+// reproduce the "+SLOT" step of the factor analysis (Figure 13).
 package fusee
 
 import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"fmt"
-	"sync"
-	"time"
 
 	"repro/internal/core"
+	"repro/internal/ftmode"
 	"repro/internal/layout"
-	"repro/internal/racehash"
 	"repro/internal/rdma"
+	"repro/internal/replica"
 )
 
-// Errors. Each wraps the corresponding core error so callers match on
-// one taxonomy regardless of the fault-tolerance mode
-// (errors.Is(err, core.ErrNotFound) holds for fusee.ErrNotFound).
-var (
-	ErrNotFound         = fmt.Errorf("fusee: %w", core.ErrNotFound)
-	ErrNoSpace          = fmt.Errorf("fusee: %w", core.ErrNoSpace)
-	ErrRetriesExhausted = fmt.Errorf("fusee: %w", core.ErrRetriesExhausted)
-)
+// The baseline is promoted behind the same API as Aceso itself: every
+// harness (cmds, bench, chaos tests) drives it through core.OpenFT with
+// Config.FTMode = core.FTModeFusee, on FUSEE's 8-byte slots.
+func init() { replica.Register(core.FTModeFusee, 8, newClient) }
 
-const maxOpRetries = 1024
-
-// Config parameterises the baseline.
-type Config struct {
-	// NumMNs is the memory-node count.
-	NumMNs int
-	// Replicas is the replication factor n (index replicas and KV
-	// replicas alike); the paper compares against 3.
-	Replicas int
-	// SlotBytes is the index slot width: 8 (FUSEE) or 16 (the "+SLOT"
-	// factor-analysis configuration).
-	SlotBytes int
-	// PartitionBytes is the per-partition index size (each MN hosts
-	// Replicas partitions: its primary plus backups of predecessors).
-	PartitionBytes uint64
-	// BlockSize and BlocksPerMN size the KV block area.
-	BlockSize   uint64
-	BlocksPerMN int
-	// CacheValues enables the FUSEE client cache (slot values only).
-	CacheValues bool
-}
-
-// DefaultConfig mirrors the paper's baseline setup, scaled down.
-func DefaultConfig() Config {
-	return Config{
-		NumMNs:         5,
-		Replicas:       3,
-		SlotBytes:      8,
-		PartitionBytes: 1 << 20,
-		BlockSize:      2 << 20,
-		BlocksPerMN:    48,
-		CacheValues:    true,
-	}
-}
-
-// bucketSlots is the slot count per bucket; buckets are read with one
-// RDMA_READ, so wider (16 B) slots double the bucket bytes — the read
-// amplification the "+SLOT" step measures.
-const bucketSlots = 8
-
-func (c *Config) bucketBytes() uint64 { return uint64(bucketSlots * c.SlotBytes) }
-func (c *Config) numBuckets() uint64  { return c.PartitionBytes / c.bucketBytes() }
-
-// regionOff returns the offset of hosted partition region j on an MN.
-func (c *Config) regionOff(j int) uint64 { return uint64(j) * c.PartitionBytes }
-
-// blockOff returns the offset of block b on an MN.
-func (c *Config) blockOff(b int) uint64 {
-	return uint64(c.Replicas)*c.PartitionBytes + uint64(b)*c.BlockSize
-}
-
-// memBytes is the registered region size per MN.
-func (c *Config) memBytes() uint64 {
-	return c.blockOff(c.BlocksPerMN)
-}
-
-// replicaMN returns the MN hosting replica i of partition p.
-func (c *Config) replicaMN(p, i int) int { return (p + i) % c.NumMNs }
-
-// hostedRegion returns which region index of MN m holds partition p's
-// replica, or -1.
-func (c *Config) hostedRegion(m, p int) int {
-	j := ((m-p)%c.NumMNs + c.NumMNs) % c.NumMNs
-	if j < c.Replicas {
-		return j
-	}
-	return -1
-}
-
-// Cluster wires the baseline onto a platform.
-type Cluster struct {
-	Cfg   Config
-	pl    rdma.Platform
-	nodes []rdma.NodeID
-
-	mu      sync.Mutex
-	nextBlk []int // bump allocator per MN
-	nextCli uint16
-	// Alloc accounting for the memory-distribution experiment.
-	blockOwners [][]uint16
-
-	// viewMu guards the failure view. There is no master: clients
-	// mark MNs failed when a verb returns rdma.ErrNodeFailed (or a
-	// harness calls FailMN directly) and fail over to surviving
-	// replicas.
-	viewMu sync.Mutex
-	failed []bool
-}
-
-// NewCluster creates the baseline's memory nodes and servers.
-func NewCluster(cfg Config, pl rdma.Platform) (*Cluster, error) {
-	if cfg.Replicas < 1 || cfg.Replicas > cfg.NumMNs {
-		return nil, fmt.Errorf("fusee: replicas %d out of range", cfg.Replicas)
-	}
-	if cfg.SlotBytes != 8 && cfg.SlotBytes != 16 {
-		return nil, fmt.Errorf("fusee: slot bytes must be 8 or 16")
-	}
-	cl := &Cluster{Cfg: cfg, pl: pl, failed: make([]bool, cfg.NumMNs)}
-	for i := 0; i < cfg.NumMNs; i++ {
-		node := pl.AddMemNode(rdma.MemNodeConfig{MemBytes: cfg.memBytes(), CPUCores: 1})
-		cl.nodes = append(cl.nodes, node)
-		cl.nextBlk = append(cl.nextBlk, 0)
-		cl.blockOwners = append(cl.blockOwners, make([]uint16, cfg.BlocksPerMN))
-		mn := i
-		pl.SetHandler(node, func(method uint8, req []byte) ([]byte, time.Duration) {
-			return cl.handle(mn, method, req)
-		})
-	}
-	return cl, nil
-}
-
-const (
-	methodAlloc uint8 = 1
-	// methodKill is the admin fail-stop verb (wall-clock fabric only;
-	// simulated harnesses call FailMN directly, as in core).
-	methodKill uint8 = 2
-)
-
-// handle serves the baseline's RPCs: block allocation and the admin
-// kill used by the CLI / TCP load harness.
-func (cl *Cluster) handle(mn int, method uint8, req []byte) ([]byte, time.Duration) {
-	if method == methodKill {
-		// Acknowledge before crashing, as core's admin fail does: the
-		// handler runs inside a transport goroutine the fail joins.
-		go func() {
-			time.Sleep(10 * time.Millisecond)
-			cl.FailMN(mn)
-		}()
-		return []byte{0}, time.Microsecond
-	}
-	if method != methodAlloc {
-		return []byte{1}, time.Microsecond
-	}
-	cli := binary.LittleEndian.Uint16(req)
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	if cl.nextBlk[mn] >= cl.Cfg.BlocksPerMN {
-		return []byte{1}, 2 * time.Microsecond
-	}
-	b := cl.nextBlk[mn]
-	cl.nextBlk[mn]++
-	cl.blockOwners[mn][b] = cli
-	var resp [5]byte
-	resp[0] = 0
-	binary.LittleEndian.PutUint32(resp[1:], uint32(b))
-	return resp[:], 2 * time.Microsecond
-}
-
-// AllocatedBytes returns the total block bytes allocated across MNs
-// (memory-distribution accounting, Figure 12).
-func (cl *Cluster) AllocatedBytes() uint64 {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	total := uint64(0)
-	for _, n := range cl.nextBlk {
-		total += uint64(n) * cl.Cfg.BlockSize
-	}
-	return total
-}
-
-// FailMN fail-stops logical MN mn: the view marks it dead and the
-// platform drops its memory, so clients fail over to surviving
-// replicas (there is no rebuild — replication keeps the data live).
-func (cl *Cluster) FailMN(mn int) {
-	cl.markFailed(mn)
-	cl.pl.Fail(cl.nodes[mn])
-}
-
-// markFailed records a failure observed by a client (verb returned
-// rdma.ErrNodeFailed) without touching the platform.
-func (cl *Cluster) markFailed(mn int) {
-	cl.viewMu.Lock()
-	cl.failed[mn] = true
-	cl.viewMu.Unlock()
-}
-
-// Failed reports whether MN mn is marked failed.
-func (cl *Cluster) Failed(mn int) bool {
-	cl.viewMu.Lock()
-	defer cl.viewMu.Unlock()
-	return cl.failed[mn]
-}
-
-// MNState reports (failed, indexReady, blocksReady). The baseline has
-// no tiered rebuild: a healthy MN is fully ready, a failed one never
-// recovers (its replicas carry the data).
-func (cl *Cluster) MNState(mn int) (failed, indexReady, blocksReady bool) {
-	f := cl.Failed(mn)
-	return f, !f, !f
-}
-
-// NewClient allocates a client identity.
-func (cl *Cluster) NewClient() *Client {
-	cl.mu.Lock()
-	cl.nextCli++
-	id := cl.nextCli
-	cl.mu.Unlock()
-	return &Client{
-		cl:    cl,
-		id:    id,
-		cache: make(map[string]*cacheEnt),
-		open:  make(map[uint8][]*openBlock),
-	}
-}
-
-// SpawnClient spawns fn as a client process on compute node cn.
-func (cl *Cluster) SpawnClient(cn rdma.NodeID, name string, fn func(*Client)) *Client {
-	cli := cl.NewClient()
-	cl.pl.Spawn(cn, name, func(ctx rdma.Ctx) {
-		cli.ctx = ctx
-		fn(cli)
-	})
-	return cli
+// NewCluster opens the baseline on pl with an explicit geometry, slot
+// width included (the factor analysis runs it at 8 and at 16 bytes).
+func NewCluster(cfg replica.Config, pl rdma.Platform) (*replica.Cluster, error) {
+	return replica.NewCluster(core.FTModeFusee, cfg, pl, newClient)
 }
 
 // cacheEnt caches the slot values (KV replica addresses) of a key; the
 // baseline cache holds values only — it must re-read a bucket to
 // validate (§3.5.1 contrasts this with Aceso's slot-address cache).
 type cacheEnt struct {
-	slotIdx int // bucket-relative slot index
-	bucket  uint64
+	slot    replica.Slot
 	vals    []uint64 // per replica, packed slot words
 	haveAll bool     // vals holds every replica (filled at own commit)
 	len     int      // KV class size (bytes)
 }
 
-type openBlock struct {
-	mn   int
-	idx  int
-	next int
-}
-
 // Client is a FUSEE-style client.
 type Client struct {
-	cl  *Cluster
-	ctx rdma.Ctx
-	id  uint16
-
+	*replica.Client
 	cache map[string]*cacheEnt
-	open  map[uint8][]*openBlock // per class: Replicas open blocks
-
-	// Stats for harnesses.
-	Stats struct {
-		Ops          uint64
-		CASIssued    uint64
-		CASRetries   uint64
-		ReadsIssued  uint64
-		WritesIssued uint64
-		BytesRead    uint64
-		BytesWritten uint64
-		ValidBytes   uint64 // net new valid payload written (first copy)
-	}
 }
 
-// Attach binds the client to its process context.
-func (c *Client) Attach(ctx rdma.Ctx) { c.ctx = ctx }
-
-// Counters returns the client's verb counts (CAS, reads, writes) for
-// harness accounting such as Figure 1(a)'s CAS-per-request rows.
-func (c *Client) Counters() (cas, reads, writes uint64) {
-	return c.Stats.CASIssued, c.Stats.ReadsIssued, c.Stats.WritesIssued
+func newClient(base *replica.Client) ftmode.Client {
+	return &Client{Client: base, cache: make(map[string]*cacheEnt)}
 }
 
-// Close is a no-op: the baseline batches no client-side state that
-// must be flushed (interface parity with core's Client).
-func (c *Client) Close() {}
+var errStaleCache = errors.New("fusee: stale cache")
 
-// KillMN asks MN mn to fail-stop itself over the admin RPC (the
-// wall-clock fabric's fault-injection surface; simulated harnesses
-// call Cluster.FailMN directly).
-func (c *Client) KillMN(mn int) error {
-	if c.cl.Failed(mn) {
-		return rdma.ErrNodeFailed
-	}
-	resp, err := c.ctx.RPC(c.cl.nodes[mn], methodKill, nil)
-	if err != nil {
-		return err
-	}
-	if len(resp) < 1 || resp[0] != 0 {
-		return fmt.Errorf("fusee: kill rejected")
-	}
-	return nil
-}
-
-// noteErr records a node failure observed through err and reports
-// whether the caller should fail over (retry on a surviving replica).
-func (c *Client) noteErr(mn int, err error) bool {
-	if errors.Is(err, rdma.ErrNodeFailed) {
-		c.cl.markFailed(mn)
-		return true
-	}
-	return false
-}
-
-// liveReplica returns the first surviving replica index of partition p
-// (the acting primary after failures).
-func (c *Client) liveReplica(p int) (int, bool) {
-	cfg := &c.cl.Cfg
-	for i := 0; i < cfg.Replicas; i++ {
-		if !c.cl.Failed(cfg.replicaMN(p, i)) {
-			return i, true
-		}
-	}
-	return 0, false
-}
-
-// liveReplicas returns the surviving replica indices of partition p in
-// replica order (acting primary first).
-func (c *Client) liveReplicas(p int) []int {
-	cfg := &c.cl.Cfg
-	out := make([]int, 0, cfg.Replicas)
-	for i := 0; i < cfg.Replicas; i++ {
-		if !c.cl.Failed(cfg.replicaMN(p, i)) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// refreshView probes every not-yet-failed MN with a minimal read and
-// marks the dead ones. Used after an ambiguous batched-verb failure
-// (the batch error does not say which node died).
-func (c *Client) refreshView() {
-	var b [8]byte
-	for mn := 0; mn < c.cl.Cfg.NumMNs; mn++ {
-		if c.cl.Failed(mn) {
-			continue
-		}
-		c.Stats.ReadsIssued++
-		c.Stats.BytesRead += 8
-		if err := c.ctx.Read(b[:], rdma.GlobalAddr{Node: c.cl.nodes[mn]}); err != nil {
-			c.noteErr(mn, err)
-		}
-	}
-}
-
-// errAllReplicasFailed reports every replica of a partition dead.
-func errAllReplicasFailed(p int) error {
-	return fmt.Errorf("fusee: all replicas of partition %d failed: %w", p, rdma.ErrNodeFailed)
-}
-
-// slotWord packs a slot: fingerprint in the top byte, 48-bit address
-// below (the 8-byte atomic word layout FUSEE uses).
-func slotWord(fp uint8, addr uint64) uint64 {
-	return uint64(fp)<<56 | addr&((1<<48)-1)
-}
-
-func slotFP(w uint64) uint8    { return uint8(w >> 56) }
-func slotAddr(w uint64) uint64 { return w & ((1 << 48) - 1) }
-
-// slotOff returns the offset of slot s of bucket b within a hosted
-// partition region.
-func (c *Client) slotOff(region int, bucket uint64, s int) uint64 {
-	cfg := &c.cl.Cfg
-	return cfg.regionOff(region) + bucket*cfg.bucketBytes() + uint64(s*cfg.SlotBytes)
-}
-
-// buckets returns the key's two candidate buckets.
-func (c *Client) buckets(h uint64) (uint64, uint64) {
-	return racehash.BucketPair(h, c.cl.Cfg.numBuckets())
-}
-
-// readBucketPair reads the key's two buckets from one replica of its
-// partition.
-func (c *Client) readBucketPair(p int, replica int, b1, b2 uint64) ([]byte, []byte, error) {
-	cfg := &c.cl.Cfg
-	mn := cfg.replicaMN(p, replica)
-	region := cfg.hostedRegion(mn, p)
-	node := c.cl.nodes[mn]
-	bb := cfg.bucketBytes()
-	buf1 := make([]byte, bb)
-	buf2 := make([]byte, bb)
-	ops := []rdma.Op{
-		{Kind: rdma.OpRead, Addr: rdma.GlobalAddr{Node: node, Off: c.slotOff(region, b1, 0)}, Buf: buf1},
-		{Kind: rdma.OpRead, Addr: rdma.GlobalAddr{Node: node, Off: c.slotOff(region, b2, 0)}, Buf: buf2},
-	}
-	c.Stats.ReadsIssued += 2
-	c.Stats.BytesRead += 2 * bb
-	if err := c.ctx.Batch(ops); err != nil {
-		return nil, nil, err
-	}
-	return buf1, buf2, nil
-}
-
-// scan finds fp matches in a bucket's raw bytes.
-func (c *Client) scan(fp uint8, buf []byte) []int {
-	var out []int
-	for s := 0; s < bucketSlots; s++ {
-		w := binary.LittleEndian.Uint64(buf[s*c.cl.Cfg.SlotBytes:])
-		if w != 0 && slotFP(w) == fp {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// freeSlot finds the first empty slot in a bucket's raw bytes, or -1.
-func (c *Client) freeSlot(buf []byte) int {
-	for s := 0; s < bucketSlots; s++ {
-		if binary.LittleEndian.Uint64(buf[s*c.cl.Cfg.SlotBytes:]) == 0 {
-			return s
-		}
-	}
-	return -1
-}
-
-// readKVAt reads and decodes a KV replica. The speculative size is
-// clamped to the block boundary (KV pairs never span blocks); when the
-// clamped read turns out shorter than the pair, the true size is taken
-// from the header and the pair re-read.
-func (c *Client) readKVAt(packed uint64, size int) (*layout.KV, error) {
-	cfg := &c.cl.Cfg
-	mn, off := layout.UnpackAddr(packed)
-	base := cfg.blockOff(0)
-	if off >= base {
-		rel := (off - base) % cfg.BlockSize
-		if remain := int(cfg.BlockSize - rel); size > remain {
-			size = remain
-		}
-	}
-	if size < 64 {
-		size = 64
-	}
-	buf := make([]byte, size)
-	c.Stats.ReadsIssued++
-	c.Stats.BytesRead += uint64(size)
-	if err := c.ctx.Read(buf, rdma.GlobalAddr{Node: c.cl.nodes[mn], Off: off}); err != nil {
-		c.noteErr(int(mn), err)
-		return nil, err
-	}
-	if buf[0] == 0 {
-		return nil, nil // never written
-	}
-	// The slot's true size comes from the header; the speculative read
-	// may be longer (decode the class-size prefix) or shorter (re-read
-	// at the true size).
-	keyLen := int(binary.LittleEndian.Uint16(buf[2:]))
-	valLen := int(binary.LittleEndian.Uint32(buf[4:]))
-	real := layout.KVClassSize(keyLen, valLen)
-	if real > int(cfg.BlockSize) {
-		return nil, layout.ErrTornKV
-	}
-	if real <= size {
-		return layout.DecodeKV(buf[:real])
-	}
-	buf = make([]byte, real)
-	c.Stats.ReadsIssued++
-	c.Stats.BytesRead += uint64(real)
-	if err := c.ctx.Read(buf, rdma.GlobalAddr{Node: c.cl.nodes[mn], Off: off}); err != nil {
-		c.noteErr(int(mn), err)
-		return nil, err
-	}
-	return layout.DecodeKV(buf)
-}
-
-// readKVFailover reads the KV a slot word points at; when that copy's
-// MN has failed it chases the surviving replicas' slot words for the
-// same (bucket, slot) position and reads their copies instead. This is
-// the baseline's whole recovery story: any surviving copy serves the
-// data, no rebuild.
-func (c *Client) readKVFailover(p int, bucket uint64, s int, w uint64, size int) (*layout.KV, error) {
-	kv, err := c.readKVAt(slotAddr(w), size)
-	if err == nil || !errors.Is(err, rdma.ErrNodeFailed) {
-		return kv, err
-	}
-	cfg := &c.cl.Cfg
-	for _, ri := range c.liveReplicas(p) {
-		mn := cfg.replicaMN(p, ri)
-		region := cfg.hostedRegion(mn, p)
-		var wb [8]byte
-		c.Stats.ReadsIssued++
-		c.Stats.BytesRead += 8
-		if rerr := c.ctx.Read(wb[:], rdma.GlobalAddr{Node: c.cl.nodes[mn], Off: c.slotOff(region, bucket, s)}); rerr != nil {
-			c.noteErr(mn, rerr)
-			continue
-		}
-		rw := binary.LittleEndian.Uint64(wb[:])
-		if rw == 0 || slotFP(rw) != slotFP(w) {
-			continue
-		}
-		kv, err = c.readKVAt(slotAddr(rw), size)
-		if err == nil {
-			return kv, nil
-		}
-	}
-	return nil, err
-}
-
-// Search returns the value of key, or ErrNotFound. Reads go to the
-// primary replica; the client cache stores slot values only, so a hit
-// still re-reads the primary bucket to validate (unlike Aceso's
+// Search returns the value of key, or core.ErrNotFound. Reads go to the
+// acting primary replica; the client cache stores slot values only, so
+// a hit still re-reads the primary buckets to validate (unlike Aceso's
 // slot-address cache).
 func (c *Client) Search(key []byte) ([]byte, error) {
-	c.Stats.Ops++
-	h := racehash.Hash(key)
-	p := racehash.HomeMN(h, c.cl.Cfg.NumMNs)
-	fp := racehash.Fingerprint(h)
-	b1, b2 := c.buckets(h)
-
-	if ent, ok := c.cache[string(key)]; ok && c.cl.Cfg.CacheValues {
-		if val, err := c.cachedRead(key, ent, p); err == nil || errors.Is(err, ErrNotFound) {
+	k := c.Op(key)
+	hint := replica.ReadBytes
+	if ent := c.cache[string(key)]; ent != nil {
+		if val, err := c.cachedRead(&k, ent); err == nil || errors.Is(err, core.ErrNotFound) {
 			return val, err
 		}
+		hint = ent.len // stale, but the class is the best guess there is
 	}
-	for attempt := 0; attempt < maxOpRetries; attempt++ {
-		ri, ok := c.liveReplica(p)
-		if !ok {
-			return nil, errAllReplicasFailed(p)
+	for attempt := 0; attempt < replica.MaxOpRetries; attempt++ {
+		live := c.Live(k.P)
+		if len(live) == 0 {
+			return nil, replica.ErrAllReplicasFailed(k.P)
 		}
-		buf1, buf2, err := c.readBucketPair(p, ri, b1, b2)
+		pair, err := c.ReadPair(&k, live[0], hint)
 		if err != nil {
-			if c.noteErr(c.cl.Cfg.replicaMN(p, ri), err) {
+			if errors.Is(err, rdma.ErrNodeFailed) {
 				continue // fail over to the next surviving replica
 			}
 			return nil, err
 		}
-		for bi, buf := range [][]byte{buf1, buf2} {
-			for _, s := range c.scan(fp, buf) {
-				w := binary.LittleEndian.Uint64(buf[s*c.cl.Cfg.SlotBytes:])
-				bucket := b1
-				if bi == 1 {
-					bucket = b2
-				}
-				kv, err := c.readKVFailover(p, bucket, s, w, c.guessSize(key))
-				if err != nil || kv == nil {
-					continue
-				}
-				if !bytes.Equal(kv.Key, key) {
-					continue
-				}
-				if ri == 0 {
-					c.fillCache(key, bucket, s, w, layout.KVClassSize(len(kv.Key), len(kv.Val)))
-				}
-				if kv.Tombstone {
-					return nil, ErrNotFound
-				}
-				return append([]byte(nil), kv.Val...), nil
-			}
+		m := pair.Next()
+		if m == nil {
+			return nil, core.ErrNotFound
 		}
-		return nil, ErrNotFound
+		if live[0] == 0 && c.Cfg.CacheValues {
+			vals := make([]uint64, c.Cfg.Replicas)
+			vals[0] = m.Word()
+			c.cache[string(key)] = &cacheEnt{slot: m.Slot, vals: vals,
+				len: layout.KVClassSize(len(m.KV.Key), len(m.KV.Val))}
+		}
+		return replica.Value(m.KV)
 	}
-	return nil, ErrRetriesExhausted
+	return nil, core.ErrRetriesExhausted
 }
 
 // cachedRead validates a cache hit. FUSEE's cache stores slot values
@@ -584,77 +106,43 @@ func (c *Client) Search(key []byte) ([]byte, error) {
 // read means re-reading both candidate buckets of the key alongside
 // the speculative KV read (the "unnecessary index queries" Aceso's
 // slot-address cache eliminates, §3.5.1).
-func (c *Client) cachedRead(key []byte, ent *cacheEnt, p int) ([]byte, error) {
-	cfg := &c.cl.Cfg
-	mn := cfg.replicaMN(p, 0)
-	kmn, koff := layout.UnpackAddr(slotAddr(ent.vals[0]))
-	if c.cl.Failed(mn) || c.cl.Failed(int(kmn)) {
+func (c *Client) cachedRead(k *replica.Key, ent *cacheEnt) ([]byte, error) {
+	kmn, kvAt := c.CopyAt(replica.SlotAddr(ent.vals[0]))
+	if c.Failed(c.Cfg.ReplicaMN(k.P, 0)) || c.Failed(kmn) {
 		// The cache validates against the primary; after a failure the
 		// caller takes the search path, which fails over.
-		return nil, errors.New("fusee: stale cache")
+		return nil, errStaleCache
 	}
-	region := cfg.hostedRegion(mn, p)
-	node := c.cl.nodes[mn]
-	h := racehash.Hash(key)
-	b1, b2 := c.buckets(h)
-	kvBuf := make([]byte, ent.len)
-	bkt1 := make([]byte, cfg.bucketBytes())
-	bkt2 := make([]byte, cfg.bucketBytes())
-	ops := []rdma.Op{
-		{Kind: rdma.OpRead, Addr: rdma.GlobalAddr{Node: c.cl.nodes[kmn], Off: koff}, Buf: kvBuf},
-		{Kind: rdma.OpRead, Addr: rdma.GlobalAddr{Node: node, Off: c.slotOff(region, b1, 0)}, Buf: bkt1},
-		{Kind: rdma.OpRead, Addr: rdma.GlobalAddr{Node: node, Off: c.slotOff(region, b2, 0)}, Buf: bkt2},
+	ops := make([]rdma.Op, 3)
+	ops[0] = rdma.Op{Kind: rdma.OpRead, Addr: kvAt, Buf: make([]byte, ent.len)}
+	for i, b := range k.Buckets {
+		_, at := c.At(replica.Slot{P: k.P, Bucket: b}, 0)
+		ops[1+i] = rdma.Op{Kind: rdma.OpRead, Addr: at, Buf: make([]byte, c.Cfg.BucketBytes())}
 	}
-	c.Stats.ReadsIssued += 3
-	c.Stats.BytesRead += uint64(ent.len) + 2*cfg.bucketBytes()
-	if err := c.ctx.Batch(ops); err != nil {
+	if err := c.Batch(ops); err != nil {
 		return nil, err
 	}
-	bktBuf := bkt1
-	if ent.bucket == b2 {
-		bktBuf = bkt2
+	bkt := ops[1].Buf
+	if ent.slot.Bucket == k.Buckets[1] {
+		bkt = ops[2].Buf
 	}
-	cur := binary.LittleEndian.Uint64(bktBuf[ent.slotIdx*cfg.SlotBytes:])
-	if cur != ent.vals[0] {
+	var kv *layout.KV
+	var err error
+	if cur := binary.LittleEndian.Uint64(bkt[ent.slot.Idx*c.Cfg.SlotBytes:]); cur == ent.vals[0] {
+		kv, err = layout.DecodeKV(ops[0].Buf)
+	} else {
 		// Slot changed: chase the new value once.
-		if cur == 0 || slotFP(cur) != racehash.Fingerprint(racehash.Hash(key)) {
-			return nil, errors.New("fusee: stale cache")
+		if cur == 0 || replica.SlotFP(cur) != k.FP {
+			return nil, errStaleCache
 		}
 		ent.vals[0] = cur
 		ent.haveAll = false
-		kv, err := c.readKVAt(slotAddr(cur), ent.len)
-		if err != nil || kv == nil || !bytes.Equal(kv.Key, key) {
-			return nil, errors.New("fusee: stale cache")
-		}
-		if kv.Tombstone {
-			return nil, ErrNotFound
-		}
-		return append([]byte(nil), kv.Val...), nil
+		kv, err = c.ReadKVAt(replica.SlotAddr(cur), ent.len)
 	}
-	kv, err := layout.DecodeKV(kvBuf)
-	if err != nil || kv == nil || !bytes.Equal(kv.Key, key) {
-		return nil, errors.New("fusee: stale cache")
+	if err != nil || kv == nil || !bytes.Equal(kv.Key, k.Bytes) {
+		return nil, errStaleCache
 	}
-	if kv.Tombstone {
-		return nil, ErrNotFound
-	}
-	return append([]byte(nil), kv.Val...), nil
-}
-
-func (c *Client) fillCache(key []byte, bucket uint64, slot int, primaryWord uint64, size int) {
-	if !c.cl.Cfg.CacheValues {
-		return
-	}
-	vals := make([]uint64, c.cl.Cfg.Replicas)
-	vals[0] = primaryWord
-	c.cache[string(key)] = &cacheEnt{bucket: bucket, slotIdx: slot, vals: vals, len: size}
-}
-
-func (c *Client) guessSize(key []byte) int {
-	if ent, ok := c.cache[string(key)]; ok && ent.len > 0 {
-		return ent.len
-	}
-	return 1024 + 64 // workload default; oversized reads self-correct
+	return replica.Value(kv)
 }
 
 // Insert stores a key-value pair (upsert).
@@ -667,189 +155,112 @@ func (c *Client) Update(key, val []byte) error { return c.write(key, val, false)
 func (c *Client) Delete(key []byte) error { return c.write(key, nil, true) }
 
 // write implements FUSEE's replicated write: write the KV to n MNs
-// (one doorbell batch), CAS the n−1 backup index slots (one batch),
-// then CAS the primary slot to commit — at least n CAS operations per
-// write, the cost Figure 1(a) quantifies.
+// (one doorbell batch), CAS the n−1 backup index slots, then CAS the
+// primary slot to commit — at least n CAS operations per write, the
+// cost Figure 1(a) quantifies.
 func (c *Client) write(key, val []byte, tombstone bool) error {
-	c.Stats.Ops++
-	h := racehash.Hash(key)
-	p := racehash.HomeMN(h, c.cl.Cfg.NumMNs)
-	fp := racehash.Fingerprint(h)
-	b1, b2 := c.buckets(h)
-	cfg := &c.cl.Cfg
-	r := cfg.Replicas
+	k := c.Op(key)
+	r := c.Cfg.Replicas
+	size := layout.KVClassSize(len(key), len(val))
+	buf := make([]byte, size)
+	layout.EncodeKV(buf, key, val, 1, 1, tombstone)
 
-	for attempt := 0; attempt < maxOpRetries; attempt++ {
+	for attempt := 0; attempt < replica.MaxOpRetries; attempt++ {
 		// The acting primary is the first surviving replica; after
 		// failures the remaining replicas keep serializing writes.
-		live := c.liveReplicas(p)
+		live := c.Live(k.P)
 		if len(live) == 0 {
-			return errAllReplicasFailed(p)
+			return replica.ErrAllReplicasFailed(k.P)
 		}
 		acting := live[0]
 
 		// Locate the slot and its per-replica old words, via the cache
 		// when it holds the full replica set (warm after this client's
 		// own commit), else by reading buckets and replica slots.
-		oldWords := make([]uint64, r)
-		var bucket uint64
-		var slotIdx int
+		old := make([]uint64, r)
+		var slot replica.Slot
 		found := false
-		located := false
-		if ent, ok := c.cache[string(key)]; ok && cfg.CacheValues && ent.haveAll && acting == 0 {
-			copy(oldWords, ent.vals)
-			bucket, slotIdx = ent.bucket, ent.slotIdx
-			found, located = true, true
-		}
-		if !located {
-			buf1, buf2, err := c.readBucketPair(p, acting, b1, b2)
+		if ent := c.cache[string(key)]; ent != nil && ent.haveAll && acting == 0 {
+			copy(old, ent.vals)
+			slot, found = ent.slot, true
+		} else {
+			hint := replica.ReadBytes
+			if ent != nil {
+				hint = ent.len
+			}
+			pair, err := c.ReadPair(&k, acting, hint)
 			if err != nil {
-				if c.noteErr(cfg.replicaMN(p, acting), err) {
+				if errors.Is(err, rdma.ErrNodeFailed) {
 					continue // fail over to the next surviving replica
 				}
 				return err
 			}
-			for bi, buf := range [][]byte{buf1, buf2} {
-				for _, s := range c.scan(fp, buf) {
-					w := binary.LittleEndian.Uint64(buf[s*cfg.SlotBytes:])
-					bkt := b1
-					if bi == 1 {
-						bkt = b2
-					}
-					kv, err := c.readKVFailover(p, bkt, s, w, c.guessSize(key))
-					if err != nil || kv == nil || !bytes.Equal(kv.Key, key) {
-						continue
-					}
-					found = true
-					oldWords[acting] = w
-					slotIdx = s
-					bucket = bkt
-					break
-				}
-				if found {
-					break
-				}
-			}
-			if !found {
-				if tombstone {
-					return ErrNotFound
-				}
-				// Deterministic per-key bucket preference balances the
-				// pair while keeping racing inserters on the same slot.
-				fBuf, sBuf, fB, sB := buf1, buf2, b1, b2
-				if h>>32&1 == 1 {
-					fBuf, sBuf, fB, sB = buf2, buf1, b2, b1
-				}
-				if s := c.freeSlot(fBuf); s >= 0 {
-					bucket, slotIdx = fB, s
-				} else if s := c.freeSlot(sBuf); s >= 0 {
-					bucket, slotIdx = sB, s
-				} else {
-					return fmt.Errorf("fusee: buckets full for key %q", key)
-				}
-			}
-			// Read the other surviving replicas' current words for the
-			// slot.
-			if len(live) > 1 {
-				ops := make([]rdma.Op, 0, len(live)-1)
-				bufs := make(map[int][]byte, len(live)-1)
-				for _, i := range live[1:] {
-					mn := cfg.replicaMN(p, i)
-					region := cfg.hostedRegion(mn, p)
-					buf := make([]byte, 8)
-					bufs[i] = buf
-					ops = append(ops, rdma.Op{Kind: rdma.OpRead,
-						Addr: rdma.GlobalAddr{Node: c.cl.nodes[mn], Off: c.slotOff(region, bucket, slotIdx)},
-						Buf:  buf})
-				}
-				c.Stats.ReadsIssued += uint64(len(ops))
-				c.Stats.BytesRead += uint64(len(ops) * 8)
-				if err := c.ctx.Batch(ops); err != nil {
-					if errors.Is(err, rdma.ErrNodeFailed) {
-						c.refreshView()
-						continue
-					}
-					return err
-				}
-				for _, i := range live[1:] {
-					oldWords[i] = binary.LittleEndian.Uint64(bufs[i])
-				}
-			}
-		}
-
-		// Write the KV replicas (one batch, n writes).
-		size := layout.KVClassSize(len(key), len(val))
-		classUnits := uint8(size / 64)
-		addrs, err := c.placeReplicas(key, val, tombstone, classUnits)
-		if err != nil {
-			if errors.Is(err, rdma.ErrNodeFailed) {
-				// An open block's MN died mid-write: drop the class's
-				// blocks and reallocate on survivors.
-				delete(c.open, classUnits)
-				c.refreshView()
-				continue
-			}
-			return err
-		}
-		// CAS the backups (one batch), then the primary (commit).
-		newWords := make([]uint64, r)
-		for i := 0; i < r; i++ {
-			newWords[i] = slotWord(fp, addrs[i])
-		}
-		// Backup CASes run as sequential rounds: FUSEE's conflict
-		// resolution selects a winner from each round's results before
-		// proceeding, so a backup CAS cannot be pipelined behind the
-		// next (§2.4: "Based on the CAS results, one winner is
-		// selected...").
-		ok := true
-		casFailover := false
-		for _, i := range live[1:] {
-			if !ok {
-				break
-			}
-			mn := cfg.replicaMN(p, i)
-			region := cfg.hostedRegion(mn, p)
-			c.Stats.CASIssued++
-			prev, err := c.ctx.CAS(
-				rdma.GlobalAddr{Node: c.cl.nodes[mn], Off: c.slotOff(region, bucket, slotIdx)},
-				oldWords[i], newWords[i])
-			if err != nil {
-				if c.noteErr(mn, err) {
-					casFailover = true
-					break
-				}
+			if m := pair.Next(); m != nil {
+				slot, old[acting], found = m.Slot, m.Word(), true
+			} else if tombstone {
+				return core.ErrNotFound
+			} else if slot, err = pair.Free(); err != nil {
 				return err
 			}
-			if prev != oldWords[i] {
-				ok = false
-			}
-		}
-		if casFailover {
-			continue
-		}
-		if ok {
-			mn := cfg.replicaMN(p, acting)
-			region := cfg.hostedRegion(mn, p)
-			c.Stats.CASIssued++
-			prev, err := c.ctx.CAS(
-				rdma.GlobalAddr{Node: c.cl.nodes[mn], Off: c.slotOff(region, bucket, slotIdx)},
-				oldWords[acting], newWords[acting])
-			if err != nil {
-				if c.noteErr(mn, err) {
+			if err := c.PeerWords(slot, live[1:], old); err != nil {
+				if errors.Is(err, rdma.ErrNodeFailed) {
+					c.RefreshView()
 					continue
 				}
 				return err
 			}
-			if prev == oldWords[acting] {
-				if cfg.CacheValues && acting == 0 {
-					c.cache[string(key)] = &cacheEnt{bucket: bucket, slotIdx: slotIdx,
-						vals: newWords, haveAll: true, len: size}
-				}
-				if !found {
-					c.Stats.ValidBytes += uint64(size)
-				}
-				return nil
+		}
+
+		// Write the KV replicas (one batch, n writes).
+		addrs, ops, err := c.Place(buf, r)
+		if err == nil {
+			err = c.Batch(ops)
+		}
+		if err != nil {
+			if errors.Is(err, rdma.ErrNodeFailed) {
+				// An open block's MN died mid-write: drop the class's
+				// blocks and reallocate on survivors.
+				c.DropBlocks(size)
+				c.RefreshView()
+				continue
 			}
+			return err
+		}
+		words := make([]uint64, r)
+		for i := range words {
+			words[i] = replica.SlotWord(k.FP, addrs[i])
+		}
+		// CAS the backups, then the primary (the commit). The CASes run
+		// as sequential rounds: FUSEE's conflict resolution selects a
+		// winner from each round's results before proceeding, so a CAS
+		// cannot be pipelined behind the next (§2.4: "Based on the CAS
+		// results, one winner is selected...").
+		won, failedOver := true, false
+		for _, ri := range append(append([]int(nil), live[1:]...), acting) {
+			mn, at := c.At(slot, ri)
+			prev, err := c.CAS(at, old[ri], words[ri])
+			if err != nil {
+				if !c.NoteErr(mn, err) {
+					return err
+				}
+				failedOver = true
+				break
+			}
+			if won = prev == old[ri]; !won {
+				break
+			}
+		}
+		if failedOver {
+			continue
+		}
+		if won {
+			if c.Cfg.CacheValues && acting == 0 {
+				c.cache[string(key)] = &cacheEnt{slot: slot, vals: words, haveAll: true, len: size}
+			}
+			if !found {
+				c.Stats.ValidBytes += uint64(size)
+			}
+			return nil
 		}
 		// Conflict: another client won on some replica. Re-read and
 		// retry with bounded backoff so losers do not starve under a
@@ -857,99 +268,7 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 		// winner selection plays this arbitration role).
 		c.Stats.CASRetries++
 		delete(c.cache, string(key))
-		shift := attempt
-		if shift > 6 {
-			shift = 6
-		}
-		c.ctx.Sleep(time.Duration(1+int(c.id)%4) * time.Microsecond << shift)
+		c.Backoff(attempt)
 	}
-	return ErrRetriesExhausted
-}
-
-// placeReplicas writes the encoded KV to one open block per replica
-// position (n MNs) in a single doorbell batch and returns the packed
-// addresses, primary first.
-func (c *Client) placeReplicas(key, val []byte, tombstone bool, classUnits uint8) ([]uint64, error) {
-	cfg := &c.cl.Cfg
-	r := cfg.Replicas
-	obs, err := c.getBlocks(classUnits)
-	if err != nil {
-		return nil, err
-	}
-	size := int(classUnits) * 64
-	buf := make([]byte, size)
-	layout.EncodeKV(buf, key, val, 1, 1, tombstone)
-	addrs := make([]uint64, r)
-	ops := make([]rdma.Op, r)
-	for i, ob := range obs {
-		off := cfg.blockOff(ob.idx) + uint64(ob.next*size)
-		ob.next++
-		addrs[i] = layout.PackAddr(uint16(ob.mn), off)
-		ops[i] = rdma.Op{Kind: rdma.OpWrite, Addr: rdma.GlobalAddr{Node: c.cl.nodes[ob.mn], Off: off}, Buf: buf}
-	}
-	c.Stats.WritesIssued += uint64(r)
-	c.Stats.BytesWritten += uint64(r * size)
-	if err := c.ctx.Batch(ops); err != nil {
-		return nil, err
-	}
-	// Retire filled blocks.
-	full := false
-	for _, ob := range obs {
-		if (ob.next+1)*size > int(cfg.BlockSize) {
-			full = true
-		}
-	}
-	if full {
-		delete(c.open, classUnits)
-	}
-	return addrs, nil
-}
-
-// getBlocks returns (allocating if needed) the client's n open blocks
-// for a size class, one per replica position on distinct MNs.
-func (c *Client) getBlocks(classUnits uint8) ([]*openBlock, error) {
-	if obs, ok := c.open[classUnits]; ok {
-		return obs, nil
-	}
-	cfg := &c.cl.Cfg
-	r := cfg.Replicas
-	base := int(c.id)
-	var req [2]byte
-	binary.LittleEndian.PutUint16(req[:], c.id)
-	obs := make([]*openBlock, 0, r)
-	used := map[int]bool{}
-	for i := 0; i < r; i++ {
-		allocated := false
-		// First pass wants copies on distinct MNs; when failures leave
-		// fewer live MNs than replicas, the relaxed pass reuses live
-		// MNs (distinct blocks) rather than refusing writes.
-		for _, distinct := range []bool{true, false} {
-			for try := 0; try < cfg.NumMNs && !allocated; try++ {
-				mn := (base + i + try) % cfg.NumMNs
-				if (distinct && used[mn]) || c.cl.Failed(mn) {
-					continue
-				}
-				resp, err := c.ctx.RPC(c.cl.nodes[mn], methodAlloc, req[:])
-				if err != nil {
-					c.noteErr(mn, err)
-					continue
-				}
-				if len(resp) == 0 || resp[0] != 0 {
-					continue
-				}
-				idx := int(binary.LittleEndian.Uint32(resp[1:]))
-				obs = append(obs, &openBlock{mn: mn, idx: idx})
-				used[mn] = true
-				allocated = true
-			}
-			if allocated {
-				break
-			}
-		}
-		if !allocated {
-			return nil, ErrNoSpace
-		}
-	}
-	c.open[classUnits] = obs
-	return obs, nil
+	return core.ErrRetriesExhausted
 }

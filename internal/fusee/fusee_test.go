@@ -7,17 +7,20 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/ftmode"
 	"repro/internal/rdma/simnet"
+	"repro/internal/replica"
 )
 
 type testCluster struct {
 	pl *simnet.Platform
-	cl *Cluster
+	cl *replica.Cluster
 }
 
-func newTestCluster(t *testing.T, mutate func(*Config)) *testCluster {
+func newTestCluster(t *testing.T, mutate func(*replica.Config)) *testCluster {
 	t.Helper()
-	cfg := DefaultConfig()
+	cfg := replica.DefaultConfig()
 	cfg.PartitionBytes = 64 << 10
 	cfg.BlockSize = 64 << 10
 	cfg.BlocksPerMN = 64
@@ -39,8 +42,8 @@ func (tc *testCluster) runClients(t *testing.T, deadline time.Duration, fns ...f
 	for i, fn := range fns {
 		fn := fn
 		cn := tc.pl.AddComputeNode()
-		tc.cl.SpawnClient(cn, fmt.Sprintf("client%d", i), func(c *Client) {
-			fn(c)
+		tc.cl.SpawnClient(cn, fmt.Sprintf("client%d", i), func(c ftmode.Client) {
+			fn(c.(*Client))
 			done++
 		})
 	}
@@ -96,10 +99,10 @@ func TestCRUD(t *testing.T) {
 			t.Errorf("delete: %v", err)
 			return
 		}
-		if _, err := c.Search(key(3)); !errors.Is(err, ErrNotFound) {
+		if _, err := c.Search(key(3)); !errors.Is(err, core.ErrNotFound) {
 			t.Errorf("search deleted: %v", err)
 		}
-		if err := c.Delete([]byte("missing")); !errors.Is(err, ErrNotFound) {
+		if err := c.Delete([]byte("missing")); !errors.Is(err, core.ErrNotFound) {
 			t.Errorf("delete missing: %v", err)
 		}
 	})
@@ -176,7 +179,7 @@ func TestWriteCosts(t *testing.T) {
 	for _, r := range []int{1, 2, 3} {
 		r := r
 		t.Run(fmt.Sprintf("replicas=%d", r), func(t *testing.T) {
-			tc := newTestCluster(t, func(cfg *Config) { cfg.Replicas = r })
+			tc := newTestCluster(t, func(cfg *replica.Config) { cfg.Replicas = r })
 			tc.runClients(t, 30*time.Second, func(c *Client) {
 				const n = 50
 				for i := 0; i < n; i++ {
@@ -212,7 +215,7 @@ func TestSlotWidthAffectsBucketBytes(t *testing.T) {
 	read8, read16 := uint64(0), uint64(0)
 	for _, sb := range []int{8, 16} {
 		sb := sb
-		tc := newTestCluster(t, func(cfg *Config) { cfg.SlotBytes = sb; cfg.CacheValues = false })
+		tc := newTestCluster(t, func(cfg *replica.Config) { cfg.SlotBytes = sb; cfg.CacheValues = false })
 		var reads uint64
 		tc.runClients(t, 30*time.Second, func(c *Client) {
 			for i := 0; i < 30; i++ {

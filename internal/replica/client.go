@@ -1,0 +1,478 @@
+package replica
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/layout"
+	"repro/internal/racehash"
+	"repro/internal/rdma"
+)
+
+// MaxOpRetries bounds the attempts of one operation before it gives up
+// with core.ErrRetriesExhausted.
+const MaxOpRetries = 1024
+
+// ReadBytes is the speculative size of a pair's first read while the
+// client has not seen its class: the workload default; oversized reads
+// self-correct.
+const ReadBytes = 1024 + 64
+
+// Stats counts a client's operations and verbs for harnesses.
+type Stats struct {
+	Ops          uint64
+	CASIssued    uint64
+	CASRetries   uint64
+	ReadsIssued  uint64
+	WritesIssued uint64
+	BytesRead    uint64
+	BytesWritten uint64
+	ValidBytes   uint64 // net new valid payload written (first copy)
+}
+
+type openBlock struct {
+	mn   int
+	idx  int
+	next int
+}
+
+// Client is the part of a replication client every mode shares; a mode
+// embeds it and adds its cache and its four operations.
+type Client struct {
+	Cfg   *Config
+	Ctx   rdma.Ctx
+	Stats Stats
+
+	cl   *Cluster
+	id   uint16
+	open map[uint8][]*openBlock // per class: the open blocks pairs are placed in
+}
+
+// Attach binds the client to its process context.
+func (c *Client) Attach(ctx rdma.Ctx) { c.Ctx = ctx }
+
+// Counters returns the client's verb counts (CAS, reads, writes) for
+// harness accounting such as Figure 1(a)'s CAS-per-request rows.
+func (c *Client) Counters() (cas, reads, writes uint64) {
+	return c.Stats.CASIssued, c.Stats.ReadsIssued, c.Stats.WritesIssued
+}
+
+// Close is a no-op: the baselines batch no client-side state that must
+// be flushed (interface parity with core's Client).
+func (c *Client) Close() {}
+
+// KillMN asks MN mn to fail-stop itself over the admin RPC (the
+// wall-clock fabric's fault-injection surface; simulated harnesses
+// call Cluster.FailMN directly).
+func (c *Client) KillMN(mn int) error {
+	if c.Failed(mn) {
+		return rdma.ErrNodeFailed
+	}
+	resp, err := c.Ctx.RPC(c.cl.nodes[mn], methodKill, nil)
+	if err != nil {
+		return err
+	}
+	if len(resp) < 1 || resp[0] != 0 {
+		return fmt.Errorf("replica: kill rejected")
+	}
+	return nil
+}
+
+// Read, CAS and Batch issue the verb and count it.
+
+func (c *Client) Read(buf []byte, at rdma.GlobalAddr) error {
+	c.Stats.ReadsIssued++
+	c.Stats.BytesRead += uint64(len(buf))
+	return c.Ctx.Read(buf, at)
+}
+
+func (c *Client) CAS(at rdma.GlobalAddr, old, new uint64) (uint64, error) {
+	c.Stats.CASIssued++
+	return c.Ctx.CAS(at, old, new)
+}
+
+func (c *Client) Batch(ops []rdma.Op) error {
+	for i := range ops {
+		if ops[i].Kind == rdma.OpRead {
+			c.Stats.ReadsIssued++
+			c.Stats.BytesRead += uint64(len(ops[i].Buf))
+		} else {
+			c.Stats.WritesIssued++
+			c.Stats.BytesWritten += uint64(len(ops[i].Buf))
+		}
+	}
+	return c.Ctx.Batch(ops)
+}
+
+// Failed reports whether the view has MN mn failed.
+func (c *Client) Failed(mn int) bool { return c.cl.isFailed(mn) }
+
+// NoteErr records a node failure observed through err and reports
+// whether the caller should fail over (retry on a surviving replica).
+func (c *Client) NoteErr(mn int, err error) bool {
+	if errors.Is(err, rdma.ErrNodeFailed) {
+		c.cl.markFailed(mn)
+		return true
+	}
+	return false
+}
+
+// Live returns the surviving replica indices of partition p in replica
+// order; the first is the acting primary, which keeps serializing
+// writes after failures.
+func (c *Client) Live(p int) []int {
+	out := make([]int, 0, c.Cfg.Replicas)
+	for i := 0; i < c.Cfg.Replicas; i++ {
+		if !c.Failed(c.Cfg.ReplicaMN(p, i)) {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// RefreshView probes every not-yet-failed MN with a minimal read and
+// marks the dead ones. Used after an ambiguous batched-verb failure
+// (the batch error does not say which node died).
+func (c *Client) RefreshView() {
+	var b [8]byte
+	for mn := 0; mn < c.Cfg.NumMNs; mn++ {
+		if c.Failed(mn) {
+			continue
+		}
+		if err := c.Read(b[:], rdma.GlobalAddr{Node: c.cl.nodes[mn]}); err != nil {
+			c.NoteErr(mn, err)
+		}
+	}
+}
+
+// ErrAllReplicasFailed reports every replica of a partition dead.
+func ErrAllReplicasFailed(p int) error {
+	return fmt.Errorf("replica: all replicas of partition %d failed: %w", p, rdma.ErrNodeFailed)
+}
+
+// Backoff sleeps a bounded, client-salted exponential delay, so losers
+// of a race on a hot key do not starve in a thundering herd.
+func (c *Client) Backoff(attempt int) {
+	shift := attempt
+	if shift > 6 {
+		shift = 6
+	}
+	c.Ctx.Sleep(time.Duration(1+int(c.id)%4) * time.Microsecond << shift)
+}
+
+// SlotWord packs a slot's first word: fingerprint in the top byte,
+// 48-bit address below (the 8-byte atomic word layout FUSEE uses).
+func SlotWord(fp uint8, addr uint64) uint64 {
+	return uint64(fp)<<56 | addr&((1<<48)-1)
+}
+
+func SlotFP(w uint64) uint8    { return uint8(w >> 56) }
+func SlotAddr(w uint64) uint64 { return w & ((1 << 48) - 1) }
+
+// Key is what a key's hash decides: its partition, the fingerprint its
+// slot carries and its two candidate buckets.
+type Key struct {
+	Bytes   []byte
+	P       int
+	FP      uint8
+	Buckets [2]uint64
+	hash    uint64
+}
+
+// Op begins one operation on key: it counts it and hashes the key.
+func (c *Client) Op(key []byte) Key {
+	c.Stats.Ops++
+	h := racehash.Hash(key)
+	b1, b2 := racehash.BucketPair(h, c.Cfg.numBuckets())
+	return Key{Bytes: key, P: racehash.HomeMN(h, c.Cfg.NumMNs), FP: racehash.Fingerprint(h),
+		Buckets: [2]uint64{b1, b2}, hash: h}
+}
+
+// Slot names one position of a partition's index: the same bucket and
+// slot number on every replica.
+type Slot struct {
+	P      int
+	Bucket uint64
+	Idx    int
+}
+
+// At returns where replica ri of the slot's partition keeps the slot,
+// and the MN that is.
+func (c *Client) At(s Slot, ri int) (mn int, at rdma.GlobalAddr) {
+	mn = c.Cfg.ReplicaMN(s.P, ri)
+	off := c.Cfg.regionOff(c.Cfg.hostedRegion(mn, s.P)) + s.Bucket*c.Cfg.BucketBytes() + uint64(s.Idx*c.Cfg.SlotBytes)
+	return mn, rdma.GlobalAddr{Node: c.cl.nodes[mn], Off: off}
+}
+
+// CopyAt unpacks the address part of a slot word: where the copy is,
+// and the MN that is.
+func (c *Client) CopyAt(addr uint64) (mn int, at rdma.GlobalAddr) {
+	node, off := layout.UnpackAddr(addr)
+	return int(node), rdma.GlobalAddr{Node: c.cl.nodes[node], Off: off}
+}
+
+// Pair is a key's two candidate buckets as one replica of its
+// partition holds them.
+type Pair struct {
+	c    *Client
+	k    *Key
+	hint int
+	buf  [2][]byte
+	next int // next of the 2×BucketSlots slots for Next to look at
+	// Torn reports that Next met a candidate whose pair failed its
+	// fences: an overwrite of it was in flight.
+	Torn bool
+}
+
+// ReadPair reads the key's bucket pair from replica ri in one batch.
+// hint is the size at which Next first reads a candidate's KV pair.
+func (c *Client) ReadPair(k *Key, ri, hint int) (*Pair, error) {
+	p := &Pair{c: c, k: k, hint: hint}
+	ops := make([]rdma.Op, 2)
+	var mn int
+	for i, b := range k.Buckets {
+		p.buf[i] = make([]byte, c.Cfg.BucketBytes())
+		ops[i].Kind, ops[i].Buf = rdma.OpRead, p.buf[i]
+		mn, ops[i].Addr = c.At(Slot{k.P, b, 0}, ri)
+	}
+	if err := c.Batch(ops); err != nil {
+		c.NoteErr(mn, err)
+		return nil, err
+	}
+	return p, nil
+}
+
+// Match is a slot of a Pair whose KV pair carries the key.
+type Match struct {
+	Slot Slot
+	Raw  []byte // the slot as the replica holds it, SlotBytes wide
+	KV   *layout.KV
+}
+
+// Word returns the slot's first word.
+func (m *Match) Word() uint64 { return binary.LittleEndian.Uint64(m.Raw) }
+
+// Next returns the next slot of the pair, in bucket and slot order,
+// whose fingerprint matches and whose KV pair — read with replica
+// failover — carries the key, or nil when there is none left.
+func (p *Pair) Next() *Match {
+	sb := p.c.Cfg.SlotBytes
+	for p.next < 2*BucketSlots {
+		b, s := p.next/BucketSlots, p.next%BucketSlots
+		p.next++
+		raw := p.buf[b][s*sb : (s+1)*sb]
+		w := binary.LittleEndian.Uint64(raw)
+		if w == 0 || SlotFP(w) != p.k.FP {
+			continue
+		}
+		slot := Slot{p.k.P, p.k.Buckets[b], s}
+		kv, err := p.c.readKVFailover(slot, w, p.hint)
+		if errors.Is(err, layout.ErrTornKV) {
+			p.Torn = true
+		}
+		if err == nil && kv != nil && bytes.Equal(kv.Key, p.k.Bytes) {
+			return &Match{slot, raw, kv}
+		}
+	}
+	return nil
+}
+
+// Free picks an empty slot for a key the pair does not hold: the first
+// of the bucket a bit of the key's hash prefers, else of the other one.
+// The preference balances the pair while keeping racing inserters of
+// one key on the same slot.
+func (p *Pair) Free() (Slot, error) {
+	first := int(p.k.hash >> 32 & 1)
+	for _, b := range [2]int{first, 1 - first} {
+		for s := 0; s < BucketSlots; s++ {
+			if binary.LittleEndian.Uint64(p.buf[b][s*p.c.Cfg.SlotBytes:]) == 0 {
+				return Slot{p.k.P, p.k.Buckets[b], s}, nil
+			}
+		}
+	}
+	return Slot{}, fmt.Errorf("replica: buckets full for key %q", p.k.Bytes)
+}
+
+// PairBytes returns the class size the header of an encoded KV pair
+// states, or 0 when the pair was never written.
+func PairBytes(buf []byte) int {
+	if buf[0] == 0 {
+		return 0
+	}
+	keyLen := int(binary.LittleEndian.Uint16(buf[2:]))
+	valLen := int(binary.LittleEndian.Uint32(buf[4:]))
+	return layout.KVClassSize(keyLen, valLen)
+}
+
+// ReadKVAt reads and decodes a KV copy. The speculative size is
+// clamped to the block boundary (KV pairs never span blocks); the
+// pair's true size comes from its header, so the read may turn out
+// longer than the pair (decode the class-size prefix) or shorter
+// (re-read at the true size).
+func (c *Client) ReadKVAt(addr uint64, size int) (*layout.KV, error) {
+	mn, at := c.CopyAt(addr)
+	if base := c.Cfg.blockOff(0); at.Off >= base {
+		rel := (at.Off - base) % c.Cfg.BlockSize
+		if remain := int(c.Cfg.BlockSize - rel); size > remain {
+			size = remain
+		}
+	}
+	if size < 64 {
+		size = 64
+	}
+	for {
+		buf := make([]byte, size)
+		if err := c.Read(buf, at); err != nil {
+			c.NoteErr(mn, err)
+			return nil, err
+		}
+		real := PairBytes(buf)
+		if real == 0 {
+			return nil, nil // never written
+		}
+		if real > int(c.Cfg.BlockSize) {
+			return nil, layout.ErrTornKV
+		}
+		if real <= size {
+			return layout.DecodeKV(buf[:real])
+		}
+		size = real
+	}
+}
+
+// readKVFailover reads the KV pair a slot word points at; when that
+// copy's MN has failed it chases the surviving replicas' words of the
+// same slot and reads their copies instead. This is the baselines'
+// whole recovery story: any surviving copy serves the data, no rebuild.
+func (c *Client) readKVFailover(s Slot, w uint64, size int) (*layout.KV, error) {
+	kv, err := c.ReadKVAt(SlotAddr(w), size)
+	if err == nil || !errors.Is(err, rdma.ErrNodeFailed) {
+		return kv, err
+	}
+	for _, ri := range c.Live(s.P) {
+		mn, at := c.At(s, ri)
+		var wb [8]byte
+		if rerr := c.Read(wb[:], at); rerr != nil {
+			c.NoteErr(mn, rerr)
+			continue
+		}
+		rw := binary.LittleEndian.Uint64(wb[:])
+		if rw == 0 || SlotFP(rw) != SlotFP(w) {
+			continue
+		}
+		if kv, err = c.ReadKVAt(SlotAddr(rw), size); err == nil {
+			return kv, nil
+		}
+	}
+	return nil, err
+}
+
+// Value returns what a GET answers for a decoded pair: a copy of its
+// value, or core.ErrNotFound for a tombstone.
+func Value(kv *layout.KV) ([]byte, error) {
+	if kv.Tombstone {
+		return nil, core.ErrNotFound
+	}
+	return append([]byte(nil), kv.Val...), nil
+}
+
+// PeerWords reads the first word of slot s at each replica in ris, in
+// one batch, into words[ri].
+func (c *Client) PeerWords(s Slot, ris []int, words []uint64) error {
+	if len(ris) == 0 {
+		return nil
+	}
+	ops := make([]rdma.Op, len(ris))
+	for i, ri := range ris {
+		ops[i].Kind, ops[i].Buf = rdma.OpRead, make([]byte, 8)
+		_, ops[i].Addr = c.At(s, ri)
+	}
+	if err := c.Batch(ops); err != nil {
+		return err
+	}
+	for i, ri := range ris {
+		words[ri] = binary.LittleEndian.Uint64(ops[i].Buf)
+	}
+	return nil
+}
+
+// Place reserves room for n copies of the encoded pair buf in the
+// client's open blocks of its class, on distinct MNs, and returns their
+// packed addresses with the n writes; the caller posts them in a batch
+// of its own. When one of the blocks has no room for another pair the
+// class's blocks are retired.
+func (c *Client) Place(buf []byte, n int) ([]uint64, []rdma.Op, error) {
+	size := len(buf)
+	obs, err := c.getBlocks(uint8(size/64), n)
+	if err != nil {
+		return nil, nil, err
+	}
+	addrs := make([]uint64, n)
+	ops := make([]rdma.Op, n)
+	for i, ob := range obs[:n] {
+		off := c.Cfg.blockOff(ob.idx) + uint64(ob.next*size)
+		ob.next++
+		addrs[i] = layout.PackAddr(uint16(ob.mn), off)
+		ops[i] = rdma.Op{Kind: rdma.OpWrite, Addr: rdma.GlobalAddr{Node: c.cl.nodes[ob.mn], Off: off}, Buf: buf}
+	}
+	for _, ob := range obs {
+		if (ob.next+1)*size > int(c.Cfg.BlockSize) {
+			c.DropBlocks(size)
+			break
+		}
+	}
+	return addrs, ops, nil
+}
+
+// DropBlocks forgets the open blocks of size's class, so the next Place
+// provisions new ones (a write into them hit a dead MN, or one is
+// full).
+func (c *Client) DropBlocks(size int) { delete(c.open, uint8(size/64)) }
+
+// getBlocks returns (allocating if needed) at least n open blocks for
+// a size class, one per copy on distinct MNs.
+func (c *Client) getBlocks(class uint8, n int) ([]*openBlock, error) {
+	if obs, ok := c.open[class]; ok && len(obs) >= n {
+		return obs, nil
+	}
+	cfg := c.Cfg
+	obs := make([]*openBlock, 0, n)
+	used := map[int]bool{}
+	for i := 0; i < n; i++ {
+		allocated := false
+		// First pass wants copies on distinct MNs; when failures leave
+		// fewer live MNs than replicas, the relaxed pass reuses live
+		// MNs (distinct blocks) rather than refusing writes.
+		for _, distinct := range []bool{true, false} {
+			for try := 0; try < cfg.NumMNs && !allocated; try++ {
+				mn := (int(c.id) + i + try) % cfg.NumMNs
+				if (distinct && used[mn]) || c.Failed(mn) {
+					continue
+				}
+				resp, err := c.Ctx.RPC(c.cl.nodes[mn], methodAlloc, nil)
+				if err != nil {
+					c.NoteErr(mn, err)
+					continue
+				}
+				if len(resp) == 0 || resp[0] != 0 {
+					continue
+				}
+				obs = append(obs, &openBlock{mn: mn, idx: int(binary.LittleEndian.Uint32(resp[1:]))})
+				used[mn] = true
+				allocated = true
+			}
+			if allocated {
+				break
+			}
+		}
+		if !allocated {
+			return nil, core.ErrNoSpace
+		}
+	}
+	c.open[class] = obs
+	return obs, nil
+}

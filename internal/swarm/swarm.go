@@ -6,7 +6,8 @@
 //
 //   - Like FUSEE, every KV pair lives as n full copies on n memory
 //     nodes and the hash index is n-way replicated, so an MN fail-stop
-//     needs no rebuild — survivors carry the data.
+//     needs no rebuild — survivors carry the data. That part is shared
+//     with the FUSEE baseline (internal/replica).
 //   - Unlike FUSEE, updates do not re-place the pair and re-CAS every
 //     index replica. A slot's copies are fixed in place at insert; an
 //     update is one CAS on the primary's version word (serializing
@@ -29,235 +30,29 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"fmt"
-	"sync"
-	"time"
 
 	"repro/internal/core"
+	"repro/internal/ftmode"
 	"repro/internal/layout"
-	"repro/internal/racehash"
 	"repro/internal/rdma"
+	"repro/internal/replica"
 )
-
-// Errors. Each wraps the corresponding core error so callers match on
-// one taxonomy regardless of the fault-tolerance mode.
-var (
-	ErrNotFound         = fmt.Errorf("swarm: %w", core.ErrNotFound)
-	ErrNoSpace          = fmt.Errorf("swarm: %w", core.ErrNoSpace)
-	ErrRetriesExhausted = fmt.Errorf("swarm: %w", core.ErrRetriesExhausted)
-)
-
-const maxOpRetries = 1024
 
 // slotBytes is the fixed index slot width: word0 = fp|addr (atomic),
-// word1 = version.
+// word1 = version, 8 bytes further on.
 const slotBytes = 16
 
-// bucketSlots is the slot count per bucket (one bucket = one 128 B
-// RDMA_READ).
-const bucketSlots = 8
-
-// Config parameterises the mode.
-type Config struct {
-	// NumMNs is the memory-node count.
-	NumMNs int
-	// Replicas is the replication factor n (index partitions and KV
-	// copies alike).
-	Replicas int
-	// PartitionBytes is the per-partition index size (each MN hosts
-	// Replicas partitions, like the FUSEE baseline's layout).
-	PartitionBytes uint64
-	// BlockSize and BlocksPerMN size the KV block area.
-	BlockSize   uint64
-	BlocksPerMN int
-	// CacheValues enables the client slot cache (location + copy
-	// addresses, so cached reads skip the bucket walk).
-	CacheValues bool
-}
-
-// DefaultConfig mirrors the FUSEE baseline's scaled-down geometry.
-func DefaultConfig() Config {
-	return Config{
-		NumMNs:         5,
-		Replicas:       3,
-		PartitionBytes: 1 << 20,
-		BlockSize:      2 << 20,
-		BlocksPerMN:    48,
-		CacheValues:    true,
-	}
-}
-
-func (c *Config) bucketBytes() uint64 { return uint64(bucketSlots * slotBytes) }
-func (c *Config) numBuckets() uint64  { return c.PartitionBytes / c.bucketBytes() }
-
-// regionOff returns the offset of hosted partition region j on an MN.
-func (c *Config) regionOff(j int) uint64 { return uint64(j) * c.PartitionBytes }
-
-// blockOff returns the offset of block b on an MN.
-func (c *Config) blockOff(b int) uint64 {
-	return uint64(c.Replicas)*c.PartitionBytes + uint64(b)*c.BlockSize
-}
-
-// memBytes is the registered region size per MN.
-func (c *Config) memBytes() uint64 { return c.blockOff(c.BlocksPerMN) }
-
-// replicaMN returns the MN hosting replica i of partition p.
-func (c *Config) replicaMN(p, i int) int { return (p + i) % c.NumMNs }
-
-// hostedRegion returns which region index of MN m holds partition p's
-// replica, or -1.
-func (c *Config) hostedRegion(m, p int) int {
-	j := ((m-p)%c.NumMNs + c.NumMNs) % c.NumMNs
-	if j < c.Replicas {
-		return j
-	}
-	return -1
-}
-
-// Cluster wires the mode onto a platform.
-type Cluster struct {
-	Cfg   Config
-	pl    rdma.Platform
-	nodes []rdma.NodeID
-
-	mu      sync.Mutex
-	nextBlk []int // bump allocator per MN
-	nextCli uint16
-
-	// viewMu guards the failure view; clients mark MNs failed when a
-	// verb returns rdma.ErrNodeFailed (or a harness calls FailMN) and
-	// fail over to surviving replicas.
-	viewMu sync.Mutex
-	failed []bool
-}
-
-// NewCluster creates the mode's memory nodes and installs its RPC
-// handlers (block allocation, admin kill).
-func NewCluster(cfg Config, pl rdma.Platform) (*Cluster, error) {
-	if cfg.Replicas < 1 || cfg.Replicas > cfg.NumMNs {
-		return nil, fmt.Errorf("swarm: replicas %d out of range", cfg.Replicas)
-	}
-	cl := &Cluster{Cfg: cfg, pl: pl, failed: make([]bool, cfg.NumMNs)}
-	for i := 0; i < cfg.NumMNs; i++ {
-		node := pl.AddMemNode(rdma.MemNodeConfig{MemBytes: cfg.memBytes(), CPUCores: 1})
-		cl.nodes = append(cl.nodes, node)
-		cl.nextBlk = append(cl.nextBlk, 0)
-		mn := i
-		pl.SetHandler(node, func(method uint8, req []byte) ([]byte, time.Duration) {
-			return cl.handle(mn, method, req)
-		})
-	}
-	return cl, nil
-}
-
-const (
-	methodAlloc uint8 = 1
-	methodKill  uint8 = 2
-)
-
-// handle serves block allocation and the admin kill.
-func (cl *Cluster) handle(mn int, method uint8, _ []byte) ([]byte, time.Duration) {
-	if method == methodKill {
-		go func() {
-			time.Sleep(10 * time.Millisecond)
-			cl.FailMN(mn)
-		}()
-		return []byte{0}, time.Microsecond
-	}
-	if method != methodAlloc {
-		return []byte{1}, time.Microsecond
-	}
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	if cl.nextBlk[mn] >= cl.Cfg.BlocksPerMN {
-		return []byte{1}, 2 * time.Microsecond
-	}
-	b := cl.nextBlk[mn]
-	cl.nextBlk[mn]++
-	var resp [5]byte
-	resp[0] = 0
-	binary.LittleEndian.PutUint32(resp[1:], uint32(b))
-	return resp[:], 2 * time.Microsecond
-}
-
-// AllocatedBytes returns the total block bytes allocated across MNs.
-func (cl *Cluster) AllocatedBytes() uint64 {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	total := uint64(0)
-	for _, n := range cl.nextBlk {
-		total += uint64(n) * cl.Cfg.BlockSize
-	}
-	return total
-}
-
-// FailMN fail-stops logical MN mn; clients fail over to survivors.
-func (cl *Cluster) FailMN(mn int) {
-	cl.markFailed(mn)
-	cl.pl.Fail(cl.nodes[mn])
-}
-
-func (cl *Cluster) markFailed(mn int) {
-	cl.viewMu.Lock()
-	cl.failed[mn] = true
-	cl.viewMu.Unlock()
-}
-
-// Failed reports whether MN mn is marked failed.
-func (cl *Cluster) Failed(mn int) bool {
-	cl.viewMu.Lock()
-	defer cl.viewMu.Unlock()
-	return cl.failed[mn]
-}
-
-// MNState reports (failed, indexReady, blocksReady); like the FUSEE
-// baseline there is no tiered rebuild.
-func (cl *Cluster) MNState(mn int) (failed, indexReady, blocksReady bool) {
-	f := cl.Failed(mn)
-	return f, !f, !f
-}
-
-// NewClient allocates a client identity.
-func (cl *Cluster) NewClient() *Client {
-	cl.mu.Lock()
-	cl.nextCli++
-	id := cl.nextCli
-	cl.mu.Unlock()
-	return &Client{
-		cl:    cl,
-		id:    id,
-		cache: make(map[string]*cacheEnt),
-		open:  make(map[uint8][]*openBlock),
-	}
-}
-
-// SpawnClient spawns fn as a client process on compute node cn.
-func (cl *Cluster) SpawnClient(cn rdma.NodeID, name string, fn func(*Client)) *Client {
-	cli := cl.NewClient()
-	cl.pl.Spawn(cn, name, func(ctx rdma.Ctx) {
-		cli.ctx = ctx
-		fn(cli)
-	})
-	return cli
-}
-
-// slotWord packs word0: fingerprint in the top byte, 48-bit address
-// below.
-func slotWord(fp uint8, addr uint64) uint64 {
-	return uint64(fp)<<56 | addr&((1<<48)-1)
-}
-
-func slotFP(w uint64) uint8    { return uint8(w >> 56) }
-func slotAddr(w uint64) uint64 { return w & ((1 << 48) - 1) }
+// The mode sits behind the same API as Aceso, selected with
+// Config.FTMode = core.FTModeSwarm.
+func init() { replica.Register(core.FTModeSwarm, slotBytes, newClient) }
 
 // fenceFor returns the copy fence for a version (alternates 1/2 so a
 // torn in-place overwrite is distinguishable from the intact old pair).
 func fenceFor(ver uint64) uint8 { return uint8(1 + ver&1) }
 
-type openBlock struct {
-	mn   int
-	idx  int
-	next int
+// wordWrite is the plain 8-byte write of w at at.
+func wordWrite(at rdma.GlobalAddr, w uint64) rdma.Op {
+	return rdma.Op{Kind: rdma.OpWrite, Addr: at, Buf: binary.LittleEndian.AppendUint64(nil, w)}
 }
 
 // cacheEnt caches a key's slot location and per-replica copy
@@ -265,521 +60,9 @@ type openBlock struct {
 // immutable after insert (absent reallocation), so a cached read
 // validates with one 16 B slot read batched with the copy read.
 type cacheEnt struct {
-	bucket  uint64
-	slotIdx int
-	words   []uint64 // per replica, packed word0 (0 = unknown)
-	class   int      // copy class size (bytes)
-}
-
-// Client is a swarm-mode client.
-type Client struct {
-	cl  *Cluster
-	ctx rdma.Ctx
-	id  uint16
-
-	cache map[string]*cacheEnt
-	open  map[uint8][]*openBlock
-
-	// Stats for harnesses.
-	Stats struct {
-		Ops          uint64
-		CASIssued    uint64
-		CASRetries   uint64
-		ReadsIssued  uint64
-		WritesIssued uint64
-		BytesRead    uint64
-		BytesWritten uint64
-		ValidBytes   uint64
-	}
-}
-
-// Attach binds the client to its process context.
-func (c *Client) Attach(ctx rdma.Ctx) { c.ctx = ctx }
-
-// Counters returns the client's verb counts for harness accounting.
-func (c *Client) Counters() (cas, reads, writes uint64) {
-	return c.Stats.CASIssued, c.Stats.ReadsIssued, c.Stats.WritesIssued
-}
-
-// Close is a no-op (interface parity with core's Client).
-func (c *Client) Close() {}
-
-// KillMN asks MN mn to fail-stop itself over the admin RPC.
-func (c *Client) KillMN(mn int) error {
-	if c.cl.Failed(mn) {
-		return rdma.ErrNodeFailed
-	}
-	resp, err := c.ctx.RPC(c.cl.nodes[mn], methodKill, nil)
-	if err != nil {
-		return err
-	}
-	if len(resp) < 1 || resp[0] != 0 {
-		return fmt.Errorf("swarm: kill rejected")
-	}
-	return nil
-}
-
-// noteErr records a node failure observed through err and reports
-// whether the caller should fail over.
-func (c *Client) noteErr(mn int, err error) bool {
-	if errors.Is(err, rdma.ErrNodeFailed) {
-		c.cl.markFailed(mn)
-		return true
-	}
-	return false
-}
-
-// refreshView probes every not-yet-failed MN after an ambiguous
-// batched-verb failure and marks the dead ones.
-func (c *Client) refreshView() {
-	var b [8]byte
-	for mn := 0; mn < c.cl.Cfg.NumMNs; mn++ {
-		if c.cl.Failed(mn) {
-			continue
-		}
-		c.Stats.ReadsIssued++
-		c.Stats.BytesRead += 8
-		if err := c.ctx.Read(b[:], rdma.GlobalAddr{Node: c.cl.nodes[mn]}); err != nil {
-			c.noteErr(mn, err)
-		}
-	}
-}
-
-// liveReplicas returns the surviving replica indices of partition p in
-// replica order (acting primary first).
-func (c *Client) liveReplicas(p int) []int {
-	cfg := &c.cl.Cfg
-	out := make([]int, 0, cfg.Replicas)
-	for i := 0; i < cfg.Replicas; i++ {
-		if !c.cl.Failed(cfg.replicaMN(p, i)) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-func errAllReplicasFailed(p int) error {
-	return fmt.Errorf("swarm: all replicas of partition %d failed: %w", p, rdma.ErrNodeFailed)
-}
-
-// slotOff returns the offset of slot s of bucket b within a hosted
-// partition region (word0; word1 is at +8).
-func (c *Client) slotOff(region int, bucket uint64, s int) uint64 {
-	cfg := &c.cl.Cfg
-	return cfg.regionOff(region) + bucket*cfg.bucketBytes() + uint64(s*slotBytes)
-}
-
-// buckets returns the key's two candidate buckets.
-func (c *Client) buckets(h uint64) (uint64, uint64) {
-	return racehash.BucketPair(h, c.cl.Cfg.numBuckets())
-}
-
-// readBucketPair reads the key's two buckets from one replica of its
-// partition.
-func (c *Client) readBucketPair(p, replica int, b1, b2 uint64) ([]byte, []byte, error) {
-	cfg := &c.cl.Cfg
-	mn := cfg.replicaMN(p, replica)
-	region := cfg.hostedRegion(mn, p)
-	node := c.cl.nodes[mn]
-	bb := cfg.bucketBytes()
-	buf1 := make([]byte, bb)
-	buf2 := make([]byte, bb)
-	ops := []rdma.Op{
-		{Kind: rdma.OpRead, Addr: rdma.GlobalAddr{Node: node, Off: c.slotOff(region, b1, 0)}, Buf: buf1},
-		{Kind: rdma.OpRead, Addr: rdma.GlobalAddr{Node: node, Off: c.slotOff(region, b2, 0)}, Buf: buf2},
-	}
-	c.Stats.ReadsIssued += 2
-	c.Stats.BytesRead += 2 * bb
-	if err := c.ctx.Batch(ops); err != nil {
-		if c.noteErr(mn, err) {
-			return nil, nil, err
-		}
-		return nil, nil, err
-	}
-	return buf1, buf2, nil
-}
-
-// scan finds fp matches in a bucket's raw bytes, returning slot
-// indices.
-func (c *Client) scan(fp uint8, buf []byte) []int {
-	var out []int
-	for s := 0; s < bucketSlots; s++ {
-		w := binary.LittleEndian.Uint64(buf[s*slotBytes:])
-		if w != 0 && slotFP(w) == fp {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// freeSlot finds the first empty slot (word0 == 0) in a bucket, or -1.
-func (c *Client) freeSlot(buf []byte) int {
-	for s := 0; s < bucketSlots; s++ {
-		if binary.LittleEndian.Uint64(buf[s*slotBytes:]) == 0 {
-			return s
-		}
-	}
-	return -1
-}
-
-// wordsOf extracts (word0, word1) of slot s from a raw bucket.
-func wordsOf(buf []byte, s int) (w0, w1 uint64) {
-	w0 = binary.LittleEndian.Uint64(buf[s*slotBytes:])
-	w1 = binary.LittleEndian.Uint64(buf[s*slotBytes+8:])
-	return
-}
-
-// readKVAt reads and decodes a KV copy (speculative size, clamped to
-// the block boundary; re-read at the true size when short).
-func (c *Client) readKVAt(packed uint64, size int) (*layout.KV, error) {
-	cfg := &c.cl.Cfg
-	mn, off := layout.UnpackAddr(packed)
-	base := cfg.blockOff(0)
-	if off >= base {
-		rel := (off - base) % cfg.BlockSize
-		if remain := int(cfg.BlockSize - rel); size > remain {
-			size = remain
-		}
-	}
-	if size < 64 {
-		size = 64
-	}
-	buf := make([]byte, size)
-	c.Stats.ReadsIssued++
-	c.Stats.BytesRead += uint64(size)
-	if err := c.ctx.Read(buf, rdma.GlobalAddr{Node: c.cl.nodes[mn], Off: off}); err != nil {
-		c.noteErr(int(mn), err)
-		return nil, err
-	}
-	if buf[0] == 0 {
-		return nil, nil // never written
-	}
-	keyLen := int(binary.LittleEndian.Uint16(buf[2:]))
-	valLen := int(binary.LittleEndian.Uint32(buf[4:]))
-	real := layout.KVClassSize(keyLen, valLen)
-	if real > int(cfg.BlockSize) {
-		return nil, layout.ErrTornKV
-	}
-	if real <= size {
-		return layout.DecodeKV(buf[:real])
-	}
-	buf = make([]byte, real)
-	c.Stats.ReadsIssued++
-	c.Stats.BytesRead += uint64(real)
-	if err := c.ctx.Read(buf, rdma.GlobalAddr{Node: c.cl.nodes[mn], Off: off}); err != nil {
-		c.noteErr(int(mn), err)
-		return nil, err
-	}
-	return layout.DecodeKV(buf)
-}
-
-// guessSize speculates the copy size for the first read of a key.
-func (c *Client) guessSize(key []byte) int {
-	if ent, ok := c.cache[string(key)]; ok && ent.class > 0 {
-		return ent.class
-	}
-	return 1024 + 64
-}
-
-// Search returns the value of key, or ErrNotFound. Reads validate the
-// copy's embedded slot version against the index slot's version word
-// and retry while a writer's in-place overwrite is in flight; after an
-// MN failure they fail over to a surviving replica.
-func (c *Client) Search(key []byte) ([]byte, error) {
-	c.Stats.Ops++
-	h := racehash.Hash(key)
-	p := racehash.HomeMN(h, c.cl.Cfg.NumMNs)
-	fp := racehash.Fingerprint(h)
-	b1, b2 := c.buckets(h)
-
-	if ent, ok := c.cache[string(key)]; ok && c.cl.Cfg.CacheValues {
-		if val, err := c.cachedRead(key, ent, p); err == nil || errors.Is(err, ErrNotFound) {
-			return val, err
-		}
-	}
-	for attempt := 0; attempt < maxOpRetries; attempt++ {
-		live := c.liveReplicas(p)
-		if len(live) == 0 {
-			return nil, errAllReplicasFailed(p)
-		}
-		ri := live[0]
-		buf1, buf2, err := c.readBucketPair(p, ri, b1, b2)
-		if err != nil {
-			if errors.Is(err, rdma.ErrNodeFailed) {
-				continue // fail over to the next surviving replica
-			}
-			return nil, err
-		}
-		unstable := false
-		for bi, buf := range [][]byte{buf1, buf2} {
-			for _, s := range c.scan(fp, buf) {
-				w0, w1 := wordsOf(buf, s)
-				bucket := b1
-				if bi == 1 {
-					bucket = b2
-				}
-				kv, err := c.readCopyFailover(p, bucket, s, w0, c.guessSize(key))
-				if err != nil {
-					if errors.Is(err, layout.ErrTornKV) {
-						unstable = true
-					}
-					continue
-				}
-				if kv == nil {
-					// Insert in flight: word0 committed paths write
-					// copies first, so an empty copy means a torn
-					// state worth one retry.
-					continue
-				}
-				if !bytes.Equal(kv.Key, key) {
-					continue
-				}
-				if kv.SlotVersion < w1 {
-					// An in-place overwrite is landing: the copy read
-					// raced ahead of the version word. Retry.
-					unstable = true
-					continue
-				}
-				if ri == 0 && c.cl.Cfg.CacheValues {
-					words := make([]uint64, c.cl.Cfg.Replicas)
-					words[0] = w0
-					c.cache[string(key)] = &cacheEnt{bucket: bucket, slotIdx: s,
-						words: words, class: layout.KVClassSize(len(kv.Key), len(kv.Val))}
-				}
-				if kv.Tombstone {
-					return nil, ErrNotFound
-				}
-				return append([]byte(nil), kv.Val...), nil
-			}
-		}
-		if unstable {
-			c.backoff(attempt)
-			continue
-		}
-		return nil, ErrNotFound
-	}
-	return nil, ErrRetriesExhausted
-}
-
-// readCopyFailover reads the copy word0 points at; when that copy's MN
-// has failed it chases the surviving replicas' word0s for the same
-// slot and reads their copies instead.
-func (c *Client) readCopyFailover(p int, bucket uint64, s int, w0 uint64, size int) (*layout.KV, error) {
-	kv, err := c.readKVAt(slotAddr(w0), size)
-	if err == nil || !errors.Is(err, rdma.ErrNodeFailed) {
-		return kv, err
-	}
-	cfg := &c.cl.Cfg
-	for _, ri := range c.liveReplicas(p) {
-		mn := cfg.replicaMN(p, ri)
-		region := cfg.hostedRegion(mn, p)
-		var wb [8]byte
-		c.Stats.ReadsIssued++
-		c.Stats.BytesRead += 8
-		if rerr := c.ctx.Read(wb[:], rdma.GlobalAddr{Node: c.cl.nodes[mn], Off: c.slotOff(region, bucket, s)}); rerr != nil {
-			c.noteErr(mn, rerr)
-			continue
-		}
-		rw := binary.LittleEndian.Uint64(wb[:])
-		if rw == 0 || slotFP(rw) != slotFP(w0) {
-			continue
-		}
-		kv, err = c.readKVAt(slotAddr(rw), size)
-		if err == nil {
-			return kv, nil
-		}
-	}
-	return nil, err
-}
-
-// cachedRead validates a cache hit with one batched round trip: the
-// 16 B slot (word0 stability + current version) plus the speculative
-// copy read — the in-place design's read-path win over FUSEE's full
-// bucket re-walk.
-func (c *Client) cachedRead(key []byte, ent *cacheEnt, p int) ([]byte, error) {
-	cfg := &c.cl.Cfg
-	mn := cfg.replicaMN(p, 0)
-	if ent.words[0] == 0 || c.cl.Failed(mn) {
-		return nil, errors.New("swarm: stale cache")
-	}
-	kmn, koff := layout.UnpackAddr(slotAddr(ent.words[0]))
-	if c.cl.Failed(int(kmn)) {
-		return nil, errors.New("swarm: stale cache")
-	}
-	region := cfg.hostedRegion(mn, p)
-	slotBuf := make([]byte, slotBytes)
-	kvBuf := make([]byte, ent.class)
-	ops := []rdma.Op{
-		{Kind: rdma.OpRead, Addr: rdma.GlobalAddr{Node: c.cl.nodes[mn], Off: c.slotOff(region, ent.bucket, ent.slotIdx)}, Buf: slotBuf},
-		{Kind: rdma.OpRead, Addr: rdma.GlobalAddr{Node: c.cl.nodes[kmn], Off: koff}, Buf: kvBuf},
-	}
-	c.Stats.ReadsIssued += 2
-	c.Stats.BytesRead += uint64(slotBytes + ent.class)
-	if err := c.ctx.Batch(ops); err != nil {
-		return nil, err
-	}
-	w0 := binary.LittleEndian.Uint64(slotBuf)
-	w1 := binary.LittleEndian.Uint64(slotBuf[8:])
-	if w0 != ent.words[0] {
-		return nil, errors.New("swarm: stale cache") // reallocated
-	}
-	// Decode at the header's true class: an in-place shrink leaves the
-	// new trailing fence before the end of the cached class size.
-	if kvBuf[0] == 0 {
-		return nil, errors.New("swarm: stale cache")
-	}
-	keyLen := int(binary.LittleEndian.Uint16(kvBuf[2:]))
-	valLen := int(binary.LittleEndian.Uint32(kvBuf[4:]))
-	real := layout.KVClassSize(keyLen, valLen)
-	if real > len(kvBuf) {
-		return nil, errors.New("swarm: stale cache") // grew past the class
-	}
-	kv, err := layout.DecodeKV(kvBuf[:real])
-	if err != nil || kv == nil || !bytes.Equal(kv.Key, key) || kv.SlotVersion < w1 {
-		return nil, errors.New("swarm: stale cache") // writer in flight
-	}
-	if kv.Tombstone {
-		return nil, ErrNotFound
-	}
-	return append([]byte(nil), kv.Val...), nil
-}
-
-// backoff sleeps a bounded, client-salted exponential delay.
-func (c *Client) backoff(attempt int) {
-	shift := attempt
-	if shift > 6 {
-		shift = 6
-	}
-	c.ctx.Sleep(time.Duration(1+int(c.id)%4) * time.Microsecond << shift)
-}
-
-// Insert stores a key-value pair (upsert).
-func (c *Client) Insert(key, val []byte) error { return c.write(key, val, false) }
-
-// Update overwrites a key's value (upsert).
-func (c *Client) Update(key, val []byte) error { return c.write(key, val, false) }
-
-// Delete removes a key by an in-place replicated tombstone overwrite.
-func (c *Client) Delete(key []byte) error { return c.write(key, nil, true) }
-
-// write implements the SWARM-style write: first insert of a key
-// commits via word0 CASes (backups then primary, as FUSEE resolves
-// insert races); every subsequent write serializes on ONE version-word
-// CAS and then lands all copies with ONE doorbell batch of in-place
-// overwrites.
-func (c *Client) write(key, val []byte, tombstone bool) error {
-	c.Stats.Ops++
-	h := racehash.Hash(key)
-	p := racehash.HomeMN(h, c.cl.Cfg.NumMNs)
-	fp := racehash.Fingerprint(h)
-	b1, b2 := c.buckets(h)
-	cfg := &c.cl.Cfg
-
-	for attempt := 0; attempt < maxOpRetries; attempt++ {
-		live := c.liveReplicas(p)
-		if len(live) == 0 {
-			return errAllReplicasFailed(p)
-		}
-		acting := live[0]
-
-		// Locate the slot: cache first (valid location + full word set
-		// after this client's own commit), else bucket walk.
-		var (
-			bucket  uint64
-			slotIdx int
-			ver     uint64
-			words   []uint64
-			class   int
-			found   bool
-		)
-		if ent, ok := c.cache[string(key)]; ok && cfg.CacheValues && acting == 0 && ent.complete(len(live)) {
-			bucket, slotIdx, class = ent.bucket, ent.slotIdx, ent.class
-			words = append([]uint64(nil), ent.words...)
-			// The version word still must be read fresh: CAS below
-			// needs the current value.
-			mn := cfg.replicaMN(p, 0)
-			region := cfg.hostedRegion(mn, p)
-			var vb [8]byte
-			c.Stats.ReadsIssued++
-			c.Stats.BytesRead += 8
-			if err := c.ctx.Read(vb[:], rdma.GlobalAddr{Node: c.cl.nodes[mn], Off: c.slotOff(region, bucket, slotIdx) + 8}); err != nil {
-				if c.noteErr(mn, err) {
-					continue
-				}
-				return err
-			}
-			ver = binary.LittleEndian.Uint64(vb[:])
-			found = true
-		} else {
-			var err error
-			bucket, slotIdx, ver, words, class, found, err = c.locate(key, p, acting, fp, b1, b2, h, tombstone)
-			if err != nil {
-				if errors.Is(err, rdma.ErrNodeFailed) {
-					c.refreshView()
-					continue
-				}
-				return err
-			}
-			if tombstone && !found {
-				return ErrNotFound
-			}
-		}
-
-		size := layout.KVClassSize(len(key), len(val))
-		if !found {
-			// First insert: place copies, commit via word0 CAS rounds.
-			err := c.insertSlot(key, val, tombstone, p, fp, bucket, slotIdx, size, live)
-			if err == nil {
-				return nil
-			}
-			if errors.Is(err, rdma.ErrNodeFailed) {
-				c.refreshView()
-				continue
-			}
-			if errors.Is(err, errConflict) {
-				c.Stats.CASRetries++
-				delete(c.cache, string(key))
-				c.backoff(attempt)
-				continue
-			}
-			return err
-		}
-
-		// In-place update: one CAS on the acting primary's version
-		// word serializes writers...
-		mn := cfg.replicaMN(p, acting)
-		region := cfg.hostedRegion(mn, p)
-		verAddr := rdma.GlobalAddr{Node: c.cl.nodes[mn], Off: c.slotOff(region, bucket, slotIdx) + 8}
-		c.Stats.CASIssued++
-		prev, err := c.ctx.CAS(verAddr, ver, ver+1)
-		if err != nil {
-			if c.noteErr(mn, err) {
-				continue
-			}
-			return err
-		}
-		if prev != ver {
-			c.Stats.CASRetries++
-			delete(c.cache, string(key))
-			c.backoff(attempt)
-			continue
-		}
-		// ...then one doorbell batch lands every copy in place (plus
-		// version words on the other replicas, so failover keeps the
-		// version chain). Copies that no longer fit their class, or
-		// whose MN died, are redirected to fresh blocks in the same
-		// batch (word0 rewrite is safe: the version CAS is the lock).
-		if err := c.landCopies(key, val, tombstone, p, fp, bucket, slotIdx, ver+1, size, class, words, live); err != nil {
-			if errors.Is(err, rdma.ErrNodeFailed) {
-				c.refreshView()
-				delete(c.cache, string(key))
-				continue
-			}
-			return err
-		}
-		return nil
-	}
-	return ErrRetriesExhausted
+	slot  replica.Slot
+	words []uint64 // per replica, packed word0 (0 = unknown)
+	class int      // copy class size (bytes)
 }
 
 // complete reports whether the cache entry knows word0 for at least
@@ -794,90 +77,250 @@ func (e *cacheEnt) complete(liveCount int) bool {
 	return n >= liveCount && e.class > 0
 }
 
-// errConflict signals a lost insert race (retry with re-locate).
-var errConflict = errors.New("swarm: insert conflict")
+// Client is a swarm-mode client.
+type Client struct {
+	*replica.Client
+	cache map[string]*cacheEnt
+}
 
-// locate walks the buckets from the acting replica and returns the
-// key's slot (or a free slot), the current version word, the
-// per-replica word0s of the slot, and the existing copy class.
-func (c *Client) locate(key []byte, p, acting int, fp uint8, b1, b2, h uint64, tombstone bool) (bucket uint64, slotIdx int, ver uint64, words []uint64, class int, found bool, err error) {
-	cfg := &c.cl.Cfg
-	words = make([]uint64, cfg.Replicas)
-	buf1, buf2, err := c.readBucketPair(p, acting, b1, b2)
-	if err != nil {
-		return 0, 0, 0, nil, 0, false, err
-	}
-	for bi, buf := range [][]byte{buf1, buf2} {
-		bkt := b1
-		if bi == 1 {
-			bkt = b2
+func newClient(base *replica.Client) ftmode.Client {
+	return &Client{Client: base, cache: make(map[string]*cacheEnt)}
+}
+
+var (
+	errStaleCache = errors.New("swarm: stale cache")
+	// errConflict signals a lost insert race (retry with re-locate).
+	errConflict = errors.New("swarm: insert conflict")
+)
+
+// Search returns the value of key, or core.ErrNotFound. Reads validate
+// the copy's embedded slot version against the index slot's version
+// word and retry while a writer's in-place overwrite is in flight;
+// after an MN failure they fail over to a surviving replica.
+func (c *Client) Search(key []byte) ([]byte, error) {
+	k := c.Op(key)
+	hint := replica.ReadBytes
+	if ent := c.cache[string(key)]; ent != nil {
+		if val, err := c.cachedRead(&k, ent); err == nil || errors.Is(err, core.ErrNotFound) {
+			return val, err
 		}
-		for _, s := range c.scan(fp, buf) {
-			w0, w1 := wordsOf(buf, s)
-			kv, kerr := c.readCopyFailover(p, bkt, s, w0, c.guessSize(key))
-			if kerr != nil || kv == nil || !bytes.Equal(kv.Key, key) {
+		hint = ent.class // stale, but the class is the best guess there is
+	}
+	for attempt := 0; attempt < replica.MaxOpRetries; attempt++ {
+		live := c.Live(k.P)
+		if len(live) == 0 {
+			return nil, replica.ErrAllReplicasFailed(k.P)
+		}
+		pair, err := c.ReadPair(&k, live[0], hint)
+		if err != nil {
+			if errors.Is(err, rdma.ErrNodeFailed) {
+				continue // fail over to the next surviving replica
+			}
+			return nil, err
+		}
+		unstable := false
+		for m := pair.Next(); m != nil; m = pair.Next() {
+			if m.KV.SlotVersion < binary.LittleEndian.Uint64(m.Raw[8:]) {
+				// An in-place overwrite is landing: the copy read
+				// raced ahead of the version word. Retry.
+				unstable = true
 				continue
 			}
-			bucket, slotIdx, ver = bkt, s, w1
-			words[acting] = w0
-			class = layout.KVClassSize(len(kv.Key), len(kv.Val))
-			if len(kv.Val) == 0 {
-				// Tombstones decode with an empty value; the slot's
-				// copies keep their allocated class. Recover it from
-				// the header-visible lengths only when larger.
-				class = layout.KVClassSize(len(kv.Key), 0)
+			if live[0] == 0 && c.Cfg.CacheValues {
+				words := make([]uint64, c.Cfg.Replicas)
+				words[0] = m.Word()
+				c.cache[string(key)] = &cacheEnt{slot: m.Slot, words: words,
+					class: layout.KVClassSize(len(m.KV.Key), len(m.KV.Val))}
 			}
-			found = true
-			break
+			return replica.Value(m.KV)
 		}
-		if found {
-			break
-		}
-	}
-	if !found {
-		if tombstone {
-			return 0, 0, 0, words, 0, false, nil
-		}
-		fBuf, sBuf, fB, sB := buf1, buf2, b1, b2
-		if h>>32&1 == 1 {
-			fBuf, sBuf, fB, sB = buf2, buf1, b2, b1
-		}
-		if s := c.freeSlot(fBuf); s >= 0 {
-			bucket, slotIdx = fB, s
-		} else if s := c.freeSlot(sBuf); s >= 0 {
-			bucket, slotIdx = sB, s
-		} else {
-			return 0, 0, 0, nil, 0, false, fmt.Errorf("swarm: buckets full for key %q", key)
-		}
-		return bucket, slotIdx, 0, words, 0, false, nil
-	}
-	// Read the other surviving replicas' word0s for the slot.
-	live := c.liveReplicas(p)
-	var ops []rdma.Op
-	bufs := map[int][]byte{}
-	for _, ri := range live {
-		if ri == acting {
+		if unstable || pair.Torn {
+			c.Backoff(attempt)
 			continue
 		}
-		mn := cfg.replicaMN(p, ri)
-		region := cfg.hostedRegion(mn, p)
-		buf := make([]byte, 8)
-		bufs[ri] = buf
-		ops = append(ops, rdma.Op{Kind: rdma.OpRead,
-			Addr: rdma.GlobalAddr{Node: c.cl.nodes[mn], Off: c.slotOff(region, bucket, slotIdx)},
-			Buf:  buf})
+		return nil, core.ErrNotFound
 	}
-	if len(ops) > 0 {
-		c.Stats.ReadsIssued += uint64(len(ops))
-		c.Stats.BytesRead += uint64(len(ops) * 8)
-		if err := c.ctx.Batch(ops); err != nil {
-			return 0, 0, 0, nil, 0, false, err
-		}
-		for ri, buf := range bufs {
-			words[ri] = binary.LittleEndian.Uint64(buf)
-		}
+	return nil, core.ErrRetriesExhausted
+}
+
+// cachedRead validates a cache hit with one batched round trip: the
+// 16 B slot (word0 stability + current version) plus the speculative
+// copy read — the in-place design's read-path win over FUSEE's full
+// bucket re-walk.
+func (c *Client) cachedRead(k *replica.Key, ent *cacheEnt) ([]byte, error) {
+	mn, slotAt := c.At(ent.slot, 0)
+	if ent.words[0] == 0 || c.Failed(mn) {
+		return nil, errStaleCache
 	}
-	return bucket, slotIdx, ver, words, class, true, nil
+	kmn, kvAt := c.CopyAt(replica.SlotAddr(ent.words[0]))
+	if c.Failed(kmn) {
+		return nil, errStaleCache
+	}
+	slotBuf := make([]byte, slotBytes)
+	kvBuf := make([]byte, ent.class)
+	if err := c.Batch([]rdma.Op{
+		{Kind: rdma.OpRead, Addr: slotAt, Buf: slotBuf},
+		{Kind: rdma.OpRead, Addr: kvAt, Buf: kvBuf},
+	}); err != nil {
+		return nil, err
+	}
+	if binary.LittleEndian.Uint64(slotBuf) != ent.words[0] {
+		return nil, errStaleCache // reallocated
+	}
+	// Decode at the header's true class: an in-place shrink leaves the
+	// new trailing fence before the end of the cached class size.
+	real := replica.PairBytes(kvBuf)
+	if real == 0 || real > len(kvBuf) {
+		return nil, errStaleCache // never written, or grew past the class
+	}
+	kv, err := layout.DecodeKV(kvBuf[:real])
+	if err != nil || kv == nil || !bytes.Equal(kv.Key, k.Bytes) ||
+		kv.SlotVersion < binary.LittleEndian.Uint64(slotBuf[8:]) {
+		return nil, errStaleCache // writer in flight
+	}
+	return replica.Value(kv)
+}
+
+// Insert stores a key-value pair (upsert).
+func (c *Client) Insert(key, val []byte) error { return c.write(key, val, false) }
+
+// Update overwrites a key's value (upsert).
+func (c *Client) Update(key, val []byte) error { return c.write(key, val, false) }
+
+// Delete removes a key by an in-place replicated tombstone overwrite.
+func (c *Client) Delete(key []byte) error { return c.write(key, nil, true) }
+
+// located is what a write knows about its key's slot before it commits.
+type located struct {
+	slot  replica.Slot
+	ver   uint64   // the acting primary's version word
+	words []uint64 // per replica, word0 (0 = unknown)
+	class int      // class size of the copies in place; 0 = no slot holds the key yet
+}
+
+// write implements the SWARM-style write: first insert of a key
+// commits via word0 CASes (backups then primary, as FUSEE resolves
+// insert races); every subsequent write serializes on ONE version-word
+// CAS and then lands all copies with ONE doorbell batch of in-place
+// overwrites.
+func (c *Client) write(key, val []byte, tombstone bool) error {
+	k := c.Op(key)
+	size := layout.KVClassSize(len(key), len(val))
+
+	for attempt := 0; attempt < replica.MaxOpRetries; attempt++ {
+		live := c.Live(k.P)
+		if len(live) == 0 {
+			return replica.ErrAllReplicasFailed(k.P)
+		}
+		acting := live[0]
+
+		// Locate the slot: cache first (valid location + full word set
+		// after this client's own commit), else bucket walk.
+		var l located
+		if ent := c.cache[string(key)]; ent != nil && acting == 0 && ent.complete(len(live)) {
+			l = located{slot: ent.slot, words: append([]uint64(nil), ent.words...), class: ent.class}
+			// The version word still must be read fresh: CAS below
+			// needs the current value.
+			mn, at := c.At(l.slot, 0)
+			var vb [8]byte
+			if err := c.Read(vb[:], at.Add(8)); err != nil {
+				if c.NoteErr(mn, err) {
+					continue
+				}
+				return err
+			}
+			l.ver = binary.LittleEndian.Uint64(vb[:])
+		} else {
+			hint := replica.ReadBytes
+			if ent != nil {
+				hint = ent.class
+			}
+			var err error
+			if l, err = c.locate(&k, live, tombstone, hint); err != nil {
+				if errors.Is(err, rdma.ErrNodeFailed) {
+					c.RefreshView()
+					continue
+				}
+				return err
+			}
+		}
+
+		if l.class == 0 {
+			// First insert: place copies, commit via word0 CAS rounds.
+			err := c.insertSlot(&k, val, tombstone, l.slot, size, live)
+			if err == nil {
+				return nil
+			}
+			if errors.Is(err, rdma.ErrNodeFailed) {
+				c.RefreshView()
+				continue
+			}
+			if errors.Is(err, errConflict) {
+				c.Stats.CASRetries++
+				delete(c.cache, string(key))
+				c.Backoff(attempt)
+				continue
+			}
+			return err
+		}
+
+		// In-place update: one CAS on the acting primary's version
+		// word serializes writers...
+		mn, at := c.At(l.slot, acting)
+		prev, err := c.CAS(at.Add(8), l.ver, l.ver+1)
+		if err != nil {
+			if c.NoteErr(mn, err) {
+				continue
+			}
+			return err
+		}
+		if prev != l.ver {
+			c.Stats.CASRetries++
+			delete(c.cache, string(key))
+			c.Backoff(attempt)
+			continue
+		}
+		// ...then one doorbell batch lands every copy in place (plus
+		// version words on the other replicas, so failover keeps the
+		// version chain). Copies that no longer fit their class, or
+		// whose MN died, are redirected to fresh blocks in the same
+		// batch (word0 rewrite is safe: the version CAS is the lock).
+		l.ver++
+		if err := c.landCopies(&k, val, tombstone, l, size, live); err != nil {
+			if errors.Is(err, rdma.ErrNodeFailed) {
+				c.RefreshView()
+				delete(c.cache, string(key))
+				continue
+			}
+			return err
+		}
+		return nil
+	}
+	return core.ErrRetriesExhausted
+}
+
+// locate walks the buckets from the acting replica and returns the
+// key's slot with the current version word, the per-replica word0s and
+// the existing copy class — or, for a key no slot holds, a free slot.
+func (c *Client) locate(k *replica.Key, live []int, tombstone bool, hint int) (located, error) {
+	l := located{words: make([]uint64, c.Cfg.Replicas)}
+	pair, err := c.ReadPair(k, live[0], hint)
+	if err != nil {
+		return l, err
+	}
+	m := pair.Next()
+	if m == nil {
+		if tombstone {
+			return l, core.ErrNotFound
+		}
+		l.slot, err = pair.Free()
+		return l, err
+	}
+	l.slot, l.ver = m.Slot, binary.LittleEndian.Uint64(m.Raw[8:])
+	l.words[live[0]] = m.Word()
+	l.class = layout.KVClassSize(len(m.KV.Key), len(m.KV.Val))
+	// Read the other surviving replicas' word0s for the slot.
+	return l, c.PeerWords(l.slot, live[1:], l.words)
 }
 
 // insertSlot commits a key's first write: place one copy per live
@@ -885,253 +328,101 @@ func (c *Client) locate(key []byte, p, acting int, fp uint8, b1, b2, h uint64, t
 // with the backup version words in one batch, then CAS word0 on the
 // backups and finally the acting primary — the FUSEE-style insert-race
 // commit.
-func (c *Client) insertSlot(key, val []byte, tombstone bool, p int, fp uint8, bucket uint64, slotIdx, size int, live []int) error {
-	cfg := &c.cl.Cfg
-	classUnits := uint8(size / 64)
-
+func (c *Client) insertSlot(k *replica.Key, val []byte, tombstone bool, slot replica.Slot, size int, live []int) error {
 	// Read the backup replicas' current word0s first: a lost insert
 	// race can leave a loser's word on a backup, and the CAS below
 	// must swing from whatever is there (as FUSEE's conflict
-	// resolution does), not assume zero.
-	backupOld := map[int]uint64{}
-	if len(live) > 1 {
-		var ops []rdma.Op
-		bufs := map[int][]byte{}
-		for _, ri := range live[1:] {
-			mn := cfg.replicaMN(p, ri)
-			region := cfg.hostedRegion(mn, p)
-			buf := make([]byte, 8)
-			bufs[ri] = buf
-			ops = append(ops, rdma.Op{Kind: rdma.OpRead,
-				Addr: rdma.GlobalAddr{Node: c.cl.nodes[mn], Off: c.slotOff(region, bucket, slotIdx)},
-				Buf:  buf})
-		}
-		c.Stats.ReadsIssued += uint64(len(ops))
-		c.Stats.BytesRead += uint64(len(ops) * 8)
-		if err := c.ctx.Batch(ops); err != nil {
-			return err
-		}
-		for ri, buf := range bufs {
-			backupOld[ri] = binary.LittleEndian.Uint64(buf)
-		}
+	// resolution does), not assume zero. The primary's must be zero.
+	old := make([]uint64, c.Cfg.Replicas)
+	if err := c.PeerWords(slot, live[1:], old); err != nil {
+		return err
 	}
-
-	addrs, ops, err := c.placeCopies(key, val, tombstone, classUnits, 1, len(live))
+	buf := make([]byte, size)
+	layout.EncodeKV(buf, k.Bytes, val, 1, fenceFor(1), tombstone)
+	addrs, ops, err := c.Place(buf, len(live))
 	if err != nil {
 		return err
 	}
 	// Backup version words ride the copy batch (same value on every
 	// inserter: 1).
 	for _, ri := range live[1:] {
-		mn := cfg.replicaMN(p, ri)
-		region := cfg.hostedRegion(mn, p)
-		vb := make([]byte, 8)
-		binary.LittleEndian.PutUint64(vb, 1)
-		ops = append(ops, rdma.Op{Kind: rdma.OpWrite,
-			Addr: rdma.GlobalAddr{Node: c.cl.nodes[mn], Off: c.slotOff(region, bucket, slotIdx) + 8},
-			Buf:  vb})
-		c.Stats.WritesIssued++
-		c.Stats.BytesWritten += 8
+		_, at := c.At(slot, ri)
+		ops = append(ops, wordWrite(at.Add(8), 1))
 	}
-	if err := c.ctx.Batch(ops); err != nil {
-		delete(c.open, classUnits)
+	if err := c.Batch(ops); err != nil {
+		c.DropBlocks(size)
 		return err
 	}
 	// Word0 CAS rounds: backups first, acting primary commits.
-	newWords := make([]uint64, cfg.Replicas)
+	words := make([]uint64, c.Cfg.Replicas)
 	for i, ri := range live {
-		newWords[ri] = slotWord(fp, addrs[i])
+		words[ri] = replica.SlotWord(k.FP, addrs[i])
 	}
-	for _, ri := range live[1:] {
-		mn := cfg.replicaMN(p, ri)
-		region := cfg.hostedRegion(mn, p)
-		c.Stats.CASIssued++
-		prev, err := c.ctx.CAS(rdma.GlobalAddr{Node: c.cl.nodes[mn], Off: c.slotOff(region, bucket, slotIdx)}, backupOld[ri], newWords[ri])
+	for _, ri := range append(append([]int(nil), live[1:]...), live[0]) {
+		mn, at := c.At(slot, ri)
+		prev, err := c.CAS(at, old[ri], words[ri])
 		if err != nil {
-			c.noteErr(mn, err)
+			c.NoteErr(mn, err)
 			return err
 		}
-		if prev != backupOld[ri] {
+		if prev != old[ri] {
 			return errConflict
 		}
 	}
-	mn := cfg.replicaMN(p, live[0])
-	region := cfg.hostedRegion(mn, p)
-	c.Stats.CASIssued++
-	prev, err := c.ctx.CAS(rdma.GlobalAddr{Node: c.cl.nodes[mn], Off: c.slotOff(region, bucket, slotIdx)}, 0, newWords[live[0]])
-	if err != nil {
-		return err
-	}
-	if prev != 0 {
-		return errConflict
-	}
-	if cfg.CacheValues && live[0] == 0 {
-		c.cache[string(key)] = &cacheEnt{bucket: bucket, slotIdx: slotIdx, words: newWords, class: size}
+	if c.Cfg.CacheValues && live[0] == 0 {
+		c.cache[string(k.Bytes)] = &cacheEnt{slot: slot, words: words, class: size}
 	}
 	c.Stats.ValidBytes += uint64(size)
 	return nil
 }
 
 // landCopies performs the in-place replicated write: one batch of copy
-// overwrites stamped ver, backup version words, and word0 rewrites for
-// any copy that had to move (class growth or a dead MN). The acting
+// overwrites stamped l.ver, backup version words, and word0 rewrites
+// for any copy that had to move (class growth or a dead MN). The acting
 // primary's version CAS (already done by the caller) is the lock that
 // makes the plain writes safe.
-func (c *Client) landCopies(key, val []byte, tombstone bool, p int, fp uint8, bucket uint64, slotIdx int, ver uint64, size, class int, words []uint64, live []int) error {
-	cfg := &c.cl.Cfg
-	fence := fenceFor(ver)
-
-	// Which live replicas can be written in place?
-	inPlace := make(map[int]uint64) // replica → packed copy addr
-	var moved []int
-	for _, ri := range live {
-		w0 := words[ri]
-		kmn, _ := layout.UnpackAddr(slotAddr(w0))
-		if w0 != 0 && slotFP(w0) == fp && size <= class && !c.cl.Failed(int(kmn)) {
-			inPlace[ri] = slotAddr(w0)
-		} else {
-			moved = append(moved, ri)
-		}
-	}
+func (c *Client) landCopies(k *replica.Key, val []byte, tombstone bool, l located, size int, live []int) error {
 	// Copies are always encoded at the pair's true class size: readers
 	// recompute it from the header, so a shrinking overwrite inside a
 	// larger slot stays self-describing (bytes past the new trailing
 	// fence are never decoded).
 	buf := make([]byte, size)
-	layout.EncodeKV(buf, key, val, ver, fence, tombstone)
+	layout.EncodeKV(buf, k.Bytes, val, l.ver, fenceFor(l.ver), tombstone)
 
+	// Which live replicas can be written in place?
 	var ops []rdma.Op
-	newWords := append([]uint64(nil), words...)
+	var moved []int
 	for _, ri := range live {
-		if addr, ok := inPlace[ri]; ok {
-			mn, off := layout.UnpackAddr(addr)
-			ops = append(ops, rdma.Op{Kind: rdma.OpWrite, Addr: rdma.GlobalAddr{Node: c.cl.nodes[mn], Off: off}, Buf: buf})
-			c.Stats.WritesIssued++
-			c.Stats.BytesWritten += uint64(size)
+		if w0 := l.words[ri]; w0 != 0 && replica.SlotFP(w0) == k.FP && size <= l.class {
+			if kmn, at := c.CopyAt(replica.SlotAddr(w0)); !c.Failed(kmn) {
+				ops = append(ops, rdma.Op{Kind: rdma.OpWrite, Addr: at, Buf: buf})
+				continue
+			}
 		}
+		moved = append(moved, ri)
 	}
 	if len(moved) > 0 {
-		classUnits := uint8(size / 64)
-		addrs, placeOps, err := c.placeCopies(key, val, tombstone, classUnits, ver, len(moved))
+		addrs, placeOps, err := c.Place(buf, len(moved))
 		if err != nil {
 			return err
 		}
 		ops = append(ops, placeOps...)
 		for i, ri := range moved {
-			newWords[ri] = slotWord(fp, addrs[i])
-			mn := cfg.replicaMN(p, ri)
-			region := cfg.hostedRegion(mn, p)
-			wb := make([]byte, 8)
-			binary.LittleEndian.PutUint64(wb, newWords[ri])
-			ops = append(ops, rdma.Op{Kind: rdma.OpWrite,
-				Addr: rdma.GlobalAddr{Node: c.cl.nodes[mn], Off: c.slotOff(region, bucket, slotIdx)},
-				Buf:  wb})
-			c.Stats.WritesIssued++
-			c.Stats.BytesWritten += 8
+			l.words[ri] = replica.SlotWord(k.FP, addrs[i])
+			_, at := c.At(l.slot, ri)
+			ops = append(ops, wordWrite(at, l.words[ri]))
 		}
 	}
 	// Backup version words (the acting primary's was set by the CAS).
 	for _, ri := range live[1:] {
-		mn := cfg.replicaMN(p, ri)
-		region := cfg.hostedRegion(mn, p)
-		vb := make([]byte, 8)
-		binary.LittleEndian.PutUint64(vb, ver)
-		ops = append(ops, rdma.Op{Kind: rdma.OpWrite,
-			Addr: rdma.GlobalAddr{Node: c.cl.nodes[mn], Off: c.slotOff(region, bucket, slotIdx) + 8},
-			Buf:  vb})
-		c.Stats.WritesIssued++
-		c.Stats.BytesWritten += 8
+		_, at := c.At(l.slot, ri)
+		ops = append(ops, wordWrite(at.Add(8), l.ver))
 	}
-	if err := c.ctx.Batch(ops); err != nil {
+	if err := c.Batch(ops); err != nil {
 		return err
 	}
-	if cfg.CacheValues && live[0] == 0 {
-		cls := class
-		if size > cls {
-			cls = size
-		}
-		c.cache[string(key)] = &cacheEnt{bucket: bucket, slotIdx: slotIdx, words: newWords, class: cls}
+	if c.Cfg.CacheValues && live[0] == 0 {
+		c.cache[string(k.Bytes)] = &cacheEnt{slot: l.slot, words: l.words, class: max(l.class, size)}
 	}
 	return nil
-}
-
-// placeCopies encodes the KV once and prepares n copy writes into open
-// blocks on distinct live MNs, returning the packed addresses and the
-// write ops (the caller batches them with its slot-word writes).
-func (c *Client) placeCopies(key, val []byte, tombstone bool, classUnits uint8, ver uint64, n int) ([]uint64, []rdma.Op, error) {
-	cfg := &c.cl.Cfg
-	obs, err := c.getBlocks(classUnits, n)
-	if err != nil {
-		return nil, nil, err
-	}
-	size := int(classUnits) * 64
-	buf := make([]byte, size)
-	layout.EncodeKV(buf, key, val, ver, fenceFor(ver), tombstone)
-	addrs := make([]uint64, n)
-	ops := make([]rdma.Op, n)
-	for i := 0; i < n; i++ {
-		ob := obs[i]
-		off := cfg.blockOff(ob.idx) + uint64(ob.next*size)
-		ob.next++
-		addrs[i] = layout.PackAddr(uint16(ob.mn), off)
-		ops[i] = rdma.Op{Kind: rdma.OpWrite, Addr: rdma.GlobalAddr{Node: c.cl.nodes[ob.mn], Off: off}, Buf: buf}
-	}
-	c.Stats.WritesIssued += uint64(n)
-	c.Stats.BytesWritten += uint64(n * size)
-	full := false
-	for _, ob := range obs {
-		if (ob.next+1)*size > int(cfg.BlockSize) {
-			full = true
-		}
-	}
-	if full {
-		delete(c.open, classUnits)
-	}
-	return addrs, ops, nil
-}
-
-// getBlocks returns (allocating if needed) at least n open blocks for
-// a size class on distinct live MNs (relaxing distinctness when
-// failures leave fewer live MNs than replicas).
-func (c *Client) getBlocks(classUnits uint8, n int) ([]*openBlock, error) {
-	if obs, ok := c.open[classUnits]; ok && len(obs) >= n {
-		return obs, nil
-	}
-	cfg := &c.cl.Cfg
-	base := int(c.id)
-	var req [2]byte
-	binary.LittleEndian.PutUint16(req[:], c.id)
-	obs := make([]*openBlock, 0, n)
-	used := map[int]bool{}
-	for i := 0; i < n; i++ {
-		allocated := false
-		for _, distinct := range []bool{true, false} {
-			for try := 0; try < cfg.NumMNs && !allocated; try++ {
-				mn := (base + i + try) % cfg.NumMNs
-				if (distinct && used[mn]) || c.cl.Failed(mn) {
-					continue
-				}
-				resp, err := c.ctx.RPC(c.cl.nodes[mn], methodAlloc, req[:])
-				if err != nil {
-					c.noteErr(mn, err)
-					continue
-				}
-				if len(resp) == 0 || resp[0] != 0 {
-					continue
-				}
-				idx := int(binary.LittleEndian.Uint32(resp[1:]))
-				obs = append(obs, &openBlock{mn: mn, idx: idx})
-				used[mn] = true
-				allocated = true
-			}
-			if allocated {
-				break
-			}
-		}
-		if !allocated {
-			return nil, ErrNoSpace
-		}
-	}
-	c.open[classUnits] = obs
-	return obs, nil
 }

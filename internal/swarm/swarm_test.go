@@ -8,25 +8,28 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/ftmode"
 	"repro/internal/rdma/simnet"
+	"repro/internal/replica"
 )
 
 type testCluster struct {
 	pl *simnet.Platform
-	cl *Cluster
+	cl *replica.Cluster
 }
 
-func newTestCluster(t *testing.T, mutate func(*Config)) *testCluster {
+func newTestCluster(t *testing.T, mutate func(*replica.Config)) *testCluster {
 	t.Helper()
-	cfg := DefaultConfig()
+	cfg := replica.DefaultConfig()
 	cfg.PartitionBytes = 64 << 10
 	cfg.BlockSize = 64 << 10
 	cfg.BlocksPerMN = 64
 	if mutate != nil {
 		mutate(&cfg)
 	}
+	cfg.SlotBytes = slotBytes
 	pl := simnet.New(simnet.DefaultConfig())
-	cl, err := NewCluster(cfg, pl)
+	cl, err := replica.NewCluster(core.FTModeSwarm, cfg, pl, newClient)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,8 +43,8 @@ func (tc *testCluster) runClients(t *testing.T, deadline time.Duration, fns ...f
 	for i, fn := range fns {
 		fn := fn
 		cn := tc.pl.AddComputeNode()
-		tc.cl.SpawnClient(cn, fmt.Sprintf("client%d", i), func(c *Client) {
-			fn(c)
+		tc.cl.SpawnClient(cn, fmt.Sprintf("client%d", i), func(c ftmode.Client) {
+			fn(c.(*Client))
 			done++
 		})
 	}
@@ -98,7 +101,7 @@ func TestCRUD(t *testing.T) {
 		for i := 0; i < n; i++ {
 			got, err := c.Search(key(i))
 			if i%2 == 0 {
-				if !errors.Is(err, ErrNotFound) {
+				if !errors.Is(err, core.ErrNotFound) {
 					t.Errorf("deleted key %d: got %q, err %v", i, got, err)
 					return
 				}
@@ -110,18 +113,6 @@ func TestCRUD(t *testing.T) {
 			}
 		}
 	})
-}
-
-func TestErrorsWrapCore(t *testing.T) {
-	if !errors.Is(ErrNotFound, core.ErrNotFound) {
-		t.Error("ErrNotFound does not wrap core.ErrNotFound")
-	}
-	if !errors.Is(ErrNoSpace, core.ErrNoSpace) {
-		t.Error("ErrNoSpace does not wrap core.ErrNoSpace")
-	}
-	if !errors.Is(ErrRetriesExhausted, core.ErrRetriesExhausted) {
-		t.Error("ErrRetriesExhausted does not wrap core.ErrRetriesExhausted")
-	}
 }
 
 // TestInPlaceUpdateCost pins the mode's claim: a warm update issues
@@ -189,7 +180,7 @@ func TestValueSizeChange(t *testing.T) {
 		}
 		// A second client with no cache must read the shrunk value too.
 		c2 := tc.cl.NewClient()
-		c2.Attach(c.ctx)
+		c2.Attach(c.Ctx)
 		if got, err := c2.Search(key(1)); err != nil || !bytes.Equal(got, small) {
 			t.Errorf("cold search after shrink: err %v val %q", err, got)
 		}
