@@ -250,18 +250,6 @@ func Open(cfg Config, opts ...Option) (*Cluster, error) {
 	return c, nil
 }
 
-// NewSimCluster creates a cluster on a fresh simulated fabric.
-//
-// Deprecated: use Open (the simulated fabric is the default).
-func NewSimCluster(cfg Config) (*Cluster, error) { return Open(cfg) }
-
-// NewTCPCluster creates the same coding group on the real TCP fabric,
-// so failure injection exercises genuine connection teardown,
-// reconnects and retry budgets.
-//
-// Deprecated: use Open with WithFabric(FabricTCP).
-func NewTCPCluster(cfg Config) (*Cluster, error) { return Open(cfg, WithFabric(FabricTCP)) }
-
 // core returns the underlying aceso-mode cluster, or panics with a
 // clear message when the cluster runs another fault-tolerance mode:
 // the caller reached for an Aceso-only surface.

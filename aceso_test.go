@@ -19,7 +19,7 @@ func smallConfig() Config {
 }
 
 func TestPublicAPICRUD(t *testing.T) {
-	cluster, err := NewSimCluster(smallConfig())
+	cluster, err := Open(smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestPublicAPICRUD(t *testing.T) {
 }
 
 func TestPublicAPIConcurrentClientsAndFailover(t *testing.T) {
-	cluster, err := NewSimCluster(smallConfig())
+	cluster, err := Open(smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestPublicAPIConcurrentClientsAndFailover(t *testing.T) {
 }
 
 func TestPublicAPIMemoryUsage(t *testing.T) {
-	cluster, err := NewSimCluster(smallConfig())
+	cluster, err := Open(smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

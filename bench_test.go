@@ -89,7 +89,7 @@ func BenchmarkOpLatency(b *testing.B) {
 			cfg.Layout.PoolBlocks = 16
 			cfg.BitmapFlushOps = 8
 			cfg.ReclaimFree = 0.5
-			cluster, err := NewSimCluster(cfg)
+			cluster, err := Open(cfg)
 			if err != nil {
 				b.Fatal(err)
 			}

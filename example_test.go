@@ -22,7 +22,7 @@ func exampleConfig() aceso.Config {
 // The basic lifecycle: build a simulated coding group, start its
 // servers and master, and run CRUD from a client process.
 func Example() {
-	cluster, err := aceso.NewSimCluster(exampleConfig())
+	cluster, err := aceso.Open(exampleConfig())
 	if err != nil {
 		panic(err)
 	}
@@ -47,7 +47,7 @@ func Example() {
 // the node on a spare, restores the index first (functionality back),
 // then the block area.
 func ExampleCluster_FailMN() {
-	cluster, err := aceso.NewSimCluster(exampleConfig())
+	cluster, err := aceso.Open(exampleConfig())
 	if err != nil {
 		panic(err)
 	}
@@ -79,7 +79,7 @@ func ExampleCluster_FailMN() {
 
 // Inspect the Block Area space accounting behind Figure 12.
 func ExampleCluster_MemoryUsage() {
-	cluster, err := aceso.NewSimCluster(exampleConfig())
+	cluster, err := aceso.Open(exampleConfig())
 	if err != nil {
 		panic(err)
 	}
