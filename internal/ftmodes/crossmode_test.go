@@ -55,27 +55,62 @@ func openMode(t *testing.T, mode string) *harness {
 	return &harness{pl: pl, ft: ft}
 }
 
-// runClients spawns each fn as a fresh client process (cold cache) and
-// advances virtual time until all complete or the virtual deadline
-// passes.
-func (h *harness) runClients(t *testing.T, deadline time.Duration, fns ...func(ftmode.Client)) {
-	t.Helper()
-	done := 0
+// spawnClients starts each fn as a fresh client process (cold cache) on
+// a compute node of its own and returns the count of those that have
+// returned. fn gets its process context too, so a client can wait on the
+// virtual clock for the test (see gate) and live across a FailMN.
+func (h *harness) spawnClients(fns ...func(rdma.Ctx, ftmode.Client)) (done *int) {
+	done = new(int)
 	for i, fn := range fns {
 		fn := fn
-		cn := h.pl.AddComputeNode()
-		h.ft.SpawnClient(cn, fmt.Sprintf("client%d", i), func(c ftmode.Client) {
-			fn(c)
+		c := h.ft.NewClient()
+		h.pl.Spawn(h.pl.AddComputeNode(), fmt.Sprintf("client%d", i), func(ctx rdma.Ctx) {
+			c.Attach(ctx)
+			fn(ctx, c)
 			c.Close()
-			done++
+			*done++
 		})
 	}
+	return done
+}
+
+// until advances virtual time until cond holds; the virtual deadline
+// passing first fails the test.
+func (h *harness) until(t *testing.T, deadline time.Duration, what string, cond func() bool) {
+	t.Helper()
 	limit := h.pl.Engine().Now() + deadline
-	for done < len(fns) && h.pl.Engine().Now() < limit {
-		h.pl.Run(h.pl.Engine().Now() + time.Millisecond)
+	for !cond() && h.pl.Engine().Now() < limit {
+		h.run(time.Millisecond)
 	}
-	if done < len(fns) {
-		t.Fatalf("only %d/%d clients finished before virtual deadline", done, len(fns))
+	if !cond() {
+		t.Fatalf("virtual deadline waiting for %s", what)
+	}
+}
+
+// runClients runs each fn as a fresh client process and advances
+// virtual time until all complete or the virtual deadline passes.
+func (h *harness) runClients(t *testing.T, deadline time.Duration, fns ...func(ftmode.Client)) {
+	t.Helper()
+	procs := make([]func(rdma.Ctx, ftmode.Client), len(fns))
+	for i, fn := range fns {
+		fn := fn
+		procs[i] = func(_ rdma.Ctx, c ftmode.Client) { fn(c) }
+	}
+	done := h.spawnClients(procs...)
+	h.until(t, deadline, "every client to finish", func() bool { return *done == len(fns) })
+}
+
+// gate is a barrier on the virtual clock between client processes and
+// the test: clients arrive and sleep until the test opens it.
+type gate struct {
+	arrived int
+	open    bool
+}
+
+func (g *gate) wait(ctx rdma.Ctx) {
+	g.arrived++
+	for !g.open {
+		ctx.Sleep(100 * time.Microsecond)
 	}
 }
 
@@ -274,7 +309,12 @@ func TestCrossModeChaosStress(t *testing.T) {
 
 // TestCrossModeFailStop injects the same mid-run MN fail-stop in every
 // mode, then checks each recovery tier the mode claims via Caps — and
-// skips, explicitly, the tiers it does not.
+// skips, explicitly, the tiers it does not. Fresh clients do that; next
+// to them, warm clients — caches filled by their own inserts and updates
+// before the failure — sit out the failure (and the rebuild, where there
+// is one) at a gate and then go on: what a client cached about a key must
+// not outlive what the failure, or another client's reaction to it, did
+// to the key.
 func TestCrossModeFailStop(t *testing.T) {
 	forEachMode(t, func(t *testing.T, h *harness) {
 		const n = 120
@@ -286,6 +326,7 @@ func TestCrossModeFailStop(t *testing.T) {
 				}
 			}
 		})
+		warm := startWarmClients(t, h)
 		caps := h.ft.Caps()
 		const victim = 2
 		h.ft.FailMN(victim)
@@ -347,7 +388,121 @@ func TestCrossModeFailStop(t *testing.T) {
 				}
 			}
 		})
+
+		t.Run("warm-clients", func(t *testing.T) {
+			if caps.TieredRecovery {
+				// The paused shape: clients resume on a rebuilt node.
+				h.until(t, 120*time.Second, "tiered recovery", func() bool {
+					_, _, blocksReady := h.ft.MNState(victim)
+					return blocksReady
+				})
+			}
+			warm.resume(t, h)
+		})
 	})
+}
+
+// warmClients is the part of TestCrossModeFailStop that crosses the
+// fail-stop with live clients. Each of its clients inserts and updates
+// every key of a range of their own before the failure; after it, each
+// updates every key twice more and then reads every key. A client
+// visits the keys in a rotation of its own that moves on one step each
+// round, and the rounds after the failure start together (the gates),
+// so on most keys the last writer of one round is not the last writer of
+// the next: a client that keeps acting on what it cached in the round
+// before, where another client has since changed it, shows.
+type warmClients struct {
+	gates [3]gate // before each round after the failure, and before the reads
+	done  *int
+	// final[i] holds the writes of key i that may be its final value.
+	final [][]*warmWrite
+}
+
+type warmWrite struct {
+	val   []byte
+	acked bool
+}
+
+const (
+	warmN       = 3
+	warmKeys    = 60
+	warmKeyBase = 1000 // clear of the keys the fresh clients use
+)
+
+// write issues one upsert and keeps final[i] right: a write that begins
+// after another was acknowledged replaces it; writes in flight together
+// may land in either order.
+func (w *warmClients) write(c ftmode.Client, insert bool, i int, v []byte) error {
+	inFlight := w.final[i][:0]
+	for _, o := range w.final[i] {
+		if !o.acked {
+			inFlight = append(inFlight, o)
+		}
+	}
+	ww := &warmWrite{val: v}
+	w.final[i] = append(inFlight, ww)
+	var err error
+	if insert {
+		err = c.Insert(key(warmKeyBase+i), v)
+	} else {
+		err = c.Update(key(warmKeyBase+i), v)
+	}
+	ww.acked = true
+	return err
+}
+
+// startWarmClients spawns the warm clients and runs them up to the first
+// gate, where they wait for resume.
+func startWarmClients(t *testing.T, h *harness) *warmClients {
+	t.Helper()
+	w := &warmClients{final: make([][]*warmWrite, warmKeys)}
+	fns := make([]func(rdma.Ctx, ftmode.Client), warmN)
+	for id := range fns {
+		id := id
+		visit := func(round int, fn func(i int)) {
+			for j := 0; j < warmKeys; j++ {
+				fn((j + (id+round)*warmKeys/warmN) % warmKeys)
+			}
+		}
+		fns[id] = func(ctx rdma.Ctx, c ftmode.Client) {
+			for round := 0; round < 4; round++ {
+				if round >= 2 {
+					w.gates[round-2].wait(ctx)
+				}
+				visit(round, func(i int) {
+					if err := w.write(c, round == 0, i, val(i, 100*(id+1)+round)); err != nil {
+						t.Errorf("warm client %d, round %d, key %d: %v", id, round, i, err)
+					}
+				})
+			}
+			w.gates[2].wait(ctx)
+			visit(0, func(i int) {
+				got, err := c.Search(key(warmKeyBase + i))
+				ok := false
+				for _, f := range w.final[i] {
+					ok = ok || bytes.Equal(got, f.val)
+				}
+				if err != nil || !ok {
+					t.Errorf("warm client %d reads key %d: err %v, value %.12q is not the last acknowledged one", id, i, err, got)
+				}
+			})
+		}
+	}
+	w.done = h.spawnClients(fns...)
+	h.until(t, 60*time.Second, "the warm clients to fill their caches", func() bool { return w.gates[0].arrived == warmN })
+	return w
+}
+
+// resume lets the warm clients go on past the failure, opening each gate
+// when all have arrived at it, and waits for them to finish.
+func (w *warmClients) resume(t *testing.T, h *harness) {
+	t.Helper()
+	for i := range w.gates {
+		g := &w.gates[i]
+		h.until(t, 120*time.Second, fmt.Sprintf("the warm clients to reach gate %d", i), func() bool { return g.arrived == warmN })
+		g.open = true
+	}
+	h.until(t, 120*time.Second, "the warm clients to finish", func() bool { return *w.done == warmN })
 }
 
 // TestCrossModeUsage checks the space-accounting surface: every mode

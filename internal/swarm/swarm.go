@@ -16,8 +16,8 @@
 //     SWARM's "in-place, single-RTT" replicated write.
 //
 // Index slots are 16 bytes: word0 packs fingerprint|address (committed
-// once by the insert's CAS, stable thereafter), word1 is the version
-// the copies are stamped with. Readers validate a copy's embedded
+// by the insert's CAS; rewritten, with a plain write, only when a copy
+// has to move), word1 is the version the copies are stamped with. Readers validate a copy's embedded
 // slot version against word1 and retry while a writer is in flight;
 // fences (layout.EncodeKV) catch torn overwrites. The protocol shares
 // FUSEE's conflict-resolution corner cases under adversarial delay
@@ -56,25 +56,34 @@ func wordWrite(at rdma.GlobalAddr, w uint64) rdma.Op {
 }
 
 // cacheEnt caches a key's slot location and per-replica copy
-// addresses. In-place replication makes this cache strong: word0 is
-// immutable after insert (absent reallocation), so a cached read
-// validates with one 16 B slot read batched with the copy read.
+// addresses. In-place replication makes this cache cheap to trust:
+// word0 changes only when a copy moves — the value outgrew its class,
+// or the copy's MN died and the next writer re-placed it — so a cached
+// word0 is checked, not re-derived: a cached read and a cached write
+// each read the primary's 16 B slot anyway (for the version) and
+// compare its word0 with the cached one in passing.
+//
+// Only the primary's word0 is checked. A backup's can differ from the
+// cached one after two writers each moved that backup's copy off a dead
+// MN; the stale writer then keeps overwriting its orphan, and the
+// backup's copy falls behind. Reads go to the primary, so it takes a
+// second failure to see it (ROADMAP item 1).
 type cacheEnt struct {
 	slot  replica.Slot
 	words []uint64 // per replica, packed word0 (0 = unknown)
 	class int      // copy class size (bytes)
 }
 
-// complete reports whether the cache entry knows word0 for at least
-// every live replica position it will write.
-func (e *cacheEnt) complete(liveCount int) bool {
-	n := 0
-	for _, w := range e.words {
-		if w != 0 {
-			n++
+// complete reports whether the entry knows word0 of every live replica,
+// the positions a write lands copies at. A word known for a dead
+// replica does not make up for one missing for a live replica.
+func (e *cacheEnt) complete(live []int) bool {
+	for _, ri := range live {
+		if e.words[ri] == 0 {
+			return false
 		}
 	}
-	return n >= liveCount && e.class > 0
+	return e.class > 0
 }
 
 // Client is a swarm-mode client.
@@ -217,20 +226,30 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 		// Locate the slot: cache first (valid location + full word set
 		// after this client's own commit), else bucket walk.
 		var l located
-		if ent := c.cache[string(key)]; ent != nil && acting == 0 && ent.complete(len(live)) {
-			l = located{slot: ent.slot, words: append([]uint64(nil), ent.words...), class: ent.class}
-			// The version word still must be read fresh: CAS below
-			// needs the current value.
-			mn, at := c.At(l.slot, 0)
-			var vb [8]byte
-			if err := c.Read(vb[:], at.Add(8)); err != nil {
+		ent := c.cache[string(key)]
+		if ent != nil && acting == 0 && ent.complete(live) {
+			// The version word must be read fresh, the CAS below needs
+			// the current value; word0 comes with it in the same read.
+			mn, at := c.At(ent.slot, 0)
+			var sb [slotBytes]byte
+			if err := c.Read(sb[:], at); err != nil {
 				if c.NoteErr(mn, err) {
 					continue
 				}
 				return err
 			}
-			l.ver = binary.LittleEndian.Uint64(vb[:])
-		} else {
+			if binary.LittleEndian.Uint64(sb[:]) == ent.words[0] {
+				l = located{slot: ent.slot, ver: binary.LittleEndian.Uint64(sb[8:]),
+					words: append([]uint64(nil), ent.words...), class: ent.class}
+			} else {
+				// Another writer moved the copy. Writing on would take
+				// tickets for an orphan and leave the copy the index
+				// names behind its version word, which readers take for
+				// a write in flight, forever.
+				delete(c.cache, string(key))
+			}
+		}
+		if l.words == nil {
 			hint := replica.ReadBytes
 			if ent != nil {
 				hint = ent.class
@@ -284,7 +303,7 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 		// version words on the other replicas, so failover keeps the
 		// version chain). Copies that no longer fit their class, or
 		// whose MN died, are redirected to fresh blocks in the same
-		// batch (word0 rewrite is safe: the version CAS is the lock).
+		// batch.
 		l.ver++
 		if err := c.landCopies(&k, val, tombstone, l, size, live); err != nil {
 			if errors.Is(err, rdma.ErrNodeFailed) {
@@ -379,8 +398,10 @@ func (c *Client) insertSlot(k *replica.Key, val []byte, tombstone bool, slot rep
 // landCopies performs the in-place replicated write: one batch of copy
 // overwrites stamped l.ver, backup version words, and word0 rewrites
 // for any copy that had to move (class growth or a dead MN). The acting
-// primary's version CAS (already done by the caller) is the lock that
-// makes the plain writes safe.
+// primary's version CAS (already done by the caller) orders the writers
+// of a key; it does not exclude them: these are plain writes, a slower
+// writer's can land after a faster successor's, and a word0 rewritten
+// here is news to every other client's cache (see cacheEnt).
 func (c *Client) landCopies(k *replica.Key, val []byte, tombstone bool, l located, size int, live []int) error {
 	// Copies are always encoded at the pair's true class size: readers
 	// recompute it from the header, so a shrinking overwrite inside a
