@@ -22,9 +22,8 @@ const MaxOpRetries = 1024
 // self-correct.
 const ReadBytes = 1024 + 64
 
-// Stats counts a client's operations and verbs for harnesses.
+// Stats counts a client's verbs for harnesses.
 type Stats struct {
-	Ops          uint64
 	CASIssued    uint64
 	CASRetries   uint64
 	ReadsIssued  uint64
@@ -183,9 +182,8 @@ type Key struct {
 	hash    uint64
 }
 
-// Op begins one operation on key: it counts it and hashes the key.
+// Op begins one operation on key: it hashes the key.
 func (c *Client) Op(key []byte) Key {
-	c.Stats.Ops++
 	h := racehash.Hash(key)
 	b1, b2 := racehash.BucketPair(h, c.Cfg.numBuckets())
 	return Key{Bytes: key, P: racehash.HomeMN(h, c.Cfg.NumMNs), FP: racehash.Fingerprint(h),
