@@ -17,9 +17,14 @@ func init() {
 
 // verbModel is the paper's per-request verb budget in steady state
 // (CacheSlotAddr on, 2 delta copies, §3.1/§3.5): reads, writes, CAS
-// and doorbells per operation. One documented deviation: the paper's
+// and doorbells per operation. Two documented deviations. The paper's
 // cache hit reads {KV, slot-Atomic} (2 reads); ours serves the value
-// from the entry and reads the slot word alone (DESIGN.md §12).
+// from the entry and reads the slot word alone (DESIGN.md §12). And the
+// paper's UPDATE is "1 CAS + writes"; ours, on the default fused path
+// this model does not cover (the experiment pins FusedCommit off),
+// adds one 16-byte read of the slot ahead of the CAS, which a lost CAS
+// re-arms from, and fuses the INSERT's CAS behind its placement: 3
+// doorbells, not 4 (DESIGN.md §13; TestScriptedVerbCounts pins both).
 //
 //	INSERT      = bucket-pair batch read (2 reads, 1 doorbell)
 //	            + {KV, 2 deltas} write batch (3 writes, 1 doorbell)
@@ -64,8 +69,9 @@ func runVerbs(o Options) (*Result, error) {
 	cfg := acesoConfig(so, 2*n, func(cfg *core.Config) {
 		// This experiment validates the paper's two-phase cost model, so
 		// the single-RTT optimizations are pinned off: a fused commit
-		// folds the UPDATE/DELETE CAS doorbell into the placement batch
-		// (see the writeperf experiment for the fused counts), and the
+		// folds every commit CAS doorbell into the placement batch and
+		// reads the UPDATE's slot beside it (see the writeperf
+		// experiment for the fused counts), and the
 		// prefetch worker's allocation RPCs would smear into segments.
 		cfg.FusedCommit = false
 		cfg.BlockPrefetch = false

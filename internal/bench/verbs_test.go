@@ -5,15 +5,17 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/layout"
 	"repro/internal/obs"
 	"repro/internal/rdma"
 	"repro/internal/workload"
 )
 
-// TestScriptedVerbCounts runs a hand-scripted Insert/Search sequence on
-// the deterministic fabric and checks the instrumented verb counters
-// against exact expectations: the counts are what the paper's cost
-// model predicts, not merely close to it.
+// TestScriptedVerbCounts runs a hand-scripted Insert/Search/Update
+// sequence on the deterministic fabric, default configuration, and
+// checks the instrumented verb counters against exact expectations: the
+// verbs are what the paper's cost model predicts, not merely close to
+// it, rung with the fused path's fewer doorbells.
 func TestScriptedVerbCounts(t *testing.T) {
 	o := Options{Clients: 1, CNs: 1, OpsPerClient: 20, KVSize: 128}
 	r, err := newAcesoRun(o, acesoConfig(o, 100, nil))
@@ -57,6 +59,7 @@ func TestScriptedVerbCounts(t *testing.T) {
 		}
 		seg("insert", func(k []byte) error { return c.Insert(k, workload.Value(k, o.KVSize)) })
 		seg("search", func(k []byte) error { _, err := c.Search(k); return err })
+		seg("update", func(k []byte) error { return c.Update(k, workload.Value(k, o.KVSize)) })
 	})
 	eng := r.pl.Engine()
 	limit := eng.Now() + time.Minute
@@ -69,13 +72,14 @@ func TestScriptedVerbCounts(t *testing.T) {
 	if opErr != nil {
 		t.Fatal(opErr)
 	}
-	if len(segs) != 2 {
-		t.Fatalf("got %d segments, want 2", len(segs))
+	if len(segs) != 3 {
+		t.Fatalf("got %d segments, want 3", len(segs))
 	}
 
 	// INSERT of a fresh key: bucket-pair batch (2 reads), {KV, 2
-	// deltas} batch (3 writes), commit CAS, Meta-hint repair post (1
-	// write). Doorbells: 2 batches + CAS + post = 4.
+	// deltas, commit CAS} batch (3 writes, the CAS fused behind them),
+	// Meta-hint repair post (1 write). Doorbells: 2 batches + post = 3,
+	// where the paper's two-phase INSERT rings a fourth for the CAS.
 	ins := segs[0].d
 	if got := ins.OpCount(rdma.OpRead); got != 2*n {
 		t.Errorf("insert reads = %d, want %d", got, 2*n)
@@ -86,8 +90,8 @@ func TestScriptedVerbCounts(t *testing.T) {
 	if got := ins.OpCount(rdma.OpCAS); got != n {
 		t.Errorf("insert CAS = %d, want %d", got, n)
 	}
-	if got := ins.Doorbells(); got != 4*n {
-		t.Errorf("insert doorbells = %d, want %d", got, 4*n)
+	if got := ins.Doorbells(); got != 3*n {
+		t.Errorf("insert doorbells = %d, want %d", got, 3*n)
 	}
 
 	// SEARCH of a just-written key hits the cache: one 8-byte
@@ -106,6 +110,27 @@ func TestScriptedVerbCounts(t *testing.T) {
 	}
 	if got := sea.Calls[obs.CallBatch].Count; got != n {
 		t.Errorf("search batch calls = %d, want %d", got, n)
+	}
+
+	// UPDATE through the cached slot: one doorbell carrying {KV, 2
+	// deltas, 16-byte slot read, commit CAS}. The read is a deviation
+	// from the paper's "1 CAS + writes": a lost CAS re-arms from it
+	// instead of paying a round trip of its own (DESIGN.md §13).
+	upd := segs[2].d
+	if got := upd.OpCount(rdma.OpRead); got != n {
+		t.Errorf("update reads = %d, want %d", got, n)
+	}
+	if got := upd.OpBytes(rdma.OpRead); got != n*layout.SlotSize {
+		t.Errorf("update read %d bytes, want %d (the slot's Atomic and Meta words)", got, n*layout.SlotSize)
+	}
+	if got := upd.OpCount(rdma.OpWrite); got != 3*n {
+		t.Errorf("update writes = %d, want %d", got, 3*n)
+	}
+	if got := upd.OpCount(rdma.OpCAS); got != n {
+		t.Errorf("update CAS = %d, want %d", got, n)
+	}
+	if got := upd.Doorbells(); got != n {
+		t.Errorf("update doorbells = %d, want %d", got, n)
 	}
 }
 

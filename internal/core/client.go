@@ -99,20 +99,25 @@ func (sc *readScratch) growKV(n int) []byte {
 
 // writeScratch holds the write path's reusable buffers so a
 // steady-state fused UPDATE performs no heap allocation
-// (TestFusedWriteZeroAlloc): the KV encode buffer and XOR delta, the
-// placement batch and invalidation op slices, and the 8-byte patch
-// words the invalidation ops point at.
+// (TestFusedUpdateSingleDoorbellZeroAlloc): the KV encode buffer and XOR
+// delta, the placement batch and invalidation op slices, and the 8-byte
+// patch words the invalidation ops point at.
 type writeScratch struct {
 	buf      []byte    // KV encode buffer, grown to the largest class seen
 	delta    []byte    // XOR delta against the reclaimed slot's old bytes
-	ops      []rdma.Op // placement batch: KV write + delta writes (+ fused CAS)
-	inv      []rdma.Op // invalidation patch for a lost commit
+	ops      []rdma.Op // placement batch: (parked patch +) KV write + delta writes (+ slot read + fused CAS)
+	inv      []rdma.Op // invalidation patch of the pair placeKV placed last
 	invData  [8]byte
 	invDelta [8]byte
-	metaW    [8]byte // length-hint repair word (must outlive the Post)
-	metaOp   [1]rdma.Op
-	slot     [layout.SlotSize]byte // rearmSlot's Atomic+Meta read buffer
-	fuse     fuseSpec
+	// parked is a lost attempt's invalidation patch waiting to ride the
+	// retry's fused batch. It owns its op slice and its two patch words:
+	// that batch's own placement overwrites inv, invData and invDelta.
+	parked     []rdma.Op
+	parkedData [2][8]byte // the data slot's word, the delta copies' word
+	metaW      [8]byte    // length-hint repair word (must outlive the Post)
+	metaOp     [1]rdma.Op
+	slot       [layout.SlotSize]byte // the slot's Atomic+Meta as last read: by rearmSlot, or beside a fused CAS
+	fuse       fuseSpec
 }
 
 // fuseSpec carries the commit-CAS operands into placeKV when the
@@ -122,6 +127,9 @@ type fuseSpec struct {
 	atomOld  uint64
 	fp       uint8
 	verNew   uint8
+	// readSlot: a 16-byte read of the slot rides ahead of the CAS, so a
+	// lost attempt re-arms from its own batch (DESIGN.md §13).
+	readSlot bool
 }
 
 func (sc *writeScratch) growBuf(n int) []byte {
@@ -797,7 +805,7 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 			// The only evidence of absence is a cached tombstone, and
 			// another client may have re-inserted the key since: re-read
 			// the slot. Unmoved proves the tombstone; moved probes the index.
-			if moved := c.rearmSlot(&loc, mn, fp, nil); loc.armed {
+			if moved := c.rearmSlot(&loc, mn, fp, false); loc.armed {
 				c.cache.validated(ent, moved)
 			}
 			continue
@@ -818,6 +826,7 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 			if metaOld.Locked() {
 				// Another client is rolling the epoch: re-read the slot,
 				// and after LockTimeout force-relock (remark 2, §3.2.2).
+				c.flushParked()
 				c.Stats.LockWaits++
 				if lockWait < c.cl.Cfg.LockTimeout {
 					waitStart := c.ctx.Now()
@@ -826,14 +835,14 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 						c.ot.OpMark("lock.wait", waitStart)
 					}
 					lockWait += c.cl.Cfg.LockRetry
-					c.rearmSlot(&loc, mn, fp, nil)
+					c.rearmSlot(&loc, mn, fp, false)
 					continue
 				}
 				force := layout.SlotMeta{Epoch: metaOld.Epoch + 2, Len: metaOld.Len}
 				prev, err := c.vcas(metaAddr, metaOld.Pack(), force.Pack())
 				if err != nil || prev != metaOld.Pack() {
 					lockWait = 0
-					c.rearmSlot(&loc, mn, fp, nil)
+					c.rearmSlot(&loc, mn, fp, false)
 					continue
 				}
 				lockedVal = force.Pack()
@@ -845,12 +854,13 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 			if lockedVal == 0 {
 				if atom.Ver == layout.VerMax {
 					// Epoch rollover: lock Meta by making it odd.
+					c.flushParked()
 					rollover = true
 					lock := layout.SlotMeta{Epoch: metaOld.Epoch + 1, Len: metaOld.Len}
 					prev, err := c.vcas(metaAddr, metaOld.Pack(), lock.Pack())
 					if err != nil || prev != metaOld.Pack() {
 						c.Stats.CASRetries++
-						c.rearmSlot(&loc, mn, fp, nil)
+						c.rearmSlot(&loc, mn, fp, false)
 						continue
 					}
 					lockedVal = lock.Pack()
@@ -863,17 +873,16 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 		slotVersion := layout.SlotVersion(epochKV, verNew)
 
 		// Decide whether this attempt can fuse the commit CAS into the
-		// placement doorbell (DESIGN.md §13). Only the steady-state
-		// UPDATE shape qualifies: a located slot with no Meta lock in
-		// hand — inserts and epoch rollovers keep the two-phase shape.
+		// placement doorbell (DESIGN.md §13). Every commit without a
+		// Meta lock in hand qualifies — an INSERT fuses CAS(0 → new)
+		// behind its placement — and only epoch rollovers and forced
+		// re-locks keep the two-phase shape.
 		var fuse *fuseSpec
 		switch {
 		case !c.cl.Cfg.FusedCommit:
 			c.noteFallback(&c.wmet.FallbackDisabled)
 		case !c.ordered:
 			c.noteFallback(&c.wmet.FallbackCapability)
-		case !found:
-			c.noteFallback(&c.wmet.FallbackInsert)
 		case lockedVal != 0:
 			if rollover {
 				c.noteFallback(&c.wmet.FallbackRollover)
@@ -882,12 +891,20 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 			}
 		default:
 			if slotAddr, ok := c.cl.Addr(mn, slotOff); ok {
+				// A slot bound to the key is read beside the CAS: should
+				// the CAS lose, the attempt re-arms from its own batch. A
+				// DELETE would have no use for the read (it never commits
+				// against a re-read word), an INSERT's slot is not bound.
 				f := &c.wsc.fuse
-				*f = fuseSpec{slotAddr: slotAddr, atomOld: atomOld, fp: fp, verNew: verNew}
+				*f = fuseSpec{slotAddr: slotAddr, atomOld: atomOld, fp: fp, verNew: verNew,
+					readSlot: found && loc.bound && !tombstone}
 				fuse = f
 			} else {
 				c.noteFallback(&c.wmet.FallbackAddr)
 			}
+		}
+		if fuse == nil {
+			c.flushParked() // no fused batch for the patch to ride
 		}
 
 		var batchStart time.Duration
@@ -899,6 +916,7 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 		// commit CAS riding the same doorbell when fused.
 		placed, err := c.placeKV(key, val, slotVersion, tombstone, fuse)
 		if err != nil {
+			c.flushParked()
 			if lockedVal != 0 {
 				c.unlockMeta(metaAddr, lockedVal, epochKV, metaOld.Len)
 			}
@@ -939,33 +957,46 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 		if !committed {
 			// Lost the race (or the CAS itself failed): our pair is
 			// orphaned (Algorithm 1 line 18), but the slot is still this
-			// key's. Chase it (DESIGN.md §13): one doorbell carries the
-			// orphan's invalidation and a 16-byte re-read of the slot, and
-			// the next attempt commits against that (a DELETE probes the
-			// index instead: the word moved). Bounded backoff keeps a herd
-			// from starving one client; a slot that aged over it is re-read.
+			// key's. Chase it (DESIGN.md §13): re-arm from the 16 bytes the
+			// lost batch read beside its CAS, park the orphan's
+			// invalidation to ride the next batch, and commit against the
+			// read word — one doorbell per attempt. Whatever cannot re-arm
+			// that way posts the patch unsignaled and reads the slot (an
+			// unfused attempt, a slot image the CAS did not confirm, or one
+			// that would age over a back-off sleep: bounded backoff keeps a
+			// herd from starving one client) or probes the index (a DELETE:
+			// the word moved; an unbound slot). Seals and bitmap flushes
+			// wait for the commit, so no patch is ever behind them.
 			c.Stats.CASRetries++
 			c.markObsolete(placed.addr, classUnits)
 			if lockedVal != 0 {
 				c.unlockMeta(metaAddr, lockedVal, epochKV, metaOld.Len)
 			}
 			chaseStart := c.ctx.Now()
-			if c.rearmSlot(&loc, mn, fp, placed.inv); loc.armed && !(tombstone && loc.moved) {
+			backoff := attempt > 2
+			rode := placed.sawSlot && !backoff
+			if rode {
+				c.rearmSlot(&loc, mn, fp, true)
+			}
+			if loc.armed {
+				c.parkInvalidation(placed.inv)
+			} else {
+				c.invalidateKV(placed.inv)
+				if backoff {
+					c.ctx.Sleep(time.Duration(1+int(c.id)%4) * time.Microsecond << min(attempt, 6))
+				}
+				switch {
+				case tombstone:
+					loc = slotLoc{bypass: true}
+				case !rode:
+					c.rearmSlot(&loc, mn, fp, false)
+				}
+			}
+			if loc.armed {
 				c.Stats.WriteChased++
 				c.wmet.Chased.Add(1)
 				if c.ot != nil {
 					c.ot.OpMark("commit.chase", chaseStart)
-				}
-			}
-			c.finishWrite()
-			if attempt > 2 {
-				shift := attempt
-				if shift > 6 {
-					shift = 6
-				}
-				c.ctx.Sleep(time.Duration(1+int(c.id)%4) * time.Microsecond << shift)
-				if loc.armed {
-					c.rearmSlot(&loc, mn, fp, nil)
 				}
 			}
 			continue
@@ -993,6 +1024,7 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 		c.finishWrite()
 		return nil
 	}
+	c.flushParked()
 	return ErrRetriesExhausted
 }
 
@@ -1006,8 +1038,9 @@ func (c *Client) unlockMeta(addr rdma.GlobalAddr, lockedVal uint64, epochEven ui
 // invalidateKV stamps InvalidVersion into an uncommitted KV pair so
 // recovery never resurrects it (Algorithm 1 line 18). The pair's delta
 // copies receive the matching XOR patch, preserving the stripe
-// invariant DATA = enc ⊕ DELTA; placeKV precomputed the ops. A chased
-// loss sends the same ops inside rearmSlot's doorbell instead.
+// invariant DATA = enc ⊕ DELTA; placeKV precomputed the ops. This is the
+// unsignaled post of a patch with no fused batch to ride; a chased loss
+// parks it instead (parkInvalidation).
 func (c *Client) invalidateKV(inv []rdma.Op) {
 	if len(inv) == 0 {
 		return
@@ -1017,35 +1050,51 @@ func (c *Client) invalidateKV(inv []rdma.Op) {
 	c.ctx.Post(inv) //nolint:errcheck // best effort
 }
 
-// rearmSlot refreshes loc from the slot itself — one 16-byte read of
-// its Atomic and Meta words — so a write whose view of the slot went
-// stale (lost commit CAS, cache entry predicted stale, Meta lock wait)
-// pays a small round trip, not an index probe. inv, a lost attempt's
-// invalidation patch, rides the same doorbell. It reports whether the
-// word differs from the one loc held, and records that in loc.moved.
-// Trusting the slot rests on the slot-binding invariant (DESIGN.md §13,
-// TestSlotNeverChangesKey): within a view epoch a slot only ever holds
-// one key's pairs. Whatever falls outside it (epoch moved, fingerprint
-// mismatch, empty word, read error) leaves loc unarmed and bypassing
-// the cache: the next attempt probes the index.
-func (c *Client) rearmSlot(loc *slotLoc, mn int, fp uint8, inv []rdma.Op) (moved bool) {
+// parkInvalidation keeps a lost attempt's invalidation patch for the
+// head of the retry's fused batch (placeKV), so a chased loss costs no
+// doorbell besides its two commit attempts. Only an attempt whose next
+// verb is that batch parks; whatever turns away from it first — a Meta
+// lock or rollover, an unfused attempt, an error — calls flushParked.
+func (c *Client) parkInvalidation(inv []rdma.Op) {
+	sc := &c.wsc
+	sc.parkedData = [2][8]byte{sc.invData, sc.invDelta}
+	sc.parked = append(sc.parked[:0], inv...)
+	for i := range sc.parked {
+		sc.parked[i].Buf = sc.parkedData[min(i, 1)][:]
+	}
+}
+
+// flushParked posts a parked patch that will not ride a fused batch.
+func (c *Client) flushParked() {
+	sc := &c.wsc
+	c.invalidateKV(sc.parked)
+	sc.parked = sc.parked[:0]
+}
+
+// rearmSlot refreshes loc from the slot itself — its 16 bytes of Atomic
+// and Meta words — so a write whose view of the slot went stale (lost
+// commit CAS, cache entry predicted stale, Meta lock wait) pays at most
+// a small round trip, not an index probe. rode says the lost fused batch
+// already read the slot into wsc.slot and its CAS confirmed the word, so
+// no verb is issued; otherwise rearmSlot reads the slot. It reports
+// whether the word differs from the one loc held, and records that in
+// loc.moved. Trusting the slot rests on the slot-binding invariant
+// (DESIGN.md §13, TestSlotNeverChangesKey): within a view epoch a slot
+// only ever holds one key's pairs. Whatever falls outside it (epoch
+// moved, fingerprint mismatch, empty word, read error) leaves loc
+// unarmed and bypassing the cache: the next attempt probes the index.
+func (c *Client) rearmSlot(loc *slotLoc, mn int, fp uint8, rode bool) (moved bool) {
 	loc.armed, loc.bypass, loc.ent = false, true, nil
 	addr, ok := c.cl.Addr(mn, loc.off)
 	if !ok || !loc.found || !loc.bound || loc.epoch != c.cl.view.epochNow() {
-		c.invalidateKV(inv)
 		return false
 	}
 	sc := &c.wsc
-	if len(inv) > 0 {
-		c.Stats.Invalidations++
-	} else {
-		inv = sc.inv[:0]
+	if !rode && c.vread(sc.slot[:], addr) != nil {
+		return false
 	}
-	ops := append(inv, rdma.Op{Kind: rdma.OpRead, Addr: addr, Buf: sc.slot[:]})
-	c.vbatch(ops) //nolint:errcheck // only the slot read's outcome matters; the patch is best effort
-	sc.inv = ops[:0]
 	cur := binary.LittleEndian.Uint64(sc.slot[:])
-	if a := layout.UnpackAtomic(cur); ops[len(ops)-1].Err != nil || a.FP != fp || a.Addr == 0 {
+	if a := layout.UnpackAtomic(cur); a.FP != fp || a.Addr == 0 {
 		return false
 	}
 	moved = cur != loc.atomic
@@ -1077,10 +1126,11 @@ func (c *Client) finishWrite() {
 // locateForWrite finds the key's slot through the cache or — on a miss
 // or a bypass — an index query. A cached slot is used one of two ways
 // (DESIGN.md §13). Normally the write speculates: it commits against
-// the cached word unread, and a stale word costs a lost CAS plus the
-// chase's two doorbells. When the staleness estimate says the entry
-// has more likely moved than not, the write validates first: a 16-byte
-// slot read, then a commit that places nothing it must invalidate.
+// the cached word unread, and a stale word costs a lost batch, an
+// orphaned pair and the batch that retries it. When the staleness
+// estimate says the entry has more likely moved than not, the write
+// validates first: a 16-byte slot read, then a commit that places
+// nothing it must invalidate.
 func (c *Client) locateForWrite(key []byte, h uint64, mn int, fp uint8, bypass bool) (slotLoc, error) {
 	loc := slotLoc{epoch: c.cl.view.epochNow(), bound: true}
 	if ent := c.cache.lookup(h, key); ent != nil && c.cl.Cfg.CacheSlotAddr && !bypass {
@@ -1091,7 +1141,7 @@ func (c *Client) locateForWrite(key []byte, h uint64, mn int, fp uint8, bypass b
 			return loc, nil
 		}
 		start := c.ctx.Now()
-		if moved := c.rearmSlot(&loc, mn, fp, nil); loc.armed {
+		if moved := c.rearmSlot(&loc, mn, fp, false); loc.armed {
 			c.cache.validated(ent, moved)
 			if moved {
 				c.Stats.WriteValidatedChanged++
@@ -1165,16 +1215,22 @@ type placedKV struct {
 	fused      bool   // the commit CAS rode the placement batch
 	committed  bool   // ... and won (meaningless unless fused)
 	newAtomic  uint64 // the Atomic word the fused CAS installed
+	// sawSlot: the batch's slot read left in wsc.slot the very word the
+	// CAS then found (on tcpnet the prefix read can be older than the
+	// tail), so a lost attempt may re-arm from it.
+	sawSlot bool
 }
 
 // placeKV appends the KV pair to an open DATA block of the right size
 // class, writing the pair and its per-parity deltas in one doorbell
 // batch (Figure 6 ①). With a fuse spec the commit CAS is appended as
 // the batch tail — the ordered-batch contract guarantees it executes
-// only after every placement write completed, collapsing the
-// steady-state UPDATE to a single round trip (DESIGN.md §13). A fused
-// batch is issued exactly once; the caller resolves the outcome from
-// placedKV rather than placeKV retrying.
+// only after every op ahead of it completed, collapsing a commit
+// attempt to a single round trip (DESIGN.md §13) — behind a 16-byte
+// read of the slot when the spec asks for one, and a parked
+// invalidation patch leads the batch. A fused batch is issued exactly
+// once; the caller resolves the outcome from placedKV rather than
+// placeKV retrying.
 // All buffers and op slices come from the client's writeScratch, so a
 // steady-state call is allocation-free.
 func (c *Client) placeKV(key, val []byte, slotVersion uint64, tombstone bool, fuse *fuseSpec) (placedKV, error) {
@@ -1212,6 +1268,10 @@ func (c *Client) placeKV(key, val []byte, slotVersion uint64, tombstone bool, fu
 			continue
 		}
 		ops := sc.ops[:0]
+		if fuse != nil {
+			ops = append(ops, sc.parked...)
+		}
+		first := len(ops) // the KV write; delta writes follow it
 		ops = append(ops, rdma.Op{Kind: rdma.OpWrite, Addr: dataAddr, Buf: buf})
 
 		// Precompute the invalidation patch: stamping InvalidVersion
@@ -1239,12 +1299,19 @@ func (c *Client) placeKV(key, val []byte, slotVersion uint64, tombstone bool, fu
 			inv = append(inv, rdma.Op{Kind: rdma.OpWrite,
 				Addr: a.Add(layout.KVVersionOff), Buf: sc.invDelta[:]})
 		}
-		nDelta := len(ops) - 1
+		last := len(ops) - 1 // the last delta write
 		if fuse != nil {
 			p.fused = true
 			p.newAtomic = layout.SlotAtomic{FP: fuse.fp, Ver: fuse.verNew, Addr: p.addr}.Pack()
+			if fuse.readSlot {
+				ops = append(ops, rdma.Op{Kind: rdma.OpRead, Addr: fuse.slotAddr, Buf: sc.slot[:]})
+			}
 			ops = append(ops, rdma.Op{Kind: rdma.OpCAS,
 				Addr: fuse.slotAddr, Old: fuse.atomOld, New: p.newAtomic})
+			if first > 0 {
+				c.Stats.Invalidations++ // vbatch counts the patch's writes
+				sc.parked = sc.parked[:0]
+			}
 		}
 		err = c.vbatch(ops)
 		sc.ops, sc.inv = ops, inv // retain grown capacity
@@ -1252,17 +1319,19 @@ func (c *Client) placeKV(key, val []byte, slotVersion uint64, tombstone bool, fu
 		// may still proceed — fault tolerance degrades for this pair,
 		// it must not become a lost update); a failed data write aborts
 		// (unfused) or forces a repair/abandon decision (fused).
-		for i := 1; i <= nDelta; i++ {
+		for i := first + 1; i <= last; i++ {
 			if ops[i].Err != nil {
 				skips++
 			}
 		}
 		p.deltaSkips = skips
 		p.inv = inv
-		dataErr := ops[0].Err
+		dataErr := ops[first].Err
 		if p.fused {
 			cas := &ops[len(ops)-1]
 			p.committed = cas.Err == nil && cas.Result == fuse.atomOld
+			p.sawSlot = fuse.readSlot && cas.Err == nil && ops[len(ops)-2].Err == nil &&
+				binary.LittleEndian.Uint64(sc.slot[:]) == cas.Result
 			if p.committed && dataErr != nil {
 				// The tail CAS won but the KV write it publishes was
 				// chaos-lost or its MN failed mid-batch. Readers at the

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/layout"
 	"repro/internal/racehash"
 	"repro/internal/rdma/simnet"
 )
@@ -27,8 +28,9 @@ func fusedTestConfig(cfg *Config) {
 // properties of the fused write path on the steady-state UPDATE:
 //
 //   - single RTT: each UPDATE issues exactly one doorbell carrying
-//     {KV pair write, deltaCopies delta writes, commit CAS} — 0 reads,
-//     3 writes, 1 CAS with the default 2-parity layout — and
+//     {KV pair write, deltaCopies delta writes, 16-byte slot read,
+//     commit CAS} — 3 writes, 1 read, 1 CAS with the default 2-parity
+//     layout; the read is what a lost CAS would re-arm from — and
 //   - zero heap allocations per op.
 func TestFusedUpdateSingleDoorbellZeroAlloc(t *testing.T) {
 	tc := newTestCluster(t, fusedTestConfig)
@@ -62,10 +64,10 @@ func TestFusedUpdateSingleDoorbellZeroAlloc(t *testing.T) {
 		}
 	}
 
-	// Verb phase: a steady-state fused UPDATE costs 0 reads, 1+deltaCopies
-	// writes and 1 CAS, all rung with a single doorbell.
+	// Verb phase: a steady-state fused UPDATE costs 1+deltaCopies writes,
+	// one 16-byte slot read and 1 CAS, all rung with a single doorbell.
 	wantWrites := uint64(1 + tc.cl.Cfg.deltaCopies())
-	r0, w0, c0 := cli.Stats.ReadsIssued, cli.Stats.WritesIssued, cli.Stats.CASIssued
+	r0, rb0, w0, c0 := cli.Stats.ReadsIssued, cli.Stats.BytesRead, cli.Stats.WritesIssued, cli.Stats.CASIssued
 	f0, fb0 := cli.Stats.WriteFused, cli.Stats.WriteFallback
 	db0 := dctx.doorbells
 	for i := 0; i < n; i++ {
@@ -73,8 +75,8 @@ func TestFusedUpdateSingleDoorbellZeroAlloc(t *testing.T) {
 			t.Fatalf("verb update %d: %v", i, err)
 		}
 	}
-	if reads := cli.Stats.ReadsIssued - r0; reads != 0 {
-		t.Fatalf("fused UPDATE issued %d reads over %d ops, want 0", reads, n)
+	if reads, rb := cli.Stats.ReadsIssued-r0, cli.Stats.BytesRead-rb0; reads != n || rb != n*layout.SlotSize {
+		t.Fatalf("fused UPDATE issued %d reads of %d bytes over %d ops, want one %d-byte slot read per op", reads, rb, n, layout.SlotSize)
 	}
 	if writes := cli.Stats.WritesIssued - w0; writes != wantWrites*n {
 		t.Fatalf("fused UPDATE writes = %d over %d ops, want %d/op", writes, n, wantWrites)

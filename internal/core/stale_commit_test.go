@@ -63,28 +63,41 @@ func (v verbDelta) since(o verbDelta) verbDelta {
 		v.fused - o.fused, v.fallback - o.fallback}
 }
 
-// TestLostFusedCASChasesInThreeDoorbells scripts the write-shared case
+// TestLostFusedCASChasesInTwoDoorbells scripts the write-shared case
 // the chase exists for: B commits between two of A's touches, so A's
-// speculative fused commit loses. A must resolve it in exactly three
-// doorbells — the lost batch, {invalidation patch, 16-byte slot read},
-// the winning batch — reading nothing but those 16 bytes (an index
-// probe would read two 128-byte buckets and the pair).
-func TestLostFusedCASChasesInThreeDoorbells(t *testing.T) {
+// speculative fused commit loses. A must resolve it in exactly two
+// doorbells — the lost batch, whose own 16-byte slot read re-arms the
+// retry, and the winning batch, which carries the orphan's invalidation
+// patch ahead of its placement — reading nothing but the slot twice (an
+// index probe would read two 128-byte buckets and the pair).
+func TestLostFusedCASChasesInTwoDoorbells(t *testing.T) {
 	tc, a, b, actx, _ := staleCommitPair(t, 4)
 	k := key(2)
 	if err := b.Update(k, val(2, 7)); err != nil { // B moved the slot after A cached it
 		t.Fatal(err)
 	}
+	// The next two slots of A's open block: the orphan, then the winner.
+	ob := a.open[uint8(layout.KVClassSize(len(k), len(val(2, 8)))/64)]
+	if ob == nil || len(ob.slots) < 2 {
+		t.Fatalf("A's open block cannot take two more pairs: %+v", ob)
+	}
+	node, _ := tc.cl.view.nodeOf(ob.mn)
+	pairVersion := func(slot int) uint64 {
+		off := tc.cl.L.BlockOff(ob.idx) + uint64(slot*ob.slotSize)
+		return binary.LittleEndian.Uint64(tc.pl.DirectMemory(node)[off+layout.KVVersionOff:])
+	}
+	orphan, winner := ob.slots[0], ob.slots[1]
+
 	before := snapVerbs(a, actx)
 	if err := a.Update(k, val(2, 8)); err != nil {
 		t.Fatal(err)
 	}
 	d := snapVerbs(a, actx).since(before)
-	if d.doorbells != 3 {
-		t.Errorf("lost fused CAS resolved in %d doorbells, want exactly 3", d.doorbells)
+	if d.doorbells != 2 {
+		t.Errorf("lost fused CAS resolved in %d doorbells, want exactly 2", d.doorbells)
 	}
-	if d.reads != 1 || d.bytesRead != layout.SlotSize {
-		t.Errorf("chase read %d verbs / %d bytes, want 1 read of the %d-byte slot and no bucket probe",
+	if d.reads != 2 || d.bytesRead != 2*layout.SlotSize {
+		t.Errorf("chase read %d verbs / %d bytes, want the %d-byte slot beside each CAS and no bucket probe",
 			d.reads, d.bytesRead, layout.SlotSize)
 	}
 	if d.retries != 1 || d.inval != 1 || d.chased != 1 || d.validChanged+d.validSame != 0 {
@@ -93,6 +106,15 @@ func TestLostFusedCASChasesInThreeDoorbells(t *testing.T) {
 	}
 	if d.fused != 2 || d.fallback != 0 {
 		t.Errorf("fused=%d fallback=%d, want both attempts fused", d.fused, d.fallback)
+	}
+	if v := pairVersion(orphan); v != layout.InvalidVersion {
+		t.Errorf("the orphaned pair's version reads %#x once the op returned, want InvalidVersion", v)
+	}
+	if v := pairVersion(winner); v == layout.InvalidVersion || v == 0 {
+		t.Errorf("the committed pair's version reads %#x", v)
+	}
+	if len(a.wsc.parked) != 0 {
+		t.Errorf("%d patch ops still parked after the op", len(a.wsc.parked))
 	}
 	// Both clients read A's value back, B by chasing its own stale entry.
 	for _, c := range []*Client{a, b} {
@@ -108,7 +130,8 @@ func TestLostFusedCASChasesInThreeDoorbells(t *testing.T) {
 // key until each client's staleness estimate crosses one half, then
 // pins the validate-first shape: {16-byte slot read, fused batch} = 2
 // doorbells with nothing placed in vain — no lost CAS, no invalidation —
-// whether the read finds the word moved or (a misprediction) not.
+// whether the read finds the word moved or (a misprediction) not. The
+// second 16-byte read is the one every fused UPDATE carries.
 func TestPredictedStaleUpdateTwoDoorbells(t *testing.T) {
 	_, a, b, actx, _ := staleCommitPair(t, 4)
 	k := key(1)
@@ -134,9 +157,9 @@ func TestPredictedStaleUpdateTwoDoorbells(t *testing.T) {
 			t.Fatal(err)
 		}
 		d := snapVerbs(a, actx).since(before)
-		if d.doorbells != 2 || d.reads != 1 || d.bytesRead != layout.SlotSize {
-			t.Errorf("%s: %d doorbells, %d reads, %d bytes read; want 2, 1, %d",
-				name, d.doorbells, d.reads, d.bytesRead, layout.SlotSize)
+		if d.doorbells != 2 || d.reads != 2 || d.bytesRead != 2*layout.SlotSize {
+			t.Errorf("%s: %d doorbells, %d reads, %d bytes read; want 2, 2, %d",
+				name, d.doorbells, d.reads, d.bytesRead, 2*layout.SlotSize)
 		}
 		if d.retries != 0 || d.inval != 0 || d.chased != 0 {
 			t.Errorf("%s: casRetries=%d invalidations=%d chased=%d, want none", name, d.retries, d.inval, d.chased)
@@ -149,10 +172,11 @@ func TestPredictedStaleUpdateTwoDoorbells(t *testing.T) {
 	check("unmoved slot", 0, 1) // nobody wrote since: the read was a misprediction
 	// The estimate is per entry history, not per client: key 3 was last
 	// written by B during warm-up and never validated since, so A
-	// speculates (the never-moved rate is still zero), loses and chases;
-	// the entry now says "moved last time", so the next write validates
-	// first, finds nothing moved, and the one after speculates again.
-	for i, want := range []int{3, 2, 1} {
+	// speculates (the never-moved rate is still zero), loses and chases
+	// — two doorbells, what validating first would have cost; the entry
+	// now says "moved last time", so the next write validates first,
+	// finds nothing moved, and the one after speculates again.
+	for i, want := range []int{2, 2, 1} {
 		before := snapVerbs(a, actx)
 		if err := a.Update(key(3), val(3, i)); err != nil {
 			t.Fatal(err)

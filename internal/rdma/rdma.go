@@ -108,9 +108,9 @@ type Verbs interface {
 	//
 	// Fabrics implementing OrderedBatcher additionally honour the
 	// fused-commit contract: an OpCAS in the tail position executes
-	// only after every preceding op in the list has completed at its
-	// target, and returns its fetched value in Op.Result. See
-	// OrderedBatcher for the exact guarantee.
+	// only after every preceding op in the list — reads included — has
+	// completed at its target, and returns its fetched value in
+	// Op.Result. See OrderedBatcher for the exact guarantee.
 	Batch(ops []Op) error
 	// Post issues ops unsignaled (selective signaling, §3.5.2 of the
 	// paper): the caller pays only the doorbell cost and does not wait
@@ -342,13 +342,21 @@ func IsVirtual(pl Platform) bool {
 
 // OrderedBatcher marks a Verbs implementation whose doorbell batches
 // support a fused commit: a trailing OpCAS in a Batch list executes
-// only after every preceding op in the list has completed at its
-// target node, and the CAS's fetched value is returned in Op.Result.
-// This is the same-QP ordering argument of RDMA hardware — writes
-// posted before a later atomic on one connection drain first — lifted
-// to the multi-node batch the client actually posts: the fabric must
-// not let the commit point become visible while any of the writes it
-// publishes are still in flight.
+// only after every op ahead of it in the list, reads included, has
+// completed at its target node, and the CAS's fetched value is
+// returned in Op.Result. This is the same-QP ordering argument of RDMA
+// hardware — writes posted before a later atomic on one connection
+// drain first — lifted to the multi-node batch the client actually
+// posts: the fabric must not let the commit point become visible while
+// any of the writes it publishes are still in flight.
+//
+// A read ahead of the tail therefore returns the target as it was at or
+// before the CAS, never after it. The core client reads the 16-byte
+// index slot there, so a CAS that loses re-arms from its own batch; how
+// long before the CAS is the fabric's business (the same instant but
+// for a NIC queue slot on simnet, a whole exchange earlier on tcpnet),
+// so the client trusts the read only when its Atomic word equals the
+// word the CAS fetched.
 //
 // Per-op failures remain possible (injected chaos, a target that
 // fail-stops mid-batch): an earlier op may carry Op.Err while the tail
