@@ -968,7 +968,7 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 			// the word moved; an unbound slot). Seals and bitmap flushes
 			// wait for the commit, so no patch is ever behind them.
 			c.Stats.CASRetries++
-			c.markObsolete(placed.addr, classUnits)
+			c.markObsolete(placed.addr)
 			if lockedVal != 0 {
 				c.unlockMeta(metaAddr, lockedVal, epochKV, metaOld.Len)
 			}
@@ -1016,8 +1016,7 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 			c.ctx.Post(sc.metaOp[:]) //nolint:errcheck // best-effort hint repair
 		}
 		if found {
-			old := layout.UnpackAtomic(atomOld)
-			c.markObsolete(old.Addr, layout.UnpackMeta(metaOld.Pack()).Len)
+			c.markObsolete(layout.UnpackAtomic(atomOld).Addr)
 		}
 		c.cacheSet(h, key, mn, slotOff, newAtomic,
 			layout.SlotMeta{Epoch: epochKV, Len: classUnits}, loc.epoch, tombstone, val)
@@ -1641,9 +1640,12 @@ func (c *Client) sealBlockCtx(ctx rdma.Ctx, ob *openBlock) {
 }
 
 // markObsolete queues a free-bitmap update for an overwritten KV pair
-// (§3.3.3 ①).
-func (c *Client) markObsolete(packed uint64, lenUnits uint8) {
-	if packed == 0 || lenUnits == 0 {
+// (§3.3.3 ①): the pair's offset inside its block, in 64-byte units. The
+// server, which owns the block's size class, turns the unit into a
+// bitmap bit; the client's only word on the pair's size is the slot's
+// Meta length hint, which lags the Atomic word it is read beside.
+func (c *Client) markObsolete(packed uint64) {
+	if packed == 0 {
 		return
 	}
 	mnU, off := layout.UnpackAddr(packed)
@@ -1651,9 +1653,8 @@ func (c *Client) markObsolete(packed uint64, lenUnits uint8) {
 	if bi < 0 {
 		return
 	}
-	slot := (off - c.cl.L.BlockOff(bi)) / (uint64(lenUnits) * 64)
 	k := pendKey{mn: int(mnU), block: bi}
-	c.pending[k] = append(c.pending[k], uint32(slot))
+	c.pending[k] = append(c.pending[k], uint32((off-c.cl.L.BlockOff(bi))/64))
 	c.pendingN++
 }
 
@@ -1704,7 +1705,7 @@ func (c *Client) FlushBitmaps() {
 
 // sendFreeBits encodes and delivers one block's free-bitmap update —
 // through the prefetch worker when it is running, inline otherwise.
-func (c *Client) sendFreeBits(node rdma.NodeID, k pendKey, bits []uint32) {
+func (c *Client) sendFreeBits(node rdma.NodeID, k pendKey, units []uint32) {
 	var buf []byte
 	if c.pf != nil {
 		buf = c.pf.getBuf()
@@ -1713,9 +1714,9 @@ func (c *Client) sendFreeBits(node rdma.NodeID, k pendKey, bits []uint32) {
 	}
 	e := enc{b: buf[:0]}
 	e.u32(uint32(k.block))
-	e.u16(uint16(len(bits)))
-	for _, b := range bits {
-		e.u32(b)
+	e.u16(uint16(len(units)))
+	for _, u := range units {
+		e.u32(u)
 	}
 	if c.pf != nil && c.pf.enqueueFlush(flushJob{node: node, payload: e.b}) {
 		return

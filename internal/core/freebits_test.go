@@ -109,3 +109,56 @@ func TestObsoleteMarksSurviveClassChangeUnderContention(t *testing.T) {
 		})
 	}
 }
+
+// TestFreeBitsDropsWhatNamesNoSlot drives the handler with marks that do
+// not name a slot of the block — a unit inside a slot, a unit past the
+// last slot, any unit of a block that is not DATA — beside one that
+// does: only that one may set a bit.
+func TestFreeBitsDropsWhatNamesNoSlot(t *testing.T) {
+	tc := newTestCluster(t, nil)
+	tc.runClients(t, 10*time.Second, func(c *Client) {
+		if err := c.Insert(key(0), val(0, 0)); err != nil {
+			t.Errorf("insert: %v", err)
+		}
+	})
+	l := tc.cl.L
+	mn, data, free := -1, -1, -1
+	var class int
+	for m := 0; m < l.Cfg.NumMNs && data < 0; m++ {
+		for b := 0; b < l.Cfg.BlocksPerMN(); b++ {
+			if rec := tc.cl.servers[m].record(b); rec.Role == layout.RoleData && rec.SizeClass != 0 {
+				mn, data, class = m, b, int(rec.SizeClass)
+				break
+			}
+		}
+	}
+	for b := l.Cfg.BlocksPerMN() - 1; b >= 0 && mn >= 0; b-- {
+		if tc.cl.servers[mn].record(b).Role == layout.RoleFree {
+			free = b
+			break
+		}
+	}
+	if data < 0 || free < 0 || class < 2 {
+		t.Fatalf("no DATA block of a multi-unit class and FREE block on one MN (mn %d data %d free %d class %d)", mn, data, free, class)
+	}
+	slots := l.KVSlotsPerBlock(uint8(class))
+	send := func(block int, units ...int) {
+		var e enc
+		e.u32(uint32(block))
+		e.u16(uint16(len(units)))
+		for _, u := range units {
+			e.u32(uint32(u))
+		}
+		if resp := tc.rpc(t, mn, methodFreeBits, e.b); resp[0] != stOK {
+			t.Fatalf("freebits on block %d: status %d", block, resp[0])
+		}
+	}
+	send(data, 3*class, 5*class+1, slots*class, 1<<30)
+	send(free, 0, class)
+	if got := layout.BitmapCount(tc.cl.servers[mn].bitmap(data)); got != 1 || !layout.BitmapGet(tc.cl.servers[mn].bitmap(data), 3) {
+		t.Errorf("DATA block: %d bits set, want only slot 3's", got)
+	}
+	if got := layout.BitmapCount(tc.cl.servers[mn].bitmap(free)); got != 0 {
+		t.Errorf("FREE block: %d bits set, want none", got)
+	}
+}

@@ -666,7 +666,9 @@ func (s *Server) handleEncodeDelta(method uint8, req []byte) ([]byte, time.Durat
 }
 
 // handleFreeBits applies a batch of obsolete-KV markings to a block's
-// free bitmap (§3.3.3 ①).
+// free bitmap (§3.3.3 ①). A mark names its pair by the pair's offset in
+// the block, in 64-byte units; the block's record says how many units a
+// slot spans.
 func (s *Server) handleFreeBits(req []byte) ([]byte, time.Duration) {
 	d := dec{b: req}
 	b := int(d.u32())
@@ -674,21 +676,31 @@ func (s *Server) handleFreeBits(req []byte) ([]byte, time.Duration) {
 	if b < 0 || b >= s.cl.L.Cfg.BlocksPerMN() {
 		return []byte{stBadArg}, time.Microsecond
 	}
-	// Every arriving mark is valid, even across block reuse: a slot is
-	// only handed out as writable when its previous pair's mark was
+	// Every mark that names a slot is valid, even across block reuse: a
+	// mark is derived from the address in an Atomic word its client
+	// CASed away (or from its own orphan's), never from a length hint,
+	// so it names exactly the pair that CAS obsoleted; each overwrite
+	// generates one mark, by the single client whose CAS won; and a slot
+	// is only handed out as writable when its previous pair's mark was
 	// already applied (that is what made the block a reclamation
-	// candidate), and each overwrite generates exactly one mark — by
-	// the single client whose CAS obsoleted the pair — so a mark can
-	// never target a slot whose current tenant is live.
+	// candidate) — so a mark can never target a slot whose current
+	// tenant is live. A DATA block keeps its size class for life. What
+	// names no slot (not a DATA block, no class, a unit inside a slot or
+	// past the last one) is dropped.
 	s.mu.Lock()
+	rec := s.record(b)
+	class, slots := int(rec.SizeClass), s.cl.L.KVSlotsPerBlock(rec.SizeClass)
+	if rec.Role != layout.RoleData {
+		slots = 0
+	}
 	bm := s.bitmap(b)
 	for i := 0; i < n; i++ {
-		bit := int(d.u32())
-		if bit/8 >= len(bm) {
+		unit := int(d.u32())
+		if slots == 0 || unit%class != 0 || unit/class >= slots {
 			continue
 		}
 		s.bitsApplied++
-		layout.BitmapSet(bm, bit)
+		layout.BitmapSet(bm, unit/class)
 	}
 	s.dirty[b] = true
 	s.mu.Unlock()
