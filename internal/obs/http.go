@@ -242,7 +242,6 @@ func (e *Exporter) WriteProm(w io.Writer) {
 		header(w, "aceso_write_fallback_total", "counter", "Two-phase commit attempts by fallback reason.")
 		fmt.Fprintf(w, "aceso_write_fallback_total{reason=\"disabled\"} %d\n", s.FallbackDisabled)
 		fmt.Fprintf(w, "aceso_write_fallback_total{reason=\"capability\"} %d\n", s.FallbackCapability)
-		fmt.Fprintf(w, "aceso_write_fallback_total{reason=\"insert\"} %d\n", s.FallbackInsert)
 		fmt.Fprintf(w, "aceso_write_fallback_total{reason=\"locked\"} %d\n", s.FallbackLocked)
 		fmt.Fprintf(w, "aceso_write_fallback_total{reason=\"rollover\"} %d\n", s.FallbackRollover)
 		fmt.Fprintf(w, "aceso_write_fallback_total{reason=\"addr\"} %d\n", s.FallbackAddr)

@@ -16,7 +16,6 @@ type WriteMetrics struct {
 	Fused              atomic.Uint64 // commits fused into the placement batch (1 RTT)
 	FallbackDisabled   atomic.Uint64 // Config.FusedCommit off
 	FallbackCapability atomic.Uint64 // fabric lacks rdma.OrderedBatcher
-	FallbackInsert     atomic.Uint64 // inserting into an unknown slot
 	FallbackLocked     atomic.Uint64 // Meta lock held (force-relock path)
 	FallbackRollover   atomic.Uint64 // epoch rollover took the Meta lock
 	FallbackAddr       atomic.Uint64 // slot address unresolvable (MN down)
@@ -32,8 +31,8 @@ type WriteMetrics struct {
 type WriteSnapshot struct {
 	Fused                                uint64
 	FallbackDisabled, FallbackCapability uint64
-	FallbackInsert, FallbackLocked       uint64
-	FallbackRollover, FallbackAddr       uint64
+	FallbackLocked, FallbackRollover     uint64
+	FallbackAddr                         uint64
 	PrefetchHits, PrefetchMisses         uint64
 	DeltaSkips                           uint64
 	Chased                               uint64
@@ -42,7 +41,7 @@ type WriteSnapshot struct {
 
 // Fallbacks returns the total two-phase commits across all reasons.
 func (s WriteSnapshot) Fallbacks() uint64 {
-	return s.FallbackDisabled + s.FallbackCapability + s.FallbackInsert +
+	return s.FallbackDisabled + s.FallbackCapability +
 		s.FallbackLocked + s.FallbackRollover + s.FallbackAddr
 }
 
@@ -55,7 +54,6 @@ func (m *WriteMetrics) Snapshot() WriteSnapshot {
 		Fused:              m.Fused.Load(),
 		FallbackDisabled:   m.FallbackDisabled.Load(),
 		FallbackCapability: m.FallbackCapability.Load(),
-		FallbackInsert:     m.FallbackInsert.Load(),
 		FallbackLocked:     m.FallbackLocked.Load(),
 		FallbackRollover:   m.FallbackRollover.Load(),
 		FallbackAddr:       m.FallbackAddr.Load(),
