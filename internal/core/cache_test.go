@@ -24,11 +24,33 @@ type directCtx struct {
 	pl *simnet.Platform
 	// doorbells counts Batch/Post calls — each is one doorbell ring /
 	// round trip on a real NIC — so the fused-write test can assert
-	// the single-RTT property directly.
-	doorbells int
+	// the single-RTT property directly. posts counts the Post calls
+	// among them: unsignaled, nobody waits for their completion.
+	doorbells, posts int
+	// Script hooks: onCall runs at the start of every ctx call with its
+	// name ("read", "write", "cas", "faa", "batch", "post", "rpc") and,
+	// for an RPC, the method; beforeOp runs ahead of every one-sided op,
+	// so a test can land another client's verbs between two ops of one
+	// batch. A non-nil rpcErr fails every RPC instead of dispatching it.
+	onCall   func(call string, method uint8)
+	beforeOp func(op *rdma.Op)
+	rpcErr   error
+	// op is the op of a Read, Write, CAS or FAA in flight: a local one
+	// would escape to the heap through the beforeOp indirect call.
+	op rdma.Op
+}
+
+func (d *directCtx) ring(call string, method uint8) {
+	d.doorbells++
+	if d.onCall != nil {
+		d.onCall(call, method)
+	}
 }
 
 func (d *directCtx) apply(op *rdma.Op) {
+	if d.beforeOp != nil {
+		d.beforeOp(op)
+	}
 	mem := d.pl.Memory(op.Addr.Node)
 	switch op.Kind {
 	case rdma.OpRead:
@@ -51,35 +73,39 @@ func (d *directCtx) apply(op *rdma.Op) {
 }
 
 func (d *directCtx) Read(buf []byte, addr rdma.GlobalAddr) error {
-	d.doorbells++
-	op := rdma.Op{Kind: rdma.OpRead, Addr: addr, Buf: buf}
-	d.apply(&op)
-	return op.Err
+	d.ring("read", 0)
+	d.op = rdma.Op{Kind: rdma.OpRead, Addr: addr, Buf: buf}
+	d.apply(&d.op)
+	return d.op.Err
 }
 
 func (d *directCtx) Write(addr rdma.GlobalAddr, data []byte) error {
-	d.doorbells++
-	op := rdma.Op{Kind: rdma.OpWrite, Addr: addr, Buf: data}
-	d.apply(&op)
-	return op.Err
+	d.ring("write", 0)
+	d.op = rdma.Op{Kind: rdma.OpWrite, Addr: addr, Buf: data}
+	d.apply(&d.op)
+	return d.op.Err
 }
 
 func (d *directCtx) CAS(addr rdma.GlobalAddr, old, new uint64) (uint64, error) {
-	d.doorbells++
-	op := rdma.Op{Kind: rdma.OpCAS, Addr: addr, Old: old, New: new}
-	d.apply(&op)
-	return op.Result, op.Err
+	d.ring("cas", 0)
+	d.op = rdma.Op{Kind: rdma.OpCAS, Addr: addr, Old: old, New: new}
+	d.apply(&d.op)
+	return d.op.Result, d.op.Err
 }
 
 func (d *directCtx) FAA(addr rdma.GlobalAddr, delta uint64) (uint64, error) {
-	d.doorbells++
-	op := rdma.Op{Kind: rdma.OpFAA, Addr: addr, New: delta}
-	d.apply(&op)
-	return op.Result, op.Err
+	d.ring("faa", 0)
+	d.op = rdma.Op{Kind: rdma.OpFAA, Addr: addr, New: delta}
+	d.apply(&d.op)
+	return d.op.Result, d.op.Err
 }
 
 func (d *directCtx) Batch(ops []rdma.Op) error {
-	d.doorbells++
+	d.ring("batch", 0)
+	return d.applyAll(ops)
+}
+
+func (d *directCtx) applyAll(ops []rdma.Op) error {
 	var firstErr error
 	for i := range ops {
 		d.apply(&ops[i])
@@ -90,7 +116,11 @@ func (d *directCtx) Batch(ops []rdma.Op) error {
 	return firstErr
 }
 
-func (d *directCtx) Post(ops []rdma.Op) error { return d.Batch(ops) }
+func (d *directCtx) Post(ops []rdma.Op) error {
+	d.posts++
+	d.ring("post", 0)
+	return d.applyAll(ops)
+}
 
 // OrderedBatch: Batch applies ops synchronously in list order, so the
 // fused-commit tail-CAS contract holds trivially.
@@ -105,6 +135,12 @@ var errDirectRPC = errors.New("directCtx: no RPC handler on node")
 // (the engine is paused, so the server's locks are uncontended). This
 // lets a direct-driven client provision blocks and flush bitmaps.
 func (d *directCtx) RPC(node rdma.NodeID, method uint8, req []byte) ([]byte, error) {
+	if d.onCall != nil {
+		d.onCall("rpc", method)
+	}
+	if d.rpcErr != nil {
+		return nil, d.rpcErr
+	}
 	h := d.pl.Handler(node)
 	if h == nil {
 		return nil, errDirectRPC

@@ -1023,8 +1023,7 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 		c.finishWrite()
 		return nil
 	}
-	c.flushParked()
-	return ErrRetriesExhausted
+	return ErrRetriesExhausted // nothing parked: the last attempts backed off
 }
 
 // unlockMeta releases the Meta lock, installing the new even epoch and

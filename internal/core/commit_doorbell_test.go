@@ -1,0 +1,481 @@
+package core
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"slices"
+	"testing"
+	"time"
+
+	"repro/internal/layout"
+	"repro/internal/racehash"
+	"repro/internal/rdma"
+)
+
+// Scripted pins of "one doorbell per commit attempt" (DESIGN.md §13):
+// two direct-driven clients, the test goroutine landing one client's
+// verbs between two ops of the other's batch.
+
+// dataSlot is a DATA slot a test watches.
+type dataSlot struct {
+	mem []byte
+	off uint64
+}
+
+func (p dataSlot) version() uint64 {
+	return binary.LittleEndian.Uint64(p.mem[p.off+layout.KVVersionOff:])
+}
+
+func (p dataSlot) invalidated() bool { return p.version() == layout.InvalidVersion }
+
+// nextSlots returns where c's next n pairs of (k, v)'s size class will
+// land: the head of its open block's slot list.
+func nextSlots(t *testing.T, tc *testCluster, c *Client, k, v []byte, n int) []dataSlot {
+	t.Helper()
+	ob := c.open[uint8(layout.KVClassSize(len(k), len(v))/64)]
+	if ob == nil || len(ob.slots) < n {
+		t.Fatalf("client %d's open block cannot take %d more pairs: %+v", c.ID(), n, ob)
+	}
+	node, _ := tc.cl.view.nodeOf(ob.mn)
+	out := make([]dataSlot, n)
+	for i := range out {
+		out[i] = dataSlot{tc.pl.DirectMemory(node), tc.cl.L.BlockOff(ob.idx) + uint64(ob.slots[i]*ob.slotSize)}
+	}
+	return out
+}
+
+// indexSlot returns the 16 bytes of the index slot c's cache holds for k.
+func indexSlot(t *testing.T, tc *testCluster, c *Client, k []byte) []byte {
+	t.Helper()
+	h := racehash.Hash(k)
+	ent := c.cache.lookup(h, k)
+	if ent == nil {
+		t.Fatalf("key %q not in client %d's cache", k, c.ID())
+	}
+	node, _ := tc.cl.view.nodeOf(racehash.HomeMN(h, tc.cl.Cfg.Layout.NumMNs))
+	return tc.pl.DirectMemory(node)[ent.slotOff : ent.slotOff+layout.SlotSize]
+}
+
+// indexSlotsOf counts the non-empty index slots whose pair carries key k.
+func indexSlotsOf(tc *testCluster, k []byte) int {
+	l, n := tc.cl.L, 0
+	for mn := 0; mn < l.Cfg.NumMNs; mn++ {
+		node, _ := tc.cl.view.nodeOf(mn)
+		mem := tc.pl.DirectMemory(node)
+		for b := uint64(0); b < l.NumBuckets(); b++ {
+			for s := 0; s < layout.BucketSlots; s++ {
+				w := binary.LittleEndian.Uint64(mem[l.SlotOff(b, s):])
+				if w == 0 {
+					continue
+				}
+				pmn, poff := layout.UnpackAddr(layout.UnpackAtomic(w).Addr)
+				pnode, _ := tc.cl.view.nodeOf(int(pmn))
+				pair := tc.pl.DirectMemory(pnode)[poff:]
+				klen := int(binary.LittleEndian.Uint16(pair[2:]))
+				if bytes.Equal(pair[layout.KVHeaderSize:layout.KVHeaderSize+klen], k) {
+					n++
+				}
+			}
+		}
+	}
+	return n
+}
+
+// moveBeforeSlotRead makes other update k ahead of each of the first n
+// 16-byte slot reads ctx issues, alone or inside a batch: a fused
+// attempt's slot read then sees the word its CAS is about to lose to.
+func moveBeforeSlotRead(t *testing.T, ctx *directCtx, other *Client, k []byte, n int) {
+	moved := 0
+	ctx.beforeOp = func(op *rdma.Op) {
+		if op.Kind == rdma.OpRead && len(op.Buf) == layout.SlotSize && moved < n {
+			moved++
+			if err := other.Update(k, val(0, 100+moved)); err != nil {
+				t.Errorf("interleaved update %d: %v", moved, err)
+			}
+		}
+	}
+}
+
+// moveBeforeCAS makes other run fn ahead of the first CAS ctx issues.
+func moveBeforeCAS(ctx *directCtx, fn func()) {
+	fired := false
+	ctx.beforeOp = func(op *rdma.Op) {
+		if op.Kind == rdma.OpCAS && !fired {
+			fired = true
+			fn()
+		}
+	}
+}
+
+// callLog records ctx's calls and, beside each, whether the watched
+// orphan had been invalidated by the time the call was made.
+type callLog struct {
+	calls   []string
+	methods []uint8
+	dead    []bool
+}
+
+func (l *callLog) attach(ctx *directCtx, orphan dataSlot) {
+	ctx.onCall = func(call string, method uint8) {
+		l.calls = append(l.calls, call)
+		l.methods = append(l.methods, method)
+		l.dead = append(l.dead, orphan.invalidated())
+	}
+}
+
+func (l *callLog) hasPrefix(want ...string) bool {
+	return len(l.calls) >= len(want) && slices.Equal(l.calls[:len(want)], want)
+}
+
+// TestFusedInsertTwoSignaledDoorbells pins the INSERT shape — bucket
+// pair, then one batch {KV write, delta writes, CAS(0 → new)}, then the
+// unsignaled Meta hint post — and the two races a CAS on an empty slot
+// must resolve: two keys wanting one free slot, and one key inserted
+// twice. One CAS wins; the loser's pair is invalidated, its key lands
+// once and nowhere twice.
+func TestFusedInsertTwoSignaledDoorbells(t *testing.T) {
+	setup := func(t *testing.T) (tc *testCluster, a, b *Client, actx *directCtx) {
+		tc = newTestCluster(t, fusedTestConfig)
+		actx = &directCtx{pl: tc.pl}
+		a, b = tc.cl.NewClient(), tc.cl.NewClient()
+		a.Attach(actx)
+		b.Attach(&directCtx{pl: tc.pl})
+		for i, c := range []*Client{a, b} { // open each client's block
+			if err := c.Insert(key(900+i), val(900+i, 0)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return tc, a, b, actx
+	}
+	// insertsAt is the (home MN, bucket) an INSERT of k into an empty
+	// index takes its free slot from.
+	insertsAt := func(tc *testCluster, k []byte) [2]uint64 {
+		h := racehash.Hash(k)
+		i1, i2 := racehash.BucketPair(h, tc.cl.L.NumBuckets())
+		if h>>32&1 == 1 {
+			i1 = i2
+		}
+		return [2]uint64{uint64(racehash.HomeMN(h, tc.cl.Cfg.Layout.NumMNs)), i1}
+	}
+
+	t.Run("shape", func(t *testing.T) {
+		_, a, _, actx := setup(t)
+		before, cas0 := snapVerbs(a, actx), a.Stats.CASIssued
+		if err := a.Insert(key(0), val(0, 0)); err != nil {
+			t.Fatal(err)
+		}
+		d := snapVerbs(a, actx).since(before)
+		if d.doorbells != 3 || d.posts != 1 {
+			t.Errorf("INSERT rang %d doorbells, %d of them unsignaled; want 2 signaled (bucket pair, fused batch) and the Meta hint post", d.doorbells, d.posts)
+		}
+		if d.reads != 2 || d.bytesRead != 2*layout.BucketSize || a.Stats.CASIssued-cas0 != 1 {
+			t.Errorf("INSERT read %d verbs / %d bytes and issued %d CASes; want the two buckets and one CAS", d.reads, d.bytesRead, a.Stats.CASIssued-cas0)
+		}
+		if d.fused != 1 || d.fallback != 0 || d.retries != 0 {
+			t.Errorf("fused=%d fallback=%d casRetries=%d, want 1 0 0", d.fused, d.fallback, d.retries)
+		}
+	})
+
+	t.Run("two keys, one free slot", func(t *testing.T) {
+		tc, a, b, actx := setup(t)
+		seen := map[[2]uint64][]byte{insertsAt(tc, key(900)): nil, insertsAt(tc, key(901)): nil}
+		var k1, k2 []byte
+		for i := 1000; k2 == nil; i++ {
+			at := insertsAt(tc, key(i))
+			if prev, ok := seen[at]; ok && prev != nil {
+				k1, k2 = prev, key(i)
+			} else if !ok {
+				seen[at] = key(i)
+			}
+		}
+		orphan := nextSlots(t, tc, a, k1, val(1, 0), 1)[0]
+		moveBeforeCAS(actx, func() {
+			if err := b.Insert(k2, val(2, 0)); err != nil {
+				t.Errorf("B's insert: %v", err)
+			}
+		})
+		before := snapVerbs(a, actx)
+		if err := a.Insert(k1, val(1, 0)); err != nil {
+			t.Fatal(err)
+		}
+		d := snapVerbs(a, actx).since(before)
+		if d.retries != 1 || d.inval != 1 || d.chased != 0 || d.fused != 2 {
+			t.Errorf("casRetries=%d invalidations=%d chased=%d fused=%d, want 1 1 0 2 (an empty slot is bound to no key: re-probe)", d.retries, d.inval, d.chased, d.fused)
+		}
+		if !orphan.invalidated() {
+			t.Errorf("the losing INSERT's pair reads version %#x, want InvalidVersion", orphan.version())
+		}
+		for k, want := range map[string][]byte{string(k1): val(1, 0), string(k2): val(2, 0)} {
+			if got, err := b.Search([]byte(k)); err != nil || !bytes.Equal(got, want) {
+				t.Errorf("key %q reads %q, %v", k, got, err)
+			}
+			if n := indexSlotsOf(tc, []byte(k)); n != 1 {
+				t.Errorf("key %q sits in %d index slots, want 1", k, n)
+			}
+		}
+	})
+
+	t.Run("one key, two inserters", func(t *testing.T) {
+		tc, a, b, actx := setup(t)
+		k := key(7)
+		orphan := nextSlots(t, tc, a, k, val(7, 1), 1)[0]
+		moveBeforeCAS(actx, func() {
+			if err := b.Insert(k, val(7, 2)); err != nil {
+				t.Errorf("B's insert: %v", err)
+			}
+		})
+		before := snapVerbs(a, actx)
+		if err := a.Insert(k, val(7, 1)); err != nil {
+			t.Fatal(err)
+		}
+		if d := snapVerbs(a, actx).since(before); d.retries != 1 || d.inval != 1 {
+			t.Errorf("casRetries=%d invalidations=%d, want 1 1", d.retries, d.inval)
+		}
+		if !orphan.invalidated() {
+			t.Errorf("the losing INSERT's pair reads version %#x, want InvalidVersion", orphan.version())
+		}
+		if n := indexSlotsOf(tc, k); n != 1 {
+			t.Errorf("key sits in %d index slots, want 1: the loser must find the winner's slot", n)
+		}
+		for _, c := range []*Client{a, b} { // A's write is the later one
+			if got, err := c.Search(k); err != nil || !bytes.Equal(got, val(7, 1)) {
+				t.Errorf("client %d reads %q, %v; want A's value", c.ID(), got, err)
+			}
+		}
+	})
+}
+
+// TestLostCASFallbacksReadTheSlot reaches the three attempts that may
+// still spend a doorbell on the slot they just lost on — each posts its
+// orphan's patch unsignaled first, there being no fused batch at hand
+// for it to ride.
+func TestLostCASFallbacksReadTheSlot(t *testing.T) {
+	k := key(2)
+	run := func(t *testing.T, a *Client, actx *directCtx, orphan dataSlot) (verbDelta, *callLog) {
+		log := &callLog{}
+		log.attach(actx, orphan)
+		before := snapVerbs(a, actx)
+		if err := a.Update(k, val(2, 8)); err != nil {
+			t.Fatal(err)
+		}
+		d := snapVerbs(a, actx).since(before)
+		if got, err := a.Search(k); err != nil || !bytes.Equal(got, val(2, 8)) {
+			t.Errorf("A reads %q, %v after its update", got, err)
+		}
+		if !orphan.invalidated() || len(a.wsc.parked) != 0 {
+			t.Errorf("after the op: orphan version %#x, %d patch ops parked", orphan.version(), len(a.wsc.parked))
+		}
+		return d, log
+	}
+
+	// The slot moves between the batch's slot read and its CAS (on tcpnet:
+	// during the exchange that separates them), so the image is older than
+	// the word that beat the CAS and cannot be committed against.
+	t.Run("slot image the CAS did not confirm", func(t *testing.T) {
+		tc, a, b, actx, _ := staleCommitPair(t, 4)
+		orphan := nextSlots(t, tc, a, k, val(2, 8), 1)[0]
+		moveBeforeCAS(actx, func() {
+			if err := b.Update(k, val(2, 7)); err != nil {
+				t.Errorf("B's update: %v", err)
+			}
+		})
+		d, log := run(t, a, actx, orphan)
+		if !log.hasPrefix("batch", "post", "read", "batch") {
+			t.Errorf("calls %v, want lost batch, patch post, slot read, winning batch", log.calls)
+		}
+		if d.reads != 3 || d.bytesRead != 3*layout.SlotSize || d.chased != 1 || d.retries != 1 {
+			t.Errorf("reads=%d bytes=%d chased=%d casRetries=%d, want 3 %d 1 1", d.reads, d.bytesRead, d.chased, d.retries, 3*layout.SlotSize)
+		}
+	})
+
+	t.Run("unfused attempt", func(t *testing.T) {
+		tc, a, b, actx, _ := staleCommitPairCfg(t, 4, func(cfg *Config) { cfg.FusedCommit = false })
+		orphan := nextSlots(t, tc, a, k, val(2, 8), 1)[0]
+		if err := b.Update(k, val(2, 7)); err != nil {
+			t.Fatal(err)
+		}
+		d, log := run(t, a, actx, orphan)
+		if !log.hasPrefix("batch", "cas", "post", "read", "batch", "cas") {
+			t.Errorf("calls %v, want placement, lost CAS, patch post, slot read, placement, CAS", log.calls)
+		}
+		if d.reads != 1 || d.bytesRead != layout.SlotSize || d.chased != 1 || d.fused != 0 {
+			t.Errorf("reads=%d bytes=%d chased=%d fused=%d, want 1 %d 1 0", d.reads, d.bytesRead, d.chased, d.fused, layout.SlotSize)
+		}
+	})
+
+	// From the fourth loss on the writer backs off before it retries, and
+	// a slot image is not kept over a sleep.
+	t.Run("back-off", func(t *testing.T) {
+		tc, a, b, actx, _ := staleCommitPair(t, 4)
+		orphans := nextSlots(t, tc, a, k, val(2, 8), 4)
+		moveBeforeSlotRead(t, actx, b, k, 4)
+		d, log := run(t, a, actx, orphans[3])
+		if !log.hasPrefix("batch", "batch", "batch", "batch", "post", "read", "batch") {
+			t.Errorf("calls %v, want four lost batches, the fourth orphan's patch post, a slot read, the winning batch", log.calls)
+		}
+		if d.retries != 4 || d.inval != 4 || d.chased != 4 || d.posts != 1 || d.reads != 6 {
+			t.Errorf("casRetries=%d invalidations=%d chased=%d posts=%d reads=%d, want 4 4 4 1 6", d.retries, d.inval, d.chased, d.posts, d.reads)
+		}
+		for i, o := range orphans {
+			if !o.invalidated() {
+				t.Errorf("orphan %d reads version %#x, want InvalidVersion", i, o.version())
+			}
+		}
+		tc.run(20 * time.Millisecond)
+		stripeParityInvariant(t, tc)
+	})
+}
+
+// TestParkedPatchLeavesOnEveryExit follows the invalidation patch of a
+// lost fused attempt that re-armed from its own batch. The patch is
+// parked for the head of the retry's fused batch; whenever the retry
+// turns out to ring anything else first — a Meta lock to wait for, an
+// epoch rollover, a placement that fails — the patch must be posted
+// before that, and when it does ride it must be on the wire before the
+// seal of the block the lost attempt filled. A DELETE, whose batch reads
+// no slot, never parks. Each case ends with the byte-level stripe check.
+func TestParkedPatchLeavesOnEveryExit(t *testing.T) {
+	k := key(2)
+	errNoRPC := errors.New("test: RPCs fail")
+	cases := []struct {
+		name string
+		// arrange sets the scene after B moved the slot; A's open block
+		// has one slot left when lastSlot is set.
+		arrange  func(t *testing.T, tc *testCluster, a, b *Client, actx *directCtx)
+		lastSlot bool
+		del      bool
+		wantErr  error
+		// calls is the prefix A's calls must have; deadAt the call by
+		// which the orphan must read InvalidVersion ("" + method for RPCs).
+		calls      []string
+		deadAt     string
+		deadMethod uint8
+		posts      int
+	}{
+		{name: "rides the retry's batch",
+			calls: []string{"batch", "batch"}, posts: 0},
+		{name: "Meta lock",
+			arrange: func(t *testing.T, tc *testCluster, a, b *Client, _ *directCtx) {
+				meta := indexSlot(t, tc, b, k)[layout.SlotMetaOff:]
+				m := layout.UnpackMeta(binary.LittleEndian.Uint64(meta))
+				m.Epoch++ // odd: some client is rolling the epoch and never finishes
+				binary.LittleEndian.PutUint64(meta, m.Pack())
+			},
+			calls: []string{"batch", "post", "read"}, deadAt: "read", posts: 1},
+		{name: "epoch rollover",
+			arrange: func(t *testing.T, tc *testCluster, a, b *Client, _ *directCtx) {
+				slot := indexSlot(t, tc, b, k)
+				for i := 0; layout.UnpackAtomic(binary.LittleEndian.Uint64(slot)).Ver != layout.VerMax; i++ {
+					if err := b.Update(k, val(2, 1000+i)); err != nil || i > 300 {
+						t.Fatalf("B's update %d towards version %d: %v", i, layout.VerMax, err)
+					}
+				}
+			},
+			calls: []string{"batch", "post", "cas", "batch", "cas", "cas"}, deadAt: "cas", posts: 1},
+		{name: "placement error", lastSlot: true, wantErr: ErrNoSpace,
+			arrange: func(_ *testing.T, _ *testCluster, _, _ *Client, actx *directCtx) { actx.rpcErr = errNoRPC },
+			calls:   []string{"batch", "rpc"}, posts: 1},
+		{name: "DELETE back to the index", del: true,
+			calls: []string{"batch", "post", "batch"}, deadAt: "post", posts: 2}, // + the tombstone's Meta hint
+		{name: "before the seal", lastSlot: true,
+			calls: []string{"batch", "rpc"}, deadAt: "rpc", deadMethod: methodSealBlock, posts: 0},
+	}
+	for _, tcase := range cases {
+		t.Run(tcase.name, func(t *testing.T) {
+			tc, a, b, actx, _ := staleCommitPair(t, 4)
+			if err := b.Update(k, val(2, 7)); err != nil { // B moved the slot after A cached it
+				t.Fatal(err)
+			}
+			if tcase.arrange != nil {
+				tcase.arrange(t, tc, a, b, actx)
+			}
+			v := val(2, 8)
+			if tcase.del {
+				v = nil
+				if err := a.Delete(key(3)); err != nil { // open A's tombstone-class block
+					t.Fatal(err)
+				}
+			}
+			orphan := nextSlots(t, tc, a, k, v, 1)[0]
+			if tcase.lastSlot {
+				ob := a.open[uint8(layout.KVClassSize(len(k), len(v))/64)]
+				ob.slots = ob.slots[:1]
+			}
+			log := &callLog{}
+			log.attach(actx, orphan)
+			slotReads := 0
+			actx.beforeOp = func(op *rdma.Op) {
+				if op.Kind == rdma.OpRead && len(op.Buf) == layout.SlotSize {
+					slotReads++
+				}
+			}
+			before := snapVerbs(a, actx)
+			var err error
+			if tcase.del {
+				err = a.Delete(k)
+			} else {
+				err = a.Update(k, v)
+			}
+			d := snapVerbs(a, actx).since(before)
+			if !errors.Is(err, tcase.wantErr) {
+				t.Fatalf("op returned %v, want %v", err, tcase.wantErr)
+			}
+			if !log.hasPrefix(tcase.calls...) {
+				t.Errorf("calls %v, want the prefix %v", log.calls, tcase.calls)
+			}
+			if d.retries != 1 || d.inval != 1 || d.posts != tcase.posts {
+				t.Errorf("casRetries=%d invalidations=%d posts=%d, want 1 1 %d", d.retries, d.inval, d.posts, tcase.posts)
+			}
+			if tcase.deadAt != "" {
+				at := -1
+				for i, call := range log.calls {
+					if i > 0 && call == tcase.deadAt && log.methods[i] == tcase.deadMethod {
+						at = i
+						break
+					}
+				}
+				if at < 0 {
+					t.Errorf("calls %v hold no %s (method %d) after the lost batch", log.calls, tcase.deadAt, tcase.deadMethod)
+				} else if tcase.deadAt == "post" {
+					at++ // the post is the patch: look at the call after it
+				}
+				if at >= 0 && !log.dead[at] {
+					t.Errorf("orphan still valid at call %d of %v", at, log.calls)
+				}
+			}
+			if tcase.del && slotReads != 0 {
+				t.Errorf("a DELETE's batches read the slot %d times, want 0", slotReads)
+			}
+			if !orphan.invalidated() || len(a.wsc.parked) != 0 {
+				t.Errorf("after the op: orphan version %#x, %d patch ops parked", orphan.version(), len(a.wsc.parked))
+			}
+			actx.rpcErr = nil
+			if tcase.wantErr == nil {
+				want := v
+				got, err := b.Search(k)
+				if tcase.del && !errors.Is(err, ErrNotFound) || !tcase.del && (err != nil || !bytes.Equal(got, want)) {
+					t.Errorf("B reads %q, %v after A's op", got, err)
+				}
+			}
+			tc.run(20 * time.Millisecond)
+			stripeParityInvariant(t, tc)
+		})
+	}
+}
+
+// TestCachedDeleteSingleDoorbellNoSlotRead pins the DELETE's batch: a
+// DELETE never commits against a re-read word, so no slot read rides it.
+func TestCachedDeleteSingleDoorbellNoSlotRead(t *testing.T) {
+	_, _, b, _, bctx := staleCommitPair(t, 4) // B wrote every key last: its cached words are current
+	for i := 0; i < 2; i++ {                  // the first opens the tombstone-class block
+		before := snapVerbs(b, bctx)
+		if err := b.Delete(key(i)); err != nil {
+			t.Fatal(err)
+		}
+		if d := snapVerbs(b, bctx).since(before); i == 1 && (d.doorbells != 2 || d.posts != 1 || d.reads != 0 || d.fused != 1) {
+			t.Errorf("cached DELETE: %d doorbells (%d unsignaled), %d reads, %d fused; want the batch and the Meta hint post, no read",
+				d.doorbells, d.posts, d.reads, d.fused)
+		}
+	}
+}

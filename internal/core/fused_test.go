@@ -234,11 +234,14 @@ func TestFusedUpdateSkipsDeltasOnParityMNFailure(t *testing.T) {
 // the hot key must end at some writer's final acknowledged value (the
 // last commit overall is the last op of whoever issued it), and each
 // writer's private key — written between hot-key rounds through the
-// same client state — at that writer's last value.
+// same client state — at that writer's last value. Every round also has
+// all eight INSERT one fresh key, racing CAS(0 → new) on one empty slot:
+// the key must end in exactly one index slot, at some writer's value.
 func TestFusedConcurrentWritersParityInvariant(t *testing.T) {
 	tc := newTestCluster(t, nil)
 	k := []byte("fused-contended")
 	const writers, rounds = 8, 100
+	fresh := func(r int) []byte { return key(5000 + r) }
 	stats := make([]ClientStats, writers)
 	fns := make([]func(*Client), writers)
 	for w := 0; w < writers; w++ {
@@ -251,6 +254,10 @@ func TestFusedConcurrentWritersParityInvariant(t *testing.T) {
 				}
 				if err := c.Update(key(w), val(w, r)); err != nil {
 					t.Errorf("writer %d private update %d: %v", w, r, err)
+					return
+				}
+				if err := c.Insert(fresh(r), val(w, r)); err != nil {
+					t.Errorf("writer %d insert %d: %v", w, r, err)
 					return
 				}
 			}
@@ -285,6 +292,16 @@ func TestFusedConcurrentWritersParityInvariant(t *testing.T) {
 		}
 		if err != nil || !final {
 			t.Errorf("hot key after contention: %v, value is no writer's last acknowledged write", err)
+		}
+		for r := 0; r < rounds; r++ {
+			got, err := c.Search(fresh(r))
+			written := false
+			for w := 0; w < writers; w++ {
+				written = written || bytes.Equal(got, val(w, r))
+			}
+			if n := indexSlotsOf(tc, fresh(r)); err != nil || !written || n != 1 {
+				t.Errorf("key inserted by all writers in round %d: %v, written=%v, in %d index slots", r, err, written, n)
+			}
 		}
 	})
 	tc.run(100 * time.Millisecond) // drain seals and encoders

@@ -18,7 +18,19 @@ import (
 // verb by verb) that both hold every key in their index caches.
 func staleCommitPair(t *testing.T, n int) (tc *testCluster, a, b *Client, actx, bctx *directCtx) {
 	t.Helper()
-	tc = newTestCluster(t, fusedTestConfig)
+	return staleCommitPairCfg(t, n, nil)
+}
+
+// staleCommitPairCfg is staleCommitPair on a configuration mutate has
+// adjusted beyond fusedTestConfig.
+func staleCommitPairCfg(t *testing.T, n int, mutate func(*Config)) (tc *testCluster, a, b *Client, actx, bctx *directCtx) {
+	t.Helper()
+	tc = newTestCluster(t, func(cfg *Config) {
+		fusedTestConfig(cfg)
+		if mutate != nil {
+			mutate(cfg)
+		}
+	})
 	tc.runClients(t, 30*time.Second, func(c *Client) {
 		for i := 0; i < n; i++ {
 			if err := c.Insert(key(i), val(i, 0)); err != nil {
@@ -43,7 +55,7 @@ func staleCommitPair(t *testing.T, n int) (tc *testCluster, a, b *Client, actx, 
 
 // verbDelta snapshots the counters the scripted tests assert on.
 type verbDelta struct {
-	doorbells                        int
+	doorbells, posts                 int
 	reads, bytesRead, retries, inval uint64
 	chased, validChanged, validSame  uint64
 	fused, fallback                  uint64
@@ -51,13 +63,13 @@ type verbDelta struct {
 
 func snapVerbs(c *Client, d *directCtx) verbDelta {
 	s := &c.Stats
-	return verbDelta{d.doorbells, s.ReadsIssued, s.BytesRead, s.CASRetries, s.Invalidations,
+	return verbDelta{d.doorbells, d.posts, s.ReadsIssued, s.BytesRead, s.CASRetries, s.Invalidations,
 		s.WriteChased, s.WriteValidatedChanged, s.WriteValidatedSame,
 		s.WriteFused, s.WriteFallback}
 }
 
 func (v verbDelta) since(o verbDelta) verbDelta {
-	return verbDelta{v.doorbells - o.doorbells, v.reads - o.reads, v.bytesRead - o.bytesRead,
+	return verbDelta{v.doorbells - o.doorbells, v.posts - o.posts, v.reads - o.reads, v.bytesRead - o.bytesRead,
 		v.retries - o.retries, v.inval - o.inval, v.chased - o.chased,
 		v.validChanged - o.validChanged, v.validSame - o.validSame,
 		v.fused - o.fused, v.fallback - o.fallback}
