@@ -1265,9 +1265,19 @@ func (c *Client) placeKV(key, val []byte, slotVersion uint64, tombstone bool, fu
 			delete(c.open, ob.class)
 			continue
 		}
+		// The slot read leads the batch: the index MN's NIC serves it
+		// while the client's is still ringing out the writes, so the CAS
+		// does not queue behind it. A parked patch follows.
 		ops := sc.ops[:0]
 		if fuse != nil {
-			ops = append(ops, sc.parked...)
+			if fuse.readSlot {
+				ops = append(ops, rdma.Op{Kind: rdma.OpRead, Addr: fuse.slotAddr, Buf: sc.slot[:]})
+			}
+			if len(sc.parked) > 0 {
+				ops = append(ops, sc.parked...)
+				c.Stats.Invalidations++ // vbatch counts the patch's writes
+				sc.parked = sc.parked[:0]
+			}
 		}
 		first := len(ops) // the KV write; delta writes follow it
 		ops = append(ops, rdma.Op{Kind: rdma.OpWrite, Addr: dataAddr, Buf: buf})
@@ -1301,15 +1311,8 @@ func (c *Client) placeKV(key, val []byte, slotVersion uint64, tombstone bool, fu
 		if fuse != nil {
 			p.fused = true
 			p.newAtomic = layout.SlotAtomic{FP: fuse.fp, Ver: fuse.verNew, Addr: p.addr}.Pack()
-			if fuse.readSlot {
-				ops = append(ops, rdma.Op{Kind: rdma.OpRead, Addr: fuse.slotAddr, Buf: sc.slot[:]})
-			}
 			ops = append(ops, rdma.Op{Kind: rdma.OpCAS,
 				Addr: fuse.slotAddr, Old: fuse.atomOld, New: p.newAtomic})
-			if first > 0 {
-				c.Stats.Invalidations++ // vbatch counts the patch's writes
-				sc.parked = sc.parked[:0]
-			}
 		}
 		err = c.vbatch(ops)
 		sc.ops, sc.inv = ops, inv // retain grown capacity
@@ -1328,7 +1331,7 @@ func (c *Client) placeKV(key, val []byte, slotVersion uint64, tombstone bool, fu
 		if p.fused {
 			cas := &ops[len(ops)-1]
 			p.committed = cas.Err == nil && cas.Result == fuse.atomOld
-			p.sawSlot = fuse.readSlot && cas.Err == nil && ops[len(ops)-2].Err == nil &&
+			p.sawSlot = fuse.readSlot && cas.Err == nil && ops[0].Err == nil &&
 				binary.LittleEndian.Uint64(sc.slot[:]) == cas.Result
 			if p.committed && dataErr != nil {
 				// The tail CAS won but the KV write it publishes was
