@@ -103,21 +103,28 @@ func (sc *readScratch) growKV(n int) []byte {
 // delta, the placement batch and invalidation op slices, and the 8-byte
 // patch words the invalidation ops point at.
 type writeScratch struct {
-	buf      []byte    // KV encode buffer, grown to the largest class seen
-	delta    []byte    // XOR delta against the reclaimed slot's old bytes
-	ops      []rdma.Op // placement batch: (parked patch +) KV write + delta writes (+ slot read + fused CAS)
-	inv      []rdma.Op // invalidation patch of the pair placeKV placed last
-	invData  [8]byte
-	invDelta [8]byte
-	// parked is a lost attempt's invalidation patch waiting to ride the
-	// retry's fused batch. It owns its op slice and its two patch words:
-	// that batch's own placement overwrites inv, invData and invDelta.
-	parked     []rdma.Op
-	parkedData [2][8]byte // the data slot's word, the delta copies' word
-	metaW      [8]byte    // length-hint repair word (must outlive the Post)
-	metaOp     [1]rdma.Op
-	slot       [layout.SlotSize]byte // the slot's Atomic+Meta as last read: by rearmSlot, or beside a fused CAS
-	fuse       fuseSpec
+	buf   []byte    // KV encode buffer, grown to the largest class seen
+	delta []byte    // XOR delta against the reclaimed slot's old bytes
+	ops   []rdma.Op // fused batch: (slot read +) (parked patch +) KV write + delta writes (+ CAS)
+	// inv holds the invalidation patches of the last two placements,
+	// built in turn, because a lost attempt's patch can be parked: it
+	// waits to lead the retry's fused batch, whose own placement builds
+	// the other one. Only an attempt whose next verb is that batch parks.
+	inv    [2]invPatch
+	invCur int
+	parked []rdma.Op
+	metaW  [8]byte // length-hint repair word (must outlive the Post)
+	metaOp [1]rdma.Op
+	slot   [layout.SlotSize]byte // the slot's Atomic+Meta as last read: by rearmSlot, or at the head of a fused batch
+	fuse   fuseSpec
+}
+
+// invPatch is one placement's invalidation patch: version-field writes
+// for the pair and every delta copy, and the two words they carry.
+type invPatch struct {
+	ops   []rdma.Op
+	data  [8]byte // InvalidVersion, for the pair
+	delta [8]byte // the XOR word that takes every delta copy along
 }
 
 // fuseSpec carries the commit-CAS operands into placeKV when the
@@ -891,10 +898,9 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 			}
 		default:
 			if slotAddr, ok := c.cl.Addr(mn, slotOff); ok {
-				// A slot bound to the key is read beside the CAS: should
-				// the CAS lose, the attempt re-arms from its own batch. A
-				// DELETE would have no use for the read (it never commits
-				// against a re-read word), an INSERT's slot is not bound.
+				// A slot bound to the key is read ahead of the CAS, for a
+				// lost attempt to re-arm from. A DELETE has no use for the
+				// read, and an INSERT's slot is bound to no key.
 				f := &c.wsc.fuse
 				*f = fuseSpec{slotAddr: slotAddr, atomOld: atomOld, fp: fp, verNew: verNew,
 					readSlot: found && loc.bound && !tombstone}
@@ -958,37 +964,34 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 			// Lost the race (or the CAS itself failed): our pair is
 			// orphaned (Algorithm 1 line 18), but the slot is still this
 			// key's. Chase it (DESIGN.md §13): re-arm from the 16 bytes the
-			// lost batch read beside its CAS, park the orphan's
-			// invalidation to ride the next batch, and commit against the
-			// read word — one doorbell per attempt. Whatever cannot re-arm
-			// that way posts the patch unsignaled and reads the slot (an
-			// unfused attempt, a slot image the CAS did not confirm, or one
-			// that would age over a back-off sleep: bounded backoff keeps a
-			// herd from starving one client) or probes the index (a DELETE:
-			// the word moved; an unbound slot). Seals and bitmap flushes
-			// wait for the commit, so no patch is ever behind them.
+			// lost batch read ahead of its CAS and let the orphan's
+			// invalidation lead the retry's batch — one doorbell per
+			// attempt. An attempt that cannot (unfused; the CAS did not
+			// confirm the read; back-off, which keeps a herd from starving
+			// one client and over which no slot image is kept) posts the
+			// patch and reads the slot; a DELETE, which never commits
+			// against a re-read word, probes the index. Seals and bitmap
+			// flushes wait for the commit, so no patch is ever behind them.
 			c.Stats.CASRetries++
 			c.markObsolete(placed.addr)
 			if lockedVal != 0 {
 				c.unlockMeta(metaAddr, lockedVal, epochKV, metaOld.Len)
 			}
 			chaseStart := c.ctx.Now()
-			backoff := attempt > 2
-			rode := placed.sawSlot && !backoff
+			rode := placed.sawSlot && attempt <= 2
 			if rode {
 				c.rearmSlot(&loc, mn, fp, true)
 			}
 			if loc.armed {
-				c.parkInvalidation(placed.inv)
+				c.wsc.parked = placed.inv // leads the retry's batch
 			} else {
 				c.invalidateKV(placed.inv)
-				if backoff {
+				if attempt > 2 {
 					c.ctx.Sleep(time.Duration(1+int(c.id)%4) * time.Microsecond << min(attempt, 6))
 				}
-				switch {
-				case tombstone:
+				if tombstone {
 					loc = slotLoc{bypass: true}
-				case !rode:
+				} else if !rode {
 					c.rearmSlot(&loc, mn, fp, false)
 				}
 			}
@@ -1037,8 +1040,8 @@ func (c *Client) unlockMeta(addr rdma.GlobalAddr, lockedVal uint64, epochEven ui
 // recovery never resurrects it (Algorithm 1 line 18). The pair's delta
 // copies receive the matching XOR patch, preserving the stripe
 // invariant DATA = enc ⊕ DELTA; placeKV precomputed the ops. This is the
-// unsignaled post of a patch with no fused batch to ride; a chased loss
-// parks it instead (parkInvalidation).
+// unsignaled post of a patch with no fused batch to ride; a loss that
+// re-armed from its own batch parks it instead (writeScratch.parked).
 func (c *Client) invalidateKV(inv []rdma.Op) {
 	if len(inv) == 0 {
 		return
@@ -1048,25 +1051,12 @@ func (c *Client) invalidateKV(inv []rdma.Op) {
 	c.ctx.Post(inv) //nolint:errcheck // best effort
 }
 
-// parkInvalidation keeps a lost attempt's invalidation patch for the
-// head of the retry's fused batch (placeKV), so a chased loss costs no
-// doorbell besides its two commit attempts. Only an attempt whose next
-// verb is that batch parks; whatever turns away from it first — a Meta
-// lock or rollover, an unfused attempt, an error — calls flushParked.
-func (c *Client) parkInvalidation(inv []rdma.Op) {
-	sc := &c.wsc
-	sc.parkedData = [2][8]byte{sc.invData, sc.invDelta}
-	sc.parked = append(sc.parked[:0], inv...)
-	for i := range sc.parked {
-		sc.parked[i].Buf = sc.parkedData[min(i, 1)][:]
-	}
-}
-
-// flushParked posts a parked patch that will not ride a fused batch.
+// flushParked posts a parked patch whose attempt turned away from the
+// fused batch it was to lead: a Meta lock or rollover, an unfused
+// attempt, a placement error.
 func (c *Client) flushParked() {
-	sc := &c.wsc
-	c.invalidateKV(sc.parked)
-	sc.parked = sc.parked[:0]
+	c.invalidateKV(c.wsc.parked)
+	c.wsc.parked = nil
 }
 
 // rearmSlot refreshes loc from the slot itself — its 16 bytes of Atomic
@@ -1235,6 +1225,8 @@ func (c *Client) placeKV(key, val []byte, slotVersion uint64, tombstone bool, fu
 	classSize := layout.KVClassSize(len(key), len(val))
 	classUnits := uint8(classSize / 64)
 	sc := &c.wsc
+	patch := &sc.inv[sc.invCur] // the other one may be parked
+	sc.invCur ^= 1
 	for {
 		ob, err := c.getBlock(classUnits)
 		if err != nil {
@@ -1276,7 +1268,7 @@ func (c *Client) placeKV(key, val []byte, slotVersion uint64, tombstone bool, fu
 			if len(sc.parked) > 0 {
 				ops = append(ops, sc.parked...)
 				c.Stats.Invalidations++ // vbatch counts the patch's writes
-				sc.parked = sc.parked[:0]
+				sc.parked = nil
 			}
 		}
 		first := len(ops) // the KV write; delta writes follow it
@@ -1286,12 +1278,11 @@ func (c *Client) placeKV(key, val []byte, slotVersion uint64, tombstone bool, fu
 		// into the data slot changes the delta word by
 		// slotVersion ⊕ InvalidVersion, keeping DATA = enc ⊕ DELTA.
 		p := placedKV{addr: layout.PackAddr(uint16(ob.mn), off)}
-		binary.LittleEndian.PutUint64(sc.invData[:], layout.InvalidVersion)
-		inv := sc.inv[:0]
-		inv = append(inv, rdma.Op{Kind: rdma.OpWrite,
-			Addr: dataAddr.Add(layout.KVVersionOff), Buf: sc.invData[:]})
+		binary.LittleEndian.PutUint64(patch.data[:], layout.InvalidVersion)
+		inv := append(patch.ops[:0], rdma.Op{Kind: rdma.OpWrite,
+			Addr: dataAddr.Add(layout.KVVersionOff), Buf: patch.data[:]})
 		deltaVer := binary.LittleEndian.Uint64(delta[layout.KVVersionOff:]) ^ slotVersion ^ layout.InvalidVersion
-		binary.LittleEndian.PutUint64(sc.invDelta[:], deltaVer)
+		binary.LittleEndian.PutUint64(patch.delta[:], deltaVer)
 
 		// Delta copies the stripe wants but this write cannot reach
 		// count as skips, so fault-bound accounting sees the real
@@ -1305,7 +1296,7 @@ func (c *Client) placeKV(key, val []byte, slotVersion uint64, tombstone bool, fu
 			}
 			ops = append(ops, rdma.Op{Kind: rdma.OpWrite, Addr: a, Buf: delta})
 			inv = append(inv, rdma.Op{Kind: rdma.OpWrite,
-				Addr: a.Add(layout.KVVersionOff), Buf: sc.invDelta[:]})
+				Addr: a.Add(layout.KVVersionOff), Buf: patch.delta[:]})
 		}
 		last := len(ops) - 1 // the last delta write
 		if fuse != nil {
@@ -1315,7 +1306,7 @@ func (c *Client) placeKV(key, val []byte, slotVersion uint64, tombstone bool, fu
 				Addr: fuse.slotAddr, Old: fuse.atomOld, New: p.newAtomic})
 		}
 		err = c.vbatch(ops)
-		sc.ops, sc.inv = ops, inv // retain grown capacity
+		sc.ops, patch.ops = ops, inv // retain grown capacity
 		// Per-op accounting: a failed delta copy is a skip (the commit
 		// may still proceed — fault tolerance degrades for this pair,
 		// it must not become a lost update); a failed data write aborts

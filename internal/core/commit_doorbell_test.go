@@ -57,28 +57,34 @@ func indexSlot(t *testing.T, tc *testCluster, c *Client, k []byte) []byte {
 	return tc.pl.DirectMemory(node)[ent.slotOff : ent.slotOff+layout.SlotSize]
 }
 
-// indexSlotsOf counts the non-empty index slots whose pair carries key k.
-func indexSlotsOf(tc *testCluster, k []byte) int {
-	l, n := tc.cl.L, 0
+// eachIndexWord calls fn with every non-zero slot Atomic word of every
+// MN's index.
+func eachIndexWord(tc *testCluster, fn func(word uint64)) {
+	l := tc.cl.L
 	for mn := 0; mn < l.Cfg.NumMNs; mn++ {
 		node, _ := tc.cl.view.nodeOf(mn)
 		mem := tc.pl.DirectMemory(node)
 		for b := uint64(0); b < l.NumBuckets(); b++ {
 			for s := 0; s < layout.BucketSlots; s++ {
-				w := binary.LittleEndian.Uint64(mem[l.SlotOff(b, s):])
-				if w == 0 {
-					continue
-				}
-				pmn, poff := layout.UnpackAddr(layout.UnpackAtomic(w).Addr)
-				pnode, _ := tc.cl.view.nodeOf(int(pmn))
-				pair := tc.pl.DirectMemory(pnode)[poff:]
-				klen := int(binary.LittleEndian.Uint16(pair[2:]))
-				if bytes.Equal(pair[layout.KVHeaderSize:layout.KVHeaderSize+klen], k) {
-					n++
+				if w := binary.LittleEndian.Uint64(mem[l.SlotOff(b, s):]); w != 0 {
+					fn(w)
 				}
 			}
 		}
 	}
+}
+
+// indexSlotsOf counts the index slots whose pair carries key k.
+func indexSlotsOf(tc *testCluster, k []byte) (n int) {
+	eachIndexWord(tc, func(w uint64) {
+		pmn, poff := layout.UnpackAddr(layout.UnpackAtomic(w).Addr)
+		pnode, _ := tc.cl.view.nodeOf(int(pmn))
+		pair := tc.pl.DirectMemory(pnode)[poff:]
+		klen := int(binary.LittleEndian.Uint16(pair[2:]))
+		if bytes.Equal(pair[layout.KVHeaderSize:layout.KVHeaderSize+klen], k) {
+			n++
+		}
+	})
 	return n
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
 	"math/rand"
 	"testing"
 	"time"
@@ -19,17 +18,7 @@ func freeBitmapAudit(t *testing.T, tc *testCluster) (unmarkedDead, markedUnwritt
 	t.Helper()
 	l := tc.cl.L
 	live := map[uint64]bool{} // packed pair addresses the indexes point at
-	for mn := 0; mn < l.Cfg.NumMNs; mn++ {
-		node, _ := tc.cl.view.nodeOf(mn)
-		mem := tc.pl.DirectMemory(node)
-		for b := uint64(0); b < l.NumBuckets(); b++ {
-			for s := 0; s < layout.BucketSlots; s++ {
-				if w := binary.LittleEndian.Uint64(mem[l.SlotOff(b, s):]); w != 0 {
-					live[layout.UnpackAtomic(w).Addr] = true
-				}
-			}
-		}
-	}
+	eachIndexWord(tc, func(w uint64) { live[layout.UnpackAtomic(w).Addr] = true })
 	for mn := 0; mn < l.Cfg.NumMNs; mn++ {
 		node, _ := tc.cl.view.nodeOf(mn)
 		mem := tc.pl.DirectMemory(node)

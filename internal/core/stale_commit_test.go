@@ -88,17 +88,8 @@ func TestLostFusedCASChasesInTwoDoorbells(t *testing.T) {
 	if err := b.Update(k, val(2, 7)); err != nil { // B moved the slot after A cached it
 		t.Fatal(err)
 	}
-	// The next two slots of A's open block: the orphan, then the winner.
-	ob := a.open[uint8(layout.KVClassSize(len(k), len(val(2, 8)))/64)]
-	if ob == nil || len(ob.slots) < 2 {
-		t.Fatalf("A's open block cannot take two more pairs: %+v", ob)
-	}
-	node, _ := tc.cl.view.nodeOf(ob.mn)
-	pairVersion := func(slot int) uint64 {
-		off := tc.cl.L.BlockOff(ob.idx) + uint64(slot*ob.slotSize)
-		return binary.LittleEndian.Uint64(tc.pl.DirectMemory(node)[off+layout.KVVersionOff:])
-	}
-	orphan, winner := ob.slots[0], ob.slots[1]
+	next := nextSlots(t, tc, a, k, val(2, 8), 2)
+	orphan, winner := next[0], next[1]
 
 	before := snapVerbs(a, actx)
 	if err := a.Update(k, val(2, 8)); err != nil {
@@ -119,10 +110,10 @@ func TestLostFusedCASChasesInTwoDoorbells(t *testing.T) {
 	if d.fused != 2 || d.fallback != 0 {
 		t.Errorf("fused=%d fallback=%d, want both attempts fused", d.fused, d.fallback)
 	}
-	if v := pairVersion(orphan); v != layout.InvalidVersion {
-		t.Errorf("the orphaned pair's version reads %#x once the op returned, want InvalidVersion", v)
+	if !orphan.invalidated() {
+		t.Errorf("the orphaned pair's version reads %#x once the op returned, want InvalidVersion", orphan.version())
 	}
-	if v := pairVersion(winner); v == layout.InvalidVersion || v == 0 {
+	if v := winner.version(); v == layout.InvalidVersion || v == 0 {
 		t.Errorf("the committed pair's version reads %#x", v)
 	}
 	if len(a.wsc.parked) != 0 {
