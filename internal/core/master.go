@@ -22,6 +22,9 @@ type Master struct {
 	round  uint64
 	spares []rdma.NodeID
 	failQ  []int
+	// abortedRounds counts checkpoint rounds that took no snapshot
+	// because an alive MN never acknowledged the prepare (ckptLoop).
+	abortedRounds uint64
 	// Reports collects recovery reports for harness inspection.
 	Reports []*RecoveryReport
 	// DetectDelay models the membership service's failure-detection
@@ -48,29 +51,75 @@ func (m *Master) start() {
 	m.cl.pl.Spawn(m.node, "master-recovery", m.recoveryLoop)
 }
 
+// ckptPrepareAttempts bounds how often one round's prepare is sent to an
+// MN that does not acknowledge it, and ckptPrepareRetry paces the
+// attempts on the fabric clock.
+const (
+	ckptPrepareAttempts = 3
+	ckptPrepareRetry    = 100 * time.Microsecond
+)
+
 // ckptLoop drives checkpoint rounds at the configured interval using
-// the two-phase trigger (prepare on every MN, then snapshot; see
-// Server.handleCkptPrepare for why two phases are needed).
+// the two-phase trigger, and the two phases are a barrier: snapshot(r)
+// goes out only once every MN the view calls alive has acknowledged
+// prepare(r), because recovery skips every sealed block whose version
+// is not above its checkpoint's (DESIGN.md §3, handleCkptPrepare). A
+// round that cannot get there takes no snapshot anywhere; the versions
+// it did raise are harmless.
 func (m *Master) ckptLoop(ctx rdma.Ctx) {
+	acked := make([]bool, m.cl.Cfg.Layout.NumMNs)
 	for {
 		ctx.Sleep(m.cl.Cfg.CkptInterval)
 		m.mu.Lock()
 		m.round++
 		round := m.round
 		m.mu.Unlock()
-		n := m.cl.Cfg.Layout.NumMNs
 		var e enc
 		e.u64(round)
-		for mn := 0; mn < n; mn++ {
+		if silent := m.prepareRound(ctx, e.b, acked); silent >= 0 {
+			m.mu.Lock()
+			m.abortedRounds++
+			m.mu.Unlock()
+			// Periodic lane: a silent MN aborts every round until the
+			// view drops it, and must not evict the failure's own events.
+			m.cl.trace.EmitPeriodic(obs.Event{At: ctx.Now(), Kind: "ckpt.round_aborted", MN: silent,
+				Note: fmt.Sprintf("round=%d: prepare unacknowledged, no snapshot taken", round)})
+			continue
+		}
+		for mn := range acked {
 			if node, alive := m.cl.view.nodeOf(mn); alive {
-				ctx.RPC(node, methodCkptPrepare, e.b) //nolint:errcheck // failed MN joins next round
+				ctx.RPC(node, methodCkptSnapshot, e.b) //nolint:errcheck // a missed snapshot leaves that MN's copy at an older round
 			}
 		}
-		for mn := 0; mn < n; mn++ {
-			if node, alive := m.cl.view.nodeOf(mn); alive {
-				ctx.RPC(node, methodCkptSnapshot, e.b) //nolint:errcheck // failed MN joins next round
+	}
+}
+
+// prepareRound sends prepare to every alive MN until each has
+// acknowledged it, and returns -1, or the first MN that is still alive
+// and still silent after ckptPrepareAttempts. An MN the view calls
+// failed seals nothing, and its replacement starts above the round
+// (runRecovery), so neither needs the prepare.
+func (m *Master) prepareRound(ctx rdma.Ctx, req []byte, acked []bool) (silent int) {
+	for mn := range acked {
+		acked[mn] = false
+	}
+	for attempt := 1; ; attempt++ {
+		silent = -1
+		for mn := range acked {
+			node, alive := m.cl.view.nodeOf(mn)
+			if acked[mn] || !alive {
+				continue
+			}
+			resp, err := ctx.RPC(node, methodCkptPrepare, req)
+			acked[mn] = err == nil && len(resp) > 0 && resp[0] == stOK
+			if !acked[mn] && silent < 0 {
+				silent = mn
 			}
 		}
+		if silent < 0 || attempt == ckptPrepareAttempts {
+			return silent
+		}
+		ctx.Sleep(ckptPrepareRetry)
 	}
 }
 
@@ -176,6 +225,24 @@ func (m *Master) ReportList() []*RecoveryReport {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return append([]*RecoveryReport(nil), m.Reports...)
+}
+
+// Round returns the last checkpoint round the master started. It is
+// incremented before the round's first prepare goes out, so no alive
+// MN's Index Version is ever above Round()+1.
+func (m *Master) Round() uint64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.round
+}
+
+// AbortedRounds returns how many checkpoint rounds took no snapshot
+// because an alive MN stayed silent through the prepare phase; each
+// left a ckpt.round_aborted event in the cluster trace.
+func (m *Master) AbortedRounds() uint64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.abortedRounds
 }
 
 // MNState reports a logical MN's recovery state (for harnesses).

@@ -306,6 +306,15 @@ func runRecovery(ctx rdma.Ctx, cl *Cluster, mn int) *RecoveryReport {
 	srv := newServer(cl, mn, ctx.Node())
 	srv.start()
 	cl.view.mu.Lock()
+	if cl.master != nil {
+		// The replacement seals at the group's Index Version, not at its
+		// own last shipped round's: other MNs' checkpoints may be rounds
+		// ahead of that (clean rounds, a failed ship), and a block stamped
+		// with a version they have passed would be skipped by their
+		// recovery. Read under view.mu, so a round whose barrier does not
+		// see this server alive has already been counted here.
+		srv.raiseIndexVersion(cl.master.Round() + 1)
+	}
 	cl.servers[mn] = srv
 	cl.view.failed[mn] = false
 	cl.view.indexReady[mn] = true

@@ -223,6 +223,16 @@ func (s *Server) setIndexVersion(v uint64) {
 	binary.LittleEndian.PutUint64(s.mem[s.cl.L.IndexVersionOff():], v)
 }
 
+// raiseIndexVersion lifts the Index Version to at least v; it never
+// regresses.
+func (s *Server) raiseIndexVersion(v uint64) {
+	s.mu.Lock()
+	if v > s.indexVersion() {
+		s.setIndexVersion(v)
+	}
+	s.mu.Unlock()
+}
+
 // freePoolBlock finds a free pool block, or -1. Caller holds mu.
 func (s *Server) freePoolBlock() int {
 	l := s.cl.L
@@ -749,11 +759,7 @@ func (s *Server) handleQueryOwned(req []byte) ([]byte, time.Duration) {
 func (s *Server) handleCkptPrepare(req []byte) ([]byte, time.Duration) {
 	d := dec{b: req}
 	round := d.u64()
-	s.mu.Lock()
-	if round+1 > s.indexVersion() {
-		s.setIndexVersion(round + 1)
-	}
-	s.mu.Unlock()
+	s.raiseIndexVersion(round + 1)
 	return []byte{stOK}, 500 * time.Nanosecond
 }
 
