@@ -89,12 +89,14 @@ func main() {
 	fmt.Printf("[%8v] block area recovered after %v -> fully healed\n", blkAt, blkAt-crashAt)
 
 	rep := cluster.RecoveryReports()[0]
-	fmt.Printf("recovery report: meta=%v ckpt=%v newLocal=%d(%v) remote=%d(%v) scannedKV=%d(%v) oldLocal=%d(%v)\n",
-		rep.ReadMeta, rep.ReadCkpt,
+	fmt.Printf("recovery report: meta=%v ckpt=%v(version %d) newLocal=%d(%v) remote=%d(%v) scannedKV=%d(%v) oldLocal=%d(%v)\n",
+		rep.ReadMeta, rep.ReadCkpt, rep.CkptVersion,
 		rep.LBlockCount, rep.RecoverLBlock,
 		rep.RBlockCount, rep.ReadRBlock,
 		rep.KVCount, rep.ScanKV,
 		rep.OldLBlockCount, rep.RecoverOldLBlock)
+	fmt.Printf("tier 2: the checkpoint covered %d sealed blocks, which were not scanned; %d pairs fetched to compare checkpoint entries' keys\n",
+		rep.CoveredBlocks, rep.KeysFetched)
 	fmt.Printf("tier 3: %d old blocks + %d parity rows rebuilt by %d workers, %d bytes into the replacement, read per source MN %v, %d rows given up\n",
 		rep.OldLBlockCount, rep.ParityRowCount, rep.Tier3Workers, rep.Tier3InboundBytes, rep.Tier3SourceBytes, rep.Tier3LostRows)
 

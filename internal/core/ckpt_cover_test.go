@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -10,11 +11,13 @@ import (
 	"repro/internal/layout"
 	"repro/internal/racehash"
 	"repro/internal/rdma"
+	"repro/internal/rdma/simnet"
 )
 
-// This file pins what the rule by which tier 2 leaves sealed blocks
-// unscanned rests on (DESIGN.md §3): the barrier in the master's
-// two-phase trigger, and the Index Version a replacement starts at.
+// This file pins what tier 2 may leave unscanned (DESIGN.md §3): the
+// rule new ⇔ unsealed ∨ version > ckptVer, the barrier in the master's
+// two-phase trigger it rests on, and the Index Version a replacement
+// starts at.
 
 // scripted is a long-lived client the test goroutine drives one step at
 // a time through the engine: do hands it a function and runs virtual
@@ -339,4 +342,306 @@ func TestReplacementSealsAtGroupIndexVersion(t *testing.T) {
 	tc.cl.FailMN(home)
 	tc.waitBlocksReady(t, home)
 	tc.verifyAll(t, model)
+}
+
+// coverScript drives a cluster whose checkpoint rounds the test sends
+// itself (the master's own never come due), keeping beside it what the
+// happens-before argument says about every block: the Index Version of
+// each MN as the prepares it was sent imply it, and the version each
+// DATA block was sealed with (0: open, or reused and not sealed again).
+type coverScript struct {
+	t       *testing.T
+	tc      *testCluster
+	clients []*scripted
+	model   map[int][]byte
+	gen     int
+	version []uint64
+	stamp   map[blockID]uint64
+}
+
+const coverVictim = 1
+
+func newCoverScript(t *testing.T, clients int) *coverScript {
+	tc := newTestCluster(t, func(cfg *Config) {
+		coverConfig(cfg)
+		cfg.CkptInterval = time.Hour
+		// Any sealed block with an obsolete pair is reclaimed by the next
+		// allocation on its MN, so a flush of marks scripts a reuse.
+		cfg.ReclaimFree = 1
+		cfg.ReclaimObsolete = 0.001
+	})
+	tc.cl.master.AddSpare()
+	s := &coverScript{t: t, tc: tc, model: map[int][]byte{}, stamp: map[blockID]uint64{}}
+	for i := 0; i < clients; i++ {
+		s.clients = append(s.clients, tc.spawnScripted(fmt.Sprintf("scripted%d", i)))
+	}
+	for range tc.cl.servers {
+		s.version = append(s.version, 1)
+	}
+	return s
+}
+
+// put writes a new value of key id from client cli, into its open block
+// or a new one on MN on.
+func (s *coverScript) put(cli, on, id int) blockID {
+	s.t.Helper()
+	s.gen++
+	v := val(id, s.gen)
+	blk, open := s.clients[cli].put(s.t, on, id, v)
+	s.model[id] = v
+	s.stamp[blk] = 0 // open; a reused block is unsealed again
+	if !open {
+		s.stamp[blk] = s.version[blk.mn]
+	}
+	return blk
+}
+
+func (s *coverScript) seal(cli int) {
+	s.t.Helper()
+	c := s.clients[cli]
+	for _, ob := range c.c.open {
+		blk := blockID{ob.mn, ob.idx}
+		s.stamp[blk] = s.version[blk.mn]
+	}
+	c.seal(s.t)
+}
+
+func (s *coverScript) flushMarks(cli int) {
+	s.t.Helper()
+	s.clients[cli].do(s.t, func(c *Client) { c.FlushBitmaps() })
+}
+
+func (s *coverScript) prepare(r uint64, mn int) {
+	s.t.Helper()
+	var e enc
+	e.u64(r)
+	s.tc.rpc(s.t, mn, methodCkptPrepare, e.b)
+	s.version[mn] = max(s.version[mn], r+1)
+}
+
+func (s *coverScript) snapshot(r uint64, mn int) {
+	s.t.Helper()
+	var e enc
+	e.u64(r)
+	s.tc.rpc(s.t, mn, methodCkptSnapshot, e.b)
+}
+
+// round runs a whole round, the barrier honoured, and lets it ship.
+func (s *coverScript) round(r uint64) {
+	s.t.Helper()
+	for mn := range s.version {
+		s.prepare(r, mn)
+	}
+	for mn := range s.version {
+		s.snapshot(r, mn)
+	}
+	s.tc.run(3 * time.Millisecond)
+}
+
+// failAndCheck fail-stops the victim and holds its recovery to the
+// argument: tier 2 decoded or read exactly the blocks that are unsealed
+// or sealed above the checkpoint's version, skipped the rest, and every
+// key reads its last acknowledged value.
+func (s *coverScript) failAndCheck() *RecoveryReport {
+	s.t.Helper()
+	tc := s.tc
+	tc.run(time.Millisecond) // the victim's last records reach its meta replicas
+	ckptVer := tc.hostedCkptVersion(coverVictim)
+	covered, uncovered := 0, 0
+	for _, v := range s.stamp {
+		if v != 0 && v <= ckptVer {
+			covered++
+		} else {
+			uncovered++
+		}
+	}
+	tc.cl.FailMN(coverVictim)
+	tc.waitBlocksReady(s.t, coverVictim)
+	rep := tc.cl.master.Reports[0]
+	if rep.CkptVersion != ckptVer {
+		s.t.Errorf("recovery started from checkpoint version %d, the host held %d", rep.CkptVersion, ckptVer)
+	}
+	if got := rep.LBlockCount + rep.RBlockCount; got != uncovered || rep.CoveredBlocks != covered {
+		s.t.Errorf("tier 2 took %d local + %d remote blocks and skipped %d; checkpoint version %d leaves %d uncovered and %d covered (sealed versions %v)",
+			rep.LBlockCount, rep.RBlockCount, rep.CoveredBlocks, ckptVer, uncovered, covered, s.stamp)
+	}
+	tc.verifyAll(s.t, s.model)
+	return rep
+}
+
+// TestTier2ScansOnlyUncoveredBlocks scripts every way a block can stand
+// to a checkpoint round and checks that tier 2 takes exactly the blocks
+// the checkpoint may miss a commit of. Every key is homed on the victim,
+// so a block wrongly skipped is a wrong value read back. The block
+// "sealed after the snapshot" holds the only copy of a commit the
+// checkpoint cannot have and carries version r+1: a rule that skipped
+// versions up to ckptVer+1 loses it, and this test fails.
+func TestTier2ScansOnlyUncoveredBlocks(t *testing.T) {
+	t.Run("one round", func(t *testing.T) {
+		s := newCoverScript(t, 5)
+		k := keysHomedOn(s.tc, coverVictim, 12, true)
+		// Sealed before prepare(1), remote and local: covered.
+		s.put(0, 2, k[0])
+		reused := s.put(0, 2, k[1])
+		s.seal(0)
+		s.put(0, 4, k[2])
+		s.seal(0)
+		s.put(1, coverVictim, k[3])
+		s.seal(1)
+		for mn := range s.version {
+			s.prepare(1, mn)
+		}
+		// Sealed between prepare(1) and snapshot(1): version 2, scanned
+		// although the snapshot will hold their commits.
+		s.put(0, 3, k[4])
+		s.seal(0)
+		s.put(1, coverVictim, k[5])
+		s.seal(1)
+		for mn := range s.version {
+			s.snapshot(1, mn)
+		}
+		s.tc.run(3 * time.Millisecond)
+		if got := s.tc.hostedCkptVersion(coverVictim); got != 1 {
+			t.Fatalf("victim's hosted checkpoint at version %d after round 1", got)
+		}
+		// Sealed after snapshot(1), with commits after it.
+		s.put(0, 4, k[0])
+		s.put(0, 4, k[6])
+		s.seal(0)
+		s.put(1, coverVictim, k[3])
+		s.seal(1)
+		// Unsealed.
+		s.put(2, 0, k[7])
+		s.put(3, coverVictim, k[8])
+		// Reused and sealed again: k[0]'s first pair is obsolete, its mark
+		// makes the covered block a reclamation candidate, and the next
+		// allocation on MN 2 hands it out.
+		s.flushMarks(0)
+		if got := s.put(4, 2, k[9]); got != reused {
+			t.Fatalf("the pair went to block %v, want the reclaimed %v", got, reused)
+		}
+		if s.tc.cl.Reclaimed() != 1 {
+			t.Fatalf("%d blocks reclaimed, want 1", s.tc.cl.Reclaimed())
+		}
+		rep := s.failAndCheck()
+		if rep.CoveredBlocks != 2 || rep.LBlockCount != 3 || rep.RBlockCount != 4 {
+			t.Errorf("covered=%d local=%d remote=%d, want 2 3 4", rep.CoveredBlocks, rep.LBlockCount, rep.RBlockCount)
+		}
+		// k[3] was rewritten after the snapshot: its checkpoint entry points
+		// into the victim's own covered block, which tier 2 does not decode,
+		// so the pair is read through its stripe. (k[0]'s entry points into
+		// the reused block, which was scanned.)
+		if rep.KeysFetched != 1 {
+			t.Errorf("%d keys fetched, want 1", rep.KeysFetched)
+		}
+	})
+
+	t.Run("clean rounds", func(t *testing.T) {
+		// Rounds in which the victim's index did not move ship nothing, so
+		// its hosted copy keeps version 1 while the group seals with 3 and
+		// 4: all of that is above the checkpoint, whatever it holds.
+		s := newCoverScript(t, 3)
+		k := keysHomedOn(s.tc, coverVictim, 4, true)
+		elsewhere := keysHomedOn(s.tc, coverVictim, 2, false)
+		s.put(0, 2, k[0])
+		s.seal(0)
+		s.round(1)
+		s.put(1, 3, elsewhere[0])
+		s.seal(1)
+		s.round(2)
+		s.put(1, coverVictim, elsewhere[1])
+		s.seal(1)
+		s.round(3)
+		if got := s.tc.hostedCkptVersion(coverVictim); got != 1 {
+			t.Fatalf("victim's hosted checkpoint at version %d after two clean rounds, want 1", got)
+		}
+		s.put(0, 0, k[0])
+		s.put(0, 0, k[1])
+		s.seal(0)
+		rep := s.failAndCheck()
+		if rep.CoveredBlocks != 1 || rep.LBlockCount != 1 || rep.RBlockCount != 2 {
+			t.Errorf("covered=%d local=%d remote=%d, want 1 1 2", rep.CoveredBlocks, rep.LBlockCount, rep.RBlockCount)
+		}
+		// k[0]'s checkpoint entry points into the covered block on MN 2.
+		if rep.KeysFetched != 1 {
+			t.Errorf("%d keys fetched, want 1", rep.KeysFetched)
+		}
+	})
+}
+
+// TestTier2CoverageRandomWalk walks the same events at random — writes
+// into open or fresh blocks on any MN, seals, mark flushes that let
+// sealed blocks be reused, and checkpoint rounds whose prepares and
+// snapshots go out one RPC at a time with the other events between them
+// — then fail-stops the victim and checks recovery against the block
+// model and the key-value model; the clients, caches warm, then write
+// across the recovery and the keys are checked again. A failing seed
+// replays alone: -run 'TestTier2CoverageRandomWalk/seed=17$'.
+func TestTier2CoverageRandomWalk(t *testing.T) {
+	const seeds, steps, clients = 200, 40, 4
+	for seed := 1; seed <= seeds; seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(seed)))
+			s := newCoverScript(t, clients)
+			n := len(s.version)
+			pool := append(keysHomedOn(s.tc, coverVictim, 10, true), keysHomedOn(s.tc, coverVictim, 6, false)...)
+			r, stage := uint64(1), 0 // the round in progress and how many of its 2n RPCs are out
+			for i := 0; i < steps && !t.Failed(); i++ {
+				cli := rng.Intn(clients)
+				switch p := rng.Intn(100); {
+				case p < 50:
+					s.put(cli, rng.Intn(n), pool[rng.Intn(len(pool))])
+				case p < 65:
+					s.seal(cli)
+				case p < 90:
+					if stage < n {
+						s.prepare(r, stage)
+					} else {
+						s.snapshot(r, stage-n)
+					}
+					if stage++; stage == 2*n {
+						s.tc.run(3 * time.Millisecond)
+						r, stage = r+1, 0
+					}
+				default:
+					s.flushMarks(cli)
+				}
+			}
+			s.failAndCheck()
+			for i := 0; i < 3*clients && !t.Failed(); i++ {
+				s.put(i%clients, rng.Intn(n), pool[rng.Intn(len(pool))])
+			}
+			s.tc.verifyAll(t, s.model)
+		})
+	}
+}
+
+// TestTier2FetchesEntryKeysInBatches pins what keeps the rule cheap. 80
+// keys are rewritten after the checkpoint, so each candidate meets a
+// checkpoint entry pointing into a covered block tier 2 did not read —
+// half of them on a live MN, half in the victim's own lost blocks. One
+// blocking read per entry is a round trip each (two through a stripe),
+// at least twice the propagation delay; the scan must come in under half
+// a round trip per key.
+func TestTier2FetchesEntryKeysInBatches(t *testing.T) {
+	s := newCoverScript(t, 2)
+	k := keysHomedOn(s.tc, coverVictim, 80, true)
+	for i, id := range k {
+		s.put(i/40, []int{2, coverVictim}[i/40], id)
+	}
+	s.seal(0)
+	s.seal(1)
+	s.round(1)
+	for _, id := range k {
+		s.put(0, 3, id)
+	}
+	s.seal(0)
+	rep := s.failAndCheck()
+	if rep.KeysFetched != len(k) || rep.CoveredBlocks != 2 {
+		t.Fatalf("%d keys fetched, %d blocks covered; want %d and 2", rep.KeysFetched, rep.CoveredBlocks, len(k))
+	}
+	if limit := time.Duration(len(k)) * simnet.DefaultConfig().PropDelay; rep.ScanKV >= limit {
+		t.Errorf("scan took %v for %d fetched keys, want under %v: the fetches are not batched", rep.ScanKV, len(k), limit)
+	}
 }

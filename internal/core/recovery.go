@@ -30,6 +30,8 @@ type RecoveryReport struct {
 	RBlockCount      int
 	ScanKV           time.Duration
 	KVCount          int
+	CoveredBlocks    int           // sealed DATA blocks, local and remote, the checkpoint version let tier 2 skip
+	KeysFetched      int           // pairs the scan read over the fabric to learn a checkpoint entry's key
 	IndexDone        time.Duration // tier-2 complete: functionality restored
 	RecoverOldLBlock time.Duration // all of tier 3
 	OldLBlockCount   int
@@ -152,12 +154,13 @@ func runRecovery(ctx rdma.Ctx, cl *Cluster, mn int) *RecoveryReport {
 		if rec.Role != layout.RoleData {
 			continue
 		}
-		if rec.IndexVersion == 0 || rec.IndexVersion >= ckptVer {
-			newLocal = append(newLocal, b)
-		} else {
+		if ckptCovers(ckptVer, &rec) {
 			oldLocal = append(oldLocal, b)
+		} else {
+			newLocal = append(newLocal, b)
 		}
 	}
+	rep.CoveredBlocks = len(oldLocal)
 
 	// Decode new local blocks (pipelined reads + XOR, §3.4.1 remark 1).
 	t = ctx.Now()
@@ -165,7 +168,7 @@ func runRecovery(ctx rdma.Ctx, cl *Cluster, mn int) *RecoveryReport {
 	rep.LBlockCount = len(newLocal)
 	rep.RecoverLBlock = ctx.Now() - t
 	cl.trace.Emit(obs.Event{At: ctx.Now(), Kind: "recovery.lblocks", MN: mn, Dur: rep.RecoverLBlock,
-		Note: fmt.Sprintf("blocks=%d", rep.LBlockCount)})
+		Note: fmt.Sprintf("blocks=%d covered=%d", rep.LBlockCount, len(oldLocal))})
 
 	// Read new remote blocks.
 	t = ctx.Now()
@@ -198,7 +201,11 @@ func runRecovery(ctx rdma.Ctx, cl *Cluster, mn int) *RecoveryReport {
 		}
 		for b := 0; b < l.Cfg.BlocksPerMN(); b++ {
 			rec := layout.DecodeRecord(recArea[uint64(b)*layout.RecordSize:])
-			if rec.Role != layout.RoleData || (rec.IndexVersion != 0 && rec.IndexVersion < ckptVer) {
+			if rec.Role != layout.RoleData {
+				continue
+			}
+			if ckptCovers(ckptVer, &rec) {
+				rep.CoveredBlocks++
 				continue
 			}
 			data := make([]byte, l.Cfg.BlockSize)
@@ -225,7 +232,7 @@ func runRecovery(ctx rdma.Ctx, cl *Cluster, mn int) *RecoveryReport {
 	rep.RBlockCount = len(remotes)
 	rep.ReadRBlock = ctx.Now() - t
 	cl.trace.Emit(obs.Event{At: ctx.Now(), Kind: "recovery.rblocks", MN: mn, Dur: rep.ReadRBlock,
-		Note: fmt.Sprintf("blocks=%d", rep.RBlockCount)})
+		Note: fmt.Sprintf("blocks=%d covered=%d", rep.RBlockCount, rep.CoveredBlocks-len(oldLocal))})
 	if abandoned() {
 		return nil
 	}
@@ -285,13 +292,16 @@ func runRecovery(ctx rdma.Ctx, cl *Cluster, mn int) *RecoveryReport {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
+	ek := &entryKeys{ctx: ctx, cl: cl, mn: mn, mem: mem, scanned: scanned, recovered: recovered}
+	ek.prefetch(keys)
 	for _, keyStr := range keys {
 		cand := best[keyStr]
-		reapplyCandidate(ctx, cl, mn, mem, []byte(keyStr), cand.version, cand.packed, cand.class, scanned, recovered)
+		reapplyCandidate(ek, []byte(keyStr), cand.version, cand.packed, cand.class)
 	}
+	rep.KeysFetched = ek.fetched
 	rep.ScanKV = ctx.Now() - t
 	cl.trace.Emit(obs.Event{At: ctx.Now(), Kind: "recovery.scan", MN: mn, Dur: rep.ScanKV,
-		Note: fmt.Sprintf("kvs=%d", rep.KVCount)})
+		Note: fmt.Sprintf("kvs=%d keys-fetched=%d", rep.KVCount, rep.KeysFetched)})
 
 	if abandoned() {
 		return nil
@@ -358,6 +368,20 @@ func readCkptVersion(ctx rdma.Ctx, cl *Cluster, host, slot int) (uint64, bool) {
 		return 0, false
 	}
 	return binary.LittleEndian.Uint64(vbuf[:]), true
+}
+
+// ckptCovers is tier 2's one classification rule: the checkpoint of
+// version ckptVer holds every commit homed on its MN whose pair lies in
+// the DATA block of rec, so the block need not be scanned. That is so
+// exactly when the block was sealed with an Index Version <= ckptVer:
+// every commit into a block precedes its seal, a seal stamped <= v
+// precedes prepare(v) on its MN, and prepare(v) was acknowledged by
+// every alive MN before any MN snapshot round v (DESIGN.md §3; the
+// barrier is Master.ckptLoop's, and a replacement starts above every
+// round so far). An unsealed block (version 0) is never covered, and
+// neither is anything when there is no checkpoint (ckptVer 0).
+func ckptCovers(ckptVer uint64, rec *layout.Record) bool {
+	return rec.IndexVersion != 0 && rec.IndexVersion <= ckptVer
 }
 
 // reconcileDeltaRecords repairs a consequence of asynchronous Meta
@@ -439,86 +463,167 @@ func readMetaReplicaRecords(ctx rdma.Ctx, cl *Cluster, owner int, recArea []byte
 	return false
 }
 
-// reapplyCandidate installs a scanned KV candidate into the recovered
-// index if it is newer than what the checkpoint holds. Key comparison
-// against an existing entry follows the normal lookup process
-// (Figure 4 ③): scanned blocks answer from memory; entries pointing
-// into not-yet-recovered blocks are fetched by degraded stripe reads.
-func reapplyCandidate(ctx rdma.Ctx, cl *Cluster, mn int, mem []byte, key []byte, version, packed uint64, class uint8, scanned map[uint64]*layout.KV, recovered map[int]bool) {
-	l := cl.L
+// entryKeys answers, for tier 2's index rebuild, which key an entry of
+// the checkpoint image belongs to (Figure 4 ③). Pairs in scanned blocks
+// answer from memory, pairs in recovered local blocks from the
+// replacement's own; everything else is read over the fabric, and
+// fetched counts those reads.
+type entryKeys struct {
+	ctx       rdma.Ctx
+	cl        *Cluster
+	mn        int
+	mem       []byte
+	scanned   map[uint64]*layout.KV // packed addr -> decoded KV
+	recovered map[int]bool          // local blocks decoded into mem
+	fetched   int
+}
+
+// entryKeyFetchDepth is how many reads one doorbell of the key prefetch
+// carries.
+const entryKeyFetchDepth = 32
+
+// eachMatch calls fn for every occupied slot of key's bucket pair whose
+// fingerprint matches — the entries reapplyCandidate compares with.
+func (ek *entryKeys) eachMatch(key []byte, fn func(off uint64, atom layout.SlotAtomic, meta layout.SlotMeta) (stop bool)) {
+	l := ek.cl.L
 	h := racehash.Hash(key)
 	fp := racehash.Fingerprint(h)
 	i1, i2 := racehash.BucketPair(h, l.NumBuckets())
-	buckets := []uint64{i1, i2}
-
-	newAtomicVal := layout.SlotAtomic{FP: fp, Ver: uint8(version), Addr: packed}.Pack()
-	newMetaVal := layout.SlotMeta{Epoch: version >> 8, Len: class}.Pack()
-
-	var freeOff uint64
-	haveFree := false
-	for _, b := range buckets {
+	for _, b := range [2]uint64{i1, i2} {
 		for s := 0; s < layout.BucketSlots; s++ {
 			off := l.SlotOff(b, s)
-			w := binary.LittleEndian.Uint64(mem[off:])
+			w := binary.LittleEndian.Uint64(ek.mem[off:])
 			if w == 0 {
-				if !haveFree {
-					freeOff, haveFree = off, true
-				}
 				continue
 			}
 			atom := layout.UnpackAtomic(w)
 			if atom.FP != fp {
 				continue
 			}
-			meta := layout.UnpackMeta(binary.LittleEndian.Uint64(mem[off+layout.SlotMetaOff:]))
-			exKey, ok := keyOfEntry(ctx, cl, mn, mem, atom, meta, scanned, recovered)
-			if !ok || string(exKey) != string(key) {
-				continue
+			meta := layout.UnpackMeta(binary.LittleEndian.Uint64(ek.mem[off+layout.SlotMetaOff:]))
+			if fn(off, atom, meta) {
+				return
 			}
-			// Same key: keep the higher slot version.
-			exVer := layout.SlotVersion(meta.Epoch&^1, atom.Ver)
-			if version > exVer {
-				binary.LittleEndian.PutUint64(mem[off:], newAtomicVal)
-				binary.LittleEndian.PutUint64(mem[off+layout.SlotMetaOff:], newMetaVal)
-			}
-			return
 		}
-	}
-	if haveFree {
-		binary.LittleEndian.PutUint64(mem[freeOff:], newAtomicVal)
-		binary.LittleEndian.PutUint64(mem[freeOff+layout.SlotMetaOff:], newMetaVal)
 	}
 }
 
-// keyOfEntry fetches the key bytes of an existing index entry during
-// recovery.
-func keyOfEntry(ctx rdma.Ctx, cl *Cluster, mn int, mem []byte, atom layout.SlotAtomic, meta layout.SlotMeta, scanned map[uint64]*layout.KV, recovered map[int]bool) ([]byte, bool) {
-	if kv, ok := scanned[atom.Addr]; ok {
+// prefetch reads, in doorbell batches, the pairs behind every entry the
+// candidates of keys will be compared with and whose key is not at
+// hand, and leaves them in scanned. With tier 2 scanning only what the
+// checkpoint does not cover, most entries of a rewritten key point into
+// blocks it left alone, and one blocking read each — two round trips
+// each through a stripe — would put their count on the critical path to
+// indexReady. Pairs on a live MN are read in place; pairs on a failed
+// MN, and those in local blocks tier 3 has yet to rebuild, through
+// their stripes (readStripeRanges). Whatever fails here is left to of.
+func (ek *entryKeys) prefetch(keys []string) {
+	var ops []rdma.Op // in-place reads; ops[i] is the pair at addrs[i]
+	var addrs []uint64
+	var lost []stripeWant
+	asked := make(map[uint64]bool)
+	for _, key := range keys {
+		ek.eachMatch([]byte(key), func(_ uint64, atom layout.SlotAtomic, meta layout.SlotMeta) bool {
+			if _, have := ek.scanned[atom.Addr]; have || asked[atom.Addr] {
+				return false
+			}
+			asked[atom.Addr] = true
+			buf := make([]byte, kvHintBytes(meta))
+			owner, off := layout.UnpackAddr(atom.Addr)
+			addr, alive := ek.cl.Addr(int(owner), off)
+			switch {
+			case int(owner) != ek.mn && alive:
+				ops = append(ops, rdma.Op{Kind: rdma.OpRead, Addr: addr, Buf: buf})
+				addrs = append(addrs, atom.Addr)
+			case int(owner) != ek.mn || !ek.recovered[ek.cl.L.BlockOfOff(off)]:
+				lost = append(lost, stripeWant{packed: atom.Addr, buf: buf})
+			}
+			return false
+		})
+	}
+	have := func(packed uint64, buf []byte) {
+		ek.fetched++
+		if kv, err := layout.DecodeKV(buf); err == nil && kv != nil {
+			ek.scanned[packed] = &layout.KV{Key: append([]byte(nil), kv.Key...),
+				SlotVersion: kv.SlotVersion, Tombstone: kv.Tombstone}
+		}
+	}
+	for pos := 0; pos < len(ops); pos += entryKeyFetchDepth {
+		ek.ctx.Batch(ops[pos:min(pos+entryKeyFetchDepth, len(ops))]) //nolint:errcheck // per-op outcomes decide below
+	}
+	for i := range ops {
+		if ops[i].Err == nil {
+			have(addrs[i], ops[i].Buf)
+		}
+	}
+	readStripeRanges(ek.ctx, ek.cl, lost, entryKeyFetchDepth)
+	for i := range lost {
+		if lost[i].ok {
+			have(lost[i].packed, lost[i].buf)
+		}
+	}
+}
+
+// reapplyCandidate installs a scanned KV candidate into the recovered
+// index if it is newer than what the checkpoint holds. Key comparison
+// against an existing entry follows the normal lookup process
+// (Figure 4 ③, entryKeys).
+func reapplyCandidate(ek *entryKeys, key []byte, version, packed uint64, class uint8) {
+	l, mem := ek.cl.L, ek.mem
+	h := racehash.Hash(key)
+	newAtomicVal := layout.SlotAtomic{FP: racehash.Fingerprint(h), Ver: uint8(version), Addr: packed}.Pack()
+	newMetaVal := layout.SlotMeta{Epoch: version >> 8, Len: class}.Pack()
+	put := func(off uint64) {
+		binary.LittleEndian.PutUint64(mem[off:], newAtomicVal)
+		binary.LittleEndian.PutUint64(mem[off+layout.SlotMetaOff:], newMetaVal)
+	}
+
+	found := false
+	ek.eachMatch(key, func(off uint64, atom layout.SlotAtomic, meta layout.SlotMeta) bool {
+		exKey, ok := ek.of(atom, meta)
+		if !ok || string(exKey) != string(key) {
+			return false
+		}
+		// Same key: keep the higher slot version.
+		if version > layout.SlotVersion(meta.Epoch&^1, atom.Ver) {
+			put(off)
+		}
+		found = true
+		return true
+	})
+	if found {
+		return
+	}
+	i1, i2 := racehash.BucketPair(h, l.NumBuckets())
+	for _, b := range [2]uint64{i1, i2} {
+		for s := 0; s < layout.BucketSlots; s++ {
+			if off := l.SlotOff(b, s); binary.LittleEndian.Uint64(mem[off:]) == 0 {
+				put(off)
+				return
+			}
+		}
+	}
+}
+
+// of fetches the key bytes of an existing index entry during recovery.
+func (ek *entryKeys) of(atom layout.SlotAtomic, meta layout.SlotMeta) ([]byte, bool) {
+	if kv, ok := ek.scanned[atom.Addr]; ok {
 		return kv.Key, true
 	}
-	n := int(meta.Len) * 64
-	if n == 0 {
-		n = 64
-	}
-	buf := make([]byte, n)
+	buf := make([]byte, kvHintBytes(meta))
 	owner, off := layout.UnpackAddr(atom.Addr)
-	l := cl.L
-	switch {
-	case int(owner) == mn:
-		// Local block: recovered blocks can be read from memory; old
-		// blocks need a degraded stripe read.
-		bi := l.BlockOfOff(off)
-		if bi >= 0 && recovered[bi] {
-			copy(buf, mem[off:off+uint64(n)])
-		} else if err := readStripeRange(ctx, cl, atom.Addr, buf); err != nil {
-			return nil, false
-		}
-	default:
-		if addr, ok := cl.Addr(int(owner), off); ok {
-			if err := ctx.Read(buf, addr); err != nil {
+	if bi := ek.cl.L.BlockOfOff(off); int(owner) == ek.mn && bi >= 0 && ek.recovered[bi] {
+		copy(buf, ek.mem[off:off+uint64(len(buf))])
+	} else {
+		// A pair on a live MN is read in place; one on a failed MN, or in
+		// a local block tier 3 has yet to rebuild, through its stripe.
+		ek.fetched++
+		addr, ok := ek.cl.Addr(int(owner), off)
+		if int(owner) == ek.mn || !ok {
+			if readStripeRange(ek.ctx, ek.cl, atom.Addr, buf) != nil {
 				return nil, false
 			}
-		} else if err := readStripeRange(ctx, cl, atom.Addr, buf); err != nil {
+		} else if ek.ctx.Read(buf, addr) != nil {
 			return nil, false
 		}
 	}

@@ -751,11 +751,13 @@ func (s *Server) handleQueryOwned(req []byte) ([]byte, time.Duration) {
 }
 
 // handleCkptPrepare is phase one of a checkpoint round: the Index
-// Version advances to round+1 on every MN *before* any MN snapshots,
-// so a block sealed after any snapshot of round r carries a version
-// > r and is never skipped by recovery. (Single-phase triggering has a
-// window where a commit lands after MN i's snapshot while MN j still
-// seals with the old version; see DESIGN.md deviations.)
+// Version advances to round+1 on every MN *before* any MN snapshots —
+// the master sends no snapshot until every alive MN has acknowledged
+// this (Master.ckptLoop) — so a block sealed after any snapshot of round
+// r carries a version > r, which is all recovery scans (ckptCovers).
+// (Single-phase triggering has a window where a commit lands after MN
+// i's snapshot while MN j still seals with the old version; see
+// DESIGN.md §3 deviations.)
 func (s *Server) handleCkptPrepare(req []byte) ([]byte, time.Duration) {
 	d := dec{b: req}
 	round := d.u64()

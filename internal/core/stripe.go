@@ -28,69 +28,142 @@ var errStripeUnavailable = errors.New("core: stripe survivors unavailable")
 
 // readStripeRange reconstructs buf = the byte range [off, off+len(buf))
 // of the lost DATA block at packed address packed, via the stripe's
-// row parity. reads, when non-nil, receives per-read accounting.
+// row parity.
 func readStripeRange(ctx rdma.Ctx, cl *Cluster, packed uint64, buf []byte) error {
-	l := cl.L
-	mnU, off := layout.UnpackAddr(packed)
-	mn := int(mnU)
-	bi := l.BlockOfOff(off)
-	if bi < 0 || bi >= l.Cfg.StripeRows {
-		return fmt.Errorf("core: stripe range outside stripe blocks (mn%d+0x%x)", mn, off)
+	mn, bi, rel, err := stripeRangeOf(cl, packed)
+	if err != nil {
+		return err
 	}
-	stripe := uint32(bi)
-	rel := off - l.BlockOff(bi)
-	n := uint64(len(buf))
-
-	pmn := l.ParityMN(stripe, 0)
-	prec, err := readParityRecord(ctx, cl, pmn, bi)
+	prec, err := readParityRecord(ctx, cl, cl.L.ParityMN(uint32(bi), 0), bi)
 	if err != nil {
 		return errStripeUnavailable
 	}
+	ops, ok := stripeRangeReads(cl, nil, mn, bi, rel, len(buf), &prec)
+	if !ok || ctx.Batch(ops) != nil {
+		return errStripeUnavailable
+	}
+	foldStripeRange(buf, ops)
+	return nil
+}
+
+// stripeRangeOf resolves a packed address inside a stripe DATA block to
+// its MN, its stripe row and its offset in the block.
+func stripeRangeOf(cl *Cluster, packed uint64) (mn, bi int, rel uint64, err error) {
+	mnU, off := layout.UnpackAddr(packed)
+	bi = cl.L.BlockOfOff(off)
+	if bi < 0 || bi >= cl.L.Cfg.StripeRows {
+		return 0, 0, 0, fmt.Errorf("core: stripe range outside stripe blocks (mn%d+0x%x)", mnU, off)
+	}
+	return int(mnU), bi, off - cl.L.BlockOff(bi), nil
+}
+
+// stripeRangeReads appends to ops the reads whose XOR is the n bytes at
+// rel of the DATA block MN mn lost in stripe row bi: the row parity's
+// range, every other data block's and every pending delta's, as the
+// parity record prec lists them. It reports false when the stripe
+// cannot serve the range.
+func stripeRangeReads(cl *Cluster, ops []rdma.Op, mn, bi int, rel uint64, n int, prec *layout.Record) ([]rdma.Op, bool) {
 	if prec.Role == layout.RoleFree || !prec.Valid {
 		// Stripe never encoded anything (the lost range is all zero
 		// only if no survivor holds data), or the parity row was given
 		// up by its own rebuild (rebuild.go): treat as unavailable.
-		return errStripeUnavailable
+		return ops, false
 	}
-
-	var ops []rdma.Op
-	var bufs [][]byte
-	addRange := func(owner int, base uint64) bool {
-		a, ok := cl.Addr(owner, base+rel)
-		if !ok {
-			return false
-		}
-		b := make([]byte, n)
-		bufs = append(bufs, b)
-		ops = append(ops, rdma.Op{Kind: rdma.OpRead, Addr: a, Buf: b})
-		return true
+	l := cl.L
+	stripe := uint32(bi)
+	ok := true
+	add := func(owner int, base uint64) {
+		a, alive := cl.Addr(owner, base+rel)
+		ok = ok && alive
+		ops = append(ops, rdma.Op{Kind: rdma.OpRead, Addr: a, Buf: make([]byte, n)})
 	}
-	if !addRange(pmn, l.BlockOff(bi)) {
-		return errStripeUnavailable
-	}
+	add(l.ParityMN(stripe, 0), l.BlockOff(bi))
 	for xid, dm := range l.DataMNs(stripe) {
 		if dm != mn {
-			if !addRange(dm, l.BlockOff(bi)) {
-				return errStripeUnavailable
-			}
+			add(dm, l.BlockOff(bi))
 		}
 		if da := prec.DeltaAddr[xid]; da != 0 {
 			dmn, dOff := layout.UnpackAddr(da)
-			if !addRange(int(dmn), dOff) {
-				return errStripeUnavailable
-			}
+			add(int(dmn), dOff)
 		}
 	}
-	if err := ctx.Batch(ops); err != nil {
-		return errStripeUnavailable
-	}
+	return ops, ok
+}
+
+// foldStripeRange XORs completed stripeRangeReads into buf.
+func foldStripeRange(buf []byte, ops []rdma.Op) {
 	for i := range buf {
 		buf[i] = 0
 	}
-	for _, b := range bufs {
-		erasure.XorInto(buf, b)
+	for i := range ops {
+		erasure.XorInto(buf, ops[i].Buf)
 	}
-	return nil
+}
+
+// stripeWant is one range for readStripeRanges to reconstruct: the
+// packed address of its first byte and buf for the bytes. ok reports
+// whether the stripe served it.
+type stripeWant struct {
+	packed uint64
+	buf    []byte
+	ok     bool
+}
+
+// readStripeRanges is readStripeRange for many ranges at once, depth
+// reads to a doorbell: first the parity record of every row a range
+// lies in, then every range's reads. A range whose stripe cannot serve
+// it, or one of whose reads fails, is left !ok.
+func readStripeRanges(ctx rdma.Ctx, cl *Cluster, wants []stripeWant, depth int) {
+	batch := func(ops []rdma.Op) {
+		for pos := 0; pos < len(ops); pos += depth {
+			ctx.Batch(ops[pos:min(pos+depth, len(ops))]) //nolint:errcheck // per-op outcomes decide below
+		}
+	}
+	l := cl.L
+	var ops []rdma.Op
+	recOp := make(map[int]int) // stripe row -> its record's read in ops
+	for i := range wants {
+		_, bi, _, err := stripeRangeOf(cl, wants[i].packed)
+		if _, asked := recOp[bi]; err != nil || asked {
+			continue
+		}
+		if addr, ok := cl.Addr(l.ParityMN(uint32(bi), 0), l.RecordOff(bi)); ok {
+			recOp[bi] = len(ops)
+			ops = append(ops, rdma.Op{Kind: rdma.OpRead, Addr: addr, Buf: make([]byte, layout.RecordSize)})
+		}
+	}
+	batch(ops)
+	recs := make(map[int]layout.Record, len(recOp))
+	for bi, i := range recOp {
+		if ops[i].Err == nil {
+			recs[bi] = layout.DecodeRecord(ops[i].Buf)
+		}
+	}
+
+	ops = ops[:0]
+	first := make([]int, len(wants)+1) // wants[i]'s reads are ops[first[i]:first[i+1]]
+	for i := range wants {
+		first[i] = len(ops)
+		mn, bi, rel, err := stripeRangeOf(cl, wants[i].packed)
+		prec, have := recs[bi]
+		if err != nil || !have {
+			continue
+		}
+		if reads, ok := stripeRangeReads(cl, ops, mn, bi, rel, len(wants[i].buf), &prec); ok {
+			ops, wants[i].ok = reads, true
+		}
+	}
+	first[len(wants)] = len(ops)
+	batch(ops)
+	for i := range wants {
+		reads := ops[first[i]:first[i+1]]
+		for j := range reads {
+			wants[i].ok = wants[i].ok && reads[j].Err == nil
+		}
+		if wants[i].ok {
+			foldStripeRange(wants[i].buf, reads)
+		}
+	}
 }
 
 // readParityRecord reads the metadata record of stripe row bi from
