@@ -64,12 +64,12 @@ type cacheEnt struct {
 	atomic  uint64 // cached Atomic word
 	meta    layout.SlotMeta
 
-	// epoch is the view epoch the entry was filled under. Recovery
-	// rebuilds an index partition and may re-place keys in other slots,
-	// so across an epoch change an entry is trusted only as a CAS
-	// expectation (word equality proves the pair) — its slot is never
-	// re-read on trust (Client.rearmSlot).
-	epoch uint64
+	// gen is the generation of mn's index partition (view.indexGen) the
+	// entry was filled under. Recovery rebuilds the partition and may
+	// re-place keys in other slots, so across a rebuild an entry is
+	// trusted only as a CAS expectation (word equality proves the pair) —
+	// its slot is never re-read on trust (Client.rearmSlot).
+	gen uint64
 }
 
 func (e *cacheEnt) tomb() bool { return e.flags&entTomb != 0 }

@@ -95,6 +95,13 @@ func (s *scripted) do(t *testing.T, fn func(*Client)) {
 	}
 }
 
+// snap is snapVerbs for a scripted client.
+func (s *scripted) snap() verbDelta {
+	v := snapStats(s.c)
+	v.doorbells, v.posts = s.ctx.doorbells, s.ctx.posts
+	return v
+}
+
 // blockID names a DATA block.
 type blockID struct{ mn, idx int }
 

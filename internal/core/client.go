@@ -486,7 +486,7 @@ func (c *Client) finishRead(dst, key []byte, ent *cacheEnt, kvBuf []byte) ([]byt
 func (c *Client) querySearch(dst, key []byte, h uint64, mn int, fp uint8) ([]byte, error) {
 	for attempt := 0; attempt < maxOpRetries; attempt++ {
 		c.waitIndexReady(mn)
-		epoch := c.cl.view.epochNow()
+		gen := c.cl.view.indexGenOf(mn)
 		if err := c.probe(h, mn, fp); err != nil {
 			c.ctx.Sleep(100 * time.Microsecond)
 			continue
@@ -501,7 +501,7 @@ func (c *Client) querySearch(dst, key []byte, h uint64, mn int, fp uint8) ([]byt
 			if !bytes.Equal(kv.Key, key) || kv.SlotVersion == layout.InvalidVersion {
 				continue
 			}
-			c.cacheSet(h, key, mn, c.matchSlotOff(h, m), m.Atomic.Pack(), m.Meta, epoch, kv.Tombstone, kv.Val)
+			c.cacheSet(h, key, mn, c.matchSlotOff(h, m), m.Atomic.Pack(), m.Meta, gen, kv.Tombstone, kv.Val)
 			if kv.Tombstone {
 				return nil, ErrNotFound
 			}
@@ -631,10 +631,10 @@ func (c *Client) matchSlotOff(h uint64, m racehash.Match) uint64 {
 	return l.SlotOff(i1, m.Slot)
 }
 
-// cacheSet installs (or refreshes) a cache entry. epoch is the view
-// epoch read before the verbs that located the slot. val is the
-// committed value (ignored for tombstones).
-func (c *Client) cacheSet(h uint64, key []byte, mn int, slotOff, atomic uint64, meta layout.SlotMeta, epoch uint64, tomb bool, val []byte) {
+// cacheSet installs (or refreshes) a cache entry. gen is the home
+// partition's index generation read before the verbs that located the
+// slot. val is the committed value (ignored for tombstones).
+func (c *Client) cacheSet(h uint64, key []byte, mn int, slotOff, atomic uint64, meta layout.SlotMeta, gen uint64, tomb bool, val []byte) {
 	ent := c.cache.upsert(h, key)
 	if ent == nil {
 		return
@@ -648,7 +648,7 @@ func (c *Client) cacheSet(h uint64, key []byte, mn int, slotOff, atomic uint64, 
 	ent.slotOff = slotOff
 	ent.atomic = atomic
 	ent.meta = meta
-	ent.epoch = epoch
+	ent.gen = gen
 	ent.val = c.cache.retain(ent.val, val)
 }
 
@@ -757,8 +757,8 @@ type slotLoc struct {
 	found  bool   // the key owns this slot ...
 	tomb   bool   // ... and its committed pair is a tombstone
 	moved  bool   // rearmSlot saw the word change since tomb was read: tomb is out of date
-	epoch  uint64 // view epoch read before the attempt's first verb
-	bound  bool   // slot matched to the key under epoch (not an older-epoch cache entry)
+	gen    uint64 // home partition's index generation, read before the attempt's first verb
+	bound  bool   // slot matched to the key under gen (not a cache entry from before a rebuild)
 	// ent: the cache entry a speculating attempt took atomic from, which
 	// its commit CAS therefore validates (write mutates no cache state
 	// before that CAS resolves, so the pointer stays good).
@@ -1022,7 +1022,7 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 			c.markObsolete(layout.UnpackAtomic(atomOld).Addr)
 		}
 		c.cacheSet(h, key, mn, slotOff, newAtomic,
-			layout.SlotMeta{Epoch: epochKV, Len: classUnits}, loc.epoch, tombstone, val)
+			layout.SlotMeta{Epoch: epochKV, Len: classUnits}, loc.gen, tombstone, val)
 		c.finishWrite()
 		return nil
 	}
@@ -1067,14 +1067,18 @@ func (c *Client) flushParked() {
 // no verb is issued; otherwise rearmSlot reads the slot. It reports
 // whether the word differs from the one loc held, and records that in
 // loc.moved. Trusting the slot rests on the slot-binding invariant
-// (DESIGN.md §13, TestSlotNeverChangesKey): within a view epoch a slot
-// only ever holds one key's pairs. Whatever falls outside it (epoch
-// moved, fingerprint mismatch, empty word, read error) leaves loc
-// unarmed and bypassing the cache: the next attempt probes the index.
+// (DESIGN.md §13, TestSlotNeverChangesKey): within one generation of its
+// index partition a slot only ever holds one key's pairs. The gate is
+// evaluated here, against the generation now: an attempt that located
+// its slot before a fail-stop and lost its CAS after the rebuilt
+// partition was published is refused. Whatever falls outside the
+// invariant (partition rebuilt since, fingerprint mismatch, empty word,
+// read error) leaves loc unarmed and bypassing the cache: the next
+// attempt probes the index.
 func (c *Client) rearmSlot(loc *slotLoc, mn int, fp uint8, rode bool) (moved bool) {
 	loc.armed, loc.bypass, loc.ent = false, true, nil
 	addr, ok := c.cl.Addr(mn, loc.off)
-	if !ok || !loc.found || !loc.bound || loc.epoch != c.cl.view.epochNow() {
+	if !ok || !loc.found || !loc.bound || loc.gen != c.cl.view.indexGenOf(mn) {
 		return false
 	}
 	sc := &c.wsc
@@ -1120,10 +1124,10 @@ func (c *Client) finishWrite() {
 // validates first: a 16-byte slot read, then a commit that places
 // nothing it must invalidate.
 func (c *Client) locateForWrite(key []byte, h uint64, mn int, fp uint8, bypass bool) (slotLoc, error) {
-	loc := slotLoc{epoch: c.cl.view.epochNow(), bound: true}
+	loc := slotLoc{gen: c.cl.view.indexGenOf(mn), bound: true}
 	if ent := c.cache.lookup(h, key); ent != nil && c.cl.Cfg.CacheSlotAddr && !bypass {
 		loc.off, loc.atomic, loc.meta, loc.found, loc.tomb = ent.slotOff, ent.atomic, ent.meta, true, ent.tomb()
-		loc.bound = ent.epoch == loc.epoch
+		loc.bound = ent.gen == loc.gen
 		if !loc.bound || !c.cache.likelyStale(ent) {
 			loc.ent = ent
 			return loc, nil
@@ -1143,7 +1147,7 @@ func (c *Client) locateForWrite(key []byte, h uint64, mn int, fp uint8, bypass b
 			}
 			return loc, nil
 		}
-		loc = slotLoc{epoch: loc.epoch, bound: true}
+		loc = slotLoc{gen: loc.gen, bound: true}
 	}
 	if err := c.probe(h, mn, fp); err != nil {
 		return loc, err

@@ -54,6 +54,12 @@ type view struct {
 	// recovery completed); clients use it to refresh cached remote
 	// addresses such as DELTA-block targets.
 	epoch uint64
+	// indexGen[i] counts the rebuilds of MN i's Index Area. Tier 2 bumps
+	// it in the section that publishes the rebuilt partition and nothing
+	// else does: a rebuild is the one event that can move a key of the
+	// partition to another slot, so it is what a client's slot binding
+	// is good for (DESIGN.md §13). A failure elsewhere leaves it alone.
+	indexGen []uint64
 	// node[i] is the physical node currently serving logical MN i.
 	node []rdma.NodeID
 	// failed[i]: MN i is down and not yet re-served.
@@ -85,6 +91,12 @@ func (v *view) epochNow() uint64 {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	return v.epoch
+}
+
+func (v *view) indexGenOf(mn int) uint64 {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.indexGen[mn]
 }
 
 // NewCluster creates the coding group's memory nodes and servers on
@@ -120,6 +132,7 @@ func NewCluster(cfg Config, pl rdma.Platform) (*Cluster, error) {
 	cl.view.failed = make([]bool, n)
 	cl.view.indexReady = make([]bool, n)
 	cl.view.blocksReady = make([]bool, n)
+	cl.view.indexGen = make([]uint64, n)
 	for i := 0; i < n; i++ {
 		node := pl.AddMemNode(rdma.MemNodeConfig{MemBytes: l.MemBytes(), CPUCores: rdma.NumMNCores + cfg.ckptWorkers() + cfg.ecWorkers()})
 		cl.view.node[i] = node

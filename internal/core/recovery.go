@@ -328,6 +328,7 @@ func runRecovery(ctx rdma.Ctx, cl *Cluster, mn int) *RecoveryReport {
 	cl.servers[mn] = srv
 	cl.view.failed[mn] = false
 	cl.view.indexReady[mn] = true
+	cl.view.indexGen[mn]++ // reapplyCandidate re-placed keys: slots bound before this are not
 	cl.view.epoch++
 	cl.view.mu.Unlock()
 	rep.IndexDone = ctx.Now() - start

@@ -62,8 +62,15 @@ type verbDelta struct {
 }
 
 func snapVerbs(c *Client, d *directCtx) verbDelta {
+	v := snapStats(c)
+	v.doorbells, v.posts = d.doorbells, d.posts
+	return v
+}
+
+// snapStats snapshots the counters a client keeps itself.
+func snapStats(c *Client) verbDelta {
 	s := &c.Stats
-	return verbDelta{d.doorbells, d.posts, s.ReadsIssued, s.BytesRead, s.CASRetries, s.Invalidations,
+	return verbDelta{0, 0, s.ReadsIssued, s.BytesRead, s.CASRetries, s.Invalidations,
 		s.WriteChased, s.WriteValidatedChanged, s.WriteValidatedSame,
 		s.WriteFused, s.WriteFallback}
 }
@@ -313,13 +320,18 @@ func TestChaseAndValidateFirstZeroAlloc(t *testing.T) {
 }
 
 // TestChaseRefusedAcrossEpochChange pins the recovery hazard the chase
-// would otherwise open. Recovery re-places keys inserted since the last
+// would otherwise open. Tier 2 re-places keys inserted since the last
 // checkpoint, so after it a cached slot offset may belong to another
 // key — one whose fingerprint can collide. The test fabricates exactly
-// that: A caches key K at slot S, then the view epoch moves and S is
+// that: A caches key K at slot S, then the generation of S's index
+// partition moves (what publishing a rebuilt partition does) and S is
 // rewritten to a same-fingerprint word pointing at another key's pair.
 // A's commit loses at S; it must not take the returned word on trust
 // and CAS over it, but re-probe the index and leave S alone.
+//
+// Its mirror: only the global view epoch moved — another MN failed and
+// came back, which rewrites no slot of this partition — and B moved the
+// slot by an ordinary update. A must chase, as if nothing had happened.
 func TestChaseRefusedAcrossEpochChange(t *testing.T) {
 	tc, a, b, _, _ := staleCommitPair(t, 4)
 	k, other := key(0), key(1)
@@ -339,7 +351,7 @@ func TestChaseRefusedAcrossEpochChange(t *testing.T) {
 	slot := tc.pl.DirectMemory(node)[ent.slotOff:]
 	binary.LittleEndian.PutUint64(slot, foreign.Pack())
 	tc.cl.view.mu.Lock()
-	tc.cl.view.epoch++ // what FailMN and recovery do
+	tc.cl.view.indexGen[mn]++ // what tier 2 does where it publishes the partition
 	tc.cl.view.mu.Unlock()
 
 	reads := a.Stats.ReadsIssued
@@ -347,19 +359,107 @@ func TestChaseRefusedAcrossEpochChange(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := binary.LittleEndian.Uint64(slot); got != foreign.Pack() {
-		t.Fatalf("write of %q overwrote a slot that changed owner across an epoch change: %#x, want %#x", k, got, foreign.Pack())
+		t.Fatalf("write of %q overwrote a slot that changed owner across a rebuild of its partition: %#x, want %#x", k, got, foreign.Pack())
 	}
 	if v := a.Stats.WriteValidatedChanged + a.Stats.WriteValidatedSame; v != 0 || a.Stats.WriteChased != 0 {
-		t.Errorf("validated=%d chased=%d across an epoch change, want 0 0", v, a.Stats.WriteChased)
+		t.Errorf("validated=%d chased=%d across a rebuild of the partition, want 0 0", v, a.Stats.WriteChased)
 	}
 	if a.Stats.ReadsIssued-reads < 2 {
-		t.Error("no index probe after the stale-epoch entry lost its CAS")
+		t.Error("no index probe after the entry of an older generation lost its CAS")
 	}
 	fresh := tc.cl.NewClient()
 	fresh.Attach(&directCtx{pl: tc.pl})
 	if got, err := fresh.Search(k); err != nil || !bytes.Equal(got, val(0, 9)) {
 		t.Errorf("fresh client reads %q, %v", got, err)
 	}
+
+	t.Run("only the view epoch moved", func(t *testing.T) {
+		_, a, b, actx, _ := staleCommitPair(t, 4)
+		k := key(2)
+		if err := b.Update(k, val(2, 7)); err != nil {
+			t.Fatal(err)
+		}
+		a.cl.view.mu.Lock()
+		a.cl.view.epoch += 3 // FailMN, indexReady and blocksReady of some other MN
+		a.cl.view.mu.Unlock()
+		before := snapVerbs(a, actx)
+		if err := a.Update(k, val(2, 8)); err != nil {
+			t.Fatal(err)
+		}
+		if d := snapVerbs(a, actx).since(before); d.doorbells != 2 || d.chased != 1 || d.retries != 1 {
+			t.Errorf("%d doorbells, chased=%d, casRetries=%d; want the lost CAS chased in 2 doorbells", d.doorbells, d.chased, d.retries)
+		}
+		for _, c := range []*Client{a, b} {
+			if got, err := c.Search(k); err != nil || !bytes.Equal(got, val(2, 8)) {
+				t.Errorf("client %d reads %q, %v after the chased commit", c.ID(), got, err)
+			}
+		}
+	})
+}
+
+// TestSurvivingPartitionsStayBound crosses a real fail-stop with warm
+// caches. Clients A and B cache a key homed on MN 0 and one homed on MN
+// 1; B then moves both, MN 1 fail-stops and is recovered. The failure
+// destroyed one index partition, so it may unbind that partition's
+// entries and no others: A's update of the MN 0 key loses its CAS and
+// chases in two doorbells, while its update of the MN 1 key — whose slot
+// tier 2 rebuilt — is refused every shortcut and goes back to the index.
+func TestSurvivingPartitionsStayBound(t *testing.T) {
+	const survivor, victim = 0, 1
+	tc := newTestCluster(t, fusedTestConfig)
+	tc.cl.master.AddSpare()
+	ids := []int{keysHomedOn(tc, survivor, 1, true)[0], keysHomedOn(tc, victim, 1, true)[0]}
+	a, b := tc.spawnScripted("a"), tc.spawnScripted("b")
+	put := func(s *scripted, gen int) {
+		for _, id := range ids {
+			s.put(t, 2, id, val(id, gen))
+		}
+	}
+	put(a, 0)
+	put(b, 1)
+	put(a, 2) // both hold both keys, bound under the generation before the failure
+	put(b, 3) // ... and A's words are stale
+	tc.run(2 * tc.cl.Cfg.CkptInterval)
+	tc.cl.FailMN(victim)
+	tc.waitBlocksReady(t, victim)
+
+	// Validate-first is a shortcut of its own; arm it, so that the rebuilt
+	// partition is seen to refuse it and the surviving one to take it.
+	for _, armed := range []bool{false, true} {
+		if armed {
+			put(b, 5)
+			a.c.cache.stale = staleEstimate{rate: [2]uint32{1 << 16, 1 << 16}}
+		}
+		for i, id := range ids {
+			before := a.snap()
+			a.put(t, 2, id, val(id, 4))
+			d := a.snap().since(before)
+			switch {
+			case i == survivor && !armed:
+				if d.doorbells != 2 || d.retries != 1 || d.chased != 1 {
+					t.Errorf("key homed on the surviving MN %d: %d doorbells, casRetries=%d chased=%d; want the lost CAS chased in 2 doorbells",
+						survivor, d.doorbells, d.retries, d.chased)
+				}
+			case i == survivor:
+				if d.doorbells != 2 || d.retries != 0 || d.validChanged != 1 {
+					t.Errorf("key homed on the surviving MN %d, predicted stale: %d doorbells, casRetries=%d validatedChanged=%d; want a slot read and one batch",
+						survivor, d.doorbells, d.retries, d.validChanged)
+				}
+			case !armed:
+				// First touch since the rebuild; it re-binds the entry, so the
+				// armed pass treats it like any other.
+				if d.doorbells-d.posts < 4 || d.retries != 1 || d.chased != 0 || d.validChanged+d.validSame != 0 {
+					t.Errorf("key homed on the rebuilt MN %d: %d doorbells (%d posts), casRetries=%d chased=%d validated=%d; want the lost batch, an index probe and the batch that commits, no chase, no validate-first",
+						victim, d.doorbells, d.posts, d.retries, d.chased, d.validChanged+d.validSame)
+				}
+			}
+		}
+	}
+	expect := map[int][]byte{}
+	for _, id := range ids {
+		expect[id] = val(id, 4)
+	}
+	tc.verifyAll(t, expect)
 }
 
 // TestCachedClientsUpdateAfterHomeMNRecovery is the benchmark's
@@ -467,8 +567,8 @@ func TestCachedClientsUpdateAfterHomeMNRecovery(t *testing.T) {
 }
 
 // TestSlotNeverChangesKey is the property the chase and validate-first
-// reads rest on: within one view epoch an index slot, once it holds a
-// key's pair, only ever holds that key's pairs. Random
+// reads rest on: within one generation of its index partition an index
+// slot, once it holds a key's pair, only ever holds that key's pairs. Random
 // insert/update/delete/reinsert histories from four clients run against
 // a pool small enough that blocks are reclaimed and reused; between
 // bursts every non-empty slot of every index is resolved to the key of

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ftmode"
+	"repro/internal/racehash"
 	"repro/internal/rdma"
 	"repro/internal/rdma/simnet"
 )
@@ -397,7 +398,27 @@ func TestCrossModeFailStop(t *testing.T) {
 					return blocksReady
 				})
 			}
+			lost0, chased0 := warm.lostAndChased()
 			warm.resume(t, h)
+			if h.ft.Mode() != core.FTModeAceso {
+				return
+			}
+			// The fail-stop destroyed one index partition, so it unbinds the
+			// slots of that partition's keys — once per client and key, until
+			// the first touch re-binds them — and no others: a commit CAS
+			// lost on any other key is chased from its slot.
+			rebuilt := 0
+			for i := 0; i < warmKeys; i++ {
+				if racehash.HomeMN(racehash.Hash(key(warmKeyBase+i)), h.ft.NumMNs()) == victim {
+					rebuilt++
+				}
+			}
+			lost, chased := warm.lostAndChased()
+			lost, chased = lost-lost0, chased-chased0
+			if chased == 0 || lost-chased > uint64(warmN*rebuilt) {
+				t.Errorf("after the fail-stop the warm clients lost %d commit CASes and chased %d; %d keys are homed on the rebuilt MN, so at most %d may go back to the index",
+					lost, chased, rebuilt, warmN*rebuilt)
+			}
 		})
 	})
 }
@@ -412,8 +433,9 @@ func TestCrossModeFailStop(t *testing.T) {
 // the next: a client that keeps acting on what it cached in the round
 // before, where another client has since changed it, shows.
 type warmClients struct {
-	gates [3]gate // before each round after the failure, and before the reads
-	done  *int
+	gates   [3]gate // before each round after the failure, and before the reads
+	done    *int
+	clients [warmN]ftmode.Client
 	// final[i] holds the writes of key i that may be its final value.
 	final [][]*warmWrite
 }
@@ -465,6 +487,7 @@ func startWarmClients(t *testing.T, h *harness) *warmClients {
 			}
 		}
 		fns[id] = func(ctx rdma.Ctx, c ftmode.Client) {
+			w.clients[id] = c
 			for round := 0; round < 4; round++ {
 				if round >= 2 {
 					w.gates[round-2].wait(ctx)
@@ -503,6 +526,18 @@ func (w *warmClients) resume(t *testing.T, h *harness) {
 		g.open = true
 	}
 	h.until(t, 120*time.Second, "the warm clients to finish", func() bool { return *w.done == warmN })
+}
+
+// lostAndChased sums, over the warm clients that are aceso's, the commit
+// CASes they lost and the ones they chased from the slot itself.
+func (w *warmClients) lostAndChased() (lost, chased uint64) {
+	for _, c := range w.clients {
+		if c, ok := c.(*core.Client); ok {
+			lost += c.Stats.CASRetries
+			chased += c.Stats.WriteChased
+		}
+	}
+	return lost, chased
 }
 
 // TestCrossModeUsage checks the space-accounting surface: every mode
