@@ -532,17 +532,19 @@ func (ek *entryKeys) prefetch(keys []string) {
 			buf := make([]byte, kvHintBytes(meta))
 			owner, off := layout.UnpackAddr(atom.Addr)
 			addr, alive := ek.cl.Addr(int(owner), off)
-			switch {
-			case int(owner) != ek.mn && alive:
+			switch local := int(owner) == ek.mn; {
+			case local && ek.recovered[ek.cl.L.BlockOfOff(off)]:
+				// answers from the replacement's own memory
+			case !local && alive:
 				ops = append(ops, rdma.Op{Kind: rdma.OpRead, Addr: addr, Buf: buf})
 				addrs = append(addrs, atom.Addr)
-			case int(owner) != ek.mn || !ek.recovered[ek.cl.L.BlockOfOff(off)]:
+			default:
 				lost = append(lost, stripeWant{packed: atom.Addr, buf: buf})
 			}
 			return false
 		})
 	}
-	have := func(packed uint64, buf []byte) {
+	fetched := func(packed uint64, buf []byte) {
 		ek.fetched++
 		if kv, err := layout.DecodeKV(buf); err == nil && kv != nil {
 			ek.scanned[packed] = &layout.KV{Key: append([]byte(nil), kv.Key...),
@@ -554,13 +556,13 @@ func (ek *entryKeys) prefetch(keys []string) {
 	}
 	for i := range ops {
 		if ops[i].Err == nil {
-			have(addrs[i], ops[i].Buf)
+			fetched(addrs[i], ops[i].Buf)
 		}
 	}
 	readStripeRanges(ek.ctx, ek.cl, lost, entryKeyFetchDepth)
 	for i := range lost {
 		if lost[i].ok {
-			have(lost[i].packed, lost[i].buf)
+			fetched(lost[i].packed, lost[i].buf)
 		}
 	}
 }
