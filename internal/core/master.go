@@ -67,7 +67,6 @@ const (
 // round that cannot get there takes no snapshot anywhere; the versions
 // it did raise are harmless.
 func (m *Master) ckptLoop(ctx rdma.Ctx) {
-	acked := make([]bool, m.cl.Cfg.Layout.NumMNs)
 	for {
 		ctx.Sleep(m.cl.Cfg.CkptInterval)
 		m.mu.Lock()
@@ -76,7 +75,7 @@ func (m *Master) ckptLoop(ctx rdma.Ctx) {
 		m.mu.Unlock()
 		var e enc
 		e.u64(round)
-		if silent := m.prepareRound(ctx, e.b, acked); silent >= 0 {
+		if silent := m.prepareRound(ctx, e.b); silent >= 0 {
 			m.mu.Lock()
 			m.abortedRounds++
 			m.mu.Unlock()
@@ -86,7 +85,7 @@ func (m *Master) ckptLoop(ctx rdma.Ctx) {
 				Note: fmt.Sprintf("round=%d: prepare unacknowledged, no snapshot taken", round)})
 			continue
 		}
-		for mn := range acked {
+		for mn := 0; mn < m.cl.Cfg.Layout.NumMNs; mn++ {
 			if node, alive := m.cl.view.nodeOf(mn); alive {
 				ctx.RPC(node, methodCkptSnapshot, e.b) //nolint:errcheck // a missed snapshot leaves that MN's copy at an older round
 			}
@@ -99,10 +98,8 @@ func (m *Master) ckptLoop(ctx rdma.Ctx) {
 // and still silent after ckptPrepareAttempts. An MN the view calls
 // failed seals nothing, and its replacement starts above the round
 // (runRecovery), so neither needs the prepare.
-func (m *Master) prepareRound(ctx rdma.Ctx, req []byte, acked []bool) (silent int) {
-	for mn := range acked {
-		acked[mn] = false
-	}
+func (m *Master) prepareRound(ctx rdma.Ctx, req []byte) (silent int) {
+	acked := make([]bool, m.cl.Cfg.Layout.NumMNs)
 	for attempt := 1; ; attempt++ {
 		silent = -1
 		for mn := range acked {

@@ -547,13 +547,10 @@ func (ek *entryKeys) prefetch(keys []string) {
 	fetched := func(packed uint64, buf []byte) {
 		ek.fetched++
 		if kv, err := layout.DecodeKV(buf); err == nil && kv != nil {
-			ek.scanned[packed] = &layout.KV{Key: append([]byte(nil), kv.Key...),
-				SlotVersion: kv.SlotVersion, Tombstone: kv.Tombstone}
+			ek.scanned[packed] = &layout.KV{Key: append([]byte(nil), kv.Key...)} // of reads the key alone
 		}
 	}
-	for pos := 0; pos < len(ops); pos += entryKeyFetchDepth {
-		ek.ctx.Batch(ops[pos:min(pos+entryKeyFetchDepth, len(ops))]) //nolint:errcheck // per-op outcomes decide below
-	}
+	batchBy(ek.ctx, ops, entryKeyFetchDepth)
 	for i := range ops {
 		if ops[i].Err == nil {
 			fetched(addrs[i], ops[i].Buf)

@@ -114,47 +114,37 @@ type stripeWant struct {
 // lies in, then every range's reads. A range whose stripe cannot serve
 // it, or one of whose reads fails, is left !ok.
 func readStripeRanges(ctx rdma.Ctx, cl *Cluster, wants []stripeWant, depth int) {
-	batch := func(ops []rdma.Op) {
-		for pos := 0; pos < len(ops); pos += depth {
-			ctx.Batch(ops[pos:min(pos+depth, len(ops))]) //nolint:errcheck // per-op outcomes decide below
-		}
-	}
 	l := cl.L
-	var ops []rdma.Op
-	recOp := make(map[int]int) // stripe row -> its record's read in ops
+	var recReads []rdma.Op
+	recOf := make(map[int]int) // stripe row -> its record's read in recReads
 	for i := range wants {
 		_, bi, _, err := stripeRangeOf(cl, wants[i].packed)
-		if _, asked := recOp[bi]; err != nil || asked {
+		if _, asked := recOf[bi]; err != nil || asked {
 			continue
 		}
 		if addr, ok := cl.Addr(l.ParityMN(uint32(bi), 0), l.RecordOff(bi)); ok {
-			recOp[bi] = len(ops)
-			ops = append(ops, rdma.Op{Kind: rdma.OpRead, Addr: addr, Buf: make([]byte, layout.RecordSize)})
+			recOf[bi] = len(recReads)
+			recReads = append(recReads, rdma.Op{Kind: rdma.OpRead, Addr: addr, Buf: make([]byte, layout.RecordSize)})
 		}
 	}
-	batch(ops)
-	recs := make(map[int]layout.Record, len(recOp))
-	for bi, i := range recOp {
-		if ops[i].Err == nil {
-			recs[bi] = layout.DecodeRecord(ops[i].Buf)
-		}
-	}
+	batchBy(ctx, recReads, depth)
 
-	ops = ops[:0]
+	var ops []rdma.Op
 	first := make([]int, len(wants)+1) // wants[i]'s reads are ops[first[i]:first[i+1]]
 	for i := range wants {
 		first[i] = len(ops)
 		mn, bi, rel, err := stripeRangeOf(cl, wants[i].packed)
-		prec, have := recs[bi]
-		if err != nil || !have {
+		ri, asked := recOf[bi]
+		if err != nil || !asked || recReads[ri].Err != nil {
 			continue
 		}
+		prec := layout.DecodeRecord(recReads[ri].Buf)
 		if reads, ok := stripeRangeReads(cl, ops, mn, bi, rel, len(wants[i].buf), &prec); ok {
 			ops, wants[i].ok = reads, true
 		}
 	}
 	first[len(wants)] = len(ops)
-	batch(ops)
+	batchBy(ctx, ops, depth)
 	for i := range wants {
 		reads := ops[first[i]:first[i+1]]
 		for j := range reads {
@@ -163,6 +153,14 @@ func readStripeRanges(ctx rdma.Ctx, cl *Cluster, wants []stripeWant, depth int) 
 		if wants[i].ok {
 			foldStripeRange(wants[i].buf, reads)
 		}
+	}
+}
+
+// batchBy issues ops depth to a doorbell. Outcomes are per op: callers
+// read each Op.Err.
+func batchBy(ctx rdma.Ctx, ops []rdma.Op, depth int) {
+	for pos := 0; pos < len(ops); pos += depth {
+		ctx.Batch(ops[pos:min(pos+depth, len(ops))]) //nolint:errcheck // see above
 	}
 }
 
