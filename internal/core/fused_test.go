@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
@@ -237,8 +238,18 @@ func TestFusedUpdateSkipsDeltasOnParityMNFailure(t *testing.T) {
 // same client state — at that writer's last value. Every round also has
 // all eight INSERT one fresh key, racing CAS(0 → new) on one empty slot:
 // the key must end in exactly one index slot, at some writer's value.
+//
+// The run with one pool block fewer has parity MNs refuse DELTA blocks
+// for reclaimed DATA blocks: a block opened short of a live parity's
+// target leaves that parity encoding its old contents.
 func TestFusedConcurrentWritersParityInvariant(t *testing.T) {
-	tc := newTestCluster(t, nil)
+	for _, pool := range []int{10, 9} {
+		t.Run(fmt.Sprintf("pool=%d", pool), func(t *testing.T) { concurrentWritersParityInvariant(t, pool) })
+	}
+}
+
+func concurrentWritersParityInvariant(t *testing.T, poolBlocks int) {
+	tc := newTestCluster(t, func(cfg *Config) { cfg.Layout.PoolBlocks = poolBlocks })
 	k := []byte("fused-contended")
 	const writers, rounds = 8, 100
 	fresh := func(r int) []byte { return key(5000 + r) }

@@ -1,0 +1,120 @@
+package core
+
+import (
+	"errors"
+	"testing"
+	"time"
+
+	"repro/internal/layout"
+)
+
+// drainPool takes every free DELTA/COPY pool block of mn out of
+// circulation, so the MN refuses the next AllocDelta it has no block for.
+func drainPool(tc *testCluster, mn int) {
+	s := tc.cl.Server(mn)
+	s.memMu.Lock()
+	s.mu.Lock()
+	for b := s.freePoolBlock(); b >= 0; b = s.freePoolBlock() {
+		s.putRecord(b, &layout.Record{Role: layout.RoleCopy, Valid: true})
+	}
+	s.mu.Unlock()
+	s.memMu.Unlock()
+}
+
+// TestRefusedDeltaNeverOpensABlock pins the delta-target rule (DESIGN.md
+// §3 hardening): a DATA block is written only while every live parity MN
+// of its stripe holds a DELTA block for it. A parity MN that refuses one
+// — its pool is full — fails that provisioning attempt: the write lands
+// on a block of another stripe, or returns ErrNoSpace when no MN can
+// open one, and never commits short of a live parity's copy.
+func TestRefusedDeltaNeverOpensABlock(t *testing.T) {
+	fullTargets := func(t *testing.T, c *Client) {
+		t.Helper()
+		for _, ob := range c.open {
+			if len(ob.deltas) != c.cl.Cfg.deltaCopies() {
+				t.Errorf("client %d writes block %d of MN %d with %d delta targets, want %d",
+					c.ID(), ob.idx, ob.mn, len(ob.deltas), c.cl.Cfg.deltaCopies())
+			}
+		}
+		if c.Stats.DeltaSkips != 0 {
+			t.Errorf("client %d skipped %d delta copies with every MN alive", c.ID(), c.Stats.DeltaSkips)
+		}
+	}
+
+	t.Run("lands on another MN", func(t *testing.T) {
+		tc := newTestCluster(t, fusedTestConfig)
+		drainPool(tc, 1)
+		elsewhere := 0
+		for i := 0; i < tc.cl.Cfg.Layout.NumMNs; i++ { // one client per first-choice MN
+			c := tc.cl.NewClient()
+			c.Attach(&directCtx{pl: tc.pl})
+			if err := c.Insert(key(i), val(i, 0)); err != nil {
+				t.Fatalf("client %d: %v", c.ID(), err)
+			}
+			fullTargets(t, c)
+			for _, ob := range c.open {
+				if ob.mn != int(c.ID())%tc.cl.Cfg.Layout.NumMNs {
+					elsewhere++
+				}
+			}
+			c.Close()
+		}
+		if elsewhere == 0 {
+			t.Error("no client was turned away from its first-choice MN: the drained parity MN refused nothing")
+		}
+		tc.run(20 * time.Millisecond)
+		stripeParityInvariant(t, tc)
+	})
+
+	t.Run("ErrNoSpace when none can", func(t *testing.T) {
+		tc := newTestCluster(t, fusedTestConfig)
+		for mn := 0; mn < tc.cl.Cfg.Layout.NumMNs; mn++ {
+			drainPool(tc, mn)
+		}
+		c := tc.cl.NewClient()
+		c.Attach(&directCtx{pl: tc.pl})
+		if err := c.Insert(key(0), val(0, 0)); !errors.Is(err, ErrNoSpace) {
+			t.Errorf("insert with every parity pool full: %v, want ErrNoSpace", err)
+		}
+		fullTargets(t, c)
+		if n := indexSlotsOf(tc, key(0)); n != 0 {
+			t.Errorf("the refused insert sits in %d index slots", n)
+		}
+		tc.run(20 * time.Millisecond)
+		stripeParityInvariant(t, tc)
+	})
+
+	// The stripe's first parity MN folds the open block's DELTA block
+	// early and then has no pool block to grant another (what a
+	// replacement that could not restore a pending delta looks like): the
+	// refresh after a membership change must retire the block, not write
+	// on with one target.
+	t.Run("open block that loses a target is retired", func(t *testing.T) {
+		tc := newTestCluster(t, fusedTestConfig)
+		c := tc.cl.NewClient()
+		c.Attach(&directCtx{pl: tc.pl})
+		k := key(0)
+		if err := c.Insert(k, val(0, 0)); err != nil {
+			t.Fatal(err)
+		}
+		old := c.open[uint8(layout.KVClassSize(len(k), len(val(0, 0)))/64)]
+		parity := tc.cl.L.ParityMN(old.stripe, 0)
+		var e enc
+		e.u32(old.stripe)
+		e.u8(old.xorID)
+		tc.rpc(t, parity, methodEncodeDelta, e.b)
+		tc.run(time.Millisecond)
+		drainPool(tc, parity)
+		old.viewEpoch-- // as after a membership change
+		if err := c.Update(k, val(0, 1)); err != nil {
+			t.Fatal(err)
+		}
+		fullTargets(t, c)
+		if c.open[old.class] == old {
+			t.Errorf("the update went into block %d of MN %d, which lost its target on MN %d", old.idx, old.mn, parity)
+		}
+		c.Close()
+		tc.run(20 * time.Millisecond)
+		stripeParityInvariant(t, tc)
+	})
+}
