@@ -1387,28 +1387,26 @@ func (c *Client) repairDataWrite(addr rdma.GlobalAddr, buf []byte) {
 // prefetcher is asked to provision the next one in the background.
 func (c *Client) getBlock(classUnits uint8) (*openBlock, error) {
 	if ob, ok := c.open[classUnits]; ok && len(ob.slots) > 0 {
-		if ep := c.cl.view.epochNow(); ep != ob.viewEpoch {
-			// Membership changed: a recovered parity MN may have
-			// relocated this block's DELTA blocks. Re-resolve them
-			// (AllocDelta is idempotent).
-			c.refreshDeltas(ob)
-			ob.viewEpoch = ep
+		if c.deltasCurrent(ob) {
+			c.touchClass(classUnits)
+			if c.pf != nil && len(ob.slots) <= c.lowWater(classUnits) {
+				c.pf.requestRefill(classUnits)
+			}
+			return ob, nil
 		}
-		c.touchClass(classUnits)
-		if c.pf != nil && len(ob.slots) <= c.lowWater(classUnits) {
-			c.pf.requestRefill(classUnits)
-		}
-		return ob, nil
+		c.retireBlock(ob)
 	}
 	if c.pf != nil {
 		if ob := c.pf.takeReady(classUnits); ob != nil {
 			c.Stats.BlockPrefetchHits++
 			c.wmet.PrefetchHits.Add(1)
-			c.adoptBlock(ob)
-			return ob, nil
+			if c.adoptBlock(ob) {
+				return ob, nil
+			}
+		} else {
+			c.Stats.BlockPrefetchMisses++
+			c.wmet.PrefetchMisses.Add(1)
 		}
-		c.Stats.BlockPrefetchMisses++
-		c.wmet.PrefetchMisses.Add(1)
 	}
 	seq := c.allocSeq
 	ob, err := c.provisionBlock(c.ctx, classUnits, &seq, &c.Stats)
@@ -1416,7 +1414,9 @@ func (c *Client) getBlock(classUnits uint8) (*openBlock, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.adoptBlock(ob)
+	if !c.adoptBlock(ob) {
+		return nil, ErrNoSpace
+	}
 	return ob, nil
 }
 
@@ -1431,21 +1431,49 @@ func (c *Client) lowWater(classUnits uint8) int {
 }
 
 // adoptBlock installs a freshly provisioned block as the class's open
-// block, refreshing its delta targets if membership moved since it was
-// provisioned (prefetched blocks can sit for a while).
-func (c *Client) adoptBlock(ob *openBlock) {
+// block. Membership may have moved since it was provisioned (prefetched
+// blocks can sit for a while): a block that can no longer get its delta
+// targets is retired unwritten, and adoptBlock reports false.
+func (c *Client) adoptBlock(ob *openBlock) bool {
 	if ob.reused {
 		c.Stats.BlocksReused++
 	} else {
 		c.Stats.BlocksAlloc++
 	}
-	if ep := c.cl.view.epochNow(); ep != ob.viewEpoch {
-		c.refreshDeltas(ob)
-		ob.viewEpoch = ep
+	if !c.deltasCurrent(ob) {
+		c.retireBlock(ob)
+		return false
 	}
 	c.open[ob.class] = ob
 	c.touchClass(ob.class)
 	c.boundOpen()
+	return true
+}
+
+// deltasCurrent re-resolves ob's DELTA targets when the membership epoch
+// moved since they were resolved — a recovered parity MN may have
+// relocated them (AllocDelta is idempotent). False means a live parity
+// MN now refuses the block a target: it must not be written any more.
+func (c *Client) deltasCurrent(ob *openBlock) bool {
+	ep := c.cl.view.epochNow()
+	if ep == ob.viewEpoch {
+		return true
+	}
+	if !c.allocDeltas(c.ctx, ob) {
+		return false
+	}
+	ob.viewEpoch = ep
+	return true
+}
+
+// retireBlock takes ob out of use with whatever slots it has left. The
+// seal waits for finishWrite like any other: a parked patch may still be
+// on its way into the block's DELTA copies.
+func (c *Client) retireBlock(ob *openBlock) {
+	if c.open[ob.class] == ob {
+		delete(c.open, ob.class)
+	}
+	c.pendingSeal = append(c.pendingSeal, ob)
 }
 
 // provisionBlock allocates a fresh or reclaimed DATA block (plus its
@@ -1503,24 +1531,11 @@ func (c *Client) provisionBlock(ctx rdma.Ctx, classUnits uint8, seq *int, st *Cl
 				ob.slots = append(ob.slots, s)
 			}
 		}
-		// Allocate the DELTA blocks on the stripe's parity MNs.
-		for j := 0; j < c.cl.Cfg.deltaCopies(); j++ {
-			pmn := l.ParityMN(stripe, j)
-			pnode, alive := c.cl.view.nodeOf(pmn)
-			if !alive {
-				continue
-			}
-			var de enc
-			de.u16(c.id)
-			de.u32(stripe)
-			de.u8(xorID)
-			de.u8(classUnits)
-			dresp, err := ctx.RPC(pnode, methodAllocDelta, de.b)
-			if err != nil || len(dresp) == 0 || dresp[0] != stOK {
-				continue
-			}
-			dd := dec{b: dresp[1:]}
-			ob.deltas = append(ob.deltas, deltaTarget{mn: pmn, blockOff: l.BlockOff(int(dd.u32()))})
+		if !c.allocDeltas(ctx, ob) {
+			// Nothing was written: sealed as it stands, DATA, DELTA and
+			// PARITY agree, and the reclamation copy is released.
+			c.sealBlockCtx(ctx, ob)
+			continue
 		}
 		return ob, nil
 	}
@@ -1557,9 +1572,15 @@ func (c *Client) boundOpen() {
 	}
 }
 
-// refreshDeltas re-resolves an open block's DELTA-block targets after
-// a membership change (recovery may have relocated or dropped them).
-func (c *Client) refreshDeltas(ob *openBlock) {
+// allocDeltas resolves ob's DELTA targets: a DELTA block on every live
+// parity MN of its stripe (AllocDelta is idempotent, so this also
+// re-resolves them after a membership change). Only a dead parity MN is
+// skipped — its copies are what DeltaSkips counts. A live one that
+// refuses (pool exhausted, RPC lost) makes allocDeltas report false: a
+// block written without that target would leave the parity encoding the
+// block's previous contents, and every later decode of the stripe
+// through it wrong (DESIGN.md §3).
+func (c *Client) allocDeltas(ctx rdma.Ctx, ob *openBlock) bool {
 	l := c.cl.L
 	ob.deltas = ob.deltas[:0]
 	for j := 0; j < c.cl.Cfg.deltaCopies(); j++ {
@@ -1573,13 +1594,17 @@ func (c *Client) refreshDeltas(ob *openBlock) {
 		de.u32(ob.stripe)
 		de.u8(ob.xorID)
 		de.u8(ob.class)
-		dresp, err := c.ctx.RPC(pnode, methodAllocDelta, de.b)
+		dresp, err := ctx.RPC(pnode, methodAllocDelta, de.b)
 		if err != nil || len(dresp) == 0 || dresp[0] != stOK {
-			continue
+			if _, alive := c.cl.view.nodeOf(pmn); !alive {
+				continue // died under the RPC
+			}
+			return false
 		}
 		dd := dec{b: dresp[1:]}
 		ob.deltas = append(ob.deltas, deltaTarget{mn: pmn, blockOff: l.BlockOff(int(dd.u32()))})
 	}
+	return true
 }
 
 // readChunked reads a whole block in ChunkBytes pieces on the

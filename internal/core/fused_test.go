@@ -187,8 +187,7 @@ func TestFusedUpdateSkipsDeltasOnParityMNFailure(t *testing.T) {
 		}
 		// The insert opened a DATA block; fail the MN hosting its
 		// first DELTA copy. Updates to k keep committing on the (live)
-		// data and index MNs while refreshDeltas cannot re-place the
-		// dead copy.
+		// data and index MNs while allocDeltas skips the dead MN's copy.
 		var ob *openBlock
 		for _, b := range c.open {
 			if len(b.deltas) > 0 {
