@@ -141,7 +141,6 @@ var canonicalOrder = []string{
 	"fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14",
 	"tab2", "tab3",
 	"fig15", "fig16", "fig17", "fig18", "fig19", "fig20",
-	"verbs",
 }
 
 func register(id, title string, run func(Options) (*Result, error)) {

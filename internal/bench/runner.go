@@ -43,8 +43,8 @@ type acesoRun struct {
 	opts Options
 	// fm counts the verbs issued by bench clients only: spawn wraps
 	// each client ctx, while server/master daemons run uninstrumented,
-	// so snapshot deltas give exact verbs-per-op figures (the "verbs"
-	// experiment checks them against the paper's cost model).
+	// so snapshot deltas give exact verbs-per-op figures
+	// (TestScriptedVerbCounts pins them).
 	fm *obs.FabricMetrics
 }
 

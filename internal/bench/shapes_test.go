@@ -250,40 +250,3 @@ func TestShapeSloperfDegradedFlip(t *testing.T) {
 		t.Fatal("degraded series never reads 1")
 	}
 }
-
-// TestShapeWriteperf pins the fused write path's acceptance criteria
-// at smoke scale: >= 1.3x UPDATE p50 improvement on the write-heavy
-// mix, a doorbells/op reduction on the pure-update cell (the
-// 2 RTT -> 1 RTT headline), real reclamation pressure in the reclaim
-// cell, and the knob semantics (baseline never fuses, fused cells do).
-func TestShapeWriteperf(t *testing.T) {
-	res := runQuick(t, "writeperf")
-	sum, ok := res.Summary.(*writePerfSummary)
-	if !ok {
-		t.Fatalf("summary type %T", res.Summary)
-	}
-	if sum.UpdateP50Speedup < 1.3 {
-		t.Errorf("write-heavy UPDATE p50 speedup %.2fx, acceptance >= 1.3x", sum.UpdateP50Speedup)
-	}
-	if sum.UpdateDoorbellReduction < 1.3 {
-		t.Errorf("pure-update doorbell reduction %.2fx, want >= 1.3x", sum.UpdateDoorbellReduction)
-	}
-	for _, row := range sum.Rows {
-		switch row.Config {
-		case "baseline", "prefetch":
-			if row.Fused != 0 {
-				t.Errorf("%s/%s recorded %d fused commits with fusion off", row.Config, row.Workload, row.Fused)
-			}
-		case "fused", "fused+prefetch":
-			if row.Fused == 0 {
-				t.Errorf("%s/%s recorded no fused commits", row.Config, row.Workload)
-			}
-		}
-		if row.Workload == "RECLAIM-UPDATE" && row.Reclaimed == 0 {
-			t.Errorf("%s reclaim cell reclaimed no blocks; pressure shape lost", row.Config)
-		}
-		if row.Config == "fused+prefetch" && row.Workload == "RECLAIM-UPDATE" && row.PrefetchHits == 0 {
-			t.Errorf("prefetcher served no refills under block churn")
-		}
-	}
-}

@@ -133,33 +133,3 @@ func TestScriptedVerbCounts(t *testing.T) {
 		t.Errorf("update doorbells = %d, want %d", got, n)
 	}
 }
-
-// TestVerbsExperimentWithinTolerance runs the registered "verbs"
-// experiment end to end and asserts every measured figure stays within
-// the documented 10% tolerance of the cost model.
-func TestVerbsExperimentWithinTolerance(t *testing.T) {
-	res := runQuick(t, "verbs")
-	if len(res.Series) == 0 || len(res.Series)%2 != 0 {
-		t.Fatalf("verbs result has %d series, want measured/model pairs", len(res.Series))
-	}
-	for i := 0; i < len(res.Series); i += 2 {
-		meas, model := res.Series[i], res.Series[i+1]
-		for j, got := range meas.Values {
-			want := model.Values[j]
-			dev := got - want
-			if dev < 0 {
-				dev = -dev
-			}
-			if want == 0 {
-				if got > 0.1 {
-					t.Errorf("%s %s = %.3f, model 0", meas.Name, meas.Labels[j], got)
-				}
-				continue
-			}
-			if dev/want > 0.10 {
-				t.Errorf("%s %s = %.3f, model %.0f (deviation %.1f%%)",
-					meas.Name, meas.Labels[j], got, want, dev/want*100)
-			}
-		}
-	}
-}
