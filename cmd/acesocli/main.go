@@ -55,8 +55,6 @@ func main() {
 	flag.IntVar(&cfg.Layout.CkptSegments, "ckpt-segments", cfg.Layout.CkptSegments, "checkpoint index segments (geometry: must match the daemons)")
 	flag.IntVar(&cfg.TraceSample, "trace-sample", 1, "op-span sampling: 1 in N of this client's ops records a span tree (<0 disables)")
 	flag.IntVar(&cfg.CacheEntries, "cache-entries", cfg.CacheEntries, "client index cache entry bound (0 = default 16384, <0 disables)")
-	flag.BoolVar(&cfg.FusedCommit, "fused-commit", cfg.FusedCommit, "fuse the commit CAS into the placement doorbell on ordered fabrics (single-RTT updates)")
-	flag.BoolVar(&cfg.BlockPrefetch, "block-prefetch", cfg.BlockPrefetch, "pre-provision DATA/DELTA blocks on a per-client background worker")
 	flag.Parse()
 
 	addrs := strings.Split(*peers, ",")
@@ -166,8 +164,8 @@ func execute(c ftmode.Client, fields []string) (quit bool) {
 				entries, capacity, bytes, evictions := cc.CacheStats()
 				fmt.Printf("cache: entries=%d capacity=%d fill=%.1f%% bytes=%d evictions=%d\n",
 					entries, capacity, 100*stats.Ratio(float64(entries), float64(capacity)), bytes, evictions)
-				fmt.Printf("write: fused=%d fallback=%d deltaSkips=%d prefetch{hits=%d misses=%d} chased=%d validateFirst{changed=%d unchanged=%d}\n",
-					s.WriteFused, s.WriteFallback, s.DeltaSkips,
+				fmt.Printf("write: fused=%d deltaSkips=%d prefetch{hits=%d misses=%d} chased=%d validateFirst{changed=%d unchanged=%d}\n",
+					s.WriteFused, s.DeltaSkips,
 					s.BlockPrefetchHits, s.BlockPrefetchMisses,
 					s.WriteChased, s.WriteValidatedChanged, s.WriteValidatedSame)
 			} else {
@@ -419,7 +417,6 @@ func printMNStats(c ftmode.Client, mn int) {
 	fmt.Print(stats.Table(fmt.Sprintf("mn%d client index cache (co-resident clients)", st.MN), cache))
 	wr := &stats.Series{Name: "write"}
 	wr.Add("fused", float64(st.WriteFused))
-	wr.Add("fallbacks", float64(st.WriteFallbacks))
 	wr.Add("prefetchHits", float64(st.PrefetchHits))
 	wr.Add("prefetchMisses", float64(st.PrefetchMisses))
 	wr.Add("deltaSkips", float64(st.DeltaSkips))

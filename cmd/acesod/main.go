@@ -74,9 +74,6 @@ func main() {
 	flag.IntVar(&cfg.ECWorkers, "ec-workers", cfg.ECWorkers, "erasure worker cores per MN for banded encode/reconstruct kernels (0 = inline on the erasure core)")
 	flag.IntVar(&cfg.TraceSample, "trace-sample", cfg.TraceSample, "op-span sampling: 1 in N ops records a span tree (0 = default 64, <0 disables)")
 	flag.IntVar(&cfg.CacheEntries, "cache-entries", cfg.CacheEntries, "per-client index cache entry bound (0 = default 16384, <0 disables; clients must match)")
-	flag.BoolVar(&cfg.FusedCommit, "fused-commit", cfg.FusedCommit, "fuse the commit CAS into the placement doorbell on ordered fabrics (single-RTT updates)")
-	flag.BoolVar(&cfg.BlockPrefetch, "block-prefetch", cfg.BlockPrefetch, "pre-provision DATA/DELTA blocks on a per-client background worker")
-	flag.IntVar(&cfg.TraceSpans, "trace-spans", cfg.TraceSpans, "span ring capacity (newest retained; 0 = default 4096)")
 	opt := tcpnet.Options{}.WithDefaults()
 	flag.DurationVar(&opt.DialTimeout, "dial-timeout", opt.DialTimeout, "TCP dial timeout per connection attempt")
 	flag.DurationVar(&opt.OpTimeout, "op-timeout", opt.OpTimeout, "per-verb I/O deadline before a retry")

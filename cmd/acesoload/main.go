@@ -98,8 +98,6 @@ func main() {
 	stripes := flag.Int("stripes", cfg.Layout.StripeRows, "coding stripe rows (must match the daemons)")
 	pool := flag.Int("pool", cfg.Layout.PoolBlocks, "pool blocks per MN (must match the daemons)")
 	flag.IntVar(&cfg.CacheEntries, "cache-entries", cfg.CacheEntries, "per-client index cache entry bound (0 = default 16384, <0 disables)")
-	flag.BoolVar(&cfg.FusedCommit, "fused-commit", cfg.FusedCommit, "fuse the commit CAS into the placement doorbell on ordered fabrics (single-RTT updates)")
-	flag.BoolVar(&cfg.BlockPrefetch, "block-prefetch", cfg.BlockPrefetch, "pre-provision DATA/DELTA blocks on a per-client background worker")
 	flag.Parse()
 
 	addrs := strings.Split(*peers, ",")

@@ -90,7 +90,6 @@ func encodeStats(st ServerStats) []byte {
 	e.u64(st.CacheCapacity)
 	e.u64(st.CacheBytes)
 	e.u64(st.WriteFused)
-	e.u64(st.WriteFallbacks)
 	e.u64(st.PrefetchHits)
 	e.u64(st.PrefetchMisses)
 	e.u64(st.DeltaSkips)
@@ -153,7 +152,6 @@ func decodeStats(b []byte) ServerStats {
 	st.CacheCapacity = d.u64()
 	st.CacheBytes = d.u64()
 	st.WriteFused = d.u64()
-	st.WriteFallbacks = d.u64()
 	st.PrefetchHits = d.u64()
 	st.PrefetchMisses = d.u64()
 	st.DeltaSkips = d.u64()

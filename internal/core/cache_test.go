@@ -32,8 +32,11 @@ type directCtx struct {
 	// for an RPC, the method; beforeOp runs ahead of every one-sided op,
 	// so a test can land another client's verbs between two ops of one
 	// batch. A non-nil rpcErr fails every RPC instead of dispatching it.
+	// onSleep runs in place of every Sleep: a test advances the engine
+	// there while its client waits out a recovery.
 	onCall   func(call string, method uint8)
 	beforeOp func(op *rdma.Op)
+	onSleep  func()
 	rpcErr   error
 	// op is the op of a Read, Write, CAS or FAA in flight: a local one
 	// would escape to the heap through the beforeOp indirect call.
@@ -52,6 +55,10 @@ func (d *directCtx) apply(op *rdma.Op) {
 		d.beforeOp(op)
 	}
 	mem := d.pl.Memory(op.Addr.Node)
+	if mem == nil { // fail-stopped
+		op.Err = rdma.ErrNodeFailed
+		return
+	}
 	switch op.Kind {
 	case rdma.OpRead:
 		copy(op.Buf, mem[op.Addr.Off:op.Addr.Off+uint64(len(op.Buf))])
@@ -149,9 +156,13 @@ func (d *directCtx) RPC(node rdma.NodeID, method uint8, req []byte) ([]byte, err
 	return resp, nil
 }
 
-func (d *directCtx) Node() rdma.NodeID                { return 0 }
-func (d *directCtx) Now() time.Duration               { return 0 }
-func (d *directCtx) Sleep(time.Duration)              {}
+func (d *directCtx) Node() rdma.NodeID  { return 0 }
+func (d *directCtx) Now() time.Duration { return 0 }
+func (d *directCtx) Sleep(time.Duration) {
+	if d.onSleep != nil {
+		d.onSleep()
+	}
+}
 func (d *directCtx) UseCPU(core int, _ time.Duration) {}
 func (d *directCtx) LocalMem() []byte                 { return nil }
 

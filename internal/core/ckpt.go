@@ -503,7 +503,7 @@ func (s *Server) shipFrame(ctx rdma.Ctx, host int, base uint64, round uint64, fr
 		return false, 0
 	}
 	for _, r := range regions {
-		if err := writeChunkedTo(ctx, node, base+r.rel, r.data, s.cl.Cfg.ChunkBytes); err != nil {
+		if err := writeChunkedTo(ctx, node, base+r.rel, r.data, chunkBytes); err != nil {
 			return false, 0
 		}
 	}
@@ -520,7 +520,7 @@ func (s *Server) shipFrame(ctx rdma.Ctx, host int, base uint64, round uint64, fr
 	return true, binary.LittleEndian.Uint64(resp[1:9])
 }
 
-// writeChunkedTo writes data to a fixed node in ChunkBytes pieces so
+// writeChunkedTo writes data to a fixed node in chunk-sized pieces so
 // bulk transfers interleave with foreground verbs at the NICs.
 func writeChunkedTo(ctx rdma.Ctx, node rdma.NodeID, off uint64, data []byte, chunk int) error {
 	for pos := 0; pos < len(data); pos += chunk {

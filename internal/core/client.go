@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/erasure"
@@ -27,6 +26,11 @@ var (
 )
 
 const maxOpRetries = 1024
+
+// lockRetry is the pause between two looks at a slot whose Meta lock
+// another client holds (§3.2.2 remark 2: retry, then force-relock after
+// Config.LockTimeout).
+const lockRetry = 5 * time.Microsecond
 
 // maxOpenClasses bounds the open-DATA-block map: a workload cycling
 // through many value size classes would otherwise pin one partially
@@ -63,10 +67,6 @@ type Client struct {
 	// pendingSeal holds a just-filled block whose seal must wait until
 	// after the commit CAS of its final KV (§3.2.3 ordering).
 	pendingSeal []*openBlock
-	// ordered: the attached ctx honours the OrderedBatcher tail-CAS
-	// contract, so commits may fuse into the placement doorbell
-	// (DESIGN.md §13).
-	ordered bool
 	// pf is the background block-provisioning worker's shared state
 	// (nil unless Config.BlockPrefetch).
 	pf        *blockPrefetcher
@@ -105,7 +105,7 @@ func (sc *readScratch) growKV(n int) []byte {
 type writeScratch struct {
 	buf   []byte    // KV encode buffer, grown to the largest class seen
 	delta []byte    // XOR delta against the reclaimed slot's old bytes
-	ops   []rdma.Op // fused batch: (slot read +) (parked patch +) KV write + delta writes (+ CAS)
+	ops   []rdma.Op // commit batch: (slot read +) (parked patch +) KV write + delta writes + CAS
 	// inv holds the invalidation patches of the last two placements,
 	// built in turn, because a lost attempt's patch can be parked: it
 	// waits to lead the retry's fused batch, whose own placement builds
@@ -115,8 +115,7 @@ type writeScratch struct {
 	parked []rdma.Op
 	metaW  [8]byte // length-hint repair word (must outlive the Post)
 	metaOp [1]rdma.Op
-	slot   [layout.SlotSize]byte // the slot's Atomic+Meta as last read: by rearmSlot, or at the head of a fused batch
-	fuse   fuseSpec
+	slot   [layout.SlotSize]byte // the slot's Atomic+Meta as last read: by rearmSlot, or at the head of a commit batch
 }
 
 // invPatch is one placement's invalidation patch: version-field writes
@@ -127,8 +126,8 @@ type invPatch struct {
 	delta [8]byte // the XOR word that takes every delta copy along
 }
 
-// fuseSpec carries the commit-CAS operands into placeKV when the
-// attempt fuses the commit into the placement batch.
+// fuseSpec carries the commit-CAS operands into placeKV, whose batch the
+// CAS closes.
 type fuseSpec struct {
 	slotAddr rdma.GlobalAddr
 	atomOld  uint64
@@ -181,8 +180,11 @@ type ClientStats struct {
 	BytesWritten  uint64
 
 	// Fused write path (DESIGN.md §13).
-	WriteFused          uint64 // commits fused into the placement batch (1 RTT)
-	WriteFallback       uint64 // attempts that used the two-phase commit
+	WriteFused uint64 // commit attempts: each is one batch closed by the commit CAS
+	// Always 0: there is no second commit shape to fall back to.
+	// benchmark/metrics.go reads the field for core.fused_ratio until a
+	// benchmark PR drops it.
+	WriteFallback       uint64
 	DeltaSkips          uint64 // delta copies not written (dead target or lost write)
 	BlockPrefetchHits   uint64 // block refills served by the prefetcher
 	BlockPrefetchMisses uint64 // refills that fell back to a synchronous alloc
@@ -244,26 +246,21 @@ func (c *Client) CacheStats() (entries, capacity int, bytes, evictions uint64) {
 }
 
 // Attach binds the client to its process context. It must be called
-// from the client's own process before any operation. When the fabric
-// honours the ordered-batch contract, commit CASes fuse into the
-// placement doorbell; when Config.BlockPrefetch is on, a background
+// from the client's own process before any operation. The fabric must
+// honour the ordered-batch contract — every commit CAS closes the batch
+// that places its pair. When Config.BlockPrefetch is on, a background
 // worker process is spawned alongside the client to pre-provision DATA
 // blocks and absorb seal/bitmap-flush RPCs.
 func (c *Client) Attach(ctx rdma.Ctx) {
+	if !rdma.IsOrderedBatch(ctx) {
+		panic("core: Client.Attach needs a fabric whose Batch honours the rdma.OrderedBatcher contract (a tail CAS executes after every op ahead of it): the commit CAS rides the placement batch")
+	}
 	c.ctx = ctx
 	c.ot, _ = ctx.(obs.OpTracer)
-	c.ordered = rdma.IsOrderedBatch(ctx)
 	if c.cl.Cfg.BlockPrefetch && c.pf == nil {
 		c.pf = newBlockPrefetcher()
 		c.cl.pl.Spawn(ctx.Node(), fmt.Sprintf("prefetch%d", c.id), c.prefetchLoop)
 	}
-}
-
-// noteFallback counts a two-phase (unfused) commit attempt and its
-// reason.
-func (c *Client) noteFallback(reason *atomic.Uint64) {
-	c.Stats.WriteFallback++
-	reason.Add(1)
 }
 
 // ID returns the client's cluster-unique id.
@@ -827,8 +824,15 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 		verNew := uint8(1)
 		epochKV := uint64(0)
 		var lockedVal uint64 // non-zero when we hold the Meta lock
-		rollover := false
-		metaAddr, _ := c.cl.Addr(mn, slotOff+layout.SlotMetaOff)
+		slotAddr, ok := c.cl.Addr(mn, slotOff)
+		if !ok {
+			// The home MN failed since the slot was located: place
+			// nothing, wait for its index and probe it.
+			c.flushParked()
+			loc.bypass = true
+			continue
+		}
+		metaAddr := slotAddr.Add(layout.SlotMetaOff)
 		if found {
 			if metaOld.Locked() {
 				// Another client is rolling the epoch: re-read the slot,
@@ -837,11 +841,11 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 				c.Stats.LockWaits++
 				if lockWait < c.cl.Cfg.LockTimeout {
 					waitStart := c.ctx.Now()
-					c.ctx.Sleep(c.cl.Cfg.LockRetry)
+					c.ctx.Sleep(lockRetry)
 					if c.ot != nil {
 						c.ot.OpMark("lock.wait", waitStart)
 					}
-					lockWait += c.cl.Cfg.LockRetry
+					lockWait += lockRetry
 					c.rearmSlot(&loc, mn, fp, false)
 					continue
 				}
@@ -862,7 +866,6 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 				if atom.Ver == layout.VerMax {
 					// Epoch rollover: lock Meta by making it odd.
 					c.flushParked()
-					rollover = true
 					lock := layout.SlotMeta{Epoch: metaOld.Epoch + 1, Len: metaOld.Len}
 					prev, err := c.vcas(metaAddr, metaOld.Pack(), lock.Pack())
 					if err != nil || prev != metaOld.Pack() {
@@ -879,47 +882,19 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 		}
 		slotVersion := layout.SlotVersion(epochKV, verNew)
 
-		// Decide whether this attempt can fuse the commit CAS into the
-		// placement doorbell (DESIGN.md §13). Every commit without a
-		// Meta lock in hand qualifies — an INSERT fuses CAS(0 → new)
-		// behind its placement — and only epoch rollovers and forced
-		// re-locks keep the two-phase shape.
-		var fuse *fuseSpec
-		switch {
-		case !c.cl.Cfg.FusedCommit:
-			c.noteFallback(&c.wmet.FallbackDisabled)
-		case !c.ordered:
-			c.noteFallback(&c.wmet.FallbackCapability)
-		case lockedVal != 0:
-			if rollover {
-				c.noteFallback(&c.wmet.FallbackRollover)
-			} else {
-				c.noteFallback(&c.wmet.FallbackLocked)
-			}
-		default:
-			if slotAddr, ok := c.cl.Addr(mn, slotOff); ok {
-				// A slot bound to the key is read ahead of the CAS, for a
-				// lost attempt to re-arm from. A DELETE has no use for the
-				// read, and an INSERT's slot is bound to no key.
-				f := &c.wsc.fuse
-				*f = fuseSpec{slotAddr: slotAddr, atomOld: atomOld, fp: fp, verNew: verNew,
-					readSlot: found && loc.bound && !tombstone}
-				fuse = f
-			} else {
-				c.noteFallback(&c.wmet.FallbackAddr)
-			}
-		}
-		if fuse == nil {
-			c.flushParked() // no fused batch for the patch to ride
-		}
-
+		// The commit attempt is one batch (DESIGN.md §13): the out-of-place
+		// write of the pair and its deltas, closed by the CAS on the slot's
+		// Atomic word — CAS(0 → new) for an INSERT, and between the lock and
+		// unlock CASes when the Meta lock is in hand. A slot bound to the
+		// key is read ahead of the CAS, for a lost attempt to re-arm from. A
+		// DELETE has no use for the read, an INSERT's slot is bound to no
+		// key, and under a held lock the image would show the client's own.
+		fuse := fuseSpec{slotAddr: slotAddr, atomOld: atomOld, fp: fp, verNew: verNew,
+			readSlot: found && loc.bound && !tombstone && lockedVal == 0}
 		var batchStart time.Duration
-		if c.ot != nil && fuse != nil {
+		if c.ot != nil {
 			batchStart = c.ctx.Now()
 		}
-
-		// Out-of-place write of the KV pair and its deltas — with the
-		// commit CAS riding the same doorbell when fused.
 		placed, err := c.placeKV(key, val, slotVersion, tombstone, fuse)
 		if err != nil {
 			c.flushParked()
@@ -933,30 +908,12 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 			c.wmet.DeltaSkips.Add(uint64(placed.deltaSkips))
 		}
 		classUnits := uint8(layout.KVClassSize(len(key), len(val)) / 64)
-
-		newAtomic := placed.newAtomic
-		committed := placed.committed
-		if placed.fused {
-			c.Stats.WriteFused++
-			c.wmet.Fused.Add(1)
-			if c.ot != nil {
-				c.ot.OpMark("commit.fused", batchStart)
-			}
-		} else {
-			// Commit: one CAS on the Atomic word (the commit point).
-			newAtomic = layout.SlotAtomic{FP: fp, Ver: verNew, Addr: placed.addr}.Pack()
-			slotAddr, ok := c.cl.Addr(mn, slotOff)
-			if !ok {
-				c.invalidateKV(placed.inv)
-				if lockedVal != 0 {
-					c.unlockMeta(metaAddr, lockedVal, epochKV, metaOld.Len)
-				}
-				loc.bypass = true
-				continue
-			}
-			prev, cerr := c.vcas(slotAddr, atomOld, newAtomic)
-			committed = cerr == nil && prev == atomOld
+		c.Stats.WriteFused++
+		c.wmet.Fused.Add(1)
+		if c.ot != nil {
+			c.ot.OpMark("commit.fused", batchStart)
 		}
+		newAtomic, committed := placed.newAtomic, placed.committed
 		if loc.ent != nil {
 			c.cache.validated(loc.ent, !committed)
 		}
@@ -966,10 +923,10 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 			// key's. Chase it (DESIGN.md §13): re-arm from the 16 bytes the
 			// lost batch read ahead of its CAS and let the orphan's
 			// invalidation lead the retry's batch — one doorbell per
-			// attempt. An attempt that cannot (unfused; the CAS did not
-			// confirm the read; back-off, which keeps a herd from starving
-			// one client and over which no slot image is kept) posts the
-			// patch and reads the slot; a DELETE, which never commits
+			// attempt. An attempt that cannot (no read rode the batch, or the
+			// CAS did not confirm it; back-off, which keeps a herd from
+			// starving one client and over which no slot image is kept) posts
+			// the patch and reads the slot; a DELETE, which never commits
 			// against a re-read word, probes the index. Seals and bitmap
 			// flushes wait for the commit, so no patch is ever behind them.
 			c.Stats.CASRetries++
@@ -1040,7 +997,7 @@ func (c *Client) unlockMeta(addr rdma.GlobalAddr, lockedVal uint64, epochEven ui
 // recovery never resurrects it (Algorithm 1 line 18). The pair's delta
 // copies receive the matching XOR patch, preserving the stripe
 // invariant DATA = enc ⊕ DELTA; placeKV precomputed the ops. This is the
-// unsignaled post of a patch with no fused batch to ride; a loss that
+// unsignaled post of a patch with no commit batch to ride; a loss that
 // re-armed from its own batch parks it instead (writeScratch.parked).
 func (c *Client) invalidateKV(inv []rdma.Op) {
 	if len(inv) == 0 {
@@ -1052,8 +1009,8 @@ func (c *Client) invalidateKV(inv []rdma.Op) {
 }
 
 // flushParked posts a parked patch whose attempt turned away from the
-// fused batch it was to lead: a Meta lock or rollover, an unfused
-// attempt, a placement error.
+// batch it was to lead: a Meta lock to wait for or to take, a home MN
+// that failed, a placement error.
 func (c *Client) flushParked() {
 	c.invalidateKV(c.wsc.parked)
 	c.wsc.parked = nil
@@ -1198,15 +1155,13 @@ func (c *Client) locateForWrite(key []byte, h uint64, mn int, fp uint8, bypass b
 // placedKV describes a placed KV pair: its packed address, the
 // precomputed invalidation ops (version-field patches for the pair and
 // every delta copy), how many delta copies were skipped (dead target
-// or lost write), and the commit outcome (filled by placeKV for fused
-// attempts, by write for two-phase ones).
+// or lost write), and the commit outcome.
 type placedKV struct {
 	addr       uint64
 	inv        []rdma.Op
 	deltaSkips int
-	fused      bool   // the commit CAS rode the placement batch
-	committed  bool   // ... and won (meaningless unless fused)
-	newAtomic  uint64 // the Atomic word the fused CAS installed
+	committed  bool   // the batch's tail CAS won
+	newAtomic  uint64 // the Atomic word that CAS installs
 	// sawSlot: the batch's slot read left in wsc.slot the very word the
 	// CAS then found (on tcpnet the prefix read can be older than the
 	// tail), so a lost attempt may re-arm from it.
@@ -1215,17 +1170,16 @@ type placedKV struct {
 
 // placeKV appends the KV pair to an open DATA block of the right size
 // class, writing the pair and its per-parity deltas in one doorbell
-// batch (Figure 6 ①). With a fuse spec the commit CAS is appended as
-// the batch tail — the ordered-batch contract guarantees it executes
-// only after every op ahead of it completed, collapsing a commit
-// attempt to a single round trip (DESIGN.md §13) — behind a 16-byte
-// read of the slot when the spec asks for one, and a parked
-// invalidation patch leads the batch. A fused batch is issued exactly
+// batch (Figure 6 ①) whose tail is the commit CAS — the ordered-batch
+// contract guarantees it executes only after every op ahead of it
+// completed, so a commit attempt is a single round trip (DESIGN.md §13)
+// — behind a 16-byte read of the slot when the spec asks for one, and a
+// parked invalidation patch leads the batch. The batch is issued exactly
 // once; the caller resolves the outcome from placedKV rather than
 // placeKV retrying.
 // All buffers and op slices come from the client's writeScratch, so a
 // steady-state call is allocation-free.
-func (c *Client) placeKV(key, val []byte, slotVersion uint64, tombstone bool, fuse *fuseSpec) (placedKV, error) {
+func (c *Client) placeKV(key, val []byte, slotVersion uint64, tombstone bool, fuse fuseSpec) (placedKV, error) {
 	classSize := layout.KVClassSize(len(key), len(val))
 	classUnits := uint8(classSize / 64)
 	sc := &c.wsc
@@ -1265,15 +1219,13 @@ func (c *Client) placeKV(key, val []byte, slotVersion uint64, tombstone bool, fu
 		// while the client's is still ringing out the writes, so the CAS
 		// does not queue behind it. A parked patch follows.
 		ops := sc.ops[:0]
-		if fuse != nil {
-			if fuse.readSlot {
-				ops = append(ops, rdma.Op{Kind: rdma.OpRead, Addr: fuse.slotAddr, Buf: sc.slot[:]})
-			}
-			if len(sc.parked) > 0 {
-				ops = append(ops, sc.parked...)
-				c.Stats.Invalidations++ // vbatch counts the patch's writes
-				sc.parked = nil
-			}
+		if fuse.readSlot {
+			ops = append(ops, rdma.Op{Kind: rdma.OpRead, Addr: fuse.slotAddr, Buf: sc.slot[:]})
+		}
+		if len(sc.parked) > 0 {
+			ops = append(ops, sc.parked...)
+			c.Stats.Invalidations++ // vbatch counts the patch's writes
+			sc.parked = nil
 		}
 		first := len(ops) // the KV write; delta writes follow it
 		ops = append(ops, rdma.Op{Kind: rdma.OpWrite, Addr: dataAddr, Buf: buf})
@@ -1303,18 +1255,15 @@ func (c *Client) placeKV(key, val []byte, slotVersion uint64, tombstone bool, fu
 				Addr: a.Add(layout.KVVersionOff), Buf: patch.delta[:]})
 		}
 		last := len(ops) - 1 // the last delta write
-		if fuse != nil {
-			p.fused = true
-			p.newAtomic = layout.SlotAtomic{FP: fuse.fp, Ver: fuse.verNew, Addr: p.addr}.Pack()
-			ops = append(ops, rdma.Op{Kind: rdma.OpCAS,
-				Addr: fuse.slotAddr, Old: fuse.atomOld, New: p.newAtomic})
-		}
-		err = c.vbatch(ops)
+		p.newAtomic = layout.SlotAtomic{FP: fuse.fp, Ver: fuse.verNew, Addr: p.addr}.Pack()
+		ops = append(ops, rdma.Op{Kind: rdma.OpCAS,
+			Addr: fuse.slotAddr, Old: fuse.atomOld, New: p.newAtomic})
+		c.vbatch(ops)                //nolint:errcheck // per-op outcomes are read below
 		sc.ops, patch.ops = ops, inv // retain grown capacity
 		// Per-op accounting: a failed delta copy is a skip (the commit
 		// may still proceed — fault tolerance degrades for this pair,
-		// it must not become a lost update); a failed data write aborts
-		// (unfused) or forces a repair/abandon decision (fused).
+		// it must not become a lost update); a failed data write forces
+		// a repair/abandon decision.
 		for i := first + 1; i <= last; i++ {
 			if ops[i].Err != nil {
 				skips++
@@ -1323,32 +1272,24 @@ func (c *Client) placeKV(key, val []byte, slotVersion uint64, tombstone bool, fu
 		p.deltaSkips = skips
 		p.inv = inv
 		dataErr := ops[first].Err
-		if p.fused {
-			cas := &ops[len(ops)-1]
-			p.committed = cas.Err == nil && cas.Result == fuse.atomOld
-			p.sawSlot = fuse.readSlot && cas.Err == nil && ops[0].Err == nil &&
-				binary.LittleEndian.Uint64(sc.slot[:]) == cas.Result
-			if p.committed && dataErr != nil {
-				// The tail CAS won but the KV write it publishes was
-				// chaos-lost or its MN failed mid-batch. Readers at the
-				// published address see a fence-0/torn pair and retry
-				// (errTornRead), or reconstruct from the deltas if the
-				// MN is gone — so re-issuing the write here closes the
-				// window without violating the commit.
-				c.repairDataWrite(dataAddr, buf)
-			}
-			if dataErr != nil && !p.committed {
-				delete(c.open, ob.class) // block's MN failing: stop using it
-			} else {
-				c.consumeSlot(ob)
-			}
-			return p, nil
+		cas := &ops[len(ops)-1]
+		p.committed = cas.Err == nil && cas.Result == fuse.atomOld
+		p.sawSlot = fuse.readSlot && cas.Err == nil && ops[0].Err == nil &&
+			binary.LittleEndian.Uint64(sc.slot[:]) == cas.Result
+		if p.committed && dataErr != nil {
+			// The tail CAS won but the KV write it publishes was
+			// chaos-lost or its MN failed mid-batch. Readers at the
+			// published address see a fence-0/torn pair and retry
+			// (errTornRead), or reconstruct from the deltas if the
+			// MN is gone — so re-issuing the write here closes the
+			// window without violating the commit.
+			c.repairDataWrite(dataAddr, buf)
 		}
-		if err != nil && dataErr != nil { // data write failed: new block
-			delete(c.open, ob.class)
-			continue
+		if dataErr != nil && !p.committed {
+			delete(c.open, ob.class) // block's MN failing: stop using it
+		} else {
+			c.consumeSlot(ob)
 		}
-		c.consumeSlot(ob)
 		return p, nil
 	}
 }
@@ -1607,16 +1548,16 @@ func (c *Client) allocDeltas(ctx rdma.Ctx, ob *openBlock) bool {
 	return true
 }
 
-// readChunked reads a whole block in ChunkBytes pieces on the
+// readChunked reads a whole block in chunkBytes pieces on the
 // client's own process.
 func (c *Client) readChunked(mn int, off uint64, dst []byte) error {
 	return c.readChunkedCtx(c.ctx, mn, off, dst, &c.Stats)
 }
 
-// readChunkedCtx reads a whole block in ChunkBytes pieces through ctx,
+// readChunkedCtx reads a whole block in chunkBytes pieces through ctx,
 // accounting into st when non-nil (nil from the prefetch worker).
 func (c *Client) readChunkedCtx(ctx rdma.Ctx, mn int, off uint64, dst []byte, st *ClientStats) error {
-	chunk := c.cl.Cfg.ChunkBytes
+	chunk := chunkBytes
 	for pos := 0; pos < len(dst); pos += chunk {
 		end := pos + chunk
 		if end > len(dst) {

@@ -99,6 +99,10 @@ func (v *view) indexGenOf(mn int) uint64 {
 	return v.indexGen[mn]
 }
 
+// traceSpans is the span ring's capacity: the newest traceSpans spans
+// are retained.
+const traceSpans = 4096
+
 // NewCluster creates the coding group's memory nodes and servers on
 // the platform. Call StartServers (and StartMaster for checkpointing
 // and failure handling) before spawning clients.
@@ -109,7 +113,7 @@ func NewCluster(cfg Config, pl rdma.Platform) (*Cluster, error) {
 	}
 	cl := &Cluster{Cfg: cfg, L: l, pl: pl, trace: obs.NewRing(1024)}
 	if rate := cfg.traceSample(); rate > 0 {
-		cl.tracer = obs.NewTracer(rate, cfg.traceSpans())
+		cl.tracer = obs.NewTracer(rate, traceSpans)
 	}
 	cl.code, err = cfg.newCode()
 	if err != nil {

@@ -178,8 +178,8 @@ func TestFusedInsertTwoSignaledDoorbells(t *testing.T) {
 		if d.reads != 2 || d.bytesRead != 2*layout.BucketSize || a.Stats.CASIssued-cas0 != 1 {
 			t.Errorf("INSERT read %d verbs / %d bytes and issued %d CASes; want the two buckets and one CAS", d.reads, d.bytesRead, a.Stats.CASIssued-cas0)
 		}
-		if d.fused != 1 || d.fallback != 0 || d.retries != 0 {
-			t.Errorf("fused=%d fallback=%d casRetries=%d, want 1 0 0", d.fused, d.fallback, d.retries)
+		if d.fused != 1 || d.retries != 0 {
+			t.Errorf("fused=%d casRetries=%d, want 1 0", d.fused, d.retries)
 		}
 	})
 
@@ -252,10 +252,11 @@ func TestFusedInsertTwoSignaledDoorbells(t *testing.T) {
 	})
 }
 
-// TestLostCASFallbacksReadTheSlot reaches the three attempts that may
-// still spend a doorbell on the slot they just lost on — each posts its
-// orphan's patch unsignaled first, there being no fused batch at hand
-// for it to ride.
+// TestLostCASFallbacksReadTheSlot reaches the two attempts that may
+// still spend a doorbell on the slot they just lost on (a third, the
+// loss under a held Meta lock, is in TestLockedCommitIsOneBatch) — each
+// posts its orphan's patch unsignaled first, there being no commit batch
+// at hand for it to ride.
 func TestLostCASFallbacksReadTheSlot(t *testing.T) {
 	k := key(2)
 	run := func(t *testing.T, a *Client, actx *directCtx, orphan dataSlot) (verbDelta, *callLog) {
@@ -295,21 +296,6 @@ func TestLostCASFallbacksReadTheSlot(t *testing.T) {
 		}
 	})
 
-	t.Run("unfused attempt", func(t *testing.T) {
-		tc, a, b, actx, _ := staleCommitPairCfg(t, 4, func(cfg *Config) { cfg.FusedCommit = false })
-		orphan := nextSlots(t, tc, a, k, val(2, 8), 1)[0]
-		if err := b.Update(k, val(2, 7)); err != nil {
-			t.Fatal(err)
-		}
-		d, log := run(t, a, actx, orphan)
-		if !log.hasPrefix("batch", "cas", "post", "read", "batch", "cas") {
-			t.Errorf("calls %v, want placement, lost CAS, patch post, slot read, placement, CAS", log.calls)
-		}
-		if d.reads != 1 || d.bytesRead != layout.SlotSize || d.chased != 1 || d.fused != 0 {
-			t.Errorf("reads=%d bytes=%d chased=%d fused=%d, want 1 %d 1 0", d.reads, d.bytesRead, d.chased, d.fused, layout.SlotSize)
-		}
-	})
-
 	// From the fourth loss on the writer backs off before it retries, and
 	// a slot image is not kept over a sleep.
 	t.Run("back-off", func(t *testing.T) {
@@ -340,7 +326,9 @@ func TestLostCASFallbacksReadTheSlot(t *testing.T) {
 // epoch rollover, a placement that fails — the patch must be posted
 // before that, and when it does ride it must be on the wire before the
 // seal of the block the lost attempt filled. A DELETE, whose batch reads
-// no slot, never parks. Each case ends with the byte-level stripe check.
+// no slot, never parks; one that finds its home MN failed once it has
+// located the slot again places nothing until the index is back. Each
+// case ends with the byte-level stripe check.
 func TestParkedPatchLeavesOnEveryExit(t *testing.T) {
 	k := key(2)
 	errNoRPC := errors.New("test: RPCs fail")
@@ -352,6 +340,11 @@ func TestParkedPatchLeavesOnEveryExit(t *testing.T) {
 		lastSlot bool
 		del      bool
 		wantErr  error
+		// failHome fail-stops k's home MN ahead of the first pair read A
+		// issues: the last verb of the probe that locates the slot again.
+		// placed is how many pairs A may then place, the orphan included.
+		failHome bool
+		placed   int
 		// calls is the prefix A's calls must have; deadAt the call by
 		// which the orphan must read InvalidVersion ("" + method for RPCs).
 		calls      []string
@@ -378,12 +371,14 @@ func TestParkedPatchLeavesOnEveryExit(t *testing.T) {
 					}
 				}
 			},
-			calls: []string{"batch", "post", "cas", "batch", "cas", "cas"}, deadAt: "cas", posts: 1},
+			calls: []string{"batch", "post", "cas", "batch", "cas"}, deadAt: "cas", posts: 1},
 		{name: "placement error", lastSlot: true, wantErr: ErrNoSpace,
 			arrange: func(_ *testing.T, _ *testCluster, _, _ *Client, actx *directCtx) { actx.rpcErr = errNoRPC },
 			calls:   []string{"batch", "rpc"}, posts: 1},
 		{name: "DELETE back to the index", del: true,
 			calls: []string{"batch", "post", "batch"}, deadAt: "post", posts: 2}, // + the tombstone's Meta hint
+		{name: "home MN failed since locate", del: true, failHome: true, placed: 2,
+			calls: []string{"batch", "post", "batch", "batch", "batch", "batch", "rpc", "rpc", "batch"}, deadAt: "post", posts: 2}, // + the tombstone's Meta hint
 		{name: "before the seal", lastSlot: true,
 			calls: []string{"batch", "rpc"}, deadAt: "rpc", deadMethod: methodSealBlock, posts: 0},
 	}
@@ -404,16 +399,39 @@ func TestParkedPatchLeavesOnEveryExit(t *testing.T) {
 				}
 			}
 			orphan := nextSlots(t, tc, a, k, v, 1)[0]
+			ob := a.open[uint8(layout.KVClassSize(len(k), len(v))/64)]
 			if tcase.lastSlot {
-				ob := a.open[uint8(layout.KVClassSize(len(k), len(v))/64)]
 				ob.slots = ob.slots[:1]
 			}
+			slotsBefore := len(ob.slots)
 			log := &callLog{}
 			log.attach(actx, orphan)
-			slotReads := 0
+			home := racehash.HomeMN(racehash.Hash(k), tc.cl.Cfg.Layout.NumMNs)
+			homeNode := tc.cl.MNNode(home)
+			if tcase.failHome {
+				// A waits in waitIndexReady while all three tiers run: a commit
+				// between indexReady and blocksReady would race tier 3's rebuild
+				// of its DELTA block (ROADMAP item 1(e)).
+				tc.cl.master.AddSpare()
+				actx.onSleep = func() { tc.run(20 * time.Millisecond) }
+			}
+			slotReads, failed := 0, false
 			actx.beforeOp = func(op *rdma.Op) {
-				if op.Kind == rdma.OpRead && len(op.Buf) == layout.SlotSize {
+				if op.Kind != rdma.OpRead {
+					return
+				}
+				switch len(op.Buf) {
+				case layout.SlotSize:
 					slotReads++
+				case layout.BucketSize:
+				default:
+					if tcase.failHome && !failed {
+						if op.Addr.Node == homeNode {
+							t.Fatalf("the pair of %q sits on its home MN %d: the script needs them apart", k, home)
+						}
+						failed = true
+						tc.cl.FailMN(home)
+					}
 				}
 			}
 			before := snapVerbs(a, actx)
@@ -456,6 +474,15 @@ func TestParkedPatchLeavesOnEveryExit(t *testing.T) {
 			if !orphan.invalidated() || len(a.wsc.parked) != 0 {
 				t.Errorf("after the op: orphan version %#x, %d patch ops parked", orphan.version(), len(a.wsc.parked))
 			}
+			if tcase.failHome {
+				// Buckets, the pair (home MN fails), nothing placed, then — the
+				// index back — buckets, the pair, the delta targets re-resolved
+				// under the new membership, the batch that commits.
+				if n := slotsBefore - len(ob.slots); !failed || n != tcase.placed {
+					t.Errorf("home MN failed=%v, A placed %d pairs; want %d: the orphan and the tombstone that commits", failed, n, tcase.placed)
+				}
+				tc.waitBlocksReady(t, home)
+			}
 			actx.rpcErr = nil
 			if tcase.wantErr == nil {
 				want := v
@@ -484,4 +511,114 @@ func TestCachedDeleteSingleDoorbellNoSlotRead(t *testing.T) {
 				d.doorbells, d.posts, d.reads, d.fused)
 		}
 	}
+}
+
+// TestLockedCommitIsOneBatch pins the commit made with the Meta lock in
+// hand: lock CAS, the same one batch as any other commit, unlock CAS —
+// for an epoch rollover and for a forced re-lock alike — and what a
+// batch that loses its CAS under the lock does: unlock, post the
+// orphan's patch, read the slot (no read rode a batch sent under the
+// client's own lock), retry.
+func TestLockedCommitIsOneBatch(t *testing.T) {
+	k := key(2)
+	// toVerMax has c update k up to the last version of its epoch.
+	toVerMax := func(t *testing.T, tc *testCluster, c *Client) {
+		slot := indexSlot(t, tc, c, k)
+		for i := 0; layout.UnpackAtomic(binary.LittleEndian.Uint64(slot)).Ver != layout.VerMax; i++ {
+			if err := c.Update(k, val(2, 1000+i)); err != nil || i > 300 {
+				t.Fatalf("update %d towards version %d: %v", i, layout.VerMax, err)
+			}
+		}
+	}
+	record := func(ctx *directCtx) *[]string {
+		calls := new([]string)
+		ctx.onCall = func(call string, _ uint8) { *calls = append(*calls, call) }
+		return calls
+	}
+	metaOf := func(slot []byte) layout.SlotMeta {
+		return layout.UnpackMeta(binary.LittleEndian.Uint64(slot[layout.SlotMetaOff:]))
+	}
+
+	t.Run("rollover", func(t *testing.T) {
+		tc, a, b, _, bctx := staleCommitPair(t, 4)
+		toVerMax(t, tc, b)
+		slot := indexSlot(t, tc, b, k)
+		epoch := metaOf(slot).Epoch
+		calls := record(bctx)
+		before, cas0 := snapVerbs(b, bctx), b.Stats.CASIssued
+		if err := b.Update(k, val(2, 9)); err != nil {
+			t.Fatal(err)
+		}
+		d := snapVerbs(b, bctx).since(before)
+		if !slices.Equal(*calls, []string{"cas", "batch", "cas"}) {
+			t.Errorf("calls %v, want lock CAS, one batch, unlock CAS", *calls)
+		}
+		if d.fused != 1 || d.retries != 0 || d.reads != 0 || b.Stats.CASIssued-cas0 != 3 {
+			t.Errorf("fused=%d casRetries=%d reads=%d CASes=%d, want 1 0 0 3", d.fused, d.retries, d.reads, b.Stats.CASIssued-cas0)
+		}
+		if m, ver := metaOf(slot), layout.UnpackAtomic(binary.LittleEndian.Uint64(slot)).Ver; m.Locked() || m.Epoch != epoch+2 || ver != 0 {
+			t.Errorf("after the rollover: Meta %+v, version %d; want unlocked, epoch %d, version 0", m, ver, epoch+2)
+		}
+		if got, err := a.Search(k); err != nil || !bytes.Equal(got, val(2, 9)) {
+			t.Errorf("A reads %q, %v after B's rollover", got, err)
+		}
+	})
+
+	// B takes the lock for a rollover and has placed its pair when A, who
+	// holds the same last-of-epoch word, wants the key: A fails to lock,
+	// waits out LockTimeout, re-locks by force and commits. B's CAS loses.
+	t.Run("forced re-lock, lost CAS under the lock", func(t *testing.T) {
+		tc, a, b, actx, bctx := staleCommitPair(t, 4)
+		toVerMax(t, tc, b)
+		if _, err := a.Search(k); err != nil { // A's entry holds the current word
+			t.Fatal(err)
+		}
+		orphan := nextSlots(t, tc, b, k, val(2, 9), 1)[0]
+		acalls, bcalls := record(actx), record(bctx)
+		var da verbDelta
+		cases := 0
+		bctx.beforeOp = func(op *rdma.Op) {
+			if op.Kind != rdma.OpCAS {
+				return
+			}
+			if cases++; cases == 2 { // B's lock CAS was the first
+				before := snapVerbs(a, actx)
+				if err := a.Update(k, val(2, 8)); err != nil {
+					t.Errorf("A's update under B's lock: %v", err)
+				}
+				da = snapVerbs(a, actx).since(before)
+			}
+		}
+		before := snapVerbs(b, bctx)
+		if err := b.Update(k, val(2, 9)); err != nil {
+			t.Fatal(err)
+		}
+		db := snapVerbs(b, bctx).since(before)
+
+		if n := len(*acalls); n < 4 || (*acalls)[0] != "cas" || !slices.Equal((*acalls)[n-3:], []string{"cas", "batch", "cas"}) {
+			t.Errorf("A's calls %v, want a lock CAS that fails, slot reads, then force CAS, one batch, unlock CAS", *acalls)
+		}
+		if da.fused != 1 || da.inval != 0 || a.Stats.LockWaits == 0 {
+			t.Errorf("A: fused=%d invalidations=%d lockWaits=%d, want one batch, nothing orphaned, some waits", da.fused, da.inval, a.Stats.LockWaits)
+		}
+		if !slices.Equal(*bcalls, []string{"cas", "batch", "cas", "post", "read", "batch"}) {
+			t.Errorf("B's calls %v, want lock CAS, lost batch, unlock CAS, patch post, slot read, winning batch", *bcalls)
+		}
+		if db.fused != 2 || db.retries != 1 || db.inval != 1 || db.chased != 1 || b.Stats.LockWaits != 0 {
+			t.Errorf("B: fused=%d casRetries=%d invalidations=%d chased=%d lockWaits=%d, want 2 1 1 1 0", db.fused, db.retries, db.inval, db.chased, b.Stats.LockWaits)
+		}
+		if !orphan.invalidated() {
+			t.Errorf("B's orphan reads version %#x, want InvalidVersion", orphan.version())
+		}
+		if m := metaOf(indexSlot(t, tc, b, k)); m.Locked() {
+			t.Errorf("Meta %+v left locked", m)
+		}
+		for _, c := range []*Client{a, b} { // B committed last
+			if got, err := c.Search(k); err != nil || !bytes.Equal(got, val(2, 9)) {
+				t.Errorf("client %d reads %q, %v; want B's value", c.ID(), got, err)
+			}
+		}
+		tc.run(20 * time.Millisecond)
+		stripeParityInvariant(t, tc)
+	})
 }

@@ -79,21 +79,14 @@ type Config struct {
 	// the 16384-entry default; <0 disables the cache entirely (the
 	// bench "cache off" configuration).
 	CacheEntries int
-	// FusedCommit fuses the commit CAS into the placement doorbell
-	// batch on fabrics that honour the rdma.OrderedBatcher contract:
-	// a steady-state UPDATE/DELETE of a located slot issues {KV write,
-	// delta writes, slot CAS} as one ordered batch — one round trip
-	// instead of two dependent ones. Inserts, Meta-locked slots and
-	// epoch rollovers keep the two-phase shape, and fabrics without
-	// the capability fall back automatically (DESIGN.md §13). On by
-	// default; the verbs experiment disables it to pin the paper's
-	// two-RTT write cost model.
-	FusedCommit bool
 	// BlockPrefetch moves DATA/DELTA block provisioning off the write
 	// hot path: a per-client background worker pre-runs
 	// AllocBlock/AllocDelta when an open block drops below its
 	// low-water mark and absorbs block seals and free-bitmap flushes,
-	// so no UPDATE stalls on an RPC. On by default.
+	// so no UPDATE stalls on an RPC. On everywhere a store is deployed
+	// (no binary has a flag for it); off is a fixture — for fig12's
+	// space measurement, which must not count blocks provisioned ahead
+	// of need, and for tests that script a client's verbs one by one.
 	BlockPrefetch bool
 	// ReclaimObsolete is the obsolete-KV fraction above which a DATA
 	// block becomes a reclamation candidate (paper default 0.75).
@@ -104,21 +97,9 @@ type Config struct {
 	// BitmapFlushOps is how many obsolete-markings a client batches
 	// before flushing free-bitmap updates to the servers.
 	BitmapFlushOps int
-	// EncodePoll is the MN encoder/applier daemon poll period.
-	EncodePoll time.Duration
-	// LockRetry and LockTimeout govern Meta-lock contention handling
-	// (§3.2.2 remarks: retry, then force-relock after a timeout).
-	LockRetry   time.Duration
+	// LockTimeout is how long a writer waits on another client's Meta
+	// lock before it force-relocks (§3.2.2 remark 2).
 	LockTimeout time.Duration
-	// MetaSyncInterval is the period of the asynchronous Meta Area
-	// replication daemon.
-	MetaSyncInterval time.Duration
-	// ChunkBytes is the transfer granularity for bulk RDMA transfers
-	// (checkpoint deltas, recovery reads, rebuilt blocks), so they
-	// interleave with foreground traffic instead of head-of-line
-	// blocking the NIC. Recovery keeps at most chunkDepth chunks per
-	// block in flight (rebuild.go).
-	ChunkBytes int
 	// CkptRaw disables differential checkpointing: every round ships
 	// the full, uncompressed index snapshot (the strawman of Figure
 	// 1(b)). Ablation knob; recovery still works because the hosted
@@ -141,9 +122,6 @@ type Config struct {
 	// client ops records a full span tree (rounded to a power of two;
 	// default 64). <0 disables op tracing entirely.
 	TraceSample int
-	// TraceSpans bounds the span ring: the newest TraceSpans spans are
-	// retained (rounded to a power of two; default 4096).
-	TraceSpans int
 	// DeltaCopies is how many of the stripe's parity MNs receive each
 	// KV's delta write. 0 (the default) means all ParityShards, which
 	// keeps unsealed data recoverable at the full two-failure bound;
@@ -171,22 +149,17 @@ func DefaultConfig() Config {
 			MetaReplicas: 2,
 			CkptSegments: 64,
 		},
-		Code:             "xor",
-		CkptInterval:     500 * time.Millisecond,
-		CacheSlotAddr:    true,
-		FusedCommit:      true,
-		BlockPrefetch:    true,
-		ReclaimObsolete:  0.75,
-		ReclaimFree:      0.25,
-		BitmapFlushOps:   64,
-		EncodePoll:       50 * time.Microsecond,
-		LockRetry:        5 * time.Microsecond,
-		LockTimeout:      500 * time.Microsecond,
-		MetaSyncInterval: 200 * time.Microsecond,
-		ChunkBytes:       64 << 10,
-		CkptWorkers:      2,
-		ECWorkers:        2,
-		Rates:            DefaultCPURates(),
+		Code:            "xor",
+		CkptInterval:    500 * time.Millisecond,
+		CacheSlotAddr:   true,
+		BlockPrefetch:   true,
+		ReclaimObsolete: 0.75,
+		ReclaimFree:     0.25,
+		BitmapFlushOps:  64,
+		LockTimeout:     500 * time.Microsecond,
+		CkptWorkers:     2,
+		ECWorkers:       2,
+		Rates:           DefaultCPURates(),
 	}
 }
 
@@ -259,14 +232,6 @@ func (c *Config) traceSample() int {
 		return 64
 	}
 	return c.TraceSample
-}
-
-// traceSpans resolves the span-ring capacity.
-func (c *Config) traceSpans() int {
-	if c.TraceSpans <= 0 {
-		return 4096
-	}
-	return c.TraceSpans
 }
 
 // deltaCopies resolves the effective per-KV delta fan-out.

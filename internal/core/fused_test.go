@@ -69,7 +69,7 @@ func TestFusedUpdateSingleDoorbellZeroAlloc(t *testing.T) {
 	// one 16-byte slot read and 1 CAS, all rung with a single doorbell.
 	wantWrites := uint64(1 + tc.cl.Cfg.deltaCopies())
 	r0, rb0, w0, c0 := cli.Stats.ReadsIssued, cli.Stats.BytesRead, cli.Stats.WritesIssued, cli.Stats.CASIssued
-	f0, fb0 := cli.Stats.WriteFused, cli.Stats.WriteFallback
+	f0 := cli.Stats.WriteFused
 	db0 := dctx.doorbells
 	for i := 0; i < n; i++ {
 		if err := cli.Update(keys[i], v); err != nil {
@@ -90,9 +90,6 @@ func TestFusedUpdateSingleDoorbellZeroAlloc(t *testing.T) {
 	}
 	if fused := cli.Stats.WriteFused - f0; fused != n {
 		t.Fatalf("WriteFused advanced %d over %d ops, want every op fused", fused, n)
-	}
-	if fb := cli.Stats.WriteFallback - fb0; fb != 0 {
-		t.Fatalf("steady-state UPDATE fell back %d times", fb)
 	}
 
 	// Reset the pending-bitmap buffers so the measured window appends
@@ -394,53 +391,4 @@ func TestFusedWritesUnderMNFailStop(t *testing.T) {
 		expect[i] = val(i, gens)
 	}
 	tc.verifyAll(t, expect)
-}
-
-// TestFusedCommitKnob verifies the -fused-commit escape hatch: with
-// the knob off every write takes the two-phase path (and the cluster
-// still works); with it on, steady-state updates fuse.
-func TestFusedCommitKnob(t *testing.T) {
-	for _, fused := range []bool{false, true} {
-		name := "off"
-		if fused {
-			name = "on"
-		}
-		t.Run(name, func(t *testing.T) {
-			tc := newTestCluster(t, func(cfg *Config) { cfg.FusedCommit = fused })
-			const n = 40
-			var st ClientStats
-			tc.runClients(t, 60*time.Second, func(c *Client) {
-				for i := 0; i < n; i++ {
-					if err := c.Insert(key(i), val(i, 0)); err != nil {
-						t.Errorf("insert: %v", err)
-						return
-					}
-				}
-				for i := 0; i < n; i++ {
-					if err := c.Update(key(i), val(i, 1)); err != nil {
-						t.Errorf("update: %v", err)
-						return
-					}
-					got, err := c.Search(key(i))
-					if err != nil || !bytes.Equal(got, val(i, 1)) {
-						t.Errorf("search %d: err=%v", i, err)
-						return
-					}
-				}
-				st = c.Stats
-			})
-			if fused {
-				if st.WriteFused == 0 {
-					t.Fatal("FusedCommit=true recorded no fused writes")
-				}
-			} else {
-				if st.WriteFused != 0 {
-					t.Fatalf("FusedCommit=false recorded %d fused writes", st.WriteFused)
-				}
-				if st.WriteFallback == 0 {
-					t.Fatal("no fallback attempts counted with fusion off")
-				}
-			}
-		})
-	}
 }

@@ -53,11 +53,17 @@ const rebuildMaxAttempts = 3
 // channel waits would stall the simulated engine).
 const rebuildPoll = 10 * time.Microsecond
 
-// chunkDepth is how many ChunkBytes pieces of one block a bulk
-// transfer keeps in flight: a source NIC never has more than
-// chunkDepth×ChunkBytes of one reader's traffic queued ahead of a
+// chunkBytes is the transfer granularity of bulk RDMA transfers
+// (checkpoint deltas, reused-block readbacks, recovery reads, rebuilt
+// blocks), so they interleave with foreground traffic instead of
+// head-of-line blocking the NIC. chunkDepth is how many chunks of one
+// block a bulk transfer keeps in flight: a source NIC never has more
+// than chunkDepth×chunkBytes of one reader's traffic queued ahead of a
 // foreground verb.
-const chunkDepth = 8
+const (
+	chunkBytes = 64 << 10
+	chunkDepth = 8
+)
 
 func rebuildTeamSize(l *layout.Layout) int {
 	return rebuildWorkersPerSurvivor * (l.Cfg.NumMNs - 1)
@@ -169,7 +175,7 @@ func (sc *stripeScratch) plan(code erasure.Code, target int) (*erasure.Plan, err
 	return pl, nil
 }
 
-// readBlocks performs sc.reads: every block is read in ChunkBytes
+// readBlocks performs sc.reads: every block is read in chunkBytes
 // pieces, chunkDepth of them per block per doorbell, and all blocks
 // advance together — the source NICs work in parallel instead of in
 // turn. A read whose source cannot be addressed or returns an error is
@@ -177,7 +183,7 @@ func (sc *stripeScratch) plan(code erasure.Code, target int) (*erasure.Plan, err
 // arrived, and notes in sc.hasDelta which DELTA blocks did — an
 // unreadable DELTA block counts as none pending.
 func readBlocks(ctx rdma.Ctx, cl *Cluster, sc *stripeScratch) bool {
-	chunk := cl.Cfg.ChunkBytes
+	chunk := chunkBytes
 	window := chunkDepth * chunk
 	for base := 0; ; base += window {
 		sc.ops, sc.opRead = sc.ops[:0], sc.opRead[:0]
@@ -676,7 +682,7 @@ func (rb *rebuild) ship(ctx rdma.Ctx, wk *rebuildWorker, sc *stripeScratch, bloc
 	if rb.gone(wk) {
 		return false
 	}
-	chunk := rb.cl.Cfg.ChunkBytes
+	chunk := chunkBytes
 	base := rb.cl.L.BlockOff(block)
 	for pos := 0; pos < len(data); {
 		sc.ops = sc.ops[:0]

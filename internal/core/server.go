@@ -298,8 +298,7 @@ type ServerStats struct {
 	CacheBytes     uint64 // gauge: cache resident bytes
 
 	// Client write-path aggregate of the same handle (DESIGN.md §13).
-	WriteFused     uint64 // commits fused into the placement doorbell
-	WriteFallbacks uint64 // two-phase commit attempts, all reasons
+	WriteFused     uint64 // commit attempts (placement and commit CAS in one doorbell)
 	PrefetchHits   uint64 // block refills served by the prefetch worker
 	PrefetchMisses uint64 // refills that fell back to a synchronous alloc
 	DeltaSkips     uint64 // delta copies skipped (dead target or lost write)
@@ -368,7 +367,6 @@ func (s *Server) statsLocked() ServerStats {
 	st.CacheBytes = uint64(cs.Bytes)
 	ws := s.cl.writeMet.Snapshot()
 	st.WriteFused = ws.Fused
-	st.WriteFallbacks = ws.Fallbacks()
 	st.PrefetchHits = ws.PrefetchHits
 	st.PrefetchMisses = ws.PrefetchMisses
 	st.DeltaSkips = ws.DeltaSkips
@@ -820,11 +818,12 @@ func (s *Server) handleApplyCkpt(req []byte) ([]byte, time.Duration) {
 // size (wall-clock fabrics get their parallelism from the erasure
 // package's own goroutine pool inside ApplyDeltas).
 func (s *Server) encoderLoop(ctx rdma.Ctx) {
+	const encodePoll = 50 * time.Microsecond
 	var batch []encodeJob
 	var deltas []erasure.ShardDelta
 	var freeBlocks []int
 	for !s.isStopped() {
-		ctx.Sleep(s.cl.Cfg.EncodePoll)
+		ctx.Sleep(encodePoll)
 		for {
 			s.memMu.Lock()
 			s.mu.Lock()
@@ -928,9 +927,10 @@ func (s *Server) claimEncodeBatch(stripe uint32, batch []encodeJob, deltas *[]er
 // bitmaps to the successor MNs (§3.1: simple replication suffices for
 // the small, infrequently-modified metadata).
 func (s *Server) metaSyncLoop(ctx rdma.Ctx) {
+	const metaSyncInterval = 200 * time.Microsecond
 	l := s.cl.L
 	for !s.isStopped() {
-		ctx.Sleep(s.cl.Cfg.MetaSyncInterval)
+		ctx.Sleep(metaSyncInterval)
 		s.memMu.Lock()
 		s.mu.Lock()
 		if len(s.dirty) == 0 {

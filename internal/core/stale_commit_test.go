@@ -18,19 +18,7 @@ import (
 // verb by verb) that both hold every key in their index caches.
 func staleCommitPair(t *testing.T, n int) (tc *testCluster, a, b *Client, actx, bctx *directCtx) {
 	t.Helper()
-	return staleCommitPairCfg(t, n, nil)
-}
-
-// staleCommitPairCfg is staleCommitPair on a configuration mutate has
-// adjusted beyond fusedTestConfig.
-func staleCommitPairCfg(t *testing.T, n int, mutate func(*Config)) (tc *testCluster, a, b *Client, actx, bctx *directCtx) {
-	t.Helper()
-	tc = newTestCluster(t, func(cfg *Config) {
-		fusedTestConfig(cfg)
-		if mutate != nil {
-			mutate(cfg)
-		}
-	})
+	tc = newTestCluster(t, fusedTestConfig)
 	tc.runClients(t, 30*time.Second, func(c *Client) {
 		for i := 0; i < n; i++ {
 			if err := c.Insert(key(i), val(i, 0)); err != nil {
@@ -58,7 +46,7 @@ type verbDelta struct {
 	doorbells, posts                 int
 	reads, bytesRead, retries, inval uint64
 	chased, validChanged, validSame  uint64
-	fused, fallback                  uint64
+	fused                            uint64
 }
 
 func snapVerbs(c *Client, d *directCtx) verbDelta {
@@ -72,14 +60,14 @@ func snapStats(c *Client) verbDelta {
 	s := &c.Stats
 	return verbDelta{0, 0, s.ReadsIssued, s.BytesRead, s.CASRetries, s.Invalidations,
 		s.WriteChased, s.WriteValidatedChanged, s.WriteValidatedSame,
-		s.WriteFused, s.WriteFallback}
+		s.WriteFused}
 }
 
 func (v verbDelta) since(o verbDelta) verbDelta {
 	return verbDelta{v.doorbells - o.doorbells, v.posts - o.posts, v.reads - o.reads, v.bytesRead - o.bytesRead,
 		v.retries - o.retries, v.inval - o.inval, v.chased - o.chased,
 		v.validChanged - o.validChanged, v.validSame - o.validSame,
-		v.fused - o.fused, v.fallback - o.fallback}
+		v.fused - o.fused}
 }
 
 // TestLostFusedCASChasesInTwoDoorbells scripts the write-shared case
@@ -114,8 +102,8 @@ func TestLostFusedCASChasesInTwoDoorbells(t *testing.T) {
 		t.Errorf("casRetries=%d invalidations=%d chased=%d validated=%d, want 1 1 1 0",
 			d.retries, d.inval, d.chased, d.validChanged+d.validSame)
 	}
-	if d.fused != 2 || d.fallback != 0 {
-		t.Errorf("fused=%d fallback=%d, want both attempts fused", d.fused, d.fallback)
+	if d.fused != 2 {
+		t.Errorf("fused=%d, want one commit batch per attempt", d.fused)
 	}
 	if !orphan.invalidated() {
 		t.Errorf("the orphaned pair's version reads %#x once the op returned, want InvalidVersion", orphan.version())

@@ -213,12 +213,12 @@ func readStripeRangeFull(ctx rdma.Ctx, cl *Cluster, packed uint64, buf []byte) e
 	return nil
 }
 
-// readChunked reads [off, off+len(dst)) of logical MN mn in ChunkBytes
+// readChunked reads [off, off+len(dst)) of logical MN mn in chunkBytes
 // pieces so bulk recovery reads interleave with foreground traffic.
 // Chunks are doorbell-batched chunkDepth at a time, keeping the read
 // stream pipelined (the paper's recovery sustains ~2 GB/s).
 func readChunked(ctx rdma.Ctx, cl *Cluster, mn int, off uint64, dst []byte) error {
-	chunk := cl.Cfg.ChunkBytes
+	chunk := chunkBytes
 	var ops []rdma.Op
 	for pos := 0; pos < len(dst); pos += chunk {
 		end := pos + chunk

@@ -237,14 +237,8 @@ func (e *Exporter) WriteProm(w io.Writer) {
 	}
 	if e.Write != nil {
 		s := e.Write.Snapshot()
-		header(w, "aceso_write_fused_total", "counter", "Commits fused into the placement doorbell batch (single-RTT writes).")
+		header(w, "aceso_write_fused_total", "counter", "Commit attempts: placement and commit CAS in one doorbell batch.")
 		fmt.Fprintf(w, "aceso_write_fused_total %d\n", s.Fused)
-		header(w, "aceso_write_fallback_total", "counter", "Two-phase commit attempts by fallback reason.")
-		fmt.Fprintf(w, "aceso_write_fallback_total{reason=\"disabled\"} %d\n", s.FallbackDisabled)
-		fmt.Fprintf(w, "aceso_write_fallback_total{reason=\"capability\"} %d\n", s.FallbackCapability)
-		fmt.Fprintf(w, "aceso_write_fallback_total{reason=\"locked\"} %d\n", s.FallbackLocked)
-		fmt.Fprintf(w, "aceso_write_fallback_total{reason=\"rollover\"} %d\n", s.FallbackRollover)
-		fmt.Fprintf(w, "aceso_write_fallback_total{reason=\"addr\"} %d\n", s.FallbackAddr)
 		header(w, "aceso_block_prefetch_hits_total", "counter", "Block refills served by the background prefetch worker.")
 		fmt.Fprintf(w, "aceso_block_prefetch_hits_total %d\n", s.PrefetchHits)
 		header(w, "aceso_block_prefetch_misses_total", "counter", "Block refills that fell back to a synchronous allocation.")

@@ -54,11 +54,6 @@ func TestMetricsBuildInfoAndSLOFamilies(t *testing.T) {
 		"# TYPE aceso_slo_latency_seconds gauge",
 		`aceso_ftmode_info{mode="aceso"} 1`,
 		"aceso_write_fused_total 7",
-		`aceso_write_fallback_total{reason="disabled"} 0`,
-		`aceso_write_fallback_total{reason="capability"} 0`,
-		`aceso_write_fallback_total{reason="locked"} 0`,
-		`aceso_write_fallback_total{reason="rollover"} 0`,
-		`aceso_write_fallback_total{reason="addr"} 0`,
 		"# TYPE aceso_write_chase_total counter",
 		"aceso_write_chase_total 3",
 		"# TYPE aceso_write_validate_first_total counter",
@@ -68,10 +63,6 @@ func TestMetricsBuildInfoAndSLOFamilies(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q\n%s", want, out)
 		}
-	}
-	// Five fallback reasons: an INSERT fuses its commit like any write.
-	if n := strings.Count(out, "aceso_write_fallback_total{"); n != 5 {
-		t.Errorf("%d aceso_write_fallback_total series, want 5", n)
 	}
 	// Idle classes export no latency quantiles (Count == 0).
 	if strings.Contains(out, `aceso_slo_latency_seconds{op="delete"`) {
