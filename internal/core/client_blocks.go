@@ -1,0 +1,425 @@
+package core
+
+import (
+	"repro/internal/layout"
+	"repro/internal/rdma"
+)
+
+// maxOpenClasses bounds the open-DATA-block map: a workload cycling
+// through many value size classes would otherwise pin one partially
+// filled block (plus, for reused blocks, a BlockSize oldData image)
+// per class forever. Past the bound the least-recently-used class is
+// sealed early — its unwritten slots leak until reclamation, which is
+// the bounded-memory trade the paper's per-class open blocks imply.
+const maxOpenClasses = 16
+
+type pendKey struct {
+	mn    int
+	block int
+}
+
+type openBlock struct {
+	class    uint8
+	mn       int
+	idx      int
+	stripe   uint32
+	xorID    uint8
+	copyIdx  uint32
+	reused   bool
+	oldData  []byte
+	slotSize int
+	slots    []int // writable slot indices remaining
+	deltas   []deltaTarget
+	// viewEpoch is the membership epoch the delta targets were
+	// resolved under; recovery can relocate DELTA blocks, so the
+	// targets are refreshed when the epoch moves.
+	viewEpoch uint64
+}
+
+type deltaTarget struct {
+	mn       int
+	blockOff uint64
+}
+
+// consumeSlot pops the slot just written from the open block, queueing
+// the block for sealing when it fills (deferred past the commit CAS,
+// §3.2.3).
+func (c *Client) consumeSlot(ob *openBlock) {
+	ob.slots = ob.slots[1:]
+	if len(ob.slots) == 0 {
+		c.pendingSeal = append(c.pendingSeal, ob)
+		delete(c.open, ob.class)
+	}
+}
+
+// getBlock returns the open DATA block for a size class. On exhaustion
+// it first asks the prefetcher for a pre-provisioned block (hit: the
+// AllocBlock/AllocDelta RPCs and any reused-block readback already
+// happened off the critical path) and only then allocates
+// synchronously. While a block drains below its low-water mark the
+// prefetcher is asked to provision the next one in the background.
+func (c *Client) getBlock(classUnits uint8) (*openBlock, error) {
+	if ob, ok := c.open[classUnits]; ok && len(ob.slots) > 0 {
+		if c.deltasCurrent(ob) {
+			c.touchClass(classUnits)
+			if c.pf != nil && len(ob.slots) <= c.lowWater(classUnits) {
+				c.pf.requestRefill(classUnits)
+			}
+			return ob, nil
+		}
+		c.retireBlock(ob)
+	}
+	if c.pf != nil {
+		if ob := c.pf.takeReady(classUnits); ob != nil {
+			c.Stats.BlockPrefetchHits++
+			c.wmet.PrefetchHits.Add(1)
+			if c.adoptBlock(ob) {
+				return ob, nil
+			}
+		} else {
+			c.Stats.BlockPrefetchMisses++
+			c.wmet.PrefetchMisses.Add(1)
+		}
+	}
+	seq := c.allocSeq
+	ob, err := c.provisionBlock(c.ctx, classUnits, &seq, &c.Stats)
+	c.allocSeq = seq
+	if err != nil {
+		return nil, err
+	}
+	if !c.adoptBlock(ob) {
+		return nil, ErrNoSpace
+	}
+	return ob, nil
+}
+
+// lowWater is the remaining-slot threshold that triggers a background
+// refill: a quarter of the block's slot capacity, at least one.
+func (c *Client) lowWater(classUnits uint8) int {
+	lw := c.cl.L.KVSlotsPerBlock(classUnits) / 4
+	if lw < 1 {
+		lw = 1
+	}
+	return lw
+}
+
+// adoptBlock installs a freshly provisioned block as the class's open
+// block. Membership may have moved since it was provisioned (prefetched
+// blocks can sit for a while): a block that can no longer get its delta
+// targets is retired unwritten, and adoptBlock reports false.
+func (c *Client) adoptBlock(ob *openBlock) bool {
+	if ob.reused {
+		c.Stats.BlocksReused++
+	} else {
+		c.Stats.BlocksAlloc++
+	}
+	if !c.deltasCurrent(ob) {
+		c.retireBlock(ob)
+		return false
+	}
+	c.open[ob.class] = ob
+	c.touchClass(ob.class)
+	c.boundOpen()
+	return true
+}
+
+// deltasCurrent re-resolves ob's DELTA targets when the membership epoch
+// moved since they were resolved — a recovered parity MN may have
+// relocated them (AllocDelta is idempotent). False means a live parity
+// MN now refuses the block a target: it must not be written any more.
+func (c *Client) deltasCurrent(ob *openBlock) bool {
+	ep := c.cl.view.epochNow()
+	if ep == ob.viewEpoch {
+		return true
+	}
+	if !c.allocDeltas(c.ctx, ob) {
+		return false
+	}
+	ob.viewEpoch = ep
+	return true
+}
+
+// retireBlock takes ob out of use with whatever slots it has left. The
+// seal waits for finishWrite like any other: a parked patch may still be
+// on its way into the block's DELTA copies.
+func (c *Client) retireBlock(ob *openBlock) {
+	if c.open[ob.class] == ob {
+		delete(c.open, ob.class)
+	}
+	c.pendingSeal = append(c.pendingSeal, ob)
+}
+
+// provisionBlock allocates a fresh or reclaimed DATA block (plus its
+// DELTA blocks on the stripe's parity MNs) through ctx. It runs on the
+// client's own process or, via the prefetcher, on the background
+// worker — so it must not touch any Client state beyond the immutable
+// id/cluster handle. st receives read accounting (nil from the
+// worker: its verbs are not client ops).
+func (c *Client) provisionBlock(ctx rdma.Ctx, classUnits uint8, seq *int, st *ClientStats) (*openBlock, error) {
+	l := c.cl.L
+	n := l.Cfg.NumMNs
+	for try := 0; try < n; try++ {
+		mn := (int(c.id) + *seq + try) % n
+		node, alive := c.cl.view.nodeOf(mn)
+		if !alive {
+			continue
+		}
+		var e enc
+		e.u16(c.id)
+		e.u8(classUnits)
+		resp, err := ctx.RPC(node, methodAllocBlock, e.b)
+		if err != nil || len(resp) == 0 || resp[0] != stOK {
+			continue
+		}
+		*seq++
+		d := dec{b: resp[1:]}
+		idx := int(d.u32())
+		stripe := d.u32()
+		xorID := d.u8()
+		reused := d.u8() == 1
+		copyIdx := d.u32()
+		oldBits := d.bytes()
+
+		ob := &openBlock{
+			class: classUnits, mn: mn, idx: idx, stripe: stripe, xorID: xorID,
+			copyIdx: copyIdx, reused: reused,
+			slotSize:  int(classUnits) * 64,
+			viewEpoch: c.cl.view.epochNow(),
+		}
+		capSlots := l.KVSlotsPerBlock(classUnits)
+		if reused {
+			// Read the whole reused block back (§3.3.3 ②): the extra
+			// cost is bandwidth, not IOPS, hence the ≤5% impact.
+			ob.oldData = make([]byte, l.Cfg.BlockSize)
+			if err := c.readChunkedCtx(ctx, mn, l.BlockOff(idx), ob.oldData, st); err != nil {
+				continue
+			}
+			for s := 0; s < capSlots; s++ {
+				if layout.BitmapGet(oldBits, s) {
+					ob.slots = append(ob.slots, s)
+				}
+			}
+		} else {
+			for s := 0; s < capSlots; s++ {
+				ob.slots = append(ob.slots, s)
+			}
+		}
+		if !c.allocDeltas(ctx, ob) {
+			// Nothing was written: sealed as it stands, DATA, DELTA and
+			// PARITY agree, and the reclamation copy is released.
+			c.sealBlockCtx(ctx, ob)
+			continue
+		}
+		return ob, nil
+	}
+	return nil, ErrNoSpace
+}
+
+// touchClass moves a size class to the most-recently-used end of the
+// open-block LRU order.
+func (c *Client) touchClass(class uint8) {
+	for i, cl := range c.openLRU {
+		if cl == class {
+			copy(c.openLRU[i:], c.openLRU[i+1:])
+			c.openLRU[len(c.openLRU)-1] = class
+			return
+		}
+	}
+	c.openLRU = append(c.openLRU, class)
+}
+
+// boundOpen enforces maxOpenClasses by sealing the least-recently-used
+// class's partially filled block early. Its unwritten slots are safe to
+// seal over — they are zero in both DATA and DELTA, so the stripe
+// invariant holds — and merely leak until reclamation hands the block
+// out again. The seal itself is deferred to finishWrite (post-commit),
+// matching the normal seal ordering.
+func (c *Client) boundOpen() {
+	for len(c.open) > maxOpenClasses && len(c.openLRU) > 0 {
+		victim := c.openLRU[0]
+		c.openLRU = c.openLRU[1:]
+		if ob, ok := c.open[victim]; ok {
+			delete(c.open, victim)
+			c.pendingSeal = append(c.pendingSeal, ob)
+		}
+	}
+}
+
+// allocDeltas resolves ob's DELTA targets: a DELTA block on every live
+// parity MN of its stripe (AllocDelta is idempotent, so this also
+// re-resolves them after a membership change). Only a dead parity MN is
+// skipped — its copies are what DeltaSkips counts. A live one that
+// refuses (pool exhausted, RPC lost) makes allocDeltas report false: a
+// block written without that target would leave the parity encoding the
+// block's previous contents, and every later decode of the stripe
+// through it wrong (DESIGN.md §3).
+func (c *Client) allocDeltas(ctx rdma.Ctx, ob *openBlock) bool {
+	l := c.cl.L
+	ob.deltas = ob.deltas[:0]
+	for j := 0; j < c.cl.Cfg.deltaCopies(); j++ {
+		pmn := l.ParityMN(ob.stripe, j)
+		pnode, alive := c.cl.view.nodeOf(pmn)
+		if !alive {
+			continue
+		}
+		var de enc
+		de.u16(c.id)
+		de.u32(ob.stripe)
+		de.u8(ob.xorID)
+		de.u8(ob.class)
+		dresp, err := ctx.RPC(pnode, methodAllocDelta, de.b)
+		if err != nil || len(dresp) == 0 || dresp[0] != stOK {
+			if _, alive := c.cl.view.nodeOf(pmn); !alive {
+				continue // died under the RPC
+			}
+			return false
+		}
+		dd := dec{b: dresp[1:]}
+		ob.deltas = append(ob.deltas, deltaTarget{mn: pmn, blockOff: l.BlockOff(int(dd.u32()))})
+	}
+	return true
+}
+
+// readChunked reads a whole block in chunkBytes pieces on the
+// client's own process.
+func (c *Client) readChunked(mn int, off uint64, dst []byte) error {
+	return c.readChunkedCtx(c.ctx, mn, off, dst, &c.Stats)
+}
+
+// readChunkedCtx reads a whole block in chunkBytes pieces through ctx,
+// accounting into st when non-nil (nil from the prefetch worker).
+func (c *Client) readChunkedCtx(ctx rdma.Ctx, mn int, off uint64, dst []byte, st *ClientStats) error {
+	chunk := chunkBytes
+	for pos := 0; pos < len(dst); pos += chunk {
+		end := pos + chunk
+		if end > len(dst) {
+			end = len(dst)
+		}
+		addr, ok := c.cl.Addr(mn, off+uint64(pos))
+		if !ok {
+			return rdma.ErrNodeFailed
+		}
+		if st != nil {
+			st.ReadsIssued++
+			st.BytesRead += uint64(end - pos)
+		}
+		if err := ctx.Read(dst[pos:end], addr); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// sealBlock notifies the data MN (Index Version stamp) and the parity
+// MNs (fold the DELTA into the PARITY block) that the block is full
+// (Figure 6 ②③④).
+func (c *Client) sealBlock(ob *openBlock) { c.sealBlockCtx(c.ctx, ob) }
+
+// sealBlockCtx is sealBlock through an explicit ctx, so the prefetch
+// worker can seal off the critical path.
+func (c *Client) sealBlockCtx(ctx rdma.Ctx, ob *openBlock) {
+	var e enc
+	e.u32(uint32(ob.idx))
+	e.u32(ob.copyIdx)
+	if node, alive := c.cl.view.nodeOf(ob.mn); alive {
+		ctx.RPC(node, methodSealBlock, e.b) //nolint:errcheck // recovery rescans unsealed blocks
+	}
+	for _, dt := range ob.deltas {
+		if node, alive := c.cl.view.nodeOf(dt.mn); alive {
+			var de enc
+			de.u32(ob.stripe)
+			de.u8(ob.xorID)
+			ctx.RPC(node, methodEncodeDelta, de.b) //nolint:errcheck // delta stays pending, still decodable
+		}
+	}
+}
+
+// markObsolete queues a free-bitmap update for an overwritten KV pair
+// (§3.3.3 ①): the pair's offset inside its block, in 64-byte units. The
+// server, which owns the block's size class, turns the unit into a
+// bitmap bit; the client's only word on the pair's size is the slot's
+// Meta length hint, which lags the Atomic word it is read beside.
+func (c *Client) markObsolete(packed uint64) {
+	if packed == 0 {
+		return
+	}
+	mnU, off := layout.UnpackAddr(packed)
+	bi := c.cl.L.BlockOfOff(off)
+	if bi < 0 {
+		return
+	}
+	k := pendKey{mn: int(mnU), block: bi}
+	c.pending[k] = append(c.pending[k], uint32((off-c.cl.L.BlockOff(bi))/64))
+	c.pendingN++
+}
+
+// maxPendingKeys bounds how many drained pending-bitmap entries keep
+// their slice capacity in the map for reuse; beyond it, entries are
+// deleted so a churn workload touching many blocks cannot grow the map
+// without bound.
+const maxPendingKeys = 64
+
+// FlushBitmaps sends all queued free-bitmap updates to their servers.
+// Clients flush automatically every Config.BitmapFlushOps markings;
+// harnesses call it at workload end. Flush order is sorted so
+// simulated runs stay deterministic. With the prefetcher running, the
+// payloads are built here (cheap) but the RPCs are issued by the
+// background worker. Drained entries retain their slice capacity (up
+// to maxPendingKeys) so steady-state flushes do not allocate.
+func (c *Client) FlushBitmaps() {
+	keys := c.flushKeys[:0]
+	for k, bits := range c.pending {
+		if len(bits) == 0 {
+			if len(c.pending) > maxPendingKeys {
+				delete(c.pending, k)
+			}
+			continue
+		}
+		keys = append(keys, k)
+	}
+	// Insertion sort: the key list is a handful of blocks, and
+	// sort.Slice's reflection allocates on a path the zero-alloc
+	// UPDATE budget covers (flushes fire every BitmapFlushOps writes).
+	for i := 1; i < len(keys); i++ {
+		for j := i; j > 0 && (keys[j].mn < keys[j-1].mn ||
+			(keys[j].mn == keys[j-1].mn && keys[j].block < keys[j-1].block)); j-- {
+			keys[j], keys[j-1] = keys[j-1], keys[j]
+		}
+	}
+	for _, k := range keys {
+		bits := c.pending[k]
+		node, alive := c.cl.view.nodeOf(k.mn)
+		if alive {
+			c.sendFreeBits(node, k, bits)
+		}
+		c.pending[k] = bits[:0]
+	}
+	c.flushKeys = keys[:0]
+	c.pendingN = 0
+}
+
+// sendFreeBits encodes and delivers one block's free-bitmap update —
+// through the prefetch worker when it is running, inline otherwise.
+func (c *Client) sendFreeBits(node rdma.NodeID, k pendKey, units []uint32) {
+	var buf []byte
+	if c.pf != nil {
+		buf = c.pf.getBuf()
+	} else {
+		buf = c.flushEnc
+	}
+	e := enc{b: buf[:0]}
+	e.u32(uint32(k.block))
+	e.u16(uint16(len(units)))
+	for _, u := range units {
+		e.u32(u)
+	}
+	if c.pf != nil && c.pf.enqueueFlush(flushJob{node: node, payload: e.b}) {
+		return
+	}
+	c.ctx.RPC(node, methodFreeBits, e.b) //nolint:errcheck // obsolete hints are advisory
+	if c.pf != nil {
+		c.pf.putBuf(e.b)
+	} else {
+		c.flushEnc = e.b[:0]
+	}
+}
