@@ -130,7 +130,7 @@ func (d *directCtx) Post(ops []rdma.Op) error {
 }
 
 // OrderedBatch: Batch applies ops synchronously in list order, so the
-// fused-commit tail-CAS contract holds trivially.
+// tail-CAS contract holds trivially.
 func (d *directCtx) OrderedBatch() bool { return true }
 
 // errDirectRPC is preallocated so failed RPC attempts (e.g. advisory

@@ -426,8 +426,9 @@ func (w *ctxWrapper) RPC(node rdma.NodeID, method uint8, req []byte) ([]byte, er
 	return resp, err
 }
 
-// OrderedBatch implements rdma.OrderedBatcher by delegation, so the
-// fused-commit capability survives instrumentation wrapping.
+// OrderedBatch implements rdma.OrderedBatcher by delegation: core
+// clients require the contract of the ctx they attach to, wrapped or
+// not.
 func (w *ctxWrapper) OrderedBatch() bool { return rdma.IsOrderedBatch(w.inner) }
 
 func (w *ctxWrapper) Node() rdma.NodeID                { return w.inner.Node() }

@@ -107,7 +107,7 @@ type Verbs interface {
 	// the first non-nil one (after completing the rest).
 	//
 	// Fabrics implementing OrderedBatcher additionally honour the
-	// fused-commit contract: an OpCAS in the tail position executes
+	// ordered-batch contract: an OpCAS in the tail position executes
 	// only after every preceding op in the list — reads included — has
 	// completed at its target, and returns its fetched value in
 	// Op.Result. See OrderedBatcher for the exact guarantee.
@@ -362,21 +362,20 @@ func IsVirtual(pl Platform) bool {
 // fail-stops mid-batch): an earlier op may carry Op.Err while the tail
 // CAS still executed and committed. Callers own that window — the core
 // client repairs a lost KV write after a committed CAS and treats an
-// errored or lost-race CAS exactly like today's two-phase lost race
-// (invalidate + retry). Ops in non-tail positions keep Batch's normal
-// concurrent semantics.
+// errored CAS exactly like a lost race (invalidate + retry). Ops in
+// non-tail positions keep Batch's normal concurrent semantics.
 //
-// Clients type-assert their Ctx to this (via IsOrderedBatch) and fall
-// back to the two-phase {place batch; commit CAS} shape when the
-// fabric cannot order the tail.
+// Core clients require the contract: every commit CAS closes the batch
+// that places its pair, and Client.Attach panics on a Ctx that does not
+// declare it (checked with IsOrderedBatch).
 type OrderedBatcher interface {
-	// OrderedBatch reports whether Batch honours the fused-commit
-	// tail-CAS ordering contract above.
+	// OrderedBatch reports whether Batch honours the tail-CAS ordering
+	// contract above.
 	OrderedBatch() bool
 }
 
-// IsOrderedBatch reports whether v honours the fused-commit ordering
-// contract for a tail OpCAS in a Batch.
+// IsOrderedBatch reports whether v honours the ordering contract for a
+// tail OpCAS in a Batch.
 func IsOrderedBatch(v Verbs) bool {
 	ob, ok := v.(OrderedBatcher)
 	return ok && ob.OrderedBatch()
