@@ -274,11 +274,10 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 		if c.ot != nil {
 			c.ot.OpMark("commit.fused", batchStart)
 		}
-		newAtomic, committed := placed.newAtomic, placed.committed
 		if loc.ent != nil {
-			c.cache.validated(loc.ent, !committed)
+			c.cache.validated(loc.ent, !placed.committed)
 		}
-		if !committed {
+		if !placed.committed {
 			// Lost the race (or the CAS itself failed): our pair is
 			// orphaned (Algorithm 1 line 18), but the slot is still this
 			// key's. Chase it (DESIGN.md §13): re-arm from the 16 bytes the
@@ -339,7 +338,7 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 		if found {
 			c.markObsolete(layout.UnpackAtomic(atomOld).Addr)
 		}
-		c.cacheSet(h, key, mn, slotOff, newAtomic,
+		c.cacheSet(h, key, mn, slotOff, placed.newAtomic,
 			layout.SlotMeta{Epoch: epochKV, Len: classUnits}, loc.gen, tombstone, val)
 		c.finishWrite()
 		return nil

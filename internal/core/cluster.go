@@ -32,8 +32,8 @@ type Cluster struct {
 	// cacheMet aggregates cache activity across this handle's clients
 	// for live export (/metrics, admin Stats).
 	cacheMet obs.CacheMetrics
-	// writeMet aggregates write-path activity (fused commits, fallback
-	// reasons, block prefetching, delta skips) the same way.
+	// writeMet aggregates write-path activity (commit attempts, chases,
+	// block prefetching, delta skips) the same way.
 	writeMet obs.WriteMetrics
 
 	mu      sync.Mutex
@@ -151,8 +151,8 @@ func NewCluster(cfg Config, pl rdma.Platform) (*Cluster, error) {
 // metrics export.
 func (cl *Cluster) CacheMetrics() *obs.CacheMetrics { return &cl.cacheMet }
 
-// WriteMetrics returns the handle-wide write-path aggregate (fused
-// commits, fallbacks, prefetch, delta skips) for metrics export.
+// WriteMetrics returns the handle-wide write-path aggregate (commit
+// attempts, chases, prefetch, delta skips) for metrics export.
 func (cl *Cluster) WriteMetrics() *obs.WriteMetrics { return &cl.writeMet }
 
 // StartServers installs RPC handlers and spawns the per-MN daemons

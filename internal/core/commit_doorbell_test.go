@@ -342,9 +342,7 @@ func TestParkedPatchLeavesOnEveryExit(t *testing.T) {
 		wantErr  error
 		// failHome fail-stops k's home MN ahead of the first pair read A
 		// issues: the last verb of the probe that locates the slot again.
-		// placed is how many pairs A may then place, the orphan included.
 		failHome bool
-		placed   int
 		// calls is the prefix A's calls must have; deadAt the call by
 		// which the orphan must read InvalidVersion ("" + method for RPCs).
 		calls      []string
@@ -377,7 +375,7 @@ func TestParkedPatchLeavesOnEveryExit(t *testing.T) {
 			calls:   []string{"batch", "rpc"}, posts: 1},
 		{name: "DELETE back to the index", del: true,
 			calls: []string{"batch", "post", "batch"}, deadAt: "post", posts: 2}, // + the tombstone's Meta hint
-		{name: "home MN failed since locate", del: true, failHome: true, placed: 2,
+		{name: "home MN failed since locate", del: true, failHome: true,
 			calls: []string{"batch", "post", "batch", "batch", "batch", "batch", "rpc", "rpc", "batch"}, deadAt: "post", posts: 2}, // + the tombstone's Meta hint
 		{name: "before the seal", lastSlot: true,
 			calls: []string{"batch", "rpc"}, deadAt: "rpc", deadMethod: methodSealBlock, posts: 0},
@@ -478,8 +476,8 @@ func TestParkedPatchLeavesOnEveryExit(t *testing.T) {
 				// Buckets, the pair (home MN fails), nothing placed, then — the
 				// index back — buckets, the pair, the delta targets re-resolved
 				// under the new membership, the batch that commits.
-				if n := slotsBefore - len(ob.slots); !failed || n != tcase.placed {
-					t.Errorf("home MN failed=%v, A placed %d pairs; want %d: the orphan and the tombstone that commits", failed, n, tcase.placed)
+				if n := slotsBefore - len(ob.slots); !failed || n != 2 {
+					t.Errorf("home MN failed=%v, A placed %d pairs; want 2: the orphan and the tombstone that commits", failed, n)
 				}
 				tc.waitBlocksReady(t, home)
 			}
