@@ -1,6 +1,7 @@
 // Command acesobench regenerates the paper's evaluation artifacts
-// (Figures 1, 8-20 and Tables 2-3) on the simulated fabric and prints
-// them as paper-style tables.
+// (Figures 1, 8-20, Tables 2-3 and two ablations) on the simulated
+// fabric and prints them as paper-style tables. It writes no file
+// unless -csv names a directory.
 //
 // Usage:
 //
@@ -9,10 +10,10 @@
 //	acesobench -all
 //	acesobench -all -quick          # fast smoke pass
 //	acesobench -exp fig10 -clients 92 -ops 300
+//	acesobench -all -csv results    # also results/<id>.csv
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -24,7 +25,7 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "", "experiment id to run (fig1a, fig1b, fig8..fig20, tab2, tab3)")
+		exp     = flag.String("exp", "", "experiment id to run (fig1a, fig1b, fig8..fig20, tab2, tab3, abl2, abl3)")
 		all     = flag.Bool("all", false, "run every experiment in paper order")
 		list    = flag.Bool("list", false, "list experiment ids and titles")
 		quick   = flag.Bool("quick", false, "shrink scale for a fast smoke pass")
@@ -88,41 +89,5 @@ func main() {
 			}
 			f.Close()
 		}
-		// Experiments with a machine-readable summary always emit their
-		// artifacts (results/<id>.csv + BENCH_<id>.json), so perf runs
-		// leave a benchstat-style record without extra flags.
-		if res.Summary != nil {
-			if err := writeSummary(res); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}
 	}
-}
-
-func writeSummary(res *bench.Result) error {
-	if err := os.MkdirAll("results", 0o755); err != nil {
-		return err
-	}
-	f, err := os.Create(filepath.Join("results", res.ID+".csv"))
-	if err != nil {
-		return err
-	}
-	if err := res.WriteCSV(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	blob, err := json.MarshalIndent(map[string]any{
-		"id":      res.ID,
-		"title":   res.Title,
-		"summary": res.Summary,
-		"notes":   res.Notes,
-	}, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile("BENCH_"+res.ID+".json", append(blob, '\n'), 0o644)
 }

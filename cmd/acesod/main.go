@@ -79,7 +79,6 @@ func main() {
 	flag.DurationVar(&opt.OpTimeout, "op-timeout", opt.OpTimeout, "per-verb I/O deadline before a retry")
 	flag.DurationVar(&opt.RetryBudget, "retry-budget", opt.RetryBudget, "total retry window before a peer is declared failed")
 	flag.IntVar(&opt.ConnsPerNode, "conns-per-node", opt.ConnsPerNode, "striped TCP connections per peer node")
-	flag.IntVar(&opt.Stripes, "lock-stripes", opt.Stripes, "region lock stripes per served node (1 = one global lock)")
 	flag.Parse()
 
 	addrs := strings.Split(*peers, ",")

@@ -11,7 +11,7 @@
 // The -kill-mn/-kill-after pair injects an MN fail-stop mid-run (via
 // the admin RPC), so the degraded-mode flag and tail-latency impact of
 // a failure show up in the live report and in the exit artifacts
-// (results/sloload.csv + BENCH_sloperf.json).
+// (sloload.csv and sloload.json under -out).
 //
 // -ftmode must match the daemons': the loader drives the mode-generic
 // client surface, so the same flags measure Aceso, FUSEE-style
@@ -88,7 +88,7 @@ func main() {
 		sloBudget   = flag.Float64("slo-budget", 0.01, "error budget: allowed fraction of requests over target or failed")
 		killMN      = flag.Int("kill-mn", -1, "inject an admin fail-stop of this logical MN mid-run (-1 disables)")
 		killAfter   = flag.Duration("kill-after", 2*time.Second, "delay after the measured phase starts before the -kill-mn injection")
-		outDir      = flag.String("out", "results", "directory for the sloload.csv exit summary")
+		outDir      = flag.String("out", "results", "directory for the exit artifacts (sloload.csv, sloload.json)")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics (aceso_slo_*), /debug/optrace etc. on this address during the run")
 	)
 	cfg := core.DefaultConfig()
@@ -307,10 +307,13 @@ func main() {
 		hist.Percentile(0.50), hist.Percentile(0.99), hist.Percentile(0.999), hist.Mean())
 	degWin, totWin := slo.DegradedRotations()
 	fmt.Printf("windows: %d total, %d degraded\n", totWin, degWin)
+	if err := os.MkdirAll(*outDir, 0o755); err != nil {
+		log.Printf("out: %v", err)
+	}
 	rowsMu.Lock()
 	writeCSV(filepath.Join(*outDir, "sloload.csv"), rows)
 	rowsMu.Unlock()
-	writeSummary("BENCH_sloperf.json", ft.Mode(), slo, hist, total, elapsed, *killMN)
+	writeSummary(filepath.Join(*outDir, "sloload.json"), ft.Mode(), slo, hist, total, elapsed, *killMN)
 	pl.Close()
 }
 
@@ -328,10 +331,6 @@ func printLive(atSec float64, reps [obs.NumSLOClasses]obs.SLOReport, degraded bo
 }
 
 func writeCSV(path string, rows []windowRow) {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		log.Printf("csv: %v", err)
-		return
-	}
 	f, err := os.Create(path)
 	if err != nil {
 		log.Printf("csv: %v", err)
@@ -375,7 +374,6 @@ func writeSummary(path, ftm string, slo *obs.SLOTracker, hist *stats.Histogram, 
 		}
 	}
 	out := map[string]any{
-		"experiment":       "sloperf",
 		"fabric":           "tcpnet",
 		"ftmode":           ftm,
 		"ops":              total,

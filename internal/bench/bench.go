@@ -1,14 +1,16 @@
 // Package bench regenerates every table and figure of the paper's
-// evaluation (§4) on the simulated fabric. Each experiment is
-// registered under the paper's artifact id ("fig8", "tab2", ...) and
-// returns a Result whose text is a paper-style table; cmd/acesobench
-// prints them and EXPERIMENTS.md records paper-vs-measured values.
+// evaluation (§4), and two ablations of its design choices, on the
+// simulated fabric. Each experiment is registered under the paper's
+// artifact id ("fig8", "tab2", "abl2", ...) and returns a Result whose
+// text is a paper-style table; cmd/acesobench prints them and
+// EXPERIMENTS.md records paper-vs-measured values. Performance
+// tracking across commits is not done here: that is the gated harness
+// under benchmark/.
 package bench
 
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"time"
 
@@ -63,11 +65,6 @@ type Result struct {
 	Title  string
 	Series []*stats.Series
 	Notes  []string
-	// Summary optionally carries the experiment's machine-readable
-	// form; cmd/acesobench serialises it to BENCH_<id>.json (and a
-	// results/<id>.csv) when present, for benchstat-style tracking
-	// across commits.
-	Summary any
 }
 
 // Text renders the result as an aligned table plus notes.
@@ -135,12 +132,14 @@ type Experiment struct {
 
 var registry = map[string]*Experiment{}
 
-// canonicalOrder lists the artifacts in the paper's order.
+// canonicalOrder lists the artifacts in the paper's order, the
+// ablations last; IDs returns nothing that is not named here.
 var canonicalOrder = []string{
 	"fig1a", "fig1b",
 	"fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14",
 	"tab2", "tab3",
 	"fig15", "fig16", "fig17", "fig18", "fig19", "fig20",
+	"abl2", "abl3",
 }
 
 func register(id, title string, run func(Options) (*Result, error)) {
@@ -155,22 +154,7 @@ func IDs() []string {
 			out = append(out, id)
 		}
 	}
-	// Append any ids missing from the canonical list (future
-	// extensions), sorted.
-	var extra []string
-	for id := range registry {
-		found := false
-		for _, c := range canonicalOrder {
-			if c == id {
-				found = true
-			}
-		}
-		if !found {
-			extra = append(extra, id)
-		}
-	}
-	sort.Strings(extra)
-	return append(out, extra...)
+	return out
 }
 
 // Lookup returns the experiment registered under id.

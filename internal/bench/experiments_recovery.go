@@ -114,7 +114,7 @@ func runFig14(o Options) (*Result, error) {
 			for running {
 				op := g.Next()
 				if _, err := c.Search(op.Key); err == nil {
-					_, _, idxReady, blocksReady := stateOf(lc.r.cl, victim)
+					_, idxReady, blocksReady := lc.r.cl.MNState(victim)
 					if idxReady && !blocksReady {
 						degradedOps++
 					}
@@ -169,11 +169,6 @@ func runFig14(o Options) (*Result, error) {
 		"paper: degraded SEARCH 0.53x of normal; space-reclaimed UPDATE 0.97x",
 		fmt.Sprintf("blocks handed out through reclamation in Special UPDATE run: %d", reclaimed))
 	return res, nil
-}
-
-func stateOf(cl *core.Cluster, mn int) (node struct{}, failed, idxReady, blocksReady bool) {
-	f, i, b := cl.MNState(mn)
-	return struct{}{}, f, i, b
 }
 
 // reclaimUpdateRun measures UPDATE throughput with or without space

@@ -165,10 +165,7 @@ type measured struct {
 	all      *stats.Histogram
 	ops      uint64
 	notFound uint64
-	errs     uint64
-	window   time.Duration
 	cas      uint64
-	reads    uint64
 	writes   uint64
 	// sumRate is the sum of per-client closed-loop rates (ops/sec),
 	// the skew-robust aggregate throughput.
@@ -218,13 +215,10 @@ func execOp(c kvClient, op workload.Op, kvSize int) error {
 // runPhase spawns one client process per generator, executes warmup
 // un-timed operations followed by ops timed operations each, and
 // advances virtual time until all complete. It measures per-op latency
-// in virtual time and the phase's wall (virtual) duration; verb counts
-// cover the timed window only.
+// in virtual time; verb counts cover the timed operations only.
 func runPhase(r runner, gens []workload.Generator, warmup, ops, kvSize int, deadline time.Duration) (*measured, error) {
 	m := &measured{perKind: make(map[workload.Kind]*stats.Histogram), all: stats.NewHistogram()}
 	done := 0
-	started := 0
-	var start, end time.Duration
 	var firstErr error
 	for i, g := range gens {
 		i, g := i, g
@@ -241,17 +235,13 @@ func runPhase(r runner, gens []workload.Generator, warmup, ops, kvSize int, dead
 					return
 				}
 			}
-			var cas0, reads0, writes0 uint64
+			var cas0, writes0 uint64
 			counter, hasCounters := c.(interface {
 				Counters() (uint64, uint64, uint64)
 			})
 			if hasCounters {
-				cas0, reads0, writes0 = counter.Counters()
+				cas0, _, writes0 = counter.Counters()
 			}
-			if started == 0 {
-				start = ctxNow()
-			}
-			started++
 			cliStart := ctxNow()
 			for n := 0; n < ops; n++ {
 				op := g.Next()
@@ -263,7 +253,6 @@ func runPhase(r runner, gens []workload.Generator, warmup, ops, kvSize int, dead
 				case errors.Is(err, core.ErrNotFound):
 					m.notFound++
 				default:
-					m.errs++
 					if firstErr == nil {
 						firstErr = fmt.Errorf("client %d op %d (%v %s): %w", i, n, op.Kind, op.Key, err)
 					}
@@ -286,13 +275,9 @@ func runPhase(r runner, gens []workload.Generator, warmup, ops, kvSize int, dead
 				fl.FlushBitmaps()
 			}
 			if hasCounters {
-				cas1, reads1, writes1 := counter.Counters()
+				cas1, _, writes1 := counter.Counters()
 				m.cas += cas1 - cas0
-				m.reads += reads1 - reads0
 				m.writes += writes1 - writes0
-			}
-			if t := ctxNow(); t > end {
-				end = t
 			}
 			done++
 		})
@@ -308,7 +293,6 @@ func runPhase(r runner, gens []workload.Generator, warmup, ops, kvSize int, dead
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	m.window = end - start
 	return m, nil
 }
 

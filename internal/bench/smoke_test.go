@@ -29,6 +29,9 @@ func runQuick(t *testing.T, id string) *Result {
 // TestQuickSmoke runs every registered experiment in Quick mode: the
 // whole evaluation pipeline must produce a table without errors.
 func TestQuickSmoke(t *testing.T) {
+	if len(IDs()) != len(registry) {
+		t.Fatalf("IDs() lists %d of %d registered experiments: add the missing id to canonicalOrder", len(IDs()), len(registry))
+	}
 	for _, id := range IDs() {
 		id := id
 		t.Run(id, func(t *testing.T) {

@@ -10,7 +10,7 @@ import (
 
 // benchGroup builds a one-MN loopback group sized for the verb
 // benchmarks.
-func benchGroup(b *testing.B, opt Options) (*Platform, rdma.NodeID) {
+func benchGroup(b testing.TB, opt Options) (*Platform, rdma.NodeID) {
 	b.Helper()
 	pl := NewGroup()
 	pl.SetOptions(opt)
@@ -97,13 +97,48 @@ func benchBatchRead(b *testing.B, depth int) {
 func BenchmarkBatchRead8(b *testing.B)  { benchBatchRead(b, 8) }
 func BenchmarkBatchRead64(b *testing.B) { benchBatchRead(b, 64) }
 
-// BenchmarkBurstMix mirrors the `acesobench -exp tcpperf` workload:
-// each client issues a 32-op doorbell batch — 31 64 B READ/WRITEs on a
-// private region plus one FAA on a shared word. Batched atomics are
-// exactly-once under injected chaos on this tree (executed frames are
-// acked before a chaos reset tears the connection down), so the FAA
-// rides inside the batch instead of paying its own round trip. b.N
-// counts individual ops.
+// burstMix is one client's 32-op doorbell batch: 31 64 B READ/WRITEs
+// on a private region plus one FAA on a shared word. Batched atomics
+// are exactly-once under injected chaos on this tree (executed frames
+// are acked before a chaos reset tears the connection down), so the
+// FAA rides inside the batch instead of paying its own round trip.
+type burstMix struct {
+	id     rdma.NodeID
+	base   uint64
+	shared rdma.GlobalAddr
+	ops    []rdma.Op
+	bufs   [][]byte
+}
+
+func newBurstMix(id rdma.NodeID, c int) *burstMix {
+	m := &burstMix{
+		id:     id,
+		base:   uint64(4096 + c*32*1024),
+		shared: rdma.GlobalAddr{Node: id, Off: uint64(8 * (c % 8))},
+		ops:    make([]rdma.Op, 32),
+		bufs:   make([][]byte, 31),
+	}
+	for i := range m.bufs {
+		m.bufs[i] = make([]byte, 64)
+	}
+	return m
+}
+
+// fill rewrites the batch for the client's i-th burst and returns it.
+func (m *burstMix) fill(i int) []rdma.Op {
+	for j := 0; j < 31; j++ {
+		kind := rdma.OpRead
+		if j%2 == 0 {
+			kind = rdma.OpWrite
+		}
+		m.ops[j] = rdma.Op{Kind: kind, Addr: rdma.GlobalAddr{Node: m.id, Off: m.base + uint64(((i+j)%64)*512)}, Buf: m.bufs[j]}
+	}
+	m.ops[31] = rdma.Op{Kind: rdma.OpFAA, Addr: m.shared, New: 1}
+	return m.ops
+}
+
+// BenchmarkBurstMix drives the burstMix batch from 1 and 8 concurrent
+// clients. b.N counts individual ops.
 func BenchmarkBurstMix(b *testing.B) {
 	for _, clients := range []int{1, 8} {
 		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
@@ -117,23 +152,9 @@ func BenchmarkBurstMix(b *testing.B) {
 				go func(c int) {
 					defer wg.Done()
 					v := newVerbs(pl)
-					base := uint64(4096 + c*32*1024)
-					shared := rdma.GlobalAddr{Node: id, Off: uint64(8 * (c % 8))}
-					ops := make([]rdma.Op, 32)
-					bufs := make([][]byte, 31)
-					for i := range bufs {
-						bufs[i] = make([]byte, 64)
-					}
+					m := newBurstMix(id, c)
 					for i := 0; i < per; i++ {
-						for j := 0; j < 31; j++ {
-							kind := rdma.OpRead
-							if j%2 == 0 {
-								kind = rdma.OpWrite
-							}
-							ops[j] = rdma.Op{Kind: kind, Addr: rdma.GlobalAddr{Node: id, Off: base + uint64(((i+j)%64)*512)}, Buf: bufs[j]}
-						}
-						ops[31] = rdma.Op{Kind: rdma.OpFAA, Addr: shared, New: 1}
-						if err := v.Batch(ops); err != nil {
+						if err := v.Batch(m.fill(i)); err != nil {
 							b.Error(err)
 							return
 						}
@@ -142,5 +163,34 @@ func BenchmarkBurstMix(b *testing.B) {
 			}
 			wg.Wait()
 		})
+	}
+}
+
+// TestBurstMixSteadyStateAllocs counts what BenchmarkBurstMix's
+// -benchmem column rounds away: mallocs per burst of one warm client,
+// on both sides of the loopback connections (AllocsPerRun reads the
+// process-wide counter, so the server's goroutines are included). It
+// reads 1.00 on every run: the batched FAA's 8-byte operand escapes in
+// sendOp. The ceiling of 2 leaves room for a GC that empties the frame
+// pools mid-run, averaged over the 200 bursts.
+func TestBurstMixSteadyStateAllocs(t *testing.T) {
+	pl, id := benchGroup(t, Options{})
+	v := newVerbs(pl)
+	m := newBurstMix(id, 0)
+	i := 0
+	burst := func() {
+		if err := v.Batch(m.fill(i)); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	// Warm-up: dial every striped connection and fill the frame pools.
+	for i < 64 {
+		burst()
+	}
+	perBurst := testing.AllocsPerRun(200, burst)
+	t.Logf("%.2f allocs per 32-op burst", perBurst)
+	if perBurst > 2 {
+		t.Errorf("%.2f allocs per 32-op burst, want <= 2", perBurst)
 	}
 }

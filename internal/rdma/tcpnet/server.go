@@ -24,7 +24,7 @@ type server struct {
 	closed bool
 }
 
-func newServer(addr string, n *memNode, stripes int) (*server, error) {
+func newServer(addr string, n *memNode) (*server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
@@ -32,7 +32,7 @@ func newServer(addr string, n *memNode, stripes int) (*server, error) {
 	s := &server{
 		n:     n,
 		ln:    ln,
-		locks: newStripedLocks(uint64(len(n.mem)), stripes),
+		locks: newStripedLocks(uint64(len(n.mem))),
 		conns: make(map[net.Conn]struct{}),
 	}
 	s.wg.Add(1)

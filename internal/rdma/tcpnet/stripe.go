@@ -26,16 +26,11 @@ type stripedLocks struct {
 }
 
 // newStripedLocks sizes the stripe array for a region of regionLen
-// bytes. forced > 0 pins the stripe count (1 reproduces the old global
-// region lock, the tcpperf baseline mode); otherwise the stripe size
-// doubles from 64 B until at most maxStripes cover the region.
-func newStripedLocks(regionLen uint64, forced int) *stripedLocks {
-	limit := uint64(maxStripes)
-	if forced > 0 {
-		limit = uint64(forced)
-	}
+// bytes: the stripe size doubles from 64 B until at most maxStripes
+// cover the region.
+func newStripedLocks(regionLen uint64) *stripedLocks {
 	shift := uint(minStripeShift)
-	for regionLen>>shift > limit {
+	for regionLen>>shift > maxStripes {
 		shift++
 	}
 	n := (regionLen + (1 << shift) - 1) >> shift

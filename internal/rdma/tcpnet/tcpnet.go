@@ -110,11 +110,6 @@ type Options struct {
 	// pipelined batch is executed by several server goroutines in
 	// parallel. Connections dial lazily. Default 4.
 	ConnsPerNode int
-	// Stripes forces the server-side region-lock stripe count
-	// (normally sized automatically from the region). 1 reproduces a
-	// single global region lock — the pre-striping behaviour, kept as
-	// the measurable baseline for `acesobench -exp tcpperf`.
-	Stripes int
 }
 
 // WithDefaults returns o with zero fields replaced by their defaults.
@@ -355,7 +350,7 @@ func (pl *Platform) AddMemNode(cfg rdma.MemNodeConfig) rdma.NodeID {
 	if pl.group {
 		id := rdma.NodeID(len(*pl.addrs.Load()))
 		n := &memNode{pl: pl, id: id, mem: make([]byte, cfg.MemBytes)}
-		srv, err := newServer("127.0.0.1:0", n, pl.options().Stripes)
+		srv, err := newServer("127.0.0.1:0", n)
 		if err != nil {
 			panic(fmt.Sprintf("tcpnet: listen: %v", err))
 		}
@@ -369,7 +364,7 @@ func (pl *Platform) AddMemNode(cfg rdma.MemNodeConfig) rdma.NodeID {
 	if pl.isMem && id == pl.local {
 		addr := (*pl.addrs.Load())[id]
 		n := &memNode{pl: pl, id: id, mem: make([]byte, cfg.MemBytes)}
-		srv, err := newServer(addr, n, pl.options().Stripes)
+		srv, err := newServer(addr, n)
 		if err != nil {
 			panic(fmt.Sprintf("tcpnet: listen %s: %v", addr, err))
 		}
