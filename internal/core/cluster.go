@@ -120,7 +120,7 @@ func NewCluster(cfg Config, pl rdma.Platform) (*Cluster, error) {
 		return nil, err
 	}
 	// Wall-clock fabrics get their kernel parallelism from the erasure
-	// package's own goroutine pool; the sim-core ecPool only models the
+	// package's own goroutine pool; the sim-core mnPool only models the
 	// elapsed time. Harmless on simnet (byte results are identical).
 	cl.code.SetWorkers(cfg.ecWorkers())
 	if cl.code.M() != cfg.Layout.ParityShards {

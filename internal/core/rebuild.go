@@ -326,7 +326,7 @@ func fetchStripe(ctx rdma.Ctx, cl *Cluster, owner, b int, sc *stripeScratch) boo
 // its cores, inline work being charged to core; a nil pool is a
 // rebuild worker, which decodes on the one core of its compute node
 // and leaves the parallelism to the team.
-func reconstructLost(ctx rdma.Ctx, cl *Cluster, owner, b int, sc *stripeScratch, ec *ecPool, core int) ([]byte, bool) {
+func reconstructLost(ctx rdma.Ctx, cl *Cluster, owner, b int, sc *stripeScratch, ec *mnPool, core int) ([]byte, bool) {
 	xid := cl.L.XORIDOf(uint32(b), owner)
 	pl, err := sc.plan(cl.code, xid)
 	if err != nil {

@@ -63,16 +63,8 @@ func runRecovery(ctx rdma.Ctx, cl *Cluster, mn int) *RecoveryReport {
 	// rebuild team's compute nodes). The scratch's tally folds into the
 	// server's counters at the end, since this decoding happens before
 	// the server exists.
-	ecw := 0
-	if rdma.IsVirtual(cl.pl) {
-		ecw = cl.Cfg.ecWorkers()
-	}
-	ec := newECPool(ecw)
+	ec := spawnMNPool(cl.pl, ctx.Node(), "recover-ecworker", cl.Cfg.ecWorkers(), rdma.CoreECWorker(cl.Cfg.ckptWorkers(), 0))
 	defer ec.close()
-	for i := 0; i < ec.workers; i++ {
-		core := rdma.CoreECWorker(cl.Cfg.ckptWorkers(), i)
-		cl.pl.Spawn(ctx.Node(), fmt.Sprintf("recover-ecworker%d", i), ec.workerLoop(core))
-	}
 	sc := newStripeScratch(cl)
 
 	// abandoned reports that this node died or was re-assigned while
@@ -640,7 +632,7 @@ func (ek *entryKeys) of(atom layout.SlotAtomic, meta layout.SlotMeta) ([]byte, b
 // (RDMA reads, every source at once) and decoding (XOR/GF compute) run
 // as a two-stage pipeline (§3.4.1 remark 1): a prefetch process fills
 // one scratch while the decoder works out of the other.
-func recoverBlocks(ctx rdma.Ctx, cl *Cluster, mn int, blocks []int, recovered map[int]bool, ec *ecPool, sc *stripeScratch) {
+func recoverBlocks(ctx rdma.Ctx, cl *Cluster, mn int, blocks []int, recovered map[int]bool, ec *mnPool, sc *stripeScratch) {
 	mem := ctx.LocalMem()
 	if len(blocks) == 0 || len(mem) == 0 {
 		return // nothing to do, or the node failed under us and the master retries elsewhere
