@@ -70,8 +70,7 @@ func main() {
 	pool := flag.Int("pool", cfg.Layout.PoolBlocks, "delta/copy pool blocks per MN")
 	ckpt := flag.Duration("ckpt", cfg.CkptInterval, "checkpoint interval")
 	flag.IntVar(&cfg.Layout.CkptSegments, "ckpt-segments", cfg.Layout.CkptSegments, "checkpoint index segments (geometry: must match on every daemon and client; 1 = full-image rounds)")
-	flag.IntVar(&cfg.CkptWorkers, "ckpt-workers", cfg.CkptWorkers, "checkpoint compression worker cores per MN (0 = inline on the send core)")
-	flag.IntVar(&cfg.ECWorkers, "ec-workers", cfg.ECWorkers, "erasure worker cores per MN for banded encode/reconstruct kernels (0 = inline on the erasure core)")
+	flag.IntVar(&cfg.ECWorkers, "ec-workers", cfg.ECWorkers, "goroutines an erasure encode/reconstruct kernel fans out over (≤1 = on the calling goroutine)")
 	flag.IntVar(&cfg.TraceSample, "trace-sample", cfg.TraceSample, "op-span sampling: 1 in N ops records a span tree (0 = default 64, <0 disables)")
 	flag.IntVar(&cfg.CacheEntries, "cache-entries", cfg.CacheEntries, "per-client index cache entry bound (0 = default 16384, <0 disables; clients must match)")
 	opt := tcpnet.Options{}.WithDefaults()
