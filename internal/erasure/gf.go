@@ -34,6 +34,11 @@ func init() {
 	for i := 255; i < 512; i++ {
 		gfExp[i] = gfExp[i-255]
 	}
+	for c := 1; c < 256; c++ {
+		for i := 1; i < 256; i++ {
+			mulTable[c][i] = gfMul(byte(c), byte(i))
+		}
+	}
 }
 
 // gfMul returns a*b in GF(2^8).
@@ -64,21 +69,9 @@ func gfPow(n int) byte {
 func gfInv(a byte) byte { return gfDiv(1, a) }
 
 // mulTable[c] is the full 256-entry multiplication table for constant
-// c, built lazily; it makes bulk gfMulSlice a single table lookup per
-// byte.
-var mulTable [256][]byte
-
-func mulTableFor(c byte) []byte {
-	if t := mulTable[c]; t != nil {
-		return t
-	}
-	t := make([]byte, 256)
-	for i := 0; i < 256; i++ {
-		t[i] = gfMul(c, byte(i))
-	}
-	mulTable[c] = t
-	return t
-}
+// c (64 KB, built at init so kernels on the erasure pool's goroutines
+// only read it); it makes bulk gfMulSliceXor a single table lookup per byte.
+var mulTable [256][256]byte
 
 // gfMulSliceXor computes dst[i] ^= c * src[i] for all i.
 func gfMulSliceXor(c byte, dst, src []byte) {
@@ -89,20 +82,8 @@ func gfMulSliceXor(c byte, dst, src []byte) {
 		xorBytes(dst, src)
 		return
 	}
-	t := mulTableFor(c)
+	t := &mulTable[c]
 	for i, s := range src {
 		dst[i] ^= t[s]
-	}
-}
-
-// gfMulSlice computes dst[i] = c * src[i] for all i.
-func gfMulSlice(c byte, dst, src []byte) {
-	if c == 1 {
-		copy(dst, src)
-		return
-	}
-	t := mulTableFor(c)
-	for i, s := range src {
-		dst[i] = t[s]
 	}
 }
