@@ -406,24 +406,6 @@ func printMNStats(c ftmode.Client, mn int) {
 	pool.Add("copy", float64(st.PoolCopy))
 	pool.Add("data", float64(st.PoolData))
 	fmt.Print(stats.Table(fmt.Sprintf("mn%d delta/copy pool occupancy", st.MN), pool))
-	cache := &stats.Series{Name: "cache"}
-	cache.Add("hits", float64(st.CacheHits))
-	cache.Add("misses", float64(st.CacheMisses))
-	cache.Add("evictions", float64(st.CacheEvictions))
-	cache.Add("entries", float64(st.CacheEntries))
-	cache.Add("capacity", float64(st.CacheCapacity))
-	cache.Add("fill%", 100*stats.Ratio(float64(st.CacheEntries), float64(st.CacheCapacity)))
-	cache.Add("bytes", float64(st.CacheBytes))
-	fmt.Print(stats.Table(fmt.Sprintf("mn%d client index cache (co-resident clients)", st.MN), cache))
-	wr := &stats.Series{Name: "write"}
-	wr.Add("fused", float64(st.WriteFused))
-	wr.Add("prefetchHits", float64(st.PrefetchHits))
-	wr.Add("prefetchMisses", float64(st.PrefetchMisses))
-	wr.Add("deltaSkips", float64(st.DeltaSkips))
-	wr.Add("chased", float64(st.WriteChased))
-	wr.Add("validatedChanged", float64(st.WriteValidatedChanged))
-	wr.Add("validatedUnchanged", float64(st.WriteValidatedSame))
-	fmt.Print(stats.Table(fmt.Sprintf("mn%d fused write path (co-resident clients)", st.MN), wr))
 }
 
 // parseChaos decodes "<seed> <dropProb> <delayProb> <maxDelay> <resetProb>",

@@ -83,19 +83,6 @@ func encodeStats(st ServerStats) []byte {
 	e.u64(st.ECEncodeBatches)
 	e.u64(st.ECDecodeBytes)
 	e.u64(st.ECDecodeNs)
-	e.u64(st.CacheHits)
-	e.u64(st.CacheMisses)
-	e.u64(st.CacheEvictions)
-	e.u64(st.CacheEntries)
-	e.u64(st.CacheCapacity)
-	e.u64(st.CacheBytes)
-	e.u64(st.WriteFused)
-	e.u64(st.PrefetchHits)
-	e.u64(st.PrefetchMisses)
-	e.u64(st.DeltaSkips)
-	e.u64(st.WriteChased)
-	e.u64(st.WriteValidatedChanged)
-	e.u64(st.WriteValidatedSame)
 	return e.b
 }
 
@@ -145,19 +132,6 @@ func decodeStats(b []byte) ServerStats {
 	st.ECEncodeBatches = d.u64()
 	st.ECDecodeBytes = d.u64()
 	st.ECDecodeNs = d.u64()
-	st.CacheHits = d.u64()
-	st.CacheMisses = d.u64()
-	st.CacheEvictions = d.u64()
-	st.CacheEntries = d.u64()
-	st.CacheCapacity = d.u64()
-	st.CacheBytes = d.u64()
-	st.WriteFused = d.u64()
-	st.PrefetchHits = d.u64()
-	st.PrefetchMisses = d.u64()
-	st.DeltaSkips = d.u64()
-	st.WriteChased = d.u64()
-	st.WriteValidatedChanged = d.u64()
-	st.WriteValidatedSame = d.u64()
 	return st
 }
 
