@@ -447,11 +447,3 @@ func (c *Cluster) NumMNs() int { return c.ft.NumMNs() }
 
 // Close unwinds the fabric. The cluster must not be used afterwards.
 func (c *Cluster) Close() { c.fab.close() }
-
-// Internal returns the underlying core cluster and platform for
-// advanced instrumentation (benchmark harnesses; Aceso mode only).
-func (c *Cluster) Internal() (*core.Cluster, rdma.Platform) { return c.core(), c.fab.platform() }
-
-// InternalFT returns the underlying mode cluster and platform for
-// mode-generic harnesses (bench experiments that drive every ftmode).
-func (c *Cluster) InternalFT() (ftmode.Cluster, rdma.Platform) { return c.ft, c.fab.platform() }

@@ -186,16 +186,6 @@ func (m *measured) casPerOp() float64 {
 // skew).
 func (m *measured) mops() float64 { return m.sumRate / 1e6 }
 
-// kindMops returns per-kind throughput: the aggregate rate scaled by
-// that kind's share of measured operations.
-func (m *measured) kindMops(k workload.Kind) float64 {
-	h, ok := m.perKind[k]
-	if !ok || m.ops == 0 {
-		return 0
-	}
-	return m.mops() * float64(h.Count()) / float64(m.ops)
-}
-
 // execOp dispatches one generated operation.
 func execOp(c kvClient, op workload.Op, kvSize int) error {
 	switch op.Kind {

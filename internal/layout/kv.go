@@ -35,10 +35,6 @@ func KVClassSize(keyLen, valLen int) int {
 	return (need + 63) &^ 63
 }
 
-// MaxKVPayload returns the largest key+value byte total a class of the
-// given size can hold.
-func MaxKVPayload(classSize int) int { return classSize - KVHeaderSize - 1 }
-
 // EncodeKV writes a KV pair into dst (which must be exactly the class
 // size and is fully overwritten; bytes between the value and the
 // trailing fence are zeroed so deltas stay sparse).

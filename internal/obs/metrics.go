@@ -466,9 +466,6 @@ func (p *Platform) SetTracer(tr *Tracer) { p.tr.Store(tr) }
 // Tracer returns the installed span tracer (nil when untraced).
 func (p *Platform) Tracer() *Tracer { return p.tr.Load() }
 
-// Inner returns the wrapped fabric.
-func (p *Platform) Inner() rdma.Platform { return p.inner }
-
 func (p *Platform) AddMemNode(cfg rdma.MemNodeConfig) rdma.NodeID { return p.inner.AddMemNode(cfg) }
 func (p *Platform) AddComputeNode() rdma.NodeID                   { return p.inner.AddComputeNode() }
 func (p *Platform) SetHandler(node rdma.NodeID, h rdma.Handler)   { p.inner.SetHandler(node, h) }
