@@ -293,14 +293,24 @@ func TestCkptObserveIndexWrite(t *testing.T) {
 	}
 }
 
-// TestCkptSegmentedConvergence runs the full segmented pipeline with a
-// worker pool on the simulated fabric under concurrent writers and
-// checks every hosted copy converges to its owner's quiesced index —
-// and that once writes narrow to one hot key, rounds ship only a few
-// segments instead of the whole index.
+// TestCkptSegmentedConvergence runs the full segmented pipeline with
+// the compression pool's workers on the simulated fabric under
+// concurrent writers and checks every hosted copy converges to its
+// owner's quiesced index — and that once writes narrow to one hot key,
+// rounds ship only a few segments instead of the whole index. The
+// hosts=2 run ships every frame to two hosts in turn.
 func TestCkptSegmentedConvergence(t *testing.T) {
+	for _, hosts := range []int{1, 2} {
+		t.Run(fmt.Sprintf("hosts=%d", hosts), func(t *testing.T) {
+			testCkptSegmentedConvergence(t, hosts)
+		})
+	}
+}
+
+func testCkptSegmentedConvergence(t *testing.T, hosts int) {
 	tc := newTestCluster(t, func(cfg *Config) {
 		cfg.Layout.CkptSegments = 16
+		cfg.Layout.CkptHosts = hosts
 		cfg.CkptWorkers = 2
 	})
 	l := tc.cl.L
@@ -480,15 +490,16 @@ func TestCkptTornRoundRecovery(t *testing.T) {
 	tc.verifyAll(t, expect)
 }
 
-// TestTCPNetCkptWorkerPoolStress hammers the segmented pipeline with a
-// worker pool and short rounds on the real TCP transport: concurrent
-// writers race the dirty bitmap, the pool and the shippers on real
-// goroutines, so -race runs exercise every cross-goroutine handoff.
-// Afterwards every hosted copy must converge to its owner's index.
-func TestTCPNetCkptWorkerPoolStress(t *testing.T) {
+// TestTCPNetCkptInlineStress hammers the segmented pipeline with short
+// rounds on the real TCP transport, where the send loop compresses
+// inline and ships over sockets: concurrent writers race the dirty
+// bitmap and the send loop on real goroutines, so -race runs exercise
+// every cross-goroutine handoff. Afterwards every hosted copy must
+// converge to its owner's index. (TestCkptSegmentedConvergence and
+// TestCkptTornRoundRecovery drive the pool with workers, on simnet.)
+func TestTCPNetCkptInlineStress(t *testing.T) {
 	pl, cl := newTCPTestCluster(t, func(cfg *Config) {
 		cfg.Layout.CkptSegments = 16
-		cfg.CkptWorkers = 4
 		cfg.CkptInterval = 5 * time.Millisecond
 	})
 	l := cl.L
