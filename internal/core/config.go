@@ -105,18 +105,20 @@ type Config struct {
 	// 1(b)). Ablation knob; recovery still works because the hosted
 	// copy is overwritten wholesale.
 	CkptRaw bool
-	// CkptWorkers sizes the checkpoint compression worker pool: that
-	// many extra MN cores XOR+compress dirty segments concurrently
-	// each round. 0 keeps all segment processing inline on the
-	// checkpoint-send core (the pre-segmentation behaviour).
+	// CkptWorkers sizes the checkpoint compression pool on simulated
+	// fabrics: that many extra MN cores XOR+compress dirty segments
+	// concurrently each round. 0 — and every wall-clock fabric, where a
+	// pool has no workers — keeps segment processing inline on the
+	// checkpoint-send core.
 	CkptWorkers int
-	// ECWorkers sizes the erasure worker pool: that many extra MN
-	// cores run banded encode/reconstruct kernels concurrently, so
-	// delta reclamation and tier-2 recovery decode overlap across
-	// cores. 0 keeps all erasure compute inline on the erasure core
-	// (the pre-parallel behaviour). Tier-3 rebuild does not run on MN
-	// cores at all: its workers decode on compute nodes and the team,
-	// sized from the geometry, is the parallelism (rebuild.go).
+	// ECWorkers sizes the erasure worker pool on simulated fabrics:
+	// that many extra MN cores run banded encode/reconstruct kernels
+	// concurrently, so delta reclamation and tier-2 recovery decode
+	// overlap across cores (0 keeps them inline on the erasure core).
+	// On wall-clock fabrics it is the erasure package's goroutine
+	// fan-out instead (Code.SetWorkers). Tier-3 rebuild does not run on
+	// MN cores at all: its workers decode on compute nodes and the
+	// team, sized from the geometry, is the parallelism (rebuild.go).
 	ECWorkers int
 	// TraceSample is the op-span sampling rate: one in TraceSample
 	// client ops records a full span tree (rounded to a power of two;

@@ -325,10 +325,10 @@ type WriteObserver interface {
 // Ctx.Sleep advances an engine clock instead of the wall clock, so a
 // poll-based worker process costs nothing while idle. Wall-clock
 // fabrics do not implement it — there an idle 5 µs sleep-poll loop
-// burns a real core, so sim-core accounting pools (checkpoint and
-// erasure workers) must stay inert and let goroutine pools provide
-// the parallelism instead. Core code type-asserts a Platform to reach
-// it, exactly like FaultInjector.
+// burns a real core, so the memory node's sim-core pools (checkpoint
+// compressors and erasure workers alike) spawn no workers and run
+// every job inline, leaving the parallelism to goroutine pools. Core
+// code type-asserts a Platform to reach it, exactly like FaultInjector.
 type VirtualTime interface {
 	// VirtualTime reports whether the platform's clock is simulated.
 	VirtualTime() bool
@@ -393,9 +393,9 @@ func (NopLocker) Unlock() {}
 
 // CPU core roles on a memory node, matching the paper's assignment
 // (§4.1): one core each for RPC serving, erasure coding, checkpoint
-// sending and checkpoint receiving. Checkpoint compression workers,
-// when configured, occupy additional cores starting at NumMNCores
-// (see CoreCkptWorker).
+// sending and checkpoint receiving. On virtual-time fabrics the
+// checkpoint and erasure pool workers occupy additional cores starting
+// at NumMNCores (see CoreCkptWorker, CoreECWorker).
 const (
 	CoreRPC = iota
 	CoreErasure
@@ -405,10 +405,9 @@ const (
 )
 
 // CoreCkptWorker returns the core index of the i-th checkpoint
-// compression worker. Worker cores sit after the four fixed roles, so
-// a node that runs w workers is sized with NumMNCores+w CPU cores and
-// simulated fabrics charge worker compression as real per-core
-// contention.
+// compression worker. Its cores sit right after the four fixed roles,
+// ahead of the erasure workers', and simulated fabrics charge worker
+// compression as real per-core contention.
 func CoreCkptWorker(i int) int { return NumMNCores + i }
 
 // CoreECWorker returns the core index of the i-th erasure worker on a
