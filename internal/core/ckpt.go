@@ -6,10 +6,9 @@ package core
 // The fabric's write observer marks a per-segment dirty bitmap as
 // foreground WRITE/CAS verbs land in the index area, so a checkpoint
 // round snapshots, XORs, compresses and ships only the segments that
-// changed since the last round. Per-segment compression fans out over
-// the server's checkpoint pool (mnPool: distinct sim-CPU cores on
-// simnet, inline on wall-clock fabrics), and the send loop then ships
-// the frame to each checkpoint host in turn. The wire format is a framed
+// changed since the last round. The send loop compresses the segments
+// itself, on the checkpoint-send core, and then ships the frame to
+// each checkpoint host in turn. The wire format is a framed
 // list of per-segment records; the hosted copy's version word moves
 // only after every record of a round has been applied, so torn rounds
 // remain detectable exactly as with the old full-image pipeline.
@@ -77,9 +76,7 @@ type ckptRegion struct {
 
 // ckptFramer owns the sender side's persistent buffers and builds one
 // frame per round. All buffers are allocated once, so steady-state
-// rounds are allocation-free. processSeg calls for distinct job
-// indices touch disjoint state and may run concurrently (the worker
-// pool relies on this).
+// rounds are allocation-free.
 type ckptFramer struct {
 	l     *layout.Layout
 	rates CPURates
@@ -131,8 +128,8 @@ func (f *ckptFramer) snapshot(mem []byte) int {
 // the reference and compress (differential), compress alone (raw
 // resync), or neither (CkptRaw). The shipped snapshot then becomes the
 // new reference by swapping the per-segment slices — no extra copy,
-// and the payload keeps pointing at the same backing array. Safe to
-// call concurrently for distinct i. Returns the simulated CPU cost.
+// and the payload keeps pointing at the same backing array. Returns
+// the simulated CPU cost.
 func (f *ckptFramer) processSeg(i int) time.Duration {
 	job := f.jobs[i]
 	seg := job.seg
@@ -499,7 +496,6 @@ func (s *Server) ckptSendLoop(ctx rdma.Ctx) {
 	// is no dirty information to exploit: every round ships the whole
 	// index, byte-for-byte reproducing the full-image pipeline.
 	allSegs := segs == 1 || !s.ckptTracked || s.cl.Cfg.CkptRaw
-	process := fr.processSeg // bound once: a round allocates nothing
 	var req [13]byte
 	var seq uint64
 	for !s.isStopped() {
@@ -564,10 +560,13 @@ func (s *Server) ckptSendLoop(ctx rdma.Ctx) {
 		ctx.UseCPU(rdma.CoreCkptSend, snapCost)
 		cpuNs := uint64(snapCost)
 
-		// ② XOR + compress each segment on the compression pool
-		// (inline on this core when it has no workers).
-		_, cpu := s.ckpt.run(ctx, len(fr.jobs), process, rdma.CoreCkptSend)
-		cpuNs += uint64(cpu)
+		// ② XOR + compress each segment on this core.
+		for i := range fr.jobs {
+			if cost := fr.processSeg(i); cost > 0 {
+				ctx.UseCPU(rdma.CoreCkptSend, cost)
+				cpuNs += uint64(cost)
+			}
+		}
 		frameLen := fr.finishRound()
 		regions = fr.regions(regions)
 		compBytes, rawBytes := fr.payloadBytes()

@@ -3,8 +3,7 @@ package core
 // Tests for the segment-parallel differential checkpoint pipeline
 // (ckpt.go): framer/applier unit tests against the frame format,
 // dirty-bitmap tracking under concurrent writers, torn-round
-// detection, the worker pool under the race detector, and the
-// steady-state zero-allocation guarantee.
+// detection, and the steady-state zero-allocation guarantee.
 
 import (
 	"bytes"
@@ -311,7 +310,6 @@ func testCkptSegmentedConvergence(t *testing.T, hosts int) {
 	tc := newTestCluster(t, func(cfg *Config) {
 		cfg.Layout.CkptSegments = 16
 		cfg.Layout.CkptHosts = hosts
-		cfg.CkptWorkers = 2
 	})
 	l := tc.cl.L
 	segs := l.CkptSegCount()
@@ -412,7 +410,6 @@ func testCkptSegmentedConvergence(t *testing.T, hosts int) {
 func TestCkptTornRoundRecovery(t *testing.T) {
 	tc := newTestCluster(t, func(cfg *Config) {
 		cfg.Layout.CkptSegments = 16
-		cfg.CkptWorkers = 2
 	})
 	tc.cl.master.AddSpare()
 	l := tc.cl.L

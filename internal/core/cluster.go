@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 
 	"repro/internal/erasure"
@@ -22,6 +24,10 @@ type Cluster struct {
 	L    *layout.Layout
 	pl   rdma.Platform
 	code erasure.Code
+	// ecFanOut is the erasure package's goroutine fan-out for whole
+	// kernels: GOMAXPROCS on a wall-clock fabric, 1 on a virtual-time
+	// one, where every kernel runs inline on its simulated core.
+	ecFanOut int
 
 	view    view
 	servers []*Server
@@ -107,6 +113,9 @@ const traceSpans = 4096
 // the platform. Call StartServers (and StartMaster for checkpointing
 // and failure handling) before spawning clients.
 func NewCluster(cfg Config, pl rdma.Platform) (*Cluster, error) {
+	if cfg.CkptWorkers != 0 || cfg.ECWorkers != 0 {
+		return nil, errors.New("core: CkptWorkers and ECWorkers must be 0 (a memory node runs its four fixed cores; benchmark/ is their last reader)")
+	}
 	l, err := layout.NewLayout(cfg.Layout)
 	if err != nil {
 		return nil, err
@@ -120,9 +129,14 @@ func NewCluster(cfg Config, pl rdma.Platform) (*Cluster, error) {
 		return nil, err
 	}
 	// Wall-clock fabrics get their kernel parallelism from the erasure
-	// package's own goroutine pool; the sim-core mnPool only models the
-	// elapsed time. Harmless on simnet (byte results are identical).
-	cl.code.SetWorkers(cfg.ecWorkers())
+	// package's goroutine pool (which clamps the fan-out by band width);
+	// on simnet the modelled cost is charged to one core, so the host
+	// runs each kernel on the calling goroutine.
+	cl.ecFanOut = 1
+	if !rdma.IsVirtual(pl) {
+		cl.ecFanOut = runtime.GOMAXPROCS(0)
+	}
+	cl.code.SetWorkers(cl.ecFanOut)
 	if cl.code.M() != cfg.Layout.ParityShards {
 		return nil, fmt.Errorf("core: code %q has %d parities, layout wants %d",
 			cfg.Code, cl.code.M(), cfg.Layout.ParityShards)
@@ -138,7 +152,7 @@ func NewCluster(cfg Config, pl rdma.Platform) (*Cluster, error) {
 	cl.view.blocksReady = make([]bool, n)
 	cl.view.indexGen = make([]uint64, n)
 	for i := 0; i < n; i++ {
-		node := pl.AddMemNode(rdma.MemNodeConfig{MemBytes: l.MemBytes(), CPUCores: rdma.NumMNCores + cfg.ckptWorkers() + cfg.ecWorkers()})
+		node := pl.AddMemNode(rdma.MemNodeConfig{MemBytes: l.MemBytes(), CPUCores: rdma.NumMNCores})
 		cl.view.node[i] = node
 		cl.view.indexReady[i] = true
 		cl.view.blocksReady[i] = true

@@ -105,20 +105,12 @@ type Config struct {
 	// 1(b)). Ablation knob; recovery still works because the hosted
 	// copy is overwritten wholesale.
 	CkptRaw bool
-	// CkptWorkers sizes the checkpoint compression pool on simulated
-	// fabrics: that many extra MN cores XOR+compress dirty segments
-	// concurrently each round. 0 — and every wall-clock fabric, where a
-	// pool has no workers — keeps segment processing inline on the
-	// checkpoint-send core.
+	// CkptWorkers must be 0 (NewCluster rejects anything else): a
+	// memory node runs the paper's four fixed cores. benchmark/ sizes
+	// its core row from it.
 	CkptWorkers int
-	// ECWorkers sizes the erasure worker pool on simulated fabrics:
-	// that many extra MN cores run banded encode/reconstruct kernels
-	// concurrently, so delta reclamation and tier-2 recovery decode
-	// overlap across cores (0 keeps them inline on the erasure core).
-	// On wall-clock fabrics it is the erasure package's goroutine
-	// fan-out instead (Code.SetWorkers). Tier-3 rebuild does not run on
-	// MN cores at all: its workers decode on compute nodes and the
-	// team, sized from the geometry, is the parallelism (rebuild.go).
+	// ECWorkers must be 0, like CkptWorkers; benchmark/ sizes its core
+	// row from it.
 	ECWorkers int
 	// TraceSample is the op-span sampling rate: one in TraceSample
 	// client ops records a full span tree (rounded to a power of two;
@@ -159,8 +151,6 @@ func DefaultConfig() Config {
 		ReclaimFree:     0.25,
 		BitmapFlushOps:  64,
 		LockTimeout:     500 * time.Microsecond,
-		CkptWorkers:     2,
-		ECWorkers:       2,
 		Rates:           DefaultCPURates(),
 	}
 }
@@ -206,22 +196,6 @@ func (c *Config) cacheEntries() int {
 		return 16384
 	}
 	return c.CacheEntries
-}
-
-// ckptWorkers resolves the effective checkpoint worker-pool size.
-func (c *Config) ckptWorkers() int {
-	if c.CkptWorkers <= 0 {
-		return 0
-	}
-	return c.CkptWorkers
-}
-
-// ecWorkers resolves the effective erasure worker-pool size.
-func (c *Config) ecWorkers() int {
-	if c.ECWorkers <= 0 {
-		return 0
-	}
-	return c.ECWorkers
 }
 
 // traceSample resolves the effective 1-in-N op sampling rate (0 =

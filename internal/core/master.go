@@ -39,7 +39,7 @@ func newMaster(cl *Cluster, node rdma.NodeID) *Master {
 // AddSpare registers an idle memory node the master may use to replace
 // a crashed MN.
 func (m *Master) AddSpare() rdma.NodeID {
-	node := m.cl.pl.AddMemNode(rdma.MemNodeConfig{MemBytes: m.cl.L.MemBytes(), CPUCores: rdma.NumMNCores + m.cl.Cfg.ckptWorkers() + m.cl.Cfg.ecWorkers()})
+	node := m.cl.pl.AddMemNode(rdma.MemNodeConfig{MemBytes: m.cl.L.MemBytes(), CPUCores: rdma.NumMNCores})
 	m.mu.Lock()
 	m.spares = append(m.spares, node)
 	m.mu.Unlock()

@@ -129,6 +129,23 @@ type stripeScratch struct {
 	tally    ecTally
 }
 
+// ecTally accumulates erasure compute totals (bytes touched, virtual
+// elapsed time) for paths that run outside a server's own processes —
+// recovery decodes before the replacement server exists and, in tier
+// 3, on the rebuild workers' compute nodes; it folds the tally into
+// the replacement server's counters at the end.
+type ecTally struct {
+	encodeBytes, encodeNs uint64
+	decodeBytes, decodeNs uint64
+}
+
+func (t *ecTally) add(o *ecTally) {
+	t.encodeBytes += o.encodeBytes
+	t.encodeNs += o.encodeNs
+	t.decodeBytes += o.decodeBytes
+	t.decodeNs += o.decodeNs
+}
+
 func newStripeScratch(cl *Cluster) *stripeScratch {
 	k, m := cl.code.K(), cl.code.M()
 	sc := &stripeScratch{
@@ -322,11 +339,10 @@ func fetchStripe(ctx rdma.Ctx, cl *Cluster, owner, b int, sc *stripeScratch) boo
 
 // reconstructLost decodes owner's block of row b from the stripe
 // fetched into sc and returns it (a scratch buffer: consume it before
-// the next fetch). With an erasure pool the band kernel fans out over
-// its cores, inline work being charged to core; a nil pool is a
-// rebuild worker, which decodes on the one core of its compute node
-// and leaves the parallelism to the team.
-func reconstructLost(ctx rdma.Ctx, cl *Cluster, owner, b int, sc *stripeScratch, ec *mnPool, core int) ([]byte, bool) {
+// the next fetch), charging the decode to core: the replacement's
+// erasure core in tier 2, the compute node's one core for a rebuild
+// worker, whose parallelism is the team.
+func reconstructLost(ctx rdma.Ctx, cl *Cluster, owner, b int, sc *stripeScratch, core int) ([]byte, bool) {
 	xid := cl.L.XORIDOf(uint32(b), owner)
 	pl, err := sc.plan(cl.code, xid)
 	if err != nil {
@@ -339,21 +355,13 @@ func reconstructLost(ctx rdma.Ctx, cl *Cluster, owner, b int, sc *stripeScratch,
 		}
 	}
 	bs := int(cl.L.Cfg.BlockSize)
-	total := cpuTime(touched*bs, cl.Cfg.Rates.codeRate(cl.Cfg.Code))
-	width := pl.Width()
-	elapsed := ec.fanOut(ctx, width, func(lo, hi int) time.Duration {
-		if ec != nil && lo == 0 && hi == width {
-			// Inert pool (wall-clock fabric or no workers): the whole
-			// plan runs here, so let the erasure package's goroutine
-			// pool supply the parallelism.
-			pl.RunPooled(sc.shards, cl.Cfg.ecWorkers())
-		} else {
-			pl.Run(sc.shards, lo, hi)
-		}
-		return time.Duration(float64(total) * float64(hi-lo) / float64(width))
-	}, core)
+	start := ctx.Now()
+	pl.RunPooled(sc.shards, cl.ecFanOut)
+	if cost := cpuTime(touched*bs, cl.Cfg.Rates.codeRate(cl.Cfg.Code)); cost > 0 {
+		ctx.UseCPU(core, cost)
+	}
 	sc.tally.decodeBytes += uint64(touched * bs)
-	sc.tally.decodeNs += uint64(elapsed)
+	sc.tally.decodeNs += uint64(ctx.Now() - start)
 	out := sc.shards[xid]
 	// DATA = enc ⊕ DELTA: fold back the owner's pending delta, if any.
 	if sc.hasDelta[xid] {
@@ -706,7 +714,7 @@ func (rb *rebuild) rebuildData(ctx rdma.Ctx, wk *rebuildWorker, sc *stripeScratc
 	if !fetchStripe(ctx, rb.cl, rb.mn, row.b, sc) {
 		return false
 	}
-	out, ok := reconstructLost(ctx, rb.cl, rb.mn, row.b, sc, nil, 0)
+	out, ok := reconstructLost(ctx, rb.cl, rb.mn, row.b, sc, 0)
 	return ok && rb.ship(ctx, wk, sc, row.b, out)
 }
 
@@ -812,7 +820,7 @@ func (rb *rebuild) rebuildParity(ctx rdma.Ctx, wk *rebuildWorker, sc *stripeScra
 	clear(parity)
 	if len(sc.folds) > 0 {
 		start := ctx.Now()
-		cl.code.ApplyDeltasBand(int(rec.ParityIdx), parity, sc.folds, 0, cl.code.BandWidth(len(parity)))
+		cl.code.ApplyDeltas(int(rec.ParityIdx), parity, sc.folds)
 		ctx.UseCPU(0, cpuTime((len(sc.folds)+1)*len(parity), cl.Cfg.Rates.codeRate(cl.Cfg.Code)))
 		sc.tally.encodeBytes += uint64(len(sc.folds) * len(parity))
 		sc.tally.encodeNs += uint64(ctx.Now() - start)

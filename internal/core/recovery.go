@@ -57,14 +57,10 @@ func runRecovery(ctx rdma.Ctx, cl *Cluster, mn int) *RecoveryReport {
 	mem := ctx.LocalMem()
 	start := ctx.Now()
 
-	// Tier-2 decode runs through its own erasure worker pool on the
-	// replacement node's EC cores, the cores the replacement server's
-	// pool takes over once it starts (tier 3 decodes elsewhere, on the
-	// rebuild team's compute nodes). The scratch's tally folds into the
-	// server's counters at the end, since this decoding happens before
-	// the server exists.
-	ec := spawnMNPool(cl.pl, ctx.Node(), "recover-ecworker", cl.Cfg.ecWorkers(), rdma.CoreECWorker(cl.Cfg.ckptWorkers(), 0))
-	defer ec.close()
+	// Tier-2 decode runs on the replacement node's erasure core (tier 3
+	// decodes elsewhere, on the rebuild team's compute nodes). The
+	// scratch's tally folds into the server's counters at the end,
+	// since this decoding happens before the server exists.
 	sc := newStripeScratch(cl)
 
 	// abandoned reports that this node died or was re-assigned while
@@ -156,7 +152,7 @@ func runRecovery(ctx rdma.Ctx, cl *Cluster, mn int) *RecoveryReport {
 
 	// Decode new local blocks (pipelined reads + XOR, §3.4.1 remark 1).
 	t = ctx.Now()
-	recoverBlocks(ctx, cl, mn, newLocal, recovered, ec, sc)
+	recoverBlocks(ctx, cl, mn, newLocal, recovered, sc)
 	rep.LBlockCount = len(newLocal)
 	rep.RecoverLBlock = ctx.Now() - t
 	cl.trace.Emit(obs.Event{At: ctx.Now(), Kind: "recovery.lblocks", MN: mn, Dur: rep.RecoverLBlock,
@@ -212,7 +208,7 @@ func runRecovery(ctx rdma.Ctx, cl *Cluster, mn int) *RecoveryReport {
 				if !fetchStripe(ctx, cl, j, b, sc) {
 					continue
 				}
-				out, ok := reconstructLost(ctx, cl, j, b, sc, ec, rdma.CoreErasure)
+				out, ok := reconstructLost(ctx, cl, j, b, sc, rdma.CoreErasure)
 				if !ok {
 					continue
 				}
@@ -298,7 +294,6 @@ func runRecovery(ctx rdma.Ctx, cl *Cluster, mn int) *RecoveryReport {
 	if abandoned() {
 		return nil
 	}
-	ec.close()
 	// Functionality restored: bring up the replacement server and
 	// reopen the index partition (writes full speed, reads degraded).
 	// The server starts before it is published: until failed[mn] flips,
@@ -632,7 +627,7 @@ func (ek *entryKeys) of(atom layout.SlotAtomic, meta layout.SlotMeta) ([]byte, b
 // (RDMA reads, every source at once) and decoding (XOR/GF compute) run
 // as a two-stage pipeline (§3.4.1 remark 1): a prefetch process fills
 // one scratch while the decoder works out of the other.
-func recoverBlocks(ctx rdma.Ctx, cl *Cluster, mn int, blocks []int, recovered map[int]bool, ec *mnPool, sc *stripeScratch) {
+func recoverBlocks(ctx rdma.Ctx, cl *Cluster, mn int, blocks []int, recovered map[int]bool, sc *stripeScratch) {
 	mem := ctx.LocalMem()
 	if len(blocks) == 0 || len(mem) == 0 {
 		return // nothing to do, or the node failed under us and the master retries elsewhere
@@ -669,7 +664,7 @@ func recoverBlocks(ctx rdma.Ctx, cl *Cluster, mn int, blocks []int, recovered ma
 		waitFor(ctx, func() bool { return fetched > i })
 		from := ring[i%len(ring)]
 		if fetchedOK[i%len(ring)] {
-			if out, ok := reconstructLost(ctx, cl, mn, b, from, ec, rdma.CoreErasure); ok {
+			if out, ok := reconstructLost(ctx, cl, mn, b, from, rdma.CoreErasure); ok {
 				memMu.Lock()
 				copy(mem[cl.L.BlockOff(b):cl.L.BlockOff(b)+cl.L.Cfg.BlockSize], out)
 				memMu.Unlock()

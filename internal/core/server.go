@@ -50,12 +50,6 @@ type Server struct {
 	ckptApplier  *ckptApplier
 	ckptApplySeq []uint64 // per hosted slot: seq of last applied frame (guarded by mu)
 
-	// The MN's two worker pools (ecpool.go): ckpt compresses a round's
-	// segments on the checkpoint worker cores (single consumer: the
-	// send loop), ec fans banded erasure kernels (batched delta apply)
-	// out over the erasure worker cores (single consumer: the encoder).
-	ckpt, ec *mnPool
-
 	// reclaimed counts blocks handed out through delta-based
 	// reclamation (observability for the reclamation experiments).
 	reclaimed int
@@ -98,8 +92,7 @@ func newServer(cl *Cluster, mn int, node rdma.NodeID) *Server {
 
 // start derives in-memory state, installs the RPC handler and spawns
 // the daemons: the paper's four-core MN assignment (encoder, ckpt
-// send, ckpt recv, meta sync) plus the checkpoint and erasure worker
-// pools (ecpool.go).
+// send, ckpt recv, meta sync).
 func (s *Server) start() {
 	s.mem = s.cl.pl.Memory(s.node)
 	s.memMu = s.cl.pl.MemMutex(s.node)
@@ -134,12 +127,7 @@ func (s *Server) start() {
 	} else {
 		s.cl.pl.SetHandler(s.node, s.handle)
 	}
-	// The pools must exist before any daemon spawns: on wall-clock
-	// fabrics Spawn starts the goroutine immediately.
 	name := fmt.Sprintf("mn%d", s.mn)
-	ckptw := s.cl.Cfg.ckptWorkers()
-	s.ckpt = spawnMNPool(s.cl.pl, s.node, name+"-ckptworker", ckptw, rdma.CoreCkptWorker(0))
-	s.ec = spawnMNPool(s.cl.pl, s.node, name+"-ecworker", s.cl.Cfg.ecWorkers(), rdma.CoreECWorker(ckptw, 0))
 	s.cl.pl.Spawn(s.node, name+"-encoder", s.encoderLoop)
 	s.cl.pl.Spawn(s.node, name+"-ckptsend", s.ckptSendLoop)
 	s.cl.pl.Spawn(s.node, name+"-ckptrecv", s.ckptRecvLoop)
@@ -151,8 +139,6 @@ func (s *Server) stop() {
 	s.mu.Lock()
 	s.stopped = true
 	s.mu.Unlock()
-	s.ckpt.close()
-	s.ec.close()
 }
 
 func (s *Server) isStopped() bool {
@@ -750,10 +736,9 @@ func (s *Server) handleApplyCkpt(req []byte) ([]byte, time.Duration) {
 // and parity mutations happen in one critical section so degraded
 // readers never observe a delta both encoded and pending; on simnet
 // that atomicity requires no sim operation inside the section, so the
-// fold's modelled CPU cost is charged afterwards — fanned out over the
-// EC worker cores so the virtual elapsed time shrinks with the pool
-// size (wall-clock fabrics get their parallelism from the erasure
-// package's own goroutine pool inside ApplyDeltas).
+// fold's modelled CPU cost is charged afterwards, on this core
+// (wall-clock fabrics get their parallelism from the erasure package's
+// own goroutine pool inside ApplyDeltas).
 func (s *Server) encoderLoop(ctx rdma.Ctx) {
 	const encodePoll = 50 * time.Microsecond
 	var batch []encodeJob
@@ -808,10 +793,9 @@ func (s *Server) encoderLoop(ctx rdma.Ctx) {
 			s.mu.Unlock()
 			s.memMu.Unlock()
 			if encCost > 0 {
-				width := s.cl.code.BandWidth(int(s.cl.L.Cfg.BlockSize))
-				elapsed := s.ec.fanOut(ctx, width, func(lo, hi int) time.Duration {
-					return time.Duration(float64(encCost) * float64(hi-lo) / float64(width))
-				}, rdma.CoreErasure)
+				start := ctx.Now()
+				ctx.UseCPU(rdma.CoreErasure, encCost)
+				elapsed := ctx.Now() - start
 				s.mu.Lock()
 				s.ecEncodeNs += uint64(elapsed)
 				s.mu.Unlock()

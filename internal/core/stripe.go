@@ -203,7 +203,7 @@ func readStripeRangeFull(ctx rdma.Ctx, cl *Cluster, packed uint64, buf []byte) e
 	if err != nil {
 		return errStripeUnavailable
 	}
-	pl.RunPooled(sc.shards, cl.Cfg.ecWorkers())
+	pl.RunPooled(sc.shards, cl.ecFanOut)
 	out := sc.shards[myXID]
 	if sc.hasDelta[myXID] {
 		erasure.XorInto(out, sc.deltas[myXID])

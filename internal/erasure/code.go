@@ -35,13 +35,11 @@ type ShardDelta struct {
 // one stripe; shards must be the same length (for the XOR code, a
 // multiple of SegmentAlign).
 //
-// Banded kernels: every heavy method has a band form that operates on
-// the column range [lo, hi) of the code's band dimension (BandWidth).
-// Bands are disjoint — no two bands read or write the same parity
-// byte — so callers may fan bands out over workers with no further
-// synchronisation. The whole-shard methods do this internally through
-// the package worker pool when SetWorkers on the concrete type asks
-// for it.
+// Every heavy kernel is banded internally on the column range [lo, hi)
+// of the code's band dimension; bands are disjoint (no two read or
+// write the same parity byte), so the whole-shard methods fan them out
+// over the package worker pool when SetWorkers on the concrete type
+// asks for it.
 type Code interface {
 	// Name identifies the code ("xor" or "rs") in reports.
 	Name() string
@@ -70,22 +68,14 @@ type Code interface {
 	// over the parity — the batched form of UpdateOne that delta-based
 	// reclamation uses to retire many DELTA blocks together.
 	ApplyDeltas(pi int, parity []byte, deltas []ShardDelta)
-	// ApplyDeltasBand is ApplyDeltas restricted to the band [lo, hi)
-	// of BandWidth(len(parity)); bands are disjoint across workers.
-	ApplyDeltasBand(pi int, parity []byte, deltas []ShardDelta, lo, hi int)
-	// BandWidth returns the length of the band dimension for shards of
-	// n bytes: the segment size for array codes (every segment's
-	// column range [lo, hi) is touched by band [lo, hi)), n itself for
-	// codes with no internal layout.
-	BandWidth(n int) int
 	// Reconstruct recomputes the missing shards in place. shards holds
 	// the K data shards followed by the M parity shards; present[i]
 	// tells whether shards[i] survived. Missing shards must be
 	// pre-allocated (their contents are ignored and overwritten).
 	Reconstruct(shards [][]byte, present []bool) error
 	// PlanReconstruct validates the erasure pattern and performs the
-	// solver elimination once, returning a Plan whose Run applies pure
-	// banded XOR/GF work — the form callers fan out over worker pools.
+	// solver elimination once, returning a Plan whose RunPooled applies
+	// pure banded XOR/GF work.
 	// A nil Plan (and nil error) means nothing is missing.
 	PlanReconstruct(shards [][]byte, present []bool) (*Plan, error)
 	// SegmentAlign returns the required shard-length multiple (1 for

@@ -114,7 +114,7 @@ func TestPlanKeep(t *testing.T) {
 						t.Fatalf("%s k=%d erase (%d,%d): %v", c.Name(), k, a, b, err)
 					}
 					pl.Keep(a)
-					pl.Run(shards, 0, pl.Width())
+					pl.run(shards, 0, pl.width)
 					if !bytes.Equal(shards[a], orig[a]) {
 						t.Fatalf("%s k=%d erase (%d,%d): kept shard %d wrong", c.Name(), k, a, b, a)
 					}

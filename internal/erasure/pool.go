@@ -17,10 +17,9 @@ import (
 // the submitter drains bands too so a fan-out never waits on scheduler
 // latency for work it could do itself.
 //
-// This pool is the wall-clock twin of the simulated erasure worker
-// cores in internal/core (ecpool.go): same band split, same claim
-// discipline, so tcpnet wall time and simnet virtual time parallelise
-// the same way.
+// On a simulated fabric a memory node runs these kernels inline on its
+// one erasure core and charges their modelled cost there, so the pool
+// only supplies wall-clock parallelism on a real fabric.
 
 const (
 	// maxPoolWorkers bounds the fan-out regardless of SetWorkers.
@@ -72,7 +71,7 @@ func (j *bandJob) run(lo, hi int) {
 	case jobXEncode:
 		j.x.encodeBand(j.data, lo, hi)
 	case jobPlan:
-		j.plan.Run(j.shards, lo, hi)
+		j.plan.run(j.shards, lo, hi)
 	}
 }
 
@@ -189,7 +188,7 @@ func (p *workerPool) fanOut(width, nw int) {
 func runPlanPooled(pl *Plan, shards [][]byte, workers int) {
 	nw := poolWorkers(workers, pl.width)
 	if nw <= 1 {
-		pl.Run(shards, 0, pl.width)
+		pl.run(shards, 0, pl.width)
 		return
 	}
 	shared.mu.Lock()

@@ -39,9 +39,6 @@ func (c *RSCode) M() int { return c.m }
 // SegmentAlign implements Code.
 func (c *RSCode) SegmentAlign() int { return 1 }
 
-// BandWidth implements Code: no internal layout, bands are byte ranges.
-func (c *RSCode) BandWidth(n int) int { return n }
-
 // SetWorkers sets the wall-clock fan-out for whole-shard kernels
 // (clamped per call by band width; ≤1 keeps everything on the caller).
 func (c *RSCode) SetWorkers(n int) { c.workers = n }
@@ -111,14 +108,6 @@ func (c *RSCode) ApplyDeltas(pi int, parity []byte, deltas []ShardDelta) {
 	shared.job.deltas = deltas
 	shared.fanOut(len(parity), nw)
 	shared.mu.Unlock()
-}
-
-// ApplyDeltasBand implements Code.
-func (c *RSCode) ApplyDeltasBand(pi int, parity []byte, deltas []ShardDelta, lo, hi int) {
-	if hi > len(parity) {
-		hi = len(parity)
-	}
-	c.applyDeltasBand(pi, parity, deltas, lo, hi)
 }
 
 func (c *RSCode) applyDeltasBand(pi int, parity []byte, deltas []ShardDelta, lo, hi int) {

@@ -3,11 +3,11 @@ package erasure
 import "fmt"
 
 // Plan is a prepared reconstruction: the solver elimination has already
-// run symbolically, leaving only data movement. Run applies the plan to
+// run symbolically, leaving only data movement. run applies the plan to
 // any band [lo, hi) of the band dimension, and bands are disjoint (each
-// touches only those columns of every segment), so callers fan a plan
-// out over worker pools — wall-clock goroutines on real fabrics,
-// simulated worker cores on simnet — with no further synchronisation.
+// touches only those columns of every segment), so RunPooled fans a
+// plan out over the package worker pool with no further
+// synchronisation.
 //
 // A plan holds either XOR targets/terms (EVENODD, X-Code) or flat
 // GF(2^8) coefficients (Reed-Solomon); the other set is empty.
@@ -30,14 +30,10 @@ type rsTerm struct {
 	src int
 }
 
-// Width returns the plan's band dimension length; Run's [lo, hi) ranges
-// partition [0, Width()).
-func (pl *Plan) Width() int { return pl.width }
-
-// Run applies the plan to band [lo, hi). shards must be the same matrix
-// the plan was built for (missing shards pre-allocated; they are
-// overwritten).
-func (pl *Plan) Run(shards [][]byte, lo, hi int) {
+// run applies the plan to band [lo, hi) of [0, width). shards must be
+// the same matrix the plan was built for (missing shards pre-allocated;
+// they are overwritten).
+func (pl *Plan) run(shards [][]byte, lo, hi int) {
 	if hi > pl.width {
 		hi = pl.width
 	}
@@ -88,8 +84,7 @@ func (pl *Plan) Keep(shard int) {
 
 // RunPooled applies the whole plan, fanning bands out over the
 // package's wall-clock worker pool when workers and the plan width
-// allow (the same split Reconstruct uses internally). Callers that
-// already band their own fan-out use Run instead.
+// allow (the same split Reconstruct uses internally).
 func (pl *Plan) RunPooled(shards [][]byte, workers int) {
 	runPlanPooled(pl, shards, workers)
 }

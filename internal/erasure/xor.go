@@ -68,9 +68,6 @@ func (c *XorCode) M() int { return 2 }
 // SegmentAlign implements Code: shard length must be a multiple of p−1.
 func (c *XorCode) SegmentAlign() int { return c.p - 1 }
 
-// BandWidth implements Code: the band dimension is the segment size.
-func (c *XorCode) BandWidth(n int) int { return n / (c.p - 1) }
-
 // SetWorkers sets the wall-clock fan-out for whole-shard kernels
 // (clamped per call by band width; ≤1 keeps everything on the caller).
 // Not safe to change while kernels are in flight — configure at setup.
@@ -176,14 +173,6 @@ func (c *XorCode) ApplyDeltas(pi int, parity []byte, deltas []ShardDelta) {
 	shared.job.deltas = deltas
 	shared.fanOut(width, nw)
 	shared.mu.Unlock()
-}
-
-// ApplyDeltasBand implements Code.
-func (c *XorCode) ApplyDeltasBand(pi int, parity []byte, deltas []ShardDelta, lo, hi int) {
-	if w := len(parity) / (c.p - 1); hi > w {
-		hi = w
-	}
-	c.applyDeltasBand(pi, parity, deltas, lo, hi)
 }
 
 func (c *XorCode) applyDeltasBand(pi int, parity []byte, deltas []ShardDelta, lo, hi int) {

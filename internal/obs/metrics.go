@@ -506,8 +506,7 @@ func (p *Platform) TransportStats() rdma.TransportStats {
 }
 
 // VirtualTime implements rdma.VirtualTime by delegation (false when
-// the inner fabric runs on the wall clock, so poll-based sim-core
-// worker pools stay inert).
+// the inner fabric runs on the wall clock).
 func (p *Platform) VirtualTime() bool {
 	return rdma.IsVirtual(p.inner)
 }

@@ -322,12 +322,11 @@ type WriteObserver interface {
 }
 
 // VirtualTime marks a Platform whose processes run in simulated time:
-// Ctx.Sleep advances an engine clock instead of the wall clock, so a
-// poll-based worker process costs nothing while idle. Wall-clock
-// fabrics do not implement it — there an idle 5 µs sleep-poll loop
-// burns a real core, so the memory node's sim-core pools (checkpoint
-// compressors and erasure workers alike) spawn no workers and run
-// every job inline, leaving the parallelism to goroutine pools. Core
+// Ctx.Sleep advances an engine clock instead of the wall clock and
+// Ctx.UseCPU charges modelled cost to a simulated core. Wall-clock
+// fabrics do not implement it; there the memory node sizes the erasure
+// package's goroutine fan-out from GOMAXPROCS, while on a virtual-time
+// fabric every kernel runs inline on its core at modelled cost. Core
 // code type-asserts a Platform to reach it, exactly like FaultInjector.
 type VirtualTime interface {
 	// VirtualTime reports whether the platform's clock is simulated.
@@ -393,9 +392,8 @@ func (NopLocker) Unlock() {}
 
 // CPU core roles on a memory node, matching the paper's assignment
 // (§4.1): one core each for RPC serving, erasure coding, checkpoint
-// sending and checkpoint receiving. On virtual-time fabrics the
-// checkpoint and erasure pool workers occupy additional cores starting
-// at NumMNCores (see CoreCkptWorker, CoreECWorker).
+// sending and checkpoint receiving. A memory node has exactly these
+// NumMNCores cores.
 const (
 	CoreRPC = iota
 	CoreErasure
@@ -403,16 +401,3 @@ const (
 	CoreCkptRecv
 	NumMNCores
 )
-
-// CoreCkptWorker returns the core index of the i-th checkpoint
-// compression worker. Its cores sit right after the four fixed roles,
-// ahead of the erasure workers', and simulated fabrics charge worker
-// compression as real per-core contention.
-func CoreCkptWorker(i int) int { return NumMNCores + i }
-
-// CoreECWorker returns the core index of the i-th erasure worker on a
-// node running ckptWorkers checkpoint workers: erasure worker cores
-// sit after the fixed roles and the checkpoint pool, so a node sized
-// with NumMNCores+ckptWorkers+ecWorkers cores charges banded erasure
-// kernels as real per-core contention alongside compression.
-func CoreECWorker(ckptWorkers, i int) int { return NumMNCores + ckptWorkers + i }

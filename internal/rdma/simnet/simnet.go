@@ -249,7 +249,7 @@ func (pl *Platform) Memory(nodeID rdma.NodeID) []byte { return pl.nodes[nodeID].
 func (pl *Platform) MemMutex(nodeID rdma.NodeID) sync.Locker { return rdma.NopLocker{} }
 
 // VirtualTime implements rdma.VirtualTime: simulated processes sleep
-// in engine time, so poll-based worker pools idle for free.
+// in engine time.
 func (pl *Platform) VirtualTime() bool { return true }
 
 // ctx implements rdma.Ctx for one simulated process.
