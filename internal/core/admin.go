@@ -41,7 +41,7 @@ func (s *Server) handleAdminChaos(req []byte) ([]byte, time.Duration) {
 		ResetProb: math.Float64frombits(d.u64()),
 	}
 	fi, ok := s.cl.pl.(rdma.FaultInjector)
-	if !ok {
+	if d.short || !ok {
 		return []byte{stBadArg}, time.Microsecond
 	}
 	fi.SetChaos(s.node, cfg)

@@ -33,7 +33,8 @@ type blockPrefetcher struct {
 	stopped bool
 }
 
-// flushJob is one encoded methodFreeBits payload bound for node.
+// flushJob is one encoded methodFreeBits payload bound for node: a
+// flush queues at most one per MN.
 type flushJob struct {
 	node    rdma.NodeID
 	payload []byte

@@ -14,6 +14,7 @@ package core
 // remain detectable exactly as with the old full-image pipeline.
 
 import (
+	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -149,8 +150,7 @@ func (f *ckptFramer) processSeg(i int) time.Duration {
 		rec.compLen = len(rec.payload)
 		cost = cpuTime(ln, f.rates.Compress)
 	default:
-		copy(f.delta[seg], f.snap[seg])
-		erasure.XorInto(f.delta[seg], f.last[seg])
+		subtle.XORBytes(f.delta[seg], f.snap[seg], f.last[seg])
 		f.comp[seg] = lz4.Compress(f.comp[seg][:0], f.delta[seg])
 		rec.flags = 0
 		rec.payload = f.comp[seg]

@@ -179,6 +179,9 @@ func (c *Client) provisionBlock(ctx rdma.Ctx, classUnits uint8, seq *int, st *Cl
 		reused := d.u8() == 1
 		copyIdx := d.u32()
 		oldBits := d.bytes()
+		if d.short {
+			continue
+		}
 
 		ob := &openBlock{
 			class: classUnits, mn: mn, idx: idx, stripe: stripe, xorID: xorID,
@@ -275,7 +278,11 @@ func (c *Client) allocDeltas(ctx rdma.Ctx, ob *openBlock) bool {
 			return false
 		}
 		dd := dec{b: dresp[1:]}
-		ob.deltas = append(ob.deltas, deltaTarget{mn: pmn, blockOff: l.BlockOff(int(dd.u32()))})
+		db := int(dd.u32())
+		if dd.short {
+			return false
+		}
+		ob.deltas = append(ob.deltas, deltaTarget{mn: pmn, blockOff: l.BlockOff(db)})
 	}
 	return true
 }
@@ -359,13 +366,14 @@ func (c *Client) markObsolete(packed uint64) {
 // without bound.
 const maxPendingKeys = 64
 
-// FlushBitmaps sends all queued free-bitmap updates to their servers.
-// Clients flush automatically every Config.BitmapFlushOps markings;
-// harnesses call it at workload end. Flush order is sorted so
-// simulated runs stay deterministic. With the prefetcher running, the
-// payloads are built here (cheap) but the RPCs are issued by the
-// background worker. Drained entries retain their slice capacity (up
-// to maxPendingKeys) so steady-state flushes do not allocate.
+// FlushBitmaps sends all queued free-bitmap updates to their servers,
+// one RPC per MN carrying every block marked there. Clients flush
+// automatically every Config.BitmapFlushOps markings; harnesses call it
+// at workload end. Flush order is sorted so simulated runs stay
+// deterministic. With the prefetcher running, the payloads are built
+// here (cheap) but the RPCs are issued by the background worker.
+// Drained entries retain their slice capacity (up to maxPendingKeys) so
+// steady-state flushes do not allocate.
 func (c *Client) FlushBitmaps() {
 	keys := c.flushKeys[:0]
 	for k, bits := range c.pending {
@@ -386,21 +394,27 @@ func (c *Client) FlushBitmaps() {
 			keys[j], keys[j-1] = keys[j-1], keys[j]
 		}
 	}
-	for _, k := range keys {
-		bits := c.pending[k]
-		node, alive := c.cl.view.nodeOf(k.mn)
-		if alive {
-			c.sendFreeBits(node, k, bits)
+	for i := 0; i < len(keys); {
+		j := i + 1
+		for j < len(keys) && keys[j].mn == keys[i].mn {
+			j++
 		}
-		c.pending[k] = bits[:0]
+		if node, alive := c.cl.view.nodeOf(keys[i].mn); alive {
+			c.sendFreeBits(node, keys[i:j])
+		}
+		i = j
+	}
+	for _, k := range keys {
+		c.pending[k] = c.pending[k][:0]
 	}
 	c.flushKeys = keys[:0]
 	c.pendingN = 0
 }
 
-// sendFreeBits encodes and delivers one block's free-bitmap update —
+// sendFreeBits encodes and delivers one MN's free-bitmap update, the
+// marks of every block in keys (the MN's run of the sorted flush keys),
 // through the prefetch worker when it is running, inline otherwise.
-func (c *Client) sendFreeBits(node rdma.NodeID, k pendKey, units []uint32) {
+func (c *Client) sendFreeBits(node rdma.NodeID, keys []pendKey) {
 	var buf []byte
 	if c.pf != nil {
 		buf = c.pf.getBuf()
@@ -408,10 +422,14 @@ func (c *Client) sendFreeBits(node rdma.NodeID, k pendKey, units []uint32) {
 		buf = c.flushEnc
 	}
 	e := enc{b: buf[:0]}
-	e.u32(uint32(k.block))
-	e.u16(uint16(len(units)))
-	for _, u := range units {
-		e.u32(u)
+	e.u16(uint16(len(keys)))
+	for _, k := range keys {
+		units := c.pending[k]
+		e.u32(uint32(k.block))
+		e.u16(uint16(len(units)))
+		for _, u := range units {
+			e.u32(u)
+		}
 	}
 	if c.pf != nil && c.pf.enqueueFlush(flushJob{node: node, payload: e.b}) {
 		return

@@ -79,6 +79,9 @@ func (c *Client) Restart(ctx rdma.Ctx) error {
 			o.stripe = d.u32()
 			o.xorID = d.u8()
 			o.class = d.u8()
+			if d.short {
+				break
+			}
 			all = append(all, o)
 		}
 	}

@@ -31,7 +31,7 @@ type testCluster struct {
 	cl *Cluster
 }
 
-func newTestCluster(t *testing.T, mutate func(*Config)) *testCluster {
+func newTestCluster(t testing.TB, mutate func(*Config)) *testCluster {
 	t.Helper()
 	cfg := testConfig()
 	if mutate != nil {

@@ -131,23 +131,184 @@ func TestFreeBitsDropsWhatNamesNoSlot(t *testing.T) {
 		t.Fatalf("no DATA block of a multi-unit class and FREE block on one MN (mn %d data %d free %d class %d)", mn, data, free, class)
 	}
 	slots := l.KVSlotsPerBlock(uint8(class))
-	send := func(block int, units ...int) {
-		var e enc
-		e.u32(uint32(block))
-		e.u16(uint16(len(units)))
-		for _, u := range units {
-			e.u32(uint32(u))
-		}
-		if resp := tc.rpc(t, mn, methodFreeBits, e.b); resp[0] != stOK {
-			t.Fatalf("freebits on block %d: status %d", block, resp[0])
-		}
+	// A payload is validated whole: a second block id out of range
+	// rejects the request before the first block's valid mark lands.
+	bad := freeBitsPayload([]int{data, 7 * class}, []int{l.Cfg.BlocksPerMN()})
+	if resp := tc.rpc(t, mn, methodFreeBits, bad); resp[0] != stBadArg {
+		t.Fatalf("freebits naming an out-of-range second block: status %d, want stBadArg", resp[0])
 	}
-	send(data, 3*class, 5*class+1, slots*class, 1<<30)
-	send(free, 0, class)
+	if got := layout.BitmapCount(tc.cl.servers[mn].bitmap(data)); got != 0 {
+		t.Fatalf("rejected freebits set %d bits of the first block, want none", got)
+	}
+	req := freeBitsPayload([]int{data, 3 * class, 5*class + 1, slots * class, 1 << 30}, []int{free, 0, class})
+	if resp := tc.rpc(t, mn, methodFreeBits, req); resp[0] != stOK {
+		t.Fatalf("freebits: status %d", resp[0])
+	}
 	if got := layout.BitmapCount(tc.cl.servers[mn].bitmap(data)); got != 1 || !layout.BitmapGet(tc.cl.servers[mn].bitmap(data), 3) {
 		t.Errorf("DATA block: %d bits set, want only slot 3's", got)
 	}
 	if got := layout.BitmapCount(tc.cl.servers[mn].bitmap(free)); got != 0 {
 		t.Errorf("FREE block: %d bits set, want none", got)
 	}
+}
+
+// freeBitsPayload encodes a methodFreeBits request: each argument is a
+// block id followed by the units marked in it.
+func freeBitsPayload(blocks ...[]int) []byte {
+	var e enc
+	e.u16(uint16(len(blocks)))
+	for _, b := range blocks {
+		e.u32(uint32(b[0]))
+		e.u16(uint16(len(b) - 1))
+		for _, u := range b[1:] {
+			e.u32(uint32(u))
+		}
+	}
+	return e.b
+}
+
+// allocData opens a fresh DATA block of class on server srv through its
+// handler and returns the block id.
+func allocData(t testing.TB, srv *Server, class uint8) int {
+	t.Helper()
+	var e enc
+	e.u16(1)
+	e.u8(class)
+	resp, _ := srv.handle(methodAllocBlock, e.b)
+	if resp[0] != stOK {
+		t.Fatalf("alloc block of class %d on mn %d: status %d", class, srv.mn, resp[0])
+	}
+	d := dec{b: resp[1:]}
+	return int(d.u32())
+}
+
+// TestFreeBitsOneRPCPerMN pins that a flush costs one FreeBits RPC per
+// MN it marks, not one per block: a client holds marks on four blocks
+// of every MN (three size classes, one mark inside a slot that names
+// none) and flushes once, with its prefetch worker delivering. Every
+// bitmap must then hold exactly the slots the marks name.
+func TestFreeBitsOneRPCPerMN(t *testing.T) {
+	tc := newTestCluster(t, nil)
+	l := tc.cl.L
+	type blk struct{ mn, idx int }
+	want := map[blk][]int{} // slots each block's bitmap must hold
+	var marks []uint64
+	for mn := 0; mn < l.Cfg.NumMNs; mn++ {
+		for k := 0; k < 4; k++ {
+			class := uint8(k%3 + 1)
+			b := allocData(t, tc.cl.servers[mn], class)
+			unit := func(u int) uint64 {
+				return layout.PackAddr(uint16(mn), l.BlockOff(b)+uint64(u)*64)
+			}
+			c := int(class)
+			marks = append(marks, unit(k*c), unit((k+2)*c))
+			if c > 1 {
+				marks = append(marks, unit(5*c+1)) // inside slot 5: dropped
+			}
+			want[blk{mn, b}] = []int{k, k + 2}
+		}
+	}
+	rpcs := make([]int, l.Cfg.NumMNs)
+	for mn := range rpcs {
+		node, _ := tc.cl.view.nodeOf(mn)
+		handle := tc.pl.Handler(node)
+		tc.pl.SetHandler(node, func(method uint8, req []byte) ([]byte, time.Duration) {
+			if method == methodFreeBits {
+				rpcs[mn]++
+			}
+			return handle(method, req)
+		})
+	}
+	tc.runClients(t, time.Second, func(c *Client) {
+		for _, p := range marks {
+			c.markObsolete(p)
+		}
+		c.FlushBitmaps()
+	})
+	tc.run(5 * time.Millisecond) // the prefetch worker delivers the flush
+	for mn, n := range rpcs {
+		if n != 1 {
+			t.Errorf("mn %d: %d FreeBits RPCs for one flush, want 1", mn, n)
+		}
+	}
+	for b, slots := range want {
+		bm := tc.cl.servers[b.mn].bitmap(b.idx)
+		if got := layout.BitmapCount(bm); got != len(slots) {
+			t.Errorf("mn %d block %d: %d bits set, want %d", b.mn, b.idx, got, len(slots))
+		}
+		for _, s := range slots {
+			if !layout.BitmapGet(bm, s) {
+				t.Errorf("mn %d block %d: slot %d not marked", b.mn, b.idx, s)
+			}
+		}
+	}
+}
+
+// FuzzFreeBits drives one MN's FreeBits handler with arbitrary
+// payloads. It must not panic; a rejected request must change no
+// bitmap; an accepted one must set exactly the bits its marks name in
+// DATA blocks (unit a multiple of the block's class, below its slot
+// count) and nothing else.
+func FuzzFreeBits(f *testing.F) {
+	tc := newTestCluster(f, nil)
+	l := tc.cl.L
+	srv := tc.cl.servers[0]
+	a, b := allocData(f, srv, 2), allocData(f, srv, 3)
+	free := -1
+	for blk := l.Cfg.BlocksPerMN() - 1; blk >= 0 && free < 0; blk-- {
+		if srv.record(blk).Role == layout.RoleFree {
+			free = blk
+		}
+	}
+	f.Add(freeBitsPayload([]int{a, 0, 2, 5}, []int{b, 3, 4, 18}, []int{free, 0, 3}))
+	f.Add(freeBitsPayload([]int{a, 4}, []int{l.Cfg.BlocksPerMN(), 0}))
+	tail := freeBitsPayload([]int{a, 2, 4, 6})
+	f.Add(tail[:len(tail)-2])
+
+	nb := l.Cfg.BlocksPerMN()
+	before := make([][]byte, nb)
+	for blk := range before {
+		before[blk] = make([]byte, len(srv.bitmap(blk)))
+	}
+	f.Fuzz(func(t *testing.T, req []byte) {
+		for blk := range before {
+			copy(before[blk], srv.bitmap(blk))
+		}
+		defer func() { // every input starts from the same bitmaps
+			for blk := range before {
+				copy(srv.bitmap(blk), before[blk])
+			}
+		}()
+		resp, _ := srv.handle(methodFreeBits, req)
+		if resp[0] != stOK {
+			for blk := range before {
+				if !bytes.Equal(srv.bitmap(blk), before[blk]) {
+					t.Fatalf("rejected request (status %d) changed block %d's bitmap", resp[0], blk)
+				}
+			}
+			return
+		}
+		named := map[[2]int]bool{} // (block, slot) pairs the marks name
+		d := dec{b: req}
+		for i, n := 0, int(d.u16()); i < n; i++ {
+			blk, units := int(d.u32()), int(d.u16())
+			rec := srv.record(blk)
+			class, slots := int(rec.SizeClass), l.KVSlotsPerBlock(rec.SizeClass)
+			for j := 0; j < units; j++ {
+				u := int(d.u32())
+				if rec.Role == layout.RoleData && class > 0 && u%class == 0 && u/class < slots {
+					named[[2]int{blk, u / class}] = true
+				}
+			}
+		}
+		for blk := range before {
+			bm := srv.bitmap(blk)
+			for s := 0; s < 8*len(bm); s++ {
+				was, is := layout.BitmapGet(before[blk], s), layout.BitmapGet(bm, s)
+				if want := was || named[[2]int{blk, s}]; is != want {
+					t.Fatalf("block %d slot %d: bit %v after the request (was %v), want %v", blk, s, is, was, want)
+				}
+			}
+		}
+	})
 }

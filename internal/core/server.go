@@ -42,6 +42,13 @@ type Server struct {
 	dirty    map[int]bool
 	stopped  bool
 
+	// metaSyncRound's scratch, kept across rounds so that a steady-state
+	// round allocates nothing: the sorted dirty list, the staged record
+	// and bitmap copies, and the write ops.
+	syncDirty []int
+	syncBuf   []byte
+	syncOps   []rdma.Op
+
 	// Segment-parallel checkpoint pipeline state (ckpt.go).
 	ckptDirty    []atomic.Uint64 // per-segment dirty bitmap, set by the write observer
 	ckptTracked  bool            // observer wired; else every segment ships every round
@@ -411,6 +418,9 @@ func (s *Server) handleAllocBlock(req []byte) ([]byte, time.Duration) {
 	cliID := d.u16()
 	class := d.u8()
 	cpu := 2 * time.Microsecond
+	if d.short {
+		return []byte{stBadArg}, cpu
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
@@ -515,7 +525,7 @@ func (s *Server) handleAllocDelta(req []byte) ([]byte, time.Duration) {
 	defer s.mu.Unlock()
 
 	pidx, ok := s.cl.L.IsParityMN(stripe, s.mn)
-	if !ok || int(stripe) >= s.cl.L.Cfg.StripeRows || int(xorID) >= s.cl.code.K() {
+	if d.short || !ok || int(stripe) >= s.cl.L.Cfg.StripeRows || int(xorID) >= s.cl.code.K() {
 		return []byte{stBadArg}, cpu
 	}
 	prec := s.record(int(stripe))
@@ -560,6 +570,10 @@ func (s *Server) handleSealBlock(req []byte) ([]byte, time.Duration) {
 	b := int(d.u32())
 	copyIdx := d.u32()
 	cpu := time.Microsecond
+	nb := s.cl.L.Cfg.BlocksPerMN()
+	if d.short || b >= nb || (copyIdx != ^uint32(0) && int(copyIdx) >= nb) {
+		return []byte{stBadArg}, cpu
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	rec := s.record(b)
@@ -590,21 +604,35 @@ func (s *Server) handleEncodeDelta(method uint8, req []byte) ([]byte, time.Durat
 	d := dec{b: req}
 	stripe := d.u32()
 	xorID := d.u8()
+	if d.short || int(stripe) >= s.cl.L.Cfg.StripeRows || int(xorID) >= s.cl.code.K() {
+		return []byte{stBadArg}, 500 * time.Nanosecond
+	}
 	s.mu.Lock()
 	s.encodeQ = append(s.encodeQ, encodeJob{stripe: stripe, xorID: xorID, drop: method == methodDropDelta})
 	s.mu.Unlock()
 	return []byte{stOK}, 500 * time.Nanosecond
 }
 
-// handleFreeBits applies a batch of obsolete-KV markings to a block's
-// free bitmap (§3.3.3 ①). A mark names its pair by the pair's offset in
-// the block, in 64-byte units; the block's record says how many units a
-// slot spans.
+// handleFreeBits applies a client's batch of obsolete-KV markings to
+// the free bitmaps of the blocks it names (§3.3.3 ①). A mark names its
+// pair by the pair's offset in the block, in 64-byte units; the block's
+// record says how many units a slot spans. The whole payload is
+// validated before any bit is set, so a rejected request changes
+// nothing.
 func (s *Server) handleFreeBits(req []byte) ([]byte, time.Duration) {
 	d := dec{b: req}
-	b := int(d.u32())
-	n := int(d.u16())
-	if b < 0 || b >= s.cl.L.Cfg.BlocksPerMN() {
+	blocks := int(d.u16())
+	units := 0
+	for i := 0; i < blocks && !d.short; i++ {
+		b := int(d.u32())
+		n := int(d.u16())
+		d.take(4 * n)
+		if b >= s.cl.L.Cfg.BlocksPerMN() {
+			return []byte{stBadArg}, time.Microsecond
+		}
+		units += n
+	}
+	if d.short || d.off != len(req) {
 		return []byte{stBadArg}, time.Microsecond
 	}
 	// Every mark that names a slot is valid, even across block reuse: a
@@ -618,24 +646,29 @@ func (s *Server) handleFreeBits(req []byte) ([]byte, time.Duration) {
 	// tenant is live. A DATA block keeps its size class for life. What
 	// names no slot (not a DATA block, no class, a unit inside a slot or
 	// past the last one) is dropped.
+	d = dec{b: req, off: 2}
 	s.mu.Lock()
-	rec := s.record(b)
-	class, slots := int(rec.SizeClass), s.cl.L.KVSlotsPerBlock(rec.SizeClass)
-	if rec.Role != layout.RoleData {
-		slots = 0
-	}
-	bm := s.bitmap(b)
-	for i := 0; i < n; i++ {
-		unit := int(d.u32())
-		if slots == 0 || unit%class != 0 || unit/class >= slots {
-			continue
+	for i := 0; i < blocks; i++ {
+		b := int(d.u32())
+		n := int(d.u16())
+		rec := s.record(b)
+		class, slots := int(rec.SizeClass), s.cl.L.KVSlotsPerBlock(rec.SizeClass)
+		if rec.Role != layout.RoleData {
+			slots = 0
 		}
-		s.bitsApplied++
-		layout.BitmapSet(bm, unit/class)
+		bm := s.bitmap(b)
+		for j := 0; j < n; j++ {
+			unit := int(d.u32())
+			if slots == 0 || unit%class != 0 || unit/class >= slots {
+				continue
+			}
+			s.bitsApplied++
+			layout.BitmapSet(bm, unit/class)
+		}
+		s.dirty[b] = true
 	}
-	s.dirty[b] = true
 	s.mu.Unlock()
-	return []byte{stOK}, 500*time.Nanosecond + time.Duration(n)*10*time.Nanosecond
+	return []byte{stOK}, 500*time.Nanosecond + time.Duration(units)*10*time.Nanosecond
 }
 
 // handleQueryOwned lists this MN's unfilled DATA blocks, DELTA blocks
@@ -643,6 +676,9 @@ func (s *Server) handleFreeBits(req []byte) ([]byte, time.Duration) {
 func (s *Server) handleQueryOwned(req []byte) ([]byte, time.Duration) {
 	d := dec{b: req}
 	cliID := d.u16()
+	if d.short {
+		return []byte{stBadArg}, 2 * time.Microsecond
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var e enc
@@ -682,6 +718,9 @@ func (s *Server) handleQueryOwned(req []byte) ([]byte, time.Duration) {
 func (s *Server) handleCkptPrepare(req []byte) ([]byte, time.Duration) {
 	d := dec{b: req}
 	round := d.u64()
+	if d.short {
+		return []byte{stBadArg}, 500 * time.Nanosecond
+	}
 	s.raiseIndexVersion(round + 1)
 	return []byte{stOK}, 500 * time.Nanosecond
 }
@@ -693,6 +732,9 @@ func (s *Server) handleCkptPrepare(req []byte) ([]byte, time.Duration) {
 func (s *Server) handleCkptSnapshot(req []byte) ([]byte, time.Duration) {
 	d := dec{b: req}
 	round := d.u64()
+	if d.short {
+		return []byte{stBadArg}, 500 * time.Nanosecond
+	}
 	s.mu.Lock()
 	if round > s.snapshot {
 		s.snapshot = round
@@ -713,7 +755,7 @@ func (s *Server) handleApplyCkpt(req []byte) ([]byte, time.Duration) {
 	version := d.u64()
 	frameLen := int(d.u32())
 	slot := s.cl.L.CkptSlotFor(s.mn, owner)
-	if slot < 0 || frameLen < layout.CkptFrameHeaderSize ||
+	if d.short || owner >= s.cl.L.Cfg.NumMNs || slot < 0 || frameLen < layout.CkptFrameHeaderSize ||
 		uint64(frameLen) > s.cl.L.CkptStagingBytes() {
 		return []byte{stBadArg}, time.Microsecond
 	}
@@ -849,57 +891,61 @@ func (s *Server) claimEncodeBatch(stripe uint32, batch []encodeJob, deltas *[]er
 // the small, infrequently-modified metadata).
 func (s *Server) metaSyncLoop(ctx rdma.Ctx) {
 	const metaSyncInterval = 200 * time.Microsecond
-	l := s.cl.L
 	for !s.isStopped() {
 		ctx.Sleep(metaSyncInterval)
-		s.memMu.Lock()
-		s.mu.Lock()
-		if len(s.dirty) == 0 {
-			s.mu.Unlock()
-			s.memMu.Unlock()
-			continue
-		}
-		type piece struct {
-			rel  uint64
-			data []byte
-		}
-		dirty := make([]int, 0, len(s.dirty))
-		for b := range s.dirty {
-			dirty = append(dirty, b)
-		}
-		sort.Ints(dirty) // deterministic replication order
-		var pieces []piece
-		for _, b := range dirty {
-			rOff := l.RecordOff(b)
-			pieces = append(pieces, piece{rOff - l.MetaOff(),
-				append([]byte(nil), s.mem[rOff:rOff+layout.RecordSize]...)})
-			bOff := l.BitmapOff(b)
-			pieces = append(pieces, piece{bOff - l.MetaOff(),
-				append([]byte(nil), s.mem[bOff:bOff+l.BitmapBytes()]...)})
-			delete(s.dirty, b)
-		}
+		s.metaSyncRound(ctx)
+	}
+}
+
+// metaSyncRound stages the record and bitmap of every dirty block, in
+// block order, and writes them to each live replica host, 16 writes to
+// a doorbell.
+func (s *Server) metaSyncRound(ctx rdma.Ctx) {
+	l := s.cl.L
+	s.memMu.Lock()
+	s.mu.Lock()
+	if len(s.dirty) == 0 {
 		s.mu.Unlock()
 		s.memMu.Unlock()
-		for r := 0; r < l.Cfg.MetaReplicas; r++ {
-			host := l.MetaReplicaHostOf(s.mn, r)
-			node, ok := s.cl.view.nodeOf(host)
-			if !ok {
-				continue
-			}
-			slot := l.MetaReplicaSlotFor(host, s.mn)
-			base := l.MetaReplicaOff(slot)
-			var ops []rdma.Op
-			for _, pc := range pieces {
-				ops = append(ops, rdma.Op{Kind: rdma.OpWrite,
-					Addr: rdma.GlobalAddr{Node: node, Off: base + pc.rel}, Buf: pc.data})
-			}
-			for pos := 0; pos < len(ops); pos += 16 {
-				end := pos + 16
-				if end > len(ops) {
-					end = len(ops)
-				}
-				ctx.Batch(ops[pos:end]) //nolint:errcheck // replica host failure handled by recovery
-			}
-		}
+		return
 	}
+	dirty := s.syncDirty[:0]
+	for b := range s.dirty {
+		dirty = append(dirty, b)
+	}
+	clear(s.dirty)
+	sort.Ints(dirty) // deterministic replication order
+	per := layout.RecordSize + int(l.BitmapBytes())
+	buf := s.syncBuf
+	if need := len(dirty) * per; cap(buf) < need {
+		buf = make([]byte, need)
+	}
+	for i, b := range dirty {
+		st := buf[i*per:]
+		rOff, bOff := l.RecordOff(b), l.BitmapOff(b)
+		copy(st[:layout.RecordSize], s.mem[rOff:])
+		copy(st[layout.RecordSize:per], s.mem[bOff:])
+	}
+	s.mu.Unlock()
+	s.memMu.Unlock()
+	for r := 0; r < l.Cfg.MetaReplicas; r++ {
+		host := l.MetaReplicaHostOf(s.mn, r)
+		node, ok := s.cl.view.nodeOf(host)
+		if !ok {
+			continue
+		}
+		base := l.MetaReplicaOff(l.MetaReplicaSlotFor(host, s.mn)) - l.MetaOff()
+		ops := s.syncOps[:0]
+		for i, b := range dirty {
+			st := buf[i*per:]
+			ops = append(ops,
+				rdma.Op{Kind: rdma.OpWrite, Addr: rdma.GlobalAddr{Node: node, Off: base + l.RecordOff(b)},
+					Buf: st[:layout.RecordSize]},
+				rdma.Op{Kind: rdma.OpWrite, Addr: rdma.GlobalAddr{Node: node, Off: base + l.BitmapOff(b)},
+					Buf: st[layout.RecordSize:per]})
+		}
+		batchBy(ctx, ops, 16) // replica host failure is handled by recovery
+		s.syncOps = ops
+	}
+	s.syncDirty, s.syncBuf = dirty, buf
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 	"time"
@@ -58,11 +59,73 @@ func TestHandlerBadArgs(t *testing.T) {
 		t.Errorf("seal of FREE block accepted: %v", resp)
 	}
 	// FreeBits on an out-of-range block id.
-	var f1 enc
-	f1.u32(1 << 20)
-	f1.u16(0)
-	if resp := tc.rpc(t, 0, methodFreeBits, f1.b); resp[0] != stBadArg {
+	if resp := tc.rpc(t, 0, methodFreeBits, freeBitsPayload([]int{1 << 20})); resp[0] != stBadArg {
 		t.Errorf("freebits out of range accepted: %v", resp)
+	}
+	// Ids that name nothing on this MN: a seal's backup copy, an encode's
+	// stripe, a checkpoint frame's owner.
+	var s2 enc
+	s2.u32(0)
+	s2.u32(1 << 20)
+	if resp := tc.rpc(t, 0, methodSealBlock, s2.b); resp[0] != stBadArg {
+		t.Errorf("seal with an out-of-range copy block accepted: %v", resp)
+	}
+	var ed enc
+	ed.u32(1 << 30)
+	ed.u8(0)
+	if resp := tc.rpc(t, 0, methodEncodeDelta, ed.b); resp[0] != stBadArg {
+		t.Errorf("encode of an absurd stripe accepted: %v", resp)
+	}
+	var ac enc
+	ac.u8(uint8(tc.cl.L.Cfg.NumMNs + 1))
+	ac.u64(1)
+	ac.u32(64)
+	if resp := tc.rpc(t, 0, methodApplyCkpt, ac.b); resp[0] != stBadArg {
+		t.Errorf("checkpoint frame of an absurd owner accepted: %v", resp)
+	}
+}
+
+// TestHandlerShortRequests sends every method that takes arguments each
+// proper prefix of a well-formed request. A truncated request must get
+// stBadArg, not crash the MN: on tcpnet a handler panic ends the daemon.
+func TestHandlerShortRequests(t *testing.T) {
+	tc := newTestCluster(t, nil)
+	srv := tc.cl.servers[0]
+	full := func(put func(e *enc)) []byte {
+		var e enc
+		put(&e)
+		return e.b
+	}
+	for _, c := range []struct {
+		method uint8
+		req    []byte
+	}{
+		{methodAllocBlock, full(func(e *enc) { e.u16(1); e.u8(2) })},
+		{methodAllocDelta, full(func(e *enc) { e.u16(1); e.u32(0); e.u8(0); e.u8(2) })},
+		{methodSealBlock, full(func(e *enc) { e.u32(0); e.u32(^uint32(0)) })},
+		{methodEncodeDelta, full(func(e *enc) { e.u32(0); e.u8(0) })},
+		{methodDropDelta, full(func(e *enc) { e.u32(0); e.u8(0) })},
+		{methodFreeBits, freeBitsPayload([]int{0, 0, 2}, []int{1, 4})},
+		{methodQueryOwned, full(func(e *enc) { e.u16(1) })},
+		{methodCkptPrepare, full(func(e *enc) { e.u64(1) })},
+		{methodCkptSnapshot, full(func(e *enc) { e.u64(1) })},
+		{methodApplyCkpt, full(func(e *enc) { e.u8(1); e.u64(1); e.u32(64) })},
+		{methodAdminChaos, encodeChaos(rdma.ChaosConfig{})},
+	} {
+		t.Run(methodName(c.method), func(t *testing.T) {
+			for n := 0; n < len(c.req); n++ {
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							t.Errorf("%d-byte request: handler panicked: %v", n, r)
+						}
+					}()
+					if resp, _ := srv.handle(c.method, c.req[:n]); len(resp) != 1 || resp[0] != stBadArg {
+						t.Errorf("%d-byte request: response %v, want [stBadArg]", n, resp)
+					}
+				}()
+			}
+		})
 	}
 }
 
@@ -180,5 +243,46 @@ func TestAdminStatsRoundTrip(t *testing.T) {
 	}
 	if got := decodeStats(b[1:]); got != st {
 		t.Fatalf("round trip changed the stats:\n got %+v\nwant %+v", got, st)
+	}
+}
+
+// TestMetaSyncRoundZeroAlloc pins that a steady-state meta-sync round
+// allocates nothing, and that it lands each dirty block's record and
+// bitmap in every replica host's slot for this MN, one doorbell per
+// host for two blocks.
+func TestMetaSyncRoundZeroAlloc(t *testing.T) {
+	tc := newTestCluster(t, nil)
+	l := tc.cl.L
+	srv := tc.cl.servers[0]
+	blocks := []int{allocData(t, srv, 2), allocData(t, srv, 3)}
+	layout.BitmapSet(srv.bitmap(blocks[0]), 1)
+	ctx := &directCtx{pl: tc.pl}
+	round := func() {
+		for _, b := range blocks {
+			srv.dirty[b] = true
+		}
+		srv.metaSyncRound(ctx)
+	}
+	round() // sizes the scratch
+	if n := testing.AllocsPerRun(20, round); n != 0 {
+		t.Errorf("a meta-sync round of %d dirty blocks allocates %.1f objects, want 0", len(blocks), n)
+	}
+	ctx.doorbells = 0
+	round()
+	if ctx.doorbells != l.Cfg.MetaReplicas {
+		t.Errorf("a round rang %d doorbells, want %d (one per replica host)", ctx.doorbells, l.Cfg.MetaReplicas)
+	}
+	for r := 0; r < l.Cfg.MetaReplicas; r++ {
+		host := l.MetaReplicaHostOf(0, r)
+		node, _ := tc.cl.view.nodeOf(host)
+		mem := tc.pl.DirectMemory(node)
+		base := l.MetaReplicaOff(l.MetaReplicaSlotFor(host, 0)) - l.MetaOff()
+		for _, b := range blocks {
+			rOff, bOff := l.RecordOff(b), l.BitmapOff(b)
+			if !bytes.Equal(mem[base+rOff:][:layout.RecordSize], srv.mem[rOff:][:layout.RecordSize]) ||
+				!bytes.Equal(mem[base+bOff:][:l.BitmapBytes()], srv.mem[bOff:][:l.BitmapBytes()]) {
+				t.Errorf("replica host mn %d: block %d's record or bitmap differs from the owner's", host, b)
+			}
+		}
 	}
 }

@@ -24,7 +24,10 @@ const (
 	// (Figure 6, steps ②-④).
 	methodEncodeDelta
 	// methodFreeBits reports obsolete KV slots for the free bitmap
-	// (§3.3.3, step ①).
+	// (§3.3.3, step ①): one RPC per MN per flush, carrying every block
+	// the flush marks on that MN. Payload: u16 blocks, then per block
+	// u32 block, u16 n, n × u32 unit (a pair's offset in the block, in
+	// 64-byte units).
 	methodFreeBits
 	// methodQueryOwned lists the unfilled blocks owned by a client,
 	// for CN-crash recovery (§3.4.2).
@@ -83,33 +86,51 @@ func (e *enc) bytes(v []byte) {
 	e.b = append(e.b, v...)
 }
 
-// dec is the matching decoder; it panics on truncated input (RPC
-// payloads are trusted intra-system messages; a length bug is a
-// programming error, not an input error).
+// dec is the matching decoder. A read past the end of the payload
+// returns zero values and sets short, which stays set: a handler
+// decodes its fields, then answers stBadArg when short is set, before
+// it touches any state. A truncated request must not crash the MN (on
+// tcpnet a handler panic ends the daemon).
 type dec struct {
-	b   []byte
-	off int
+	b     []byte
+	off   int
+	short bool
 }
 
-func (d *dec) u8() uint8 { v := d.b[d.off]; d.off++; return v }
-func (d *dec) u16() uint16 {
-	v := binary.LittleEndian.Uint16(d.b[d.off:])
-	d.off += 2
-	return v
-}
-func (d *dec) u32() uint32 {
-	v := binary.LittleEndian.Uint32(d.b[d.off:])
-	d.off += 4
-	return v
-}
-func (d *dec) u64() uint64 {
-	v := binary.LittleEndian.Uint64(d.b[d.off:])
-	d.off += 8
-	return v
-}
-func (d *dec) bytes() []byte {
-	n := int(d.u32())
-	v := d.b[d.off : d.off+n]
+// take returns the next n bytes, or nil and sets short when fewer
+// remain.
+func (d *dec) take(n int) []byte {
+	if d.short || n < 0 || n > len(d.b)-d.off {
+		d.short = true
+		return nil
+	}
+	v := d.b[d.off : d.off+n : d.off+n]
 	d.off += n
 	return v
 }
+
+func (d *dec) u8() uint8 {
+	if v := d.take(1); v != nil {
+		return v[0]
+	}
+	return 0
+}
+func (d *dec) u16() uint16 {
+	if v := d.take(2); v != nil {
+		return binary.LittleEndian.Uint16(v)
+	}
+	return 0
+}
+func (d *dec) u32() uint32 {
+	if v := d.take(4); v != nil {
+		return binary.LittleEndian.Uint32(v)
+	}
+	return 0
+}
+func (d *dec) u64() uint64 {
+	if v := d.take(8); v != nil {
+		return binary.LittleEndian.Uint64(v)
+	}
+	return 0
+}
+func (d *dec) bytes() []byte { return d.take(int(d.u32())) }

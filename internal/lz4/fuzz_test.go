@@ -30,6 +30,13 @@ func FuzzRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("hello hello hello hello"))
 	f.Add(bytes.Repeat([]byte{0}, 1000))
+	// Periods 1-7: matches at offsets shorter than themselves, which
+	// Decompress fills by doubling copies; a changed byte ends each run.
+	for p := 1; p <= 7; p++ {
+		src := bytes.Repeat([]byte("lz4fuzz")[:p], 200/p)
+		src[len(src)/2] ^= 0xFF
+		f.Add(src)
+	}
 	f.Fuzz(func(t *testing.T, src []byte) {
 		if len(src) > 1<<20 {
 			return

@@ -12,12 +12,21 @@
 // [token | literal-length extension | literals | 16-bit offset |
 // match-length extension] records, minimum match length 4, and an
 // end-of-block rule requiring the final sequence to be literals only.
+//
+// Two kernels carry the checkpoint's zero runs. Compress extends a
+// match eight bytes at a time (extendMatch: the XOR of two
+// little-endian words, then bits.TrailingZeros64 for the first
+// difference) and only then byte by byte, so its output is byte for
+// byte what a byte loop emits. Decompress fills an overlapping match
+// (offset shorter than the match, as a zero run's offset 1 is) by
+// doubling copies of the period instead of one byte per step.
 package lz4
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // Errors returned by Decompress.
@@ -86,11 +95,7 @@ func Compress(dst, src []byte) []byte {
 		}
 		// Extend forwards. The match may run up to len(src)-lastLitMin
 		// so the final five bytes stay literals.
-		matchLen := minMatch
-		maxLen := len(src) - lastLitMin - pos
-		for matchLen < maxLen && src[pos+matchLen] == src[cand+matchLen] {
-			matchLen++
-		}
+		matchLen := extendMatch(src, cand, pos, minMatch, len(src)-lastLitMin-pos)
 		if matchLen < minMatch {
 			pos++
 			continue
@@ -107,6 +112,26 @@ func Compress(dst, src []byte) []byte {
 		}
 	}
 	return emitLastLiterals(dst, src[anchor:])
+}
+
+// extendMatch returns how far the match of src[pos:] against the
+// earlier src[cand:] runs, from n known-equal bytes up to at most
+// maxLen. Whole 8-byte words are compared first: the XOR of two
+// little-endian loads is zero while they agree, and its trailing zero
+// bits count the equal bytes in front of the first difference. The
+// bytes too few for a word are compared one at a time. The length is
+// exactly what a byte loop finds.
+func extendMatch(src []byte, cand, pos, n, maxLen int) int {
+	for n+8 <= maxLen {
+		if x := binary.LittleEndian.Uint64(src[pos+n:]) ^ binary.LittleEndian.Uint64(src[cand+n:]); x != 0 {
+			return n + bits.TrailingZeros64(x)>>3
+		}
+		n += 8
+	}
+	for n < maxLen && src[pos+n] == src[cand+n] {
+		n++
+	}
+	return n
 }
 
 // emitSequence appends one literal+match sequence.
@@ -207,10 +232,13 @@ func Decompress(dst, src []byte) (int, error) {
 		if di+matchLen > len(dst) {
 			return di, ErrDstTooSmall
 		}
-		// Byte-by-byte copy: matches may overlap their own output.
-		for i := 0; i < matchLen; i++ {
-			dst[di] = dst[di-offset]
-			di++
+		// A match may overlap its own output (offset < matchLen): the
+		// bytes from start repeat with period offset. Each copy moves
+		// whole periods, so the copied run doubles every pass until the
+		// match is filled; a match that does not overlap is one copy.
+		start, end := di-offset, di+matchLen
+		for di < end {
+			di += copy(dst[di:end], dst[start:di])
 		}
 	}
 	return di, nil

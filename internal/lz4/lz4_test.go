@@ -59,12 +59,7 @@ func TestZeroRunCompressesHard(t *testing.T) {
 // TestSparseDelta models the checkpoint-delta workload: a mostly-zero
 // buffer with a few percent of dirty 16-byte slots.
 func TestSparseDelta(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	src := make([]byte, 1<<20)
-	for i := 0; i < len(src)/16/50; i++ { // 2% of slots dirty
-		off := rng.Intn(len(src)/16) * 16
-		rng.Read(src[off : off+16])
-	}
+	src := sparseDelta(1 << 20) // 2% of slots dirty
 	comp := roundTrip(t, src)
 	if ratio := float64(len(comp)) / float64(len(src)); ratio > 0.10 {
 		t.Fatalf("sparse delta ratio %.3f, want < 0.10", ratio)
@@ -175,12 +170,7 @@ func TestQuickStructured(t *testing.T) {
 }
 
 func BenchmarkCompressSparseDelta(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	src := make([]byte, 4<<20)
-	for i := 0; i < len(src)/16/50; i++ {
-		off := rng.Intn(len(src)/16) * 16
-		rng.Read(src[off : off+16])
-	}
+	src := sparseDelta(4 << 20)
 	dst := make([]byte, 0, CompressBound(len(src)))
 	b.SetBytes(int64(len(src)))
 	b.ResetTimer()
@@ -190,12 +180,7 @@ func BenchmarkCompressSparseDelta(b *testing.B) {
 }
 
 func BenchmarkDecompressSparseDelta(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	src := make([]byte, 4<<20)
-	for i := 0; i < len(src)/16/50; i++ {
-		off := rng.Intn(len(src)/16) * 16
-		rng.Read(src[off : off+16])
-	}
+	src := sparseDelta(4 << 20)
 	comp := Compress(nil, src)
 	dst := make([]byte, len(src))
 	b.SetBytes(int64(len(src)))
