@@ -135,12 +135,12 @@ func main() {
 			EnablePprof: *pprofOn,
 		}
 		if cl != nil {
+			// No Cache or Write series: a daemon opens no client, so they
+			// would always read 0 (acesoload exports them).
 			exp.Gauges = func() map[string]float64 { return serverGauges(cl.Server(*mn).Stats()) }
 			exp.Trace = cl.Trace()
 			exp.Tracer = cl.Tracer()
 			exp.Ready = cl.Ready
-			exp.Cache = cl.CacheMetrics()
-			exp.Write = cl.WriteMetrics()
 		}
 		go func() {
 			if err := http.ListenAndServe(*metricsAddr, exp.Handler()); err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"time"
 
 	"repro/internal/obs"
@@ -55,84 +56,47 @@ func (s *Server) handleAdminStats(_ []byte) ([]byte, time.Duration) {
 }
 
 // encodeStats and decodeStats are the admin Stats wire format: stOK,
-// then every ServerStats field in declaration order.
+// then every ServerStats field in declaration order — MN as a u16, the
+// rest, all uint64, as u64s.
 func encodeStats(st ServerStats) []byte {
 	e := enc{b: []byte{stOK}}
 	e.u16(uint16(st.MN))
-	e.u64(st.IndexVersion)
-	e.u64(st.Reclaimed)
-	e.u64(st.BitsApplied)
-	e.u64(st.CkptRounds)
-	e.u64(st.CkptBytes)
-	e.u64(st.CkptApplies)
-	e.u64(st.EncodeJobs)
-	e.u64(st.EncodeDrops)
-	e.u64(st.EncodeQueue)
-	e.u64(st.PoolBlocks)
-	e.u64(st.PoolFree)
-	e.u64(st.PoolDelta)
-	e.u64(st.PoolCopy)
-	e.u64(st.PoolData)
-	e.u64(st.CkptShipFailures)
-	e.u64(st.CkptDirtySegs)
-	e.u64(st.CkptSegsShipped)
-	e.u64(st.CkptRawBytes)
-	e.u64(st.CkptCPUNs)
-	e.u64(st.ECEncodeBytes)
-	e.u64(st.ECEncodeNs)
-	e.u64(st.ECEncodeBatches)
-	e.u64(st.ECDecodeBytes)
-	e.u64(st.ECDecodeNs)
+	v := reflect.ValueOf(st)
+	for i := 1; i < v.NumField(); i++ {
+		e.u64(v.Field(i).Uint())
+	}
 	return e.b
+}
+
+func decodeStats(b []byte) (ServerStats, error) {
+	var st ServerStats
+	d := dec{b: b}
+	st.MN = int(d.u16())
+	v := reflect.ValueOf(&st).Elem()
+	for i := 1; i < v.NumField(); i++ {
+		v.Field(i).SetUint(d.u64())
+	}
+	if d.short {
+		return ServerStats{}, errRPC
+	}
+	return st, nil
 }
 
 // StatsMN fetches the counter snapshot of logical MN mn over the admin
 // RPC (the CLI's `stats <mn>` and any remote monitor use this).
 func (c *Client) StatsMN(mn int) (ServerStats, error) {
-	var st ServerStats
 	node, ok := c.cl.view.nodeOf(mn)
 	if !ok {
-		return st, rdma.ErrNodeFailed
+		return ServerStats{}, rdma.ErrNodeFailed
 	}
 	resp, err := c.ctx.RPC(node, methodAdminStats, nil)
 	if err != nil {
-		return st, err
+		return ServerStats{}, err
 	}
 	if len(resp) < 1 || resp[0] != stOK {
-		return st, errRPC
+		return ServerStats{}, errRPC
 	}
-	return decodeStats(resp[1:]), nil
-}
-
-func decodeStats(b []byte) ServerStats {
-	var st ServerStats
-	d := dec{b: b}
-	st.MN = int(d.u16())
-	st.IndexVersion = d.u64()
-	st.Reclaimed = d.u64()
-	st.BitsApplied = d.u64()
-	st.CkptRounds = d.u64()
-	st.CkptBytes = d.u64()
-	st.CkptApplies = d.u64()
-	st.EncodeJobs = d.u64()
-	st.EncodeDrops = d.u64()
-	st.EncodeQueue = d.u64()
-	st.PoolBlocks = d.u64()
-	st.PoolFree = d.u64()
-	st.PoolDelta = d.u64()
-	st.PoolCopy = d.u64()
-	st.PoolData = d.u64()
-	st.CkptShipFailures = d.u64()
-	st.CkptDirtySegs = d.u64()
-	st.CkptSegsShipped = d.u64()
-	st.CkptRawBytes = d.u64()
-	st.CkptCPUNs = d.u64()
-	st.ECEncodeBytes = d.u64()
-	st.ECEncodeNs = d.u64()
-	st.ECEncodeBatches = d.u64()
-	st.ECDecodeBytes = d.u64()
-	st.ECDecodeNs = d.u64()
-	return st
+	return decodeStats(resp[1:])
 }
 
 // handleAdminTrace dumps the cluster's retained op spans (newest
@@ -152,7 +116,20 @@ func (s *Server) handleAdminTrace(req []byte) ([]byte, time.Duration) {
 	if max > 0 && len(spans) > max {
 		spans = spans[len(spans)-max:]
 	}
-	events := s.cl.trace.Events()
+	return encodeTrace(spans, s.cl.trace.Events()), 5 * time.Microsecond
+}
+
+// The smallest wire size of a span and of an event: every field, with
+// empty strings.
+const (
+	spanWireMin  = 8 + 8 + 1 + 1 + 4 + 4 + 4*8 + 4 + 4
+	eventWireMin = 3*8 + 4 + 4 + 4
+)
+
+// encodeTrace and decodeTrace are the admin Trace wire format: stOK,
+// then the span count and the spans, then the event count and the
+// events.
+func encodeTrace(spans []obs.Span, events []obs.Event) []byte {
 	e := enc{b: []byte{stOK}}
 	e.u32(uint32(len(spans)))
 	for i := range spans {
@@ -184,7 +161,51 @@ func (s *Server) handleAdminTrace(req []byte) ([]byte, time.Duration) {
 		e.bytes([]byte(ev.Kind))
 		e.bytes([]byte(ev.Note))
 	}
-	return e.b, 5 * time.Microsecond
+	return e.b
+}
+
+// decodeTrace refuses a count the bytes left cannot hold, before it
+// sizes a slice by it: the count comes off the wire.
+func decodeTrace(b []byte) ([]obs.Span, []obs.Event, error) {
+	d := dec{b: b}
+	n := d.u32()
+	if uint64(n) > uint64(d.left()/spanWireMin) {
+		return nil, nil, errRPC
+	}
+	spans := make([]obs.Span, n)
+	for i := range spans {
+		sp := &spans[i]
+		sp.Seq = d.u64()
+		sp.Trace = d.u64()
+		sp.Kind = obs.SpanKind(d.u8())
+		sp.Err = d.u8() != 0
+		sp.Node = int32(d.u32())
+		sp.Tid = int32(d.u32())
+		sp.Start = time.Duration(d.u64())
+		sp.End = time.Duration(d.u64())
+		sp.WallStart = int64(d.u64())
+		sp.WallEnd = int64(d.u64())
+		sp.Name = string(d.bytes())
+		sp.Detail = string(d.bytes())
+	}
+	n = d.u32()
+	if uint64(n) > uint64(d.left()/eventWireMin) {
+		return nil, nil, errRPC
+	}
+	events := make([]obs.Event, n)
+	for i := range events {
+		ev := &events[i]
+		ev.Seq = d.u64()
+		ev.At = time.Duration(d.u64())
+		ev.Dur = time.Duration(d.u64())
+		ev.MN = int(int32(d.u32()))
+		ev.Kind = string(d.bytes())
+		ev.Note = string(d.bytes())
+	}
+	if d.short {
+		return nil, nil, errRPC
+	}
+	return spans, events, nil
 }
 
 // TraceMN fetches up to max op spans (0 = all retained) plus the ring
@@ -204,34 +225,7 @@ func (c *Client) TraceMN(mn, max int) ([]obs.Span, []obs.Event, error) {
 	if len(resp) < 1 || resp[0] != stOK {
 		return nil, nil, errRPC
 	}
-	d := dec{b: resp[1:]}
-	spans := make([]obs.Span, d.u32())
-	for i := range spans {
-		sp := &spans[i]
-		sp.Seq = d.u64()
-		sp.Trace = d.u64()
-		sp.Kind = obs.SpanKind(d.u8())
-		sp.Err = d.u8() != 0
-		sp.Node = int32(d.u32())
-		sp.Tid = int32(d.u32())
-		sp.Start = time.Duration(d.u64())
-		sp.End = time.Duration(d.u64())
-		sp.WallStart = int64(d.u64())
-		sp.WallEnd = int64(d.u64())
-		sp.Name = string(d.bytes())
-		sp.Detail = string(d.bytes())
-	}
-	events := make([]obs.Event, d.u32())
-	for i := range events {
-		ev := &events[i]
-		ev.Seq = d.u64()
-		ev.At = time.Duration(d.u64())
-		ev.Dur = time.Duration(d.u64())
-		ev.MN = int(int32(d.u32()))
-		ev.Kind = string(d.bytes())
-		ev.Note = string(d.bytes())
-	}
-	return spans, events, nil
+	return decodeTrace(resp[1:])
 }
 
 func encodeChaos(cfg rdma.ChaosConfig) []byte {

@@ -572,12 +572,12 @@ func (s *Server) ckptSendLoop(ctx rdma.Ctx) {
 		compBytes, rawBytes := fr.payloadBytes()
 
 		s.mu.Lock()
-		s.ckptRounds++
-		s.ckptBytes += uint64(compBytes)
-		s.ckptRawBytes += uint64(rawBytes)
-		s.ckptDirtySegs = uint64(dirtyCount)
-		s.ckptSegsShipped += uint64(len(fr.jobs))
-		s.ckptCPUNs += cpuNs
+		s.st.CkptRounds++
+		s.st.CkptBytes += uint64(compBytes)
+		s.st.CkptRawBytes += uint64(rawBytes)
+		s.st.CkptDirtySegs = uint64(dirtyCount)
+		s.st.CkptSegsShipped += uint64(len(fr.jobs))
+		s.st.CkptCPUNs += cpuNs
 		s.mu.Unlock()
 
 		if s.isStopped() {
@@ -609,7 +609,7 @@ func (s *Server) ckptSendLoop(ctx rdma.Ctx) {
 		}
 		if fails > 0 {
 			s.mu.Lock()
-			s.ckptMissed += fails
+			s.st.CkptShipFailures += fails
 			s.mu.Unlock()
 		}
 		// One phase event per shipped round (snapshot → compress →
@@ -658,9 +658,9 @@ func (s *Server) ckptRecvLoop(ctx rdma.Ctx) {
 			cost := cpuTime(ast.decompressed, s.cl.Cfg.Rates.Decompress) +
 				cpuTime(ast.applied, s.cl.Cfg.Rates.Memcpy)
 			s.mu.Lock()
-			s.ckptApplies++
+			s.st.CkptApplies++
 			s.ckptApplySeq[job.slot] = seq
-			s.ckptCPUNs += uint64(cost)
+			s.st.CkptCPUNs += uint64(cost)
 			s.mu.Unlock()
 			if cost > 0 {
 				ctx.UseCPU(rdma.CoreCkptRecv, cost)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -34,10 +35,12 @@ type scripted struct {
 
 // countedCtx counts the doorbells a client rings on the engine's ctx,
 // as directCtx does on its own: every call but an RPC is one, and posts
-// are the unsignaled ones among them.
+// are the unsignaled ones among them. dropPost is a one-shot switch: the
+// next Post is swallowed, as if the client died before ringing it.
 type countedCtx struct {
 	rdma.Ctx
 	doorbells, posts int
+	dropPost         bool
 }
 
 func (d *countedCtx) Read(buf []byte, addr rdma.GlobalAddr) error {
@@ -61,6 +64,10 @@ func (d *countedCtx) Batch(ops []rdma.Op) error {
 }
 
 func (d *countedCtx) Post(ops []rdma.Op) error {
+	if d.dropPost {
+		d.dropPost = false
+		return nil
+	}
 	d.doorbells++
 	d.posts++
 	return d.Ctx.Post(ops)
@@ -651,4 +658,85 @@ func TestTier2FetchesEntryKeysInBatches(t *testing.T) {
 	if limit := time.Duration(len(k)) * simnet.DefaultConfig().PropDelay; rep.ScanKV >= limit {
 		t.Errorf("scan took %v for %d fetched keys, want under %v: the fetches are not batched", rep.ScanKV, len(k), limit)
 	}
+}
+
+// TestTier2ResolvesKeysPastAShortHint pins that tier 2 reads the pair
+// behind a checkpoint entry at the size the pair's header states, not at
+// the slot's Meta length hint. The hint is repaired by a post after the
+// commit CAS (§3.2.2); a writer that dies before ringing it leaves the
+// hint short, and the next checkpoint keeps it so. When the key is then
+// updated from a cache — which never repairs the hint — into a block
+// tier 2 scans, tier 2 must still recognise the checkpoint entry as the
+// key's. Read at the hint alone the pair does not decode: the candidate
+// goes into a second slot after the original, and readers find the old
+// value first. The key takes the first bucket of its pair, so a
+// duplicate sorts after the original.
+func TestTier2ResolvesKeysPastAShortHint(t *testing.T) {
+	const home, on = 0, 1
+	for _, grown := range []bool{false, true} {
+		name := "insert"
+		if grown {
+			name = "grown value"
+		}
+		t.Run(name, func(t *testing.T) {
+			tc := newTestCluster(t, coverConfig)
+			m := tc.cl.master
+			m.AddSpare()
+			id := 0
+			for homeOf(tc, key(id)) != home || racehash.Hash(key(id))>>32&1 != 0 {
+				id++
+			}
+			w := tc.spawnScripted("writer")
+			model := map[int][]byte{}
+			put := func(v []byte, dropHint bool) {
+				if dropHint {
+					w.do(t, func(*Client) { w.ctx.dropPost = true })
+				}
+				model[id] = v
+				w.put(t, on, id, v)
+				if w.ctx.dropPost {
+					t.Fatal("the write posted no hint repair to swallow")
+				}
+			}
+			round := func() {
+				w.seal(t)
+				tc.untilRound(t, m.Round()+1)
+			}
+			if grown {
+				big := func(gen int) []byte { return bytes.Repeat(val(id, gen), 3) }
+				put(val(id, 0), false)
+				round()
+				put(big(1), true) // the hint keeps the smaller class
+				round()
+				put(big(2), false)
+			} else {
+				put(val(id, 0), true) // the hint stays 0
+				round()
+				put(val(id, 2), false)
+			}
+			tc.cl.FailMN(home)
+			tc.waitBlocksReady(t, home)
+			tc.verifyAll(t, model)
+			if n := tc.entriesOf(key(id)); n != 1 {
+				t.Errorf("the replacement's bucket pair holds %d entries for key %d, want 1", n, id)
+			}
+		})
+	}
+}
+
+// entriesOf counts the entries of k's bucket pair, in its home MN's
+// index, whose pair carries k.
+func (tc *testCluster) entriesOf(k []byte) int {
+	l := tc.cl.L
+	h := racehash.Hash(k)
+	node, _ := tc.cl.view.nodeOf(racehash.HomeMN(h, l.Cfg.NumMNs))
+	index := tc.pl.DirectMemory(node)
+	i1, i2 := racehash.BucketPair(h, l.NumBuckets())
+	n := 0
+	for _, m := range racehash.ScanBuckets(racehash.Fingerprint(h), index[l.BucketOff(i1):], index[l.BucketOff(i2):]) {
+		if kv := tc.pairAt(m.Atomic.Addr); kv != nil && bytes.Equal(kv.Key, k) {
+			n++
+		}
+	}
+	return n
 }

@@ -312,33 +312,38 @@ func kvHintBytes(meta layout.SlotMeta) int {
 // scratch KV. nil means the pair is unreadable, torn or still unwritten
 // (fence 0) under its committed slot — a fused commit's KV write in
 // flight (errTornRead rationale) — so the caller must retry rather than
-// conclude the key absent. A pair longer than a stale length hint said
-// is read again at its true class size (§3.2.2: the writer repairs the
-// hint).
+// conclude the key absent.
 func (c *Client) matchKV(i int) *layout.KV {
 	sc := &c.scratch
-	op, kv := &sc.ops[i], &sc.dkv
-	if op.Err != nil {
-		return nil
-	}
-	ok, err := layout.DecodeKVInto(kv, op.Buf)
-	if err != nil {
-		keyLen := int(binary.LittleEndian.Uint16(op.Buf[2:]))
-		valLen := int(binary.LittleEndian.Uint32(op.Buf[4:]))
-		real := layout.KVClassSize(keyLen, valLen)
-		if real <= len(op.Buf) || real > int(c.cl.Cfg.Layout.BlockSize) {
-			return nil
-		}
-		op.Buf = make([]byte, real)
-		if c.readKVBytes(op.Buf, sc.matches[i].Atomic.Addr) != nil {
-			return nil
-		}
-		ok, err = layout.DecodeKVInto(kv, op.Buf)
-	}
-	if err != nil || !ok {
+	op, kv, packed := &sc.ops[i], &sc.dkv, sc.matches[i].Atomic.Addr
+	if op.Err != nil || !decodeAtTrueSize(kv, op.Buf, c.cl.L, func(buf []byte) error { return c.readKVBytes(buf, packed) }) {
 		return nil
 	}
 	return kv
+}
+
+// decodeAtTrueSize decodes into kv a pair that was read into buf at a
+// guessed size: a slot's Meta length is only a hint, which the writer
+// repairs after its commit (§3.2.2), and a writer that dies first leaves
+// it short. When the header states a larger class (up to a block), read
+// fetches the pair again at that size and that copy is decoded. It
+// reports false for a pair that is unreadable, torn or never written.
+// Every reader of a pair at a hinted size goes through it: the probe and
+// tier 2's key resolution.
+func decodeAtTrueSize(kv *layout.KV, buf []byte, l *layout.Layout, read func([]byte) error) bool {
+	ok, err := layout.DecodeKVInto(kv, buf)
+	if err != nil {
+		real := layout.KVPairBytes(buf)
+		if real <= len(buf) || real > int(l.Cfg.BlockSize) {
+			return false
+		}
+		buf = make([]byte, real)
+		if read(buf) != nil {
+			return false
+		}
+		ok, err = layout.DecodeKVInto(kv, buf)
+	}
+	return err == nil && ok
 }
 
 // matchSlotOff is the index offset of a probe match's slot.

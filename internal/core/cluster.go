@@ -260,7 +260,7 @@ func (cl *Cluster) Reclaimed() int {
 	total := 0
 	for _, s := range servers {
 		s.mu.Lock()
-		total += s.reclaimed
+		total += int(s.st.Reclaimed)
 		s.mu.Unlock()
 	}
 	return total

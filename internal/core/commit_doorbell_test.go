@@ -77,15 +77,21 @@ func eachIndexWord(tc *testCluster, fn func(word uint64)) {
 // indexSlotsOf counts the index slots whose pair carries key k.
 func indexSlotsOf(tc *testCluster, k []byte) (n int) {
 	eachIndexWord(tc, func(w uint64) {
-		pmn, poff := layout.UnpackAddr(layout.UnpackAtomic(w).Addr)
-		pnode, _ := tc.cl.view.nodeOf(int(pmn))
-		pair := tc.pl.DirectMemory(pnode)[poff:]
-		klen := int(binary.LittleEndian.Uint16(pair[2:]))
-		if bytes.Equal(pair[layout.KVHeaderSize:layout.KVHeaderSize+klen], k) {
+		if kv := tc.pairAt(layout.UnpackAtomic(w).Addr); kv != nil && bytes.Equal(kv.Key, k) {
 			n++
 		}
 	})
 	return n
+}
+
+// pairAt decodes the pair at packed address a from its MN's memory, at
+// the size its header states; nil when it is unwritten or torn.
+func (tc *testCluster) pairAt(a uint64) *layout.KV {
+	mn, off := layout.UnpackAddr(a)
+	node, _ := tc.cl.view.nodeOf(int(mn))
+	pair := tc.pl.DirectMemory(node)[off:]
+	kv, _ := layout.DecodeKV(pair[:layout.KVPairBytes(pair)])
+	return kv
 }
 
 // moveBeforeSlotRead makes other update k ahead of each of the first n

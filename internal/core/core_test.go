@@ -635,7 +635,7 @@ func TestReclamation(t *testing.T) {
 	tc.run(100 * time.Millisecond)
 	reclaimed := 0
 	for mn := 0; mn < tc.cl.Cfg.Layout.NumMNs; mn++ {
-		reclaimed += tc.cl.servers[mn].reclaimed
+		reclaimed += int(tc.cl.servers[mn].st.Reclaimed)
 	}
 	if reclaimed == 0 {
 		t.Fatal("no blocks were reclaimed despite heavy overwrites")

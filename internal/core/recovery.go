@@ -464,34 +464,34 @@ type entryKeys struct {
 	scanned   map[uint64]*layout.KV // packed addr -> decoded KV
 	recovered map[int]bool          // local blocks decoded into mem
 	fetched   int
+	matches   []racehash.Match // reused by eachMatch
 }
 
 // entryKeyFetchDepth is how many reads one doorbell of the key prefetch
 // carries.
 const entryKeyFetchDepth = 32
 
-// eachMatch calls fn for every occupied slot of key's bucket pair whose
-// fingerprint matches — the entries reapplyCandidate compares with.
-func (ek *entryKeys) eachMatch(key []byte, fn func(off uint64, atom layout.SlotAtomic, meta layout.SlotMeta) (stop bool)) {
+// buckets returns key's bucket pair in the recovering index, and the
+// images of the two buckets.
+func (ek *entryKeys) buckets(key []byte) (b [2]uint64, img [2][]byte) {
 	l := ek.cl.L
-	h := racehash.Hash(key)
-	fp := racehash.Fingerprint(h)
-	i1, i2 := racehash.BucketPair(h, l.NumBuckets())
-	for _, b := range [2]uint64{i1, i2} {
-		for s := 0; s < layout.BucketSlots; s++ {
-			off := l.SlotOff(b, s)
-			w := binary.LittleEndian.Uint64(ek.mem[off:])
-			if w == 0 {
-				continue
-			}
-			atom := layout.UnpackAtomic(w)
-			if atom.FP != fp {
-				continue
-			}
-			meta := layout.UnpackMeta(binary.LittleEndian.Uint64(ek.mem[off+layout.SlotMetaOff:]))
-			if fn(off, atom, meta) {
-				return
-			}
+	b[0], b[1] = racehash.BucketPair(racehash.Hash(key), l.NumBuckets())
+	for i := range b {
+		off := l.BucketOff(b[i])
+		img[i] = ek.mem[off : off+layout.BucketSize]
+	}
+	return b, img
+}
+
+// eachMatch calls fn, in bucket and slot order, for every occupied slot
+// of key's bucket pair whose fingerprint matches — the entries
+// reapplyCandidate compares with — with the slot's index offset.
+func (ek *entryKeys) eachMatch(key []byte, fn func(off uint64, m racehash.Match) (stop bool)) {
+	b, img := ek.buckets(key)
+	ek.matches = racehash.AppendMatches(ek.matches[:0], racehash.Fingerprint(racehash.Hash(key)), img[0], img[1])
+	for _, m := range ek.matches {
+		if fn(ek.cl.L.SlotOff(b[m.Bucket], m.Slot), m) {
+			return
 		}
 	}
 }
@@ -504,29 +504,32 @@ func (ek *entryKeys) eachMatch(key []byte, fn func(off uint64, atom layout.SlotA
 // each through a stripe — would put their count on the critical path to
 // indexReady. Pairs on a live MN are read in place; pairs on a failed
 // MN, and those in local blocks tier 3 has yet to rebuild, through
-// their stripes (readStripeRanges). Whatever fails here is left to of.
+// their stripes (readStripeRanges). Each is read at its slot's length
+// hint; whatever fails here, a pair longer than its hint included, is
+// left to of.
 func (ek *entryKeys) prefetch(keys []string) {
 	var ops []rdma.Op // in-place reads; ops[i] is the pair at addrs[i]
 	var addrs []uint64
 	var lost []stripeWant
 	asked := make(map[uint64]bool)
 	for _, key := range keys {
-		ek.eachMatch([]byte(key), func(_ uint64, atom layout.SlotAtomic, meta layout.SlotMeta) bool {
-			if _, have := ek.scanned[atom.Addr]; have || asked[atom.Addr] {
+		ek.eachMatch([]byte(key), func(_ uint64, m racehash.Match) bool {
+			packed := m.Atomic.Addr
+			if _, have := ek.scanned[packed]; have || asked[packed] {
 				return false
 			}
-			asked[atom.Addr] = true
-			buf := make([]byte, kvHintBytes(meta))
-			owner, off := layout.UnpackAddr(atom.Addr)
+			asked[packed] = true
+			buf := make([]byte, kvHintBytes(m.Meta))
+			owner, off := layout.UnpackAddr(packed)
 			addr, alive := ek.cl.Addr(int(owner), off)
 			switch local := int(owner) == ek.mn; {
 			case local && ek.recovered[ek.cl.L.BlockOfOff(off)]:
 				// answers from the replacement's own memory
 			case !local && alive:
 				ops = append(ops, rdma.Op{Kind: rdma.OpRead, Addr: addr, Buf: buf})
-				addrs = append(addrs, atom.Addr)
+				addrs = append(addrs, packed)
 			default:
-				lost = append(lost, stripeWant{packed: atom.Addr, buf: buf})
+				lost = append(lost, stripeWant{packed: packed, buf: buf})
 			}
 			return false
 		})
@@ -557,8 +560,7 @@ func (ek *entryKeys) prefetch(keys []string) {
 // (Figure 4 ③, entryKeys).
 func reapplyCandidate(ek *entryKeys, key []byte, version, packed uint64, class uint8) {
 	l, mem := ek.cl.L, ek.mem
-	h := racehash.Hash(key)
-	newAtomicVal := layout.SlotAtomic{FP: racehash.Fingerprint(h), Ver: uint8(version), Addr: packed}.Pack()
+	newAtomicVal := layout.SlotAtomic{FP: racehash.Fingerprint(racehash.Hash(key)), Ver: uint8(version), Addr: packed}.Pack()
 	newMetaVal := layout.SlotMeta{Epoch: version >> 8, Len: class}.Pack()
 	put := func(off uint64) {
 		binary.LittleEndian.PutUint64(mem[off:], newAtomicVal)
@@ -566,13 +568,13 @@ func reapplyCandidate(ek *entryKeys, key []byte, version, packed uint64, class u
 	}
 
 	found := false
-	ek.eachMatch(key, func(off uint64, atom layout.SlotAtomic, meta layout.SlotMeta) bool {
-		exKey, ok := ek.of(atom, meta)
+	ek.eachMatch(key, func(off uint64, m racehash.Match) bool {
+		exKey, ok := ek.of(m)
 		if !ok || string(exKey) != string(key) {
 			return false
 		}
 		// Same key: keep the higher slot version.
-		if version > layout.SlotVersion(meta.Epoch&^1, atom.Ver) {
+		if version > layout.SlotVersion(m.Meta.Epoch&^1, m.Atomic.Ver) {
 			put(off)
 		}
 		found = true
@@ -581,41 +583,43 @@ func reapplyCandidate(ek *entryKeys, key []byte, version, packed uint64, class u
 	if found {
 		return
 	}
-	i1, i2 := racehash.BucketPair(h, l.NumBuckets())
-	for _, b := range [2]uint64{i1, i2} {
-		for s := 0; s < layout.BucketSlots; s++ {
-			if off := l.SlotOff(b, s); binary.LittleEndian.Uint64(mem[off:]) == 0 {
-				put(off)
-				return
-			}
+	b, img := ek.buckets(key)
+	for i := range b {
+		if s := racehash.FreeSlot(img[i]); s >= 0 {
+			put(l.SlotOff(b[i], s))
+			return
 		}
 	}
 }
 
-// of fetches the key bytes of an existing index entry during recovery.
-func (ek *entryKeys) of(atom layout.SlotAtomic, meta layout.SlotMeta) ([]byte, bool) {
-	if kv, ok := ek.scanned[atom.Addr]; ok {
+// of fetches the key bytes of an existing index entry during recovery,
+// reading its pair at the true size its header states.
+func (ek *entryKeys) of(m racehash.Match) ([]byte, bool) {
+	packed := m.Atomic.Addr
+	if kv, ok := ek.scanned[packed]; ok {
 		return kv.Key, true
 	}
-	buf := make([]byte, kvHintBytes(meta))
-	owner, off := layout.UnpackAddr(atom.Addr)
-	if bi := ek.cl.L.BlockOfOff(off); int(owner) == ek.mn && bi >= 0 && ek.recovered[bi] {
-		copy(buf, ek.mem[off:off+uint64(len(buf))])
-	} else {
+	owner, off := layout.UnpackAddr(packed)
+	bi := ek.cl.L.BlockOfOff(off)
+	local := int(owner) == ek.mn && bi >= 0 && ek.recovered[bi]
+	if !local {
+		ek.fetched++
+	}
+	read := func(buf []byte) error {
+		if local {
+			copy(buf, ek.mem[off:])
+			return nil
+		}
 		// A pair on a live MN is read in place; one on a failed MN, or in
 		// a local block tier 3 has yet to rebuild, through its stripe.
-		ek.fetched++
-		addr, ok := ek.cl.Addr(int(owner), off)
-		if int(owner) == ek.mn || !ok {
-			if readStripeRange(ek.ctx, ek.cl, atom.Addr, buf) != nil {
-				return nil, false
-			}
-		} else if ek.ctx.Read(buf, addr) != nil {
-			return nil, false
+		if addr, ok := ek.cl.Addr(int(owner), off); int(owner) != ek.mn && ok {
+			return ek.ctx.Read(buf, addr)
 		}
+		return readStripeRange(ek.ctx, ek.cl, packed, buf)
 	}
-	kv, err := layout.DecodeKV(buf)
-	if err != nil || kv == nil {
+	buf := make([]byte, kvHintBytes(m.Meta))
+	var kv layout.KV
+	if read(buf) != nil || !decodeAtTrueSize(&kv, buf, ek.cl.L, read) {
 		return nil, false
 	}
 	return append([]byte(nil), kv.Key...), true

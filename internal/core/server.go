@@ -57,28 +57,9 @@ type Server struct {
 	ckptApplier  *ckptApplier
 	ckptApplySeq []uint64 // per hosted slot: seq of last applied frame (guarded by mu)
 
-	// reclaimed counts blocks handed out through delta-based
-	// reclamation (observability for the reclamation experiments).
-	reclaimed int
-	// bitsApplied counts accepted free-bitmap updates (observability).
-	bitsApplied int
-	// Checkpoint/encode pipeline counters (observability; guarded by
-	// mu like the queues they describe).
-	ckptRounds      uint64 // differential checkpoint rounds shipped
-	ckptBytes       uint64 // compressed checkpoint payload bytes produced
-	ckptRawBytes    uint64 // uncompressed bytes the shipped segments represent
-	ckptApplies     uint64 // staged checkpoint frames applied to hosted copies
-	ckptMissed      uint64 // frames a host missed (transport failure or torn apply)
-	ckptDirtySegs   uint64 // gauge: segments dirty at the last shipped round
-	ckptSegsShipped uint64 // cumulative segments shipped across all rounds
-	ckptCPUNs       uint64 // cumulative checkpoint pipeline CPU (send+recv), ns
-	encodeJobs      uint64 // DELTA blocks folded into the local parity
-	encodeDrops     uint64 // DELTA blocks discarded without encoding
-	ecEncodeBytes   uint64 // delta bytes folded into parity by erasure kernels
-	ecEncodeNs      uint64 // elapsed time of parity-apply passes, ns
-	ecEncodeBatches uint64 // batched parity-apply passes (deltas/pass = jobs/batches)
-	ecDecodeBytes   uint64 // shard bytes consumed reconstructing lost blocks
-	ecDecodeNs      uint64 // elapsed time of reconstruct compute, ns
+	// st holds the counters of Stats (guarded by mu like the queues they
+	// describe); the pool and identity fields are filled at snapshot.
+	st ServerStats
 }
 
 type encodeJob struct {
@@ -222,7 +203,9 @@ func (s *Server) freeDataRowFrac() float64 {
 
 // ServerStats is a snapshot of one MN server's management-plane
 // counters and pool occupancy: the store-level gauges the admin Stats
-// RPC and the daemon's /metrics endpoint expose.
+// RPC and the daemon's /metrics endpoint expose. The server keeps its
+// counters in one, and the admin Stats wire format is its fields in
+// declaration order (encodeStats): MN as a u16, every other as a u64.
 type ServerStats struct {
 	MN           int
 	IndexVersion uint64
@@ -268,8 +251,12 @@ func (s *Server) Stats() ServerStats {
 // statsLocked is Stats for callers already holding memMu (the RPC
 // dispatch locks it around every handler).
 func (s *Server) statsLocked() ServerStats {
+	s.mu.Lock()
+	st := s.st
+	st.EncodeQueue = uint64(len(s.encodeQ))
+	s.mu.Unlock()
+	st.MN, st.IndexVersion = s.mn, s.indexVersion()
 	l := s.cl.L
-	st := ServerStats{MN: s.mn, IndexVersion: s.indexVersion()}
 	for b := l.Cfg.StripeRows; b < l.Cfg.BlocksPerMN(); b++ {
 		st.PoolBlocks++
 		switch s.record(b).Role {
@@ -283,26 +270,6 @@ func (s *Server) statsLocked() ServerStats {
 			st.PoolData++
 		}
 	}
-	s.mu.Lock()
-	st.Reclaimed = uint64(s.reclaimed)
-	st.BitsApplied = uint64(s.bitsApplied)
-	st.CkptRounds = s.ckptRounds
-	st.CkptBytes = s.ckptBytes
-	st.CkptApplies = s.ckptApplies
-	st.EncodeJobs = s.encodeJobs
-	st.EncodeDrops = s.encodeDrops
-	st.EncodeQueue = uint64(len(s.encodeQ))
-	st.CkptShipFailures = s.ckptMissed
-	st.CkptDirtySegs = s.ckptDirtySegs
-	st.CkptSegsShipped = s.ckptSegsShipped
-	st.CkptRawBytes = s.ckptRawBytes
-	st.CkptCPUNs = s.ckptCPUNs
-	st.ECEncodeBytes = s.ecEncodeBytes
-	st.ECEncodeNs = s.ecEncodeNs
-	st.ECEncodeBatches = s.ecEncodeBatches
-	st.ECDecodeBytes = s.ecDecodeBytes
-	st.ECDecodeNs = s.ecDecodeNs
-	s.mu.Unlock()
 	return st
 }
 
@@ -314,10 +281,10 @@ func (s *Server) addECTally(t *ecTally) {
 		return
 	}
 	s.mu.Lock()
-	s.ecEncodeBytes += t.encodeBytes
-	s.ecEncodeNs += t.encodeNs
-	s.ecDecodeBytes += t.decodeBytes
-	s.ecDecodeNs += t.decodeNs
+	s.st.ECEncodeBytes += t.encodeBytes
+	s.st.ECEncodeNs += t.encodeNs
+	s.st.ECDecodeBytes += t.decodeBytes
+	s.st.ECDecodeNs += t.decodeNs
 	s.mu.Unlock()
 }
 
@@ -445,7 +412,7 @@ func (s *Server) handleAllocBlock(req []byte) ([]byte, time.Duration) {
 			rec.IndexVersion = 0
 			rec.CliID = cliID
 			s.putRecord(b, &rec)
-			s.reclaimed++
+			s.st.Reclaimed++
 			var e enc
 			e.u8(stOK)
 			e.u32(uint32(b))
@@ -662,7 +629,7 @@ func (s *Server) handleFreeBits(req []byte) ([]byte, time.Duration) {
 			if slots == 0 || unit%class != 0 || unit/class >= slots {
 				continue
 			}
-			s.bitsApplied++
+			s.st.BitsApplied++
 			layout.BitmapSet(bm, unit/class)
 		}
 		s.dirty[b] = true
@@ -818,8 +785,8 @@ func (s *Server) encoderLoop(ctx rdma.Ctx) {
 				parity := s.block(int(stripe))
 				s.cl.code.ApplyDeltas(int(prec.ParityIdx), parity, deltas)
 				encCost = cpuTime((len(deltas)+1)*len(parity), s.cl.Cfg.Rates.codeRate(s.cl.Cfg.Code))
-				s.ecEncodeBytes += uint64(len(deltas)) * uint64(len(parity))
-				s.ecEncodeBatches++
+				s.st.ECEncodeBytes += uint64(len(deltas)) * uint64(len(parity))
+				s.st.ECEncodeBatches++
 			}
 			// Zero and free the consumed DELTA blocks.
 			var memCost time.Duration
@@ -839,7 +806,7 @@ func (s *Server) encoderLoop(ctx rdma.Ctx) {
 				ctx.UseCPU(rdma.CoreErasure, encCost)
 				elapsed := ctx.Now() - start
 				s.mu.Lock()
-				s.ecEncodeNs += uint64(elapsed)
+				s.st.ECEncodeNs += uint64(elapsed)
 				s.mu.Unlock()
 				s.cl.trace.EmitPeriodic(obs.Event{At: ctx.Now(), Kind: "ec.encode", MN: s.mn,
 					Dur: elapsed, Note: "batched delta fold"})
@@ -868,11 +835,11 @@ func (s *Server) claimEncodeBatch(stripe uint32, batch []encodeJob, deltas *[]er
 		_, dOff := layout.UnpackAddr(prec.DeltaAddr[job.xorID])
 		db := l.BlockOfOff(dOff)
 		if job.drop {
-			s.encodeDrops++
+			s.st.EncodeDrops++
 		} else {
 			*deltas = append(*deltas, erasure.ShardDelta{DI: int(job.xorID), B: s.block(db)})
 			prec.XORMap |= 1 << job.xorID
-			s.encodeJobs++
+			s.st.EncodeJobs++
 		}
 		prec.DeltaAddr[job.xorID] = 0
 		*freeBlocks = append(*freeBlocks, db)

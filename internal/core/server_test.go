@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/layout"
+	"repro/internal/obs"
 	"repro/internal/rdma"
 )
 
@@ -225,8 +226,8 @@ func TestHandlerQueryOwnedFiltersByClient(t *testing.T) {
 }
 
 // TestAdminStatsRoundTrip fills every ServerStats field with a distinct
-// value and sends it through the admin Stats wire format: a field added
-// to (or dropped from) the struct without both codec lines fails here.
+// value and sends it through the admin Stats wire format, pins the wire
+// order field by field, and checks that a short response is refused.
 func TestAdminStatsRoundTrip(t *testing.T) {
 	var st ServerStats
 	v := reflect.ValueOf(&st).Elem()
@@ -241,9 +242,55 @@ func TestAdminStatsRoundTrip(t *testing.T) {
 	if b[0] != stOK || len(b) != 1+2+8*(v.NumField()-1) {
 		t.Fatalf("encoded %d bytes (status %d) for %d fields", len(b), b[0], v.NumField())
 	}
-	if got := decodeStats(b[1:]); got != st {
-		t.Fatalf("round trip changed the stats:\n got %+v\nwant %+v", got, st)
+	if got, err := decodeStats(b[1:]); err != nil || got != st {
+		t.Fatalf("round trip changed the stats (%v):\n got %+v\nwant %+v", err, got, st)
 	}
+	if _, err := decodeStats(b[1 : len(b)-1]); err == nil {
+		t.Fatal("a short Stats response decoded")
+	}
+
+	ordered := ServerStats{MN: 7, IndexVersion: 1, Reclaimed: 2, BitsApplied: 3, CkptRounds: 4,
+		CkptBytes: 5, CkptApplies: 6, EncodeJobs: 7, EncodeDrops: 8, EncodeQueue: 9, PoolBlocks: 10,
+		PoolFree: 11, PoolDelta: 12, PoolCopy: 13, PoolData: 14, CkptShipFailures: 15, CkptDirtySegs: 16,
+		CkptSegsShipped: 17, CkptRawBytes: 18, CkptCPUNs: 19, ECEncodeBytes: 20, ECEncodeNs: 21,
+		ECEncodeBatches: 22, ECDecodeBytes: 23, ECDecodeNs: 24}
+	want := enc{b: []byte{stOK}}
+	want.u16(7)
+	for i := uint64(1); i <= 24; i++ {
+		want.u64(i)
+	}
+	if got := encodeStats(ordered); !bytes.Equal(got, want.b) {
+		t.Fatalf("Stats wire bytes moved:\n got %x\nwant %x", got, want.b)
+	}
+}
+
+// FuzzAdminDecoders feeds arbitrary responses to the admin Stats and
+// Trace decoders: neither may panic, nor size a slice by a count the
+// response cannot hold; whatever Stats accepts re-encodes to the bytes
+// it read, and whatever Trace accepts survives a second round trip.
+func FuzzAdminDecoders(f *testing.F) {
+	f.Add(encodeStats(ServerStats{MN: 3, IndexVersion: 9, Reclaimed: 2, ECDecodeNs: 1 << 40})[1:])
+	spans := []obs.Span{{Seq: 1, Trace: 7, Kind: 2, Err: true, Node: 3, Tid: -1, Start: 5, End: 9,
+		WallStart: 11, WallEnd: 13, Name: "get", Detail: "degraded"}}
+	events := []obs.Event{{Seq: 4, At: time.Millisecond, Dur: time.Microsecond, MN: -1, Kind: "recovery.done", Note: "x"}}
+	f.Add(encodeTrace(spans, events)[1:])
+	f.Add(encodeTrace(nil, events)[1:])
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if st, err := decodeStats(b); err == nil {
+			if enc := encodeStats(st)[1:]; !bytes.Equal(enc, b[:len(enc)]) {
+				t.Fatalf("Stats re-encodes to %x, read %x", enc, b[:len(enc)])
+			}
+		}
+		sp, ev, err := decodeTrace(b)
+		if err != nil {
+			return
+		}
+		sp2, ev2, err := decodeTrace(encodeTrace(sp, ev)[1:])
+		if err != nil || !reflect.DeepEqual(sp, sp2) || !reflect.DeepEqual(ev, ev2) {
+			t.Fatalf("Trace round trip: %v", err)
+		}
+	})
 }
 
 // TestMetaSyncRoundZeroAlloc pins that a steady-state meta-sync round

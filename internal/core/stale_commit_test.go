@@ -588,10 +588,11 @@ func TestSlotNeverChangesKey(t *testing.T) {
 								}
 								continue
 							}
-							pmn, poff := layout.UnpackAddr(layout.UnpackAtomic(w).Addr)
-							pnode, _ := tc.cl.view.nodeOf(int(pmn))
-							pair := tc.pl.DirectMemory(pnode)[poff:]
-							k := string(pair[layout.KVHeaderSize : layout.KVHeaderSize+int(binary.LittleEndian.Uint16(pair[2:]))])
+							kv := tc.pairAt(layout.UnpackAtomic(w).Addr)
+							if kv == nil {
+								t.Fatalf("mn %d slot %#x points at no readable pair", mn, off)
+							}
+							k := string(kv.Key)
 							if prev, held := owner[id]; held && prev != k {
 								t.Fatalf("mn %d slot %#x changed key %q → %q", mn, off, prev, k)
 							}

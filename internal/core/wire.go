@@ -134,3 +134,6 @@ func (d *dec) u64() uint64 {
 	return 0
 }
 func (d *dec) bytes() []byte { return d.take(int(d.u32())) }
+
+// left returns how many bytes remain undecoded.
+func (d *dec) left() int { return len(d.b) - d.off }

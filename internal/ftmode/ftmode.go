@@ -42,27 +42,15 @@ type Client interface {
 // so cross-mode tests and tools can skip a tier with an explicit
 // capability check instead of a silent pass.
 type Caps struct {
-	// DegradedReads: reads of lost-block data are served by online
-	// reconstruction (Aceso tier-1) rather than replica failover.
-	DegradedReads bool
 	// TieredRecovery: a master rebuilds failed MNs onto spares and
 	// MNState reports index/blocks readiness during the rebuild.
 	TieredRecovery bool
 	// ReadFailover: after an MN fail-stop, reads succeed by switching
 	// to a surviving replica without any rebuild.
 	ReadFailover bool
-	// Checkpoints: the mode runs periodic index checkpointing (so
-	// checkpoint gauges/stats are meaningful).
-	Checkpoints bool
 	// SpaceBreakdown: Usage fills the Valid/Redundant split (not just
 	// the total footprint).
 	SpaceBreakdown bool
-	// AdminRPC: mode servers answer admin verbs over the fabric — at
-	// least kill, so acesocli and the TCP load harness can inject a
-	// fail-stop remotely. Clients advertise the verbs they actually
-	// serve via optional interfaces (KillMN, ChaosMN, StatsMN,
-	// TraceMN); the replication modes serve kill only.
-	AdminRPC bool
 	// ClientCache: clients run the bounded CN-side slot-address cache
 	// and expose CacheStats; Config.CacheEntries takes effect.
 	// Replication-baseline modes read through every time.

@@ -12,8 +12,9 @@
 // replication mode (internal/replica). What is FUSEE's own is here: a
 // cache of slot values only, which a read validates by re-reading the
 // buckets, and the commit — place n copies, CAS the n−1 backup slots,
-// CAS the primary. The slot width is 8 B as in FUSEE, or 16 B to
-// reproduce the "+SLOT" step of the factor analysis (Figure 13).
+// CAS the primary. The slot width is 8 B as in FUSEE — its word is
+// layout's Atomic word with Ver 0 — or 16 B to reproduce the "+SLOT"
+// step of the factor analysis (Figure 13).
 package fusee
 
 import (
@@ -107,7 +108,7 @@ func (c *Client) Search(key []byte) ([]byte, error) {
 // the speculative KV read (the "unnecessary index queries" Aceso's
 // slot-address cache eliminates, §3.5.1).
 func (c *Client) cachedRead(k *replica.Key, ent *cacheEnt) ([]byte, error) {
-	kmn, kvAt := c.CopyAt(replica.SlotAddr(ent.vals[0]))
+	kmn, kvAt := c.CopyAt(layout.UnpackAtomic(ent.vals[0]).Addr)
 	if c.Failed(c.Cfg.ReplicaMN(k.P, 0)) || c.Failed(kmn) {
 		// The cache validates against the primary; after a failure the
 		// caller takes the search path, which fails over.
@@ -132,12 +133,12 @@ func (c *Client) cachedRead(k *replica.Key, ent *cacheEnt) ([]byte, error) {
 		kv, err = layout.DecodeKV(ops[0].Buf)
 	} else {
 		// Slot changed: chase the new value once.
-		if cur == 0 || replica.SlotFP(cur) != k.FP {
+		if cur == 0 || layout.UnpackAtomic(cur).FP != k.FP {
 			return nil, errStaleCache
 		}
 		ent.vals[0] = cur
 		ent.haveAll = false
-		kv, err = c.ReadKVAt(replica.SlotAddr(cur), ent.len)
+		kv, err = c.ReadKVAt(layout.UnpackAtomic(cur).Addr, ent.len)
 	}
 	if err != nil || kv == nil || !bytes.Equal(kv.Key, k.Bytes) {
 		return nil, errStaleCache
@@ -228,7 +229,7 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 		}
 		words := make([]uint64, r)
 		for i := range words {
-			words[i] = replica.SlotWord(k.FP, addrs[i])
+			words[i] = layout.SlotAtomic{FP: k.FP, Addr: addrs[i]}.Pack()
 		}
 		// CAS the backups, then the primary (the commit). The CASes run
 		// as sequential rounds: FUSEE's conflict resolution selects a

@@ -69,28 +69,12 @@ type KV struct {
 // disagree and a nil KV (with no error) when the slot was never
 // written (fence 0).
 func DecodeKV(src []byte) (*KV, error) {
-	if len(src) < KVHeaderSize+1 {
-		return nil, fmt.Errorf("layout: KV slot too short (%d)", len(src))
+	var kv KV
+	if ok, err := DecodeKVInto(&kv, src); !ok {
+		return nil, err
 	}
-	fence := src[0]
-	if fence == 0 {
-		return nil, nil
-	}
-	if src[len(src)-1] != fence {
-		return nil, ErrTornKV
-	}
-	keyLen := int(binary.LittleEndian.Uint16(src[2:]))
-	valLen := int(binary.LittleEndian.Uint32(src[4:]))
-	if KVHeaderSize+keyLen+valLen+1 > len(src) {
-		return nil, fmt.Errorf("layout: KV lengths k=%d v=%d exceed slot %d", keyLen, valLen, len(src))
-	}
-	return &KV{
-		Key:         src[KVHeaderSize : KVHeaderSize+keyLen],
-		Val:         src[KVHeaderSize+keyLen : KVHeaderSize+keyLen+valLen],
-		SlotVersion: binary.LittleEndian.Uint64(src[8:]),
-		Fence:       fence,
-		Tombstone:   src[1]&kvFlagTomb != 0,
-	}, nil
+	out := kv // kv stays on the stack: an unwritten or torn slot allocates nothing
+	return &out, nil
 }
 
 // DecodeKVInto is DecodeKV without the heap allocation: it fills dst
@@ -119,6 +103,18 @@ func DecodeKVInto(dst *KV, src []byte) (ok bool, err error) {
 	dst.Fence = fence
 	dst.Tombstone = src[1]&kvFlagTomb != 0
 	return true, nil
+}
+
+// KVPairBytes returns the class size the header of an encoded pair
+// states, or 0 when the pair was never written (fence 0). hdr needs only
+// the pair's first 8 bytes. A reader that read the pair at a guessed
+// size — a slot's Meta length hint (§3.2.2), a cached class — decodes
+// the pair at this size, and reads it again when it is the larger.
+func KVPairBytes(hdr []byte) int {
+	if hdr[0] == 0 {
+		return 0
+	}
+	return KVClassSize(int(binary.LittleEndian.Uint16(hdr[2:])), int(binary.LittleEndian.Uint32(hdr[4:])))
 }
 
 // NextFence returns the write-version fence to use when overwriting a

@@ -53,6 +53,34 @@ func TestEmptySlotIsZero(t *testing.T) {
 	}
 }
 
+// TestSlotWordCodec pins that the replication baselines' 8-byte slot
+// word — fingerprint in the top byte, the 48-bit address below — is,
+// bit for bit, the Atomic word with Ver 0.
+func TestSlotWordCodec(t *testing.T) {
+	addr := PackAddr(3, 0x12345678)
+	w := SlotAtomic{FP: 0xAB, Addr: addr}.Pack()
+	if want := uint64(0xAB)<<56 | addr; w != want {
+		t.Fatalf("slot word %#x, want %#x", w, want)
+	}
+	if a := UnpackAtomic(w); a.FP != 0xAB || a.Ver != 0 || a.Addr != addr {
+		t.Fatalf("round trip: %+v from %#x", a, w)
+	}
+}
+
+// TestKVPairBytes checks the header-stated class size a reader decodes
+// at: the pair's own, not the buffer's, and 0 for a never-written pair.
+func TestKVPairBytes(t *testing.T) {
+	buf := make([]byte, 256)
+	if got := KVPairBytes(buf); got != 0 {
+		t.Fatalf("never-written pair: %d, want 0", got)
+	}
+	key, val := []byte("key-000001"), []byte("small")
+	EncodeKV(buf[:KVClassSize(len(key), len(val))], key, val, 1, 1, false)
+	if got, want := KVPairBytes(buf[:8]), KVClassSize(len(key), len(val)); got != want {
+		t.Fatalf("KVPairBytes = %d, want %d", got, want)
+	}
+}
+
 func TestKVRoundTrip(t *testing.T) {
 	key, val := []byte("user_4817"), bytes.Repeat([]byte("v"), 900)
 	cls := KVClassSize(len(key), len(val))

@@ -163,15 +163,6 @@ func (c *Client) Backoff(attempt int) {
 	c.Ctx.Sleep(time.Duration(1+int(c.id)%4) * time.Microsecond << shift)
 }
 
-// SlotWord packs a slot's first word: fingerprint in the top byte,
-// 48-bit address below (the 8-byte atomic word layout FUSEE uses).
-func SlotWord(fp uint8, addr uint64) uint64 {
-	return uint64(fp)<<56 | addr&((1<<48)-1)
-}
-
-func SlotFP(w uint64) uint8    { return uint8(w >> 56) }
-func SlotAddr(w uint64) uint64 { return w & ((1 << 48) - 1) }
-
 // Key is what a key's hash decides: its partition, the fingerprint its
 // slot carries and its two candidate buckets.
 type Key struct {
@@ -220,7 +211,7 @@ type Pair struct {
 	k    *Key
 	hint int
 	buf  [2][]byte
-	next int // next of the 2×BucketSlots slots for Next to look at
+	next int // next of the 2×layout.BucketSlots slots for Next to look at
 	// Torn reports that Next met a candidate whose pair failed its
 	// fences: an overwrite of it was in flight.
 	Torn bool
@@ -259,12 +250,12 @@ func (m *Match) Word() uint64 { return binary.LittleEndian.Uint64(m.Raw) }
 // failover — carries the key, or nil when there is none left.
 func (p *Pair) Next() *Match {
 	sb := p.c.Cfg.SlotBytes
-	for p.next < 2*BucketSlots {
-		b, s := p.next/BucketSlots, p.next%BucketSlots
+	for p.next < 2*layout.BucketSlots {
+		b, s := p.next/layout.BucketSlots, p.next%layout.BucketSlots
 		p.next++
 		raw := p.buf[b][s*sb : (s+1)*sb]
 		w := binary.LittleEndian.Uint64(raw)
-		if w == 0 || SlotFP(w) != p.k.FP {
+		if w == 0 || layout.UnpackAtomic(w).FP != p.k.FP {
 			continue
 		}
 		slot := Slot{p.k.P, p.k.Buckets[b], s}
@@ -286,24 +277,13 @@ func (p *Pair) Next() *Match {
 func (p *Pair) Free() (Slot, error) {
 	first := int(p.k.hash >> 32 & 1)
 	for _, b := range [2]int{first, 1 - first} {
-		for s := 0; s < BucketSlots; s++ {
+		for s := 0; s < layout.BucketSlots; s++ {
 			if binary.LittleEndian.Uint64(p.buf[b][s*p.c.Cfg.SlotBytes:]) == 0 {
 				return Slot{p.k.P, p.k.Buckets[b], s}, nil
 			}
 		}
 	}
 	return Slot{}, fmt.Errorf("replica: buckets full for key %q", p.k.Bytes)
-}
-
-// PairBytes returns the class size the header of an encoded KV pair
-// states, or 0 when the pair was never written.
-func PairBytes(buf []byte) int {
-	if buf[0] == 0 {
-		return 0
-	}
-	keyLen := int(binary.LittleEndian.Uint16(buf[2:]))
-	valLen := int(binary.LittleEndian.Uint32(buf[4:]))
-	return layout.KVClassSize(keyLen, valLen)
 }
 
 // ReadKVAt reads and decodes a KV copy. The speculative size is
@@ -328,7 +308,7 @@ func (c *Client) ReadKVAt(addr uint64, size int) (*layout.KV, error) {
 			c.NoteErr(mn, err)
 			return nil, err
 		}
-		real := PairBytes(buf)
+		real := layout.KVPairBytes(buf)
 		if real == 0 {
 			return nil, nil // never written
 		}
@@ -347,7 +327,7 @@ func (c *Client) ReadKVAt(addr uint64, size int) (*layout.KV, error) {
 // same slot and reads their copies instead. This is the baselines'
 // whole recovery story: any surviving copy serves the data, no rebuild.
 func (c *Client) readKVFailover(s Slot, w uint64, size int) (*layout.KV, error) {
-	kv, err := c.ReadKVAt(SlotAddr(w), size)
+	kv, err := c.ReadKVAt(layout.UnpackAtomic(w).Addr, size)
 	if err == nil || !errors.Is(err, rdma.ErrNodeFailed) {
 		return kv, err
 	}
@@ -359,10 +339,10 @@ func (c *Client) readKVFailover(s Slot, w uint64, size int) (*layout.KV, error) 
 			continue
 		}
 		rw := binary.LittleEndian.Uint64(wb[:])
-		if rw == 0 || SlotFP(rw) != SlotFP(w) {
+		if rw == 0 || layout.UnpackAtomic(rw).FP != layout.UnpackAtomic(w).FP {
 			continue
 		}
-		if kv, err = c.ReadKVAt(SlotAddr(rw), size); err == nil {
+		if kv, err = c.ReadKVAt(layout.UnpackAtomic(rw).Addr, size); err == nil {
 			return kv, nil
 		}
 	}

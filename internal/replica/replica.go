@@ -29,6 +29,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ftmode"
+	"repro/internal/layout"
 	"repro/internal/rdma"
 )
 
@@ -92,13 +93,10 @@ func ConfigFromCore(cfg core.Config, slotBytes int) Config {
 	return rc
 }
 
-// BucketSlots is the slot count per bucket; a bucket is read with one
-// RDMA_READ, so 16-byte slots double the bucket bytes — the read
-// amplification the "+SLOT" step measures.
-const BucketSlots = 8
-
-// BucketBytes is the size of one bucket.
-func (c *Config) BucketBytes() uint64 { return uint64(BucketSlots * c.SlotBytes) }
+// BucketBytes is the size of one bucket: layout.BucketSlots slots, read
+// with one RDMA_READ, so 16-byte slots double the bucket bytes — the
+// read amplification the "+SLOT" step measures.
+func (c *Config) BucketBytes() uint64 { return uint64(layout.BucketSlots * c.SlotBytes) }
 
 func (c *Config) numBuckets() uint64 { return c.PartitionBytes / c.BucketBytes() }
 
@@ -251,10 +249,10 @@ func (cl *Cluster) MNState(mn int) (failed, indexReady, blocksReady bool) {
 // Mode returns the name the cluster was opened under.
 func (cl *Cluster) Mode() string { return cl.mode }
 
-// Caps: replica failover for reads and the admin kill; no rebuild, no
-// checkpoints, no space breakdown, no bounded client cache.
+// Caps: replica failover for reads; no rebuild, no space breakdown, no
+// bounded client cache.
 func (cl *Cluster) Caps() ftmode.Caps {
-	return ftmode.Caps{ReadFailover: true, AdminRPC: true}
+	return ftmode.Caps{ReadFailover: true}
 }
 
 // Start is a no-op: the alloc/kill handlers are installed at open and

@@ -15,7 +15,7 @@ func TestGeometry(t *testing.T) {
 	for _, sb := range []int{8, 16} {
 		cfg := DefaultConfig()
 		cfg.SlotBytes = sb
-		if got, want := cfg.BucketBytes(), uint64(BucketSlots*sb); got != want {
+		if got, want := cfg.BucketBytes(), uint64(layout.BucketSlots*sb); got != want {
 			t.Fatalf("slot %d: bucket bytes %d, want %d", sb, got, want)
 		}
 		for p := 0; p < cfg.NumMNs; p++ {
@@ -66,28 +66,6 @@ func TestConfigFromCoreAligned(t *testing.T) {
 	}
 }
 
-func TestSlotWordCodec(t *testing.T) {
-	addr := layout.PackAddr(3, 0x12345678)
-	w := SlotWord(0xAB, addr)
-	if SlotFP(w) != 0xAB || SlotAddr(w) != addr {
-		t.Fatalf("SlotWord round trip: fp %#x addr %#x from %#x", SlotFP(w), SlotAddr(w), w)
-	}
-}
-
-// TestPairBytes checks the header-stated class size a reader decodes
-// at: the pair's own, not the buffer's, and 0 for a never-written pair.
-func TestPairBytes(t *testing.T) {
-	buf := make([]byte, 256)
-	if got := PairBytes(buf); got != 0 {
-		t.Fatalf("never-written pair: %d, want 0", got)
-	}
-	key, val := []byte("key-000001"), []byte("small")
-	layout.EncodeKV(buf[:layout.KVClassSize(len(key), len(val))], key, val, 1, 1, false)
-	if got, want := PairBytes(buf), layout.KVClassSize(len(key), len(val)); got != want {
-		t.Fatalf("PairBytes = %d, want %d", got, want)
-	}
-}
-
 // TestFreeSlotChoice pins the free-slot rule racing inserters rely on:
 // the bucket a bit of the key's hash prefers comes first, the other one
 // only when that is full, and a full pair is an error.
@@ -110,11 +88,11 @@ func TestFreeSlotChoice(t *testing.T) {
 		if s, err := p.Free(); err != nil || s != (Slot{1, k.Buckets[first], 3}) {
 			t.Fatalf("pref %d: got %+v, %v; want slot 3 of the preferred bucket", pref, s, err)
 		}
-		fill(first, BucketSlots)
+		fill(first, layout.BucketSlots)
 		if s, err := p.Free(); err != nil || s != (Slot{1, k.Buckets[other], 0}) {
 			t.Fatalf("pref %d, preferred bucket full: got %+v, %v; want slot 0 of the other", pref, s, err)
 		}
-		fill(other, BucketSlots)
+		fill(other, layout.BucketSlots)
 		if _, err := p.Free(); err == nil {
 			t.Fatalf("pref %d: a full pair yielded a slot", pref)
 		}

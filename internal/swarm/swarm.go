@@ -15,9 +15,10 @@
 //     overwrites — a single round trip of data writes regardless of n,
 //     SWARM's "in-place, single-RTT" replicated write.
 //
-// Index slots are 16 bytes: word0 packs fingerprint|address (committed
-// by the insert's CAS; rewritten, with a plain write, only when a copy
-// has to move), word1 is the version the copies are stamped with. Readers validate a copy's embedded
+// Index slots are 16 bytes: word0 is layout's Atomic word with Ver 0,
+// fingerprint|address (committed by the insert's CAS; rewritten, with a
+// plain write, only when a copy has to move), word1 is the version the
+// copies are stamped with. Readers validate a copy's embedded
 // slot version against word1 and retry while a writer is in flight;
 // fences (layout.EncodeKV) catch torn overwrites. The protocol shares
 // FUSEE's conflict-resolution corner cases under adversarial delay
@@ -161,7 +162,7 @@ func (c *Client) cachedRead(k *replica.Key, ent *cacheEnt) ([]byte, error) {
 	if ent.words[0] == 0 || c.Failed(mn) {
 		return nil, errStaleCache
 	}
-	kmn, kvAt := c.CopyAt(replica.SlotAddr(ent.words[0]))
+	kmn, kvAt := c.CopyAt(layout.UnpackAtomic(ent.words[0]).Addr)
 	if c.Failed(kmn) {
 		return nil, errStaleCache
 	}
@@ -178,7 +179,7 @@ func (c *Client) cachedRead(k *replica.Key, ent *cacheEnt) ([]byte, error) {
 	}
 	// Decode at the header's true class: an in-place shrink leaves the
 	// new trailing fence before the end of the cached class size.
-	real := replica.PairBytes(kvBuf)
+	real := layout.KVPairBytes(kvBuf)
 	if real == 0 || real > len(kvBuf) {
 		return nil, errStaleCache // never written, or grew past the class
 	}
@@ -375,7 +376,7 @@ func (c *Client) insertSlot(k *replica.Key, val []byte, tombstone bool, slot rep
 	// Word0 CAS rounds: backups first, acting primary commits.
 	words := make([]uint64, c.Cfg.Replicas)
 	for i, ri := range live {
-		words[ri] = replica.SlotWord(k.FP, addrs[i])
+		words[ri] = layout.SlotAtomic{FP: k.FP, Addr: addrs[i]}.Pack()
 	}
 	for _, ri := range append(append([]int(nil), live[1:]...), live[0]) {
 		mn, at := c.At(slot, ri)
@@ -414,8 +415,8 @@ func (c *Client) landCopies(k *replica.Key, val []byte, tombstone bool, l locate
 	var ops []rdma.Op
 	var moved []int
 	for _, ri := range live {
-		if w0 := l.words[ri]; w0 != 0 && replica.SlotFP(w0) == k.FP && size <= l.class {
-			if kmn, at := c.CopyAt(replica.SlotAddr(w0)); !c.Failed(kmn) {
+		if w0 := l.words[ri]; w0 != 0 && layout.UnpackAtomic(w0).FP == k.FP && size <= l.class {
+			if kmn, at := c.CopyAt(layout.UnpackAtomic(w0).Addr); !c.Failed(kmn) {
 				ops = append(ops, rdma.Op{Kind: rdma.OpWrite, Addr: at, Buf: buf})
 				continue
 			}
@@ -429,7 +430,7 @@ func (c *Client) landCopies(k *replica.Key, val []byte, tombstone bool, l locate
 		}
 		ops = append(ops, placeOps...)
 		for i, ri := range moved {
-			l.words[ri] = replica.SlotWord(k.FP, addrs[i])
+			l.words[ri] = layout.SlotAtomic{FP: k.FP, Addr: addrs[i]}.Pack()
 			_, at := c.At(l.slot, ri)
 			ops = append(ops, wordWrite(at, l.words[ri]))
 		}
