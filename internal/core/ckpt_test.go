@@ -517,6 +517,7 @@ func TestTCPNetCkptInlineStress(t *testing.T) {
 		cn := pl.AddComputeNode()
 		cl.SpawnClient(cn, fmt.Sprintf("ckpt-stress-%d", w), func(c *Client) {
 			defer wg.Done()
+			defer c.Close()
 			for gen := 1; gen <= 10; gen++ {
 				for i := w * perWriter; i < (w+1)*perWriter; i++ {
 					if err := c.Update(key(i), val(i, gen)); err != nil {

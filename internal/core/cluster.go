@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/erasure"
 	"repro/internal/layout"
@@ -34,6 +35,11 @@ type Cluster struct {
 	master  *Master
 	trace   *obs.Ring
 	tracer  *obs.Tracer
+	// daemons counts the master's loops and the servers' daemons running;
+	// stopped is set by stop, and a server a recovery brings up after it
+	// stops at once.
+	daemons sync.WaitGroup
+	stopped atomic.Bool
 
 	// cacheMet aggregates cache activity across this handle's clients
 	// for live export (/metrics, admin Stats).
@@ -190,6 +196,36 @@ func (cl *Cluster) StartMaster() *Master {
 	cl.master = newMaster(cl, node)
 	cl.master.start()
 	return cl.master
+}
+
+// spawnDaemon spawns one of the processes stop ends and waits for.
+func (cl *Cluster) spawnDaemon(node rdma.NodeID, name string, fn func(rdma.Ctx)) {
+	cl.daemons.Add(1)
+	cl.pl.Spawn(node, name, func(ctx rdma.Ctx) {
+		defer cl.daemons.Done()
+		fn(ctx)
+	})
+}
+
+// stop ends what the cluster runs besides its clients (those stop with
+// Close) and returns when it has ended: the master's loops and the
+// daemons of every server, replacements included. Each ends at its next
+// poll, so stop is for wall-clock fabrics; an in-process cluster calls it
+// before closing the fabric, so that none of them outlives the cluster.
+func (cl *Cluster) stop() {
+	cl.stopped.Store(true)
+	if cl.master != nil {
+		cl.master.mu.Lock()
+		cl.master.halted = true
+		cl.master.mu.Unlock()
+	}
+	cl.view.mu.Lock()
+	servers := append([]*Server(nil), cl.servers...)
+	cl.view.mu.Unlock()
+	for _, s := range servers {
+		s.stop()
+	}
+	cl.daemons.Wait()
 }
 
 // Addr resolves a (logical MN, offset) pair to a fabric address using

@@ -25,6 +25,8 @@ type Master struct {
 	// abortedRounds counts checkpoint rounds that took no snapshot
 	// because an alive MN never acknowledged the prepare (ckptLoop).
 	abortedRounds uint64
+	// halted ends the loops (Cluster.stop).
+	halted bool
 	// Reports collects recovery reports for harness inspection.
 	Reports []*RecoveryReport
 	// DetectDelay models the membership service's failure-detection
@@ -47,8 +49,14 @@ func (m *Master) AddSpare() rdma.NodeID {
 }
 
 func (m *Master) start() {
-	m.cl.pl.Spawn(m.node, "master-ckpt", m.ckptLoop)
-	m.cl.pl.Spawn(m.node, "master-recovery", m.recoveryLoop)
+	m.cl.spawnDaemon(m.node, "master-ckpt", m.ckptLoop)
+	m.cl.spawnDaemon(m.node, "master-recovery", m.recoveryLoop)
+}
+
+func (m *Master) isHalted() bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.halted
 }
 
 // ckptPrepareAttempts bounds how often one round's prepare is sent to an
@@ -70,6 +78,10 @@ func (m *Master) ckptLoop(ctx rdma.Ctx) {
 	for {
 		ctx.Sleep(m.cl.Cfg.CkptInterval)
 		m.mu.Lock()
+		if m.halted {
+			m.mu.Unlock()
+			return
+		}
 		m.round++
 		round := m.round
 		m.mu.Unlock()
@@ -126,6 +138,10 @@ func (m *Master) recoveryLoop(ctx rdma.Ctx) {
 	for {
 		ctx.Sleep(m.DetectDelay)
 		m.mu.Lock()
+		if m.halted {
+			m.mu.Unlock()
+			return
+		}
 		if len(m.failQ) == 0 || len(m.spares) == 0 {
 			m.mu.Unlock()
 			continue
@@ -171,7 +187,7 @@ func (m *Master) recoverOnto(ctx rdma.Ctx, mn int, spare rdma.NodeID) {
 	// accepting the next failure. If the spare itself fail-stops, give
 	// up on this attempt — FailMN has already re-queued the logical MN
 	// and a later loop iteration retries with another spare.
-	for {
+	for !m.isHalted() {
 		ctx.Sleep(500 * time.Microsecond)
 		node, failed, idxReady, _ := cl.view.snapshotMN(mn)
 		if !failed && idxReady {

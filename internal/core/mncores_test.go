@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -125,6 +126,7 @@ func TestMNRunsOnlyItsFixedCores(t *testing.T) {
 	})
 
 	t.Run("tcpnet", func(t *testing.T) {
+		base := runtime.NumGoroutine()
 		cfg := testConfig()
 		cfg.CkptInterval = 40 * time.Millisecond
 		tcp := tcpnet.NewGroup()
@@ -136,12 +138,7 @@ func TestMNRunsOnlyItsFixedCores(t *testing.T) {
 		})
 		pl := newSpawnRecorder(tcp)
 		cl, spare := start(t, cfg, pl)
-		t.Cleanup(func() {
-			for mn := 0; mn < cfg.Layout.NumMNs; mn++ {
-				cl.Server(mn).stop()
-			}
-			tcp.Close()
-		})
+		t.Cleanup(func() { stopTCPCluster(t, cl, tcp, base) })
 		deadline := time.Now().Add(30 * time.Second)
 		for {
 			if _, _, blocksReady := cl.MNState(1); blocksReady {

@@ -318,6 +318,9 @@ func runRecovery(ctx rdma.Ctx, cl *Cluster, mn int) *RecoveryReport {
 	cl.view.indexGen[mn]++ // reapplyCandidate re-placed keys: slots bound before this are not
 	cl.view.epoch++
 	cl.view.mu.Unlock()
+	if cl.stopped.Load() { // published after Cluster.stop read the servers
+		srv.stop()
+	}
 	rep.IndexDone = ctx.Now() - start
 	cl.trace.Emit(obs.Event{At: ctx.Now(), Kind: "recovery.index_ready", MN: mn, Dur: rep.IndexDone,
 		Note: "tier 2 complete: writes full speed, reads degraded"})

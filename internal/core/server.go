@@ -116,10 +116,10 @@ func (s *Server) start() {
 		s.cl.pl.SetHandler(s.node, s.handle)
 	}
 	name := fmt.Sprintf("mn%d", s.mn)
-	s.cl.pl.Spawn(s.node, name+"-encoder", s.encoderLoop)
-	s.cl.pl.Spawn(s.node, name+"-ckptsend", s.ckptSendLoop)
-	s.cl.pl.Spawn(s.node, name+"-ckptrecv", s.ckptRecvLoop)
-	s.cl.pl.Spawn(s.node, name+"-metasync", s.metaSyncLoop)
+	s.cl.spawnDaemon(s.node, name+"-encoder", s.encoderLoop)
+	s.cl.spawnDaemon(s.node, name+"-ckptsend", s.ckptSendLoop)
+	s.cl.spawnDaemon(s.node, name+"-ckptrecv", s.ckptRecvLoop)
+	s.cl.spawnDaemon(s.node, name+"-metasync", s.metaSyncLoop)
 }
 
 // stop makes the daemons wind down (used at failure injection).

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"time"
 
@@ -14,6 +15,7 @@ import (
 // listener and all verbs cross real sockets.
 func newTCPTestCluster(t *testing.T, mutate func(*Config)) (*tcpnet.Platform, *Cluster) {
 	t.Helper()
+	base := runtime.NumGoroutine()
 	cfg := testConfig()
 	cfg.CkptInterval = 40 * time.Millisecond
 	if mutate != nil {
@@ -32,13 +34,27 @@ func newTCPTestCluster(t *testing.T, mutate func(*Config)) (*tcpnet.Platform, *C
 	}
 	cl.StartServers()
 	cl.StartMaster()
-	t.Cleanup(func() {
-		for mn := 0; mn < cfg.Layout.NumMNs; mn++ {
-			cl.Server(mn).stop()
-		}
-		pl.Close()
-	})
+	t.Cleanup(func() { stopTCPCluster(t, cl, pl, base) })
 	return pl, cl
+}
+
+// stopTCPCluster is the cleanup of an in-process tcpnet cluster: it
+// stops the cluster, closes the fabric and waits for the goroutine count
+// to come back to base, its value before the cluster was made. A later
+// test that counts the allocations of the whole process
+// (testing.AllocsPerRun) must not count this cluster's daemons.
+func stopTCPCluster(t *testing.T, cl *Cluster, pl *tcpnet.Platform, base int) {
+	cl.stop()
+	pl.Close()
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Errorf("%d goroutines outlive the cluster:\n%s", runtime.NumGoroutine()-base, buf[:runtime.Stack(buf, true)])
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // runTCPClient runs fn as a client process on a fresh compute node and
@@ -49,6 +65,7 @@ func runTCPClient(t *testing.T, pl *tcpnet.Platform, cl *Cluster, fn func(*Clien
 	done := make(chan struct{})
 	cl.SpawnClient(cn, "tcp-test-client", func(c *Client) {
 		defer close(done)
+		defer c.Close()
 		fn(c)
 	})
 	select {

@@ -1,0 +1,80 @@
+package ftmodes
+
+import (
+	"bytes"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/ftmode"
+)
+
+// TestReplicationSteadyStateAllocs pins the replication modes' warm
+// operations at the heap allocations the API asks for: none for an
+// UPDATE, one for a cached GET — the copy of the value it returns. The
+// client runs in its own simnet process over 100 preloaded keys; simnet's
+// verbs allocate nothing (TestVerbsDoNotAllocate), so what is counted is
+// the client's. Blocks of 1 MB keep block provisioning, which allocates,
+// out of the measured operations.
+func TestReplicationSteadyStateAllocs(t *testing.T) {
+	for _, m := range []struct {
+		mode     string
+		getReads uint64 // read verbs of a cached GET
+	}{
+		{core.FTModeFusee, 3}, // the pair and both buckets
+		{core.FTModeSwarm, 2}, // the 16 B slot and the copy
+	} {
+		t.Run(m.mode, func(t *testing.T) {
+			h := openMode(t, m.mode, func(cfg *core.Config) { cfg.Layout.BlockSize = 1 << 20 })
+			const n = 100
+			var upd, get float64
+			var reads, gets uint64
+			h.runClients(t, 60*time.Second, func(c ftmode.Client) {
+				keys, vals := make([][]byte, n), make([][]byte, n)
+				for i := range keys {
+					keys[i], vals[i] = key(i), val(i, 1)
+					if err := c.Insert(keys[i], val(i, 0)); err != nil {
+						t.Errorf("insert %d: %v", i, err)
+						return
+					}
+				}
+				failed := false
+				i := 0
+				update := func() {
+					failed = failed || c.Update(keys[i%n], vals[i%n]) != nil
+					i++
+				}
+				search := func() {
+					got, err := c.Search(keys[i%n])
+					failed = failed || err != nil || !bytes.Equal(got, vals[i%n])
+					i++
+					gets++
+				}
+				for i < 2*n { // fill the cache entries and grow the scratch
+					update()
+				}
+				for i < 3*n {
+					search()
+				}
+				upd = testing.AllocsPerRun(1000, update)
+				_, reads0, _ := c.Counters()
+				gets0 := gets
+				get = testing.AllocsPerRun(1000, search)
+				_, reads1, _ := c.Counters()
+				reads, gets = reads1-reads0, gets-gets0
+				if failed {
+					t.Error("an operation failed")
+				}
+			})
+			if reads != m.getReads*gets {
+				t.Errorf("%d reads over %d GETs, want %d each: not the cached path", reads, gets, m.getReads)
+			}
+			if upd != 0 {
+				t.Errorf("warm UPDATE allocates %v objects, want 0", upd)
+			}
+			if get != 1 {
+				t.Errorf("cached GET allocates %v objects, want 1 (the returned value)", get)
+			}
+		})
+	}
+}

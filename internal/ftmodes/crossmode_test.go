@@ -40,10 +40,14 @@ type harness struct {
 	ft ftmode.Cluster
 }
 
-func openMode(t *testing.T, mode string) *harness {
+// openMode opens mode on crossConfig, changed by mutate unless it is nil.
+func openMode(t *testing.T, mode string, mutate func(*core.Config)) *harness {
 	t.Helper()
 	cfg := crossConfig()
 	cfg.FTMode = mode
+	if mutate != nil {
+		mutate(&cfg)
+	}
 	pl := simnet.New(simnet.DefaultConfig())
 	ft, err := core.OpenFT(cfg, pl)
 	if err != nil {
@@ -123,7 +127,7 @@ func forEachMode(t *testing.T, fn func(t *testing.T, h *harness)) {
 	for _, m := range allModes {
 		m := m
 		t.Run(m, func(t *testing.T) {
-			fn(t, openMode(t, m))
+			fn(t, openMode(t, m, nil))
 		})
 	}
 }
@@ -740,4 +744,60 @@ func TestCrossModeFusedCommit(t *testing.T) {
 			}
 		})
 	})
+}
+
+// TestCrossModeClassGrowthAfterFailStop grows values into a size class
+// after a fail-stop, from a client that holds an open block of that
+// class on the failed MN: the cluster's first client, whose replication
+// blocks sit on MNs 1, 2 and 3. The first write into the dead block
+// fails; the ones after it must go to blocks on survivors. swarm-inplace
+// kept its open blocks and retried into the dead one until the block
+// filled up — with 1 MB blocks, past its last try.
+func TestCrossModeClassGrowthAfterFailStop(t *testing.T) {
+	for _, m := range allModes {
+		t.Run(m, func(t *testing.T) {
+			classGrowthAfterFailStop(t, openMode(t, m, func(cfg *core.Config) { cfg.Layout.BlockSize = 1 << 20 }))
+		})
+	}
+}
+
+func classGrowthAfterFailStop(t *testing.T, h *harness) {
+	const victim, n = 1, 20
+	big := bytes.Repeat([]byte("B"), 600)
+	var g gate
+	done := h.spawnClients(func(ctx rdma.Ctx, c ftmode.Client) {
+		for i := 0; i < n; i++ {
+			if err := c.Insert(key(i), val(i, 0)); err != nil {
+				t.Errorf("insert %d: %v", i, err)
+				return
+			}
+		}
+		if err := c.Insert(key(n), big); err != nil { // opens the class's blocks
+			t.Errorf("insert %d: %v", n, err)
+			return
+		}
+		g.wait(ctx)
+		for i := 0; i < n; i++ {
+			if err := c.Update(key(i), big); err != nil {
+				t.Errorf("update %d into the larger class after the fail-stop: %v", i, err)
+				return
+			}
+		}
+		for i := 0; i <= n; i++ {
+			if got, err := c.Search(key(i)); err != nil || !bytes.Equal(got, big) {
+				t.Errorf("search %d: err %v", i, err)
+				return
+			}
+		}
+	})
+	h.until(t, 60*time.Second, "the client to open its blocks", func() bool { return g.arrived == 1 })
+	h.ft.FailMN(victim)
+	if h.ft.Caps().TieredRecovery {
+		h.until(t, 120*time.Second, "tiered recovery", func() bool {
+			_, _, blocksReady := h.ft.MNState(victim)
+			return blocksReady
+		})
+	}
+	g.open = true
+	h.until(t, 120*time.Second, "the client to finish", func() bool { return *done == 1 })
 }

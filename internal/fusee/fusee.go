@@ -45,15 +45,32 @@ func NewCluster(cfg replica.Config, pl rdma.Platform) (*replica.Cluster, error) 
 // validate (§3.5.1 contrasts this with Aceso's slot-address cache).
 type cacheEnt struct {
 	slot    replica.Slot
-	vals    []uint64 // per replica, packed slot words
-	haveAll bool     // vals holds every replica (filled at own commit)
-	len     int      // KV class size (bytes)
+	vals    [replica.MaxReplicas]uint64 // per replica, packed slot words
+	haveAll bool                        // vals holds every replica (filled at own commit)
+	len     int                         // KV class size (bytes)
 }
 
 // Client is a FUSEE-style client.
 type Client struct {
 	*replica.Client
 	cache map[string]*cacheEnt
+
+	// Scratch of the cached read: its batch, buffers and decoded pair.
+	getOps [3]rdma.Op
+	getKV  []byte
+	getBkt [2][]byte
+	kv     layout.KV
+}
+
+// entry returns key's cache entry, adding an empty one if there is none;
+// a commit or a read then fills it in place.
+func (c *Client) entry(key []byte) *cacheEnt {
+	ent := c.cache[string(key)]
+	if ent == nil {
+		ent = new(cacheEnt)
+		c.cache[string(key)] = ent
+	}
+	return ent
 }
 
 func newClient(base *replica.Client) ftmode.Client {
@@ -76,7 +93,8 @@ func (c *Client) Search(key []byte) ([]byte, error) {
 		hint = ent.len // stale, but the class is the best guess there is
 	}
 	for attempt := 0; attempt < replica.MaxOpRetries; attempt++ {
-		live := c.Live(k.P)
+		lv := c.Live(k.P)
+		live := lv.List()
 		if len(live) == 0 {
 			return nil, replica.ErrAllReplicasFailed(k.P)
 		}
@@ -92,10 +110,9 @@ func (c *Client) Search(key []byte) ([]byte, error) {
 			return nil, core.ErrNotFound
 		}
 		if live[0] == 0 && c.Cfg.CacheValues {
-			vals := make([]uint64, c.Cfg.Replicas)
-			vals[0] = m.Word()
-			c.cache[string(key)] = &cacheEnt{slot: m.Slot, vals: vals,
-				len: layout.KVClassSize(len(m.KV.Key), len(m.KV.Val))}
+			ent := c.entry(key)
+			*ent = cacheEnt{slot: m.Slot, len: layout.KVClassSize(len(m.KV.Key), len(m.KV.Val))}
+			ent.vals[0] = m.Word()
 		}
 		return replica.Value(m.KV)
 	}
@@ -114,11 +131,14 @@ func (c *Client) cachedRead(k *replica.Key, ent *cacheEnt) ([]byte, error) {
 		// caller takes the search path, which fails over.
 		return nil, errStaleCache
 	}
-	ops := make([]rdma.Op, 3)
-	ops[0] = rdma.Op{Kind: rdma.OpRead, Addr: kvAt, Buf: make([]byte, ent.len)}
+	if c.getBkt[0] == nil {
+		c.getBkt = [2][]byte{make([]byte, c.Cfg.BucketBytes()), make([]byte, c.Cfg.BucketBytes())}
+	}
+	ops := c.getOps[:]
+	ops[0] = rdma.Op{Kind: rdma.OpRead, Addr: kvAt, Buf: replica.Resize(&c.getKV, ent.len)}
 	for i, b := range k.Buckets {
 		_, at := c.At(replica.Slot{P: k.P, Bucket: b}, 0)
-		ops[1+i] = rdma.Op{Kind: rdma.OpRead, Addr: at, Buf: make([]byte, c.Cfg.BucketBytes())}
+		ops[1+i] = rdma.Op{Kind: rdma.OpRead, Addr: at, Buf: c.getBkt[i]}
 	}
 	if err := c.Batch(ops); err != nil {
 		return nil, err
@@ -130,7 +150,10 @@ func (c *Client) cachedRead(k *replica.Key, ent *cacheEnt) ([]byte, error) {
 	var kv *layout.KV
 	var err error
 	if cur := binary.LittleEndian.Uint64(bkt[ent.slot.Idx*c.Cfg.SlotBytes:]); cur == ent.vals[0] {
-		kv, err = layout.DecodeKV(ops[0].Buf)
+		var ok bool
+		if ok, err = layout.DecodeKVInto(&c.kv, ops[0].Buf); ok {
+			kv = &c.kv
+		}
 	} else {
 		// Slot changed: chase the new value once.
 		if cur == 0 || layout.UnpackAtomic(cur).FP != k.FP {
@@ -162,14 +185,14 @@ func (c *Client) Delete(key []byte) error { return c.write(key, nil, true) }
 func (c *Client) write(key, val []byte, tombstone bool) error {
 	k := c.Op(key)
 	r := c.Cfg.Replicas
-	size := layout.KVClassSize(len(key), len(val))
-	buf := make([]byte, size)
-	layout.EncodeKV(buf, key, val, 1, 1, tombstone)
+	buf := c.EncodeKV(key, val, 1, 1, tombstone)
+	size := len(buf)
 
 	for attempt := 0; attempt < replica.MaxOpRetries; attempt++ {
 		// The acting primary is the first surviving replica; after
 		// failures the remaining replicas keep serializing writes.
-		live := c.Live(k.P)
+		lv := c.Live(k.P)
+		live := lv.List()
 		if len(live) == 0 {
 			return replica.ErrAllReplicasFailed(k.P)
 		}
@@ -178,11 +201,11 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 		// Locate the slot and its per-replica old words, via the cache
 		// when it holds the full replica set (warm after this client's
 		// own commit), else by reading buckets and replica slots.
-		old := make([]uint64, r)
+		var old [replica.MaxReplicas]uint64
 		var slot replica.Slot
 		found := false
 		if ent := c.cache[string(key)]; ent != nil && ent.haveAll && acting == 0 {
-			copy(old, ent.vals)
+			old = ent.vals
 			slot, found = ent.slot, true
 		} else {
 			hint := replica.ReadBytes
@@ -203,7 +226,7 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 			} else if slot, err = pair.Free(); err != nil {
 				return err
 			}
-			if err := c.PeerWords(slot, live[1:], old); err != nil {
+			if err := c.PeerWords(slot, live[1:], old[:]); err != nil {
 				if errors.Is(err, rdma.ErrNodeFailed) {
 					c.RefreshView()
 					continue
@@ -227,8 +250,8 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 			}
 			return err
 		}
-		words := make([]uint64, r)
-		for i := range words {
+		var words [replica.MaxReplicas]uint64
+		for i := 0; i < r; i++ {
 			words[i] = layout.SlotAtomic{FP: k.FP, Addr: addrs[i]}.Pack()
 		}
 		// CAS the backups, then the primary (the commit). The CASes run
@@ -237,7 +260,8 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 		// cannot be pipelined behind the next (§2.4: "Based on the CAS
 		// results, one winner is selected...").
 		won, failedOver := true, false
-		for _, ri := range append(append([]int(nil), live[1:]...), acting) {
+		for j := 1; j <= len(live); j++ {
+			ri := live[j%len(live)] // live[1:], then acting
 			mn, at := c.At(slot, ri)
 			prev, err := c.CAS(at, old[ri], words[ri])
 			if err != nil {
@@ -256,7 +280,7 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 		}
 		if won {
 			if c.Cfg.CacheValues && acting == 0 {
-				c.cache[string(key)] = &cacheEnt{slot: slot, vals: words, haveAll: true, len: size}
+				*c.entry(key) = cacheEnt{slot: slot, vals: words, haveAll: true, len: size}
 			}
 			if !found {
 				c.Stats.ValidBytes += uint64(size)

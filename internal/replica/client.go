@@ -33,6 +33,10 @@ type Stats struct {
 	ValidBytes   uint64 // net new valid payload written (first copy)
 }
 
+// MaxReplicas bounds Config.Replicas, so that a list of replicas, or a
+// word per replica, fits a fixed-size value.
+const MaxReplicas = 8
+
 type openBlock struct {
 	mn   int
 	idx  int
@@ -41,6 +45,12 @@ type openBlock struct {
 
 // Client is the part of a replication client every mode shares; a mode
 // embeds it and adds its cache and its four operations.
+//
+// The client owns the buffers its helpers read into, so that a warm
+// operation allocates nothing. What ReadPair, Pair.Next and ReadKVAt
+// return points into them and stays valid until the client's next read;
+// the addresses and writes Place returns, until its next Place; the
+// pair EncodeKV returns, until its next EncodeKV.
 type Client struct {
 	Cfg   *Config
 	Ctx   rdma.Ctx
@@ -49,6 +59,34 @@ type Client struct {
 	cl   *Cluster
 	id   uint16
 	open map[uint8][]*openBlock // per class: the open blocks pairs are placed in
+
+	pair    Pair
+	pairOps [2]rdma.Op
+	kv      layout.KV
+	kvBuf   []byte
+	enc     []byte
+	word    [8]byte
+	peerOps [MaxReplicas]rdma.Op
+	peerBuf [MaxReplicas][8]byte
+	addrs   [MaxReplicas]uint64
+	ops     [MaxReplicas]rdma.Op
+}
+
+// Resize returns *buf at length n, growing it first when it is shorter:
+// how a client sizes its scratch.
+func Resize(buf *[]byte, n int) []byte {
+	if cap(*buf) < n {
+		*buf = make([]byte, n)
+	}
+	return (*buf)[:n]
+}
+
+// EncodeKV encodes a pair at its class size into the client's encode
+// buffer (see Client).
+func (c *Client) EncodeKV(key, val []byte, slotVersion uint64, fence uint8, tombstone bool) []byte {
+	buf := Resize(&c.enc, layout.KVClassSize(len(key), len(val)))
+	layout.EncodeKV(buf, key, val, slotVersion, fence, tombstone)
+	return buf
 }
 
 // Attach binds the client to its process context.
@@ -120,14 +158,26 @@ func (c *Client) NoteErr(mn int, err error) bool {
 	return false
 }
 
+// Replicas is a list of replica indices held in a value, so that a
+// Live nested in an operation (a read's failover inside a write's retry
+// loop) cannot overwrite the list its caller holds.
+type Replicas struct {
+	n  int
+	ri [MaxReplicas]int
+}
+
+// List returns the indices; the slice aliases r.
+func (r *Replicas) List() []int { return r.ri[:r.n] }
+
 // Live returns the surviving replica indices of partition p in replica
 // order; the first is the acting primary, which keeps serializing
 // writes after failures.
-func (c *Client) Live(p int) []int {
-	out := make([]int, 0, c.Cfg.Replicas)
+func (c *Client) Live(p int) Replicas {
+	var out Replicas
 	for i := 0; i < c.Cfg.Replicas; i++ {
 		if !c.Failed(c.Cfg.ReplicaMN(p, i)) {
-			out = append(out, i)
+			out.ri[out.n] = i
+			out.n++
 		}
 	}
 	return out
@@ -137,12 +187,11 @@ func (c *Client) Live(p int) []int {
 // marks the dead ones. Used after an ambiguous batched-verb failure
 // (the batch error does not say which node died).
 func (c *Client) RefreshView() {
-	var b [8]byte
 	for mn := 0; mn < c.Cfg.NumMNs; mn++ {
 		if c.Failed(mn) {
 			continue
 		}
-		if err := c.Read(b[:], rdma.GlobalAddr{Node: c.cl.nodes[mn]}); err != nil {
+		if err := c.Read(c.word[:], rdma.GlobalAddr{Node: c.cl.nodes[mn]}); err != nil {
 			c.NoteErr(mn, err)
 		}
 	}
@@ -205,13 +254,15 @@ func (c *Client) CopyAt(addr uint64) (mn int, at rdma.GlobalAddr) {
 }
 
 // Pair is a key's two candidate buckets as one replica of its
-// partition holds them.
+// partition holds them. It is the client's scratch: valid until the
+// client's next ReadPair.
 type Pair struct {
 	c    *Client
-	k    *Key
+	k    Key
 	hint int
 	buf  [2][]byte
 	next int // next of the 2×layout.BucketSlots slots for Next to look at
+	m    Match
 	// Torn reports that Next met a candidate whose pair failed its
 	// fences: an overwrite of it was in flight.
 	Torn bool
@@ -220,22 +271,26 @@ type Pair struct {
 // ReadPair reads the key's bucket pair from replica ri in one batch.
 // hint is the size at which Next first reads a candidate's KV pair.
 func (c *Client) ReadPair(k *Key, ri, hint int) (*Pair, error) {
-	p := &Pair{c: c, k: k, hint: hint}
-	ops := make([]rdma.Op, 2)
+	p := &c.pair
+	if p.buf[0] == nil {
+		p.buf = [2][]byte{make([]byte, c.Cfg.BucketBytes()), make([]byte, c.Cfg.BucketBytes())}
+	}
+	*p = Pair{c: c, k: *k, hint: hint, buf: p.buf}
 	var mn int
 	for i, b := range k.Buckets {
-		p.buf[i] = make([]byte, c.Cfg.BucketBytes())
-		ops[i].Kind, ops[i].Buf = rdma.OpRead, p.buf[i]
-		mn, ops[i].Addr = c.At(Slot{k.P, b, 0}, ri)
+		c.pairOps[i] = rdma.Op{Kind: rdma.OpRead, Buf: p.buf[i]}
+		mn, c.pairOps[i].Addr = c.At(Slot{k.P, b, 0}, ri)
 	}
-	if err := c.Batch(ops); err != nil {
+	if err := c.Batch(c.pairOps[:]); err != nil {
 		c.NoteErr(mn, err)
 		return nil, err
 	}
 	return p, nil
 }
 
-// Match is a slot of a Pair whose KV pair carries the key.
+// Match is a slot of a Pair whose KV pair carries the key. Raw points
+// into the Pair and KV into the client's read buffer: both are valid
+// until the client's next read.
 type Match struct {
 	Slot Slot
 	Raw  []byte // the slot as the replica holds it, SlotBytes wide
@@ -264,7 +319,8 @@ func (p *Pair) Next() *Match {
 			p.Torn = true
 		}
 		if err == nil && kv != nil && bytes.Equal(kv.Key, p.k.Bytes) {
-			return &Match{slot, raw, kv}
+			p.m = Match{slot, raw, kv}
+			return &p.m
 		}
 	}
 	return nil
@@ -290,7 +346,8 @@ func (p *Pair) Free() (Slot, error) {
 // clamped to the block boundary (KV pairs never span blocks); the
 // pair's true size comes from its header, so the read may turn out
 // longer than the pair (decode the class-size prefix) or shorter
-// (re-read at the true size).
+// (re-read at the true size). The pair is decoded in the client's read
+// buffer: it is valid until the client's next read.
 func (c *Client) ReadKVAt(addr uint64, size int) (*layout.KV, error) {
 	mn, at := c.CopyAt(addr)
 	if base := c.Cfg.blockOff(0); at.Off >= base {
@@ -303,7 +360,7 @@ func (c *Client) ReadKVAt(addr uint64, size int) (*layout.KV, error) {
 		size = 64
 	}
 	for {
-		buf := make([]byte, size)
+		buf := Resize(&c.kvBuf, size)
 		if err := c.Read(buf, at); err != nil {
 			c.NoteErr(mn, err)
 			return nil, err
@@ -316,7 +373,10 @@ func (c *Client) ReadKVAt(addr uint64, size int) (*layout.KV, error) {
 			return nil, layout.ErrTornKV
 		}
 		if real <= size {
-			return layout.DecodeKV(buf[:real])
+			if ok, err := layout.DecodeKVInto(&c.kv, buf[:real]); !ok {
+				return nil, err
+			}
+			return &c.kv, nil
 		}
 		size = real
 	}
@@ -331,14 +391,14 @@ func (c *Client) readKVFailover(s Slot, w uint64, size int) (*layout.KV, error) 
 	if err == nil || !errors.Is(err, rdma.ErrNodeFailed) {
 		return kv, err
 	}
-	for _, ri := range c.Live(s.P) {
+	live := c.Live(s.P)
+	for _, ri := range live.List() {
 		mn, at := c.At(s, ri)
-		var wb [8]byte
-		if rerr := c.Read(wb[:], at); rerr != nil {
+		if rerr := c.Read(c.word[:], at); rerr != nil {
 			c.NoteErr(mn, rerr)
 			continue
 		}
-		rw := binary.LittleEndian.Uint64(wb[:])
+		rw := binary.LittleEndian.Uint64(c.word[:])
 		if rw == 0 || layout.UnpackAtomic(rw).FP != layout.UnpackAtomic(w).FP {
 			continue
 		}
@@ -364,9 +424,9 @@ func (c *Client) PeerWords(s Slot, ris []int, words []uint64) error {
 	if len(ris) == 0 {
 		return nil
 	}
-	ops := make([]rdma.Op, len(ris))
+	ops := c.peerOps[:len(ris)]
 	for i, ri := range ris {
-		ops[i].Kind, ops[i].Buf = rdma.OpRead, make([]byte, 8)
+		ops[i] = rdma.Op{Kind: rdma.OpRead, Buf: c.peerBuf[i][:]}
 		_, ops[i].Addr = c.At(s, ri)
 	}
 	if err := c.Batch(ops); err != nil {
@@ -382,15 +442,15 @@ func (c *Client) PeerWords(s Slot, ris []int, words []uint64) error {
 // client's open blocks of its class, on distinct MNs, and returns their
 // packed addresses with the n writes; the caller posts them in a batch
 // of its own. When one of the blocks has no room for another pair the
-// class's blocks are retired.
+// class's blocks are retired. The returned slices are the client's
+// scratch, valid until its next Place.
 func (c *Client) Place(buf []byte, n int) ([]uint64, []rdma.Op, error) {
 	size := len(buf)
 	obs, err := c.getBlocks(uint8(size/64), n)
 	if err != nil {
 		return nil, nil, err
 	}
-	addrs := make([]uint64, n)
-	ops := make([]rdma.Op, n)
+	addrs, ops := c.addrs[:n], c.ops[:n]
 	for i, ob := range obs[:n] {
 		off := c.Cfg.blockOff(ob.idx) + uint64(ob.next*size)
 		ob.next++

@@ -150,7 +150,7 @@ type Cluster struct {
 // name the cluster reports; wrap builds the mode's client around a
 // fresh base client.
 func NewCluster(mode string, cfg Config, pl rdma.Platform, wrap func(*Client) ftmode.Client) (*Cluster, error) {
-	if cfg.Replicas < 1 || cfg.Replicas > cfg.NumMNs {
+	if cfg.Replicas < 1 || cfg.Replicas > cfg.NumMNs || cfg.Replicas > MaxReplicas {
 		return nil, fmt.Errorf("replica: replicas %d out of range", cfg.Replicas)
 	}
 	if cfg.SlotBytes != 8 && cfg.SlotBytes != 16 {

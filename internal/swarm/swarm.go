@@ -51,9 +51,25 @@ func init() { replica.Register(core.FTModeSwarm, slotBytes, newClient) }
 // torn in-place overwrite is distinguishable from the intact old pair).
 func fenceFor(ver uint64) uint8 { return uint8(1 + ver&1) }
 
-// wordWrite is the plain 8-byte write of w at at.
-func wordWrite(at rdma.GlobalAddr, w uint64) rdma.Op {
-	return rdma.Op{Kind: rdma.OpWrite, Addr: at, Buf: binary.LittleEndian.AppendUint64(nil, w)}
+// batch is the client's scratch a write builds its one batch in: the
+// ops, and the words its plain 8-byte writes carry.
+type batch struct {
+	ops   []rdma.Op
+	words [2 * replica.MaxReplicas][8]byte
+	used  int
+}
+
+// reset empties the batch for the next write.
+func (b *batch) reset() {
+	b.ops, b.used = b.ops[:0], 0
+}
+
+// wordWrite appends the plain 8-byte write of w at at.
+func (b *batch) wordWrite(at rdma.GlobalAddr, w uint64) {
+	word := b.words[b.used][:]
+	b.used++
+	binary.LittleEndian.PutUint64(word, w)
+	b.ops = append(b.ops, rdma.Op{Kind: rdma.OpWrite, Addr: at, Buf: word})
 }
 
 // cacheEnt caches a key's slot location and per-replica copy
@@ -71,8 +87,8 @@ func wordWrite(at rdma.GlobalAddr, w uint64) rdma.Op {
 // second failure to see it (ROADMAP item 1).
 type cacheEnt struct {
 	slot  replica.Slot
-	words []uint64 // per replica, packed word0 (0 = unknown)
-	class int      // copy class size (bytes)
+	words [replica.MaxReplicas]uint64 // per replica, packed word0 (0 = unknown)
+	class int                         // copy class size (bytes)
 }
 
 // complete reports whether the entry knows word0 of every live replica,
@@ -91,6 +107,26 @@ func (e *cacheEnt) complete(live []int) bool {
 type Client struct {
 	*replica.Client
 	cache map[string]*cacheEnt
+
+	// Scratch, reused by every operation: the batch a write posts, the
+	// 16 B slot a cached read or write reads, and a cached read's batch
+	// with its copy buffer and decoded pair.
+	staged  batch
+	slotBuf [slotBytes]byte
+	getOps  [2]rdma.Op
+	getKV   []byte
+	kv      layout.KV
+}
+
+// entry returns key's cache entry, adding an empty one if there is none;
+// a commit or a read then fills it in place.
+func (c *Client) entry(key []byte) *cacheEnt {
+	ent := c.cache[string(key)]
+	if ent == nil {
+		ent = new(cacheEnt)
+		c.cache[string(key)] = ent
+	}
+	return ent
 }
 
 func newClient(base *replica.Client) ftmode.Client {
@@ -117,7 +153,8 @@ func (c *Client) Search(key []byte) ([]byte, error) {
 		hint = ent.class // stale, but the class is the best guess there is
 	}
 	for attempt := 0; attempt < replica.MaxOpRetries; attempt++ {
-		live := c.Live(k.P)
+		lv := c.Live(k.P)
+		live := lv.List()
 		if len(live) == 0 {
 			return nil, replica.ErrAllReplicasFailed(k.P)
 		}
@@ -137,10 +174,9 @@ func (c *Client) Search(key []byte) ([]byte, error) {
 				continue
 			}
 			if live[0] == 0 && c.Cfg.CacheValues {
-				words := make([]uint64, c.Cfg.Replicas)
-				words[0] = m.Word()
-				c.cache[string(key)] = &cacheEnt{slot: m.Slot, words: words,
-					class: layout.KVClassSize(len(m.KV.Key), len(m.KV.Val))}
+				ent := c.entry(key)
+				*ent = cacheEnt{slot: m.Slot, class: layout.KVClassSize(len(m.KV.Key), len(m.KV.Val))}
+				ent.words[0] = m.Word()
 			}
 			return replica.Value(m.KV)
 		}
@@ -166,12 +202,12 @@ func (c *Client) cachedRead(k *replica.Key, ent *cacheEnt) ([]byte, error) {
 	if c.Failed(kmn) {
 		return nil, errStaleCache
 	}
-	slotBuf := make([]byte, slotBytes)
-	kvBuf := make([]byte, ent.class)
-	if err := c.Batch([]rdma.Op{
+	slotBuf, kvBuf := c.slotBuf[:], replica.Resize(&c.getKV, ent.class)
+	c.getOps = [2]rdma.Op{
 		{Kind: rdma.OpRead, Addr: slotAt, Buf: slotBuf},
 		{Kind: rdma.OpRead, Addr: kvAt, Buf: kvBuf},
-	}); err != nil {
+	}
+	if err := c.Batch(c.getOps[:]); err != nil {
 		return nil, err
 	}
 	if binary.LittleEndian.Uint64(slotBuf) != ent.words[0] {
@@ -183,12 +219,12 @@ func (c *Client) cachedRead(k *replica.Key, ent *cacheEnt) ([]byte, error) {
 	if real == 0 || real > len(kvBuf) {
 		return nil, errStaleCache // never written, or grew past the class
 	}
-	kv, err := layout.DecodeKV(kvBuf[:real])
-	if err != nil || kv == nil || !bytes.Equal(kv.Key, k.Bytes) ||
-		kv.SlotVersion < binary.LittleEndian.Uint64(slotBuf[8:]) {
+	ok, err := layout.DecodeKVInto(&c.kv, kvBuf[:real])
+	if err != nil || !ok || !bytes.Equal(c.kv.Key, k.Bytes) ||
+		c.kv.SlotVersion < binary.LittleEndian.Uint64(slotBuf[8:]) {
 		return nil, errStaleCache // writer in flight
 	}
-	return replica.Value(kv)
+	return replica.Value(&c.kv)
 }
 
 // Insert stores a key-value pair (upsert).
@@ -203,9 +239,10 @@ func (c *Client) Delete(key []byte) error { return c.write(key, nil, true) }
 // located is what a write knows about its key's slot before it commits.
 type located struct {
 	slot  replica.Slot
-	ver   uint64   // the acting primary's version word
-	words []uint64 // per replica, word0 (0 = unknown)
-	class int      // class size of the copies in place; 0 = no slot holds the key yet
+	ver   uint64                      // the acting primary's version word
+	words [replica.MaxReplicas]uint64 // per replica, word0 (0 = unknown)
+	class int                         // class size of the copies in place; 0 = no slot holds the key yet
+	valid bool                        // set: from the cache or a bucket walk
 }
 
 // write implements the SWARM-style write: first insert of a key
@@ -218,7 +255,8 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 	size := layout.KVClassSize(len(key), len(val))
 
 	for attempt := 0; attempt < replica.MaxOpRetries; attempt++ {
-		live := c.Live(k.P)
+		lv := c.Live(k.P)
+		live := lv.List()
 		if len(live) == 0 {
 			return replica.ErrAllReplicasFailed(k.P)
 		}
@@ -232,16 +270,15 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 			// The version word must be read fresh, the CAS below needs
 			// the current value; word0 comes with it in the same read.
 			mn, at := c.At(ent.slot, 0)
-			var sb [slotBytes]byte
-			if err := c.Read(sb[:], at); err != nil {
+			if err := c.Read(c.slotBuf[:], at); err != nil {
 				if c.NoteErr(mn, err) {
 					continue
 				}
 				return err
 			}
-			if binary.LittleEndian.Uint64(sb[:]) == ent.words[0] {
-				l = located{slot: ent.slot, ver: binary.LittleEndian.Uint64(sb[8:]),
-					words: append([]uint64(nil), ent.words...), class: ent.class}
+			if binary.LittleEndian.Uint64(c.slotBuf[:]) == ent.words[0] {
+				l = located{slot: ent.slot, ver: binary.LittleEndian.Uint64(c.slotBuf[8:]),
+					words: ent.words, class: ent.class, valid: true}
 			} else {
 				// Another writer moved the copy. Writing on would take
 				// tickets for an orphan and leave the copy the index
@@ -250,7 +287,7 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 				delete(c.cache, string(key))
 			}
 		}
-		if l.words == nil {
+		if !l.valid {
 			hint := replica.ReadBytes
 			if ent != nil {
 				hint = ent.class
@@ -306,7 +343,7 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 		// whose MN died, are redirected to fresh blocks in the same
 		// batch.
 		l.ver++
-		if err := c.landCopies(&k, val, tombstone, l, size, live); err != nil {
+		if err := c.landCopies(&k, val, tombstone, &l, size, live); err != nil {
 			if errors.Is(err, rdma.ErrNodeFailed) {
 				c.RefreshView()
 				delete(c.cache, string(key))
@@ -323,7 +360,7 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 // key's slot with the current version word, the per-replica word0s and
 // the existing copy class — or, for a key no slot holds, a free slot.
 func (c *Client) locate(k *replica.Key, live []int, tombstone bool, hint int) (located, error) {
-	l := located{words: make([]uint64, c.Cfg.Replicas)}
+	l := located{valid: true}
 	pair, err := c.ReadPair(k, live[0], hint)
 	if err != nil {
 		return l, err
@@ -340,7 +377,7 @@ func (c *Client) locate(k *replica.Key, live []int, tombstone bool, hint int) (l
 	l.words[live[0]] = m.Word()
 	l.class = layout.KVClassSize(len(m.KV.Key), len(m.KV.Val))
 	// Read the other surviving replicas' word0s for the slot.
-	return l, c.PeerWords(l.slot, live[1:], l.words)
+	return l, c.PeerWords(l.slot, live[1:], l.words[:])
 }
 
 // insertSlot commits a key's first write: place one copy per live
@@ -353,32 +390,35 @@ func (c *Client) insertSlot(k *replica.Key, val []byte, tombstone bool, slot rep
 	// race can leave a loser's word on a backup, and the CAS below
 	// must swing from whatever is there (as FUSEE's conflict
 	// resolution does), not assume zero. The primary's must be zero.
-	old := make([]uint64, c.Cfg.Replicas)
-	if err := c.PeerWords(slot, live[1:], old); err != nil {
+	var old [replica.MaxReplicas]uint64
+	if err := c.PeerWords(slot, live[1:], old[:]); err != nil {
 		return err
 	}
-	buf := make([]byte, size)
-	layout.EncodeKV(buf, k.Bytes, val, 1, fenceFor(1), tombstone)
-	addrs, ops, err := c.Place(buf, len(live))
+	buf := c.EncodeKV(k.Bytes, val, 1, fenceFor(1), tombstone)
+	addrs, placeOps, err := c.Place(buf, len(live))
 	if err != nil {
 		return err
 	}
+	b := &c.staged
+	b.reset()
+	b.ops = append(b.ops, placeOps...)
 	// Backup version words ride the copy batch (same value on every
 	// inserter: 1).
 	for _, ri := range live[1:] {
 		_, at := c.At(slot, ri)
-		ops = append(ops, wordWrite(at.Add(8), 1))
+		b.wordWrite(at.Add(8), 1)
 	}
-	if err := c.Batch(ops); err != nil {
+	if err := c.Batch(b.ops); err != nil {
 		c.DropBlocks(size)
 		return err
 	}
 	// Word0 CAS rounds: backups first, acting primary commits.
-	words := make([]uint64, c.Cfg.Replicas)
+	var words [replica.MaxReplicas]uint64
 	for i, ri := range live {
 		words[ri] = layout.SlotAtomic{FP: k.FP, Addr: addrs[i]}.Pack()
 	}
-	for _, ri := range append(append([]int(nil), live[1:]...), live[0]) {
+	for j := 1; j <= len(live); j++ {
+		ri := live[j%len(live)] // live[1:], then the acting primary
 		mn, at := c.At(slot, ri)
 		prev, err := c.CAS(at, old[ri], words[ri])
 		if err != nil {
@@ -390,7 +430,7 @@ func (c *Client) insertSlot(k *replica.Key, val []byte, tombstone bool, slot rep
 		}
 	}
 	if c.Cfg.CacheValues && live[0] == 0 {
-		c.cache[string(k.Bytes)] = &cacheEnt{slot: slot, words: words, class: size}
+		*c.entry(k.Bytes) = cacheEnt{slot: slot, words: words, class: size}
 	}
 	c.Stats.ValidBytes += uint64(size)
 	return nil
@@ -403,48 +443,55 @@ func (c *Client) insertSlot(k *replica.Key, val []byte, tombstone bool, slot rep
 // of a key; it does not exclude them: these are plain writes, a slower
 // writer's can land after a faster successor's, and a word0 rewritten
 // here is news to every other client's cache (see cacheEnt).
-func (c *Client) landCopies(k *replica.Key, val []byte, tombstone bool, l located, size int, live []int) error {
+func (c *Client) landCopies(k *replica.Key, val []byte, tombstone bool, l *located, size int, live []int) error {
 	// Copies are always encoded at the pair's true class size: readers
 	// recompute it from the header, so a shrinking overwrite inside a
 	// larger slot stays self-describing (bytes past the new trailing
 	// fence are never decoded).
-	buf := make([]byte, size)
-	layout.EncodeKV(buf, k.Bytes, val, l.ver, fenceFor(l.ver), tombstone)
+	buf := c.EncodeKV(k.Bytes, val, l.ver, fenceFor(l.ver), tombstone)
 
 	// Which live replicas can be written in place?
-	var ops []rdma.Op
-	var moved []int
+	b := &c.staged
+	b.reset()
+	var moved [replica.MaxReplicas]int
+	nmoved := 0
 	for _, ri := range live {
 		if w0 := l.words[ri]; w0 != 0 && layout.UnpackAtomic(w0).FP == k.FP && size <= l.class {
 			if kmn, at := c.CopyAt(layout.UnpackAtomic(w0).Addr); !c.Failed(kmn) {
-				ops = append(ops, rdma.Op{Kind: rdma.OpWrite, Addr: at, Buf: buf})
+				b.ops = append(b.ops, rdma.Op{Kind: rdma.OpWrite, Addr: at, Buf: buf})
 				continue
 			}
 		}
-		moved = append(moved, ri)
+		moved[nmoved] = ri
+		nmoved++
 	}
-	if len(moved) > 0 {
-		addrs, placeOps, err := c.Place(buf, len(moved))
+	if nmoved > 0 {
+		addrs, placeOps, err := c.Place(buf, nmoved)
 		if err != nil {
 			return err
 		}
-		ops = append(ops, placeOps...)
-		for i, ri := range moved {
+		b.ops = append(b.ops, placeOps...)
+		for i, ri := range moved[:nmoved] {
 			l.words[ri] = layout.SlotAtomic{FP: k.FP, Addr: addrs[i]}.Pack()
 			_, at := c.At(l.slot, ri)
-			ops = append(ops, wordWrite(at, l.words[ri]))
+			b.wordWrite(at, l.words[ri])
 		}
 	}
 	// Backup version words (the acting primary's was set by the CAS).
 	for _, ri := range live[1:] {
 		_, at := c.At(l.slot, ri)
-		ops = append(ops, wordWrite(at.Add(8), l.ver))
+		b.wordWrite(at.Add(8), l.ver)
 	}
-	if err := c.Batch(ops); err != nil {
+	if err := c.Batch(b.ops); err != nil {
+		if nmoved > 0 {
+			// A copy went to an open block whose MN may be the dead one:
+			// the next writer of the class provisions new blocks.
+			c.DropBlocks(size)
+		}
 		return err
 	}
 	if c.Cfg.CacheValues && live[0] == 0 {
-		c.cache[string(k.Bytes)] = &cacheEnt{slot: l.slot, words: l.words, class: max(l.class, size)}
+		*c.entry(k.Bytes) = cacheEnt{slot: l.slot, words: l.words, class: max(l.class, size)}
 	}
 	return nil
 }
