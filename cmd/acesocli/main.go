@@ -161,9 +161,6 @@ func execute(c ftmode.Client, fields []string) (quit bool) {
 					s.Ops, s.Searches, s.Inserts, s.Updates, s.Deletes,
 					s.CASIssued, s.ReadsIssued, s.WritesIssued, s.CASRetries,
 					s.CacheHits, s.CacheMisses, s.DegradedReads, s.Invalidations)
-				entries, capacity, bytes, evictions := cc.CacheStats()
-				fmt.Printf("cache: entries=%d capacity=%d fill=%.1f%% bytes=%d evictions=%d\n",
-					entries, capacity, 100*stats.Ratio(float64(entries), float64(capacity)), bytes, evictions)
 				fmt.Printf("write: fused=%d deltaSkips=%d prefetch{hits=%d misses=%d} chased=%d validateFirst{changed=%d unchanged=%d}\n",
 					s.WriteFused, s.DeltaSkips,
 					s.BlockPrefetchHits, s.BlockPrefetchMisses,
@@ -172,6 +169,9 @@ func execute(c ftmode.Client, fields []string) (quit bool) {
 				cas, reads, writes := c.Counters()
 				fmt.Printf("cas=%d reads=%d writes=%d\n", cas, reads, writes)
 			}
+			entries, capacity, bytes, evictions := c.CacheStats()
+			fmt.Printf("cache: entries=%d capacity=%d fill=%.1f%% bytes=%d evictions=%d\n",
+				entries, capacity, 100*stats.Ratio(float64(entries), float64(capacity)), bytes, evictions)
 			if transportStats != nil {
 				t := transportStats()
 				fmt.Printf("transport: openConns=%d", t.OpenConns)

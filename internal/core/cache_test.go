@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clientcache"
 	"repro/internal/racehash"
 	"repro/internal/rdma"
 	"repro/internal/rdma/simnet"
@@ -331,8 +332,8 @@ func TestGetStateTable(t *testing.T) {
 			t.Errorf("%s: %d doorbells, %d reads; want %d, %d", row.name, d.doorbells, d.reads, row.doorbells, row.reads)
 		}
 	}
-	if r.cache.lookup(racehash.Hash(absent), absent) != nil || r.cache.Len() != 3 {
-		t.Errorf("GETs of an absent key left a cache entry (%d entries, want 3)", r.cache.Len())
+	if entries, _, _, _ := r.CacheStats(); r.cache.Lookup(racehash.Hash(absent), absent) != nil || entries != 3 {
+		t.Errorf("GETs of an absent key left a cache entry (%d entries, want 3)", entries)
 	}
 	if s := r.Stats; s.CASIssued != 0 || s.WritesIssued != 0 {
 		t.Errorf("GETs issued %d CAS and %d WRITE verbs", s.CASIssued, s.WritesIssued)
@@ -380,13 +381,14 @@ func TestClientMemoryBoundedUnderChurn(t *testing.T) {
 			}
 		}
 	})
-	if got, cap := cli.cache.Len(), cli.cache.Cap(); got > cap {
-		t.Errorf("cache entries %d exceed bound %d", got, cap)
+	entries, capacity, bytesRes, evictions := cli.CacheStats()
+	if entries > capacity {
+		t.Errorf("cache entries %d exceed bound %d", entries, capacity)
 	}
-	if cli.cache.Cap() != cfg.CacheEntries {
-		t.Errorf("cache capacity %d, configured %d: the bound is exact", cli.cache.Cap(), cfg.CacheEntries)
+	if capacity != cfg.CacheEntries {
+		t.Errorf("cache capacity %d, configured %d: the bound is exact", capacity, cfg.CacheEntries)
 	}
-	if cli.cache.Evictions() == 0 {
+	if evictions == 0 {
 		t.Error("churn over 600 keys never evicted from a 128-entry cache")
 	}
 	if got := len(cli.open); got > maxOpenClasses {
@@ -397,8 +399,7 @@ func TestClientMemoryBoundedUnderChurn(t *testing.T) {
 	}
 	// The footprint estimate must stay within a generous static budget:
 	// per-entry overhead + retained key/value capacity.
-	_, _, bytesRes, _ := cli.CacheStats()
-	budget := uint64(cli.cache.Cap()) * (cacheEntryOverhead + 64 + 2048)
+	budget := uint64(capacity) * (clientcache.EntryOverhead + 64 + 2048)
 	if bytesRes > budget {
 		t.Errorf("resident cache footprint %d exceeds budget %d", bytesRes, budget)
 	}
@@ -641,17 +642,15 @@ func TestRandomOpsWithCrashCachedClients(t *testing.T) {
 // and value capacity reuse), the footprint gauge and the table's
 // tombstone-rebuild path.
 func TestCacheUnitBoundAndRecycling(t *testing.T) {
-	cc := newClientCache(128)
-	if cc.Cap() != 128 {
-		t.Fatalf("cap %d, requested 128", cc.Cap())
-	}
+	const capacity = 128
+	cc := clientcache.New[cacheEnt](capacity, nil)
 	type kh struct {
 		k []byte
 		h uint64
 	}
 	// Keys, hashes and the value are precomputed so the allocation
 	// measurement covers the cache alone.
-	pre := make([]kh, 10*cc.Cap())
+	pre := make([]kh, 10*capacity)
 	for i := range pre {
 		pre[i].k = []byte(fmt.Sprintf("unit-key-%05d", i))
 		pre[i].h = racehash.Hash(pre[i].k)
@@ -660,20 +659,21 @@ func TestCacheUnitBoundAndRecycling(t *testing.T) {
 	i := 0
 	churn := func() {
 		p := pre[i%len(pre)]
-		e := cc.upsert(p.h, p.k)
-		e.val = cc.retain(e.val, v)
+		e, _ := cc.Upsert(p.h, p.k)
+		e.val = cc.Retain(e.val, v)
 		i++
 	}
 	for i < len(pre) {
 		churn()
 	}
-	if cc.Len() != cc.Cap() {
-		t.Fatalf("len %d after a 10x overcommit, cap %d", cc.Len(), cc.Cap())
+	entries, gotCap, bytesRes, evictions := cc.Stats()
+	if gotCap != capacity || entries != capacity {
+		t.Fatalf("%d entries of %d after a 10x overcommit, requested %d", entries, gotCap, capacity)
 	}
-	if got, want := cc.Evictions(), uint64(len(pre)-cc.Cap()); got != want {
-		t.Fatalf("%d evictions over %d distinct keys, want %d", got, len(pre), want)
+	if want := uint64(len(pre) - capacity); evictions != want {
+		t.Fatalf("%d evictions over %d distinct keys, want %d", evictions, len(pre), want)
 	}
-	if got, want := cc.Bytes(), uint64(cc.Cap())*(cacheEntryOverhead+64+64); got > want {
+	if got, want := bytesRes, uint64(capacity)*(clientcache.EntryOverhead+64+64); got > want {
 		t.Fatalf("footprint %d exceeds %d: recycled slots must reuse their key and value storage", got, want)
 	}
 	// Steady state: churning existing capacity must not allocate (keys
@@ -683,10 +683,14 @@ func TestCacheUnitBoundAndRecycling(t *testing.T) {
 	}
 	// The 1 300 evictions above left tombstones enough for several
 	// rebuilds; the table must still lead to every live entry.
-	for j := range cc.ents {
-		if e := &cc.ents[j]; cc.lookup(e.hash, e.key) != e {
-			t.Fatalf("live entry %d (%q) is not reachable through the table", j, e.key)
+	reachable := 0
+	for _, p := range pre {
+		if cc.Lookup(p.h, p.k) != nil {
+			reachable++
 		}
+	}
+	if entries, _, _, _ := cc.Stats(); reachable != entries {
+		t.Fatalf("%d keys reachable through the table, %d live entries", reachable, entries)
 	}
 }
 
@@ -715,23 +719,24 @@ func TestCacheFillsToCapacity(t *testing.T) {
 	} {
 		t.Run(fam.name, func(t *testing.T) {
 			cfg := DefaultConfig()
-			cc := newClientCache(cfg.cacheEntries())
-			if cc.Cap() != 16384 {
-				t.Fatalf("default cache holds %d entries, want 16384", cc.Cap())
+			cc := clientcache.New[cacheEnt](cfg.CacheEntries, nil)
+			_, capacity, _, _ := cc.Stats()
+			if capacity != 16384 {
+				t.Fatalf("default cache holds %d entries, want 16384", capacity)
 			}
 			insert := func(from, n int) {
 				for i := from; i < from+n; i++ {
 					k := fam.key(i)
-					cc.upsert(racehash.Hash(k), k)
+					cc.Upsert(racehash.Hash(k), k)
 				}
 			}
-			insert(0, cc.Cap())
-			if cc.Evictions() != 0 || cc.Len() != cc.Cap() {
-				t.Fatalf("%d distinct keys: %d entries, %d evictions; want a full cache and none", cc.Cap(), cc.Len(), cc.Evictions())
+			insert(0, capacity)
+			if entries, _, _, evictions := cc.Stats(); evictions != 0 || entries != capacity {
+				t.Fatalf("%d distinct keys: %d entries, %d evictions; want a full cache and none", capacity, entries, evictions)
 			}
-			insert(cc.Cap(), cc.Cap()/4)
-			if got := cc.Evictions(); got != uint64(cc.Cap()/4) || cc.Len() != cc.Cap() {
-				t.Fatalf("%d more keys: %d entries, %d evictions; want one eviction each", cc.Cap()/4, cc.Len(), got)
+			insert(capacity, capacity/4)
+			if entries, _, _, evictions := cc.Stats(); evictions != uint64(capacity/4) || entries != capacity {
+				t.Fatalf("%d more keys: %d entries, %d evictions; want one eviction each", capacity/4, entries, evictions)
 			}
 		})
 	}

@@ -128,7 +128,7 @@ func (s *scripted) put(t *testing.T, on, id int, v []byte) (blk blockID, open bo
 			t.Errorf("update %d: %v", id, err)
 			return
 		}
-		mn, off := layout.UnpackAddr(layout.UnpackAtomic(c.cache.lookup(racehash.Hash(k), k).atomic).Addr)
+		mn, off := layout.UnpackAddr(layout.UnpackAtomic(c.cache.Lookup(racehash.Hash(k), k).atomic).Addr)
 		blk = blockID{int(mn), c.cl.L.BlockOfOff(off)}
 		for _, ob := range c.open {
 			open = open || blk == blockID{ob.mn, ob.idx}

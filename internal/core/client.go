@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/clientcache"
 	"repro/internal/obs"
 	"repro/internal/rdma"
 )
@@ -36,7 +37,8 @@ type Client struct {
 	// waits and degraded reads with OpMark.
 	ot obs.OpTracer
 
-	cache    *clientCache // nil when CacheEntries < 0
+	cache    *clientcache.Cache[cacheEnt] // nil when CacheEntries < 0
+	stale    staleEstimate                // drives validate-first writes (DESIGN.md §13)
 	met      *obs.CacheMetrics
 	wmet     *obs.WriteMetrics
 	scratch  readScratch
@@ -111,8 +113,7 @@ func newClient(cl *Cluster, id uint16) *Client {
 		open:    make(map[uint8]*openBlock),
 		pending: make(map[pendKey][]uint32),
 	}
-	c.cache = newClientCache(cl.Cfg.cacheEntries())
-	c.cache.attach(c.met)
+	c.cache = clientcache.New[cacheEnt](cl.Cfg.CacheEntries, c.met)
 	return c
 }
 
@@ -121,7 +122,7 @@ func newClient(cl *Cluster, id uint16) *Client {
 // Harnesses use it to assert the memory bound; evictions while entries
 // is below capacity mean a placement fault.
 func (c *Client) CacheStats() (entries, capacity int, bytes, evictions uint64) {
-	return c.cache.Len(), c.cache.Cap(), c.cache.Bytes(), c.cache.Evictions()
+	return c.cache.Stats()
 }
 
 // Attach binds the client to its process context. It must be called
@@ -202,5 +203,5 @@ func (c *Client) Close() {
 		}
 	}
 	c.FlushBitmaps()
-	c.cache.release()
+	c.cache.Release()
 }

@@ -171,7 +171,7 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 			// another client may have re-inserted the key since: re-read
 			// the slot. Unmoved proves the tombstone; moved probes the index.
 			if moved := c.rearmSlot(&loc, mn, fp, false); loc.armed {
-				c.cache.validated(ent, moved)
+				c.stale.validated(ent, moved)
 			}
 			continue
 		}
@@ -275,7 +275,7 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 			c.ot.OpMark("commit.fused", batchStart)
 		}
 		if loc.ent != nil {
-			c.cache.validated(loc.ent, !placed.committed)
+			c.stale.validated(loc.ent, !placed.committed)
 		}
 		if !placed.committed {
 			// Lost the race (or the CAS itself failed): our pair is
@@ -442,16 +442,16 @@ func (c *Client) finishWrite() {
 // nothing it must invalidate.
 func (c *Client) locateForWrite(key []byte, h uint64, mn int, fp uint8, bypass bool) (slotLoc, error) {
 	loc := slotLoc{gen: c.cl.view.indexGenOf(mn), bound: true}
-	if ent := c.cache.lookup(h, key); ent != nil && c.cl.Cfg.CacheSlotAddr && !bypass {
+	if ent := c.cache.Lookup(h, key); ent != nil && c.cl.Cfg.CacheSlotAddr && !bypass {
 		loc.off, loc.atomic, loc.meta, loc.found, loc.tomb = ent.slotOff, ent.atomic, ent.meta, true, ent.tomb()
 		loc.bound = ent.gen == loc.gen
-		if !loc.bound || !c.cache.likelyStale(ent) {
+		if !loc.bound || !c.stale.likelyStale(ent) {
 			loc.ent = ent
 			return loc, nil
 		}
 		start := c.ctx.Now()
 		if moved := c.rearmSlot(&loc, mn, fp, false); loc.armed {
-			c.cache.validated(ent, moved)
+			c.stale.validated(ent, moved)
 			if moved {
 				c.Stats.WriteValidatedChanged++
 				c.wmet.ValidatedChanged.Add(1)

@@ -16,6 +16,7 @@ import (
 // (TestCachedGetZeroAlloc, TestColdGetZeroAlloc).
 type readScratch struct {
 	kv      []byte                  // KV read buffers, grown to the largest probe seen
+	reread  []byte                  // a match's pair read again at its header's size
 	word    [8]byte                 // slot Atomic word validation read
 	b1, b2  [layout.BucketSize]byte // the key's candidate bucket pair
 	ops     []rdma.Op
@@ -60,7 +61,7 @@ func (c *Client) search(dst, key []byte) ([]byte, error) {
 	fp := racehash.Fingerprint(h)
 	c.waitIndexReady(mn)
 
-	if ent := c.cache.lookup(h, key); ent != nil {
+	if ent := c.cache.Lookup(h, key); ent != nil {
 		c.Stats.CacheHits++
 		c.met.Hits.Add(1)
 		val, err := c.cachedRead(dst, key, ent)
@@ -112,7 +113,7 @@ func (c *Client) cachedRead(dst, key []byte, ent *cacheEnt) ([]byte, error) {
 		return nil, errStaleCache // index node changed under us
 	}
 	cur := binary.LittleEndian.Uint64(sc.word[:])
-	c.cache.validated(ent, cur != ent.atomic)
+	c.stale.validated(ent, cur != ent.atomic)
 	if cur != ent.atomic {
 		return c.chaseSlot(dst, key, ent, cur)
 	}
@@ -169,7 +170,7 @@ func (c *Client) cachedBucketRead(dst, key []byte, ent *cacheEnt) ([]byte, error
 			continue
 		}
 		cur := binary.LittleEndian.Uint64(op.Buf[rel:])
-		c.cache.validated(ent, cur != ent.atomic)
+		c.stale.validated(ent, cur != ent.atomic)
 		if cur != ent.atomic {
 			return c.chaseSlot(dst, key, ent, cur)
 		}
@@ -197,7 +198,7 @@ func (c *Client) finishRead(dst, key []byte, ent *cacheEnt, kvBuf []byte) ([]byt
 		ent.val = ent.val[:0]
 		return nil, ErrNotFound
 	}
-	ent.val = c.cache.retain(ent.val, kv.Val)
+	ent.val = c.cache.Retain(ent.val, kv.Val)
 	return append(dst, kv.Val...), nil
 }
 
@@ -309,41 +310,22 @@ func kvHintBytes(meta layout.SlotMeta) int {
 }
 
 // matchKV decodes the pair behind the last probe's match i into the
-// scratch KV. nil means the pair is unreadable, torn or still unwritten
-// (fence 0) under its committed slot — a fused commit's KV write in
-// flight (errTornRead rationale) — so the caller must retry rather than
-// conclude the key absent.
+// scratch KV at its true size. nil means the pair is unreadable, torn or
+// still unwritten (fence 0) under its committed slot — a fused commit's
+// KV write in flight (errTornRead rationale) — so the caller must retry
+// rather than conclude the key absent.
 func (c *Client) matchKV(i int) *layout.KV {
 	sc := &c.scratch
 	op, kv, packed := &sc.ops[i], &sc.dkv, sc.matches[i].Atomic.Addr
-	if op.Err != nil || !decodeAtTrueSize(kv, op.Buf, c.cl.L, func(buf []byte) error { return c.readKVBytes(buf, packed) }) {
+	if op.Err != nil {
+		return nil
+	}
+	// Every refusal, whatever its error, is the retry above.
+	if ok, _ := layout.DecodeAtTrueSize(kv, op.Buf, int(c.cl.L.Cfg.BlockSize), &sc.reread,
+		func(buf []byte) error { return c.readKVBytes(buf, packed) }); !ok {
 		return nil
 	}
 	return kv
-}
-
-// decodeAtTrueSize decodes into kv a pair that was read into buf at a
-// guessed size: a slot's Meta length is only a hint, which the writer
-// repairs after its commit (§3.2.2), and a writer that dies first leaves
-// it short. When the header states a larger class (up to a block), read
-// fetches the pair again at that size and that copy is decoded. It
-// reports false for a pair that is unreadable, torn or never written.
-// Every reader of a pair at a hinted size goes through it: the probe and
-// tier 2's key resolution.
-func decodeAtTrueSize(kv *layout.KV, buf []byte, l *layout.Layout, read func([]byte) error) bool {
-	ok, err := layout.DecodeKVInto(kv, buf)
-	if err != nil {
-		real := layout.KVPairBytes(buf)
-		if real <= len(buf) || real > int(l.Cfg.BlockSize) {
-			return false
-		}
-		buf = make([]byte, real)
-		if read(buf) != nil {
-			return false
-		}
-		ok, err = layout.DecodeKVInto(kv, buf)
-	}
-	return err == nil && ok
 }
 
 // matchSlotOff is the index offset of a probe match's slot.
@@ -360,9 +342,12 @@ func (c *Client) matchSlotOff(h uint64, m racehash.Match) uint64 {
 // partition's index generation read before the verbs that located the
 // slot. val is the committed value (ignored for tombstones).
 func (c *Client) cacheSet(h uint64, key []byte, mn int, slotOff, atomic uint64, meta layout.SlotMeta, gen uint64, tomb bool, val []byte) {
-	ent := c.cache.upsert(h, key)
+	ent, fresh := c.cache.Upsert(h, key)
 	if ent == nil {
 		return
+	}
+	if fresh {
+		ent.flags = 0
 	}
 	ent.flags &^= entTomb
 	if tomb {
@@ -374,7 +359,7 @@ func (c *Client) cacheSet(h uint64, key []byte, mn int, slotOff, atomic uint64, 
 	ent.atomic = atomic
 	ent.meta = meta
 	ent.gen = gen
-	ent.val = c.cache.retain(ent.val, val)
+	ent.val = c.cache.Retain(ent.val, val)
 }
 
 // readKVBytes reads len(buf) bytes at a packed KV address, falling

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 
+	"repro/internal/clientcache"
 	"repro/internal/erasure"
 	"repro/internal/layout"
 	"repro/internal/racehash"
@@ -49,8 +50,8 @@ type deltaCopy struct {
 // application (§3.2.2 remark 3).
 func (c *Client) Restart(ctx rdma.Ctx) error {
 	c.ctx = ctx
-	c.cache = newClientCache(c.cl.Cfg.cacheEntries())
-	c.cache.attach(c.met)
+	c.cache = clientcache.New[cacheEnt](c.cl.Cfg.CacheEntries, c.met)
+	c.stale = staleEstimate{}
 	c.open = make(map[uint8]*openBlock)
 	c.openLRU = nil
 	c.pending = make(map[pendKey][]uint32)
@@ -313,7 +314,7 @@ func (c *Client) clearDeltas(dcs []deltaCopy, lo, n int) {
 // flushing anything, as a CN fail-stop would (test and example
 // support). Use Restart on a new process to recover the identity.
 func (c *Client) SimulateCrash() {
-	c.cache.release()
+	c.cache.Release()
 	c.cache = nil
 	c.open = nil
 	c.openLRU = nil

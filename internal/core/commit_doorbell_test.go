@@ -49,7 +49,7 @@ func nextSlots(t *testing.T, tc *testCluster, c *Client, k, v []byte, n int) []d
 func indexSlot(t *testing.T, tc *testCluster, c *Client, k []byte) []byte {
 	t.Helper()
 	h := racehash.Hash(k)
-	ent := c.cache.lookup(h, k)
+	ent := c.cache.Lookup(h, k)
 	if ent == nil {
 		t.Fatalf("key %q not in client %d's cache", k, c.ID())
 	}
@@ -89,9 +89,11 @@ func indexSlotsOf(tc *testCluster, k []byte) (n int) {
 func (tc *testCluster) pairAt(a uint64) *layout.KV {
 	mn, off := layout.UnpackAddr(a)
 	node, _ := tc.cl.view.nodeOf(int(mn))
-	pair := tc.pl.DirectMemory(node)[off:]
-	kv, _ := layout.DecodeKV(pair[:layout.KVPairBytes(pair)])
-	return kv
+	var kv layout.KV
+	if ok, _ := layout.DecodeAtTrueSize(&kv, tc.pl.DirectMemory(node)[off:], int(tc.cl.L.Cfg.BlockSize), nil, nil); !ok {
+		return nil
+	}
+	return &kv
 }
 
 // moveBeforeSlotRead makes other update k ahead of each of the first n

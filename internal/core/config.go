@@ -72,12 +72,11 @@ type Config struct {
 	// (§3.5.1); disabling it reproduces the "+CKPT" configuration of the
 	// factor analysis (Figure 13), whose hits re-read both buckets.
 	CacheSlotAddr bool
-	// CacheEntries bounds the client index cache: each client keeps
-	// exactly this many entries — slot address plus a copy of the
-	// committed value — in one CLOCK-evicted table (DESIGN.md §12; the
-	// footprint is entries × (96 B + key + value capacity)). 0 means
-	// the 16384-entry default; <0 disables the cache entirely (the
-	// bench "cache off" configuration).
+	// CacheEntries bounds the client cache of every mode: each client
+	// keeps exactly this many entries in one CLOCK-evicted table
+	// (DESIGN.md §12; an aceso entry holds a copy of the committed value,
+	// so the footprint is entries × (96 B + key + value capacity)). 0
+	// means the 16384-entry default; <0 disables the cache entirely.
 	CacheEntries int
 	// BlockPrefetch moves DATA/DELTA block provisioning off the write
 	// hot path: a per-client background worker pre-runs
@@ -184,18 +183,6 @@ func (c *Config) newCode() (erasure.Code, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown erasure code %q", c.Code)
 	}
-}
-
-// cacheEntries resolves the effective client cache bound: the default
-// when unset, 0 when disabled.
-func (c *Config) cacheEntries() int {
-	if c.CacheEntries < 0 {
-		return 0
-	}
-	if c.CacheEntries == 0 {
-		return 16384
-	}
-	return c.CacheEntries
 }
 
 // traceSample resolves the effective 1-in-N op sampling rate (0 =

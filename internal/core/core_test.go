@@ -271,7 +271,7 @@ func TestEpochRollover(t *testing.T) {
 			t.Errorf("after rollover: %v", err)
 			return
 		}
-		ent := c.cache.lookup(racehash.Hash(k), k)
+		ent := c.cache.Lookup(racehash.Hash(k), k)
 		if ent == nil {
 			t.Error("no cache entry")
 			return

@@ -87,7 +87,7 @@ func (a *acesoMode) Core() *Cluster { return a.cl }
 func (a *acesoMode) Mode() string { return FTModeAceso }
 
 func (a *acesoMode) Caps() ftmode.Caps {
-	return ftmode.Caps{TieredRecovery: true, SpaceBreakdown: true, ClientCache: true}
+	return ftmode.Caps{TieredRecovery: true, SpaceBreakdown: true}
 }
 
 // Start launches the MN server daemons and the master with one spare

@@ -29,7 +29,7 @@ func TestForcedRelockAfterClientCrash(t *testing.T) {
 			t.Errorf("insert: %v", err)
 			return
 		}
-		ent := c.cache.lookup(racehash.Hash(k), k)
+		ent := c.cache.Lookup(racehash.Hash(k), k)
 		slotOff = ent.slotOff
 		mn = ent.mn
 	})

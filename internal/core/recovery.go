@@ -622,8 +622,11 @@ func (ek *entryKeys) of(m racehash.Match) ([]byte, bool) {
 	}
 	buf := make([]byte, kvHintBytes(m.Meta))
 	var kv layout.KV
-	if read(buf) != nil || !decodeAtTrueSize(&kv, buf, ek.cl.L, read) {
+	if read(buf) != nil {
 		return nil, false
+	}
+	if ok, _ := layout.DecodeAtTrueSize(&kv, buf, int(ek.cl.L.Cfg.BlockSize), &buf, read); !ok {
+		return nil, false // unreadable, torn or never written: the key stays unresolved
 	}
 	return append([]byte(nil), kv.Key...), true
 }

@@ -134,9 +134,9 @@ func TestPredictedStaleUpdateTwoDoorbells(t *testing.T) {
 	_, a, b, actx, _ := staleCommitPair(t, 4)
 	k := key(1)
 	rounds := 0
-	for ; a.cache.stale.rate[1] <= 1<<15 || b.cache.stale.rate[1] <= 1<<15; rounds++ {
+	for ; a.stale.rate[1] <= 1<<15 || b.stale.rate[1] <= 1<<15; rounds++ {
 		if rounds > 200 {
-			t.Fatalf("estimate never crossed 1/2 under strict alternation: a=%v b=%v", a.cache.stale, b.cache.stale)
+			t.Fatalf("estimate never crossed 1/2 under strict alternation: a=%v b=%v", a.stale, b.stale)
 		}
 		if err := a.Update(k, val(1, rounds)); err != nil {
 			t.Fatal(err)
@@ -204,7 +204,7 @@ func TestStaleDeleteProbesTheIndex(t *testing.T) {
 				} else if err := b.Update(k, val(2, 7)); err != nil {
 					t.Fatal(err)
 				}
-				a.cache.stale = staleEstimate{rate: [2]uint32{rate, rate}}
+				a.stale = staleEstimate{rate: [2]uint32{rate, rate}}
 				before := snapVerbs(a, actx)
 				err := a.Delete(k)
 				d := snapVerbs(a, actx).since(before)
@@ -246,7 +246,7 @@ func TestCachedTombstoneDeleteRereadsTheSlot(t *testing.T) {
 				t.Fatal(err)
 			}
 			est := staleEstimate{rate: [2]uint32{rate, rate}}
-			a.cache.stale = est
+			a.stale = est
 			before := snapVerbs(a, actx)
 			if err := a.Delete(k); !errors.Is(err, ErrNotFound) {
 				t.Errorf("second Delete by the only writer = %v, want ErrNotFound", err)
@@ -257,7 +257,7 @@ func TestCachedTombstoneDeleteRereadsTheSlot(t *testing.T) {
 			if err := b.Insert(k, val(7, 1)); err != nil {
 				t.Fatal(err)
 			}
-			a.cache.stale = est
+			a.stale = est
 			if err := a.Delete(k); err != nil {
 				t.Errorf("Delete of the key B re-inserted = %v, want nil", err)
 			}
@@ -277,7 +277,7 @@ func TestChaseAndValidateFirstZeroAlloc(t *testing.T) {
 	for name, rate := range map[string]uint32{"chase": 0, "validate-first": 1 << 16} {
 		est := staleEstimate{rate: [2]uint32{rate, rate}}
 		step := func() {
-			a.cache.stale, b.cache.stale = est, est
+			a.stale, b.stale = est, est
 			if a.Update(k, v) != nil || b.Update(k, v) != nil {
 				t.Fatal("update failed during measurement")
 			}
@@ -325,13 +325,13 @@ func TestChaseRefusedAcrossEpochChange(t *testing.T) {
 	k, other := key(0), key(1)
 	h := racehash.Hash(k)
 	mn := racehash.HomeMN(h, tc.cl.Cfg.Layout.NumMNs)
-	ent := a.cache.lookup(h, k)
-	oent := b.cache.lookup(racehash.Hash(other), other)
+	ent := a.cache.Lookup(h, k)
+	oent := b.cache.Lookup(racehash.Hash(other), other)
 	if ent == nil || oent == nil {
 		t.Fatal("keys not cached")
 	}
 	// Validate-first must be refused the same way, so arm it.
-	a.cache.stale = staleEstimate{rate: [2]uint32{1 << 16, 1 << 16}}
+	a.stale = staleEstimate{rate: [2]uint32{1 << 16, 1 << 16}}
 
 	foreign := layout.UnpackAtomic(oent.atomic)
 	foreign.FP = racehash.Fingerprint(h)
@@ -416,7 +416,7 @@ func TestSurvivingPartitionsStayBound(t *testing.T) {
 	for _, armed := range []bool{false, true} {
 		if armed {
 			put(b, 5)
-			a.c.cache.stale = staleEstimate{rate: [2]uint32{1 << 16, 1 << 16}}
+			a.c.stale = staleEstimate{rate: [2]uint32{1 << 16, 1 << 16}}
 		}
 		for i, id := range ids {
 			before := a.snap()

@@ -31,11 +31,13 @@ type KV interface {
 
 // Client is a mode client before or after binding to a fabric process
 // context. Counters feeds verbs-per-op accounting (Figure 1(a)-style
-// rows) uniformly across modes.
+// rows) uniformly across modes, CacheStats the bounded client cache every
+// mode keeps (entries, the Config.CacheEntries bound, bytes, evictions).
 type Client interface {
 	KV
 	Attach(ctx rdma.Ctx)
 	Counters() (cas, reads, writes uint64)
+	CacheStats() (entries, capacity int, bytes, evictions uint64)
 }
 
 // Caps declares which parts of the harness surface a mode implements,
@@ -51,10 +53,6 @@ type Caps struct {
 	// SpaceBreakdown: Usage fills the Valid/Redundant split (not just
 	// the total footprint).
 	SpaceBreakdown bool
-	// ClientCache: clients run the bounded CN-side slot-address cache
-	// and expose CacheStats; Config.CacheEntries takes effect.
-	// Replication-baseline modes read through every time.
-	ClientCache bool
 }
 
 // Usage is a mode's space-accounting snapshot. TotalBytes is the

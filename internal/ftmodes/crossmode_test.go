@@ -10,9 +10,11 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ftmode"
+	"repro/internal/fusee"
 	"repro/internal/racehash"
 	"repro/internal/rdma"
 	"repro/internal/rdma/simnet"
+	"repro/internal/swarm"
 )
 
 // allModes is the conformance table: every registered mode runs every
@@ -572,91 +574,103 @@ func TestCrossModeUsage(t *testing.T) {
 	})
 }
 
-// cacheStatser is the optional surface a caching client exposes; the
-// conformance test asserts it tracks Caps().ClientCache exactly.
-type cacheStatser interface {
-	CacheStats() (entries, capacity int, bytes, evictions uint64)
+// lostCommits returns the commit CASes a client lost.
+func lostCommits(c ftmode.Client) uint64 {
+	switch c := c.(type) {
+	case *core.Client:
+		return c.Stats.CASRetries
+	case *fusee.Client:
+		return c.Stats.CASRetries
+	case *swarm.Client:
+		return c.Stats.CASRetries
+	}
+	return 0
 }
 
-// TestCrossModeClientCacheCapability pins the ClientCache capability to
-// reality: a mode that advertises it must hand out clients exposing
-// CacheStats and actually populate the cache under the config knobs; a
-// mode that does not must hand out clients without the surface — and
-// must still serve CRUD correctly with the knobs set (they are inert,
-// not rejected).
-func TestCrossModeClientCacheCapability(t *testing.T) {
+// TestCrossModeClientCacheBound pins the one client cache every mode
+// runs on to Config.CacheEntries: 64 keys through a 16-entry cache fill
+// it to the bound and evict, and every GET stays correct. Two clients
+// then race updates of one key, so that commits are lost and losers drop
+// their entries; after the race, one client's last write is what the
+// other's GET must return, not what that client's cache held.
+func TestCrossModeClientCacheBound(t *testing.T) {
+	const bound, n, races = 16, 64, 40
+	hot := key(10 * n)
 	for _, m := range allModes {
 		m := m
 		t.Run(m, func(t *testing.T) {
-			cfg := crossConfig()
-			cfg.FTMode = m
-			cfg.CacheEntries = 1024
-			pl := simnet.New(simnet.DefaultConfig())
-			ft, err := core.OpenFT(cfg, pl)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := ft.Start(); err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(pl.Shutdown)
-			h := &harness{pl: pl, ft: ft}
-			wantCache := ft.Caps().ClientCache
-			h.runClients(t, 30*time.Second, func(c ftmode.Client) {
-				cs, hasCache := c.(cacheStatser)
-				if hasCache != wantCache {
-					t.Errorf("mode %s: Caps().ClientCache=%v but client CacheStats surface=%v",
-						ft.Mode(), wantCache, hasCache)
-					return
-				}
-				const n = 64
+			h := openMode(t, m, func(cfg *core.Config) { cfg.CacheEntries = bound })
+			var start, raced, written gate
+			var clients [2]ftmode.Client
+			fill := func(c ftmode.Client) {
 				for i := 0; i < n; i++ {
 					if err := c.Insert(key(i), val(i, 0)); err != nil {
 						t.Errorf("insert %d: %v", i, err)
 						return
 					}
 				}
-				// Two passes: the first populates, the second must be
-				// served from cache on capable modes (and stay correct
-				// on all of them).
 				for pass := 0; pass < 2; pass++ {
 					for i := 0; i < n; i++ {
-						got, err := c.Search(key(i))
-						if err != nil || !bytes.Equal(got, val(i, 0)) {
-							t.Errorf("pass %d search %d: %v", pass, i, err)
-							return
+						if got, err := c.Search(key(i)); err != nil || !bytes.Equal(got, val(i, 0)) {
+							t.Errorf("pass %d search %d: %.12q, %v", pass, i, got, err)
 						}
 					}
-					// Absent keys: the conclusion must not change
-					// across passes.
 					for i := n; i < n+16; i++ {
 						if _, err := c.Search(key(i)); !errors.Is(err, core.ErrNotFound) {
 							t.Errorf("pass %d absent search %d: err=%v, want ErrNotFound", pass, i, err)
-							return
 						}
 					}
 				}
-				if !hasCache {
-					return
+				entries, capacity, _, evictions := c.CacheStats()
+				if capacity != bound || entries != bound || evictions == 0 {
+					t.Errorf("mode %s: %d keys give %d entries of %d, %d evictions; want %d of %d and some",
+						m, n, entries, capacity, evictions, bound, bound)
 				}
-				entries, capacity, bytes_, _ := cs.CacheStats()
-				if capacity != cfg.CacheEntries {
-					t.Errorf("mode %s: cache capacity %d, config bound is %d", ft.Mode(), capacity, cfg.CacheEntries)
-				}
-				if entries == 0 || bytes_ == 0 {
-					t.Errorf("mode %s: caching client served %d hot GETs but CacheStats()=(%d entries, %d bytes)",
-						ft.Mode(), 2*n, entries, bytes_)
-				}
-				if entries > cfg.CacheEntries {
-					t.Errorf("mode %s: cache holds %d entries, config bound is %d",
-						ft.Mode(), entries, cfg.CacheEntries)
-				}
-				if cc, ok := c.(*core.Client); ok {
-					if cc.Stats.CacheHits == 0 {
-						t.Errorf("second warm pass recorded no cache hits (stats %+v)", cc.Stats)
+			}
+			race := func(ctx rdma.Ctx, c ftmode.Client, id int) {
+				start.wait(ctx)
+				for i := 0; i < races; i++ {
+					if err := c.Update(hot, val(i, id+1)); err != nil {
+						t.Errorf("client %d race update %d: %v", id, i, err)
 					}
 				}
-			})
+				raced.wait(ctx)
+			}
+			done := h.spawnClients(
+				func(ctx rdma.Ctx, c ftmode.Client) {
+					clients[0] = c
+					if err := c.Insert(hot, val(0, 0)); err != nil {
+						t.Errorf("insert hot key: %v", err)
+					}
+					fill(c)
+					race(ctx, c, 0)
+					written.wait(ctx)
+					if got, err := c.Search(hot); err != nil || !bytes.Equal(got, val(races, 2)) {
+						t.Errorf("GET after the race: %.12q, %v; want the other client's last write", got, err)
+					}
+					for i := 0; i < n; i++ {
+						if got, err := c.Search(key(i)); err != nil || !bytes.Equal(got, val(i, 0)) {
+							t.Errorf("search %d after the race: %.12q, %v", i, got, err)
+						}
+					}
+				},
+				func(ctx rdma.Ctx, c ftmode.Client) {
+					clients[1] = c
+					race(ctx, c, 1)
+					if err := c.Update(hot, val(races, 2)); err != nil {
+						t.Errorf("last write: %v", err)
+					}
+				})
+			for _, g := range []*gate{&start, &raced} {
+				h.until(t, 60*time.Second, "both clients at a gate", func() bool { return g.arrived == 2 })
+				g.open = true
+			}
+			h.until(t, 60*time.Second, "the last write", func() bool { return *done == 1 && written.arrived == 1 })
+			written.open = true
+			h.until(t, 60*time.Second, "the reader", func() bool { return *done == 2 })
+			if lost := lostCommits(clients[0]) + lostCommits(clients[1]); lost == 0 {
+				t.Errorf("mode %s: %d racing updates of one key lost no commit", m, 2*races)
+			}
 		})
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"encoding/binary"
 	"errors"
 
+	"repro/internal/clientcache"
 	"repro/internal/core"
 	"repro/internal/ftmode"
 	"repro/internal/layout"
@@ -53,7 +54,7 @@ type cacheEnt struct {
 // Client is a FUSEE-style client.
 type Client struct {
 	*replica.Client
-	cache map[string]*cacheEnt
+	cache *clientcache.Cache[cacheEnt] // nil when the bound turns it off
 
 	// Scratch of the cached read: its batch, buffers and decoded pair.
 	getOps [3]rdma.Op
@@ -62,19 +63,13 @@ type Client struct {
 	kv     layout.KV
 }
 
-// entry returns key's cache entry, adding an empty one if there is none;
-// a commit or a read then fills it in place.
-func (c *Client) entry(key []byte) *cacheEnt {
-	ent := c.cache[string(key)]
-	if ent == nil {
-		ent = new(cacheEnt)
-		c.cache[string(key)] = ent
-	}
-	return ent
+// CacheStats reports the client cache (ftmode.Client).
+func (c *Client) CacheStats() (entries, capacity int, bytes, evictions uint64) {
+	return c.cache.Stats()
 }
 
 func newClient(base *replica.Client) ftmode.Client {
-	return &Client{Client: base, cache: make(map[string]*cacheEnt)}
+	return &Client{Client: base, cache: clientcache.New[cacheEnt](base.Cfg.CacheEntries, nil)}
 }
 
 var errStaleCache = errors.New("fusee: stale cache")
@@ -86,7 +81,7 @@ var errStaleCache = errors.New("fusee: stale cache")
 func (c *Client) Search(key []byte) ([]byte, error) {
 	k := c.Op(key)
 	hint := replica.ReadBytes
-	if ent := c.cache[string(key)]; ent != nil {
+	if ent := c.cache.Lookup(k.Hash, key); ent != nil {
 		if val, err := c.cachedRead(&k, ent); err == nil || errors.Is(err, core.ErrNotFound) {
 			return val, err
 		}
@@ -109,10 +104,10 @@ func (c *Client) Search(key []byte) ([]byte, error) {
 		if m == nil {
 			return nil, core.ErrNotFound
 		}
-		if live[0] == 0 && c.Cfg.CacheValues {
-			ent := c.entry(key)
-			*ent = cacheEnt{slot: m.Slot, len: layout.KVClassSize(len(m.KV.Key), len(m.KV.Val))}
+		if live[0] == 0 {
+			ent := cacheEnt{slot: m.Slot, len: layout.KVClassSize(len(m.KV.Key), len(m.KV.Val))}
 			ent.vals[0] = m.Word()
+			c.cache.Put(k.Hash, key, ent)
 		}
 		return replica.Value(m.KV)
 	}
@@ -204,7 +199,7 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 		var old [replica.MaxReplicas]uint64
 		var slot replica.Slot
 		found := false
-		if ent := c.cache[string(key)]; ent != nil && ent.haveAll && acting == 0 {
+		if ent := c.cache.Lookup(k.Hash, key); ent != nil && ent.haveAll && acting == 0 {
 			old = ent.vals
 			slot, found = ent.slot, true
 		} else {
@@ -279,8 +274,8 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 			continue
 		}
 		if won {
-			if c.Cfg.CacheValues && acting == 0 {
-				*c.entry(key) = cacheEnt{slot: slot, vals: words, haveAll: true, len: size}
+			if acting == 0 {
+				c.cache.Put(k.Hash, key, cacheEnt{slot: slot, vals: words, haveAll: true, len: size})
 			}
 			if !found {
 				c.Stats.ValidBytes += uint64(size)
@@ -292,7 +287,7 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 		// thundering herd on a hot key (FUSEE's conflict-resolution
 		// winner selection plays this arbitration role).
 		c.Stats.CASRetries++
-		delete(c.cache, string(key))
+		c.cache.Remove(k.Hash, key)
 		c.Backoff(attempt)
 	}
 	return core.ErrRetriesExhausted

@@ -215,7 +215,7 @@ func TestSlotWidthAffectsBucketBytes(t *testing.T) {
 	read8, read16 := uint64(0), uint64(0)
 	for _, sb := range []int{8, 16} {
 		sb := sb
-		tc := newTestCluster(t, func(cfg *replica.Config) { cfg.SlotBytes = sb; cfg.CacheValues = false })
+		tc := newTestCluster(t, func(cfg *replica.Config) { cfg.SlotBytes = sb; cfg.CacheEntries = -1 })
 		var reads uint64
 		tc.runClients(t, 30*time.Second, func(c *Client) {
 			for i := 0; i < 30; i++ {

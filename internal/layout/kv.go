@@ -105,16 +105,53 @@ func DecodeKVInto(dst *KV, src []byte) (ok bool, err error) {
 	return true, nil
 }
 
-// KVPairBytes returns the class size the header of an encoded pair
+// kvPairBytes returns the class size the header of an encoded pair
 // states, or 0 when the pair was never written (fence 0). hdr needs only
-// the pair's first 8 bytes. A reader that read the pair at a guessed
-// size — a slot's Meta length hint (§3.2.2), a cached class — decodes
-// the pair at this size, and reads it again when it is the larger.
-func KVPairBytes(hdr []byte) int {
+// the pair's first 8 bytes.
+func kvPairBytes(hdr []byte) int {
 	if hdr[0] == 0 {
 		return 0
 	}
 	return KVClassSize(int(binary.LittleEndian.Uint16(hdr[2:])), int(binary.LittleEndian.Uint32(hdr[4:])))
+}
+
+// errKVPastRead refuses a pair whose header states more bytes than
+// were read, when the caller gave no way to read it again.
+var errKVPastRead = errors.New("layout: KV pair larger than its read")
+
+// DecodeAtTrueSize decodes into dst a pair that buf holds from its
+// first byte, read at a guessed size — a slot's Meta length hint
+// (§3.2.2), a cached class, a speculative first read — at exactly the
+// class size its header states. A pair longer than the read is read
+// again at that size through reread into *scratch (which it grows); a
+// nil reread refuses it instead. Like DecodeKVInto, it reports false
+// with a nil error for a pair never written; it refuses one stated
+// larger than blockSize (ErrTornKV: pairs never span blocks), so reread
+// is never asked for more than a block; reread's error is returned as is.
+func DecodeAtTrueSize(dst *KV, buf []byte, blockSize int, scratch *[]byte, reread func([]byte) error) (bool, error) {
+	for {
+		if len(buf) < KVHeaderSize {
+			return DecodeKVInto(dst, buf)
+		}
+		n := kvPairBytes(buf)
+		switch {
+		case n == 0:
+			return false, nil
+		case n > blockSize:
+			return false, ErrTornKV
+		case n <= len(buf):
+			return DecodeKVInto(dst, buf[:n])
+		case reread == nil:
+			return false, errKVPastRead
+		}
+		if cap(*scratch) < n {
+			*scratch = make([]byte, n)
+		}
+		buf = (*scratch)[:n]
+		if err := reread(buf); err != nil {
+			return false, err
+		}
+	}
 }
 
 // NextFence returns the write-version fence to use when overwriting a

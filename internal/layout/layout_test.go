@@ -71,13 +71,13 @@ func TestSlotWordCodec(t *testing.T) {
 // at: the pair's own, not the buffer's, and 0 for a never-written pair.
 func TestKVPairBytes(t *testing.T) {
 	buf := make([]byte, 256)
-	if got := KVPairBytes(buf); got != 0 {
+	if got := kvPairBytes(buf); got != 0 {
 		t.Fatalf("never-written pair: %d, want 0", got)
 	}
 	key, val := []byte("key-000001"), []byte("small")
 	EncodeKV(buf[:KVClassSize(len(key), len(val))], key, val, 1, 1, false)
-	if got, want := KVPairBytes(buf[:8]), KVClassSize(len(key), len(val)); got != want {
-		t.Fatalf("KVPairBytes = %d, want %d", got, want)
+	if got, want := kvPairBytes(buf[:8]), KVClassSize(len(key), len(val)); got != want {
+		t.Fatalf("kvPairBytes = %d, want %d", got, want)
 	}
 }
 

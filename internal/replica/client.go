@@ -219,7 +219,7 @@ type Key struct {
 	P       int
 	FP      uint8
 	Buckets [2]uint64
-	hash    uint64
+	Hash    uint64 // the racehash; it keys the mode's client cache
 }
 
 // Op begins one operation on key: it hashes the key.
@@ -227,7 +227,7 @@ func (c *Client) Op(key []byte) Key {
 	h := racehash.Hash(key)
 	b1, b2 := racehash.BucketPair(h, c.Cfg.numBuckets())
 	return Key{Bytes: key, P: racehash.HomeMN(h, c.Cfg.NumMNs), FP: racehash.Fingerprint(h),
-		Buckets: [2]uint64{b1, b2}, hash: h}
+		Buckets: [2]uint64{b1, b2}, Hash: h}
 }
 
 // Slot names one position of a partition's index: the same bucket and
@@ -331,7 +331,7 @@ func (p *Pair) Next() *Match {
 // The preference balances the pair while keeping racing inserters of
 // one key on the same slot.
 func (p *Pair) Free() (Slot, error) {
-	first := int(p.k.hash >> 32 & 1)
+	first := int(p.k.Hash >> 32 & 1)
 	for _, b := range [2]int{first, 1 - first} {
 		for s := 0; s < layout.BucketSlots; s++ {
 			if binary.LittleEndian.Uint64(p.buf[b][s*p.c.Cfg.SlotBytes:]) == 0 {
@@ -343,11 +343,10 @@ func (p *Pair) Free() (Slot, error) {
 }
 
 // ReadKVAt reads and decodes a KV copy. The speculative size is
-// clamped to the block boundary (KV pairs never span blocks); the
-// pair's true size comes from its header, so the read may turn out
-// longer than the pair (decode the class-size prefix) or shorter
-// (re-read at the true size). The pair is decoded in the client's read
-// buffer: it is valid until the client's next read.
+// clamped to the block boundary (KV pairs never span blocks) and decoded
+// at the size the pair's header states (layout.DecodeAtTrueSize). The
+// pair is decoded in the client's read buffer: it is valid until the
+// client's next read. A pair never written decodes to nil.
 func (c *Client) ReadKVAt(addr uint64, size int) (*layout.KV, error) {
 	mn, at := c.CopyAt(addr)
 	if base := c.Cfg.blockOff(0); at.Off >= base {
@@ -359,27 +358,19 @@ func (c *Client) ReadKVAt(addr uint64, size int) (*layout.KV, error) {
 	if size < 64 {
 		size = 64
 	}
-	for {
-		buf := Resize(&c.kvBuf, size)
-		if err := c.Read(buf, at); err != nil {
-			c.NoteErr(mn, err)
-			return nil, err
-		}
-		real := layout.KVPairBytes(buf)
-		if real == 0 {
-			return nil, nil // never written
-		}
-		if real > int(c.Cfg.BlockSize) {
-			return nil, layout.ErrTornKV
-		}
-		if real <= size {
-			if ok, err := layout.DecodeKVInto(&c.kv, buf[:real]); !ok {
-				return nil, err
-			}
-			return &c.kv, nil
-		}
-		size = real
+	read := func(buf []byte) error {
+		err := c.Read(buf, at)
+		c.NoteErr(mn, err)
+		return err
 	}
+	buf := Resize(&c.kvBuf, size)
+	if err := read(buf); err != nil {
+		return nil, err
+	}
+	if ok, err := layout.DecodeAtTrueSize(&c.kv, buf, int(c.Cfg.BlockSize), &c.kvBuf, read); !ok {
+		return nil, err
+	}
+	return &c.kv, nil
 }
 
 // readKVFailover reads the KV pair a slot word points at; when that

@@ -50,8 +50,9 @@ type Config struct {
 	// BlockSize and BlocksPerMN size the KV block area.
 	BlockSize   uint64
 	BlocksPerMN int
-	// CacheValues enables the mode's client cache.
-	CacheValues bool
+	// CacheEntries bounds each client's cache as core.Config's does: 0
+	// means clientcache.DefaultEntries, <0 turns the cache off.
+	CacheEntries int
 }
 
 // DefaultConfig mirrors the paper's baseline setup, scaled down.
@@ -63,7 +64,6 @@ func DefaultConfig() Config {
 		PartitionBytes: 1 << 20,
 		BlockSize:      2 << 20,
 		BlocksPerMN:    48,
-		CacheValues:    true,
 	}
 }
 
@@ -80,7 +80,7 @@ func ConfigFromCore(cfg core.Config, slotBytes int) Config {
 		PartitionBytes: cfg.Layout.IndexBytes / uint64(r),
 		BlockSize:      cfg.Layout.BlockSize,
 		BlocksPerMN:    cfg.Layout.BlocksPerMN(),
-		CacheValues:    cfg.CacheSlotAddr,
+		CacheEntries:   cfg.CacheEntries,
 	}
 	// Partitions are laid out back to back at j*PartitionBytes, so the
 	// split must stay bucket-aligned or every slot word in partitions
@@ -249,8 +249,7 @@ func (cl *Cluster) MNState(mn int) (failed, indexReady, blocksReady bool) {
 // Mode returns the name the cluster was opened under.
 func (cl *Cluster) Mode() string { return cl.mode }
 
-// Caps: replica failover for reads; no rebuild, no space breakdown, no
-// bounded client cache.
+// Caps: replica failover for reads; no rebuild, no space breakdown.
 func (cl *Cluster) Caps() ftmode.Caps {
 	return ftmode.Caps{ReadFailover: true}
 }

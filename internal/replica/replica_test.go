@@ -73,7 +73,7 @@ func TestFreeSlotChoice(t *testing.T) {
 	cfg := DefaultConfig()
 	c := &Client{Cfg: &cfg}
 	for _, pref := range []uint64{0, 1} {
-		k := Key{Bytes: []byte("k"), P: 1, Buckets: [2]uint64{10, 20}, hash: pref << 32}
+		k := Key{Bytes: []byte("k"), P: 1, Buckets: [2]uint64{10, 20}, Hash: pref << 32}
 		p := &Pair{c: c, k: k}
 		for i := range p.buf {
 			p.buf[i] = make([]byte, cfg.BucketBytes())

@@ -32,6 +32,7 @@ import (
 	"encoding/binary"
 	"errors"
 
+	"repro/internal/clientcache"
 	"repro/internal/core"
 	"repro/internal/ftmode"
 	"repro/internal/layout"
@@ -106,7 +107,7 @@ func (e *cacheEnt) complete(live []int) bool {
 // Client is a swarm-mode client.
 type Client struct {
 	*replica.Client
-	cache map[string]*cacheEnt
+	cache *clientcache.Cache[cacheEnt] // nil when the bound turns it off
 
 	// Scratch, reused by every operation: the batch a write posts, the
 	// 16 B slot a cached read or write reads, and a cached read's batch
@@ -118,19 +119,13 @@ type Client struct {
 	kv      layout.KV
 }
 
-// entry returns key's cache entry, adding an empty one if there is none;
-// a commit or a read then fills it in place.
-func (c *Client) entry(key []byte) *cacheEnt {
-	ent := c.cache[string(key)]
-	if ent == nil {
-		ent = new(cacheEnt)
-		c.cache[string(key)] = ent
-	}
-	return ent
+// CacheStats reports the client cache (ftmode.Client).
+func (c *Client) CacheStats() (entries, capacity int, bytes, evictions uint64) {
+	return c.cache.Stats()
 }
 
 func newClient(base *replica.Client) ftmode.Client {
-	return &Client{Client: base, cache: make(map[string]*cacheEnt)}
+	return &Client{Client: base, cache: clientcache.New[cacheEnt](base.Cfg.CacheEntries, nil)}
 }
 
 var (
@@ -146,7 +141,7 @@ var (
 func (c *Client) Search(key []byte) ([]byte, error) {
 	k := c.Op(key)
 	hint := replica.ReadBytes
-	if ent := c.cache[string(key)]; ent != nil {
+	if ent := c.cache.Lookup(k.Hash, key); ent != nil {
 		if val, err := c.cachedRead(&k, ent); err == nil || errors.Is(err, core.ErrNotFound) {
 			return val, err
 		}
@@ -173,10 +168,10 @@ func (c *Client) Search(key []byte) ([]byte, error) {
 				unstable = true
 				continue
 			}
-			if live[0] == 0 && c.Cfg.CacheValues {
-				ent := c.entry(key)
-				*ent = cacheEnt{slot: m.Slot, class: layout.KVClassSize(len(m.KV.Key), len(m.KV.Val))}
+			if live[0] == 0 {
+				ent := cacheEnt{slot: m.Slot, class: layout.KVClassSize(len(m.KV.Key), len(m.KV.Val))}
 				ent.words[0] = m.Word()
+				c.cache.Put(k.Hash, key, ent)
 			}
 			return replica.Value(m.KV)
 		}
@@ -214,12 +209,9 @@ func (c *Client) cachedRead(k *replica.Key, ent *cacheEnt) ([]byte, error) {
 		return nil, errStaleCache // reallocated
 	}
 	// Decode at the header's true class: an in-place shrink leaves the
-	// new trailing fence before the end of the cached class size.
-	real := layout.KVPairBytes(kvBuf)
-	if real == 0 || real > len(kvBuf) {
-		return nil, errStaleCache // never written, or grew past the class
-	}
-	ok, err := layout.DecodeKVInto(&c.kv, kvBuf[:real])
+	// new trailing fence before the end of the cached class size. One
+	// never written, or grown past the class, is refused (no re-read).
+	ok, err := layout.DecodeAtTrueSize(&c.kv, kvBuf, int(c.Cfg.BlockSize), nil, nil)
 	if err != nil || !ok || !bytes.Equal(c.kv.Key, k.Bytes) ||
 		c.kv.SlotVersion < binary.LittleEndian.Uint64(slotBuf[8:]) {
 		return nil, errStaleCache // writer in flight
@@ -265,7 +257,11 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 		// Locate the slot: cache first (valid location + full word set
 		// after this client's own commit), else bucket walk.
 		var l located
-		ent := c.cache[string(key)]
+		hint := replica.ReadBytes
+		ent := c.cache.Lookup(k.Hash, key)
+		if ent != nil {
+			hint = ent.class
+		}
 		if ent != nil && acting == 0 && ent.complete(live) {
 			// The version word must be read fresh, the CAS below needs
 			// the current value; word0 comes with it in the same read.
@@ -284,14 +280,10 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 				// tickets for an orphan and leave the copy the index
 				// names behind its version word, which readers take for
 				// a write in flight, forever.
-				delete(c.cache, string(key))
+				c.cache.Remove(k.Hash, key)
 			}
 		}
 		if !l.valid {
-			hint := replica.ReadBytes
-			if ent != nil {
-				hint = ent.class
-			}
 			var err error
 			if l, err = c.locate(&k, live, tombstone, hint); err != nil {
 				if errors.Is(err, rdma.ErrNodeFailed) {
@@ -314,7 +306,7 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 			}
 			if errors.Is(err, errConflict) {
 				c.Stats.CASRetries++
-				delete(c.cache, string(key))
+				c.cache.Remove(k.Hash, key)
 				c.Backoff(attempt)
 				continue
 			}
@@ -333,7 +325,7 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 		}
 		if prev != l.ver {
 			c.Stats.CASRetries++
-			delete(c.cache, string(key))
+			c.cache.Remove(k.Hash, key)
 			c.Backoff(attempt)
 			continue
 		}
@@ -346,7 +338,7 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 		if err := c.landCopies(&k, val, tombstone, &l, size, live); err != nil {
 			if errors.Is(err, rdma.ErrNodeFailed) {
 				c.RefreshView()
-				delete(c.cache, string(key))
+				c.cache.Remove(k.Hash, key)
 				continue
 			}
 			return err
@@ -429,8 +421,8 @@ func (c *Client) insertSlot(k *replica.Key, val []byte, tombstone bool, slot rep
 			return errConflict
 		}
 	}
-	if c.Cfg.CacheValues && live[0] == 0 {
-		*c.entry(k.Bytes) = cacheEnt{slot: slot, words: words, class: size}
+	if live[0] == 0 {
+		c.cache.Put(k.Hash, k.Bytes, cacheEnt{slot: slot, words: words, class: size})
 	}
 	c.Stats.ValidBytes += uint64(size)
 	return nil
@@ -490,8 +482,8 @@ func (c *Client) landCopies(k *replica.Key, val []byte, tombstone bool, l *locat
 		}
 		return err
 	}
-	if c.Cfg.CacheValues && live[0] == 0 {
-		*c.entry(k.Bytes) = cacheEnt{slot: l.slot, words: l.words, class: max(l.class, size)}
+	if live[0] == 0 {
+		c.cache.Put(k.Hash, k.Bytes, cacheEnt{slot: l.slot, words: l.words, class: max(l.class, size)})
 	}
 	return nil
 }
