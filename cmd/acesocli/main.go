@@ -399,6 +399,11 @@ func printMNStats(c ftmode.Client, mn int) {
 		enc.Add("decGBps", float64(st.ECDecodeBytes)/float64(st.ECDecodeNs))
 	}
 	fmt.Print(stats.Table(fmt.Sprintf("mn%d erasure coding / reclamation", st.MN), enc))
+	meta := &stats.Series{Name: "meta"}
+	meta.Add("writes", float64(st.MetaSyncWrites))
+	meta.Add("bytes", float64(st.MetaSyncBytes))
+	meta.Add("resyncs", float64(st.MetaResyncs))
+	fmt.Print(stats.Table(fmt.Sprintf("mn%d meta replication", st.MN), meta))
 	pool := &stats.Series{Name: "blocks"}
 	pool.Add("total", float64(st.PoolBlocks))
 	pool.Add("free", float64(st.PoolFree))

@@ -190,6 +190,9 @@ func serverGauges(st core.ServerStats) map[string]float64 {
 		"ec_encode_batches_total":     float64(st.ECEncodeBatches),
 		"ec_decode_bytes_total":       float64(st.ECDecodeBytes),
 		"ec_decode_seconds_total":     float64(st.ECDecodeNs) / 1e9,
+		"meta_sync_writes_total":      float64(st.MetaSyncWrites),
+		"meta_sync_bytes_total":       float64(st.MetaSyncBytes),
+		"meta_resyncs_total":          float64(st.MetaResyncs),
 		"pool_blocks":                 float64(st.PoolBlocks),
 		"pool_blocks_free":            float64(st.PoolFree),
 		"pool_blocks_delta":           float64(st.PoolDelta),

@@ -676,6 +676,117 @@ func TestRecoveryAfterReclamation(t *testing.T) {
 		}
 	}
 	tc.verifyAll(t, expect)
+	metaReplicasMatch(t, tc)
+}
+
+// TestMetaSyncResendsToReplacedHost is the double failure that lost
+// keys when meta sync never re-sent a replaced host: MN 1's replacement
+// hosts MN 0's first meta replica, and it holds only what MN 0 dirtied
+// after the swap unless MN 0 re-sends its whole Meta Area. Tier 1 of
+// MN 0's later recovery reads that replica first.
+func TestMetaSyncResendsToReplacedHost(t *testing.T) {
+	tc := newTestCluster(t, nil)
+	tc.cl.master.AddSpare()
+	tc.cl.master.AddSpare()
+	const n = 400
+	expect := make(map[int][]byte)
+	tc.runClients(t, 60*time.Second, func(c *Client) {
+		for i := 0; i < n; i++ {
+			v := val(i, 0)
+			if err := c.Insert(key(i), v); err != nil {
+				t.Errorf("insert: %v", err)
+				return
+			}
+			expect[i] = v
+		}
+	})
+	tc.cl.FailMN(1)
+	tc.waitBlocksReady(t, 1)
+	tc.run(3 * tc.cl.Cfg.CkptInterval)
+	// MN 1's replacement re-sent its own area to both of its hosts; MN 0
+	// and MN 4, whose replica host it is, re-sent theirs to it once.
+	for mn, want := range []uint64{1, 2, 0, 0, 1} {
+		if got := tc.cl.servers[mn].Stats().MetaResyncs; got != want {
+			t.Errorf("mn %d: %d meta re-sends after MN 1's replacement, want %d", mn, got, want)
+		}
+	}
+	tc.cl.FailMN(0)
+	tc.waitBlocksReady(t, 0)
+	tc.verifyAll(t, expect)
+	metaReplicasMatch(t, tc)
+}
+
+// TestMetaSyncRecoveredServerResends: a replica host that missed its
+// owner's rounds before the owner failed (here: it never got any) still
+// holds that stale copy after the owner's recovery unless the recovered
+// server re-sends its whole Meta Area.
+func TestMetaSyncRecoveredServerResends(t *testing.T) {
+	tc := newTestCluster(t, nil)
+	tc.cl.master.AddSpare()
+	const victim = 2
+	expect := make(map[int][]byte)
+	tc.runClients(t, 60*time.Second, func(c *Client) {
+		for i := 0; i < 200; i++ {
+			v := val(i, 0)
+			if err := c.Insert(key(i), v); err != nil {
+				t.Errorf("insert: %v", err)
+				return
+			}
+			expect[i] = v
+		}
+	})
+	tc.run(metaSyncInterval)
+	l := tc.cl.L
+	host := l.MetaReplicaHostOf(victim, 1)
+	off := l.MetaReplicaOff(l.MetaReplicaSlotFor(host, victim))
+	clear(tc.pl.DirectMemory(tc.cl.MNNode(host))[off : off+l.MetaSize()])
+	tc.cl.FailMN(victim)
+	tc.waitBlocksReady(t, victim)
+	tc.verifyAll(t, expect)
+	metaReplicasMatch(t, tc)
+	if got := tc.cl.servers[victim].Stats().MetaResyncs; got != uint64(l.Cfg.MetaReplicas) {
+		t.Errorf("the recovered server re-sent its Meta Area %d times, want %d (once per host)", got, l.Cfg.MetaReplicas)
+	}
+}
+
+// metaReplicasMatch runs one quiet meta-sync interval, then checks that
+// every live replica host's copy of every live owner's records and
+// bitmaps equals the owner's own.
+func metaReplicasMatch(t *testing.T, tc *testCluster) {
+	t.Helper()
+	tc.run(metaSyncInterval)
+	l := tc.cl.L
+	meta := func(mem []byte, off uint64) []byte { return mem[off : off+l.MetaSize()] }
+	for owner := 0; owner < l.Cfg.NumMNs; owner++ {
+		on, ok := tc.cl.view.nodeOf(owner)
+		if !ok {
+			continue
+		}
+		want := meta(tc.pl.DirectMemory(on), l.MetaOff())
+		for r := 0; r < l.Cfg.MetaReplicas; r++ {
+			host := l.MetaReplicaHostOf(owner, r)
+			hn, ok := tc.cl.view.nodeOf(host)
+			if !ok {
+				continue
+			}
+			got := meta(tc.pl.DirectMemory(hn), l.MetaReplicaOff(l.MetaReplicaSlotFor(host, owner)))
+			if bytes.Equal(got, want) {
+				continue
+			}
+			var recs, bitmaps []int
+			for b := 0; b < l.Cfg.BlocksPerMN(); b++ {
+				rOff, bOff := l.RecordOff(b)-l.MetaOff(), l.BitmapOff(b)-l.MetaOff()
+				if !bytes.Equal(got[rOff:rOff+layout.RecordSize], want[rOff:rOff+layout.RecordSize]) {
+					recs = append(recs, b)
+				}
+				if !bytes.Equal(got[bOff:bOff+l.BitmapBytes()], want[bOff:bOff+l.BitmapBytes()]) {
+					bitmaps = append(bitmaps, b)
+				}
+			}
+			t.Errorf("mn %d's meta replica on mn %d differs from the owner: records of blocks %v, bitmaps of blocks %v",
+				owner, host, recs, bitmaps)
+		}
+	}
 }
 
 // TestWritesResumeAfterIndexRecovery checks tier-2 semantics: writes

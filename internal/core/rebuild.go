@@ -417,6 +417,7 @@ type rebuild struct {
 	cl   *Cluster
 	mn   int
 	node rdma.NodeID // the replacement; addressed directly, never through the view
+	srv  *Server     // the replacement's server, which meta-syncs the records serve writes
 
 	mu       sync.Mutex
 	queue    []rebuildRow
@@ -434,11 +435,11 @@ type rebuild struct {
 	tally      ecTally
 }
 
-// newRebuild queues every lost row of mn in row order: the old DATA
-// blocks tier 2 left behind and the rows whose record says PARITY.
-func newRebuild(cl *Cluster, mn int, node rdma.NodeID, oldData []int) *rebuild {
-	l := cl.L
-	rb := &rebuild{cl: cl, mn: mn, node: node, srcBytes: make([]uint64, l.Cfg.NumMNs)}
+// newRebuild queues every lost row of srv's MN in row order: the old
+// DATA blocks tier 2 left behind and the rows whose record says PARITY.
+func newRebuild(srv *Server, oldData []int) *rebuild {
+	cl, l, node := srv.cl, srv.cl.L, srv.node
+	rb := &rebuild{cl: cl, mn: srv.mn, node: node, srv: srv, srcBytes: make([]uint64, l.Cfg.NumMNs)}
 	mem := cl.pl.Memory(node)
 	memMu := cl.pl.MemMutex(node)
 	memMu.Lock()
@@ -536,7 +537,8 @@ func (rb *rebuild) report(rep *RecoveryReport, tally *ecTally) {
 // blocks for rebuilt DELTA blocks, installs the records of rebuilt
 // PARITY rows and disowns the given-up ones, all in one MemMutex
 // section with no fabric operation inside (on the simulated fabric
-// that is what makes it atomic).
+// that is what makes it atomic). It writes the records through the
+// replacement's server, so they reach the meta replicas.
 //
 // Disowning clears the record's Valid flag. A given-up PARITY row's
 // block holds nothing usable (it could not be computed: a data shard it
@@ -547,38 +549,38 @@ func (rb *rebuild) serve(places []*deltaPlacement, installs []parityInstall, dis
 	if len(places) == 0 && len(installs) == 0 && len(disowned) == 0 {
 		return
 	}
-	cl, l := rb.cl, rb.cl.L
+	cl, srv := rb.cl, rb.srv
 	mem := cl.pl.Memory(rb.node)
 	memMu := cl.pl.MemMutex(rb.node)
 	var redo []rebuildRow
 	memMu.Lock()
 	if len(mem) > 0 {
+		srv.mu.Lock()
 		for _, p := range places {
 			// Writing the record at once is the reservation: the live
 			// server's allocator reads the same records.
 			if p.block = freePoolBlockIn(cl, mem, p.row); p.block >= 0 {
-				putDeltaRecord(l, mem, p.block, uint32(p.row), uint8(p.xid))
+				srv.putDeltaRecord(p.block, uint32(p.row), uint8(p.xid))
 			}
 		}
 		for i := range installs {
 			in := &installs[i]
-			off := l.RecordOff(in.row.b)
-			if layout.DecodeRecord(mem[off:off+layout.RecordSize]) != in.before {
+			if srv.record(in.row.b) != in.before {
 				redo = append(redo, in.row)
 				continue
 			}
 			for _, d := range in.deltas {
-				putDeltaRecord(l, mem, d.block, uint32(in.row.b), d.xid)
+				srv.putDeltaRecord(d.block, uint32(in.row.b), d.xid)
 			}
-			layout.EncodeRecord(mem[off:off+layout.RecordSize], &in.after)
+			srv.putRecord(in.row.b, &in.after)
 		}
 		for _, b := range disowned {
-			off := l.RecordOff(b)
-			if rec := layout.DecodeRecord(mem[off : off+layout.RecordSize]); rec.Role == layout.RoleParity {
+			if rec := srv.record(b); rec.Role == layout.RoleParity {
 				rec.Valid = false
-				layout.EncodeRecord(mem[off:off+layout.RecordSize], &rec)
+				srv.putRecord(b, &rec)
 			}
 		}
+		srv.mu.Unlock()
 	}
 	memMu.Unlock()
 	rb.mu.Lock()
@@ -589,10 +591,10 @@ func (rb *rebuild) serve(places []*deltaPlacement, installs []parityInstall, dis
 	rb.mu.Unlock()
 }
 
-func putDeltaRecord(l *layout.Layout, mem []byte, block int, stripe uint32, xid uint8) {
-	rec := layout.Record{Role: layout.RoleDelta, Valid: true, XORID: xid, StripeID: stripe}
-	off := l.RecordOff(block)
-	layout.EncodeRecord(mem[off:off+layout.RecordSize], &rec)
+// putDeltaRecord records pool block as a DELTA block of stripe's
+// data shard xid. Caller holds mu.
+func (s *Server) putDeltaRecord(block int, stripe uint32, xid uint8) {
+	s.putRecord(block, &layout.Record{Role: layout.RoleDelta, Valid: true, XORID: xid, StripeID: stripe})
 }
 
 // retry sends a failed row to the back of the queue, or gives it up:

@@ -329,7 +329,7 @@ func runRecovery(ctx rdma.Ctx, cl *Cluster, mn int) *RecoveryReport {
 	// One queue of lost rows, rebuilt by the team of compute-node
 	// workers (rebuild.go); this process stays behind as coordinator.
 	t = ctx.Now()
-	rb := newRebuild(cl, mn, ctx.Node(), oldLocal)
+	rb := newRebuild(srv, oldLocal)
 	rep.OldLBlockCount = len(oldLocal)
 	if !rb.run(ctx, abandoned) {
 		return nil

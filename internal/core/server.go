@@ -39,15 +39,22 @@ type Server struct {
 	encodeQ  []encodeJob
 	applyQ   []applyJob
 	snapshot uint64 // pending checkpoint round (0 = none)
-	dirty    map[int]bool
+	dirty    map[int]metaPart
 	stopped  bool
 
-	// metaSyncRound's scratch, kept across rounds so that a steady-state
-	// round allocates nothing: the sorted dirty list, the staged record
-	// and bitmap copies, and the write ops.
-	syncDirty []int
-	syncBuf   []byte
-	syncOps   []rdma.Op
+	// Meta replication state, owned by the meta-sync daemon: per replica
+	// r, the node last shipped to and whether it is owed the whole Meta
+	// Area. The rest is metaSyncRound's scratch, kept across rounds so
+	// that a steady-state round allocates nothing: the sorted dirty
+	// list, the staging copy of the Meta Area (a round copies in what it
+	// ships, at the same offsets), the pieces of it to ship, and the
+	// write ops.
+	syncNode   []rdma.NodeID
+	syncOwed   []bool
+	syncDirty  []int
+	syncStage  []byte
+	syncPieces []metaPiece
+	syncOps    []rdma.Op
 
 	// Segment-parallel checkpoint pipeline state (ckpt.go).
 	ckptDirty    []atomic.Uint64 // per-segment dirty bitmap, set by the write observer
@@ -75,7 +82,7 @@ type applyJob struct {
 }
 
 func newServer(cl *Cluster, mn int, node rdma.NodeID) *Server {
-	return &Server{cl: cl, mn: mn, node: node, dirty: make(map[int]bool)}
+	return &Server{cl: cl, mn: mn, node: node, dirty: make(map[int]metaPart)}
 }
 
 // start derives in-memory state, installs the RPC handler and spawns
@@ -89,7 +96,8 @@ func (s *Server) start() {
 	// recovered onto a replacement node: the checkpoint hosts still
 	// hold pre-crash copies its zeroed reference snapshot must not be
 	// XOR-ed against (ckptSendLoop overwrites instead).
-	s.ckptResync = s.indexVersion() != 0
+	recovered := s.indexVersion() != 0
+	s.ckptResync = recovered
 	// The live index version starts at 1 so that sealed blocks are
 	// always distinguishable from unfilled ones (IndexVersion 0,
 	// §3.2.3). Recovery re-seeds it from the checkpoint version.
@@ -101,6 +109,16 @@ func (s *Server) start() {
 		if _, parity := l.IsParityMN(uint32(row), s.mn); !parity {
 			s.dataRows = append(s.dataRows, row)
 		}
+	}
+	// A recovered server owes every meta replica host its whole Meta
+	// Area: tier 1 and 2 rebuilt it in place, and a host's copy may
+	// predate the crash by any number of rounds.
+	s.syncNode = make([]rdma.NodeID, l.Cfg.MetaReplicas)
+	s.syncOwed = make([]bool, l.Cfg.MetaReplicas)
+	s.syncStage = make([]byte, l.MetaSize())
+	for r := range s.syncNode {
+		s.syncNode[r], _ = s.cl.view.nodeOf(l.MetaReplicaHostOf(s.mn, r))
+		s.syncOwed[r] = recovered
 	}
 	segs := l.CkptSegCount()
 	s.ckptDirty = make([]atomic.Uint64, (segs+63)/64)
@@ -142,12 +160,12 @@ func (s *Server) record(b int) layout.Record {
 	return layout.DecodeRecord(s.mem[off : off+layout.RecordSize])
 }
 
-// putRecord stores a record and marks the block dirty for meta
-// replication.
+// putRecord stores a record and marks it dirty for meta replication.
+// Caller holds mu.
 func (s *Server) putRecord(b int, r *layout.Record) {
 	off := s.cl.L.RecordOff(b)
 	layout.EncodeRecord(s.mem[off:off+layout.RecordSize], r)
-	s.dirty[b] = true
+	s.dirty[b] |= metaRecord
 }
 
 func (s *Server) bitmap(b int) []byte {
@@ -234,6 +252,10 @@ type ServerStats struct {
 	ECEncodeBatches uint64 // batched parity folds (stripes per encoder pass)
 	ECDecodeBytes   uint64 // shard bytes read by reconstruct fan-outs
 	ECDecodeNs      uint64 // virtual elapsed time of reconstruct fan-outs, ns
+
+	MetaSyncWrites uint64 // meta-sync writes issued to replica hosts, re-send pieces included
+	MetaSyncBytes  uint64 // bytes those writes carried
+	MetaResyncs    uint64 // whole-Meta-Area re-sends to a replica host
 }
 
 // Stats snapshots the server's counters and scans pool occupancy. On a
@@ -408,7 +430,7 @@ func (s *Server) handleAllocBlock(req []byte) ([]byte, time.Duration) {
 			for i := range old {
 				old[i] = 0
 			}
-			s.dirty[b] = true
+			s.dirty[b] |= metaBitmap
 			rec.IndexVersion = 0
 			rec.CliID = cliID
 			s.putRecord(b, &rec)
@@ -632,7 +654,7 @@ func (s *Server) handleFreeBits(req []byte) ([]byte, time.Duration) {
 			s.st.BitsApplied++
 			layout.BitmapSet(bm, unit/class)
 		}
-		s.dirty[b] = true
+		s.dirty[b] |= metaBitmap
 	}
 	s.mu.Unlock()
 	return []byte{stOK}, 500*time.Nanosecond + time.Duration(units)*10*time.Nanosecond
@@ -853,25 +875,67 @@ func (s *Server) claimEncodeBatch(stripe uint32, batch []encodeJob, deltas *[]er
 // ckptSendLoop and ckptRecvLoop — the differential checkpoint
 // pipeline's send and receive cores — live in ckpt.go.
 
-// metaSyncLoop asynchronously replicates dirty Meta Area records and
-// bitmaps to the successor MNs (§3.1: simple replication suffices for
-// the small, infrequently-modified metadata).
+// metaPart names what changed in a block's Meta Area entry since the
+// last meta-sync round: its record, its free bitmap, or both. A round
+// ships exactly the parts marked.
+type metaPart uint8
+
+const (
+	metaRecord metaPart = 1 << iota
+	metaBitmap
+)
+
+const (
+	// metaSyncInterval is the meta-sync cadence.
+	metaSyncInterval = 200 * time.Microsecond
+	// metaSyncDepth is the most writes one meta-sync doorbell carries.
+	// A doorbell holds the replica host's NIC for its whole length, and
+	// foreground reads queue behind it: at 4 a background doorbell
+	// holds it about 0.5 µs. Deeper doorbells lengthen the GET tail,
+	// shallower ones make a busy round outlast the interval (DESIGN.md
+	// §3, meta replication).
+	metaSyncDepth = 4
+	// metaResendPiece is the largest write of a full Meta Area re-send.
+	metaResendPiece = 4 << 10
+)
+
+// metaPiece is one write of a meta-sync round: the byte range
+// [off, off+n) of the Meta Area.
+type metaPiece struct{ off, n uint64 }
+
+// metaSyncLoop asynchronously replicates the Meta Area to the
+// successor MNs (§3.1: simple replication suffices for the small,
+// infrequently-modified metadata).
 func (s *Server) metaSyncLoop(ctx rdma.Ctx) {
-	const metaSyncInterval = 200 * time.Microsecond
 	for !s.isStopped() {
 		ctx.Sleep(metaSyncInterval)
 		s.metaSyncRound(ctx)
 	}
 }
 
-// metaSyncRound stages the record and bitmap of every dirty block, in
-// block order, and writes them to each live replica host, 16 writes to
-// a doorbell.
+// metaSyncRound replicates this MN's Meta Area to each live replica
+// host. A host the round finds on a new node, or one this server owes
+// a re-send (it was recovered, or a doorbell to the host failed), gets
+// the whole area in pieces of at most metaResendPiece bytes. Every
+// other host gets the dirty parts, in block order: the record of a
+// block whose record changed, the bitmap of one whose bitmap did.
+// Either way a doorbell carries at most metaSyncDepth writes.
 func (s *Server) metaSyncRound(ctx rdma.Ctx) {
 	l := s.cl.L
+	full := false
+	for r := range s.syncNode {
+		node, ok := s.cl.view.nodeOf(l.MetaReplicaHostOf(s.mn, r))
+		if !ok {
+			continue
+		}
+		if node != s.syncNode[r] {
+			s.syncNode[r], s.syncOwed[r] = node, true
+		}
+		full = full || s.syncOwed[r]
+	}
 	s.memMu.Lock()
 	s.mu.Lock()
-	if len(s.dirty) == 0 {
+	if len(s.dirty) == 0 && !full {
 		s.mu.Unlock()
 		s.memMu.Unlock()
 		return
@@ -880,39 +944,69 @@ func (s *Server) metaSyncRound(ctx rdma.Ctx) {
 	for b := range s.dirty {
 		dirty = append(dirty, b)
 	}
-	clear(s.dirty)
 	sort.Ints(dirty) // deterministic replication order
-	per := layout.RecordSize + int(l.BitmapBytes())
-	buf := s.syncBuf
-	if need := len(dirty) * per; cap(buf) < need {
-		buf = make([]byte, need)
+	meta, stage := s.mem[l.MetaOff():l.MetaOff()+l.MetaSize()], s.syncStage
+	pieces := s.syncPieces[:0]
+	for _, b := range dirty {
+		if s.dirty[b]&metaRecord != 0 {
+			pieces = append(pieces, metaPiece{off: l.RecordOff(b) - l.MetaOff(), n: layout.RecordSize})
+		}
+		if s.dirty[b]&metaBitmap != 0 {
+			pieces = append(pieces, metaPiece{off: l.BitmapOff(b) - l.MetaOff(), n: l.BitmapBytes()})
+		}
 	}
-	for i, b := range dirty {
-		st := buf[i*per:]
-		rOff, bOff := l.RecordOff(b), l.BitmapOff(b)
-		copy(st[:layout.RecordSize], s.mem[rOff:])
-		copy(st[layout.RecordSize:per], s.mem[bOff:])
+	clear(s.dirty)
+	if full {
+		copy(stage, meta)
+	} else {
+		for _, p := range pieces {
+			copy(stage[p.off:p.off+p.n], meta[p.off:])
+		}
 	}
 	s.mu.Unlock()
 	s.memMu.Unlock()
-	for r := 0; r < l.Cfg.MetaReplicas; r++ {
+	var writes, nbytes, resyncs uint64
+	for r := range s.syncNode {
 		host := l.MetaReplicaHostOf(s.mn, r)
 		node, ok := s.cl.view.nodeOf(host)
-		if !ok {
-			continue
+		if !ok || node != s.syncNode[r] {
+			continue // gone since the check above: the next round sees it
 		}
-		base := l.MetaReplicaOff(l.MetaReplicaSlotFor(host, s.mn)) - l.MetaOff()
+		base := l.MetaReplicaOff(l.MetaReplicaSlotFor(host, s.mn))
 		ops := s.syncOps[:0]
-		for i, b := range dirty {
-			st := buf[i*per:]
-			ops = append(ops,
-				rdma.Op{Kind: rdma.OpWrite, Addr: rdma.GlobalAddr{Node: node, Off: base + l.RecordOff(b)},
-					Buf: st[:layout.RecordSize]},
-				rdma.Op{Kind: rdma.OpWrite, Addr: rdma.GlobalAddr{Node: node, Off: base + l.BitmapOff(b)},
-					Buf: st[layout.RecordSize:per]})
+		if s.syncOwed[r] {
+			for off := uint64(0); off < l.MetaSize(); off += metaResendPiece {
+				ops = append(ops, rdma.Op{Kind: rdma.OpWrite, Addr: rdma.GlobalAddr{Node: node, Off: base + off},
+					Buf: stage[off:min(off+metaResendPiece, l.MetaSize())]})
+			}
+			resyncs++
+		} else {
+			for _, p := range pieces {
+				ops = append(ops, rdma.Op{Kind: rdma.OpWrite, Addr: rdma.GlobalAddr{Node: node, Off: base + p.off},
+					Buf: stage[p.off : p.off+p.n]})
+			}
 		}
-		batchBy(ctx, ops, 16) // replica host failure is handled by recovery
 		s.syncOps = ops
+		// A doorbell that fails leaves the host's copy behind by an
+		// unknown amount: it is owed the whole area, and nothing more
+		// goes to it this round.
+		s.syncOwed[r] = false
+		for at := 0; at < len(ops); at += metaSyncDepth {
+			batch := ops[at:min(at+metaSyncDepth, len(ops))]
+			writes += uint64(len(batch))
+			for i := range batch {
+				nbytes += uint64(len(batch[i].Buf))
+			}
+			if ctx.Batch(batch) != nil {
+				s.syncOwed[r] = true
+				break
+			}
+		}
 	}
-	s.syncDirty, s.syncBuf = dirty, buf
+	s.syncDirty, s.syncPieces = dirty, pieces
+	s.mu.Lock()
+	s.st.MetaSyncWrites += writes
+	s.st.MetaSyncBytes += nbytes
+	s.st.MetaResyncs += resyncs
+	s.mu.Unlock()
 }

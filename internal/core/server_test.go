@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -253,10 +254,11 @@ func TestAdminStatsRoundTrip(t *testing.T) {
 		CkptBytes: 5, CkptApplies: 6, EncodeJobs: 7, EncodeDrops: 8, EncodeQueue: 9, PoolBlocks: 10,
 		PoolFree: 11, PoolDelta: 12, PoolCopy: 13, PoolData: 14, CkptShipFailures: 15, CkptDirtySegs: 16,
 		CkptSegsShipped: 17, CkptRawBytes: 18, CkptCPUNs: 19, ECEncodeBytes: 20, ECEncodeNs: 21,
-		ECEncodeBatches: 22, ECDecodeBytes: 23, ECDecodeNs: 24}
+		ECEncodeBatches: 22, ECDecodeBytes: 23, ECDecodeNs: 24, MetaSyncWrites: 25, MetaSyncBytes: 26,
+		MetaResyncs: 27}
 	want := enc{b: []byte{stOK}}
 	want.u16(7)
-	for i := uint64(1); i <= 24; i++ {
+	for i := uint64(1); i <= 27; i++ {
 		want.u64(i)
 	}
 	if got := encodeStats(ordered); !bytes.Equal(got, want.b) {
@@ -306,7 +308,7 @@ func TestMetaSyncRoundZeroAlloc(t *testing.T) {
 	ctx := &directCtx{pl: tc.pl}
 	round := func() {
 		for _, b := range blocks {
-			srv.dirty[b] = true
+			srv.dirty[b] = metaRecord | metaBitmap
 		}
 		srv.metaSyncRound(ctx)
 	}
@@ -331,5 +333,234 @@ func TestMetaSyncRoundZeroAlloc(t *testing.T) {
 				t.Errorf("replica host mn %d: block %d's record or bitmap differs from the owner's", host, b)
 			}
 		}
+	}
+}
+
+// metaWrite is one write of a meta-sync round: the replica host it went
+// to, the byte range it covered in the owner's Meta Area, and the part
+// that range is — "rec 5" for block 5's record, "bm 5" for its bitmap,
+// "raw off+n" for anything else.
+type metaWrite struct {
+	host int
+	off  uint64
+	n    int
+	part string
+}
+
+func (w metaWrite) String() string { return fmt.Sprintf("h%d %s", w.host, w.part) }
+
+func metaPartOf(l *layout.Layout, off uint64, n int) string {
+	recs := uint64(l.Cfg.BlocksPerMN()) * layout.RecordSize
+	switch {
+	case off < recs && n == layout.RecordSize && off%layout.RecordSize == 0:
+		return fmt.Sprintf("rec %d", off/layout.RecordSize)
+	case off >= recs && n == int(l.BitmapBytes()) && (off-recs)%l.BitmapBytes() == 0:
+		return fmt.Sprintf("bm %d", (off-recs)/l.BitmapBytes())
+	}
+	return fmt.Sprintf("raw %d+%d", off, n)
+}
+
+// metaSyncTraffic runs one meta-sync round of srv through a counting
+// ctx and returns its doorbells, each as the writes it carried. Every
+// call of the round must be a doorbell of writes to srv's replica hosts
+// of at most 4 writes.
+func metaSyncTraffic(t *testing.T, tc *testCluster, srv *Server) [][]metaWrite {
+	t.Helper()
+	l := tc.cl.L
+	var dbs [][]metaWrite
+	ctx := &directCtx{pl: tc.pl}
+	ctx.onCall = func(call string, _ uint8) {
+		if call != "batch" {
+			t.Errorf("meta sync issued a %s", call)
+		}
+		dbs = append(dbs, nil)
+	}
+	ctx.beforeOp = func(op *rdma.Op) {
+		for r := 0; r < l.Cfg.MetaReplicas; r++ {
+			host := l.MetaReplicaHostOf(srv.mn, r)
+			if node, _ := tc.cl.view.nodeOf(host); node == op.Addr.Node && op.Kind == rdma.OpWrite {
+				off := op.Addr.Off - l.MetaReplicaOff(l.MetaReplicaSlotFor(host, srv.mn))
+				dbs[len(dbs)-1] = append(dbs[len(dbs)-1],
+					metaWrite{host: host, off: off, n: len(op.Buf), part: metaPartOf(l, off, len(op.Buf))})
+				return
+			}
+		}
+		t.Errorf("meta sync sent op %v to node %d, no replica host of mn %d", op.Kind, op.Addr.Node, srv.mn)
+	}
+	srv.metaSyncRound(ctx)
+	for i, db := range dbs {
+		if len(db) > 4 {
+			t.Errorf("doorbell %d carries %d writes, want at most 4: %v", i, len(db), db)
+		}
+	}
+	return dbs
+}
+
+// flatWrites lists a round's writes in issue order.
+func flatWrites(dbs [][]metaWrite) []string {
+	var out []string
+	for _, db := range dbs {
+		for _, w := range db {
+			out = append(out, w.String())
+		}
+	}
+	return out
+}
+
+// wantWrites lists the writes of parts to every replica host of mn, in
+// host order: what a round ships when parts are dirty.
+func wantWrites(l *layout.Layout, mn int, parts ...string) []string {
+	var out []string
+	for r := 0; r < l.Cfg.MetaReplicas; r++ {
+		for _, p := range parts {
+			out = append(out, metaWrite{host: l.MetaReplicaHostOf(mn, r), part: p}.String())
+		}
+	}
+	return out
+}
+
+// TestMetaSyncShipsOnlyChangedParts pins the traffic of a meta-sync
+// round: a FreeBits mark ships only the block's bitmap, a record write
+// only its record, a reclamation reset both (and the backup copy's
+// record), each to every replica host, at most 4 writes to a doorbell;
+// a round with nothing dirty rings nothing.
+func TestMetaSyncShipsOnlyChangedParts(t *testing.T) {
+	tc := newTestCluster(t, func(cfg *Config) {
+		cfg.ReclaimFree = 1     // every allocation after the first may reclaim
+		cfg.ReclaimObsolete = 0 // any sealed block with a mark qualifies
+	})
+	l := tc.cl.L
+	srv := tc.cl.servers[0]
+	check := func(what string, want []string) {
+		t.Helper()
+		dbs := metaSyncTraffic(t, tc, srv)
+		if got := flatWrites(dbs); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: the round wrote\n %v\nwant\n %v", what, got, want)
+		}
+		perHost := (len(want)/l.Cfg.MetaReplicas + 3) / 4
+		if len(dbs) != perHost*l.Cfg.MetaReplicas {
+			t.Errorf("%s: %d doorbells for %d writes, want %d (%d per host)", what, len(dbs), len(want), perHost*l.Cfg.MetaReplicas, perHost)
+		}
+	}
+	a, b := allocData(t, srv, 2), allocData(t, srv, 2)
+	check("two fresh blocks", wantWrites(l, 0, fmt.Sprintf("rec %d", a), fmt.Sprintf("rec %d", b)))
+	check("nothing dirty", nil)
+
+	if resp, _ := srv.handle(methodFreeBits, freeBitsPayload([]int{a, 0}, []int{b, 2})); resp[0] != stOK {
+		t.Fatalf("FreeBits: status %d", resp[0])
+	}
+	check("FreeBits only", wantWrites(l, 0, fmt.Sprintf("bm %d", a), fmt.Sprintf("bm %d", b)))
+
+	var seal enc
+	seal.u32(uint32(a))
+	seal.u32(^uint32(0))
+	if resp, _ := srv.handle(methodSealBlock, seal.b); resp[0] != stOK {
+		t.Fatalf("seal: status %d", resp[0])
+	}
+	check("a seal", wantWrites(l, 0, fmt.Sprintf("rec %d", a)))
+
+	var many []string
+	for i := 0; i < 5; i++ {
+		many = append(many, fmt.Sprintf("rec %d", allocData(t, srv, 3)))
+	}
+	check("five fresh blocks", wantWrites(l, 0, many...))
+
+	// The next block of class 2 reclaims a: its bitmap is reset, its
+	// record restamped, and a pool block records the backup copy.
+	if got := allocData(t, srv, 2); got != a {
+		t.Fatalf("allocation returned block %d, want the reclaimed block %d", got, a)
+	}
+	cp := -1
+	for blk := l.Cfg.StripeRows; blk < l.Cfg.BlocksPerMN(); blk++ {
+		if srv.record(blk).Role == layout.RoleCopy {
+			cp = blk
+		}
+	}
+	if srv.st.Reclaimed != 1 || cp < 0 {
+		t.Fatalf("no reclamation: %d reclaimed, copy block %d", srv.st.Reclaimed, cp)
+	}
+	// Block order: the copy is a pool block, after every stripe row.
+	check("a reclamation reset", wantWrites(l, 0, fmt.Sprintf("rec %d", a), fmt.Sprintf("bm %d", a), fmt.Sprintf("rec %d", cp)))
+}
+
+// TestMetaSyncResendsWholeArea pins the re-send: a replica host the
+// round finds on a new node gets the whole Meta Area exactly once, in
+// pieces of at most 4 KB, 4 to a doorbell, even in a round with nothing
+// dirty, while the other host gets only the dirty parts; a host whose
+// doorbell failed gets the whole area in the next round.
+func TestMetaSyncResendsWholeArea(t *testing.T) {
+	tc := newTestCluster(t, nil)
+	l := tc.cl.L
+	srv := tc.cl.servers[0]
+	moved, other := l.MetaReplicaHostOf(0, 0), l.MetaReplicaHostOf(0, 1)
+	// wholeArea checks that the round's writes to host cover the Meta
+	// Area once, in order, in pieces of at most 4 KB.
+	wholeArea := func(what string, dbs [][]metaWrite, host int) {
+		t.Helper()
+		next := uint64(0)
+		for _, db := range dbs {
+			for _, w := range db {
+				if w.host != host {
+					continue
+				}
+				if w.off != next || w.n > 4<<10 || w.n == 0 {
+					t.Fatalf("%s: write [%d,+%d) to mn %d, want a piece of at most 4 KB at %d", what, w.off, w.n, host, next)
+				}
+				next += uint64(w.n)
+			}
+		}
+		if next != l.MetaSize() {
+			t.Errorf("%s: mn %d got %d of the Meta Area's %d bytes", what, host, next, l.MetaSize())
+		}
+	}
+	onlyTo := func(dbs [][]metaWrite, host int) (out []string) {
+		for _, db := range dbs {
+			for _, w := range db {
+				if w.host == host {
+					out = append(out, w.String())
+				}
+			}
+		}
+		return out
+	}
+	metaSyncTraffic(t, tc, srv) // drain what setup dirtied
+	before := srv.Stats()
+
+	srv.syncNode[0]++ // the view now places host 0 on another node
+	dbs := metaSyncTraffic(t, tc, srv)
+	wholeArea("nothing dirty, host moved", dbs, moved)
+	if got := onlyTo(dbs, other); got != nil {
+		t.Errorf("nothing dirty: the unmoved host got %v", got)
+	}
+	pieces := int((l.MetaSize() + 4<<10 - 1) / (4 << 10))
+	if len(dbs) != (pieces+3)/4 {
+		t.Errorf("a re-send of %d pieces rang %d doorbells, want %d", pieces, len(dbs), (pieces+3)/4)
+	}
+
+	b := allocData(t, srv, 2)
+	want := []string{fmt.Sprintf("h%d rec %d", moved, b), fmt.Sprintf("h%d rec %d", other, b)}
+	if got := flatWrites(metaSyncTraffic(t, tc, srv)); !reflect.DeepEqual(got, want) {
+		t.Errorf("after the re-send, a dirty record went out as %v, want %v", got, want)
+	}
+
+	// A failed doorbell to the other host: the next round re-sends it
+	// the whole area, and the moved one only what is dirty.
+	ctx := &directCtx{pl: tc.pl}
+	otherNode, _ := tc.cl.view.nodeOf(other)
+	ctx.beforeOp = func(op *rdma.Op) {
+		if op.Addr.Node == otherNode {
+			op.Err = rdma.ErrNodeFailed
+		}
+	}
+	allocData(t, srv, 2)
+	srv.metaSyncRound(ctx)
+	c := allocData(t, srv, 2)
+	dbs = metaSyncTraffic(t, tc, srv)
+	wholeArea("after a failed doorbell", dbs, other)
+	if got, want := onlyTo(dbs, moved), []string{fmt.Sprintf("h%d rec %d", moved, c)}; !reflect.DeepEqual(got, want) {
+		t.Errorf("after a failed doorbell to the other host, the moved one got %v, want %v", got, want)
+	}
+	if got := srv.Stats().MetaResyncs - before.MetaResyncs; got != 2 {
+		t.Errorf("MetaResyncs rose by %d, want 2", got)
 	}
 }

@@ -133,6 +133,9 @@ func TestRebuildSecondMNFailsMidTier3(t *testing.T) {
 			tc.cl.FailMN(second)
 			tc.waitBlocksReady(t, rebuildVictim)
 			tc.waitBlocksReady(t, second)
+			// The coordinators wrote records into both replacements
+			// while tier 3 ran: they reached the replicas too.
+			metaReplicasMatch(t, tc)
 
 			lost := 0
 			for _, rep := range tc.cl.master.Reports {
