@@ -95,8 +95,8 @@ func main() {
 		rep.RBlockCount, rep.ReadRBlock,
 		rep.KVCount, rep.ScanKV,
 		rep.OldLBlockCount, rep.RecoverOldLBlock)
-	fmt.Printf("tier 2: the checkpoint covered %d sealed blocks, which were not scanned; %d pairs fetched to compare checkpoint entries' keys\n",
-		rep.CoveredBlocks, rep.KeysFetched)
+	fmt.Printf("tier 2: the checkpoint covered %d sealed blocks, which were not scanned; %d pairs fetched to compare checkpoint entries' keys; %d keys re-placed into free slots\n",
+		rep.CoveredBlocks, rep.KeysFetched, rep.KeysReplaced)
 	fmt.Printf("tier 3: %d old blocks + %d parity rows rebuilt by %d workers, %d bytes into the replacement, read per source MN %v, %d rows given up\n",
 		rep.OldLBlockCount, rep.ParityRowCount, rep.Tier3Workers, rep.Tier3InboundBytes, rep.Tier3SourceBytes, rep.Tier3LostRows)
 

@@ -66,12 +66,18 @@ type view struct {
 	// recovery completed); clients use it to refresh cached remote
 	// addresses such as DELTA-block targets.
 	epoch uint64
-	// indexGen[i] counts the rebuilds of MN i's Index Area. Tier 2 bumps
-	// it in the section that publishes the rebuilt partition and nothing
-	// else does: a rebuild is the one event that can move a key of the
-	// partition to another slot, so it is what a client's slot binding
-	// is good for (DESIGN.md §13). A failure elsewhere leaves it alone.
+	// indexGen[i] is the generation of MN i's Index Area: within one, a
+	// slot that held a key only ever holds that key, and that is what a
+	// client's slot binding is good for (DESIGN.md §13). Tier 2 bumps it
+	// in the section that publishes the rebuilt partition, and only when
+	// the rebuild may have given a slot a new key — it re-placed a key,
+	// its scan was partial, or its image is older than genFloor[i].
+	// Nothing else does; a failure elsewhere leaves it alone.
 	indexGen []uint64
+	// genFloor[i] is the lowest checkpoint version a snapshot of MN i's
+	// current generation can carry: the Index Version the replacement
+	// that started the generation was published at (0 for the first).
+	genFloor []uint64
 	// node[i] is the physical node currently serving logical MN i.
 	node []rdma.NodeID
 	// failed[i]: MN i is down and not yet re-served.
@@ -157,6 +163,7 @@ func NewCluster(cfg Config, pl rdma.Platform) (*Cluster, error) {
 	cl.view.indexReady = make([]bool, n)
 	cl.view.blocksReady = make([]bool, n)
 	cl.view.indexGen = make([]uint64, n)
+	cl.view.genFloor = make([]uint64, n)
 	for i := 0; i < n; i++ {
 		node := pl.AddMemNode(rdma.MemNodeConfig{MemBytes: l.MemBytes(), CPUCores: rdma.NumMNCores})
 		cl.view.node[i] = node

@@ -417,7 +417,7 @@ func TestParkedPatchLeavesOnEveryExit(t *testing.T) {
 			if tcase.failHome {
 				// A waits in waitIndexReady while all three tiers run: a commit
 				// between indexReady and blocksReady would race tier 3's rebuild
-				// of its DELTA block (ROADMAP item 1(e)).
+				// of its DELTA block (ROADMAP item 2(e)).
 				tc.cl.master.AddSpare()
 				actx.onSleep = func() { tc.run(20 * time.Millisecond) }
 			}

@@ -32,6 +32,7 @@ type RecoveryReport struct {
 	KVCount          int
 	CoveredBlocks    int           // sealed DATA blocks, local and remote, the checkpoint version let tier 2 skip
 	KeysFetched      int           // pairs the scan read over the fabric to learn a checkpoint entry's key
+	KeysReplaced     int           // scanned keys no checkpoint entry resolved to, re-inserted into a free slot
 	IndexDone        time.Duration // tier-2 complete: functionality restored
 	RecoverOldLBlock time.Duration // all of tier 3
 	OldLBlockCount   int
@@ -69,16 +70,20 @@ func runRecovery(ctx rdma.Ctx, cl *Cluster, mn int) *RecoveryReport {
 		return cl.pl.Memory(ctx.Node()) == nil || !cl.view.nodeIs(mn, ctx.Node())
 	}
 
+	// partial records that tier 2 gave up on Meta or on a block it had to
+	// scan: a key committed since the checkpoint may then be missing from
+	// the rebuilt partition, its old slot empty, so the rebuild ends the
+	// partition's generation whatever it re-placed (DESIGN.md §13).
+	partial := true
+
 	// --- Tier 1: Meta Area (replica read) ---
-	for r := 0; r < l.Cfg.MetaReplicas; r++ {
+	for r := 0; r < l.Cfg.MetaReplicas && partial; r++ {
 		host := l.MetaReplicaHostOf(mn, r)
 		if _, alive := cl.view.nodeOf(host); !alive {
 			continue
 		}
 		slot := l.MetaReplicaSlotFor(host, mn)
-		if err := readChunked(ctx, cl, host, l.MetaReplicaOff(slot), mem[l.MetaOff():l.MetaOff()+l.MetaSize()]); err == nil {
-			break
-		}
+		partial = readChunked(ctx, cl, host, l.MetaReplicaOff(slot), mem[l.MetaOff():l.MetaOff()+l.MetaSize()]) != nil
 	}
 	rep.ReadMeta = ctx.Now() - start
 	cl.trace.Emit(obs.Event{At: ctx.Now(), Kind: "recovery.meta", MN: mn, Dur: rep.ReadMeta})
@@ -153,6 +158,7 @@ func runRecovery(ctx rdma.Ctx, cl *Cluster, mn int) *RecoveryReport {
 	// Decode new local blocks (pipelined reads + XOR, §3.4.1 remark 1).
 	t = ctx.Now()
 	recoverBlocks(ctx, cl, mn, newLocal, recovered, sc)
+	partial = partial || len(recovered) < len(newLocal)
 	rep.LBlockCount = len(newLocal)
 	rep.RecoverLBlock = ctx.Now() - t
 	cl.trace.Emit(obs.Event{At: ctx.Now(), Kind: "recovery.lblocks", MN: mn, Dur: rep.RecoverLBlock,
@@ -175,6 +181,7 @@ func runRecovery(ctx rdma.Ctx, cl *Cluster, mn int) *RecoveryReport {
 		_, alive := cl.view.nodeOf(j)
 		if alive {
 			if err := readChunked(ctx, cl, j, l.RecordOff(0), recArea); err != nil {
+				partial = true
 				continue
 			}
 		} else {
@@ -184,6 +191,7 @@ func runRecovery(ctx rdma.Ctx, cl *Cluster, mn int) *RecoveryReport {
 			// them from j's meta replica and decode them from stripe
 			// survivors.
 			if !readMetaReplicaRecords(ctx, cl, j, recArea) {
+				partial = true
 				continue
 			}
 		}
@@ -199,6 +207,7 @@ func runRecovery(ctx rdma.Ctx, cl *Cluster, mn int) *RecoveryReport {
 			data := make([]byte, l.Cfg.BlockSize)
 			if alive {
 				if err := readChunked(ctx, cl, j, l.BlockOff(b), data); err != nil {
+					partial = true
 					continue
 				}
 			} else {
@@ -206,10 +215,12 @@ func runRecovery(ctx rdma.Ctx, cl *Cluster, mn int) *RecoveryReport {
 					continue // pool blocks hold no indexed KVs
 				}
 				if !fetchStripe(ctx, cl, j, b, sc) {
+					partial = true
 					continue
 				}
 				out, ok := reconstructLost(ctx, cl, j, b, sc, rdma.CoreErasure)
 				if !ok {
+					partial = true
 					continue
 				}
 				copy(data, out)
@@ -286,10 +297,10 @@ func runRecovery(ctx rdma.Ctx, cl *Cluster, mn int) *RecoveryReport {
 		cand := best[keyStr]
 		reapplyCandidate(ek, []byte(keyStr), cand.version, cand.packed, cand.class)
 	}
-	rep.KeysFetched = ek.fetched
+	rep.KeysFetched, rep.KeysReplaced = ek.fetched, ek.replaced
 	rep.ScanKV = ctx.Now() - t
 	cl.trace.Emit(obs.Event{At: ctx.Now(), Kind: "recovery.scan", MN: mn, Dur: rep.ScanKV,
-		Note: fmt.Sprintf("kvs=%d keys-fetched=%d", rep.KVCount, rep.KeysFetched)})
+		Note: fmt.Sprintf("kvs=%d keys-fetched=%d replaced=%d", rep.KVCount, rep.KeysFetched, rep.KeysReplaced)})
 
 	if abandoned() {
 		return nil
@@ -315,7 +326,13 @@ func runRecovery(ctx rdma.Ctx, cl *Cluster, mn int) *RecoveryReport {
 	cl.servers[mn] = srv
 	cl.view.failed[mn] = false
 	cl.view.indexReady[mn] = true
-	cl.view.indexGen[mn]++ // reapplyCandidate re-placed keys: slots bound before this are not
+	// The generation moves only when a slot may have a new key: a key was
+	// re-placed, the scan was partial, or the image predates the current
+	// generation (DESIGN.md §13). Otherwise every binding stays good.
+	if rep.KeysReplaced > 0 || partial || ckptVer < cl.view.genFloor[mn] {
+		cl.view.indexGen[mn]++
+		cl.view.genFloor[mn] = srv.indexVersion()
+	}
 	cl.view.epoch++
 	cl.view.mu.Unlock()
 	if cl.stopped.Load() { // published after Cluster.stop read the servers
@@ -467,6 +484,7 @@ type entryKeys struct {
 	scanned   map[uint64]*layout.KV // packed addr -> decoded KV
 	recovered map[int]bool          // local blocks decoded into mem
 	fetched   int
+	replaced  int              // keys reapplyCandidate put into a free slot
 	matches   []racehash.Match // reused by eachMatch
 }
 
@@ -589,7 +607,8 @@ func reapplyCandidate(ek *entryKeys, key []byte, version, packed uint64, class u
 	b, img := ek.buckets(key)
 	for i := range b {
 		if s := racehash.FreeSlot(img[i]); s >= 0 {
-			put(l.SlotOff(b[i], s))
+			put(l.SlotOff(b[i], s)) // the one way a rebuild gives a slot a new key
+			ek.replaced++
 			return
 		}
 	}

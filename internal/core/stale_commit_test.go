@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/layout"
 	"repro/internal/racehash"
+	"repro/internal/rdma"
 )
 
 // staleCommitPair preloads n keys and returns two direct-driven clients
@@ -308,14 +309,16 @@ func TestChaseAndValidateFirstZeroAlloc(t *testing.T) {
 }
 
 // TestChaseRefusedAcrossEpochChange pins the recovery hazard the chase
-// would otherwise open. Tier 2 re-places keys inserted since the last
-// checkpoint, so after it a cached slot offset may belong to another
-// key — one whose fingerprint can collide. The test fabricates exactly
-// that: A caches key K at slot S, then the generation of S's index
-// partition moves (what publishing a rebuilt partition does) and S is
-// rewritten to a same-fingerprint word pointing at another key's pair.
-// A's commit loses at S; it must not take the returned word on trust
-// and CAS over it, but re-probe the index and leave S alone.
+// would otherwise open. A rebuild that re-places a key inserted since
+// the last checkpoint puts it into a free slot of the image, so after it
+// a cached slot offset may belong to another key — one whose fingerprint
+// can collide; such a rebuild moves the partition's generation (a quiet
+// one does not: TestSurvivingPartitionsStayBound). The test fabricates
+// exactly that: A caches key K at slot S, then the generation of S's
+// index partition moves (what publishing a rebuild that re-placed a key
+// does) and S is rewritten to a same-fingerprint word pointing at another
+// key's pair. A's commit loses at S; it must not take the returned word
+// on trust and CAS over it, but re-probe the index and leave S alone.
 //
 // Its mirror: only the global view epoch moved — another MN failed and
 // came back, which rewrites no slot of this partition — and B moved the
@@ -339,7 +342,7 @@ func TestChaseRefusedAcrossEpochChange(t *testing.T) {
 	slot := tc.pl.DirectMemory(node)[ent.slotOff:]
 	binary.LittleEndian.PutUint64(slot, foreign.Pack())
 	tc.cl.view.mu.Lock()
-	tc.cl.view.indexGen[mn]++ // what tier 2 does where it publishes the partition
+	tc.cl.view.indexGen[mn]++ // what tier 2 does where it publishes a partition it re-placed keys in
 	tc.cl.view.mu.Unlock()
 
 	reads := a.Stats.ReadsIssued
@@ -387,65 +390,193 @@ func TestChaseRefusedAcrossEpochChange(t *testing.T) {
 
 // TestSurvivingPartitionsStayBound crosses a real fail-stop with warm
 // caches. Clients A and B cache a key homed on MN 0 and one homed on MN
-// 1; B then moves both, MN 1 fail-stops and is recovered. The failure
-// destroyed one index partition, so it may unbind that partition's
-// entries and no others: A's update of the MN 0 key loses its CAS and
-// chases in two doorbells, while its update of the MN 1 key — whose slot
-// tier 2 rebuilt — is refused every shortcut and goes back to the index.
+// 1; B then moves both, MN 1 fail-stops and is recovered, and A updates
+// both keys through its pre-failure entries.
+//
+// A quiet fail-stop, every key of MN 1 in its checkpoint, re-places no
+// key: the rebuilt partition keeps its generation, so A's entries for
+// both keys stay bound — each lost CAS chases in two doorbells, and
+// validate-first works on both partitions when armed.
+//
+// A key inserted on MN 1 after the last checkpoint has no slot in the
+// image, so tier 2 re-places it and the generation moves: A's entry for
+// the MN 1 key is refused every shortcut and goes back to the index,
+// while the MN 0 key still chases.
 func TestSurvivingPartitionsStayBound(t *testing.T) {
 	const survivor, victim = 0, 1
-	tc := newTestCluster(t, fusedTestConfig)
-	tc.cl.master.AddSpare()
-	ids := []int{keysHomedOn(tc, survivor, 1, true)[0], keysHomedOn(tc, victim, 1, true)[0]}
-	a, b := tc.spawnScripted("a"), tc.spawnScripted("b")
-	put := func(s *scripted, gen int) {
-		for _, id := range ids {
-			s.put(t, 2, id, val(id, gen))
+	for _, late := range []bool{false, true} {
+		name := "quiet fail-stop"
+		if late {
+			name = "key inserted after the last checkpoint"
 		}
-	}
-	put(a, 0)
-	put(b, 1)
-	put(a, 2) // both hold both keys, bound under the generation before the failure
-	put(b, 3) // ... and A's words are stale
-	tc.run(2 * tc.cl.Cfg.CkptInterval)
-	tc.cl.FailMN(victim)
-	tc.waitBlocksReady(t, victim)
-
-	// Validate-first is a shortcut of its own; arm it, so that the rebuilt
-	// partition is seen to refuse it and the surviving one to take it.
-	for _, armed := range []bool{false, true} {
-		if armed {
-			put(b, 5)
-			a.c.stale = staleEstimate{rate: [2]uint32{1 << 16, 1 << 16}}
-		}
-		for i, id := range ids {
-			before := a.snap()
-			a.put(t, 2, id, val(id, 4))
-			d := a.snap().since(before)
-			switch {
-			case i == survivor && !armed:
-				if d.doorbells != 2 || d.retries != 1 || d.chased != 1 {
-					t.Errorf("key homed on the surviving MN %d: %d doorbells, casRetries=%d chased=%d; want the lost CAS chased in 2 doorbells",
-						survivor, d.doorbells, d.retries, d.chased)
-				}
-			case i == survivor:
-				if d.doorbells != 2 || d.retries != 0 || d.validChanged != 1 {
-					t.Errorf("key homed on the surviving MN %d, predicted stale: %d doorbells, casRetries=%d validatedChanged=%d; want a slot read and one batch",
-						survivor, d.doorbells, d.retries, d.validChanged)
-				}
-			case !armed:
-				// First touch since the rebuild; it re-binds the entry, so the
-				// armed pass treats it like any other.
-				if d.doorbells-d.posts < 4 || d.retries != 1 || d.chased != 0 || d.validChanged+d.validSame != 0 {
-					t.Errorf("key homed on the rebuilt MN %d: %d doorbells (%d posts), casRetries=%d chased=%d validated=%d; want the lost batch, an index probe and the batch that commits, no chase, no validate-first",
-						victim, d.doorbells, d.posts, d.retries, d.chased, d.validChanged+d.validSame)
+		t.Run(name, func(t *testing.T) {
+			tc := newTestCluster(t, fusedTestConfig)
+			tc.cl.master.AddSpare()
+			homed := keysHomedOn(tc, victim, 2, true)
+			ids := []int{keysHomedOn(tc, survivor, 1, true)[0], homed[0]}
+			a, b := tc.spawnScripted("a"), tc.spawnScripted("b")
+			put := func(s *scripted, gen int) {
+				for _, id := range ids {
+					s.put(t, 2, id, val(id, gen))
 				}
 			}
-		}
+			put(a, 0)
+			put(b, 1)
+			put(a, 2) // both hold both keys, bound under the generation before the failure
+			put(b, 3) // ... and A's words are stale
+			tc.run(2 * tc.cl.Cfg.CkptInterval)
+			expect := map[int][]byte{}
+			if late {
+				b.do(t, func(c *Client) {
+					if err := c.Insert(key(homed[1]), val(homed[1], 0)); err != nil {
+						t.Fatalf("late insert: %v", err)
+					}
+				})
+				expect[homed[1]] = val(homed[1], 0)
+			}
+			gen := tc.cl.view.indexGenOf(victim)
+			tc.cl.FailMN(victim)
+			tc.waitBlocksReady(t, victim)
+			rep := tc.cl.master.ReportList()[0]
+			moved := tc.cl.view.indexGenOf(victim) != gen
+			if late && (rep.KeysReplaced < 1 || !moved) {
+				t.Errorf("a key inserted after the checkpoint: %d keys re-placed, generation moved %v; want ≥ 1 and true", rep.KeysReplaced, moved)
+			}
+			if !late && (rep.KeysReplaced != 0 || moved) {
+				t.Errorf("quiet fail-stop: %d keys re-placed, generation moved %v; want 0 and false", rep.KeysReplaced, moved)
+			}
+
+			// Validate-first is a shortcut of its own; arm it, so that a
+			// rebuilt partition whose generation moved is seen to refuse it
+			// and a bound one to take it.
+			for _, armed := range []bool{false, true} {
+				if armed {
+					put(b, 5)
+					a.c.stale = staleEstimate{rate: [2]uint32{1 << 16, 1 << 16}}
+				}
+				for i, id := range ids {
+					before := a.snap()
+					a.put(t, 2, id, val(id, 4))
+					d := a.snap().since(before)
+					switch {
+					case late && i == victim && !armed:
+						// First touch since the rebuild; it re-binds the entry, so
+						// the armed pass treats it like any other.
+						if d.doorbells-d.posts < 4 || d.retries != 1 || d.chased != 0 || d.validChanged+d.validSame != 0 {
+							t.Errorf("key homed on the rebuilt MN %d: %d doorbells (%d posts), casRetries=%d chased=%d validated=%d; want the lost batch, an index probe and the batch that commits, no chase, no validate-first",
+								victim, d.doorbells, d.posts, d.retries, d.chased, d.validChanged+d.validSame)
+						}
+					case !armed:
+						if d.doorbells != 2 || d.retries != 1 || d.chased != 1 {
+							t.Errorf("key homed on MN %d: %d doorbells, casRetries=%d chased=%d; want the lost CAS chased in 2 doorbells",
+								i, d.doorbells, d.retries, d.chased)
+						}
+					default:
+						if d.doorbells != 2 || d.retries != 0 || d.validChanged != 1 {
+							t.Errorf("key homed on MN %d, predicted stale: %d doorbells, casRetries=%d validatedChanged=%d; want a slot read and one batch",
+								i, d.doorbells, d.retries, d.validChanged)
+						}
+					}
+				}
+			}
+			for _, id := range ids {
+				expect[id] = val(id, 4)
+			}
+			tc.verifyAll(t, expect)
+		})
+	}
+}
+
+// TestRebuildFromAnOlderImageMovesTheGeneration pins the third reason a
+// rebuild ends its partition's generation. A rebuild that re-places no
+// key leaves every slot with the key its image gave it; that a slot held
+// the same key before the failure needs the image to be of the current
+// generation. One from before it — a host whose copy lagged when the
+// generation began, read once a second failure has taken the host the
+// earlier rebuild read — may show a slot with a key the earlier rebuild
+// had re-placed elsewhere. The test starts a generation with a late
+// insert, lets the replacement ship a round, then stamps the hosted copy
+// with a version under the generation's floor: the next rebuild
+// re-places nothing and must still move the generation.
+func TestRebuildFromAnOlderImageMovesTheGeneration(t *testing.T) {
+	const victim = 1
+	tc := newTestCluster(t, fusedTestConfig)
+	tc.cl.master.AddSpare()
+	tc.cl.master.AddSpare()
+	ids := keysHomedOn(tc, victim, 3, true)
+	a := tc.spawnScripted("a")
+	a.put(t, 2, ids[0], val(ids[0], 0))
+	a.put(t, 2, ids[1], val(ids[1], 0))
+	tc.run(2 * tc.cl.Cfg.CkptInterval)
+	a.put(t, 2, ids[2], val(ids[2], 0)) // after the last checkpoint
+	gen := tc.cl.view.indexGenOf(victim)
+	tc.cl.FailMN(victim)
+	tc.waitBlocksReady(t, victim)
+	if rep := tc.cl.master.ReportList()[0]; rep.KeysReplaced != 1 || tc.cl.view.indexGenOf(victim) != gen+1 {
+		t.Fatalf("late insert: %d keys re-placed, generation %d → %d; want 1 and a move", rep.KeysReplaced, gen, tc.cl.view.indexGenOf(victim))
+	}
+	tc.untilRound(t, tc.cl.master.Round()+2) // the replacement's image reaches its host
+
+	l := tc.cl.L
+	host := l.CkptHostOf(victim, 0)
+	node, _ := tc.cl.view.nodeOf(host)
+	floor := tc.cl.view.genFloor[victim]
+	if tc.hostedCkptVersion(victim) < floor {
+		t.Fatalf("hosted checkpoint version %d, under the generation's floor %d: no round of the replacement shipped", tc.hostedCkptVersion(victim), floor)
+	}
+	binary.LittleEndian.PutUint64(tc.pl.DirectMemory(node)[l.CkptVersionOff(l.CkptSlotFor(host, victim)):], floor-1)
+	gen = tc.cl.view.indexGenOf(victim)
+	tc.cl.FailMN(victim)
+	tc.waitBlocksReady(t, victim)
+	if rep := tc.cl.master.ReportList()[1]; rep.KeysReplaced != 0 || tc.cl.view.indexGenOf(victim) == gen {
+		t.Errorf("image older than the generation: %d keys re-placed, generation moved %v; want 0 and true",
+			rep.KeysReplaced, tc.cl.view.indexGenOf(victim) != gen)
 	}
 	expect := map[int][]byte{}
 	for _, id := range ids {
-		expect[id] = val(id, 4)
+		expect[id] = val(id, 0)
+	}
+	tc.verifyAll(t, expect)
+}
+
+// TestPartialScanMovesTheGeneration pins the second reason a rebuild
+// ends its partition's generation. A scan that could not read a block
+// it had to may have missed a key committed since the checkpoint; that
+// key's old slot is left empty, and a later INSERT of another key may
+// take it under a client still bound to it. Here every key is in the
+// checkpoint, but MN 4 drops every request while tier 2 runs, so the
+// scan cannot read its records: the rebuild re-places nothing and must
+// still move the generation.
+func TestPartialScanMovesTheGeneration(t *testing.T) {
+	const victim, dark = 1, 4
+	tc := newTestCluster(t, fusedTestConfig)
+	tc.cl.master.AddSpare()
+	ids := keysHomedOn(tc, victim, 2, true)
+	a := tc.spawnScripted("a")
+	expect := map[int][]byte{}
+	for _, id := range ids {
+		a.put(t, 2, id, val(id, 0))
+		expect[id] = val(id, 0)
+	}
+	tc.run(2 * tc.cl.Cfg.CkptInterval)
+	node, _ := tc.cl.view.nodeOf(dark)
+	tc.pl.SetChaos(node, rdma.ChaosConfig{Seed: 1, DropProb: 1})
+	gen := tc.cl.view.indexGenOf(victim)
+	tc.cl.FailMN(victim)
+	for i := 0; ; i++ {
+		if _, idx, _ := tc.cl.MNState(victim); idx {
+			break
+		}
+		if i > 100000 {
+			t.Fatal("tier 2 never published the partition")
+		}
+		tc.run(100 * time.Microsecond)
+	}
+	tc.pl.SetChaos(node, rdma.ChaosConfig{})
+	tc.waitBlocksReady(t, victim)
+	if rep := tc.cl.master.ReportList()[0]; rep.KeysReplaced != 0 || tc.cl.view.indexGenOf(victim) == gen {
+		t.Errorf("scan without MN %d's records: %d keys re-placed, generation moved %v; want 0 and true",
+			dark, rep.KeysReplaced, tc.cl.view.indexGenOf(victim) != gen)
 	}
 	tc.verifyAll(t, expect)
 }
@@ -532,6 +663,12 @@ func TestCachedClientsUpdateAfterHomeMNRecovery(t *testing.T) {
 	if t.Failed() {
 		return
 	}
+	// The late keys have no slot in the checkpoint: tier 2 re-places them
+	// and moves the generation, so the pre-failure entries of this
+	// partition take the refusal path.
+	if reps := tc.cl.master.ReportList(); len(reps) != 1 || reps[0].KeysReplaced == 0 {
+		t.Fatalf("%d recoveries, want one that re-placed the late keys", len(reps))
+	}
 	tc.runClients(t, 120*time.Second, func(c *Client) {
 		for i := 0; i < shared; i++ {
 			got, err := c.Search(key(i))
@@ -561,6 +698,16 @@ func TestCachedClientsUpdateAfterHomeMNRecovery(t *testing.T) {
 // a pool small enough that blocks are reclaimed and reused; between
 // bursts every non-empty slot of every index is resolved to the key of
 // the pair it points at and compared with what the slot held before.
+//
+// The history crosses real fail-stops of one MN, each followed to
+// blocksReady, and the ownership map survives those that keep the
+// generation (DESIGN.md §13): one after a quiet checkpoint — every key
+// of the partition in the image — and a second of the same MN before
+// any checkpoint round has completed, so that it rebuilds from the image
+// the first one used. Both must re-place no key and leave the generation
+// alone. A third fail-stop follows fresh keys inserted on the MN after
+// the last checkpoint: it must re-place them and move the generation,
+// which starts the partition's ownership map afresh.
 func TestSlotNeverChangesKey(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
@@ -569,7 +716,11 @@ func TestSlotNeverChangesKey(t *testing.T) {
 				cfg.Layout.PoolBlocks = 16
 				cfg.ReclaimFree = 0.5
 			})
-			const clients, keys, bursts, perBurst = 4, 120, 16, 200
+			const clients, keys, bursts, perBurst = 4, 120, 19, 200
+			const victim = 1
+			for i := 0; i < 3; i++ {
+				tc.cl.master.AddSpare()
+			}
 			owner := map[[2]uint64]string{} // (mn, slot offset) → key
 			check := func() {
 				l := tc.cl.L
@@ -605,16 +756,97 @@ func TestSlotNeverChangesKey(t *testing.T) {
 					t.Fatal("no occupied slots scanned")
 				}
 			}
+
+			// Fail-stop helpers, run by the client that reaches a barrier
+			// last while the others sleep in it.
+			afterRound := func(c *Client) { // a checkpoint round started now has completed
+				r := tc.cl.master.Round()
+				for tc.cl.master.Round() < r+2 {
+					c.ctx.Sleep(time.Millisecond)
+				}
+			}
+			var reps []*RecoveryReport
+			failStop := func(c *Client) (rep *RecoveryReport, genMoved bool) {
+				gen := tc.cl.view.indexGenOf(victim)
+				tc.cl.FailMN(victim)
+				for {
+					_, _, blocks := tc.cl.MNState(victim)
+					if all := tc.cl.master.ReportList(); blocks && len(all) > len(reps) {
+						reps = all
+						break
+					}
+					c.ctx.Sleep(200 * time.Microsecond)
+				}
+				return reps[len(reps)-1], tc.cl.view.indexGenOf(victim) != gen
+			}
+			keep := func(what string, rep *RecoveryReport, genMoved bool) {
+				if rep.KeysReplaced != 0 || genMoved {
+					t.Fatalf("%s: %d keys re-placed, generation moved %v; want 0 and false", what, rep.KeysReplaced, genMoved)
+				}
+				check() // the ownership map holds across the rebuild
+			}
+			events := map[int]func(c *Client){
+				16: func(c *Client) {
+					held := map[string]bool{}
+					for _, k := range owner {
+						held[k] = true
+					}
+					if len(held) != keys {
+						t.Fatalf("%d of %d keys hold a slot: the next burst would insert", len(held), keys)
+					}
+					afterRound(c)
+					rep, moved := failStop(c)
+					keep("fail-stop after a quiet checkpoint", rep, moved)
+				},
+				17: func(c *Client) {
+					first := reps[len(reps)-1]
+					rep, moved := failStop(c)
+					if rep.CkptVersion != first.CkptVersion {
+						t.Fatalf("second fail-stop rebuilt from checkpoint version %d, the first from %d: a round completed between them",
+							rep.CkptVersion, first.CkptVersion)
+					}
+					keep("second fail-stop before any checkpoint round completed", rep, moved)
+				},
+				18: func(c *Client) {
+					afterRound(c)
+					for i, n := keys, 0; n < 4; i++ {
+						if homeOf(tc, key(i)) != victim {
+							continue
+						}
+						if err := c.Insert(key(i), val(i, 0)); err != nil {
+							t.Fatalf("late insert of key %d: %v", i, err)
+						}
+						n++
+					}
+					rep, moved := failStop(c)
+					if rep.KeysReplaced == 0 || !moved {
+						t.Fatalf("fail-stop after late inserts: %d keys re-placed, generation moved %v; want > 0 and true", rep.KeysReplaced, moved)
+					}
+					for id := range owner {
+						if id[0] == victim {
+							delete(owner, id) // a new generation
+						}
+					}
+					check()
+				},
+			}
+
 			// Long-lived clients (fresh ones would strand their open
 			// blocks every burst); the last to reach each barrier scans
-			// the indexes while the others sit in Sleep.
-			arrived := 0
+			// the indexes, and runs the fail-stop due there, while the
+			// others sit in Sleep. The burst between the first two
+			// fail-stops is short, to end well inside a checkpoint interval.
+			arrived, released := 0, 0
 			fns := make([]func(*Client), clients)
 			for w := range fns {
 				rng := rand.New(rand.NewSource(seed*1000 + int64(w)))
 				fns[w] = func(c *Client) {
 					for burst := 1; burst <= bursts; burst++ {
-						for n := 0; n < perBurst; n++ {
+						ops := perBurst
+						if burst == 17 {
+							ops = perBurst / 8
+						}
+						for n := 0; n < ops; n++ {
 							i := rng.Intn(keys)
 							var err error
 							switch op := rng.Intn(10); {
@@ -634,8 +866,12 @@ func TestSlotNeverChangesKey(t *testing.T) {
 						}
 						if arrived++; arrived == burst*clients {
 							check()
+							if ev := events[burst]; ev != nil {
+								ev(c)
+							}
+							released = burst
 						}
-						for arrived < burst*clients && !t.Failed() {
+						for released < burst && !t.Failed() {
 							c.ctx.Sleep(50 * time.Microsecond)
 						}
 					}
@@ -644,6 +880,9 @@ func TestSlotNeverChangesKey(t *testing.T) {
 			tc.runClients(t, 600*time.Second, fns...)
 			if tc.cl.Reclaimed() == 0 {
 				t.Error("no block was reclaimed: the history never exercised slot reuse in DATA blocks")
+			}
+			if len(reps) != 3 {
+				t.Errorf("%d recoveries, want 3", len(reps))
 			}
 		})
 	}
