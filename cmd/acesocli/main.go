@@ -161,10 +161,10 @@ func execute(c ftmode.Client, fields []string) (quit bool) {
 					s.Ops, s.Searches, s.Inserts, s.Updates, s.Deletes,
 					s.CASIssued, s.ReadsIssued, s.WritesIssued, s.CASRetries,
 					s.CacheHits, s.CacheMisses, s.DegradedReads, s.Invalidations)
-				fmt.Printf("write: fused=%d deltaSkips=%d prefetch{hits=%d misses=%d} chased=%d validateFirst{changed=%d unchanged=%d}\n",
+				fmt.Printf("write: fused=%d deltaSkips=%d prefetch{hits=%d misses=%d} chased=%d absorbed=%d validateFirst{changed=%d unchanged=%d}\n",
 					s.WriteFused, s.DeltaSkips,
 					s.BlockPrefetchHits, s.BlockPrefetchMisses,
-					s.WriteChased, s.WriteValidatedChanged, s.WriteValidatedSame)
+					s.WriteChased, s.WriteAbsorbed, s.WriteValidatedChanged, s.WriteValidatedSame)
 			} else {
 				cas, reads, writes := c.Counters()
 				fmt.Printf("cas=%d reads=%d writes=%d\n", cas, reads, writes)

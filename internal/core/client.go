@@ -100,6 +100,7 @@ type ClientStats struct {
 
 	// Stale-slot-aware commit (DESIGN.md §13).
 	WriteChased           uint64 // lost commit CASes re-armed from the slot itself (no index probe)
+	WriteAbsorbed         uint64 // lost commit CASes absorbed: beaten by a commit made during the op, not retried
 	WriteValidatedChanged uint64 // commits that read the slot before placing (predicted stale) and found it moved
 	WriteValidatedSame    uint64 // ... and found it unmoved (mispredictions)
 }

@@ -115,7 +115,8 @@ type slotLoc struct {
 	found  bool   // the key owns this slot ...
 	tomb   bool   // ... and its committed pair is a tombstone
 	moved  bool   // rearmSlot saw the word change since tomb was read: tomb is out of date
-	gen    uint64 // home partition's index generation, read before the attempt's first verb
+	epoch  uint64 // view epoch and home partition's index generation,
+	gen    uint64 // both read before the attempt's first verb
 	bound  bool   // slot matched to the key under gen (not a cache entry from before a rebuild)
 	// ent: the cache entry a speculating attempt took atomic from, which
 	// its commit CAS therefore validates (write mutates no cache state
@@ -279,17 +280,37 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 		}
 		if !placed.committed {
 			// Lost the race (or the CAS itself failed): our pair is
-			// orphaned (Algorithm 1 line 18), but the slot is still this
-			// key's. Chase it (DESIGN.md §13): re-arm from the 16 bytes the
-			// lost batch read ahead of its CAS and let the orphan's
-			// invalidation lead the retry's batch — one doorbell per
-			// attempt. An attempt that cannot (no read rode the batch, or the
-			// CAS did not confirm it; back-off, which keeps a herd from
-			// starving one client and over which no slot image is kept) posts
-			// the patch and reads the slot; a DELETE, which never commits
-			// against a re-read word, probes the index. Seals and bitmap
-			// flushes wait for the commit, so no patch is ever behind them.
+			// orphaned (Algorithm 1 line 18).
 			c.Stats.CASRetries++
+			if fuse.readSlot && c.absorbs(&loc, mn, fp, placed.casWord) {
+				// The word that beat the CAS is a commit of this key made
+				// after this op read the word it expected: the write is
+				// linearized just before it and is done (DESIGN.md §13). The
+				// cache is left alone — it must never hold the winner's word
+				// without the winner's bytes. Post completes before it
+				// returns on every fabric, so finishWrite's seals and bitmap
+				// flushes cannot overtake the patch.
+				start := c.ctx.Now()
+				c.Stats.WriteAbsorbed++
+				c.wmet.Absorbed.Add(1)
+				c.invalidateKV(placed.inv)
+				c.markObsolete(placed.addr)
+				if c.ot != nil {
+					c.ot.OpMark("commit.absorb", start)
+				}
+				c.finishWrite()
+				return nil
+			}
+			// Otherwise the slot is still this key's. Chase it (DESIGN.md
+			// §13): re-arm from the 16 bytes the lost batch read ahead of its
+			// CAS and let the orphan's invalidation lead the retry's batch —
+			// one doorbell per attempt. An attempt that cannot (no read rode
+			// the batch, or the CAS did not confirm it; back-off, which keeps
+			// a herd of INSERTs, DELETEs or locked commits from starving one
+			// client and over which no slot image is kept) posts the patch
+			// and reads the slot; a DELETE, which never commits against a
+			// re-read word, probes the index. Seals and bitmap flushes wait
+			// for the commit, so no patch is ever behind them.
 			c.markObsolete(placed.addr)
 			if lockedVal != 0 {
 				c.unlockMeta(metaAddr, lockedVal, epochKV, metaOld.Len)
@@ -413,6 +434,27 @@ func (c *Client) rearmSlot(loc *slotLoc, mn int, fp uint8, rode bool) (moved boo
 	return moved
 }
 
+// absorbs reports whether a lost commit CAS that expected loc.atomic
+// and found won may be absorbed rather than retried (DESIGN.md §13).
+// The caller has checked the op: not a DELETE, the slot found and bound,
+// no Meta lock held. Here: the expected word was read from the slot
+// during this op (by validation, probe or re-arm — not taken unread
+// from the cache entry), neither the view epoch nor the home partition's
+// generation has moved since before that read, and won is a word of
+// this key's fingerprint with a pair behind it. Then, by the
+// slot-binding invariant, won is a commit of this key that landed
+// between that read and the CAS.
+func (c *Client) absorbs(loc *slotLoc, mn int, fp uint8, won uint64) bool {
+	if loc.ent != nil {
+		return false
+	}
+	if a := layout.UnpackAtomic(won); a.FP != fp || a.Addr == 0 {
+		return false
+	}
+	epoch, gen := c.cl.view.bindingOf(mn)
+	return epoch == loc.epoch && gen == loc.gen
+}
+
 // finishWrite handles deferred post-commit work: sealing filled blocks
 // and flushing batched free-bitmap updates. With the prefetcher
 // running, both move off the critical path to the worker.
@@ -441,7 +483,8 @@ func (c *Client) finishWrite() {
 // validates first: a 16-byte slot read, then a commit that places
 // nothing it must invalidate.
 func (c *Client) locateForWrite(key []byte, h uint64, mn int, fp uint8, bypass bool) (slotLoc, error) {
-	loc := slotLoc{gen: c.cl.view.indexGenOf(mn), bound: true}
+	epoch, gen := c.cl.view.bindingOf(mn)
+	loc := slotLoc{epoch: epoch, gen: gen, bound: true}
 	if ent := c.cache.Lookup(h, key); ent != nil && c.cl.Cfg.CacheSlotAddr && !bypass {
 		loc.off, loc.atomic, loc.meta, loc.found, loc.tomb = ent.slotOff, ent.atomic, ent.meta, true, ent.tomb()
 		loc.bound = ent.gen == loc.gen
@@ -464,7 +507,7 @@ func (c *Client) locateForWrite(key []byte, h uint64, mn int, fp uint8, bypass b
 			}
 			return loc, nil
 		}
-		loc = slotLoc{gen: loc.gen, bound: true}
+		loc = slotLoc{epoch: loc.epoch, gen: loc.gen, bound: true}
 	}
 	if err := c.probe(h, mn, fp); err != nil {
 		return loc, err
@@ -522,6 +565,7 @@ type placedKV struct {
 	deltaSkips int
 	committed  bool   // the batch's tail CAS won
 	newAtomic  uint64 // the Atomic word that CAS installs
+	casWord    uint64 // the word that CAS found (atomOld when it won); 0 when it failed
 	// sawSlot: the batch's slot read left in wsc.slot the very word the
 	// CAS then found (on tcpnet the prefix read can be older than the
 	// tail), so a lost attempt may re-arm from it.
@@ -633,6 +677,9 @@ func (c *Client) placeKV(key, val []byte, slotVersion uint64, tombstone bool, fu
 		p.inv = inv
 		dataErr := ops[first].Err
 		cas := &ops[len(ops)-1]
+		if cas.Err == nil {
+			p.casWord = cas.Result
+		}
 		p.committed = cas.Err == nil && cas.Result == fuse.atomOld
 		p.sawSlot = fuse.readSlot && cas.Err == nil && ops[0].Err == nil &&
 			binary.LittleEndian.Uint64(sc.slot[:]) == cas.Result

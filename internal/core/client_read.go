@@ -410,16 +410,16 @@ func (c *Client) degradedReadInner(buf []byte, packed uint64) error {
 
 // waitBlocksAndRead waits for tier-3 recovery of mn and retries a
 // plain read (used when degraded decoding is impossible, e.g. a double
-// failure hit both the data and the row-parity MN).
+// failure hit both the data and the row-parity MN). Every look at the
+// view that finds mn unreadable — not yet recovered, or failed again
+// before its address resolved — sleeps before the next, so on simnet
+// virtual time advances and recovery can run.
 func (c *Client) waitBlocksAndRead(buf []byte, mn int, off uint64) error {
 	for {
-		_, failed, _, blocksReady := c.cl.view.snapshotMN(mn)
-		if !failed && blocksReady {
-			addr, ok := c.cl.Addr(mn, off)
-			if !ok {
-				continue
+		if _, failed, _, blocksReady := c.cl.view.snapshotMN(mn); !failed && blocksReady {
+			if addr, ok := c.cl.Addr(mn, off); ok {
+				return c.vread(buf, addr)
 			}
-			return c.vread(buf, addr)
 		}
 		c.ctx.Sleep(500 * time.Microsecond)
 	}

@@ -117,6 +117,14 @@ func (v *view) indexGenOf(mn int) uint64 {
 	return v.indexGen[mn]
 }
 
+// bindingOf returns the membership epoch and MN mn's index generation
+// in one look: what a write records before the verbs that read its slot.
+func (v *view) bindingOf(mn int) (epoch, gen uint64) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.epoch, v.indexGen[mn]
+}
+
 // traceSpans is the span ring's capacity: the newest traceSpans spans
 // are retained.
 const traceSpans = 4096

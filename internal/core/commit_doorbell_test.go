@@ -96,21 +96,6 @@ func (tc *testCluster) pairAt(a uint64) *layout.KV {
 	return &kv
 }
 
-// moveBeforeSlotRead makes other update k ahead of each of the first n
-// 16-byte slot reads ctx issues, alone or inside a batch: a fused
-// attempt's slot read then sees the word its CAS is about to lose to.
-func moveBeforeSlotRead(t *testing.T, ctx *directCtx, other *Client, k []byte, n int) {
-	moved := 0
-	ctx.beforeOp = func(op *rdma.Op) {
-		if op.Kind == rdma.OpRead && len(op.Buf) == layout.SlotSize && moved < n {
-			moved++
-			if err := other.Update(k, val(0, 100+moved)); err != nil {
-				t.Errorf("interleaved update %d: %v", moved, err)
-			}
-		}
-	}
-}
-
 // moveBeforeCAS makes other run fn ahead of the first CAS ctx issues.
 func moveBeforeCAS(ctx *directCtx, fn func()) {
 	fired := false
@@ -230,6 +215,63 @@ func TestFusedInsertTwoSignaledDoorbells(t *testing.T) {
 		}
 	})
 
+	// From the fourth loss on the writer backs off before it retries.
+	// INSERTs of five keys that want one bucket's first free slot reach
+	// it: a loss on a slot bound to no key is never absorbed, and each
+	// re-probe finds the slot the next rival takes ahead of the CAS.
+	t.Run("back-off", func(t *testing.T) {
+		tc, a, b, actx := setup(t)
+		k := key(1000)
+		var rivals [][]byte
+		for i := 1001; len(rivals) < 4; i++ {
+			if insertsAt(tc, key(i)) == insertsAt(tc, k) {
+				rivals = append(rivals, key(i))
+			}
+		}
+		orphans := nextSlots(t, tc, a, k, val(1, 0), len(rivals))
+		taken := 0
+		actx.beforeOp = func(op *rdma.Op) {
+			if op.Kind == rdma.OpCAS && taken < len(rivals) {
+				if err := b.Insert(rivals[taken], val(2+taken, 0)); err != nil {
+					t.Errorf("B's insert %d: %v", taken, err)
+				}
+				taken++
+			}
+		}
+		log := &callLog{}
+		log.attach(actx, orphans[len(orphans)-1])
+		actx.onSleep = func() { log.calls = append(log.calls, "sleep") }
+		before := snapVerbs(a, actx)
+		if err := a.Insert(k, val(1, 0)); err != nil {
+			t.Fatal(err)
+		}
+		d := snapVerbs(a, actx).since(before)
+		lost := []string{"batch", "batch", "post"} // bucket pair, lost batch, patch post
+		want := slices.Concat(lost, lost, lost, lost, []string{"sleep", "batch", "batch", "post"})
+		if !slices.Equal(log.calls, want) {
+			t.Errorf("calls %v, want %v: four lost INSERTs, the back-off sleep, the winning one", log.calls, want)
+		}
+		if d.retries != 4 || d.inval != 4 || d.fused != 5 || d.chased != 0 || d.absorbed != 0 {
+			t.Errorf("casRetries=%d invalidations=%d fused=%d chased=%d absorbed=%d, want 4 4 5 0 0",
+				d.retries, d.inval, d.fused, d.chased, d.absorbed)
+		}
+		for i, o := range orphans {
+			if !o.invalidated() {
+				t.Errorf("orphan %d reads version %#x, want InvalidVersion", i, o.version())
+			}
+		}
+		for i, rk := range append([][]byte{k}, rivals...) {
+			if got, err := b.Search(rk); err != nil || !bytes.Equal(got, val(1+i, 0)) {
+				t.Errorf("key %q reads %q, %v", rk, got, err)
+			}
+			if n := indexSlotsOf(tc, rk); n != 1 {
+				t.Errorf("key %q sits in %d index slots, want 1", rk, n)
+			}
+		}
+		tc.run(20 * time.Millisecond)
+		stripeParityInvariant(t, tc)
+	})
+
 	t.Run("one key, two inserters", func(t *testing.T) {
 		tc, a, b, actx := setup(t)
 		k := key(7)
@@ -260,11 +302,13 @@ func TestFusedInsertTwoSignaledDoorbells(t *testing.T) {
 	})
 }
 
-// TestLostCASFallbacksReadTheSlot reaches the two attempts that may
-// still spend a doorbell on the slot they just lost on (a third, the
-// loss under a held Meta lock, is in TestLockedCommitIsOneBatch) — each
-// posts its orphan's patch unsignaled first, there being no commit batch
-// at hand for it to ride.
+// TestLostCASFallbacksReadTheSlot reaches an attempt that still spends
+// a doorbell on the slot it just lost on (the other, the loss under a
+// held Meta lock, is in TestLockedCommitIsOneBatch): it posts its
+// orphan's patch unsignaled first, there being no commit batch at hand
+// for it to ride. Back-off is pinned on racing INSERTs
+// (TestFusedInsertTwoSignaledDoorbells): an UPDATE on a bound slot
+// absorbs its second loss.
 func TestLostCASFallbacksReadTheSlot(t *testing.T) {
 	k := key(2)
 	run := func(t *testing.T, a *Client, actx *directCtx, orphan dataSlot) (verbDelta, *callLog) {
@@ -302,28 +346,6 @@ func TestLostCASFallbacksReadTheSlot(t *testing.T) {
 		if d.reads != 3 || d.bytesRead != 3*layout.SlotSize || d.chased != 1 || d.retries != 1 {
 			t.Errorf("reads=%d bytes=%d chased=%d casRetries=%d, want 3 %d 1 1", d.reads, d.bytesRead, d.chased, d.retries, 3*layout.SlotSize)
 		}
-	})
-
-	// From the fourth loss on the writer backs off before it retries, and
-	// a slot image is not kept over a sleep.
-	t.Run("back-off", func(t *testing.T) {
-		tc, a, b, actx, _ := staleCommitPair(t, 4)
-		orphans := nextSlots(t, tc, a, k, val(2, 8), 4)
-		moveBeforeSlotRead(t, actx, b, k, 4)
-		d, log := run(t, a, actx, orphans[3])
-		if !log.hasPrefix("batch", "batch", "batch", "batch", "post", "read", "batch") {
-			t.Errorf("calls %v, want four lost batches, the fourth orphan's patch post, a slot read, the winning batch", log.calls)
-		}
-		if d.retries != 4 || d.inval != 4 || d.chased != 4 || d.posts != 1 || d.reads != 6 {
-			t.Errorf("casRetries=%d invalidations=%d chased=%d posts=%d reads=%d, want 4 4 4 1 6", d.retries, d.inval, d.chased, d.posts, d.reads)
-		}
-		for i, o := range orphans {
-			if !o.invalidated() {
-				t.Errorf("orphan %d reads version %#x, want InvalidVersion", i, o.version())
-			}
-		}
-		tc.run(20 * time.Millisecond)
-		stripeParityInvariant(t, tc)
 	})
 }
 

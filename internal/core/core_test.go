@@ -606,6 +606,43 @@ func TestDoubleMNFailure(t *testing.T) {
 	tc.verifyAll(t, expect)
 }
 
+// TestWaitBlocksAndReadSleepsUntilRecovered drives the last fallback of
+// a degraded read. While the view shows the MN failed or its blocks not
+// yet rebuilt, every look sleeps before the next — on simnet the only
+// way virtual time, and with it recovery, advances — and the plain read
+// goes out once tier 3 is done.
+func TestWaitBlocksAndReadSleepsUntilRecovered(t *testing.T) {
+	tc := newTestCluster(t, nil)
+	ctx := &directCtx{pl: tc.pl}
+	c := tc.cl.NewClient()
+	c.Attach(ctx)
+	const mn = 2
+	off := tc.cl.L.BlockOff(0)
+	node, _ := tc.cl.view.nodeOf(mn)
+	copy(tc.pl.DirectMemory(node)[off:], "rebuilt!")
+	setState := func(failed, blocksReady bool) {
+		tc.cl.view.mu.Lock()
+		tc.cl.view.failed[mn], tc.cl.view.blocksReady[mn] = failed, blocksReady
+		tc.cl.view.mu.Unlock()
+	}
+	setState(true, false)
+	sleeps := 0
+	ctx.onSleep = func() {
+		if sleeps++; sleeps == 2 {
+			setState(false, false) // the index is back, the blocks are not
+		} else if sleeps == 3 {
+			setState(false, true)
+		}
+	}
+	buf := make([]byte, 8)
+	if err := c.waitBlocksAndRead(buf, mn, off); err != nil || string(buf) != "rebuilt!" {
+		t.Errorf("read %q, %v; want the rebuilt bytes", buf, err)
+	}
+	if sleeps != 3 {
+		t.Errorf("%d sleeps, want one per look at an unreadable MN: 3", sleeps)
+	}
+}
+
 // TestReclamation forces space pressure with updates until blocks are
 // reclaimed through the delta-based path, then verifies data.
 func TestReclamation(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -47,7 +48,7 @@ type verbDelta struct {
 	doorbells, posts                 int
 	reads, bytesRead, retries, inval uint64
 	chased, validChanged, validSame  uint64
-	fused                            uint64
+	fused, absorbed                  uint64
 }
 
 func snapVerbs(c *Client, d *directCtx) verbDelta {
@@ -61,14 +62,14 @@ func snapStats(c *Client) verbDelta {
 	s := &c.Stats
 	return verbDelta{0, 0, s.ReadsIssued, s.BytesRead, s.CASRetries, s.Invalidations,
 		s.WriteChased, s.WriteValidatedChanged, s.WriteValidatedSame,
-		s.WriteFused}
+		s.WriteFused, s.WriteAbsorbed}
 }
 
 func (v verbDelta) since(o verbDelta) verbDelta {
 	return verbDelta{v.doorbells - o.doorbells, v.posts - o.posts, v.reads - o.reads, v.bytesRead - o.bytesRead,
 		v.retries - o.retries, v.inval - o.inval, v.chased - o.chased,
 		v.validChanged - o.validChanged, v.validSame - o.validSame,
-		v.fused - o.fused}
+		v.fused - o.fused, v.absorbed - o.absorbed}
 }
 
 // TestLostFusedCASChasesInTwoDoorbells scripts the write-shared case
@@ -184,6 +185,159 @@ func TestPredictedStaleUpdateTwoDoorbells(t *testing.T) {
 			t.Errorf("write %d of a key B has left alone: %d doorbells, want %d", i, d.doorbells, want)
 		}
 	}
+}
+
+// TestLostCASAbsorbedOnlyAfterARead scripts the three sides of the
+// absorb rule (DESIGN.md §13). A commit CAS that loses to a word this op
+// did not expect is absorbed — the write linearized just before the
+// commit that beat it, nothing retried — only when the expected word was
+// read from the slot during the op and nothing moved the view since: the
+// word that beat it is then a commit of the key made inside the op.
+func TestLostCASAbsorbedOnlyAfterARead(t *testing.T) {
+	k := key(2)
+
+	// B commits between A's validation read and A's CAS: A places once,
+	// posts its orphan's patch and is done. B's write is the later one.
+	t.Run("validated loss is absorbed", func(t *testing.T) {
+		tc, a, b, actx, _ := staleCommitPair(t, 4)
+		a.stale = staleEstimate{rate: [2]uint32{1 << 16, 1 << 16}} // validate first
+		orphan := nextSlots(t, tc, a, k, val(2, 8), 1)[0]
+		moveBeforeCAS(actx, func() {
+			if err := b.Update(k, val(2, 7)); err != nil {
+				t.Errorf("B's update: %v", err)
+			}
+		})
+		log := &callLog{}
+		log.attach(actx, orphan)
+		before := snapVerbs(a, actx)
+		if err := a.Update(k, val(2, 8)); err != nil {
+			t.Fatal(err)
+		}
+		d := snapVerbs(a, actx).since(before)
+		if !slices.Equal(log.calls, []string{"read", "batch", "post"}) {
+			t.Errorf("calls %v, want validation read, lost batch, patch post", log.calls)
+		}
+		if d.absorbed != 1 || d.fused != 1 || d.retries != 1 || d.chased != 0 || d.inval != 1 {
+			t.Errorf("absorbed=%d fused=%d casRetries=%d chased=%d invalidations=%d, want 1 1 1 0 1",
+				d.absorbed, d.fused, d.retries, d.chased, d.inval)
+		}
+		if !orphan.invalidated() {
+			t.Errorf("A's orphan reads version %#x, want InvalidVersion", orphan.version())
+		}
+		for _, c := range []*Client{a, b} {
+			if got, err := c.Search(k); err != nil || !bytes.Equal(got, val(2, 7)) {
+				t.Errorf("client %d reads %q, %v; want B's value", c.ID(), got, err)
+			}
+		}
+		tc.run(20 * time.Millisecond)
+		stripeParityInvariant(t, tc)
+	})
+
+	// B commits before A's op begins and A's entry is not predicted
+	// stale: A's CAS expected a word it took unread from its cache, which
+	// may have been stale before the op began, so the loss says nothing
+	// about when B committed. A chases and its value is final.
+	t.Run("speculative loss is not absorbed", func(t *testing.T) {
+		_, a, b, actx, _ := staleCommitPair(t, 4)
+		if err := b.Update(k, val(2, 7)); err != nil {
+			t.Fatal(err)
+		}
+		before := snapVerbs(a, actx)
+		if err := a.Update(k, val(2, 8)); err != nil {
+			t.Fatal(err)
+		}
+		if d := snapVerbs(a, actx).since(before); d.absorbed != 0 || d.retries != 1 || d.chased != 1 || d.fused != 2 {
+			t.Errorf("absorbed=%d casRetries=%d chased=%d fused=%d, want 0 1 1 2", d.absorbed, d.retries, d.chased, d.fused)
+		}
+		for _, c := range []*Client{a, b} {
+			if got, err := c.Search(k); err != nil || !bytes.Equal(got, val(2, 8)) {
+				t.Errorf("client %d reads %q, %v; want A's value", c.ID(), got, err)
+			}
+		}
+	})
+
+	// An MN fail-stops between A's validation read and its CAS, and B
+	// commits: the view epoch moved inside the op, so A does not absorb
+	// but retries as before — and its value is final.
+	t.Run("a fail-stop inside the op is not absorbed", func(t *testing.T) {
+		tc, a, b, actx, _ := staleCommitPair(t, 4)
+		a.stale = staleEstimate{rate: [2]uint32{1 << 16, 1 << 16}}
+		home := racehash.HomeMN(racehash.Hash(k), tc.cl.Cfg.Layout.NumMNs)
+		data := a.open[uint8(layout.KVClassSize(len(k), len(val(2, 8)))/64)].mn
+		victim := 0
+		for victim == home || victim == data {
+			victim++
+		}
+		moveBeforeCAS(actx, func() {
+			if err := b.Update(k, val(2, 7)); err != nil {
+				t.Errorf("B's update: %v", err)
+			}
+			tc.cl.FailMN(victim)
+		})
+		before := snapVerbs(a, actx)
+		if err := a.Update(k, val(2, 8)); err != nil {
+			t.Fatal(err)
+		}
+		if d := snapVerbs(a, actx).since(before); d.absorbed != 0 || d.retries != 1 || d.fused != 2 {
+			t.Errorf("absorbed=%d casRetries=%d fused=%d, want 0 1 2", d.absorbed, d.retries, d.fused)
+		}
+		for _, c := range []*Client{a, b} {
+			if got, err := c.Search(k); err != nil || !bytes.Equal(got, val(2, 8)) {
+				t.Errorf("client %d reads %q, %v; want A's value", c.ID(), got, err)
+			}
+		}
+	})
+}
+
+// TestHotKeyHerdTwoBatches runs eight clients updating one key on
+// simnet. Once an UPDATE has read its slot word, a lost CAS is absorbed,
+// so no UPDATE rings more than two commit batches — a lost speculation
+// and the re-armed attempt — and none runs out of retries. Every write
+// acknowledged stays linearizable: the key ends at some client's last
+// acknowledged value, and the orphans' patches keep the stripes coded.
+func TestHotKeyHerdTwoBatches(t *testing.T) {
+	tc := newTestCluster(t, nil)
+	k := []byte("herd-hot-key")
+	const clients, updates = 8, 200
+	tc.runClients(t, 10*time.Second, func(c *Client) {
+		if err := c.Insert(k, val(0, 0)); err != nil {
+			t.Error(err)
+		}
+	})
+	var absorbed uint64
+	fns := make([]func(*Client), clients)
+	for i := range fns {
+		i := i
+		fns[i] = func(c *Client) {
+			for u := 0; u < updates; u++ {
+				fused := c.Stats.WriteFused
+				if err := c.Update(k, val(i, u)); err != nil {
+					t.Errorf("client %d update %d: %v", i, u, err)
+					return
+				}
+				if n := c.Stats.WriteFused - fused; n > 2 {
+					t.Errorf("client %d update %d rang %d commit batches, want at most 2", i, u, n)
+				}
+			}
+			absorbed += c.Stats.WriteAbsorbed
+		}
+	}
+	tc.runClients(t, 60*time.Second, fns...)
+	if absorbed == 0 {
+		t.Error("eight clients on one key absorbed no lost CAS")
+	}
+	tc.runClients(t, 10*time.Second, func(c *Client) {
+		got, err := c.Search(k)
+		last := false
+		for i := 0; i < clients; i++ {
+			last = last || bytes.Equal(got, val(i, updates-1))
+		}
+		if err != nil || !last {
+			t.Errorf("hot key reads %.16q, %v: no client's last acknowledged write", got, err)
+		}
+	})
+	tc.run(100 * time.Millisecond) // drain seals and encoders
+	stripeParityInvariant(t, tc)
 }
 
 // TestStaleDeleteProbesTheIndex scripts a DELETE through both stale

@@ -247,6 +247,8 @@ func (e *Exporter) WriteProm(w io.Writer) {
 		fmt.Fprintf(w, "aceso_delta_skips_total %d\n", s.DeltaSkips)
 		header(w, "aceso_write_chase_total", "counter", "Lost commit CASes re-armed from the slot itself instead of an index probe.")
 		fmt.Fprintf(w, "aceso_write_chase_total %d\n", s.Chased)
+		header(w, "aceso_write_absorbed_total", "counter", "Lost commit CASes absorbed: beaten by a commit of the key made during the op, so not retried.")
+		fmt.Fprintf(w, "aceso_write_absorbed_total %d\n", s.Absorbed)
 		header(w, "aceso_write_validate_first_total", "counter", "Commits that read the slot before placing (cache entry predicted stale), by what the read found.")
 		fmt.Fprintf(w, "aceso_write_validate_first_total{outcome=\"changed\"} %d\n", s.ValidatedChanged)
 		fmt.Fprintf(w, "aceso_write_validate_first_total{outcome=\"unchanged\"} %d\n", s.ValidatedSame)

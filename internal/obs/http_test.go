@@ -21,6 +21,7 @@ func TestMetricsBuildInfoAndSLOFamilies(t *testing.T) {
 	wm := &WriteMetrics{}
 	wm.Fused.Add(7)
 	wm.Chased.Add(3)
+	wm.Absorbed.Add(4)
 	wm.ValidatedChanged.Add(5)
 	wm.ValidatedSame.Add(2)
 	e := &Exporter{
@@ -56,6 +57,8 @@ func TestMetricsBuildInfoAndSLOFamilies(t *testing.T) {
 		"aceso_write_fused_total 7",
 		"# TYPE aceso_write_chase_total counter",
 		"aceso_write_chase_total 3",
+		"# TYPE aceso_write_absorbed_total counter",
+		"aceso_write_absorbed_total 4",
 		"# TYPE aceso_write_validate_first_total counter",
 		`aceso_write_validate_first_total{outcome="changed"} 5`,
 		`aceso_write_validate_first_total{outcome="unchanged"} 2`,
