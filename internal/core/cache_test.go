@@ -32,11 +32,13 @@ type directCtx struct {
 	// name ("read", "write", "cas", "faa", "batch", "post", "rpc") and,
 	// for an RPC, the method; beforeOp runs ahead of every one-sided op,
 	// so a test can land another client's verbs between two ops of one
-	// batch. A non-nil rpcErr fails every RPC instead of dispatching it.
-	// onSleep runs in place of every Sleep: a test advances the engine
-	// there while its client waits out a recovery.
+	// batch; an error opErr returns fails the op without applying it. A
+	// non-nil rpcErr fails every RPC instead of dispatching it. onSleep
+	// runs in place of every Sleep: a test advances the engine there
+	// while its client waits out a recovery.
 	onCall   func(call string, method uint8)
 	beforeOp func(op *rdma.Op)
+	opErr    func(op *rdma.Op) error
 	onSleep  func()
 	rpcErr   error
 	// op is the op of a Read, Write, CAS or FAA in flight: a local one
@@ -54,6 +56,12 @@ func (d *directCtx) ring(call string, method uint8) {
 func (d *directCtx) apply(op *rdma.Op) {
 	if d.beforeOp != nil {
 		d.beforeOp(op)
+	}
+	if d.opErr != nil {
+		if err := d.opErr(op); err != nil {
+			op.Err = err
+			return
+		}
 	}
 	mem := d.pl.Memory(op.Addr.Node)
 	if mem == nil { // fail-stopped

@@ -379,12 +379,15 @@ func (c *Client) readKVBytes(buf []byte, packed uint64) error {
 	return c.degradedRead(buf, packed)
 }
 
-// degradedRead reconstructs a byte range of a lost DATA block from the
-// stripe's survivors: P-parity range ⊕ surviving data ranges ⊕ all
-// pending delta ranges (see readStripeRange). Cost: ~k+2 small reads
-// instead of one, which is why degraded SEARCH runs at roughly half
-// throughput (Figure 14). When the stripe's survivors are themselves
-// unavailable (a second failure), the client waits for tier-3 recovery.
+// degradedRead reconstructs a byte range of a lost DATA block through
+// the one stripe reader (stripe.go), whose sources are the MNs that are
+// a view.blockSource and the parities whose record reads RoleParity and
+// Valid. Under one failure it folds P-parity range ⊕ surviving data
+// ranges ⊕ all pending delta ranges: ~k+2 small reads instead of one,
+// which is why degraded SEARCH runs at roughly half throughput (Figure
+// 14). Under a second failure that took the row parity or a survivor
+// (§3.4.1 remark 2) it decodes the whole block from what is left. When
+// too little is left, the client waits for tier-3 recovery.
 func (c *Client) degradedRead(buf []byte, packed uint64) error {
 	c.Stats.DegradedReads++
 	start := c.ctx.Now()
@@ -396,15 +399,10 @@ func (c *Client) degradedRead(buf []byte, packed uint64) error {
 }
 
 func (c *Client) degradedReadInner(buf []byte, packed uint64) error {
+	if readLostRange(c.ctx, c.cl, newStripeScratch(c.cl), packed, buf, 0) == nil {
+		return nil
+	}
 	mn, off := layout.UnpackAddr(packed)
-	if err := readStripeRange(c.ctx, c.cl, packed, buf); err == nil {
-		return nil
-	}
-	// Second failure took the row parity too (§3.4.1 remark 2): fall
-	// back to full-stripe reconstruction from whatever survives.
-	if err := readStripeRangeFull(c.ctx, c.cl, packed, buf); err == nil {
-		return nil
-	}
 	return c.waitBlocksAndRead(buf, int(mn), off)
 }
 

@@ -2,12 +2,14 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
 
 	"repro/internal/layout"
 	"repro/internal/racehash"
+	"repro/internal/rdma"
 	"repro/internal/rdma/simnet"
 )
 
@@ -109,6 +111,61 @@ func TestFusedUpdateSingleDoorbellZeroAlloc(t *testing.T) {
 	if cli.Stats.DeltaSkips != 0 {
 		t.Fatalf("healthy cluster recorded %d delta skips", cli.Stats.DeltaSkips)
 	}
+}
+
+// TestLostKVWriteUnderAWonCommitIsRepaired reaches repairDataWrite: the
+// fused batch's KV write fails with a transport error that leaves its
+// MN up, while the batch's tail CAS wins. The client re-issues the
+// write; without that, the committed slot points at a pair that never
+// landed, a reader finds it torn until it gives up, and the stripe's
+// DATA = enc ⊕ DELTA no longer holds at its slot.
+func TestLostKVWriteUnderAWonCommitIsRepaired(t *testing.T) {
+	tc := newTestCluster(t, fusedTestConfig)
+	tc.runClients(t, 30*time.Second, func(c *Client) {
+		for i := 0; i < 8; i++ {
+			if err := c.Insert(key(i), val(i, 0)); err != nil {
+				t.Errorf("insert %d: %v", i, err)
+				return
+			}
+		}
+	})
+	dctx := &directCtx{pl: tc.pl}
+	cli := tc.cl.NewClient()
+	cli.Attach(dctx)
+	if err := cli.Update(key(0), val(0, 1)); err != nil { // provisions the open block, caches the slot
+		t.Fatal(err)
+	}
+
+	errLost := errors.New("injected: KV write lost in transit")
+	inBatch, lost := false, 0
+	dctx.onCall = func(call string, _ uint8) { inBatch = call == "batch" }
+	dctx.opErr = func(op *rdma.Op) error {
+		// The batch's first write of a whole pair is the KV write; a
+		// parked patch ahead of it writes 8 bytes.
+		if inBatch && lost == 0 && op.Kind == rdma.OpWrite && len(op.Buf) >= 64 {
+			lost++
+			return errLost
+		}
+		return nil
+	}
+	w0 := cli.Stats.WritesIssued
+	v := val(0, 2)
+	if err := cli.Update(key(0), v); err != nil {
+		t.Fatalf("update: %v", err)
+	}
+	dctx.onCall, dctx.opErr = nil, nil
+	if lost != 1 {
+		t.Fatal("the fused batch carried no KV write to lose")
+	}
+	if got, want := cli.Stats.WritesIssued-w0, uint64(1+tc.cl.Cfg.deltaCopies())+1; got != want {
+		t.Errorf("UPDATE issued %d writes, want the batch's %d and one re-issue", got, want-1)
+	}
+	cold := tc.cl.NewClient()
+	cold.Attach(&directCtx{pl: tc.pl})
+	if got, err := cold.Search(key(0)); err != nil || !bytes.Equal(got, v) {
+		t.Errorf("cold reader got %q, %v; want the committed value", got, err)
+	}
+	stripeParityInvariant(t, tc)
 }
 
 // BenchmarkUpdateFused is the CI allocation/latency gate for the fused

@@ -11,9 +11,8 @@ import (
 )
 
 // This file holds tier 3 of MN recovery (§3.4.1): the rebuild of the
-// failed MN's Block Area after its index is serving again — and the
-// stripe fetch it shares with every other place a lost block is
-// decoded (tier 2's new blocks, double-failure degraded reads).
+// failed MN's Block Area after its index is serving again. Its old DATA
+// blocks are read through the one stripe reader (stripe.go).
 //
 // The paper leaves "distributing coding stripe recovery tasks across
 // multiple CNs, similar to RAMCloud" as future work (§4.5); this is
@@ -87,287 +86,6 @@ func (cl *Cluster) teamNode(i int) rdma.NodeID {
 func nodeFailed(pl rdma.Platform, node rdma.NodeID) bool {
 	fi, ok := pl.(rdma.FaultInjector)
 	return ok && fi.Failed(node)
-}
-
-// blockSource reports whether mn can serve stripe blocks to a rebuild:
-// it is up and its own Block Area is complete. An MN still in tier 3
-// answers reads, but with zeros for the rows it has not rebuilt yet.
-func (v *view) blockSource(mn int) bool {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return mn >= 0 && mn < len(v.node) && !v.failed[mn] && v.blocksReady[mn]
-}
-
-// --- stripe fetch ---
-
-// blockRead is one block-sized read of a stripe fetch.
-type blockRead struct {
-	mn    int
-	off   uint64
-	dst   []byte
-	delta int // XOR id whose pending DELTA block this reads; -1 for a shard
-	fail  bool
-}
-
-// stripeScratch holds everything one stripe reconstruction needs that
-// is proportional to the block size, so a process that rebuilds many
-// rows allocates it once. It also tallies what its owner moved and
-// computed; the owner folds the tallies wherever they are reported.
-type stripeScratch struct {
-	shards   [][]byte // k data shards (enc view once fetched), then m parities
-	deltas   [][]byte // per data shard; allocated on first use
-	hasDelta []bool   // deltas[xid] holds this row's pending delta
-	present  []bool   // shards[i] was fetched
-	reads    []blockRead
-	ops      []rdma.Op
-	opRead   []int // ops[i] fills reads[opRead[i]]
-	recs     []byte
-	folds    []erasure.ShardDelta
-	plans    map[uint32]*erasure.Plan
-
-	srcBytes []uint64 // bytes read, per logical source MN
-	tally    ecTally
-}
-
-// ecTally accumulates erasure compute totals (bytes touched, virtual
-// elapsed time) for paths that run outside a server's own processes —
-// recovery decodes before the replacement server exists and, in tier
-// 3, on the rebuild workers' compute nodes; it folds the tally into
-// the replacement server's counters at the end.
-type ecTally struct {
-	encodeBytes, encodeNs uint64
-	decodeBytes, decodeNs uint64
-}
-
-func (t *ecTally) add(o *ecTally) {
-	t.encodeBytes += o.encodeBytes
-	t.encodeNs += o.encodeNs
-	t.decodeBytes += o.decodeBytes
-	t.decodeNs += o.decodeNs
-}
-
-func newStripeScratch(cl *Cluster) *stripeScratch {
-	k, m := cl.code.K(), cl.code.M()
-	sc := &stripeScratch{
-		shards:   make([][]byte, k+m),
-		deltas:   make([][]byte, k),
-		hasDelta: make([]bool, k),
-		present:  make([]bool, k+m),
-		recs:     make([]byte, (1+m)*layout.RecordSize),
-		plans:    make(map[uint32]*erasure.Plan),
-		srcBytes: make([]uint64, cl.L.Cfg.NumMNs),
-	}
-	for i := range sc.shards {
-		sc.shards[i] = make([]byte, cl.L.Cfg.BlockSize)
-	}
-	return sc
-}
-
-// delta returns the buffer for data shard xid's pending DELTA block.
-func (sc *stripeScratch) delta(xid int) []byte {
-	if sc.deltas[xid] == nil {
-		sc.deltas[xid] = make([]byte, len(sc.shards[0]))
-	}
-	return sc.deltas[xid]
-}
-
-// plan returns the reconstruction of shard target from the shards
-// marked present, solved once per erasure pattern.
-func (sc *stripeScratch) plan(code erasure.Code, target int) (*erasure.Plan, error) {
-	key := uint32(target) << 16
-	for i, p := range sc.present {
-		if p {
-			key |= 1 << i
-		}
-	}
-	if pl, ok := sc.plans[key]; ok {
-		return pl, nil
-	}
-	pl, err := code.PlanReconstruct(sc.shards, sc.present)
-	if err != nil {
-		return nil, err
-	}
-	pl.Keep(target)
-	sc.plans[key] = pl
-	return pl, nil
-}
-
-// readBlocks performs sc.reads: every block is read in chunkBytes
-// pieces, chunkDepth of them per block per doorbell, and all blocks
-// advance together — the source NICs work in parallel instead of in
-// turn. A read whose source cannot be addressed or returns an error is
-// marked failed; the others complete. It reports whether every shard
-// arrived, and notes in sc.hasDelta which DELTA blocks did — an
-// unreadable DELTA block counts as none pending.
-func readBlocks(ctx rdma.Ctx, cl *Cluster, sc *stripeScratch) bool {
-	chunk := chunkBytes
-	window := chunkDepth * chunk
-	for base := 0; ; base += window {
-		sc.ops, sc.opRead = sc.ops[:0], sc.opRead[:0]
-		for i := range sc.reads {
-			r := &sc.reads[i]
-			end := min(base+window, len(r.dst))
-			for pos := base; pos < end && !r.fail; pos += chunk {
-				addr, ok := cl.Addr(r.mn, r.off+uint64(pos))
-				if !ok {
-					r.fail = true
-					break
-				}
-				sc.ops = append(sc.ops, rdma.Op{Kind: rdma.OpRead, Addr: addr, Buf: r.dst[pos:min(pos+chunk, end)]})
-				sc.opRead = append(sc.opRead, i)
-			}
-		}
-		if len(sc.ops) == 0 {
-			break
-		}
-		if err := ctx.Batch(sc.ops); err != nil {
-			for j := range sc.ops {
-				if sc.ops[j].Err != nil {
-					sc.reads[sc.opRead[j]].fail = true
-				}
-			}
-		}
-	}
-	ok := true
-	for i := range sc.reads {
-		r := &sc.reads[i]
-		if !r.fail {
-			sc.srcBytes[r.mn] += uint64(len(r.dst))
-		}
-		if r.delta >= 0 {
-			sc.hasDelta[r.delta] = !r.fail
-		} else if r.fail {
-			ok = false
-		}
-	}
-	return ok
-}
-
-// fetchStripe reads what rebuilding owner's lost DATA block of stripe
-// row b takes, into sc: the surviving data shards, as many parities as
-// there are lost data shards (one, under a single failure — a decode
-// cannot use more), and the pending DELTA blocks the delta map of the
-// first of those parities names. Data shards come back in enc form
-// (DATA ⊕ DELTA, the content the parity encodes; stripe.go). It
-// reports false when too little of the stripe is reachable for the
-// code to decode or a source failed under the read.
-func fetchStripe(ctx rdma.Ctx, cl *Cluster, owner, b int, sc *stripeScratch) bool {
-	l := cl.L
-	stripe := uint32(b)
-	k, m := cl.code.K(), cl.code.M()
-	dataMNs := l.DataMNs(stripe)
-
-	// Choose the sources, then read the chosen parities' records in
-	// one doorbell. A record can disown its block (a parity row its own
-	// rebuild had to give up, see serve): choose again without it.
-	var prec layout.Record
-	for disowned := 0; ; {
-		lost := 0
-		for xid, dm := range dataMNs {
-			sc.present[xid] = dm != owner && cl.view.blockSource(dm)
-			sc.hasDelta[xid] = false
-			if !sc.present[xid] {
-				lost++
-			}
-		}
-		sc.ops = sc.ops[:0]
-		for j := 0; j < m; j++ {
-			pmn := l.ParityMN(stripe, j)
-			addr, ok := cl.Addr(pmn, l.RecordOff(b))
-			sc.present[k+j] = lost > 0 && ok && pmn != owner && disowned&(1<<j) == 0 && cl.view.blockSource(pmn)
-			if sc.present[k+j] {
-				lost--
-				sc.ops = append(sc.ops, rdma.Op{Kind: rdma.OpRead, Addr: addr,
-					Buf: sc.recs[j*layout.RecordSize : (j+1)*layout.RecordSize]})
-			}
-		}
-		if lost > 0 {
-			return false
-		}
-		ctx.Batch(sc.ops) //nolint:errcheck // an unreadable record reads as no record; the block reads below decide
-		// The delta map lives in the parity record; each parity MN
-		// tracks its own copies, so the map comes from the first parity
-		// that is used.
-		prec = layout.Record{}
-		again := false
-		for i, j := 0, 0; j < m; j++ {
-			if !sc.present[k+j] {
-				continue
-			}
-			rec := layout.DecodeRecord(sc.recs[j*layout.RecordSize : (j+1)*layout.RecordSize])
-			if sc.ops[i].Err != nil || rec.Role != layout.RoleParity {
-				rec = layout.Record{}
-			} else if !rec.Valid {
-				disowned |= 1 << j
-				again = true
-			}
-			if i == 0 {
-				prec = rec
-			}
-			i++
-		}
-		if !again {
-			break
-		}
-	}
-	own := l.XORIDOf(stripe, owner)
-	sc.reads = sc.reads[:0]
-	for xid, dm := range dataMNs {
-		if da := prec.DeltaAddr[xid]; da != 0 && (sc.present[xid] || xid == own) {
-			dmn, dOff := layout.UnpackAddr(da)
-			sc.reads = append(sc.reads, blockRead{mn: int(dmn), off: dOff, dst: sc.delta(xid), delta: xid})
-		}
-		if sc.present[xid] {
-			sc.reads = append(sc.reads, blockRead{mn: dm, off: l.BlockOff(b), dst: sc.shards[xid], delta: -1})
-		}
-	}
-	for j := 0; j < m; j++ {
-		if sc.present[k+j] {
-			sc.reads = append(sc.reads, blockRead{mn: l.ParityMN(stripe, j), off: l.BlockOff(b), dst: sc.shards[k+j], delta: -1})
-		}
-	}
-	if !readBlocks(ctx, cl, sc) {
-		return false
-	}
-	for xid := range dataMNs {
-		if sc.present[xid] && sc.hasDelta[xid] {
-			erasure.XorInto(sc.shards[xid], sc.deltas[xid])
-		}
-	}
-	return true
-}
-
-// reconstructLost decodes owner's block of row b from the stripe
-// fetched into sc and returns it (a scratch buffer: consume it before
-// the next fetch), charging the decode to core: the replacement's
-// erasure core in tier 2, the compute node's one core for a rebuild
-// worker, whose parallelism is the team.
-func reconstructLost(ctx rdma.Ctx, cl *Cluster, owner, b int, sc *stripeScratch, core int) ([]byte, bool) {
-	xid := cl.L.XORIDOf(uint32(b), owner)
-	pl, err := sc.plan(cl.code, xid)
-	if err != nil {
-		return nil, false
-	}
-	touched := 1 // the block written, plus every shard read
-	for _, p := range sc.present {
-		if p {
-			touched++
-		}
-	}
-	bs := int(cl.L.Cfg.BlockSize)
-	start := ctx.Now()
-	pl.RunPooled(sc.shards, cl.ecFanOut)
-	if cost := cpuTime(touched*bs, cl.Cfg.Rates.codeRate(cl.Cfg.Code)); cost > 0 {
-		ctx.UseCPU(core, cost)
-	}
-	sc.tally.decodeBytes += uint64(touched * bs)
-	sc.tally.decodeNs += uint64(ctx.Now() - start)
-	out := sc.shards[xid]
-	// DATA = enc ⊕ DELTA: fold back the owner's pending delta, if any.
-	if sc.hasDelta[xid] {
-		erasure.XorInto(out, sc.deltas[xid])
-	}
-	return out, true
 }
 
 // --- the rebuild engine ---
@@ -543,8 +261,9 @@ func (rb *rebuild) report(rep *RecoveryReport, tally *ecTally) {
 // Disowning clears the record's Valid flag. A given-up PARITY row's
 // block holds nothing usable (it could not be computed: a data shard it
 // covers was unreachable), and a later decode of that very shard must
-// not trust it: fetchStripe and readStripeRange skip a parity whose
-// record says so and fall back on the stripe's other parity.
+// not trust it: the stripe reader takes a parity as a source only if
+// its record reads RoleParity and Valid, and falls back on the stripe's
+// other parity.
 func (rb *rebuild) serve(places []*deltaPlacement, installs []parityInstall, disowned []int) {
 	if len(places) == 0 && len(installs) == 0 && len(disowned) == 0 {
 		return
@@ -713,10 +432,7 @@ func (rb *rebuild) ship(ctx rdma.Ctx, wk *rebuildWorker, sc *stripeScratch, bloc
 
 // rebuildData rebuilds one old DATA block: fetch, decode, ship.
 func (rb *rebuild) rebuildData(ctx rdma.Ctx, wk *rebuildWorker, sc *stripeScratch, row rebuildRow) bool {
-	if !fetchStripe(ctx, rb.cl, rb.mn, row.b, sc) {
-		return false
-	}
-	out, ok := reconstructLost(ctx, rb.cl, rb.mn, row.b, sc, 0)
+	out, ok := readLostBlock(ctx, rb.cl, rb.mn, row.b, sc, 0)
 	return ok && rb.ship(ctx, wk, sc, row.b, out)
 }
 
@@ -730,6 +446,7 @@ func (rb *rebuild) rebuildParity(ctx rdma.Ctx, wk *rebuildWorker, sc *stripeScra
 	cl, l := rb.cl, rb.cl.L
 	b, stripe := row.b, uint32(row.b)
 	k, m := cl.code.K(), cl.code.M()
+	sc.blocks(l.Cfg.BlockSize)
 
 	// The row's own record and the siblings', in one doorbell.
 	recOf := func(i int) layout.Record {

@@ -83,7 +83,7 @@ func runRecovery(ctx rdma.Ctx, cl *Cluster, mn int) *RecoveryReport {
 			continue
 		}
 		slot := l.MetaReplicaSlotFor(host, mn)
-		partial = readChunked(ctx, cl, host, l.MetaReplicaOff(slot), mem[l.MetaOff():l.MetaOff()+l.MetaSize()]) != nil
+		partial = !sc.readBlock(ctx, cl, host, l.MetaReplicaOff(slot), mem[l.MetaOff():l.MetaOff()+l.MetaSize()])
 	}
 	rep.ReadMeta = ctx.Now() - start
 	cl.trace.Emit(obs.Event{At: ctx.Now(), Kind: "recovery.meta", MN: mn, Dur: rep.ReadMeta})
@@ -109,7 +109,7 @@ func runRecovery(ctx rdma.Ctx, cl *Cluster, mn int) *RecoveryReport {
 			if !ok {
 				break
 			}
-			if err := readChunked(ctx, cl, host, l.CkptCopyOff(slot), mem[:l.Cfg.IndexBytes]); err != nil {
+			if !sc.readBlock(ctx, cl, host, l.CkptCopyOff(slot), mem[:l.Cfg.IndexBytes]) {
 				break
 			}
 			verAfter, ok := readCkptVersion(ctx, cl, host, slot)
@@ -180,7 +180,7 @@ func runRecovery(ctx rdma.Ctx, cl *Cluster, mn int) *RecoveryReport {
 		}
 		_, alive := cl.view.nodeOf(j)
 		if alive {
-			if err := readChunked(ctx, cl, j, l.RecordOff(0), recArea); err != nil {
+			if !sc.readBlock(ctx, cl, j, l.RecordOff(0), recArea) {
 				partial = true
 				continue
 			}
@@ -190,7 +190,7 @@ func runRecovery(ctx rdma.Ctx, cl *Cluster, mn int) *RecoveryReport {
 			// (and possibly this MN's lost checkpoint), so enumerate
 			// them from j's meta replica and decode them from stripe
 			// survivors.
-			if !readMetaReplicaRecords(ctx, cl, j, recArea) {
+			if !readMetaReplicaRecords(ctx, cl, sc, j, recArea) {
 				partial = true
 				continue
 			}
@@ -204,21 +204,19 @@ func runRecovery(ctx rdma.Ctx, cl *Cluster, mn int) *RecoveryReport {
 				rep.CoveredBlocks++
 				continue
 			}
+			// The block is read in place only from a source of stripe
+			// blocks; on an MN down or still in tier 3 it is decoded.
 			data := make([]byte, l.Cfg.BlockSize)
-			if alive {
-				if err := readChunked(ctx, cl, j, l.BlockOff(b), data); err != nil {
+			switch {
+			case cl.view.blockSource(j):
+				if !sc.readBlock(ctx, cl, j, l.BlockOff(b), data) {
 					partial = true
 					continue
 				}
-			} else {
-				if b >= l.Cfg.StripeRows {
-					continue // pool blocks hold no indexed KVs
-				}
-				if !fetchStripe(ctx, cl, j, b, sc) {
-					partial = true
-					continue
-				}
-				out, ok := reconstructLost(ctx, cl, j, b, sc, rdma.CoreErasure)
+			case b >= l.Cfg.StripeRows:
+				continue // pool blocks hold no indexed KVs
+			default:
+				out, ok := readLostBlock(ctx, cl, j, b, sc, rdma.CoreErasure)
 				if !ok {
 					partial = true
 					continue
@@ -291,7 +289,7 @@ func runRecovery(ctx rdma.Ctx, cl *Cluster, mn int) *RecoveryReport {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	ek := &entryKeys{ctx: ctx, cl: cl, mn: mn, mem: mem, scanned: scanned, recovered: recovered}
+	ek := &entryKeys{ctx: ctx, cl: cl, sc: sc, mn: mn, mem: mem, scanned: scanned, recovered: recovered}
 	ek.prefetch(keys)
 	for _, keyStr := range keys {
 		cand := best[keyStr]
@@ -455,7 +453,7 @@ func freePoolBlockIn(cl *Cluster, mem []byte, avoid int) int {
 
 // readMetaReplicaRecords loads MN owner's block records from its first
 // reachable meta replica into recArea; it reports success.
-func readMetaReplicaRecords(ctx rdma.Ctx, cl *Cluster, owner int, recArea []byte) bool {
+func readMetaReplicaRecords(ctx rdma.Ctx, cl *Cluster, sc *stripeScratch, owner int, recArea []byte) bool {
 	l := cl.L
 	for r := 0; r < l.Cfg.MetaReplicas; r++ {
 		host := l.MetaReplicaHostOf(owner, r)
@@ -464,7 +462,7 @@ func readMetaReplicaRecords(ctx rdma.Ctx, cl *Cluster, owner int, recArea []byte
 		}
 		slot := l.MetaReplicaSlotFor(host, owner)
 		base := l.MetaReplicaOff(slot) + (l.RecordOff(0) - l.MetaOff())
-		if err := readChunked(ctx, cl, host, base, recArea); err == nil {
+		if sc.readBlock(ctx, cl, host, base, recArea) {
 			return true
 		}
 	}
@@ -475,10 +473,13 @@ func readMetaReplicaRecords(ctx rdma.Ctx, cl *Cluster, owner int, recArea []byte
 // the checkpoint image belongs to (Figure 4 ③). Pairs in scanned blocks
 // answer from memory, pairs in recovered local blocks from the
 // replacement's own; everything else is read over the fabric, and
-// fetched counts those reads.
+// fetched counts those reads. A pair is read in place only from a
+// source of stripe blocks (view.blockSource); on an MN down or still in
+// tier 3 it is read through its stripe (readStripe).
 type entryKeys struct {
 	ctx       rdma.Ctx
 	cl        *Cluster
+	sc        *stripeScratch // the stripe reader's, for the plan path
 	mn        int
 	mem       []byte
 	scanned   map[uint64]*layout.KV // packed addr -> decoded KV
@@ -487,10 +488,6 @@ type entryKeys struct {
 	replaced  int              // keys reapplyCandidate put into a free slot
 	matches   []racehash.Match // reused by eachMatch
 }
-
-// entryKeyFetchDepth is how many reads one doorbell of the key prefetch
-// carries.
-const entryKeyFetchDepth = 32
 
 // buckets returns key's bucket pair in the recovering index, and the
 // images of the two buckets.
@@ -523,11 +520,10 @@ func (ek *entryKeys) eachMatch(key []byte, fn func(off uint64, m racehash.Match)
 // checkpoint does not cover, most entries of a rewritten key point into
 // blocks it left alone, and one blocking read each — two round trips
 // each through a stripe — would put their count on the critical path to
-// indexReady. Pairs on a live MN are read in place; pairs on a failed
-// MN, and those in local blocks tier 3 has yet to rebuild, through
-// their stripes (readStripeRanges). Each is read at its slot's length
-// hint; whatever fails here, a pair longer than its hint included, is
-// left to of.
+// indexReady. The in-place reads go first, then readStripe's, each
+// readDepth to a doorbell. Each pair is read at its slot's length hint;
+// whatever fails here, a pair longer than its hint included, is left to
+// of.
 func (ek *entryKeys) prefetch(keys []string) {
 	var ops []rdma.Op // in-place reads; ops[i] is the pair at addrs[i]
 	var addrs []uint64
@@ -542,11 +538,10 @@ func (ek *entryKeys) prefetch(keys []string) {
 			asked[packed] = true
 			buf := make([]byte, kvHintBytes(m.Meta))
 			owner, off := layout.UnpackAddr(packed)
-			addr, alive := ek.cl.Addr(int(owner), off)
-			switch local := int(owner) == ek.mn; {
-			case local && ek.recovered[ek.cl.L.BlockOfOff(off)]:
+			switch addr, ok := ek.inPlace(int(owner), off); {
+			case int(owner) == ek.mn && ek.recovered[ek.cl.L.BlockOfOff(off)]:
 				// answers from the replacement's own memory
-			case !local && alive:
+			case ok:
 				ops = append(ops, rdma.Op{Kind: rdma.OpRead, Addr: addr, Buf: buf})
 				addrs = append(addrs, packed)
 			default:
@@ -561,13 +556,13 @@ func (ek *entryKeys) prefetch(keys []string) {
 			ek.scanned[packed] = &layout.KV{Key: append([]byte(nil), kv.Key...)} // of reads the key alone
 		}
 	}
-	batchBy(ek.ctx, ops, entryKeyFetchDepth)
+	batchBy(ek.ctx, ops, readDepth)
 	for i := range ops {
 		if ops[i].Err == nil {
 			fetched(addrs[i], ops[i].Buf)
 		}
 	}
-	readStripeRanges(ek.ctx, ek.cl, lost, entryKeyFetchDepth)
+	readStripe(ek.ctx, ek.cl, ek.sc, lost, rdma.CoreErasure)
 	for i := range lost {
 		if lost[i].ok {
 			fetched(lost[i].packed, lost[i].buf)
@@ -632,12 +627,10 @@ func (ek *entryKeys) of(m racehash.Match) ([]byte, bool) {
 			copy(buf, ek.mem[off:])
 			return nil
 		}
-		// A pair on a live MN is read in place; one on a failed MN, or in
-		// a local block tier 3 has yet to rebuild, through its stripe.
-		if addr, ok := ek.cl.Addr(int(owner), off); int(owner) != ek.mn && ok {
+		if addr, ok := ek.inPlace(int(owner), off); ok {
 			return ek.ctx.Read(buf, addr)
 		}
-		return readStripeRange(ek.ctx, ek.cl, packed, buf)
+		return readLostRange(ek.ctx, ek.cl, ek.sc, packed, buf, rdma.CoreErasure)
 	}
 	buf := make([]byte, kvHintBytes(m.Meta))
 	var kv layout.KV
@@ -648,6 +641,13 @@ func (ek *entryKeys) of(m racehash.Match) ([]byte, bool) {
 		return nil, false // unreadable, torn or never written: the key stays unresolved
 	}
 	return append([]byte(nil), kv.Key...), true
+}
+
+// inPlace resolves a pair of MN owner that may be read in place: owner
+// is not the MN being recovered and is a source of stripe blocks.
+func (ek *entryKeys) inPlace(owner int, off uint64) (rdma.GlobalAddr, bool) {
+	addr, ok := ek.cl.Addr(owner, off)
+	return addr, ok && owner != ek.mn && ek.cl.view.blockSource(owner)
 }
 
 // recoverBlocks decodes the given local DATA blocks from their

@@ -2,105 +2,48 @@ package core
 
 import (
 	"errors"
-	"fmt"
 
 	"repro/internal/erasure"
 	"repro/internal/layout"
 	"repro/internal/rdma"
 )
 
-// This file holds the stripe-level reconstruction helpers shared by the
-// client's degraded SEARCH and the recovery server.
+// This file is the one stripe reader: a client's degraded SEARCH, tier
+// 2's decode of new blocks and its key resolution, and tier 3's rebuild
+// of old blocks read a lost DATA block's bytes through it. Its source
+// rule (choose): an MN is a source only if view.blockSource says so —
+// an MN still in tier 3 answers reads, but with zeros for the rows it
+// has not rebuilt — and a parity only if its record also reads
+// RoleParity and Valid. The erasure pattern, never a knob, picks the
+// decode: a fold when only the wanted shard is lost and parity 0 is a
+// source (the wanted ranges of the surviving data blocks, of parity 0
+// and of the pending deltas, XORed), a plan otherwise or for a whole
+// block (the sources' whole blocks, decoded with an erasure.Plan).
 //
-// Invariant (DESIGN.md): for every data block b of a stripe, at all
-// times DATA_b = enc_b ⊕ DELTA_b, where enc_b is the content last
-// folded into the parity (0 for a never-encoded fresh block; the
-// pre-reuse content for a reclaimed block) and DELTA_b is the DELTA
-// block content (0 after encoding frees it). Hence parity_0 (a plain
-// XOR for both codes) satisfies
+// The fold rests on an invariant (DESIGN.md): for every data block b of
+// a stripe, at all times DATA_b = enc_b ⊕ DELTA_b, where enc_b is the
+// content last folded into the parity (0 for a never-encoded fresh
+// block; the pre-reuse content for a reclaimed block) and DELTA_b is the
+// DELTA block content (0 after encoding frees it). Hence parity_0 (a
+// plain XOR for both codes) satisfies
 //
 //	P = ⊕_b enc_b  ⇒  DATA_m = P ⊕ ⊕_{b≠m}(DATA_b ⊕ DELTA_b) ⊕ DELTA_m
-//
-// which lets a single lost range be rebuilt from small reads without
-// touching the diagonal parity.
+
+// readDepth is how many small reads one doorbell carries: the folded
+// ranges and their records here, tier 2's in-place key prefetch there.
+const readDepth = 32
+
+// blockSource reports whether mn may serve stripe blocks: it is up and
+// its own Block Area is complete.
+func (v *view) blockSource(mn int) bool {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return mn >= 0 && mn < len(v.node) && !v.failed[mn] && v.blocksReady[mn]
+}
 
 var errStripeUnavailable = errors.New("core: stripe survivors unavailable")
 
-// readStripeRange reconstructs buf = the byte range [off, off+len(buf))
-// of the lost DATA block at packed address packed, via the stripe's
-// row parity.
-func readStripeRange(ctx rdma.Ctx, cl *Cluster, packed uint64, buf []byte) error {
-	mn, bi, rel, err := stripeRangeOf(cl, packed)
-	if err != nil {
-		return err
-	}
-	prec, err := readParityRecord(ctx, cl, cl.L.ParityMN(uint32(bi), 0), bi)
-	if err != nil {
-		return errStripeUnavailable
-	}
-	ops, ok := stripeRangeReads(cl, nil, mn, bi, rel, len(buf), &prec)
-	if !ok || ctx.Batch(ops) != nil {
-		return errStripeUnavailable
-	}
-	foldStripeRange(buf, ops)
-	return nil
-}
-
-// stripeRangeOf resolves a packed address inside a stripe DATA block to
-// its MN, its stripe row and its offset in the block.
-func stripeRangeOf(cl *Cluster, packed uint64) (mn, bi int, rel uint64, err error) {
-	mnU, off := layout.UnpackAddr(packed)
-	bi = cl.L.BlockOfOff(off)
-	if bi < 0 || bi >= cl.L.Cfg.StripeRows {
-		return 0, 0, 0, fmt.Errorf("core: stripe range outside stripe blocks (mn%d+0x%x)", mnU, off)
-	}
-	return int(mnU), bi, off - cl.L.BlockOff(bi), nil
-}
-
-// stripeRangeReads appends to ops the reads whose XOR is the n bytes at
-// rel of the DATA block MN mn lost in stripe row bi: the row parity's
-// range, every other data block's and every pending delta's, as the
-// parity record prec lists them. It reports false when the stripe
-// cannot serve the range.
-func stripeRangeReads(cl *Cluster, ops []rdma.Op, mn, bi int, rel uint64, n int, prec *layout.Record) ([]rdma.Op, bool) {
-	if prec.Role == layout.RoleFree || !prec.Valid {
-		// Stripe never encoded anything (the lost range is all zero
-		// only if no survivor holds data), or the parity row was given
-		// up by its own rebuild (rebuild.go): treat as unavailable.
-		return ops, false
-	}
-	l := cl.L
-	stripe := uint32(bi)
-	ok := true
-	add := func(owner int, base uint64) {
-		a, alive := cl.Addr(owner, base+rel)
-		ok = ok && alive
-		ops = append(ops, rdma.Op{Kind: rdma.OpRead, Addr: a, Buf: make([]byte, n)})
-	}
-	add(l.ParityMN(stripe, 0), l.BlockOff(bi))
-	for xid, dm := range l.DataMNs(stripe) {
-		if dm != mn {
-			add(dm, l.BlockOff(bi))
-		}
-		if da := prec.DeltaAddr[xid]; da != 0 {
-			dmn, dOff := layout.UnpackAddr(da)
-			add(int(dmn), dOff)
-		}
-	}
-	return ops, ok
-}
-
-// foldStripeRange XORs completed stripeRangeReads into buf.
-func foldStripeRange(buf []byte, ops []rdma.Op) {
-	for i := range buf {
-		buf[i] = 0
-	}
-	for i := range ops {
-		erasure.XorInto(buf, ops[i].Buf)
-	}
-}
-
-// stripeWant is one range for readStripeRanges to reconstruct: the
+// stripeWant is one range of a lost DATA block for readStripe: the
 // packed address of its first byte and buf for the bytes. ok reports
 // whether the stripe served it.
 type stripeWant struct {
@@ -109,136 +52,415 @@ type stripeWant struct {
 	ok     bool
 }
 
-// readStripeRanges is readStripeRange for many ranges at once, depth
-// reads to a doorbell: first the parity record of every row a range
-// lies in, then every range's reads. A range whose stripe cannot serve
-// it, or one of whose reads fails, is left !ok.
-func readStripeRanges(ctx rdma.Ctx, cl *Cluster, wants []stripeWant, depth int) {
-	l := cl.L
-	var recReads []rdma.Op
-	recOf := make(map[int]int) // stripe row -> its record's read in recReads
+// stripeRangeOf resolves n bytes at a packed address to their MN,
+// stripe row and offset in the block; false when they are not all in
+// one stripe DATA block.
+func stripeRangeOf(cl *Cluster, packed uint64, n int) (mn, bi int, rel uint64, ok bool) {
+	mnU, off := layout.UnpackAddr(packed)
+	bi = cl.L.BlockOfOff(off)
+	rel = off - cl.L.BlockOff(bi)
+	return int(mnU), bi, rel, bi >= 0 && bi < cl.L.Cfg.StripeRows && rel+uint64(n) <= cl.L.Cfg.BlockSize
+}
+
+// readLostRange is readStripe for one range: buf = the bytes at packed.
+func readLostRange(ctx rdma.Ctx, cl *Cluster, sc *stripeScratch, packed uint64, buf []byte, core int) error {
+	w := [1]stripeWant{{packed: packed, buf: buf}}
+	if readStripe(ctx, cl, sc, w[:], core); !w[0].ok {
+		return errStripeUnavailable
+	}
+	return nil
+}
+
+// readStripe reads every want through its block's stripe and marks
+// those it served ok. The wants that fold do so together, readDepth
+// reads to a doorbell: first the parity-0 record of every row they lie
+// in, then every range. The rest are decoded by plan on core, one fetch
+// per block.
+func readStripe(ctx rdma.Ctx, cl *Cluster, sc *stripeScratch, wants []stripeWant, core int) {
+	l, k := cl.L, cl.code.K()
+	var recReads, ops []rdma.Op
+	recOf := make(map[int]int)         // stripe row -> its parity-0 record's read in recReads
+	first := make([]int, len(wants)+1) // a folded want i's reads are ops[first[i]:first[i+1]]
+	plan := make([]bool, len(wants))
 	for i := range wants {
-		_, bi, _, err := stripeRangeOf(cl, wants[i].packed)
-		if _, asked := recOf[bi]; err != nil || asked {
+		mn, bi, _, in := stripeRangeOf(cl, wants[i].packed, len(wants[i].buf))
+		if !in {
 			continue
 		}
-		if addr, ok := cl.Addr(l.ParityMN(uint32(bi), 0), l.RecordOff(bi)); ok {
+		if lost, _ := sc.choose(cl, mn, bi, 0); lost != 1 || !sc.present[k] {
+			plan[i] = true
+		} else if _, asked := recOf[bi]; !asked {
+			addr, _ := cl.Addr(l.ParityMN(uint32(bi), 0), l.RecordOff(bi))
 			recOf[bi] = len(recReads)
 			recReads = append(recReads, rdma.Op{Kind: rdma.OpRead, Addr: addr, Buf: make([]byte, layout.RecordSize)})
 		}
 	}
-	batchBy(ctx, recReads, depth)
+	batchBy(ctx, recReads, readDepth)
 
-	var ops []rdma.Op
-	first := make([]int, len(wants)+1) // wants[i]'s reads are ops[first[i]:first[i+1]]
 	for i := range wants {
 		first[i] = len(ops)
-		mn, bi, rel, err := stripeRangeOf(cl, wants[i].packed)
-		ri, asked := recOf[bi]
-		if err != nil || !asked || recReads[ri].Err != nil {
+		mn, bi, rel, in := stripeRangeOf(cl, wants[i].packed, len(wants[i].buf))
+		if !in || plan[i] {
 			continue
 		}
-		prec := layout.DecodeRecord(recReads[ri].Buf)
-		if reads, ok := stripeRangeReads(cl, ops, mn, bi, rel, len(wants[i].buf), &prec); ok {
-			ops, wants[i].ok = reads, true
+		rr := &recReads[recOf[bi]]
+		prec := layout.DecodeRecord(rr.Buf)
+		if rr.Err != nil || prec.Role != layout.RoleParity || !prec.Valid {
+			plan[i] = true // parity 0 is no source after all
+			continue
+		}
+		n, ok := len(wants[i].buf), true
+		add := func(owner int, base uint64) {
+			a, alive := cl.Addr(owner, base+rel)
+			ok = ok && alive
+			ops = append(ops, rdma.Op{Kind: rdma.OpRead, Addr: a, Buf: make([]byte, n)})
+		}
+		add(l.ParityMN(uint32(bi), 0), l.BlockOff(bi))
+		for xid, dm := range l.DataMNs(uint32(bi)) {
+			if dm != mn {
+				add(dm, l.BlockOff(bi))
+			}
+			if da := prec.DeltaAddr[xid]; da != 0 {
+				dmn, dOff := layout.UnpackAddr(da)
+				add(int(dmn), dOff)
+			}
+		}
+		if !ok {
+			ops = ops[:first[i]]
 		}
 	}
 	first[len(wants)] = len(ops)
-	batchBy(ctx, ops, depth)
+	batchBy(ctx, ops, readDepth)
 	for i := range wants {
 		reads := ops[first[i]:first[i+1]]
+		wants[i].ok = len(reads) > 0
+		clear(wants[i].buf)
 		for j := range reads {
 			wants[i].ok = wants[i].ok && reads[j].Err == nil
+			erasure.XorInto(wants[i].buf, reads[j].Buf)
 		}
-		if wants[i].ok {
-			foldStripeRange(wants[i].buf, reads)
+	}
+
+	for i := range wants {
+		if !plan[i] {
+			continue
+		}
+		mn, bi, _, _ := stripeRangeOf(cl, wants[i].packed, len(wants[i].buf))
+		out, ok := readLostBlock(ctx, cl, mn, bi, sc, core)
+		for j := i; j < len(wants); j++ {
+			jmn, jbi, rel, _ := stripeRangeOf(cl, wants[j].packed, len(wants[j].buf))
+			if plan[j] && jmn == mn && jbi == bi {
+				plan[j], wants[j].ok = false, ok
+				if ok {
+					copy(wants[j].buf, out[rel:])
+				}
+			}
 		}
 	}
 }
 
-// batchBy issues ops depth to a doorbell. Outcomes are per op: callers
-// read each Op.Err.
+// batchBy issues ops depth to a doorbell; callers read each Op.Err.
 func batchBy(ctx rdma.Ctx, ops []rdma.Op, depth int) {
 	for pos := 0; pos < len(ops); pos += depth {
 		ctx.Batch(ops[pos:min(pos+depth, len(ops))]) //nolint:errcheck // see above
 	}
 }
 
-// readParityRecord reads the metadata record of stripe row bi from
-// parity MN pmn.
-func readParityRecord(ctx rdma.Ctx, cl *Cluster, pmn, bi int) (layout.Record, error) {
-	addr, ok := cl.Addr(pmn, cl.L.RecordOff(bi))
-	if !ok {
-		return layout.Record{}, rdma.ErrNodeFailed
-	}
-	buf := make([]byte, layout.RecordSize)
-	if err := ctx.Read(buf, addr); err != nil {
-		return layout.Record{}, err
-	}
-	return layout.DecodeRecord(buf), nil
+// blockRead is one block-sized read of a stripe fetch.
+type blockRead struct {
+	mn    int
+	off   uint64
+	dst   []byte
+	delta int // XOR id whose pending DELTA block this reads; -1 for a shard
+	fail  bool
 }
 
-// readStripeRangeFull handles the two-failure case of §3.4.1 remark 2:
-// when the row-parity MN is down too, the lost range is recovered by
-// fetching every surviving stripe member in full (data blocks folded
-// with their pending deltas into enc form, plus surviving parities)
-// and running the code's generic reconstruction (the same fetch and
-// plan recovery uses, rebuild.go). Expensive — full blocks move for
-// one KV — but it keeps degraded reads available right up to the fault
-// bound.
-func readStripeRangeFull(ctx rdma.Ctx, cl *Cluster, packed uint64, buf []byte) error {
-	l := cl.L
-	mnU, off := layout.UnpackAddr(packed)
-	mn := int(mnU)
-	bi := l.BlockOfOff(off)
-	if bi < 0 || bi >= l.Cfg.StripeRows {
-		return fmt.Errorf("core: stripe range outside stripe blocks (mn%d+0x%x)", mn, off)
+// stripeScratch holds everything one stripe reconstruction needs that
+// is proportional to the block size, so a process that rebuilds many
+// rows allocates it once — and only once it fetches a whole stripe. It
+// also tallies what its owner moved and computed; the owner folds the
+// tallies wherever they are reported.
+type stripeScratch struct {
+	shards   [][]byte // k data shards (enc view once fetched), then m parities
+	deltas   [][]byte // per data shard; allocated on first use
+	hasDelta []bool   // deltas[xid] holds this row's pending delta
+	present  []bool   // shards[i] is a source (choose), then was fetched
+	reads    []blockRead
+	ops      []rdma.Op
+	opRead   []int // ops[i] fills reads[opRead[i]]
+	recs     []byte
+	folds    []erasure.ShardDelta
+	plans    map[uint32]*erasure.Plan
+
+	srcBytes []uint64 // bytes read, per logical source MN
+	tally    ecTally
+}
+
+// ecTally accumulates erasure compute totals (bytes touched, virtual
+// elapsed time) for paths that run outside a server's own processes —
+// recovery decodes before the replacement server exists and, in tier
+// 3, on the rebuild workers' compute nodes; it folds the tally into
+// the replacement server's counters at the end.
+type ecTally struct {
+	encodeBytes, encodeNs uint64
+	decodeBytes, decodeNs uint64
+}
+
+func (t *ecTally) add(o *ecTally) {
+	t.encodeBytes += o.encodeBytes
+	t.encodeNs += o.encodeNs
+	t.decodeBytes += o.decodeBytes
+	t.decodeNs += o.decodeNs
+}
+
+func newStripeScratch(cl *Cluster) *stripeScratch {
+	k, m := cl.code.K(), cl.code.M()
+	return &stripeScratch{
+		shards:   make([][]byte, k+m),
+		deltas:   make([][]byte, k),
+		hasDelta: make([]bool, k),
+		present:  make([]bool, k+m),
+		recs:     make([]byte, (1+m)*layout.RecordSize),
+		plans:    make(map[uint32]*erasure.Plan),
+		srcBytes: make([]uint64, cl.L.Cfg.NumMNs),
 	}
-	sc := newStripeScratch(cl)
-	if !fetchStripe(ctx, cl, mn, bi, sc) {
-		return errStripeUnavailable
+}
+
+// blocks allocates the shard buffers on first use.
+func (sc *stripeScratch) blocks(bs uint64) {
+	for i := range sc.shards {
+		if sc.shards[i] == nil {
+			sc.shards[i] = make([]byte, bs)
+		}
 	}
-	myXID := l.XORIDOf(uint32(bi), mn)
-	pl, err := sc.plan(cl.code, myXID)
+}
+
+// delta returns the buffer for data shard xid's pending DELTA block.
+func (sc *stripeScratch) delta(xid int) []byte {
+	if sc.deltas[xid] == nil {
+		sc.deltas[xid] = make([]byte, len(sc.shards[0]))
+	}
+	return sc.deltas[xid]
+}
+
+// choose is the source rule: it marks in sc.present every data shard of
+// row b but owner's whose MN is a blockSource, and one parity for each
+// data shard lost — the first ones on a blockSource that skip does not
+// rule out. It returns how many data shards are lost, and whether
+// enough parities are left to decode them. Reading the chosen parities'
+// records, which may rule one out, is the caller's.
+func (sc *stripeScratch) choose(cl *Cluster, owner, b, skip int) (lost int, ok bool) {
+	l, k := cl.L, cl.code.K()
+	for xid, dm := range l.DataMNs(uint32(b)) {
+		sc.present[xid] = dm != owner && cl.view.blockSource(dm)
+		sc.hasDelta[xid] = false
+		if !sc.present[xid] {
+			lost++
+		}
+	}
+	need := lost
+	for j := 0; j < cl.code.M(); j++ {
+		pmn := l.ParityMN(uint32(b), j)
+		sc.present[k+j] = need > 0 && skip&(1<<j) == 0 && pmn != owner && cl.view.blockSource(pmn)
+		if sc.present[k+j] {
+			need--
+		}
+	}
+	return lost, need == 0
+}
+
+// plan returns the reconstruction of shard target from the shards
+// marked present, solved once per erasure pattern.
+func (sc *stripeScratch) plan(code erasure.Code, target int) (*erasure.Plan, error) {
+	key := uint32(target) << 16
+	for i, p := range sc.present {
+		if p {
+			key |= 1 << i
+		}
+	}
+	if pl, ok := sc.plans[key]; ok {
+		return pl, nil
+	}
+	pl, err := code.PlanReconstruct(sc.shards, sc.present)
 	if err != nil {
-		return errStripeUnavailable
+		return nil, err
 	}
-	pl.RunPooled(sc.shards, cl.ecFanOut)
-	out := sc.shards[myXID]
-	if sc.hasDelta[myXID] {
-		erasure.XorInto(out, sc.deltas[myXID])
-	}
-	rel := off - l.BlockOff(bi)
-	copy(buf, out[rel:rel+uint64(len(buf))])
-	return nil
+	pl.Keep(target)
+	sc.plans[key] = pl
+	return pl, nil
 }
 
-// readChunked reads [off, off+len(dst)) of logical MN mn in chunkBytes
-// pieces so bulk recovery reads interleave with foreground traffic.
-// Chunks are doorbell-batched chunkDepth at a time, keeping the read
-// stream pipelined (the paper's recovery sustains ~2 GB/s).
-func readChunked(ctx rdma.Ctx, cl *Cluster, mn int, off uint64, dst []byte) error {
+// readBlocks performs sc.reads: every block is read in chunkBytes
+// pieces, chunkDepth of them per block per doorbell, and all blocks
+// advance together — the source NICs work in parallel instead of in
+// turn. A read whose source cannot be addressed or returns an error is
+// marked failed; the others complete. It reports whether every shard
+// arrived, and notes in sc.hasDelta which DELTA blocks did — an
+// unreadable DELTA block counts as none pending.
+func readBlocks(ctx rdma.Ctx, cl *Cluster, sc *stripeScratch) bool {
 	chunk := chunkBytes
-	var ops []rdma.Op
-	for pos := 0; pos < len(dst); pos += chunk {
-		end := pos + chunk
-		if end > len(dst) {
-			end = len(dst)
-		}
-		addr, ok := cl.Addr(mn, off+uint64(pos))
-		if !ok {
-			return rdma.ErrNodeFailed
-		}
-		ops = append(ops, rdma.Op{Kind: rdma.OpRead, Addr: addr, Buf: dst[pos:end]})
-		if len(ops) == chunkDepth {
-			if err := ctx.Batch(ops); err != nil {
-				return err
+	window := chunkDepth * chunk
+	for base := 0; ; base += window {
+		sc.ops, sc.opRead = sc.ops[:0], sc.opRead[:0]
+		for i := range sc.reads {
+			r := &sc.reads[i]
+			end := min(base+window, len(r.dst))
+			for pos := base; pos < end && !r.fail; pos += chunk {
+				addr, ok := cl.Addr(r.mn, r.off+uint64(pos))
+				if !ok {
+					r.fail = true
+					break
+				}
+				sc.ops = append(sc.ops, rdma.Op{Kind: rdma.OpRead, Addr: addr, Buf: r.dst[pos:min(pos+chunk, end)]})
+				sc.opRead = append(sc.opRead, i)
 			}
-			ops = ops[:0]
+		}
+		if len(sc.ops) == 0 {
+			break
+		}
+		if err := ctx.Batch(sc.ops); err != nil {
+			for j := range sc.ops {
+				if sc.ops[j].Err != nil {
+					sc.reads[sc.opRead[j]].fail = true
+				}
+			}
 		}
 	}
-	if len(ops) > 0 {
-		return ctx.Batch(ops)
+	ok := true
+	for i := range sc.reads {
+		r := &sc.reads[i]
+		if !r.fail {
+			sc.srcBytes[r.mn] += uint64(len(r.dst))
+		}
+		if r.delta >= 0 {
+			sc.hasDelta[r.delta] = !r.fail
+		} else if r.fail {
+			ok = false
+		}
 	}
-	return nil
+	return ok
+}
+
+// readBlock is readBlocks' one-read form: dst = [off, off+len(dst)) of
+// logical MN mn, in the same chunked doorbells. It reports success.
+func (sc *stripeScratch) readBlock(ctx rdma.Ctx, cl *Cluster, mn int, off uint64, dst []byte) bool {
+	sc.reads = append(sc.reads[:0], blockRead{mn: mn, off: off, dst: dst, delta: -1})
+	return readBlocks(ctx, cl, sc)
+}
+
+// fetchStripe reads what decoding owner's lost DATA block of row b
+// takes into sc: the sources choose picks, after their records (one
+// doorbell; a parity whose record does not read RoleParity and Valid is
+// ruled out and the sources chosen again), and the pending DELTA blocks
+// the first chosen parity's record names. Data shards come back in enc
+// form (DATA ⊕ DELTA). It reports false when too few sources are left
+// for the code to decode, or one failed under the read.
+func fetchStripe(ctx rdma.Ctx, cl *Cluster, owner, b int, sc *stripeScratch) bool {
+	l := cl.L
+	stripe := uint32(b)
+	k, m := cl.code.K(), cl.code.M()
+	sc.blocks(l.Cfg.BlockSize)
+	var prec layout.Record
+	for skip := 0; ; {
+		if _, ok := sc.choose(cl, owner, b, skip); !ok {
+			return false
+		}
+		sc.ops = sc.ops[:0]
+		for j := 0; j < m; j++ {
+			if sc.present[k+j] {
+				addr, _ := cl.Addr(l.ParityMN(stripe, j), l.RecordOff(b))
+				sc.ops = append(sc.ops, rdma.Op{Kind: rdma.OpRead, Addr: addr,
+					Buf: sc.recs[j*layout.RecordSize : (j+1)*layout.RecordSize]})
+			}
+		}
+		ctx.Batch(sc.ops) //nolint:errcheck // an unreadable record rules its parity out below
+		// The delta map lives in the parity record; each parity MN
+		// tracks its own copies, so the map comes from the first parity
+		// that is used.
+		prec = layout.Record{}
+		ruled := false
+		for i, j := 0, 0; j < m; j++ {
+			if !sc.present[k+j] {
+				continue
+			}
+			rec := layout.DecodeRecord(sc.ops[i].Buf)
+			if sc.ops[i].Err != nil || rec.Role != layout.RoleParity || !rec.Valid {
+				skip |= 1 << j
+				ruled = true
+			} else if i == 0 {
+				prec = rec
+			}
+			i++
+		}
+		if !ruled {
+			break
+		}
+	}
+	own := l.XORIDOf(stripe, owner)
+	sc.reads = sc.reads[:0]
+	for xid, dm := range l.DataMNs(stripe) {
+		if da := prec.DeltaAddr[xid]; da != 0 && (sc.present[xid] || xid == own) {
+			dmn, dOff := layout.UnpackAddr(da)
+			sc.reads = append(sc.reads, blockRead{mn: int(dmn), off: dOff, dst: sc.delta(xid), delta: xid})
+		}
+		if sc.present[xid] {
+			sc.reads = append(sc.reads, blockRead{mn: dm, off: l.BlockOff(b), dst: sc.shards[xid], delta: -1})
+		}
+	}
+	for j := 0; j < m; j++ {
+		if sc.present[k+j] {
+			sc.reads = append(sc.reads, blockRead{mn: l.ParityMN(stripe, j), off: l.BlockOff(b), dst: sc.shards[k+j], delta: -1})
+		}
+	}
+	if !readBlocks(ctx, cl, sc) {
+		return false
+	}
+	for xid := 0; xid < k; xid++ {
+		if sc.present[xid] && sc.hasDelta[xid] {
+			erasure.XorInto(sc.shards[xid], sc.deltas[xid])
+		}
+	}
+	return true
+}
+
+// reconstructLost decodes owner's block of row b from the stripe
+// fetched into sc and returns it (a scratch buffer: consume it before
+// the next fetch), charging the decode to core: the replacement's
+// erasure core in tier 2, the compute node's one core for a client or a
+// rebuild worker.
+func reconstructLost(ctx rdma.Ctx, cl *Cluster, owner, b int, sc *stripeScratch, core int) ([]byte, bool) {
+	xid := cl.L.XORIDOf(uint32(b), owner)
+	pl, err := sc.plan(cl.code, xid)
+	if err != nil {
+		return nil, false
+	}
+	touched := 1 // the block written, plus every shard read
+	for _, p := range sc.present {
+		if p {
+			touched++
+		}
+	}
+	bs := int(cl.L.Cfg.BlockSize)
+	start := ctx.Now()
+	pl.RunPooled(sc.shards, cl.ecFanOut)
+	if cost := cpuTime(touched*bs, cl.Cfg.Rates.codeRate(cl.Cfg.Code)); cost > 0 {
+		ctx.UseCPU(core, cost)
+	}
+	sc.tally.decodeBytes += uint64(touched * bs)
+	sc.tally.decodeNs += uint64(ctx.Now() - start)
+	out := sc.shards[xid]
+	// DATA = enc ⊕ DELTA: fold back the owner's pending delta, if any.
+	if sc.hasDelta[xid] {
+		erasure.XorInto(out, sc.deltas[xid])
+	}
+	return out, true
+}
+
+// readLostBlock is the plan path for a whole block: fetchStripe, then
+// reconstructLost.
+func readLostBlock(ctx rdma.Ctx, cl *Cluster, owner, b int, sc *stripeScratch, core int) ([]byte, bool) {
+	if !fetchStripe(ctx, cl, owner, b, sc) {
+		return nil, false
+	}
+	return reconstructLost(ctx, cl, owner, b, sc, core)
 }
