@@ -117,7 +117,7 @@ func (pf *blockPrefetcher) putBuf(b []byte) {
 }
 
 // stop shuts the worker down and returns whatever work it had queued,
-// for the caller to drain inline.
+// for the caller to drain inline (Close) or drop (SimulateCrash).
 func (pf *blockPrefetcher) stop() (seals []*openBlock, flushes []flushJob) {
 	pf.mu.Lock()
 	pf.stopped = true
@@ -128,13 +128,13 @@ func (pf *blockPrefetcher) stop() (seals []*openBlock, flushes []flushJob) {
 }
 
 // prefetchLoop is the background worker process spawned next to the
-// client at Attach. Work priority: seals first (they unblock parity
+// client at Attach, with pf its own: a restarted client gets a fresh
+// worker and state. Work priority: seals first (they unblock parity
 // encoding), then bitmap flushes, then provisioning. The worker keeps
 // its own allocation-rotation cursor and never touches c.Stats or the
 // client's open-block state — provisioned blocks cross over only
 // through pf.ready.
-func (c *Client) prefetchLoop(ctx rdma.Ctx) {
-	pf := c.pf
+func (c *Client) prefetchLoop(ctx rdma.Ctx, pf *blockPrefetcher) {
 	seq := int(c.id)
 	for {
 		pf.mu.Lock()

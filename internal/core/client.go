@@ -139,8 +139,9 @@ func (c *Client) Attach(ctx rdma.Ctx) {
 	c.ctx = ctx
 	c.ot, _ = ctx.(obs.OpTracer)
 	if c.cl.Cfg.BlockPrefetch && c.pf == nil {
-		c.pf = newBlockPrefetcher()
-		c.cl.pl.Spawn(ctx.Node(), fmt.Sprintf("prefetch%d", c.id), c.prefetchLoop)
+		pf := newBlockPrefetcher()
+		c.pf = pf
+		c.cl.pl.Spawn(ctx.Node(), fmt.Sprintf("prefetch%d", c.id), func(ctx rdma.Ctx) { c.prefetchLoop(ctx, pf) })
 	}
 }
 
@@ -202,6 +203,7 @@ func (c *Client) Close() {
 		for _, fj := range flushes {
 			c.ctx.RPC(fj.node, methodFreeBits, fj.payload) //nolint:errcheck // obsolete hints are advisory
 		}
+		c.pf = nil
 	}
 	c.FlushBitmaps()
 	c.cache.Release()

@@ -287,12 +287,6 @@ func (c *Client) allocDeltas(ctx rdma.Ctx, ob *openBlock) bool {
 	return true
 }
 
-// readChunked reads a whole block in chunkBytes pieces on the
-// client's own process.
-func (c *Client) readChunked(mn int, off uint64, dst []byte) error {
-	return c.readChunkedCtx(c.ctx, mn, off, dst, &c.Stats)
-}
-
 // readChunkedCtx reads a whole block in chunkBytes pieces through ctx,
 // accounting into st when non-nil (nil from the prefetch worker).
 func (c *Client) readChunkedCtx(ctx rdma.Ctx, mn int, off uint64, dst []byte, st *ClientStats) error {

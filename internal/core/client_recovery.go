@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"time"
 
 	"repro/internal/clientcache"
 	"repro/internal/erasure"
@@ -10,8 +11,8 @@ import (
 	"repro/internal/rdma"
 )
 
-// ownedBlock is one entry of a methodQueryOwned response: a block the
-// restarting client is responsible for.
+// ownedBlock is a block a client is responsible for, as its record on
+// MN mn lists it.
 type ownedBlock struct {
 	mn     int
 	idx    int
@@ -32,14 +33,16 @@ type deltaCopy struct {
 // Restart recovers a client identity on a new compute node after a CN
 // crash (§3.4.2). The restarted client:
 //
-//  1. queries every MN server for blocks recorded under its client id
-//     (unfilled DATA blocks, DELTA blocks, reclamation COPY blocks);
-//  2. walks each unfilled DATA block slot by slot, comparing the KV
-//     pair's write-version fences and contents with its deltas' — a
-//     torn final write (data landed but a delta did not, or vice
-//     versa) is rolled back: the deltas are cleared and the data slot
-//     restored from the COPY block (reused blocks) or zeroed (fresh
-//     blocks);
+//  1. waits until every MN that is up is a source of stripe blocks (an
+//     MN in tier 3 reads back zeros for the rows it has not rebuilt,
+//     and may yet ship a row over a slot settled here), then lists the
+//     blocks recorded under its client id (unfilled DATA blocks, DELTA
+//     blocks, reclamation COPY blocks) from each MN's records, read
+//     one-sided;
+//  2. settles each unfilled DATA block slot by slot (settleSlot): a
+//     torn or uncommitted final write is rolled back to the slot's old
+//     contents (the COPY block's, or zero for a fresh block), and every
+//     delta copy is made to agree with the slot;
 //  3. re-adopts fresh blocks, resuming fine-grained slot management so
 //     no memory leaks, and seals partially-refilled reclaimed blocks
 //     (their remaining writable slots are unknown without the old free
@@ -49,7 +52,7 @@ type deltaCopy struct {
 // is linearizable because the request never returned to the
 // application (§3.2.2 remark 3).
 func (c *Client) Restart(ctx rdma.Ctx) error {
-	c.ctx = ctx
+	c.Attach(ctx)
 	c.cache = clientcache.New[cacheEnt](c.cl.Cfg.CacheEntries, c.met)
 	c.stale = staleEstimate{}
 	c.open = make(map[uint8]*openBlock)
@@ -58,34 +61,15 @@ func (c *Client) Restart(ctx rdma.Ctx) error {
 	c.pendingN = 0
 	c.pendingSeal = nil
 
-	l := c.cl.L
-	var all []ownedBlock
-	for mn := 0; mn < l.Cfg.NumMNs; mn++ {
-		node, alive := c.cl.view.nodeOf(mn)
-		if !alive {
-			continue
-		}
-		var e enc
-		e.u16(c.id)
-		resp, err := c.ctx.RPC(node, methodQueryOwned, e.b)
-		if err != nil || len(resp) == 0 || resp[0] != stOK {
-			continue
-		}
-		d := dec{b: resp[1:]}
-		n := int(d.u32())
-		for i := 0; i < n; i++ {
-			o := ownedBlock{mn: mn}
-			o.idx = int(d.u32())
-			o.role = layout.Role(d.u8())
-			o.stripe = d.u32()
-			o.xorID = d.u8()
-			o.class = d.u8()
-			if d.short {
-				break
-			}
-			all = append(all, o)
+	for mn := 0; mn < c.cl.L.Cfg.NumMNs; {
+		if _, failed, _, ready := c.cl.view.snapshotMN(mn); failed || ready {
+			mn++
+		} else {
+			c.ctx.Sleep(500 * time.Microsecond)
 		}
 	}
+	sc := newStripeScratch(c.cl)
+	all := ownedBlocks(c.ctx, c.cl, sc, c.id)
 
 	type sx struct {
 		s uint32
@@ -106,83 +90,66 @@ func (c *Client) Restart(ctx rdma.Ctx) error {
 			continue
 		}
 		k := sx{o.stripe, o.xorID}
-		if err := c.recoverOwnedBlock(o, deltas[k], copies[k]); err != nil {
+		if err := c.recoverOwnedBlock(sc, o, deltas[k], copies[k]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// recoverOwnedBlock repairs one unfilled DATA block and either
-// re-adopts it (fresh) or seals it (reused / already full).
-func (c *Client) recoverOwnedBlock(o ownedBlock, deltaOwners []ownedBlock, cp *ownedBlock) error {
+// ownedBlocks lists the blocks client id is responsible for — unfilled
+// DATA blocks, DELTA blocks and reclamation COPY blocks — from the
+// record area of every MN that is a source of stripe blocks.
+func ownedBlocks(ctx rdma.Ctx, cl *Cluster, sc *stripeScratch, id uint16) []ownedBlock {
+	l := cl.L
+	var all []ownedBlock
+	recArea := make([]byte, uint64(l.Cfg.BlocksPerMN())*layout.RecordSize)
+	for mn := 0; mn < l.Cfg.NumMNs; mn++ {
+		if !cl.view.blockSource(mn) || !sc.readBlock(ctx, cl, mn, l.RecordOff(0), recArea) {
+			continue
+		}
+		for b := 0; b < l.Cfg.BlocksPerMN(); b++ {
+			rec := layout.DecodeRecord(recArea[uint64(b)*layout.RecordSize:])
+			if rec.CliID == id && (rec.Role == layout.RoleData && rec.IndexVersion == 0 ||
+				rec.Role == layout.RoleDelta || rec.Role == layout.RoleCopy) {
+				all = append(all, ownedBlock{mn: mn, idx: b, role: rec.Role,
+					stripe: rec.StripeID, xorID: rec.XORID, class: rec.SizeClass})
+			}
+		}
+	}
+	return all
+}
+
+// recoverOwnedBlock settles every slot of one unfilled DATA block and
+// either re-adopts it (fresh) or seals it (reused / already full).
+func (c *Client) recoverOwnedBlock(sc *stripeScratch, o ownedBlock, deltaOwners []ownedBlock, cp *ownedBlock) error {
 	l := c.cl.L
 	bs := int(l.Cfg.BlockSize)
 	slotSize := int(o.class) * 64
 	if slotSize == 0 {
 		return nil
 	}
-	data := make([]byte, bs)
-	if err := c.readChunked(o.mn, l.BlockOff(o.idx), data); err != nil {
-		return err
+	// old is the block before this client wrote it: the COPY block's
+	// contents for a reused block, zero for a fresh one.
+	data, old := make([]byte, bs), make([]byte, bs)
+	if !sc.readBlock(c.ctx, c.cl, o.mn, l.BlockOff(o.idx), data) ||
+		cp != nil && !sc.readBlock(c.ctx, c.cl, cp.mn, l.BlockOff(cp.idx), old) {
+		return rdma.ErrNodeFailed
 	}
 	var dcs []deltaCopy
 	for _, dob := range deltaOwners {
 		buf := make([]byte, bs)
-		if err := c.readChunked(dob.mn, l.BlockOff(dob.idx), buf); err != nil {
-			continue
-		}
-		dcs = append(dcs, deltaCopy{mn: dob.mn, off: l.BlockOff(dob.idx), data: buf})
-	}
-	var old []byte
-	if cp != nil {
-		old = make([]byte, bs)
-		if err := c.readChunked(cp.mn, l.BlockOff(cp.idx), old); err != nil {
-			return err
+		if sc.readBlock(c.ctx, c.cl, dob.mn, l.BlockOff(dob.idx), buf) {
+			dcs = append(dcs, deltaCopy{mn: dob.mn, off: l.BlockOff(dob.idx), data: buf})
 		}
 	}
 
-	nSlots := bs / slotSize
 	var freeSlots []int
-	for s := 0; s < nSlots; s++ {
+	for s := 0; s < bs/slotSize; s++ {
 		lo := s * slotSize
 		slot := data[lo : lo+slotSize]
-		var oldSlot []byte
-		if old != nil {
-			oldSlot = old[lo : lo+slotSize]
-		}
-		verdict := c.checkSlot(slot, oldSlot, dcs, lo)
-		if verdict == slotSuspect {
-			// Data complete but deltas disagree. That is either the
-			// in-flight final write (uncommitted: roll back) or a pair
-			// committed while a parity MN was down (its delta copy was
-			// legitimately skipped: keep the data and heal the
-			// deltas). The index slot is the commit point, so it
-			// arbitrates.
-			packed := layout.PackAddr(uint16(o.mn), l.BlockOff(o.idx)+uint64(lo))
-			if c.isCommitted(slot, packed) {
-				c.healDeltas(slot, oldSlot, dcs, lo)
-				verdict = slotOK
-			} else {
-				verdict = slotRollback
-			}
-		}
-		if verdict == slotRollback {
-			c.clearDeltas(dcs, lo, len(slot))
-			// Roll the slot back to its pre-write state.
-			if oldSlot != nil {
-				copy(slot, oldSlot)
-			} else {
-				for i := range slot {
-					slot[i] = 0
-				}
-			}
-			if addr, ok := c.cl.Addr(o.mn, l.BlockOff(o.idx)+uint64(lo)); ok {
-				c.Stats.WritesIssued++
-				c.ctx.Write(addr, slot) //nolint:errcheck // best effort
-			}
-		}
-		if old == nil && slot[0] == 0 {
+		c.settleSlot(o.mn, l.BlockOff(o.idx)+uint64(lo), slot, old[lo:lo+slotSize], dcs, lo)
+		if cp == nil && slot[0] == 0 {
 			freeSlots = append(freeSlots, s)
 		}
 	}
@@ -208,52 +175,44 @@ func (c *Client) recoverOwnedBlock(o ownedBlock, deltaOwners []ownedBlock, cp *o
 	return nil
 }
 
-// slotVerdict is checkSlot's result.
-type slotVerdict int
-
-const (
-	// slotOK: data and deltas agree; nothing to do.
-	slotOK slotVerdict = iota
-	// slotRollback: the data itself is torn (fence mismatch); the
-	// write cannot have committed, so roll everything back.
-	slotRollback
-	// slotSuspect: data is complete but a delta copy disagrees; the
-	// commit point (index slot) must arbitrate.
-	slotSuspect
-)
-
-// checkSlot classifies one KV slot against its deltas and the old
-// contents. A consistent slot satisfies delta == data ⊕ old for every
-// delta copy (old = 0 for fresh blocks) and has matching write-version
-// fences (§3.4.2: RDMA writes land in order, so equal non-zero fences
-// bracket complete bytes).
-func (c *Client) checkSlot(slot, oldSlot []byte, dcs []deltaCopy, lo int) slotVerdict {
+// settleSlot applies the one slot rule to the slot at off on MN mn,
+// whose bytes before this client wrote it are old. The slot is written
+// when its fence is set and differs from old's. A written slot is kept
+// only if it is intact — the trailing fence matches: RDMA writes land
+// in order, so equal fences bracket complete bytes — and either every
+// delta copy already equals slot ⊕ old or the index slot, the commit
+// point of Algorithm 1, points at it (a copy is legitimately missing
+// when its parity MN was down under the write). Otherwise it is rolled
+// back to old. Then every delta copy that differs from slot ⊕ old is
+// rewritten to it.
+func (c *Client) settleSlot(mn int, off uint64, slot, old []byte, dcs []deltaCopy, lo int) {
+	want := append([]byte(nil), slot...)
+	erasure.XorInto(want, old)
+	agree := true
+	for _, dc := range dcs {
+		agree = agree && bytes.Equal(dc.data[lo:lo+len(slot)], want)
+	}
 	fence := slot[0]
-	oldFence := uint8(0)
-	if oldSlot != nil {
-		oldFence = oldSlot[0]
-	}
-	written := fence != 0 && fence != oldFence
-	if written && slot[len(slot)-1] != fence {
-		return slotRollback // torn data write: cannot be committed
-	}
-	expected := append([]byte(nil), slot...)
-	if oldSlot != nil {
-		erasure.XorInto(expected, oldSlot)
+	if fence != 0 && fence != old[0] && (slot[len(slot)-1] != fence ||
+		!agree && !c.isCommitted(slot, layout.PackAddr(uint16(mn), off))) {
+		copy(slot, old)
+		clear(want)
+		c.writeBestEffort(mn, off, slot)
 	}
 	for _, dc := range dcs {
-		got := dc.data[lo : lo+len(slot)]
-		if !bytes.Equal(got, expected) {
-			if !written {
-				// Data untouched but a stray delta landed: clearing
-				// the delta restores consistency.
-				c.clearDeltas(dcs, lo, len(slot))
-				return slotOK
-			}
-			return slotSuspect
+		if !bytes.Equal(dc.data[lo:lo+len(slot)], want) {
+			c.writeBestEffort(dc.mn, dc.off+uint64(lo), want)
 		}
 	}
-	return slotOK
+}
+
+// writeBestEffort writes data at off on MN mn, if it is up, and does
+// not look at the outcome.
+func (c *Client) writeBestEffort(mn int, off uint64, data []byte) {
+	if addr, ok := c.cl.Addr(mn, off); ok {
+		c.Stats.WritesIssued++
+		c.ctx.Write(addr, data) //nolint:errcheck // best effort
+	}
 }
 
 // isCommitted reports whether the key's index slot points at exactly
@@ -277,43 +236,15 @@ func (c *Client) isCommitted(slot []byte, packed uint64) bool {
 	return false
 }
 
-// healDeltas rewrites every delta copy of a committed slot to
-// data ⊕ old, restoring the stripe invariant after a copy went
-// missing (e.g. a parity MN was down when the pair was written).
-func (c *Client) healDeltas(slot, oldSlot []byte, dcs []deltaCopy, lo int) {
-	expected := append([]byte(nil), slot...)
-	if oldSlot != nil {
-		erasure.XorInto(expected, oldSlot)
-	}
-	for _, dc := range dcs {
-		if bytes.Equal(dc.data[lo:lo+len(slot)], expected) {
-			continue
-		}
-		if addr, ok := c.cl.Addr(dc.mn, dc.off+uint64(lo)); ok {
-			c.Stats.WritesIssued++
-			c.ctx.Write(addr, expected) //nolint:errcheck // best effort
-		}
-		copy(dc.data[lo:lo+len(slot)], expected)
-	}
-}
-
-// clearDeltas zeroes the slot range of every delta copy (both remotely
-// and in the local snapshots used for later comparisons).
-func (c *Client) clearDeltas(dcs []deltaCopy, lo, n int) {
-	zeroBuf := make([]byte, n)
-	for _, dc := range dcs {
-		if addr, ok := c.cl.Addr(dc.mn, dc.off+uint64(lo)); ok {
-			c.Stats.WritesIssued++
-			c.ctx.Write(addr, zeroBuf) //nolint:errcheck // best effort
-		}
-		copy(dc.data[lo:lo+n], zeroBuf)
-	}
-}
-
 // SimulateCrash abandons all client-side volatile state without
 // flushing anything, as a CN fail-stop would (test and example
-// support). Use Restart on a new process to recover the identity.
+// support): the prefetch worker stops with its queued seals and
+// bitmap flushes. Use Restart on a new process to recover the identity.
 func (c *Client) SimulateCrash() {
+	if c.pf != nil {
+		c.pf.stop()
+		c.pf = nil
+	}
 	c.cache.Release()
 	c.cache = nil
 	c.open = nil

@@ -64,23 +64,289 @@ func TestClientCleanRestartAdoptsBlocks(t *testing.T) {
 	stripeParityInvariant(t, tc)
 }
 
+// TestOwnedBlocksFiltersByClient lists blocks as Restart does, from
+// every MN's records read one-sided: an unknown id owns nothing, the
+// writer owns at least one unfilled block, and none of its sealed
+// blocks is listed.
+func TestOwnedBlocksFiltersByClient(t *testing.T) {
+	tc := newTestCluster(t, nil)
+	var id uint16
+	tc.runClients(t, 30*time.Second, func(c *Client) {
+		id = c.ID()
+		for i := 0; i < 300; i++ {
+			if err := c.Insert(key(i), val(i, 0)); err != nil {
+				t.Errorf("insert: %v", err)
+				return
+			}
+		}
+	})
+	tc.run(5 * time.Millisecond) // the prefetch worker seals
+	ctx, sc := &directCtx{pl: tc.pl}, newStripeScratch(tc.cl)
+	if got := ownedBlocks(ctx, tc.cl, sc, 0xBEEF); len(got) != 0 {
+		t.Fatalf("unknown client owns %d blocks", len(got))
+	}
+	listed := make(map[blockID]bool)
+	unfilled := 0
+	for _, o := range ownedBlocks(ctx, tc.cl, sc, id) {
+		listed[blockID{o.mn, o.idx}] = true
+		if o.role == layout.RoleData {
+			unfilled++
+		}
+	}
+	if unfilled == 0 {
+		t.Fatal("writer owns no unfilled blocks")
+	}
+	sealed := 0
+	for mn, srv := range tc.cl.servers {
+		for b := 0; b < tc.cl.L.Cfg.BlocksPerMN(); b++ {
+			if rec := srv.record(b); rec.CliID == id && rec.Role == layout.RoleData && rec.IndexVersion != 0 {
+				sealed++
+				if listed[blockID{mn, b}] {
+					t.Errorf("sealed block %d on MN %d listed as owned", b, mn)
+				}
+			}
+		}
+	}
+	if sealed == 0 {
+		t.Fatal("the writer sealed no block; grow the load")
+	}
+}
+
+// slotCase forges one slot of a crashed client's open block in pool
+// memory and states what Restart must leave there.
+type slotCase struct {
+	name string
+	// written picks the block's last written slot instead of its
+	// first free one.
+	written bool
+	// forge edits the slot as the crash left it: data is the DATA slot,
+	// deltas its delta copies. It returns the bytes the slot must hold
+	// after Restart; the block is fresh, so every copy must equal them
+	// too.
+	forge func(data []byte, deltas [][]byte) []byte
+}
+
+// runSlotCase crashes a client after 30 inserts, forges its open
+// block's slot as c says, restarts it and checks the slot, its delta
+// copies, the stripe invariant and every acknowledged key.
+func runSlotCase(t *testing.T, c slotCase) {
+	tc := newTestCluster(t, nil)
+	cli, ob, acked := crashWithOpenBlock(t, tc, 30)
+	if len(ob.deltas) < 2 {
+		t.Fatalf("open block has %d delta copies, want at least 2", len(ob.deltas))
+	}
+	s := ob.slots[0]
+	if c.written {
+		s--
+	}
+	at := func(mn int, base uint64) []byte {
+		off := base + uint64(s*ob.slotSize)
+		return tc.pl.DirectMemory(tc.cl.MNNode(mn))[off : off+uint64(ob.slotSize)]
+	}
+	data := at(ob.mn, tc.cl.L.BlockOff(ob.idx))
+	var deltas [][]byte
+	for _, dt := range ob.deltas {
+		deltas = append(deltas, at(dt.mn, dt.blockOff))
+	}
+	want := c.forge(data, deltas)
+
+	restartClient(t, tc, cli, nil)
+	if !bytes.Equal(data, want) {
+		t.Errorf("DATA slot %d not settled: %x, want %x", s, data[:16], want[:16])
+	}
+	for i, d := range deltas {
+		if !bytes.Equal(d, want) {
+			t.Errorf("delta copy %d of slot %d: %x, want %x", i, s, d[:16], want[:16])
+		}
+	}
+	tc.run(50 * time.Millisecond)
+	stripeParityInvariant(t, tc)
+	tc.verifyAll(t, acked)
+}
+
 // TestClientCrashTornWriteRepaired simulates a CN crash in the middle
-// of a KV+delta batch: the data slot landed torn and only one delta
-// copy landed. Restart must roll the slot back and restore the
-// data/delta invariant.
+// of a KV+delta batch: the data slot landed torn (leading fence
+// written, trailing fence not) and only the first delta copy landed.
+// Restart must roll the slot back and clear the copy.
 func TestClientCrashTornWriteRepaired(t *testing.T) {
+	runSlotCase(t, slotCase{forge: func(data []byte, deltas [][]byte) []byte {
+		layout.EncodeKV(data, []byte("torn-key"), bytes.Repeat([]byte("T"), 40), 7, 1, false)
+		copy(deltas[0], data)
+		data[len(data)-1] = 0 // crash before the tail landed
+		return make([]byte, len(data))
+	}})
+}
+
+// TestClientCrashSlotRule runs the other branches of Restart's slot
+// rule: a written slot is kept if it is intact and its copies agree or
+// the index points at it, and rolled back otherwise; every copy then
+// agrees with the slot.
+func TestClientCrashSlotRule(t *testing.T) {
+	for _, c := range []slotCase{
+		{
+			// A parity MN was down under the write: committed, its copy
+			// missing. Kept, and the copy healed.
+			name: "committed copy missing", written: true,
+			forge: func(data []byte, deltas [][]byte) []byte {
+				clear(deltas[0])
+				return append([]byte(nil), data...)
+			},
+		},
+		{
+			// The crash cut the final write between its two delta
+			// copies, before the commit CAS: an intact update of key 3
+			// the index never pointed at. Rolled back.
+			name: "uncommitted one copy",
+			forge: func(data []byte, deltas [][]byte) []byte {
+				layout.EncodeKV(data, key(3), val(3, 1), 7, 1, false)
+				copy(deltas[0], data)
+				return make([]byte, len(data))
+			},
+		},
+		{
+			name: "stray delta",
+			forge: func(data []byte, deltas [][]byte) []byte {
+				copy(deltas[0], bytes.Repeat([]byte{0xA5}, len(data)))
+				return make([]byte, len(data))
+			},
+		},
+	} {
+		t.Run(c.name, func(t *testing.T) { runSlotCase(t, c) })
+	}
+}
+
+// TestClientCrashDropsQueuedSeal crashes a client right after the
+// insert that filled its block queued the block's seal on the prefetch
+// worker. The seal dies with the client, as on a CN fail-stop: the
+// block stays unsealed until Restart seals it, and the restarted
+// client's own worker serves its next refill.
+func TestClientCrashDropsQueuedSeal(t *testing.T) {
 	tc := newTestCluster(t, nil)
 	cli := tc.cl.NewClient()
-	var ob *openBlock
+	acked := make(map[int][]byte)
+	var full *openBlock
 	done := false
-	cn := tc.pl.AddComputeNode()
-	tc.pl.Spawn(cn, "life1", func(ctx rdmaCtx) {
+	tc.pl.Spawn(tc.pl.AddComputeNode(), "life1", func(ctx rdma.Ctx) {
 		cli.Attach(ctx)
-		for i := 0; i < 30; i++ {
+		for i := 0; full == nil; i++ {
+			var before *openBlock
+			for _, ob := range cli.open {
+				before = ob
+			}
 			if err := cli.Insert(key(i), val(i, 0)); err != nil {
 				t.Errorf("insert: %v", err)
 				return
 			}
+			acked[i] = val(i, 0)
+			if before != nil && cli.open[before.class] != before {
+				full = before
+			}
+		}
+		cli.pf.mu.Lock()
+		queued := len(cli.pf.seal)
+		cli.pf.mu.Unlock()
+		if queued == 0 {
+			t.Error("no seal queued at the crash")
+		}
+		cli.SimulateCrash()
+		done = true
+	})
+	waitDone(t, tc, &done)
+	sealed := func() bool { return tc.cl.servers[full.mn].record(full.idx).IndexVersion != 0 }
+	tc.run(5 * time.Millisecond)
+	if sealed() {
+		t.Fatal("the crashed client's worker sealed its block")
+	}
+
+	done = false
+	tc.pl.Spawn(tc.pl.AddComputeNode(), "life2", func(ctx rdma.Ctx) {
+		if err := cli.Restart(ctx); err != nil {
+			t.Errorf("restart: %v", err)
+			return
+		}
+		if !sealed() {
+			t.Error("Restart left the full block unsealed")
+		}
+		hits := cli.Stats.BlockPrefetchHits
+		for i := len(acked); cli.Stats.BlockPrefetchHits == hits && i < 3*len(acked); i++ {
+			if err := cli.Insert(key(i), val(i, 0)); err != nil {
+				t.Errorf("post-restart insert: %v", err)
+				return
+			}
+			acked[i] = val(i, 0)
+		}
+		if cli.Stats.BlockPrefetchHits == hits {
+			t.Error("no refill after Restart was a prefetch hit")
+		}
+		done = true
+	})
+	waitDone(t, tc, &done)
+	tc.run(50 * time.Millisecond)
+	stripeParityInvariant(t, tc)
+	tc.verifyAll(t, acked)
+}
+
+// TestRestartWaitsOutTier3 restarts a crashed client while a parity MN
+// of its open block is held between its tiers 2 and 3, where it reads
+// back zeros for the rows it has not rebuilt. No verb of the restart
+// may reach that MN before its Block Area is complete.
+func TestRestartWaitsOutTier3(t *testing.T) {
+	tc := newTestCluster(t, nil)
+	tc.cl.master.AddSpare()
+	cli, ob, acked := crashWithOpenBlock(t, tc, 30)
+	tc.run(2 * tc.cl.Cfg.CkptInterval)
+	held := ob.deltas[0].mn
+	tc.cl.FailMN(held)
+	for i := 0; ; i++ {
+		tc.run(time.Microsecond) // tier 3 rebuilds a row in a few
+		if _, idx, ready := tc.cl.MNState(held); idx && !ready {
+			break
+		} else if ready || i > 500000 {
+			t.Fatalf("MN %d was never between its tiers 2 and 3", held)
+		}
+	}
+
+	early, late := 0, 0
+	restartClient(t, tc, cli, func(ctx rdma.Ctx) rdma.Ctx {
+		return &verbNodeCtx{Ctx: ctx, on: func(node rdma.NodeID) {
+			if node != tc.cl.MNNode(held) {
+				return
+			}
+			if _, _, ready := tc.cl.MNState(held); ready {
+				late++
+			} else {
+				early++
+			}
+		}}
+	})
+	if early > 0 {
+		t.Errorf("%d verbs of the restart reached MN %d before its tier 3 finished", early, held)
+	}
+	if late == 0 {
+		t.Errorf("the restart read nothing from MN %d", held)
+	}
+	tc.run(50 * time.Millisecond)
+	stripeParityInvariant(t, tc)
+	tc.verifyAll(t, acked)
+}
+
+// crashWithOpenBlock inserts keys 0..n-1 from a new client and crashes
+// it. It returns the client, its open block and the acknowledged
+// values.
+func crashWithOpenBlock(t *testing.T, tc *testCluster, n int) (*Client, *openBlock, map[int][]byte) {
+	t.Helper()
+	cli := tc.cl.NewClient()
+	acked := make(map[int][]byte)
+	var ob *openBlock
+	done := false
+	tc.pl.Spawn(tc.pl.AddComputeNode(), "life1", func(ctx rdma.Ctx) {
+		cli.Attach(ctx)
+		for i := 0; i < n; i++ {
+			if err := cli.Insert(key(i), val(i, 0)); err != nil {
+				t.Errorf("insert: %v", err)
+				return
+			}
+			acked[i] = val(i, 0)
 		}
 		for _, b := range cli.open {
 			ob = b
@@ -89,70 +355,77 @@ func TestClientCrashTornWriteRepaired(t *testing.T) {
 		done = true
 	})
 	waitDone(t, tc, &done)
-	if ob == nil || len(ob.slots) == 0 {
-		t.Fatal("no open block with free slots to corrupt")
+	if ob == nil || len(ob.slots) == 0 || ob.slots[0] == 0 {
+		t.Fatal("no open block with written and free slots")
 	}
+	return cli, ob, acked
+}
 
-	// Forge the crash artifacts directly in pool memory: a torn KV in
-	// the next free slot (leading fence written, trailing fence not)
-	// and a delta written to only the first parity MN.
-	l := tc.cl.L
-	slot := ob.slots[0]
-	lo := l.BlockOff(ob.idx) + uint64(slot*ob.slotSize)
-	node, _ := tc.cl.view.nodeOf(ob.mn)
-	mem := tc.pl.DirectMemory(node)
-	torn := make([]byte, ob.slotSize)
-	layout.EncodeKV(torn, []byte("torn-key"), bytes.Repeat([]byte("T"), 40), 7, 1, false)
-	torn[len(torn)-1] = 0 // crash before the tail landed
-	copy(mem[lo:], torn)
-	if len(ob.deltas) > 0 {
-		dt := ob.deltas[0]
-		dnode, _ := tc.cl.view.nodeOf(dt.mn)
-		dmem := tc.pl.DirectMemory(dnode)
-		full := make([]byte, ob.slotSize)
-		layout.EncodeKV(full, []byte("torn-key"), bytes.Repeat([]byte("T"), 40), 7, 1, false)
-		copy(dmem[dt.blockOff+uint64(slot*ob.slotSize):], full)
-	}
-
-	done = false
-	cn2 := tc.pl.AddComputeNode()
-	tc.pl.Spawn(cn2, "life2", func(ctx rdmaCtx) {
+// restartClient runs cli.Restart on a new compute node, through
+// wrap(ctx) when wrap is not nil.
+func restartClient(t *testing.T, tc *testCluster, cli *Client, wrap func(rdma.Ctx) rdma.Ctx) {
+	t.Helper()
+	done := false
+	tc.pl.Spawn(tc.pl.AddComputeNode(), "life2", func(ctx rdma.Ctx) {
+		if wrap != nil {
+			ctx = wrap(ctx)
+		}
 		if err := cli.Restart(ctx); err != nil {
 			t.Errorf("restart: %v", err)
 			return
 		}
-		// All committed keys intact.
-		for i := 0; i < 30; i++ {
-			got, err := cli.Search(key(i))
-			if err != nil || !bytes.Equal(got, val(i, 0)) {
-				t.Errorf("search %d after repair: %v", i, err)
-				return
-			}
-		}
 		done = true
 	})
 	waitDone(t, tc, &done)
-
-	// The torn slot must be rolled back to zero on the data MN and on
-	// every delta copy.
-	for i := 0; i < ob.slotSize; i++ {
-		if mem[lo+uint64(i)] != 0 {
-			t.Fatalf("torn data slot not rolled back (byte %d)", i)
-		}
-	}
-	for _, dt := range ob.deltas {
-		dnode, _ := tc.cl.view.nodeOf(dt.mn)
-		dmem := tc.pl.DirectMemory(dnode)
-		base := dt.blockOff + uint64(slot*ob.slotSize)
-		for i := 0; i < ob.slotSize; i++ {
-			if dmem[base+uint64(i)] != 0 {
-				t.Fatalf("stray delta not cleared (byte %d)", i)
-			}
-		}
-	}
-	tc.run(50 * time.Millisecond)
-	stripeParityInvariant(t, tc)
 }
+
+// verbNodeCtx calls on with the target node of every verb and RPC a
+// process issues.
+type verbNodeCtx struct {
+	rdma.Ctx
+	on func(rdma.NodeID)
+}
+
+func (d *verbNodeCtx) Read(buf []byte, addr rdma.GlobalAddr) error {
+	d.on(addr.Node)
+	return d.Ctx.Read(buf, addr)
+}
+
+func (d *verbNodeCtx) Write(addr rdma.GlobalAddr, data []byte) error {
+	d.on(addr.Node)
+	return d.Ctx.Write(addr, data)
+}
+
+func (d *verbNodeCtx) CAS(addr rdma.GlobalAddr, old, new uint64) (uint64, error) {
+	d.on(addr.Node)
+	return d.Ctx.CAS(addr, old, new)
+}
+
+func (d *verbNodeCtx) FAA(addr rdma.GlobalAddr, delta uint64) (uint64, error) {
+	d.on(addr.Node)
+	return d.Ctx.FAA(addr, delta)
+}
+
+func (d *verbNodeCtx) Batch(ops []rdma.Op) error {
+	for i := range ops {
+		d.on(ops[i].Addr.Node)
+	}
+	return d.Ctx.Batch(ops)
+}
+
+func (d *verbNodeCtx) Post(ops []rdma.Op) error {
+	for i := range ops {
+		d.on(ops[i].Addr.Node)
+	}
+	return d.Ctx.Post(ops)
+}
+
+func (d *verbNodeCtx) RPC(node rdma.NodeID, method uint8, req []byte) ([]byte, error) {
+	d.on(node)
+	return d.Ctx.RPC(node, method, req)
+}
+
+func (d *verbNodeCtx) OrderedBatch() bool { return rdma.IsOrderedBatch(d.Ctx) }
 
 // TestMixedCrash: a CN crash followed quickly by an MN crash (§3.4.3):
 // restart clients first, then MN recovery, then verify everything.

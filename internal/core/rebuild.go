@@ -278,7 +278,7 @@ func (rb *rebuild) serve(places []*deltaPlacement, installs []parityInstall, dis
 		for _, p := range places {
 			// Writing the record at once is the reservation: the live
 			// server's allocator reads the same records.
-			if p.block = freePoolBlockIn(cl, mem, p.row); p.block >= 0 {
+			if p.block = srv.freePoolBlock(); p.block >= 0 {
 				srv.putDeltaRecord(p.block, uint32(p.row), uint8(p.xid))
 			}
 		}

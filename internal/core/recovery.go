@@ -70,21 +70,12 @@ func runRecovery(ctx rdma.Ctx, cl *Cluster, mn int) *RecoveryReport {
 		return cl.pl.Memory(ctx.Node()) == nil || !cl.view.nodeIs(mn, ctx.Node())
 	}
 
+	// --- Tier 1: Meta Area (replica read) ---
 	// partial records that tier 2 gave up on Meta or on a block it had to
 	// scan: a key committed since the checkpoint may then be missing from
 	// the rebuilt partition, its old slot empty, so the rebuild ends the
 	// partition's generation whatever it re-placed (DESIGN.md §13).
-	partial := true
-
-	// --- Tier 1: Meta Area (replica read) ---
-	for r := 0; r < l.Cfg.MetaReplicas && partial; r++ {
-		host := l.MetaReplicaHostOf(mn, r)
-		if _, alive := cl.view.nodeOf(host); !alive {
-			continue
-		}
-		slot := l.MetaReplicaSlotFor(host, mn)
-		partial = !sc.readBlock(ctx, cl, host, l.MetaReplicaOff(slot), mem[l.MetaOff():l.MetaOff()+l.MetaSize()])
-	}
+	partial := !readMetaReplica(ctx, cl, sc, mn, 0, mem[l.MetaOff():l.MetaOff()+l.MetaSize()])
 	rep.ReadMeta = ctx.Now() - start
 	cl.trace.Emit(obs.Event{At: ctx.Now(), Kind: "recovery.meta", MN: mn, Dur: rep.ReadMeta})
 	reconcileDeltaRecords(cl, mn, mem)
@@ -190,7 +181,7 @@ func runRecovery(ctx rdma.Ctx, cl *Cluster, mn int) *RecoveryReport {
 			// (and possibly this MN's lost checkpoint), so enumerate
 			// them from j's meta replica and decode them from stripe
 			// survivors.
-			if !readMetaReplicaRecords(ctx, cl, sc, j, recArea) {
+			if !readMetaReplica(ctx, cl, sc, j, l.RecordOff(0)-l.MetaOff(), recArea) {
 				partial = true
 				continue
 			}
@@ -435,25 +426,10 @@ func reconcileDeltaRecords(cl *Cluster, mn int, mem []byte) {
 	}
 }
 
-// freePoolBlockIn finds a free pool block in the recovering node's
-// local memory (avoiding row), or -1.
-func freePoolBlockIn(cl *Cluster, mem []byte, avoid int) int {
-	l := cl.L
-	for b := l.Cfg.StripeRows; b < l.Cfg.BlocksPerMN(); b++ {
-		if b == avoid {
-			continue
-		}
-		off := l.RecordOff(b)
-		if layout.DecodeRecord(mem[off:off+layout.RecordSize]).Role == layout.RoleFree {
-			return b
-		}
-	}
-	return -1
-}
-
-// readMetaReplicaRecords loads MN owner's block records from its first
-// reachable meta replica into recArea; it reports success.
-func readMetaReplicaRecords(ctx rdma.Ctx, cl *Cluster, sc *stripeScratch, owner int, recArea []byte) bool {
+// readMetaReplica reads dst from the first reachable meta replica of
+// MN owner, at offset rel into the replica slot (which mirrors the
+// owner's Meta Area); it reports success.
+func readMetaReplica(ctx rdma.Ctx, cl *Cluster, sc *stripeScratch, owner int, rel uint64, dst []byte) bool {
 	l := cl.L
 	for r := 0; r < l.Cfg.MetaReplicas; r++ {
 		host := l.MetaReplicaHostOf(owner, r)
@@ -461,8 +437,7 @@ func readMetaReplicaRecords(ctx rdma.Ctx, cl *Cluster, sc *stripeScratch, owner 
 			continue
 		}
 		slot := l.MetaReplicaSlotFor(host, owner)
-		base := l.MetaReplicaOff(slot) + (l.RecordOff(0) - l.MetaOff())
-		if sc.readBlock(ctx, cl, host, base, recArea) {
+		if sc.readBlock(ctx, cl, host, l.MetaReplicaOff(slot)+rel, dst) {
 			return true
 		}
 	}

@@ -320,7 +320,6 @@ var methodNames = [...]string{
 	methodSealBlock:    "rpc.seal_block",
 	methodEncodeDelta:  "rpc.encode_delta",
 	methodFreeBits:     "rpc.free_bits",
-	methodQueryOwned:   "rpc.query_owned",
 	methodCkptPrepare:  "rpc.ckpt_prepare",
 	methodCkptSnapshot: "rpc.ckpt_snapshot",
 	methodApplyCkpt:    "rpc.apply_ckpt",
@@ -378,8 +377,6 @@ func (s *Server) handle(method uint8, req []byte) ([]byte, time.Duration) {
 		return s.handleEncodeDelta(method, req)
 	case methodFreeBits:
 		return s.handleFreeBits(req)
-	case methodQueryOwned:
-		return s.handleQueryOwned(req)
 	case methodCkptPrepare:
 		return s.handleCkptPrepare(req)
 	case methodCkptSnapshot:
@@ -658,42 +655,6 @@ func (s *Server) handleFreeBits(req []byte) ([]byte, time.Duration) {
 	}
 	s.mu.Unlock()
 	return []byte{stOK}, 500*time.Nanosecond + time.Duration(units)*10*time.Nanosecond
-}
-
-// handleQueryOwned lists this MN's unfilled DATA blocks, DELTA blocks
-// and COPY blocks owned by a client (CN-crash recovery, §3.4.2).
-func (s *Server) handleQueryOwned(req []byte) ([]byte, time.Duration) {
-	d := dec{b: req}
-	cliID := d.u16()
-	if d.short {
-		return []byte{stBadArg}, 2 * time.Microsecond
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var e enc
-	e.u8(stOK)
-	countAt := len(e.b)
-	e.u32(0)
-	count := 0
-	for b := 0; b < s.cl.L.Cfg.BlocksPerMN(); b++ {
-		rec := s.record(b)
-		if rec.CliID != cliID {
-			continue
-		}
-		include := (rec.Role == layout.RoleData && rec.IndexVersion == 0) ||
-			rec.Role == layout.RoleDelta || rec.Role == layout.RoleCopy
-		if !include {
-			continue
-		}
-		e.u32(uint32(b))
-		e.u8(uint8(rec.Role))
-		e.u32(rec.StripeID)
-		e.u8(rec.XORID)
-		e.u8(rec.SizeClass)
-		count++
-	}
-	binary.LittleEndian.PutUint32(e.b[countAt:], uint32(count))
-	return e.b, 2 * time.Microsecond
 }
 
 // handleCkptPrepare is phase one of a checkpoint round: the Index

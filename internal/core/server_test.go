@@ -108,7 +108,6 @@ func TestHandlerShortRequests(t *testing.T) {
 		{methodEncodeDelta, full(func(e *enc) { e.u32(0); e.u8(0) })},
 		{methodDropDelta, full(func(e *enc) { e.u32(0); e.u8(0) })},
 		{methodFreeBits, freeBitsPayload([]int{0, 0, 2}, []int{1, 4})},
-		{methodQueryOwned, full(func(e *enc) { e.u16(1) })},
 		{methodCkptPrepare, full(func(e *enc) { e.u64(1) })},
 		{methodCkptSnapshot, full(func(e *enc) { e.u64(1) })},
 		{methodApplyCkpt, full(func(e *enc) { e.u8(1); e.u64(1); e.u32(64) })},
@@ -190,39 +189,6 @@ func TestHandlerCkptPrepareMonotonic(t *testing.T) {
 	tc.rpc(t, 1, methodCkptPrepare, e2.b)
 	if got := srv.indexVersion(); got != 11 {
 		t.Fatalf("IV regressed to %d after stale prepare", got)
-	}
-}
-
-func TestHandlerQueryOwnedFiltersByClient(t *testing.T) {
-	tc := newTestCluster(t, nil)
-	tc.runClients(t, 30*time.Second, func(c *Client) {
-		for i := 0; i < 30; i++ {
-			if err := c.Insert(key(i), val(i, 0)); err != nil {
-				t.Errorf("insert: %v", err)
-				return
-			}
-		}
-	})
-	// The writer above was client id 1; an unknown id owns nothing.
-	for mn := 0; mn < tc.cl.Cfg.Layout.NumMNs; mn++ {
-		var e enc
-		e.u16(0xBEEF)
-		resp := tc.rpc(t, mn, methodQueryOwned, e.b)
-		d := dec{b: resp[1:]}
-		if n := d.u32(); n != 0 {
-			t.Fatalf("mn %d: unknown client owns %d blocks", mn, n)
-		}
-	}
-	total := 0
-	for mn := 0; mn < tc.cl.Cfg.Layout.NumMNs; mn++ {
-		var e enc
-		e.u16(1)
-		resp := tc.rpc(t, mn, methodQueryOwned, e.b)
-		d := dec{b: resp[1:]}
-		total += int(d.u32())
-	}
-	if total == 0 {
-		t.Fatal("writer owns no unfilled blocks")
 	}
 }
 

@@ -29,9 +29,6 @@ const (
 	// u32 block, u16 n, n × u32 unit (a pair's offset in the block, in
 	// 64-byte units).
 	methodFreeBits
-	// methodQueryOwned lists the unfilled blocks owned by a client,
-	// for CN-crash recovery (§3.4.2).
-	methodQueryOwned
 	// methodCkptPrepare advances the Index Version (phase one of a
 	// checkpoint round; see docs on Server.handleCkptPrepare).
 	methodCkptPrepare
