@@ -109,6 +109,7 @@ var (
 	ErrNotFound         = core.ErrNotFound
 	ErrNoSpace          = core.ErrNoSpace
 	ErrRetriesExhausted = core.ErrRetriesExhausted
+	ErrTooLarge         = core.ErrTooLarge
 )
 
 // Fault-tolerance mode names accepted in Config.FTMode.

@@ -374,7 +374,6 @@ func printMNStats(c ftmode.Client, mn int) {
 	if st.CkptRawBytes > 0 {
 		ckpt.Add("ratio", float64(st.CkptBytes)/float64(st.CkptRawBytes))
 	}
-	ckpt.Add("dirtySegs", float64(st.CkptDirtySegs))
 	ckpt.Add("segsShipped", float64(st.CkptSegsShipped))
 	ckpt.Add("shipFailures", float64(st.CkptShipFailures))
 	ckpt.Add("cpuMs", float64(st.CkptCPUNs)/1e6)

@@ -177,7 +177,6 @@ func serverGauges(st core.ServerStats) map[string]float64 {
 		"ckpt_bytes_total":            float64(st.CkptBytes),
 		"ckpt_applies_total":          float64(st.CkptApplies),
 		"ckpt_ship_failures_total":    float64(st.CkptShipFailures),
-		"ckpt_dirty_segments":         float64(st.CkptDirtySegs),
 		"ckpt_segments_shipped_total": float64(st.CkptSegsShipped),
 		"ckpt_raw_bytes_total":        float64(st.CkptRawBytes),
 		"ckpt_cpu_seconds_total":      float64(st.CkptCPUNs) / 1e9,

@@ -2,16 +2,16 @@ package core
 
 // Segment-parallel differential checkpointing (Figure 3, DESIGN.md §8).
 //
-// The index is split into fixed-size segments (layout.CkptSegments).
-// The fabric's write observer marks a per-segment dirty bitmap as
-// foreground WRITE/CAS verbs land in the index area, so a checkpoint
-// round snapshots, XORs, compresses and ships only the segments that
-// changed since the last round. The send loop compresses the segments
+// The index is split into fixed-size segments (layout.CkptSegments),
+// the frame's compression unit. Every round snapshots, XORs,
+// compresses and ships every segment: the hash spreads a round's
+// writes over all of them, so a per-segment dirty set would skip
+// almost none (DESIGN.md §8). The send loop compresses the segments
 // itself, on the checkpoint-send core, and then ships the frame to
-// each checkpoint host in turn. The wire format is a framed
-// list of per-segment records; the hosted copy's version word moves
-// only after every record of a round has been applied, so torn rounds
-// remain detectable exactly as with the old full-image pipeline.
+// each checkpoint host in turn. The wire format is a framed list of
+// per-segment records; the hosted copy's version word moves only after
+// every record of a round has been applied, so torn rounds remain
+// detectable exactly as with a single full-image payload.
 
 import (
 	"crypto/subtle"
@@ -47,15 +47,6 @@ var (
 	ckptCRC = crc32.MakeTable(crc32.Castagnoli)
 )
 
-// ckptSegJob describes one segment of a round: raw segments carry the
-// snapshot itself (needed whenever a host's reference copy cannot be
-// trusted — fresh replacement node, missed frame, CkptRaw ablation),
-// others carry the XOR delta against the previously shipped snapshot.
-type ckptSegJob struct {
-	seg int
-	raw bool
-}
-
 // ckptRec is the in-memory form of one frame record plus its payload
 // slice (pointing into the framer's persistent buffers).
 type ckptRec struct {
@@ -90,9 +81,14 @@ type ckptFramer struct {
 
 	round uint64
 	seq   uint64
-	jobs  []ckptSegJob // this round's segments, strictly ascending
-	recs  []ckptRec    // recs[i] belongs to jobs[i]
-	hdr   []byte       // header + record block scratch
+	// overwrite: this round's records carry the segments themselves,
+	// not XOR deltas against the previously shipped snapshot, because a
+	// host's reference copy cannot be trusted (fresh replacement node,
+	// missed frame, recovered owner) or the CkptRaw ablation is on.
+	overwrite bool
+	segs      []int     // this round's segments, strictly ascending: all of them unless a test narrows it
+	recs      []ckptRec // recs[i] belongs to segs[i]
+	hdr       []byte    // header + record block scratch
 }
 
 func newCkptFramer(l *layout.Layout, rates CPURates, raw bool) *ckptFramer {
@@ -100,10 +96,11 @@ func newCkptFramer(l *layout.Layout, rates CPURates, raw bool) *ckptFramer {
 	f := &ckptFramer{l: l, rates: rates, raw: raw,
 		snap: make([][]byte, n), last: make([][]byte, n),
 		delta: make([][]byte, n), comp: make([][]byte, n),
-		jobs: make([]ckptSegJob, 0, n), recs: make([]ckptRec, n),
+		segs: make([]int, n), recs: make([]ckptRec, n),
 		hdr: make([]byte, layout.CkptFrameHeaderSize+n*layout.CkptFrameRecordSize),
 	}
 	for i := 0; i < n; i++ {
+		f.segs[i] = i
 		ln := int(l.CkptSegLen(i))
 		f.snap[i] = make([]byte, ln)
 		f.last[i] = make([]byte, ln)
@@ -113,37 +110,35 @@ func newCkptFramer(l *layout.Layout, rates CPURates, raw bool) *ckptFramer {
 	return f
 }
 
-// snapshot copies every segment of the round (f.jobs) out of the live
+// snapshot copies every segment of the round (f.segs) out of the live
 // index. The caller holds memMu; this is a pure memcpy whose CPU cost
 // (the returned byte count at the Memcpy rate) is charged afterwards.
 func (f *ckptFramer) snapshot(mem []byte) int {
 	total := 0
-	for _, j := range f.jobs {
-		off := f.l.CkptSegOff(j.seg)
-		total += copy(f.snap[j.seg], mem[off:])
+	for _, seg := range f.segs {
+		total += copy(f.snap[seg], mem[f.l.CkptSegOff(seg):])
 	}
 	return total
 }
 
-// processSeg turns jobs[i]'s snapshot into its frame record: XOR with
+// processSeg turns segs[i]'s snapshot into its frame record: XOR with
 // the reference and compress (differential), compress alone (raw
 // resync), or neither (CkptRaw). The shipped snapshot then becomes the
 // new reference by swapping the per-segment slices — no extra copy,
 // and the payload keeps pointing at the same backing array. Returns
 // the simulated CPU cost.
 func (f *ckptFramer) processSeg(i int) time.Duration {
-	job := f.jobs[i]
-	seg := job.seg
+	seg := f.segs[i]
 	ln := len(f.snap[seg])
 	rec := &f.recs[i]
 	rec.seg, rec.rawLen = seg, ln
 	var cost time.Duration
 	switch {
-	case job.raw && f.raw:
+	case f.overwrite && f.raw:
 		rec.flags = ckptRecRaw | ckptRecUncompressed
 		rec.payload = f.snap[seg]
 		rec.compLen = ln
-	case job.raw:
+	case f.overwrite:
 		f.comp[seg] = lz4.Compress(f.comp[seg][:0], f.snap[seg])
 		rec.flags = ckptRecRaw
 		rec.payload = f.comp[seg]
@@ -164,7 +159,7 @@ func (f *ckptFramer) processSeg(i int) time.Duration {
 // finishRound assembles the header + record block and returns the
 // total frame length. Must run after every processSeg of the round.
 func (f *ckptFramer) finishRound() int {
-	n := len(f.jobs)
+	n := len(f.segs)
 	hdrLen := layout.CkptFrameHeaderSize + n*layout.CkptFrameRecordSize
 	total := hdrLen
 	for i := 0; i < n; i++ {
@@ -195,7 +190,7 @@ func (f *ckptFramer) finishRound() int {
 // regions returns the frame as scatter/gather pieces at their relative
 // staging offsets, reusing out's backing array.
 func (f *ckptFramer) regions(out []ckptRegion) []ckptRegion {
-	n := len(f.jobs)
+	n := len(f.segs)
 	hdrLen := layout.CkptFrameHeaderSize + n*layout.CkptFrameRecordSize
 	out = append(out[:0], ckptRegion{0, f.hdr[:hdrLen]})
 	pos := uint64(hdrLen)
@@ -209,7 +204,7 @@ func (f *ckptFramer) regions(out []ckptRegion) []ckptRegion {
 // payloadBytes sums the round's shipped (compressed) and represented
 // (raw) bytes — the compressed/raw ratio the stats surfaces expose.
 func (f *ckptFramer) payloadBytes() (comp, raw int) {
-	for i := range f.jobs {
+	for i := range f.segs {
 		comp += f.recs[i].compLen
 		raw += f.recs[i].rawLen
 	}
@@ -221,7 +216,7 @@ func (f *ckptFramer) payloadBytes() (comp, raw int) {
 // the zero-allocation benchmark use this; the real path ships the
 // regions directly).
 func (f *ckptFramer) writeTo(dst []byte) int {
-	n := len(f.jobs)
+	n := len(f.segs)
 	hdrLen := layout.CkptFrameHeaderSize + n*layout.CkptFrameRecordSize
 	pos := copy(dst, f.hdr[:hdrLen])
 	for i := 0; i < n; i++ {
@@ -345,77 +340,6 @@ func (a *ckptApplier) apply(hosted, frame []byte, round, lastSeq uint64) (uint64
 	return seq, st, nil
 }
 
-// --- dirty bitmap ---
-
-// observeIndexWrite is the fabric write observer: it marks the dirty
-// bit of every segment a remote mutation of [off, off+n) touches. It
-// runs on fabric executor goroutines (tcpnet) or inline in the engine
-// (simnet), so it must stay cheap and lock-free.
-func (s *Server) observeIndexWrite(off, n uint64) {
-	ib := s.cl.L.Cfg.IndexBytes
-	if off >= ib || n == 0 {
-		return
-	}
-	end := off + n
-	if end > ib {
-		end = ib
-	}
-	lo := s.cl.L.CkptSegOfOff(off)
-	hi := s.cl.L.CkptSegOfOff(end - 1)
-	for seg := lo; seg <= hi; seg++ {
-		w := &s.ckptDirty[seg>>6]
-		bit := uint64(1) << (seg & 63)
-		// Go 1.22's atomic.Uint64 has no Or; CAS-loop the bit in.
-		for {
-			old := w.Load()
-			if old&bit != 0 || w.CompareAndSwap(old, old|bit) {
-				break
-			}
-		}
-	}
-	// Sampled checkpoint-observer mark: a zero-width span noting that
-	// a foreground index write dirtied segments. One atomic add when
-	// unsampled; never allocates (static strings, pooled slots).
-	if t := s.cl.tracer; t != nil && t.Sampled() {
-		now := t.WallNow()
-		t.Record(obs.Span{Kind: obs.SpanMark, Node: int32(s.node),
-			Name: "ckpt.mark", Detail: "index write dirtied segment",
-			Start: time.Duration(now), End: time.Duration(now),
-			WallStart: now, WallEnd: now})
-	}
-}
-
-func ckptSetAll(words []uint64, segs int) {
-	for w := range words {
-		words[w] = ^uint64(0)
-	}
-	if tail := segs & 63; tail != 0 {
-		words[len(words)-1] = (uint64(1) << tail) - 1
-	}
-}
-
-func ckptOrInto(dst, src []uint64) {
-	for w := range dst {
-		dst[w] |= src[w]
-	}
-}
-
-func ckptAndNotInto(dst, src []uint64) {
-	for w := range dst {
-		dst[w] &^= src[w]
-	}
-}
-
-func ckptPopCount(words []uint64) int {
-	n := 0
-	for _, w := range words {
-		for ; w != 0; w &= w - 1 {
-			n++
-		}
-	}
-	return n
-}
-
 // --- shipping ---
 
 // shipFrame ships a finished frame to one host — scatter/gather chunked
@@ -466,36 +390,25 @@ func writeChunkedTo(ctx rdma.Ctx, node rdma.NodeID, off uint64, data []byte, chu
 
 // ckptSendLoop is the checkpoint-send core: it runs the differential
 // checkpointing pipeline of Figure 3 (snapshot → XOR with last →
-// LZ4-compress → chunked RDMA_WRITE to the hosts → notify), restricted
-// to the segments that are dirty or owed to a host as a raw resync.
+// LZ4-compress → chunked RDMA_WRITE to the hosts → notify) over every
+// segment of the index, every round.
 func (s *Server) ckptSendLoop(ctx rdma.Ctx) {
 	l := s.cl.L
 	segs := l.CkptSegCount()
 	fr := s.ckptFr
 	nHosts := l.Cfg.CkptHosts
-	words := len(s.ckptDirty)
-	// rawPend[h] tracks segments whose next ship to host h must be an
-	// overwrite record: the host's reference copy cannot be trusted
-	// for them (missed frame, replacement node, or recovered owner).
-	rawPend := make([][]uint64, nHosts)
+	// owesRaw[h]: the next frame host h applies must be all-raw, since
+	// its copy cannot be trusted as the base of an XOR delta (missed
+	// frame, replacement node, or recovered owner). A recovered
+	// server's reference snapshot starts zeroed while the hosts still
+	// hold the pre-crash copy, so its first round overwrites.
+	owesRaw := make([]bool, nHosts)
 	hostNode := make([]rdma.NodeID, nHosts)
 	for h := 0; h < nHosts; h++ {
-		rawPend[h] = make([]uint64, words)
+		owesRaw[h] = s.ckptResync
 		hostNode[h], _ = s.cl.view.nodeOf(l.CkptHostOf(s.mn, h))
-		if s.ckptResync {
-			// A recovered server's reference snapshot starts zeroed
-			// while the hosts still hold the pre-crash copy: XOR deltas
-			// would corrupt it, so the first round overwrites.
-			ckptSetAll(rawPend[h], segs)
-		}
 	}
-	dirtyW := make([]uint64, words)
-	shipMask := make([]uint64, words)
 	regions := make([]ckptRegion, 0, segs+1)
-	// With one segment, an untracked fabric, or the raw ablation there
-	// is no dirty information to exploit: every round ships the whole
-	// index, byte-for-byte reproducing the full-image pipeline.
-	allSegs := segs == 1 || !s.ckptTracked || s.cl.Cfg.CkptRaw
 	var req [13]byte
 	var seq uint64
 	for !s.isStopped() {
@@ -508,45 +421,15 @@ func (s *Server) ckptSendLoop(ctx rdma.Ctx) {
 			continue
 		}
 		// A host re-served on a new physical node starts from a zeroed
-		// copy: everything we ship it must overwrite until it catches
-		// up.
+		// copy. The frame is shared by every host, so it is all-raw
+		// while any host is owed one.
+		fr.overwrite = s.cl.Cfg.CkptRaw
 		for h := 0; h < nHosts; h++ {
 			if node, alive := s.cl.view.nodeOf(l.CkptHostOf(s.mn, h)); alive && node != hostNode[h] {
 				hostNode[h] = node
-				ckptSetAll(rawPend[h], segs)
+				owesRaw[h] = true
 			}
-		}
-		// Drain the dirty bitmap and fold in per-host resync debt.
-		for w := 0; w < words; w++ {
-			dirtyW[w] = s.ckptDirty[w].Swap(0)
-		}
-		if allSegs {
-			ckptSetAll(dirtyW, segs)
-		}
-		dirtyCount := ckptPopCount(dirtyW)
-		for w := 0; w < words; w++ {
-			m := dirtyW[w]
-			for h := 0; h < nHosts; h++ {
-				m |= rawPend[h][w]
-			}
-			shipMask[w] = m
-		}
-		fr.jobs = fr.jobs[:0]
-		for seg := 0; seg < segs; seg++ {
-			if shipMask[seg>>6]&(uint64(1)<<(seg&63)) == 0 {
-				continue
-			}
-			raw := s.cl.Cfg.CkptRaw
-			for h := 0; h < nHosts && !raw; h++ {
-				raw = rawPend[h][seg>>6]&(uint64(1)<<(seg&63)) != 0
-			}
-			fr.jobs = append(fr.jobs, ckptSegJob{seg: seg, raw: raw})
-		}
-		if len(fr.jobs) == 0 {
-			// Clean round: the hosted copies already match; skipping
-			// leaves their version word at the last shipped round,
-			// which recovery accepts as the latest consistent state.
-			continue
+			fr.overwrite = fr.overwrite || owesRaw[h]
 		}
 		seq++
 		fr.round, fr.seq = round, seq
@@ -561,7 +444,7 @@ func (s *Server) ckptSendLoop(ctx rdma.Ctx) {
 		cpuNs := uint64(snapCost)
 
 		// ② XOR + compress each segment on this core.
-		for i := range fr.jobs {
+		for i := range fr.segs {
 			if cost := fr.processSeg(i); cost > 0 {
 				ctx.UseCPU(rdma.CoreCkptSend, cost)
 				cpuNs += uint64(cost)
@@ -575,8 +458,7 @@ func (s *Server) ckptSendLoop(ctx rdma.Ctx) {
 		s.st.CkptRounds++
 		s.st.CkptBytes += uint64(compBytes)
 		s.st.CkptRawBytes += uint64(rawBytes)
-		s.st.CkptDirtySegs = uint64(dirtyCount)
-		s.st.CkptSegsShipped += uint64(len(fr.jobs))
+		s.st.CkptSegsShipped += uint64(segs)
 		s.st.CkptCPUNs += cpuNs
 		s.mu.Unlock()
 
@@ -589,22 +471,16 @@ func (s *Server) ckptSendLoop(ctx rdma.Ctx) {
 		// exactly this frame; a lastApplied mismatch means an earlier
 		// frame was torn or lost after a successful notify (e.g.
 		// overwritten in staging before the recv core got to it),
-		// leaving the copy arbitrarily stale. Both self-heal via
-		// overwrite records; the version word on a stale copy stays at
-		// its last consistent round throughout, so recovery is safe at
+		// leaving the copy arbitrarily stale. Both self-heal through an
+		// all-raw frame; the version word on a stale copy stays at its
+		// last consistent round throughout, so recovery is safe at
 		// every point in between.
 		fails := uint64(0)
 		for h := 0; h < nHosts; h++ {
 			ok, lastApplied := s.shipFrame(ctx, l.CkptHostOf(s.mn, h), round, frameLen, regions, req[:])
-			switch {
-			case !ok:
+			owesRaw[h] = !ok || lastApplied != seq-1
+			if owesRaw[h] {
 				fails++
-				ckptOrInto(rawPend[h], shipMask)
-			case lastApplied != seq-1:
-				fails++
-				ckptSetAll(rawPend[h], segs)
-			default:
-				ckptAndNotInto(rawPend[h], shipMask)
 			}
 		}
 		if fails > 0 {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -23,9 +24,9 @@ import (
 // scripted is a long-lived client the test goroutine drives one step at
 // a time through the engine: do hands it a function and runs virtual
 // time until the function has returned. Unlike a directCtx client its
-// verbs cross the simulated fabric, so the checkpoint's write observer
-// sees its commits and it can live through a fail-stop and a recovery;
-// it keeps its cache and its open block from step to step.
+// verbs cross the simulated fabric, so it can live through a fail-stop
+// and a recovery; it keeps its cache and its open block from step to
+// step.
 type scripted struct {
 	tc   *testCluster
 	c    *Client
@@ -196,19 +197,20 @@ func (tc *testCluster) untilRound(t *testing.T, r uint64) {
 	tc.run(3 * time.Millisecond)
 }
 
-// dropPrepares makes MN mn swallow the first n prepare RPCs of round r:
-// the handler is not run and the master gets no acknowledgement, which
-// is all a frame lost on the way amounts to.
-func (tc *testCluster) dropPrepares(mn int, r uint64, n int) (dropped *int) {
+// dropRound makes MN mn swallow the first n checkpoint prepare or
+// snapshot RPCs (method) of round r: the handler is not run and the
+// master gets no acknowledgement, which is all a frame lost on the way
+// amounts to.
+func (tc *testCluster) dropRound(mn int, method uint8, r uint64, n int) (dropped *int) {
 	node, _ := tc.cl.view.nodeOf(mn)
 	handle := tc.pl.Handler(node)
 	dropped = new(int)
-	tc.pl.SetHandler(node, func(method uint8, req []byte) ([]byte, time.Duration) {
-		if method == methodCkptPrepare && *dropped < n && binary.LittleEndian.Uint64(req) == r {
+	tc.pl.SetHandler(node, func(m uint8, req []byte) ([]byte, time.Duration) {
+		if m == method && *dropped < n && binary.LittleEndian.Uint64(req) == r {
 			*dropped++
 			return nil, 0
 		}
-		return handle(method, req)
+		return handle(m, req)
 	})
 	return dropped
 }
@@ -250,7 +252,7 @@ func TestLostPrepareNeverHidesACommit(t *testing.T) {
 			tc.untilRound(t, m.Round()+1) // a round every MN prepared covers the load
 
 			r := m.Round() + 1
-			dropped := tc.dropPrepares(other, r, sc.drops)
+			dropped := tc.dropRound(other, methodCkptPrepare, r, sc.drops)
 			put(1, ids[0], 1) // home's index is dirty, so its snapshot of round r would ship
 			w.seal(t)
 			tc.untilRound(t, r)
@@ -295,9 +297,9 @@ func TestLostPrepareNeverHidesACommit(t *testing.T) {
 }
 
 // TestReplacementSealsAtGroupIndexVersion pins where a replacement's
-// Index Version starts. MN `lagging`'s index stays clean for three
-// rounds, so its hosted checkpoint copy stays three versions behind the
-// group. It fails and is replaced; a replacement that resumed at its own
+// Index Version starts. MN `lagging` misses the snapshot of three
+// rounds while their prepares land, so its hosted checkpoint copy stays
+// three versions behind the group. It fails and is replaced; a replacement that resumed at its own
 // checkpoint's version + 1 would stamp the next block it seals with a
 // version `home`'s checkpoint has long passed, and `home`'s recovery
 // would skip the block — and lose the commit in it that landed after
@@ -327,7 +329,8 @@ func TestReplacementSealsAtGroupIndexVersion(t *testing.T) {
 	w.seal(t)
 	tc.untilRound(t, m.Round()+1)
 	lagVer := tc.hostedCkptVersion(lagging)
-	for gen := 1; gen <= 3; gen++ { // rounds in which only home's index moves
+	for gen := 1; gen <= 3; gen++ {
+		tc.dropRound(lagging, methodCkptSnapshot, m.Round()+1, 1)
 		put(1, ids[0], gen)
 		w.seal(t)
 		tc.untilRound(t, m.Round()+1)
@@ -440,14 +443,18 @@ func (s *coverScript) snapshot(r uint64, mn int) {
 	s.tc.rpc(s.t, mn, methodCkptSnapshot, e.b)
 }
 
-// round runs a whole round, the barrier honoured, and lets it ship.
-func (s *coverScript) round(r uint64) {
+// round runs a whole round, the barrier honoured, and lets it ship. An
+// MN in lost misses the round's snapshot RPC, so its hosted copy keeps
+// the version it had.
+func (s *coverScript) round(r uint64, lost ...int) {
 	s.t.Helper()
 	for mn := range s.version {
 		s.prepare(r, mn)
 	}
 	for mn := range s.version {
-		s.snapshot(r, mn)
+		if !slices.Contains(lost, mn) {
+			s.snapshot(r, mn)
+		}
 	}
 	s.tc.run(3 * time.Millisecond)
 }
@@ -550,10 +557,11 @@ func TestTier2ScansOnlyUncoveredBlocks(t *testing.T) {
 		}
 	})
 
-	t.Run("clean rounds", func(t *testing.T) {
-		// Rounds in which the victim's index did not move ship nothing, so
-		// its hosted copy keeps version 1 while the group seals with 3 and
-		// 4: all of that is above the checkpoint, whatever it holds.
+	t.Run("missed snapshots", func(t *testing.T) {
+		// The victim misses the snapshot of rounds 2 and 3 while every
+		// prepare lands, so its hosted copy keeps version 1 while the
+		// group seals with 3 and 4: all of that is above the checkpoint,
+		// whatever it holds.
 		s := newCoverScript(t, 3)
 		k := keysHomedOn(s.tc, coverVictim, 4, true)
 		elsewhere := keysHomedOn(s.tc, coverVictim, 2, false)
@@ -562,12 +570,12 @@ func TestTier2ScansOnlyUncoveredBlocks(t *testing.T) {
 		s.round(1)
 		s.put(1, 3, elsewhere[0])
 		s.seal(1)
-		s.round(2)
+		s.round(2, coverVictim)
 		s.put(1, coverVictim, elsewhere[1])
 		s.seal(1)
-		s.round(3)
+		s.round(3, coverVictim)
 		if got := s.tc.hostedCkptVersion(coverVictim); got != 1 {
-			t.Fatalf("victim's hosted checkpoint at version %d after two clean rounds, want 1", got)
+			t.Fatalf("victim's hosted checkpoint at version %d after two missed snapshots, want 1", got)
 		}
 		s.put(0, 0, k[0])
 		s.put(0, 0, k[1])

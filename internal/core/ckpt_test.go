@@ -2,8 +2,8 @@ package core
 
 // Tests for the segment-parallel differential checkpoint pipeline
 // (ckpt.go): framer/applier unit tests against the frame format,
-// dirty-bitmap tracking under concurrent writers, torn-round
-// detection, and the steady-state zero-allocation guarantee.
+// convergence under concurrent writers, resync after a missed frame,
+// torn-round detection, and the steady-state zero-allocation guarantee.
 
 import (
 	"bytes"
@@ -12,7 +12,6 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -34,14 +33,15 @@ func ckptTestLayout(t testing.TB, segs int) *layout.Layout {
 	return l
 }
 
-// ckptBuildFrame drives one framer round over jobs (strictly ascending
-// segments) and returns the serialised frame, exactly as the
-// scatter/gather ship would land it in a staging area.
-func ckptBuildFrame(fr *ckptFramer, mem []byte, round, seq uint64, jobs []ckptSegJob) []byte {
-	fr.jobs = append(fr.jobs[:0], jobs...)
-	fr.round, fr.seq = round, seq
+// ckptBuildFrame drives one framer round over segs (strictly
+// ascending), overwriting or differential, and returns the serialised
+// frame, exactly as the scatter/gather ship would land it in a staging
+// area.
+func ckptBuildFrame(fr *ckptFramer, mem []byte, round, seq uint64, overwrite bool, segs ...int) []byte {
+	fr.segs = append(fr.segs[:0], segs...)
+	fr.round, fr.seq, fr.overwrite = round, seq, overwrite
 	fr.snapshot(mem)
-	for i := range fr.jobs {
+	for i := range fr.segs {
 		fr.processSeg(i)
 	}
 	n := fr.finishRound()
@@ -69,7 +69,7 @@ func TestCkptFramerFullImageEquivalence(t *testing.T) {
 		for k := 0; k < 300; k++ {
 			mem[rng.Intn(ib)] = byte(rng.Int())
 		}
-		frame := ckptBuildFrame(fr, mem, round, round, []ckptSegJob{{seg: 0}})
+		frame := ckptBuildFrame(fr, mem, round, round, false, 0)
 		copy(delta, mem)
 		erasure.XorInto(delta, last)
 		want := lz4.Compress(nil, delta)
@@ -97,18 +97,18 @@ func TestCkptApplierRoundTrip(t *testing.T) {
 	var lastSeq uint64
 	for round := uint64(1); round <= 10; round++ {
 		dirty := map[int]bool{int(round) % segs: true, int(3*round+1) % segs: true}
-		var jobs []ckptSegJob
+		var shipped []int
 		for seg := range dirty {
-			jobs = append(jobs, ckptSegJob{seg: seg})
+			shipped = append(shipped, seg)
 		}
-		sort.Slice(jobs, func(i, j int) bool { return jobs[i].seg < jobs[j].seg })
-		for _, j := range jobs {
-			off := int(l.CkptSegOff(j.seg))
+		sort.Ints(shipped)
+		for _, seg := range shipped {
+			off := int(l.CkptSegOff(seg))
 			for k := 0; k < 50; k++ {
-				mem[off+rng.Intn(int(l.CkptSegLen(j.seg)))] = byte(rng.Int())
+				mem[off+rng.Intn(int(l.CkptSegLen(seg)))] = byte(rng.Int())
 			}
 		}
-		frame := ckptBuildFrame(fr, mem, round, round, jobs)
+		frame := ckptBuildFrame(fr, mem, round, round, false, shipped...)
 		seq, st, err := ap.apply(hosted, frame, round, lastSeq)
 		if err != nil {
 			t.Fatalf("round %d: apply: %v", round, err)
@@ -136,15 +136,15 @@ func TestCkptApplierRejectsTornFrames(t *testing.T) {
 	ib := int(l.Cfg.IndexBytes)
 	mem := make([]byte, ib)
 	rng := rand.New(rand.NewSource(11))
-	jobs := []ckptSegJob{{seg: 1}, {seg: 3}, {seg: 4}}
-	for _, j := range jobs {
-		off := int(l.CkptSegOff(j.seg))
+	shipped := []int{1, 3, 4}
+	for _, seg := range shipped {
+		off := int(l.CkptSegOff(seg))
 		for k := 0; k < 80; k++ {
-			mem[off+rng.Intn(int(l.CkptSegLen(j.seg)))] = byte(rng.Int())
+			mem[off+rng.Intn(int(l.CkptSegLen(seg)))] = byte(rng.Int())
 		}
 	}
 	const round, seq = 7, 3
-	frame := ckptBuildFrame(fr, mem, round, seq, jobs)
+	frame := ckptBuildFrame(fr, mem, round, seq, false, shipped...)
 
 	// tryApply runs one apply against a fresh zeroed hosted copy (which
 	// matches the framer's zero reference) and reports whether the copy
@@ -208,8 +208,7 @@ func TestCkptApplierRejectsTornFrames(t *testing.T) {
 	// All-raw frames overwrite, so they are accepted at any sequence:
 	// that is how a host with an arbitrarily stale copy resyncs.
 	frRaw := newCkptFramer(l, testConfig().Rates, false)
-	rawFrame := ckptBuildFrame(frRaw, mem, round, 99,
-		[]ckptSegJob{{seg: 1, raw: true}, {seg: 4, raw: true}})
+	rawFrame := ckptBuildFrame(frRaw, mem, round, 99, true, 1, 4)
 	hosted := make([]byte, ib)
 	seqGot, _, err := newCkptApplier(l).apply(hosted, rawFrame, round, 0)
 	if err != nil || seqGot != 99 {
@@ -225,7 +224,7 @@ func TestCkptApplierRejectsTornFrames(t *testing.T) {
 
 	// The CkptRaw ablation ships uncompressed raw payloads; same result.
 	frAbl := newCkptFramer(l, testConfig().Rates, true)
-	ablFrame := ckptBuildFrame(frAbl, mem, round, 5, []ckptSegJob{{seg: 3, raw: true}})
+	ablFrame := ckptBuildFrame(frAbl, mem, round, 5, true, 3)
 	hosted2 := make([]byte, ib)
 	if _, _, err := newCkptApplier(l).apply(hosted2, ablFrame, round, 0); err != nil {
 		t.Fatalf("uncompressed raw frame rejected: %v", err)
@@ -236,68 +235,11 @@ func TestCkptApplierRejectsTornFrames(t *testing.T) {
 	}
 }
 
-// TestCkptObserveIndexWrite checks the fabric write observer marks
-// exactly the segments a mutation touches, including spans, clamping
-// at the index end, and writes outside the index area — and that
-// concurrent marking from many goroutines (as tcpnet's executors do)
-// loses no bits.
-func TestCkptObserveIndexWrite(t *testing.T) {
-	l := ckptTestLayout(t, 16)
-	segs := l.CkptSegCount()
-	s := &Server{cl: &Cluster{L: l}}
-	s.ckptDirty = make([]atomic.Uint64, (segs+63)/64)
-	drain := func() []uint64 {
-		out := make([]uint64, len(s.ckptDirty))
-		for w := range s.ckptDirty {
-			out[w] = s.ckptDirty[w].Swap(0)
-		}
-		return out
-	}
-	segSize := l.CkptSegSize()
-
-	s.observeIndexWrite(0, 8)
-	s.observeIndexWrite(segSize-4, 8) // spans segments 0 and 1
-	s.observeIndexWrite(l.Cfg.IndexBytes-1, 100)
-	s.observeIndexWrite(l.Cfg.IndexBytes, 8) // version word: outside the image
-	s.observeIndexWrite(l.Cfg.IndexBytes+100, 8)
-	s.observeIndexWrite(3*segSize, 0) // empty write
-	got := drain()
-	want := make([]uint64, len(got))
-	for _, seg := range []int{0, 1, segs - 1} {
-		want[seg>>6] |= uint64(1) << (seg & 63)
-	}
-	if got[0] != want[0] {
-		t.Fatalf("dirty bitmap = %b, want %b", got[0], want[0])
-	}
-
-	// Concurrent writers over every segment: the CAS loop must not drop
-	// marks (run under -race this also proves the observer is safe on
-	// fabric executor goroutines).
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		g := g
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for seg := g; seg < segs; seg += 8 {
-				for k := 0; k < 100; k++ {
-					s.observeIndexWrite(l.CkptSegOff(seg), 1)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if n := ckptPopCount(drain()); n != segs {
-		t.Fatalf("concurrent marking left %d/%d segments dirty", n, segs)
-	}
-}
-
-// TestCkptSegmentedConvergence runs the full segmented pipeline with
-// the compression pool's workers on the simulated fabric under
-// concurrent writers and checks every hosted copy converges to its
-// owner's quiesced index — and that once writes narrow to one hot key,
-// rounds ship only a few segments instead of the whole index. The
-// hosts=2 run ships every frame to two hosts in turn.
+// TestCkptSegmentedConvergence runs the full segmented pipeline on the
+// simulated fabric under concurrent writers and checks every hosted
+// copy converges to its owner's quiesced index, and that every round
+// ships every segment. The hosts=2 run ships every frame to two hosts
+// in turn.
 func TestCkptSegmentedConvergence(t *testing.T) {
 	for _, hosts := range []int{1, 2} {
 		t.Run(fmt.Sprintf("hosts=%d", hosts), func(t *testing.T) {
@@ -337,79 +279,134 @@ func testCkptSegmentedConvergence(t *testing.T, hosts int) {
 	tc.runClients(t, 60*time.Second, fns...)
 	tc.run(3 * tc.cl.Cfg.CkptInterval)
 
-	checkConverged := func() {
-		t.Helper()
-		for mn := 0; mn < l.Cfg.NumMNs; mn++ {
-			node, _ := tc.cl.view.nodeOf(mn)
-			own := tc.pl.DirectMemory(node)
-			for h := 0; h < l.Cfg.CkptHosts; h++ {
-				host := l.CkptHostOf(mn, h)
-				hnode, _ := tc.cl.view.nodeOf(host)
-				hmem := tc.pl.DirectMemory(hnode)
-				slot := l.CkptSlotFor(host, mn)
-				hosted := hmem[l.CkptCopyOff(slot) : l.CkptCopyOff(slot)+l.Cfg.IndexBytes]
-				if !bytes.Equal(hosted, own[:l.Cfg.IndexBytes]) {
-					t.Fatalf("mn %d host %d: hosted copy does not match quiesced index", mn, host)
-				}
-				if binary.LittleEndian.Uint64(hmem[l.CkptVersionOff(slot):]) == 0 {
-					t.Fatalf("mn %d host %d: hosted version never advanced", mn, host)
-				}
+	var rounds, shipped, fails uint64
+	for mn := 0; mn < l.Cfg.NumMNs; mn++ {
+		for h := 0; h < l.Cfg.CkptHosts; h++ {
+			if !tc.hostedCopyMatches(mn, h) {
+				t.Fatalf("mn %d host %d: hosted copy does not match quiesced index", mn, l.CkptHostOf(mn, h))
 			}
 		}
+		st := tc.cl.Server(mn).Stats()
+		rounds += st.CkptRounds
+		shipped += st.CkptSegsShipped
+		fails += st.CkptShipFailures
 	}
-	checkConverged()
-
-	sumStats := func() (st ServerStats) {
-		for mn := 0; mn < l.Cfg.NumMNs; mn++ {
-			s := tc.cl.Server(mn).Stats()
-			st.CkptRounds += s.CkptRounds
-			st.CkptSegsShipped += s.CkptSegsShipped
-			st.CkptShipFailures += s.CkptShipFailures
-		}
-		return st
-	}
-	st0 := sumStats()
-	if st0.CkptRounds == 0 || st0.CkptSegsShipped == 0 {
+	if rounds == 0 {
 		t.Fatal("no checkpoint rounds shipped during the write phase")
 	}
-	if st0.CkptShipFailures != 0 {
-		t.Fatalf("%d ship failures on a healthy fabric", st0.CkptShipFailures)
+	if shipped != rounds*uint64(segs) {
+		t.Fatalf("%d rounds shipped %d segments, want all %d every round", rounds, shipped, segs)
+	}
+	if fails != 0 {
+		t.Fatalf("%d ship failures on a healthy fabric", fails)
+	}
+}
+
+// hostedCopyMatches reports whether mn's h-th checkpoint host holds a
+// copy equal to mn's live index, with its version word moved off 0.
+func (tc *testCluster) hostedCopyMatches(mn, h int) bool {
+	l := tc.cl.L
+	node, _ := tc.cl.view.nodeOf(mn)
+	host := l.CkptHostOf(mn, h)
+	hnode, _ := tc.cl.view.nodeOf(host)
+	hmem := tc.pl.DirectMemory(hnode)
+	slot := l.CkptSlotFor(host, mn)
+	return bytes.Equal(hmem[l.CkptCopyOff(slot):l.CkptCopyOff(slot)+l.Cfg.IndexBytes],
+		tc.pl.DirectMemory(node)[:l.Cfg.IndexBytes]) &&
+		binary.LittleEndian.Uint64(hmem[l.CkptVersionOff(slot):]) != 0
+}
+
+// TestCkptResyncAfterMissedFrame: a host that misses one frame (its
+// notify RPC is lost) cannot take the next XOR delta. The owner counts
+// the failure, ships the next frame all-raw, and the hosted copy equals
+// the owner's index again once that frame is applied.
+func TestCkptResyncAfterMissedFrame(t *testing.T) {
+	tc := newTestCluster(t, func(cfg *Config) { cfg.Layout.CkptSegments = 16 })
+	l := tc.cl.L
+	const owner = 1
+	host := l.CkptHostOf(owner, 0)
+	srv := tc.cl.Server(owner)
+	ids := keysHomedOn(tc, owner, 40, true)
+	insert := func(ids []int) {
+		tc.runClients(t, 60*time.Second, func(c *Client) {
+			for _, i := range ids {
+				if err := c.Insert(key(i), val(i, 0)); err != nil {
+					t.Errorf("insert %d: %v", i, err)
+					return
+				}
+			}
+		})
+	}
+	insert(ids[:20])
+	tc.run(3 * tc.cl.Cfg.CkptInterval)
+	if !tc.hostedCopyMatches(owner, 0) {
+		t.Fatal("hosted copy did not converge before the missed frame")
 	}
 
-	// Hot-key phase: updates to one key dirty only its bucket's segment
-	// (plus the written KV block, which is outside the index), so the
-	// rounds that follow must ship far fewer than all segments.
-	tc.runClients(t, 30*time.Second, func(c *Client) {
-		for gen := 0; gen < 6; gen++ {
-			if err := c.Update(key(3), val(3, gen)); err != nil {
-				t.Errorf("hot update: %v", err)
-				return
-			}
+	// The host swallows the owner's next notify; its copy stays behind
+	// while the index moves.
+	hnode, _ := tc.cl.view.nodeOf(host)
+	handle := tc.pl.Handler(hnode)
+	dropped := 0
+	tc.pl.SetHandler(hnode, func(method uint8, req []byte) ([]byte, time.Duration) {
+		if method == methodApplyCkpt && req[0] == owner && dropped == 0 {
+			dropped++
+			return nil, 0
 		}
+		return handle(method, req)
 	})
-	tc.run(3 * tc.cl.Cfg.CkptInterval)
-	st1 := sumStats()
-	rounds := st1.CkptRounds - st0.CkptRounds
-	shipped := st1.CkptSegsShipped - st0.CkptSegsShipped
-	if rounds == 0 {
-		t.Fatal("hot-key phase shipped no rounds")
+	insert(ids[20:])
+	failed := srv.Stats().CkptShipFailures
+	for i := 0; dropped == 0; i++ {
+		if i > 100000 {
+			t.Fatal("the owner never shipped a frame")
+		}
+		tc.run(100 * time.Microsecond)
 	}
-	if shipped >= rounds*uint64(segs) {
-		t.Fatalf("hot-key rounds shipped %d segments over %d rounds: dirty tracking never skipped a segment",
-			shipped, rounds)
+	tc.run(2 * time.Millisecond)
+	if got := srv.Stats().CkptShipFailures; got <= failed {
+		t.Fatalf("ship failures %d -> %d across a lost notify", failed, got)
 	}
-	checkConverged()
-	t.Logf("hot-key phase: %d rounds, %.1f segments/round (of %d)",
-		rounds, float64(shipped)/float64(rounds), segs)
+	if tc.hostedCopyMatches(owner, 0) {
+		t.Fatal("hosted copy matches the index although the frame was lost")
+	}
+
+	// The next frame overwrites: every record is raw, and once it is
+	// applied the copy is the index again.
+	rounds := srv.Stats().CkptRounds
+	for i := 0; srv.Stats().CkptRounds == rounds; i++ {
+		if i > 100000 {
+			t.Fatal("the owner shipped no round after the lost one")
+		}
+		tc.run(100 * time.Microsecond)
+	}
+	tc.run(2 * time.Millisecond)
+	staged := tc.pl.DirectMemory(hnode)[l.CkptStagingOff(l.CkptSlotFor(host, owner)):]
+	nrec := int(binary.LittleEndian.Uint32(staged[4:8]))
+	if nrec != l.CkptSegCount() {
+		t.Fatalf("resync frame has %d records, want all %d segments", nrec, l.CkptSegCount())
+	}
+	for i := 0; i < nrec; i++ {
+		r := staged[layout.CkptFrameHeaderSize+i*layout.CkptFrameRecordSize:]
+		if binary.LittleEndian.Uint32(r[12:16])&ckptRecRaw == 0 {
+			t.Fatalf("record %d of the frame after the lost one is an XOR delta", i)
+		}
+	}
+	if !tc.hostedCopyMatches(owner, 0) {
+		t.Fatal("hosted copy did not converge after the raw frame")
+	}
 }
 
 // TestCkptTornRoundRecovery injects a torn frame (garbage bytes in a
 // host's staging area with a forged notify) and checks the hosted copy
 // and its version word stay at the previous consistent round — and
-// that recovery of the owner then lands exactly that round.
+// that recovery of the owner then lands exactly that round. The one
+// round is driven by hand: every round ships, so a master-driven round
+// would move the version word past the one the test pins.
 func TestCkptTornRoundRecovery(t *testing.T) {
 	tc := newTestCluster(t, func(cfg *Config) {
 		cfg.Layout.CkptSegments = 16
+		cfg.CkptInterval = time.Hour
 	})
 	tc.cl.master.AddSpare()
 	l := tc.cl.L
@@ -425,7 +422,14 @@ func TestCkptTornRoundRecovery(t *testing.T) {
 			expect[i] = v
 		}
 	})
-	tc.run(3 * tc.cl.Cfg.CkptInterval) // quiesce: all rounds land
+	var r1 enc
+	r1.u64(1)
+	for _, method := range []uint8{methodCkptPrepare, methodCkptSnapshot} {
+		for mn := 0; mn < l.Cfg.NumMNs; mn++ {
+			tc.rpc(t, mn, method, r1.b)
+		}
+	}
+	tc.run(3 * time.Millisecond) // the round lands on every host
 
 	const owner = 1
 	host := l.CkptHostOf(owner, 0)
@@ -453,7 +457,7 @@ func TestCkptTornRoundRecovery(t *testing.T) {
 	if resp, _ := hostSrv.handleApplyCkpt(e.b); resp[0] != stOK {
 		t.Fatalf("forged notify rejected at enqueue: status %d", resp[0])
 	}
-	tc.run(2 * tc.cl.Cfg.CkptInterval) // recv core processes (and rejects) it
+	tc.run(3 * time.Millisecond) // recv core processes (and rejects) it
 
 	if got := binary.LittleEndian.Uint64(hmem[l.CkptVersionOff(slot):]); got != v0 {
 		t.Fatalf("version word moved to %d after a torn frame (was %d)", got, v0)
@@ -584,7 +588,7 @@ type ckptRoundHarness struct {
 	mem     []byte
 	hosted  []byte
 	frame   []byte
-	jobs    []ckptSegJob
+	dirty   []int
 	round   uint64
 	lastSeq uint64
 	err     error
@@ -600,13 +604,11 @@ func newCkptRoundHarness(t testing.TB, segs int, dirty []int) *ckptRoundHarness 
 		mem:    make([]byte, l.Cfg.IndexBytes),
 		hosted: make([]byte, l.Cfg.IndexBytes),
 		frame:  make([]byte, l.CkptStagingBytes()),
+		dirty:  dirty,
 	}
 	rng := rand.New(rand.NewSource(3))
 	for i := range h.mem {
 		h.mem[i] = byte(rng.Int())
-	}
-	for _, seg := range dirty {
-		h.jobs = append(h.jobs, ckptSegJob{seg: seg})
 	}
 	return h
 }
@@ -615,14 +617,14 @@ func newCkptRoundHarness(t testing.TB, segs int, dirty []int) *ckptRoundHarness 
 // rounds must not allocate.
 func (h *ckptRoundHarness) doRound() {
 	h.round++
-	for _, j := range h.jobs {
-		h.mem[int(h.l.CkptSegOff(j.seg))+int(h.round%h.l.CkptSegLen(j.seg))]++
+	for _, seg := range h.dirty {
+		h.mem[int(h.l.CkptSegOff(seg))+int(h.round%h.l.CkptSegLen(seg))]++
 	}
 	fr := h.fr
-	fr.jobs = append(fr.jobs[:0], h.jobs...)
+	fr.segs = append(fr.segs[:0], h.dirty...)
 	fr.round, fr.seq = h.round, h.round
 	fr.snapshot(h.mem)
-	for i := range fr.jobs {
+	for i := range fr.segs {
 		fr.processSeg(i)
 	}
 	n := fr.finishRound()

@@ -19,6 +19,10 @@ var (
 	// ErrRetriesExhausted reports an operation that kept losing CAS
 	// races or finding locked slots beyond the retry budget.
 	ErrRetriesExhausted = errors.New("aceso: retries exhausted")
+	// ErrTooLarge reports a pair whose slot is larger than a block, or
+	// than the largest size class a block record's one-byte class field
+	// names (255 × 64 B).
+	ErrTooLarge = errors.New("aceso: key-value pair too large")
 )
 
 const maxOpRetries = 1024

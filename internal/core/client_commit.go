@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/erasure"
@@ -14,9 +15,12 @@ import (
 )
 
 // lockRetry is the pause between two looks at a slot whose Meta lock
-// another client holds (§3.2.2 remark 2: retry, then force-relock after
-// Config.LockTimeout).
-const lockRetry = 5 * time.Microsecond
+// another client holds, and lockTimeout how long a writer waits on the
+// lock before it force-relocks (§3.2.2 remark 2).
+const (
+	lockRetry   = 5 * time.Microsecond
+	lockTimeout = 500 * time.Microsecond
+)
 
 // writeScratch holds the write path's reusable buffers so a
 // steady-state fused UPDATE performs no heap allocation
@@ -95,6 +99,16 @@ func (c *Client) Delete(key []byte) error {
 	return c.tracedWrite("delete", key, nil, true)
 }
 
+// CheckPairSize returns ErrTooLarge for a pair whose size-class slot
+// does not fit a block of blockSize bytes or a block record's class
+// byte. Every mode refuses such a pair before it issues a verb.
+func CheckPairSize(key, val []byte, blockSize uint64) error {
+	if n := layout.KVClassSize(len(key), len(val)); n > math.MaxUint8*64 || uint64(n) > blockSize {
+		return ErrTooLarge
+	}
+	return nil
+}
+
 // tracedWrite brackets write with an op span (name must be a static
 // string). ErrNotFound is an answer, not a failure.
 func (c *Client) tracedWrite(name string, key, val []byte, tombstone bool) error {
@@ -131,6 +145,9 @@ type slotLoc struct {
 // out-of-place write path: place the new KV and its deltas, then
 // commit with one CAS on the slot's Atomic word.
 func (c *Client) write(key, val []byte, tombstone bool) error {
+	if err := CheckPairSize(key, val, c.cl.L.Cfg.BlockSize); err != nil {
+		return err
+	}
 	c.Stats.Ops++
 	h := racehash.Hash(key)
 	mn := racehash.HomeMN(h, c.cl.Cfg.Layout.NumMNs)
@@ -198,10 +215,10 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 		if found {
 			if metaOld.Locked() {
 				// Another client is rolling the epoch: re-read the slot,
-				// and after LockTimeout force-relock (remark 2, §3.2.2).
+				// and after lockTimeout force-relock (remark 2, §3.2.2).
 				c.flushParked()
 				c.Stats.LockWaits++
-				if lockWait < c.cl.Cfg.LockTimeout {
+				if lockWait < lockTimeout {
 					waitStart := c.ctx.Now()
 					c.ctx.Sleep(lockRetry)
 					if c.ot != nil {

@@ -594,7 +594,7 @@ func TestLockedCommitIsOneBatch(t *testing.T) {
 
 	// B takes the lock for a rollover and has placed its pair when A, who
 	// holds the same last-of-epoch word, wants the key: A fails to lock,
-	// waits out LockTimeout, re-locks by force and commits. B's CAS loses.
+	// waits out lockTimeout, re-locks by force and commits. B's CAS loses.
 	t.Run("forced re-lock, lost CAS under the lock", func(t *testing.T) {
 		tc, a, b, actx, bctx := staleCommitPair(t, 4)
 		toVerMax(t, tc, b)

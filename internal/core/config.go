@@ -96,9 +96,6 @@ type Config struct {
 	// BitmapFlushOps is how many obsolete-markings a client batches
 	// before flushing free-bitmap updates to the servers.
 	BitmapFlushOps int
-	// LockTimeout is how long a writer waits on another client's Meta
-	// lock before it force-relocks (§3.2.2 remark 2).
-	LockTimeout time.Duration
 	// CkptRaw disables differential checkpointing: every round ships
 	// the full, uncompressed index snapshot (the strawman of Figure
 	// 1(b)). Ablation knob; recovery still works because the hosted
@@ -149,7 +146,6 @@ func DefaultConfig() Config {
 		ReclaimObsolete: 0.75,
 		ReclaimFree:     0.25,
 		BitmapFlushOps:  64,
-		LockTimeout:     500 * time.Microsecond,
 		Rates:           DefaultCPURates(),
 	}
 }

@@ -12,7 +12,7 @@ import (
 
 // TestForcedRelockAfterClientCrash exercises remark 2 of §3.2.2: a
 // client that dies while holding a slot's Meta lock (odd epoch) must
-// not block other writers forever — after LockTimeout they bump the
+// not block other writers forever — after lockTimeout they bump the
 // epoch to the next odd value, take over the lock, and finish the
 // rollover.
 func TestForcedRelockAfterClientCrash(t *testing.T) {
@@ -54,8 +54,8 @@ func TestForcedRelockAfterClientCrash(t *testing.T) {
 		}
 	})
 	elapsed := tc.pl.Engine().Now() - start
-	if elapsed < tc.cl.Cfg.LockTimeout {
-		t.Fatalf("writer finished in %v, before the %v lock timeout", elapsed, tc.cl.Cfg.LockTimeout)
+	if elapsed < lockTimeout {
+		t.Fatalf("writer finished in %v, before the %v lock timeout", elapsed, lockTimeout)
 	}
 	// The Meta word must be unlocked (even epoch) again.
 	final := layout.UnpackMeta(binary.LittleEndian.Uint64(mem[metaOff:]))

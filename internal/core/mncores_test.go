@@ -15,9 +15,9 @@ import (
 
 // spawnRecorder is a thin platform wrapper that records every memory
 // node it creates (with its core count) and every process spawned
-// through it. It forwards the two optional capabilities the server
-// looks for (VirtualTime, WriteObserver), so a cluster on it behaves
-// like one on the bare fabric.
+// through it. It forwards the optional capability the server looks
+// for (VirtualTime), so a cluster on it behaves like one on the bare
+// fabric.
 type spawnRecorder struct {
 	rdma.Platform
 	mu     sync.Mutex
@@ -47,11 +47,6 @@ func (p *spawnRecorder) Spawn(node rdma.NodeID, name string, fn func(rdma.Ctx)) 
 }
 
 func (p *spawnRecorder) VirtualTime() bool { return rdma.IsVirtual(p.Platform) }
-
-func (p *spawnRecorder) SetWriteObserver(node rdma.NodeID, fn func(off, n uint64)) bool {
-	wo, ok := p.Platform.(rdma.WriteObserver)
-	return ok && wo.SetWriteObserver(node, fn)
-}
 
 // TestMNRunsOnlyItsFixedCores: a memory node is the paper's four cores
 // and nothing else. Every memory node is created with NumMNCores

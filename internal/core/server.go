@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/erasure"
@@ -57,9 +56,7 @@ type Server struct {
 	syncOps    []rdma.Op
 
 	// Segment-parallel checkpoint pipeline state (ckpt.go).
-	ckptDirty    []atomic.Uint64 // per-segment dirty bitmap, set by the write observer
-	ckptTracked  bool            // observer wired; else every segment ships every round
-	ckptResync   bool            // recovered server: first round must overwrite, not XOR
+	ckptResync   bool // recovered server: first round must overwrite, not XOR
 	ckptFr       *ckptFramer
 	ckptApplier  *ckptApplier
 	ckptApplySeq []uint64 // per hosted slot: seq of last applied frame (guarded by mu)
@@ -119,11 +116,6 @@ func (s *Server) start() {
 	for r := range s.syncNode {
 		s.syncNode[r], _ = s.cl.view.nodeOf(l.MetaReplicaHostOf(s.mn, r))
 		s.syncOwed[r] = recovered
-	}
-	segs := l.CkptSegCount()
-	s.ckptDirty = make([]atomic.Uint64, (segs+63)/64)
-	if wo, ok := s.cl.pl.(rdma.WriteObserver); ok {
-		s.ckptTracked = wo.SetWriteObserver(s.node, s.observeIndexWrite)
 	}
 	s.ckptFr = newCkptFramer(l, s.cl.Cfg.Rates, s.cl.Cfg.CkptRaw)
 	s.ckptApplier = newCkptApplier(l)
@@ -242,7 +234,6 @@ type ServerStats struct {
 	PoolData     uint64 // pool blocks serving as reclaimed DATA
 
 	CkptShipFailures uint64 // checkpoint frames a host missed (transport or torn apply)
-	CkptDirtySegs    uint64 // gauge: segments dirty at the last shipped round
 	CkptSegsShipped  uint64 // cumulative segments shipped across all rounds
 	CkptRawBytes     uint64 // uncompressed bytes the shipped segments represent
 	CkptCPUNs        uint64 // cumulative checkpoint pipeline CPU (send+recv), ns
@@ -398,13 +389,15 @@ func (s *Server) handle(method uint8, req []byte) ([]byte, time.Duration) {
 }
 
 // handleAllocBlock allocates a DATA block (fresh, or a reclaimed one
-// when space runs low, §3.3.3).
+// when space runs low, §3.3.3). A class of 0, or one whose slot does
+// not fit the block, would make a DATA block that never fills or seals:
+// it is refused.
 func (s *Server) handleAllocBlock(req []byte) ([]byte, time.Duration) {
 	d := dec{b: req}
 	cliID := d.u16()
 	class := d.u8()
 	cpu := 2 * time.Microsecond
-	if d.short {
+	if d.short || class == 0 || uint64(class)*64 > s.cl.L.Cfg.BlockSize {
 		return []byte{stBadArg}, cpu
 	}
 	s.mu.Lock()

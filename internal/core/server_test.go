@@ -38,7 +38,8 @@ func (tc *testCluster) rpc(t *testing.T, mn int, method uint8, req []byte) []byt
 }
 
 func TestHandlerBadArgs(t *testing.T) {
-	tc := newTestCluster(t, nil)
+	// 4 KB blocks: a one-byte size class can name a slot larger than one.
+	tc := newTestCluster(t, func(cfg *Config) { cfg.Layout.BlockSize = 4 << 10 })
 
 	// Unknown method.
 	if resp := tc.rpc(t, 0, 0xEE, nil); len(resp) == 0 || resp[0] != stBadArg {
@@ -84,6 +85,20 @@ func TestHandlerBadArgs(t *testing.T) {
 	ac.u32(64)
 	if resp := tc.rpc(t, 0, methodApplyCkpt, ac.b); resp[0] != stBadArg {
 		t.Errorf("checkpoint frame of an absurd owner accepted: %v", resp)
+	}
+	// A DATA block of class 0, or of a class whose slot exceeds the
+	// block, could never fill or seal: the row must stay FREE.
+	free := tc.cl.servers[0].freeDataRowFrac()
+	for _, class := range []uint8{0, 4<<10/64 + 1} {
+		var ab enc
+		ab.u16(1)
+		ab.u8(class)
+		if resp := tc.rpc(t, 0, methodAllocBlock, ab.b); resp[0] != stBadArg {
+			t.Errorf("block of class %d allocated: %v", class, resp)
+		}
+	}
+	if got := tc.cl.servers[0].freeDataRowFrac(); got != free {
+		t.Errorf("refused allocations took data rows: free fraction %v -> %v", free, got)
 	}
 }
 
@@ -218,18 +233,46 @@ func TestAdminStatsRoundTrip(t *testing.T) {
 
 	ordered := ServerStats{MN: 7, IndexVersion: 1, Reclaimed: 2, BitsApplied: 3, CkptRounds: 4,
 		CkptBytes: 5, CkptApplies: 6, EncodeJobs: 7, EncodeDrops: 8, EncodeQueue: 9, PoolBlocks: 10,
-		PoolFree: 11, PoolDelta: 12, PoolCopy: 13, PoolData: 14, CkptShipFailures: 15, CkptDirtySegs: 16,
-		CkptSegsShipped: 17, CkptRawBytes: 18, CkptCPUNs: 19, ECEncodeBytes: 20, ECEncodeNs: 21,
-		ECEncodeBatches: 22, ECDecodeBytes: 23, ECDecodeNs: 24, MetaSyncWrites: 25, MetaSyncBytes: 26,
-		MetaResyncs: 27}
+		PoolFree: 11, PoolDelta: 12, PoolCopy: 13, PoolData: 14, CkptShipFailures: 15,
+		CkptSegsShipped: 16, CkptRawBytes: 17, CkptCPUNs: 18, ECEncodeBytes: 19, ECEncodeNs: 20,
+		ECEncodeBatches: 21, ECDecodeBytes: 22, ECDecodeNs: 23, MetaSyncWrites: 24, MetaSyncBytes: 25,
+		MetaResyncs: 26}
 	want := enc{b: []byte{stOK}}
 	want.u16(7)
-	for i := uint64(1); i <= 27; i++ {
+	for i := uint64(1); i <= 26; i++ {
 		want.u64(i)
 	}
 	if got := encodeStats(ordered); !bytes.Equal(got, want.b) {
 		t.Fatalf("Stats wire bytes moved:\n got %x\nwant %x", got, want.b)
 	}
+}
+
+// TestAdminStatsOverFabric: StatsMN, sent over the simulated fabric
+// from a client process, returns for every MN what Server.Stats returns
+// on the MN itself, after a load that leaves the counters non-zero.
+func TestAdminStatsOverFabric(t *testing.T) {
+	tc := newTestCluster(t, nil)
+	tc.runClients(t, 60*time.Second, func(c *Client) {
+		for i := 0; i < 200; i++ {
+			if err := c.Insert(key(i), val(i, 0)); err != nil {
+				t.Errorf("insert %d: %v", i, err)
+				return
+			}
+		}
+	})
+	tc.run(3 * tc.cl.Cfg.CkptInterval)
+	tc.runClients(t, time.Second, func(c *Client) {
+		for mn := 0; mn < tc.cl.L.Cfg.NumMNs; mn++ {
+			got, err := c.StatsMN(mn)
+			want := tc.cl.Server(mn).Stats()
+			if err != nil || got != want {
+				t.Errorf("mn %d: StatsMN = %+v, %v\nServer.Stats = %+v", mn, got, err, want)
+			}
+			if want.CkptRounds == 0 || want.CkptSegsShipped == 0 || want.PoolBlocks == 0 {
+				t.Errorf("mn %d: counters still zero after the load: %+v", mn, want)
+			}
+		}
+	})
 }
 
 // FuzzAdminDecoders feeds arbitrary responses to the admin Stats and

@@ -16,8 +16,9 @@ import "repro/internal/rdma"
 
 // KV is the client-facing operation surface every mode provides. The
 // error taxonomy is shared: implementations return errors that match
-// core.ErrNotFound / core.ErrNoSpace / core.ErrRetriesExhausted under
-// errors.Is, so switching modes never changes what callers match on.
+// core.ErrNotFound / core.ErrNoSpace / core.ErrRetriesExhausted /
+// core.ErrTooLarge under errors.Is, so switching modes never changes
+// what callers match on.
 type KV interface {
 	Search(key []byte) ([]byte, error)
 	Insert(key, val []byte) error

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/ftmode"
 	"repro/internal/fusee"
+	"repro/internal/layout"
 	"repro/internal/racehash"
 	"repro/internal/rdma"
 	"repro/internal/rdma/simnet"
@@ -190,6 +191,31 @@ func TestCrossModeCRUD(t *testing.T) {
 			if _, err := c.Search([]byte("nonexistent")); !errors.Is(err, core.ErrNotFound) {
 				t.Errorf("missing key: err = %v, want core.ErrNotFound", err)
 				return
+			}
+			// The largest slot a block record's class byte names is
+			// 255 × 64 B: a pair that fills it round-trips, one byte more
+			// is refused before any verb.
+			fits := bytes.Repeat([]byte{'x'}, 255*64-layout.KVHeaderSize-len(key(n))-1)
+			if err := c.Insert(key(n), fits); err != nil {
+				t.Errorf("insert of the largest pair: %v", err)
+				return
+			}
+			if got, err := c.Search(key(n)); err != nil || !bytes.Equal(got, fits) {
+				t.Errorf("search of the largest pair: err %v", err)
+				return
+			}
+			cas, reads, writes := c.Counters()
+			over := bytes.Repeat([]byte{'x'}, len(fits)+1)
+			for op, err := range map[string]error{
+				"insert": c.Insert(key(n+1), over),
+				"update": c.Update(key(n), over),
+			} {
+				if !errors.Is(err, core.ErrTooLarge) {
+					t.Errorf("%s of an oversized pair: err = %v, want core.ErrTooLarge", op, err)
+				}
+			}
+			if c2, r2, w2 := c.Counters(); c2 != cas || r2 != reads || w2 != writes {
+				t.Errorf("refused pairs issued verbs: cas %d->%d reads %d->%d writes %d->%d", cas, c2, reads, r2, writes, w2)
 			}
 			for i := 0; i < n; i++ {
 				if err := c.Update(key(i), val(i, 1)); err != nil {

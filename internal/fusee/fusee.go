@@ -178,6 +178,9 @@ func (c *Client) Delete(key []byte) error { return c.write(key, nil, true) }
 // primary slot to commit — at least n CAS operations per write, the
 // cost Figure 1(a) quantifies.
 func (c *Client) write(key, val []byte, tombstone bool) error {
+	if err := core.CheckPairSize(key, val, c.Cfg.BlockSize); err != nil {
+		return err
+	}
 	k := c.Op(key)
 	r := c.Cfg.Replicas
 	buf := c.EncodeKV(key, val, 1, 1, tombstone)

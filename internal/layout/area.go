@@ -244,15 +244,11 @@ func (l *Layout) CkptStagingBytes() uint64    { return l.stagingSize }
 // split into.
 func (l *Layout) CkptSegCount() int { return l.segCount }
 
-// CkptSegSize returns the nominal segment size (every segment but
-// possibly the last; see CkptSegLen).
-func (l *Layout) CkptSegSize() uint64 { return l.segSize }
-
 // CkptSegOff returns the index-area offset where segment i starts.
 func (l *Layout) CkptSegOff(i int) uint64 { return uint64(i) * l.segSize }
 
 // CkptSegLen returns the length of segment i (the last segment may be
-// shorter than CkptSegSize when the bucket count does not divide
+// shorter than the others when the bucket count does not divide
 // evenly).
 func (l *Layout) CkptSegLen(i int) uint64 {
 	off := l.CkptSegOff(i)
@@ -261,9 +257,6 @@ func (l *Layout) CkptSegLen(i int) uint64 {
 	}
 	return l.segSize
 }
-
-// CkptSegOfOff returns the segment containing index-area offset off.
-func (l *Layout) CkptSegOfOff(off uint64) int { return int(off / l.segSize) }
 
 // --- Meta replica area ---
 // MN i's Meta Area is replicated on its MetaReplicas successors;

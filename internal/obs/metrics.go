@@ -510,13 +510,3 @@ func (p *Platform) TransportStats() rdma.TransportStats {
 func (p *Platform) VirtualTime() bool {
 	return rdma.IsVirtual(p.inner)
 }
-
-// SetWriteObserver implements rdma.WriteObserver by delegation (false
-// when the inner fabric cannot report remote mutations, so callers
-// fall back to treating everything as dirty).
-func (p *Platform) SetWriteObserver(node rdma.NodeID, fn func(off, n uint64)) bool {
-	if wo, ok := p.inner.(rdma.WriteObserver); ok {
-		return wo.SetWriteObserver(node, fn)
-	}
-	return false
-}

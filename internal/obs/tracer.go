@@ -20,7 +20,7 @@ const (
 	// handler execution, checkpoint round, EC kernel batch).
 	SpanPhase
 	// SpanMark is a point or sub-phase annotation inside a sampled op
-	// (lock-stripe wait, degraded read, checkpoint-observer mark).
+	// (lock-stripe wait, degraded read).
 	SpanMark
 	numSpanKinds
 )

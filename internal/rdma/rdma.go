@@ -302,25 +302,6 @@ type TransportStatsSource interface {
 	TransportStats() TransportStats
 }
 
-// WriteObserver is implemented by fabrics that can report remote
-// mutations of a memory node's registered region: one-sided WRITEs,
-// successful CAS swaps and FAA updates. The MN server installs an
-// observer to track dirty checkpoint segments at the source instead of
-// diffing the whole index every round. Store code type-asserts a
-// Platform to reach it, exactly like FaultInjector.
-type WriteObserver interface {
-	// SetWriteObserver installs fn (or, with nil, clears it) on a node
-	// this process serves. fn is called with the byte range [off,
-	// off+n) after each remote mutation lands; it may run on fabric
-	// executor goroutines concurrently with anything, so it must be
-	// fast, non-blocking and internally synchronised (atomic bitmap
-	// updates). It returns whether an observer is actually wired up —
-	// wrappers that cannot reach a WriteObserver underneath return
-	// false, and callers must then fall back to treating everything as
-	// dirty.
-	SetWriteObserver(node NodeID, fn func(off, n uint64)) bool
-}
-
 // VirtualTime marks a Platform whose processes run in simulated time:
 // Ctx.Sleep advances an engine clock instead of the wall clock and
 // Ctx.UseCPU charges modelled cost to a simulated core. Wall-clock

@@ -76,11 +76,6 @@ type node struct {
 	isMem   bool
 	chaos   rdma.ChaosConfig
 	rng     *rand.Rand // nil unless chaos is installed
-	// writeObs, when non-nil, is called after every remote mutation of
-	// this node's memory (WRITE, successful CAS, FAA) with the mutated
-	// byte range. The engine runs one process at a time, so no lock is
-	// needed.
-	writeObs func(off, n uint64)
 }
 
 // chaosRoll draws one frame's injected faults. The engine runs one
@@ -196,15 +191,6 @@ func (pl *Platform) SetChaos(nodeID rdma.NodeID, cfg rdma.ChaosConfig) {
 	n.rng = rand.New(rand.NewSource(cfg.Seed))
 }
 
-var _ rdma.WriteObserver = (*Platform)(nil)
-
-// SetWriteObserver implements rdma.WriteObserver: fn is invoked from
-// apply for every remote mutation of the node's memory.
-func (pl *Platform) SetWriteObserver(nodeID rdma.NodeID, fn func(off, n uint64)) bool {
-	pl.nodes[nodeID].writeObs = fn
-	return true
-}
-
 // Spawn starts fn as a simulated process on the given node.
 func (pl *Platform) Spawn(nodeID rdma.NodeID, name string, fn func(rdma.Ctx)) {
 	n := pl.nodes[nodeID]
@@ -312,9 +298,6 @@ func (c *ctx) apply(op *rdma.Op, t *node) {
 		copy(op.Buf, t.mem[op.Addr.Off:end])
 	case rdma.OpWrite:
 		copy(t.mem[op.Addr.Off:end], op.Buf)
-		if t.writeObs != nil {
-			t.writeObs(op.Addr.Off, uint64(len(op.Buf)))
-		}
 	case rdma.OpCAS:
 		if op.Addr.Off%8 != 0 {
 			op.Err = rdma.ErrUnaligned
@@ -325,9 +308,6 @@ func (c *ctx) apply(op *rdma.Op, t *node) {
 		op.Result = cur
 		if cur == op.Old {
 			binary.LittleEndian.PutUint64(word, op.New)
-			if t.writeObs != nil {
-				t.writeObs(op.Addr.Off, 8)
-			}
 		}
 	case rdma.OpFAA:
 		if op.Addr.Off%8 != 0 {
@@ -338,9 +318,6 @@ func (c *ctx) apply(op *rdma.Op, t *node) {
 		cur := binary.LittleEndian.Uint64(word)
 		op.Result = cur
 		binary.LittleEndian.PutUint64(word, cur+op.New)
-		if t.writeObs != nil {
-			t.writeObs(op.Addr.Off, 8)
-		}
 	}
 }
 

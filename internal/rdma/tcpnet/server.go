@@ -301,7 +301,6 @@ func (s *server) writeInline(br *bufio.Reader, bw *bufio.Writer, rh []byte, seq 
 		if err != nil {
 			return err
 		}
-		s.n.observeWrite(off, uint64(n))
 	case n > 0:
 		pool := &s.n.pl.pool
 		p := pool.get(n)
@@ -314,7 +313,6 @@ func (s *server) writeInline(br *bufio.Reader, bw *bufio.Writer, rh []byte, seq 
 		copy(mem[off:], *p)
 		s.locks.unlockRange(lo, hi)
 		pool.put(p)
-		s.n.observeWrite(off, uint64(n))
 	}
 	rh[0] = status
 	binary.LittleEndian.PutUint32(rh[1:5], seq)
@@ -362,9 +360,6 @@ func (s *server) apply(op uint8, off uint64, payload []byte) (uint8, uint64, []b
 			binary.LittleEndian.PutUint64(mem[off:], new)
 		}
 		s.locks.unlockRange(lo, hi)
-		if cur == old {
-			s.n.observeWrite(off, 8)
-		}
 		return stOK, cur, nil
 	case opFAA:
 		if off%8 != 0 {
@@ -379,7 +374,6 @@ func (s *server) apply(op uint8, off uint64, payload []byte) (uint8, uint64, []b
 		cur := binary.LittleEndian.Uint64(mem[off:])
 		binary.LittleEndian.PutUint64(mem[off:], cur+delta)
 		s.locks.unlockRange(lo, hi)
-		s.n.observeWrite(off, 8)
 		return stOK, cur, nil
 	}
 	return stErrBadFrame, 0, nil

@@ -148,19 +148,6 @@ type memNode struct {
 	chaosMu sync.Mutex
 	chaos   rdma.ChaosConfig
 	rng     *rand.Rand
-
-	// writeObs, when non-nil, is called after every remote mutation of
-	// this node's region (WRITE, successful CAS, FAA) with the mutated
-	// byte range. Stored atomically so server goroutines read it with
-	// one load, like chaosOn.
-	writeObs atomic.Pointer[func(off, n uint64)]
-}
-
-// observeWrite notifies the installed write observer, if any.
-func (n *memNode) observeWrite(off, ln uint64) {
-	if fn := n.writeObs.Load(); fn != nil {
-		(*fn)(off, ln)
-	}
 }
 
 // chaosRoll draws this frame's injected faults. The armed check is a
@@ -237,7 +224,6 @@ var (
 	_ rdma.Platform             = (*Platform)(nil)
 	_ rdma.FaultInjector        = (*Platform)(nil)
 	_ rdma.TransportStatsSource = (*Platform)(nil)
-	_ rdma.WriteObserver        = (*Platform)(nil)
 )
 
 // TransportStats implements rdma.TransportStatsSource: a snapshot of
@@ -469,25 +455,6 @@ func (pl *Platform) SetChaos(node rdma.NodeID, cfg rdma.ChaosConfig) {
 	n.rng = rand.New(rand.NewSource(cfg.Seed))
 	n.chaosMu.Unlock()
 	n.chaosOn.Store(cfg.Enabled())
-}
-
-// SetWriteObserver implements rdma.WriteObserver for locally served
-// nodes: fn is invoked by the verb executor after every remote
-// mutation of the node's region. It reports false for nodes this
-// process does not serve.
-func (pl *Platform) SetWriteObserver(node rdma.NodeID, fn func(off, n uint64)) bool {
-	pl.mu.Lock()
-	n := pl.nodes[node]
-	pl.mu.Unlock()
-	if n == nil {
-		return false
-	}
-	if fn == nil {
-		n.writeObs.Store(nil)
-	} else {
-		n.writeObs.Store(&fn)
-	}
-	return true
 }
 
 // Memory implements rdma.Platform: only locally served, non-failed

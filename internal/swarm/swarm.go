@@ -243,6 +243,9 @@ type located struct {
 // CAS and then lands all copies with ONE doorbell batch of in-place
 // overwrites.
 func (c *Client) write(key, val []byte, tombstone bool) error {
+	if err := core.CheckPairSize(key, val, c.Cfg.BlockSize); err != nil {
+		return err
+	}
 	k := c.Op(key)
 	size := layout.KVClassSize(len(key), len(val))
 
