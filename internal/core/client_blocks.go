@@ -140,8 +140,8 @@ func (c *Client) deltasCurrent(ob *openBlock) bool {
 }
 
 // retireBlock takes ob out of use with whatever slots it has left. The
-// seal waits for finishWrite like any other: a parked patch may still be
-// on its way into the block's DELTA copies.
+// seal waits for finishWrite like any other: a seal is post-commit work,
+// issued after every patch of the op's lost attempts.
 func (c *Client) retireBlock(ob *openBlock) {
 	if c.open[ob.class] == ob {
 		delete(c.open, ob.class)

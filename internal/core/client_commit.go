@@ -30,25 +30,15 @@ const (
 type writeScratch struct {
 	buf   []byte    // KV encode buffer, grown to the largest class seen
 	delta []byte    // XOR delta against the reclaimed slot's old bytes
-	ops   []rdma.Op // commit batch: (slot read +) (parked patch +) KV write + delta writes + CAS
-	// inv holds the invalidation patches of the last two placements,
-	// built in turn, because a lost attempt's patch can be parked: it
-	// waits to lead the retry's fused batch, whose own placement builds
-	// the other one. Only an attempt whose next verb is that batch parks.
-	inv    [2]invPatch
-	invCur int
-	parked []rdma.Op
-	metaW  [8]byte // length-hint repair word (must outlive the Post)
-	metaOp [1]rdma.Op
-	slot   [layout.SlotSize]byte // the slot's Atomic+Meta as last read: by rearmSlot, or at the head of a commit batch
-}
-
-// invPatch is one placement's invalidation patch: version-field writes
-// for the pair and every delta copy, and the two words they carry.
-type invPatch struct {
-	ops   []rdma.Op
-	data  [8]byte // InvalidVersion, for the pair
-	delta [8]byte // the XOR word that takes every delta copy along
+	ops   []rdma.Op // commit batch: (slot read +) KV write + delta writes + CAS
+	// inv is the last placement's invalidation patch: version-field
+	// writes of InvalidVersion (invData) into the pair and of the XOR
+	// word that takes every delta copy along (invDelta).
+	inv               []rdma.Op
+	invData, invDelta [8]byte
+	metaW             [8]byte // length-hint repair word (must outlive the Post)
+	metaOp            [1]rdma.Op
+	slot              [layout.SlotSize]byte // the slot's Atomic+Meta as last read: by rearmSlot, or at the head of a commit batch
 }
 
 // fuseSpec carries the commit-CAS operands into placeKV, whose batch the
@@ -63,18 +53,12 @@ type fuseSpec struct {
 	readSlot bool
 }
 
-func (sc *writeScratch) growBuf(n int) []byte {
-	if cap(sc.buf) < n {
-		sc.buf = make([]byte, n)
+// grow returns *b resized to n bytes, reallocated only to grow.
+func grow(b *[]byte, n int) []byte {
+	if cap(*b) < n {
+		*b = make([]byte, n)
 	}
-	return sc.buf[:n]
-}
-
-func (sc *writeScratch) growDelta(n int) []byte {
-	if cap(sc.delta) < n {
-		sc.delta = make([]byte, n)
-	}
-	return sc.delta[:n]
+	return (*b)[:n]
 }
 
 // --- writes (INSERT / UPDATE / DELETE) ---
@@ -128,7 +112,6 @@ type slotLoc struct {
 	meta   layout.SlotMeta
 	found  bool   // the key owns this slot ...
 	tomb   bool   // ... and its committed pair is a tombstone
-	moved  bool   // rearmSlot saw the word change since tomb was read: tomb is out of date
 	epoch  uint64 // view epoch and home partition's index generation,
 	gen    uint64 // both read before the attempt's first verb
 	bound  bool   // slot matched to the key under gen (not a cache entry from before a rebuild)
@@ -141,262 +124,268 @@ type slotLoc struct {
 	armed, bypass bool
 }
 
+// outcome is how one commit attempt ended (DESIGN.md §13, "Attempt
+// outcomes"). write has one handler for each, and marks each attempt
+// with its outcome's commitMarks span. The first four end the op.
+type outcome uint8
+
+const (
+	outWon         outcome = iota // the commit CAS won (a KV write lost under it is re-issued)
+	outAbsorbed                   // lost to a commit of this key made during the op: done
+	outPlaceFailed                // no block for the pair, or no free slot for the key: the op fails
+	outAbsent                     // a DELETE found no live pair: ErrNotFound
+	outChased                     // lost; re-armed from the slot read that rode the batch
+	outReread                     // lost, and no image to re-arm from (not confirmed, own lock, lock CAS): read the slot
+	outReprobe                    // lost on a slot bound to no key, or by a DELETE: back to the index
+	outLockHeld                   // another client holds the slot's Meta lock
+	outHomeFailed                 // the home MN failed since the slot was located
+	outRelocate                   // locating hit a failed node or a torn pair: locate again
+	numOutcomes
+)
+
+var commitMarks = [numOutcomes]string{"commit.won", "commit.absorbed", "commit.place_failed",
+	"commit.absent", "commit.chased", "commit.reread", "commit.reprobe", "commit.lock_held",
+	"commit.home_failed", "commit.relocate"}
+
+// writeOp is one write's state across its commit attempts.
+type writeOp struct {
+	key, val []byte
+	tomb     bool
+	h        uint64
+	mn       int
+	fp       uint8
+	loc      slotLoc
+	losses   int           // CASes lost so far; back-off starts at the fourth
+	lockWait time.Duration // time spent on another client's Meta lock
+	// What the last attempt left for its handler.
+	err      error // what the op returns if the outcome ends it
+	placed   placedKV
+	metaAddr rdma.GlobalAddr
+	lock     layout.SlotMeta // the Meta lock word held (zero: none)
+	epochKV  uint64
+}
+
 // write implements Algorithm 1 (slot versioning) around the
-// out-of-place write path: place the new KV and its deltas, then
-// commit with one CAS on the slot's Atomic word.
+// out-of-place write path: each attempt places the new KV and its
+// deltas and commits with one CAS on the slot's Atomic word; a lost
+// attempt invalidates its orphan and retries.
 func (c *Client) write(key, val []byte, tombstone bool) error {
 	if err := CheckPairSize(key, val, c.cl.L.Cfg.BlockSize); err != nil {
 		return err
 	}
 	c.Stats.Ops++
 	h := racehash.Hash(key)
-	mn := racehash.HomeMN(h, c.cl.Cfg.Layout.NumMNs)
-	fp := racehash.Fingerprint(h)
-	lockWait := time.Duration(0)
-	var loc slotLoc
-
-	for attempt := 0; attempt < maxOpRetries; attempt++ {
-		c.waitIndexReady(mn)
-		if !loc.armed {
-			var err error
-			loc, err = c.locateForWrite(key, h, mn, fp, loc.bypass)
-			if err != nil {
-				if errors.Is(err, ErrNotFound) && tombstone {
-					return ErrNotFound
-				}
-				if errors.Is(err, rdma.ErrNodeFailed) {
-					c.ctx.Sleep(100 * time.Microsecond)
-					continue
-				}
-				if errors.Is(err, errTornRead) {
-					// A committed slot pointed at a torn or unwritten pair —
-					// a fused commit's KV write still in flight (or being
-					// repaired). Transient by construction: retry.
-					c.ctx.Sleep(20 * time.Microsecond)
-					continue
-				}
-				return err
-			}
-		}
-		if tombstone && loc.moved {
-			// A slot does not say whether its pair is a tombstone, so a
-			// DELETE cannot commit against a re-read word: probe the index.
-			loc = slotLoc{bypass: true}
-			continue
-		}
-		if ent := loc.ent; tombstone && loc.tomb && ent != nil {
-			// The only evidence of absence is a cached tombstone, and
-			// another client may have re-inserted the key since: re-read
-			// the slot. Unmoved proves the tombstone; moved probes the index.
-			if moved := c.rearmSlot(&loc, mn, fp, false); loc.armed {
-				c.stale.validated(ent, moved)
-			}
-			continue
-		}
-		loc.armed = false
-		slotOff, atomOld, metaOld, found := loc.off, loc.atomic, loc.meta, loc.found
-		if tombstone && (!found || loc.tomb) {
-			return ErrNotFound
-		}
-
-		// Slot versioning (Algorithm 1).
-		verNew := uint8(1)
-		epochKV := uint64(0)
-		var lockedVal uint64 // non-zero when we hold the Meta lock
-		slotAddr, ok := c.cl.Addr(mn, slotOff)
-		if !ok {
-			// The home MN failed since the slot was located: place
-			// nothing, wait for its index and probe it.
-			c.flushParked()
-			loc.bypass = true
-			continue
-		}
-		metaAddr := slotAddr.Add(layout.SlotMetaOff)
-		if found {
-			if metaOld.Locked() {
-				// Another client is rolling the epoch: re-read the slot,
-				// and after lockTimeout force-relock (remark 2, §3.2.2).
-				c.flushParked()
-				c.Stats.LockWaits++
-				if lockWait < lockTimeout {
-					waitStart := c.ctx.Now()
-					c.ctx.Sleep(lockRetry)
-					if c.ot != nil {
-						c.ot.OpMark("lock.wait", waitStart)
-					}
-					lockWait += lockRetry
-					c.rearmSlot(&loc, mn, fp, false)
-					continue
-				}
-				force := layout.SlotMeta{Epoch: metaOld.Epoch + 2, Len: metaOld.Len}
-				prev, err := c.vcas(metaAddr, metaOld.Pack(), force.Pack())
-				if err != nil || prev != metaOld.Pack() {
-					lockWait = 0
-					c.rearmSlot(&loc, mn, fp, false)
-					continue
-				}
-				lockedVal = force.Pack()
-				metaOld = force
-				epochKV = force.Epoch + 1
-			}
-			atom := layout.UnpackAtomic(atomOld)
-			verNew = atom.Ver + 1 // wraps at 255→0
-			if lockedVal == 0 {
-				if atom.Ver == layout.VerMax {
-					// Epoch rollover: lock Meta by making it odd.
-					c.flushParked()
-					lock := layout.SlotMeta{Epoch: metaOld.Epoch + 1, Len: metaOld.Len}
-					prev, err := c.vcas(metaAddr, metaOld.Pack(), lock.Pack())
-					if err != nil || prev != metaOld.Pack() {
-						c.Stats.CASRetries++
-						c.rearmSlot(&loc, mn, fp, false)
-						continue
-					}
-					lockedVal = lock.Pack()
-					epochKV = metaOld.Epoch + 2
-				} else {
-					epochKV = metaOld.Epoch
-				}
-			}
-		}
-		slotVersion := layout.SlotVersion(epochKV, verNew)
-
-		// The commit attempt is one batch (DESIGN.md §13): the out-of-place
-		// write of the pair and its deltas, closed by the CAS on the slot's
-		// Atomic word — CAS(0 → new) for an INSERT, and between the lock and
-		// unlock CASes when the Meta lock is in hand. A slot bound to the
-		// key is read ahead of the CAS, for a lost attempt to re-arm from. A
-		// DELETE has no use for the read, an INSERT's slot is bound to no
-		// key, and under a held lock the image would show the client's own.
-		fuse := fuseSpec{slotAddr: slotAddr, atomOld: atomOld, fp: fp, verNew: verNew,
-			readSlot: found && loc.bound && !tombstone && lockedVal == 0}
-		var batchStart time.Duration
-		if c.ot != nil {
-			batchStart = c.ctx.Now()
-		}
-		placed, err := c.placeKV(key, val, slotVersion, tombstone, fuse)
-		if err != nil {
-			c.flushParked()
-			if lockedVal != 0 {
-				c.unlockMeta(metaAddr, lockedVal, epochKV, metaOld.Len)
-			}
-			return err
-		}
-		if placed.deltaSkips > 0 {
-			c.Stats.DeltaSkips += uint64(placed.deltaSkips)
-			c.wmet.DeltaSkips.Add(uint64(placed.deltaSkips))
-		}
-		classUnits := uint8(layout.KVClassSize(len(key), len(val)) / 64)
-		c.Stats.WriteFused++
-		c.wmet.Fused.Add(1)
-		if c.ot != nil {
-			c.ot.OpMark("commit.fused", batchStart)
-		}
-		if loc.ent != nil {
-			c.stale.validated(loc.ent, !placed.committed)
-		}
-		if !placed.committed {
-			// Lost the race (or the CAS itself failed): our pair is
-			// orphaned (Algorithm 1 line 18).
+	w := writeOp{key: key, val: val, tomb: tombstone, h: h,
+		mn: racehash.HomeMN(h, c.cl.Cfg.Layout.NumMNs), fp: racehash.Fingerprint(h)}
+	for i := 0; i < maxOpRetries; i++ {
+		start := c.ctx.Now()
+		out := c.attempt(&w)
+		switch out {
+		case outWon:
+			c.won(&w)
+		case outAbsorbed:
+			// Linearized just before the commit that beat it (DESIGN.md
+			// §13). The cache must never hold the winner's word without its
+			// bytes, so it is left alone. Post completes before it returns
+			// on every fabric: no seal or bitmap flush overtakes the patch.
 			c.Stats.CASRetries++
-			if fuse.readSlot && c.absorbs(&loc, mn, fp, placed.casWord) {
-				// The word that beat the CAS is a commit of this key made
-				// after this op read the word it expected: the write is
-				// linearized just before it and is done (DESIGN.md §13). The
-				// cache is left alone — it must never hold the winner's word
-				// without the winner's bytes. Post completes before it
-				// returns on every fabric, so finishWrite's seals and bitmap
-				// flushes cannot overtake the patch.
-				start := c.ctx.Now()
-				c.Stats.WriteAbsorbed++
-				c.wmet.Absorbed.Add(1)
-				c.invalidateKV(placed.inv)
-				c.markObsolete(placed.addr)
-				if c.ot != nil {
-					c.ot.OpMark("commit.absorb", start)
-				}
-				c.finishWrite()
-				return nil
+			c.Stats.WriteAbsorbed++
+			c.wmet.Absorbed.Add(1)
+			c.invalidateKV(w.placed.inv)
+			c.markObsolete(w.placed.addr)
+			c.finishWrite()
+		case outChased, outReread, outReprobe:
+			c.lost(&w, out)
+		case outLockHeld:
+			// Re-read the slot; after lockTimeout, force-relock (remark 2,
+			// §3.2.2). A slot does not say whether its pair is a tombstone,
+			// so a DELETE cannot commit against a moved word: probe.
+			c.Stats.LockWaits++
+			c.ctx.Sleep(lockRetry)
+			w.lockWait += lockRetry
+			if moved := c.rearmSlot(&w.loc, w.mn, w.fp, false); moved && w.tomb {
+				w.loc = slotLoc{bypass: true}
 			}
-			// Otherwise the slot is still this key's. Chase it (DESIGN.md
-			// §13): re-arm from the 16 bytes the lost batch read ahead of its
-			// CAS and let the orphan's invalidation lead the retry's batch —
-			// one doorbell per attempt. An attempt that cannot (no read rode
-			// the batch, or the CAS did not confirm it; back-off, which keeps
-			// a herd of INSERTs, DELETEs or locked commits from starving one
-			// client and over which no slot image is kept) posts the patch
-			// and reads the slot; a DELETE, which never commits against a
-			// re-read word, probes the index. Seals and bitmap flushes wait
-			// for the commit, so no patch is ever behind them.
-			c.markObsolete(placed.addr)
-			if lockedVal != 0 {
-				c.unlockMeta(metaAddr, lockedVal, epochKV, metaOld.Len)
-			}
-			chaseStart := c.ctx.Now()
-			rode := placed.sawSlot && attempt <= 2
-			if rode {
-				c.rearmSlot(&loc, mn, fp, true)
-			}
-			if loc.armed {
-				c.wsc.parked = placed.inv // leads the retry's batch
+		case outHomeFailed:
+			// Place nothing: wait for the index and probe it.
+			w.loc.bypass = true
+		case outRelocate:
+			// A torn or unwritten pair under a committed slot is a fused
+			// commit's KV write in flight (or being repaired): transient.
+			if errors.Is(w.err, rdma.ErrNodeFailed) {
+				c.ctx.Sleep(100 * time.Microsecond)
 			} else {
-				c.invalidateKV(placed.inv)
-				if attempt > 2 {
-					c.ctx.Sleep(time.Duration(1+int(c.id)%4) * time.Microsecond << min(attempt, 6))
-				}
-				if tombstone {
-					loc = slotLoc{bypass: true}
-				} else if !rode {
-					c.rearmSlot(&loc, mn, fp, false)
-				}
+				c.ctx.Sleep(20 * time.Microsecond)
 			}
-			if loc.armed {
-				c.Stats.WriteChased++
-				c.wmet.Chased.Add(1)
-				if c.ot != nil {
-					c.ot.OpMark("commit.chase", chaseStart)
-				}
-			}
-			continue
+		case outPlaceFailed:
+			c.unlockMeta(&w, w.lock.Len)
 		}
-
-		// Committed. Unlock / repair the Meta word as needed.
-		if lockedVal != 0 {
-			c.unlockMeta(metaAddr, lockedVal, epochKV, classUnits)
-		} else if !found || metaOld.Len != classUnits {
-			// Stale length hint: single unsignaled RDMA_WRITE repair
-			// (§3.2.2; fire-and-forget under selective signaling).
-			m := layout.SlotMeta{Epoch: epochKV, Len: classUnits}
-			sc := &c.wsc
-			binary.LittleEndian.PutUint64(sc.metaW[:], m.Pack())
-			sc.metaOp[0] = rdma.Op{Kind: rdma.OpWrite, Addr: metaAddr, Buf: sc.metaW[:]}
-			c.Stats.WritesIssued++
-			c.ctx.Post(sc.metaOp[:]) //nolint:errcheck // best-effort hint repair
+		if c.ot != nil {
+			c.ot.OpMark(commitMarks[out], start)
 		}
-		if found {
-			c.markObsolete(layout.UnpackAtomic(atomOld).Addr)
+		if out <= outAbsent {
+			return w.err
 		}
-		c.cacheSet(h, key, mn, slotOff, placed.newAtomic,
-			layout.SlotMeta{Epoch: epochKV, Len: classUnits}, loc.gen, tombstone, val)
-		c.finishWrite()
-		return nil
 	}
-	return ErrRetriesExhausted // nothing parked: the last attempts backed off
+	return ErrRetriesExhausted
 }
 
-// unlockMeta releases the Meta lock, installing the new even epoch and
-// the current length hint (Algorithm 1 line 20).
-func (c *Client) unlockMeta(addr rdma.GlobalAddr, lockedVal uint64, epochEven uint64, lenUnits uint8) {
-	unlock := layout.SlotMeta{Epoch: epochEven, Len: lenUnits}
-	c.vcas(addr, lockedVal, unlock.Pack()) //nolint:errcheck // a forced re-locker superseded us
+// attempt is one pass of Algorithm 1: locate the slot unless the last
+// attempt re-armed it, take the Meta lock when the epoch must move,
+// then place the pair in the batch its commit CAS closes. It leaves in
+// w what the outcome's handler needs, and in w.err what the op returns.
+func (c *Client) attempt(w *writeOp) outcome {
+	w.placed, w.lock, w.err = placedKV{}, layout.SlotMeta{}, nil
+	c.waitIndexReady(w.mn)
+	loc := &w.loc
+	if !loc.armed {
+		if *loc, w.err = c.locateForWrite(w.key, w.h, w.mn, w.fp, w.tomb, loc.bypass); w.err != nil {
+			if errors.Is(w.err, rdma.ErrNodeFailed) || errors.Is(w.err, errTornRead) {
+				return outRelocate
+			}
+			return outPlaceFailed
+		}
+	}
+	loc.armed = false
+	if w.tomb && (!loc.found || loc.tomb) {
+		w.err = ErrNotFound
+		return outAbsent
+	}
+	slotAddr, ok := c.cl.Addr(w.mn, loc.off)
+	if !ok {
+		return outHomeFailed
+	}
+	w.metaAddr = slotAddr.Add(layout.SlotMetaOff)
+
+	// Slot versioning (Algorithm 1). The Meta lock is taken by making the
+	// epoch odd: at an epoch rollover (epoch+1), or by force once another
+	// client's lock outlived lockTimeout (epoch+2). Unlocking installs the
+	// lock epoch+1.
+	verNew := uint8(1)
+	w.epochKV = 0
+	if loc.found {
+		atom := layout.UnpackAtomic(loc.atomic)
+		verNew = atom.Ver + 1 // wraps at 255→0
+		w.epochKV = loc.meta.Epoch
+		if held := loc.meta.Locked(); held || atom.Ver == layout.VerMax {
+			if held && w.lockWait < lockTimeout {
+				return outLockHeld
+			}
+			lock := layout.SlotMeta{Epoch: loc.meta.Epoch + 1, Len: loc.meta.Len}
+			if held {
+				lock.Epoch++
+			}
+			if prev, err := c.vcas(w.metaAddr, loc.meta.Pack(), lock.Pack()); err != nil || prev != loc.meta.Pack() {
+				w.lockWait = 0 // whoever moved Meta gets its own lockTimeout
+				return outReread
+			}
+			w.lock, w.epochKV = lock, lock.Epoch+1
+		}
+	}
+	slotVersion := layout.SlotVersion(w.epochKV, verNew)
+
+	// The commit attempt is one batch (DESIGN.md §13): the out-of-place
+	// write of the pair and its deltas, closed by the CAS on the slot's
+	// Atomic word — CAS(0 → new) for an INSERT, and between the lock and
+	// unlock CASes when the Meta lock is in hand. A slot bound to the
+	// key is read ahead of the CAS, for a lost attempt to re-arm from. A
+	// DELETE has no use for the read, an INSERT's slot is bound to no
+	// key, and under a held lock the image would show the client's own.
+	fuse := fuseSpec{slotAddr: slotAddr, atomOld: loc.atomic, fp: w.fp, verNew: verNew,
+		readSlot: loc.found && loc.bound && !w.tomb && !w.lock.Locked()}
+	if w.placed, w.err = c.placeKV(w.key, w.val, slotVersion, w.tomb, fuse); w.err != nil {
+		return outPlaceFailed
+	}
+	p := &w.placed
+	if p.deltaSkips > 0 {
+		c.Stats.DeltaSkips += uint64(p.deltaSkips)
+		c.wmet.DeltaSkips.Add(uint64(p.deltaSkips))
+	}
+	c.Stats.WriteFused++
+	c.wmet.Fused.Add(1)
+	if loc.ent != nil {
+		c.stale.validated(loc.ent, !p.committed)
+	}
+	// A lost CAS orphans the pair (Algorithm 1 line 18). From the fourth
+	// loss on the writer backs off, over which no slot image is kept.
+	switch {
+	case p.committed:
+		return outWon
+	case fuse.readSlot && c.absorbs(loc, w.mn, w.fp, p.casWord):
+		return outAbsorbed
+	case w.tomb || !loc.found || !loc.bound:
+		return outReprobe
+	case p.sawSlot && w.losses < 3:
+		return outChased
+	}
+	return outReread
+}
+
+// won finishes a commit whose CAS won: the Meta lock released or a stale
+// length hint repaired, the replaced pair marked obsolete, the cache set.
+func (c *Client) won(w *writeOp) {
+	loc := &w.loc
+	classUnits := uint8(layout.KVClassSize(len(w.key), len(w.val)) / 64)
+	if w.lock.Locked() {
+		c.unlockMeta(w, classUnits)
+	} else if !loc.found || loc.meta.Len != classUnits {
+		// Stale length hint: single unsignaled RDMA_WRITE repair
+		// (§3.2.2; fire-and-forget under selective signaling).
+		m := layout.SlotMeta{Epoch: w.epochKV, Len: classUnits}
+		sc := &c.wsc
+		binary.LittleEndian.PutUint64(sc.metaW[:], m.Pack())
+		sc.metaOp[0] = rdma.Op{Kind: rdma.OpWrite, Addr: w.metaAddr, Buf: sc.metaW[:]}
+		c.Stats.WritesIssued++
+		c.ctx.Post(sc.metaOp[:]) //nolint:errcheck // best-effort hint repair
+	}
+	if loc.found {
+		c.markObsolete(layout.UnpackAtomic(loc.atomic).Addr)
+	}
+	c.cacheSet(w.h, w.key, w.mn, loc.off, w.placed.newAtomic,
+		layout.SlotMeta{Epoch: w.epochKV, Len: classUnits}, loc.gen, w.tomb, w.val)
+	c.finishWrite()
+}
+
+// lost handles a lost CAS (DESIGN.md §13): a held Meta lock is released,
+// then the orphan's invalidation patch posted unsignaled ahead of every
+// later verb. The next attempt is armed from the slot read that rode the
+// lost batch (a chase), from a fresh read of the slot, or from the index.
+// Back-off keeps a herd of INSERTs, DELETEs or locked commits from
+// starving one client.
+func (c *Client) lost(w *writeOp, out outcome) {
+	c.Stats.CASRetries++
+	w.losses++
+	c.unlockMeta(w, w.lock.Len)
+	c.invalidateKV(w.placed.inv)
+	c.markObsolete(w.placed.addr)
+	if w.losses > 3 {
+		c.ctx.Sleep(time.Duration(1+int(c.id)%4) * time.Microsecond << min(w.losses-1, 6))
+	}
+	if out == outReprobe {
+		w.loc = slotLoc{bypass: true}
+	} else {
+		c.rearmSlot(&w.loc, w.mn, w.fp, out == outChased)
+	}
+	if w.loc.armed {
+		c.Stats.WriteChased++
+		c.wmet.Chased.Add(1)
+	}
+}
+
+// unlockMeta releases the Meta lock the attempt holds, if any, installing
+// the new even epoch and the length hint (Algorithm 1 line 20).
+func (c *Client) unlockMeta(w *writeOp, lenUnits uint8) {
+	if w.lock.Locked() {
+		unlock := layout.SlotMeta{Epoch: w.epochKV, Len: lenUnits}
+		c.vcas(w.metaAddr, w.lock.Pack(), unlock.Pack()) //nolint:errcheck // a forced re-locker superseded us
+	}
 }
 
 // invalidateKV stamps InvalidVersion into an uncommitted KV pair so
-// recovery never resurrects it (Algorithm 1 line 18). The pair's delta
-// copies receive the matching XOR patch, preserving the stripe
-// invariant DATA = enc ⊕ DELTA; placeKV precomputed the ops. This is the
-// unsignaled post of a patch with no commit batch to ride; a loss that
-// re-armed from its own batch parks it instead (writeScratch.parked).
+// recovery never resurrects it (Algorithm 1 line 18): one unsignaled
+// post of the version-field patches placeKV precomputed. The pair's
+// delta copies receive the matching XOR patch, preserving the stripe
+// invariant DATA = enc ⊕ DELTA.
 func (c *Client) invalidateKV(inv []rdma.Op) {
 	if len(inv) == 0 {
 		return
@@ -406,30 +395,17 @@ func (c *Client) invalidateKV(inv []rdma.Op) {
 	c.ctx.Post(inv) //nolint:errcheck // best effort
 }
 
-// flushParked posts a parked patch whose attempt turned away from the
-// batch it was to lead: a Meta lock to wait for or to take, a home MN
-// that failed, a placement error.
-func (c *Client) flushParked() {
-	c.invalidateKV(c.wsc.parked)
-	c.wsc.parked = nil
-}
-
-// rearmSlot refreshes loc from the slot itself — its 16 bytes of Atomic
-// and Meta words — so a write whose view of the slot went stale (lost
-// commit CAS, cache entry predicted stale, Meta lock wait) pays at most
-// a small round trip, not an index probe. rode says the lost fused batch
-// already read the slot into wsc.slot and its CAS confirmed the word, so
-// no verb is issued; otherwise rearmSlot reads the slot. It reports
-// whether the word differs from the one loc held, and records that in
-// loc.moved. Trusting the slot rests on the slot-binding invariant
-// (DESIGN.md §13, TestSlotNeverChangesKey): within one generation of its
-// index partition a slot only ever holds one key's pairs. The gate is
-// evaluated here, against the generation now: an attempt that located
-// its slot before a fail-stop and lost its CAS after the rebuilt
-// partition was published is refused. Whatever falls outside the
-// invariant (partition rebuilt since, fingerprint mismatch, empty word,
-// read error) leaves loc unarmed and bypassing the cache: the next
-// attempt probes the index.
+// rearmSlot refreshes loc from the slot's 16 bytes of Atomic and Meta
+// words, so a write whose view of the slot went stale (lost CAS, entry
+// predicted stale, Meta lock wait) pays a small round trip, not an index
+// probe — or none when rode says the lost batch read the slot into
+// wsc.slot and its CAS confirmed the word. It reports whether the word
+// differs from the one loc held. Trusting the slot rests on the
+// slot-binding invariant (DESIGN.md §13, TestSlotNeverChangesKey): within
+// one generation of its index partition a slot only ever holds one key's
+// pairs; the gate is checked against the generation now. Whatever falls
+// outside it (partition rebuilt since, fingerprint mismatch, empty word,
+// read error) leaves loc unarmed and bypassing the cache.
 func (c *Client) rearmSlot(loc *slotLoc, mn int, fp uint8, rode bool) (moved bool) {
 	loc.armed, loc.bypass, loc.ent = false, true, nil
 	addr, ok := c.cl.Addr(mn, loc.off)
@@ -445,7 +421,7 @@ func (c *Client) rearmSlot(loc *slotLoc, mn int, fp uint8, rode bool) (moved boo
 		return false
 	}
 	moved = cur != loc.atomic
-	loc.atomic, loc.moved = cur, loc.moved || moved
+	loc.atomic = cur
 	loc.meta = layout.UnpackMeta(binary.LittleEndian.Uint64(sc.slot[layout.SlotMetaOff:]))
 	loc.armed, loc.bypass = true, false
 	return moved
@@ -498,31 +474,35 @@ func (c *Client) finishWrite() {
 // orphaned pair and the batch that retries it. When the staleness
 // estimate says the entry has more likely moved than not, the write
 // validates first: a 16-byte slot read, then a commit that places
-// nothing it must invalidate.
-func (c *Client) locateForWrite(key []byte, h uint64, mn int, fp uint8, bypass bool) (slotLoc, error) {
+// nothing it must invalidate. A DELETE re-reads the slot of a cached
+// tombstone too, since another client may have re-inserted the key; and
+// as a slot does not say whether its pair is a tombstone, a DELETE whose
+// read finds the word moved probes the index.
+func (c *Client) locateForWrite(key []byte, h uint64, mn int, fp uint8, tombstone, bypass bool) (slotLoc, error) {
 	epoch, gen := c.cl.view.bindingOf(mn)
 	loc := slotLoc{epoch: epoch, gen: gen, bound: true}
 	if ent := c.cache.Lookup(h, key); ent != nil && c.cl.Cfg.CacheSlotAddr && !bypass {
 		loc.off, loc.atomic, loc.meta, loc.found, loc.tomb = ent.slotOff, ent.atomic, ent.meta, true, ent.tomb()
 		loc.bound = ent.gen == loc.gen
-		if !loc.bound || !c.stale.likelyStale(ent) {
+		speculate := !loc.bound || !c.stale.likelyStale(ent)
+		if speculate && !(tombstone && loc.tomb) {
 			loc.ent = ent
 			return loc, nil
 		}
-		start := c.ctx.Now()
 		if moved := c.rearmSlot(&loc, mn, fp, false); loc.armed {
 			c.stale.validated(ent, moved)
-			if moved {
+			switch {
+			case speculate: // a cached tombstone's re-read predicts nothing
+			case moved:
 				c.Stats.WriteValidatedChanged++
 				c.wmet.ValidatedChanged.Add(1)
-			} else {
+			default:
 				c.Stats.WriteValidatedSame++
 				c.wmet.ValidatedSame.Add(1)
 			}
-			if c.ot != nil {
-				c.ot.OpMark("commit.validate", start)
+			if !tombstone || !moved {
+				return loc, nil
 			}
-			return loc, nil
 		}
 		loc = slotLoc{epoch: loc.epoch, gen: loc.gen, bound: true}
 	}
@@ -553,21 +533,14 @@ func (c *Client) locateForWrite(key []byte, h uint64, mn int, fp uint8, bypass b
 	// (balancing load across the pair) and the slot choice is the
 	// first free one — deterministic per key, so racing inserters of
 	// the same key collide on the same slot and the CAS resolves them.
-	l, sc := c.cl.L, &c.scratch
-	i1, i2 := racehash.BucketPair(h, l.NumBuckets())
-	first, second := sc.b1[:], sc.b2[:]
-	fi, si := i1, i2
-	if h>>32&1 == 1 {
-		first, second = second, first
-		fi, si = i2, i1
-	}
-	if s := racehash.FreeSlot(first); s >= 0 {
-		loc.off = l.SlotOff(fi, s)
-		return loc, nil
-	}
-	if s := racehash.FreeSlot(second); s >= 0 {
-		loc.off = l.SlotOff(si, s)
-		return loc, nil
+	i1, i2 := racehash.BucketPair(h, c.cl.L.NumBuckets())
+	buckets, idx := [2][]byte{c.scratch.b1[:], c.scratch.b2[:]}, [2]uint64{i1, i2}
+	for j := range 2 {
+		b := j ^ int(h>>32&1)
+		if s := racehash.FreeSlot(buckets[b]); s >= 0 {
+			loc.off = c.cl.L.SlotOff(idx[b], s)
+			return loc, nil
+		}
 	}
 	return loc, fmt.Errorf("aceso: both buckets full for key %q (resize not triggered)", key)
 }
@@ -594,18 +567,15 @@ type placedKV struct {
 // batch (Figure 6 ①) whose tail is the commit CAS — the ordered-batch
 // contract guarantees it executes only after every op ahead of it
 // completed, so a commit attempt is a single round trip (DESIGN.md §13)
-// — behind a 16-byte read of the slot when the spec asks for one, and a
-// parked invalidation patch leads the batch. The batch is issued exactly
-// once; the caller resolves the outcome from placedKV rather than
-// placeKV retrying.
+// — behind a 16-byte read of the slot when the spec asks for one. The
+// batch is issued exactly once; the caller resolves the outcome from
+// placedKV rather than placeKV retrying.
 // All buffers and op slices come from the client's writeScratch, so a
 // steady-state call is allocation-free.
 func (c *Client) placeKV(key, val []byte, slotVersion uint64, tombstone bool, fuse fuseSpec) (placedKV, error) {
 	classSize := layout.KVClassSize(len(key), len(val))
 	classUnits := uint8(classSize / 64)
 	sc := &c.wsc
-	patch := &sc.inv[sc.invCur] // the other one may be parked
-	sc.invCur ^= 1
 	for {
 		ob, err := c.getBlock(classUnits)
 		if err != nil {
@@ -620,11 +590,11 @@ func (c *Client) placeKV(key, val []byte, slotVersion uint64, tombstone bool, fu
 			oldSlot = ob.oldData[slot*ob.slotSize : (slot+1)*ob.slotSize]
 			fence = layout.NextFence(oldSlot[0])
 		}
-		buf := sc.growBuf(ob.slotSize)
+		buf := grow(&sc.buf, ob.slotSize)
 		layout.EncodeKV(buf, key, val, slotVersion, fence, tombstone)
 		delta := buf
 		if ob.reused {
-			delta = sc.growDelta(ob.slotSize)
+			delta = grow(&sc.delta, ob.slotSize)
 			copy(delta, buf)
 			erasure.XorInto(delta, oldSlot)
 		}
@@ -638,15 +608,10 @@ func (c *Client) placeKV(key, val []byte, slotVersion uint64, tombstone bool, fu
 		}
 		// The slot read leads the batch: the index MN's NIC serves it
 		// while the client's is still ringing out the writes, so the CAS
-		// does not queue behind it. A parked patch follows.
+		// does not queue behind it.
 		ops := sc.ops[:0]
 		if fuse.readSlot {
 			ops = append(ops, rdma.Op{Kind: rdma.OpRead, Addr: fuse.slotAddr, Buf: sc.slot[:]})
-		}
-		if len(sc.parked) > 0 {
-			ops = append(ops, sc.parked...)
-			c.Stats.Invalidations++ // vbatch counts the patch's writes
-			sc.parked = nil
 		}
 		first := len(ops) // the KV write; delta writes follow it
 		ops = append(ops, rdma.Op{Kind: rdma.OpWrite, Addr: dataAddr, Buf: buf})
@@ -655,11 +620,11 @@ func (c *Client) placeKV(key, val []byte, slotVersion uint64, tombstone bool, fu
 		// into the data slot changes the delta word by
 		// slotVersion ⊕ InvalidVersion, keeping DATA = enc ⊕ DELTA.
 		p := placedKV{addr: layout.PackAddr(uint16(ob.mn), off)}
-		binary.LittleEndian.PutUint64(patch.data[:], layout.InvalidVersion)
-		inv := append(patch.ops[:0], rdma.Op{Kind: rdma.OpWrite,
-			Addr: dataAddr.Add(layout.KVVersionOff), Buf: patch.data[:]})
+		binary.LittleEndian.PutUint64(sc.invData[:], layout.InvalidVersion)
+		inv := append(sc.inv[:0], rdma.Op{Kind: rdma.OpWrite,
+			Addr: dataAddr.Add(layout.KVVersionOff), Buf: sc.invData[:]})
 		deltaVer := binary.LittleEndian.Uint64(delta[layout.KVVersionOff:]) ^ slotVersion ^ layout.InvalidVersion
-		binary.LittleEndian.PutUint64(patch.delta[:], deltaVer)
+		binary.LittleEndian.PutUint64(sc.invDelta[:], deltaVer)
 
 		// Delta copies the stripe wants but this write cannot reach
 		// count as skips, so fault-bound accounting sees the real
@@ -673,14 +638,14 @@ func (c *Client) placeKV(key, val []byte, slotVersion uint64, tombstone bool, fu
 			}
 			ops = append(ops, rdma.Op{Kind: rdma.OpWrite, Addr: a, Buf: delta})
 			inv = append(inv, rdma.Op{Kind: rdma.OpWrite,
-				Addr: a.Add(layout.KVVersionOff), Buf: patch.delta[:]})
+				Addr: a.Add(layout.KVVersionOff), Buf: sc.invDelta[:]})
 		}
 		last := len(ops) - 1 // the last delta write
 		p.newAtomic = layout.SlotAtomic{FP: fuse.fp, Ver: fuse.verNew, Addr: p.addr}.Pack()
 		ops = append(ops, rdma.Op{Kind: rdma.OpCAS,
 			Addr: fuse.slotAddr, Old: fuse.atomOld, New: p.newAtomic})
-		c.vbatch(ops)                //nolint:errcheck // per-op outcomes are read below
-		sc.ops, patch.ops = ops, inv // retain grown capacity
+		c.vbatch(ops)             //nolint:errcheck // per-op outcomes are read below
+		sc.ops, sc.inv = ops, inv // retain grown capacity
 		// Per-op accounting: a failed delta copy is a skip (the commit
 		// may still proceed — fault tolerance degrades for this pair,
 		// it must not become a lost update); a failed data write forces

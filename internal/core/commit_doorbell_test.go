@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -121,10 +122,6 @@ func (l *callLog) attach(ctx *directCtx, orphan dataSlot) {
 		l.methods = append(l.methods, method)
 		l.dead = append(l.dead, orphan.invalidated())
 	}
-}
-
-func (l *callLog) hasPrefix(want ...string) bool {
-	return len(l.calls) >= len(want) && slices.Equal(l.calls[:len(want)], want)
 }
 
 // TestFusedInsertTwoSignaledDoorbells pins the INSERT shape — bucket
@@ -311,21 +308,20 @@ func TestFusedInsertTwoSignaledDoorbells(t *testing.T) {
 // absorbs its second loss.
 func TestLostCASFallbacksReadTheSlot(t *testing.T) {
 	k := key(2)
-	run := func(t *testing.T, a *Client, actx *directCtx, orphan dataSlot) (verbDelta, *callLog) {
-		log := &callLog{}
-		log.attach(actx, orphan)
+	run := func(t *testing.T, a *Client, actx *directCtx, orphan dataSlot) (verbDelta, []string) {
+		outs := recordOutcomes(a)
 		before := snapVerbs(a, actx)
 		if err := a.Update(k, val(2, 8)); err != nil {
 			t.Fatal(err)
 		}
-		d := snapVerbs(a, actx).since(before)
+		d, marks := snapVerbs(a, actx).since(before), slices.Clone(outs.marks)
 		if got, err := a.Search(k); err != nil || !bytes.Equal(got, val(2, 8)) {
 			t.Errorf("A reads %q, %v after its update", got, err)
 		}
-		if !orphan.invalidated() || len(a.wsc.parked) != 0 {
-			t.Errorf("after the op: orphan version %#x, %d patch ops parked", orphan.version(), len(a.wsc.parked))
+		if !orphan.invalidated() {
+			t.Errorf("after the op: orphan version %#x", orphan.version())
 		}
-		return d, log
+		return d, marks
 	}
 
 	// The slot moves between the batch's slot read and its CAS (on tcpnet:
@@ -339,9 +335,12 @@ func TestLostCASFallbacksReadTheSlot(t *testing.T) {
 				t.Errorf("B's update: %v", err)
 			}
 		})
-		d, log := run(t, a, actx, orphan)
-		if !log.hasPrefix("batch", "post", "read", "batch") {
-			t.Errorf("calls %v, want lost batch, patch post, slot read, winning batch", log.calls)
+		d, marks := run(t, a, actx, orphan)
+		if want := marksOf(outReread, outWon); !slices.Equal(marks, want) {
+			t.Errorf("outcomes %v, want %v", marks, want)
+		}
+		if d.doorbells != 4 || d.posts != 1 {
+			t.Errorf("%d doorbells, %d posts; want lost batch, patch post, slot read, winning batch", d.doorbells, d.posts)
 		}
 		if d.reads != 3 || d.bytesRead != 3*layout.SlotSize || d.chased != 1 || d.retries != 1 {
 			t.Errorf("reads=%d bytes=%d chased=%d casRetries=%d, want 3 %d 1 1", d.reads, d.bytesRead, d.chased, d.retries, 3*layout.SlotSize)
@@ -349,21 +348,54 @@ func TestLostCASFallbacksReadTheSlot(t *testing.T) {
 	})
 }
 
-// TestParkedPatchLeavesOnEveryExit follows the invalidation patch of a
-// lost fused attempt that re-armed from its own batch. The patch is
-// parked for the head of the retry's fused batch; whenever the retry
-// turns out to ring anything else first — a Meta lock to wait for, an
-// epoch rollover, a placement that fails — the patch must be posted
-// before that, and when it does ride it must be on the wire before the
-// seal of the block the lost attempt filled. A DELETE, whose batch reads
-// no slot, never parks; one that finds its home MN failed once it has
-// located the slot again places nothing until the index is back. Each
-// case ends with the byte-level stripe check.
-func TestParkedPatchLeavesOnEveryExit(t *testing.T) {
+// outcomeLog is an OpTracer that keeps the commit-outcome marks of the
+// client's last op: tests read an op's attempts from it.
+type outcomeLog struct{ marks []string }
+
+func (l *outcomeLog) OpBegin(string) bool { l.marks = l.marks[:0]; return true }
+func (l *outcomeLog) OpEnd(bool)          {}
+func (l *outcomeLog) OpMark(name string, _ time.Duration) {
+	if strings.HasPrefix(name, "commit.") {
+		l.marks = append(l.marks, name)
+	}
+}
+
+// recordOutcomes makes c report its commit outcomes to the returned log.
+func recordOutcomes(c *Client) *outcomeLog {
+	l := &outcomeLog{}
+	c.ot = l
+	return l
+}
+
+// marksOf names outs as the marks write emits for them.
+func marksOf(outs ...outcome) []string {
+	m := make([]string, len(outs))
+	for i, o := range outs {
+		m[i] = commitMarks[o]
+	}
+	return m
+}
+
+// TestCommitOutcomes is Algorithm 1 as a table (DESIGN.md §13, "Attempt
+// outcomes"): one scripted case per way a commit attempt can end, each
+// pinned by the outcome sequence A's op emits, and a case for every
+// outcome there is. In every case B first moves the slot A has cached.
+// A lost attempt posts its orphan's invalidation patch before any later
+// verb but the release of a Meta lock it holds — unsignaled, so a chase
+// is 2 signaled doorbells and the post —
+// and the orphan reads InvalidVersion at every call after that post,
+// the seal of the block it sits in included. Each case ends with the
+// byte-level stripe check.
+func TestCommitOutcomes(t *testing.T) {
 	k := key(2)
 	errNoRPC := errors.New("test: RPCs fail")
+	lockRounds := make([]outcome, lockTimeout/lockRetry)
+	for i := range lockRounds {
+		lockRounds[i] = outLockHeld
+	}
 	cases := []struct {
 		name string
+		want []outcome
 		// arrange sets the scene after B moved the slot; A's open block
 		// has one slot left when lastSlot is set.
 		arrange  func(t *testing.T, tc *testCluster, a, b *Client, actx *directCtx)
@@ -373,42 +405,103 @@ func TestParkedPatchLeavesOnEveryExit(t *testing.T) {
 		// failHome fail-stops k's home MN ahead of the first pair read A
 		// issues: the last verb of the probe that locates the slot again.
 		failHome bool
-		// calls is the prefix A's calls must have; deadAt the call by
-		// which the orphan must read InvalidVersion ("" + method for RPCs).
-		calls      []string
-		deadAt     string
-		deadMethod uint8
-		posts      int
+		// failRead drops A's cache entry and fails A's first read of the
+		// "pair" (the probe finds a committed slot over a pair it cannot
+		// decode) or of the "buckets" (as from a failed node).
+		failRead string
+		// bWins: B's write lands after A's (absorbed), so B's value stays.
+		bWins bool
+		// signaled is the number of A's signaled doorbells (-1: not
+		// pinned), posts its unsignaled ones; seal says a seal RPC of the
+		// orphan's block must follow the patch post.
+		signaled, posts int
+		seal            bool
 	}{
-		{name: "rides the retry's batch",
-			calls: []string{"batch", "batch"}, posts: 0},
-		{name: "Meta lock",
-			arrange: func(t *testing.T, tc *testCluster, a, b *Client, _ *directCtx) {
-				meta := indexSlot(t, tc, b, k)[layout.SlotMetaOff:]
-				m := layout.UnpackMeta(binary.LittleEndian.Uint64(meta))
-				m.Epoch++ // odd: some client is rolling the epoch and never finishes
-				binary.LittleEndian.PutUint64(meta, m.Pack())
-			},
-			calls: []string{"batch", "post", "read"}, deadAt: "read", posts: 1},
-		{name: "epoch rollover",
-			arrange: func(t *testing.T, tc *testCluster, a, b *Client, _ *directCtx) {
+		{name: "won after validating", want: []outcome{outWon}, signaled: 2,
+			arrange: func(_ *testing.T, _ *testCluster, a, _ *Client, _ *directCtx) {
+				a.stale = staleEstimate{rate: [2]uint32{1 << 16, 1 << 16}}
+			}},
+		{name: "won at an epoch rollover", want: []outcome{outChased, outWon}, signaled: 4, posts: 1,
+			arrange: func(t *testing.T, tc *testCluster, _, b *Client, _ *directCtx) {
 				slot := indexSlot(t, tc, b, k)
 				for i := 0; layout.UnpackAtomic(binary.LittleEndian.Uint64(slot)).Ver != layout.VerMax; i++ {
 					if err := b.Update(k, val(2, 1000+i)); err != nil || i > 300 {
 						t.Fatalf("B's update %d towards version %d: %v", i, layout.VerMax, err)
 					}
 				}
-			},
-			calls: []string{"batch", "post", "cas", "batch", "cas"}, deadAt: "cas", posts: 1},
-		{name: "placement error", lastSlot: true, wantErr: ErrNoSpace,
-			arrange: func(_ *testing.T, _ *testCluster, _, _ *Client, actx *directCtx) { actx.rpcErr = errNoRPC },
-			calls:   []string{"batch", "rpc"}, posts: 1},
-		{name: "DELETE back to the index", del: true,
-			calls: []string{"batch", "post", "batch"}, deadAt: "post", posts: 2}, // + the tombstone's Meta hint
+			}}, // lost batch, post, lock CAS, batch, unlock CAS
+		{name: "absorbed", want: []outcome{outAbsorbed}, signaled: 2, posts: 1, bWins: true,
+			arrange: func(t *testing.T, _ *testCluster, a, b *Client, actx *directCtx) {
+				a.stale = staleEstimate{rate: [2]uint32{1 << 16, 1 << 16}}
+				moveBeforeCAS(actx, func() {
+					if err := b.Update(k, val(2, 6)); err != nil {
+						t.Errorf("B's update: %v", err)
+					}
+				})
+			}},
+		{name: "chased", want: []outcome{outChased, outWon}, signaled: 2, posts: 1},
+		{name: "chased, before the seal", want: []outcome{outChased, outWon}, signaled: -1, posts: 1,
+			lastSlot: true, seal: true},
+		{name: "reread", want: []outcome{outReread, outWon}, signaled: 3, posts: 1,
+			arrange: func(t *testing.T, _ *testCluster, _, b *Client, actx *directCtx) {
+				moveBeforeCAS(actx, func() { // the batch's slot image is older than the word its CAS finds
+					if err := b.Update(k, val(2, 6)); err != nil {
+						t.Errorf("B's update: %v", err)
+					}
+				})
+			}},
+		{name: "reprobe", del: true, want: []outcome{outReprobe, outWon}, signaled: 4, posts: 2}, // + the tombstone's Meta hint
+		{name: "lock held", want: slices.Concat([]outcome{outChased}, lockRounds, []outcome{outWon}),
+			signaled: -1, posts: 1,
+			arrange: func(t *testing.T, tc *testCluster, _, b *Client, _ *directCtx) {
+				meta := indexSlot(t, tc, b, k)[layout.SlotMetaOff:]
+				m := layout.UnpackMeta(binary.LittleEndian.Uint64(meta))
+				m.Epoch++ // odd: some client is rolling the epoch and never finishes
+				binary.LittleEndian.PutUint64(meta, m.Pack())
+			}},
+		// B commits during A's first wait: the DELETE's re-read finds the
+		// word moved and probes the index again before it waits on. The
+		// lost batch, two probes of 2, 100 slot reads, lock CAS, batch,
+		// unlock CAS: 108 signaled doorbells.
+		{name: "lock held, DELETE's word moved", del: true,
+			want: slices.Concat([]outcome{outReprobe}, lockRounds, []outcome{outWon}), signaled: 108, posts: 1,
+			arrange: func(t *testing.T, tc *testCluster, _, b *Client, actx *directCtx) {
+				meta := indexSlot(t, tc, b, k)[layout.SlotMetaOff:]
+				m := layout.UnpackMeta(binary.LittleEndian.Uint64(meta))
+				m.Epoch++
+				binary.LittleEndian.PutUint64(meta, m.Pack())
+				actx.onSleep = func() {
+					if actx.onSleep = nil; b.Update(k, val(2, 5)) != nil {
+						t.Error("B's update during A's wait failed")
+					}
+				}
+			}},
 		{name: "home MN failed since locate", del: true, failHome: true,
-			calls: []string{"batch", "post", "batch", "batch", "batch", "batch", "rpc", "rpc", "batch"}, deadAt: "post", posts: 2}, // + the tombstone's Meta hint
-		{name: "before the seal", lastSlot: true,
-			calls: []string{"batch", "rpc"}, deadAt: "rpc", deadMethod: methodSealBlock, posts: 0},
+			want: []outcome{outReprobe, outHomeFailed, outWon}, signaled: -1, posts: 2},
+		{name: "relocate on a torn pair", failRead: "pair", want: []outcome{outRelocate, outWon}, signaled: 5},
+		{name: "relocate on a failed node", failRead: "buckets", want: []outcome{outRelocate, outWon}, signaled: 4},
+		{name: "placement failed", lastSlot: true, wantErr: ErrNoSpace, want: []outcome{outChased, outPlaceFailed},
+			signaled: 1, posts: 1,
+			arrange: func(_ *testing.T, _ *testCluster, _, _ *Client, actx *directCtx) { actx.rpcErr = errNoRPC }},
+		{name: "absent", del: true, wantErr: ErrNotFound, want: []outcome{outReprobe, outAbsent}, signaled: 3, posts: 1,
+			arrange: func(t *testing.T, _ *testCluster, _, b *Client, _ *directCtx) {
+				if err := b.Delete(k); err != nil {
+					t.Fatal(err)
+				}
+			}},
+	}
+	reached := map[outcome]bool{}
+	for _, tcase := range cases {
+		for _, o := range tcase.want {
+			reached[o] = true
+		}
+	}
+	for o, seen := outcome(0), map[string]bool{}; o < numOutcomes; o++ {
+		if m := commitMarks[o]; !strings.HasPrefix(m, "commit.") || seen[m] {
+			t.Errorf("outcome %d has mark %q: want its own commit.<outcome>", o, m)
+		} else if seen[m] = true; !reached[o] {
+			t.Errorf("outcome %s has no case", m)
+		}
 	}
 	for _, tcase := range cases {
 		t.Run(tcase.name, func(t *testing.T) {
@@ -416,15 +509,18 @@ func TestParkedPatchLeavesOnEveryExit(t *testing.T) {
 			if err := b.Update(k, val(2, 7)); err != nil { // B moved the slot after A cached it
 				t.Fatal(err)
 			}
-			if tcase.arrange != nil {
-				tcase.arrange(t, tc, a, b, actx)
-			}
 			v := val(2, 8)
 			if tcase.del {
 				v = nil
 				if err := a.Delete(key(3)); err != nil { // open A's tombstone-class block
 					t.Fatal(err)
 				}
+			}
+			if tcase.arrange != nil {
+				tcase.arrange(t, tc, a, b, actx)
+			}
+			if tcase.failRead != "" {
+				a.cache.Remove(racehash.Hash(k), k)
 			}
 			orphan := nextSlots(t, tc, a, k, v, 1)[0]
 			ob := a.open[uint8(layout.KVClassSize(len(k), len(v))/64)]
@@ -434,33 +530,40 @@ func TestParkedPatchLeavesOnEveryExit(t *testing.T) {
 			slotsBefore := len(ob.slots)
 			log := &callLog{}
 			log.attach(actx, orphan)
+			outs := recordOutcomes(a)
 			home := racehash.HomeMN(racehash.Hash(k), tc.cl.Cfg.Layout.NumMNs)
 			homeNode := tc.cl.MNNode(home)
 			if tcase.failHome {
 				// A waits in waitIndexReady while all three tiers run: a commit
 				// between indexReady and blocksReady would race tier 3's rebuild
-				// of its DELTA block (ROADMAP item 2(e)).
+				// of its DELTA block (ROADMAP item 1).
 				tc.cl.master.AddSpare()
 				actx.onSleep = func() { tc.run(20 * time.Millisecond) }
 			}
-			slotReads, failed := 0, false
-			actx.beforeOp = func(op *rdma.Op) {
-				if op.Kind != rdma.OpRead {
-					return
+			failed, torn := false, false
+			actx.opErr = func(op *rdma.Op) error {
+				if op.Kind != rdma.OpRead || len(op.Buf) == layout.SlotSize {
+					return nil
 				}
-				switch len(op.Buf) {
-				case layout.SlotSize:
-					slotReads++
-				case layout.BucketSize:
-				default:
-					if tcase.failHome && !failed {
-						if op.Addr.Node == homeNode {
-							t.Fatalf("the pair of %q sits on its home MN %d: the script needs them apart", k, home)
-						}
-						failed = true
-						tc.cl.FailMN(home)
+				what := "pair"
+				if len(op.Buf) == layout.BucketSize {
+					what = "buckets"
+				}
+				if tcase.failHome && !failed && what == "pair" {
+					if op.Addr.Node == homeNode {
+						t.Fatalf("the pair of %q sits on its home MN %d: the script needs them apart", k, home)
 					}
+					failed = true
+					tc.cl.FailMN(home)
 				}
+				if tcase.failRead == what && !torn {
+					torn = true
+					if what == "pair" {
+						return errNoRPC
+					}
+					return rdma.ErrNodeFailed
+				}
+				return nil
 			}
 			before := snapVerbs(a, actx)
 			var err error
@@ -470,37 +573,40 @@ func TestParkedPatchLeavesOnEveryExit(t *testing.T) {
 				err = a.Update(k, v)
 			}
 			d := snapVerbs(a, actx).since(before)
+			actx.opErr, actx.rpcErr = nil, nil
 			if !errors.Is(err, tcase.wantErr) {
 				t.Fatalf("op returned %v, want %v", err, tcase.wantErr)
 			}
-			if !log.hasPrefix(tcase.calls...) {
-				t.Errorf("calls %v, want the prefix %v", log.calls, tcase.calls)
+			if want := marksOf(tcase.want...); !slices.Equal(outs.marks, want) {
+				t.Errorf("outcomes %v, want %v (calls %v)", outs.marks, want, log.calls)
 			}
-			if d.retries != 1 || d.inval != 1 || d.posts != tcase.posts {
-				t.Errorf("casRetries=%d invalidations=%d posts=%d, want 1 1 %d", d.retries, d.inval, d.posts, tcase.posts)
+			lost := 0
+			for _, o := range tcase.want {
+				if o == outAbsorbed || o == outChased || o == outReread || o == outReprobe {
+					lost++
+				}
 			}
-			if tcase.deadAt != "" {
-				at := -1
-				for i, call := range log.calls {
-					if i > 0 && call == tcase.deadAt && log.methods[i] == tcase.deadMethod {
-						at = i
+			if int(d.retries) != lost || int(d.inval) != lost || d.posts != tcase.posts ||
+				tcase.signaled >= 0 && d.doorbells-d.posts != tcase.signaled {
+				t.Errorf("casRetries=%d invalidations=%d signaled=%d posts=%d, want %d %d %d %d (calls %v)",
+					d.retries, d.inval, d.doorbells-d.posts, d.posts, lost, lost, tcase.signaled, tcase.posts, log.calls)
+			}
+			if lost > 0 {
+				post := slices.Index(log.calls, "post")
+				for i := post + 1; post >= 0 && i < len(log.calls); i++ {
+					if !log.dead[i] {
+						t.Errorf("orphan still valid at call %d of %v, after the patch post", i, log.calls)
 						break
 					}
 				}
-				if at < 0 {
-					t.Errorf("calls %v hold no %s (method %d) after the lost batch", log.calls, tcase.deadAt, tcase.deadMethod)
-				} else if tcase.deadAt == "post" {
-					at++ // the post is the patch: look at the call after it
+				sealed := false
+				for i := post + 1; post >= 0 && i < len(log.calls); i++ {
+					sealed = sealed || log.calls[i] == "rpc" && log.methods[i] == methodSealBlock
 				}
-				if at >= 0 && !log.dead[at] {
-					t.Errorf("orphan still valid at call %d of %v", at, log.calls)
+				if post < 0 || !orphan.invalidated() || tcase.seal && !sealed {
+					t.Errorf("calls %v: patch posted %v, orphan version %#x, sealed after the post %v",
+						log.calls, post >= 0, orphan.version(), sealed)
 				}
-			}
-			if tcase.del && slotReads != 0 {
-				t.Errorf("a DELETE's batches read the slot %d times, want 0", slotReads)
-			}
-			if !orphan.invalidated() || len(a.wsc.parked) != 0 {
-				t.Errorf("after the op: orphan version %#x, %d patch ops parked", orphan.version(), len(a.wsc.parked))
 			}
 			if tcase.failHome {
 				// Buckets, the pair (home MN fails), nothing placed, then — the
@@ -511,17 +617,72 @@ func TestParkedPatchLeavesOnEveryExit(t *testing.T) {
 				}
 				tc.waitBlocksReady(t, home)
 			}
-			actx.rpcErr = nil
+			if tcase.failRead != "" && !torn {
+				t.Errorf("A read no %s to fail", tcase.failRead)
+			}
+			if tcase.bWins {
+				v = val(2, 6)
+			}
 			if tcase.wantErr == nil {
-				want := v
 				got, err := b.Search(k)
-				if tcase.del && !errors.Is(err, ErrNotFound) || !tcase.del && (err != nil || !bytes.Equal(got, want)) {
+				if tcase.del && !errors.Is(err, ErrNotFound) || !tcase.del && (err != nil || !bytes.Equal(got, v)) {
 					t.Errorf("B reads %q, %v after A's op", got, err)
 				}
 			}
 			tc.run(20 * time.Millisecond)
 			stripeParityInvariant(t, tc)
 		})
+	}
+}
+
+// TestBackOffCountsLosses pins that back-off counts lost CASes, not
+// attempts: a DELETE that waits out three rounds of another client's
+// Meta lock and then loses its CAS once goes straight back to the index.
+// From the fourth loss on it would sleep first
+// (TestFusedInsertTwoSignaledDoorbells/back-off).
+func TestBackOffCountsLosses(t *testing.T) {
+	tc, a, b, actx, _ := staleCommitPair(t, 4)
+	k := key(2)
+	if err := a.Delete(key(3)); err != nil { // open A's tombstone-class block
+		t.Fatal(err)
+	}
+	a.stale = staleEstimate{rate: [2]uint32{1 << 16, 1 << 16}} // read the slot, see the lock
+	meta := indexSlot(t, tc, b, k)[layout.SlotMetaOff:]
+	m := layout.UnpackMeta(binary.LittleEndian.Uint64(meta))
+	locked, unlocked := m, m
+	locked.Epoch++
+	unlocked.Epoch += 2
+	binary.LittleEndian.PutUint64(meta, locked.Pack())
+	orphan := nextSlots(t, tc, a, k, nil, 1)[0]
+	log := &callLog{}
+	log.attach(actx, orphan)
+	sleeps := 0
+	actx.onSleep = func() {
+		log.calls = append(log.calls, "sleep")
+		if sleeps++; sleeps == 3 {
+			binary.LittleEndian.PutUint64(meta, unlocked.Pack()) // the holder finishes
+		}
+	}
+	moveBeforeCAS(actx, func() {
+		if err := b.Update(k, val(2, 7)); err != nil {
+			t.Errorf("B's update: %v", err)
+		}
+	})
+	outs := recordOutcomes(a)
+	if err := a.Delete(k); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"read", "batch", "batch", // validation finds the word moved: a DELETE probes
+		"sleep", "read", "sleep", "read", "sleep", "read", // three lock rounds
+		"batch", "post", "batch", "batch", "batch", "post"} // lost, patch, probe, commit, Meta hint
+	if !slices.Equal(log.calls, want) {
+		t.Errorf("calls %v, want %v: one loss is no reason to back off", log.calls, want)
+	}
+	if w := marksOf(outLockHeld, outLockHeld, outLockHeld, outReprobe, outWon); !slices.Equal(outs.marks, w) {
+		t.Errorf("outcomes %v, want %v", outs.marks, w)
+	}
+	if _, err := b.Search(k); !errors.Is(err, ErrNotFound) {
+		t.Errorf("B finds the key A deleted: %v", err)
 	}
 }
 

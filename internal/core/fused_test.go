@@ -140,8 +140,7 @@ func TestLostKVWriteUnderAWonCommitIsRepaired(t *testing.T) {
 	inBatch, lost := false, 0
 	dctx.onCall = func(call string, _ uint8) { inBatch = call == "batch" }
 	dctx.opErr = func(op *rdma.Op) error {
-		// The batch's first write of a whole pair is the KV write; a
-		// parked patch ahead of it writes 8 bytes.
+		// The batch's first write of a whole pair is the KV write.
 		if inBatch && lost == 0 && op.Kind == rdma.OpWrite && len(op.Buf) >= 64 {
 			lost++
 			return errLost

@@ -101,7 +101,7 @@ func TestWrapCtxTracedRecordsOpTree(t *testing.T) {
 	v.CAS(rdma.GlobalAddr{Node: 3}, 0, 1)             //nolint:errcheck
 	waitStart := v.Now()
 	v.Sleep(5 * time.Microsecond)
-	ot.OpMark("lock.wait", waitStart)
+	ot.OpMark("commit.lock_held", waitStart)
 	ot.OpEnd(false)
 
 	spans := tr.Snapshot()
@@ -135,11 +135,11 @@ func TestWrapCtxTracedRecordsOpTree(t *testing.T) {
 		t.Errorf("verb names = %s, %s", verbs[0].Name, verbs[1].Name)
 	}
 	marks := byKind[SpanMark]
-	if len(marks) != 1 || marks[0].Name != "lock.wait" {
+	if len(marks) != 1 || marks[0].Name != "commit.lock_held" {
 		t.Fatalf("mark spans = %+v", marks)
 	}
 	if d := marks[0].End - marks[0].Start; d != 5*time.Microsecond {
-		t.Errorf("lock.wait duration = %v, want 5µs", d)
+		t.Errorf("commit.lock_held duration = %v, want 5µs", d)
 	}
 }
 

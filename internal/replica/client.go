@@ -98,9 +98,10 @@ func (c *Client) Counters() (cas, reads, writes uint64) {
 	return c.Stats.CASIssued, c.Stats.ReadsIssued, c.Stats.WritesIssued
 }
 
-// Close is a no-op: the baselines batch no client-side state that must
-// be flushed (interface parity with core's Client).
-func (c *Client) Close() {}
+// Close drops the client's open blocks. The baselines buffer nothing
+// that must be flushed and seal no block, so the blocks simply stay as
+// written; a client used again after Close places into fresh ones.
+func (c *Client) Close() { clear(c.open) }
 
 // KillMN asks MN mn to fail-stop itself over the admin RPC (the
 // wall-clock fabric's fault-injection surface; simulated harnesses

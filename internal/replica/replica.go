@@ -215,12 +215,15 @@ func (cl *Cluster) handle(mn int, method uint8) ([]byte, time.Duration) {
 	return resp[:], 2 * time.Microsecond
 }
 
-// FailMN fail-stops logical MN mn: the view marks it dead and the
-// platform drops its memory, so clients fail over to surviving
-// replicas (there is no rebuild — replication keeps the data live).
+// FailMN fail-stops logical MN mn: the platform drops its memory and
+// the view marks it dead, so clients fail over to surviving replicas
+// (there is no rebuild — replication keeps the data live). The view is
+// marked last, under its lock, so whoever sees the failure there also
+// sees the platform's fail-stop: an admin kill runs FailMN on a
+// goroutine of its own.
 func (cl *Cluster) FailMN(mn int) {
-	cl.markFailed(mn)
 	cl.pl.Fail(cl.nodes[mn])
+	cl.markFailed(mn)
 }
 
 // markFailed records a failure observed by a client (verb returned
