@@ -23,6 +23,9 @@ var (
 	// than the largest size class a block record's one-byte class field
 	// names (255 × 64 B).
 	ErrTooLarge = errors.New("aceso: key-value pair too large")
+
+	// errBucketsFull reports an INSERT whose two buckets have no free slot.
+	errBucketsFull = errors.New("aceso: both buckets full (resize not triggered)")
 )
 
 const maxOpRetries = 1024

@@ -542,7 +542,7 @@ func (c *Client) locateForWrite(key []byte, h uint64, mn int, fp uint8, tombston
 			return loc, nil
 		}
 	}
-	return loc, fmt.Errorf("aceso: both buckets full for key %q (resize not triggered)", key)
+	return loc, fmt.Errorf("%w: key %q", errBucketsFull, key)
 }
 
 // placedKV describes a placed KV pair: its packed address, the

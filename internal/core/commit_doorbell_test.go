@@ -393,6 +393,10 @@ func TestCommitOutcomes(t *testing.T) {
 	for i := range lockRounds {
 		lockRounds[i] = outLockHeld
 	}
+	rereads := make([]outcome, maxOpRetries)
+	for i := range rereads {
+		rereads[i] = outReread
+	}
 	cases := []struct {
 		name string
 		want []outcome
@@ -483,6 +487,49 @@ func TestCommitOutcomes(t *testing.T) {
 		{name: "placement failed", lastSlot: true, wantErr: ErrNoSpace, want: []outcome{outChased, outPlaceFailed},
 			signaled: 1, posts: 1,
 			arrange: func(_ *testing.T, _ *testCluster, _, _ *Client, actx *directCtx) { actx.rpcErr = errNoRPC }},
+		// Every slot of k's two buckets holds another key's word: locate
+		// finds neither k nor a free slot to insert it into.
+		{name: "both buckets full", wantErr: errBucketsFull, want: []outcome{outPlaceFailed}, signaled: 1,
+			arrange: func(_ *testing.T, tc *testCluster, a, _ *Client, _ *directCtx) {
+				h := racehash.Hash(k)
+				a.cache.Remove(h, k)
+				node, _ := tc.cl.view.nodeOf(racehash.HomeMN(h, tc.cl.Cfg.Layout.NumMNs))
+				mem := tc.pl.DirectMemory(node)
+				b1, b2 := racehash.BucketPair(h, tc.cl.L.NumBuckets())
+				for _, bk := range []uint64{b1, b2} {
+					for s := 0; s < layout.BucketSlots; s++ {
+						off := tc.cl.L.SlotOff(bk, s)
+						if w := binary.LittleEndian.Uint64(mem[off:]); w == 0 || layout.UnpackAtomic(w).FP == racehash.Fingerprint(h) {
+							foreign := layout.SlotAtomic{FP: racehash.Fingerprint(h) ^ 0x80, Ver: 1, Addr: layout.PackAddr(0, tc.cl.L.BlockOff(0))}
+							binary.LittleEndian.PutUint64(mem[off:], foreign.Pack())
+						}
+					}
+				}
+			}},
+		// Every commit CAS finds a word of another fingerprint (restored
+		// ahead of A's next verb, so no read ever sees it): no attempt is
+		// absorbed or chased, each re-reads the slot, and the op gives up
+		// after maxOpRetries.
+		{name: "retries exhausted", wantErr: ErrRetriesExhausted, want: rereads,
+			signaled: -1, posts: maxOpRetries,
+			arrange: func(_ *testing.T, tc *testCluster, _, _ *Client, actx *directCtx) {
+				var restore func()
+				actx.beforeOp = func(op *rdma.Op) {
+					if restore != nil {
+						restore()
+						restore = nil
+					}
+					if op.Kind != rdma.OpCAS || op.Addr.Off >= tc.cl.L.Cfg.IndexBytes {
+						return
+					}
+					word := tc.pl.DirectMemory(op.Addr.Node)[op.Addr.Off:][:8]
+					was := binary.LittleEndian.Uint64(word)
+					a := layout.UnpackAtomic(was)
+					a.FP ^= 0x80
+					binary.LittleEndian.PutUint64(word, a.Pack())
+					restore = func() { binary.LittleEndian.PutUint64(word, was) }
+				}
+			}},
 		{name: "absent", del: true, wantErr: ErrNotFound, want: []outcome{outReprobe, outAbsent}, signaled: 3, posts: 1,
 			arrange: func(t *testing.T, _ *testCluster, _, b *Client, _ *directCtx) {
 				if err := b.Delete(k); err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"runtime"
 	"strings"
 	"testing"
@@ -67,6 +68,89 @@ func TestHelperAssistedRecovery(t *testing.T) {
 	if st.ECEncodeNs == 0 {
 		t.Error("ECEncodeNs = 0: the helpers' fold time was not accounted")
 	}
+}
+
+// TestTier2ShipsEachNewBlockOnce pins where tier 2's decode runs: the
+// new local blocks are the rebuild team's first fill, so between the
+// fail-stop and indexReady the team writes each of them into the
+// replacement exactly once, and the replacement's NIC takes in little
+// more than those blocks until they are all there (a decode run on the
+// replacement pulls k source shards of every row through it instead).
+// Ops are stamped with the virtual time they land and cut at the
+// recovery's own trace events: the remote blocks tier 2 reads after
+// "recovery.lblocks" are its scan's, not its decode's.
+func TestTier2ShipsEachNewBlockOnce(t *testing.T) {
+	tc := newTestCluster(t, func(cfg *Config) { cfg.Layout.StripeRows = 60 })
+	tc.cl.master.AddSpare()
+	expect := loadForRebuild(t, tc, 250, 900)
+	// A third wave with no checkpoint after it: its sealed blocks are new.
+	tc.runClients(t, 120*time.Second, func(c *Client) {
+		for id := 300000; id < 300600; id++ {
+			v := bytes.Repeat(val(id, 2), 8)
+			if err := c.Insert(key(id), v); err != nil {
+				t.Errorf("insert %d: %v", id, err)
+				return
+			}
+			expect[id] = v
+		}
+	})
+
+	const victim = 2
+	type landed struct {
+		at     time.Duration
+		n      uint64
+		worker bool // a rebuild worker's write into the replacement
+	}
+	var ops []landed // Block Area bytes into the replacement
+	simnet.DebugWatch = func(proc string, target rdma.NodeID, op *rdma.Op) {
+		repl := tc.cl.MNNode(victim)
+		in := op.Kind == rdma.OpWrite && target == repl ||
+			op.Kind == rdma.OpRead && target != repl && strings.HasPrefix(proc, "recover-")
+		if in && tc.cl.L.BlockOfOff(op.Addr.Off) >= 0 {
+			ops = append(ops, landed{tc.pl.Engine().Now(), uint64(len(op.Buf)),
+				op.Kind == rdma.OpWrite && strings.HasPrefix(proc, "rebuild-worker")})
+		}
+	}
+	defer func() { simnet.DebugWatch = nil }()
+	tc.cl.FailMN(victim)
+	tc.waitBlocksReady(t, victim)
+	simnet.DebugWatch = nil
+
+	at := map[string]time.Duration{}
+	for _, e := range tc.cl.Trace().Events() {
+		if e.MN == victim && strings.HasPrefix(e.Kind, "recovery.") {
+			at[e.Kind] = e.At
+		}
+	}
+	lblocks, ready := at["recovery.lblocks"], at["recovery.index_ready"]
+	if lblocks == 0 || ready == 0 {
+		t.Fatalf("recovery trace lacks its tier-2 events: %v", at)
+	}
+	var shipped, inbound uint64
+	for _, o := range ops {
+		if o.worker && o.at <= ready {
+			shipped += o.n
+		}
+		if o.at <= lblocks {
+			inbound += o.n
+		}
+	}
+	rep := tc.cl.master.Reports[0]
+	bs := tc.cl.L.Cfg.BlockSize
+	want := uint64(rep.LBlockCount) * bs
+	if rep.LBlockCount < 3 {
+		t.Fatalf("only %d new local blocks; grow the load", rep.LBlockCount)
+	}
+	t.Logf("%d new blocks of %d KB: team shipped %d bytes, replacement took in %d (%.2fx)",
+		rep.LBlockCount, bs>>10, shipped, inbound, float64(inbound)/float64(want))
+	if shipped != want {
+		t.Errorf("rebuild workers wrote %d bytes into the replacement before indexReady, want %d (%d new blocks x %d)",
+			shipped, want, rep.LBlockCount, bs)
+	}
+	if inbound > want*115/100 {
+		t.Errorf("replacement took in %d Block Area bytes decoding %d new blocks of %d: want at most 1.15x", inbound, rep.LBlockCount, bs)
+	}
+	tc.verifyAll(t, expect)
 }
 
 // TestHelperTeamReusedAcrossRecoveries pins the team's lifetime: its

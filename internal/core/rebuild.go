@@ -10,21 +10,25 @@ import (
 	"repro/internal/rdma"
 )
 
-// This file holds tier 3 of MN recovery (§3.4.1): the rebuild of the
-// failed MN's Block Area after its index is serving again. Its old DATA
-// blocks are read through the one stripe reader (stripe.go).
+// This file holds the decode of MN recovery (§3.4.1): the rebuild of
+// the failed MN's lost rows into its replacement, read through the one
+// stripe reader (stripe.go). Tiered recovery is an order over one queue,
+// filled twice: tier 2 fills it with the new DATA blocks the index
+// rebuild must scan, tier 3 — once the index serves again — with the old
+// DATA blocks and the PARITY rows.
 //
 // The paper leaves "distributing coding stripe recovery tasks across
 // multiple CNs, similar to RAMCloud" as future work (§4.5); this is
-// that design. Every lost row of the MN — old DATA blocks and PARITY
-// rows alike — goes into one queue in row order, which interleaves the
-// two kinds because the layout rotates parity placement. A fixed team
-// of workers on compute nodes drains it: each worker reads everything
-// a row needs from all its sources at once, decodes or folds on its
-// own CPU into buffers it keeps from row to row, and writes exactly
-// one rebuilt block to the replacement. The replacement's NIC thus
-// receives each block once, where a rebuild run on the replacement
-// itself pulls every source shard of every row through that one NIC.
+// that design. Rows go into the queue in row order, which in tier 3
+// interleaves DATA and PARITY rows because the layout rotates parity
+// placement. A fixed team of workers on compute nodes drains it: each
+// worker reads everything a row needs from all its sources at once,
+// decodes or folds on its own CPU into buffers it keeps from row to row,
+// and writes exactly one rebuilt block to the replacement, so one
+// worker's fetch overlaps another's decode (remark 1). The replacement's
+// NIC thus receives each block once, where a rebuild run on the
+// replacement itself pulls every source shard of every row through that
+// one NIC.
 //
 // What stays on the replacement is the coordinator (the recovery
 // process itself): it alone touches the local Meta Area — parity
@@ -90,8 +94,8 @@ func nodeFailed(pl rdma.Platform, node rdma.NodeID) bool {
 
 // --- the rebuild engine ---
 
-// rebuildRow is one entry of the tier-3 queue: a stripe row whose
-// block the failed MN held.
+// rebuildRow is one entry of the queue: a stripe row whose block the
+// failed MN held.
 type rebuildRow struct {
 	b        int
 	parity   bool
@@ -135,7 +139,7 @@ type rebuild struct {
 	cl   *Cluster
 	mn   int
 	node rdma.NodeID // the replacement; addressed directly, never through the view
-	srv  *Server     // the replacement's server, which meta-syncs the records serve writes
+	srv  *Server     // the replacement's server, which meta-syncs the records serve writes; nil in tier 2
 
 	mu       sync.Mutex
 	queue    []rebuildRow
@@ -151,13 +155,17 @@ type rebuild struct {
 	inbound    uint64
 	srcBytes   []uint64
 	tally      ecTally
+	whole      map[int]bool // DATA rows shipped whole
 }
 
-// newRebuild queues every lost row of srv's MN in row order: the old
-// DATA blocks tier 2 left behind and the rows whose record says PARITY.
-func newRebuild(srv *Server, oldData []int) *rebuild {
-	cl, l, node := srv.cl, srv.cl.L, srv.node
-	rb := &rebuild{cl: cl, mn: srv.mn, node: node, srv: srv, srcBytes: make([]uint64, l.Cfg.NumMNs)}
+// newRebuild queues, in row order, the DATA rows data of MN mn, whose
+// replacement is node, and — given srv, the replacement's server — the
+// rows whose record says PARITY. Tier 2 runs the engine before the
+// server exists, on its new blocks alone: only PARITY installs and
+// restored-DELTA placement go through srv.
+func newRebuild(cl *Cluster, mn int, node rdma.NodeID, data []int, srv *Server) *rebuild {
+	l := cl.L
+	rb := &rebuild{cl: cl, mn: mn, node: node, srv: srv, srcBytes: make([]uint64, l.Cfg.NumMNs), whole: make(map[int]bool)}
 	mem := cl.pl.Memory(node)
 	memMu := cl.pl.MemMutex(node)
 	memMu.Lock()
@@ -166,14 +174,14 @@ func newRebuild(srv *Server, oldData []int) *rebuild {
 		return rb // the node fail-stopped; the coordinator notices
 	}
 	for b := 0; b < l.Cfg.StripeRows; b++ {
-		for len(oldData) > 0 && oldData[0] < b {
-			oldData = oldData[1:]
+		for len(data) > 0 && data[0] < b {
+			data = data[1:]
 		}
 		off := l.RecordOff(b)
 		switch {
-		case len(oldData) > 0 && oldData[0] == b:
+		case len(data) > 0 && data[0] == b:
 			rb.queue = append(rb.queue, rebuildRow{b: b})
-		case layout.DecodeRecord(mem[off:off+layout.RecordSize]).Role == layout.RoleParity:
+		case srv != nil && layout.DecodeRecord(mem[off:off+layout.RecordSize]).Role == layout.RoleParity:
 			rb.queue = append(rb.queue, rebuildRow{b: b, parity: true})
 			rb.parityRows++
 		}
@@ -237,10 +245,18 @@ func (rb *rebuild) run(ctx rdma.Ctx, abandoned func() bool) bool {
 	}
 }
 
-// report fills in tier 3's part of the recovery report and adds the
-// team's erasure work to tally. Under the lock: a worker whose node
-// died mid-row may still be winding down.
-func (rb *rebuild) report(rep *RecoveryReport, tally *ecTally) {
+// settle adds the team's erasure work to tally and returns the DATA
+// rows it shipped whole. Under the lock: a worker whose node died
+// mid-row may still be winding down.
+func (rb *rebuild) settle(tally *ecTally) map[int]bool {
+	rb.mu.Lock()
+	defer rb.mu.Unlock()
+	tally.add(&rb.tally)
+	return rb.whole
+}
+
+// report fills in tier 3's part of the recovery report.
+func (rb *rebuild) report(rep *RecoveryReport) {
 	rb.mu.Lock()
 	defer rb.mu.Unlock()
 	rep.ParityRowCount = rb.parityRows
@@ -248,7 +264,6 @@ func (rb *rebuild) report(rep *RecoveryReport, tally *ecTally) {
 	rep.Tier3InboundBytes = rb.inbound
 	rep.Tier3SourceBytes = append([]uint64(nil), rb.srcBytes...)
 	rep.Tier3LostRows = rb.lost
-	tally.add(&rb.tally)
 }
 
 // serve is the coordinator's half of the hand-off: it reserves pool
@@ -402,6 +417,9 @@ func (rb *rebuild) finish(wk *rebuildWorker, sc *stripeScratch, row rebuildRow, 
 	case in != nil:
 		rb.installs = append(rb.installs, *in)
 	default:
+		if !row.parity {
+			rb.whole[row.b] = true
+		}
 		rb.left--
 	}
 }
@@ -430,7 +448,7 @@ func (rb *rebuild) ship(ctx rdma.Ctx, wk *rebuildWorker, sc *stripeScratch, bloc
 	return true
 }
 
-// rebuildData rebuilds one old DATA block: fetch, decode, ship.
+// rebuildData rebuilds one DATA block: fetch, decode, ship.
 func (rb *rebuild) rebuildData(ctx rdma.Ctx, wk *rebuildWorker, sc *stripeScratch, row rebuildRow) bool {
 	out, ok := readLostBlock(ctx, rb.cl, rb.mn, row.b, sc, 0)
 	return ok && rb.ship(ctx, wk, sc, row.b, out)

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/layout"
@@ -17,7 +16,10 @@ import (
 // Table 2: reading the metadata replica, reading the latest index
 // checkpoint, decoding new local blocks, reading new remote blocks,
 // scanning their KV pairs, and rebuilding the rest of the Block Area
-// (old local blocks and parity rows).
+// (old local blocks and parity rows). Both decodes are fills of one
+// rebuild queue drained by the compute-node team (rebuild.go): the new
+// local blocks in tier 2, the rest in tier 3. The Tier3 fields count
+// the second fill alone.
 type RecoveryReport struct {
 	MN          int
 	CkptVersion uint64
@@ -58,10 +60,12 @@ func runRecovery(ctx rdma.Ctx, cl *Cluster, mn int) *RecoveryReport {
 	mem := ctx.LocalMem()
 	start := ctx.Now()
 
-	// Tier-2 decode runs on the replacement node's erasure core (tier 3
-	// decodes elsewhere, on the rebuild team's compute nodes). The
-	// scratch's tally folds into the server's counters at the end,
-	// since this decoding happens before the server exists.
+	// This process's own stripe reads (tier 2's scan of a block on a
+	// second MN down, its key resolution) run on the replacement's erasure
+	// core; every lost block of this MN is decoded by the rebuild team on
+	// compute nodes. The team's tallies fold into the scratch's, and that
+	// into the server's counters at the end, since tier 2 runs before the
+	// server exists.
 	sc := newStripeScratch(cl)
 
 	// abandoned reports that this node died or was re-assigned while
@@ -131,7 +135,6 @@ func runRecovery(ctx rdma.Ctx, cl *Cluster, mn int) *RecoveryReport {
 
 	// Classify this MN's blocks from the recovered records.
 	var newLocal, oldLocal []int
-	recovered := make(map[int]bool)
 	for b := 0; b < l.Cfg.BlocksPerMN(); b++ {
 		off := l.RecordOff(b)
 		rec := layout.DecodeRecord(mem[off : off+layout.RecordSize])
@@ -146,88 +149,24 @@ func runRecovery(ctx rdma.Ctx, cl *Cluster, mn int) *RecoveryReport {
 	}
 	rep.CoveredBlocks = len(oldLocal)
 
-	// Decode new local blocks (pipelined reads + XOR, §3.4.1 remark 1).
+	// Decode the new local blocks: the rebuild team's first fill, the rows
+	// the index needs (rebuild.go). The rest wait for tier 3's.
 	t = ctx.Now()
-	recoverBlocks(ctx, cl, mn, newLocal, recovered, sc)
+	tier2 := newRebuild(cl, mn, ctx.Node(), newLocal, nil)
+	if !tier2.run(ctx, abandoned) {
+		return nil
+	}
+	recovered := tier2.settle(&sc.tally)
 	partial = partial || len(recovered) < len(newLocal)
 	rep.LBlockCount = len(newLocal)
 	rep.RecoverLBlock = ctx.Now() - t
 	cl.trace.Emit(obs.Event{At: ctx.Now(), Kind: "recovery.lblocks", MN: mn, Dur: rep.RecoverLBlock,
 		Note: fmt.Sprintf("blocks=%d covered=%d", rep.LBlockCount, len(oldLocal))})
 
-	// Read new remote blocks.
-	t = ctx.Now()
-	type remoteBlock struct {
-		mn    int
-		idx   int
-		class uint8
-		data  []byte
-	}
-	var remotes []remoteBlock
-	recArea := make([]byte, uint64(l.Cfg.BlocksPerMN())*layout.RecordSize)
-	for j := 0; j < l.Cfg.NumMNs; j++ {
-		if j == mn {
-			continue
-		}
-		_, alive := cl.view.nodeOf(j)
-		if alive {
-			if !sc.readBlock(ctx, cl, j, l.RecordOff(0), recArea) {
-				partial = true
-				continue
-			}
-		} else {
-			// Double failure: MN j is down too. Its recent blocks can
-			// still carry the only copies of KVs homed on this index
-			// (and possibly this MN's lost checkpoint), so enumerate
-			// them from j's meta replica and decode them from stripe
-			// survivors.
-			if !readMetaReplica(ctx, cl, sc, j, l.RecordOff(0)-l.MetaOff(), recArea) {
-				partial = true
-				continue
-			}
-		}
-		for b := 0; b < l.Cfg.BlocksPerMN(); b++ {
-			rec := layout.DecodeRecord(recArea[uint64(b)*layout.RecordSize:])
-			if rec.Role != layout.RoleData {
-				continue
-			}
-			if ckptCovers(ckptVer, &rec) {
-				rep.CoveredBlocks++
-				continue
-			}
-			// The block is read in place only from a source of stripe
-			// blocks; on an MN down or still in tier 3 it is decoded.
-			data := make([]byte, l.Cfg.BlockSize)
-			switch {
-			case cl.view.blockSource(j):
-				if !sc.readBlock(ctx, cl, j, l.BlockOff(b), data) {
-					partial = true
-					continue
-				}
-			case b >= l.Cfg.StripeRows:
-				continue // pool blocks hold no indexed KVs
-			default:
-				out, ok := readLostBlock(ctx, cl, j, b, sc, rdma.CoreErasure)
-				if !ok {
-					partial = true
-					continue
-				}
-				copy(data, out)
-			}
-			remotes = append(remotes, remoteBlock{mn: j, idx: b, class: rec.SizeClass, data: data})
-		}
-	}
-	rep.RBlockCount = len(remotes)
-	rep.ReadRBlock = ctx.Now() - t
-	cl.trace.Emit(obs.Event{At: ctx.Now(), Kind: "recovery.rblocks", MN: mn, Dur: rep.ReadRBlock,
-		Note: fmt.Sprintf("blocks=%d covered=%d", rep.RBlockCount, rep.CoveredBlocks-len(oldLocal))})
-	if abandoned() {
-		return nil
-	}
-
-	// Scan KV pairs of every new block and keep, per key homed on this
-	// MN, the candidate with the highest slot version (§3.2.2).
-	t = ctx.Now()
+	// Scan KV pairs of every new block — the local ones, then the remote
+	// ones by MN and row, each read into one buffer and scanned at once —
+	// and keep, per key homed on this MN, the candidate with the highest
+	// slot version (§3.2.2).
 	type candidate struct {
 		version uint64
 		packed  uint64
@@ -261,15 +200,82 @@ func runRecovery(ctx rdma.Ctx, cl *Cluster, mn int) *RecoveryReport {
 			}
 		}
 	}
+	memMu := cl.pl.MemMutex(ctx.Node())
+	memMu.Lock() // the team wrote these blocks through the fabric
 	for _, b := range newLocal {
-		off := l.RecordOff(b)
-		rec := layout.DecodeRecord(mem[off : off+layout.RecordSize])
-		blk := mem[l.BlockOff(b) : l.BlockOff(b)+l.Cfg.BlockSize]
-		scanBlock(mn, b, rec.SizeClass, blk)
+		if recovered[b] {
+			off := l.RecordOff(b)
+			rec := layout.DecodeRecord(mem[off : off+layout.RecordSize])
+			scanBlock(mn, b, rec.SizeClass, mem[l.BlockOff(b):l.BlockOff(b)+l.Cfg.BlockSize])
+		}
 	}
-	for _, rb := range remotes {
-		scanBlock(rb.mn, rb.idx, rb.class, rb.data)
+	memMu.Unlock()
+
+	t = ctx.Now()
+	blk := make([]byte, l.Cfg.BlockSize)
+	recArea := make([]byte, uint64(l.Cfg.BlocksPerMN())*layout.RecordSize)
+	for j := 0; j < l.Cfg.NumMNs; j++ {
+		if j == mn {
+			continue
+		}
+		_, alive := cl.view.nodeOf(j)
+		if alive {
+			if !sc.readBlock(ctx, cl, j, l.RecordOff(0), recArea) {
+				partial = true
+				continue
+			}
+		} else {
+			// Double failure: MN j is down too. Its recent blocks can
+			// still carry the only copies of KVs homed on this index
+			// (and possibly this MN's lost checkpoint), so enumerate
+			// them from j's meta replica and decode them from stripe
+			// survivors.
+			if !readMetaReplica(ctx, cl, sc, j, l.RecordOff(0)-l.MetaOff(), recArea) {
+				partial = true
+				continue
+			}
+		}
+		for b := 0; b < l.Cfg.BlocksPerMN(); b++ {
+			rec := layout.DecodeRecord(recArea[uint64(b)*layout.RecordSize:])
+			if rec.Role != layout.RoleData {
+				continue
+			}
+			if ckptCovers(ckptVer, &rec) {
+				rep.CoveredBlocks++
+				continue
+			}
+			// The block is read in place only from a source of stripe
+			// blocks; on an MN down or still in tier 3 it is decoded.
+			data := blk
+			switch {
+			case cl.view.blockSource(j):
+				if !sc.readBlock(ctx, cl, j, l.BlockOff(b), blk) {
+					partial = true
+					continue
+				}
+			case b >= l.Cfg.StripeRows:
+				continue // pool blocks hold no indexed KVs
+			default:
+				out, ok := readLostBlock(ctx, cl, j, b, sc, rdma.CoreErasure)
+				if !ok {
+					partial = true
+					continue
+				}
+				data = out
+			}
+			rep.RBlockCount++
+			scanBlock(j, b, rec.SizeClass, data)
+		}
 	}
+	rep.ReadRBlock = ctx.Now() - t
+	cl.trace.Emit(obs.Event{At: ctx.Now(), Kind: "recovery.rblocks", MN: mn, Dur: rep.ReadRBlock,
+		Note: fmt.Sprintf("blocks=%d covered=%d", rep.RBlockCount, rep.CoveredBlocks-len(oldLocal))})
+	if abandoned() {
+		return nil
+	}
+
+	// The scan's modelled cost, for every pair it decoded, then the reapply.
+	t = ctx.Now()
 	ctx.UseCPU(rdma.CoreErasure, cpuTime(rep.KVCount*64, cl.Cfg.Rates.Memcpy))
 
 	// Reapply candidates in sorted key order (deterministic recovery):
@@ -332,15 +338,16 @@ func runRecovery(ctx rdma.Ctx, cl *Cluster, mn int) *RecoveryReport {
 		Note: "tier 2 complete: writes full speed, reads degraded"})
 
 	// --- Tier 3: Block Area (old data blocks and parity rows) ---
-	// One queue of lost rows, rebuilt by the team of compute-node
-	// workers (rebuild.go); this process stays behind as coordinator.
+	// The rebuild team's second fill: every lost row tier 2 left behind.
+	// This process stays behind as coordinator.
 	t = ctx.Now()
-	rb := newRebuild(srv, oldLocal)
+	rb := newRebuild(cl, mn, ctx.Node(), oldLocal, srv)
 	rep.OldLBlockCount = len(oldLocal)
 	if !rb.run(ctx, abandoned) {
 		return nil
 	}
-	rb.report(rep, &sc.tally)
+	rb.settle(&sc.tally)
+	rb.report(rep)
 	rep.RecoverOldLBlock = ctx.Now() - t
 	cl.trace.Emit(obs.Event{At: ctx.Now(), Kind: "recovery.tier3", MN: mn, Dur: rep.RecoverOldLBlock,
 		Note: fmt.Sprintf("old-blocks=%d parity-rows=%d lost-rows=%d workers=%d inbound-bytes=%d",
@@ -623,64 +630,4 @@ func (ek *entryKeys) of(m racehash.Match) ([]byte, bool) {
 func (ek *entryKeys) inPlace(owner int, off uint64) (rdma.GlobalAddr, bool) {
 	addr, ok := ek.cl.Addr(owner, off)
 	return addr, ok && owner != ek.mn && ek.cl.view.blockSource(owner)
-}
-
-// recoverBlocks decodes the given local DATA blocks from their
-// stripes' survivors into local memory: tier 2's new blocks, which the
-// KV scan needs in place before the index can be published. Fetching
-// (RDMA reads, every source at once) and decoding (XOR/GF compute) run
-// as a two-stage pipeline (§3.4.1 remark 1): a prefetch process fills
-// one scratch while the decoder works out of the other.
-func recoverBlocks(ctx rdma.Ctx, cl *Cluster, mn int, blocks []int, recovered map[int]bool, sc *stripeScratch) {
-	mem := ctx.LocalMem()
-	if len(blocks) == 0 || len(mem) == 0 {
-		return // nothing to do, or the node failed under us and the master retries elsewhere
-	}
-	ring := [2]*stripeScratch{sc, newStripeScratch(cl)}
-	var mu sync.Mutex
-	var fetchedOK [2]bool
-	fetched, decoded := 0, 0 // stripes through each stage
-	waitFor := func(wctx rdma.Ctx, ready func() bool) {
-		for {
-			mu.Lock()
-			ok := ready()
-			mu.Unlock()
-			if ok {
-				return
-			}
-			wctx.Sleep(5 * time.Microsecond)
-		}
-	}
-
-	cl.pl.Spawn(ctx.Node(), "recover-prefetch", func(fctx rdma.Ctx) {
-		for i, b := range blocks {
-			waitFor(fctx, func() bool { return i-decoded < len(ring) })
-			ok := fetchStripe(fctx, cl, mn, b, ring[i%len(ring)])
-			mu.Lock()
-			fetchedOK[i%len(ring)] = ok
-			fetched++
-			mu.Unlock()
-		}
-	})
-
-	memMu := cl.pl.MemMutex(ctx.Node())
-	for i, b := range blocks {
-		waitFor(ctx, func() bool { return fetched > i })
-		from := ring[i%len(ring)]
-		if fetchedOK[i%len(ring)] {
-			if out, ok := reconstructLost(ctx, cl, mn, b, from, rdma.CoreErasure); ok {
-				memMu.Lock()
-				copy(mem[cl.L.BlockOff(b):cl.L.BlockOff(b)+cl.L.Cfg.BlockSize], out)
-				memMu.Unlock()
-				recovered[b] = true
-			}
-		}
-		if from != sc {
-			sc.tally.add(&from.tally)
-			from.tally = ecTally{}
-		}
-		mu.Lock()
-		decoded++
-		mu.Unlock()
-	}
 }

@@ -9,8 +9,8 @@ import (
 )
 
 // This file is the one stripe reader: a client's degraded SEARCH, tier
-// 2's decode of new blocks and its key resolution, and tier 3's rebuild
-// of old blocks read a lost DATA block's bytes through it. Its source
+// 2's scan and key resolution, and the rebuild team's decode of every
+// lost DATA block (rebuild.go) read a lost DATA block's bytes through it. Its source
 // rule (choose): an MN is a source only if view.blockSource says so —
 // an MN still in tier 3 answers reads, but with zeros for the rows it
 // has not rebuilt — and a parity only if its record also reads
@@ -198,9 +198,9 @@ type stripeScratch struct {
 
 // ecTally accumulates erasure compute totals (bytes touched, virtual
 // elapsed time) for paths that run outside a server's own processes —
-// recovery decodes before the replacement server exists and, in tier
-// 3, on the rebuild workers' compute nodes; it folds the tally into
-// the replacement server's counters at the end.
+// recovery, whose rebuild team decodes on compute nodes, partly before
+// the replacement server exists; it folds the tally into the
+// replacement server's counters at the end.
 type ecTally struct {
 	encodeBytes, encodeNs uint64
 	decodeBytes, decodeNs uint64
@@ -348,14 +348,18 @@ func (sc *stripeScratch) readBlock(ctx rdma.Ctx, cl *Cluster, mn int, off uint64
 	return readBlocks(ctx, cl, sc)
 }
 
-// fetchStripe reads what decoding owner's lost DATA block of row b
-// takes into sc: the sources choose picks, after their records (one
-// doorbell; a parity whose record does not read RoleParity and Valid is
-// ruled out and the sources chosen again), and the pending DELTA blocks
-// the first chosen parity's record names. Data shards come back in enc
-// form (DATA ⊕ DELTA). It reports false when too few sources are left
-// for the code to decode, or one failed under the read.
-func fetchStripe(ctx rdma.Ctx, cl *Cluster, owner, b int, sc *stripeScratch) bool {
+// readLostBlock decodes owner's lost DATA block of row b and returns it
+// (a scratch buffer: consume it before sc's next read), charging the
+// decode to core: a rebuild worker's or a client's one compute-node
+// core, or the replacement's erasure core when tier 2 scans a block of
+// a second MN down. It reads into sc the sources choose picks, after
+// their records (one doorbell; a parity whose record does not read
+// RoleParity and Valid is ruled out and the sources chosen again), and
+// the pending DELTA blocks the first chosen parity's record names. Data
+// shards are decoded in enc form (DATA ⊕ DELTA) and the owner's pending
+// delta folded back after. It reports false when too few sources are
+// left for the code to decode, or one failed under the read.
+func readLostBlock(ctx rdma.Ctx, cl *Cluster, owner, b int, sc *stripeScratch, core int) ([]byte, bool) {
 	l := cl.L
 	stripe := uint32(b)
 	k, m := cl.code.K(), cl.code.M()
@@ -363,7 +367,7 @@ func fetchStripe(ctx rdma.Ctx, cl *Cluster, owner, b int, sc *stripeScratch) boo
 	var prec layout.Record
 	for skip := 0; ; {
 		if _, ok := sc.choose(cl, owner, b, skip); !ok {
-			return false
+			return nil, false
 		}
 		sc.ops = sc.ops[:0]
 		for j := 0; j < m; j++ {
@@ -413,34 +417,22 @@ func fetchStripe(ctx rdma.Ctx, cl *Cluster, owner, b int, sc *stripeScratch) boo
 		}
 	}
 	if !readBlocks(ctx, cl, sc) {
-		return false
-	}
-	for xid := 0; xid < k; xid++ {
-		if sc.present[xid] && sc.hasDelta[xid] {
-			erasure.XorInto(sc.shards[xid], sc.deltas[xid])
-		}
-	}
-	return true
-}
-
-// reconstructLost decodes owner's block of row b from the stripe
-// fetched into sc and returns it (a scratch buffer: consume it before
-// the next fetch), charging the decode to core: the replacement's
-// erasure core in tier 2, the compute node's one core for a client or a
-// rebuild worker.
-func reconstructLost(ctx rdma.Ctx, cl *Cluster, owner, b int, sc *stripeScratch, core int) ([]byte, bool) {
-	xid := cl.L.XORIDOf(uint32(b), owner)
-	pl, err := sc.plan(cl.code, xid)
-	if err != nil {
 		return nil, false
 	}
 	touched := 1 // the block written, plus every shard read
-	for _, p := range sc.present {
+	for xid, p := range sc.present {
 		if p {
 			touched++
 		}
+		if xid < k && p && sc.hasDelta[xid] {
+			erasure.XorInto(sc.shards[xid], sc.deltas[xid])
+		}
 	}
-	bs := int(cl.L.Cfg.BlockSize)
+	pl, err := sc.plan(cl.code, own)
+	if err != nil {
+		return nil, false
+	}
+	bs := int(l.Cfg.BlockSize)
 	start := ctx.Now()
 	pl.RunPooled(sc.shards, cl.ecFanOut)
 	if cost := cpuTime(touched*bs, cl.Cfg.Rates.codeRate(cl.Cfg.Code)); cost > 0 {
@@ -448,19 +440,9 @@ func reconstructLost(ctx rdma.Ctx, cl *Cluster, owner, b int, sc *stripeScratch,
 	}
 	sc.tally.decodeBytes += uint64(touched * bs)
 	sc.tally.decodeNs += uint64(ctx.Now() - start)
-	out := sc.shards[xid]
-	// DATA = enc ⊕ DELTA: fold back the owner's pending delta, if any.
-	if sc.hasDelta[xid] {
-		erasure.XorInto(out, sc.deltas[xid])
+	out := sc.shards[own]
+	if sc.hasDelta[own] {
+		erasure.XorInto(out, sc.deltas[own])
 	}
 	return out, true
-}
-
-// readLostBlock is the plan path for a whole block: fetchStripe, then
-// reconstructLost.
-func readLostBlock(ctx rdma.Ctx, cl *Cluster, owner, b int, sc *stripeScratch, core int) ([]byte, bool) {
-	if !fetchStripe(ctx, cl, owner, b, sc) {
-		return nil, false
-	}
-	return reconstructLost(ctx, cl, owner, b, sc, core)
 }
