@@ -156,9 +156,8 @@ func runFig1b(o Options) (*Result, error) {
 				for mn := 0; mn < r.cl.Cfg.Layout.NumMNs; mn++ {
 					mn := mn
 					node := r.cl.MNNode(mn)
-					host := r.cl.L.CkptHostOf(mn, 0)
-					slot := r.cl.L.CkptSlotFor(host, mn)
-					stagingOff := r.cl.L.CkptStagingOff(slot)
+					host := r.cl.L.CkptHostOf(mn)
+					stagingOff := r.cl.L.CkptStagingOff()
 					stagingLen := r.cl.L.CkptStagingBytes()
 					r.pl.Spawn(node, fmt.Sprintf("rawckpt-mn%d", mn), func(ctx rdma.Ctx) {
 						chunk := make([]byte, 64<<10)

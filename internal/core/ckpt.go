@@ -8,10 +8,10 @@ package core
 // writes over all of them, so a per-segment dirty set would skip
 // almost none (DESIGN.md §8). The send loop compresses the segments
 // itself, on the checkpoint-send core, and then ships the frame to
-// each checkpoint host in turn. The wire format is a framed list of
-// per-segment records; the hosted copy's version word moves only after
-// every record of a round has been applied, so torn rounds remain
-// detectable exactly as with a single full-image payload.
+// the MN's one checkpoint host, its ring successor. The wire format is
+// a framed list of per-segment records; the hosted copy's version word
+// moves only after every record of a round has been applied, so torn
+// rounds remain detectable exactly as with a single full-image payload.
 
 import (
 	"crypto/subtle"
@@ -42,7 +42,7 @@ var (
 
 	// ckptCRC guards staged frames against torn chunked writes: an
 	// owner can overwrite the staging area for round r+1 while the
-	// host's recv core still has round r queued, and LZ4 alone can
+	// host's recv core still has round r pending, and LZ4 alone can
 	// "successfully" decompress such mixed bytes into garbage.
 	ckptCRC = crc32.MakeTable(crc32.Castagnoli)
 )
@@ -70,9 +70,8 @@ type ckptRegion struct {
 // frame per round. All buffers are allocated once, so steady-state
 // rounds are allocation-free.
 type ckptFramer struct {
-	l     *layout.Layout
-	rates CPURates
-	raw   bool // CkptRaw ablation: every segment raw and uncompressed
+	l   *layout.Layout
+	raw bool // CkptRaw ablation: every segment raw and uncompressed
 
 	snap  [][]byte // per-segment snapshot of the current round
 	last  [][]byte // per-segment reference (last shipped snapshot)
@@ -91,9 +90,9 @@ type ckptFramer struct {
 	hdr       []byte    // header + record block scratch
 }
 
-func newCkptFramer(l *layout.Layout, rates CPURates, raw bool) *ckptFramer {
+func newCkptFramer(l *layout.Layout, raw bool) *ckptFramer {
 	n := l.CkptSegCount()
-	f := &ckptFramer{l: l, rates: rates, raw: raw,
+	f := &ckptFramer{l: l, raw: raw,
 		snap: make([][]byte, n), last: make([][]byte, n),
 		delta: make([][]byte, n), comp: make([][]byte, n),
 		segs: make([]int, n), recs: make([]ckptRec, n),
@@ -143,14 +142,14 @@ func (f *ckptFramer) processSeg(i int) time.Duration {
 		rec.flags = ckptRecRaw
 		rec.payload = f.comp[seg]
 		rec.compLen = len(rec.payload)
-		cost = cpuTime(ln, f.rates.Compress)
+		cost = cpuTime(ln, compressRate)
 	default:
 		subtle.XORBytes(f.delta[seg], f.snap[seg], f.last[seg])
 		f.comp[seg] = lz4.Compress(f.comp[seg][:0], f.delta[seg])
 		rec.flags = 0
 		rec.payload = f.comp[seg]
 		rec.compLen = len(rec.payload)
-		cost = cpuTime(ln, f.rates.Memcpy) + cpuTime(ln, f.rates.Compress)
+		cost = cpuTime(ln, memcpyRate) + cpuTime(ln, compressRate)
 	}
 	f.last[seg], f.snap[seg] = f.snap[seg], f.last[seg]
 	return cost
@@ -342,17 +341,17 @@ func (a *ckptApplier) apply(hosted, frame []byte, round, lastSeq uint64) (uint64
 
 // --- shipping ---
 
-// shipFrame ships a finished frame to one host — scatter/gather chunked
-// writes into the host's staging area, then the notify RPC — and
-// returns whether both succeeded and the host's last applied seq. The
-// host's physical node is resolved once per frame so a mid-frame view
-// change cannot scatter chunks across two nodes.
-func (s *Server) shipFrame(ctx rdma.Ctx, host int, round uint64, frameLen int, regions []ckptRegion, req []byte) (bool, uint64) {
-	node, alive := s.cl.view.nodeOf(host)
+// shipFrame ships a finished frame to the checkpoint host —
+// scatter/gather chunked writes into the host's staging area, then the
+// notify RPC — and returns whether both succeeded and the host's last
+// applied seq. The host's physical node is resolved once per frame so
+// a mid-frame view change cannot scatter chunks across two nodes.
+func (s *Server) shipFrame(ctx rdma.Ctx, round uint64, frameLen int, regions []ckptRegion, req []byte) (bool, uint64) {
+	node, alive := s.cl.view.nodeOf(s.cl.L.CkptHostOf(s.mn))
 	if !alive {
 		return false, 0
 	}
-	base := s.cl.L.CkptStagingOff(s.cl.L.CkptSlotFor(host, s.mn))
+	base := s.cl.L.CkptStagingOff()
 	for _, r := range regions {
 		if err := writeChunkedTo(ctx, node, base+r.rel, r.data, chunkBytes); err != nil {
 			return false, 0
@@ -390,24 +389,20 @@ func writeChunkedTo(ctx rdma.Ctx, node rdma.NodeID, off uint64, data []byte, chu
 
 // ckptSendLoop is the checkpoint-send core: it runs the differential
 // checkpointing pipeline of Figure 3 (snapshot → XOR with last →
-// LZ4-compress → chunked RDMA_WRITE to the hosts → notify) over every
+// LZ4-compress → chunked RDMA_WRITE to the host → notify) over every
 // segment of the index, every round.
 func (s *Server) ckptSendLoop(ctx rdma.Ctx) {
 	l := s.cl.L
 	segs := l.CkptSegCount()
 	fr := s.ckptFr
-	nHosts := l.Cfg.CkptHosts
-	// owesRaw[h]: the next frame host h applies must be all-raw, since
+	host := l.CkptHostOf(s.mn)
+	// owesRaw: the next frame the host applies must be all-raw, since
 	// its copy cannot be trusted as the base of an XOR delta (missed
 	// frame, replacement node, or recovered owner). A recovered
-	// server's reference snapshot starts zeroed while the hosts still
-	// hold the pre-crash copy, so its first round overwrites.
-	owesRaw := make([]bool, nHosts)
-	hostNode := make([]rdma.NodeID, nHosts)
-	for h := 0; h < nHosts; h++ {
-		owesRaw[h] = s.ckptResync
-		hostNode[h], _ = s.cl.view.nodeOf(l.CkptHostOf(s.mn, h))
-	}
+	// server's reference snapshot starts zeroed while the host still
+	// holds the pre-crash copy, so its first round overwrites.
+	owesRaw := s.ckptResync
+	hostNode, _ := s.cl.view.nodeOf(host)
 	regions := make([]ckptRegion, 0, segs+1)
 	var req [13]byte
 	var seq uint64
@@ -421,16 +416,12 @@ func (s *Server) ckptSendLoop(ctx rdma.Ctx) {
 			continue
 		}
 		// A host re-served on a new physical node starts from a zeroed
-		// copy. The frame is shared by every host, so it is all-raw
-		// while any host is owed one.
-		fr.overwrite = s.cl.Cfg.CkptRaw
-		for h := 0; h < nHosts; h++ {
-			if node, alive := s.cl.view.nodeOf(l.CkptHostOf(s.mn, h)); alive && node != hostNode[h] {
-				hostNode[h] = node
-				owesRaw[h] = true
-			}
-			fr.overwrite = fr.overwrite || owesRaw[h]
+		// copy.
+		if node, alive := s.cl.view.nodeOf(host); alive && node != hostNode {
+			hostNode = node
+			owesRaw = true
 		}
+		fr.overwrite = s.cl.Cfg.CkptRaw || owesRaw
 		seq++
 		fr.round, fr.seq = round, seq
 		roundStart := ctx.Now()
@@ -439,7 +430,7 @@ func (s *Server) ckptSendLoop(ctx rdma.Ctx) {
 		s.memMu.Lock()
 		snapBytes := fr.snapshot(s.mem)
 		s.memMu.Unlock()
-		snapCost := cpuTime(snapBytes, s.cl.Cfg.Rates.Memcpy)
+		snapCost := cpuTime(snapBytes, memcpyRate)
 		ctx.UseCPU(rdma.CoreCkptSend, snapCost)
 		cpuNs := uint64(snapCost)
 
@@ -465,27 +456,19 @@ func (s *Server) ckptSendLoop(ctx rdma.Ctx) {
 		if s.isStopped() {
 			return
 		}
-		// ③ ship the frame to each host in host order — every host's
-		// copy leaves through this MN's one NIC — and ④ settle the
-		// host's resync debt. A transport failure means the host missed
-		// exactly this frame; a lastApplied mismatch means an earlier
-		// frame was torn or lost after a successful notify (e.g.
-		// overwritten in staging before the recv core got to it),
-		// leaving the copy arbitrarily stale. Both self-heal through an
-		// all-raw frame; the version word on a stale copy stays at its
-		// last consistent round throughout, so recovery is safe at
-		// every point in between.
-		fails := uint64(0)
-		for h := 0; h < nHosts; h++ {
-			ok, lastApplied := s.shipFrame(ctx, l.CkptHostOf(s.mn, h), round, frameLen, regions, req[:])
-			owesRaw[h] = !ok || lastApplied != seq-1
-			if owesRaw[h] {
-				fails++
-			}
-		}
-		if fails > 0 {
+		// ③ ship the frame to the host and ④ settle its resync debt. A
+		// transport failure means the host missed exactly this frame; a
+		// lastApplied mismatch means an earlier frame was torn or lost
+		// after a successful notify (e.g. overwritten in staging before
+		// the recv core got to it), leaving the copy arbitrarily stale.
+		// Both self-heal through an all-raw frame; the version word on a
+		// stale copy stays at its last consistent round throughout, so
+		// recovery is safe at every point in between.
+		ok, lastApplied := s.shipFrame(ctx, round, frameLen, regions, req[:])
+		owesRaw = !ok || lastApplied != seq-1
+		if owesRaw {
 			s.mu.Lock()
-			s.st.CkptShipFailures += fails
+			s.st.CkptShipFailures++
 			s.mu.Unlock()
 		}
 		// One phase event per shipped round (snapshot → compress →
@@ -497,50 +480,46 @@ func (s *Server) ckptSendLoop(ctx rdma.Ctx) {
 	}
 }
 
-// ckptRecvLoop is the checkpoint-receive core: it validates staged
-// frames and folds their records into the hosted checkpoint copies
-// (Figure 3 ④). The hosted copy and its version word mutate in one
-// memMu critical section, so remote readers (tier-2 recovery) can
-// detect torn reads by sampling the version word before and after the
-// image.
+// ckptRecvLoop is the checkpoint-receive core: it validates the staged
+// frame and folds its records into the hosted checkpoint copy (Figure
+// 3 ④). The hosted copy and its version word mutate in one memMu
+// critical section, so remote readers (tier-2 recovery) can detect torn
+// reads by sampling the version word before and after the image.
 func (s *Server) ckptRecvLoop(ctx rdma.Ctx) {
 	l := s.cl.L
+	staging := s.mem[l.CkptStagingOff() : l.CkptStagingOff()+l.CkptStagingBytes()]
+	hosted := s.mem[l.CkptCopyOff() : l.CkptCopyOff()+l.Cfg.IndexBytes]
 	for !s.isStopped() {
 		ctx.Sleep(100 * time.Microsecond)
 		for {
 			s.mu.Lock()
-			if len(s.applyQ) == 0 {
-				s.mu.Unlock()
+			job := s.applyNext
+			s.applyNext = applyJob{}
+			lastSeq := s.ckptApplySeq
+			s.mu.Unlock()
+			if job.frameLen == 0 {
 				break
 			}
-			job := s.applyQ[0]
-			s.applyQ = s.applyQ[1:]
-			lastSeq := s.ckptApplySeq[job.slot]
-			s.mu.Unlock()
 
 			s.memMu.Lock()
-			staging := s.mem[l.CkptStagingOff(job.slot) : l.CkptStagingOff(job.slot)+uint64(job.frameLen)]
-			hosted := s.mem[l.CkptCopyOff(job.slot) : l.CkptCopyOff(job.slot)+l.Cfg.IndexBytes]
-			seq, ast, err := s.ckptApplier.apply(hosted, staging, job.version, lastSeq)
+			seq, ast, err := s.ckptApplier.apply(hosted, staging[:job.frameLen], job.version, lastSeq)
 			if err == nil {
 				// The version word is the round's commit point: it only
 				// moves once every record landed.
-				binary.LittleEndian.PutUint64(s.mem[l.CkptVersionOff(job.slot):], job.version)
+				binary.LittleEndian.PutUint64(s.mem[l.CkptVersionOff():], job.version)
 			}
 			s.memMu.Unlock()
 			if err != nil {
 				continue // torn staging write; the owner resyncs via seq feedback
 			}
-			cost := cpuTime(ast.decompressed, s.cl.Cfg.Rates.Decompress) +
-				cpuTime(ast.applied, s.cl.Cfg.Rates.Memcpy)
+			cost := cpuTime(ast.decompressed, decompressRate) +
+				cpuTime(ast.applied, memcpyRate)
 			s.mu.Lock()
 			s.st.CkptApplies++
-			s.ckptApplySeq[job.slot] = seq
+			s.ckptApplySeq = seq
 			s.st.CkptCPUNs += uint64(cost)
 			s.mu.Unlock()
-			if cost > 0 {
-				ctx.UseCPU(rdma.CoreCkptRecv, cost)
-			}
+			ctx.UseCPU(rdma.CoreCkptRecv, cost)
 		}
 	}
 }

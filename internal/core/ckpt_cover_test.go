@@ -169,12 +169,11 @@ func keysHomedOn(tc *testCluster, mn, n int, want bool) []int {
 }
 
 // hostedCkptVersion reads the version word of the checkpoint copy mn's
-// first host holds: what a recovery of mn would find.
+// host holds: what a recovery of mn would find.
 func (tc *testCluster) hostedCkptVersion(mn int) uint64 {
 	l := tc.cl.L
-	host := l.CkptHostOf(mn, 0)
-	node, _ := tc.cl.view.nodeOf(host)
-	return binary.LittleEndian.Uint64(tc.pl.DirectMemory(node)[l.CkptVersionOff(l.CkptSlotFor(host, mn)):])
+	node, _ := tc.cl.view.nodeOf(l.CkptHostOf(mn))
+	return binary.LittleEndian.Uint64(tc.pl.DirectMemory(node)[l.CkptVersionOff():])
 }
 
 func (tc *testCluster) blockRecord(b blockID) layout.Record {

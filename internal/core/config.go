@@ -16,35 +16,23 @@ import (
 	"repro/internal/layout"
 )
 
-// CPURates calibrates how much memory-node CPU time background kernels
-// consume in the simulated cost model (bytes per second). The defaults
-// follow Table 2's measured kernel throughputs and typical single-core
-// memcpy/LZ4 rates.
-type CPURates struct {
-	Memcpy     float64 // checkpoint snapshot copy
-	Xor        float64 // XOR-code encode/decode kernel
-	RS         float64 // Reed-Solomon encode/decode kernel
-	Compress   float64 // LZ4 compression of checkpoint deltas
-	Decompress float64 // LZ4 decompression
-}
-
-// DefaultCPURates returns the calibrated kernel rates (DESIGN.md §5).
-func DefaultCPURates() CPURates {
-	return CPURates{
-		Memcpy:     10e9,
-		Xor:        20.6e9, // Table 2 "Test Tpt" XOR
-		RS:         12.6e9, // Table 2 "Test Tpt" RS
-		Compress:   2e9,
-		Decompress: 6e9,
-	}
-}
+// Memory-node CPU kernel rates of the simulated cost model, in bytes
+// per second (DESIGN.md §5): Table 2's measured erasure-kernel
+// throughputs and typical single-core memcpy/LZ4 rates.
+const (
+	memcpyRate     = 10e9   // checkpoint snapshot copy
+	xorRate        = 20.6e9 // XOR-code encode/decode kernel (Table 2 "Test Tpt")
+	rsRate         = 12.6e9 // Reed-Solomon encode/decode kernel (Table 2 "Test Tpt")
+	compressRate   = 2e9    // LZ4 compression of checkpoint deltas
+	decompressRate = 6e9    // LZ4 decompression
+)
 
 // codeRate returns the erasure kernel rate for the configured code.
-func (r CPURates) codeRate(code string) float64 {
+func codeRate(code string) float64 {
 	if code == "rs" {
-		return r.RS
+		return rsRate
 	}
-	return r.Xor
+	return xorRate
 }
 
 // Config parameterises an Aceso coding group.
@@ -119,8 +107,6 @@ type Config struct {
 	// that trades one write per KV against protection of unsealed
 	// blocks).
 	DeltaCopies int
-	// Rates calibrates simulated CPU kernel costs.
-	Rates CPURates
 }
 
 // DefaultConfig returns a scaled-down version of the paper's setup
@@ -135,8 +121,6 @@ func DefaultConfig() Config {
 			BlockSize:    2 << 20, // 2 MB blocks (paper default)
 			StripeRows:   24,
 			PoolBlocks:   16,
-			CkptHosts:    1,
-			MetaReplicas: 2,
 			CkptSegments: 64,
 		},
 		Code:            "xor",
@@ -146,7 +130,6 @@ func DefaultConfig() Config {
 		ReclaimObsolete: 0.75,
 		ReclaimFree:     0.25,
 		BitmapFlushOps:  64,
-		Rates:           DefaultCPURates(),
 	}
 }
 
@@ -204,8 +187,5 @@ func (c *Config) deltaCopies() int {
 // cpuTime converts a byte count processed at rate bytes/sec into CPU
 // time.
 func cpuTime(bytes int, rate float64) time.Duration {
-	if rate <= 0 {
-		return 0
-	}
 	return time.Duration(float64(bytes) / rate * 1e9)
 }

@@ -388,15 +388,13 @@ func TestCheckpointPipeline(t *testing.T) {
 	for mn := 0; mn < l.Cfg.NumMNs; mn++ {
 		node, _ := tc.cl.view.nodeOf(mn)
 		own := tc.pl.DirectMemory(node)
-		host := l.CkptHostOf(mn, 0)
-		hnode, _ := tc.cl.view.nodeOf(host)
+		hnode, _ := tc.cl.view.nodeOf(l.CkptHostOf(mn))
 		hmem := tc.pl.DirectMemory(hnode)
-		slot := l.CkptSlotFor(host, mn)
-		hosted := hmem[l.CkptCopyOff(slot) : l.CkptCopyOff(slot)+l.Cfg.IndexBytes]
+		hosted := hmem[l.CkptCopyOff() : l.CkptCopyOff()+l.Cfg.IndexBytes]
 		if !bytes.Equal(hosted, own[:l.Cfg.IndexBytes]) {
 			t.Fatalf("mn %d: hosted checkpoint does not match quiesced index", mn)
 		}
-		ver := hmem[l.CkptVersionOff(slot) : l.CkptVersionOff(slot)+8]
+		ver := hmem[l.CkptVersionOff() : l.CkptVersionOff()+8]
 		allZero := true
 		for _, b := range ver {
 			if b != 0 {
@@ -781,8 +779,8 @@ func TestMetaSyncRecoveredServerResends(t *testing.T) {
 	tc.waitBlocksReady(t, victim)
 	tc.verifyAll(t, expect)
 	metaReplicasMatch(t, tc)
-	if got := tc.cl.servers[victim].Stats().MetaResyncs; got != uint64(l.Cfg.MetaReplicas) {
-		t.Errorf("the recovered server re-sent its Meta Area %d times, want %d (once per host)", got, l.Cfg.MetaReplicas)
+	if got := tc.cl.servers[victim].Stats().MetaResyncs; got != uint64(l.MetaReplicas()) {
+		t.Errorf("the recovered server re-sent its Meta Area %d times, want %d (once per host)", got, l.MetaReplicas())
 	}
 }
 
@@ -800,7 +798,7 @@ func metaReplicasMatch(t *testing.T, tc *testCluster) {
 			continue
 		}
 		want := meta(tc.pl.DirectMemory(on), l.MetaOff())
-		for r := 0; r < l.Cfg.MetaReplicas; r++ {
+		for r := 0; r < l.MetaReplicas(); r++ {
 			host := l.MetaReplicaHostOf(owner, r)
 			hn, ok := tc.cl.view.nodeOf(host)
 			if !ok {

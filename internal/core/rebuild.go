@@ -558,7 +558,7 @@ func (rb *rebuild) rebuildParity(ctx rdma.Ctx, wk *rebuildWorker, sc *stripeScra
 	if len(sc.folds) > 0 {
 		start := ctx.Now()
 		cl.code.ApplyDeltas(int(rec.ParityIdx), parity, sc.folds)
-		ctx.UseCPU(0, cpuTime((len(sc.folds)+1)*len(parity), cl.Cfg.Rates.codeRate(cl.Cfg.Code)))
+		ctx.UseCPU(0, cpuTime((len(sc.folds)+1)*len(parity), codeRate(cl.Cfg.Code)))
 		sc.tally.encodeBytes += uint64(len(sc.folds) * len(parity))
 		sc.tally.encodeNs += uint64(ctx.Now() - start)
 	}

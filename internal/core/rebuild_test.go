@@ -235,7 +235,7 @@ func TestRebuildPlacesDeltaWithLostAddress(t *testing.T) {
 	wantDelta := snap[dOff : dOff+l.Cfg.BlockSize]
 
 	rec.DeltaAddr[xid] = 0
-	for r := 0; r < l.Cfg.MetaReplicas; r++ {
+	for r := 0; r < l.MetaReplicas(); r++ {
 		host := l.MetaReplicaHostOf(victim, r)
 		base := l.MetaReplicaOff(l.MetaReplicaSlotFor(host, victim)) + (l.RecordOff(row) - l.MetaOff())
 		hmem := tc.pl.DirectMemory(tc.cl.MNNode(host))

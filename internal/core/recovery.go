@@ -88,38 +88,25 @@ func runRecovery(ctx rdma.Ctx, cl *Cluster, mn int) *RecoveryReport {
 	t := ctx.Now()
 	ckptVer := uint64(0)
 	gotCkpt := false
-	for h := 0; h < l.Cfg.CkptHosts && !gotCkpt; h++ {
-		host := l.CkptHostOf(mn, h)
-		if _, alive := cl.view.nodeOf(host); !alive {
-			continue
-		}
-		slot := l.CkptSlotFor(host, mn)
+	host := l.CkptHostOf(mn)
+	if _, alive := cl.view.nodeOf(host); alive {
 		// The host's recv core keeps applying checkpoint rounds while we
 		// read, so a single pass can observe a torn image. Sample the
 		// version word before and after the bulk read and accept only a
 		// matching pair (the word is bumped once per fully-applied
 		// round); retry a few times under churn.
-		for attempt := 0; attempt < 3; attempt++ {
-			verBefore, ok := readCkptVersion(ctx, cl, host, slot)
-			if !ok {
+		for attempt := 0; attempt < 3 && !gotCkpt; attempt++ {
+			var verBefore, verAfter uint64
+			if !readCkptVersion(ctx, cl, host, &verBefore) ||
+				!sc.readBlock(ctx, cl, host, l.CkptCopyOff(), mem[:l.Cfg.IndexBytes]) ||
+				!readCkptVersion(ctx, cl, host, &verAfter) {
 				break
 			}
-			if !sc.readBlock(ctx, cl, host, l.CkptCopyOff(slot), mem[:l.Cfg.IndexBytes]) {
-				break
-			}
-			verAfter, ok := readCkptVersion(ctx, cl, host, slot)
-			if !ok {
-				break
-			}
-			if verBefore == verAfter {
-				ckptVer = verAfter
-				gotCkpt = true
-				break
-			}
+			ckptVer, gotCkpt = verAfter, verBefore == verAfter
 		}
 	}
 	if !gotCkpt {
-		// No host produced a consistent copy: fall back to an empty
+		// The host produced no consistent copy: fall back to an empty
 		// index at version 0, which classifies every DATA block as
 		// "new" below and rebuilds the index purely from the KV scan.
 		for i := range mem[:l.Cfg.IndexBytes] {
@@ -276,7 +263,7 @@ func runRecovery(ctx rdma.Ctx, cl *Cluster, mn int) *RecoveryReport {
 
 	// The scan's modelled cost, for every pair it decoded, then the reapply.
 	t = ctx.Now()
-	ctx.UseCPU(rdma.CoreErasure, cpuTime(rep.KVCount*64, cl.Cfg.Rates.Memcpy))
+	ctx.UseCPU(rdma.CoreErasure, cpuTime(rep.KVCount*64, memcpyRate))
 
 	// Reapply candidates in sorted key order (deterministic recovery):
 	// each index slot ends up pointing at the KV pair with the highest
@@ -363,15 +350,16 @@ func runRecovery(ctx rdma.Ctx, cl *Cluster, mn int) *RecoveryReport {
 	return rep
 }
 
-// readCkptVersion reads the hosted checkpoint copy's version word for
-// slot on host.
-func readCkptVersion(ctx rdma.Ctx, cl *Cluster, host, slot int) (uint64, bool) {
+// readCkptVersion reads the version word of the checkpoint copy host
+// holds into ver; it reports success.
+func readCkptVersion(ctx rdma.Ctx, cl *Cluster, host int, ver *uint64) bool {
 	var vbuf [8]byte
-	addr, ok := cl.Addr(host, cl.L.CkptVersionOff(slot))
+	addr, ok := cl.Addr(host, cl.L.CkptVersionOff())
 	if !ok || ctx.Read(vbuf[:], addr) != nil {
-		return 0, false
+		return false
 	}
-	return binary.LittleEndian.Uint64(vbuf[:]), true
+	*ver = binary.LittleEndian.Uint64(vbuf[:])
+	return true
 }
 
 // ckptCovers is tier 2's one classification rule: the checkpoint of
@@ -438,7 +426,7 @@ func reconcileDeltaRecords(cl *Cluster, mn int, mem []byte) {
 // owner's Meta Area); it reports success.
 func readMetaReplica(ctx rdma.Ctx, cl *Cluster, sc *stripeScratch, owner int, rel uint64, dst []byte) bool {
 	l := cl.L
-	for r := 0; r < l.Cfg.MetaReplicas; r++ {
+	for r := 0; r < l.MetaReplicas(); r++ {
 		host := l.MetaReplicaHostOf(owner, r)
 		if _, alive := cl.view.nodeOf(host); !alive {
 			continue

@@ -36,10 +36,14 @@ type Server struct {
 	dataRows []int      // stripe rows where this MN holds the data block
 	allocCur int        // rotating allocation cursor into dataRows
 	encodeQ  []encodeJob
-	applyQ   []applyJob
-	snapshot uint64 // pending checkpoint round (0 = none)
-	dirty    map[int]metaPart
-	stopped  bool
+	// applyNext is the staged checkpoint frame the ckpt-recv core
+	// applies next (frameLen 0: none). The one staging area holds one
+	// frame, so a newer notify replaces an older pending one, whose
+	// bytes are already gone.
+	applyNext applyJob
+	snapshot  uint64 // pending checkpoint round (0 = none)
+	dirty     map[int]metaPart
+	stopped   bool
 
 	// Meta replication state, owned by the meta-sync daemon: per replica
 	// r, the node last shipped to and whether it is owed the whole Meta
@@ -59,7 +63,7 @@ type Server struct {
 	ckptResync   bool // recovered server: first round must overwrite, not XOR
 	ckptFr       *ckptFramer
 	ckptApplier  *ckptApplier
-	ckptApplySeq []uint64 // per hosted slot: seq of last applied frame (guarded by mu)
+	ckptApplySeq uint64 // seq of the last frame applied to the hosted copy (guarded by mu)
 
 	// st holds the counters of Stats (guarded by mu like the queues they
 	// describe); the pool and identity fields are filled at snapshot.
@@ -73,7 +77,6 @@ type encodeJob struct {
 }
 
 type applyJob struct {
-	slot     int
 	version  uint64
 	frameLen int
 }
@@ -90,8 +93,8 @@ func (s *Server) start() {
 	s.memMu = s.cl.pl.MemMutex(s.node)
 	l := s.cl.L
 	// A nonzero index version before seeding means this server was
-	// recovered onto a replacement node: the checkpoint hosts still
-	// hold pre-crash copies its zeroed reference snapshot must not be
+	// recovered onto a replacement node: the checkpoint host still
+	// holds a pre-crash copy its zeroed reference snapshot must not be
 	// XOR-ed against (ckptSendLoop overwrites instead).
 	recovered := s.indexVersion() != 0
 	s.ckptResync = recovered
@@ -110,16 +113,15 @@ func (s *Server) start() {
 	// A recovered server owes every meta replica host its whole Meta
 	// Area: tier 1 and 2 rebuilt it in place, and a host's copy may
 	// predate the crash by any number of rounds.
-	s.syncNode = make([]rdma.NodeID, l.Cfg.MetaReplicas)
-	s.syncOwed = make([]bool, l.Cfg.MetaReplicas)
+	s.syncNode = make([]rdma.NodeID, l.MetaReplicas())
+	s.syncOwed = make([]bool, l.MetaReplicas())
 	s.syncStage = make([]byte, l.MetaSize())
 	for r := range s.syncNode {
 		s.syncNode[r], _ = s.cl.view.nodeOf(l.MetaReplicaHostOf(s.mn, r))
 		s.syncOwed[r] = recovered
 	}
-	s.ckptFr = newCkptFramer(l, s.cl.Cfg.Rates, s.cl.Cfg.CkptRaw)
+	s.ckptFr = newCkptFramer(l, s.cl.Cfg.CkptRaw)
 	s.ckptApplier = newCkptApplier(l)
-	s.ckptApplySeq = make([]uint64, l.Cfg.CkptHosts)
 	if t := s.cl.tracer; t != nil {
 		s.cl.pl.SetHandler(s.node, s.tracedHandler(t))
 	} else {
@@ -412,7 +414,7 @@ func (s *Server) handleAllocBlock(req []byte) ([]byte, time.Duration) {
 			oldBits := append([]byte(nil), old...)
 			// Back up the old contents for client-crash recovery.
 			copy(s.block(copyIdx), s.block(b))
-			cpu += cpuTime(int(s.cl.L.Cfg.BlockSize), s.cl.Cfg.Rates.Memcpy)
+			cpu += cpuTime(int(s.cl.L.Cfg.BlockSize), memcpyRate)
 			crec := layout.Record{Role: layout.RoleCopy, Valid: true, XORID: rec.XORID,
 				SizeClass: rec.SizeClass, StripeID: rec.StripeID, CliID: cliID}
 			s.putRecord(copyIdx, &crec)
@@ -569,7 +571,7 @@ func (s *Server) handleSealBlock(req []byte) ([]byte, time.Duration) {
 			for i := range blk {
 				blk[i] = 0
 			}
-			cpu += cpuTime(len(blk), s.cl.Cfg.Rates.Memcpy)
+			cpu += cpuTime(len(blk), memcpyRate)
 			free := layout.Record{}
 			s.putRecord(cb, &free)
 		}
@@ -686,25 +688,25 @@ func (s *Server) handleCkptSnapshot(req []byte) ([]byte, time.Duration) {
 	return []byte{stOK}, 500 * time.Nanosecond
 }
 
-// handleApplyCkpt records that owner's checkpoint frame has landed in
-// our staging area (Figure 3 ④ happens on our ckpt-recv core). The
-// response carries the sequence of the last frame actually applied to
-// this slot, which is how the owner learns about frames that were lost
-// after a successful notify (torn in staging before the recv core got
-// to them) and owes the host overwrite records.
+// handleApplyCkpt records that the checkpoint frame of the MN we host
+// has landed in our staging area (Figure 3 ④ happens on our ckpt-recv
+// core). The response carries the sequence of the last frame actually
+// applied to the hosted copy, which is how the owner learns about
+// frames that were lost after a successful notify (torn in staging
+// before the recv core got to them) and owes the host overwrite
+// records.
 func (s *Server) handleApplyCkpt(req []byte) ([]byte, time.Duration) {
 	d := dec{b: req}
 	owner := int(d.u8())
 	version := d.u64()
 	frameLen := int(d.u32())
-	slot := s.cl.L.CkptSlotFor(s.mn, owner)
-	if d.short || owner >= s.cl.L.Cfg.NumMNs || slot < 0 || frameLen < layout.CkptFrameHeaderSize ||
+	if d.short || owner != s.cl.L.CkptOwnerOf(s.mn) || frameLen < layout.CkptFrameHeaderSize ||
 		uint64(frameLen) > s.cl.L.CkptStagingBytes() {
 		return []byte{stBadArg}, time.Microsecond
 	}
 	s.mu.Lock()
-	s.applyQ = append(s.applyQ, applyJob{slot: slot, version: version, frameLen: frameLen})
-	lastApplied := s.ckptApplySeq[slot]
+	s.applyNext = applyJob{version: version, frameLen: frameLen}
+	lastApplied := s.ckptApplySeq
 	s.mu.Unlock()
 	e := enc{b: []byte{stOK}}
 	e.u64(lastApplied)
@@ -760,7 +762,7 @@ func (s *Server) encoderLoop(ctx rdma.Ctx) {
 				prec := s.record(int(stripe))
 				parity := s.block(int(stripe))
 				s.cl.code.ApplyDeltas(int(prec.ParityIdx), parity, deltas)
-				encCost = cpuTime((len(deltas)+1)*len(parity), s.cl.Cfg.Rates.codeRate(s.cl.Cfg.Code))
+				encCost = cpuTime((len(deltas)+1)*len(parity), codeRate(s.cl.Cfg.Code))
 				s.st.ECEncodeBytes += uint64(len(deltas)) * uint64(len(parity))
 				s.st.ECEncodeBatches++
 			}
@@ -771,7 +773,7 @@ func (s *Server) encoderLoop(ctx rdma.Ctx) {
 				for i := range delta {
 					delta[i] = 0
 				}
-				memCost += cpuTime(len(delta), s.cl.Cfg.Rates.Memcpy)
+				memCost += cpuTime(len(delta), memcpyRate)
 				free := layout.Record{}
 				s.putRecord(db, &free)
 			}

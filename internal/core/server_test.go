@@ -105,6 +105,8 @@ func TestHandlerBadArgs(t *testing.T) {
 // TestHandlerShortRequests sends every method that takes arguments each
 // proper prefix of a well-formed request. A truncated request must get
 // stBadArg, not crash the MN: on tcpnet a handler panic ends the daemon.
+// The full request must then be accepted, or the prefix refusals would
+// prove nothing about truncation.
 func TestHandlerShortRequests(t *testing.T) {
 	tc := newTestCluster(t, nil)
 	srv := tc.cl.servers[0]
@@ -113,19 +115,26 @@ func TestHandlerShortRequests(t *testing.T) {
 		put(&e)
 		return e.b
 	}
+	// A DATA block of MN 0 for the seal row to name.
+	resp, _ := srv.handle(methodAllocBlock, full(func(e *enc) { e.u16(1); e.u8(2) }))
+	if len(resp) < 5 || resp[0] != stOK {
+		t.Fatalf("alloc block: response %v", resp)
+	}
+	d := dec{b: resp[1:]}
+	blk := d.u32()
 	for _, c := range []struct {
 		method uint8
 		req    []byte
 	}{
 		{methodAllocBlock, full(func(e *enc) { e.u16(1); e.u8(2) })},
 		{methodAllocDelta, full(func(e *enc) { e.u16(1); e.u32(0); e.u8(0); e.u8(2) })},
-		{methodSealBlock, full(func(e *enc) { e.u32(0); e.u32(^uint32(0)) })},
+		{methodSealBlock, full(func(e *enc) { e.u32(blk); e.u32(^uint32(0)) })},
 		{methodEncodeDelta, full(func(e *enc) { e.u32(0); e.u8(0) })},
 		{methodDropDelta, full(func(e *enc) { e.u32(0); e.u8(0) })},
 		{methodFreeBits, freeBitsPayload([]int{0, 0, 2}, []int{1, 4})},
 		{methodCkptPrepare, full(func(e *enc) { e.u64(1) })},
 		{methodCkptSnapshot, full(func(e *enc) { e.u64(1) })},
-		{methodApplyCkpt, full(func(e *enc) { e.u8(1); e.u64(1); e.u32(64) })},
+		{methodApplyCkpt, full(func(e *enc) { e.u8(uint8(tc.cl.L.CkptOwnerOf(0))); e.u64(1); e.u32(64) })},
 		{methodAdminChaos, encodeChaos(rdma.ChaosConfig{})},
 	} {
 		t.Run(methodName(c.method), func(t *testing.T) {
@@ -140,6 +149,9 @@ func TestHandlerShortRequests(t *testing.T) {
 						t.Errorf("%d-byte request: response %v, want [stBadArg]", n, resp)
 					}
 				}()
+			}
+			if resp, _ := srv.handle(c.method, c.req); len(resp) == 0 || resp[0] == stBadArg {
+				t.Errorf("full %d-byte request: response %v, want it accepted", len(c.req), resp)
 			}
 		})
 	}
@@ -327,10 +339,10 @@ func TestMetaSyncRoundZeroAlloc(t *testing.T) {
 	}
 	ctx.doorbells = 0
 	round()
-	if ctx.doorbells != l.Cfg.MetaReplicas {
-		t.Errorf("a round rang %d doorbells, want %d (one per replica host)", ctx.doorbells, l.Cfg.MetaReplicas)
+	if ctx.doorbells != l.MetaReplicas() {
+		t.Errorf("a round rang %d doorbells, want %d (one per replica host)", ctx.doorbells, l.MetaReplicas())
 	}
-	for r := 0; r < l.Cfg.MetaReplicas; r++ {
+	for r := 0; r < l.MetaReplicas(); r++ {
 		host := l.MetaReplicaHostOf(0, r)
 		node, _ := tc.cl.view.nodeOf(host)
 		mem := tc.pl.DirectMemory(node)
@@ -385,7 +397,7 @@ func metaSyncTraffic(t *testing.T, tc *testCluster, srv *Server) [][]metaWrite {
 		dbs = append(dbs, nil)
 	}
 	ctx.beforeOp = func(op *rdma.Op) {
-		for r := 0; r < l.Cfg.MetaReplicas; r++ {
+		for r := 0; r < l.MetaReplicas(); r++ {
 			host := l.MetaReplicaHostOf(srv.mn, r)
 			if node, _ := tc.cl.view.nodeOf(host); node == op.Addr.Node && op.Kind == rdma.OpWrite {
 				off := op.Addr.Off - l.MetaReplicaOff(l.MetaReplicaSlotFor(host, srv.mn))
@@ -420,7 +432,7 @@ func flatWrites(dbs [][]metaWrite) []string {
 // host order: what a round ships when parts are dirty.
 func wantWrites(l *layout.Layout, mn int, parts ...string) []string {
 	var out []string
-	for r := 0; r < l.Cfg.MetaReplicas; r++ {
+	for r := 0; r < l.MetaReplicas(); r++ {
 		for _, p := range parts {
 			out = append(out, metaWrite{host: l.MetaReplicaHostOf(mn, r), part: p}.String())
 		}
@@ -446,9 +458,9 @@ func TestMetaSyncShipsOnlyChangedParts(t *testing.T) {
 		if got := flatWrites(dbs); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: the round wrote\n %v\nwant\n %v", what, got, want)
 		}
-		perHost := (len(want)/l.Cfg.MetaReplicas + 3) / 4
-		if len(dbs) != perHost*l.Cfg.MetaReplicas {
-			t.Errorf("%s: %d doorbells for %d writes, want %d (%d per host)", what, len(dbs), len(want), perHost*l.Cfg.MetaReplicas, perHost)
+		perHost := (len(want)/l.MetaReplicas() + 3) / 4
+		if len(dbs) != perHost*l.MetaReplicas() {
+			t.Errorf("%s: %d doorbells for %d writes, want %d (%d per host)", what, len(dbs), len(want), perHost*l.MetaReplicas(), perHost)
 		}
 	}
 	a, b := allocData(t, srv, 2), allocData(t, srv, 2)

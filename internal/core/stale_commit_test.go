@@ -671,13 +671,12 @@ func TestRebuildFromAnOlderImageMovesTheGeneration(t *testing.T) {
 	tc.untilRound(t, tc.cl.master.Round()+2) // the replacement's image reaches its host
 
 	l := tc.cl.L
-	host := l.CkptHostOf(victim, 0)
-	node, _ := tc.cl.view.nodeOf(host)
+	node, _ := tc.cl.view.nodeOf(l.CkptHostOf(victim))
 	floor := tc.cl.view.genFloor[victim]
 	if tc.hostedCkptVersion(victim) < floor {
 		t.Fatalf("hosted checkpoint version %d, under the generation's floor %d: no round of the replacement shipped", tc.hostedCkptVersion(victim), floor)
 	}
-	binary.LittleEndian.PutUint64(tc.pl.DirectMemory(node)[l.CkptVersionOff(l.CkptSlotFor(host, victim)):], floor-1)
+	binary.LittleEndian.PutUint64(tc.pl.DirectMemory(node)[l.CkptVersionOff():], floor-1)
 	gen = tc.cl.view.indexGenOf(victim)
 	tc.cl.FailMN(victim)
 	tc.waitBlocksReady(t, victim)

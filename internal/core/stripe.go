@@ -435,7 +435,7 @@ func readLostBlock(ctx rdma.Ctx, cl *Cluster, owner, b int, sc *stripeScratch, c
 	bs := int(l.Cfg.BlockSize)
 	start := ctx.Now()
 	pl.RunPooled(sc.shards, cl.ecFanOut)
-	if cost := cpuTime(touched*bs, cl.Cfg.Rates.codeRate(cl.Cfg.Code)); cost > 0 {
+	if cost := cpuTime(touched*bs, codeRate(cl.Cfg.Code)); cost > 0 {
 		ctx.UseCPU(core, cost)
 	}
 	sc.tally.decodeBytes += uint64(touched * bs)

@@ -26,12 +26,6 @@ type Config struct {
 	// PoolBlocks is the number of extra per-MN blocks reserved for
 	// DELTA blocks and reclamation COPY blocks.
 	PoolBlocks int
-	// CkptHosts is how many successor MNs host this MN's index
-	// checkpoint (the paper sends to one neighbour).
-	CkptHosts int
-	// MetaReplicas is how many successor MNs hold a replica of this
-	// MN's Meta Area (§3.1: simple replication suffices for metadata).
-	MetaReplicas int
 	// CkptSegments splits the index into fixed-size segments for
 	// differential checkpointing: the sender tracks dirty segments and
 	// ships only those, as a framed list of per-segment records. 0 or 1
@@ -58,10 +52,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("layout: block size %d not a multiple of 512", c.BlockSize)
 	case c.StripeRows < 1:
 		return fmt.Errorf("layout: need at least one stripe row")
-	case c.CkptHosts < 1 || c.CkptHosts >= c.NumMNs:
-		return fmt.Errorf("layout: checkpoint hosts %d out of range", c.CkptHosts)
-	case c.MetaReplicas < 1 || c.MetaReplicas >= c.NumMNs:
-		return fmt.Errorf("layout: meta replicas %d out of range", c.MetaReplicas)
 	case c.CkptSegments < 0:
 		return fmt.Errorf("layout: checkpoint segments %d negative", c.CkptSegments)
 	}
@@ -95,7 +85,6 @@ type Layout struct {
 
 	indexArea   uint64 // index buckets + index version word
 	metaSize    uint64 // records + bitmaps
-	ckptSlot    uint64 // hosted copy + compressed staging, per neighbour
 	metaOff     uint64
 	ckptOff     uint64
 	metaRepOff  uint64
@@ -104,7 +93,7 @@ type Layout struct {
 	bitmapBytes uint64
 	segSize     uint64 // checkpoint segment size (all but possibly the last)
 	segCount    int    // checkpoint segment count
-	stagingSize uint64 // checkpoint staging region size, per hosted slot
+	stagingSize uint64 // checkpoint staging region size
 }
 
 // NewLayout computes the layout for a validated config.
@@ -131,11 +120,10 @@ func NewLayout(cfg Config) (*Layout, error) {
 		l.stagingSize += CkptFrameRecordSize + uint64(lz4.CompressBound(int(l.CkptSegLen(i))))
 	}
 	l.stagingSize += 64 // padding
-	l.ckptSlot = l.indexArea + l.stagingSize
 	l.metaOff = l.indexArea
 	l.ckptOff = l.metaOff + l.metaSize
-	l.metaRepOff = l.ckptOff + uint64(cfg.CkptHosts)*l.ckptSlot
-	l.blocksOff = (l.metaRepOff + uint64(cfg.MetaReplicas)*l.metaSize + 4095) &^ 4095
+	l.metaRepOff = l.ckptOff + l.indexArea + l.stagingSize
+	l.blocksOff = (l.metaRepOff + uint64(l.MetaReplicas())*l.metaSize + 4095) &^ 4095
 	l.memBytes = l.blocksOff + blocks*cfg.BlockSize
 	return l, nil
 }
@@ -184,11 +172,11 @@ func (l *Layout) KVSlotsPerBlock(sizeClass uint8) int {
 }
 
 // --- Checkpoint area ---
-// MN i's index checkpoint is hosted by its CkptHosts successors on the
-// ring; host h of MN i is MN (i+1+h) mod n. Each hosted slot holds a
-// full index copy (with its version word) plus a staging region for
-// the incoming checkpoint frame (a framed list of per-segment delta
-// records; see DESIGN.md §8).
+// MN i's index checkpoint is hosted by its ring successor, MN (i+1)
+// mod n, so every MN hosts exactly one checkpoint: a full index copy
+// (with its version word) plus a staging region for the incoming
+// checkpoint frame (a framed list of per-segment delta records; see
+// DESIGN.md §8).
 
 // Checkpoint frame geometry. A frame is
 //
@@ -208,37 +196,24 @@ const (
 	CkptFrameRecordSize = 16
 )
 
-// CkptHostOf returns the h-th checkpoint host of MN i.
-func (l *Layout) CkptHostOf(mn, h int) int { return (mn + 1 + h) % l.Cfg.NumMNs }
+// CkptHostOf returns the MN hosting MN mn's checkpoint.
+func (l *Layout) CkptHostOf(mn int) int { return (mn + 1) % l.Cfg.NumMNs }
 
-// CkptSlotFor returns which hosted-checkpoint slot on host holds MN
-// owner's checkpoint, or -1 if host does not host it.
-func (l *Layout) CkptSlotFor(host, owner int) int {
-	for h := 0; h < l.Cfg.CkptHosts; h++ {
-		if l.CkptHostOf(owner, h) == host {
-			return h
-		}
-	}
-	return -1
-}
+// CkptOwnerOf returns which MN's checkpoint host hosts (the inverse of
+// CkptHostOf).
+func (l *Layout) CkptOwnerOf(host int) int { return (host + l.Cfg.NumMNs - 1) % l.Cfg.NumMNs }
 
-// CkptOwnerOf returns which MN's checkpoint lives in hosted slot h of
-// the given host (the inverse of CkptHostOf).
-func (l *Layout) CkptOwnerOf(host, h int) int {
-	return ((host-1-h)%l.Cfg.NumMNs + l.Cfg.NumMNs) % l.Cfg.NumMNs
-}
-
-// CkptCopyOff returns the offset of hosted checkpoint copy slot h.
-func (l *Layout) CkptCopyOff(h int) uint64 { return l.ckptOff + uint64(h)*l.ckptSlot }
+// CkptCopyOff returns the offset of the hosted checkpoint copy.
+func (l *Layout) CkptCopyOff() uint64 { return l.ckptOff }
 
 // CkptVersionOff returns the offset of the hosted checkpoint's version
-// word within slot h.
-func (l *Layout) CkptVersionOff(h int) uint64 { return l.CkptCopyOff(h) + l.Cfg.IndexBytes }
+// word.
+func (l *Layout) CkptVersionOff() uint64 { return l.ckptOff + l.Cfg.IndexBytes }
 
 // CkptStagingOff returns the offset of the checkpoint-frame staging
-// region of slot h; CkptStagingBytes its length.
-func (l *Layout) CkptStagingOff(h int) uint64 { return l.CkptCopyOff(h) + l.indexArea }
-func (l *Layout) CkptStagingBytes() uint64    { return l.stagingSize }
+// region; CkptStagingBytes its length.
+func (l *Layout) CkptStagingOff() uint64   { return l.ckptOff + l.indexArea }
+func (l *Layout) CkptStagingBytes() uint64 { return l.stagingSize }
 
 // CkptSegCount returns the number of checkpoint segments the index is
 // split into.
@@ -259,8 +234,14 @@ func (l *Layout) CkptSegLen(i int) uint64 {
 }
 
 // --- Meta replica area ---
-// MN i's Meta Area is replicated on its MetaReplicas successors;
+// MN i's Meta Area is replicated on its MetaReplicas() successors;
 // replica r of MN i lives on MN (i+1+r) mod n.
+
+// MetaReplicas returns how many successor MNs hold a replica of each
+// MN's Meta Area: one per parity shard, so a Meta Area survives every
+// failure the stripes survive (§3.1: simple replication suffices for
+// metadata).
+func (l *Layout) MetaReplicas() int { return l.Cfg.ParityShards }
 
 // MetaReplicaHostOf returns the r-th meta-replica host of MN i.
 func (l *Layout) MetaReplicaHostOf(mn, r int) int { return (mn + 1 + r) % l.Cfg.NumMNs }
@@ -268,7 +249,7 @@ func (l *Layout) MetaReplicaHostOf(mn, r int) int { return (mn + 1 + r) % l.Cfg.
 // MetaReplicaSlotFor returns which replica slot on host holds owner's
 // meta copy, or -1.
 func (l *Layout) MetaReplicaSlotFor(host, owner int) int {
-	for r := 0; r < l.Cfg.MetaReplicas; r++ {
+	for r := 0; r < l.MetaReplicas(); r++ {
 		if l.MetaReplicaHostOf(owner, r) == host {
 			return r
 		}

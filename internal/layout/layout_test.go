@@ -190,8 +190,6 @@ func testConfig() Config {
 		BlockSize:    64 << 10,
 		StripeRows:   8,
 		PoolBlocks:   4,
-		CkptHosts:    1,
-		MetaReplicas: 2,
 	}
 }
 
@@ -207,11 +205,9 @@ func TestLayoutAreasDisjoint(t *testing.T) {
 	var spans []span
 	spans = append(spans, span{"index", 0, l.IndexVersionOff() + 8})
 	spans = append(spans, span{"meta", l.MetaOff(), l.MetaOff() + l.MetaSize()})
-	for h := 0; h < l.Cfg.CkptHosts; h++ {
-		spans = append(spans, span{"ckptcopy", l.CkptCopyOff(h), l.CkptVersionOff(h) + 8})
-		spans = append(spans, span{"ckptstage", l.CkptStagingOff(h), l.CkptStagingOff(h) + l.CkptStagingBytes()})
-	}
-	for r := 0; r < l.Cfg.MetaReplicas; r++ {
+	spans = append(spans, span{"ckptcopy", l.CkptCopyOff(), l.CkptVersionOff() + 8})
+	spans = append(spans, span{"ckptstage", l.CkptStagingOff(), l.CkptStagingOff() + l.CkptStagingBytes()})
+	for r := 0; r < l.MetaReplicas(); r++ {
 		spans = append(spans, span{"metarep", l.MetaReplicaOff(r), l.MetaReplicaOff(r) + l.MetaSize()})
 	}
 	for b := 0; b < l.Cfg.BlocksPerMN(); b++ {
@@ -246,8 +242,8 @@ func TestLayoutMemBytesIsSumOfAreas(t *testing.T) {
 			l.IndexVersionOff(), l.MetaOff(), cfg.IndexBytes, indexArea)
 	}
 	areas := indexArea + l.MetaSize() +
-		uint64(cfg.CkptHosts)*(indexArea+l.CkptStagingBytes()) +
-		uint64(cfg.MetaReplicas)*l.MetaSize()
+		indexArea + l.CkptStagingBytes() +
+		uint64(l.MetaReplicas())*l.MetaSize()
 	want := (areas+4095)&^4095 + uint64(cfg.BlocksPerMN())*cfg.BlockSize
 	if l.MemBytes() != want {
 		t.Fatalf("MemBytes = %d, want %d (%d over)", l.MemBytes(), want, int64(l.MemBytes())-int64(want))
@@ -327,17 +323,14 @@ func TestCkptAndMetaReplicaRing(t *testing.T) {
 	}
 	n := l.Cfg.NumMNs
 	for mn := 0; mn < n; mn++ {
-		host := l.CkptHostOf(mn, 0)
+		host := l.CkptHostOf(mn)
 		if host == mn {
 			t.Fatalf("mn %d hosts its own checkpoint", mn)
 		}
-		if l.CkptSlotFor(host, mn) != 0 {
-			t.Fatalf("CkptSlotFor inconsistent for mn %d", mn)
-		}
-		if l.CkptOwnerOf(host, 0) != mn {
+		if l.CkptOwnerOf(host) != mn {
 			t.Fatalf("CkptOwnerOf inconsistent for mn %d", mn)
 		}
-		for r := 0; r < l.Cfg.MetaReplicas; r++ {
+		for r := 0; r < l.MetaReplicas(); r++ {
 			h := l.MetaReplicaHostOf(mn, r)
 			if h == mn {
 				t.Fatalf("mn %d replicates meta to itself", mn)
@@ -375,8 +368,6 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.IndexBytes = 100 },
 		func(c *Config) { c.BlockSize = 1000 },
 		func(c *Config) { c.StripeRows = 0 },
-		func(c *Config) { c.CkptHosts = 5 },
-		func(c *Config) { c.MetaReplicas = 0 },
 		func(c *Config) { c.NumMNs = 11; c.ParityShards = 2 }, // k=9 > record limit
 	}
 	for i, mutate := range bad {

@@ -209,10 +209,8 @@ func TestFullClusterOverTCP(t *testing.T) {
 	time.Sleep(3 * cfg.CkptInterval)
 	l := cls[0].L
 	v := newVerbs(cpl)
-	host := l.CkptHostOf(0, 0)
-	slot := l.CkptSlotFor(host, 0)
 	buf := make([]byte, 8)
-	if err := v.Read(buf, rdma.GlobalAddr{Node: rdma.NodeID(host), Off: l.CkptVersionOff(slot)}); err != nil {
+	if err := v.Read(buf, rdma.GlobalAddr{Node: rdma.NodeID(l.CkptHostOf(0)), Off: l.CkptVersionOff()}); err != nil {
 		t.Fatalf("read hosted ckpt version: %v", err)
 	}
 	if binary.LittleEndian.Uint64(buf) == 0 {
