@@ -11,21 +11,30 @@ import (
 
 // TestReplicationSteadyStateAllocs pins the replication modes' warm
 // operations at the heap allocations the API asks for: none for an
-// UPDATE, one for a cached GET — the copy of the value it returns. The
+// UPDATE, one for a cached GET — the copy of the value it returns. With
+// the cache off, fusee's UPDATE reads the buckets and the peer words
+// and still allocates nothing. The
 // client runs in its own simnet process over 100 preloaded keys; simnet's
 // verbs allocate nothing (TestVerbsDoNotAllocate), so what is counted is
 // the client's. Blocks of 1 MB keep block provisioning, which allocates,
 // out of the measured operations.
 func TestReplicationSteadyStateAllocs(t *testing.T) {
 	for _, m := range []struct {
-		mode     string
-		getReads uint64 // read verbs of a cached GET
+		name, mode string
+		cacheOff   bool   // every operation reads the buckets; only UPDATE is pinned
+		getReads   uint64 // read verbs of a cached GET
 	}{
-		{core.FTModeFusee, 3}, // the pair and both buckets
-		{core.FTModeSwarm, 2}, // the 16 B slot and the copy
+		{core.FTModeFusee, core.FTModeFusee, false, 3}, // the pair and both buckets
+		{"fusee-uncached", core.FTModeFusee, true, 0},
+		{core.FTModeSwarm, core.FTModeSwarm, false, 2}, // the 16 B slot and the copy
 	} {
-		t.Run(m.mode, func(t *testing.T) {
-			h := openMode(t, m.mode, func(cfg *core.Config) { cfg.Layout.BlockSize = 1 << 20 })
+		t.Run(m.name, func(t *testing.T) {
+			h := openMode(t, m.mode, func(cfg *core.Config) {
+				cfg.Layout.BlockSize = 1 << 20
+				if m.cacheOff {
+					cfg.CacheEntries = -1
+				}
+			})
 			const n = 100
 			var upd, get float64
 			var reads, gets uint64
@@ -57,6 +66,9 @@ func TestReplicationSteadyStateAllocs(t *testing.T) {
 					search()
 				}
 				upd = testing.AllocsPerRun(1000, update)
+				if m.cacheOff {
+					return
+				}
 				_, reads0, _ := c.Counters()
 				gets0 := gets
 				get = testing.AllocsPerRun(1000, search)
@@ -66,11 +78,14 @@ func TestReplicationSteadyStateAllocs(t *testing.T) {
 					t.Error("an operation failed")
 				}
 			})
-			if reads != m.getReads*gets {
-				t.Errorf("%d reads over %d GETs, want %d each: not the cached path", reads, gets, m.getReads)
-			}
 			if upd != 0 {
 				t.Errorf("warm UPDATE allocates %v objects, want 0", upd)
+			}
+			if m.cacheOff {
+				return
+			}
+			if reads != m.getReads*gets {
+				t.Errorf("%d reads over %d GETs, want %d each: not the cached path", reads, gets, m.getReads)
 			}
 			if get != 1 {
 				t.Errorf("cached GET allocates %v objects, want 1 (the returned value)", get)

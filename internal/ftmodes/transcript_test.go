@@ -9,9 +9,12 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/ftmode"
+	"repro/internal/fusee"
 	"repro/internal/racehash"
 	"repro/internal/rdma"
 	"repro/internal/rdma/simnet"
+	"repro/internal/swarm"
 )
 
 // The replication transcript: one scripted scenario per replication
@@ -223,8 +226,8 @@ func replicationTranscript(t *testing.T, mode string) string {
 					got, err = cli.Search(keys[s.key])
 				}
 				cas, rd, wr := cli.Counters()
-				rows[i] = fmt.Sprintf("%03d c%d %s %-4s t=%d cas=%d rd=%d wr=%d %s",
-					s.slot, c, s.op, s.key, ctx.Now().Nanoseconds(), cas, rd, wr, outcome(got, err))
+				rows[i] = fmt.Sprintf("%03d c%d %s %-4s t=%d cas=%d rd=%d wr=%d db=%d %s",
+					s.slot, c, s.op, s.key, ctx.Now().Nanoseconds(), cas, rd, wr, doorbells(cli), outcome(got, err))
 			}
 			cli.Close()
 			done++
@@ -246,6 +249,17 @@ func replicationTranscript(t *testing.T, mode string) string {
 		b.WriteByte('\n')
 	}
 	return b.String()
+}
+
+// doorbells returns the doorbells a replication client has rung.
+func doorbells(c ftmode.Client) uint64 {
+	switch c := c.(type) {
+	case *fusee.Client:
+		return c.Stats.Doorbells
+	case *swarm.Client:
+		return c.Stats.Doorbells
+	}
+	return 0
 }
 
 // TestReplicationTranscriptGolden compares each replication mode's

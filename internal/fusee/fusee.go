@@ -11,10 +11,14 @@
 // replicated index, block provisioning and failure view with the other
 // replication mode (internal/replica). What is FUSEE's own is here: a
 // cache of slot values only, which a read validates by re-reading the
-// buckets, and the commit — place n copies, CAS the n−1 backup slots,
-// CAS the primary. The slot width is 8 B as in FUSEE — its word is
-// layout's Atomic word with Ver 0 — or 16 B to reproduce the "+SLOT"
-// step of the factor analysis (Figure 13).
+// buckets, and the commit of FUSEE's SNAPSHOT protocol — place n copies,
+// CAS the n−1 backup slots in one broadcast round, then CAS the
+// primary. An uncached UPDATE takes four round trips (see write). A
+// writer that loses any backup CAS backs off, re-reads and retries; it
+// rolls nothing back, and FUSEE's rules under which a loser returns
+// without retrying are not reproduced. The slot width is 8 B as in
+// FUSEE — its word is layout's Atomic word with Ver 0 — or 16 B to
+// reproduce the "+SLOT" step of the factor analysis (Figure 13).
 package fusee
 
 import (
@@ -61,6 +65,8 @@ type Client struct {
 	getKV  []byte
 	getBkt [2][]byte
 	kv     layout.KV
+
+	casOps [replica.MaxReplicas]rdma.Op // the backup CAS round
 }
 
 // CacheStats reports the client cache (ftmode.Client).
@@ -173,10 +179,22 @@ func (c *Client) Update(key, val []byte) error { return c.write(key, val, false)
 // Delete removes a key by committing a replicated tombstone.
 func (c *Client) Delete(key []byte) error { return c.write(key, nil, true) }
 
-// write implements FUSEE's replicated write: write the KV to n MNs
-// (one doorbell batch), CAS the n−1 backup index slots, then CAS the
-// primary slot to commit — at least n CAS operations per write, the
-// cost Figure 1(a) quantifies.
+// write implements FUSEE's replicated write: place the n copies, CAS
+// the n−1 backup slots in one doorbell, then CAS the primary slot to
+// commit — n CAS operations per write, the cost Figure 1(a) quantifies.
+// Each round trip carries what is ready by then. When the slot is not
+// cached they are:
+//
+//  1. the copies, which do not depend on the slot, and the acting
+//     primary's bucket pair;
+//  2. each fingerprint candidate's pair and its slot's word on every
+//     live backup (a free slot's words take a doorbell of their own);
+//  3. the backup CASes;
+//  4. the primary CAS, only when every backup CAS won.
+//
+// A cached slot needs no bucket read and no round 2. A DELETE places
+// its tombstones in a doorbell of their own once the key is found, so
+// deleting an absent key writes nothing.
 func (c *Client) write(key, val []byte, tombstone bool) error {
 	if err := core.CheckPairSize(key, val, c.Cfg.BlockSize); err != nil {
 		return err
@@ -198,83 +216,63 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 
 		// Locate the slot and its per-replica old words, via the cache
 		// when it holds the full replica set (warm after this client's
-		// own commit), else by reading buckets and replica slots.
+		// own commit), else by reading buckets and replica slots. The
+		// copies' results are looked at only once the slot is known.
+		var err error
+		var addrs []uint64
+		var copies []rdma.Op
+		ent := c.cache.Lookup(k.Hash, key)
+		cached := ent != nil && ent.haveAll && acting == 0
+		if !tombstone || cached {
+			if addrs, copies, err = c.Place(buf, r); err != nil {
+				return err
+			}
+		}
 		var old [replica.MaxReplicas]uint64
 		var slot replica.Slot
 		found := false
-		if ent := c.cache.Lookup(k.Hash, key); ent != nil && ent.haveAll && acting == 0 {
-			old = ent.vals
-			slot, found = ent.slot, true
+		if cached {
+			old, slot, found = ent.vals, ent.slot, true
+			err = c.Batch(copies)
 		} else {
 			hint := replica.ReadBytes
 			if ent != nil {
 				hint = ent.len
 			}
-			pair, err := c.ReadPair(&k, acting, hint)
-			if err != nil {
-				if errors.Is(err, rdma.ErrNodeFailed) {
-					continue // fail over to the next surviving replica
+			slot, found, err = c.locate(&k, live, hint, tombstone, copies, &old)
+			if err == nil && tombstone {
+				if addrs, copies, err = c.Place(buf, r); err == nil {
+					err = c.Batch(copies)
 				}
-				return err
-			}
-			if m := pair.Next(); m != nil {
-				slot, old[acting], found = m.Slot, m.Word(), true
-			} else if tombstone {
-				return core.ErrNotFound
-			} else if slot, err = pair.Free(); err != nil {
-				return err
-			}
-			if err := c.PeerWords(slot, live[1:], old[:]); err != nil {
-				if errors.Is(err, rdma.ErrNodeFailed) {
-					c.RefreshView()
-					continue
-				}
-				return err
 			}
 		}
-
-		// Write the KV replicas (one batch, n writes).
-		addrs, ops, err := c.Place(buf, r)
+		copyErr := replica.FirstErr(copies)
 		if err == nil {
-			err = c.Batch(ops)
+			err = copyErr
 		}
 		if err != nil {
-			if errors.Is(err, rdma.ErrNodeFailed) {
+			if !errors.Is(err, rdma.ErrNodeFailed) {
+				return err
+			}
+			if copyErr != nil {
 				// An open block's MN died mid-write: drop the class's
 				// blocks and reallocate on survivors.
 				c.DropBlocks(size)
 				c.RefreshView()
-				continue
 			}
-			return err
+			continue // fail over to the next surviving replica
 		}
+
 		var words [replica.MaxReplicas]uint64
 		for i := 0; i < r; i++ {
 			words[i] = layout.SlotAtomic{FP: k.FP, Addr: addrs[i]}.Pack()
 		}
-		// CAS the backups, then the primary (the commit). The CASes run
-		// as sequential rounds: FUSEE's conflict resolution selects a
-		// winner from each round's results before proceeding, so a CAS
-		// cannot be pipelined behind the next (§2.4: "Based on the CAS
-		// results, one winner is selected...").
-		won, failedOver := true, false
-		for j := 1; j <= len(live); j++ {
-			ri := live[j%len(live)] // live[1:], then acting
-			mn, at := c.At(slot, ri)
-			prev, err := c.CAS(at, old[ri], words[ri])
-			if err != nil {
-				if !c.NoteErr(mn, err) {
-					return err
-				}
-				failedOver = true
-				break
+		won, err := c.commit(slot, live, &old, &words)
+		if err != nil {
+			if errors.Is(err, rdma.ErrNodeFailed) {
+				continue
 			}
-			if won = prev == old[ri]; !won {
-				break
-			}
-		}
-		if failedOver {
-			continue
+			return err
 		}
 		if won {
 			if acting == 0 {
@@ -294,4 +292,51 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 		c.Backoff(attempt)
 	}
 	return core.ErrRetriesExhausted
+}
+
+// locate reads the key's bucket pair from the acting primary, with the
+// ops of with on that doorbell, and returns the key's slot — or, for a
+// key no slot holds, a free one — with its word on every live replica
+// in old. found reports the former.
+func (c *Client) locate(k *replica.Key, live []int, hint int, tombstone bool, with []rdma.Op, old *[replica.MaxReplicas]uint64) (slot replica.Slot, found bool, err error) {
+	pair, err := c.ReadPair(k, live[0], hint, with...)
+	if err != nil {
+		return slot, false, err
+	}
+	if m := pair.Next(live[1:]...); m != nil {
+		*old = m.Peers
+		old[live[0]] = m.Word()
+		return m.Slot, true, m.PeersErr
+	}
+	if tombstone {
+		return slot, false, core.ErrNotFound
+	}
+	if slot, err = pair.Free(); err != nil {
+		return slot, false, err
+	}
+	return slot, false, c.PeerWords(slot, live[1:], old[:])
+}
+
+// commit CASes the slot from old to words: every live backup in one
+// doorbell, then — only when each of those won — the acting primary,
+// the commit point. A loser rolls nothing back; it re-reads and retries.
+func (c *Client) commit(s replica.Slot, live []int, old, words *[replica.MaxReplicas]uint64) (bool, error) {
+	if backups := live[1:]; len(backups) > 0 {
+		ops := c.casOps[:len(backups)]
+		for i, ri := range backups {
+			_, at := c.At(s, ri)
+			ops[i] = rdma.Op{Kind: rdma.OpCAS, Addr: at, Old: old[ri], New: words[ri]}
+		}
+		if err := c.Batch(ops); err != nil {
+			return false, err
+		}
+		for i := range ops {
+			if ops[i].Result != ops[i].Old {
+				return false, nil
+			}
+		}
+	}
+	_, at := c.At(s, live[0])
+	prev, err := c.CAS(at, old[live[0]], words[live[0]])
+	return err == nil && prev == old[live[0]], err
 }

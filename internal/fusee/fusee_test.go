@@ -9,6 +9,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ftmode"
+	"repro/internal/layout"
+	"repro/internal/rdma"
 	"repro/internal/rdma/simnet"
 	"repro/internal/replica"
 )
@@ -255,6 +257,216 @@ func TestSpaceIsReplicated(t *testing.T) {
 		}
 		if c.Stats.BytesWritten < 3*c.Stats.ValidBytes {
 			t.Errorf("replicated writes %d < 3x valid %d", c.Stats.BytesWritten, c.Stats.ValidBytes)
+		}
+	})
+}
+
+// inProcess runs fn in one client process of its own and waits for it.
+func (tc *testCluster) inProcess(t *testing.T, fn func(ctx rdma.Ctx)) {
+	t.Helper()
+	done := false
+	tc.pl.Spawn(tc.pl.AddComputeNode(), "test", func(ctx rdma.Ctx) {
+		fn(ctx)
+		done = true
+	})
+	tc.pl.Run(tc.pl.Engine().Now() + 30*time.Second)
+	if !done {
+		t.Fatal("the test process did not finish")
+	}
+}
+
+// TestWriteDoorbells pins the doorbells of each write shape at 3
+// replicas: a round trip carries everything that is ready by then.
+func TestWriteDoorbells(t *testing.T) {
+	for _, s := range []struct {
+		name   string
+		cached bool
+		op     func(c *Client, k []byte) error
+		want   uint64
+	}{
+		// copies + pair; candidate + peer words; backup CASes; primary CAS
+		{"uncached UPDATE", false, func(c *Client, k []byte) error { return c.Update(k, val(0, 1)) }, 4},
+		// copies; backup CASes; primary CAS
+		{"cached UPDATE", true, func(c *Client, k []byte) error { return c.Update(k, val(0, 1)) }, 3},
+		// copies + pair; the free slot's peer words; backup CASes; primary CAS
+		{"absent INSERT", false, func(c *Client, _ []byte) error { return c.Insert(key(1), val(1, 0)) }, 4},
+		// pair; candidate + peer words; tombstones; backup CASes; primary CAS
+		{"uncached DELETE", false, func(c *Client, k []byte) error { return c.Delete(k) }, 5},
+		// pair, and nothing written
+		{"DELETE of an absent key", false, func(c *Client, _ []byte) error {
+			if err := c.Delete(key(1)); !errors.Is(err, core.ErrNotFound) {
+				return fmt.Errorf("got %v, want ErrNotFound", err)
+			}
+			return nil
+		}, 1},
+	} {
+		t.Run(s.name, func(t *testing.T) {
+			tc := newTestCluster(t, func(cfg *replica.Config) {
+				if !s.cached {
+					cfg.CacheEntries = -1
+				}
+			})
+			tc.runClients(t, 30*time.Second, func(c *Client) {
+				if err := c.Insert(key(0), val(0, 0)); err != nil {
+					t.Error(err)
+					return
+				}
+				before, writes := c.Stats.Doorbells, c.Stats.WritesIssued
+				if err := s.op(c, key(0)); err != nil {
+					t.Error(err)
+					return
+				}
+				if got := c.Stats.Doorbells - before; got != s.want {
+					t.Errorf("%d doorbells, want %d", got, s.want)
+				}
+				if s.want == 1 && c.Stats.WritesIssued != writes {
+					t.Error("a DELETE of an absent key wrote")
+				}
+			})
+		})
+	}
+}
+
+// TestCopyMNFailureIsBlamedOnItsMN fail-stops, behind the view's back,
+// an MN that holds one of a client's open copy blocks but no replica of
+// the key's index. The next write places a copy there in the doorbell
+// that reads the key's buckets from the primary: the failed op is the
+// copy's, so only the copy's MN is marked failed, and the write lands
+// on fresh blocks.
+func TestCopyMNFailureIsBlamedOnItsMN(t *testing.T) {
+	tc := newTestCluster(t, func(cfg *replica.Config) { cfg.CacheEntries = -1 })
+	tc.inProcess(t, func(ctx rdma.Ctx) {
+		c := tc.cl.NewClient().(*Client) // id 1: open blocks on MNs 1, 2, 3
+		c.Attach(ctx)
+		next := 0
+		var k []byte
+		for k == nil || c.Op(k).P != 0 { // replicas on MNs 0, 1, 2
+			k = key(next)
+			next++
+		}
+		if err := c.Insert(k, val(0, 0)); err != nil {
+			t.Error(err)
+			return
+		}
+		const victim = 3
+		_, at := c.CopyAt(layout.PackAddr(victim, 0))
+		tc.pl.Fail(at.Node)
+		if err := c.Update(k, val(0, 1)); err != nil {
+			t.Errorf("update after the copy MN failed: %v", err)
+			return
+		}
+		if !c.Failed(victim) {
+			t.Errorf("MN %d not marked failed", victim)
+		}
+		lv := c.Live(0)
+		if live := lv.List(); len(live) != 3 || live[0] != 0 {
+			t.Errorf("live replicas of partition 0: %v, want all three", live)
+		}
+		if got, err := c.Search(k); err != nil || !bytes.Equal(got, val(0, 1)) {
+			t.Errorf("search: %q, %v", got, err)
+		}
+	})
+}
+
+// hookCtx hands the first batch of CASes its client posts to hook
+// instead of the fabric.
+type hookCtx struct {
+	rdma.Ctx
+	hook func(ops []rdma.Op) error
+}
+
+func (h *hookCtx) Batch(ops []rdma.Op) error {
+	if hook := h.hook; hook != nil && ops[0].Kind == rdma.OpCAS {
+		h.hook = nil
+		return hook(ops)
+	}
+	return h.Ctx.Batch(ops)
+}
+
+// TestBackupRoundSplitRace lands two writers' backup CAS rounds on one
+// key in opposite orders at the two backups, so that each wins one —
+// a split sequential rounds could never produce, since a writer that
+// lost the first backup never tried the second. Both lose, neither
+// rolls back, both retry, and both writes return nil; afterwards every
+// replica points at copies of one value, which a GET still returns
+// after the primary's MN fails.
+func TestBackupRoundSplitRace(t *testing.T) {
+	tc := newTestCluster(t, func(cfg *replica.Config) { cfg.CacheEntries = -1 })
+	k := key(7)
+	won := func(ops []rdma.Op) []bool {
+		w := make([]bool, len(ops))
+		for i := range ops {
+			w[i] = ops[i].Err == nil && ops[i].Result == ops[i].Old
+		}
+		return w
+	}
+	var aWon, bWon []bool
+	var final []byte
+	var primary int
+	tc.inProcess(t, func(ctx rdma.Ctx) {
+		a, b := tc.cl.NewClient().(*Client), tc.cl.NewClient().(*Client)
+		ha, hb := &hookCtx{Ctx: ctx}, &hookCtx{Ctx: ctx}
+		a.Attach(ha)
+		b.Attach(hb)
+		if err := a.Insert(k, val(7, 0)); err != nil {
+			t.Error(err)
+			return
+		}
+		var errB error
+		// A reaches its backup CAS round first; B then runs its whole
+		// update, whose reads see the old words everywhere. A's CAS is
+		// first at the first backup, B's at the second.
+		ha.hook = func(aOps []rdma.Op) error {
+			hb.hook = func(bOps []rdma.Op) error {
+				ctx.Batch(aOps[:1])
+				err := ctx.Batch(bOps)
+				bWon = won(bOps)
+				return err
+			}
+			errB = b.Update(k, val(7, 2))
+			err := ctx.Batch(aOps[1:])
+			aWon = won(aOps)
+			if err == nil {
+				err = replica.FirstErr(aOps)
+			}
+			return err
+		}
+		if err := a.Update(k, val(7, 1)); err != nil {
+			t.Errorf("A's update: %v", err)
+		}
+		if errB != nil {
+			t.Errorf("B's update: %v", errB)
+		}
+		ak := a.Op(k)
+		primary = tc.cl.Cfg.ReplicaMN(ak.P, 0)
+		for ri := 0; ri < tc.cl.Cfg.Replicas; ri++ {
+			pair, err := a.ReadPair(&ak, ri, replica.ReadBytes)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			m := pair.Next()
+			if m == nil {
+				t.Errorf("replica %d does not hold the key", ri)
+				return
+			}
+			if ri == 0 {
+				final = append([]byte(nil), m.KV.Val...)
+			} else if !bytes.Equal(m.KV.Val, final) {
+				t.Errorf("replica %d points at %.12q, the primary at %.12q", ri, m.KV.Val, final)
+			}
+		}
+	})
+	if fmt.Sprint(aWon) != "[true false]" || fmt.Sprint(bWon) != "[false true]" {
+		t.Fatalf("backup CAS wins: A %v, B %v; want A [true false], B [false true]", aWon, bWon)
+	}
+	if !bytes.Equal(final, val(7, 1)) && !bytes.Equal(final, val(7, 2)) {
+		t.Fatalf("the replicas hold %.12q, neither writer's value", final)
+	}
+	tc.cl.FailMN(primary)
+	tc.runClients(t, 30*time.Second, func(c *Client) {
+		if got, err := c.Search(k); err != nil || !bytes.Equal(got, final) {
+			t.Errorf("GET after the primary failed: %.12q, %v; want %.12q", got, err, final)
 		}
 	})
 }

@@ -28,6 +28,7 @@ type Stats struct {
 	CASRetries   uint64
 	ReadsIssued  uint64
 	WritesIssued uint64
+	Doorbells    uint64 // one per Read, CAS or Batch call
 	BytesRead    uint64
 	BytesWritten uint64
 	ValidBytes   uint64 // net new valid payload written (first copy)
@@ -63,6 +64,7 @@ type Client struct {
 	pair    Pair
 	pairOps [2]rdma.Op
 	kv      layout.KV
+	kvOp    [1]rdma.Op
 	kvBuf   []byte
 	enc     []byte
 	word    [8]byte
@@ -70,6 +72,7 @@ type Client struct {
 	peerBuf [MaxReplicas][8]byte
 	addrs   [MaxReplicas]uint64
 	ops     [MaxReplicas]rdma.Op
+	joined  [MaxReplicas + 2]rdma.Op // a batch of the caller's ops and a helper's own
 }
 
 // Resize returns *buf at length n, growing it first when it is shorter:
@@ -120,44 +123,81 @@ func (c *Client) KillMN(mn int) error {
 	return nil
 }
 
-// Read, CAS and Batch issue the verb and count it.
+// Read, CAS and Batch issue the verb, count it and ring one doorbell
+// each. A verb that finds its node failed marks that MN in the view; a
+// batch may span MNs, so each of its ops marks its own.
 
 func (c *Client) Read(buf []byte, at rdma.GlobalAddr) error {
 	c.Stats.ReadsIssued++
 	c.Stats.BytesRead += uint64(len(buf))
-	return c.Ctx.Read(buf, at)
+	c.Stats.Doorbells++
+	return c.blame(at.Node, c.Ctx.Read(buf, at))
 }
 
 func (c *Client) CAS(at rdma.GlobalAddr, old, new uint64) (uint64, error) {
 	c.Stats.CASIssued++
-	return c.Ctx.CAS(at, old, new)
+	c.Stats.Doorbells++
+	prev, err := c.Ctx.CAS(at, old, new)
+	return prev, c.blame(at.Node, err)
 }
 
 func (c *Client) Batch(ops []rdma.Op) error {
 	for i := range ops {
-		if ops[i].Kind == rdma.OpRead {
+		switch ops[i].Kind {
+		case rdma.OpRead:
 			c.Stats.ReadsIssued++
 			c.Stats.BytesRead += uint64(len(ops[i].Buf))
-		} else {
+		case rdma.OpCAS:
+			c.Stats.CASIssued++
+		default:
 			c.Stats.WritesIssued++
 			c.Stats.BytesWritten += uint64(len(ops[i].Buf))
 		}
 	}
-	return c.Ctx.Batch(ops)
+	c.Stats.Doorbells++
+	err := c.Ctx.Batch(ops)
+	if err != nil {
+		for i := range ops {
+			c.blame(ops[i].Addr.Node, ops[i].Err)
+		}
+	}
+	return err
+}
+
+// blame marks the MN behind node failed when err says so, and returns
+// err.
+func (c *Client) blame(node rdma.NodeID, err error) error {
+	if errors.Is(err, rdma.ErrNodeFailed) {
+		for mn, n := range c.cl.nodes {
+			if n == node {
+				c.cl.markFailed(mn)
+			}
+		}
+	}
+	return err
+}
+
+// FirstErr returns the first error the ops of a batch carry.
+func FirstErr(ops []rdma.Op) error {
+	for i := range ops {
+		if ops[i].Err != nil {
+			return ops[i].Err
+		}
+	}
+	return nil
+}
+
+// batchOf posts the ops of a and then those of b in one doorbell, and
+// hands each its results.
+func (c *Client) batchOf(a, b []rdma.Op) {
+	ops := append(append(c.joined[:0], a...), b...)
+	c.Batch(ops)
+	copy(a, ops)
+	copy(b, ops[len(a):])
 }
 
 // Failed reports whether the view has MN mn failed.
 func (c *Client) Failed(mn int) bool { return c.cl.isFailed(mn) }
-
-// NoteErr records a node failure observed through err and reports
-// whether the caller should fail over (retry on a surviving replica).
-func (c *Client) NoteErr(mn int, err error) bool {
-	if errors.Is(err, rdma.ErrNodeFailed) {
-		c.cl.markFailed(mn)
-		return true
-	}
-	return false
-}
 
 // Replicas is a list of replica indices held in a value, so that a
 // Live nested in an operation (a read's failover inside a write's retry
@@ -184,16 +224,14 @@ func (c *Client) Live(p int) Replicas {
 	return out
 }
 
-// RefreshView probes every not-yet-failed MN with a minimal read and
-// marks the dead ones. Used after an ambiguous batched-verb failure
-// (the batch error does not say which node died).
+// RefreshView probes every not-yet-failed MN with a minimal read, which
+// marks the dead ones. Used after a batch met a failed node, before the
+// client provisions blocks or picks replicas again: the batch names the
+// nodes its own ops met, the probe finds any other.
 func (c *Client) RefreshView() {
 	for mn := 0; mn < c.Cfg.NumMNs; mn++ {
-		if c.Failed(mn) {
-			continue
-		}
-		if err := c.Read(c.word[:], rdma.GlobalAddr{Node: c.cl.nodes[mn]}); err != nil {
-			c.NoteErr(mn, err)
+		if !c.Failed(mn) {
+			c.Read(c.word[:], rdma.GlobalAddr{Node: c.cl.nodes[mn]})
 		}
 	}
 }
@@ -270,20 +308,22 @@ type Pair struct {
 }
 
 // ReadPair reads the key's bucket pair from replica ri in one batch.
-// hint is the size at which Next first reads a candidate's KV pair.
-func (c *Client) ReadPair(k *Key, ri, hint int) (*Pair, error) {
+// hint is the size at which Next first reads a candidate's KV pair. The
+// ops of with, when there are any, ride the same doorbell ahead of the
+// two reads and get their results there; the error returned is the
+// pair's own.
+func (c *Client) ReadPair(k *Key, ri, hint int, with ...rdma.Op) (*Pair, error) {
 	p := &c.pair
 	if p.buf[0] == nil {
 		p.buf = [2][]byte{make([]byte, c.Cfg.BucketBytes()), make([]byte, c.Cfg.BucketBytes())}
 	}
 	*p = Pair{c: c, k: *k, hint: hint, buf: p.buf}
-	var mn int
 	for i, b := range k.Buckets {
 		c.pairOps[i] = rdma.Op{Kind: rdma.OpRead, Buf: p.buf[i]}
-		mn, c.pairOps[i].Addr = c.At(Slot{k.P, b, 0}, ri)
+		_, c.pairOps[i].Addr = c.At(Slot{k.P, b, 0}, ri)
 	}
-	if err := c.Batch(c.pairOps[:]); err != nil {
-		c.NoteErr(mn, err)
+	c.batchOf(with, c.pairOps[:])
+	if err := FirstErr(c.pairOps[:]); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -296,6 +336,10 @@ type Match struct {
 	Slot Slot
 	Raw  []byte // the slot as the replica holds it, SlotBytes wide
 	KV   *layout.KV
+	// Peers holds the slot's first word at each replica Next was given,
+	// by replica index, and PeersErr the error of a read of one.
+	Peers    [MaxReplicas]uint64
+	PeersErr error
 }
 
 // Word returns the slot's first word.
@@ -303,8 +347,10 @@ func (m *Match) Word() uint64 { return binary.LittleEndian.Uint64(m.Raw) }
 
 // Next returns the next slot of the pair, in bucket and slot order,
 // whose fingerprint matches and whose KV pair — read with replica
-// failover — carries the key, or nil when there is none left.
-func (p *Pair) Next() *Match {
+// failover — carries the key, or nil when there is none left. The first
+// read of each candidate's pair also reads the candidate slot's first
+// word at each replica in peers, for Match.Peers.
+func (p *Pair) Next(peers ...int) *Match {
 	sb := p.c.Cfg.SlotBytes
 	for p.next < 2*layout.BucketSlots {
 		b, s := p.next/layout.BucketSlots, p.next%layout.BucketSlots
@@ -315,12 +361,16 @@ func (p *Pair) Next() *Match {
 			continue
 		}
 		slot := Slot{p.k.P, p.k.Buckets[b], s}
-		kv, err := p.c.readKVFailover(slot, w, p.hint)
+		words := p.c.wordReads(slot, peers)
+		kv, err := p.c.readKVFailover(slot, w, p.hint, words...)
 		if errors.Is(err, layout.ErrTornKV) {
 			p.Torn = true
 		}
 		if err == nil && kv != nil && bytes.Equal(kv.Key, p.k.Bytes) {
-			p.m = Match{slot, raw, kv}
+			p.m = Match{Slot: slot, Raw: raw, KV: kv, PeersErr: FirstErr(words)}
+			for i, ri := range peers {
+				p.m.Peers[ri] = binary.LittleEndian.Uint64(words[i].Buf)
+			}
 			return &p.m
 		}
 	}
@@ -347,9 +397,11 @@ func (p *Pair) Free() (Slot, error) {
 // clamped to the block boundary (KV pairs never span blocks) and decoded
 // at the size the pair's header states (layout.DecodeAtTrueSize). The
 // pair is decoded in the client's read buffer: it is valid until the
-// client's next read. A pair never written decodes to nil.
-func (c *Client) ReadKVAt(addr uint64, size int) (*layout.KV, error) {
-	mn, at := c.CopyAt(addr)
+// client's next read. A pair never written decodes to nil. The ops of
+// with, when there are any, ride the first read's doorbell behind it
+// and get their results there.
+func (c *Client) ReadKVAt(addr uint64, size int, with ...rdma.Op) (*layout.KV, error) {
+	_, at := c.CopyAt(addr)
 	if base := c.Cfg.blockOff(0); at.Off >= base {
 		rel := (at.Off - base) % c.Cfg.BlockSize
 		if remain := int(c.Cfg.BlockSize - rel); size > remain {
@@ -359,13 +411,17 @@ func (c *Client) ReadKVAt(addr uint64, size int) (*layout.KV, error) {
 	if size < 64 {
 		size = 64
 	}
-	read := func(buf []byte) error {
-		err := c.Read(buf, at)
-		c.NoteErr(mn, err)
-		return err
-	}
+	read := func(buf []byte) error { return c.Read(buf, at) }
 	buf := Resize(&c.kvBuf, size)
-	if err := read(buf); err != nil {
+	var err error
+	if len(with) == 0 {
+		err = read(buf)
+	} else {
+		c.kvOp[0] = rdma.Op{Kind: rdma.OpRead, Addr: at, Buf: buf}
+		c.batchOf(c.kvOp[:], with)
+		err = c.kvOp[0].Err
+	}
+	if err != nil {
 		return nil, err
 	}
 	if ok, err := layout.DecodeAtTrueSize(&c.kv, buf, int(c.Cfg.BlockSize), &c.kvBuf, read); !ok {
@@ -374,20 +430,20 @@ func (c *Client) ReadKVAt(addr uint64, size int) (*layout.KV, error) {
 	return &c.kv, nil
 }
 
-// readKVFailover reads the KV pair a slot word points at; when that
-// copy's MN has failed it chases the surviving replicas' words of the
-// same slot and reads their copies instead. This is the baselines'
-// whole recovery story: any surviving copy serves the data, no rebuild.
-func (c *Client) readKVFailover(s Slot, w uint64, size int) (*layout.KV, error) {
-	kv, err := c.ReadKVAt(layout.UnpackAtomic(w).Addr, size)
+// readKVFailover reads the KV pair a slot word points at, with the ops
+// of with on the first read's doorbell; when that copy's MN has failed
+// it chases the surviving replicas' words of the same slot and reads
+// their copies instead. This is the baselines' whole recovery story:
+// any surviving copy serves the data, no rebuild.
+func (c *Client) readKVFailover(s Slot, w uint64, size int, with ...rdma.Op) (*layout.KV, error) {
+	kv, err := c.ReadKVAt(layout.UnpackAtomic(w).Addr, size, with...)
 	if err == nil || !errors.Is(err, rdma.ErrNodeFailed) {
 		return kv, err
 	}
 	live := c.Live(s.P)
 	for _, ri := range live.List() {
-		mn, at := c.At(s, ri)
-		if rerr := c.Read(c.word[:], at); rerr != nil {
-			c.NoteErr(mn, rerr)
+		_, at := c.At(s, ri)
+		if c.Read(c.word[:], at) != nil {
 			continue
 		}
 		rw := binary.LittleEndian.Uint64(c.word[:])
@@ -416,11 +472,7 @@ func (c *Client) PeerWords(s Slot, ris []int, words []uint64) error {
 	if len(ris) == 0 {
 		return nil
 	}
-	ops := c.peerOps[:len(ris)]
-	for i, ri := range ris {
-		ops[i] = rdma.Op{Kind: rdma.OpRead, Buf: c.peerBuf[i][:]}
-		_, ops[i].Addr = c.At(s, ri)
-	}
+	ops := c.wordReads(s, ris)
 	if err := c.Batch(ops); err != nil {
 		return err
 	}
@@ -428,6 +480,17 @@ func (c *Client) PeerWords(s Slot, ris []int, words []uint64) error {
 		words[ri] = binary.LittleEndian.Uint64(ops[i].Buf)
 	}
 	return nil
+}
+
+// wordReads returns reads of the first word of slot s at each replica
+// in ris, into the client's scratch.
+func (c *Client) wordReads(s Slot, ris []int) []rdma.Op {
+	ops := c.peerOps[:len(ris)]
+	for i, ri := range ris {
+		ops[i] = rdma.Op{Kind: rdma.OpRead, Buf: c.peerBuf[i][:]}
+		_, ops[i].Addr = c.At(s, ri)
+	}
+	return ops
 }
 
 // Place reserves room for n copies of the encoded pair buf in the
@@ -485,7 +548,7 @@ func (c *Client) getBlocks(class uint8, n int) ([]*openBlock, error) {
 				}
 				resp, err := c.Ctx.RPC(c.cl.nodes[mn], methodAlloc, nil)
 				if err != nil {
-					c.NoteErr(mn, err)
+					c.blame(c.cl.nodes[mn], err)
 					continue
 				}
 				if len(resp) == 0 || resp[0] != 0 {

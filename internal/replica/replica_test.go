@@ -3,9 +3,13 @@ package replica
 import (
 	"encoding/binary"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/ftmode"
 	"repro/internal/layout"
+	"repro/internal/rdma"
+	"repro/internal/rdma/simnet"
 )
 
 // TestGeometry checks the layout every address computation stands on:
@@ -95,6 +99,51 @@ func TestFreeSlotChoice(t *testing.T) {
 		fill(other, layout.BucketSlots)
 		if _, err := p.Free(); err == nil {
 			t.Fatalf("pref %d: a full pair yielded a slot", pref)
+		}
+	}
+}
+
+// TestBatchCountsEachKind pins Batch's accounting: a batch of a read, a
+// write and a CAS adds one to each verb counter and rings one doorbell.
+func TestBatchCountsEachKind(t *testing.T) {
+	pl := simnet.New(simnet.DefaultConfig())
+	defer pl.Shutdown()
+	var c *Client
+	cl, err := NewCluster("test", DefaultConfig(), pl, func(base *Client) ftmode.Client {
+		c = base
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.NewClient()
+	var before, after Stats
+	pl.Spawn(pl.AddComputeNode(), "client", func(ctx rdma.Ctx) {
+		c.Attach(ctx)
+		_, at := c.At(Slot{P: 0, Bucket: 0, Idx: 0}, 0)
+		var rd, wr [8]byte
+		before = c.Stats
+		if err := c.Batch([]rdma.Op{
+			{Kind: rdma.OpRead, Addr: at, Buf: rd[:]},
+			{Kind: rdma.OpWrite, Addr: at.Add(8), Buf: wr[:]},
+			{Kind: rdma.OpCAS, Addr: at.Add(16), Old: 0, New: 1},
+		}); err != nil {
+			t.Error(err)
+		}
+		after = c.Stats
+	})
+	pl.Run(time.Second)
+	for _, f := range []struct {
+		name      string
+		got, want uint64
+	}{
+		{"reads", after.ReadsIssued - before.ReadsIssued, 1},
+		{"writes", after.WritesIssued - before.WritesIssued, 1},
+		{"CASes", after.CASIssued - before.CASIssued, 1},
+		{"doorbells", after.Doorbells - before.Doorbells, 1},
+	} {
+		if f.got != f.want {
+			t.Errorf("%s: %d, want %d", f.name, f.got, f.want)
 		}
 	}
 }

@@ -268,9 +268,9 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 		if ent != nil && acting == 0 && ent.complete(live) {
 			// The version word must be read fresh, the CAS below needs
 			// the current value; word0 comes with it in the same read.
-			mn, at := c.At(ent.slot, 0)
+			_, at := c.At(ent.slot, 0)
 			if err := c.Read(c.slotBuf[:], at); err != nil {
-				if c.NoteErr(mn, err) {
+				if errors.Is(err, rdma.ErrNodeFailed) {
 					continue
 				}
 				return err
@@ -318,10 +318,10 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 
 		// In-place update: one CAS on the acting primary's version
 		// word serializes writers...
-		mn, at := c.At(l.slot, acting)
+		_, at := c.At(l.slot, acting)
 		prev, err := c.CAS(at.Add(8), l.ver, l.ver+1)
 		if err != nil {
-			if c.NoteErr(mn, err) {
+			if errors.Is(err, rdma.ErrNodeFailed) {
 				continue
 			}
 			return err
@@ -414,10 +414,9 @@ func (c *Client) insertSlot(k *replica.Key, val []byte, tombstone bool, slot rep
 	}
 	for j := 1; j <= len(live); j++ {
 		ri := live[j%len(live)] // live[1:], then the acting primary
-		mn, at := c.At(slot, ri)
+		_, at := c.At(slot, ri)
 		prev, err := c.CAS(at, old[ri], words[ri])
 		if err != nil {
-			c.NoteErr(mn, err)
 			return err
 		}
 		if prev != old[ri] {
