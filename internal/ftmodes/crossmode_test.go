@@ -229,6 +229,14 @@ func TestCrossModeCRUD(t *testing.T) {
 					return
 				}
 			}
+			// A second DELETE finds the key deleted, from the slot the
+			// client's own commit cached.
+			for i := 0; i < n; i += 2 {
+				if err := c.Delete(key(i)); !errors.Is(err, core.ErrNotFound) {
+					t.Errorf("second delete %d: err = %v, want core.ErrNotFound", i, err)
+					return
+				}
+			}
 		})
 		// Cold cache: a fresh client must see the same end state.
 		h.runClients(t, 30*time.Second, func(c ftmode.Client) {
@@ -243,6 +251,13 @@ func TestCrossModeCRUD(t *testing.T) {
 				}
 				if err != nil || !bytes.Equal(got, val(i, 1)) {
 					t.Errorf("surviving key %d: err %v", i, err)
+					return
+				}
+			}
+			// And so does one from a client that never wrote the key.
+			for i := 0; i < n; i += 2 {
+				if err := c.Delete(key(i)); !errors.Is(err, core.ErrNotFound) {
+					t.Errorf("cold second delete %d: err = %v, want core.ErrNotFound", i, err)
 					return
 				}
 			}

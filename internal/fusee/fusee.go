@@ -13,12 +13,16 @@
 // cache of slot values only, which a read validates by re-reading the
 // buckets, and the commit of FUSEE's SNAPSHOT protocol — place n copies,
 // CAS the n−1 backup slots in one broadcast round, then CAS the
-// primary. An uncached UPDATE takes four round trips (see write). A
-// writer that loses any backup CAS backs off, re-reads and retries; it
-// rolls nothing back, and FUSEE's rules under which a loser returns
-// without retrying are not reproduced. The slot width is 8 B as in
-// FUSEE — its word is layout's Atomic word with Ver 0 — or 16 B to
-// reproduce the "+SLOT" step of the factor analysis (Figure 13).
+// primary. An uncached UPDATE takes four round trips, a cached one
+// three (see write); every CAS expects a word read during the op. A
+// lost backup round ends FUSEE's way, by one arbiter: the writer that
+// won the first live backup is the last writer and swings the backups
+// it lost, every other loser waits for the primary to move and returns
+// (see commit). A writer that inserts into an empty slot, or loses the
+// primary, backs off, re-reads and retries; nothing is rolled back. The
+// slot width is 8 B as in FUSEE — its word is layout's Atomic word with
+// Ver 0 — or 16 B to reproduce the "+SLOT" step of the factor analysis
+// (Figure 13).
 package fusee
 
 import (
@@ -45,14 +49,14 @@ func NewCluster(cfg replica.Config, pl rdma.Platform) (*replica.Cluster, error) 
 	return replica.NewCluster(core.FTModeFusee, cfg, pl, newClient)
 }
 
-// cacheEnt caches the slot values (KV replica addresses) of a key; the
-// baseline cache holds values only — it must re-read a bucket to
+// cacheEnt caches the primary's slot value (KV address) of a key; the
+// baseline cache holds values only — a read must re-read the buckets to
 // validate (§3.5.1 contrasts this with Aceso's slot-address cache).
 type cacheEnt struct {
-	slot    replica.Slot
-	vals    [replica.MaxReplicas]uint64 // per replica, packed slot words
-	haveAll bool                        // vals holds every replica (filled at own commit)
-	len     int                         // KV class size (bytes)
+	slot replica.Slot
+	word uint64 // the primary's packed slot word, for a GET's speculative read
+	own  bool   // filled at this client's own commit: a write may skip the bucket read
+	len  int    // KV class size (bytes)
 }
 
 // Client is a FUSEE-style client.
@@ -67,6 +71,7 @@ type Client struct {
 	kv     layout.KV
 
 	casOps [replica.MaxReplicas]rdma.Op // the backup CAS round
+	word   [8]byte                      // a loser's re-read of the primary's word
 }
 
 // CacheStats reports the client cache (ftmode.Client).
@@ -111,9 +116,7 @@ func (c *Client) Search(key []byte) ([]byte, error) {
 			return nil, core.ErrNotFound
 		}
 		if live[0] == 0 {
-			ent := cacheEnt{slot: m.Slot, len: layout.KVClassSize(len(m.KV.Key), len(m.KV.Val))}
-			ent.vals[0] = m.Word()
-			c.cache.Put(k.Hash, key, ent)
+			c.cache.Put(k.Hash, key, cacheEnt{slot: m.Slot, word: m.Word(), len: layout.KVClassSize(len(m.KV.Key), len(m.KV.Val))})
 		}
 		return replica.Value(m.KV)
 	}
@@ -126,7 +129,7 @@ func (c *Client) Search(key []byte) ([]byte, error) {
 // the speculative KV read (the "unnecessary index queries" Aceso's
 // slot-address cache eliminates, §3.5.1).
 func (c *Client) cachedRead(k *replica.Key, ent *cacheEnt) ([]byte, error) {
-	kmn, kvAt := c.CopyAt(layout.UnpackAtomic(ent.vals[0]).Addr)
+	kmn, kvAt := c.CopyAt(layout.UnpackAtomic(ent.word).Addr)
 	if c.Failed(c.Cfg.ReplicaMN(k.P, 0)) || c.Failed(kmn) {
 		// The cache validates against the primary; after a failure the
 		// caller takes the search path, which fails over.
@@ -150,7 +153,7 @@ func (c *Client) cachedRead(k *replica.Key, ent *cacheEnt) ([]byte, error) {
 	}
 	var kv *layout.KV
 	var err error
-	if cur := binary.LittleEndian.Uint64(bkt[ent.slot.Idx*c.Cfg.SlotBytes:]); cur == ent.vals[0] {
+	if cur := binary.LittleEndian.Uint64(bkt[ent.slot.Idx*c.Cfg.SlotBytes:]); cur == ent.word {
 		var ok bool
 		if ok, err = layout.DecodeKVInto(&c.kv, ops[0].Buf); ok {
 			kv = &c.kv
@@ -160,8 +163,8 @@ func (c *Client) cachedRead(k *replica.Key, ent *cacheEnt) ([]byte, error) {
 		if cur == 0 || layout.UnpackAtomic(cur).FP != k.FP {
 			return nil, errStaleCache
 		}
-		ent.vals[0] = cur
-		ent.haveAll = false
+		ent.word = cur
+		ent.own = false
 		kv, err = c.ReadKVAt(layout.UnpackAtomic(cur).Addr, ent.len)
 	}
 	if err != nil || kv == nil || !bytes.Equal(kv.Key, k.Bytes) {
@@ -182,19 +185,22 @@ func (c *Client) Delete(key []byte) error { return c.write(key, nil, true) }
 // write implements FUSEE's replicated write: place the n copies, CAS
 // the n−1 backup slots in one doorbell, then CAS the primary slot to
 // commit — n CAS operations per write, the cost Figure 1(a) quantifies.
-// Each round trip carries what is ready by then. When the slot is not
-// cached they are:
+// Every CAS expects a word read during this op. Each round trip carries
+// what is ready by then. When the slot is not cached they are:
 //
 //  1. the copies, which do not depend on the slot, and the acting
 //     primary's bucket pair;
 //  2. each fingerprint candidate's pair and its slot's word on every
 //     live backup (a free slot's words take a doorbell of their own);
 //  3. the backup CASes;
-//  4. the primary CAS, only when every backup CAS won.
+//  4. the primary CAS (commit says how a lost backup round ends).
 //
-// A cached slot needs no bucket read and no round 2. A DELETE places
-// its tombstones in a doorbell of their own once the key is found, so
-// deleting an absent key writes nothing.
+// A slot cached at this client's own commit needs no bucket read: round
+// 1 carries the copies and the slot's word on every live replica, and
+// there is no round 2. A DELETE never takes that path, since it must
+// see whether the key is deleted already; it places its tombstones in a
+// doorbell of their own once the key is found live, so deleting an
+// absent or deleted key writes nothing.
 func (c *Client) write(key, val []byte, tombstone bool) error {
 	if err := core.CheckPairSize(key, val, c.Cfg.BlockSize); err != nil {
 		return err
@@ -214,16 +220,14 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 		}
 		acting := live[0]
 
-		// Locate the slot and its per-replica old words, via the cache
-		// when it holds the full replica set (warm after this client's
-		// own commit), else by reading buckets and replica slots. The
-		// copies' results are looked at only once the slot is known.
+		// Locate the slot and its word on every live replica: the cached
+		// slot's in the copies' doorbell, else by reading the buckets and
+		// the candidates' words. The copies' results are looked at only
+		// once the slot is known.
 		var err error
 		var addrs []uint64
 		var copies []rdma.Op
-		ent := c.cache.Lookup(k.Hash, key)
-		cached := ent != nil && ent.haveAll && acting == 0
-		if !tombstone || cached {
+		if !tombstone {
 			if addrs, copies, err = c.Place(buf, r); err != nil {
 				return err
 			}
@@ -231,9 +235,15 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 		var old [replica.MaxReplicas]uint64
 		var slot replica.Slot
 		found := false
-		if cached {
-			old, slot, found = ent.vals, ent.slot, true
-			err = c.Batch(copies)
+		ent := c.cache.Lookup(k.Hash, key)
+		if ent != nil && ent.own && acting == 0 && !tombstone {
+			slot, found = ent.slot, true
+			err = c.PeerWords(slot, live, old[:], copies...)
+			if err == nil && (old[0] == 0 || layout.UnpackAtomic(old[0]).FP != k.FP) {
+				// The slot no longer holds the key: locate it.
+				c.cache.Remove(k.Hash, key)
+				continue
+			}
 		} else {
 			hint := replica.ReadBytes
 			if ent != nil {
@@ -267,26 +277,27 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 		for i := 0; i < r; i++ {
 			words[i] = layout.SlotAtomic{FP: k.FP, Addr: addrs[i]}.Pack()
 		}
-		won, err := c.commit(slot, live, &old, &words)
+		out, err := c.commit(slot, live, &old, &words, found)
 		if err != nil {
 			if errors.Is(err, rdma.ErrNodeFailed) {
 				continue
 			}
 			return err
 		}
-		if won {
+		switch out {
+		case won:
 			if acting == 0 {
-				c.cache.Put(k.Hash, key, cacheEnt{slot: slot, vals: words, haveAll: true, len: size})
+				c.cache.Put(k.Hash, key, cacheEnt{slot: slot, word: words[0], own: true, len: size})
 			}
 			if !found {
 				c.Stats.ValidBytes += uint64(size)
 			}
 			return nil
+		case absorbed:
+			return nil
 		}
-		// Conflict: another client won on some replica. Re-read and
-		// retry with bounded backoff so losers do not starve under a
-		// thundering herd on a hot key (FUSEE's conflict-resolution
-		// winner selection plays this arbitration role).
+		// Lost: re-read and retry with bounded backoff so losers do not
+		// starve under a thundering herd on a hot key.
 		c.Stats.CASRetries++
 		c.cache.Remove(k.Hash, key)
 		c.Backoff(attempt)
@@ -297,13 +308,17 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 // locate reads the key's bucket pair from the acting primary, with the
 // ops of with on that doorbell, and returns the key's slot — or, for a
 // key no slot holds, a free one — with its word on every live replica
-// in old. found reports the former.
+// in old. found reports the former. A DELETE of a key no slot holds, or
+// whose pair is a tombstone, gets core.ErrNotFound.
 func (c *Client) locate(k *replica.Key, live []int, hint int, tombstone bool, with []rdma.Op, old *[replica.MaxReplicas]uint64) (slot replica.Slot, found bool, err error) {
 	pair, err := c.ReadPair(k, live[0], hint, with...)
 	if err != nil {
 		return slot, false, err
 	}
 	if m := pair.Next(live[1:]...); m != nil {
+		if tombstone && m.KV.Tombstone {
+			return m.Slot, true, core.ErrNotFound
+		}
 		*old = m.Peers
 		old[live[0]] = m.Word()
 		return m.Slot, true, m.PeersErr
@@ -317,10 +332,40 @@ func (c *Client) locate(k *replica.Key, live []int, hint int, tombstone bool, wi
 	return slot, false, c.PeerWords(slot, live[1:], old[:])
 }
 
-// commit CASes the slot from old to words: every live backup in one
-// doorbell, then — only when each of those won — the acting primary,
-// the commit point. A loser rolls nothing back; it re-reads and retries.
-func (c *Client) commit(s replica.Slot, live []int, old, words *[replica.MaxReplicas]uint64) (bool, error) {
+// outcome is how a commit attempt ends.
+type outcome int
+
+const (
+	lost     outcome = iota // another writer won: back off, re-read, retry
+	won                     // this write committed
+	absorbed                // the last writer's commit overwrote this write
+)
+
+// absorbReads bounds the re-reads of the primary's word by a writer that
+// lost the first live backup's CAS and waits for the last writer to
+// commit; when the word has not moved by then, the write retries.
+const absorbReads = 8
+
+// commit CASes the slot from old, the words this op read, to words:
+// every live backup in one doorbell, then the acting primary — the
+// commit point. When the write found the slot bound to its key (bound),
+// a lost backup round ends FUSEE's way, with the first live backup as
+// the one arbiter every contender reads off its own CAS results:
+//
+//   - the writer that won that CAS is the last writer: in one doorbell
+//     it CASes every backup it lost from the word that CAS returned to
+//     its own, then it CASes the primary;
+//   - any other writer re-reads the primary's word until the word leaves
+//     old, and returns absorbed: it is linearized just before the commit
+//     that moved the word, the argument of Aceso's absorb (DESIGN §13).
+//
+// FUSEE's majority and minimum rules compare one slot value that every
+// replica shares; here each replica's word names its own copy, so a
+// writer cannot tell whether two foreign words are one writer's. A write
+// into an empty slot, a lost primary CAS and a wait that runs out end
+// lost; nothing is rolled back.
+func (c *Client) commit(s replica.Slot, live []int, old, words *[replica.MaxReplicas]uint64, bound bool) (outcome, error) {
+	primary := live[0]
 	if backups := live[1:]; len(backups) > 0 {
 		ops := c.casOps[:len(backups)]
 		for i, ri := range backups {
@@ -328,15 +373,59 @@ func (c *Client) commit(s replica.Slot, live []int, old, words *[replica.MaxRepl
 			ops[i] = rdma.Op{Kind: rdma.OpCAS, Addr: at, Old: old[ri], New: words[ri]}
 		}
 		if err := c.Batch(ops); err != nil {
-			return false, err
+			return lost, err
 		}
-		for i := range ops {
-			if ops[i].Result != ops[i].Old {
-				return false, nil
+		if !allWon(ops) {
+			if !bound {
+				return lost, nil
+			}
+			if ops[0].Result != ops[0].Old {
+				return c.await(s, primary, old[primary])
+			}
+			n := 0
+			for i := range ops {
+				if ops[i].Result != ops[i].Old {
+					ops[n] = rdma.Op{Kind: rdma.OpCAS, Addr: ops[i].Addr, Old: ops[i].Result, New: ops[i].New}
+					n++
+				}
+			}
+			if err := c.Batch(ops[:n]); err != nil {
+				return lost, err
+			}
+			if !allWon(ops[:n]) {
+				return lost, nil
 			}
 		}
 	}
-	_, at := c.At(s, live[0])
-	prev, err := c.CAS(at, old[live[0]], words[live[0]])
-	return err == nil && prev == old[live[0]], err
+	_, at := c.At(s, primary)
+	prev, err := c.CAS(at, old[primary], words[primary])
+	if err != nil || prev != old[primary] {
+		return lost, err
+	}
+	return won, nil
+}
+
+// allWon reports whether every CAS of a posted batch found its old word.
+func allWon(ops []rdma.Op) bool {
+	for i := range ops {
+		if ops[i].Result != ops[i].Old {
+			return false
+		}
+	}
+	return true
+}
+
+// await re-reads replica ri's word of slot s, at most absorbReads times,
+// until it leaves old.
+func (c *Client) await(s replica.Slot, ri int, old uint64) (outcome, error) {
+	_, at := c.At(s, ri)
+	for i := 0; i < absorbReads; i++ {
+		if err := c.Read(c.word[:], at); err != nil {
+			return lost, err
+		}
+		if binary.LittleEndian.Uint64(c.word[:]) != old {
+			return absorbed, nil
+		}
+	}
+	return lost, nil
 }

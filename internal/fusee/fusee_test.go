@@ -386,10 +386,13 @@ func (h *hookCtx) Batch(ops []rdma.Op) error {
 // TestBackupRoundSplitRace lands two writers' backup CAS rounds on one
 // key in opposite orders at the two backups, so that each wins one —
 // a split sequential rounds could never produce, since a writer that
-// lost the first backup never tried the second. Both lose, neither
-// rolls back, both retry, and both writes return nil; afterwards every
-// replica points at copies of one value, which a GET still returns
-// after the primary's MN fails.
+// lost the first backup never tried the second. B, which lost the first
+// backup, runs inside A's round, so A never commits while B waits: B's
+// re-reads run out and it retries and commits. A, which holds the first
+// backup, is the last writer: it swings the backup it lost, loses the
+// primary to B's retry, and retries in turn. Both writes return nil;
+// afterwards every replica points at copies of A's value, which a GET
+// still returns after the primary's MN fails.
 func TestBackupRoundSplitRace(t *testing.T) {
 	tc := newTestCluster(t, func(cfg *replica.Config) { cfg.CacheEntries = -1 })
 	k := key(7)
@@ -460,13 +463,182 @@ func TestBackupRoundSplitRace(t *testing.T) {
 	if fmt.Sprint(aWon) != "[true false]" || fmt.Sprint(bWon) != "[false true]" {
 		t.Fatalf("backup CAS wins: A %v, B %v; want A [true false], B [false true]", aWon, bWon)
 	}
-	if !bytes.Equal(final, val(7, 1)) && !bytes.Equal(final, val(7, 2)) {
-		t.Fatalf("the replicas hold %.12q, neither writer's value", final)
+	if !bytes.Equal(final, val(7, 1)) {
+		t.Fatalf("the replicas hold %.12q, want %.12q: the first backup's holder writes last", final, val(7, 1))
 	}
 	tc.cl.FailMN(primary)
 	tc.runClients(t, 30*time.Second, func(c *Client) {
 		if got, err := c.Search(k); err != nil || !bytes.Equal(got, final) {
 			t.Errorf("GET after the primary failed: %.12q, %v; want %.12q", got, err, final)
+		}
+	})
+}
+
+// TestCachedUpdateAfterForeignCommit: a cached UPDATE reads the slot's
+// word on every replica in the doorbell that places its copies, so
+// another client's commit since its own costs it nothing: it wins in
+// three doorbells, with no CAS retry.
+func TestCachedUpdateAfterForeignCommit(t *testing.T) {
+	tc := newTestCluster(t, nil)
+	k := key(0)
+	tc.inProcess(t, func(ctx rdma.Ctx) {
+		a, b := tc.cl.NewClient().(*Client), tc.cl.NewClient().(*Client)
+		a.Attach(ctx)
+		b.Attach(ctx)
+		if err := a.Insert(k, val(0, 0)); err != nil {
+			t.Error(err)
+			return
+		}
+		if err := b.Update(k, val(0, 1)); err != nil {
+			t.Error(err)
+			return
+		}
+		doorbells, retries := a.Stats.Doorbells, a.Stats.CASRetries
+		if err := a.Update(k, val(0, 2)); err != nil {
+			t.Error(err)
+			return
+		}
+		if got := a.Stats.Doorbells - doorbells; got != 3 {
+			t.Errorf("%d doorbells, want 3", got)
+		}
+		if a.Stats.CASRetries != retries {
+			t.Errorf("%d CAS retries, want none", a.Stats.CASRetries-retries)
+		}
+		if got, err := b.Search(k); err != nil || !bytes.Equal(got, val(0, 2)) {
+			t.Errorf("search: %.12q, %v; want %.12q", got, err, val(0, 2))
+		}
+	})
+}
+
+// TestLoserAwaitsLastWriter scripts a lost backup round: the test CASes
+// the first live backup away from the word the writer read, just ahead
+// of the writer's own CAS there. When a mover then moves the primary's
+// word, a few microseconds on, the writer is absorbed: it returns nil
+// only once the primary has moved, with one set of copies placed and no
+// retry, and a GET returns the mover's value. When nothing moves it —
+// a "winner" that never commits — the writer's re-reads run out, it
+// retries, and its own value is read back.
+func TestLoserAwaitsLastWriter(t *testing.T) {
+	for _, move := range []bool{true, false} {
+		t.Run(fmt.Sprintf("move=%v", move), func(t *testing.T) {
+			tc := newTestCluster(t, func(cfg *replica.Config) { cfg.CacheEntries = -1 })
+			k := key(5)
+			var slot replica.Slot
+			var words [3]uint64 // the key's word on each replica after its insert
+			tc.runClients(t, 30*time.Second, func(c *Client) {
+				if err := c.Insert(k, val(5, 0)); err != nil {
+					t.Error(err)
+					return
+				}
+				ck := c.Op(k)
+				for ri := range words {
+					pair, err := c.ReadPair(&ck, ri, replica.ReadBytes)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					m := pair.Next()
+					slot, words[ri] = m.Slot, m.Word()
+				}
+			})
+			var hooked, moving, waited bool
+			var writes, retries uint64
+			writer := func(c *Client) {
+				hc := &hookCtx{Ctx: c.Ctx}
+				hc.hook = func(ops []rdma.Op) error {
+					if prev, err := hc.Ctx.CAS(ops[0].Addr, ops[0].Old, words[0]); err != nil || prev != ops[0].Old {
+						t.Errorf("the test's CAS on the first backup: %x, %v", prev, err)
+					}
+					hooked = true
+					return hc.Ctx.Batch(ops)
+				}
+				c.Attach(hc)
+				w := c.Stats.WritesIssued
+				if err := c.Update(k, val(5, 1)); err != nil {
+					t.Errorf("update: %v", err)
+				}
+				waited, writes, retries = moving, c.Stats.WritesIssued-w, c.Stats.CASRetries
+			}
+			mover := func(c *Client) {
+				for !hooked {
+					c.Ctx.Sleep(time.Microsecond)
+				}
+				c.Ctx.Sleep(5 * time.Microsecond)
+				moving = true
+				_, at := c.At(slot, 0)
+				if prev, err := c.CAS(at, words[0], words[1]); err != nil || prev != words[0] {
+					t.Errorf("the mover's CAS on the primary: %x, %v", prev, err)
+				}
+			}
+			want := val(5, 1)
+			if move {
+				tc.runClients(t, 30*time.Second, writer, mover)
+				if !waited {
+					t.Error("the writer returned before the primary moved")
+				}
+				if writes != 3 || retries != 0 {
+					t.Errorf("%d copies written, %d retries; want 3 and none", writes, retries)
+				}
+				want = val(5, 0)
+			} else {
+				tc.runClients(t, 30*time.Second, writer)
+				if retries != 1 {
+					t.Errorf("%d retries, want 1", retries)
+				}
+			}
+			tc.runClients(t, 30*time.Second, func(c *Client) {
+				if got, err := c.Search(k); err != nil || !bytes.Equal(got, want) {
+					t.Errorf("search: %.12q, %v; want %.12q", got, err, want)
+				}
+			})
+		})
+	}
+}
+
+// TestInsertRaceForOneEmptySlot: two keys whose inserts pick the same
+// empty slot race for it. B's round finds the slot taken by A's whole
+// insert, which ran between B's read and B's CASes. B's lost backup
+// round must not absorb it, since the commit that moved the primary is
+// another key's: B retries into another slot, and both keys read back.
+func TestInsertRaceForOneEmptySlot(t *testing.T) {
+	tc := newTestCluster(t, func(cfg *replica.Config) { cfg.CacheEntries = -1 })
+	tc.inProcess(t, func(ctx rdma.Ctx) {
+		a, b := tc.cl.NewClient().(*Client), tc.cl.NewClient().(*Client)
+		a.Attach(ctx)
+		hb := &hookCtx{Ctx: ctx}
+		b.Attach(hb)
+		// Two keys of one partition whose preferred bucket is one.
+		type pref struct {
+			p      int
+			bucket uint64
+		}
+		seen := map[pref][]byte{}
+		var ka, kb []byte
+		for i := 0; kb == nil; i++ {
+			k := key(i)
+			ck := a.Op(k)
+			pr := pref{ck.P, ck.Buckets[ck.Hash>>32&1]}
+			if other, ok := seen[pr]; ok {
+				ka, kb = other, k
+			}
+			seen[pr] = k
+		}
+		hb.hook = func(ops []rdma.Op) error {
+			if err := a.Insert(ka, val(1, 0)); err != nil {
+				t.Errorf("A's insert: %v", err)
+			}
+			return ctx.Batch(ops)
+		}
+		if err := b.Insert(kb, val(2, 0)); err != nil {
+			t.Errorf("B's insert: %v", err)
+		}
+		if b.Stats.CASRetries == 0 {
+			t.Error("B did not lose the slot")
+		}
+		for _, kv := range []struct{ k, v []byte }{{ka, val(1, 0)}, {kb, val(2, 0)}} {
+			if got, err := a.Search(kv.k); err != nil || !bytes.Equal(got, kv.v) {
+				t.Errorf("search %s: %.12q, %v; want %.12q", kv.k, got, err, kv.v)
+			}
 		}
 	})
 }

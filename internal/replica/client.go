@@ -72,7 +72,7 @@ type Client struct {
 	peerBuf [MaxReplicas][8]byte
 	addrs   [MaxReplicas]uint64
 	ops     [MaxReplicas]rdma.Op
-	joined  [MaxReplicas + 2]rdma.Op // a batch of the caller's ops and a helper's own
+	joined  [2 * MaxReplicas]rdma.Op // a batch of the caller's ops and a helper's own
 }
 
 // Resize returns *buf at length n, growing it first when it is shorter:
@@ -467,13 +467,16 @@ func Value(kv *layout.KV) ([]byte, error) {
 }
 
 // PeerWords reads the first word of slot s at each replica in ris, in
-// one batch, into words[ri].
-func (c *Client) PeerWords(s Slot, ris []int, words []uint64) error {
-	if len(ris) == 0 {
+// one batch, into words[ri]. The ops of with, when there are any, ride
+// the same doorbell ahead of the reads and get their results there; the
+// error returned is the reads' own.
+func (c *Client) PeerWords(s Slot, ris []int, words []uint64, with ...rdma.Op) error {
+	if len(ris)+len(with) == 0 {
 		return nil
 	}
 	ops := c.wordReads(s, ris)
-	if err := c.Batch(ops); err != nil {
+	c.batchOf(with, ops)
+	if err := FirstErr(ops); err != nil {
 		return err
 	}
 	for i, ri := range ris {

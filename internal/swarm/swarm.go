@@ -189,6 +189,24 @@ func (c *Client) Search(key []byte) ([]byte, error) {
 // copy read — the in-place design's read-path win over FUSEE's full
 // bucket re-walk.
 func (c *Client) cachedRead(k *replica.Key, ent *cacheEnt) ([]byte, error) {
+	kv, err := c.readSlotAndCopy(k, ent)
+	if err != nil {
+		return nil, err
+	}
+	if kv == nil || kv.SlotVersion < binary.LittleEndian.Uint64(c.slotBuf[8:]) {
+		return nil, errStaleCache // writer in flight
+	}
+	return replica.Value(kv)
+}
+
+// readSlotAndCopy reads, in one doorbell, the primary's 16 B slot of a
+// cached key into c.slotBuf and the copy its cached word0 names. It
+// returns errStaleCache when either MN has failed or the slot's word0
+// moved, and a nil pair when the copy does not decode as the key's at
+// its header's true class: an in-place shrink leaves the new trailing
+// fence before the end of the cached class size, and a copy never
+// written, torn, or grown past the class is refused (no re-read).
+func (c *Client) readSlotAndCopy(k *replica.Key, ent *cacheEnt) (*layout.KV, error) {
 	mn, slotAt := c.At(ent.slot, 0)
 	if ent.words[0] == 0 || c.Failed(mn) {
 		return nil, errStaleCache
@@ -197,26 +215,22 @@ func (c *Client) cachedRead(k *replica.Key, ent *cacheEnt) ([]byte, error) {
 	if c.Failed(kmn) {
 		return nil, errStaleCache
 	}
-	slotBuf, kvBuf := c.slotBuf[:], replica.Resize(&c.getKV, ent.class)
+	kvBuf := replica.Resize(&c.getKV, ent.class)
 	c.getOps = [2]rdma.Op{
-		{Kind: rdma.OpRead, Addr: slotAt, Buf: slotBuf},
+		{Kind: rdma.OpRead, Addr: slotAt, Buf: c.slotBuf[:]},
 		{Kind: rdma.OpRead, Addr: kvAt, Buf: kvBuf},
 	}
 	if err := c.Batch(c.getOps[:]); err != nil {
 		return nil, err
 	}
-	if binary.LittleEndian.Uint64(slotBuf) != ent.words[0] {
+	if binary.LittleEndian.Uint64(c.slotBuf[:]) != ent.words[0] {
 		return nil, errStaleCache // reallocated
 	}
-	// Decode at the header's true class: an in-place shrink leaves the
-	// new trailing fence before the end of the cached class size. One
-	// never written, or grown past the class, is refused (no re-read).
 	ok, err := layout.DecodeAtTrueSize(&c.kv, kvBuf, int(c.Cfg.BlockSize), nil, nil)
-	if err != nil || !ok || !bytes.Equal(c.kv.Key, k.Bytes) ||
-		c.kv.SlotVersion < binary.LittleEndian.Uint64(slotBuf[8:]) {
-		return nil, errStaleCache // writer in flight
+	if err != nil || !ok || !bytes.Equal(c.kv.Key, k.Bytes) {
+		return nil, nil
 	}
-	return replica.Value(&c.kv)
+	return &c.kv, nil
 }
 
 // Insert stores a key-value pair (upsert).
@@ -268,19 +282,32 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 		if ent != nil && acting == 0 && ent.complete(live) {
 			// The version word must be read fresh, the CAS below needs
 			// the current value; word0 comes with it in the same read.
-			_, at := c.At(ent.slot, 0)
-			if err := c.Read(c.slotBuf[:], at); err != nil {
-				if errors.Is(err, rdma.ErrNodeFailed) {
-					continue
-				}
-				return err
+			// A DELETE reads the copy in that doorbell too: a key
+			// deleted already is not deleted again.
+			var err error
+			var kv *layout.KV
+			if tombstone {
+				kv, err = c.readSlotAndCopy(&k, ent)
+			} else {
+				_, at := c.At(ent.slot, 0)
+				err = c.Read(c.slotBuf[:], at)
 			}
-			if binary.LittleEndian.Uint64(c.slotBuf[:]) == ent.words[0] {
+			switch {
+			case errors.Is(err, errStaleCache):
+				// word0 moved, or an MN behind it failed: locate.
+			case errors.Is(err, rdma.ErrNodeFailed):
+				continue
+			case err != nil:
+				return err
+			case kv != nil && kv.Tombstone:
+				return core.ErrNotFound
+			case binary.LittleEndian.Uint64(c.slotBuf[:]) == ent.words[0]:
 				l = located{slot: ent.slot, ver: binary.LittleEndian.Uint64(c.slotBuf[8:]),
 					words: ent.words, class: ent.class, valid: true}
-			} else {
-				// Another writer moved the copy. Writing on would take
-				// tickets for an orphan and leave the copy the index
+			}
+			if !l.valid {
+				// Writing on after another writer moved the copy would
+				// take tickets for an orphan and leave the copy the index
 				// names behind its version word, which readers take for
 				// a write in flight, forever.
 				c.cache.Remove(k.Hash, key)
@@ -367,6 +394,9 @@ func (c *Client) locate(k *replica.Key, live []int, tombstone bool, hint int) (l
 		}
 		l.slot, err = pair.Free()
 		return l, err
+	}
+	if tombstone && m.KV.Tombstone {
+		return l, core.ErrNotFound
 	}
 	l.slot, l.ver = m.Slot, binary.LittleEndian.Uint64(m.Raw[8:])
 	l.words[live[0]] = m.Word()

@@ -3,7 +3,9 @@ package aceso
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -48,6 +50,75 @@ func TestOpenEveryMode(t *testing.T) {
 			})
 			if u := cluster.Usage(); u.TotalBytes == 0 {
 				t.Error("Usage().TotalBytes = 0 after an insert")
+			}
+		})
+	}
+}
+
+// TestOpenHotKeyRace races four writers' UPDATEs on two hot keys over
+// real sockets, in every mode, so that losers of a commit round — which
+// retry, or in FUSEE's mode may wait for the last writer instead — meet
+// real concurrency. Afterwards every writer reads the same value of each
+// key, and it is one some writer wrote.
+func TestOpenHotKeyRace(t *testing.T) {
+	for _, mode := range FTModes() {
+		mode := mode
+		t.Run(mode, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Layout.IndexBytes = 96 << 10
+			cfg.Layout.BlockSize = 16 << 10
+			cfg.Layout.StripeRows = 12
+			cfg.Layout.PoolBlocks = 10
+			cfg.FTMode = mode
+			cluster, err := Open(cfg, WithFabric(FabricTCP))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cluster.Close()
+			cluster.Start()
+			const writers, rounds = 4, 200
+			keys := [][]byte{[]byte("hot-a"), []byte("hot-b")}
+			var mu sync.Mutex
+			written := map[string]bool{}
+			reads := make([][2]string, writers)
+			var wrote sync.WaitGroup
+			wrote.Add(writers)
+			for w := 0; w < writers; w++ {
+				w := w
+				cluster.SpawnKV(fmt.Sprintf("writer%d", w), func(c KV) {
+					for r := 0; r < rounds; r++ {
+						k, v := keys[r%2], fmt.Sprintf("writer%d-round%03d", w, r)
+						mu.Lock()
+						written[v] = true
+						mu.Unlock()
+						if err := c.Update(k, []byte(v)); err != nil {
+							t.Errorf("writer %d, round %d: %v", w, r, err)
+							break
+						}
+					}
+					wrote.Done()
+					wrote.Wait()
+					for i, k := range keys {
+						got, err := c.Search(k)
+						if err != nil {
+							t.Errorf("writer %d reads %s: %v", w, k, err)
+						}
+						reads[w][i] = string(got)
+					}
+				})
+			}
+			if !cluster.Wait() {
+				t.Fatal("the writers did not finish")
+			}
+			for i, k := range keys {
+				if got := reads[0][i]; !written[got] {
+					t.Errorf("%s reads %q, which no writer wrote", k, got)
+				}
+				for w := 1; w < writers; w++ {
+					if reads[w][i] != reads[0][i] {
+						t.Errorf("%s: writer %d reads %q, writer 0 %q", k, w, reads[w][i], reads[0][i])
+					}
+				}
 			}
 		})
 	}
