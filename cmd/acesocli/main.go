@@ -52,7 +52,6 @@ func main() {
 	flag.Uint64Var(&cfg.Layout.BlockSize, "block-size", cfg.Layout.BlockSize, "memory block size")
 	stripes := flag.Int("stripes", cfg.Layout.StripeRows, "coding stripe rows")
 	pool := flag.Int("pool", cfg.Layout.PoolBlocks, "delta/copy pool blocks per MN")
-	flag.IntVar(&cfg.Layout.CkptSegments, "ckpt-segments", cfg.Layout.CkptSegments, "checkpoint index segments (geometry: must match the daemons)")
 	flag.IntVar(&cfg.TraceSample, "trace-sample", 1, "op-span sampling: 1 in N of this client's ops records a span tree (<0 disables)")
 	flag.IntVar(&cfg.CacheEntries, "cache-entries", cfg.CacheEntries, "client index cache entry bound (0 = default 16384, <0 disables)")
 	flag.Parse()
@@ -374,7 +373,6 @@ func printMNStats(c ftmode.Client, mn int) {
 	if st.CkptRawBytes > 0 {
 		ckpt.Add("ratio", float64(st.CkptBytes)/float64(st.CkptRawBytes))
 	}
-	ckpt.Add("segsShipped", float64(st.CkptSegsShipped))
 	ckpt.Add("shipFailures", float64(st.CkptShipFailures))
 	ckpt.Add("cpuMs", float64(st.CkptCPUNs)/1e6)
 	ckpt.Add("applies", float64(st.CkptApplies))

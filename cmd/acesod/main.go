@@ -13,7 +13,10 @@
 //	acesocli -peers :7000,:7001,:7002,:7003,:7004
 //
 // Every daemon and client must be started with the same -peers list
-// and geometry flags so they construct identical layouts.
+// and geometry flags (-index-bytes, -block-size, -stripes, -pool) so
+// they construct identical layouts. Each checkpoint round (-ckpt) ships
+// one differential image of the daemon's index to its ring successor,
+// MN (mn+1) mod n; there is no segment count to agree on.
 //
 // -ftmode selects the fault-tolerance mode. The default, "aceso", runs
 // the full hybrid scheme above. "fusee-replication" and "swarm-inplace"
@@ -69,7 +72,6 @@ func main() {
 	stripes := flag.Int("stripes", cfg.Layout.StripeRows, "coding stripe rows")
 	pool := flag.Int("pool", cfg.Layout.PoolBlocks, "delta/copy pool blocks per MN")
 	ckpt := flag.Duration("ckpt", cfg.CkptInterval, "checkpoint interval")
-	flag.IntVar(&cfg.Layout.CkptSegments, "ckpt-segments", cfg.Layout.CkptSegments, "checkpoint index segments (geometry: must match on every daemon and client; 1 = full-image rounds)")
 	flag.IntVar(&cfg.TraceSample, "trace-sample", cfg.TraceSample, "op-span sampling: 1 in N ops records a span tree (0 = default 64, <0 disables)")
 	flag.IntVar(&cfg.CacheEntries, "cache-entries", cfg.CacheEntries, "per-client index cache entry bound (0 = default 16384, <0 disables; clients must match)")
 	opt := tcpnet.Options{}.WithDefaults()
@@ -170,33 +172,32 @@ func main() {
 // map (names become aceso_<name>).
 func serverGauges(st core.ServerStats) map[string]float64 {
 	return map[string]float64{
-		"index_version":               float64(st.IndexVersion),
-		"reclaimed_blocks_total":      float64(st.Reclaimed),
-		"bitmap_updates_total":        float64(st.BitsApplied),
-		"ckpt_rounds_total":           float64(st.CkptRounds),
-		"ckpt_bytes_total":            float64(st.CkptBytes),
-		"ckpt_applies_total":          float64(st.CkptApplies),
-		"ckpt_ship_failures_total":    float64(st.CkptShipFailures),
-		"ckpt_segments_shipped_total": float64(st.CkptSegsShipped),
-		"ckpt_raw_bytes_total":        float64(st.CkptRawBytes),
-		"ckpt_cpu_seconds_total":      float64(st.CkptCPUNs) / 1e9,
-		"ckpt_compress_ratio":         ckptRatio(st),
-		"encode_batches_total":        float64(st.EncodeJobs),
-		"encode_drops_total":          float64(st.EncodeDrops),
-		"encode_queue":                float64(st.EncodeQueue),
-		"ec_encode_bytes_total":       float64(st.ECEncodeBytes),
-		"ec_encode_seconds_total":     float64(st.ECEncodeNs) / 1e9,
-		"ec_encode_batches_total":     float64(st.ECEncodeBatches),
-		"ec_decode_bytes_total":       float64(st.ECDecodeBytes),
-		"ec_decode_seconds_total":     float64(st.ECDecodeNs) / 1e9,
-		"meta_sync_writes_total":      float64(st.MetaSyncWrites),
-		"meta_sync_bytes_total":       float64(st.MetaSyncBytes),
-		"meta_resyncs_total":          float64(st.MetaResyncs),
-		"pool_blocks":                 float64(st.PoolBlocks),
-		"pool_blocks_free":            float64(st.PoolFree),
-		"pool_blocks_delta":           float64(st.PoolDelta),
-		"pool_blocks_copy":            float64(st.PoolCopy),
-		"pool_blocks_data":            float64(st.PoolData),
+		"index_version":            float64(st.IndexVersion),
+		"reclaimed_blocks_total":   float64(st.Reclaimed),
+		"bitmap_updates_total":     float64(st.BitsApplied),
+		"ckpt_rounds_total":        float64(st.CkptRounds),
+		"ckpt_bytes_total":         float64(st.CkptBytes),
+		"ckpt_applies_total":       float64(st.CkptApplies),
+		"ckpt_ship_failures_total": float64(st.CkptShipFailures),
+		"ckpt_raw_bytes_total":     float64(st.CkptRawBytes),
+		"ckpt_cpu_seconds_total":   float64(st.CkptCPUNs) / 1e9,
+		"ckpt_compress_ratio":      ckptRatio(st),
+		"encode_batches_total":     float64(st.EncodeJobs),
+		"encode_drops_total":       float64(st.EncodeDrops),
+		"encode_queue":             float64(st.EncodeQueue),
+		"ec_encode_bytes_total":    float64(st.ECEncodeBytes),
+		"ec_encode_seconds_total":  float64(st.ECEncodeNs) / 1e9,
+		"ec_encode_batches_total":  float64(st.ECEncodeBatches),
+		"ec_decode_bytes_total":    float64(st.ECDecodeBytes),
+		"ec_decode_seconds_total":  float64(st.ECDecodeNs) / 1e9,
+		"meta_sync_writes_total":   float64(st.MetaSyncWrites),
+		"meta_sync_bytes_total":    float64(st.MetaSyncBytes),
+		"meta_resyncs_total":       float64(st.MetaResyncs),
+		"pool_blocks":              float64(st.PoolBlocks),
+		"pool_blocks_free":         float64(st.PoolFree),
+		"pool_blocks_delta":        float64(st.PoolDelta),
+		"pool_blocks_copy":         float64(st.PoolCopy),
+		"pool_blocks_data":         float64(st.PoolData),
 	}
 }
 

@@ -1,16 +1,15 @@
 package core
 
-// Tests for the segment-parallel differential checkpoint pipeline
-// (ckpt.go): framer/applier unit tests against the frame format,
-// convergence under concurrent writers, resync after a missed frame,
-// torn-round detection, and the steady-state zero-allocation guarantee.
+// Tests for the differential checkpoint pipeline (ckpt.go): framer
+// and applier unit tests against the frame format, convergence under
+// concurrent writers, resync after a missed frame, torn-round
+// detection, and the steady-state zero-allocation guarantee.
 
 import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -20,45 +19,40 @@ import (
 	"repro/internal/lz4"
 )
 
-// ckptTestLayout builds a standalone layout with the given segment
-// count for framer/applier tests that need no cluster.
-func ckptTestLayout(t testing.TB, segs int) *layout.Layout {
+// ckptTestLayout builds a standalone layout for framer/applier tests
+// that need no cluster.
+func ckptTestLayout(t testing.TB) *layout.Layout {
 	t.Helper()
-	cfg := testConfig()
-	cfg.Layout.CkptSegments = segs
-	l, err := layout.NewLayout(cfg.Layout)
+	l, err := layout.NewLayout(testConfig().Layout)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return l
 }
 
-// ckptBuildFrame drives one framer round over segs (strictly
-// ascending), overwriting or differential, and returns the serialised
-// frame, exactly as the scatter/gather ship would land it in a staging
-// area.
-func ckptBuildFrame(fr *ckptFramer, mem []byte, round, seq uint64, overwrite bool, segs ...int) []byte {
-	fr.segs = append(fr.segs[:0], segs...)
+// ckptBuildFrame drives one framer round, overwriting or differential,
+// and returns a copy of the frame exactly as the ship lands it in a
+// staging area.
+func ckptBuildFrame(fr *ckptFramer, mem []byte, round, seq uint64, overwrite bool) []byte {
 	fr.round, fr.seq, fr.overwrite = round, seq, overwrite
 	fr.snapshot(mem)
-	for i := range fr.segs {
-		fr.processSeg(i)
-	}
-	n := fr.finishRound()
-	frame := make([]byte, n)
-	fr.writeTo(frame)
-	return frame
+	frame, _ := fr.build()
+	return append([]byte(nil), frame...)
 }
 
-// TestCkptFramerFullImageEquivalence: with CkptSegments=1 the framer's
-// single payload must be byte-for-byte what the old full-image
-// pipeline produced (snapshot → XOR with last round → LZ4), so the
-// segs=1 configuration is a faithful ablation baseline.
-func TestCkptFramerFullImageEquivalence(t *testing.T) {
-	l := ckptTestLayout(t, 1)
-	if l.CkptSegCount() != 1 {
-		t.Fatalf("CkptSegCount() = %d, want 1", l.CkptSegCount())
+// scribble changes n random bytes of mem.
+func scribble(rng *rand.Rand, mem []byte, n int) {
+	for k := 0; k < n; k++ {
+		mem[rng.Intn(len(mem))] = byte(rng.Int())
 	}
+}
+
+// TestCkptFramerFullImageEquivalence: the framer's payload must be
+// byte-for-byte what a reference full-image pipeline produces
+// (snapshot → XOR with last round → LZ4 of the whole index), so the
+// fig1b/fig17/abl3 baselines stay faithful.
+func TestCkptFramerFullImageEquivalence(t *testing.T) {
+	l := ckptTestLayout(t)
 	fr := newCkptFramer(l, false)
 	ib := int(l.Cfg.IndexBytes)
 	mem := make([]byte, ib)
@@ -66,28 +60,24 @@ func TestCkptFramerFullImageEquivalence(t *testing.T) {
 	delta := make([]byte, ib)
 	rng := rand.New(rand.NewSource(42))
 	for round := uint64(1); round <= 4; round++ {
-		for k := 0; k < 300; k++ {
-			mem[rng.Intn(ib)] = byte(rng.Int())
-		}
-		frame := ckptBuildFrame(fr, mem, round, round, false, 0)
+		scribble(rng, mem, 300)
+		frame := ckptBuildFrame(fr, mem, round, round, false)
 		copy(delta, mem)
 		erasure.XorInto(delta, last)
 		want := lz4.Compress(nil, delta)
-		payload := frame[layout.CkptFrameHeaderSize+layout.CkptFrameRecordSize:]
-		if !bytes.Equal(payload, want) {
-			t.Fatalf("round %d: segs=1 payload differs from full-image pipeline (%d vs %d bytes)",
+		if payload := frame[layout.CkptFrameHeaderSize:]; !bytes.Equal(payload, want) {
+			t.Fatalf("round %d: payload differs from the full-image pipeline (%d vs %d bytes)",
 				round, len(payload), len(want))
 		}
 		copy(last, mem)
 	}
 }
 
-// TestCkptApplierRoundTrip ships several differential rounds with
-// varying dirty sets through framer + applier and checks the hosted
-// copy tracks the owner's image exactly.
+// TestCkptApplierRoundTrip ships several differential rounds through
+// framer + applier and checks the hosted copy tracks the owner's image
+// exactly.
 func TestCkptApplierRoundTrip(t *testing.T) {
-	l := ckptTestLayout(t, 8)
-	segs := l.CkptSegCount()
+	l := ckptTestLayout(t)
 	fr := newCkptFramer(l, false)
 	ap := newCkptApplier(l)
 	ib := int(l.Cfg.IndexBytes)
@@ -96,19 +86,8 @@ func TestCkptApplierRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var lastSeq uint64
 	for round := uint64(1); round <= 10; round++ {
-		dirty := map[int]bool{int(round) % segs: true, int(3*round+1) % segs: true}
-		var shipped []int
-		for seg := range dirty {
-			shipped = append(shipped, seg)
-		}
-		sort.Ints(shipped)
-		for _, seg := range shipped {
-			off := int(l.CkptSegOff(seg))
-			for k := 0; k < 50; k++ {
-				mem[off+rng.Intn(int(l.CkptSegLen(seg)))] = byte(rng.Int())
-			}
-		}
-		frame := ckptBuildFrame(fr, mem, round, round, false, shipped...)
+		scribble(rng, mem, 100)
+		frame := ckptBuildFrame(fr, mem, round, round, false)
 		seq, st, err := ap.apply(hosted, frame, round, lastSeq)
 		if err != nil {
 			t.Fatalf("round %d: apply: %v", round, err)
@@ -129,22 +108,15 @@ func TestCkptApplierRoundTrip(t *testing.T) {
 // TestCkptApplierRejectsTornFrames covers every validation gate of the
 // applier: a torn or corrupt staged frame must be rejected with the
 // hosted copy untouched, differential frames must be rejected out of
-// sequence, and all-raw frames must be accepted unconditionally.
+// sequence, and raw frames must be accepted unconditionally.
 func TestCkptApplierRejectsTornFrames(t *testing.T) {
-	l := ckptTestLayout(t, 8)
+	l := ckptTestLayout(t)
 	fr := newCkptFramer(l, false)
 	ib := int(l.Cfg.IndexBytes)
 	mem := make([]byte, ib)
-	rng := rand.New(rand.NewSource(11))
-	shipped := []int{1, 3, 4}
-	for _, seg := range shipped {
-		off := int(l.CkptSegOff(seg))
-		for k := 0; k < 80; k++ {
-			mem[off+rng.Intn(int(l.CkptSegLen(seg)))] = byte(rng.Int())
-		}
-	}
+	scribble(rand.New(rand.NewSource(11)), mem, 240)
 	const round, seq = 7, 3
-	frame := ckptBuildFrame(fr, mem, round, seq, false, shipped...)
+	frame := ckptBuildFrame(fr, mem, round, seq, false)
 
 	// tryApply runs one apply against a fresh zeroed hosted copy (which
 	// matches the framer's zero reference) and reports whether the copy
@@ -152,14 +124,7 @@ func TestCkptApplierRejectsTornFrames(t *testing.T) {
 	tryApply := func(f []byte, r, lastSeq uint64) (error, bool) {
 		hosted := make([]byte, ib)
 		_, _, err := newCkptApplier(l).apply(hosted, f, r, lastSeq)
-		mutated := false
-		for _, b := range hosted {
-			if b != 0 {
-				mutated = true
-				break
-			}
-		}
-		return err, mutated
+		return err, !bytes.Equal(hosted, make([]byte, ib))
 	}
 
 	if err, _ := tryApply(frame, round, seq-1); err != nil {
@@ -176,8 +141,8 @@ func TestCkptApplierRejectsTornFrames(t *testing.T) {
 			f[len(f)-1] ^= 0xff
 			return f
 		}, round, seq - 1, errCkptFrame},
-		{"corrupt record header (CRC)", func(f []byte) []byte {
-			f[layout.CkptFrameHeaderSize+4] ^= 0xff
+		{"corrupt flags word (CRC)", func(f []byte) []byte {
+			f[4] ^= ckptRaw
 			return f
 		}, round, seq - 1, errCkptFrame},
 		{"bad magic", func(f []byte) []byte {
@@ -205,33 +170,26 @@ func TestCkptApplierRejectsTornFrames(t *testing.T) {
 		}
 	}
 
-	// All-raw frames overwrite, so they are accepted at any sequence:
-	// that is how a host with an arbitrarily stale copy resyncs.
-	frRaw := newCkptFramer(l, false)
-	rawFrame := ckptBuildFrame(frRaw, mem, round, 99, true, 1, 4)
+	// Raw frames overwrite, so they are accepted at any sequence: that
+	// is how a host with an arbitrarily stale copy resyncs.
+	rawFrame := ckptBuildFrame(newCkptFramer(l, false), mem, round, 99, true)
 	hosted := make([]byte, ib)
 	seqGot, _, err := newCkptApplier(l).apply(hosted, rawFrame, round, 0)
 	if err != nil || seqGot != 99 {
-		t.Fatalf("all-raw frame out of sequence: seq=%d err=%v", seqGot, err)
+		t.Fatalf("raw frame out of sequence: seq=%d err=%v", seqGot, err)
 	}
-	for _, seg := range []int{1, 4} {
-		off := l.CkptSegOff(seg)
-		end := off + l.CkptSegLen(seg)
-		if !bytes.Equal(hosted[off:end], mem[off:end]) {
-			t.Fatalf("raw record for segment %d did not overwrite the hosted copy", seg)
-		}
+	if !bytes.Equal(hosted, mem) {
+		t.Fatal("raw frame did not overwrite the hosted copy")
 	}
 
-	// The CkptRaw ablation ships uncompressed raw payloads; same result.
-	frAbl := newCkptFramer(l, true)
-	ablFrame := ckptBuildFrame(frAbl, mem, round, 5, true, 3)
+	// The CkptRaw ablation ships the image uncompressed; same result.
+	ablFrame := ckptBuildFrame(newCkptFramer(l, true), mem, round, 5, true)
 	hosted2 := make([]byte, ib)
 	if _, _, err := newCkptApplier(l).apply(hosted2, ablFrame, round, 0); err != nil {
 		t.Fatalf("uncompressed raw frame rejected: %v", err)
 	}
-	off, end := l.CkptSegOff(3), l.CkptSegOff(3)+l.CkptSegLen(3)
-	if !bytes.Equal(hosted2[off:end], mem[off:end]) {
-		t.Fatal("uncompressed raw record did not overwrite the hosted copy")
+	if !bytes.Equal(hosted2, mem) {
+		t.Fatal("uncompressed raw frame did not overwrite the hosted copy")
 	}
 }
 
@@ -239,20 +197,28 @@ func TestCkptApplierRejectsTornFrames(t *testing.T) {
 // with arbitrary frames, notified rounds and last-applied sequences. It
 // must not panic; a rejected frame must leave the hosted copy
 // byte-identical; an accepted one must carry the notified round in its
-// header and report the header's sequence.
+// header, report the header's sequence, and leave the hosted copy
+// equal to a reference apply of its payload (raw: the payload; else
+// the old copy XOR the payload).
 func FuzzCkptApply(f *testing.F) {
-	l := ckptTestLayout(f, 8)
+	l := ckptTestLayout(f)
 	ib := int(l.Cfg.IndexBytes)
 	mem := make([]byte, ib)
 	rng := rand.New(rand.NewSource(5))
-	for k := 0; k < 400; k++ {
-		mem[rng.Intn(ib)] = byte(rng.Int())
-	}
-	// Seeds: a differential frame at its direct successor sequence, an
-	// all-raw (compressed) frame and a CkptRaw (uncompressed) one.
-	f.Add(ckptBuildFrame(newCkptFramer(l, false), mem, 7, 3, false, 1, 3, 4), uint64(7), uint64(2))
-	f.Add(ckptBuildFrame(newCkptFramer(l, false), mem, 9, 40, true, 0, 5), uint64(9), uint64(0))
-	f.Add(ckptBuildFrame(newCkptFramer(l, true), mem, 2, 1, true, 2), uint64(2), uint64(6))
+	scribble(rng, mem, 400)
+	// Seeds: a differential frame at its direct successor sequence, a
+	// raw (compressed) frame, a CkptRaw (uncompressed) one, and three
+	// the applier must refuse: a torn CRC, a round mismatch and a
+	// sequence gap.
+	diff := ckptBuildFrame(newCkptFramer(l, false), mem, 7, 3, false)
+	f.Add(diff, uint64(7), uint64(2))
+	f.Add(ckptBuildFrame(newCkptFramer(l, false), mem, 9, 40, true), uint64(9), uint64(0))
+	f.Add(ckptBuildFrame(newCkptFramer(l, true), mem, 2, 1, true), uint64(2), uint64(6))
+	torn := append([]byte(nil), diff...)
+	torn[len(torn)/2] ^= 0x5a
+	f.Add(torn, uint64(7), uint64(2))
+	f.Add(diff, uint64(8), uint64(2))
+	f.Add(diff, uint64(7), uint64(1))
 
 	ap := newCkptApplier(l)
 	base := make([]byte, ib)
@@ -260,6 +226,7 @@ func FuzzCkptApply(f *testing.F) {
 		base[i] = byte(rng.Int())
 	}
 	hosted := make([]byte, ib)
+	want := make([]byte, ib)
 	f.Fuzz(func(t *testing.T, frame []byte, round, lastSeq uint64) {
 		copy(hosted, base)
 		seq, _, err := ap.apply(hosted, frame, round, lastSeq)
@@ -275,21 +242,35 @@ func FuzzCkptApply(f *testing.F) {
 		if got := binary.LittleEndian.Uint64(frame[16:24]); got != seq {
 			t.Fatalf("accepted frame reports seq %d, header says %d", seq, got)
 		}
+		flags := binary.LittleEndian.Uint32(frame[4:8])
+		payload := frame[layout.CkptFrameHeaderSize:]
+		if flags&ckptUncompressed == 0 {
+			if n, err := lz4.Decompress(want, payload); err != nil || n != ib {
+				t.Fatalf("accepted payload does not decompress to the image: n=%d err=%v", n, err)
+			}
+		} else {
+			copy(want, payload)
+		}
+		if flags&ckptRaw == 0 {
+			erasure.XorInto(want, base)
+		}
+		if !bytes.Equal(hosted, want) {
+			t.Fatal("accepted frame left a hosted copy other than the reference apply")
+		}
 	})
 }
 
-// TestCkptSegmentedConvergence runs the full segmented pipeline on the
-// simulated fabric under concurrent writers and checks every hosted
-// copy converges to its owner's quiesced index, and that every round
-// ships every segment. Each MN ships to one checkpoint host.
+// TestCkptSegmentedConvergence runs the full pipeline on the simulated
+// fabric under concurrent writers and checks every hosted copy
+// converges to its owner's quiesced index, and that every round ships
+// one image. Each MN ships to one checkpoint host.
 func TestCkptSegmentedConvergence(t *testing.T) {
 	t.Run("hosts=1", testCkptSegmentedConvergence)
 }
 
 func testCkptSegmentedConvergence(t *testing.T) {
-	tc := newTestCluster(t, func(cfg *Config) { cfg.Layout.CkptSegments = 16 })
+	tc := newTestCluster(t, nil)
 	l := tc.cl.L
-	segs := l.CkptSegCount()
 
 	fns := make([]func(*Client), 4)
 	for w := 0; w < 4; w++ {
@@ -327,8 +308,8 @@ func testCkptSegmentedConvergence(t *testing.T) {
 	if rounds == 0 {
 		t.Fatal("no checkpoint rounds shipped during the write phase")
 	}
-	if shipped != rounds*uint64(segs) {
-		t.Fatalf("%d rounds shipped %d segments, want all %d every round", rounds, shipped, segs)
+	if shipped != rounds {
+		t.Fatalf("%d rounds shipped %d images, want one every round", rounds, shipped)
 	}
 	if fails != 0 {
 		t.Fatalf("%d ship failures on a healthy fabric", fails)
@@ -352,7 +333,7 @@ func (tc *testCluster) hostedCopyMatches(mn int) bool {
 // the failure, ships the next frame all-raw, and the hosted copy equals
 // the owner's index again once that frame is applied.
 func TestCkptResyncAfterMissedFrame(t *testing.T) {
-	tc := newTestCluster(t, func(cfg *Config) { cfg.Layout.CkptSegments = 16 })
+	tc := newTestCluster(t, nil)
 	l := tc.cl.L
 	const owner = 1
 	host := l.CkptHostOf(owner)
@@ -402,8 +383,8 @@ func TestCkptResyncAfterMissedFrame(t *testing.T) {
 		t.Fatal("hosted copy matches the index although the frame was lost")
 	}
 
-	// The next frame overwrites: every record is raw, and once it is
-	// applied the copy is the index again.
+	// The next frame overwrites: it is raw, and once it is applied the
+	// copy is the index again.
 	rounds := srv.Stats().CkptRounds
 	for i := 0; srv.Stats().CkptRounds == rounds; i++ {
 		if i > 100000 {
@@ -413,15 +394,8 @@ func TestCkptResyncAfterMissedFrame(t *testing.T) {
 	}
 	tc.run(2 * time.Millisecond)
 	staged := tc.pl.DirectMemory(hnode)[l.CkptStagingOff():]
-	nrec := int(binary.LittleEndian.Uint32(staged[4:8]))
-	if nrec != l.CkptSegCount() {
-		t.Fatalf("resync frame has %d records, want all %d segments", nrec, l.CkptSegCount())
-	}
-	for i := 0; i < nrec; i++ {
-		r := staged[layout.CkptFrameHeaderSize+i*layout.CkptFrameRecordSize:]
-		if binary.LittleEndian.Uint32(r[12:16])&ckptRecRaw == 0 {
-			t.Fatalf("record %d of the frame after the lost one is an XOR delta", i)
-		}
+	if binary.LittleEndian.Uint32(staged[4:8])&ckptRaw == 0 {
+		t.Fatal("the frame after the lost one is an XOR delta")
 	}
 	if !tc.hostedCopyMatches(owner) {
 		t.Fatal("hosted copy did not converge after the raw frame")
@@ -435,10 +409,7 @@ func TestCkptResyncAfterMissedFrame(t *testing.T) {
 // round is driven by hand: every round ships, so a master-driven round
 // would move the version word past the one the test pins.
 func TestCkptTornRoundRecovery(t *testing.T) {
-	tc := newTestCluster(t, func(cfg *Config) {
-		cfg.Layout.CkptSegments = 16
-		cfg.CkptInterval = time.Hour
-	})
+	tc := newTestCluster(t, func(cfg *Config) { cfg.CkptInterval = time.Hour })
 	tc.cl.master.AddSpare()
 	l := tc.cl.L
 	const n = 120
@@ -521,18 +492,15 @@ func TestCkptTornRoundRecovery(t *testing.T) {
 	tc.verifyAll(t, expect)
 }
 
-// TestTCPNetCkptInlineStress hammers the segmented pipeline with short
-// rounds on the real TCP transport, where the send loop compresses
-// inline and ships over sockets: concurrent writers race the dirty
-// bitmap and the send loop on real goroutines, so -race runs exercise
-// every cross-goroutine handoff. Afterwards every hosted copy must
-// converge to its owner's index. (TestCkptSegmentedConvergence and
-// TestCkptTornRoundRecovery drive the pool with workers, on simnet.)
+// TestTCPNetCkptInlineStress hammers the pipeline with short rounds on
+// the real TCP transport, where the send loop compresses inline and
+// ships over sockets: concurrent writers race the snapshot and the
+// send loop on real goroutines, so -race runs exercise every
+// cross-goroutine handoff. Afterwards every hosted copy must converge
+// to its owner's index. (TestCkptSegmentedConvergence and
+// TestCkptTornRoundRecovery run the pipeline on simnet.)
 func TestTCPNetCkptInlineStress(t *testing.T) {
-	pl, cl := newTCPTestCluster(t, func(cfg *Config) {
-		cfg.Layout.CkptSegments = 16
-		cfg.CkptInterval = 5 * time.Millisecond
-	})
+	pl, cl := newTCPTestCluster(t, func(cfg *Config) { cfg.CkptInterval = 5 * time.Millisecond })
 	l := cl.L
 	const writers, perWriter = 3, 20
 	runTCPClient(t, pl, cl, func(c *Client) {
@@ -570,9 +538,8 @@ func TestTCPNetCkptInlineStress(t *testing.T) {
 		t.Fatal("stress writers timed out")
 	}
 
-	// Quiesce, then wait for convergence: any frame a host missed keeps
-	// its segments pending as raw resync debt, which forces further
-	// rounds until the copy catches up.
+	// Quiesce, then wait for convergence: a frame a host missed leaves
+	// its owner owing a raw frame, which a later round pays.
 	readRegion := func(mn int, off, n uint64) []byte {
 		node, _ := cl.view.nodeOf(mn)
 		mu := pl.MemMutex(node)
@@ -602,38 +569,34 @@ func TestTCPNetCkptInlineStress(t *testing.T) {
 		shipped += st.CkptSegsShipped
 	}
 	if rounds == 0 || shipped == 0 {
-		t.Fatalf("pipeline shipped nothing under stress (rounds=%d segments=%d)", rounds, shipped)
+		t.Fatalf("pipeline shipped nothing under stress (rounds=%d images=%d)", rounds, shipped)
 	}
-	t.Logf("tcpnet stress: %d rounds, %d segments shipped", rounds, shipped)
+	t.Logf("tcpnet stress: %d rounds, %d images shipped", rounds, shipped)
 }
 
 // ckptRoundHarness drives complete sender+receiver rounds outside any
-// cluster: mutate → snapshot → process → frame → apply, reusing every
-// buffer, for the zero-allocation test and benchmark.
+// cluster: mutate → snapshot → build → apply, reusing every buffer,
+// for the zero-allocation test and benchmark.
 type ckptRoundHarness struct {
 	l       *layout.Layout
 	fr      *ckptFramer
 	ap      *ckptApplier
 	mem     []byte
 	hosted  []byte
-	frame   []byte
-	dirty   []int
 	round   uint64
 	lastSeq uint64
 	err     error
 }
 
-func newCkptRoundHarness(t testing.TB, segs int, dirty []int) *ckptRoundHarness {
+func newCkptRoundHarness(t testing.TB) *ckptRoundHarness {
 	t.Helper()
-	l := ckptTestLayout(t, segs)
+	l := ckptTestLayout(t)
 	h := &ckptRoundHarness{
 		l:      l,
 		fr:     newCkptFramer(l, false),
 		ap:     newCkptApplier(l),
 		mem:    make([]byte, l.Cfg.IndexBytes),
 		hosted: make([]byte, l.Cfg.IndexBytes),
-		frame:  make([]byte, l.CkptStagingBytes()),
-		dirty:  dirty,
 	}
 	rng := rand.New(rand.NewSource(3))
 	for i := range h.mem {
@@ -642,23 +605,18 @@ func newCkptRoundHarness(t testing.TB, segs int, dirty []int) *ckptRoundHarness 
 	return h
 }
 
-// doRound runs one full round over the fixed dirty set. Steady-state
-// rounds must not allocate.
+// doRound changes three bytes of the index and runs one full round.
+// Steady-state rounds must not allocate.
 func (h *ckptRoundHarness) doRound() {
 	h.round++
-	for _, seg := range h.dirty {
-		h.mem[int(h.l.CkptSegOff(seg))+int(h.round%h.l.CkptSegLen(seg))]++
+	for _, off := range [...]uint64{2, 5, 9} {
+		h.mem[(off<<11+h.round)%uint64(len(h.mem))]++
 	}
 	fr := h.fr
-	fr.segs = append(fr.segs[:0], h.dirty...)
 	fr.round, fr.seq = h.round, h.round
 	fr.snapshot(h.mem)
-	for i := range fr.segs {
-		fr.processSeg(i)
-	}
-	n := fr.finishRound()
-	fr.writeTo(h.frame[:n])
-	seq, _, err := h.ap.apply(h.hosted, h.frame[:n], h.round, h.lastSeq)
+	frame, _ := fr.build()
+	seq, _, err := h.ap.apply(h.hosted, frame, h.round, h.lastSeq)
 	if err != nil {
 		h.err = err
 		return
@@ -670,7 +628,7 @@ func (h *ckptRoundHarness) doRound() {
 // receiver combined — allocates nothing: all framer/applier buffers
 // are reused across rounds.
 func TestCkptRoundZeroAlloc(t *testing.T) {
-	h := newCkptRoundHarness(t, 16, []int{2, 5, 9})
+	h := newCkptRoundHarness(t)
 	h.doRound() // warm-up: lazy one-time state (CRC tables etc.)
 	if h.err != nil {
 		t.Fatal(h.err)
@@ -684,21 +642,16 @@ func TestCkptRoundZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkCkptRound measures one steady-state round (3 dirty segments
-// of 16) end to end; -benchmem must report 0 allocs/op (CI asserts the
+// BenchmarkCkptRound measures one steady-state round of the whole
+// index end to end; -benchmem must report 0 allocs/op (CI asserts the
 // zero-allocation property through this benchmark's output).
 func BenchmarkCkptRound(b *testing.B) {
-	dirty := []int{2, 5, 9}
-	h := newCkptRoundHarness(b, 16, dirty)
+	h := newCkptRoundHarness(b)
 	h.doRound()
 	if h.err != nil {
 		b.Fatal(h.err)
 	}
-	var bytesPerRound int64
-	for _, seg := range dirty {
-		bytesPerRound += int64(h.l.CkptSegLen(seg))
-	}
-	b.SetBytes(bytesPerRound)
+	b.SetBytes(int64(h.l.Cfg.IndexBytes))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -121,7 +121,7 @@ func DefaultConfig() Config {
 			BlockSize:    2 << 20, // 2 MB blocks (paper default)
 			StripeRows:   24,
 			PoolBlocks:   16,
-			CkptSegments: 64,
+			CkptSegments: 1,
 		},
 		Code:            "xor",
 		CkptInterval:    500 * time.Millisecond,

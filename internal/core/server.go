@@ -59,7 +59,7 @@ type Server struct {
 	syncPieces []metaPiece
 	syncOps    []rdma.Op
 
-	// Segment-parallel checkpoint pipeline state (ckpt.go).
+	// Differential checkpoint pipeline state (ckpt.go).
 	ckptResync   bool // recovered server: first round must overwrite, not XOR
 	ckptFr       *ckptFramer
 	ckptApplier  *ckptApplier
@@ -236,8 +236,8 @@ type ServerStats struct {
 	PoolData     uint64 // pool blocks serving as reclaimed DATA
 
 	CkptShipFailures uint64 // checkpoint frames a host missed (transport or torn apply)
-	CkptSegsShipped  uint64 // cumulative segments shipped across all rounds
-	CkptRawBytes     uint64 // uncompressed bytes the shipped segments represent
+	CkptSegsShipped  uint64 // images shipped, one per round (kept only for the benchmark)
+	CkptRawBytes     uint64 // uncompressed bytes the shipped images represent
 	CkptCPUNs        uint64 // cumulative checkpoint pipeline CPU (send+recv), ns
 
 	ECEncodeBytes   uint64 // delta bytes folded into parity through the EC pool

@@ -35,11 +35,11 @@ const (
 	// methodCkptSnapshot starts the differential checkpoint pipeline
 	// (phase two).
 	methodCkptSnapshot
-	// methodApplyCkpt tells a checkpoint host that a segmented
-	// checkpoint frame (header + per-segment delta records) has landed
-	// in its staging area (Figure 3, step ④). The stOK response carries
-	// the sequence number of the last frame the host applied, letting
-	// the owner detect lost rounds and re-ship segments raw.
+	// methodApplyCkpt tells a checkpoint host that a checkpoint frame
+	// (header + one image or delta payload) has landed in its staging
+	// area (Figure 3, step ④). The stOK response carries the sequence
+	// number of the last frame the host applied, letting the owner
+	// detect lost rounds and re-ship the image raw.
 	methodApplyCkpt
 	// methodPing is the master's lease/liveness probe.
 	methodPing

@@ -26,12 +26,9 @@ type Config struct {
 	// PoolBlocks is the number of extra per-MN blocks reserved for
 	// DELTA blocks and reclamation COPY blocks.
 	PoolBlocks int
-	// CkptSegments splits the index into fixed-size segments for
-	// differential checkpointing: the sender tracks dirty segments and
-	// ships only those, as a framed list of per-segment records. 0 or 1
-	// means a single segment covering the whole index, which reproduces
-	// the full-image pipeline shape (the Figure 1(b)/Fig 17 ablation
-	// baseline). Values above the bucket count are clamped.
+	// CkptSegments is 0 or 1: a checkpoint round ships one image of
+	// the whole index. The field is kept only because the benchmark
+	// reads it.
 	CkptSegments int
 }
 
@@ -52,24 +49,10 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("layout: block size %d not a multiple of 512", c.BlockSize)
 	case c.StripeRows < 1:
 		return fmt.Errorf("layout: need at least one stripe row")
-	case c.CkptSegments < 0:
-		return fmt.Errorf("layout: checkpoint segments %d negative", c.CkptSegments)
+	case c.CkptSegments < 0 || c.CkptSegments > 1:
+		return fmt.Errorf("layout: checkpoint segments %d, want 0 or 1 (a round ships one image)", c.CkptSegments)
 	}
 	return nil
-}
-
-// ckptSegments resolves the effective segment count: 0 means 1 (the
-// full-image ablation shape), and counts beyond one bucket per segment
-// are clamped to the bucket count.
-func (c *Config) ckptSegments() int {
-	segs := c.CkptSegments
-	if segs <= 0 {
-		segs = 1
-	}
-	if buckets := int(c.IndexBytes / BucketSize); segs > buckets {
-		segs = buckets
-	}
-	return segs
 }
 
 // K returns the number of data shards per stripe.
@@ -91,8 +74,6 @@ type Layout struct {
 	blocksOff   uint64
 	memBytes    uint64
 	bitmapBytes uint64
-	segSize     uint64 // checkpoint segment size (all but possibly the last)
-	segCount    int    // checkpoint segment count
 	stagingSize uint64 // checkpoint staging region size
 }
 
@@ -106,20 +87,9 @@ func NewLayout(cfg Config) (*Layout, error) {
 	l.bitmapBytes = cfg.BlockSize / 512
 	blocks := uint64(cfg.BlocksPerMN())
 	l.metaSize = blocks * (RecordSize + l.bitmapBytes)
-	// Checkpoint segments: ceil(buckets/segments) buckets per segment,
-	// so every segment is bucket-aligned and the last may be shorter.
-	segs := uint64(cfg.ckptSegments())
-	buckets := cfg.IndexBytes / BucketSize
-	l.segSize = (buckets + segs - 1) / segs * BucketSize
-	l.segCount = int((cfg.IndexBytes + l.segSize - 1) / l.segSize)
 	// The staging region must hold the worst-case checkpoint frame: a
-	// header plus, for every segment, a record and its compressed
-	// payload at the LZ4 expansion bound.
-	l.stagingSize = CkptFrameHeaderSize
-	for i := 0; i < l.segCount; i++ {
-		l.stagingSize += CkptFrameRecordSize + uint64(lz4.CompressBound(int(l.CkptSegLen(i))))
-	}
-	l.stagingSize += 64 // padding
+	// header plus the image at the LZ4 expansion bound, padded.
+	l.stagingSize = CkptFrameHeaderSize + uint64(lz4.CompressBound(int(cfg.IndexBytes))) + 64
 	l.metaOff = l.indexArea
 	l.ckptOff = l.metaOff + l.metaSize
 	l.metaRepOff = l.ckptOff + l.indexArea + l.stagingSize
@@ -175,25 +145,17 @@ func (l *Layout) KVSlotsPerBlock(sizeClass uint8) int {
 // MN i's index checkpoint is hosted by its ring successor, MN (i+1)
 // mod n, so every MN hosts exactly one checkpoint: a full index copy
 // (with its version word) plus a staging region for the incoming
-// checkpoint frame (a framed list of per-segment delta records; see
-// DESIGN.md §8).
+// checkpoint frame (see DESIGN.md §8).
 
-// Checkpoint frame geometry. A frame is
-//
-//	header | record * segCount | payload * segCount
-//
-// with fixed-size little-endian header and records; payloads are
-// concatenated in strictly ascending segment order.
+// Checkpoint frame geometry. A frame is a fixed-size little-endian
+// header followed by one payload: the index image or its XOR delta.
 const (
 	// CkptFrameMagic marks the start of a checkpoint frame header.
 	CkptFrameMagic = 0x41436b50 // "ACkP"
-	// CkptFrameHeaderSize is the frame header length: magic u32,
-	// record count u32, round u64, frame sequence u64, total frame
-	// length u32, CRC-32C of everything after the header u32.
+	// CkptFrameHeaderSize is the frame header length: magic u32, flags
+	// u32, round u64, frame sequence u64, total frame length u32, and
+	// CRC-32C of the flags word and the payload u32.
 	CkptFrameHeaderSize = 32
-	// CkptFrameRecordSize is the per-segment record length: segment
-	// u32, rawLen u32, compLen u32, flags u32.
-	CkptFrameRecordSize = 16
 )
 
 // CkptHostOf returns the MN hosting MN mn's checkpoint.
@@ -214,24 +176,6 @@ func (l *Layout) CkptVersionOff() uint64 { return l.ckptOff + l.Cfg.IndexBytes }
 // region; CkptStagingBytes its length.
 func (l *Layout) CkptStagingOff() uint64   { return l.ckptOff + l.indexArea }
 func (l *Layout) CkptStagingBytes() uint64 { return l.stagingSize }
-
-// CkptSegCount returns the number of checkpoint segments the index is
-// split into.
-func (l *Layout) CkptSegCount() int { return l.segCount }
-
-// CkptSegOff returns the index-area offset where segment i starts.
-func (l *Layout) CkptSegOff(i int) uint64 { return uint64(i) * l.segSize }
-
-// CkptSegLen returns the length of segment i (the last segment may be
-// shorter than the others when the bucket count does not divide
-// evenly).
-func (l *Layout) CkptSegLen(i int) uint64 {
-	off := l.CkptSegOff(i)
-	if off+l.segSize > l.Cfg.IndexBytes {
-		return l.Cfg.IndexBytes - off
-	}
-	return l.segSize
-}
 
 // --- Meta replica area ---
 // MN i's Meta Area is replicated on its MetaReplicas() successors;

@@ -369,6 +369,8 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.BlockSize = 1000 },
 		func(c *Config) { c.StripeRows = 0 },
 		func(c *Config) { c.NumMNs = 11; c.ParityShards = 2 }, // k=9 > record limit
+		func(c *Config) { c.CkptSegments = 2 },                // a round ships one image
+		func(c *Config) { c.CkptSegments = -1 },
 	}
 	for i, mutate := range bad {
 		cfg := testConfig()

@@ -45,8 +45,8 @@ const (
 	mfLimit = 12
 	// 8K hash entries keep the 32 KB match table small enough to live
 	// on the compressor's stack frame: Compress must not heap-allocate,
-	// because the checkpoint pipeline calls it on every segment of
-	// every round and guarantees allocation-free steady state.
+	// because the checkpoint pipeline calls it every round and
+	// guarantees allocation-free steady state.
 	hashLog    = 13
 	hashShift  = 64 - hashLog
 	hashPrime  = 889523592379 // large prime for 5-byte hashing, per reference impl

@@ -224,7 +224,7 @@ func (s *server) serveConn(conn net.Conn) {
 func (s *server) readInline(bw *bufio.Writer, rh []byte, seq uint32, off uint64, n int) (bool, error) {
 	mem := s.n.mem
 	status := stOK
-	if off+uint64(n) > uint64(len(mem)) {
+	if !inRegion(mem, off, n) {
 		status = stErrBounds
 		n = 0
 	}
@@ -286,7 +286,7 @@ func (s *server) writeInline(br *bufio.Reader, bw *bufio.Writer, rh []byte, seq 
 	mem := s.n.mem
 	status := stOK
 	switch {
-	case off+uint64(n) > uint64(len(mem)):
+	case !inRegion(mem, off, n):
 		status = stErrBounds
 		if n > 0 {
 			if _, err := br.Discard(n); err != nil {
@@ -322,6 +322,12 @@ func (s *server) writeInline(br *bufio.Reader, bw *bufio.Writer, rh []byte, seq 
 	return err
 }
 
+// inRegion reports whether [off, off+n) lies inside mem, without the
+// wrap-around an off near 2^64 would give off+n.
+func inRegion(mem []byte, off uint64, n int) bool {
+	return off <= uint64(len(mem)) && uint64(n) <= uint64(len(mem))-off
+}
+
 // apply executes an RPC or atomic verb; READ and WRITE are served by
 // the inline paths above. Atomics run under the stripes their word
 // overlaps (plus the shared side of the exclusive bracket).
@@ -348,7 +354,7 @@ func (s *server) apply(op uint8, off uint64, payload []byte) (uint8, uint64, []b
 		if off%8 != 0 {
 			return stErrUnaligned, 0, nil
 		}
-		if off+8 > uint64(len(mem)) || len(payload) != 16 {
+		if !inRegion(mem, off, 8) || len(payload) != 16 {
 			return stErrBounds, 0, nil
 		}
 		old := binary.LittleEndian.Uint64(payload[:8])
@@ -365,7 +371,7 @@ func (s *server) apply(op uint8, off uint64, payload []byte) (uint8, uint64, []b
 		if off%8 != 0 {
 			return stErrUnaligned, 0, nil
 		}
-		if off+8 > uint64(len(mem)) || len(payload) != 8 {
+		if !inRegion(mem, off, 8) || len(payload) != 8 {
 			return stErrBounds, 0, nil
 		}
 		delta := binary.LittleEndian.Uint64(payload)
