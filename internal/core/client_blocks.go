@@ -9,8 +9,9 @@ import (
 // through many value size classes would otherwise pin one partially
 // filled block (plus, for reused blocks, a BlockSize oldData image)
 // per class forever. Past the bound the least-recently-used class is
-// sealed early — its unwritten slots leak until reclamation, which is
-// the bounded-memory trade the paper's per-class open blocks imply.
+// sealed early and its unwritten slots are lost: reclamation counts only
+// marked slots, and an unwritten slot is never marked, so a block sealed
+// below the ReclaimObsolete fraction written is never reclaimed.
 const maxOpenClasses = 16
 
 type pendKey struct {
@@ -234,9 +235,11 @@ func (c *Client) touchClass(class uint8) {
 // boundOpen enforces maxOpenClasses by sealing the least-recently-used
 // class's partially filled block early. Its unwritten slots are safe to
 // seal over — they are zero in both DATA and DELTA, so the stripe
-// invariant holds — and merely leak until reclamation hands the block
-// out again. The seal itself is deferred to finishWrite (post-commit),
-// matching the normal seal ordering.
+// invariant holds — but are lost for good: pickReclaim counts only
+// marked slots, so the block is reclaimed only if enough of the slots
+// that were written turn obsolete (see maxOpenClasses). The seal itself
+// is deferred to finishWrite (post-commit), matching the normal seal
+// ordering.
 func (c *Client) boundOpen() {
 	for len(c.open) > maxOpenClasses && len(c.openLRU) > 0 {
 		victim := c.openLRU[0]

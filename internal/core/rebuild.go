@@ -30,11 +30,12 @@ import (
 // replacement itself pulls every source shard of every row through that
 // one NIC.
 //
-// What stays on the replacement is the coordinator (the recovery
-// process itself): it alone touches the local Meta Area — parity
-// records, the placement of rebuilt DELTA blocks — and does so under
-// the node's MemMutex, because the replacement server is live by then
-// and the same records are its allocator state.
+// The replacement's records have one writer, its server, live by tier 3:
+// a worker places a restored DELTA block through its AllocDelta, as a
+// client does, and installs a rebuilt PARITY row's record through its
+// InstallParity. The coordinator (the recovery process itself) stays on
+// the replacement only to spawn and respawn the team and to notice when
+// the recovery is abandoned.
 
 // rebuildWorkersPerSurvivor sizes the team: that many workers per
 // surviving MN. Measured on failover-aceso-sim (495 rows of 128 KB, 4
@@ -48,12 +49,13 @@ const rebuildWorkersPerSurvivor = 2
 // rebuildMaxAttempts bounds how often one row is tried: a row that
 // fails (a source fail-stopped under the read, the live server changed
 // the row's record mid-rebuild) goes to the back of the queue, and
-// after this many tries it is given up and reported.
+// after this many tries it is given up and reported. A given-up PARITY
+// row's record stays not Valid, so no decode takes its block as a source.
 const rebuildMaxAttempts = 3
 
-// rebuildPoll is the hand-off poll period between the coordinator and
-// its workers (poll-based, like every cross-process hand-off here:
-// channel waits would stall the simulated engine).
+// rebuildPoll is how often the coordinator looks at its team, and an
+// idle worker at the queue (poll-based, like every cross-process
+// hand-off here: channel waits would stall the simulated engine).
 const rebuildPoll = 10 * time.Microsecond
 
 // chunkBytes is the transfer granularity of bulk RDMA transfers
@@ -111,44 +113,16 @@ type rebuildWorker struct {
 	dead bool
 }
 
-// placedDelta is a DELTA block a worker rebuilt into pool block block.
-type placedDelta struct {
-	block int
-	xid   uint8
-}
-
-// parityInstall is a rebuilt PARITY row handed to the coordinator: the
-// block is in place, the record is not. before is the record the
-// rebuild was computed from; if the live server has changed the row
-// since, the block no longer matches any record and the row is redone.
-type parityInstall struct {
-	row           rebuildRow
-	before, after layout.Record
-	deltas        []placedDelta
-}
-
-// deltaPlacement is a worker's request for a pool block to hold a
-// rebuilt DELTA block whose recorded address did not survive the crash.
-type deltaPlacement struct {
-	row, xid int
-	block    int // the answer; -1 when the pool is full
-	done     bool
-}
-
 type rebuild struct {
 	cl   *Cluster
 	mn   int
 	node rdma.NodeID // the replacement; addressed directly, never through the view
-	srv  *Server     // the replacement's server, which meta-syncs the records serve writes; nil in tier 2
 
-	mu       sync.Mutex
-	queue    []rebuildRow
-	workers  []*rebuildWorker
-	installs []parityInstall
-	places   []*deltaPlacement
-	disowned []int // given-up PARITY rows awaiting the coordinator
-	left     int   // rows not yet finished or given up
-	stopped  bool
+	mu      sync.Mutex
+	queue   []rebuildRow
+	workers []*rebuildWorker
+	left    int // rows not yet finished or given up
+	stopped bool
 
 	parityRows int
 	lost       int
@@ -159,13 +133,13 @@ type rebuild struct {
 }
 
 // newRebuild queues, in row order, the DATA rows data of MN mn, whose
-// replacement is node, and — given srv, the replacement's server — the
-// rows whose record says PARITY. Tier 2 runs the engine before the
-// server exists, on its new blocks alone: only PARITY installs and
-// restored-DELTA placement go through srv.
-func newRebuild(cl *Cluster, mn int, node rdma.NodeID, data []int, srv *Server) *rebuild {
+// replacement is node, and — if parity — the rows whose record says
+// PARITY. Tier 2 runs the engine before the replacement's server
+// exists, on its new blocks alone; the PARITY rows wait for tier 3,
+// whose workers install their records through that server.
+func newRebuild(cl *Cluster, mn int, node rdma.NodeID, data []int, parity bool) *rebuild {
 	l := cl.L
-	rb := &rebuild{cl: cl, mn: mn, node: node, srv: srv, srcBytes: make([]uint64, l.Cfg.NumMNs), whole: make(map[int]bool)}
+	rb := &rebuild{cl: cl, mn: mn, node: node, srcBytes: make([]uint64, l.Cfg.NumMNs), whole: make(map[int]bool)}
 	mem := cl.pl.Memory(node)
 	memMu := cl.pl.MemMutex(node)
 	memMu.Lock()
@@ -181,7 +155,7 @@ func newRebuild(cl *Cluster, mn int, node rdma.NodeID, data []int, srv *Server) 
 		switch {
 		case len(data) > 0 && data[0] == b:
 			rb.queue = append(rb.queue, rebuildRow{b: b})
-		case srv != nil && layout.DecodeRecord(mem[off:off+layout.RecordSize]).Role == layout.RoleParity:
+		case parity && layout.DecodeRecord(mem[off:off+layout.RecordSize]).Role == layout.RoleParity:
 			rb.queue = append(rb.queue, rebuildRow{b: b, parity: true})
 			rb.parityRows++
 		}
@@ -226,16 +200,6 @@ func (rb *rebuild) run(ctx rdma.Ctx, abandoned func() bool) bool {
 			}
 			spawn(i)
 		}
-		places, installs, disowned := rb.places, rb.installs, rb.disowned
-		rb.places, rb.installs, rb.disowned = nil, nil, nil
-		rb.mu.Unlock()
-
-		rb.serve(places, installs, disowned)
-
-		rb.mu.Lock()
-		for _, p := range places {
-			p.done = true
-		}
 		done := rb.left == 0
 		rb.mu.Unlock()
 		if done {
@@ -266,89 +230,19 @@ func (rb *rebuild) report(rep *RecoveryReport) {
 	rep.Tier3LostRows = rb.lost
 }
 
-// serve is the coordinator's half of the hand-off: it reserves pool
-// blocks for rebuilt DELTA blocks, installs the records of rebuilt
-// PARITY rows and disowns the given-up ones, all in one MemMutex
-// section with no fabric operation inside (on the simulated fabric
-// that is what makes it atomic). It writes the records through the
-// replacement's server, so they reach the meta replicas.
-//
-// Disowning clears the record's Valid flag. A given-up PARITY row's
-// block holds nothing usable (it could not be computed: a data shard it
-// covers was unreachable), and a later decode of that very shard must
-// not trust it: the stripe reader takes a parity as a source only if
-// its record reads RoleParity and Valid, and falls back on the stripe's
-// other parity.
-func (rb *rebuild) serve(places []*deltaPlacement, installs []parityInstall, disowned []int) {
-	if len(places) == 0 && len(installs) == 0 && len(disowned) == 0 {
-		return
-	}
-	cl, srv := rb.cl, rb.srv
-	mem := cl.pl.Memory(rb.node)
-	memMu := cl.pl.MemMutex(rb.node)
-	var redo []rebuildRow
-	memMu.Lock()
-	if len(mem) > 0 {
-		srv.mu.Lock()
-		for _, p := range places {
-			// Writing the record at once is the reservation: the live
-			// server's allocator reads the same records.
-			if p.block = srv.freePoolBlock(); p.block >= 0 {
-				srv.putDeltaRecord(p.block, uint32(p.row), uint8(p.xid))
-			}
-		}
-		for i := range installs {
-			in := &installs[i]
-			if srv.record(in.row.b) != in.before {
-				redo = append(redo, in.row)
-				continue
-			}
-			for _, d := range in.deltas {
-				srv.putDeltaRecord(d.block, uint32(in.row.b), d.xid)
-			}
-			srv.putRecord(in.row.b, &in.after)
-		}
-		for _, b := range disowned {
-			if rec := srv.record(b); rec.Role == layout.RoleParity {
-				rec.Valid = false
-				srv.putRecord(b, &rec)
-			}
-		}
-		srv.mu.Unlock()
-	}
-	memMu.Unlock()
-	rb.mu.Lock()
-	rb.left -= len(installs) - len(redo) + len(disowned)
-	for _, row := range redo {
-		rb.retry(row)
-	}
-	rb.mu.Unlock()
-}
-
-// putDeltaRecord records pool block as a DELTA block of stripe's
-// data shard xid. Caller holds mu.
-func (s *Server) putDeltaRecord(block int, stripe uint32, xid uint8) {
-	s.putRecord(block, &layout.Record{Role: layout.RoleDelta, Valid: true, XORID: xid, StripeID: stripe})
-}
-
-// retry sends a failed row to the back of the queue, or gives it up:
-// the row is counted lost and, if it is a PARITY row, the coordinator
-// disowns it (see serve). Caller holds rb.mu.
+// retry sends a failed row to the back of the queue, or gives it up
+// and counts it lost. Caller holds rb.mu.
 func (rb *rebuild) retry(row rebuildRow) {
 	if row.attempts++; row.attempts < rebuildMaxAttempts {
 		rb.queue = append(rb.queue, row)
 		return
 	}
 	rb.lost++
-	if row.parity {
-		rb.disowned = append(rb.disowned, row.b)
-	} else {
-		rb.left--
-	}
+	rb.left--
 }
 
 // workerLoop is one worker's process: take the queue's head, rebuild
-// it, hand it over — one row in flight at a time.
+// it, settle it — one row in flight at a time.
 func (rb *rebuild) workerLoop(wk *rebuildWorker) func(rdma.Ctx) {
 	return func(ctx rdma.Ctx) {
 		sc := newStripeScratch(rb.cl)
@@ -357,13 +251,12 @@ func (rb *rebuild) workerLoop(wk *rebuildWorker) func(rdma.Ctx) {
 			if !ok {
 				return
 			}
-			var in *parityInstall
 			if row.parity {
-				in, ok = rb.rebuildParity(ctx, wk, sc, row)
+				ok = rb.rebuildParity(ctx, wk, sc, row)
 			} else {
 				ok = rb.rebuildData(ctx, wk, sc, row)
 			}
-			rb.finish(wk, sc, row, ok, in)
+			rb.finish(wk, sc, row, ok)
 		}
 	}
 }
@@ -398,7 +291,7 @@ func (rb *rebuild) gone(wk *rebuildWorker) bool {
 }
 
 // finish folds the row's tallies into the engine and settles the row.
-func (rb *rebuild) finish(wk *rebuildWorker, sc *stripeScratch, row rebuildRow, ok bool, in *parityInstall) {
+func (rb *rebuild) finish(wk *rebuildWorker, sc *stripeScratch, row rebuildRow, ok bool) {
 	rb.mu.Lock()
 	defer rb.mu.Unlock()
 	for mn, n := range sc.srcBytes {
@@ -411,17 +304,14 @@ func (rb *rebuild) finish(wk *rebuildWorker, sc *stripeScratch, row rebuildRow, 
 		return // the coordinator already re-queued the row
 	}
 	wk.busy = false
-	switch {
-	case !ok:
+	if !ok {
 		rb.retry(row)
-	case in != nil:
-		rb.installs = append(rb.installs, *in)
-	default:
-		if !row.parity {
-			rb.whole[row.b] = true
-		}
-		rb.left--
+		return
 	}
+	if !row.parity {
+		rb.whole[row.b] = true
+	}
+	rb.left--
 }
 
 // ship writes one rebuilt block into the replacement's block slot.
@@ -459,8 +349,9 @@ func (rb *rebuild) rebuildData(ctx rdma.Ctx, wk *rebuildWorker, sc *stripeScratc
 // DELTA blocks it tracks, using DELTA_b = DATA_b ⊕ enc_b: the parity
 // is the code's fold of every data shard's enc view, and a delta still
 // pending from this parity's point of view is restored from the
-// sibling parity MN's copy of it.
-func (rb *rebuild) rebuildParity(ctx rdma.Ctx, wk *rebuildWorker, sc *stripeScratch, row rebuildRow) (*parityInstall, bool) {
+// sibling parity MN's copy of it. It reports whether the row is settled:
+// its blocks shipped and its record installed, or nothing to rebuild.
+func (rb *rebuild) rebuildParity(ctx rdma.Ctx, wk *rebuildWorker, sc *stripeScratch, row rebuildRow) bool {
 	cl, l := rb.cl, rb.cl.L
 	b, stripe := row.b, uint32(row.b)
 	k, m := cl.code.K(), cl.code.M()
@@ -481,11 +372,11 @@ func (rb *rebuild) rebuildParity(ctx rdma.Ctx, wk *rebuildWorker, sc *stripeScra
 	}
 	ctx.Batch(sc.ops) //nolint:errcheck // per-op errors are read below
 	if sc.ops[0].Err != nil {
-		return nil, false
+		return false
 	}
 	rec := recOf(0)
 	if rec.Role != layout.RoleParity {
-		return nil, true // no longer a parity row: nothing to rebuild
+		return true // no longer a parity row: nothing to rebuild
 	}
 	var sib layout.Record
 	for i := 1; i < len(sc.ops); i++ {
@@ -494,7 +385,7 @@ func (rb *rebuild) rebuildParity(ctx rdma.Ctx, wk *rebuildWorker, sc *stripeScra
 			break
 		}
 	}
-	in := &parityInstall{row: row, before: rec}
+	before := rec
 
 	// Every contributing data shard, and every delta to restore, at once.
 	dataMNs := l.DataMNs(stripe)
@@ -506,7 +397,7 @@ func (rb *rebuild) rebuildParity(ctx rdma.Ctx, wk *rebuildWorker, sc *stripeScra
 			continue // the shard never held anything
 		}
 		if !cl.view.blockSource(dm) {
-			return nil, false // the parity cannot be right without it
+			return false // the parity cannot be right without it
 		}
 		sc.present[xid] = true
 		sc.reads = append(sc.reads, blockRead{mn: dm, off: l.BlockOff(b), dst: sc.shards[xid], delta: -1})
@@ -516,7 +407,7 @@ func (rb *rebuild) rebuildParity(ctx rdma.Ctx, wk *rebuildWorker, sc *stripeScra
 		}
 	}
 	if !readBlocks(ctx, cl, sc) {
-		return nil, false
+		return false
 	}
 
 	// Settle each shard's enc view and what the record will say of it.
@@ -527,21 +418,14 @@ func (rb *rebuild) rebuildParity(ctx rdma.Ctx, wk *rebuildWorker, sc *stripeScra
 		}
 		bit := uint16(1) << xid
 		if rec.XORMap&bit == 0 {
-			di := -1
-			if sc.hasDelta[xid] {
-				if rec.DeltaAddr[xid] != 0 {
-					_, dOff := layout.UnpackAddr(rec.DeltaAddr[xid])
-					di = l.BlockOfOff(dOff)
-				}
-				if di < l.Cfg.StripeRows {
-					// The recorded address was lost to replication lag:
-					// the coordinator finds the delta a fresh pool block.
-					di = rb.placeDelta(ctx, wk, b, xid)
-				}
+			if sc.hasDelta[xid] && rec.DeltaAddr[xid] == 0 && !rb.gone(wk) {
+				// The recorded address was lost to replication lag: the
+				// replacement's allocator places the delta, as it does a
+				// client's, and records it in the row.
+				rec.DeltaAddr[xid] = rb.allocDelta(ctx, b, xid)
+				before.DeltaAddr[xid] = rec.DeltaAddr[xid]
 			}
-			if di >= 0 {
-				in.deltas = append(in.deltas, placedDelta{block: di, xid: uint8(xid)})
-				rec.DeltaAddr[xid] = layout.PackAddr(uint16(rb.mn), l.BlockOff(di))
+			if sc.hasDelta[xid] && rec.DeltaAddr[xid] != 0 {
 				erasure.XorInto(sc.shards[xid], sc.deltas[xid])
 			} else {
 				// No recoverable delta: adopt the current data as
@@ -562,36 +446,53 @@ func (rb *rebuild) rebuildParity(ctx rdma.Ctx, wk *rebuildWorker, sc *stripeScra
 		sc.tally.encodeBytes += uint64(len(sc.folds) * len(parity))
 		sc.tally.encodeNs += uint64(ctx.Now() - start)
 	}
-	in.after = rec
+	rec.Valid = true
 
 	if !rb.ship(ctx, wk, sc, b, parity) {
-		return nil, false
+		return false
 	}
-	for _, d := range in.deltas {
-		if !rb.ship(ctx, wk, sc, d.block, sc.deltas[d.xid]) {
-			return nil, false
+	for xid := range dataMNs {
+		if sc.present[xid] && sc.hasDelta[xid] && rec.DeltaAddr[xid] != 0 {
+			_, dOff := layout.UnpackAddr(rec.DeltaAddr[xid])
+			if !rb.ship(ctx, wk, sc, l.BlockOfOff(dOff), sc.deltas[xid]) {
+				return false
+			}
 		}
 	}
-	return in, true
+	return rb.install(ctx, wk, b, &before, &rec)
 }
 
-// placeDelta asks the coordinator for a pool block and waits for the
-// answer (-1: none free, or the recovery is over).
-func (rb *rebuild) placeDelta(ctx rdma.Ctx, wk *rebuildWorker, row, xid int) int {
-	p := &deltaPlacement{row: row, xid: xid, block: -1}
-	rb.mu.Lock()
-	rb.places = append(rb.places, p)
-	rb.mu.Unlock()
-	for {
-		ctx.Sleep(rebuildPoll)
-		rb.mu.Lock()
-		done, over := p.done, rb.stopped || wk.dead
-		rb.mu.Unlock()
-		if done {
-			return p.block
-		}
-		if over {
-			return -1
-		}
+// allocDelta places the restored DELTA block of row's data shard xid
+// through the replacement's AllocDelta, owned by no client, and returns
+// its packed address, or 0 when the pool is full or the RPC fails.
+func (rb *rebuild) allocDelta(ctx rdma.Ctx, row, xid int) uint64 {
+	var e enc
+	e.u16(0)
+	e.u32(uint32(row))
+	e.u8(uint8(xid))
+	e.u8(0)
+	resp, err := ctx.RPC(rb.node, methodAllocDelta, e.b)
+	if err != nil || len(resp) == 0 || resp[0] != stOK {
+		return 0
 	}
+	d := dec{b: resp[1:]}
+	if b := d.u32(); !d.short {
+		return layout.PackAddr(uint16(rb.mn), rb.cl.L.BlockOff(int(b)))
+	}
+	return 0
+}
+
+// install asks the replacement's server to put row's rebuilt record
+// after in place of before; false (the record changed under the
+// rebuild, or the replacement is gone) has the row redone.
+func (rb *rebuild) install(ctx rdma.Ctx, wk *rebuildWorker, row int, before, after *layout.Record) bool {
+	if rb.gone(wk) {
+		return false
+	}
+	var e enc
+	e.u32(uint32(row))
+	e.record(before)
+	e.record(after)
+	resp, err := ctx.RPC(rb.node, methodInstallParity, e.b)
+	return err == nil && len(resp) > 0 && resp[0] == stOK
 }

@@ -222,7 +222,8 @@ func pendingDeltaRow(t *testing.T, tc *testCluster) (mn, row, xid int) {
 // TestRebuildPlacesDeltaWithLostAddress loses a parity record's
 // DeltaAddr to "replication lag" (it is cleared in every meta replica
 // before the crash): the worker restores the DELTA block from the
-// sibling parity's copy and the coordinator finds it a fresh pool block.
+// sibling parity's copy into a fresh pool block the replacement's
+// AllocDelta places.
 func TestRebuildPlacesDeltaWithLostAddress(t *testing.T) {
 	tc := newTestCluster(t, func(cfg *Config) { cfg.Layout.StripeRows = 40 })
 	tc.cl.master.AddSpare()
@@ -269,8 +270,8 @@ func TestRebuildPlacesDeltaWithLostAddress(t *testing.T) {
 
 // TestRebuildRedoesRowChangedUnderIt changes a parity row's record on
 // the live replacement between a worker's read of it and the install:
-// the coordinator must notice, leave the newer record alone and have
-// the row rebuilt again from it.
+// the server must refuse the install, leave the newer record alone, and
+// the row must be rebuilt again from it.
 func TestRebuildRedoesRowChangedUnderIt(t *testing.T) {
 	tc := newTestCluster(t, func(cfg *Config) { cfg.Layout.StripeRows = 40 })
 	tc.cl.master.AddSpare()

@@ -139,7 +139,7 @@ func runRecovery(ctx rdma.Ctx, cl *Cluster, mn int) *RecoveryReport {
 	// Decode the new local blocks: the rebuild team's first fill, the rows
 	// the index needs (rebuild.go). The rest wait for tier 3's.
 	t = ctx.Now()
-	tier2 := newRebuild(cl, mn, ctx.Node(), newLocal, nil)
+	tier2 := newRebuild(cl, mn, ctx.Node(), newLocal, false)
 	if !tier2.run(ctx, abandoned) {
 		return nil
 	}
@@ -326,9 +326,10 @@ func runRecovery(ctx rdma.Ctx, cl *Cluster, mn int) *RecoveryReport {
 
 	// --- Tier 3: Block Area (old data blocks and parity rows) ---
 	// The rebuild team's second fill: every lost row tier 2 left behind.
-	// This process stays behind as coordinator.
+	// This process stays behind as coordinator; the team writes the
+	// replacement's records through srv's RPCs alone.
 	t = ctx.Now()
-	rb := newRebuild(cl, mn, ctx.Node(), oldLocal, srv)
+	rb := newRebuild(cl, mn, ctx.Node(), oldLocal, true)
 	rep.OldLBlockCount = len(oldLocal)
 	if !rb.run(ctx, abandoned) {
 		return nil
@@ -386,6 +387,12 @@ func ckptCovers(ckptVer uint64, rec *layout.Record) bool {
 // before the server starts allocating. (The reverse case — a DELTA
 // record without a parity reference — only leaks the block, which is
 // safe.)
+//
+// The same pass clears Valid on every PARITY record: the replacement's
+// PARITY blocks hold nothing until tier 3 rebuilds them, and only tier
+// 3's install (methodInstallParity) makes a record Valid again, so a row
+// it gives up stays one no decode takes as a source. The recovered
+// server re-sends the whole Meta Area to its replica hosts.
 func reconcileDeltaRecords(cl *Cluster, mn int, mem []byte) {
 	l := cl.L
 	for row := 0; row < l.Cfg.StripeRows; row++ {
@@ -397,6 +404,8 @@ func reconcileDeltaRecords(cl *Cluster, mn int, mem []byte) {
 		if prec.Role != layout.RoleParity {
 			continue
 		}
+		prec.Valid = false
+		layout.EncodeRecord(mem[off:off+layout.RecordSize], &prec)
 		for xid, da := range prec.DeltaAddr {
 			if da == 0 {
 				continue

@@ -308,20 +308,21 @@ func (s *Server) addECTally(t *ecTally) {
 // methodNames gives each RPC method a static span name, so recording
 // a handler span never formats or allocates.
 var methodNames = [...]string{
-	methodAllocBlock:   "rpc.alloc_block",
-	methodAllocDelta:   "rpc.alloc_delta",
-	methodSealBlock:    "rpc.seal_block",
-	methodEncodeDelta:  "rpc.encode_delta",
-	methodFreeBits:     "rpc.free_bits",
-	methodCkptPrepare:  "rpc.ckpt_prepare",
-	methodCkptSnapshot: "rpc.ckpt_snapshot",
-	methodApplyCkpt:    "rpc.apply_ckpt",
-	methodPing:         "rpc.ping",
-	methodDropDelta:    "rpc.drop_delta",
-	methodAdminFail:    "rpc.admin_fail",
-	methodAdminChaos:   "rpc.admin_chaos",
-	methodAdminStats:   "rpc.admin_stats",
-	methodAdminTrace:   "rpc.admin_trace",
+	methodAllocBlock:    "rpc.alloc_block",
+	methodAllocDelta:    "rpc.alloc_delta",
+	methodSealBlock:     "rpc.seal_block",
+	methodEncodeDelta:   "rpc.encode_delta",
+	methodFreeBits:      "rpc.free_bits",
+	methodCkptPrepare:   "rpc.ckpt_prepare",
+	methodCkptSnapshot:  "rpc.ckpt_snapshot",
+	methodApplyCkpt:     "rpc.apply_ckpt",
+	methodPing:          "rpc.ping",
+	methodDropDelta:     "rpc.drop_delta",
+	methodAdminFail:     "rpc.admin_fail",
+	methodAdminChaos:    "rpc.admin_chaos",
+	methodAdminStats:    "rpc.admin_stats",
+	methodAdminTrace:    "rpc.admin_trace",
+	methodInstallParity: "rpc.install_parity",
 }
 
 func methodName(m uint8) string {
@@ -386,6 +387,8 @@ func (s *Server) handle(method uint8, req []byte) ([]byte, time.Duration) {
 		return s.handleAdminStats(req)
 	case methodAdminTrace:
 		return s.handleAdminTrace(req)
+	case methodInstallParity:
+		return s.handleInstallParity(req)
 	}
 	return []byte{stBadArg}, time.Microsecond
 }
@@ -541,6 +544,27 @@ func (s *Server) handleAllocDelta(req []byte) ([]byte, time.Duration) {
 	e.u8(stOK)
 	e.u32(uint32(b))
 	return e.b, cpu
+}
+
+// handleInstallParity puts the record of a PARITY row tier 3 rebuilt
+// (rebuild.go) in place: after, only while the row's record still equals
+// before, the one the rebuild was computed from. Otherwise a delta was
+// allocated or folded since, and stConflict has the row redone.
+func (s *Server) handleInstallParity(req []byte) ([]byte, time.Duration) {
+	d := dec{b: req}
+	row := d.u32()
+	before, after := d.record(), d.record()
+	cpu := time.Microsecond
+	if _, parity := s.cl.L.IsParityMN(row, s.mn); d.short || !parity || int(row) >= s.cl.L.Cfg.StripeRows || after.Role != layout.RoleParity {
+		return []byte{stBadArg}, cpu
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.record(int(row)) != before {
+		return []byte{stConflict}, cpu
+	}
+	s.putRecord(int(row), &after)
+	return []byte{stOK}, cpu
 }
 
 // handleSealBlock stamps the current Index Version into a filled DATA

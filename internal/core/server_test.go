@@ -122,6 +122,8 @@ func TestHandlerShortRequests(t *testing.T) {
 	}
 	d := dec{b: resp[1:]}
 	blk := d.u32()
+	// Row 0 is one of MN 0's PARITY rows.
+	prec, after := srv.record(0), layout.Record{Role: layout.RoleParity, Valid: true}
 	for _, c := range []struct {
 		method uint8
 		req    []byte
@@ -136,6 +138,7 @@ func TestHandlerShortRequests(t *testing.T) {
 		{methodCkptSnapshot, full(func(e *enc) { e.u64(1) })},
 		{methodApplyCkpt, full(func(e *enc) { e.u8(uint8(tc.cl.L.CkptOwnerOf(0))); e.u64(1); e.u32(64) })},
 		{methodAdminChaos, encodeChaos(rdma.ChaosConfig{})},
+		{methodInstallParity, full(func(e *enc) { e.u32(0); e.record(&prec); e.record(&after) })},
 	} {
 		t.Run(methodName(c.method), func(t *testing.T) {
 			for n := 0; n < len(c.req); n++ {
@@ -155,6 +158,71 @@ func TestHandlerShortRequests(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzInstallParity sends the install handler arbitrary requests, seeded
+// with the ones tier 3 sends: it never panics, a request it does not
+// answer stOK leaves every record as it was, and one it does named a row
+// whose record equalled the before it carried, and leaves that record
+// equal to the after it carried and every other record as it was.
+func FuzzInstallParity(f *testing.F) {
+	tc := newTestCluster(f, nil)
+	l := tc.cl.L
+	srv := tc.cl.servers[0]
+	// A PARITY row of MN 0 with a delta pending, as tier 3 finds one.
+	var ad enc
+	ad.u16(1)
+	ad.u32(0)
+	ad.u8(1)
+	ad.u8(2)
+	if resp, _ := srv.handle(methodAllocDelta, ad.b); resp[0] != stOK {
+		f.Fatalf("alloc delta: status %d", resp[0])
+	}
+	before := srv.record(0)
+	after := before
+	after.Valid, after.XORMap = true, 0b101
+	req := func(row uint32, before, after *layout.Record) []byte {
+		var e enc
+		e.u32(row)
+		e.record(before)
+		e.record(after)
+		return e.b
+	}
+	stale := before
+	stale.CliID = 7
+	f.Add(req(0, &before, &after))
+	f.Add(req(0, &stale, &after))
+	f.Add(req(1, &before, &after)) // a DATA row of MN 0
+	f.Add(req(uint32(l.Cfg.StripeRows), &before, &after))
+	f.Add(req(0, &before, &after)[:200])
+
+	lo, hi := l.RecordOff(0), l.RecordOff(l.Cfg.BlocksPerMN())
+	mem := tc.pl.DirectMemory(tc.cl.MNNode(0))
+	recs := append([]byte(nil), mem[lo:hi]...)
+	f.Fuzz(func(t *testing.T, req []byte) {
+		defer copy(mem[lo:hi], recs) // every input starts from the same records
+		resp, _ := srv.handle(methodInstallParity, req)
+		if len(resp) != 1 {
+			t.Fatalf("response %v, want one status byte", resp)
+		}
+		row := -1
+		if resp[0] == stOK {
+			d := dec{b: req}
+			row = int(d.u32())
+			if was := layout.DecodeRecord(recs[l.RecordOff(row)-lo:]); d.record() != was {
+				t.Fatalf("stOK for row %d, whose record %+v is not the before sent", row, was)
+			}
+			if want := d.record(); srv.record(row) != want {
+				t.Fatalf("row %d's record is %+v after stOK, want the %+v sent", row, srv.record(row), want)
+			}
+		}
+		for b := 0; b < l.Cfg.BlocksPerMN(); b++ {
+			off := l.RecordOff(b) - lo
+			if b != row && !bytes.Equal(mem[lo+off:lo+off+layout.RecordSize], recs[off:off+layout.RecordSize]) {
+				t.Fatalf("status %d changed block %d's record", resp[0], b)
+			}
+		}
+	})
 }
 
 func TestHandlerAllocDeltaIdempotent(t *testing.T) {

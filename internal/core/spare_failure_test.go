@@ -1,9 +1,13 @@
 package core
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/layout"
+	"repro/internal/racehash"
 	"repro/internal/rdma"
 )
 
@@ -133,8 +137,8 @@ func TestRebuildSecondMNFailsMidTier3(t *testing.T) {
 			tc.cl.FailMN(second)
 			tc.waitBlocksReady(t, rebuildVictim)
 			tc.waitBlocksReady(t, second)
-			// The coordinators wrote records into both replacements
-			// while tier 3 ran: they reached the replicas too.
+			// Both replacement servers wrote records while tier 3 ran
+			// (installs, placements): they reached the replicas too.
 			metaReplicasMatch(t, tc)
 
 			lost := 0
@@ -151,6 +155,95 @@ func TestRebuildSecondMNFailsMidTier3(t *testing.T) {
 			_ = lost
 		})
 	}
+}
+
+// TestGivenUpParityRowStaysInvalid fail-stops a data MN of some of the
+// victim's stripes once the victim is in tier 3, with no spare left for
+// it: the victim's PARITY rows of those stripes cannot be computed, run
+// out of attempts and are given up. Their records must say so — PARITY,
+// not Valid — since their blocks hold nothing, and a degraded read of a
+// pair in such a stripe must come back through the stripe's other
+// parity.
+func TestGivenUpParityRowStaysInvalid(t *testing.T) {
+	tc := newTestCluster(t, func(cfg *Config) { cfg.Layout.StripeRows = 40 })
+	tc.cl.master.AddSpare() // one spare: the second MN to fail stays down
+	expect := loadForRebuild(t, tc, 260, 0)
+	l := tc.cl.L
+	const victim, second = 1, 3
+	tc.cl.FailMN(victim)
+	for i := 0; ; i++ {
+		tc.run(5 * time.Microsecond)
+		if _, idx, _ := tc.cl.MNState(victim); idx {
+			break
+		}
+		if i > 2000000 {
+			t.Fatal("tier 2 never finished")
+		}
+	}
+	snap := append([]byte(nil), tc.pl.DirectMemory(tc.cl.MNNode(second))...)
+	tc.cl.FailMN(second)
+	tc.waitBlocksReady(t, victim)
+
+	rep := tc.cl.master.Reports[0]
+	mem := tc.pl.DirectMemory(tc.cl.MNNode(victim))
+	gaveUp := make(map[int]bool)
+	for b := 0; b < l.Cfg.StripeRows; b++ {
+		rec := layout.DecodeRecord(mem[l.RecordOff(b) : l.RecordOff(b)+layout.RecordSize])
+		if rec.Role != layout.RoleParity || rec.Valid {
+			continue
+		}
+		gaveUp[b] = true
+		if !slices.Contains(l.DataMNs(uint32(b)), second) {
+			t.Errorf("row %d reads not Valid, but MN %d holds none of its data", b, second)
+		}
+	}
+	if rep.Tier3LostRows == 0 || len(gaveUp) != rep.Tier3LostRows {
+		t.Fatalf("%d rows given up, %d PARITY records not Valid: want as many, and more than 0", rep.Tier3LostRows, len(gaveUp))
+	}
+
+	// The acknowledged pairs in the second MN's blocks of those stripes
+	// whose first parity is the victim's — a decode must pass it over —
+	// found through their home MNs' indexes (the second MN's partition
+	// has no spare to come back on).
+	var ids []int
+	for id := range expect {
+		h := racehash.Hash(key(id))
+		home := racehash.HomeMN(h, l.Cfg.NumMNs)
+		if home == second {
+			continue
+		}
+		node, _ := tc.cl.view.nodeOf(home)
+		index := tc.pl.DirectMemory(node)
+		i1, i2 := racehash.BucketPair(h, l.NumBuckets())
+		for _, m := range racehash.ScanBuckets(racehash.Fingerprint(h), index[l.BucketOff(i1):], index[l.BucketOff(i2):]) {
+			mn, off := layout.UnpackAddr(m.Atomic.Addr)
+			var kv layout.KV
+			if b := l.BlockOfOff(off); int(mn) != second || !gaveUp[b] || l.ParityMN(uint32(b), 0) != victim {
+				continue
+			}
+			if ok, _ := layout.DecodeAtTrueSize(&kv, snap[off:], int(l.Cfg.BlockSize), nil, nil); ok && bytes.Equal(kv.Key, key(id)) {
+				ids = append(ids, id)
+				break
+			}
+		}
+	}
+	if len(ids) == 0 {
+		t.Fatal("no acknowledged pair lies in a stripe whose PARITY row was given up; grow the load")
+	}
+	slices.Sort(ids)
+	var degraded uint64
+	tc.runClients(t, 120*time.Second, func(c *Client) {
+		for _, id := range ids {
+			if got, err := c.Search(key(id)); err != nil || !bytes.Equal(got, expect[id]) {
+				t.Errorf("key %d in a given-up stripe: %v", id, err)
+			}
+		}
+		degraded = c.Stats.DegradedReads
+	})
+	if degraded == 0 {
+		t.Errorf("%d pairs read back, none degraded", len(ids))
+	}
+	t.Logf("%d rows given up; %d pairs in their stripes, %d degraded reads", len(gaveUp), len(ids), degraded)
 }
 
 // TestSpareDiesWhileIdle fails a spare before it is ever used; the

@@ -3,6 +3,8 @@ package core
 import (
 	"encoding/binary"
 	"errors"
+
+	"repro/internal/layout"
 )
 
 // RPC method codes served by the memory-node servers (§3.1: the server
@@ -59,6 +61,12 @@ const (
 	// events (newest first bounded by the request's max) so remote
 	// tools can render a Chrome trace_event timeline (see admin.go).
 	methodAdminTrace
+	// methodInstallParity puts the record of a PARITY row tier 3 has
+	// rebuilt in place on the replacement: u32 row, then the record the
+	// rebuild was computed from and the record to install (RecordSize
+	// bytes each). The server installs the second only while the row's
+	// record still equals the first, and answers stConflict otherwise.
+	methodInstallParity
 )
 
 // RPC status codes.
@@ -81,6 +89,10 @@ func (e *enc) u64(v uint64) { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
 func (e *enc) bytes(v []byte) {
 	e.u32(uint32(len(v)))
 	e.b = append(e.b, v...)
+}
+func (e *enc) record(r *layout.Record) {
+	e.b = append(e.b, make([]byte, layout.RecordSize)...)
+	layout.EncodeRecord(e.b[len(e.b)-layout.RecordSize:], r)
 }
 
 // dec is the matching decoder. A read past the end of the payload
@@ -131,6 +143,12 @@ func (d *dec) u64() uint64 {
 	return 0
 }
 func (d *dec) bytes() []byte { return d.take(int(d.u32())) }
+func (d *dec) record() layout.Record {
+	if v := d.take(layout.RecordSize); v != nil {
+		return layout.DecodeRecord(v)
+	}
+	return layout.Record{}
+}
 
 // left returns how many bytes remain undecoded.
 func (d *dec) left() int { return len(d.b) - d.off }

@@ -465,6 +465,11 @@ func (c *ctx) RPC(nodeID rdma.NodeID, method uint8, req []byte) ([]byte, error) 
 		return nil, rdma.ErrNoHandler
 	}
 	t.nic.Acquire(c.p, cfg.MsgCost+time.Duration(float64(len(req))/cfg.Bandwidth*1e9))
+	if t.failed {
+		// The node fail-stopped while the request queued at its NIC.
+		c.p.Sleep(cfg.FailedOpDelay)
+		return nil, rdma.ErrNodeFailed
+	}
 	resp, cpu := t.handler(method, req)
 	if len(t.cores) > 0 {
 		t.cores[rdma.CoreRPC].Acquire(c.p, cfg.RPCBaseCost+cpu)

@@ -95,6 +95,36 @@ func TestFailedNodeErrors(t *testing.T) {
 	pl.Engine().RunUntilIdle()
 }
 
+// TestRPCToNodeFailingWhileQueued fail-stops a node while an RPC waits
+// behind a bulk write at its NIC: the RPC must fail like a verb to a
+// failed node, not call the handler the fail-stop removed.
+func TestRPCToNodeFailingWhileQueued(t *testing.T) {
+	pl := New(DefaultConfig())
+	mn := pl.AddMemNode(rdma.MemNodeConfig{MemBytes: 4 << 20, CPUCores: rdma.NumMNCores})
+	writer, caller := pl.AddComputeNode(), pl.AddComputeNode()
+	pl.SetHandler(mn, func(method uint8, req []byte) ([]byte, time.Duration) {
+		return []byte{method}, time.Microsecond
+	})
+	pl.Spawn(writer, "write", func(c rdma.Ctx) {
+		c.Write(rdma.GlobalAddr{Node: mn}, make([]byte, 2<<20)) //nolint:errcheck // only keeps the NIC busy
+	})
+	var err error
+	returned := false
+	pl.Spawn(caller, "rpc", func(c rdma.Ctx) {
+		c.Sleep(time.Microsecond) // behind the write at the target's NIC
+		_, err = c.RPC(mn, 7, []byte("ping"))
+		returned = true
+	})
+	pl.Spawn(caller, "fail", func(c rdma.Ctx) {
+		c.Sleep(20 * time.Microsecond)
+		pl.Fail(mn)
+	})
+	pl.Engine().RunUntilIdle()
+	if !returned || !errors.Is(err, rdma.ErrNodeFailed) {
+		t.Fatalf("RPC returned=%v err=%v, want ErrNodeFailed", returned, err)
+	}
+}
+
 func TestRPCRoundTrip(t *testing.T) {
 	pl, mn, cn := testPlatform()
 	pl.SetHandler(mn, func(method uint8, req []byte) ([]byte, time.Duration) {
