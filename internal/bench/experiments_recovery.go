@@ -264,10 +264,10 @@ func kernelTpt(code string) float64 {
 		c, _ = erasure.NewXor(6)
 	}
 	rng := rand.New(rand.NewSource(1))
-	blocks := make([][]byte, 6)
-	for i := range blocks {
-		blocks[i] = make([]byte, blockSize)
-		rng.Read(blocks[i])
+	deltas := make([]erasure.ShardDelta, 6)
+	for i := range deltas {
+		deltas[i] = erasure.ShardDelta{DI: i, B: make([]byte, blockSize)}
+		rng.Read(deltas[i].B)
 	}
 	// Measure the non-trivial parity row (row 0 is a plain XOR for
 	// both codes, which would hide the GF-multiply cost the paper's
@@ -276,8 +276,8 @@ func kernelTpt(code string) float64 {
 	start := time.Now()
 	iters := 0
 	for time.Since(start) < 300*time.Millisecond {
-		for i, b := range blocks {
-			c.UpdateOne(1, parity, i, 0, b)
+		for i := range deltas {
+			c.ApplyDeltas(1, parity, deltas[i:i+1])
 		}
 		iters++
 	}

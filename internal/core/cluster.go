@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -25,10 +24,6 @@ type Cluster struct {
 	L    *layout.Layout
 	pl   rdma.Platform
 	code erasure.Code
-	// ecFanOut is the erasure package's goroutine fan-out for whole
-	// kernels: GOMAXPROCS on a wall-clock fabric, 1 on a virtual-time
-	// one, where every kernel runs inline on its simulated core.
-	ecFanOut int
 
 	view    view
 	servers []*Server
@@ -148,15 +143,6 @@ func NewCluster(cfg Config, pl rdma.Platform) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Wall-clock fabrics get their kernel parallelism from the erasure
-	// package's goroutine pool (which clamps the fan-out by band width);
-	// on simnet the modelled cost is charged to one core, so the host
-	// runs each kernel on the calling goroutine.
-	cl.ecFanOut = 1
-	if !rdma.IsVirtual(pl) {
-		cl.ecFanOut = runtime.GOMAXPROCS(0)
-	}
-	cl.code.SetWorkers(cl.ecFanOut)
 	if cl.code.M() != cfg.Layout.ParityShards {
 		return nil, fmt.Errorf("core: code %q has %d parities, layout wants %d",
 			cfg.Code, cl.code.M(), cfg.Layout.ParityShards)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"slices"
@@ -408,7 +409,12 @@ func TestCommitOutcomes(t *testing.T) {
 		wantErr  error
 		// failHome fail-stops k's home MN ahead of the first pair read A
 		// issues: the last verb of the probe that locates the slot again.
+		// Each of A's waits for the index then runs the cluster for
+		// failWait (20 ms when zero). retired: the replacement refuses A's
+		// open block its delta target, so the block holds the orphan alone.
 		failHome bool
+		failWait time.Duration
+		retired  bool
 		// failRead drops A's cache entry and fails A's first read of the
 		// "pair" (the probe finds a committed slot over a pair it cannot
 		// decode) or of the "buckets" (as from a failed node).
@@ -481,6 +487,13 @@ func TestCommitOutcomes(t *testing.T) {
 				}
 			}},
 		{name: "home MN failed since locate", del: true, failHome: true,
+			want: []outcome{outReprobe, outHomeFailed, outWon}, signaled: -1, posts: 2},
+		// A commits between indexReady and blocksReady: the replacement
+		// refuses A a DELTA block in a row tier 3 has not rebuilt, so A
+		// retires its block and the tombstone commits from a new one
+		// (ROADMAP item 1).
+		{name: "home MN failed since locate, commit before tier 3", del: true, failHome: true,
+			failWait: 100 * time.Microsecond, retired: true,
 			want: []outcome{outReprobe, outHomeFailed, outWon}, signaled: -1, posts: 2},
 		{name: "relocate on a torn pair", failRead: "pair", want: []outcome{outRelocate, outWon}, signaled: 5},
 		{name: "relocate on a failed node", failRead: "buckets", want: []outcome{outRelocate, outWon}, signaled: 4},
@@ -585,7 +598,8 @@ func TestCommitOutcomes(t *testing.T) {
 				// between indexReady and blocksReady would race tier 3's rebuild
 				// of its DELTA block (ROADMAP item 1).
 				tc.cl.master.AddSpare()
-				actx.onSleep = func() { tc.run(20 * time.Millisecond) }
+				wait := cmp.Or(tcase.failWait, 20*time.Millisecond)
+				actx.onSleep = func() { tc.run(wait) }
 			}
 			failed, torn := false, false
 			actx.opErr = func(op *rdma.Op) error {
@@ -659,8 +673,15 @@ func TestCommitOutcomes(t *testing.T) {
 				// Buckets, the pair (home MN fails), nothing placed, then — the
 				// index back — buckets, the pair, the delta targets re-resolved
 				// under the new membership, the batch that commits.
-				if n := slotsBefore - len(ob.slots); !failed || n != 2 {
-					t.Errorf("home MN failed=%v, A placed %d pairs; want 2: the orphan and the tombstone that commits", failed, n)
+				n := slotsBefore - len(ob.slots)
+				switch {
+				case !failed:
+					t.Error("home MN never failed")
+				case tcase.retired && (n != 1 || a.open[ob.class] == ob):
+					t.Errorf("A placed %d pairs in its block, still open %v; want the orphan alone and the block retired",
+						n, a.open[ob.class] == ob)
+				case !tcase.retired && n != 2:
+					t.Errorf("A placed %d pairs; want 2: the orphan and the tombstone that commits", n)
 				}
 				tc.waitBlocksReady(t, home)
 			}

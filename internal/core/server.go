@@ -73,7 +73,6 @@ type Server struct {
 type encodeJob struct {
 	stripe uint32
 	xorID  uint8
-	drop   bool // discard the delta instead of encoding it
 }
 
 type applyJob struct {
@@ -227,7 +226,7 @@ type ServerStats struct {
 	CkptBytes    uint64 // compressed checkpoint payload bytes produced
 	CkptApplies  uint64 // staged checkpoint frames applied to hosted copies
 	EncodeJobs   uint64 // DELTA blocks folded into the local parity
-	EncodeDrops  uint64 // DELTA blocks discarded without encoding
+	EncodeDrops  uint64 // always 0: nothing drops a DELTA block unencoded; benchmark/metrics.go still reads it
 	EncodeQueue  uint64 // encode jobs currently queued
 	PoolBlocks   uint64 // delta/copy pool blocks total
 	PoolFree     uint64 // pool blocks currently FREE
@@ -317,7 +316,6 @@ var methodNames = [...]string{
 	methodCkptSnapshot:  "rpc.ckpt_snapshot",
 	methodApplyCkpt:     "rpc.apply_ckpt",
 	methodPing:          "rpc.ping",
-	methodDropDelta:     "rpc.drop_delta",
 	methodAdminFail:     "rpc.admin_fail",
 	methodAdminChaos:    "rpc.admin_chaos",
 	methodAdminStats:    "rpc.admin_stats",
@@ -367,8 +365,8 @@ func (s *Server) handle(method uint8, req []byte) ([]byte, time.Duration) {
 		return s.handleAllocDelta(req)
 	case methodSealBlock:
 		return s.handleSealBlock(req)
-	case methodEncodeDelta, methodDropDelta:
-		return s.handleEncodeDelta(method, req)
+	case methodEncodeDelta:
+		return s.handleEncodeDelta(req)
 	case methodFreeBits:
 		return s.handleFreeBits(req)
 	case methodCkptPrepare:
@@ -520,6 +518,14 @@ func (s *Server) handleAllocDelta(req []byte) ([]byte, time.Duration) {
 	if prec.Role != layout.RoleParity {
 		return []byte{stConflict}, cpu
 	}
+	// A replacement's PARITY row is not Valid until tier 3 has rebuilt
+	// it, and the rebuild ships the row's DELTA blocks over whatever a
+	// client wrote into them meanwhile. So a client (ids start at 1) is
+	// refused such a row, and seals its block unwritten; tier 3 places
+	// the row's restored deltas itself, as owner 0.
+	if !prec.Valid && cliID != 0 {
+		return []byte{stConflict}, cpu
+	}
 	// Idempotent: a crashed-and-restarted client re-attaches to the
 	// existing delta block.
 	if prec.DeltaAddr[xorID] != 0 {
@@ -603,9 +609,9 @@ func (s *Server) handleSealBlock(req []byte) ([]byte, time.Duration) {
 	return []byte{stOK}, cpu
 }
 
-// handleEncodeDelta enqueues background encoding (or dropping) of the
-// DELTA block of (stripe, xorID) into this MN's PARITY block.
-func (s *Server) handleEncodeDelta(method uint8, req []byte) ([]byte, time.Duration) {
+// handleEncodeDelta enqueues background encoding of the DELTA block of
+// (stripe, xorID) into this MN's PARITY block.
+func (s *Server) handleEncodeDelta(req []byte) ([]byte, time.Duration) {
 	d := dec{b: req}
 	stripe := d.u32()
 	xorID := d.u8()
@@ -613,7 +619,7 @@ func (s *Server) handleEncodeDelta(method uint8, req []byte) ([]byte, time.Durat
 		return []byte{stBadArg}, 500 * time.Nanosecond
 	}
 	s.mu.Lock()
-	s.encodeQ = append(s.encodeQ, encodeJob{stripe: stripe, xorID: xorID, drop: method == methodDropDelta})
+	s.encodeQ = append(s.encodeQ, encodeJob{stripe: stripe, xorID: xorID})
 	s.mu.Unlock()
 	return []byte{stOK}, 500 * time.Nanosecond
 }
@@ -747,9 +753,9 @@ func (s *Server) handleApplyCkpt(req []byte) ([]byte, time.Duration) {
 // and parity mutations happen in one critical section so degraded
 // readers never observe a delta both encoded and pending; on simnet
 // that atomicity requires no sim operation inside the section, so the
-// fold's modelled CPU cost is charged afterwards, on this core
-// (wall-clock fabrics get their parallelism from the erasure package's
-// own goroutine pool inside ApplyDeltas).
+// fold's modelled CPU cost is charged afterwards, on this core. The
+// fold itself runs on this goroutine on every fabric: one erasure core
+// per MN, as in the paper (§3.1).
 func (s *Server) encoderLoop(ctx rdma.Ctx) {
 	const encodePoll = 50 * time.Microsecond
 	var batch []encodeJob
@@ -836,13 +842,9 @@ func (s *Server) claimEncodeBatch(stripe uint32, batch []encodeJob, deltas *[]er
 		}
 		_, dOff := layout.UnpackAddr(prec.DeltaAddr[job.xorID])
 		db := l.BlockOfOff(dOff)
-		if job.drop {
-			s.st.EncodeDrops++
-		} else {
-			*deltas = append(*deltas, erasure.ShardDelta{DI: int(job.xorID), B: s.block(db)})
-			prec.XORMap |= 1 << job.xorID
-			s.st.EncodeJobs++
-		}
+		*deltas = append(*deltas, erasure.ShardDelta{DI: int(job.xorID), B: s.block(db)})
+		prec.XORMap |= 1 << job.xorID
+		s.st.EncodeJobs++
 		prec.DeltaAddr[job.xorID] = 0
 		*freeBlocks = append(*freeBlocks, db)
 		changed = true

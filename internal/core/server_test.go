@@ -132,7 +132,6 @@ func TestHandlerShortRequests(t *testing.T) {
 		{methodAllocDelta, full(func(e *enc) { e.u16(1); e.u32(0); e.u8(0); e.u8(2) })},
 		{methodSealBlock, full(func(e *enc) { e.u32(blk); e.u32(^uint32(0)) })},
 		{methodEncodeDelta, full(func(e *enc) { e.u32(0); e.u8(0) })},
-		{methodDropDelta, full(func(e *enc) { e.u32(0); e.u8(0) })},
 		{methodFreeBits, freeBitsPayload([]int{0, 0, 2}, []int{1, 4})},
 		{methodCkptPrepare, full(func(e *enc) { e.u64(1) })},
 		{methodCkptSnapshot, full(func(e *enc) { e.u64(1) })},
@@ -157,6 +156,48 @@ func TestHandlerShortRequests(t *testing.T) {
 				t.Errorf("full %d-byte request: response %v, want it accepted", len(c.req), resp)
 			}
 		})
+	}
+}
+
+// TestAllocDeltaRefusesUnrebuiltParity pins ROADMAP item 1's gate: a
+// PARITY row that is not Valid — a replacement's row tier 3 has not
+// rebuilt — refuses a client a DELTA block, even one already placed, so
+// the rebuild never ships over a client's delta write; tier 3's own
+// placement, as owner 0, passes.
+func TestAllocDeltaRefusesUnrebuiltParity(t *testing.T) {
+	tc := newTestCluster(t, nil)
+	srv := tc.cl.servers[0]
+	// Row 0 is one of MN 0's PARITY rows.
+	pidx, ok := tc.cl.L.IsParityMN(0, 0)
+	if !ok {
+		t.Fatal("row 0 is not a PARITY row of MN 0")
+	}
+	srv.mu.Lock()
+	srv.putRecord(0, &layout.Record{Role: layout.RoleParity, StripeID: 0, ParityIdx: uint8(pidx)})
+	srv.mu.Unlock()
+	alloc := func(owner uint16) uint8 {
+		var e enc
+		e.u16(owner)
+		e.u32(0)
+		e.u8(0)
+		e.u8(2)
+		resp, _ := srv.handle(methodAllocDelta, e.b)
+		if len(resp) == 0 {
+			t.Fatalf("owner %d: empty response", owner)
+		}
+		return resp[0]
+	}
+	if st := alloc(1); st != stConflict {
+		t.Errorf("client 1 on a row not yet rebuilt: status %d, want stConflict", st)
+	}
+	if st := alloc(0); st != stOK {
+		t.Errorf("tier 3 (owner 0) on a row not yet rebuilt: status %d, want stOK", st)
+	}
+	if srv.record(0).DeltaAddr[0] == 0 {
+		t.Error("tier 3's DELTA block is not recorded in the row")
+	}
+	if st := alloc(1); st != stConflict {
+		t.Errorf("client 1 re-attaching to tier 3's block: status %d, want stConflict", st)
 	}
 }
 

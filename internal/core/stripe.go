@@ -434,7 +434,7 @@ func readLostBlock(ctx rdma.Ctx, cl *Cluster, owner, b int, sc *stripeScratch, c
 	}
 	bs := int(l.Cfg.BlockSize)
 	start := ctx.Now()
-	pl.RunPooled(sc.shards, cl.ecFanOut)
+	pl.Run(sc.shards)
 	if cost := cpuTime(touched*bs, codeRate(cl.Cfg.Code)); cost > 0 {
 		ctx.UseCPU(core, cost)
 	}

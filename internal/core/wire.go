@@ -45,9 +45,6 @@ const (
 	methodApplyCkpt
 	// methodPing is the master's lease/liveness probe.
 	methodPing
-	// methodDropDelta discards the DELTA block of (stripe, xorID)
-	// without encoding it (used when an aborted client wrote garbage).
-	methodDropDelta
 	// methodAdminFail asks this MN to fail-stop itself (fault-injection
 	// surface for harnesses and the CLI; see admin.go).
 	methodAdminFail

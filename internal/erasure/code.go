@@ -23,7 +23,7 @@ var (
 // application: B holds old⊕new of the byte range [Off, Off+len(B)) of
 // data shard DI. A slice of these is what delta-based reclamation
 // hands the kernels, so many KV deltas fold into a parity shard in one
-// pass over the parity (ApplyDeltas) instead of one pass per delta.
+// ApplyDeltas call.
 type ShardDelta struct {
 	DI  int
 	Off int
@@ -33,13 +33,8 @@ type ShardDelta struct {
 // Code is a systematic linear erasure code over k equal-size data
 // blocks and m parity blocks. All methods operate on whole shards of
 // one stripe; shards must be the same length (for the XOR code, a
-// multiple of SegmentAlign).
-//
-// Every heavy kernel is banded internally on the column range [lo, hi)
-// of the code's band dimension; bands are disjoint (no two read or
-// write the same parity byte), so the whole-shard methods fan them out
-// over the package worker pool when SetWorkers on the concrete type
-// asks for it.
+// multiple of SegmentAlign). Every kernel runs on the calling
+// goroutine; a code is safe for concurrent use on distinct stripes.
 type Code interface {
 	// Name identifies the code ("xor" or "rs") in reports.
 	Name() string
@@ -53,20 +48,12 @@ type Code interface {
 	// reports ErrShardSize-wrapped errors for mismatched inputs that
 	// would otherwise silently corrupt parity.
 	Encode(data, parity [][]byte) error
-	// Update folds a change to data shard di into the parity shards:
-	// delta is old⊕new of the byte range [off, off+len(delta)) of that
-	// shard. This is the linearity property (§3.3.3): parity follows
-	// without re-reading the other data shards.
-	Update(parity [][]byte, di int, off int, delta []byte)
-	// UpdateOne folds the same delta into a single parity shard pi.
-	// Aceso stores each parity block of a stripe on a different memory
-	// node, and each parity node folds its local DELTA block in
-	// independently (§3.3.2), so per-parity application is the form
-	// the servers actually use.
-	UpdateOne(pi int, parity []byte, di int, off int, delta []byte)
-	// ApplyDeltas folds every delta into parity shard pi in one pass
-	// over the parity — the batched form of UpdateOne that delta-based
-	// reclamation uses to retire many DELTA blocks together.
+	// ApplyDeltas folds every delta into parity shard pi. This is the
+	// linearity property (§3.3.3): parity follows a data change without
+	// re-reading the other data shards. Aceso stores each parity block
+	// of a stripe on a different memory node, and each parity node
+	// folds its local DELTA blocks in independently (§3.3.2), so the
+	// kernel works on one parity shard at a time.
 	ApplyDeltas(pi int, parity []byte, deltas []ShardDelta)
 	// Reconstruct recomputes the missing shards in place. shards holds
 	// the K data shards followed by the M parity shards; present[i]
@@ -74,18 +61,13 @@ type Code interface {
 	// pre-allocated (their contents are ignored and overwritten).
 	Reconstruct(shards [][]byte, present []bool) error
 	// PlanReconstruct validates the erasure pattern and performs the
-	// solver elimination once, returning a Plan whose RunPooled applies
-	// pure banded XOR/GF work.
+	// solver elimination once, returning a Plan whose Run applies pure
+	// XOR/GF work.
 	// A nil Plan (and nil error) means nothing is missing.
 	PlanReconstruct(shards [][]byte, present []bool) (*Plan, error)
 	// SegmentAlign returns the required shard-length multiple (1 for
 	// codes with no internal layout).
 	SegmentAlign() int
-	// SetWorkers sets the wall-clock fan-out for whole-shard kernels
-	// (Encode, ApplyDeltas, Reconstruct): bands are dispatched to the
-	// package worker pool when n > 1 and the shards are wide enough.
-	// 0 or 1 keeps every kernel on the calling goroutine.
-	SetWorkers(n int)
 }
 
 // xorBytes computes dst[i] ^= src[i] over the overlapping length.
@@ -168,6 +150,11 @@ func checkEncode(c Code, data, parity [][]byte) (size int, err error) {
 		return 0, fmt.Errorf("%w: %d not a multiple of %d", ErrShardSize, size, c.SegmentAlign())
 	}
 	return size, nil
+}
+
+// seg returns segment r of a shard (row r of an X-Code column).
+func seg(shard []byte, r, segSize int) []byte {
+	return shard[r*segSize : (r+1)*segSize]
 }
 
 // zero clears a byte slice.

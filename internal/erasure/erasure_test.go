@@ -40,6 +40,14 @@ func makeStripe(c Code, size int, seed int64) (data, parity, all [][]byte) {
 	return
 }
 
+// update folds delta (old⊕new of data shard di at off) into every
+// parity shard.
+func update(c Code, parity [][]byte, di, off int, delta []byte) {
+	for pi := range parity {
+		c.ApplyDeltas(pi, parity[pi], []ShardDelta{{DI: di, Off: off, B: delta}})
+	}
+}
+
 func shardSize(c Code) int {
 	// A size exercising segment layout: a few segments' worth.
 	return c.SegmentAlign() * 96
@@ -114,7 +122,7 @@ func TestPlanKeep(t *testing.T) {
 						t.Fatalf("%s k=%d erase (%d,%d): %v", c.Name(), k, a, b, err)
 					}
 					pl.Keep(a)
-					pl.run(shards, 0, pl.width)
+					pl.Run(shards)
 					if !bytes.Equal(shards[a], orig[a]) {
 						t.Fatalf("%s k=%d erase (%d,%d): kept shard %d wrong", c.Name(), k, a, b, a)
 					}
@@ -176,7 +184,7 @@ func TestUpdateLinearity(t *testing.T) {
 				copy(delta, data[di][off:off+n])
 				XorInto(delta, newBytes)
 				copy(data[di][off:off+n], newBytes)
-				c.Update(parity, di, off, delta)
+				update(c, parity, di, off, delta)
 
 				fresh := make([][]byte, c.M())
 				for i := range fresh {
@@ -206,10 +214,10 @@ func TestDeltaCommutes(t *testing.T) {
 		d3 := make([]byte, 64)
 		rand.New(rand.NewSource(3)).Read(d0)
 		rand.New(rand.NewSource(4)).Read(d3)
-		c.Update(parity, 0, 16, d0)
-		c.Update(parity, 3, 32, d3)
-		c.Update(p2, 3, 32, d3)
-		c.Update(p2, 0, 16, d0)
+		update(c, parity, 0, 16, d0)
+		update(c, parity, 3, 32, d3)
+		update(c, p2, 3, 32, d3)
+		update(c, p2, 0, 16, d0)
 		for i := range parity {
 			if !bytes.Equal(parity[i], p2[i]) {
 				t.Fatalf("%s: delta application does not commute", c.Name())
@@ -374,10 +382,13 @@ func benchUpdate(b *testing.B, c Code, blockSize, deltaSize int) {
 	_, parity, _ := makeStripe(c, blockSize, 2)
 	delta := make([]byte, deltaSize)
 	rand.New(rand.NewSource(3)).Read(delta)
+	deltas := []ShardDelta{{DI: 1, Off: 0, B: delta}}
 	b.SetBytes(int64(deltaSize))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Update(parity, 1, 0, delta)
+		for pi := range parity {
+			c.ApplyDeltas(pi, parity[pi], deltas)
+		}
 	}
 }
 

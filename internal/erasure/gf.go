@@ -69,8 +69,8 @@ func gfPow(n int) byte {
 func gfInv(a byte) byte { return gfDiv(1, a) }
 
 // mulTable[c] is the full 256-entry multiplication table for constant
-// c (64 KB, built at init so kernels on the erasure pool's goroutines
-// only read it); it makes bulk gfMulSliceXor a single table lookup per byte.
+// c (64 KB, built at init so concurrent kernels only read it); it makes
+// bulk gfMulSliceXor a single table lookup per byte.
 var mulTable [256][256]byte
 
 // gfMulSliceXor computes dst[i] ^= c * src[i] for all i.

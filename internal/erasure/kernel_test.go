@@ -29,54 +29,9 @@ func encodeStripe(t testing.TB, c Code, size int, seed int64) (data, parity, all
 	return
 }
 
-// TestEncodeParallelMatchesSerial pins the band decomposition: fanning
-// the kernels over workers must produce byte-identical parity.
-func TestEncodeParallelMatchesSerial(t *testing.T) {
-	xc, _ := NewXor(6)
-	rs, _ := NewRS(6, 2)
-	for _, c := range []Code{xc, rs} {
-		// Wide enough that poolWorkers actually splits: band width must
-		// be >= 2*minBandBytes.
-		size := c.SegmentAlign() * (4 * minBandBytes / c.SegmentAlign())
-		data, parity, _ := encodeStripe(t, c, size, 11)
-		want := make([][]byte, len(parity))
-		for i := range parity {
-			want[i] = append([]byte(nil), parity[i]...)
-			zero(parity[i])
-		}
-		switch cc := c.(type) {
-		case *XorCode:
-			cc.SetWorkers(4)
-		case *RSCode:
-			cc.SetWorkers(4)
-		}
-		if err := c.Encode(data, parity); err != nil {
-			t.Fatal(err)
-		}
-		for i := range parity {
-			if !bytes.Equal(parity[i], want[i]) {
-				t.Fatalf("%s: parity %d differs between 1 and 4 workers", c.Name(), i)
-			}
-		}
-	}
-
-	x, _ := NewXCode(5)
-	segSize := 2 * minBandBytes
-	cols := makeXCols(x, segSize, 12)
-	want := make([][]byte, len(cols))
-	for i := range cols {
-		want[i] = append([]byte(nil), cols[i]...)
-	}
-	x.SetWorkers(4)
-	if err := x.Encode(cols); err != nil {
-		t.Fatal(err)
-	}
-	for i := range cols {
-		if !bytes.Equal(cols[i], want[i]) {
-			t.Fatalf("xcode: column %d differs between 1 and 4 workers", i)
-		}
-	}
-}
+// testSegBytes is the EVENODD segment length of the wide stripes below:
+// 64 KiB segments make 256 KiB shards at p=5.
+const testSegBytes = 64 << 10
 
 // TestXorRoundTripAllPrimes is the property sweep the EVENODD decoder
 // must satisfy: for every supported prime (k chosen to select it),
@@ -147,15 +102,15 @@ func TestXorRoundTripAllPrimes(t *testing.T) {
 }
 
 // TestApplyDeltasMatchesUpdates pins the batched apply: folding a batch
-// of deltas in one pass must equal applying them one by one, for both
-// parity shards, at offsets that straddle segment boundaries and the
+// of deltas into each parity shard must equal re-encoding the updated
+// data shards, at offsets that straddle segment boundaries and the
 // adjuster diagonal.
 func TestApplyDeltasMatchesUpdates(t *testing.T) {
 	xc, _ := NewXor(4)
 	rs, _ := NewRS(4, 2)
 	for _, c := range []Code{xc, rs} {
 		size := c.SegmentAlign() * 128
-		_, parity, _ := encodeStripe(t, c, size, 21)
+		data, parity, _ := encodeStripe(t, c, size, 21)
 		rng := rand.New(rand.NewSource(22))
 		var deltas []ShardDelta
 		for i := 0; i < 12; i++ {
@@ -166,14 +121,20 @@ func TestApplyDeltasMatchesUpdates(t *testing.T) {
 			deltas = append(deltas, ShardDelta{DI: rng.Intn(c.K()), Off: off, B: b})
 		}
 		for pi := 0; pi < c.M(); pi++ {
-			batched := append([]byte(nil), parity[pi]...)
-			oneByOne := append([]byte(nil), parity[pi]...)
-			c.ApplyDeltas(pi, batched, deltas)
-			for _, d := range deltas {
-				c.UpdateOne(pi, oneByOne, d.DI, d.Off, d.B)
-			}
-			if !bytes.Equal(batched, oneByOne) {
-				t.Fatalf("%s parity %d: batched apply diverges from sequential updates", c.Name(), pi)
+			c.ApplyDeltas(pi, parity[pi], deltas)
+		}
+		// The same deltas folded into the data shards: a fresh Encode of
+		// them is the reference parity.
+		for _, d := range deltas {
+			XorInto(data[d.DI][d.Off:d.Off+len(d.B)], d.B)
+		}
+		fresh := [][]byte{make([]byte, size), make([]byte, size)}
+		if err := c.Encode(data, fresh); err != nil {
+			t.Fatal(err)
+		}
+		for pi := range fresh {
+			if !bytes.Equal(parity[pi], fresh[pi]) {
+				t.Fatalf("%s parity %d: batched apply diverges from a fresh encode", c.Name(), pi)
 			}
 		}
 	}
@@ -241,17 +202,18 @@ func TestPresentVectorTyped(t *testing.T) {
 }
 
 // TestSteadyStateAllocs pins the zero-allocation invariants of the hot
-// paths: encode (serial and fanned out), delta update, batched apply,
-// and the no-loss reconstruct fast paths.
+// paths: encode, a one-delta and a batched apply, and the no-loss
+// reconstruct fast paths.
 func TestSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector drops sync.Pool puts at random; alloc pins don't hold")
 	}
-	c, _ := NewXor(4)                      // p=5
-	size := (c.p - 1) * (2 * minBandBytes) // band width 2*minBandBytes
+	c, _ := NewXor(4) // p=5
+	size := (c.p - 1) * testSegBytes
 	data, parity, all := encodeStripe(t, c, size, 31)
 	delta := make([]byte, 4096)
 	rand.New(rand.NewSource(32)).Read(delta)
+	one := []ShardDelta{{DI: 1, Off: 100, B: delta}}
 	deltas := []ShardDelta{{DI: 0, Off: 0, B: delta}, {DI: 2, Off: size / 2, B: delta}}
 	present := make([]bool, len(all))
 	for i := range present {
@@ -262,12 +224,12 @@ func TestSteadyStateAllocs(t *testing.T) {
 		name string
 		f    func()
 	}{
-		{"encode-serial", func() {
+		{"encode", func() {
 			if err := c.Encode(data, parity); err != nil {
 				t.Error(err)
 			}
 		}},
-		{"update-one", func() { c.UpdateOne(1, parity[1], 1, 100, delta) }},
+		{"apply-one-delta", func() { c.ApplyDeltas(1, parity[1], one) }},
 		{"apply-deltas", func() { c.ApplyDeltas(1, parity[1], deltas) }},
 		{"reconstruct-none-missing", func() {
 			if err := c.Reconstruct(all, present); err != nil {
@@ -279,15 +241,6 @@ func TestSteadyStateAllocs(t *testing.T) {
 		if avg := testing.AllocsPerRun(20, tc.f); avg != 0 {
 			t.Errorf("%s: %.1f allocs/op, want 0", tc.name, avg)
 		}
-	}
-
-	c.SetWorkers(4)
-	if avg := testing.AllocsPerRun(20, func() {
-		if err := c.Encode(data, parity); err != nil {
-			t.Error(err)
-		}
-	}); avg != 0 {
-		t.Errorf("encode-pooled: %.1f allocs/op, want 0", avg)
 	}
 
 	x, _ := NewXCode(5)
@@ -305,13 +258,13 @@ func TestSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestConcurrentKernelStress drives Encode, UpdateOne, ApplyDeltas and
-// Reconstruct concurrently through the shared worker pool — run under
-// -race this checks the fan-out's synchronisation and band disjointness.
+// TestConcurrentKernelStress drives Encode, ApplyDeltas and Reconstruct
+// from six goroutines sharing one XorCode — run under -race this checks
+// that concurrent callers on distinct stripes share only the code's
+// pooled adjuster scratch, and never the same buffer at once.
 func TestConcurrentKernelStress(t *testing.T) {
 	c, _ := NewXor(4) // p=5
-	c.SetWorkers(4)
-	size := (c.p - 1) * (2 * minBandBytes)
+	size := (c.p - 1) * testSegBytes
 	var wg sync.WaitGroup
 	for g := 0; g < 6; g++ {
 		wg.Add(1)
@@ -332,10 +285,10 @@ func TestConcurrentKernelStress(t *testing.T) {
 				}
 				rng.Read(delta)
 				off := rng.Intn(size - len(delta))
-				c.UpdateOne(1, parity[1], rng.Intn(c.K()), off, delta)
+				c.ApplyDeltas(1, parity[1], []ShardDelta{{DI: rng.Intn(c.K()), Off: off, B: delta}})
 				c.ApplyDeltas(0, parity[0], []ShardDelta{{DI: 1, Off: off, B: delta}})
 				// Re-encode so the stripe is consistent, then erase and
-				// reconstruct through the pool.
+				// reconstruct.
 				if err := c.Encode(data, parity); err != nil {
 					t.Error(err)
 					return
@@ -368,23 +321,8 @@ func TestConcurrentKernelStress(t *testing.T) {
 // the lz4 no-alloc pin.
 func BenchmarkXorEncode(b *testing.B) {
 	c, _ := NewXor(4)
-	size := (c.p - 1) * (2 * minBandBytes)
+	size := (c.p - 1) * testSegBytes
 	data, parity, _ := encodeStripe(b, c, size, 51)
-	b.SetBytes(int64(c.K() * size))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := c.Encode(data, parity); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkXorEncodeParallel(b *testing.B) {
-	c, _ := NewXor(4)
-	c.SetWorkers(4)
-	size := (c.p - 1) * (2 * minBandBytes)
-	data, parity, _ := encodeStripe(b, c, size, 52)
 	b.SetBytes(int64(c.K() * size))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -397,21 +335,22 @@ func BenchmarkXorEncodeParallel(b *testing.B) {
 
 func BenchmarkXorUpdate(b *testing.B) {
 	c, _ := NewXor(4)
-	size := (c.p - 1) * (2 * minBandBytes)
+	size := (c.p - 1) * testSegBytes
 	_, parity, _ := encodeStripe(b, c, size, 53)
 	delta := make([]byte, 4096)
 	rand.New(rand.NewSource(54)).Read(delta)
+	one := []ShardDelta{{DI: 1, Off: 64, B: delta}}
 	b.SetBytes(int64(len(delta)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.UpdateOne(1, parity[1], 1, 64, delta)
+		c.ApplyDeltas(1, parity[1], one)
 	}
 }
 
 func BenchmarkXorApplyDeltas(b *testing.B) {
 	c, _ := NewXor(4)
-	size := (c.p - 1) * (2 * minBandBytes)
+	size := (c.p - 1) * testSegBytes
 	_, parity, _ := encodeStripe(b, c, size, 55)
 	rng := rand.New(rand.NewSource(56))
 	deltas := make([]ShardDelta, 4)
@@ -427,19 +366,26 @@ func BenchmarkXorApplyDeltas(b *testing.B) {
 	}
 }
 
+// BenchmarkXorReconstruct times the data movement of a two-shard
+// recovery: the plan is built once, as a recovery does per erasure
+// pattern, and Run is the kernel. BenchmarkReconstruct2Xor times the
+// whole Reconstruct, solver included.
 func BenchmarkXorReconstruct(b *testing.B) {
 	c, _ := NewXor(4)
-	size := (c.p - 1) * (2 * minBandBytes)
+	size := (c.p - 1) * testSegBytes
 	_, _, all := encodeStripe(b, c, size, 57)
 	present := make([]bool, len(all))
 	for i := range present {
 		present[i] = i != 0 && i != 2
 	}
+	pl, err := c.PlanReconstruct(all, present)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.SetBytes(int64(2 * size))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := c.Reconstruct(all, present); err != nil {
-			b.Fatal(err)
-		}
+		pl.Run(all)
 	}
 }

@@ -8,14 +8,8 @@ import "fmt"
 // Any one or two lost shards are recoverable. It is the GF-based
 // comparator of Table 2: correct but slower than the XOR-only code
 // because encoding and reconstruction perform GF multiplications.
-//
-// RS shards have no internal segment layout, so the band dimension is
-// the shard itself: band [lo, hi) reads and writes bytes [lo, hi) of
-// every shard, and SetWorkers fans whole-shard kernels out over the
-// package worker pool.
 type RSCode struct {
-	k, m    int
-	workers int
+	k, m int
 }
 
 // NewRS creates a Reed-Solomon code with k data shards and m parity
@@ -39,90 +33,29 @@ func (c *RSCode) M() int { return c.m }
 // SegmentAlign implements Code.
 func (c *RSCode) SegmentAlign() int { return 1 }
 
-// SetWorkers sets the wall-clock fan-out for whole-shard kernels
-// (clamped per call by band width; ≤1 keeps everything on the caller).
-func (c *RSCode) SetWorkers(n int) { c.workers = n }
-
 // coef returns the encoding coefficient of data shard di in parity row
 // pi.
 func (c *RSCode) coef(pi, di int) byte { return gfPow(pi * di) }
 
 // Encode implements Code.
 func (c *RSCode) Encode(data, parity [][]byte) error {
-	size, err := checkEncode(c, data, parity)
-	if err != nil {
+	if _, err := checkEncode(c, data, parity); err != nil {
 		return err
 	}
-	nw := poolWorkers(c.workers, size)
-	if nw <= 1 {
-		c.encodeBand(data, parity, 0, size)
-		return nil
+	for pi := 0; pi < c.m; pi++ {
+		zero(parity[pi])
+		for di := 0; di < c.k; di++ {
+			gfMulSliceXor(c.coef(pi, di), parity[pi], data[di])
+		}
 	}
-	shared.mu.Lock()
-	shared.job.kind = jobRSEncode
-	shared.job.rc = c
-	shared.job.data = data
-	shared.job.parity = parity
-	shared.fanOut(size, nw)
-	shared.mu.Unlock()
 	return nil
 }
 
-// encodeBand computes bytes [lo, hi) of every parity shard.
-func (c *RSCode) encodeBand(data, parity [][]byte, lo, hi int) {
-	if lo >= hi {
-		return
-	}
-	for pi := 0; pi < c.m; pi++ {
-		zero(parity[pi][lo:hi])
-		for di := 0; di < c.k; di++ {
-			gfMulSliceXor(c.coef(pi, di), parity[pi][lo:hi], data[di][lo:hi])
-		}
-	}
-}
-
-// Update implements Code: parity_i ^= g^(i·di) * delta at off.
-func (c *RSCode) Update(parity [][]byte, di int, off int, delta []byte) {
-	for pi := 0; pi < c.m; pi++ {
-		c.UpdateOne(pi, parity[pi], di, off, delta)
-	}
-}
-
-// UpdateOne implements Code for a single parity shard.
-func (c *RSCode) UpdateOne(pi int, parity []byte, di int, off int, delta []byte) {
-	gfMulSliceXor(c.coef(pi, di), parity[off:off+len(delta)], delta)
-}
-
-// ApplyDeltas implements Code.
+// ApplyDeltas implements Code: parity_pi ^= g^(pi·DI) * B at Off, for
+// every delta.
 func (c *RSCode) ApplyDeltas(pi int, parity []byte, deltas []ShardDelta) {
-	nw := poolWorkers(c.workers, len(parity))
-	if nw <= 1 {
-		c.applyDeltasBand(pi, parity, deltas, 0, len(parity))
-		return
-	}
-	shared.mu.Lock()
-	shared.job.kind = jobRSApply
-	shared.job.rc = c
-	shared.job.pi = pi
-	shared.job.pshard = parity
-	shared.job.deltas = deltas
-	shared.fanOut(len(parity), nw)
-	shared.mu.Unlock()
-}
-
-func (c *RSCode) applyDeltasBand(pi int, parity []byte, deltas []ShardDelta, lo, hi int) {
 	for _, d := range deltas {
-		a, b := d.Off, d.Off+len(d.B)
-		if a < lo {
-			a = lo
-		}
-		if b > hi {
-			b = hi
-		}
-		if a >= b {
-			continue
-		}
-		gfMulSliceXor(c.coef(pi, d.DI), parity[a:b], d.B[a-d.Off:b-d.Off])
+		gfMulSliceXor(c.coef(pi, d.DI), parity[d.Off:d.Off+len(d.B)], d.B)
 	}
 }
 
@@ -131,9 +64,9 @@ func (c *RSCode) applyDeltasBand(pi int, parity []byte, deltas []ShardDelta, lo,
 // unknown shards while a mirrored lambda matrix tracks each row as a
 // combination of the original equations. Solved shard mi then equals
 // Σ_s (Σ_e λ[e]·coef(e,s)) · shard_s over the present shards — flat
-// per-shard coefficients, applied bandwise with no solver buffers.
+// per-shard coefficients, applied with no solver buffers.
 func (c *RSCode) PlanReconstruct(shards [][]byte, present []bool) (*Plan, error) {
-	size, missing, err := checkShards(c, shards, present)
+	_, missing, err := checkShards(c, shards, present)
 	if err != nil {
 		return nil, err
 	}
@@ -204,7 +137,7 @@ func (c *RSCode) PlanReconstruct(shards [][]byte, present []bool) (*Plan, error)
 		nextRow++
 	}
 
-	pl := &Plan{width: size}
+	pl := &Plan{}
 	for i, mi := range missing {
 		l := lam[pivotRow[i]]
 		var terms []rsTerm
@@ -226,13 +159,12 @@ func (c *RSCode) PlanReconstruct(shards [][]byte, present []bool) (*Plan, error)
 	return pl, nil
 }
 
-// Reconstruct implements Code: solve once, apply bandwise (fanned out
-// over the pool when configured).
+// Reconstruct implements Code: solve once, then apply the plan.
 func (c *RSCode) Reconstruct(shards [][]byte, present []bool) error {
 	pl, err := c.PlanReconstruct(shards, present)
 	if err != nil || pl == nil {
 		return err
 	}
-	runPlanPooled(pl, shards, c.workers)
+	pl.Run(shards)
 	return nil
 }

@@ -3,23 +3,18 @@ package erasure
 import "fmt"
 
 // Plan is a prepared reconstruction: the solver elimination has already
-// run symbolically, leaving only data movement. run applies the plan to
-// any band [lo, hi) of the band dimension, and bands are disjoint (each
-// touches only those columns of every segment), so RunPooled fans a
-// plan out over the package worker pool with no further
-// synchronisation.
+// run symbolically, leaving only data movement, which Run applies.
 //
 // A plan holds either XOR targets/terms (EVENODD, X-Code) or flat
 // GF(2^8) coefficients (Reed-Solomon); the other set is empty.
 type Plan struct {
 	segSize int // cell granularity for XOR terms
-	width   int // band dimension length
 
-	// XOR form: targets[i] = ⊕ terms[i] over the band.
+	// XOR form: targets[i] = ⊕ terms[i].
 	targets []cell
 	terms   [][]cell
 
-	// RS form: shards[rsTargets[i]] = Σ cf·shards[src] over the band.
+	// RS form: shards[rsTargets[i]] = Σ cf·shards[src].
 	rsTargets []int
 	rsTerms   [][]rsTerm
 }
@@ -30,30 +25,22 @@ type rsTerm struct {
 	src int
 }
 
-// run applies the plan to band [lo, hi) of [0, width). shards must be
-// the same matrix the plan was built for (missing shards pre-allocated;
+// Run applies the plan on the calling goroutine. shards must be the
+// same matrix the plan was built for (missing shards pre-allocated;
 // they are overwritten).
-func (pl *Plan) run(shards [][]byte, lo, hi int) {
-	if hi > pl.width {
-		hi = pl.width
-	}
-	if lo >= hi {
-		return
-	}
+func (pl *Plan) Run(shards [][]byte) {
 	for i, t := range pl.targets {
-		base := t.seg * pl.segSize
-		dst := shards[t.shard][base+lo : base+hi]
+		dst := seg(shards[t.shard], t.seg, pl.segSize)
 		zero(dst)
 		for _, s := range pl.terms[i] {
-			sb := s.seg * pl.segSize
-			xorBytes(dst, shards[s.shard][sb+lo:sb+hi])
+			xorBytes(dst, seg(shards[s.shard], s.seg, pl.segSize))
 		}
 	}
 	for i, t := range pl.rsTargets {
-		dst := shards[t][lo:hi]
+		dst := shards[t]
 		zero(dst)
 		for _, s := range pl.rsTerms[i] {
-			gfMulSliceXor(s.cf, dst, shards[s.src][lo:hi])
+			gfMulSliceXor(s.cf, dst, shards[s.src])
 		}
 	}
 }
@@ -82,13 +69,6 @@ func (pl *Plan) Keep(shard int) {
 	pl.rsTargets, pl.rsTerms = pl.rsTargets[:n], pl.rsTerms[:n]
 }
 
-// RunPooled applies the whole plan, fanning bands out over the
-// package's wall-clock worker pool when workers and the plan width
-// allow (the same split Reconstruct uses internally).
-func (pl *Plan) RunPooled(shards [][]byte, workers int) {
-	runPlanPooled(pl, shards, workers)
-}
-
 // buildXorPlan eliminates an XOR parity system symbolically. Every
 // equation is a set of cells XORing to zero; the unknowns are the cells
 // of missing shards. Rows are bit vectors over the unknowns, and each
@@ -96,9 +76,9 @@ func (pl *Plan) RunPooled(shards [][]byte, workers int) {
 // into it. After Gauss-Jordan each pivot row holds exactly one unknown,
 // whose value is therefore the XOR of the known cells of the folded
 // equations — cells appearing an even number of times cancel. That
-// expansion is the whole output: reconstruction becomes a pure banded
-// XOR with no solver state or right-hand-side buffers at apply time.
-func buildXorPlan(equations [][]cell, unknowns []cell, segSize, width int) (*Plan, error) {
+// expansion is the whole output: reconstruction becomes a pure XOR with
+// no solver state or right-hand-side buffers at apply time.
+func buildXorPlan(equations [][]cell, unknowns []cell, segSize int) (*Plan, error) {
 	// Index cells into a flat table (shard-major) so unknown lookups
 	// and multiplicity counting in the expansion below are array
 	// indexing, not map operations — for p=257 patterns the expansion
@@ -187,7 +167,7 @@ func buildXorPlan(equations [][]cell, unknowns []cell, segSize, width int) (*Pla
 	// Expand each pivot row's folded equations into a known-cell term
 	// list with odd multiplicity. First-seen order keeps plans
 	// deterministic for a given erasure pattern.
-	pl := &Plan{segSize: segSize, width: width}
+	pl := &Plan{segSize: segSize}
 	count := make([]int32, len(varAt))
 	for v, u := range order {
 		m := masks[pivotRow[v]]

@@ -15,13 +15,8 @@ import "fmt"
 // equal-property EVENODD layout (see XorCode) that matches Aceso's
 // DATA/PARITY block metadata. X-Code is provided for kernel
 // benchmarking and as a faithful implementation of the cited code.
-//
-// Kernels are banded on the within-segment column range like XorCode's
-// (a band touches only those columns of every row segment), and
-// SetWorkers fans Encode/Reconstruct out over the package worker pool.
 type XCode struct {
-	p       int
-	workers int
+	p int
 }
 
 // NewXCode creates an X-Code over p columns; p must be prime and ≥ 5
@@ -55,15 +50,6 @@ func (x *XCode) DataRows() int { return x.p - 2 }
 // segments per column).
 func (x *XCode) SegmentAlign() int { return x.p }
 
-// SetWorkers sets the wall-clock fan-out for Encode/Reconstruct
-// (clamped per call by band width; ≤1 keeps everything on the caller).
-func (x *XCode) SetWorkers(n int) { x.workers = n }
-
-// seg returns segment (row) r of column col.
-func seg(col []byte, r, segSize int) []byte {
-	return col[r*segSize : (r+1)*segSize]
-}
-
 // Encode fills the two parity rows (p−2 and p−1) of every column from
 // the data rows (0..p−3). cols must hold p equal-length columns, each
 // a multiple of p segments.
@@ -72,40 +58,18 @@ func (x *XCode) Encode(cols [][]byte) error {
 	if err != nil {
 		return err
 	}
-	nw := poolWorkers(x.workers, segSize)
-	if nw <= 1 {
-		x.encodeBand(cols, 0, segSize)
-		return nil
-	}
-	shared.mu.Lock()
-	shared.job.kind = jobXEncode
-	shared.job.x = x
-	shared.job.data = cols
-	shared.fanOut(segSize, nw)
-	shared.mu.Unlock()
-	return nil
-}
-
-// encodeBand computes the [lo, hi) columns of both parity rows in
-// every column of the array.
-func (x *XCode) encodeBand(cols [][]byte, lo, hi int) {
-	if lo >= hi {
-		return
-	}
 	p := x.p
-	segSize := len(cols[0]) / p
 	for i := 0; i < p; i++ {
-		r1 := cols[i][(p-2)*segSize+lo : (p-2)*segSize+hi]
-		r2 := cols[i][(p-1)*segSize+lo : (p-1)*segSize+hi]
+		r1 := seg(cols[i], p-2, segSize)
+		r2 := seg(cols[i], p-1, segSize)
 		zero(r1)
 		zero(r2)
 		for k := 0; k <= p-3; k++ {
-			c1 := cols[(i+k+2)%p]
-			c2 := cols[((i-k-2)%p+p)%p]
-			xorBytes(r1, c1[k*segSize+lo:k*segSize+hi])
-			xorBytes(r2, c2[k*segSize+lo:k*segSize+hi])
+			xorBytes(r1, seg(cols[(i+k+2)%p], k, segSize))
+			xorBytes(r2, seg(cols[((i-k-2)%p+p)%p], k, segSize))
 		}
 	}
+	return nil
 }
 
 // equations lists the 2p parity equations as cell sets (cell.shard is
@@ -126,7 +90,7 @@ func (x *XCode) equations() [][]cell {
 }
 
 // PlanReconstruct validates the erasure pattern and eliminates the
-// parity system once, returning a banded plan (nil when no column is
+// parity system once, returning a plan (nil when no column is
 // missing). The loss count is taken before any solver state exists, so
 // the no-loss fast path allocates nothing, and a present vector of the
 // wrong length is caller misuse reported as ErrPresent — distinct from
@@ -160,7 +124,7 @@ func (x *XCode) PlanReconstruct(cols [][]byte, present []bool) (*Plan, error) {
 			unknowns = append(unknowns, cell{i, r})
 		}
 	}
-	return buildXorPlan(x.equations(), unknowns, segSize, segSize)
+	return buildXorPlan(x.equations(), unknowns, segSize)
 }
 
 // Reconstruct recovers up to two missing columns in place (missing
@@ -171,7 +135,7 @@ func (x *XCode) Reconstruct(cols [][]byte, present []bool) error {
 	if err != nil || pl == nil {
 		return err
 	}
-	runPlanPooled(pl, cols, x.workers)
+	pl.Run(cols)
 	return nil
 }
 

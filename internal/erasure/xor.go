@@ -20,19 +20,12 @@ import (
 // every column, which contradicts Aceso's own metadata model of
 // dedicated DATA and PARITY blocks (Figure 5), so we use the
 // equivalent-property EVENODD layout. See DESIGN.md §9.
-//
-// Parallelism: every kernel is banded on the within-segment column
-// range [lo, hi) — band [lo, hi) reads and writes only those columns
-// of every P/Q segment (and of the adjuster scratch), so bands are
-// disjoint and SetWorkers fans whole-shard calls out over the package
-// worker pool.
 type XorCode struct {
-	k       int
-	p       int // prime, >= k
-	workers int
-	// scratch pools per-band adjuster buffers: each band's encode
-	// needs its own S accumulator, and pooling keeps the steady-state
-	// encode path at 0 allocs/op.
+	k int
+	p int // prime, >= k
+	// scratch pools adjuster buffers: each concurrent encode needs its
+	// own S accumulator, and pooling keeps the steady-state encode path
+	// at 0 allocs/op.
 	scratch sync.Pool
 }
 
@@ -68,11 +61,6 @@ func (c *XorCode) M() int { return 2 }
 // SegmentAlign implements Code: shard length must be a multiple of p−1.
 func (c *XorCode) SegmentAlign() int { return c.p - 1 }
 
-// SetWorkers sets the wall-clock fan-out for whole-shard kernels
-// (clamped per call by band width; ≤1 keeps everything on the caller).
-// Not safe to change while kernels are in flight — configure at setup.
-func (c *XorCode) SetWorkers(n int) { c.workers = n }
-
 // getScratch returns a pooled adjuster buffer of capacity ≥ n.
 func (c *XorCode) getScratch(n int) *[]byte {
 	sp, _ := c.scratch.Get().(*[]byte)
@@ -93,131 +81,62 @@ func (c *XorCode) Encode(data, parity [][]byte) error {
 	if err != nil {
 		return err
 	}
-	segSize := size / (c.p - 1)
-	nw := poolWorkers(c.workers, segSize)
-	if nw <= 1 {
-		c.encodeBand(data, parity, 0, segSize)
-		return nil
-	}
-	shared.mu.Lock()
-	shared.job.kind = jobXorEncode
-	shared.job.xc = c
-	shared.job.data = data
-	shared.job.parity = parity
-	shared.fanOut(segSize, nw)
-	shared.mu.Unlock()
-	return nil
-}
-
-// encodeBand computes the [lo, hi) columns of every P and Q segment.
-func (c *XorCode) encodeBand(data, parity [][]byte, lo, hi int) {
-	if lo >= hi {
-		return
-	}
 	rp, q := parity[0], parity[1]
-	segSize := len(rp) / (c.p - 1)
-	sp := c.getScratch(hi - lo)
-	s := (*sp)[:hi-lo] // the adjuster diagonal p−1, band columns only
+	segSize := size / (c.p - 1)
+	sp := c.getScratch(segSize)
+	s := (*sp)[:segSize] // the adjuster diagonal p−1
 	zero(s)
-	for r := 0; r < c.p-1; r++ {
-		zero(rp[r*segSize+lo : r*segSize+hi])
-		zero(q[r*segSize+lo : r*segSize+hi])
-	}
+	zero(rp)
+	zero(q)
 	for di := 0; di < c.k; di++ {
 		shard := data[di]
 		for r := 0; r < c.p-1; r++ {
-			piece := shard[r*segSize+lo : r*segSize+hi]
-			xorBytes(rp[r*segSize+lo:r*segSize+hi], piece)
+			piece := seg(shard, r, segSize)
+			xorBytes(seg(rp, r, segSize), piece)
 			d := (r + di) % c.p
 			if d == c.p-1 {
 				xorBytes(s, piece)
 			} else {
-				xorBytes(q[d*segSize+lo:d*segSize+hi], piece)
+				xorBytes(seg(q, d, segSize), piece)
 			}
 		}
 	}
 	// Fold the adjuster into every Q segment.
 	for t := 0; t < c.p-1; t++ {
-		xorBytes(q[t*segSize+lo:t*segSize+hi], s)
+		xorBytes(seg(q, t, segSize), s)
 	}
 	c.scratch.Put(sp)
-}
-
-// Update implements Code: fold delta (old⊕new of data shard di at byte
-// offset off) into P and Q.
-func (c *XorCode) Update(parity [][]byte, di int, off int, delta []byte) {
-	for pi := range parity {
-		c.UpdateOne(pi, parity[pi], di, off, delta)
-	}
-}
-
-// UpdateOne implements Code for a single parity shard.
-func (c *XorCode) UpdateOne(pi int, parity []byte, di int, off int, delta []byte) {
-	c.updateOneBand(pi, parity, di, off, delta, 0, len(parity)/(c.p-1))
+	return nil
 }
 
 // ApplyDeltas implements Code: fold every delta into parity shard pi in
-// one pass, fanned out over the pool when configured.
-func (c *XorCode) ApplyDeltas(pi int, parity []byte, deltas []ShardDelta) {
-	width := len(parity) / (c.p - 1)
-	nw := poolWorkers(c.workers, width)
-	if nw <= 1 {
-		c.applyDeltasBand(pi, parity, deltas, 0, width)
-		return
-	}
-	shared.mu.Lock()
-	shared.job.kind = jobXorApply
-	shared.job.xc = c
-	shared.job.pi = pi
-	shared.job.pshard = parity
-	shared.job.deltas = deltas
-	shared.fanOut(width, nw)
-	shared.mu.Unlock()
-}
-
-func (c *XorCode) applyDeltasBand(pi int, parity []byte, deltas []ShardDelta, lo, hi int) {
-	for _, d := range deltas {
-		c.updateOneBand(pi, parity, d.DI, d.Off, d.B, lo, hi)
-	}
-}
-
-// updateOneBand folds delta into the [lo, hi) columns of parity shard
-// pi. Walking the delta row by row, each piece lands at the same
+// one pass. Walking a delta row by row, each piece lands at the same
 // within-segment offsets in P, on one diagonal of Q, or — on the
-// adjuster diagonal — in every Q segment; in all three cases only
-// band columns are touched, so bands stay disjoint across workers.
-func (c *XorCode) updateOneBand(pi int, parity []byte, di, off int, delta []byte, lo, hi int) {
-	if len(delta) == 0 || lo >= hi {
-		return
-	}
+// adjuster diagonal — in every Q segment.
+func (c *XorCode) ApplyDeltas(pi int, parity []byte, deltas []ShardDelta) {
 	segSize := len(parity) / (c.p - 1)
-	r0 := off / segSize
-	r1 := (off + len(delta) - 1) / segSize
-	for r := r0; r <= r1; r++ {
-		// Intersect the delta's reach into row r with the band.
-		a := lo
-		if s := off - r*segSize; s > a {
-			a = s
-		}
-		b := hi
-		if e := off + len(delta) - r*segSize; e < b {
-			b = e
-		}
-		if a >= b {
+	for _, dl := range deltas {
+		if len(dl.B) == 0 {
 			continue
 		}
-		piece := delta[r*segSize+a-off : r*segSize+b-off]
-		if pi == 0 { // P: plain XOR at the same offsets
-			xorBytes(parity[r*segSize+a:r*segSize+b], piece)
-			continue
-		}
-		d := (r + di) % c.p
-		if d == c.p-1 {
-			for t := 0; t < c.p-1; t++ {
-				xorBytes(parity[t*segSize+a:t*segSize+b], piece)
+		end := dl.Off + len(dl.B)
+		for r := dl.Off / segSize; r <= (end-1)/segSize; r++ {
+			// The delta's reach into row r, as within-segment offsets.
+			a := max(dl.Off-r*segSize, 0)
+			b := min(end-r*segSize, segSize)
+			piece := dl.B[r*segSize+a-dl.Off : r*segSize+b-dl.Off]
+			if pi == 0 { // P: plain XOR at the same offsets
+				xorBytes(parity[r*segSize+a:r*segSize+b], piece)
+				continue
 			}
-		} else {
-			xorBytes(parity[d*segSize+a:d*segSize+b], piece)
+			d := (r + dl.DI) % c.p
+			if d == c.p-1 {
+				for t := 0; t < c.p-1; t++ {
+					xorBytes(parity[t*segSize+a:t*segSize+b], piece)
+				}
+			} else {
+				xorBytes(parity[d*segSize+a:d*segSize+b], piece)
+			}
 		}
 	}
 }
@@ -277,7 +196,7 @@ func (c *XorCode) PlanReconstruct(shards [][]byte, present []bool) (*Plan, error
 			unknowns = append(unknowns, cell{mi, r})
 		}
 	}
-	return buildXorPlan(c.equations(), unknowns, segSize, segSize)
+	return buildXorPlan(c.equations(), unknowns, segSize)
 }
 
 // Reconstruct implements Code.
@@ -286,6 +205,6 @@ func (c *XorCode) Reconstruct(shards [][]byte, present []bool) error {
 	if err != nil || pl == nil {
 		return err
 	}
-	runPlanPooled(pl, shards, c.workers)
+	pl.Run(shards)
 	return nil
 }
