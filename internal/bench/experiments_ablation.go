@@ -32,15 +32,7 @@ func runAblCkptMode(o Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		keys := o.OpsPerClient
-		gens := make([]workload.Generator, o.Clients)
-		for i := range gens {
-			gens[i] = &seqGen{phases: []workload.Generator{
-				workload.NewMicro(workload.OpInsert, i, 0),
-				workload.NewMicro(workload.OpSearch, i, uint64(keys)),
-			}, remaining: keys}
-		}
-		m, err := runPhase(r, gens, keys, lo.OpsPerClient, o.KVSize, 10*time.Minute)
+		m, err := microPhase(r, lo, workload.OpSearch, o.OpsPerClient)
 		r.shutdown()
 		if err != nil {
 			return nil, err
@@ -73,15 +65,7 @@ func runAblDeltaCopies(o Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		keys := o.OpsPerClient
-		gens := make([]workload.Generator, o.Clients)
-		for i := range gens {
-			gens[i] = &seqGen{phases: []workload.Generator{
-				workload.NewMicro(workload.OpInsert, i, 0),
-				workload.NewMicro(workload.OpUpdate, i, uint64(keys)),
-			}, remaining: keys}
-		}
-		m, err := runPhase(r, gens, keys, o.OpsPerClient, o.KVSize, 10*time.Minute)
+		m, err := microPhase(r, o, workload.OpUpdate, o.OpsPerClient)
 		r.shutdown()
 		if err != nil {
 			return nil, err

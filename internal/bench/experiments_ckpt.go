@@ -89,15 +89,7 @@ func runFig17(o Options) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			keys := o.OpsPerClient
-			gens := make([]workload.Generator, o.Clients)
-			for g := range gens {
-				gens[g] = &seqGen{phases: []workload.Generator{
-					workload.NewMicro(workload.OpInsert, g, 0),
-					workload.NewMicro(kind, g, uint64(keys)),
-				}, remaining: keys}
-			}
-			m, err := runPhase(r, gens, keys, measured, o.KVSize, 10*time.Minute)
+			m, err := microPhase(r, lo, kind, o.OpsPerClient)
 			r.shutdown()
 			if err != nil {
 				return nil, err

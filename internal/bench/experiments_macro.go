@@ -32,7 +32,7 @@ func macroKeys(o Options) uint64 {
 // runMix measures one operation mix on a fresh cluster of the given
 // system, after preloading the shared keyspace and warming each
 // client.
-func runMix(build func() (runner, error), o Options, mix workload.Mix) (*measured, error) {
+func runMix(build func() (*run, error), o Options, mix workload.Mix) (*measured, error) {
 	r, err := build()
 	if err != nil {
 		return nil, err
@@ -126,7 +126,7 @@ func runFig12(o Options) (*Result, error) {
 		ar.shutdown()
 		return nil, err
 	}
-	eng := ar.platform().Engine()
+	eng := ar.pl.Engine()
 	eng.Run(eng.Now() + 100*time.Millisecond) // drain encoders
 	usage := ar.cl.MemoryUsage()
 	ar.shutdown()
@@ -143,13 +143,8 @@ func runFig12(o Options) (*Result, error) {
 		fr.shutdown()
 		return nil, err
 	}
-	m, err := runPhase(fr, microGens(workload.OpSearch, oa.Clients, writes), 0, 1, oa.KVSize, 10*time.Minute)
-	_ = m
-	fuseeAlloc := fr.cl.Usage().TotalBytes
+	fuseeAlloc := fr.fus.Usage().TotalBytes
 	fr.shutdown()
-	if err != nil {
-		return nil, err
-	}
 
 	mb := func(b uint64) float64 { return float64(b) / (1 << 20) }
 	valid := usage.ValidBytes

@@ -19,30 +19,16 @@ func init() {
 }
 
 // microOps runs the four microbenchmark phases (INSERT, UPDATE,
-// SEARCH, DELETE) against a freshly-built runner and returns the
-// measurements keyed by op kind. Each measuring client preloads its
-// own private key range first (un-timed), so caches and open blocks
-// are warm, as after the paper's load phase.
-func microOps(build func() (runner, error), o Options) (map[workload.Kind]*measured, error) {
+// SEARCH, DELETE), each on a freshly-built run, and returns the
+// measurements keyed by op kind.
+func microOps(build func() (*run, error), o Options) (map[workload.Kind]*measured, error) {
 	out := make(map[workload.Kind]*measured)
-	keys := o.OpsPerClient
-	for _, kind := range []workload.Kind{workload.OpInsert, workload.OpUpdate, workload.OpSearch, workload.OpDelete} {
+	for _, kind := range microKinds {
 		r, err := build()
 		if err != nil {
 			return nil, err
 		}
-		gens := make([]workload.Generator, o.Clients)
-		for i := range gens {
-			var timed workload.Generator = workload.NewMicro(kind, i, uint64(keys))
-			if kind == workload.OpInsert {
-				timed = &offsetMicro{kind: kind, client: i, next: uint64(keys)}
-			}
-			gens[i] = &seqGen{phases: []workload.Generator{
-				workload.NewMicro(workload.OpInsert, i, 0), // preload pass
-				timed,
-			}, remaining: keys}
-		}
-		m, err := runPhase(r, gens, keys, o.OpsPerClient, o.KVSize, 10*time.Minute)
+		m, err := microPhase(r, o, kind, o.OpsPerClient)
 		r.shutdown()
 		if err != nil {
 			return nil, fmt.Errorf("%v phase: %w", kind, err)
@@ -52,19 +38,22 @@ func microOps(build func() (runner, error), o Options) (map[workload.Kind]*measu
 	return out, nil
 }
 
-// seqGen runs one generator for a fixed count, then switches to the
-// next (preload pass followed by the timed op stream).
-type seqGen struct {
-	phases    []workload.Generator
-	remaining int
-}
-
-func (g *seqGen) Next() workload.Op {
-	if g.remaining > 0 && len(g.phases) > 1 {
-		g.remaining--
-		return g.phases[0].Next()
+// microPhase preloads keys private keys per client (un-timed), so
+// caches and open blocks are warm, as after the paper's load phase,
+// then times o.OpsPerClient operations of kind per client over them;
+// INSERTs go to fresh keys past the preloaded range.
+func microPhase(r *run, o Options, kind workload.Kind, keys int) (*measured, error) {
+	if err := preloadMicro(r, o.Clients, keys, o.KVSize); err != nil {
+		return nil, fmt.Errorf("preload: %w", err)
 	}
-	return g.phases[len(g.phases)-1].Next()
+	gens := make([]workload.Generator, o.Clients)
+	for i := range gens {
+		gens[i] = workload.NewMicro(kind, i, uint64(keys))
+		if kind == workload.OpInsert {
+			gens[i] = &offsetMicro{kind: kind, client: i, next: uint64(keys)}
+		}
+	}
+	return runPhase(r, gens, 0, o.OpsPerClient, o.KVSize, 10*time.Minute)
 }
 
 // offsetMicro issues one op kind over a client's private keys starting
@@ -83,14 +72,14 @@ func (g *offsetMicro) Next() workload.Op {
 
 var microKinds = []workload.Kind{workload.OpInsert, workload.OpUpdate, workload.OpSearch, workload.OpDelete}
 
-func buildAceso(o Options, mutate func(*core.Config)) func() (runner, error) {
-	return func() (runner, error) {
+func buildAceso(o Options, mutate func(*core.Config)) func() (*run, error) {
+	return func() (*run, error) {
 		return newAcesoRun(o, acesoConfig(o, o.Clients*o.OpsPerClient*2, mutate))
 	}
 }
 
-func buildFusee(o Options, replicas, slotBytes int) func() (runner, error) {
-	return func() (runner, error) {
+func buildFusee(o Options, replicas, slotBytes int) func() (*run, error) {
+	return func() (*run, error) {
 		return newFuseeRun(o, fuseeConfig(o, o.Clients*o.OpsPerClient*2, replicas, slotBytes))
 	}
 }
@@ -177,19 +166,7 @@ func runFig1b(o Options) (*Result, error) {
 					})
 				}
 			}
-			keys := o.OpsPerClient
-			gens := make([]workload.Generator, o.Clients)
-			for i := range gens {
-				var timed workload.Generator = workload.NewMicro(kind, i, uint64(keys))
-				if kind == workload.OpInsert {
-					timed = &offsetMicro{kind: kind, client: i, next: uint64(keys)}
-				}
-				gens[i] = &seqGen{phases: []workload.Generator{
-					workload.NewMicro(workload.OpInsert, i, 0),
-					timed,
-				}, remaining: keys}
-			}
-			m, err := runPhase(r, gens, keys, o.OpsPerClient, o.KVSize, 10*time.Minute)
+			m, err := microPhase(r, o, kind, o.OpsPerClient)
 			r.shutdown()
 			if err != nil {
 				return nil, err
@@ -271,7 +248,7 @@ func runFig9(o Options) (*Result, error) {
 func runFig13(o Options) (*Result, error) {
 	configs := []struct {
 		name  string
-		build func() (runner, error)
+		build func() (*run, error)
 	}{
 		{"ORIGIN", buildFusee(o, 3, 8)},
 		{"+SLOT", buildFusee(o, 3, 16)},

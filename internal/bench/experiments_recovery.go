@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/erasure"
+	"repro/internal/ftmode"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -19,20 +20,12 @@ func init() {
 	register("fig20", "Impact of block size: recovery time and UPDATE throughput", runFig20)
 }
 
-// loadedCluster is an Aceso cluster preloaded through the micro INSERT
-// path, ready for failure injection.
-type loadedCluster struct {
-	r    *acesoRun
-	o    Options
-	keys int
-}
-
 // loadCluster builds a cluster, preloads keysPerClient keys per client
 // and lets the given number of checkpoint rounds complete. Blocks are
 // 128 KB so that the scaled-down load still fills and seals them (a
 // 2 MB block holds ~1900 KB-sized pairs, more than a bench client
 // writes); experiments that study the block size itself override it.
-func loadCluster(o Options, keysPerClient int, ckptRounds int, mutate func(*core.Config)) (*loadedCluster, error) {
+func loadCluster(o Options, keysPerClient int, ckptRounds int, mutate func(*core.Config)) (*run, error) {
 	lo := o
 	lo.OpsPerClient = keysPerClient
 	r, err := newAcesoRun(lo, acesoConfig(lo, 0, func(cfg *core.Config) {
@@ -51,26 +44,7 @@ func loadCluster(o Options, keysPerClient int, ckptRounds int, mutate func(*core
 	}
 	eng := r.pl.Engine()
 	eng.Run(eng.Now() + time.Duration(ckptRounds)*r.cl.Cfg.CkptInterval + 10*time.Millisecond)
-	return &loadedCluster{r: r, o: o, keys: keysPerClient}, nil
-}
-
-// crashAndWait fails an MN and advances virtual time until tier-3
-// recovery completes, returning the recovery report.
-func (lc *loadedCluster) crashAndWait(mn int) (*core.RecoveryReport, error) {
-	lc.r.cl.FailMN(mn)
-	eng := lc.r.pl.Engine()
-	limit := eng.Now() + 10*time.Minute
-	for eng.Now() < limit {
-		eng.Run(eng.Now() + time.Millisecond)
-		if _, _, blocksReady := lc.r.cl.MNState(mn); blocksReady {
-			reports := lc.r.cl.Master().Reports
-			if len(reports) == 0 {
-				return nil, fmt.Errorf("bench: no recovery report")
-			}
-			return reports[len(reports)-1], nil
-		}
-	}
-	return nil, fmt.Errorf("bench: recovery did not finish in virtual time")
+	return r, nil
 }
 
 // runFig14 reproduces Figure 14: degraded SEARCH throughput during
@@ -81,11 +55,12 @@ func runFig14(o Options) (*Result, error) {
 
 	// --- Degraded SEARCH ---
 	keys := o.OpsPerClient
-	lc, err := loadCluster(o, keys, 2, nil)
+	r, err := loadCluster(o, keys, 2, nil)
 	if err != nil {
 		return nil, err
 	}
-	// Baseline: normal SEARCH throughput (fresh clients, warm caches).
+	// Baseline: normal SEARCH throughput (the preload's clients, warm
+	// caches).
 	warmGens := func() []workload.Generator {
 		gens := make([]workload.Generator, o.Clients)
 		for i := range gens {
@@ -93,28 +68,28 @@ func runFig14(o Options) (*Result, error) {
 		}
 		return gens
 	}
-	normal, err := runPhase(lc.r, warmGens(), keys, o.OpsPerClient, o.KVSize, 10*time.Minute)
+	normal, err := runPhase(r, warmGens(), keys, o.OpsPerClient, o.KVSize, 10*time.Minute)
 	if err != nil {
-		lc.r.shutdown()
+		r.shutdown()
 		return nil, err
 	}
 
 	// Crash an MN and measure SEARCH throughput inside the degraded
 	// window (index recovered, block area not yet).
 	const victim = 1
-	lc.r.cl.FailMN(victim)
-	eng := lc.r.pl.Engine()
+	r.cl.FailMN(victim)
+	eng := r.pl.Engine()
 	degradedOps := uint64(0)
 	var winStart, winEnd time.Duration
 	running := true
 	for i := 0; i < o.Clients; i++ {
 		i := i
-		lc.r.spawn(i, fmt.Sprintf("degraded-searcher%d", i), func(c kvClient) {
+		r.spawn(i, fmt.Sprintf("degraded-searcher%d", i), func(c ftmode.Client) {
 			g := workload.NewMicro(workload.OpSearch, i, uint64(keys))
 			for running {
 				op := g.Next()
 				if _, err := c.Search(op.Key); err == nil {
-					_, idxReady, blocksReady := lc.r.cl.MNState(victim)
+					_, idxReady, blocksReady := r.cl.MNState(victim)
 					if idxReady && !blocksReady {
 						degradedOps++
 					}
@@ -125,7 +100,7 @@ func runFig14(o Options) (*Result, error) {
 	limit := eng.Now() + 10*time.Minute
 	for eng.Now() < limit {
 		eng.Run(eng.Now() + 200*time.Microsecond)
-		failed, idxReady, blocksReady := lc.r.cl.MNState(victim)
+		failed, idxReady, blocksReady := r.cl.MNState(victim)
 		if winStart == 0 && !failed && idxReady {
 			winStart = eng.Now()
 		}
@@ -136,7 +111,7 @@ func runFig14(o Options) (*Result, error) {
 	}
 	running = false
 	eng.Run(eng.Now() + time.Millisecond)
-	lc.r.shutdown()
+	r.shutdown()
 	degraded := 0.0
 	if winEnd > winStart && winStart > 0 {
 		degraded = stats.Throughput(degradedOps, winEnd-winStart)
@@ -216,19 +191,19 @@ func runTab2(o Options) (*Result, error) {
 	res := &Result{ID: "tab2", Title: "MN recovery breakdown (ms) and kernel throughput"}
 	for _, code := range []string{"xor", "rs"} {
 		code := code
-		lc, err := loadCluster(o, o.OpsPerClient*2, 2, func(cfg *core.Config) {
+		r, err := loadCluster(o, o.OpsPerClient*2, 2, func(cfg *core.Config) {
 			cfg.Code = code
 		})
 		if err != nil {
 			return nil, err
 		}
 		// More post-checkpoint writes so both new and old blocks exist.
-		if err := preloadMicro(lc.r, o.Clients, o.OpsPerClient/2, o.KVSize); err != nil {
-			lc.r.shutdown()
+		if err := preloadMicro(r, o.Clients, o.OpsPerClient/2, o.KVSize); err != nil {
+			r.shutdown()
 			return nil, err
 		}
-		rep, err := lc.crashAndWait(2)
-		lc.r.shutdown()
+		rep, err := r.crashAndWait(2)
+		r.shutdown()
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", code, err)
 		}
@@ -298,12 +273,12 @@ func runFig16(o Options) (*Result, error) {
 	total := &stats.Series{Name: "Total ms"}
 	lost := &stats.Series{Name: "lost MB"}
 	for _, sc := range scales {
-		lc, err := loadCluster(o, o.OpsPerClient*sc, 2, nil)
+		r, err := loadCluster(o, o.OpsPerClient*sc, 2, nil)
 		if err != nil {
 			return nil, err
 		}
-		rep, err := lc.crashAndWait(1)
-		lc.r.shutdown()
+		rep, err := r.crashAndWait(1)
+		r.shutdown()
 		if err != nil {
 			return nil, err
 		}
@@ -337,7 +312,7 @@ func runFig18(o Options) (*Result, error) {
 	scanned := &stats.Series{Name: "KV scanned"}
 	for i, iv := range intervals {
 		iv := iv
-		lc, err := loadCluster(o, o.OpsPerClient*2, 0, func(cfg *core.Config) {
+		r, err := loadCluster(o, o.OpsPerClient*2, 0, func(cfg *core.Config) {
 			cfg.CkptInterval = iv
 		})
 		if err != nil {
@@ -346,14 +321,14 @@ func runFig18(o Options) (*Result, error) {
 		// Run exactly one checkpoint cycle, then a late write burst: the
 		// un-checkpointed data. The burst is the same at every interval,
 		// so what tier 2 rescans is too (see the result's notes).
-		eng := lc.r.pl.Engine()
+		eng := r.pl.Engine()
 		eng.Run(eng.Now() + iv + 5*time.Millisecond)
-		if err := preloadMicro(lc.r, o.Clients, o.OpsPerClient/2, o.KVSize); err != nil {
-			lc.r.shutdown()
+		if err := preloadMicro(r, o.Clients, o.OpsPerClient/2, o.KVSize); err != nil {
+			r.shutdown()
 			return nil, err
 		}
-		rep, err := lc.crashAndWait(3)
-		lc.r.shutdown()
+		rep, err := r.crashAndWait(3)
+		r.shutdown()
 		if err != nil {
 			return nil, err
 		}
@@ -382,35 +357,26 @@ func runFig20(o Options) (*Result, error) {
 	for _, bs := range sizes {
 		bs := bs
 		// UPDATE throughput at this block size.
-		lo := o
-		r, err := newAcesoRun(lo, acesoConfig(lo, 0, func(cfg *core.Config) {
+		r, err := newAcesoRun(o, acesoConfig(o, 0, func(cfg *core.Config) {
 			cfg.Layout.BlockSize = bs
 		}))
 		if err != nil {
 			return nil, err
 		}
-		keys := o.OpsPerClient
-		gens := make([]workload.Generator, o.Clients)
-		for i := range gens {
-			gens[i] = &seqGen{phases: []workload.Generator{
-				workload.NewMicro(workload.OpInsert, i, 0),
-				workload.NewMicro(workload.OpUpdate, i, uint64(keys)),
-			}, remaining: keys}
-		}
-		m, err := runPhase(r, gens, keys, o.OpsPerClient, o.KVSize, 10*time.Minute)
+		m, err := microPhase(r, o, workload.OpUpdate, o.OpsPerClient)
 		r.shutdown()
 		if err != nil {
 			return nil, err
 		}
 		// Index recovery time at this block size.
-		lc, err := loadCluster(o, o.OpsPerClient, 2, func(cfg *core.Config) {
+		r, err = loadCluster(o, o.OpsPerClient, 2, func(cfg *core.Config) {
 			cfg.Layout.BlockSize = bs
 		})
 		if err != nil {
 			return nil, err
 		}
-		rep, err := lc.crashAndWait(1)
-		lc.r.shutdown()
+		rep, err := r.crashAndWait(1)
+		r.shutdown()
 		if err != nil {
 			return nil, err
 		}

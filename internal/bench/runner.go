@@ -16,31 +16,16 @@ import (
 	"repro/internal/workload"
 )
 
-// kvClient is the operation surface shared by the Aceso client and the
-// FUSEE baseline client, letting one measurement harness drive both.
-type kvClient interface {
-	Insert(key, val []byte) error
-	Update(key, val []byte) error
-	Search(key []byte) ([]byte, error)
-	Delete(key []byte) error
-}
-
-// runner abstracts a system-under-test wired to a simulated platform.
-type runner interface {
-	platform() *simnet.Platform
-	// spawn starts fn as client process i on one of the compute nodes.
-	spawn(i int, name string, fn func(kvClient))
-	// shutdown tears the platform down.
-	shutdown()
-}
-
-// --- Aceso runner ---
-
-type acesoRun struct {
-	pl   *simnet.Platform
-	cl   *core.Cluster
-	cns  []rdma.NodeID
-	opts Options
+// run is one system under test on the simulated fabric: an Aceso
+// cluster (cl) or a FUSEE baseline cluster (fus), the compute nodes its
+// clients spread over, and one client per slot for the whole run, so
+// every phase drives the same population.
+type run struct {
+	pl      *simnet.Platform
+	cl      *core.Cluster
+	fus     *replica.Cluster
+	cns     []rdma.NodeID
+	clients []ftmode.Client
 	// fm counts the verbs issued by bench clients only: spawn wraps
 	// each client ctx, while server/master daemons run uninstrumented,
 	// so snapshot deltas give exact verbs-per-op figures
@@ -81,7 +66,7 @@ func acesoConfig(o Options, totalKeys int, mutate func(*core.Config)) core.Confi
 	return cfg
 }
 
-func newAcesoRun(o Options, cfg core.Config) (*acesoRun, error) {
+func newAcesoRun(o Options, cfg core.Config) (*run, error) {
 	pl := simnet.New(simnet.DefaultConfig())
 	cl, err := core.NewCluster(cfg, pl)
 	if err != nil {
@@ -89,32 +74,7 @@ func newAcesoRun(o Options, cfg core.Config) (*acesoRun, error) {
 	}
 	cl.StartServers()
 	cl.StartMaster()
-	r := &acesoRun{pl: pl, cl: cl, opts: o, fm: obs.NewFabricMetrics()}
-	for i := 0; i < o.CNs; i++ {
-		r.cns = append(r.cns, pl.AddComputeNode())
-	}
-	return r, nil
-}
-
-func (r *acesoRun) platform() *simnet.Platform { return r.pl }
-func (r *acesoRun) shutdown()                  { r.pl.Shutdown() }
-
-func (r *acesoRun) spawn(i int, name string, fn func(kvClient)) {
-	cn := r.cns[i%len(r.cns)]
-	cli := r.cl.NewClient()
-	r.pl.Spawn(cn, name, func(ctx rdma.Ctx) {
-		cli.Attach(obs.WrapCtx(ctx, r.fm))
-		fn(cli)
-	})
-}
-
-// --- FUSEE runner ---
-
-type fuseeRun struct {
-	pl   *simnet.Platform
-	cl   *replica.Cluster
-	cns  []rdma.NodeID
-	opts Options
+	return newRun(pl, o, &run{cl: cl}), nil
 }
 
 func fuseeConfig(o Options, totalKeys, replicas, slotBytes int) replica.Config {
@@ -136,25 +96,66 @@ func fuseeConfig(o Options, totalKeys, replicas, slotBytes int) replica.Config {
 	return cfg
 }
 
-func newFuseeRun(o Options, cfg replica.Config) (*fuseeRun, error) {
+func newFuseeRun(o Options, cfg replica.Config) (*run, error) {
 	pl := simnet.New(simnet.DefaultConfig())
 	cl, err := fusee.NewCluster(cfg, pl)
 	if err != nil {
 		return nil, err
 	}
-	r := &fuseeRun{pl: pl, cl: cl, opts: o}
+	return newRun(pl, o, &run{fus: cl}), nil
+}
+
+// newRun completes r on pl: its compute nodes, its verb counters and
+// its o.Clients client slots.
+func newRun(pl *simnet.Platform, o Options, r *run) *run {
+	r.pl = pl
+	r.fm = obs.NewFabricMetrics()
+	r.clients = make([]ftmode.Client, o.Clients)
 	for i := 0; i < o.CNs; i++ {
 		r.cns = append(r.cns, pl.AddComputeNode())
 	}
-	return r, nil
+	return r
 }
 
-func (r *fuseeRun) platform() *simnet.Platform { return r.pl }
-func (r *fuseeRun) shutdown()                  { r.pl.Shutdown() }
+func (r *run) shutdown() { r.pl.Shutdown() }
 
-func (r *fuseeRun) spawn(i int, name string, fn func(kvClient)) {
-	cn := r.cns[i%len(r.cns)]
-	r.cl.SpawnClient(cn, name, func(c ftmode.Client) { fn(c) })
+// spawn starts fn as a process of client i on one of the compute
+// nodes. The client is created on its first spawn; every later phase
+// re-attaches the same client (its cache, open blocks and prefetch
+// worker) to a new process.
+func (r *run) spawn(i int, name string, fn func(ftmode.Client)) {
+	c := r.clients[i]
+	if c == nil {
+		if r.cl != nil {
+			c = r.cl.NewClient()
+		} else {
+			c = r.fus.NewClient()
+		}
+		r.clients[i] = c
+	}
+	r.pl.Spawn(r.cns[i%len(r.cns)], name, func(ctx rdma.Ctx) {
+		c.Attach(obs.WrapCtx(ctx, r.fm))
+		fn(c)
+	})
+}
+
+// crashAndWait fails an MN and advances virtual time until tier-3
+// recovery completes, returning the recovery report.
+func (r *run) crashAndWait(mn int) (*core.RecoveryReport, error) {
+	r.cl.FailMN(mn)
+	eng := r.pl.Engine()
+	limit := eng.Now() + 10*time.Minute
+	for eng.Now() < limit {
+		eng.Run(eng.Now() + time.Millisecond)
+		if _, _, blocksReady := r.cl.MNState(mn); blocksReady {
+			reports := r.cl.Master().Reports
+			if len(reports) == 0 {
+				return nil, fmt.Errorf("bench: no recovery report")
+			}
+			return reports[len(reports)-1], nil
+		}
+	}
+	return nil, fmt.Errorf("bench: recovery did not finish in virtual time")
 }
 
 // --- measurement harness ---
@@ -187,7 +188,7 @@ func (m *measured) casPerOp() float64 {
 func (m *measured) mops() float64 { return m.sumRate / 1e6 }
 
 // execOp dispatches one generated operation.
-func execOp(c kvClient, op workload.Op, kvSize int) error {
+func execOp(c ftmode.Client, op workload.Op, kvSize int) error {
 	switch op.Kind {
 	case workload.OpInsert:
 		return c.Insert(op.Key, workload.Value(op.Key, kvSize))
@@ -202,18 +203,18 @@ func execOp(c kvClient, op workload.Op, kvSize int) error {
 	return fmt.Errorf("bench: unknown op kind %d", op.Kind)
 }
 
-// runPhase spawns one client process per generator, executes warmup
-// un-timed operations followed by ops timed operations each, and
+// runPhase runs one process of each client, one per generator, that
+// executes warmup un-timed operations followed by ops timed ones, and
 // advances virtual time until all complete. It measures per-op latency
 // in virtual time; verb counts cover the timed operations only.
-func runPhase(r runner, gens []workload.Generator, warmup, ops, kvSize int, deadline time.Duration) (*measured, error) {
+func runPhase(r *run, gens []workload.Generator, warmup, ops, kvSize int, deadline time.Duration) (*measured, error) {
 	m := &measured{perKind: make(map[workload.Kind]*stats.Histogram), all: stats.NewHistogram()}
 	done := 0
 	var firstErr error
 	for i, g := range gens {
 		i, g := i, g
-		r.spawn(i, fmt.Sprintf("bench-cli%d", i), func(c kvClient) {
-			ctxNow := func() time.Duration { return r.platform().Engine().Now() }
+		r.spawn(i, fmt.Sprintf("bench-cli%d", i), func(c ftmode.Client) {
+			ctxNow := func() time.Duration { return r.pl.Engine().Now() }
 			for n := 0; n < warmup; n++ {
 				op := g.Next()
 				if err := execOp(c, op, kvSize); err != nil &&
@@ -225,13 +226,7 @@ func runPhase(r runner, gens []workload.Generator, warmup, ops, kvSize int, dead
 					return
 				}
 			}
-			var cas0, writes0 uint64
-			counter, hasCounters := c.(interface {
-				Counters() (uint64, uint64, uint64)
-			})
-			if hasCounters {
-				cas0, _, writes0 = counter.Counters()
-			}
+			cas0, _, writes0 := c.Counters()
 			cliStart := ctxNow()
 			for n := 0; n < ops; n++ {
 				op := g.Next()
@@ -264,15 +259,13 @@ func runPhase(r runner, gens []workload.Generator, warmup, ops, kvSize int, dead
 			if fl, ok := c.(interface{ FlushBitmaps() }); ok {
 				fl.FlushBitmaps()
 			}
-			if hasCounters {
-				cas1, _, writes1 := counter.Counters()
-				m.cas += cas1 - cas0
-				m.writes += writes1 - writes0
-			}
+			cas1, _, writes1 := c.Counters()
+			m.cas += cas1 - cas0
+			m.writes += writes1 - writes0
 			done++
 		})
 	}
-	eng := r.platform().Engine()
+	eng := r.pl.Engine()
 	limit := eng.Now() + deadline
 	for done < len(gens) && eng.Now() < limit {
 		eng.Run(eng.Now() + time.Millisecond)
@@ -306,14 +299,14 @@ func mixGens(mix workload.Mix, clients int, n uint64) []workload.Generator {
 
 // preloadMicro inserts every client's private key range (the
 // microbenchmark working set).
-func preloadMicro(r runner, clients, keysPerClient, kvSize int) error {
+func preloadMicro(r *run, clients, keysPerClient, kvSize int) error {
 	_, err := runPhase(r, microGens(workload.OpInsert, clients, 0), 0, keysPerClient, kvSize, time.Hour)
 	return err
 }
 
 // preloadKeys inserts the shared keyspace [0, n) for macrobenchmarks,
 // splitting the range across clients.
-func preloadKeys(r runner, clients int, n uint64, kvSize int) error {
+func preloadKeys(r *run, clients int, n uint64, kvSize int) error {
 	gens := make([]workload.Generator, clients)
 	per := n / uint64(clients)
 	for i := range gens {

@@ -3,8 +3,10 @@ package bench
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"repro/internal/stats"
+	"repro/internal/workload"
 )
 
 // quickResults memoises Quick-mode runs per experiment id for the life
@@ -67,5 +69,27 @@ func TestWriteCSV(t *testing.T) {
 	want := "series,c1,c2\n\"a,b\",1.5,2\n"
 	if buf.String() != want {
 		t.Fatalf("csv = %q, want %q", buf.String(), want)
+	}
+}
+
+// TestOnePopulationPerRun pins the single client population of a run:
+// a preload and a timed phase drive the same Clients clients, so the
+// next identity the cluster hands out is Clients+1.
+func TestOnePopulationPerRun(t *testing.T) {
+	o := Options{Clients: 4, CNs: 2, OpsPerClient: 20, KVSize: 128}
+	r, err := newAcesoRun(o, acesoConfig(o, 0, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.shutdown()
+	if err := preloadMicro(r, o.Clients, o.OpsPerClient, o.KVSize); err != nil {
+		t.Fatal(err)
+	}
+	gens := microGens(workload.OpSearch, o.Clients, o.OpsPerClient)
+	if _, err := runPhase(r, gens, 0, o.OpsPerClient, o.KVSize, time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := int(r.cl.NewClient().ID()), o.Clients+1; got != want {
+		t.Errorf("next client id %d after a preload and a timed phase of %d clients, want %d", got, o.Clients, want)
 	}
 }

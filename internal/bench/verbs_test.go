@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/ftmode"
 	"repro/internal/layout"
 	"repro/internal/obs"
 	"repro/internal/rdma"
@@ -36,7 +37,7 @@ func TestScriptedVerbCounts(t *testing.T) {
 	var segs []segDelta
 	var opErr error
 	done := false
-	r.spawn(0, "scripted", func(c kvClient) {
+	r.spawn(0, "scripted", func(c ftmode.Client) {
 		defer func() { done = true }()
 		// Open the DATA/DELTA blocks first so allocation RPCs and
 		// reused-block reads stay out of the counted segments.

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"time"
+
 	"repro/internal/layout"
 	"repro/internal/rdma"
 )
@@ -53,12 +55,24 @@ func (c *Client) consumeSlot(ob *openBlock) {
 	}
 }
 
+// noSpaceWaits bounds how often getBlock waits noSpaceWait for space
+// after an allocation found every MN full, before it reports
+// ErrNoSpace. Free space on a full cluster comes from obsolete marks
+// the clients hold back (up to Config.BitmapFlushOps each) and from the
+// seals and encodes that let a server reclaim a marked block.
+const (
+	noSpaceWaits = 20
+	noSpaceWait  = 200 * time.Microsecond
+)
+
 // getBlock returns the open DATA block for a size class. On exhaustion
 // it first asks the prefetcher for a pre-provisioned block (hit: the
 // AllocBlock/AllocDelta RPCs and any reused-block readback already
 // happened off the critical path) and only then allocates
 // synchronously. While a block drains below its low-water mark the
-// prefetcher is asked to provision the next one in the background.
+// prefetcher is asked to provision the next one in the background. A
+// synchronous allocation that finds no space flushes this client's
+// obsolete marks inline and retries, noSpaceWaits times at most.
 func (c *Client) getBlock(classUnits uint8) (*openBlock, error) {
 	if ob, ok := c.open[classUnits]; ok && len(ob.slots) > 0 {
 		if c.deltasCurrent(ob) {
@@ -84,6 +98,16 @@ func (c *Client) getBlock(classUnits uint8) (*openBlock, error) {
 	}
 	seq := c.allocSeq
 	ob, err := c.provisionBlock(c.ctx, classUnits, &seq, &c.Stats)
+	if err != nil {
+		// Overwritten pairs the servers do not know about yet are space
+		// only they can reclaim: publish ours before waiting for
+		// everyone's.
+		c.flushBitmaps(false)
+	}
+	for wait := 0; err != nil && wait < noSpaceWaits; wait++ {
+		c.ctx.Sleep(noSpaceWait)
+		ob, err = c.provisionBlock(c.ctx, classUnits, &seq, &c.Stats)
+	}
 	c.allocSeq = seq
 	if err != nil {
 		return nil, err
@@ -371,7 +395,11 @@ const maxPendingKeys = 64
 // here (cheap) but the RPCs are issued by the background worker.
 // Drained entries retain their slice capacity (up to maxPendingKeys) so
 // steady-state flushes do not allocate.
-func (c *Client) FlushBitmaps() {
+func (c *Client) FlushBitmaps() { c.flushBitmaps(true) }
+
+// flushBitmaps is FlushBitmaps; queue false sends the RPCs inline even
+// when the prefetch worker runs.
+func (c *Client) flushBitmaps(queue bool) {
 	keys := c.flushKeys[:0]
 	for k, bits := range c.pending {
 		if len(bits) == 0 {
@@ -397,7 +425,7 @@ func (c *Client) FlushBitmaps() {
 			j++
 		}
 		if node, alive := c.cl.view.nodeOf(keys[i].mn); alive {
-			c.sendFreeBits(node, keys[i:j])
+			c.sendFreeBits(node, keys[i:j], queue)
 		}
 		i = j
 	}
@@ -410,8 +438,9 @@ func (c *Client) FlushBitmaps() {
 
 // sendFreeBits encodes and delivers one MN's free-bitmap update, the
 // marks of every block in keys (the MN's run of the sorted flush keys),
-// through the prefetch worker when it is running, inline otherwise.
-func (c *Client) sendFreeBits(node rdma.NodeID, keys []pendKey) {
+// through the prefetch worker when it is running and queue is set,
+// inline otherwise.
+func (c *Client) sendFreeBits(node rdma.NodeID, keys []pendKey, queue bool) {
 	var buf []byte
 	if c.pf != nil {
 		buf = c.pf.getBuf()
@@ -428,7 +457,7 @@ func (c *Client) sendFreeBits(node rdma.NodeID, keys []pendKey) {
 			e.u32(u)
 		}
 	}
-	if c.pf != nil && c.pf.enqueueFlush(flushJob{node: node, payload: e.b}) {
+	if queue && c.pf != nil && c.pf.enqueueFlush(flushJob{node: node, payload: e.b}) {
 		return
 	}
 	c.ctx.RPC(node, methodFreeBits, e.b) //nolint:errcheck // obsolete hints are advisory

@@ -15,9 +15,7 @@ import (
 
 // spawnRecorder is a thin platform wrapper that records every memory
 // node it creates (with its core count) and every process spawned
-// through it. It forwards the optional capability the server looks
-// for (VirtualTime), so a cluster on it behaves like one on the bare
-// fabric.
+// through it; a cluster on it behaves like one on the bare fabric.
 type spawnRecorder struct {
 	rdma.Platform
 	mu     sync.Mutex
@@ -45,8 +43,6 @@ func (p *spawnRecorder) Spawn(node rdma.NodeID, name string, fn func(rdma.Ctx)) 
 	p.mu.Unlock()
 	p.Platform.Spawn(node, name, fn)
 }
-
-func (p *spawnRecorder) VirtualTime() bool { return rdma.IsVirtual(p.Platform) }
 
 // TestMNRunsOnlyItsFixedCores: a memory node is the paper's four cores
 // and nothing else. Every memory node is created with NumMNCores

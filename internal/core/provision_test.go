@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"time"
@@ -117,4 +118,48 @@ func TestRefusedDeltaNeverOpensABlock(t *testing.T) {
 		tc.run(20 * time.Millisecond)
 		stripeParityInvariant(t, tc)
 	})
+}
+
+// TestOverwritesFitWhileMarksWait has clients overwrite their own keys
+// on a layout with room for the live data, its parity and two open
+// blocks per client (with the 3/2 imbalance slack internal/bench sizes
+// by), but not also for the overwritten pairs whose obsolete marks
+// still wait in the clients' flush buffers (Config.BitmapFlushOps).
+// Servers reclaim only what they were told is obsolete, so a client
+// that finds every MN full publishes its marks and waits for space
+// instead of failing with ErrNoSpace; every acknowledged value reads
+// back.
+func TestOverwritesFitWhileMarksWait(t *testing.T) {
+	const clients, keys, rounds = 8, 120, 8
+	value := func(k, gen int) []byte { return bytes.Repeat(val(k, gen), 9) } // 990 bytes
+	tc := newTestCluster(t, func(cfg *Config) {
+		cfg.BitmapFlushOps = 64
+		class := uint64(layout.KVClassSize(len(key(0)), len(value(0, 0))))
+		open := uint64(2 * clients)
+		live := clients * keys * class / cfg.Layout.BlockSize
+		cfg.Layout.StripeRows = int((open*3/2+live)/uint64(cfg.Layout.K())) + 1
+		cfg.Layout.PoolBlocks = int(open)*cfg.Layout.ParityShards/cfg.Layout.NumMNs + 12
+	})
+	expect := make(map[int][]byte)
+	fns := make([]func(*Client), clients)
+	for ci := range fns {
+		ci := ci
+		fns[ci] = func(c *Client) {
+			for gen := 0; gen < rounds; gen++ {
+				for k := ci * keys; k < (ci+1)*keys; k++ {
+					v := value(k, gen)
+					if err := c.Update(key(k), v); err != nil {
+						t.Errorf("client %d round %d key %d: %v", ci, gen, k, err)
+						return
+					}
+					expect[k] = v
+				}
+			}
+			c.FlushBitmaps()
+		}
+	}
+	tc.runClients(t, time.Minute, fns...)
+	tc.run(20 * time.Millisecond)
+	stripeParityInvariant(t, tc)
+	tc.verifyAll(t, expect)
 }

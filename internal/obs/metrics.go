@@ -504,9 +504,3 @@ func (p *Platform) TransportStats() rdma.TransportStats {
 	}
 	return rdma.TransportStats{}
 }
-
-// VirtualTime implements rdma.VirtualTime by delegation (false when
-// the inner fabric runs on the wall clock).
-func (p *Platform) VirtualTime() bool {
-	return rdma.IsVirtual(p.inner)
-}

@@ -302,24 +302,6 @@ type TransportStatsSource interface {
 	TransportStats() TransportStats
 }
 
-// VirtualTime marks a Platform whose processes run in simulated time:
-// Ctx.Sleep advances an engine clock instead of the wall clock and
-// Ctx.UseCPU charges modelled cost to a simulated core. Wall-clock
-// fabrics do not implement it; there the memory node sizes the erasure
-// package's goroutine fan-out from GOMAXPROCS, while on a virtual-time
-// fabric every kernel runs inline on its core at modelled cost. Core
-// code type-asserts a Platform to reach it, exactly like FaultInjector.
-type VirtualTime interface {
-	// VirtualTime reports whether the platform's clock is simulated.
-	VirtualTime() bool
-}
-
-// IsVirtual reports whether pl runs its processes in virtual time.
-func IsVirtual(pl Platform) bool {
-	v, ok := pl.(VirtualTime)
-	return ok && v.VirtualTime()
-}
-
 // OrderedBatcher marks a Verbs implementation whose doorbell batches
 // support a fused commit: a trailing OpCAS in a Batch list executes
 // only after every op ahead of it in the list, reads included, has

@@ -234,10 +234,6 @@ func (pl *Platform) Memory(nodeID rdma.NodeID) []byte { return pl.nodes[nodeID].
 // already serialises all memory access.
 func (pl *Platform) MemMutex(nodeID rdma.NodeID) sync.Locker { return rdma.NopLocker{} }
 
-// VirtualTime implements rdma.VirtualTime: simulated processes sleep
-// in engine time.
-func (pl *Platform) VirtualTime() bool { return true }
-
 // ctx implements rdma.Ctx for one simulated process.
 type ctx struct {
 	p     *sim.Proc
