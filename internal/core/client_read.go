@@ -20,7 +20,10 @@ type readScratch struct {
 	word    [8]byte                 // slot Atomic word validation read
 	b1, b2  [layout.BucketSize]byte // the key's candidate bucket pair
 	ops     []rdma.Op
-	matches []racehash.Match // the last probe's fingerprint matches; match i's pair is ops[i].Buf
+	matches []racehash.Match // the last probe's fingerprint matches; match i's pair is pairs[i]
+	pairs   []stripeWant
+	pair    [1]stripeWant  // readPair's
+	stripe  *stripeScratch // the pair reader's, made on the first pair read
 	dkv     layout.KV
 }
 
@@ -130,7 +133,7 @@ func (c *Client) chaseSlot(dst, key []byte, ent *cacheEnt, cur uint64) ([]byte, 
 	ent.atomic = cur
 	addr := layout.UnpackAtomic(cur).Addr
 	kvBuf := c.scratch.growKV(int(ent.meta.Len) * 64)
-	if addr == 0 || c.readKVBytes(kvBuf, addr) != nil {
+	if addr == 0 || c.readPair(kvBuf, addr) != nil {
 		return nil, errStaleCache
 	}
 	return c.finishRead(dst, key, ent, kvBuf)
@@ -140,32 +143,33 @@ func (c *Client) chaseSlot(dst, key []byte, ent *cacheEnt, cur uint64) ([]byte, 
 // (fig13's "+CKPT" configuration): a value-only cache like the FUSEE
 // baseline's. Not knowing the slot's address, it re-reads both
 // candidate buckets to locate and validate the slot, and reads the pair
-// beside them in the same doorbell.
+// beside them in the same doorbell when it may be read in place
+// (pairSource); otherwise, or when that read fails, readPair gets it.
 func (c *Client) cachedBucketRead(dst, key []byte, ent *cacheEnt) ([]byte, error) {
-	atom := layout.UnpackAtomic(ent.atomic)
-	kvAddr, kvOK := c.cl.PackedAddr(atom.Addr)
+	packed := layout.UnpackAtomic(ent.atomic).Addr
+	kvAddr, inPlace := pairSource(c.cl, packed)
 	sc := &c.scratch
 	kvBuf := sc.growKV(int(ent.meta.Len) * 64)
-	ops, ok := c.bucketReads(append(sc.ops[:0], rdma.Op{Kind: rdma.OpRead, Addr: kvAddr, Buf: kvBuf}), racehash.Hash(key), ent.mn)
+	ops := sc.ops[:0]
+	if inPlace {
+		ops = append(ops, rdma.Op{Kind: rdma.OpRead, Addr: kvAddr, Buf: kvBuf})
+	}
+	ops, ok := c.bucketReads(ops, racehash.Hash(key), ent.mn)
 	sc.ops = ops
 	if !ok {
 		return nil, errStaleCache
 	}
-	err := c.vbatch(ops)
-	if ops[1].Err != nil || ops[2].Err != nil {
+	c.vbatch(ops) //nolint:errcheck // per-op outcomes are read below
+	buckets := ops[len(ops)-2:]
+	if buckets[0].Err != nil || buckets[1].Err != nil {
 		return nil, errStaleCache // index node changed under us
 	}
-	if ops[0].Err != nil {
-		if kvOK && !errors.Is(ops[0].Err, rdma.ErrNodeFailed) {
-			return nil, err
-		}
-		if c.degradedRead(kvBuf, atom.Addr) != nil {
-			return nil, errStaleCache
-		}
+	if (!inPlace || ops[0].Err != nil) && c.readPair(kvBuf, packed) != nil {
+		return nil, errStaleCache
 	}
 	// Find the slot within whichever candidate bucket holds it.
 	bucketOff, rel := ent.slotOff/layout.BucketSize*layout.BucketSize, ent.slotOff%layout.BucketSize
-	for _, op := range ops[1:] {
+	for _, op := range buckets {
 		if op.Addr.Off != bucketOff {
 			continue
 		}
@@ -264,10 +268,10 @@ func (c *Client) readBuckets(h uint64, mn int, fp uint8) error {
 	return nil
 }
 
-// probe is the miss path's index query, two doorbells whatever the
-// buckets hold: readBuckets, then one batch reading the pair behind
-// every fingerprint match. Everything lands in readScratch — match i's
-// pair in sc.ops[i].Buf (matchKV decodes it).
+// probe is the miss path's index query: readBuckets, then readPairs of
+// the pair behind every fingerprint match — two doorbells whatever the
+// buckets hold, while every pair may be read in place. Everything lands
+// in readScratch — match i's pair in sc.pairs[i] (matchKV decodes it).
 func (c *Client) probe(h uint64, mn int, fp uint8) error {
 	if err := c.readBuckets(h, mn, fp); err != nil {
 		return err
@@ -277,27 +281,14 @@ func (c *Client) probe(h uint64, mn int, fp uint8) error {
 	for _, m := range sc.matches {
 		total += kvHintBytes(m.Meta)
 	}
-	buf, ops, reachable := sc.growKV(total), sc.ops[:0], true
+	buf, pairs := sc.growKV(total), sc.pairs[:0]
 	for _, m := range sc.matches {
 		n := kvHintBytes(m.Meta)
-		addr, ok := c.cl.PackedAddr(m.Atomic.Addr)
-		reachable = reachable && ok
-		ops = append(ops, rdma.Op{Kind: rdma.OpRead, Addr: addr, Buf: buf[:n:n]})
+		pairs = append(pairs, stripeWant{packed: m.Atomic.Addr, buf: buf[:n:n]})
 		buf = buf[n:]
 	}
-	sc.ops = ops
-	if reachable && len(ops) > 0 {
-		c.vbatch(ops) //nolint:errcheck // per-op outcomes are read below and in matchKV
-	}
-	// A pair on a failed MN is reconstructed from its stripe (§3.4.1).
-	for i := range ops {
-		switch packed := sc.matches[i].Atomic.Addr; {
-		case !reachable:
-			ops[i].Err = c.readKVBytes(ops[i].Buf, packed)
-		case errors.Is(ops[i].Err, rdma.ErrNodeFailed):
-			ops[i].Err = c.degradedRead(ops[i].Buf, packed)
-		}
-	}
+	sc.pairs = pairs
+	c.readPairs(pairs)
 	return nil
 }
 
@@ -316,13 +307,13 @@ func kvHintBytes(meta layout.SlotMeta) int {
 // rather than conclude the key absent.
 func (c *Client) matchKV(i int) *layout.KV {
 	sc := &c.scratch
-	op, kv, packed := &sc.ops[i], &sc.dkv, sc.matches[i].Atomic.Addr
-	if op.Err != nil {
+	w, kv := &sc.pairs[i], &sc.dkv
+	if !w.ok {
 		return nil
 	}
 	// Every refusal, whatever its error, is the retry above.
-	if ok, _ := layout.DecodeAtTrueSize(kv, op.Buf, int(c.cl.L.Cfg.BlockSize), &sc.reread,
-		func(buf []byte) error { return c.readKVBytes(buf, packed) }); !ok {
+	if ok, _ := layout.DecodeAtTrueSize(kv, w.buf, int(c.cl.L.Cfg.BlockSize), &sc.reread,
+		func(buf []byte) error { return c.readPair(buf, w.packed) }); !ok {
 		return nil
 	}
 	return kv
@@ -362,48 +353,44 @@ func (c *Client) cacheSet(h uint64, key []byte, mn int, slotOff, atomic uint64, 
 	ent.val = c.cache.Retain(ent.val, val)
 }
 
-// readKVBytes reads len(buf) bytes at a packed KV address, falling
-// back to a degraded erasure-decoded read when the block's MN is down
-// (§3.4.1).
-func (c *Client) readKVBytes(buf []byte, packed uint64) error {
-	addr, ok := c.cl.PackedAddr(packed)
-	if ok {
-		err := c.vread(buf, addr)
-		if err == nil {
-			return nil
-		}
-		if !errors.Is(err, rdma.ErrNodeFailed) {
-			return err
-		}
+// readPairs reads wants through the one pair reader (stripe.go),
+// counting a read in place as issued and one through the stripe as a
+// degraded read (§3.4.1: ~k+2 small reads under one failure, a decode
+// of the whole block under two). A want the stripe cannot serve waits
+// for tier 3.
+func (c *Client) readPairs(wants []stripeWant) {
+	sc := &c.scratch
+	if sc.stripe == nil {
+		sc.stripe = newStripeScratch(c.cl)
 	}
-	return c.degradedRead(buf, packed)
-}
-
-// degradedRead reconstructs a byte range of a lost DATA block through
-// the one stripe reader (stripe.go), whose sources are the MNs that are
-// a view.blockSource and the parities whose record reads RoleParity and
-// Valid. Under one failure it folds P-parity range ⊕ surviving data
-// ranges ⊕ all pending delta ranges: ~k+2 small reads instead of one,
-// which is why degraded SEARCH runs at roughly half throughput (Figure
-// 14). Under a second failure that took the row parity or a survivor
-// (§3.4.1 remark 2) it decodes the whole block from what is left. When
-// too little is left, the client waits for tier-3 recovery.
-func (c *Client) degradedRead(buf []byte, packed uint64) error {
-	c.Stats.DegradedReads++
 	start := c.ctx.Now()
-	err := c.degradedReadInner(buf, packed)
-	if c.ot != nil {
-		c.ot.OpMark("degraded.read", start)
+	readPairs(c.ctx, c.cl, sc.stripe, wants, 0)
+	for i := range wants {
+		w := &wants[i]
+		if !w.degraded {
+			c.Stats.ReadsIssued++
+			c.Stats.BytesRead += uint64(len(w.buf))
+			continue
+		}
+		c.Stats.DegradedReads++
+		if !w.ok {
+			mn, off := layout.UnpackAddr(w.packed)
+			w.ok = c.waitBlocksAndRead(w.buf, int(mn), off) == nil
+		}
+		if c.ot != nil {
+			c.ot.OpMark("degraded.read", start)
+		}
 	}
-	return err
 }
 
-func (c *Client) degradedReadInner(buf []byte, packed uint64) error {
-	if readLostRange(c.ctx, c.cl, newStripeScratch(c.cl), packed, buf, 0) == nil {
-		return nil
+// readPair is readPairs for one pair: buf = the bytes at packed.
+func (c *Client) readPair(buf []byte, packed uint64) error {
+	w := &c.scratch.pair
+	w[0] = stripeWant{packed: packed, buf: buf}
+	if c.readPairs(w[:]); !w[0].ok {
+		return errTornRead
 	}
-	mn, off := layout.UnpackAddr(packed)
-	return c.waitBlocksAndRead(buf, int(mn), off)
+	return nil
 }
 
 // waitBlocksAndRead waits for tier-3 recovery of mn and retries a

@@ -237,13 +237,6 @@ func (cl *Cluster) Addr(mn int, off uint64) (rdma.GlobalAddr, bool) {
 	return rdma.GlobalAddr{Node: node, Off: off}, ok
 }
 
-// PackedAddr resolves a 48-bit packed logical address from an index
-// slot or metadata record.
-func (cl *Cluster) PackedAddr(a uint64) (rdma.GlobalAddr, bool) {
-	mn, off := layout.UnpackAddr(a)
-	return cl.Addr(int(mn), off)
-}
-
 // Server returns the server of logical MN i (test and recovery use).
 // Recovery republishes servers under view.mu, so the read is guarded.
 func (cl *Cluster) Server(mn int) *Server {

@@ -312,6 +312,15 @@ func TestConcurrentRollover(t *testing.T) {
 	})
 }
 
+// readLostRange is readStripe for one range: buf = the bytes at packed.
+func readLostRange(ctx rdma.Ctx, cl *Cluster, sc *stripeScratch, packed uint64, buf []byte, core int) error {
+	w := [1]stripeWant{{packed: packed, buf: buf}}
+	if readStripe(ctx, cl, sc, w[:], core); !w[0].ok {
+		return errStripeUnavailable
+	}
+	return nil
+}
+
 // stripeParityInvariant checks, for every stripe row on every MN, the
 // XOR-code invariant P = ⊕_b (DATA_b ⊕ DELTA_b): the row parity block
 // must equal the XOR of all data blocks folded with their pending

@@ -451,10 +451,8 @@ func readMetaReplica(ctx rdma.Ctx, cl *Cluster, sc *stripeScratch, owner int, re
 // entryKeys answers, for tier 2's index rebuild, which key an entry of
 // the checkpoint image belongs to (Figure 4 ③). Pairs in scanned blocks
 // answer from memory, pairs in recovered local blocks from the
-// replacement's own; everything else is read over the fabric, and
-// fetched counts those reads. A pair is read in place only from a
-// source of stripe blocks (view.blockSource); on an MN down or still in
-// tier 3 it is read through its stripe (readStripe).
+// replacement's own; everything else is read over the fabric through
+// the one pair reader (readPairs), and fetched counts those reads.
 type entryKeys struct {
 	ctx       rdma.Ctx
 	cl        *Cluster
@@ -499,54 +497,39 @@ func (ek *entryKeys) eachMatch(key []byte, fn func(off uint64, m racehash.Match)
 // checkpoint does not cover, most entries of a rewritten key point into
 // blocks it left alone, and one blocking read each — two round trips
 // each through a stripe — would put their count on the critical path to
-// indexReady. The in-place reads go first, then readStripe's, each
-// readDepth to a doorbell. Each pair is read at its slot's length hint;
-// whatever fails here, a pair longer than its hint included, is left to
-// of.
+// indexReady. Each pair is read at its slot's length hint; whatever
+// fails here, a pair longer than its hint included, is left to of.
 func (ek *entryKeys) prefetch(keys []string) {
-	var ops []rdma.Op // in-place reads; ops[i] is the pair at addrs[i]
-	var addrs []uint64
-	var lost []stripeWant
+	var wants []stripeWant
 	asked := make(map[uint64]bool)
 	for _, key := range keys {
 		ek.eachMatch([]byte(key), func(_ uint64, m racehash.Match) bool {
 			packed := m.Atomic.Addr
-			if _, have := ek.scanned[packed]; have || asked[packed] {
+			if _, have := ek.scanned[packed]; have || asked[packed] || ek.local(packed) {
 				return false
 			}
 			asked[packed] = true
-			buf := make([]byte, kvHintBytes(m.Meta))
-			owner, off := layout.UnpackAddr(packed)
-			switch addr, ok := ek.inPlace(int(owner), off); {
-			case int(owner) == ek.mn && ek.recovered[ek.cl.L.BlockOfOff(off)]:
-				// answers from the replacement's own memory
-			case ok:
-				ops = append(ops, rdma.Op{Kind: rdma.OpRead, Addr: addr, Buf: buf})
-				addrs = append(addrs, packed)
-			default:
-				lost = append(lost, stripeWant{packed: packed, buf: buf})
-			}
+			wants = append(wants, stripeWant{packed: packed, buf: make([]byte, kvHintBytes(m.Meta))})
 			return false
 		})
 	}
-	fetched := func(packed uint64, buf []byte) {
+	readPairs(ek.ctx, ek.cl, ek.sc, wants, rdma.CoreErasure)
+	for _, w := range wants {
+		if !w.ok {
+			continue
+		}
 		ek.fetched++
-		if kv, err := layout.DecodeKV(buf); err == nil && kv != nil {
-			ek.scanned[packed] = &layout.KV{Key: append([]byte(nil), kv.Key...)} // of reads the key alone
+		if kv, err := layout.DecodeKV(w.buf); err == nil && kv != nil {
+			ek.scanned[w.packed] = &layout.KV{Key: append([]byte(nil), kv.Key...)} // of reads the key alone
 		}
 	}
-	batchBy(ek.ctx, ops, readDepth)
-	for i := range ops {
-		if ops[i].Err == nil {
-			fetched(addrs[i], ops[i].Buf)
-		}
-	}
-	readStripe(ek.ctx, ek.cl, ek.sc, lost, rdma.CoreErasure)
-	for i := range lost {
-		if lost[i].ok {
-			fetched(lost[i].packed, lost[i].buf)
-		}
-	}
+}
+
+// local reports whether the pair at packed lies in a block tier 2
+// decoded into the replacement's own memory.
+func (ek *entryKeys) local(packed uint64) bool {
+	owner, off := layout.UnpackAddr(packed)
+	return int(owner) == ek.mn && ek.recovered[ek.cl.L.BlockOfOff(off)]
 }
 
 // reapplyCandidate installs a scanned KV candidate into the recovered
@@ -595,21 +578,18 @@ func (ek *entryKeys) of(m racehash.Match) ([]byte, bool) {
 	if kv, ok := ek.scanned[packed]; ok {
 		return kv.Key, true
 	}
-	owner, off := layout.UnpackAddr(packed)
-	bi := ek.cl.L.BlockOfOff(off)
-	local := int(owner) == ek.mn && bi >= 0 && ek.recovered[bi]
+	local := ek.local(packed)
 	if !local {
 		ek.fetched++
 	}
 	read := func(buf []byte) error {
-		if local {
+		w := [1]stripeWant{{packed: packed, buf: buf}}
+		if _, off := layout.UnpackAddr(packed); local {
 			copy(buf, ek.mem[off:])
-			return nil
+		} else if readPairs(ek.ctx, ek.cl, ek.sc, w[:], rdma.CoreErasure); !w[0].ok {
+			return errStripeUnavailable
 		}
-		if addr, ok := ek.inPlace(int(owner), off); ok {
-			return ek.ctx.Read(buf, addr)
-		}
-		return readLostRange(ek.ctx, ek.cl, ek.sc, packed, buf, rdma.CoreErasure)
+		return nil
 	}
 	buf := make([]byte, kvHintBytes(m.Meta))
 	var kv layout.KV
@@ -620,11 +600,4 @@ func (ek *entryKeys) of(m racehash.Match) ([]byte, bool) {
 		return nil, false // unreadable, torn or never written: the key stays unresolved
 	}
 	return append([]byte(nil), kv.Key...), true
-}
-
-// inPlace resolves a pair of MN owner that may be read in place: owner
-// is not the MN being recovered and is a source of stripe blocks.
-func (ek *entryKeys) inPlace(owner int, off uint64) (rdma.GlobalAddr, bool) {
-	addr, ok := ek.cl.Addr(owner, off)
-	return addr, ok && owner != ek.mn && ek.cl.view.blockSource(owner)
 }

@@ -403,12 +403,15 @@ func (s *Server) handleAllocBlock(req []byte) ([]byte, time.Duration) {
 	if d.short || class == 0 || uint64(class)*64 > s.cl.L.Cfg.BlockSize {
 		return []byte{stBadArg}, cpu
 	}
+	// Reclaim only from a complete Block Area (an unshipped block reads as
+	// zeros); read before mu, which recovery takes under the view's lock.
+	source := s.cl.view.blockSource(s.mn)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
 	// Delta-based reclamation path: when free rows drop below the
 	// threshold, hand out the most-obsolete sealed block instead.
-	if s.freeDataRowFrac() < s.cl.Cfg.ReclaimFree {
+	if source && s.freeDataRowFrac() < s.cl.Cfg.ReclaimFree {
 		if b, copyIdx, ok := s.pickReclaim(class); ok {
 			rec := s.record(b)
 			old := s.bitmap(b)
@@ -763,6 +766,11 @@ func (s *Server) encoderLoop(ctx rdma.Ctx) {
 	var freeBlocks []int
 	for !s.isStopped() {
 		ctx.Sleep(encodePoll)
+		// Fold only into a complete Block Area: tier 3 ships into the DELTA
+		// blocks of a row it has yet to rebuild. The jobs wait queued.
+		if !s.cl.view.blockSource(s.mn) {
+			continue
+		}
 		for {
 			s.memMu.Lock()
 			s.mu.Lock()

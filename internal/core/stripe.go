@@ -14,7 +14,9 @@ import (
 // rule (choose): an MN is a source only if view.blockSource says so —
 // an MN still in tier 3 answers reads, but with zeros for the rows it
 // has not rebuilt — and a parity only if its record also reads
-// RoleParity and Valid. The erasure pattern, never a knob, picks the
+// RoleParity and Valid. The same rule decides where every reader of a
+// pair gets it (readPairs): in place from a blockSource, through the
+// stripe otherwise. The erasure pattern, never a knob, picks the
 // decode: a fold when only the wanted shard is lost and parity 0 is a
 // source (the wanted ranges of the surviving data blocks, of parity 0
 // and of the pending deltas, XORed), a plan otherwise or for a whole
@@ -29,8 +31,8 @@ import (
 //
 //	P = ⊕_b enc_b  ⇒  DATA_m = P ⊕ ⊕_{b≠m}(DATA_b ⊕ DELTA_b) ⊕ DELTA_m
 
-// readDepth is how many small reads one doorbell carries: the folded
-// ranges and their records here, tier 2's in-place key prefetch there.
+// readDepth is how many small reads one doorbell carries: the pairs
+// readPairs reads in place, and the folded ranges and their records.
 const readDepth = 32
 
 // blockSource reports whether mn may serve stripe blocks: it is up and
@@ -43,13 +45,56 @@ func (v *view) blockSource(mn int) bool {
 
 var errStripeUnavailable = errors.New("core: stripe survivors unavailable")
 
-// stripeWant is one range of a lost DATA block for readStripe: the
-// packed address of its first byte and buf for the bytes. ok reports
-// whether the stripe served it.
+// stripeWant is one range of Block Area bytes for readPairs or
+// readStripe: its packed address, buf for the bytes, whether it was
+// served (ok) and whether readPairs read it through the stripe.
 type stripeWant struct {
-	packed uint64
-	buf    []byte
-	ok     bool
+	packed   uint64
+	buf      []byte
+	ok       bool
+	degraded bool
+}
+
+// pairSource resolves the Block Area bytes at packed for a read in
+// place: false unless their MN is a view.blockSource.
+func pairSource(cl *Cluster, packed uint64) (rdma.GlobalAddr, bool) {
+	mn, off := layout.UnpackAddr(packed)
+	addr, _ := cl.Addr(int(mn), off)
+	return addr, cl.view.blockSource(int(mn))
+}
+
+// readPairs is the one pair reader: it reads each want whose MN is a
+// blockSource in place, readDepth to a doorbell, and the rest — and any
+// whose MN failed under that read — through readStripe, marked degraded.
+func readPairs(ctx rdma.Ctx, cl *Cluster, sc *stripeScratch, wants []stripeWant, core int) {
+	ops := sc.ops[:0]
+	for i := range wants {
+		addr, ok := pairSource(cl, wants[i].packed)
+		if wants[i].degraded = !ok; ok {
+			ops = append(ops, rdma.Op{Kind: rdma.OpRead, Addr: addr, Buf: wants[i].buf})
+		}
+	}
+	batchBy(ctx, ops, readDepth)
+	lost, j := sc.lost[:0], 0
+	for i := range wants {
+		w := &wants[i]
+		if !w.degraded {
+			w.ok, w.degraded = ops[j].Err == nil, errors.Is(ops[j].Err, rdma.ErrNodeFailed)
+			j++
+		}
+		if w.degraded {
+			lost = append(lost, *w)
+		}
+	}
+	if sc.ops, sc.lost = ops, lost; len(lost) > 0 {
+		readStripe(ctx, cl, sc, lost, core)
+	}
+	for i, j := 0, 0; i < len(wants); i++ {
+		if wants[i].degraded {
+			wants[i].ok = lost[j].ok
+			j++
+		}
+	}
 }
 
 // stripeRangeOf resolves n bytes at a packed address to their MN,
@@ -60,15 +105,6 @@ func stripeRangeOf(cl *Cluster, packed uint64, n int) (mn, bi int, rel uint64, o
 	bi = cl.L.BlockOfOff(off)
 	rel = off - cl.L.BlockOff(bi)
 	return int(mnU), bi, rel, bi >= 0 && bi < cl.L.Cfg.StripeRows && rel+uint64(n) <= cl.L.Cfg.BlockSize
-}
-
-// readLostRange is readStripe for one range: buf = the bytes at packed.
-func readLostRange(ctx rdma.Ctx, cl *Cluster, sc *stripeScratch, packed uint64, buf []byte, core int) error {
-	w := [1]stripeWant{{packed: packed, buf: buf}}
-	if readStripe(ctx, cl, sc, w[:], core); !w[0].ok {
-		return errStripeUnavailable
-	}
-	return nil
 }
 
 // readStripe reads every want through its block's stripe and marks
@@ -187,7 +223,8 @@ type stripeScratch struct {
 	present  []bool   // shards[i] is a source (choose), then was fetched
 	reads    []blockRead
 	ops      []rdma.Op
-	opRead   []int // ops[i] fills reads[opRead[i]]
+	lost     []stripeWant // readPairs' wants for readStripe
+	opRead   []int        // ops[i] fills reads[opRead[i]]
 	recs     []byte
 	folds    []erasure.ShardDelta
 	plans    map[uint32]*erasure.Plan
