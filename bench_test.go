@@ -88,7 +88,6 @@ func BenchmarkOpLatency(b *testing.B) {
 			cfg.Layout.StripeRows = 24
 			cfg.Layout.PoolBlocks = 16
 			cfg.BitmapFlushOps = 8
-			cfg.ReclaimFree = 0.5
 			cluster, err := Open(cfg)
 			if err != nil {
 				b.Fatal(err)

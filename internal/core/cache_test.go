@@ -358,7 +358,6 @@ func TestClientMemoryBoundedUnderChurn(t *testing.T) {
 	cfg.Layout.StripeRows = 24
 	cfg.Layout.PoolBlocks = 16
 	cfg.BitmapFlushOps = 8
-	cfg.ReclaimFree = 0.5
 	cfg.CacheEntries = 128
 	tc := newTestClusterCfg(t, cfg)
 	const keys, cycles = 600, 6000

@@ -17,7 +17,6 @@ func TestSteadyStateChurn(t *testing.T) {
 	cfg.Layout.StripeRows = 24
 	cfg.Layout.PoolBlocks = 16
 	cfg.BitmapFlushOps = 8
-	cfg.ReclaimFree = 0.5
 	tc := newTestClusterCfg(t, cfg)
 	const keys, cycles = 64, 20000 // ~7 MB churn through ~1.1 MB of data capacity
 	tc.runClients(t, 3600*time.Second, func(c *Client) {

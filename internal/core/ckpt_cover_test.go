@@ -383,7 +383,6 @@ func newCoverScript(t *testing.T, clients int) *coverScript {
 		cfg.CkptInterval = time.Hour
 		// Any sealed block with an obsolete pair is reclaimed by the next
 		// allocation on its MN, so a flush of marks scripts a reuse.
-		cfg.ReclaimFree = 1
 		cfg.ReclaimObsolete = 0.001
 	})
 	tc.cl.master.AddSpare()
@@ -588,6 +587,50 @@ func TestTier2ScansOnlyUncoveredBlocks(t *testing.T) {
 			t.Errorf("%d keys fetched, want 1", rep.KeysFetched)
 		}
 	})
+}
+
+// TestTier2ClearsEntryOfReusedPair scripts a checkpoint entry whose
+// pair was reused. Key K's entry in the victim's image names K's pair
+// in block B; K is rewritten after the round, the old pair's mark makes
+// B a reclamation candidate, and key J's pair lands at K's old address.
+// Tier 2 finds J there when it compares K's newest pair with the image:
+// it must clear the entry, not merely re-place K beside it. Left in
+// place, the entry still holds the word a client cached before the
+// round, so that client's next UPDATE of K, speculating on the word,
+// wins its CAS there: K then has two entries and J's live pair is
+// marked obsolete, for the next reuse of B to overwrite.
+func TestTier2ClearsEntryOfReusedPair(t *testing.T) {
+	s := newCoverScript(t, 3)
+	k := keysHomedOn(s.tc, coverVictim, 1, true)[0]
+	j := keysHomedOn(s.tc, coverVictim, 1, false)[0]
+	const onB, onNew = 2, 3
+	b := s.put(0, onB, k) // client 0 caches K's word, which names B
+	s.seal(0)
+	s.round(1)
+	s.put(1, onNew, k)
+	s.flushMarks(1)
+	if got := s.put(2, onB, j); got != b {
+		t.Fatalf("J's pair went to block %v, want K's reclaimed block %v", got, b)
+	}
+	cached := s.clients[0].c.cache.Lookup(racehash.Hash(key(k)), key(k)).atomic
+	if kv := s.tc.pairAt(layout.UnpackAtomic(cached).Addr); kv == nil || !bytes.Equal(kv.Key, key(j)) {
+		t.Fatal("J's pair is not at the address client 0's cached word of K names")
+	}
+
+	s.tc.cl.FailMN(coverVictim)
+	s.tc.waitBlocksReady(t, coverVictim)
+	s.put(0, onNew, k) // through the cached word
+	for i := range s.clients {
+		s.flushMarks(i)
+	}
+	s.tc.run(time.Millisecond)
+	if n := indexSlotsOf(s.tc, key(k)); n != 1 {
+		t.Errorf("K has %d index entries after the UPDATE through its cached word, want 1", n)
+	}
+	s.tc.verifyAll(t, s.model)
+	if _, _, markedLive, _ := freeBitmapAudit(t, s.tc); markedLive != 0 {
+		t.Errorf("%d live pairs are marked obsolete", markedLive)
+	}
 }
 
 // TestTier2CoverageRandomWalk walks the same events at random — writes

@@ -219,7 +219,7 @@ func (c *Client) provisionBlock(ctx rdma.Ctx, classUnits uint8, seq *int, st *Cl
 			// Read the whole reused block back (§3.3.3 ②): the extra
 			// cost is bandwidth, not IOPS, hence the ≤5% impact.
 			ob.oldData = make([]byte, l.Cfg.BlockSize)
-			if err := c.readChunkedCtx(ctx, mn, l.BlockOff(idx), ob.oldData, st); err != nil {
+			if err := c.readBack(ctx, mn, l.BlockOff(idx), ob.oldData, st); err != nil {
 				continue
 			}
 			for s := 0; s < capSlots; s++ {
@@ -233,9 +233,10 @@ func (c *Client) provisionBlock(ctx rdma.Ctx, classUnits uint8, seq *int, st *Cl
 			}
 		}
 		if !c.allocDeltas(ctx, ob) {
-			// Nothing was written: sealed as it stands, DATA, DELTA and
-			// PARITY agree, and the reclamation copy is released.
-			c.sealBlockCtx(ctx, ob)
+			// Nothing was written: the block goes back as it was, and a
+			// parity MN out of pool blocks costs a try on the next MN,
+			// not a row (DESIGN.md §3).
+			c.returnBlock(ctx, ob, oldBits)
 			continue
 		}
 		return ob, nil
@@ -314,10 +315,18 @@ func (c *Client) allocDeltas(ctx rdma.Ctx, ob *openBlock) bool {
 	return true
 }
 
-// readChunkedCtx reads a whole block in chunkBytes pieces through ctx,
+// readbackBytes is the piece size of a reused block's readback. A piece
+// holds the data MN's NIC ahead of foreground verbs for its whole
+// length, and with a block reclaimed as soon as it is obsolete enough
+// the readbacks never stop: in chunkBytes pieces (64 KB, 9.4 µs each)
+// they doubled the GET p99 of a YCSB-A run, while 1 KB pieces left the
+// prefetcher behind the writers (DESIGN.md §3).
+const readbackBytes = 4 << 10
+
+// readBack reads a whole block in readbackBytes pieces through ctx,
 // accounting into st when non-nil (nil from the prefetch worker).
-func (c *Client) readChunkedCtx(ctx rdma.Ctx, mn int, off uint64, dst []byte, st *ClientStats) error {
-	chunk := chunkBytes
+func (c *Client) readBack(ctx rdma.Ctx, mn int, off uint64, dst []byte, st *ClientStats) error {
+	chunk := readbackBytes
 	for pos := 0; pos < len(dst); pos += chunk {
 		end := pos + chunk
 		if end > len(dst) {
@@ -344,14 +353,32 @@ func (c *Client) readChunkedCtx(ctx rdma.Ctx, mn int, off uint64, dst []byte, st
 func (c *Client) sealBlock(ob *openBlock) { c.sealBlockCtx(c.ctx, ob) }
 
 // sealBlockCtx is sealBlock through an explicit ctx, so the prefetch
-// worker can seal off the critical path.
+// worker can seal off the critical path. The encodes are queued before
+// the seal: once sealed, the block may be reclaimed, and the parity
+// MNs tell its pending deltas from its next incarnation's by the
+// queued job (handleAllocDelta).
 func (c *Client) sealBlockCtx(ctx rdma.Ctx, ob *openBlock) {
 	var e enc
 	e.u32(uint32(ob.idx))
 	e.u32(ob.copyIdx)
-	if node, alive := c.cl.view.nodeOf(ob.mn); alive {
-		ctx.RPC(node, methodSealBlock, e.b) //nolint:errcheck // recovery rescans unsealed blocks
-	}
+	c.closeBlock(ctx, ob, e.b)
+}
+
+// returnBlock gives back a block nobody wrote, with the free bitmap it
+// was handed out with (nil for a fresh one), for its data MN to put back
+// as it was (handleSealBlock).
+func (c *Client) returnBlock(ctx rdma.Ctx, ob *openBlock, oldBits []byte) {
+	var e enc
+	e.u32(uint32(ob.idx))
+	e.u32(ob.copyIdx)
+	e.u16(c.id)
+	e.bytes(oldBits)
+	c.closeBlock(ctx, ob, e.b)
+}
+
+// closeBlock queues the encode of ob's deltas on its parity MNs, then
+// sends its data MN the SealBlock request seal.
+func (c *Client) closeBlock(ctx rdma.Ctx, ob *openBlock, seal []byte) {
 	for _, dt := range ob.deltas {
 		if node, alive := c.cl.view.nodeOf(dt.mn); alive {
 			var de enc
@@ -359,6 +386,9 @@ func (c *Client) sealBlockCtx(ctx rdma.Ctx, ob *openBlock) {
 			de.u8(ob.xorID)
 			ctx.RPC(node, methodEncodeDelta, de.b) //nolint:errcheck // delta stays pending, still decodable
 		}
+	}
+	if node, alive := c.cl.view.nodeOf(ob.mn); alive {
+		ctx.RPC(node, methodSealBlock, seal) //nolint:errcheck // recovery rescans unsealed blocks
 	}
 }
 

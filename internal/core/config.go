@@ -75,12 +75,10 @@ type Config struct {
 	// space measurement, which must not count blocks provisioned ahead
 	// of need, and for tests that script a client's verbs one by one.
 	BlockPrefetch bool
-	// ReclaimObsolete is the obsolete-KV fraction above which a DATA
-	// block becomes a reclamation candidate (paper default 0.75).
+	// ReclaimObsolete is the obsolete-KV fraction at which a sealed DATA
+	// block is handed out again by the next allocation of its class on
+	// its MN (paper default 0.75). Above 1 nothing is ever reclaimed.
 	ReclaimObsolete float64
-	// ReclaimFree is the free-space fraction below which reclamation
-	// kicks in (paper default 0.25).
-	ReclaimFree float64
 	// BitmapFlushOps is how many obsolete-markings a client batches
 	// before flushing free-bitmap updates to the servers.
 	BitmapFlushOps int
@@ -128,7 +126,6 @@ func DefaultConfig() Config {
 		CacheSlotAddr:   true,
 		BlockPrefetch:   true,
 		ReclaimObsolete: 0.75,
-		ReclaimFree:     0.25,
 		BitmapFlushOps:  64,
 	}
 }

@@ -66,6 +66,7 @@ func TestObsoleteMarksSurviveClassChangeUnderContention(t *testing.T) {
 			tc := newTestCluster(t, func(cfg *Config) {
 				cfg.Layout.StripeRows = 96
 				cfg.Layout.PoolBlocks = 24
+				cfg.ReclaimObsolete = 2 // no block is ever that obsolete: none is reclaimed
 			})
 			const clients, updates, hot = 4, 300, 6
 			fns := make([]func(*Client), clients)

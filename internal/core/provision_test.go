@@ -81,6 +81,13 @@ func TestRefusedDeltaNeverOpensABlock(t *testing.T) {
 		if n := indexSlotsOf(tc, key(0)); n != 0 {
 			t.Errorf("the refused insert sits in %d index slots", n)
 		}
+		for _, srv := range tc.cl.servers { // every refused block went back
+			for _, row := range srv.dataRows {
+				if rec := srv.record(row); rec.Role != layout.RoleFree {
+					t.Errorf("MN %d row %d is %v after every provisioning was refused, want free", srv.mn, row, rec.Role)
+				}
+			}
+		}
 		tc.run(20 * time.Millisecond)
 		stripeParityInvariant(t, tc)
 	})

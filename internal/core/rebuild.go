@@ -59,8 +59,8 @@ const rebuildMaxAttempts = 3
 const rebuildPoll = 10 * time.Microsecond
 
 // chunkBytes is the transfer granularity of bulk RDMA transfers
-// (checkpoint deltas, reused-block readbacks, recovery reads, rebuilt
-// blocks), so they interleave with foreground traffic instead of
+// (checkpoint deltas, recovery reads, rebuilt blocks; a reused block's
+// readback has its own, readbackBytes), so they interleave with foreground traffic instead of
 // head-of-line blocking the NIC. chunkDepth is how many chunks of one
 // block a bulk transfer keeps in flight: a source NIC never has more
 // than chunkDepth×chunkBytes of one reader's traffic queued ahead of a

@@ -309,9 +309,10 @@ func runRecovery(ctx rdma.Ctx, cl *Cluster, mn int) *RecoveryReport {
 	cl.view.failed[mn] = false
 	cl.view.indexReady[mn] = true
 	// The generation moves only when a slot may have a new key: a key was
-	// re-placed, the scan was partial, or the image predates the current
-	// generation (DESIGN.md §13). Otherwise every binding stays good.
-	if rep.KeysReplaced > 0 || partial || ckptVer < cl.view.genFloor[mn] {
+	// re-placed, an entry cleared, the scan was partial, or the image
+	// predates the current generation (DESIGN.md §13). Otherwise every
+	// binding stays good.
+	if rep.KeysReplaced > 0 || ek.cleared > 0 || partial || ckptVer < cl.view.genFloor[mn] {
 		cl.view.indexGen[mn]++
 		cl.view.genFloor[mn] = srv.indexVersion()
 	}
@@ -463,6 +464,7 @@ type entryKeys struct {
 	recovered map[int]bool          // local blocks decoded into mem
 	fetched   int
 	replaced  int              // keys reapplyCandidate put into a free slot
+	cleared   int              // entries reapplyCandidate found outliving their pair
 	matches   []racehash.Match // reused by eachMatch
 }
 
@@ -520,7 +522,7 @@ func (ek *entryKeys) prefetch(keys []string) {
 		}
 		ek.fetched++
 		if kv, err := layout.DecodeKV(w.buf); err == nil && kv != nil {
-			ek.scanned[w.packed] = &layout.KV{Key: append([]byte(nil), kv.Key...)} // of reads the key alone
+			ek.scanned[w.packed] = &layout.KV{Key: append([]byte(nil), kv.Key...), SlotVersion: kv.SlotVersion} // of reads no value
 		}
 	}
 }
@@ -535,25 +537,39 @@ func (ek *entryKeys) local(packed uint64) bool {
 // reapplyCandidate installs a scanned KV candidate into the recovered
 // index if it is newer than what the checkpoint holds. Key comparison
 // against an existing entry follows the normal lookup process
-// (Figure 4 ③, entryKeys).
+// (Figure 4 ③, entryKeys). An entry whose address no longer holds the
+// pair its word names — the pair's key has another fingerprint, or its
+// slot version another low byte — outlived that pair: the block was
+// reclaimed after the image was taken. It is cleared before the key is
+// re-placed, or a client that cached its word would win a CAS on it and
+// commit over the pair now there (DESIGN.md §3). Every entry a commit or
+// a rebuild wrote names its pair, so no live entry is cleared.
 func reapplyCandidate(ek *entryKeys, key []byte, version, packed uint64, class uint8) {
 	l, mem := ek.cl.L, ek.mem
 	newAtomicVal := layout.SlotAtomic{FP: racehash.Fingerprint(racehash.Hash(key)), Ver: uint8(version), Addr: packed}.Pack()
 	newMetaVal := layout.SlotMeta{Epoch: version >> 8, Len: class}.Pack()
-	put := func(off uint64) {
-		binary.LittleEndian.PutUint64(mem[off:], newAtomicVal)
-		binary.LittleEndian.PutUint64(mem[off+layout.SlotMetaOff:], newMetaVal)
+	put := func(off uint64, atomic, meta uint64) {
+		binary.LittleEndian.PutUint64(mem[off:], atomic)
+		binary.LittleEndian.PutUint64(mem[off+layout.SlotMetaOff:], meta)
 	}
 
 	found := false
 	ek.eachMatch(key, func(off uint64, m racehash.Match) bool {
-		exKey, ok := ek.of(m)
-		if !ok || string(exKey) != string(key) {
+		ex, ok := ek.of(m)
+		if !ok {
+			return false
+		}
+		if racehash.Fingerprint(racehash.Hash(ex.Key)) != m.Atomic.FP || uint8(ex.SlotVersion) != m.Atomic.Ver {
+			put(off, 0, 0)
+			ek.cleared++
+			return false
+		}
+		if string(ex.Key) != string(key) {
 			return false
 		}
 		// Same key: keep the higher slot version.
 		if version > layout.SlotVersion(m.Meta.Epoch&^1, m.Atomic.Ver) {
-			put(off)
+			put(off, newAtomicVal, newMetaVal)
 		}
 		found = true
 		return true
@@ -564,19 +580,20 @@ func reapplyCandidate(ek *entryKeys, key []byte, version, packed uint64, class u
 	b, img := ek.buckets(key)
 	for i := range b {
 		if s := racehash.FreeSlot(img[i]); s >= 0 {
-			put(l.SlotOff(b[i], s)) // the one way a rebuild gives a slot a new key
+			put(l.SlotOff(b[i], s), newAtomicVal, newMetaVal) // the one way a rebuild gives a slot a new key
 			ek.replaced++
 			return
 		}
 	}
 }
 
-// of fetches the key bytes of an existing index entry during recovery,
-// reading its pair at the true size its header states.
-func (ek *entryKeys) of(m racehash.Match) ([]byte, bool) {
+// of fetches the key and slot version of the pair at an existing index
+// entry's address during recovery, reading it at the true size its
+// header states.
+func (ek *entryKeys) of(m racehash.Match) (*layout.KV, bool) {
 	packed := m.Atomic.Addr
 	if kv, ok := ek.scanned[packed]; ok {
-		return kv.Key, true
+		return kv, true
 	}
 	local := ek.local(packed)
 	if !local {
@@ -599,5 +616,5 @@ func (ek *entryKeys) of(m racehash.Match) ([]byte, bool) {
 	if ok, _ := layout.DecodeAtTrueSize(&kv, buf, int(ek.cl.L.Cfg.BlockSize), &buf, read); !ok {
 		return nil, false // unreadable, torn or never written: the key stays unresolved
 	}
-	return append([]byte(nil), kv.Key...), true
+	return &layout.KV{Key: append([]byte(nil), kv.Key...), SlotVersion: kv.SlotVersion}, true
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -200,18 +201,6 @@ func (s *Server) freePoolBlock() int {
 	return -1
 }
 
-// freeDataRowFrac returns the fraction of this MN's data rows still
-// unallocated. Caller holds mu.
-func (s *Server) freeDataRowFrac() float64 {
-	free := 0
-	for _, row := range s.dataRows {
-		if s.record(row).Role == layout.RoleFree {
-			free++
-		}
-	}
-	return float64(free) / float64(len(s.dataRows))
-}
-
 // ServerStats is a snapshot of one MN server's management-plane
 // counters and pool occupancy: the store-level gauges the admin Stats
 // RPC and the daemon's /metrics endpoint expose. The server keeps its
@@ -391,10 +380,11 @@ func (s *Server) handle(method uint8, req []byte) ([]byte, time.Duration) {
 	return []byte{stBadArg}, time.Microsecond
 }
 
-// handleAllocBlock allocates a DATA block (fresh, or a reclaimed one
-// when space runs low, §3.3.3). A class of 0, or one whose slot does
-// not fit the block, would make a DATA block that never fills or seals:
-// it is refused.
+// handleAllocBlock allocates a DATA block: a reclaimed one whenever a
+// sealed block of the class is ReclaimObsolete obsolete (§3.3.3), a
+// fresh one otherwise. A class of 0, or one whose slot does not fit the
+// block, would make a DATA block that never fills or seals: it is
+// refused.
 func (s *Server) handleAllocBlock(req []byte) ([]byte, time.Duration) {
 	d := dec{b: req}
 	cliID := d.u16()
@@ -409,9 +399,10 @@ func (s *Server) handleAllocBlock(req []byte) ([]byte, time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	// Delta-based reclamation path: when free rows drop below the
-	// threshold, hand out the most-obsolete sealed block instead.
-	if source && s.freeDataRowFrac() < s.cl.Cfg.ReclaimFree {
+	// Delta-based reclamation path: hand out the most-obsolete sealed
+	// block as soon as one qualifies, not once space runs low (the
+	// paper's 25 % free trigger; DESIGN.md §3).
+	if source {
 		if b, copyIdx, ok := s.pickReclaim(class); ok {
 			rec := s.record(b)
 			old := s.bitmap(b)
@@ -473,18 +464,22 @@ func (s *Server) handleAllocBlock(req []byte) ([]byte, time.Duration) {
 
 // pickReclaim selects the sealed data block with the highest obsolete
 // fraction at or above the threshold, of the right size class, and a
-// free pool block for its backup copy. Caller holds mu.
+// free pool block for its backup copy. It runs on every allocation, so
+// a row's marks are counted before its record is decoded: few rows
+// have enough. Caller holds mu.
 func (s *Server) pickReclaim(class uint8) (block, copyIdx int, ok bool) {
 	best, bestCount := -1, 0
+	slots := s.cl.L.KVSlotsPerBlock(class)
 	for _, row := range s.dataRows {
-		rec := s.record(row)
-		if rec.Role != layout.RoleData || rec.IndexVersion == 0 || rec.SizeClass != class {
+		cnt := layout.BitmapCount(s.bitmap(row)[:(slots+7)/8])
+		if float64(cnt) < s.cl.Cfg.ReclaimObsolete*float64(slots) || cnt <= bestCount {
 			continue
 		}
-		slots := s.cl.L.KVSlotsPerBlock(rec.SizeClass)
-		cnt := layout.BitmapCount(s.bitmap(row)[:(slots+7)/8])
-		if float64(cnt) >= s.cl.Cfg.ReclaimObsolete*float64(slots) && cnt > bestCount {
+		if rec := s.record(row); rec.Role == layout.RoleData && rec.IndexVersion != 0 && rec.SizeClass == class {
 			best, bestCount = row, cnt
+			if cnt == slots {
+				break // no row has more
+			}
 		}
 	}
 	if best < 0 {
@@ -528,6 +523,23 @@ func (s *Server) handleAllocDelta(req []byte) ([]byte, time.Duration) {
 	// the row's restored deltas itself, as owner 0.
 	if !prec.Valid && cliID != 0 {
 		return []byte{stConflict}, cpu
+	}
+	// A pending delta with its encode queued belongs to the block's
+	// sealed incarnation, and the client asking is about to refill the
+	// block (a reclamation): fold it now. Re-attached instead, the new
+	// pairs' deltas would land on top of the old ones, and the queued
+	// job would later fold and free the block under the new writer.
+	// Clients send a block's EncodeDelta before its seal, so the job is
+	// queued before the data MN can hand the block out again. The fold
+	// is charged to this RPC, on the RPC core, and counted in the encode
+	// stats like the erasure core's (DESIGN.md §3, hardening 5).
+	if job := (encodeJob{stripe: stripe, xorID: xorID}); prec.Valid && prec.DeltaAddr[xorID] != 0 && s.takeEncodeJob(job) {
+		var deltas []erasure.ShardDelta
+		var freeBlocks []int
+		encCost, memCost := s.foldBatch(stripe, []encodeJob{job}, &deltas, &freeBlocks)
+		s.st.ECEncodeNs += uint64(encCost)
+		cpu += encCost + memCost
+		prec = s.record(int(stripe))
 	}
 	// Idempotent: a crashed-and-restarted client re-attaches to the
 	// existing delta block.
@@ -578,11 +590,23 @@ func (s *Server) handleInstallParity(req []byte) ([]byte, time.Duration) {
 
 // handleSealBlock stamps the current Index Version into a filled DATA
 // block's record (§3.2.3) and releases the reclamation backup copy, if
-// any.
+// any. A block its client never wrote (its DELTA blocks could not all
+// be allocated) goes back as it was handed out: the request then ends
+// with the client's id and the block's old free bitmap. A fresh block is
+// all zeros still, and its row is free again; a reused one gets its old
+// marks back, beside any set since. Sealed as it stood instead, a fresh
+// row would hold nothing for good and a reused one would have lost the
+// marks that make it reclaimable.
 func (s *Server) handleSealBlock(req []byte) ([]byte, time.Duration) {
 	d := dec{b: req}
 	b := int(d.u32())
 	copyIdx := d.u32()
+	unwritten := d.left() > 0
+	var cliID uint16
+	var oldBits []byte
+	if unwritten {
+		cliID, oldBits = d.u16(), d.bytes()
+	}
 	cpu := time.Microsecond
 	nb := s.cl.L.Cfg.BlocksPerMN()
 	if d.short || b >= nb || (copyIdx != ^uint32(0) && int(copyIdx) >= nb) {
@@ -594,7 +618,21 @@ func (s *Server) handleSealBlock(req []byte) ([]byte, time.Duration) {
 	if rec.Role != layout.RoleData {
 		return []byte{stBadArg}, cpu
 	}
-	rec.IndexVersion = s.indexVersion()
+	switch {
+	case !unwritten:
+		rec.IndexVersion = s.indexVersion()
+	case rec.IndexVersion != 0 || rec.CliID != cliID:
+		return []byte{stConflict}, cpu // not this client's open block
+	case copyIdx == ^uint32(0):
+		rec = layout.Record{}
+	default:
+		bm := s.bitmap(b)
+		for i := range min(len(bm), len(oldBits)) {
+			bm[i] |= oldBits[i]
+		}
+		s.dirty[b] |= metaBitmap
+		rec.IndexVersion = s.indexVersion()
+	}
 	s.putRecord(b, &rec)
 	if copyIdx != ^uint32(0) {
 		cb := int(copyIdx)
@@ -610,6 +648,14 @@ func (s *Server) handleSealBlock(req []byte) ([]byte, time.Duration) {
 		}
 	}
 	return []byte{stOK}, cpu
+}
+
+// takeEncodeJob removes every queued copy of job and reports whether
+// there was one. Caller holds mu.
+func (s *Server) takeEncodeJob(job encodeJob) bool {
+	n := len(s.encodeQ)
+	s.encodeQ = slices.DeleteFunc(s.encodeQ, func(j encodeJob) bool { return j == job })
+	return len(s.encodeQ) < n
 }
 
 // handleEncodeDelta enqueues background encoding of the DELTA block of
@@ -793,28 +839,7 @@ func (s *Server) encoderLoop(ctx rdma.Ctx) {
 				}
 			}
 			s.encodeQ = rest
-			deltas, freeBlocks = deltas[:0], freeBlocks[:0]
-			s.claimEncodeBatch(stripe, batch, &deltas, &freeBlocks)
-			var encCost time.Duration
-			if len(deltas) > 0 {
-				prec := s.record(int(stripe))
-				parity := s.block(int(stripe))
-				s.cl.code.ApplyDeltas(int(prec.ParityIdx), parity, deltas)
-				encCost = cpuTime((len(deltas)+1)*len(parity), codeRate(s.cl.Cfg.Code))
-				s.st.ECEncodeBytes += uint64(len(deltas)) * uint64(len(parity))
-				s.st.ECEncodeBatches++
-			}
-			// Zero and free the consumed DELTA blocks.
-			var memCost time.Duration
-			for _, db := range freeBlocks {
-				delta := s.block(db)
-				for i := range delta {
-					delta[i] = 0
-				}
-				memCost += cpuTime(len(delta), memcpyRate)
-				free := layout.Record{}
-				s.putRecord(db, &free)
-			}
+			encCost, memCost := s.foldBatch(stripe, batch, &deltas, &freeBlocks)
 			s.mu.Unlock()
 			s.memMu.Unlock()
 			if encCost > 0 {
@@ -832,6 +857,31 @@ func (s *Server) encoderLoop(ctx rdma.Ctx) {
 			}
 		}
 	}
+}
+
+// foldBatch folds one stripe's claimed jobs into the local PARITY block
+// and zeroes and frees the consumed DELTA blocks, reusing deltas and
+// freeBlocks as scratch. It returns the modelled cost of the fold and
+// of the zeroing, for the caller to charge. Caller holds memMu+mu.
+func (s *Server) foldBatch(stripe uint32, batch []encodeJob, deltas *[]erasure.ShardDelta, freeBlocks *[]int) (encCost, memCost time.Duration) {
+	*deltas, *freeBlocks = (*deltas)[:0], (*freeBlocks)[:0]
+	s.claimEncodeBatch(stripe, batch, deltas, freeBlocks)
+	if len(*deltas) > 0 {
+		prec := s.record(int(stripe))
+		parity := s.block(int(stripe))
+		s.cl.code.ApplyDeltas(int(prec.ParityIdx), parity, *deltas)
+		encCost = cpuTime((len(*deltas)+1)*len(parity), codeRate(s.cl.Cfg.Code))
+		s.st.ECEncodeBytes += uint64(len(*deltas)) * uint64(len(parity))
+		s.st.ECEncodeBatches++
+	}
+	for _, db := range *freeBlocks {
+		delta := s.block(db)
+		clear(delta)
+		memCost += cpuTime(len(delta), memcpyRate)
+		free := layout.Record{}
+		s.putRecord(db, &free)
+	}
+	return encCost, memCost
 }
 
 // claimEncodeBatch walks one stripe's claimed jobs, marks encoded

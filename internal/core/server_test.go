@@ -88,7 +88,16 @@ func TestHandlerBadArgs(t *testing.T) {
 	}
 	// A DATA block of class 0, or of a class whose slot exceeds the
 	// block, could never fill or seal: the row must stay FREE.
-	free := tc.cl.servers[0].freeDataRowFrac()
+	freeRows := func() int {
+		srv, n := tc.cl.servers[0], 0
+		for _, row := range srv.dataRows {
+			if srv.record(row).Role == layout.RoleFree {
+				n++
+			}
+		}
+		return n
+	}
+	free := freeRows()
 	for _, class := range []uint8{0, 4<<10/64 + 1} {
 		var ab enc
 		ab.u16(1)
@@ -97,8 +106,8 @@ func TestHandlerBadArgs(t *testing.T) {
 			t.Errorf("block of class %d allocated: %v", class, resp)
 		}
 	}
-	if got := tc.cl.servers[0].freeDataRowFrac(); got != free {
-		t.Errorf("refused allocations took data rows: free fraction %v -> %v", free, got)
+	if got := freeRows(); got != free {
+		t.Errorf("refused allocations took data rows: %d free -> %d", free, got)
 	}
 }
 
@@ -556,7 +565,6 @@ func wantWrites(l *layout.Layout, mn int, parts ...string) []string {
 // a round with nothing dirty rings nothing.
 func TestMetaSyncShipsOnlyChangedParts(t *testing.T) {
 	tc := newTestCluster(t, func(cfg *Config) {
-		cfg.ReclaimFree = 1     // every allocation after the first may reclaim
 		cfg.ReclaimObsolete = 0 // any sealed block with a mark qualifies
 	})
 	l := tc.cl.L
@@ -611,6 +619,84 @@ func TestMetaSyncShipsOnlyChangedParts(t *testing.T) {
 	}
 	// Block order: the copy is a pool block, after every stripe row.
 	check("a reclamation reset", wantWrites(l, 0, fmt.Sprintf("rec %d", a), fmt.Sprintf("bm %d", a), fmt.Sprintf("rec %d", cp)))
+}
+
+// TestSealUnwrittenPutsBlockBack pins SealBlock for a block its client
+// never wrote (its DELTA blocks could not all be allocated): a fresh one
+// leaves its row free again, a reused one is sealed with its old marks
+// back beside a mark set since the reclamation, and its backup copy is
+// freed; another client's return changes nothing.
+func TestSealUnwrittenPutsBlockBack(t *testing.T) {
+	tc := newTestCluster(t, func(cfg *Config) {
+		cfg.ReclaimObsolete = 0 // any sealed block with a mark qualifies
+	})
+	l := tc.cl.L
+	srv := tc.cl.servers[0]
+	unwritten := func(b int, copyIdx uint32, cliID uint16, oldBits []byte) uint8 {
+		var e enc
+		e.u32(uint32(b))
+		e.u32(copyIdx)
+		e.u16(cliID)
+		e.bytes(oldBits)
+		resp, _ := srv.handle(methodSealBlock, e.b)
+		return resp[0]
+	}
+
+	a := allocData(t, srv, 2)
+	if st := unwritten(a, ^uint32(0), 1, nil); st != stOK {
+		t.Fatalf("fresh block back: status %d", st)
+	}
+	if rec := srv.record(a); rec != (layout.Record{}) {
+		t.Fatalf("fresh block back: record %+v, want a free row", rec)
+	}
+
+	b := allocData(t, srv, 2)
+	if resp, _ := srv.handle(methodFreeBits, freeBitsPayload([]int{b, 0, 4})); resp[0] != stOK {
+		t.Fatalf("FreeBits: status %d", resp[0])
+	}
+	var seal enc
+	seal.u32(uint32(b))
+	seal.u32(^uint32(0))
+	if resp, _ := srv.handle(methodSealBlock, seal.b); resp[0] != stOK {
+		t.Fatalf("seal: status %d", resp[0])
+	}
+	var e enc
+	e.u16(1)
+	e.u8(2)
+	resp, _ := srv.handle(methodAllocBlock, e.b)
+	d := dec{b: resp[1:]}
+	got, _, _, reused, copyIdx, oldBits := int(d.u32()), d.u32(), d.u8(), d.u8(), d.u32(), d.bytes()
+	if resp[0] != stOK || d.short || got != b || reused != 1 {
+		t.Fatalf("allocation: status %d, block %d reused %d, want block %d reused", resp[0], got, reused, b)
+	}
+	// A client overwrites one of b's pairs still live while b is out.
+	if resp, _ := srv.handle(methodFreeBits, freeBitsPayload([]int{b, 6})); resp[0] != stOK {
+		t.Fatalf("FreeBits: status %d", resp[0])
+	}
+	if st := unwritten(b, copyIdx, 2, oldBits); st != stConflict {
+		t.Fatalf("another client's return: status %d, want stConflict", st)
+	}
+	if srv.record(b).IndexVersion != 0 || srv.record(int(copyIdx)).Role != layout.RoleCopy {
+		t.Fatal("another client's return changed the block")
+	}
+	if st := unwritten(b, copyIdx, 1, oldBits); st != stOK {
+		t.Fatalf("reused block back: status %d", st)
+	}
+	if rec := srv.record(b); rec.Role != layout.RoleData || rec.IndexVersion == 0 {
+		t.Fatalf("reused block back: record %+v, want a sealed DATA block", rec)
+	}
+	var marked []int
+	for s := 0; s < l.KVSlotsPerBlock(2); s++ {
+		if layout.BitmapGet(srv.bitmap(b), s) {
+			marked = append(marked, s)
+		}
+	}
+	if !reflect.DeepEqual(marked, []int{0, 2, 3}) {
+		t.Fatalf("reused block back: slots %v marked, want [0 2 3]", marked)
+	}
+	if srv.record(int(copyIdx)).Role != layout.RoleFree {
+		t.Fatalf("reused block back: its copy block is %v, want free", srv.record(int(copyIdx)).Role)
+	}
 }
 
 // TestMetaSyncResendsWholeArea pins the re-send: a replica host the

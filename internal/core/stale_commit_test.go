@@ -866,7 +866,6 @@ func TestSlotNeverChangesKey(t *testing.T) {
 			tc := newTestCluster(t, func(cfg *Config) {
 				cfg.Layout.StripeRows = 24
 				cfg.Layout.PoolBlocks = 16
-				cfg.ReclaimFree = 0.5
 			})
 			const clients, keys, bursts, perBurst = 4, 120, 19, 200
 			const victim = 1

@@ -110,8 +110,11 @@ func stripeRangeOf(cl *Cluster, packed uint64, n int) (mn, bi int, rel uint64, o
 // readStripe reads every want through its block's stripe and marks
 // those it served ok. The wants that fold do so together, readDepth
 // reads to a doorbell: first the parity-0 record of every row they lie
-// in, then every range. The rest are decoded by plan on core, one fetch
-// per block.
+// in, then every range, then the records of the rows a range folds
+// through again — the ranges are read again, into the same buffers, if
+// such a record's DeltaAddr moved in between, as a delta allocated or
+// folded there would be missed. The rest are decoded by plan on core,
+// one fetch per block.
 func readStripe(ctx rdma.Ctx, cl *Cluster, sc *stripeScratch, wants []stripeWant, core int) {
 	l, k := cl.L, cl.code.K()
 	var recReads, ops []rdma.Op
@@ -133,40 +136,72 @@ func readStripe(ctx rdma.Ctx, cl *Cluster, sc *stripeScratch, wants []stripeWant
 	}
 	batchBy(ctx, recReads, readDepth)
 
-	for i := range wants {
-		first[i] = len(ops)
-		mn, bi, rel, in := stripeRangeOf(cl, wants[i].packed, len(wants[i].buf))
-		if !in || plan[i] {
-			continue
-		}
-		rr := &recReads[recOf[bi]]
-		prec := layout.DecodeRecord(rr.Buf)
-		if rr.Err != nil || prec.Role != layout.RoleParity || !prec.Valid {
-			plan[i] = true // parity 0 is no source after all
-			continue
-		}
-		n, ok := len(wants[i].buf), true
-		add := func(owner int, base uint64) {
-			a, alive := cl.Addr(owner, base+rel)
-			ok = ok && alive
-			ops = append(ops, rdma.Op{Kind: rdma.OpRead, Addr: a, Buf: make([]byte, n)})
-		}
-		add(l.ParityMN(uint32(bi), 0), l.BlockOff(bi))
-		for xid, dm := range l.DataMNs(uint32(bi)) {
-			if dm != mn {
-				add(dm, l.BlockOff(bi))
+	maps := make([][layout.MaxStripeData]uint64, len(recReads)) // the delta map each folded range was read against
+	used := make([]bool, len(recReads))                         // recReads[r] names a folded range's deltas
+	var again []rdma.Op                                         // the used records, read again after the ranges
+	var againOf []int                                           // again[j] reads recReads[againOf[j]]
+	for {
+		prev := ops // the last try's ranges, whose buffers a retry takes again
+		ops = nil
+		clear(used)
+		for i := range wants {
+			first[i] = len(ops)
+			mn, bi, rel, in := stripeRangeOf(cl, wants[i].packed, len(wants[i].buf))
+			if !in || plan[i] {
+				continue
 			}
-			if da := prec.DeltaAddr[xid]; da != 0 {
-				dmn, dOff := layout.UnpackAddr(da)
-				add(int(dmn), dOff)
+			rr := &recReads[recOf[bi]]
+			prec := layout.DecodeRecord(rr.Buf)
+			if rr.Err != nil || prec.Role != layout.RoleParity || !prec.Valid {
+				plan[i] = true // parity 0 is no source after all
+				continue
+			}
+			used[recOf[bi]], maps[recOf[bi]] = true, prec.DeltaAddr
+			n, ok := len(wants[i].buf), true
+			add := func(owner int, base uint64) {
+				a, alive := cl.Addr(owner, base+rel)
+				ok = ok && alive
+				var buf []byte
+				if len(ops) < len(prev) {
+					buf = prev[len(ops)].Buf
+				}
+				if cap(buf) < n {
+					buf = make([]byte, n)
+				}
+				ops = append(ops, rdma.Op{Kind: rdma.OpRead, Addr: a, Buf: buf[:n]})
+			}
+			add(l.ParityMN(uint32(bi), 0), l.BlockOff(bi))
+			for xid, dm := range l.DataMNs(uint32(bi)) {
+				if dm != mn {
+					add(dm, l.BlockOff(bi))
+				}
+				if da := prec.DeltaAddr[xid]; da != 0 {
+					dmn, dOff := layout.UnpackAddr(da)
+					add(int(dmn), dOff)
+				}
+			}
+			if !ok {
+				ops = ops[:first[i]]
 			}
 		}
-		if !ok {
-			ops = ops[:first[i]]
+		first[len(wants)] = len(ops)
+		batchBy(ctx, ops, readDepth)
+		again, againOf = again[:0], againOf[:0]
+		for r := range recReads {
+			if used[r] {
+				again, againOf = append(again, recReads[r]), append(againOf, r)
+			}
+		}
+		batchBy(ctx, again, readDepth)
+		moved := false
+		for j, r := range againOf {
+			recReads[r].Err = again[j].Err
+			moved = moved || again[j].Err != nil || layout.DecodeRecord(recReads[r].Buf).DeltaAddr != maps[r]
+		}
+		if !moved {
+			break
 		}
 	}
-	first[len(wants)] = len(ops)
-	batchBy(ctx, ops, readDepth)
 	for i := range wants {
 		reads := ops[first[i]:first[i+1]]
 		wants[i].ok = len(reads) > 0
@@ -392,69 +427,49 @@ func (sc *stripeScratch) readBlock(ctx rdma.Ctx, cl *Cluster, mn int, off uint64
 // a second MN down. It reads into sc the sources choose picks, after
 // their records (one doorbell; a parity whose record does not read
 // RoleParity and Valid is ruled out and the sources chosen again), and
-// the pending DELTA blocks the first chosen parity's record names. Data
-// shards are decoded in enc form (DATA ⊕ DELTA) and the owner's pending
-// delta folded back after. It reports false when too few sources are
-// left for the code to decode, or one failed under the read.
+// the pending DELTA blocks the first chosen parity's record names. That
+// record is read again after the blocks, and all of it redone if its
+// DeltaAddr moved: a delta allocated or folded between the two doorbells
+// would otherwise be decoded without. Data shards are decoded in enc
+// form (DATA ⊕ DELTA) and the owner's pending delta folded back after.
+// It reports false when too few sources are left for the code to
+// decode, or one failed under the read.
 func readLostBlock(ctx rdma.Ctx, cl *Cluster, owner, b int, sc *stripeScratch, core int) ([]byte, bool) {
 	l := cl.L
 	stripe := uint32(b)
-	k, m := cl.code.K(), cl.code.M()
+	k := cl.code.K()
 	sc.blocks(l.Cfg.BlockSize)
-	var prec layout.Record
-	for skip := 0; ; {
-		if _, ok := sc.choose(cl, owner, b, skip); !ok {
+	own := l.XORIDOf(stripe, owner)
+	for {
+		prec, at, ok := sc.deltaMap(ctx, cl, owner, b)
+		if !ok {
 			return nil, false
 		}
-		sc.ops = sc.ops[:0]
-		for j := 0; j < m; j++ {
+		sc.reads = sc.reads[:0]
+		for xid, dm := range l.DataMNs(stripe) {
+			if da := prec.DeltaAddr[xid]; da != 0 && (sc.present[xid] || xid == own) {
+				dmn, dOff := layout.UnpackAddr(da)
+				sc.reads = append(sc.reads, blockRead{mn: int(dmn), off: dOff, dst: sc.delta(xid), delta: xid})
+			}
+			if sc.present[xid] {
+				sc.reads = append(sc.reads, blockRead{mn: dm, off: l.BlockOff(b), dst: sc.shards[xid], delta: -1})
+			}
+		}
+		for j := 0; j < cl.code.M(); j++ {
 			if sc.present[k+j] {
-				addr, _ := cl.Addr(l.ParityMN(stripe, j), l.RecordOff(b))
-				sc.ops = append(sc.ops, rdma.Op{Kind: rdma.OpRead, Addr: addr,
-					Buf: sc.recs[j*layout.RecordSize : (j+1)*layout.RecordSize]})
+				sc.reads = append(sc.reads, blockRead{mn: l.ParityMN(stripe, j), off: l.BlockOff(b), dst: sc.shards[k+j], delta: -1})
 			}
 		}
-		ctx.Batch(sc.ops) //nolint:errcheck // an unreadable record rules its parity out below
-		// The delta map lives in the parity record; each parity MN
-		// tracks its own copies, so the map comes from the first parity
-		// that is used.
-		prec = layout.Record{}
-		ruled := false
-		for i, j := 0, 0; j < m; j++ {
-			if !sc.present[k+j] {
-				continue
-			}
-			rec := layout.DecodeRecord(sc.ops[i].Buf)
-			if sc.ops[i].Err != nil || rec.Role != layout.RoleParity || !rec.Valid {
-				skip |= 1 << j
-				ruled = true
-			} else if i == 0 {
-				prec = rec
-			}
-			i++
+		if !readBlocks(ctx, cl, sc) {
+			return nil, false
 		}
-		if !ruled {
+		buf := sc.recs[:layout.RecordSize]
+		if ctx.Read(buf, at) != nil {
+			return nil, false
+		}
+		if layout.DecodeRecord(buf).DeltaAddr == prec.DeltaAddr {
 			break
 		}
-	}
-	own := l.XORIDOf(stripe, owner)
-	sc.reads = sc.reads[:0]
-	for xid, dm := range l.DataMNs(stripe) {
-		if da := prec.DeltaAddr[xid]; da != 0 && (sc.present[xid] || xid == own) {
-			dmn, dOff := layout.UnpackAddr(da)
-			sc.reads = append(sc.reads, blockRead{mn: int(dmn), off: dOff, dst: sc.delta(xid), delta: xid})
-		}
-		if sc.present[xid] {
-			sc.reads = append(sc.reads, blockRead{mn: dm, off: l.BlockOff(b), dst: sc.shards[xid], delta: -1})
-		}
-	}
-	for j := 0; j < m; j++ {
-		if sc.present[k+j] {
-			sc.reads = append(sc.reads, blockRead{mn: l.ParityMN(stripe, j), off: l.BlockOff(b), dst: sc.shards[k+j], delta: -1})
-		}
-	}
-	if !readBlocks(ctx, cl, sc) {
-		return nil, false
 	}
 	touched := 1 // the block written, plus every shard read
 	for xid, p := range sc.present {
@@ -482,4 +497,48 @@ func readLostBlock(ctx rdma.Ctx, cl *Cluster, owner, b int, sc *stripeScratch, c
 		erasure.XorInto(out, sc.deltas[own])
 	}
 	return out, true
+}
+
+// deltaMap chooses the sources of owner's lost block of row b and reads
+// the chosen parities' records, one doorbell a try: a parity whose
+// record does not read RoleParity and Valid is ruled out and the
+// sources chosen again. It returns the first chosen parity's record —
+// the row's delta map, as that parity MN tracks its own copies — and
+// where it was read; false when too few sources are left.
+func (sc *stripeScratch) deltaMap(ctx rdma.Ctx, cl *Cluster, owner, b int) (prec layout.Record, at rdma.GlobalAddr, ok bool) {
+	l := cl.L
+	stripe := uint32(b)
+	k, m := cl.code.K(), cl.code.M()
+	for skip := 0; ; {
+		if _, ok := sc.choose(cl, owner, b, skip); !ok {
+			return prec, at, false
+		}
+		sc.ops = sc.ops[:0]
+		for j := 0; j < m; j++ {
+			if sc.present[k+j] {
+				addr, _ := cl.Addr(l.ParityMN(stripe, j), l.RecordOff(b))
+				sc.ops = append(sc.ops, rdma.Op{Kind: rdma.OpRead, Addr: addr,
+					Buf: sc.recs[j*layout.RecordSize : (j+1)*layout.RecordSize]})
+			}
+		}
+		ctx.Batch(sc.ops) //nolint:errcheck // an unreadable record rules its parity out below
+		prec = layout.Record{}
+		ruled := false
+		for i, j := 0, 0; j < m; j++ {
+			if !sc.present[k+j] {
+				continue
+			}
+			rec := layout.DecodeRecord(sc.ops[i].Buf)
+			if sc.ops[i].Err != nil || rec.Role != layout.RoleParity || !rec.Valid {
+				skip |= 1 << j
+				ruled = true
+			} else if i == 0 {
+				prec, at = rec, sc.ops[i].Addr
+			}
+			i++
+		}
+		if !ruled {
+			return prec, at, true
+		}
+	}
 }

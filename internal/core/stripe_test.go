@@ -122,3 +122,88 @@ func TestStripeRangesMatchSingleReads(t *testing.T) {
 		}
 	}
 }
+
+// TestStripeFoldRereadsMovedRecord lands a write between the two
+// doorbells of a fold. After readStripe has read the row's parity record
+// and before it reads the ranges, a sibling data block of the row gets a
+// DELTA block and a pair over the wanted range, written as a client
+// writes one (DATA ⊕ DELTA keeps its enc form). The fold must see the
+// record move and read again: read against the old record it XORs the
+// new pair in without its delta and serves bytes the lost MN never held.
+func TestStripeFoldRereadsMovedRecord(t *testing.T) {
+	const victim, n = 2, 64
+	tc := newTestCluster(t, func(cfg *Config) { cfg.Layout.StripeRows = 60 })
+	tc.runClients(t, 60*time.Second, func(c *Client) {
+		for i := 0; i < 200; i++ {
+			if err := c.Insert(key(i), val(i, 0)); err != nil {
+				t.Errorf("insert %d: %v", i, err)
+				return
+			}
+		}
+	})
+	tc.run(2 * tc.cl.Cfg.CkptInterval)
+	l := tc.cl.L
+	mem := func(mn int) []byte { return tc.pl.DirectMemory(tc.cl.MNNode(mn)) }
+
+	// A pair on the victim whose row has a sibling with no pending delta.
+	var packed uint64
+	row, sib := -1, -1
+	eachIndexWord(tc, func(word uint64) {
+		a := layout.UnpackAtomic(word).Addr
+		mn, off := layout.UnpackAddr(a)
+		if row >= 0 || int(mn) != victim {
+			return
+		}
+		b := l.BlockOfOff(off)
+		prec := layout.DecodeRecord(mem(l.ParityMN(uint32(b), 0))[l.RecordOff(b):])
+		for xid, dm := range l.DataMNs(uint32(b)) {
+			if dm != victim && prec.DeltaAddr[xid] == 0 {
+				packed, row, sib = a, b, dm
+				return
+			}
+		}
+	})
+	if row < 0 {
+		t.Fatal("no row of the victim has a sibling without a pending delta")
+	}
+	_, off := layout.UnpackAddr(packed)
+	rel := off - l.BlockOff(row)
+	held := append([]byte(nil), mem(victim)[off:off+n]...)
+	tc.cl.FailMN(victim)
+
+	write := func() {
+		pair := bytes.Repeat([]byte{0x5a}, n)
+		data := mem(sib)[l.BlockOff(row)+rel:][:n]
+		for j := 0; j < l.Cfg.ParityShards; j++ {
+			pmn := l.ParityMN(uint32(row), j)
+			var e enc
+			e.u16(1)
+			e.u32(uint32(row))
+			e.u8(uint8(l.XORIDOf(uint32(row), sib)))
+			e.u8(1)
+			resp, _ := tc.cl.Server(pmn).handle(methodAllocDelta, e.b)
+			if resp[0] != stOK {
+				t.Fatalf("AllocDelta on MN %d: status %d", pmn, resp[0])
+			}
+			d := dec{b: resp[1:]}
+			delta := mem(pmn)[l.BlockOff(int(d.u32()))+rel:][:n]
+			for i := range delta {
+				delta[i] ^= pair[i] ^ data[i]
+			}
+		}
+		copy(data, pair)
+	}
+	batches := 0
+	ctx := &directCtx{pl: tc.pl, onCall: func(call string, _ uint8) {
+		if call == "batch" {
+			if batches++; batches == 2 { // the ranges, after the record
+				write()
+			}
+		}
+	}}
+	w := []stripeWant{{packed: packed, buf: make([]byte, n)}}
+	readStripe(ctx, tc.cl, newStripeScratch(tc.cl), w, 0)
+	if !w[0].ok || !bytes.Equal(w[0].buf, held) {
+		t.Errorf("fold across a delta allocated between its doorbells: ok=%v, bytes the lost MN held: %v", w[0].ok, bytes.Equal(w[0].buf, held))
+	}
+}

@@ -104,14 +104,21 @@ func TestWindowReadDecodesUnshippedBlocks(t *testing.T) {
 // would hold zeros, and the rebuild would later land on the new
 // tenant's pairs — each of the 60 writes below was lost that way.
 // The client runs on a directCtx, so the window stays open under its
-// writes; afterwards every acknowledged write must read back.
-//
-// The stripes' parity invariant is not checked: a write in the window
-// to a sibling of a block tier 3 is decoding can land between the
-// rebuild's read of the row's parity record and its read of the blocks
-// (two doorbells), and the rebuilt block then misses that write's delta
-// (ROADMAP item 21).
+// writes; afterwards every acknowledged write must read back, and the
+// stripes must satisfy their parity invariant. Run again with the
+// client sent to the survivor after the replacement, its writes land in
+// a block that survivor reclaims, a sibling of one tier 3 is decoding,
+// between the rebuild's read of the row's parity record and its read of
+// the blocks: the rebuild must see the record move and decode again, or
+// the rebuilt block misses those writes' deltas.
 func TestWindowReclaimWaitsForBlocks(t *testing.T) {
+	t.Run("on the replacement", func(t *testing.T) { windowReclaim(t, 0) })
+	t.Run("on a survivor", func(t *testing.T) { windowReclaim(t, 1) })
+}
+
+// windowReclaim is TestWindowReclaimWaitsForBlocks with the window
+// client's first allocation sent to the MN off after the victim.
+func windowReclaim(t *testing.T, off int) {
 	tc := newTestCluster(t, func(cfg *Config) {
 		cfg.Layout.StripeRows = 6
 		cfg.Layout.PoolBlocks = 8
@@ -138,7 +145,7 @@ func TestWindowReclaimWaitsForBlocks(t *testing.T) {
 	for mn := 0; mn < tc.cl.L.Cfg.NumMNs && victim < 0; mn++ {
 		s := tc.cl.Server(mn)
 		s.mu.Lock()
-		if _, _, ok := s.pickReclaim(uint8(layout.KVClassSize(len(key(0)), len(val(0, 0))) / 64)); ok && s.freeDataRowFrac() < tc.cl.Cfg.ReclaimFree {
+		if _, _, ok := s.pickReclaim(uint8(layout.KVClassSize(len(key(0)), len(val(0, 0))) / 64)); ok {
 			victim = mn
 		}
 		s.mu.Unlock()
@@ -149,7 +156,7 @@ func TestWindowReclaimWaitsForBlocks(t *testing.T) {
 
 	holdBetweenTiers(t, tc, victim)
 	cli, sleeps := tc.cl.NewClient(), 0
-	cli.allocSeq = (victim - int(cli.id)%tc.cl.L.Cfg.NumMNs + tc.cl.L.Cfg.NumMNs) % tc.cl.L.Cfg.NumMNs
+	cli.allocSeq = (victim + off - int(cli.id)%tc.cl.L.Cfg.NumMNs + tc.cl.L.Cfg.NumMNs) % tc.cl.L.Cfg.NumMNs
 	cli.Attach(&directCtx{pl: tc.pl, onSleep: func() { sleeps++ }})
 	for i := 0; i < n; i++ {
 		v := val(i, 100)
@@ -164,12 +171,17 @@ func TestWindowReclaimWaitsForBlocks(t *testing.T) {
 	if n := tc.cl.Server(victim).st.Reclaimed; n > 0 {
 		t.Errorf("the replacement reclaimed %d blocks before its Block Area was complete", n)
 	}
+	if off > 0 && cli.Stats.BlocksReused == 0 {
+		t.Fatalf("MN %d reclaimed no block for the window's writes", (victim+off)%tc.cl.L.Cfg.NumMNs)
+	}
 	for i := 0; i < 20000; i++ {
 		tc.run(time.Millisecond)
 		if _, _, ready := tc.cl.MNState(victim); ready {
 			break
 		}
 	}
+	tc.run(50 * time.Millisecond) // the encoders drain
+	stripeParityInvariant(t, tc)
 	tc.verifyAll(t, expect)
 }
 

@@ -19,7 +19,9 @@ const (
 	// record (Figure 6, step ①).
 	methodAllocDelta
 	// methodSealBlock stamps the current Index Version into a filled
-	// DATA block's record (§3.2.3).
+	// DATA block's record (§3.2.3). Payload: u32 block, u32 copy block;
+	// for a block its client never wrote, then u16 client and the old
+	// free bitmap (u32 length, bytes), to put the block back as it was.
 	methodSealBlock
 	// methodEncodeDelta asks this (parity) MN to fold the DELTA block
 	// of (stripe, xorID) into its PARITY block in the background

@@ -166,18 +166,18 @@ func TestRecordRoundTrip(t *testing.T) {
 }
 
 func TestBitmapOps(t *testing.T) {
-	bm := make([]byte, 16)
-	for _, i := range []int{0, 7, 8, 100, 127} {
+	bm := make([]byte, 17) // two words and a byte
+	for _, i := range []int{0, 7, 8, 100, 127, 130} {
 		BitmapSet(bm, i)
 	}
-	if BitmapCount(bm) != 5 {
+	if BitmapCount(bm) != 6 {
 		t.Fatalf("count = %d", BitmapCount(bm))
 	}
 	if !BitmapGet(bm, 100) || BitmapGet(bm, 99) {
 		t.Fatal("get wrong")
 	}
 	BitmapClear(bm, 100)
-	if BitmapGet(bm, 100) || BitmapCount(bm) != 4 {
+	if BitmapGet(bm, 100) || BitmapCount(bm) != 5 {
 		t.Fatal("clear wrong")
 	}
 }

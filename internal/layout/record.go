@@ -2,6 +2,7 @@ package layout
 
 import (
 	"encoding/binary"
+	"math/bits"
 )
 
 // Role is a memory block's type in the Meta Area record (Figure 5).
@@ -120,10 +121,11 @@ func BitmapClear(bm []byte, i int) { bm[i/8] &^= 1 << (i % 8) }
 // BitmapCount returns the number of set bits.
 func BitmapCount(bm []byte) int {
 	n := 0
+	for ; len(bm) >= 8; bm = bm[8:] {
+		n += bits.OnesCount64(binary.LittleEndian.Uint64(bm))
+	}
 	for _, b := range bm {
-		for ; b != 0; b &= b - 1 {
-			n++
-		}
+		n += bits.OnesCount8(b)
 	}
 	return n
 }
