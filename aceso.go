@@ -447,4 +447,12 @@ func (c *Cluster) Reclaimed() int { return c.core().Reclaimed() }
 func (c *Cluster) NumMNs() int { return c.ft.NumMNs() }
 
 // Close unwinds the fabric. The cluster must not be used afterwards.
-func (c *Cluster) Close() { c.fab.close() }
+// On TCP the Aceso daemons run on goroutines that outlive the fabric,
+// so they are stopped first: left running, they burn CPU and dial the
+// ports of a closed cluster, which a later cluster may listen on.
+func (c *Cluster) Close() {
+	if _, wall := c.fab.(*tcpFabric); wall && c.cl != nil {
+		c.cl.Stop()
+	}
+	c.fab.close()
+}

@@ -15,8 +15,10 @@
 //	> chaos 2 7 0.02 0.1 1ms 0.02 seeded drop/delay/reset injection on mn2
 //	> chaos 2                     clear injection on mn2
 //
-// Start it with the same -peers, -ftmode and geometry flags as the
-// daemons. Against replication-mode daemons the KV commands work
+// Give it the daemons' -peers list and nothing else of theirs: it
+// fetches the cluster's mode and geometry from the first daemon that
+// answers, and refuses a list whose length is not the cluster's MN
+// count. Against replication-mode daemons the KV commands work
 // unchanged; the Aceso-only commands (chaos, trace, stats <mn>) report
 // that the mode does not serve them.
 package main
@@ -34,9 +36,10 @@ import (
 	"strings"
 	"time"
 
+	"repro/cmd/internal/clusterconf"
 	"repro/internal/core"
 	"repro/internal/ftmode"
-	// Link every fault-tolerance mode into the -ftmode registry.
+	// Link every fault-tolerance mode into the registry OpenFT reads.
 	_ "repro/internal/ftmodes"
 	"repro/internal/obs"
 	"repro/internal/rdma"
@@ -46,23 +49,16 @@ import (
 
 func main() {
 	peers := flag.String("peers", "", "comma-separated addresses of all memory nodes, in id order")
-	cfg := core.DefaultConfig()
-	flag.StringVar(&cfg.FTMode, "ftmode", core.FTModeAceso, "fault-tolerance mode (must match the daemons): "+strings.Join(core.FTModes(), " | "))
-	flag.Uint64Var(&cfg.Layout.IndexBytes, "index-bytes", cfg.Layout.IndexBytes, "index area bytes per MN")
-	flag.Uint64Var(&cfg.Layout.BlockSize, "block-size", cfg.Layout.BlockSize, "memory block size")
-	stripes := flag.Int("stripes", cfg.Layout.StripeRows, "coding stripe rows")
-	pool := flag.Int("pool", cfg.Layout.PoolBlocks, "delta/copy pool blocks per MN")
-	flag.IntVar(&cfg.TraceSample, "trace-sample", 1, "op-span sampling: 1 in N of this client's ops records a span tree (<0 disables)")
-	flag.IntVar(&cfg.CacheEntries, "cache-entries", cfg.CacheEntries, "client index cache entry bound (0 = default 16384, <0 disables)")
+	traceSample := flag.Int("trace-sample", 1, "op-span sampling: 1 in N of this client's ops records a span tree (<0 disables)")
+	cacheEntries := flag.Int("cache-entries", 0, "client index cache entry bound (0 = default 16384, <0 disables)")
 	flag.Parse()
 
 	addrs := strings.Split(*peers, ",")
-	if len(addrs) < 2 {
-		log.Fatalf("need at least 2 peers, got %q", *peers)
+	cfg, err := clusterconf.Join(addrs)
+	if err != nil {
+		log.Fatal(err)
 	}
-	cfg.Layout.NumMNs = len(addrs)
-	cfg.Layout.StripeRows = *stripes
-	cfg.Layout.PoolBlocks = *pool
+	cfg.TraceSample, cfg.CacheEntries = *traceSample, *cacheEntries
 
 	pl := tcpnet.New(addrs, 0, false)
 	transportStats = pl.TransportStats

@@ -12,19 +12,23 @@
 //	... (mn 2..4)
 //	acesocli -peers :7000,:7001,:7002,:7003,:7004
 //
-// Every daemon and client must be started with the same -peers list
-// and geometry flags (-index-bytes, -block-size, -stripes, -pool) so
-// they construct identical layouts. Each checkpoint round (-ckpt) ships
-// one differential image of the daemon's index to its ring successor,
-// MN (mn+1) mod n; there is no segment count to agree on.
+// The daemons are the one source of the cluster's configuration: each
+// publishes the core.Config its flags describe (-ftmode and the
+// geometry: -index-bytes, -block-size, -stripes, -pool, and the length
+// of -peers) over the TCP fabric, and acesocli and acesoload fetch it
+// instead of taking those flags. Once serving, a daemon asks the other
+// peers in -peers order and compares its configuration with the first
+// that answers; if any field other than -trace-sample differs it exits
+// non-zero naming that field. Each checkpoint round (-ckpt) ships one
+// differential image of the daemon's index to its ring successor, MN
+// (mn+1) mod n.
 //
 // -ftmode selects the fault-tolerance mode. The default, "aceso", runs
 // the full hybrid scheme above. "fusee-replication" and "swarm-inplace"
 // serve the same verbs with replication-based backup instead: those
 // daemons run no checkpoint/erasure machinery and no master — their
 // handlers are installed at open — but still answer the admin verbs
-// (kill) and export /metrics. Every daemon and client must agree on
-// -ftmode, like the geometry flags.
+// (kill) and export /metrics.
 //
 // The daemon is also the deployment surface for fault injection: the
 // core RPC dispatch answers the admin verbs, so any client can crash a
@@ -45,6 +49,7 @@ import (
 	"strings"
 	"syscall"
 
+	"repro/cmd/internal/clusterconf"
 	"repro/internal/core"
 	// Link every fault-tolerance mode into the -ftmode registry.
 	_ "repro/internal/ftmodes"
@@ -73,7 +78,6 @@ func main() {
 	pool := flag.Int("pool", cfg.Layout.PoolBlocks, "delta/copy pool blocks per MN")
 	ckpt := flag.Duration("ckpt", cfg.CkptInterval, "checkpoint interval")
 	flag.IntVar(&cfg.TraceSample, "trace-sample", cfg.TraceSample, "op-span sampling: 1 in N ops records a span tree (0 = default 64, <0 disables)")
-	flag.IntVar(&cfg.CacheEntries, "cache-entries", cfg.CacheEntries, "per-client index cache entry bound (0 = default 16384, <0 disables; clients must match)")
 	opt := tcpnet.Options{}.WithDefaults()
 	flag.DurationVar(&opt.DialTimeout, "dial-timeout", opt.DialTimeout, "TCP dial timeout per connection attempt")
 	flag.DurationVar(&opt.OpTimeout, "op-timeout", opt.OpTimeout, "per-verb I/O deadline before a retry")
@@ -95,6 +99,9 @@ func main() {
 
 	pl := tcpnet.New(addrs, rdma.NodeID(*mn), true)
 	pl.SetOptions(opt)
+	if err := clusterconf.Publish(pl, cfg); err != nil {
+		log.Fatalf("publish configuration: %v", err)
+	}
 	// Every process this daemon spawns (server daemons, master) runs
 	// with an instrumented ctx feeding the /metrics verb counters.
 	ipl := obs.Instrument(pl, obs.NewFabricMetrics())
@@ -159,6 +166,9 @@ func main() {
 			*mn, pl.Addr(), cl.L.MemBytes()>>20, cfg.Layout.StripeRows)
 	} else {
 		log.Printf("mn%d serving on %s (ftmode %s)", *mn, pl.Addr(), ft.Mode())
+	}
+	if err := clusterconf.CheckPeers(cfg, addrs, *mn); err != nil {
+		log.Fatalf("mn%d: %v", *mn, err)
 	}
 
 	sig := make(chan os.Signal, 1)

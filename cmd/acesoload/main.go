@@ -13,9 +13,10 @@
 // a failure show up in the live report and in the exit artifacts
 // (sloload.csv and sloload.json under -out).
 //
-// -ftmode must match the daemons': the loader drives the mode-generic
-// client surface, so the same flags measure Aceso, FUSEE-style
-// replication or SWARM-style in-place replication.
+// The loader takes the cluster's mode and geometry from the first
+// daemon in -peers that answers, and drives the mode-generic client
+// surface, so the same flags measure Aceso, FUSEE-style replication or
+// SWARM-style in-place replication.
 package main
 
 import (
@@ -32,9 +33,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/cmd/internal/clusterconf"
 	"repro/internal/core"
 	"repro/internal/ftmode"
-	// Link every fault-tolerance mode into the -ftmode registry.
+	// Link every fault-tolerance mode into the registry OpenFT reads.
 	_ "repro/internal/ftmodes"
 	"repro/internal/obs"
 	"repro/internal/rdma"
@@ -76,37 +78,30 @@ type windowRow struct {
 
 func main() {
 	var (
-		peers       = flag.String("peers", "", "comma-separated addresses of all memory nodes, in id order")
-		mixName     = flag.String("mix", "ycsb-a", "workload mix: ycsb-{a,b,c,d} or twitter-{storage,compute,transient}")
-		trace       = flag.String("trace", "", "replay a Twitter-format CSV trace instead of a mix")
-		clients     = flag.Int("clients", 8, "concurrent client count")
-		ops         = flag.Int("ops", 10000, "measured operations per client")
-		keys        = flag.Uint64("keys", 10000, "preloaded keyspace size")
-		kvSize      = flag.Int("kv", 1024, "value size in bytes")
-		report      = flag.Duration("report", time.Second, "live SLO report interval (0 disables live printing)")
-		sloP99      = flag.Duration("slo-p99", 2*time.Millisecond, "per-op latency target: requests over this burn error budget")
-		sloBudget   = flag.Float64("slo-budget", 0.01, "error budget: allowed fraction of requests over target or failed")
-		killMN      = flag.Int("kill-mn", -1, "inject an admin fail-stop of this logical MN mid-run (-1 disables)")
-		killAfter   = flag.Duration("kill-after", 2*time.Second, "delay after the measured phase starts before the -kill-mn injection")
-		outDir      = flag.String("out", "results", "directory for the exit artifacts (sloload.csv, sloload.json)")
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics (aceso_slo_*), /debug/optrace etc. on this address during the run")
+		peers        = flag.String("peers", "", "comma-separated addresses of all memory nodes, in id order")
+		mixName      = flag.String("mix", "ycsb-a", "workload mix: ycsb-{a,b,c,d} or twitter-{storage,compute,transient}")
+		trace        = flag.String("trace", "", "replay a Twitter-format CSV trace instead of a mix")
+		clients      = flag.Int("clients", 8, "concurrent client count")
+		ops          = flag.Int("ops", 10000, "measured operations per client")
+		keys         = flag.Uint64("keys", 10000, "preloaded keyspace size")
+		kvSize       = flag.Int("kv", 1024, "value size in bytes")
+		report       = flag.Duration("report", time.Second, "live SLO report interval (0 disables live printing)")
+		sloP99       = flag.Duration("slo-p99", 2*time.Millisecond, "per-op latency target: requests over this burn error budget")
+		sloBudget    = flag.Float64("slo-budget", 0.01, "error budget: allowed fraction of requests over target or failed")
+		killMN       = flag.Int("kill-mn", -1, "inject an admin fail-stop of this logical MN mid-run (-1 disables)")
+		killAfter    = flag.Duration("kill-after", 2*time.Second, "delay after the measured phase starts before the -kill-mn injection")
+		outDir       = flag.String("out", "results", "directory for the exit artifacts (sloload.csv, sloload.json)")
+		metricsAddr  = flag.String("metrics-addr", "", "serve /metrics (aceso_slo_*), /debug/optrace etc. on this address during the run")
+		cacheEntries = flag.Int("cache-entries", 0, "per-client index cache entry bound (0 = default 16384, <0 disables)")
 	)
-	cfg := core.DefaultConfig()
-	flag.StringVar(&cfg.FTMode, "ftmode", core.FTModeAceso, "fault-tolerance mode (must match the daemons): "+strings.Join(core.FTModes(), " | "))
-	flag.Uint64Var(&cfg.Layout.IndexBytes, "index-bytes", cfg.Layout.IndexBytes, "index area bytes per MN (must match the daemons)")
-	flag.Uint64Var(&cfg.Layout.BlockSize, "block-size", cfg.Layout.BlockSize, "memory block size (must match the daemons)")
-	stripes := flag.Int("stripes", cfg.Layout.StripeRows, "coding stripe rows (must match the daemons)")
-	pool := flag.Int("pool", cfg.Layout.PoolBlocks, "pool blocks per MN (must match the daemons)")
-	flag.IntVar(&cfg.CacheEntries, "cache-entries", cfg.CacheEntries, "per-client index cache entry bound (0 = default 16384, <0 disables)")
 	flag.Parse()
 
 	addrs := strings.Split(*peers, ",")
-	if len(addrs) < 2 {
-		log.Fatalf("need at least 2 peers, got %q", *peers)
+	cfg, err := clusterconf.Join(addrs)
+	if err != nil {
+		log.Fatal(err)
 	}
-	cfg.Layout.NumMNs = len(addrs)
-	cfg.Layout.StripeRows = *stripes
-	cfg.Layout.PoolBlocks = *pool
+	cfg.CacheEntries = *cacheEntries
 
 	pl := tcpnet.New(addrs, 0, false)
 	ipl := obs.Instrument(pl, obs.NewFabricMetrics())

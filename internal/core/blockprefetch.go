@@ -138,7 +138,7 @@ func (c *Client) prefetchLoop(ctx rdma.Ctx, pf *blockPrefetcher) {
 	seq := int(c.id)
 	for {
 		pf.mu.Lock()
-		if pf.stopped {
+		if pf.stopped || c.cl.stopped.Load() {
 			pf.mu.Unlock()
 			return
 		}

@@ -31,7 +31,7 @@ type Cluster struct {
 	trace   *obs.Ring
 	tracer  *obs.Tracer
 	// daemons counts the master's loops and the servers' daemons running;
-	// stopped is set by stop, and a server a recovery brings up after it
+	// stopped is set by Stop, and a server a recovery brings up after it
 	// stops at once.
 	daemons sync.WaitGroup
 	stopped atomic.Bool
@@ -208,12 +208,14 @@ func (cl *Cluster) spawnDaemon(node rdma.NodeID, name string, fn func(rdma.Ctx))
 	})
 }
 
-// stop ends what the cluster runs besides its clients (those stop with
-// Close) and returns when it has ended: the master's loops and the
-// daemons of every server, replacements included. Each ends at its next
-// poll, so stop is for wall-clock fabrics; an in-process cluster calls it
-// before closing the fabric, so that none of them outlives the cluster.
-func (cl *Cluster) stop() {
+// Stop ends what the cluster runs besides its clients and returns when
+// it has ended: the master's loops and the daemons of every server,
+// replacements included. A client's block-prefetch worker ends too, so
+// a client that was never closed leaves nothing running. Each ends at
+// its next poll, so Stop is for wall-clock fabrics; an in-process
+// cluster calls it before closing the fabric, so that none of them
+// outlives the cluster.
+func (cl *Cluster) Stop() {
 	cl.stopped.Store(true)
 	if cl.master != nil {
 		cl.master.mu.Lock()

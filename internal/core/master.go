@@ -25,7 +25,7 @@ type Master struct {
 	// abortedRounds counts checkpoint rounds that took no snapshot
 	// because an alive MN never acknowledged the prepare (ckptLoop).
 	abortedRounds uint64
-	// halted ends the loops (Cluster.stop).
+	// halted ends the loops (Cluster.Stop).
 	halted bool
 	// Reports collects recovery reports for harness inspection.
 	Reports []*RecoveryReport

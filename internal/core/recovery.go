@@ -318,7 +318,7 @@ func runRecovery(ctx rdma.Ctx, cl *Cluster, mn int) *RecoveryReport {
 	}
 	cl.view.epoch++
 	cl.view.mu.Unlock()
-	if cl.stopped.Load() { // published after Cluster.stop read the servers
+	if cl.stopped.Load() { // published after Cluster.Stop read the servers
 		srv.stop()
 	}
 	rep.IndexDone = ctx.Now() - start

@@ -44,7 +44,7 @@ func newTCPTestCluster(t *testing.T, mutate func(*Config)) (*tcpnet.Platform, *C
 // test that counts the allocations of the whole process
 // (testing.AllocsPerRun) must not count this cluster's daemons.
 func stopTCPCluster(t *testing.T, cl *Cluster, pl *tcpnet.Platform, base int) {
-	cl.stop()
+	cl.Stop()
 	pl.Close()
 	deadline := time.Now().Add(10 * time.Second)
 	for runtime.NumGoroutine() > base {

@@ -38,6 +38,7 @@ func FuzzServeConn(f *testing.F) {
 	f.Add(reqFrame(opCAS, 3, 512, cas))
 	f.Add(reqFrame(opFAA, 4, 520, faa))
 	f.Add(reqFrame(opRPC, 5, 0, []byte{9, 1, 2, 3}))
+	f.Add(reqFrame(opConfig, 9, 0, nil))
 	// Offsets whose end wraps past 2^64 must be out of bounds too.
 	f.Add(reqFrame(opCAS, 6, ^uint64(7), cas))
 	f.Add(reqFrame(opWrite, 7, ^uint64(0), []byte{1, 2}))
@@ -46,6 +47,7 @@ func FuzzServeConn(f *testing.F) {
 	f.Add(rdWrap)
 
 	pl := NewGroup()
+	pl.PublishConfig([]byte(`{"published":true}`))
 	backing := make([]byte, guard+region+guard)
 	for i := range backing {
 		backing[i] = byte(i*7 + 1)

@@ -132,6 +132,8 @@ func (s *server) serveConn(conn net.Conn) {
 			} else if n > 0 {
 				return // malformed atomic operand: the stream is broken
 			}
+		case op == opConfig && n > 0:
+			return // a config request carries no payload: the stream is broken
 		case op == opRPC && n > 0:
 			payload = pool.get(int(n))
 			if _, err := io.ReadFull(br, *payload); err != nil {
@@ -328,10 +330,19 @@ func inRegion(mem []byte, off uint64, n int) bool {
 	return off <= uint64(len(mem)) && uint64(n) <= uint64(len(mem))-off
 }
 
-// apply executes an RPC or atomic verb; READ and WRITE are served by
-// the inline paths above. Atomics run under the stripes their word
-// overlaps (plus the shared side of the exclusive bracket).
+// apply executes an RPC, config request or atomic verb; READ and WRITE
+// are served by the inline paths above. A config request is answered
+// from the platform, not the node's handler, so every mode serves it.
+// Atomics run under the stripes their word overlaps (plus the shared
+// side of the exclusive bracket).
 func (s *server) apply(op uint8, off uint64, payload []byte) (uint8, uint64, []byte) {
+	if op == opConfig {
+		c := s.n.pl.config.Load()
+		if c == nil {
+			return stErrNoConfig, 0, nil
+		}
+		return stOK, 0, *c
+	}
 	if op == opRPC {
 		pl := s.n.pl
 		pl.mu.Lock()

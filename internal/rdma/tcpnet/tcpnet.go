@@ -65,6 +65,7 @@ const (
 	opCAS
 	opFAA
 	opRPC
+	opConfig // the served platform's published configuration (FetchConfig)
 )
 
 // Wire status codes.
@@ -74,6 +75,7 @@ const (
 	stErrUnaligned
 	stErrNoHandler
 	stErrBadFrame
+	stErrNoConfig
 )
 
 // hdrSize is the fixed frame header size, both directions.
@@ -196,6 +198,7 @@ type Platform struct {
 	failed atomic.Pointer[map[rdma.NodeID]bool] // fail-stopped nodes
 	opt    atomic.Pointer[Options]              // resolved via WithDefaults on read
 	maxMem atomic.Uint64                        // largest registered region (frame clamp)
+	config atomic.Pointer[[]byte]               // PublishConfig's bytes; nil until published
 
 	mu      sync.Mutex // serialises mutations of the copy-on-write state and nodes
 	nextMem int

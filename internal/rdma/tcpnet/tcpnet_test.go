@@ -218,3 +218,24 @@ func TestFullClusterOverTCP(t *testing.T) {
 	}
 	_ = layout.SlotSize
 }
+
+// TestPublishConfig fetches what a serving platform published, and
+// gets ErrNoConfig from a node whose platform published nothing.
+func TestPublishConfig(t *testing.T) {
+	pub := NewGroup()
+	defer pub.Close()
+	want := []byte(`{"Layout":{"NumMNs":5}}`)
+	pub.PublishConfig(want)
+	pub.AddMemNode(rdma.MemNodeConfig{MemBytes: 4096})
+	got, err := FetchConfig(pub.NodeAddr(0), time.Second)
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("fetch: %q, %v; want %q", got, err, want)
+	}
+
+	bare := NewGroup()
+	defer bare.Close()
+	bare.AddMemNode(rdma.MemNodeConfig{MemBytes: 4096})
+	if got, err := FetchConfig(bare.NodeAddr(0), time.Second); !errors.Is(err, ErrNoConfig) {
+		t.Fatalf("fetch from a node that published nothing: %q, %v; want ErrNoConfig", got, err)
+	}
+}

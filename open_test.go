@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestOpenEveryMode drives the mode-generic surface end to end for
@@ -121,6 +123,39 @@ func TestOpenHotKeyRace(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCloseOverTCPStopsEverything closes an Aceso cluster on TCP whose
+// clients never closed, and fails if a goroutine outlives it: the MN
+// daemons and the clients' prefetch workers run on goroutines there,
+// and left running they starved later tests of CPU and dialled ports a
+// later cluster could listen on.
+func TestCloseOverTCPStopsEverything(t *testing.T) {
+	base := runtime.NumGoroutine()
+	cfg := DefaultConfig()
+	cfg.Layout.IndexBytes = 96 << 10
+	cfg.Layout.BlockSize = 16 << 10
+	cfg.Layout.StripeRows = 12
+	cfg.Layout.PoolBlocks = 10
+	cluster, err := Open(cfg, WithFabric(FabricTCP))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cluster.Start()
+	cluster.RunKV("app", func(c KV) {
+		if err := c.Update([]byte("k"), []byte("v")); err != nil {
+			t.Errorf("update: %v", err)
+		}
+	})
+	cluster.Close()
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines outlive the cluster:\n%s", runtime.NumGoroutine()-base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
