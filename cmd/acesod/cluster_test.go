@@ -7,6 +7,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -163,11 +164,43 @@ func (ps *procs) cli(addrs []string, lines ...string) (string, error) {
 	return ps.wait(ps.start(strings.Join(lines, "\n")+"\nquit\n", "acesocli", "-peers", strings.Join(addrs, ",")))
 }
 
+// marksFlushed overwrites a key in one acesocli session and checks, in
+// the next, that `stats <mn>` counts the overwritten pair's obsolete
+// mark on some MN of an aceso cluster: a session that ends closes its
+// client, which flushes the marks it holds. Unflushed, the mark was
+// lost with the process, and its slot never counted toward reclaiming
+// its block.
+func (ps *procs) marksFlushed(addrs []string) {
+	ps.t.Helper()
+	if out, err := ps.cli(addrs, "set alpha uno"); err != nil || strings.Contains(out, "error") {
+		ps.t.Fatalf("overwrite: exit %v\n%s", err, out)
+	}
+	var lines []string
+	for mn := range addrs {
+		lines = append(lines, "stats "+strconv.Itoa(mn))
+	}
+	out, err := ps.cli(addrs, lines...)
+	applied, rows := 0, strings.Split(out, "\n")
+	for i := range rows {
+		if strings.Contains(rows[i], "erasure coding / reclamation") && i+2 < len(rows) {
+			head, vals := strings.Fields(rows[i+1]), strings.Fields(rows[i+2])
+			if j := slices.Index(head, "bitsApplied"); j >= 0 && j+1 < len(vals) {
+				n, _ := strconv.Atoi(vals[j+1])
+				applied += n
+			}
+		}
+	}
+	if err != nil || applied == 0 {
+		ps.t.Fatalf("after a session overwrote a key: %d obsolete marks applied on the MNs, want at least 1 (exit %v)\n%s", applied, err, out)
+	}
+}
+
 // TestClientJoinsWithTheDaemonsConfiguration runs five acesod daemons
 // at a time and an acesocli given only -peers: it must set and read
 // back keys whatever mode and geometry the daemons were started with,
 // refuse a peer list one address short, and a daemon whose -stripes
-// differs from a running peer's must exit naming the field.
+// differs from a running peer's must exit naming the field. On an aceso
+// cluster a session's obsolete marks reach the MNs when it ends.
 func TestClientJoinsWithTheDaemonsConfiguration(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -208,6 +241,9 @@ func TestClientJoinsWithTheDaemonsConfiguration(t *testing.T) {
 			if err != nil || !strings.Contains(out, "> one\n") || !strings.Contains(out, "> two\n") ||
 				strings.Contains(out, "error") || !strings.Contains(out, "ftmode="+c.name) {
 				t.Fatalf("acesocli -peers only: exit %v\n%s", err, out)
+			}
+			if c.name == "aceso" {
+				ps.marksFlushed(addrs)
 			}
 			out, err = ps.cli(addrs[:4], "get alpha")
 			if err == nil || !strings.Contains(out, "4 addresses") || !strings.Contains(out, "5 memory nodes") {

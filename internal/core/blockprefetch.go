@@ -31,6 +31,7 @@ type blockPrefetcher struct {
 	// allocate nothing.
 	bufFree [][]byte
 	stopped bool
+	closed  bool // stopped by Close: a block provisioned after goes back
 }
 
 // flushJob is one encoded methodFreeBits payload bound for node: a
@@ -116,15 +117,23 @@ func (pf *blockPrefetcher) putBuf(b []byte) {
 	pf.mu.Unlock()
 }
 
-// stop shuts the worker down and returns whatever work it had queued,
-// for the caller to drain inline (Close) or drop (SimulateCrash).
-func (pf *blockPrefetcher) stop() (seals []*openBlock, flushes []flushJob) {
+// stop shuts the worker down and returns whatever work it had queued
+// and the blocks it provisioned, in class order, for the caller to
+// drain and give back inline (Close, closed) or drop (SimulateCrash).
+// Once closed, the worker gives back itself a block it was provisioning.
+func (pf *blockPrefetcher) stop(closed bool) (seals []*openBlock, flushes []flushJob, ready []*openBlock) {
 	pf.mu.Lock()
-	pf.stopped = true
+	defer pf.mu.Unlock()
+	pf.stopped, pf.closed = true, closed
 	seals, pf.seal = pf.seal, nil
 	flushes, pf.flush = pf.flush, nil
-	pf.mu.Unlock()
-	return seals, flushes
+	for class := 0; class < 256; class++ {
+		if ob := pf.ready[uint8(class)]; ob != nil {
+			ready = append(ready, ob)
+		}
+	}
+	clear(pf.ready)
+	return seals, flushes, ready
 }
 
 // prefetchLoop is the background worker process spawned next to the
@@ -178,7 +187,11 @@ func (c *Client) prefetchLoop(ctx rdma.Ctx, pf *blockPrefetcher) {
 			nb, err := c.provisionBlock(ctx, class, &seq, nil)
 			pf.mu.Lock()
 			if pf.stopped {
+				closed := pf.closed
 				pf.mu.Unlock()
+				if err == nil && closed {
+					c.returnBlock(ctx, nb)
+				}
 				return
 			}
 			delete(pf.want, class)

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/clientcache"
+	"repro/internal/layout"
 	"repro/internal/racehash"
 	"repro/internal/rdma"
 	"repro/internal/rdma/simnet"
@@ -289,7 +290,8 @@ func fingerprintTwin(t *testing.T, cl *Cluster, k []byte) []byte {
 // GET can take. There are exactly two paths: an entry-cache hit
 // validated by one 8-byte read of the slot word, and the index probe —
 // the bucket pair, then every fingerprint match's pair in one batch —
-// for everything else.
+// for everything else. The degraded and double rows are the probe of a
+// pair whose MN is down (degradedGet).
 func TestGetStateTable(t *testing.T) {
 	tc := newTestCluster(t, fusedTestConfig)
 	behind := key(2)
@@ -345,6 +347,96 @@ func TestGetStateTable(t *testing.T) {
 	}
 	if s := r.Stats; s.CASIssued != 0 || s.WritesIssued != 0 {
 		t.Errorf("GETs issued %d CAS and %d WRITE verbs", s.CASIssued, s.WritesIssued)
+	}
+	for _, code := range []string{"xor", "rs"} {
+		// One MN down: the bucket pair (2 reads), the row's parity-0
+		// record, the ranges of parity 0, of the two other data blocks
+		// and of the pair's pending delta, the record again.
+		t.Run("degraded/"+code, func(t *testing.T) { degradedGet(t, code, false, 4, 8) })
+		// The row's parity-0 MN down too: parity 1's record, the whole
+		// blocks of the two other data blocks, of parity 1 and of the
+		// pending delta, 4 chunks each, the record again.
+		t.Run("double/"+code, func(t *testing.T) { degradedGet(t, code, true, 4, 20) })
+	}
+}
+
+// degradedGet is a row of TestGetStateTable: a cold GET, cache off, of
+// a pair whose MN is down with no spare, and with double also the MN of
+// its row's parity 0. It must return the pair's value in the given
+// doorbells and read verbs, through the stripe; with one MN down the
+// decode is row-local and the GET allocates nothing.
+func degradedGet(t *testing.T, code string, double bool, doorbells, reads int) {
+	tc := newTestCluster(t, func(cfg *Config) {
+		fusedTestConfig(cfg)
+		cfg.Code = code
+		cfg.CacheEntries = -1
+	})
+	acked := make(map[string][]byte)
+	tc.runClients(t, 30*time.Second, func(c *Client) {
+		for i := 0; i < 64; i++ {
+			if err := c.Insert(key(i), val(i, 0)); err != nil {
+				t.Errorf("insert %d: %v", i, err)
+				return
+			}
+			acked[string(key(i))] = val(i, 0)
+		}
+	})
+	tc.run(2 * tc.cl.Cfg.CkptInterval)
+
+	// A key whose pair's MN and, for double, row parity-0 MN both hold
+	// none of its index.
+	l := tc.cl.L
+	var k []byte
+	var down []int
+	eachIndexWord(tc, func(word uint64) {
+		packed := layout.UnpackAtomic(word).Addr
+		mn, off := layout.UnpackAddr(packed)
+		kv := tc.pairAt(packed)
+		if k != nil || kv == nil {
+			return
+		}
+		home := racehash.HomeMN(racehash.Hash(kv.Key), l.Cfg.NumMNs)
+		p0 := l.ParityMN(uint32(l.BlockOfOff(off)), 0)
+		if home != int(mn) && (!double || home != p0) {
+			k, down = append([]byte(nil), kv.Key...), []int{int(mn), p0}
+		}
+	})
+	if k == nil {
+		t.Fatal("no pair off its key's home MN")
+	}
+	if !double {
+		down = down[:1]
+	}
+	for _, mn := range down {
+		tc.cl.FailMN(mn)
+	}
+
+	rctx := &directCtx{pl: tc.pl}
+	var readOps int
+	rctx.beforeOp = func(op *rdma.Op) {
+		if op.Kind == rdma.OpRead {
+			readOps++
+		}
+	}
+	r := tc.cl.NewClient()
+	r.Attach(rctx)
+	dst := make([]byte, 0, 1024)
+	before, ops := snapVerbs(r, rctx), readOps
+	got, err := r.SearchAppend(dst[:0], k)
+	if d := snapVerbs(r, rctx).since(before); err != nil || !bytes.Equal(got, acked[string(k)]) ||
+		d.doorbells != doorbells || readOps-ops != reads || r.Stats.DegradedReads != 1 {
+		t.Fatalf("GET with MNs %v down: err=%v, value ok %v, %d doorbells, %d reads, %d degraded reads; want %d, %d, 1",
+			down, err, bytes.Equal(got, acked[string(k)]), d.doorbells, readOps-ops, r.Stats.DegradedReads, doorbells, reads)
+	}
+	if double {
+		return
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		if got, err := r.SearchAppend(dst[:0], k); err != nil || len(got) == 0 {
+			t.Fatal("degraded GET failed during measurement")
+		}
+	}); allocs != 0 {
+		t.Errorf("degraded GET allocates %.1f objects/op, want 0", allocs)
 	}
 }
 

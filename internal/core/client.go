@@ -197,20 +197,35 @@ func (c *Client) waitIndexReady(mn int) {
 	}
 }
 
-// Close stops the prefetch worker (draining its queued seals and
-// bitmap flushes inline), flushes pending state and returns the cache
-// gauge contributions to the cluster aggregate; open blocks
-// stay unsealed and are safely rescanned by recovery.
+// Close stops the prefetch worker, draining its queued seals and
+// bitmap flushes inline and giving back the blocks it provisioned that
+// the client never adopted. It seals each open block the client writes
+// into after a reclamation, as Restart would (its writable slots are
+// unknown without the old bitmap), which frees the block's backup COPY
+// block. Then it flushes pending state and returns the cache gauge
+// contributions to the cluster aggregate. A fresh open block stays
+// open, with its DELTA blocks, for a Restart of the client to fill:
+// sealed here, its unwritten slots would never be reclaimed (ROADMAP
+// item 19), and recovery rescans an open block.
 func (c *Client) Close() {
 	if c.pf != nil {
-		seals, flushes := c.pf.stop()
+		seals, flushes, ready := c.pf.stop(true)
 		for _, ob := range seals {
 			c.sealBlock(ob)
 		}
 		for _, fj := range flushes {
 			c.ctx.RPC(fj.node, methodFreeBits, fj.payload) //nolint:errcheck // obsolete hints are advisory
 		}
+		for _, ob := range ready {
+			c.returnBlock(c.ctx, ob)
+		}
 		c.pf = nil
+	}
+	for class := 0; class < 256; class++ { // class order: deterministic on the sim engine
+		if ob := c.open[uint8(class)]; ob != nil && ob.reused {
+			delete(c.open, uint8(class))
+			c.sealBlock(ob)
+		}
 	}
 	c.FlushBitmaps()
 	c.cache.Release()

@@ -30,6 +30,7 @@ type openBlock struct {
 	copyIdx  uint32
 	reused   bool
 	oldData  []byte
+	oldBits  []byte // the free bitmap it was handed out with; nil for a fresh block
 	slotSize int
 	slots    []int // writable slot indices remaining
 	deltas   []deltaTarget
@@ -210,7 +211,7 @@ func (c *Client) provisionBlock(ctx rdma.Ctx, classUnits uint8, seq *int, st *Cl
 
 		ob := &openBlock{
 			class: classUnits, mn: mn, idx: idx, stripe: stripe, xorID: xorID,
-			copyIdx: copyIdx, reused: reused,
+			copyIdx: copyIdx, reused: reused, oldBits: append([]byte(nil), oldBits...),
 			slotSize:  int(classUnits) * 64,
 			viewEpoch: c.cl.view.epochNow(),
 		}
@@ -236,7 +237,7 @@ func (c *Client) provisionBlock(ctx rdma.Ctx, classUnits uint8, seq *int, st *Cl
 			// Nothing was written: the block goes back as it was, and a
 			// parity MN out of pool blocks costs a try on the next MN,
 			// not a row (DESIGN.md §3).
-			c.returnBlock(ctx, ob, oldBits)
+			c.returnBlock(ctx, ob)
 			continue
 		}
 		return ob, nil
@@ -365,14 +366,14 @@ func (c *Client) sealBlockCtx(ctx rdma.Ctx, ob *openBlock) {
 }
 
 // returnBlock gives back a block nobody wrote, with the free bitmap it
-// was handed out with (nil for a fresh one), for its data MN to put back
-// as it was (handleSealBlock).
-func (c *Client) returnBlock(ctx rdma.Ctx, ob *openBlock, oldBits []byte) {
+// was handed out with, for its data MN to put back as it was
+// (handleSealBlock).
+func (c *Client) returnBlock(ctx rdma.Ctx, ob *openBlock) {
 	var e enc
 	e.u32(uint32(ob.idx))
 	e.u32(ob.copyIdx)
 	e.u16(c.id)
-	e.bytes(oldBits)
+	e.bytes(ob.oldBits)
 	c.closeBlock(ctx, ob, e.b)
 }
 

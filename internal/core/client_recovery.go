@@ -242,7 +242,7 @@ func (c *Client) isCommitted(slot []byte, packed uint64) bool {
 // bitmap flushes. Use Restart on a new process to recover the identity.
 func (c *Client) SimulateCrash() {
 	if c.pf != nil {
-		c.pf.stop()
+		c.pf.stop(false)
 		c.pf = nil
 	}
 	c.cache.Release()

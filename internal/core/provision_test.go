@@ -170,3 +170,88 @@ func TestOverwritesFitWhileMarksWait(t *testing.T) {
 	stripeParityInvariant(t, tc)
 	tc.verifyAll(t, expect)
 }
+
+// TestClosedClientKeepsOnlyFreshOpenBlocks runs sessions that each write and close.
+// A closed client gives back the block its prefetch worker provisioned
+// and it never adopted (session 7 holds one when it closes), and seals
+// an open block it writes into after a reclamation, which frees that
+// block's backup COPY block; only its fresh open blocks stay open, with
+// their DELTA blocks, for a Restart of the client to fill. Once the
+// parity MNs' encoders have run, no other DELTA block and no COPY block
+// is left, and every key reads back. When Close did neither, the
+// prefetched block kept ParityShards DELTA blocks for good and the
+// reused one its COPY block.
+func TestClosedClientKeepsOnlyFreshOpenBlocks(t *testing.T) {
+	const sessions, held = 20, 7
+	tc := newTestCluster(t, nil)
+	var keys [][]byte
+	kept, reused := 0, false // DELTA blocks of the fresh open blocks Close leaves
+	session := func(fn func(c *Client)) {
+		tc.runClients(t, time.Second, func(c *Client) {
+			fn(c)
+			for _, ob := range c.open {
+				if reused = reused || ob.reused; !ob.reused {
+					kept += len(ob.deltas)
+				}
+			}
+			c.Close()
+		})
+	}
+	insert := func(c *Client, k []byte) {
+		if err := c.Insert(k, val(len(keys), 0)); err != nil {
+			t.Fatalf("insert %s: %v", k, err)
+		}
+		keys = append(keys, k)
+	}
+	for i := 0; i < sessions; i++ {
+		session(func(c *Client) {
+			insert(c, key(i))
+			if i != held {
+				return
+			}
+			for class := range c.open {
+				c.pf.requestRefill(class)
+				for ready := false; !ready; c.ctx.Sleep(100 * time.Microsecond) {
+					c.pf.mu.Lock()
+					ready = c.pf.ready[class] != nil
+					c.pf.mu.Unlock()
+				}
+			}
+		})
+	}
+	// A session that fills blocks and overwrites every pair in them, then
+	// sessions until one writes into a block reclaimed from it.
+	session(func(c *Client) {
+		base := len(keys)
+		for j := 0; j < 200; j++ {
+			insert(c, key(1000+j))
+		}
+		for j := 0; j < 200; j++ {
+			if err := c.Update(key(1000+j), val(base+j, 0)); err != nil {
+				t.Fatalf("update: %v", err)
+			}
+		}
+	})
+	for i := 0; i < 10 && !reused; i++ {
+		session(func(c *Client) { insert(c, key(2000+i)) })
+	}
+	if !reused {
+		t.Fatal("no session wrote into a reclaimed block")
+	}
+	tc.run(2 * tc.cl.Cfg.CkptInterval)
+	deltas, copies := 0, 0
+	for mn := 0; mn < tc.cl.L.Cfg.NumMNs; mn++ {
+		st := tc.cl.Server(mn).Stats()
+		deltas, copies = deltas+int(st.PoolDelta), copies+int(st.PoolCopy)
+	}
+	if deltas != kept || copies != 0 {
+		t.Errorf("after every session closed: %d DELTA blocks (the open fresh blocks' %d) and %d COPY blocks (want 0)", deltas, kept, copies)
+	}
+	tc.runClients(t, time.Second, func(c *Client) {
+		for i, k := range keys {
+			if got, err := c.Search(k); err != nil || !bytes.Equal(got, val(i, 0)) {
+				t.Errorf("%s after its session closed: %q, %v", k, got, err)
+			}
+		}
+	})
+}

@@ -113,6 +113,23 @@ type rebuildWorker struct {
 	dead bool
 }
 
+// ecTally accumulates erasure compute totals (bytes touched, virtual
+// elapsed time) for paths that run outside a server's own processes —
+// recovery, whose rebuild team decodes on compute nodes, partly before
+// the replacement server exists; it folds the tally into the
+// replacement server's counters at the end.
+type ecTally struct {
+	encodeBytes, encodeNs uint64
+	decodeBytes, decodeNs uint64
+}
+
+func (t *ecTally) add(o *ecTally) {
+	t.encodeBytes += o.encodeBytes
+	t.encodeNs += o.encodeNs
+	t.decodeBytes += o.decodeBytes
+	t.decodeNs += o.decodeNs
+}
+
 type rebuild struct {
 	cl   *Cluster
 	mn   int
@@ -358,29 +375,30 @@ func (rb *rebuild) rebuildParity(ctx rdma.Ctx, wk *rebuildWorker, sc *stripeScra
 	sc.blocks(l.Cfg.BlockSize)
 
 	// The row's own record and the siblings', in one doorbell.
-	recOf := func(i int) layout.Record {
-		return layout.DecodeRecord(sc.recs[i*layout.RecordSize : (i+1)*layout.RecordSize])
+	recs := grow(&sc.recs, (1+m)*layout.RecordSize)
+	record := func(i int) layout.Record {
+		return layout.DecodeRecord(recs[i*layout.RecordSize : (i+1)*layout.RecordSize])
 	}
 	sc.ops = append(sc.ops[:0], rdma.Op{Kind: rdma.OpRead,
-		Addr: rdma.GlobalAddr{Node: rb.node, Off: l.RecordOff(b)}, Buf: sc.recs[:layout.RecordSize]})
+		Addr: rdma.GlobalAddr{Node: rb.node, Off: l.RecordOff(b)}, Buf: recs[:layout.RecordSize]})
 	for j := 0; j < m; j++ {
 		pmn := l.ParityMN(stripe, j)
 		if addr, ok := cl.Addr(pmn, l.RecordOff(b)); ok && pmn != rb.mn && cl.view.blockSource(pmn) {
 			sc.ops = append(sc.ops, rdma.Op{Kind: rdma.OpRead, Addr: addr,
-				Buf: sc.recs[len(sc.ops)*layout.RecordSize : (len(sc.ops)+1)*layout.RecordSize]})
+				Buf: recs[len(sc.ops)*layout.RecordSize : (len(sc.ops)+1)*layout.RecordSize]})
 		}
 	}
 	ctx.Batch(sc.ops) //nolint:errcheck // per-op errors are read below
 	if sc.ops[0].Err != nil {
 		return false
 	}
-	rec := recOf(0)
+	rec := record(0)
 	if rec.Role != layout.RoleParity {
 		return true // no longer a parity row: nothing to rebuild
 	}
 	var sib layout.Record
 	for i := 1; i < len(sc.ops); i++ {
-		if r := recOf(i); sc.ops[i].Err == nil && r.Role == layout.RoleParity {
+		if r := record(i); sc.ops[i].Err == nil && r.Role == layout.RoleParity {
 			sib = r
 			break
 		}
@@ -403,10 +421,10 @@ func (rb *rebuild) rebuildParity(ctx rdma.Ctx, wk *rebuildWorker, sc *stripeScra
 		sc.reads = append(sc.reads, blockRead{mn: dm, off: l.BlockOff(b), dst: sc.shards[xid], delta: -1})
 		if (rec.XORMap|sib.XORMap)&bit == 0 && sib.DeltaAddr[xid] != 0 {
 			dmn, dOff := layout.UnpackAddr(sib.DeltaAddr[xid])
-			sc.reads = append(sc.reads, blockRead{mn: int(dmn), off: dOff, dst: sc.delta(xid), delta: xid})
+			sc.reads = append(sc.reads, blockRead{mn: int(dmn), off: dOff, dst: sc.deltas[xid], delta: xid})
 		}
 	}
-	if !readBlocks(ctx, cl, sc) {
+	if !readBlocks(ctx, cl, sc, 0) {
 		return false
 	}
 

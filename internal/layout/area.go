@@ -74,7 +74,8 @@ type Layout struct {
 	blocksOff   uint64
 	memBytes    uint64
 	bitmapBytes uint64
-	stagingSize uint64 // checkpoint staging region size
+	stagingSize uint64  // checkpoint staging region size
+	dataMNs     [][]int // DataMNs of stripe s, at s mod NumMNs
 }
 
 // NewLayout computes the layout for a validated config.
@@ -95,6 +96,14 @@ func NewLayout(cfg Config) (*Layout, error) {
 	l.metaRepOff = l.ckptOff + l.indexArea + l.stagingSize
 	l.blocksOff = (l.metaRepOff + uint64(l.MetaReplicas())*l.metaSize + 4095) &^ 4095
 	l.memBytes = l.blocksOff + blocks*cfg.BlockSize
+	l.dataMNs = make([][]int, cfg.NumMNs)
+	for s := range l.dataMNs {
+		for mn := 0; mn < cfg.NumMNs; mn++ {
+			if _, ok := l.IsParityMN(uint32(s), mn); !ok {
+				l.dataMNs[s] = append(l.dataMNs[s], mn)
+			}
+		}
+	}
 	return l, nil
 }
 
@@ -240,16 +249,9 @@ func (l *Layout) IsParityMN(s uint32, mn int) (int, bool) {
 }
 
 // DataMNs returns, in XOR-ID order, the MNs holding stripe s's data
-// blocks.
-func (l *Layout) DataMNs(s uint32) []int {
-	var out []int
-	for mn := 0; mn < l.Cfg.NumMNs; mn++ {
-		if _, ok := l.IsParityMN(s, mn); !ok {
-			out = append(out, mn)
-		}
-	}
-	return out
-}
+// blocks. The slice is the layout's own: the placement repeats every
+// NumMNs stripes, so it is computed once. Callers must not modify it.
+func (l *Layout) DataMNs(s uint32) []int { return l.dataMNs[int(s)%l.Cfg.NumMNs] }
 
 // XORIDOf returns the XOR ID of mn within stripe s (mn must be a data
 // MN of s).
