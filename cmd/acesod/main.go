@@ -208,6 +208,7 @@ func serverGauges(st core.ServerStats) map[string]float64 {
 		"pool_blocks_delta":        float64(st.PoolDelta),
 		"pool_blocks_copy":         float64(st.PoolCopy),
 		"pool_blocks_data":         float64(st.PoolData),
+		"delta_refused_total":      float64(st.DeltaRefused),
 	}
 }
 

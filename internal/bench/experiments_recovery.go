@@ -177,7 +177,7 @@ func reclaimUpdateRun(o Options, pressure bool) (float64, int, error) {
 		cfg = acesoConfig(lo, 0, mutate)
 		// Roughly two working sets' worth of rows: enough to absorb
 		// the preload plus one overwrite wave before blocks cross the
-		// 75% obsolete threshold, then updates recycle reclaimed
+		// ReclaimObsolete threshold, then updates recycle reclaimed
 		// blocks.
 		kvClass := uint64(o.KVSize + 128)
 		working := uint64(o.Clients*keys) * kvClass

@@ -9,11 +9,12 @@ import (
 
 // maxOpenClasses bounds the open-DATA-block map: a workload cycling
 // through many value size classes would otherwise pin one partially
-// filled block (plus, for reused blocks, a BlockSize oldData image)
-// per class forever. Past the bound the least-recently-used class is
-// sealed early and its unwritten slots are lost: reclamation counts only
-// marked slots, and an unwritten slot is never marked, so a block sealed
-// below the ReclaimObsolete fraction written is never reclaimed.
+// filled block (plus, for reused blocks, the old bytes of the slots it
+// has still to rewrite) per class forever. Past the bound the
+// least-recently-used class is sealed early and its unwritten slots are
+// lost: reclamation counts only marked slots, and an unwritten slot is
+// never marked, so a block sealed below the ReclaimObsolete fraction
+// written is never reclaimed.
 const maxOpenClasses = 16
 
 type pendKey struct {
@@ -29,11 +30,14 @@ type openBlock struct {
 	xorID    uint8
 	copyIdx  uint32
 	reused   bool
-	oldData  []byte
 	oldBits  []byte // the free bitmap it was handed out with; nil for a fresh block
 	slotSize int
 	slots    []int // writable slot indices remaining
-	deltas   []deltaTarget
+	// oldData is a reused block's old bytes of the slots still to be
+	// written, slotSize each in the order of slots: oldData[:slotSize]
+	// is slots[0]'s (readOldSlots, consumeSlot).
+	oldData []byte
+	deltas  []deltaTarget
 	// viewEpoch is the membership epoch the delta targets were
 	// resolved under; recovery can relocate DELTA blocks, so the
 	// targets are refreshed when the epoch moves.
@@ -50,6 +54,9 @@ type deltaTarget struct {
 // §3.2.3).
 func (c *Client) consumeSlot(ob *openBlock) {
 	ob.slots = ob.slots[1:]
+	if ob.reused {
+		ob.oldData = ob.oldData[ob.slotSize:]
+	}
 	if len(ob.slots) == 0 {
 		c.pendingSeal = append(c.pendingSeal, ob)
 		delete(c.open, ob.class)
@@ -215,23 +222,16 @@ func (c *Client) provisionBlock(ctx rdma.Ctx, classUnits uint8, seq *int, st *Cl
 			slotSize:  int(classUnits) * 64,
 			viewEpoch: c.cl.view.epochNow(),
 		}
-		capSlots := l.KVSlotsPerBlock(classUnits)
-		if reused {
-			// Read the whole reused block back (§3.3.3 ②): the extra
-			// cost is bandwidth, not IOPS, hence the ≤5% impact.
-			ob.oldData = make([]byte, l.Cfg.BlockSize)
-			if err := c.readBack(ctx, mn, l.BlockOff(idx), ob.oldData, st); err != nil {
-				continue
-			}
-			for s := 0; s < capSlots; s++ {
-				if layout.BitmapGet(oldBits, s) {
-					ob.slots = append(ob.slots, s)
-				}
-			}
-		} else {
-			for s := 0; s < capSlots; s++ {
+		for s := 0; s < l.KVSlotsPerBlock(classUnits); s++ {
+			if !reused || layout.BitmapGet(oldBits, s) {
 				ob.slots = append(ob.slots, s)
 			}
+		}
+		// A reused block is written only in its marked slots, and only
+		// their old bytes make the deltas (§3.3.3 ②): read back those,
+		// not the live pairs beside them.
+		if reused && c.readOldSlots(ctx, ob, st) != nil {
+			continue
 		}
 		if !c.allocDeltas(ctx, ob) {
 			// Nothing was written: the block goes back as it was, and a
@@ -318,32 +318,43 @@ func (c *Client) allocDeltas(ctx rdma.Ctx, ob *openBlock) bool {
 
 // readbackBytes is the piece size of a reused block's readback. A piece
 // holds the data MN's NIC ahead of foreground verbs for its whole
-// length, and with a block reclaimed as soon as it is obsolete enough
-// the readbacks never stop: in chunkBytes pieces (64 KB, 9.4 µs each)
-// they doubled the GET p99 of a YCSB-A run, while 1 KB pieces left the
+// length, and with a block reclaimed as soon as it is half obsolete the
+// readbacks never stop: in chunkBytes pieces (64 KB, 9.4 µs each) they
+// doubled the GET p99 of a YCSB-A run, while 1 KB pieces left the
 // prefetcher behind the writers (DESIGN.md §3).
 const readbackBytes = 4 << 10
 
-// readBack reads a whole block in readbackBytes pieces through ctx,
-// accounting into st when non-nil (nil from the prefetch worker).
-func (c *Client) readBack(ctx rdma.Ctx, mn int, off uint64, dst []byte, st *ClientStats) error {
-	chunk := readbackBytes
-	for pos := 0; pos < len(dst); pos += chunk {
-		end := pos + chunk
-		if end > len(dst) {
-			end = len(dst)
+// readOldSlots reads the slots of reused block ob that it will rewrite
+// into ob.oldData, packed in slot order: each run of adjacent slots in
+// readbackBytes pieces, through ctx, accounting into st when non-nil
+// (nil from the prefetch worker).
+func (c *Client) readOldSlots(ctx rdma.Ctx, ob *openBlock, st *ClientStats) error {
+	ob.oldData = make([]byte, len(ob.slots)*ob.slotSize)
+	base := c.cl.L.BlockOff(ob.idx)
+	pos := 0
+	for i := 0; i < len(ob.slots); {
+		j := i + 1
+		for j < len(ob.slots) && ob.slots[j] == ob.slots[j-1]+1 {
+			j++
 		}
-		addr, ok := c.cl.Addr(mn, off+uint64(pos))
-		if !ok {
-			return rdma.ErrNodeFailed
+		off := base + uint64(ob.slots[i]*ob.slotSize)
+		for end := pos + (j-i)*ob.slotSize; pos < end; {
+			n := min(readbackBytes, end-pos)
+			addr, ok := c.cl.Addr(ob.mn, off)
+			if !ok {
+				return rdma.ErrNodeFailed
+			}
+			if st != nil {
+				st.ReadsIssued++
+				st.BytesRead += uint64(n)
+			}
+			if err := ctx.Read(ob.oldData[pos:pos+n], addr); err != nil {
+				return err
+			}
+			pos += n
+			off += uint64(n)
 		}
-		if st != nil {
-			st.ReadsIssued++
-			st.BytesRead += uint64(end - pos)
-		}
-		if err := ctx.Read(dst[pos:end], addr); err != nil {
-			return err
-		}
+		i = j
 	}
 	return nil
 }

@@ -587,7 +587,7 @@ func (c *Client) placeKV(key, val []byte, slotVersion uint64, tombstone bool, fu
 		fence := uint8(1)
 		var oldSlot []byte
 		if ob.reused {
-			oldSlot = ob.oldData[slot*ob.slotSize : (slot+1)*ob.slotSize]
+			oldSlot = ob.oldData[:ob.slotSize]
 			fence = layout.NextFence(oldSlot[0])
 		}
 		buf := grow(&sc.buf, ob.slotSize)

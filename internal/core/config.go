@@ -77,7 +77,8 @@ type Config struct {
 	BlockPrefetch bool
 	// ReclaimObsolete is the obsolete-KV fraction at which a sealed DATA
 	// block is handed out again by the next allocation of its class on
-	// its MN (paper default 0.75). Above 1 nothing is ever reclaimed.
+	// its MN (default 0.5, DESIGN.md §3). Above 1 nothing is ever
+	// reclaimed.
 	ReclaimObsolete float64
 	// BitmapFlushOps is how many obsolete-markings a client batches
 	// before flushing free-bitmap updates to the servers.
@@ -125,7 +126,7 @@ func DefaultConfig() Config {
 		CkptInterval:    500 * time.Millisecond,
 		CacheSlotAddr:   true,
 		BlockPrefetch:   true,
-		ReclaimObsolete: 0.75,
+		ReclaimObsolete: 0.5,
 		BitmapFlushOps:  64,
 	}
 }

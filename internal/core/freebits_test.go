@@ -3,10 +3,12 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/layout"
+	"repro/internal/rdma"
 )
 
 // freeBitmapAudit compares every DATA block's free bitmap with the
@@ -312,4 +314,191 @@ func FuzzFreeBits(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestReuseReadsBackOnlyMarkedSlots hands a client a reused block with a
+// known set of marked slots — lone slots and a run longer than
+// readbackBytes — and pins its readback: exactly the marked slots'
+// bytes, no piece longer than readbackBytes and none outside a marked
+// slot. The client then fills the marked slots; the stripe keeps its
+// parity invariant after each write, and every pair reads back. A
+// reused block whose parity MN refuses it a DELTA block goes back with
+// its marks, having been read back in them alone.
+func TestReuseReadsBackOnlyMarkedSlots(t *testing.T) {
+	// setup fills and seals one block b of a client's size class, then
+	// rewrites the pairs of the marked slots in another class, which
+	// marks exactly those slots.
+	setup := func(t *testing.T) *reuse {
+		tc := newTestCluster(t, func(cfg *Config) {
+			cfg.BlockPrefetch = false
+			cfg.ReclaimObsolete = 0 // any sealed block with a mark qualifies
+		})
+		l := tc.cl.L
+		r := &reuse{tc: tc, c: tc.cl.NewClient(), ctx: &directCtx{pl: tc.pl}, mn: -1, want: map[string][]byte{}}
+		r.c.Attach(r.ctx)
+		r.class = uint8(layout.KVClassSize(len(key(0)), len(val(0, 0))) / 64)
+		slotSize, slots := int(r.class)*64, l.KVSlotsPerBlock(r.class)
+		run := readbackBytes/slotSize + 3 // adjacent slots spanning two pieces
+		if run+10 >= slots {
+			t.Fatalf("a %d-byte block has %d slots of %d bytes: no room for a %d-slot run", l.Cfg.BlockSize, slots, slotSize, run)
+		}
+		r.marked = append(r.marked, 0, 2, 3, 4)
+		for s := 7; s < 7+run; s++ {
+			r.marked = append(r.marked, s)
+		}
+		r.marked = append(r.marked, slots-1)
+		for i := 0; i < slots; i++ {
+			r.put(t, key(i), val(i, 0), true)
+		}
+		if r.c.open[r.class] != nil {
+			t.Fatalf("the class's block is still open after %d pairs", slots)
+		}
+		for _, s := range r.marked {
+			r.put(t, key(s), bytes.Repeat([]byte{'u'}, 3*slotSize), false)
+		}
+		r.c.FlushBitmaps()
+		for m := 0; m < l.Cfg.NumMNs; m++ {
+			for row := 0; row < l.Cfg.StripeRows; row++ {
+				if rec := tc.cl.servers[m].record(row); rec.Role == layout.RoleData && rec.SizeClass == r.class && rec.IndexVersion != 0 {
+					r.mn, r.b = m, row
+				}
+			}
+		}
+		if r.mn < 0 {
+			t.Fatal("no sealed block of the class")
+		}
+		if got := r.markedSlots(); !slices.Equal(got, r.marked) {
+			t.Fatalf("block %d on MN %d has slots %v marked, want %v", r.b, r.mn, got, r.marked)
+		}
+		return r
+	}
+	// provision asks for the class's next block, trying the block's MN
+	// first, and returns what it read.
+	provision := func(t *testing.T, r *reuse) (ob *openBlock, err error, pieces [][2]uint64, bytesRead uint64) {
+		r.ctx.beforeOp = func(op *rdma.Op) {
+			if op.Kind == rdma.OpRead {
+				pieces = append(pieces, [2]uint64{op.Addr.Off, uint64(len(op.Buf))})
+			}
+		}
+		n := r.tc.cl.L.Cfg.NumMNs
+		seq := ((r.mn-int(r.c.ID()))%n + n) % n
+		before := r.c.Stats
+		ob, err = r.c.provisionBlock(r.c.ctx, r.class, &seq, &r.c.Stats)
+		r.ctx.beforeOp = nil
+		if reads := r.c.Stats.ReadsIssued - before.ReadsIssued; reads != uint64(len(pieces)) {
+			t.Errorf("%d reads counted, %d issued", reads, len(pieces))
+		}
+		return ob, err, pieces, r.c.Stats.BytesRead - before.BytesRead
+	}
+
+	t.Run("read back and filled", func(t *testing.T) {
+		r := setup(t)
+		l := r.tc.cl.L
+		slotSize := int(r.class) * 64
+		ob, err, pieces, n := provision(t, r)
+		if err != nil || !ob.reused || ob.mn != r.mn || ob.idx != r.b {
+			t.Fatalf("provisioned %+v (%v), want block %d on MN %d reused", ob, err, r.b, r.mn)
+		}
+		if !slices.Equal(ob.slots, r.marked) {
+			t.Fatalf("writable slots %v, want %v", ob.slots, r.marked)
+		}
+		if n != uint64(len(r.marked)*slotSize) {
+			t.Errorf("read back %d bytes, want %d marked slots × %d", n, len(r.marked), slotSize)
+		}
+		blockOff := l.BlockOff(r.b)
+		for _, p := range pieces {
+			if p[1] > readbackBytes || p[0] < blockOff {
+				t.Errorf("piece [%d +%d) is outside the block or longer than %d", p[0], p[1], readbackBytes)
+			}
+			for s := int(p[0]-blockOff) / slotSize; s <= int(p[0]+p[1]-1-blockOff)/slotSize; s++ {
+				if !slices.Contains(r.marked, s) {
+					t.Errorf("piece [%d +%d) reads unmarked slot %d", p[0], p[1], s)
+				}
+			}
+		}
+		if !r.c.adoptBlock(ob) {
+			t.Fatal("the reused block could not be adopted")
+		}
+		for i := range r.marked {
+			r.put(t, key(1000+i), val(1000+i, 1), true)
+			stripeParityInvariant(t, r.tc)
+		}
+		if r.c.open[r.class] != nil {
+			t.Fatalf("the reused block is still open after %d pairs", len(r.marked))
+		}
+		r.readAll(t)
+	})
+
+	t.Run("refused and back", func(t *testing.T) {
+		r := setup(t)
+		r.tc.run(20 * time.Millisecond) // the encoders fold b's DELTA block and free it
+		drainPool(r.tc, r.tc.cl.L.ParityMN(uint32(r.b), 0))
+		ob, err, _, n := provision(t, r)
+		if err == nil {
+			if ob.mn == r.mn && ob.idx == r.b {
+				t.Fatalf("block %d on MN %d was handed out with its parity MN's pool full", r.b, r.mn)
+			}
+			r.c.returnBlock(r.c.ctx, ob)
+		}
+		if want := uint64(len(r.marked) * int(r.class) * 64); n != want {
+			t.Errorf("read back %d bytes, want the refused block's %d marked slots' %d", n, len(r.marked), want)
+		}
+		if rec := r.tc.cl.servers[r.mn].record(r.b); rec.Role != layout.RoleData || rec.IndexVersion == 0 {
+			t.Errorf("the refused block's record is %+v, want it sealed again", rec)
+		}
+		if got := r.markedSlots(); !slices.Equal(got, r.marked) {
+			t.Errorf("the refused block has slots %v marked, want %v back", got, r.marked)
+		}
+		stripeParityInvariant(t, r.tc)
+		r.readAll(t)
+	})
+}
+
+// reuse is TestReuseReadsBackOnlyMarkedSlots' fixture: a client c
+// driven over ctx, its sealed block b of class on MN mn, the slots of b
+// marked obsolete, and the value each key must read back.
+type reuse struct {
+	tc     *testCluster
+	c      *Client
+	ctx    *directCtx
+	class  uint8
+	mn, b  int
+	marked []int
+	want   map[string][]byte
+}
+
+// put inserts or updates k and records its value.
+func (r *reuse) put(t *testing.T, k, v []byte, insert bool) {
+	t.Helper()
+	var err error
+	if insert {
+		err = r.c.Insert(k, v)
+	} else {
+		err = r.c.Update(k, v)
+	}
+	if err != nil {
+		t.Fatalf("write %s: %v", k, err)
+	}
+	r.want[string(k)] = v
+}
+
+// markedSlots lists the slots of b its MN has marked obsolete.
+func (r *reuse) markedSlots() []int {
+	var got []int
+	for s := 0; s < r.tc.cl.L.KVSlotsPerBlock(r.class); s++ {
+		if layout.BitmapGet(r.tc.cl.servers[r.mn].bitmap(r.b), s) {
+			got = append(got, s)
+		}
+	}
+	return got
+}
+
+// readAll checks that every key written reads back its last value.
+func (r *reuse) readAll(t *testing.T) {
+	t.Helper()
+	for k, v := range r.want {
+		if got, err := r.c.Search([]byte(k)); err != nil || !bytes.Equal(got, v) {
+			t.Errorf("search %s: %q, %v", k, got, err)
+		}
+	}
 }

@@ -63,6 +63,11 @@ func TestRefusedDeltaNeverOpensABlock(t *testing.T) {
 		if elsewhere == 0 {
 			t.Error("no client was turned away from its first-choice MN: the drained parity MN refused nothing")
 		}
+		for mn, srv := range tc.cl.servers { // only the drained MN counts refusals
+			if n := srv.Stats().DeltaRefused; (mn == 1) != (n > 0) {
+				t.Errorf("MN %d counts %d refused DELTA allocations", mn, n)
+			}
+		}
 		tc.run(20 * time.Millisecond)
 		stripeParityInvariant(t, tc)
 	})

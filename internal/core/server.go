@@ -237,6 +237,8 @@ type ServerStats struct {
 	MetaSyncWrites uint64 // meta-sync writes issued to replica hosts, re-send pieces included
 	MetaSyncBytes  uint64 // bytes those writes carried
 	MetaResyncs    uint64 // whole-Meta-Area re-sends to a replica host
+
+	DeltaRefused uint64 // AllocDelta requests refused for want of a free pool block
 }
 
 // Stats snapshots the server's counters and scans pool occupancy. On a
@@ -553,6 +555,7 @@ func (s *Server) handleAllocDelta(req []byte) ([]byte, time.Duration) {
 	}
 	b := s.freePoolBlock()
 	if b < 0 {
+		s.st.DeltaRefused++
 		return []byte{stNoSpace}, cpu
 	}
 	drec := layout.Record{Role: layout.RoleDelta, Valid: true, XORID: xorID,

@@ -366,10 +366,10 @@ func TestAdminStatsRoundTrip(t *testing.T) {
 		PoolFree: 11, PoolDelta: 12, PoolCopy: 13, PoolData: 14, CkptShipFailures: 15,
 		CkptSegsShipped: 16, CkptRawBytes: 17, CkptCPUNs: 18, ECEncodeBytes: 19, ECEncodeNs: 20,
 		ECEncodeBatches: 21, ECDecodeBytes: 22, ECDecodeNs: 23, MetaSyncWrites: 24, MetaSyncBytes: 25,
-		MetaResyncs: 26}
+		MetaResyncs: 26, DeltaRefused: 27}
 	want := enc{b: []byte{stOK}}
 	want.u16(7)
-	for i := uint64(1); i <= 26; i++ {
+	for i := uint64(1); i <= 27; i++ {
 		want.u64(i)
 	}
 	if got := encodeStats(ordered); !bytes.Equal(got, want.b) {

@@ -12,26 +12,34 @@ import (
 // TestChaosSoak is a randomized end-to-end soak: several clients run
 // mixed workloads against per-client models while MN crashes, client
 // crashes/restarts and reclamation pressure are injected between
-// rounds. Every committed write must survive everything. Seeds are
-// fixed so failures reproduce.
+// rounds. Every committed write must survive everything, and once the
+// recoveries have drained every stripe satisfies its parity invariant
+// and no free pool block holds data. The seeds run at the default
+// reclamation threshold and again with every sealed block that has a
+// mark reclaimable. Seeds are fixed so failures reproduce.
 func TestChaosSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test")
 	}
-	for _, seed := range []int64{1, 7, 23, 1337} {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			runChaosSoak(t, seed)
-		})
+	for _, reclaim := range []float64{DefaultConfig().ReclaimObsolete, 0} {
+		for _, seed := range []int64{1, 7, 23, 1337} {
+			seed, reclaim := seed, reclaim
+			name := fmt.Sprintf("seed=%d", seed)
+			if reclaim == 0 {
+				name += ",reclaim=0"
+			}
+			t.Run(name, func(t *testing.T) { runChaosSoak(t, seed, reclaim) })
+		}
 	}
 }
 
-func runChaosSoak(t *testing.T, seed int64) {
+func runChaosSoak(t *testing.T, seed int64, reclaim float64) {
 	tc := newTestCluster(t, func(cfg *Config) {
 		cfg.Layout.StripeRows = 16
 		cfg.Layout.PoolBlocks = 12
 		cfg.CkptInterval = 15 * time.Millisecond
 		cfg.BitmapFlushOps = 8
+		cfg.ReclaimObsolete = reclaim
 	})
 	const clients, keysEach, rounds, opsPerRound = 3, 30, 6, 120
 	// Every recovery consumes a spare; provision one per possible
@@ -174,6 +182,8 @@ func runChaosSoak(t *testing.T, seed int64) {
 			break
 		}
 	}
+	stripeParityInvariant(t, tc)
+	freePoolBlocksZero(t, tc)
 	tc.runClients(t, 600*time.Second, func(c *Client) {
 		for w := 0; w < clients; w++ {
 			for k, want := range models[w] {

@@ -85,7 +85,7 @@ func (b *batch) wordWrite(at rdma.GlobalAddr, w uint64) {
 // cached one after two writers each moved that backup's copy off a dead
 // MN; the stale writer then keeps overwriting its orphan, and the
 // backup's copy falls behind. Reads go to the primary, so it takes a
-// second failure to see it (ROADMAP item 7(c)).
+// second failure to see it (ROADMAP item 26).
 type cacheEnt struct {
 	slot  replica.Slot
 	words [replica.MaxReplicas]uint64 // per replica, packed word0 (0 = unknown)
