@@ -318,10 +318,10 @@ func (c *Client) allocDeltas(ctx rdma.Ctx, ob *openBlock) bool {
 
 // readbackBytes is the piece size of a reused block's readback. A piece
 // holds the data MN's NIC ahead of foreground verbs for its whole
-// length, and with a block reclaimed as soon as it is half obsolete the
-// readbacks never stop: in chunkBytes pieces (64 KB, 9.4 µs each) they
-// doubled the GET p99 of a YCSB-A run, while 1 KB pieces left the
-// prefetcher behind the writers (DESIGN.md §3).
+// length, and with a block reclaimed as soon as 30 % of it is
+// obsolete the readbacks never stop: in chunkBytes pieces (64 KB, 9.4 µs
+// each) they doubled the GET p99 of a YCSB-A run, while 1 KB pieces left
+// the prefetcher behind the writers (DESIGN.md §3).
 const readbackBytes = 4 << 10
 
 // readOldSlots reads the slots of reused block ob that it will rewrite

@@ -41,8 +41,10 @@ type deltaCopy struct {
 //     one-sided;
 //  2. settles each unfilled DATA block slot by slot (settleSlot): a
 //     torn or uncommitted final write is rolled back to the slot's old
-//     contents (the COPY block's, or zero for a fresh block), and every
-//     delta copy is made to agree with the slot;
+//     contents (zero for a fresh block; for a reused one, the COPY
+//     block's packed bytes of a slot it was handed out with, the slot
+//     itself for a live one), and every delta copy is made to agree
+//     with the slot;
 //  3. re-adopts fresh blocks, resuming fine-grained slot management so
 //     no memory leaks, and seals partially-refilled reclaimed blocks
 //     (their remaining writable slots are unknown without the old free
@@ -129,12 +131,22 @@ func (c *Client) recoverOwnedBlock(sc *stripeScratch, o ownedBlock, deltaOwners 
 	if slotSize == 0 {
 		return nil
 	}
-	// old is the block before this client wrote it: the COPY block's
-	// contents for a reused block, zero for a fresh one.
-	data, old := make([]byte, bs), make([]byte, bs)
-	if !sc.readBlock(c.ctx, c.cl, o.mn, l.BlockOff(o.idx), data) ||
-		cp != nil && !sc.readBlock(c.ctx, c.cl, cp.mn, l.BlockOff(cp.idx), old) {
+	data := make([]byte, bs)
+	if !sc.readBlock(c.ctx, c.cl, o.mn, l.BlockOff(o.idx), data) {
 		return rdma.ErrNodeFailed
+	}
+	// A reused block's COPY holds the old bytes of the slots it was
+	// handed out with, packed in slot order, and its bitmap says which.
+	var marks, packed []byte
+	if cp != nil {
+		marks = make([]byte, l.BitmapBytes())
+		if !sc.readBlock(c.ctx, c.cl, cp.mn, l.BitmapOff(cp.idx), marks) {
+			return rdma.ErrNodeFailed
+		}
+		packed = make([]byte, countMarks(marks, bs/slotSize)*slotSize)
+		if len(packed) > 0 && !sc.readBlock(c.ctx, c.cl, cp.mn, l.BlockOff(cp.idx), packed) {
+			return rdma.ErrNodeFailed
+		}
 	}
 	var dcs []deltaCopy
 	for _, dob := range deltaOwners {
@@ -144,11 +156,24 @@ func (c *Client) recoverOwnedBlock(sc *stripeScratch, o ownedBlock, deltaOwners 
 		}
 	}
 
+	// old is a slot's bytes before this client wrote it: zero in a
+	// fresh block; in a reused one, the COPY's for a slot handed out, and
+	// the slot's own for any other — a live pair this client never
+	// wrote, kept, with its delta positions healed to zero.
+	zero := make([]byte, slotSize)
 	var freeSlots []int
 	for s := 0; s < bs/slotSize; s++ {
 		lo := s * slotSize
 		slot := data[lo : lo+slotSize]
-		c.settleSlot(o.mn, l.BlockOff(o.idx)+uint64(lo), slot, old[lo:lo+slotSize], dcs, lo)
+		old := zero
+		switch {
+		case cp == nil:
+		case layout.BitmapGet(marks, s):
+			old, packed = packed[:slotSize], packed[slotSize:]
+		default:
+			old = slot
+		}
+		c.settleSlot(o.mn, l.BlockOff(o.idx)+uint64(lo), slot, old, dcs, lo)
 		if cp == nil && slot[0] == 0 {
 			freeSlots = append(freeSlots, s)
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/erasure"
 	"repro/internal/layout"
 	"repro/internal/rdma"
 )
@@ -495,3 +496,71 @@ func waitDone(t *testing.T, tc *testCluster, flag *bool) {
 
 // rdmaCtx aliases the process context type for test readability.
 type rdmaCtx = rdma.Ctx
+
+// TestRestartSettlesReusedBlockBySlot crashes a client inside a reused
+// block whose marked slots, 0, 2–3 and 7, sit between live pairs. The
+// client has rewritten slots 0 and 2, and its write into slot 3 landed
+// with one delta copy but never committed. The block's COPY holds only
+// the marked slots' old bytes, packed in slot order. Restart must roll
+// slot 3 back to its old bytes and keep every other slot bit for bit,
+// with every delta copy agreeing: the stripes keep their parity
+// invariant, every pair reads back, and the seal leaves no free pool
+// block holding data. Settled against the COPY as if it held the whole
+// block, the live slots and the unwritten slot 7 look written and the
+// parity breaks.
+func TestRestartSettlesReusedBlockBySlot(t *testing.T) {
+	r := newReuse(t, func(*testing.T, int, int) []int { return []int{0, 2, 3, 7} })
+	tc, l := r.tc, r.tc.cl.L
+	ob, err := r.provision()
+	if err != nil || !ob.reused || ob.mn != r.mn || ob.idx != r.b {
+		t.Fatalf("provisioned %+v (%v), want block %d on MN %d reused", ob, err, r.b, r.mn)
+	}
+	if !r.c.adoptBlock(ob) {
+		t.Fatal("the reused block could not be adopted")
+	}
+	copyIdx := int(ob.copyIdx)
+	slotSize := ob.slotSize
+	slot := func(mn int, off uint64, s int) []byte {
+		at := off + uint64(s*slotSize)
+		return tc.pl.DirectMemory(tc.cl.MNNode(mn))[at : at+uint64(slotSize)]
+	}
+	old3 := append([]byte(nil), slot(r.mn, l.BlockOff(r.b), 3)...)
+	r.put(t, key(1000), val(1000, 1), true) // slot 0
+	r.put(t, key(1001), val(1001, 1), true) // slot 2
+	if len(ob.slots) != 2 || ob.slots[0] != 3 {
+		t.Fatalf("writable slots %v after two writes, want [3 7]", ob.slots)
+	}
+	// The crash cut the write into slot 3 after its first delta copy,
+	// before the commit CAS.
+	data3 := slot(r.mn, l.BlockOff(r.b), 3)
+	layout.EncodeKV(data3, key(3), val(3, 1), 7, layout.NextFence(old3[0]), false)
+	d := append([]byte(nil), data3...)
+	erasure.XorInto(d, old3)
+	copy(slot(ob.deltas[0].mn, ob.deltas[0].blockOff, 3), d)
+	before := append([]byte(nil), tc.pl.DirectMemory(tc.cl.MNNode(r.mn))[l.BlockOff(r.b):][:l.Cfg.BlockSize]...)
+
+	r.c.SimulateCrash()
+	r.ctx = &directCtx{pl: tc.pl}
+	if err := r.c.Restart(r.ctx); err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	if !bytes.Equal(data3, old3) {
+		t.Error("slot 3 is not rolled back to its old bytes")
+	}
+	for s := range l.KVSlotsPerBlock(r.class) {
+		if s != 3 && !bytes.Equal(slot(r.mn, l.BlockOff(r.b), s), before[s*slotSize:][:slotSize]) {
+			t.Errorf("slot %d changed by the restart", s)
+		}
+	}
+	srv := tc.cl.servers[r.mn]
+	if rec := srv.record(r.b); rec.IndexVersion == 0 {
+		t.Errorf("the reused block is unsealed after the restart: %+v", rec)
+	}
+	if rec := srv.record(copyIdx); rec.Role != layout.RoleFree {
+		t.Errorf("its COPY block is %v after the seal, want free", rec.Role)
+	}
+	tc.run(50 * time.Millisecond) // the encoders fold the DELTA blocks
+	stripeParityInvariant(t, tc)
+	freePoolBlocksZero(t, tc)
+	r.readAll(t)
+}

@@ -325,53 +325,20 @@ func FuzzFreeBits(f *testing.F) {
 // reused block whose parity MN refuses it a DELTA block goes back with
 // its marks, having been read back in them alone.
 func TestReuseReadsBackOnlyMarkedSlots(t *testing.T) {
-	// setup fills and seals one block b of a client's size class, then
-	// rewrites the pairs of the marked slots in another class, which
-	// marks exactly those slots.
-	setup := func(t *testing.T) *reuse {
-		tc := newTestCluster(t, func(cfg *Config) {
-			cfg.BlockPrefetch = false
-			cfg.ReclaimObsolete = 0 // any sealed block with a mark qualifies
-		})
-		l := tc.cl.L
-		r := &reuse{tc: tc, c: tc.cl.NewClient(), ctx: &directCtx{pl: tc.pl}, mn: -1, want: map[string][]byte{}}
-		r.c.Attach(r.ctx)
-		r.class = uint8(layout.KVClassSize(len(key(0)), len(val(0, 0))) / 64)
-		slotSize, slots := int(r.class)*64, l.KVSlotsPerBlock(r.class)
-		run := readbackBytes/slotSize + 3 // adjacent slots spanning two pieces
+	// Lone slots, a run of adjacent slots spanning two readback pieces,
+	// and the last slot.
+	marks := func(t *testing.T, slots, slotSize int) []int {
+		run := readbackBytes/slotSize + 3
 		if run+10 >= slots {
-			t.Fatalf("a %d-byte block has %d slots of %d bytes: no room for a %d-slot run", l.Cfg.BlockSize, slots, slotSize, run)
+			t.Fatalf("%d slots of %d bytes: no room for a %d-slot run", slots, slotSize, run)
 		}
-		r.marked = append(r.marked, 0, 2, 3, 4)
+		marked := []int{0, 2, 3, 4}
 		for s := 7; s < 7+run; s++ {
-			r.marked = append(r.marked, s)
+			marked = append(marked, s)
 		}
-		r.marked = append(r.marked, slots-1)
-		for i := 0; i < slots; i++ {
-			r.put(t, key(i), val(i, 0), true)
-		}
-		if r.c.open[r.class] != nil {
-			t.Fatalf("the class's block is still open after %d pairs", slots)
-		}
-		for _, s := range r.marked {
-			r.put(t, key(s), bytes.Repeat([]byte{'u'}, 3*slotSize), false)
-		}
-		r.c.FlushBitmaps()
-		for m := 0; m < l.Cfg.NumMNs; m++ {
-			for row := 0; row < l.Cfg.StripeRows; row++ {
-				if rec := tc.cl.servers[m].record(row); rec.Role == layout.RoleData && rec.SizeClass == r.class && rec.IndexVersion != 0 {
-					r.mn, r.b = m, row
-				}
-			}
-		}
-		if r.mn < 0 {
-			t.Fatal("no sealed block of the class")
-		}
-		if got := r.markedSlots(); !slices.Equal(got, r.marked) {
-			t.Fatalf("block %d on MN %d has slots %v marked, want %v", r.b, r.mn, got, r.marked)
-		}
-		return r
+		return append(marked, slots-1)
 	}
+	setup := func(t *testing.T) *reuse { return newReuse(t, marks) }
 	// provision asks for the class's next block, trying the block's MN
 	// first, and returns what it read.
 	provision := func(t *testing.T, r *reuse) (ob *openBlock, err error, pieces [][2]uint64, bytesRead uint64) {
@@ -380,10 +347,8 @@ func TestReuseReadsBackOnlyMarkedSlots(t *testing.T) {
 				pieces = append(pieces, [2]uint64{op.Addr.Off, uint64(len(op.Buf))})
 			}
 		}
-		n := r.tc.cl.L.Cfg.NumMNs
-		seq := ((r.mn-int(r.c.ID()))%n + n) % n
 		before := r.c.Stats
-		ob, err = r.c.provisionBlock(r.c.ctx, r.class, &seq, &r.c.Stats)
+		ob, err = r.provision()
 		r.ctx.beforeOp = nil
 		if reads := r.c.Stats.ReadsIssued - before.ReadsIssued; reads != uint64(len(pieces)) {
 			t.Errorf("%d reads counted, %d issued", reads, len(pieces))
@@ -454,9 +419,9 @@ func TestReuseReadsBackOnlyMarkedSlots(t *testing.T) {
 	})
 }
 
-// reuse is TestReuseReadsBackOnlyMarkedSlots' fixture: a client c
-// driven over ctx, its sealed block b of class on MN mn, the slots of b
-// marked obsolete, and the value each key must read back.
+// reuse is a fixture for a reused block: a client c driven over ctx,
+// its sealed block b of class on MN mn, the slots of b marked obsolete,
+// and the value each key must read back.
 type reuse struct {
 	tc     *testCluster
 	c      *Client
@@ -465,6 +430,54 @@ type reuse struct {
 	mn, b  int
 	marked []int
 	want   map[string][]byte
+}
+
+// newReuse fills and seals one block b of a client's size class, then
+// rewrites the pairs of the slots marks picks in another class, which
+// marks exactly those slots.
+func newReuse(t *testing.T, marks func(t *testing.T, slots, slotSize int) []int) *reuse {
+	t.Helper()
+	tc := newTestCluster(t, func(cfg *Config) {
+		cfg.BlockPrefetch = false
+		cfg.ReclaimObsolete = 0 // any sealed block with a mark qualifies
+	})
+	l := tc.cl.L
+	r := &reuse{tc: tc, c: tc.cl.NewClient(), ctx: &directCtx{pl: tc.pl}, mn: -1, want: map[string][]byte{}}
+	r.c.Attach(r.ctx)
+	r.class = uint8(layout.KVClassSize(len(key(0)), len(val(0, 0))) / 64)
+	slotSize, slots := int(r.class)*64, l.KVSlotsPerBlock(r.class)
+	r.marked = marks(t, slots, slotSize)
+	for i := 0; i < slots; i++ {
+		r.put(t, key(i), val(i, 0), true)
+	}
+	if r.c.open[r.class] != nil {
+		t.Fatalf("the class's block is still open after %d pairs", slots)
+	}
+	for _, s := range r.marked {
+		r.put(t, key(s), bytes.Repeat([]byte{'u'}, 3*slotSize), false)
+	}
+	r.c.FlushBitmaps()
+	for m := 0; m < l.Cfg.NumMNs; m++ {
+		for row := 0; row < l.Cfg.StripeRows; row++ {
+			if rec := tc.cl.servers[m].record(row); rec.Role == layout.RoleData && rec.SizeClass == r.class && rec.IndexVersion != 0 {
+				r.mn, r.b = m, row
+			}
+		}
+	}
+	if r.mn < 0 {
+		t.Fatal("no sealed block of the class")
+	}
+	if got := r.markedSlots(); !slices.Equal(got, r.marked) {
+		t.Fatalf("block %d on MN %d has slots %v marked, want %v", r.b, r.mn, got, r.marked)
+	}
+	return r
+}
+
+// provision asks for the class's next block, trying b's MN first.
+func (r *reuse) provision() (*openBlock, error) {
+	n := r.tc.cl.L.Cfg.NumMNs
+	seq := ((r.mn-int(r.c.ID()))%n + n) % n
+	return r.c.provisionBlock(r.c.ctx, r.class, &seq, &r.c.Stats)
 }
 
 // put inserts or updates k and records its value.

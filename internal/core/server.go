@@ -409,9 +409,12 @@ func (s *Server) handleAllocBlock(req []byte) ([]byte, time.Duration) {
 			rec := s.record(b)
 			old := s.bitmap(b)
 			oldBits := append([]byte(nil), old...)
-			// Back up the old contents for client-crash recovery.
-			copy(s.block(copyIdx), s.block(b))
-			cpu += cpuTime(int(s.cl.L.Cfg.BlockSize), memcpyRate)
+			// Back up, for client-crash recovery, the slots handed out:
+			// packed at the head of the COPY block, whose own bitmap
+			// records which they are (Restart reads both).
+			cpu += cpuTime(s.packMarked(copyIdx, b, class, old), memcpyRate)
+			copy(s.bitmap(copyIdx), old)
+			s.dirty[copyIdx] |= metaBitmap
 			crec := layout.Record{Role: layout.RoleCopy, Valid: true, XORID: rec.XORID,
 				SizeClass: rec.SizeClass, StripeID: rec.StripeID, CliID: cliID}
 			s.putRecord(copyIdx, &crec)
@@ -462,6 +465,33 @@ func (s *Server) handleAllocBlock(req []byte) ([]byte, time.Duration) {
 		return e.b, cpu
 	}
 	return []byte{stNoSpace}, cpu
+}
+
+// packMarked copies the slots of class-class block b that bm marks, in
+// slot order, to the head of block dst, and returns the bytes copied.
+// Caller holds mu.
+func (s *Server) packMarked(dst, b int, class uint8, bm []byte) int {
+	src, out, size := s.block(b), s.block(dst), int(class)*64
+	n := 0
+	for slot := range s.cl.L.KVSlotsPerBlock(class) {
+		if layout.BitmapGet(bm, slot) {
+			n += copy(out[n:n+size], src[slot*size:])
+		}
+	}
+	return n
+}
+
+// countMarks counts the marks bm sets among its first slots bits: a
+// COPY block holds one backed-up slot per mark its bitmap sets among
+// the slots of its class.
+func countMarks(bm []byte, slots int) int {
+	n := 0
+	for slot := range slots {
+		if layout.BitmapGet(bm, slot) {
+			n++
+		}
+	}
+	return n
 }
 
 // pickReclaim selects the sealed data block with the highest obsolete
@@ -593,13 +623,14 @@ func (s *Server) handleInstallParity(req []byte) ([]byte, time.Duration) {
 
 // handleSealBlock stamps the current Index Version into a filled DATA
 // block's record (§3.2.3) and releases the reclamation backup copy, if
-// any. A block its client never wrote (its DELTA blocks could not all
-// be allocated) goes back as it was handed out: the request then ends
-// with the client's id and the block's old free bitmap. A fresh block is
-// all zeros still, and its row is free again; a reused one gets its old
-// marks back, beside any set since. Sealed as it stood instead, a fresh
-// row would hold nothing for good and a reused one would have lost the
-// marks that make it reclaimable.
+// any, zeroing only the packed slots it holds. A block its client never
+// wrote (its DELTA blocks could not all be allocated) goes back as it
+// was handed out: the request then ends with the client's id and the
+// block's old free bitmap. A fresh block is all zeros still, and its
+// row is free again; a reused one gets its old marks back, beside any
+// set since. Sealed as it stood instead, a fresh row would hold nothing
+// for good and a reused one would have lost the marks that make it
+// reclaimable.
 func (s *Server) handleSealBlock(req []byte) ([]byte, time.Duration) {
 	d := dec{b: req}
 	b := int(d.u32())
@@ -629,9 +660,13 @@ func (s *Server) handleSealBlock(req []byte) ([]byte, time.Duration) {
 	case copyIdx == ^uint32(0):
 		rec = layout.Record{}
 	default:
+		// Only bits that name a slot of the block come back: a reclaim
+		// backs up one slot per mark, into one block.
 		bm := s.bitmap(b)
-		for i := range min(len(bm), len(oldBits)) {
-			bm[i] |= oldBits[i]
+		for slot := range min(s.cl.L.KVSlotsPerBlock(rec.SizeClass), 8*len(oldBits)) {
+			if layout.BitmapGet(oldBits, slot) {
+				layout.BitmapSet(bm, slot)
+			}
 		}
 		s.dirty[b] |= metaBitmap
 		rec.IndexVersion = s.indexVersion()
@@ -641,11 +676,11 @@ func (s *Server) handleSealBlock(req []byte) ([]byte, time.Duration) {
 		cb := int(copyIdx)
 		crec := s.record(cb)
 		if crec.Role == layout.RoleCopy {
-			blk := s.block(cb)
-			for i := range blk {
-				blk[i] = 0
-			}
-			cpu += cpuTime(len(blk), memcpyRate)
+			n := countMarks(s.bitmap(cb), s.cl.L.KVSlotsPerBlock(crec.SizeClass)) * int(crec.SizeClass) * 64
+			clear(s.block(cb)[:n])
+			clear(s.bitmap(cb))
+			s.dirty[cb] |= metaBitmap
+			cpu += cpuTime(n, memcpyRate)
 			free := layout.Record{}
 			s.putRecord(cb, &free)
 		}

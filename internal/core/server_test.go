@@ -275,6 +275,94 @@ func FuzzInstallParity(f *testing.F) {
 	})
 }
 
+// blockRPCs are the methods FuzzBlockRPCs sends, indexed by an input's
+// method byte modulo their count: the block lifecycle's four and the
+// FreeBits marks that make a sealed block reclaimable.
+var blockRPCs = []uint8{methodAllocBlock, methodAllocDelta, methodSealBlock, methodEncodeDelta, methodFreeBits}
+
+// blockRPCInput encodes calls for FuzzBlockRPCs: each a method byte, a
+// payload length byte and the payload.
+func blockRPCInput(calls ...[]byte) []byte {
+	var in []byte
+	for _, c := range calls {
+		in = append(in, c[0], byte(len(c)-1))
+		in = append(in, c[1:]...)
+	}
+	return in
+}
+
+// FuzzBlockRPCs sends one MN arbitrary sequences of AllocBlock,
+// AllocDelta, SealBlock (with and without its client/bitmap trailer),
+// EncodeDelta and FreeBits requests, seeded with the ones clients send.
+// The MN's stripe rows start full of bytes, so a reclamation backs up
+// data. No request may panic the MN, and after each one every FREE pool
+// block holds only zeros and a COPY block's bitmap records no more
+// slots than its block holds.
+func FuzzBlockRPCs(f *testing.F) {
+	tc := newTestCluster(f, func(cfg *Config) {
+		cfg.ReclaimObsolete = 0 // any sealed block with a mark qualifies
+	})
+	l := tc.cl.L
+	srv := tc.cl.servers[0]
+	mem := tc.pl.DirectMemory(tc.cl.MNNode(0))
+	for b := 0; b < l.Cfg.StripeRows; b++ {
+		for i, blk := 0, srv.block(b); i < len(blk); i++ {
+			blk[i] = byte(b + i*13 + 1)
+		}
+	}
+	start := append([]byte(nil), mem...)
+
+	call := func(m int, put func(e *enc)) []byte {
+		var e enc
+		e.u8(uint8(m))
+		put(&e)
+		return e.b
+	}
+	const alloc, allocDelta, seal, encode, freeBits = 0, 1, 2, 3, 4
+	a := uint32(srv.dataRows[0])  // the first fresh block
+	c := uint32(l.Cfg.StripeRows) // the first free pool block
+	allocA := call(alloc, func(e *enc) { e.u16(1); e.u8(2) })
+	markA := append([]byte{freeBits}, freeBitsPayload([]int{int(a), 0, 4, 6, 18})...)
+	sealA := call(seal, func(e *enc) { e.u32(a); e.u32(^uint32(0)) })
+	f.Add(blockRPCInput(allocA, markA, sealA, allocA, call(seal, func(e *enc) { e.u32(a); e.u32(c) })))
+	f.Add(blockRPCInput(allocA, markA, sealA, allocA,
+		call(seal, func(e *enc) { e.u32(a); e.u32(c); e.u16(1); e.bytes([]byte{0x45, 0, 0xFF}) })))
+	f.Add(blockRPCInput(allocA, call(seal, func(e *enc) { e.u32(a); e.u32(^uint32(0)); e.u16(1); e.bytes(nil) })))
+	f.Add(blockRPCInput(
+		call(allocDelta, func(e *enc) { e.u16(1); e.u32(0); e.u8(0); e.u8(2) }),
+		call(encode, func(e *enc) { e.u32(0); e.u8(0) }),
+		call(allocDelta, func(e *enc) { e.u16(2); e.u32(0); e.u8(0); e.u8(2) })))
+	f.Add(blockRPCInput(call(alloc, func(e *enc) { e.u16(1); e.u8(0xFF) }), call(seal, func(e *enc) { e.u32(1 << 20) })))
+
+	f.Fuzz(func(t *testing.T, in []byte) {
+		defer func() { // every input starts from the same MN
+			copy(mem, start)
+			srv.encodeQ, srv.allocCur = srv.encodeQ[:0], 0
+			clear(srv.dirty)
+		}()
+		for len(in) >= 2 {
+			method, n := blockRPCs[int(in[0])%len(blockRPCs)], min(int(in[1]), len(in)-2)
+			req := in[2 : 2+n]
+			in = in[2+n:]
+			if resp, _ := srv.handle(method, req); len(resp) == 0 {
+				t.Fatalf("%s: empty response", methodName(method))
+			}
+			for b := l.Cfg.StripeRows; b < l.Cfg.BlocksPerMN(); b++ {
+				switch rec := srv.record(b); rec.Role {
+				case layout.RoleFree:
+					if !blankBlock(tc, 0, b) {
+						t.Fatalf("after %s: free pool block %d holds data", methodName(method), b)
+					}
+				case layout.RoleCopy:
+					if n := layout.BitmapCount(srv.bitmap(b)) * int(rec.SizeClass) * 64; n > int(l.Cfg.BlockSize) {
+						t.Fatalf("after %s: COPY block %d records %d bytes of slots", methodName(method), b, n)
+					}
+				}
+			}
+		}
+	})
+}
+
 func TestHandlerAllocDeltaIdempotent(t *testing.T) {
 	tc := newTestCluster(t, nil)
 	l := tc.cl.L
@@ -561,8 +649,9 @@ func wantWrites(l *layout.Layout, mn int, parts ...string) []string {
 // TestMetaSyncShipsOnlyChangedParts pins the traffic of a meta-sync
 // round: a FreeBits mark ships only the block's bitmap, a record write
 // only its record, a reclamation reset both (and the backup copy's
-// record), each to every replica host, at most 4 writes to a doorbell;
-// a round with nothing dirty rings nothing.
+// record and bitmap), the reused block's seal its record and the freed
+// copy's record and cleared bitmap, each to every replica host, at most
+// 4 writes to a doorbell; a round with nothing dirty rings nothing.
 func TestMetaSyncShipsOnlyChangedParts(t *testing.T) {
 	tc := newTestCluster(t, func(cfg *Config) {
 		cfg.ReclaimObsolete = 0 // any sealed block with a mark qualifies
@@ -617,8 +706,19 @@ func TestMetaSyncShipsOnlyChangedParts(t *testing.T) {
 	if srv.st.Reclaimed != 1 || cp < 0 {
 		t.Fatalf("no reclamation: %d reclaimed, copy block %d", srv.st.Reclaimed, cp)
 	}
-	// Block order: the copy is a pool block, after every stripe row.
-	check("a reclamation reset", wantWrites(l, 0, fmt.Sprintf("rec %d", a), fmt.Sprintf("bm %d", a), fmt.Sprintf("rec %d", cp)))
+	// Block order: the copy is a pool block, after every stripe row. Its
+	// bitmap records the slots it backs up.
+	check("a reclamation reset", wantWrites(l, 0, fmt.Sprintf("rec %d", a), fmt.Sprintf("bm %d", a),
+		fmt.Sprintf("rec %d", cp), fmt.Sprintf("bm %d", cp)))
+
+	// The seal stamps a and frees the copy, clearing its bitmap.
+	seal = enc{}
+	seal.u32(uint32(a))
+	seal.u32(uint32(cp))
+	if resp, _ := srv.handle(methodSealBlock, seal.b); resp[0] != stOK {
+		t.Fatalf("seal of the reused block: status %d", resp[0])
+	}
+	check("a reused block's seal", wantWrites(l, 0, fmt.Sprintf("rec %d", a), fmt.Sprintf("rec %d", cp), fmt.Sprintf("bm %d", cp)))
 }
 
 // TestSealUnwrittenPutsBlockBack pins SealBlock for a block its client
@@ -696,6 +796,88 @@ func TestSealUnwrittenPutsBlockBack(t *testing.T) {
 	}
 	if srv.record(int(copyIdx)).Role != layout.RoleFree {
 		t.Fatalf("reused block back: its copy block is %v, want free", srv.record(int(copyIdx)).Role)
+	}
+}
+
+// TestReclaimCopiesOnlyMarkedSlots pins what a reclamation's backup
+// costs the MN: AllocBlock copies only the slots it hands out, packed in
+// slot order at the head of the COPY block with the rest of it zero,
+// records them in the COPY block's bitmap, and charges 2 µs plus their
+// copy; SealBlock zeroes and charges only that prefix, leaving the COPY
+// block zero, its bitmap clear and its record free.
+func TestReclaimCopiesOnlyMarkedSlots(t *testing.T) {
+	tc := newTestCluster(t, func(cfg *Config) {
+		cfg.ReclaimObsolete = 0 // any sealed block with a mark qualifies
+	})
+	l := tc.cl.L
+	srv := tc.cl.servers[0]
+	const class = 2
+	slotSize := class * 64
+	a := allocData(t, srv, class)
+	blk := srv.block(a)
+	for s := range l.KVSlotsPerBlock(class) {
+		for i := range slotSize {
+			blk[s*slotSize+i] = byte(s*7 + i + 1)
+		}
+	}
+	before := append([]byte(nil), blk...)
+	marked := []int{1, 4, 5, 9}
+	units := []int{a}
+	for _, s := range marked {
+		units = append(units, s*class)
+	}
+	if resp, _ := srv.handle(methodFreeBits, freeBitsPayload(units)); resp[0] != stOK {
+		t.Fatalf("FreeBits: status %d", resp[0])
+	}
+	var seal enc
+	seal.u32(uint32(a))
+	seal.u32(^uint32(0))
+	if resp, _ := srv.handle(methodSealBlock, seal.b); resp[0] != stOK {
+		t.Fatalf("seal: status %d", resp[0])
+	}
+	marks := append([]byte(nil), srv.bitmap(a)...)
+
+	var e enc
+	e.u16(1)
+	e.u8(class)
+	resp, cpu := srv.handle(methodAllocBlock, e.b)
+	d := dec{b: resp[1:]}
+	got, _, _, reused, copyIdx := int(d.u32()), d.u32(), d.u8(), d.u8(), int(d.u32())
+	if resp[0] != stOK || d.short || got != a || reused != 1 {
+		t.Fatalf("allocation: status %d, block %d reused %d, want block %d reused", resp[0], got, reused, a)
+	}
+	n := len(marked) * slotSize
+	if want := 2*time.Microsecond + cpuTime(n, memcpyRate); cpu != want {
+		t.Errorf("AllocBlock charged %v, want %v (2 µs and a %d-byte copy)", cpu, want, n)
+	}
+	cb := srv.block(copyIdx)
+	for i, s := range marked {
+		if !bytes.Equal(cb[i*slotSize:][:slotSize], before[s*slotSize:][:slotSize]) {
+			t.Errorf("COPY slot %d does not hold marked slot %d", i, s)
+		}
+	}
+	if bytes.Count(cb[n:], []byte{0}) != len(cb)-n {
+		t.Errorf("the COPY block holds data past its %d packed bytes", n)
+	}
+	if !bytes.Equal(srv.bitmap(copyIdx), marks) {
+		t.Error("the COPY block's bitmap does not record the slots handed out")
+	}
+
+	seal = enc{}
+	seal.u32(uint32(a))
+	seal.u32(uint32(copyIdx))
+	resp, cpu = srv.handle(methodSealBlock, seal.b)
+	if resp[0] != stOK {
+		t.Fatalf("seal of the reused block: status %d", resp[0])
+	}
+	if want := time.Microsecond + cpuTime(n, memcpyRate); cpu != want {
+		t.Errorf("SealBlock charged %v, want %v (1 µs and a %d-byte clear)", cpu, want, n)
+	}
+	if !blankBlock(tc, 0, copyIdx) || layout.BitmapCount(srv.bitmap(copyIdx)) != 0 {
+		t.Error("the freed COPY block holds data or marks")
+	}
+	if role := srv.record(copyIdx).Role; role != layout.RoleFree {
+		t.Errorf("the COPY block is %v after the seal, want free", role)
 	}
 }
 
