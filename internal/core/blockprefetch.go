@@ -11,8 +11,8 @@ import (
 // background block-provisioning worker (Config.BlockPrefetch,
 // DESIGN.md §13). The client requests refills as an open block drains
 // below its low-water mark; the worker pre-runs the AllocBlock and
-// AllocDelta RPCs (and, for reclaimed blocks, the whole-block
-// readback) so block turnover costs the client's critical path one
+// AllocDelta RPCs (and, for reclaimed blocks, the readback of the slots
+// handed out) so block turnover costs the client's critical path one
 // mutex exchange instead of several RPC round trips. The worker also
 // absorbs deferred post-commit work: block seals and free-bitmap
 // flush RPCs.

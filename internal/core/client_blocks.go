@@ -13,8 +13,8 @@ import (
 // has still to rewrite) per class forever. Past the bound the
 // least-recently-used class is sealed early and its unwritten slots are
 // lost: reclamation counts only marked slots, and an unwritten slot is
-// never marked, so a block sealed below the ReclaimObsolete fraction
-// written is never reclaimed.
+// never marked, so a block sealed with fewer than Config.ReclaimObsolete
+// of its slots written is never reclaimed.
 const maxOpenClasses = 16
 
 type pendKey struct {
@@ -28,7 +28,6 @@ type openBlock struct {
 	idx      int
 	stripe   uint32
 	xorID    uint8
-	copyIdx  uint32
 	reused   bool
 	oldBits  []byte // the free bitmap it was handed out with; nil for a fresh block
 	slotSize int
@@ -210,7 +209,6 @@ func (c *Client) provisionBlock(ctx rdma.Ctx, classUnits uint8, seq *int, st *Cl
 		stripe := d.u32()
 		xorID := d.u8()
 		reused := d.u8() == 1
-		copyIdx := d.u32()
 		oldBits := d.bytes()
 		if d.short {
 			continue
@@ -218,7 +216,7 @@ func (c *Client) provisionBlock(ctx rdma.Ctx, classUnits uint8, seq *int, st *Cl
 
 		ob := &openBlock{
 			class: classUnits, mn: mn, idx: idx, stripe: stripe, xorID: xorID,
-			copyIdx: copyIdx, reused: reused, oldBits: append([]byte(nil), oldBits...),
+			reused: reused, oldBits: append([]byte(nil), oldBits...),
 			slotSize:  int(classUnits) * 64,
 			viewEpoch: c.cl.view.epochNow(),
 		}
@@ -229,14 +227,13 @@ func (c *Client) provisionBlock(ctx rdma.Ctx, classUnits uint8, seq *int, st *Cl
 		}
 		// A reused block is written only in its marked slots, and only
 		// their old bytes make the deltas (§3.3.3 ②): read back those,
-		// not the live pairs beside them.
-		if reused && c.readOldSlots(ctx, ob, st) != nil {
-			continue
-		}
-		if !c.allocDeltas(ctx, ob) {
-			// Nothing was written: the block goes back as it was, and a
-			// parity MN out of pool blocks costs a try on the next MN,
-			// not a row (DESIGN.md §3).
+		// not the live pairs beside them. The readback comes before the
+		// delta targets are placed: placed first, they hold two pool
+		// blocks through it, and fig20's 16 KB UPDATE run exhausts its
+		// pool (DESIGN.md §3). Nothing was written when either fails:
+		// the block goes back as it was, and a parity MN out of pool
+		// blocks costs a try on the next MN, not a row.
+		if reused && c.readOldSlots(ctx, ob, st) != nil || !c.allocDeltas(ctx, ob) {
 			c.returnBlock(ctx, ob)
 			continue
 		}
@@ -299,6 +296,7 @@ func (c *Client) allocDeltas(ctx rdma.Ctx, ob *openBlock) bool {
 		de.u32(ob.stripe)
 		de.u8(ob.xorID)
 		de.u8(ob.class)
+		de.bytes(ob.oldBits)
 		dresp, err := ctx.RPC(pnode, methodAllocDelta, de.b)
 		if err != nil || len(dresp) == 0 || dresp[0] != stOK {
 			if _, alive := c.cl.view.nodeOf(pmn); !alive {
@@ -318,10 +316,10 @@ func (c *Client) allocDeltas(ctx rdma.Ctx, ob *openBlock) bool {
 
 // readbackBytes is the piece size of a reused block's readback. A piece
 // holds the data MN's NIC ahead of foreground verbs for its whole
-// length, and with a block reclaimed as soon as 30 % of it is
-// obsolete the readbacks never stop: in chunkBytes pieces (64 KB, 9.4 µs
-// each) they doubled the GET p99 of a YCSB-A run, while 1 KB pieces left
-// the prefetcher behind the writers (DESIGN.md §3).
+// length, and with a block reclaimed as soon as Config.ReclaimObsolete
+// of it is obsolete the readbacks never stop: in chunkBytes pieces
+// (64 KB, 9.4 µs each) they doubled the GET p99 of a YCSB-A run, while
+// 1 KB pieces left the prefetcher behind the writers (DESIGN.md §3).
 const readbackBytes = 4 << 10
 
 // readOldSlots reads the slots of reused block ob that it will rewrite
@@ -372,7 +370,6 @@ func (c *Client) sealBlock(ob *openBlock) { c.sealBlockCtx(c.ctx, ob) }
 func (c *Client) sealBlockCtx(ctx rdma.Ctx, ob *openBlock) {
 	var e enc
 	e.u32(uint32(ob.idx))
-	e.u32(ob.copyIdx)
 	c.closeBlock(ctx, ob, e.b)
 }
 
@@ -382,7 +379,6 @@ func (c *Client) sealBlockCtx(ctx rdma.Ctx, ob *openBlock) {
 func (c *Client) returnBlock(ctx rdma.Ctx, ob *openBlock) {
 	var e enc
 	e.u32(uint32(ob.idx))
-	e.u32(ob.copyIdx)
 	e.u16(c.id)
 	e.bytes(ob.oldBits)
 	c.closeBlock(ctx, ob, e.b)

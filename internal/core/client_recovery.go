@@ -20,6 +20,10 @@ type ownedBlock struct {
 	stripe uint32
 	xorID  uint8
 	class  uint8
+	// copyOff and copyLen name a reused DATA block's COPY extent
+	// (copyOff 0: a fresh block).
+	copyOff uint64
+	copyLen int
 }
 
 // deltaCopy is a DELTA block's content read back during client
@@ -36,15 +40,14 @@ type deltaCopy struct {
 //  1. waits until every MN that is up is a source of stripe blocks (an
 //     MN in tier 3 reads back zeros for the rows it has not rebuilt,
 //     and may yet ship a row over a slot settled here), then lists the
-//     blocks recorded under its client id (unfilled DATA blocks, DELTA
-//     blocks, reclamation COPY blocks) from each MN's records, read
-//     one-sided;
+//     blocks recorded under its client id (unfilled DATA blocks and
+//     DELTA blocks) from each MN's records, read one-sided;
 //  2. settles each unfilled DATA block slot by slot (settleSlot): a
 //     torn or uncommitted final write is rolled back to the slot's old
-//     contents (zero for a fresh block; for a reused one, the COPY
-//     block's packed bytes of a slot it was handed out with, the slot
-//     itself for a live one), and every delta copy is made to agree
-//     with the slot;
+//     contents (zero for a fresh block; for a reused one, the packed
+//     bytes of a slot it was handed out with in the COPY extent its
+//     record names, the slot itself for a live one), and every delta
+//     copy is made to agree with the slot;
 //  3. re-adopts fresh blocks, resuming fine-grained slot management so
 //     no memory leaks, and seals partially-refilled reclaimed blocks
 //     (their remaining writable slots are unknown without the old free
@@ -78,21 +81,16 @@ func (c *Client) Restart(ctx rdma.Ctx) error {
 		x uint8
 	}
 	deltas := make(map[sx][]ownedBlock)
-	copies := make(map[sx]*ownedBlock)
-	for i, o := range all {
-		switch o.role {
-		case layout.RoleDelta:
+	for _, o := range all {
+		if o.role == layout.RoleDelta {
 			deltas[sx{o.stripe, o.xorID}] = append(deltas[sx{o.stripe, o.xorID}], o)
-		case layout.RoleCopy:
-			copies[sx{o.stripe, o.xorID}] = &all[i]
 		}
 	}
 	for _, o := range all {
 		if o.role != layout.RoleData {
 			continue
 		}
-		k := sx{o.stripe, o.xorID}
-		if err := c.recoverOwnedBlock(sc, o, deltas[k], copies[k]); err != nil {
+		if err := c.recoverOwnedBlock(sc, o, deltas[sx{o.stripe, o.xorID}]); err != nil {
 			return err
 		}
 	}
@@ -100,8 +98,8 @@ func (c *Client) Restart(ctx rdma.Ctx) error {
 }
 
 // ownedBlocks lists the blocks client id is responsible for — unfilled
-// DATA blocks, DELTA blocks and reclamation COPY blocks — from the
-// record area of every MN that is a source of stripe blocks.
+// DATA blocks and DELTA blocks — from the record area of every MN that
+// is a source of stripe blocks.
 func ownedBlocks(ctx rdma.Ctx, cl *Cluster, sc *stripeScratch, id uint16) []ownedBlock {
 	l := cl.L
 	var all []ownedBlock
@@ -112,10 +110,10 @@ func ownedBlocks(ctx rdma.Ctx, cl *Cluster, sc *stripeScratch, id uint16) []owne
 		}
 		for b := 0; b < l.Cfg.BlocksPerMN(); b++ {
 			rec := layout.DecodeRecord(recArea[uint64(b)*layout.RecordSize:])
-			if rec.CliID == id && (rec.Role == layout.RoleData && rec.IndexVersion == 0 ||
-				rec.Role == layout.RoleDelta || rec.Role == layout.RoleCopy) {
+			if rec.CliID == id && (rec.Role == layout.RoleData && rec.IndexVersion == 0 || rec.Role == layout.RoleDelta) {
 				all = append(all, ownedBlock{mn: mn, idx: b, role: rec.Role,
-					stripe: rec.StripeID, xorID: rec.XORID, class: rec.SizeClass})
+					stripe: rec.StripeID, xorID: rec.XORID, class: rec.SizeClass,
+					copyOff: rec.CopyOff, copyLen: int(rec.CopyLen)})
 			}
 		}
 	}
@@ -124,7 +122,7 @@ func ownedBlocks(ctx rdma.Ctx, cl *Cluster, sc *stripeScratch, id uint16) []owne
 
 // recoverOwnedBlock settles every slot of one unfilled DATA block and
 // either re-adopts it (fresh) or seals it (reused / already full).
-func (c *Client) recoverOwnedBlock(sc *stripeScratch, o ownedBlock, deltaOwners []ownedBlock, cp *ownedBlock) error {
+func (c *Client) recoverOwnedBlock(sc *stripeScratch, o ownedBlock, deltaOwners []ownedBlock) error {
 	l := c.cl.L
 	bs := int(l.Cfg.BlockSize)
 	slotSize := int(o.class) * 64
@@ -135,18 +133,17 @@ func (c *Client) recoverOwnedBlock(sc *stripeScratch, o ownedBlock, deltaOwners 
 	if !sc.readBlock(c.ctx, c.cl, o.mn, l.BlockOff(o.idx), data) {
 		return rdma.ErrNodeFailed
 	}
-	// A reused block's COPY holds the old bytes of the slots it was
-	// handed out with, packed in slot order, and its bitmap says which.
+	// A reused block's COPY extent holds the bitmap of the slots it was
+	// handed out with, then their old bytes packed in slot order.
+	reused := o.copyOff != 0
 	var marks, packed []byte
-	if cp != nil {
-		marks = make([]byte, l.BitmapBytes())
-		if !sc.readBlock(c.ctx, c.cl, cp.mn, l.BitmapOff(cp.idx), marks) {
+	if reused {
+		head, n := copyHead(l, o.class), min(o.copyLen, bs)
+		ext := make([]byte, max(n, head))
+		if !sc.readBlock(c.ctx, c.cl, o.mn, o.copyOff, ext[:n]) {
 			return rdma.ErrNodeFailed
 		}
-		packed = make([]byte, countMarks(marks, bs/slotSize)*slotSize)
-		if len(packed) > 0 && !sc.readBlock(c.ctx, c.cl, cp.mn, l.BlockOff(cp.idx), packed) {
-			return rdma.ErrNodeFailed
-		}
+		marks, packed = ext, ext[head:]
 	}
 	var dcs []deltaCopy
 	for _, dob := range deltaOwners {
@@ -167,29 +164,26 @@ func (c *Client) recoverOwnedBlock(sc *stripeScratch, o ownedBlock, deltaOwners 
 		slot := data[lo : lo+slotSize]
 		old := zero
 		switch {
-		case cp == nil:
-		case layout.BitmapGet(marks, s):
+		case !reused:
+		case layout.BitmapGet(marks, s) && len(packed) >= slotSize:
 			old, packed = packed[:slotSize], packed[slotSize:]
 		default:
 			old = slot
 		}
 		c.settleSlot(o.mn, l.BlockOff(o.idx)+uint64(lo), slot, old, dcs, lo)
-		if cp == nil && slot[0] == 0 {
+		if !reused && slot[0] == 0 {
 			freeSlots = append(freeSlots, s)
 		}
 	}
 
 	ob := &openBlock{
 		class: o.class, mn: o.mn, idx: o.idx, stripe: o.stripe, xorID: o.xorID,
-		copyIdx: ^uint32(0), slotSize: slotSize, reused: cp != nil,
-	}
-	if cp != nil {
-		ob.copyIdx = uint32(cp.idx)
+		slotSize: slotSize, reused: reused,
 	}
 	for _, dc := range dcs {
 		ob.deltas = append(ob.deltas, deltaTarget{mn: dc.mn, blockOff: dc.off})
 	}
-	if cp != nil || len(freeSlots) == 0 {
+	if reused || len(freeSlots) == 0 {
 		// Reused block (writable slots unknowable) or completely full:
 		// seal it now.
 		c.sealBlock(ob)

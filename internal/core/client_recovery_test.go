@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"time"
 
@@ -500,17 +501,105 @@ type rdmaCtx = rdma.Ctx
 // TestRestartSettlesReusedBlockBySlot crashes a client inside a reused
 // block whose marked slots, 0, 2–3 and 7, sit between live pairs. The
 // client has rewritten slots 0 and 2, and its write into slot 3 landed
-// with one delta copy but never committed. The block's COPY holds only
-// the marked slots' old bytes, packed in slot order. Restart must roll
-// slot 3 back to its old bytes and keep every other slot bit for bit,
-// with every delta copy agreeing: the stripes keep their parity
+// with one delta copy but never committed. The block's COPY extent holds
+// only the marked slots' old bytes, packed in slot order. Restart must
+// roll slot 3 back to its old bytes and keep every other slot bit for
+// bit, with every delta copy agreeing: the stripes keep their parity
 // invariant, every pair reads back, and the seal leaves no free pool
 // block holding data. Settled against the COPY as if it held the whole
 // block, the live slots and the unwritten slot 7 look written and the
 // parity breaks.
 func TestRestartSettlesReusedBlockBySlot(t *testing.T) {
 	r := newReuse(t, func(*testing.T, int, int) []int { return []int{0, 2, 3, 7} })
-	tc, l := r.tc, r.tc.cl.L
+	tc := r.tc
+	ob := r.reclaim(t)
+	copyBlk := tc.cl.L.BlockOfOff(tc.cl.servers[r.mn].record(r.b).CopyOff)
+	r.put(t, key(1000), val(1000, 1), true) // slot 0
+	r.put(t, key(1001), val(1001, 1), true) // slot 2
+	if len(ob.slots) != 2 || ob.slots[0] != 3 {
+		t.Fatalf("writable slots %v after two writes, want [3 7]", ob.slots)
+	}
+	old, before := r.tear(ob, 3)
+	r.restartSettles(t, 3, old, before)
+	tc.run(50 * time.Millisecond) // the encoders fold the DELTA blocks and free the COPY block
+	if rec := tc.cl.servers[r.mn].record(copyBlk); rec.Role != layout.RoleFree {
+		t.Errorf("its COPY block is %v after the seal, want free", rec.Role)
+	}
+	stripeParityInvariant(t, tc)
+	freePoolBlocksZero(t, tc)
+	r.readAll(t)
+}
+
+// TestCopyExtentsShareAPoolBlock reuses two blocks of one MN for two
+// clients: both reclaims back their slots up into extents of one COPY
+// pool block. Each client rewrites some of its slots and crashes inside
+// a write that landed with one delta copy but never committed. The first
+// Restart settles its block against its own extent, with
+// TestRestartSettlesReusedBlockBySlot's checks, and its seal releases
+// only that extent: the COPY block stays, its units in use exactly the
+// other extent's. The second Restart does the same, and after its seal
+// the erasure core frees the COPY block, all zero.
+func TestCopyExtentsShareAPoolBlock(t *testing.T) {
+	tc := newReuseCluster(t)
+	l := tc.cl.L
+	a := fillBlock(t, tc, -1, 0)
+	b := fillBlock(t, tc, a.mn, 2000)
+	a.mark(t, []int{0, 2, 3, 7})
+	b.mark(t, []int{1, 5, 6})
+	obA, obB := a.reclaim(t), b.reclaim(t) // a's block is the more obsolete: it goes first
+	srv := tc.cl.servers[a.mn]
+	recA, recB := srv.record(a.b), srv.record(b.b)
+	cb := l.BlockOfOff(recA.CopyOff)
+	if cb < l.Cfg.StripeRows || l.BlockOfOff(recB.CopyOff) != cb {
+		t.Fatalf("the two extents [%d,+%d) and [%d,+%d) are not in one COPY pool block", recA.CopyOff, recA.CopyLen, recB.CopyOff, recB.CopyLen)
+	}
+	inUse := func() (units []int) {
+		for u := range int(l.Cfg.BlockSize / 64) {
+			if layout.BitmapGet(srv.bitmap(cb), u) {
+				units = append(units, u)
+			}
+		}
+		return units
+	}
+	extent := func(rec layout.Record) (units []int) {
+		for u := range int(rec.CopyLen) / 64 {
+			units = append(units, int(rec.CopyOff-l.BlockOff(cb))/64+u)
+		}
+		return units
+	}
+	if got, want := inUse(), append(extent(recA), extent(recB)...); !slices.Equal(got, want) {
+		t.Fatalf("the COPY block has units %v in use, want the two extents' %v", got, want)
+	}
+
+	a.put(t, key(1000), val(1000, 1), true) // slot 0
+	a.put(t, key(1001), val(1001, 1), true) // slot 2
+	b.put(t, key(3000), val(3000, 1), true) // slot 1
+	oldA, beforeA := a.tear(obA, 3)
+	oldB, beforeB := b.tear(obB, 5)
+
+	a.restartSettles(t, 3, oldA, beforeA)
+	if role := srv.record(cb).Role; role != layout.RoleCopy {
+		t.Fatalf("the COPY block is %v after the first seal, want it kept for the other extent", role)
+	}
+	if got, want := inUse(), extent(recB); !slices.Equal(got, want) {
+		t.Errorf("after the first seal the COPY block has units %v in use, want the other extent's %v", got, want)
+	}
+	b.restartSettles(t, 5, oldB, beforeB)
+	tc.run(time.Millisecond) // the erasure core frees the emptied COPY block
+	if role := srv.record(cb).Role; role != layout.RoleFree || !blankBlock(tc, a.mn, cb) || len(inUse()) != 0 {
+		t.Errorf("after the last seal the COPY block is %v, blank %v, units %v in use; want it free and all zero",
+			role, blankBlock(tc, a.mn, cb), inUse())
+	}
+	tc.run(50 * time.Millisecond) // the encoders fold the DELTA blocks
+	stripeParityInvariant(t, tc)
+	freePoolBlocksZero(t, tc)
+	a.readAll(t)
+	b.readAll(t)
+}
+
+// reclaim provisions the fixture's block again, reused, and adopts it.
+func (r *reuse) reclaim(t *testing.T) *openBlock {
+	t.Helper()
 	ob, err := r.provision()
 	if err != nil || !ob.reused || ob.mn != r.mn || ob.idx != r.b {
 		t.Fatalf("provisioned %+v (%v), want block %d on MN %d reused", ob, err, r.b, r.mn)
@@ -518,49 +607,53 @@ func TestRestartSettlesReusedBlockBySlot(t *testing.T) {
 	if !r.c.adoptBlock(ob) {
 		t.Fatal("the reused block could not be adopted")
 	}
-	copyIdx := int(ob.copyIdx)
-	slotSize := ob.slotSize
-	slot := func(mn int, off uint64, s int) []byte {
-		at := off + uint64(s*slotSize)
-		return tc.pl.DirectMemory(tc.cl.MNNode(mn))[at : at+uint64(slotSize)]
-	}
-	old3 := append([]byte(nil), slot(r.mn, l.BlockOff(r.b), 3)...)
-	r.put(t, key(1000), val(1000, 1), true) // slot 0
-	r.put(t, key(1001), val(1001, 1), true) // slot 2
-	if len(ob.slots) != 2 || ob.slots[0] != 3 {
-		t.Fatalf("writable slots %v after two writes, want [3 7]", ob.slots)
-	}
-	// The crash cut the write into slot 3 after its first delta copy,
-	// before the commit CAS.
-	data3 := slot(r.mn, l.BlockOff(r.b), 3)
-	layout.EncodeKV(data3, key(3), val(3, 1), 7, layout.NextFence(old3[0]), false)
-	d := append([]byte(nil), data3...)
-	erasure.XorInto(d, old3)
-	copy(slot(ob.deltas[0].mn, ob.deltas[0].blockOff, 3), d)
-	before := append([]byte(nil), tc.pl.DirectMemory(tc.cl.MNNode(r.mn))[l.BlockOff(r.b):][:l.Cfg.BlockSize]...)
+	return ob
+}
 
+// slot is slot s of the class-sized slots of the block at off on MN mn,
+// live in pool memory.
+func (r *reuse) slot(mn int, off uint64, s int) []byte {
+	size := uint64(r.class) * 64
+	return r.tc.pl.DirectMemory(r.tc.cl.MNNode(mn))[off+uint64(s)*size:][:size]
+}
+
+// tear forges the write a crash cut in slot s of reused block ob, the
+// next one its client would write: the pair landed, with its first delta
+// copy, but the commit CAS never ran. It returns the slot's old bytes and
+// the block's bytes as the crash leaves them.
+func (r *reuse) tear(ob *openBlock, s int) (old, before []byte) {
+	l := r.tc.cl.L
+	data := r.slot(r.mn, l.BlockOff(r.b), s)
+	old = append([]byte(nil), data...)
+	layout.EncodeKV(data, key(r.base+s), val(r.base+s, 1), 7, layout.NextFence(old[0]), false)
+	d := append([]byte(nil), data...)
+	erasure.XorInto(d, old)
+	copy(r.slot(ob.deltas[0].mn, ob.deltas[0].blockOff, s), d)
+	before = append([]byte(nil), r.tc.pl.DirectMemory(r.tc.cl.MNNode(r.mn))[l.BlockOff(r.b):][:l.Cfg.BlockSize]...)
+	return old, before
+}
+
+// restartSettles crashes the fixture's client and restarts it: slot torn
+// must be rolled back to old, every other slot be as in before, and the
+// block sealed.
+func (r *reuse) restartSettles(t *testing.T, torn int, old, before []byte) {
+	t.Helper()
+	l := r.tc.cl.L
 	r.c.SimulateCrash()
-	r.ctx = &directCtx{pl: tc.pl}
+	r.ctx = &directCtx{pl: r.tc.pl}
 	if err := r.c.Restart(r.ctx); err != nil {
 		t.Fatalf("restart: %v", err)
 	}
-	if !bytes.Equal(data3, old3) {
-		t.Error("slot 3 is not rolled back to its old bytes")
-	}
+	size := int(r.class) * 64
 	for s := range l.KVSlotsPerBlock(r.class) {
-		if s != 3 && !bytes.Equal(slot(r.mn, l.BlockOff(r.b), s), before[s*slotSize:][:slotSize]) {
-			t.Errorf("slot %d changed by the restart", s)
+		switch got := r.slot(r.mn, l.BlockOff(r.b), s); {
+		case s == torn && !bytes.Equal(got, old):
+			t.Errorf("client %d: slot %d is not rolled back to its old bytes", r.c.ID(), s)
+		case s != torn && !bytes.Equal(got, before[s*size:][:size]):
+			t.Errorf("client %d: slot %d changed by the restart", r.c.ID(), s)
 		}
 	}
-	srv := tc.cl.servers[r.mn]
-	if rec := srv.record(r.b); rec.IndexVersion == 0 {
-		t.Errorf("the reused block is unsealed after the restart: %+v", rec)
+	if rec := r.tc.cl.servers[r.mn].record(r.b); rec.IndexVersion == 0 || rec.CopyOff != 0 {
+		t.Errorf("client %d: the reused block is unsealed, or still names its extent, after the restart: %+v", r.c.ID(), rec)
 	}
-	if rec := srv.record(copyIdx); rec.Role != layout.RoleFree {
-		t.Errorf("its COPY block is %v after the seal, want free", rec.Role)
-	}
-	tc.run(50 * time.Millisecond) // the encoders fold the DELTA blocks
-	stripeParityInvariant(t, tc)
-	freePoolBlocksZero(t, tc)
-	r.readAll(t)
 }

@@ -77,9 +77,9 @@ type Config struct {
 	BlockPrefetch bool
 	// ReclaimObsolete is the obsolete-KV fraction at which a sealed DATA
 	// block is handed out again by the next allocation of its class on
-	// its MN (default 0.3, DESIGN.md §3: a reclaim's MN work, the
-	// backup copy and its zeroing, is proportional to the slots it hands
-	// out). Above 1 nothing is ever reclaimed.
+	// its MN (default 0.2, DESIGN.md §3: a reclaim's MN work, the backup
+	// extent, its release and the DELTA folds, is proportional to the
+	// slots it hands out). Above 1 nothing is ever reclaimed.
 	ReclaimObsolete float64
 	// BitmapFlushOps is how many obsolete-markings a client batches
 	// before flushing free-bitmap updates to the servers.
@@ -127,7 +127,7 @@ func DefaultConfig() Config {
 		CkptInterval:    500 * time.Millisecond,
 		CacheSlotAddr:   true,
 		BlockPrefetch:   true,
-		ReclaimObsolete: 0.3,
+		ReclaimObsolete: 0.2,
 		BitmapFlushOps:  64,
 	}
 }

@@ -428,6 +428,7 @@ type reuse struct {
 	ctx    *directCtx
 	class  uint8
 	mn, b  int
+	base   int // b's slot s first held key(base+s)
 	marked []int
 	want   map[string][]byte
 }
@@ -437,40 +438,66 @@ type reuse struct {
 // marks exactly those slots.
 func newReuse(t *testing.T, marks func(t *testing.T, slots, slotSize int) []int) *reuse {
 	t.Helper()
-	tc := newTestCluster(t, func(cfg *Config) {
+	r := fillBlock(t, newReuseCluster(t), -1, 0)
+	r.mark(t, marks(t, r.tc.cl.L.KVSlotsPerBlock(r.class), int(r.class)*64))
+	return r
+}
+
+// newReuseCluster is a test cluster whose clients provision inline and
+// whose servers reclaim any sealed block with a mark.
+func newReuseCluster(t *testing.T) *testCluster {
+	return newTestCluster(t, func(cfg *Config) {
 		cfg.BlockPrefetch = false
 		cfg.ReclaimObsolete = 0 // any sealed block with a mark qualifies
 	})
+}
+
+// fillBlock has a new client of tc fill and seal one block of its size
+// class with the pairs key(base), key(base+1), ..., in slot order, on MN
+// mn when mn is not negative, and returns the fixture with no slot
+// marked yet.
+func fillBlock(t *testing.T, tc *testCluster, mn, base int) *reuse {
+	t.Helper()
 	l := tc.cl.L
-	r := &reuse{tc: tc, c: tc.cl.NewClient(), ctx: &directCtx{pl: tc.pl}, mn: -1, want: map[string][]byte{}}
+	r := &reuse{tc: tc, c: tc.cl.NewClient(), ctx: &directCtx{pl: tc.pl}, mn: -1, base: base, want: map[string][]byte{}}
 	r.c.Attach(r.ctx)
-	r.class = uint8(layout.KVClassSize(len(key(0)), len(val(0, 0))) / 64)
-	slotSize, slots := int(r.class)*64, l.KVSlotsPerBlock(r.class)
-	r.marked = marks(t, slots, slotSize)
+	if n := l.Cfg.NumMNs; mn >= 0 {
+		r.c.allocSeq = ((mn-int(r.c.ID()))%n + n) % n
+	}
+	r.class = uint8(layout.KVClassSize(len(key(base)), len(val(base, 0))) / 64)
+	slots := l.KVSlotsPerBlock(r.class)
 	for i := 0; i < slots; i++ {
-		r.put(t, key(i), val(i, 0), true)
+		r.put(t, key(base+i), val(base+i, 0), true)
 	}
 	if r.c.open[r.class] != nil {
 		t.Fatalf("the class's block is still open after %d pairs", slots)
 	}
-	for _, s := range r.marked {
-		r.put(t, key(s), bytes.Repeat([]byte{'u'}, 3*slotSize), false)
-	}
-	r.c.FlushBitmaps()
 	for m := 0; m < l.Cfg.NumMNs; m++ {
 		for row := 0; row < l.Cfg.StripeRows; row++ {
-			if rec := tc.cl.servers[m].record(row); rec.Role == layout.RoleData && rec.SizeClass == r.class && rec.IndexVersion != 0 {
+			if rec := tc.cl.servers[m].record(row); rec.Role == layout.RoleData && rec.SizeClass == r.class &&
+				rec.IndexVersion != 0 && rec.CliID == r.c.ID() {
 				r.mn, r.b = m, row
 			}
 		}
 	}
-	if r.mn < 0 {
-		t.Fatal("no sealed block of the class")
+	if r.mn < 0 || mn >= 0 && r.mn != mn {
+		t.Fatalf("client %d's sealed block of the class is on MN %d, want one on MN %d", r.c.ID(), r.mn, mn)
 	}
+	return r
+}
+
+// mark rewrites the pairs of the given slots of b in another class,
+// which marks exactly those slots.
+func (r *reuse) mark(t *testing.T, slots []int) {
+	t.Helper()
+	r.marked = slots
+	for _, s := range slots {
+		r.put(t, key(r.base+s), bytes.Repeat([]byte{'u'}, 3*int(r.class)*64), false)
+	}
+	r.c.FlushBitmaps()
 	if got := r.markedSlots(); !slices.Equal(got, r.marked) {
 		t.Fatalf("block %d on MN %d has slots %v marked, want %v", r.b, r.mn, got, r.marked)
 	}
-	return r
 }
 
 // provision asks for the class's next block, trying b's MN first.

@@ -10,13 +10,17 @@ import (
 )
 
 // drainPool takes every free DELTA/COPY pool block of mn out of
-// circulation, so the MN refuses the next AllocDelta it has no block for.
+// circulation, as a COPY block with every unit in use, so the MN refuses
+// the next AllocDelta it has no block for.
 func drainPool(tc *testCluster, mn int) {
 	s := tc.cl.Server(mn)
 	s.memMu.Lock()
 	s.mu.Lock()
 	for b := s.freePoolBlock(); b >= 0; b = s.freePoolBlock() {
 		s.putRecord(b, &layout.Record{Role: layout.RoleCopy, Valid: true})
+		for i := range s.bitmap(b) {
+			s.bitmap(b)[i] = 0xFF
+		}
 	}
 	s.mu.Unlock()
 	s.memMu.Unlock()

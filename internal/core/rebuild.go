@@ -489,6 +489,7 @@ func (rb *rebuild) allocDelta(ctx rdma.Ctx, row, xid int) uint64 {
 	e.u32(uint32(row))
 	e.u8(uint8(xid))
 	e.u8(0)
+	e.bytes(nil) // no bitmap: the restored block is folded whole
 	resp, err := ctx.RPC(rb.node, methodAllocDelta, e.b)
 	if err != nil || len(resp) == 0 || resp[0] != stOK {
 		return 0

@@ -419,6 +419,10 @@ func reconcileDeltaRecords(cl *Cluster, mn int, mem []byte) {
 			if b < l.Cfg.StripeRows || b >= l.Cfg.BlocksPerMN() {
 				continue
 			}
+			// The entry's bitmap may lag its record on the replica: the
+			// block is folded whole (an empty bitmap), which a DELTA
+			// block restored by tier 3, or still all zero, allows.
+			clear(mem[l.BitmapOff(b) : l.BitmapOff(b)+l.BitmapBytes()])
 			rOff := l.RecordOff(b)
 			drec := layout.DecodeRecord(mem[rOff : rOff+layout.RecordSize])
 			if drec.Role == layout.RoleDelta && drec.StripeID == uint32(row) && int(drec.XORID) == xid {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"slices"
@@ -37,6 +38,9 @@ type Server struct {
 	dataRows []int      // stripe rows where this MN holds the data block
 	allocCur int        // rotating allocation cursor into dataRows
 	encodeQ  []encodeJob
+	// copyDrain lists COPY blocks whose last extent went, for the
+	// erasure core to zero and free (drainCopies).
+	copyDrain []int
 	// applyNext is the staged checkpoint frame the ckpt-recv core
 	// applies next (frameLen 0: none). The one staging area holds one
 	// frame, so a newer notify replaces an older pending one, whose
@@ -220,7 +224,7 @@ type ServerStats struct {
 	PoolBlocks   uint64 // delta/copy pool blocks total
 	PoolFree     uint64 // pool blocks currently FREE
 	PoolDelta    uint64 // pool blocks currently DELTA
-	PoolCopy     uint64 // pool blocks currently COPY (reclamation backups)
+	PoolCopy     uint64 // pool blocks currently COPY, each shared by reclaims' backup extents
 	PoolData     uint64 // pool blocks serving as reclaimed DATA
 
 	CkptShipFailures uint64 // checkpoint frames a host missed (transport or torn apply)
@@ -405,37 +409,20 @@ func (s *Server) handleAllocBlock(req []byte) ([]byte, time.Duration) {
 	// block as soon as one qualifies, not once space runs low (the
 	// paper's 25 % free trigger; DESIGN.md §3).
 	if source {
-		if b, copyIdx, ok := s.pickReclaim(class); ok {
-			rec := s.record(b)
-			old := s.bitmap(b)
-			oldBits := append([]byte(nil), old...)
-			// Back up, for client-crash recovery, the slots handed out:
-			// packed at the head of the COPY block, whose own bitmap
-			// records which they are (Restart reads both).
-			cpu += cpuTime(s.packMarked(copyIdx, b, class, old), memcpyRate)
-			copy(s.bitmap(copyIdx), old)
-			s.dirty[copyIdx] |= metaBitmap
-			crec := layout.Record{Role: layout.RoleCopy, Valid: true, XORID: rec.XORID,
-				SizeClass: rec.SizeClass, StripeID: rec.StripeID, CliID: cliID}
-			s.putRecord(copyIdx, &crec)
-			// Reset the block to unfilled state.
-			for i := range old {
-				old[i] = 0
+		if b, ok := s.pickReclaim(class); ok {
+			if handed, n, ok := s.reclaim(b, class, cliID); ok {
+				cpu += cpuTime(n, memcpyRate)
+				s.st.Reclaimed++
+				rec := s.record(b)
+				var e enc
+				e.u8(stOK)
+				e.u32(uint32(b))
+				e.u32(rec.StripeID)
+				e.u8(rec.XORID)
+				e.u8(1) // reused
+				e.bytes(handed)
+				return e.b, cpu
 			}
-			s.dirty[b] |= metaBitmap
-			rec.IndexVersion = 0
-			rec.CliID = cliID
-			s.putRecord(b, &rec)
-			s.st.Reclaimed++
-			var e enc
-			e.u8(stOK)
-			e.u32(uint32(b))
-			e.u32(rec.StripeID)
-			e.u8(rec.XORID)
-			e.u8(1) // reused
-			e.u32(uint32(copyIdx))
-			e.bytes(oldBits)
-			return e.b, cpu
 		}
 	}
 
@@ -460,46 +447,187 @@ func (s *Server) handleAllocBlock(req []byte) ([]byte, time.Duration) {
 		e.u32(stripe)
 		e.u8(rec.XORID)
 		e.u8(0) // fresh
-		e.u32(^uint32(0))
 		e.bytes(nil)
 		return e.b, cpu
 	}
 	return []byte{stNoSpace}, cpu
 }
 
-// packMarked copies the slots of class-class block b that bm marks, in
-// slot order, to the head of block dst, and returns the bytes copied.
-// Caller holds mu.
-func (s *Server) packMarked(dst, b int, class uint8, bm []byte) int {
-	src, out, size := s.block(b), s.block(dst), int(class)*64
-	n := 0
-	for slot := range s.cl.L.KVSlotsPerBlock(class) {
+// reclaim hands out the marked slots of sealed block b of class class
+// to client cliID, as many as one extent of a COPY block holds, after
+// backing them up there for client-crash recovery: the extent holds
+// their bitmap (copyHead bytes), then their old bytes packed in slot
+// order, and b's record names it (Restart reads it, the seal releases
+// it). Marks past the extent's room stay set for a later reclaim. It
+// returns the bitmap of the slots handed out and the extent's length,
+// or false when no COPY block has room for it. Caller holds mu.
+func (s *Server) reclaim(b int, class uint8, cliID uint16) (handed []byte, n int, ok bool) {
+	l := s.cl.L
+	slots, size, head := l.KVSlotsPerBlock(class), int(class)*64, copyHead(l, class)
+	bm := s.bitmap(b)
+	handed = make([]byte, (slots+7)/8)
+	count, room := 0, (int(l.Cfg.BlockSize)-head)/size
+	for slot := 0; slot < slots && count < room; slot++ {
 		if layout.BitmapGet(bm, slot) {
-			n += copy(out[n:n+size], src[slot*size:])
+			layout.BitmapSet(handed, slot)
+			count++
 		}
 	}
-	return n
+	if count == 0 {
+		return nil, 0, false
+	}
+	n = head + count*size
+	cb, at, ok := s.copyExtent(n)
+	if !ok {
+		return nil, 0, false
+	}
+	src, ext := s.block(b), s.block(cb)[at:at+n]
+	clear(ext[copy(ext, handed):head])
+	pos := head
+	for slot := range slots {
+		if layout.BitmapGet(handed, slot) {
+			pos += copy(ext[pos:pos+size], src[slot*size:])
+			layout.BitmapClear(bm, slot)
+		}
+	}
+	s.dirty[b] |= metaBitmap
+	rec := s.record(b)
+	rec.IndexVersion, rec.CliID = 0, cliID
+	rec.CopyOff, rec.CopyLen = l.BlockOff(cb)+uint64(at), uint32(n)
+	s.putRecord(b, &rec)
+	return handed, n, true
 }
 
-// countMarks counts the marks bm sets among its first slots bits: a
-// COPY block holds one backed-up slot per mark its bitmap sets among
-// the slots of its class.
-func countMarks(bm []byte, slots int) int {
-	n := 0
-	for slot := range slots {
-		if layout.BitmapGet(bm, slot) {
-			n++
+// copyHead is the length of the bitmap at the head of a class-class
+// block's COPY extent, in whole 64-byte units.
+func copyHead(l *layout.Layout, class uint8) int {
+	return ((l.KVSlotsPerBlock(class)+7)/8 + 63) / 64 * 64
+}
+
+// copyExtent finds room for an n-byte extent (a multiple of 64): the
+// first run of free 64-byte units in the first COPY block that has one,
+// whose bitmap entry maps the units in use, or else a free pool block
+// made a COPY block. It marks the units in use, and returns the block
+// and the extent's offset in it. Caller holds mu.
+func (s *Server) copyExtent(n int) (cb, at int, ok bool) {
+	l := s.cl.L
+	units, need := int(l.Cfg.BlockSize/64), n/64
+	cb, free, u := -1, -1, 0
+	for b := l.Cfg.StripeRows; b < l.Cfg.BlocksPerMN() && cb < 0; b++ {
+		switch s.record(b).Role {
+		case layout.RoleFree:
+			if free < 0 {
+				free = b
+			}
+		case layout.RoleCopy:
+			if u = freeRun(s.bitmap(b), units, need); u >= 0 {
+				cb = b
+			}
 		}
 	}
-	return n
+	if cb < 0 {
+		if free < 0 {
+			return 0, 0, false
+		}
+		cb, u = free, 0
+		s.putRecord(cb, &layout.Record{Role: layout.RoleCopy, Valid: true, StripeID: layout.NoStripe})
+	}
+	bm := s.bitmap(cb)
+	for i := u; i < u+need; i++ {
+		layout.BitmapSet(bm, i)
+	}
+	s.dirty[cb] |= metaBitmap
+	if crec := s.record(cb); uint32((u+need)*64) > crec.CopyLen {
+		crec.CopyLen = uint32((u + need) * 64)
+		s.putRecord(cb, &crec)
+	}
+	return cb, u * 64, true
+}
+
+// freeRun returns the first of need adjacent clear bits among the first
+// units bits of bm, or -1.
+func freeRun(bm []byte, units, need int) int {
+	run := 0
+	for u := range units {
+		if layout.BitmapGet(bm, u) {
+			run = 0
+		} else if run++; run == need {
+			return u + 1 - need
+		}
+	}
+	return -1
+}
+
+// releaseCopy releases the COPY extent that reused block rec names and
+// clears the name. The extent is not zeroed: a later extent over it
+// writes every byte it holds. A COPY block whose last extent goes is
+// queued for the erasure core to zero and free (drainCopies). Caller
+// holds mu.
+func (s *Server) releaseCopy(rec *layout.Record) {
+	l := s.cl.L
+	off, n := rec.CopyOff, int(rec.CopyLen)
+	rec.CopyOff, rec.CopyLen = 0, 0
+	cb := l.BlockOfOff(off)
+	if off == 0 || cb < l.Cfg.StripeRows || s.record(cb).Role != layout.RoleCopy {
+		return
+	}
+	bm, units := s.bitmap(cb), int(l.Cfg.BlockSize/64)
+	for u := int(off-l.BlockOff(cb)) / 64; u < units && n > 0; u, n = u+1, n-64 {
+		layout.BitmapClear(bm, u)
+	}
+	s.dirty[cb] |= metaBitmap
+	if layout.BitmapCount(bm) == 0 && !slices.Contains(s.copyDrain, cb) {
+		s.copyDrain = append(s.copyDrain, cb)
+	}
+}
+
+// drainCopies zeroes each queued COPY block that still holds no extent
+// over the prefix its extents used, and frees it; one that took an
+// extent since stays. It returns the zeroing's modelled cost. A
+// replacement server starts with none queued: an empty COPY block it
+// inherits is freed once an extent placed there goes. Caller holds
+// memMu+mu.
+func (s *Server) drainCopies() time.Duration {
+	l := s.cl.L
+	n := 0
+	for _, cb := range s.copyDrain {
+		crec := s.record(cb)
+		if crec.Role != layout.RoleCopy || layout.BitmapCount(s.bitmap(cb)) > 0 {
+			continue
+		}
+		used := min(int(crec.CopyLen), int(l.Cfg.BlockSize))
+		clear(s.block(cb)[:used])
+		n += used
+		free := layout.Record{}
+		s.putRecord(cb, &free)
+	}
+	s.copyDrain = s.copyDrain[:0]
+	return cpuTime(n, memcpyRate)
+}
+
+// setBitmap makes bits, zero-extended, block b's bitmap entry. Caller
+// holds mu.
+func (s *Server) setBitmap(b int, bits []byte) {
+	if !s.bitmapIs(b, bits) {
+		bm := s.bitmap(b)
+		clear(bm)
+		copy(bm, bits)
+		s.dirty[b] |= metaBitmap
+	}
+}
+
+// bitmapIs reports whether block b's bitmap entry is bits,
+// zero-extended. Caller holds mu.
+func (s *Server) bitmapIs(b int, bits []byte) bool {
+	bm := s.bitmap(b)
+	return len(bits) <= len(bm) && bytes.Equal(bm[:len(bits)], bits) && layout.BitmapCount(bm[len(bits):]) == 0
 }
 
 // pickReclaim selects the sealed data block with the highest obsolete
-// fraction at or above the threshold, of the right size class, and a
-// free pool block for its backup copy. It runs on every allocation, so
-// a row's marks are counted before its record is decoded: few rows
-// have enough. Caller holds mu.
-func (s *Server) pickReclaim(class uint8) (block, copyIdx int, ok bool) {
+// fraction at or above the threshold, of the right size class. It runs
+// on every allocation, so a row's marks are counted before its record is
+// decoded: few rows have enough. Caller holds mu.
+func (s *Server) pickReclaim(class uint8) (block int, ok bool) {
 	best, bestCount := -1, 0
 	slots := s.cl.L.KVSlotsPerBlock(class)
 	for _, row := range s.dataRows {
@@ -514,30 +642,28 @@ func (s *Server) pickReclaim(class uint8) (block, copyIdx int, ok bool) {
 			}
 		}
 	}
-	if best < 0 {
-		return 0, 0, false
-	}
-	copyIdx = s.freePoolBlock()
-	if copyIdx < 0 {
-		return 0, 0, false
-	}
-	return best, copyIdx, true
+	return best, best >= 0
 }
 
 // handleAllocDelta allocates a DELTA block on this parity MN for
-// (stripe, xorID) and records it in the parity record (Figure 6 ①).
+// (stripe, xorID) and records it in the parity record (Figure 6 ①). The
+// request ends with the free bitmap the data block was handed out with,
+// empty for a fresh block: it becomes the DELTA block's bitmap entry,
+// the slots its fold covers (foldBatch; empty: every slot).
 func (s *Server) handleAllocDelta(req []byte) ([]byte, time.Duration) {
 	d := dec{b: req}
 	cliID := d.u16()
 	stripe := d.u32()
 	xorID := d.u8()
 	class := d.u8()
+	bits := d.bytes()
 	cpu := 2 * time.Microsecond
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
 	pidx, ok := s.cl.L.IsParityMN(stripe, s.mn)
-	if d.short || !ok || int(stripe) >= s.cl.L.Cfg.StripeRows || int(xorID) >= s.cl.code.K() {
+	if d.short || !ok || int(stripe) >= s.cl.L.Cfg.StripeRows || int(xorID) >= s.cl.code.K() ||
+		uint64(len(bits)) > s.cl.L.BitmapBytes() {
 		return []byte{stBadArg}, cpu
 	}
 	prec := s.record(int(stripe))
@@ -574,16 +700,27 @@ func (s *Server) handleAllocDelta(req []byte) ([]byte, time.Duration) {
 		prec = s.record(int(stripe))
 	}
 	// Idempotent: a crashed-and-restarted client re-attaches to the
-	// existing delta block.
+	// existing delta block. A re-attach with another bitmap widens the
+	// block's scope to every slot: a fold may cover more than was
+	// written, never less.
 	if prec.DeltaAddr[xorID] != 0 {
 		_, off := layout.UnpackAddr(prec.DeltaAddr[xorID])
 		b := s.cl.L.BlockOfOff(off)
+		if !s.bitmapIs(b, bits) {
+			s.setBitmap(b, nil)
+		}
 		var e enc
 		e.u8(stOK)
 		e.u32(uint32(b))
 		return e.b, cpu
 	}
 	b := s.freePoolBlock()
+	if b < 0 && len(s.copyDrain) > 0 {
+		// Rather than refuse, release here the emptied COPY blocks the
+		// erasure core has yet to.
+		cpu += s.drainCopies()
+		b = s.freePoolBlock()
+	}
 	if b < 0 {
 		s.st.DeltaRefused++
 		return []byte{stNoSpace}, cpu
@@ -591,6 +728,7 @@ func (s *Server) handleAllocDelta(req []byte) ([]byte, time.Duration) {
 	drec := layout.Record{Role: layout.RoleDelta, Valid: true, XORID: xorID,
 		SizeClass: class, StripeID: stripe, CliID: cliID}
 	s.putRecord(b, &drec)
+	s.setBitmap(b, bits)
 	prec.DeltaAddr[xorID] = layout.PackAddr(uint16(s.mn), s.cl.L.BlockOff(b))
 	prec.XORMap &^= 1 << xorID
 	s.putRecord(int(stripe), &prec)
@@ -622,19 +760,17 @@ func (s *Server) handleInstallParity(req []byte) ([]byte, time.Duration) {
 }
 
 // handleSealBlock stamps the current Index Version into a filled DATA
-// block's record (§3.2.3) and releases the reclamation backup copy, if
-// any, zeroing only the packed slots it holds. A block its client never
-// wrote (its DELTA blocks could not all be allocated) goes back as it
-// was handed out: the request then ends with the client's id and the
-// block's old free bitmap. A fresh block is all zeros still, and its
-// row is free again; a reused one gets its old marks back, beside any
-// set since. Sealed as it stood instead, a fresh row would hold nothing
-// for good and a reused one would have lost the marks that make it
-// reclaimable.
+// block's record (§3.2.3) and releases the COPY extent its record names,
+// if any, zeroing nothing (releaseCopy). A block its client never wrote
+// (its DELTA blocks could not all be allocated) goes back as it was
+// handed out: the request then ends with the client's id and the block's
+// old free bitmap. A fresh block is all zeros still, and its row is free
+// again; a reused one gets its old marks back, beside any set since.
+// Sealed as it stood instead, a fresh row would hold nothing for good
+// and a reused one would have lost the marks that make it reclaimable.
 func (s *Server) handleSealBlock(req []byte) ([]byte, time.Duration) {
 	d := dec{b: req}
 	b := int(d.u32())
-	copyIdx := d.u32()
 	unwritten := d.left() > 0
 	var cliID uint16
 	var oldBits []byte
@@ -642,8 +778,7 @@ func (s *Server) handleSealBlock(req []byte) ([]byte, time.Duration) {
 		cliID, oldBits = d.u16(), d.bytes()
 	}
 	cpu := time.Microsecond
-	nb := s.cl.L.Cfg.BlocksPerMN()
-	if d.short || b >= nb || (copyIdx != ^uint32(0) && int(copyIdx) >= nb) {
+	if d.short || b >= s.cl.L.Cfg.BlocksPerMN() {
 		return []byte{stBadArg}, cpu
 	}
 	s.mu.Lock()
@@ -657,11 +792,11 @@ func (s *Server) handleSealBlock(req []byte) ([]byte, time.Duration) {
 		rec.IndexVersion = s.indexVersion()
 	case rec.IndexVersion != 0 || rec.CliID != cliID:
 		return []byte{stConflict}, cpu // not this client's open block
-	case copyIdx == ^uint32(0):
+	case rec.CopyOff == 0:
 		rec = layout.Record{}
 	default:
 		// Only bits that name a slot of the block come back: a reclaim
-		// backs up one slot per mark, into one block.
+		// backs up one slot per mark.
 		bm := s.bitmap(b)
 		for slot := range min(s.cl.L.KVSlotsPerBlock(rec.SizeClass), 8*len(oldBits)) {
 			if layout.BitmapGet(oldBits, slot) {
@@ -671,20 +806,8 @@ func (s *Server) handleSealBlock(req []byte) ([]byte, time.Duration) {
 		s.dirty[b] |= metaBitmap
 		rec.IndexVersion = s.indexVersion()
 	}
+	s.releaseCopy(&rec)
 	s.putRecord(b, &rec)
-	if copyIdx != ^uint32(0) {
-		cb := int(copyIdx)
-		crec := s.record(cb)
-		if crec.Role == layout.RoleCopy {
-			n := countMarks(s.bitmap(cb), s.cl.L.KVSlotsPerBlock(crec.SizeClass)) * int(crec.SizeClass) * 64
-			clear(s.block(cb)[:n])
-			clear(s.bitmap(cb))
-			s.dirty[cb] |= metaBitmap
-			cpu += cpuTime(n, memcpyRate)
-			free := layout.Record{}
-			s.putRecord(cb, &free)
-		}
-	}
 	return []byte{stOK}, cpu
 }
 
@@ -836,7 +959,9 @@ func (s *Server) handleApplyCkpt(req []byte) ([]byte, time.Duration) {
 // jobs stripe by stripe, folding all of a stripe's queued DELTA blocks
 // into the local PARITY block in one batched pass (the erasure
 // package's ApplyDeltas — one read of the parity for the whole batch
-// instead of one per delta), then freeing the consumed blocks. Record
+// instead of one per delta), then freeing the consumed blocks; with no
+// job queued it zeroes and frees the COPY blocks whose last extent went
+// (encodeNext). Record
 // and parity mutations happen in one critical section so degraded
 // readers never observe a delta both encoded and pending; on simnet
 // that atomicity requires no sim operation inside the section, so the
@@ -858,26 +983,7 @@ func (s *Server) encoderLoop(ctx rdma.Ctx) {
 		for {
 			s.memMu.Lock()
 			s.mu.Lock()
-			if len(s.encodeQ) == 0 {
-				s.mu.Unlock()
-				s.memMu.Unlock()
-				break
-			}
-			// Claim every queued job of the head stripe: reclamation
-			// retires deltas in bursts, and folding them together reads
-			// the parity block once instead of once per delta.
-			stripe := s.encodeQ[0].stripe
-			batch = batch[:0]
-			rest := s.encodeQ[:0]
-			for _, j := range s.encodeQ {
-				if j.stripe == stripe {
-					batch = append(batch, j)
-				} else {
-					rest = append(rest, j)
-				}
-			}
-			s.encodeQ = rest
-			encCost, memCost := s.foldBatch(stripe, batch, &deltas, &freeBlocks)
+			encCost, memCost, more := s.encodeNext(&batch, &deltas, &freeBlocks)
 			s.mu.Unlock()
 			s.memMu.Unlock()
 			if encCost > 0 {
@@ -893,14 +999,46 @@ func (s *Server) encoderLoop(ctx rdma.Ctx) {
 			if memCost > 0 {
 				ctx.UseCPU(rdma.CoreErasure, memCost)
 			}
+			if !more {
+				break
+			}
 		}
 	}
 }
 
+// encodeNext is one step of the erasure core: it folds every queued job
+// of the head stripe (foldBatch), reusing batch, deltas and freeBlocks
+// as scratch: reclamation retires deltas in bursts, and folding them
+// together reads the parity block once instead of once per delta. With
+// no job queued it zeroes and frees the emptied COPY blocks instead
+// (drainCopies) and reports no more work. It returns the modelled costs
+// of the fold and of the zeroing, for the caller to charge. Caller holds
+// memMu+mu.
+func (s *Server) encodeNext(batch *[]encodeJob, deltas *[]erasure.ShardDelta, freeBlocks *[]int) (encCost, memCost time.Duration, more bool) {
+	if len(s.encodeQ) == 0 {
+		return 0, s.drainCopies(), false
+	}
+	stripe := s.encodeQ[0].stripe
+	*batch = (*batch)[:0]
+	rest := s.encodeQ[:0]
+	for _, j := range s.encodeQ {
+		if j.stripe == stripe {
+			*batch = append(*batch, j)
+		} else {
+			rest = append(rest, j)
+		}
+	}
+	s.encodeQ = rest
+	encCost, memCost = s.foldBatch(stripe, *batch, deltas, freeBlocks)
+	return encCost, memCost, true
+}
+
 // foldBatch folds one stripe's claimed jobs into the local PARITY block
 // and zeroes and frees the consumed DELTA blocks, reusing deltas and
-// freeBlocks as scratch. It returns the modelled cost of the fold and
-// of the zeroing, for the caller to charge. Caller holds memMu+mu.
+// freeBlocks as scratch. Only the ranges each DELTA block's bitmap entry
+// scopes are folded and zeroed (appendScope): outside them it is zero.
+// It returns the modelled cost of the fold and of the zeroing, for the
+// caller to charge. Caller holds memMu+mu.
 func (s *Server) foldBatch(stripe uint32, batch []encodeJob, deltas *[]erasure.ShardDelta, freeBlocks *[]int) (encCost, memCost time.Duration) {
 	*deltas, *freeBlocks = (*deltas)[:0], (*freeBlocks)[:0]
 	s.claimEncodeBatch(stripe, batch, deltas, freeBlocks)
@@ -908,14 +1046,20 @@ func (s *Server) foldBatch(stripe uint32, batch []encodeJob, deltas *[]erasure.S
 		prec := s.record(int(stripe))
 		parity := s.block(int(stripe))
 		s.cl.code.ApplyDeltas(int(prec.ParityIdx), parity, *deltas)
-		encCost = cpuTime((len(*deltas)+1)*len(parity), codeRate(s.cl.Cfg.Code))
-		s.st.ECEncodeBytes += uint64(len(*deltas)) * uint64(len(parity))
+		n := 0
+		for _, dl := range *deltas {
+			n += len(dl.B)
+			clear(dl.B)
+		}
+		// The deltas are read once and the parity they reach read and
+		// written once: a whole-block fold of k deltas costs (k+1) blocks.
+		encCost = cpuTime(n+min(n, len(parity)), codeRate(s.cl.Cfg.Code))
+		memCost = cpuTime(n, memcpyRate)
+		s.st.ECEncodeBytes += uint64(n)
 		s.st.ECEncodeBatches++
 	}
 	for _, db := range *freeBlocks {
-		delta := s.block(db)
-		clear(delta)
-		memCost += cpuTime(len(delta), memcpyRate)
+		s.setBitmap(db, nil)
 		free := layout.Record{}
 		s.putRecord(db, &free)
 	}
@@ -923,8 +1067,8 @@ func (s *Server) foldBatch(stripe uint32, batch []encodeJob, deltas *[]erasure.S
 }
 
 // claimEncodeBatch walks one stripe's claimed jobs, marks encoded
-// deltas in the parity record and collects the delta blocks to fold
-// (as full-block ShardDeltas) and to free. Caller holds memMu+mu.
+// deltas in the parity record and collects the scoped ranges of the
+// delta blocks to fold, and the blocks to free. Caller holds memMu+mu.
 func (s *Server) claimEncodeBatch(stripe uint32, batch []encodeJob, deltas *[]erasure.ShardDelta, freeBlocks *[]int) {
 	l := s.cl.L
 	prec := s.record(int(stripe))
@@ -938,7 +1082,8 @@ func (s *Server) claimEncodeBatch(stripe uint32, batch []encodeJob, deltas *[]er
 		}
 		_, dOff := layout.UnpackAddr(prec.DeltaAddr[job.xorID])
 		db := l.BlockOfOff(dOff)
-		*deltas = append(*deltas, erasure.ShardDelta{DI: int(job.xorID), B: s.block(db)})
+		class := s.record(db).SizeClass
+		*deltas = appendScope(*deltas, int(job.xorID), s.block(db), s.bitmap(db), int(class)*64, l.KVSlotsPerBlock(class))
 		prec.XORMap |= 1 << job.xorID
 		s.st.EncodeJobs++
 		prec.DeltaAddr[job.xorID] = 0
@@ -948,6 +1093,32 @@ func (s *Server) claimEncodeBatch(stripe uint32, batch []encodeJob, deltas *[]er
 	if changed {
 		s.putRecord(int(stripe), &prec)
 	}
+}
+
+// appendScope appends to deltas the ranges of data shard di's DELTA
+// block blk that its bitmap entry scope names, one per run of adjacent
+// size-byte slots among its first slots, or the whole block when it names none:
+// a fresh block's, or one placed without a bitmap (tier 3's, or one
+// recovery re-recorded). A client writes a reused block's deltas only
+// in the slots it was handed out, so the block is zero outside them.
+func appendScope(deltas []erasure.ShardDelta, di int, blk, scope []byte, size, slots int) []erasure.ShardDelta {
+	start := len(deltas)
+	for lo := 0; lo < slots; {
+		if !layout.BitmapGet(scope, lo) {
+			lo++
+			continue
+		}
+		hi := lo + 1
+		for hi < slots && layout.BitmapGet(scope, hi) {
+			hi++
+		}
+		deltas = append(deltas, erasure.ShardDelta{DI: di, Off: lo * size, B: blk[lo*size : hi*size]})
+		lo = hi
+	}
+	if len(deltas) == start {
+		deltas = append(deltas, erasure.ShardDelta{DI: di, B: blk})
+	}
+	return deltas
 }
 
 // ckptSendLoop and ckptRecvLoop — the differential checkpoint

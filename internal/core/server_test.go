@@ -3,10 +3,12 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/erasure"
 	"repro/internal/layout"
 	"repro/internal/obs"
 	"repro/internal/rdma"
@@ -51,13 +53,13 @@ func TestHandlerBadArgs(t *testing.T) {
 	e.u32(1 << 30) // absurd stripe
 	e.u8(0)
 	e.u8(17)
+	e.bytes(nil)
 	if resp := tc.rpc(t, 0, methodAllocDelta, e.b); resp[0] != stBadArg {
 		t.Errorf("absurd stripe accepted: %v", resp)
 	}
 	// Seal of a block that is not DATA.
 	var s1 enc
 	s1.u32(uint32(tc.cl.Cfg.Layout.StripeRows)) // a pool block, role FREE
-	s1.u32(^uint32(0))
 	if resp := tc.rpc(t, 0, methodSealBlock, s1.b); resp[0] != stBadArg {
 		t.Errorf("seal of FREE block accepted: %v", resp)
 	}
@@ -65,13 +67,12 @@ func TestHandlerBadArgs(t *testing.T) {
 	if resp := tc.rpc(t, 0, methodFreeBits, freeBitsPayload([]int{1 << 20})); resp[0] != stBadArg {
 		t.Errorf("freebits out of range accepted: %v", resp)
 	}
-	// Ids that name nothing on this MN: a seal's backup copy, an encode's
+	// Ids that name nothing on this MN: a seal's block, an encode's
 	// stripe, a checkpoint frame's owner.
 	var s2 enc
-	s2.u32(0)
 	s2.u32(1 << 20)
 	if resp := tc.rpc(t, 0, methodSealBlock, s2.b); resp[0] != stBadArg {
-		t.Errorf("seal with an out-of-range copy block accepted: %v", resp)
+		t.Errorf("seal of an out-of-range block accepted: %v", resp)
 	}
 	var ed enc
 	ed.u32(1 << 30)
@@ -138,8 +139,8 @@ func TestHandlerShortRequests(t *testing.T) {
 		req    []byte
 	}{
 		{methodAllocBlock, full(func(e *enc) { e.u16(1); e.u8(2) })},
-		{methodAllocDelta, full(func(e *enc) { e.u16(1); e.u32(0); e.u8(0); e.u8(2) })},
-		{methodSealBlock, full(func(e *enc) { e.u32(blk); e.u32(^uint32(0)) })},
+		{methodAllocDelta, full(func(e *enc) { e.u16(1); e.u32(0); e.u8(0); e.u8(2); e.bytes([]byte{0x0F}) })},
+		{methodSealBlock, full(func(e *enc) { e.u32(blk) })},
 		{methodEncodeDelta, full(func(e *enc) { e.u32(0); e.u8(0) })},
 		{methodFreeBits, freeBitsPayload([]int{0, 0, 2}, []int{1, 4})},
 		{methodCkptPrepare, full(func(e *enc) { e.u64(1) })},
@@ -190,6 +191,7 @@ func TestAllocDeltaRefusesUnrebuiltParity(t *testing.T) {
 		e.u32(0)
 		e.u8(0)
 		e.u8(2)
+		e.bytes(nil)
 		resp, _ := srv.handle(methodAllocDelta, e.b)
 		if len(resp) == 0 {
 			t.Fatalf("owner %d: empty response", owner)
@@ -225,6 +227,7 @@ func FuzzInstallParity(f *testing.F) {
 	ad.u32(0)
 	ad.u8(1)
 	ad.u8(2)
+	ad.bytes(nil)
 	if resp, _ := srv.handle(methodAllocDelta, ad.b); resp[0] != stOK {
 		f.Fatalf("alloc delta: status %d", resp[0])
 	}
@@ -275,10 +278,30 @@ func FuzzInstallParity(f *testing.F) {
 	})
 }
 
+// encoderPass runs srv's erasure core until it has nothing left to do:
+// every queued fold, then the emptied COPY blocks' release. It returns
+// the modelled costs it charged.
+func encoderPass(srv *Server) (enc, mem time.Duration) {
+	var batch []encodeJob
+	var deltas []erasure.ShardDelta
+	var freeBlocks []int
+	srv.memMu.Lock()
+	defer srv.memMu.Unlock()
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	for more := true; more; {
+		var e, m time.Duration
+		e, m, more = srv.encodeNext(&batch, &deltas, &freeBlocks)
+		enc, mem = enc+e, mem+m
+	}
+	return enc, mem
+}
+
 // blockRPCs are the methods FuzzBlockRPCs sends, indexed by an input's
-// method byte modulo their count: the block lifecycle's four and the
-// FreeBits marks that make a sealed block reclaimable.
-var blockRPCs = []uint8{methodAllocBlock, methodAllocDelta, methodSealBlock, methodEncodeDelta, methodFreeBits}
+// method byte modulo their count: the block lifecycle's four, the
+// FreeBits marks that make a sealed block reclaimable, and 0, which
+// stands for a pass of the erasure core (encoderPass).
+var blockRPCs = []uint8{methodAllocBlock, methodAllocDelta, methodSealBlock, methodEncodeDelta, methodFreeBits, 0}
 
 // blockRPCInput encodes calls for FuzzBlockRPCs: each a method byte, a
 // payload length byte and the payload.
@@ -292,12 +315,16 @@ func blockRPCInput(calls ...[]byte) []byte {
 }
 
 // FuzzBlockRPCs sends one MN arbitrary sequences of AllocBlock,
-// AllocDelta, SealBlock (with and without its client/bitmap trailer),
-// EncodeDelta and FreeBits requests, seeded with the ones clients send.
-// The MN's stripe rows start full of bytes, so a reclamation backs up
-// data. No request may panic the MN, and after each one every FREE pool
-// block holds only zeros and a COPY block's bitmap records no more
-// slots than its block holds.
+// AllocDelta (with and without a bitmap), SealBlock (with and without its
+// client/bitmap trailer), EncodeDelta and FreeBits requests and erasure
+// core passes, seeded with the ones clients send. The MN's stripe rows
+// start full of bytes, so a reclamation backs up data, and every DELTA
+// block AllocDelta hands out gets bytes in the slots its bitmap scopes,
+// as a client writes them. No request may panic the MN, and after each
+// one every FREE pool block holds only zeros, every DELTA block only
+// zeros outside its scope, and every COPY block has in use exactly the
+// units of the extents live DATA blocks name, all inside the prefix it
+// zeroes when freed.
 func FuzzBlockRPCs(f *testing.F) {
 	tc := newTestCluster(f, func(cfg *Config) {
 		cfg.ReclaimObsolete = 0 // any sealed block with a mark qualifies
@@ -318,47 +345,109 @@ func FuzzBlockRPCs(f *testing.F) {
 		put(&e)
 		return e.b
 	}
-	const alloc, allocDelta, seal, encode, freeBits = 0, 1, 2, 3, 4
-	a := uint32(srv.dataRows[0])  // the first fresh block
-	c := uint32(l.Cfg.StripeRows) // the first free pool block
+	const alloc, allocDelta, seal, encode, freeBits, pass = 0, 1, 2, 3, 4, 5
+	a, b := uint32(srv.dataRows[0]), uint32(srv.dataRows[1]) // the first two fresh blocks
 	allocA := call(alloc, func(e *enc) { e.u16(1); e.u8(2) })
+	allocB := call(alloc, func(e *enc) { e.u16(2); e.u8(2) })
 	markA := append([]byte{freeBits}, freeBitsPayload([]int{int(a), 0, 4, 6, 18})...)
-	sealA := call(seal, func(e *enc) { e.u32(a); e.u32(^uint32(0)) })
-	f.Add(blockRPCInput(allocA, markA, sealA, allocA, call(seal, func(e *enc) { e.u32(a); e.u32(c) })))
+	markB := append([]byte{freeBits}, freeBitsPayload([]int{int(b), 2, 8})...)
+	sealA := call(seal, func(e *enc) { e.u32(a) })
+	sealB := call(seal, func(e *enc) { e.u32(b) })
+	f.Add(blockRPCInput(allocA, markA, sealA, allocA, sealA, call(pass, func(*enc) {})))
 	f.Add(blockRPCInput(allocA, markA, sealA, allocA,
-		call(seal, func(e *enc) { e.u32(a); e.u32(c); e.u16(1); e.bytes([]byte{0x45, 0, 0xFF}) })))
-	f.Add(blockRPCInput(allocA, call(seal, func(e *enc) { e.u32(a); e.u32(^uint32(0)); e.u16(1); e.bytes(nil) })))
+		call(seal, func(e *enc) { e.u32(a); e.u16(1); e.bytes([]byte{0x45, 0, 0xFF}) })))
+	f.Add(blockRPCInput(allocA, call(seal, func(e *enc) { e.u32(a); e.u16(1); e.bytes(nil) })))
 	f.Add(blockRPCInput(
-		call(allocDelta, func(e *enc) { e.u16(1); e.u32(0); e.u8(0); e.u8(2) }),
+		call(allocDelta, func(e *enc) { e.u16(1); e.u32(0); e.u8(0); e.u8(2); e.bytes([]byte{0x0B, 0x80}) }),
 		call(encode, func(e *enc) { e.u32(0); e.u8(0) }),
-		call(allocDelta, func(e *enc) { e.u16(2); e.u32(0); e.u8(0); e.u8(2) })))
+		call(allocDelta, func(e *enc) { e.u16(2); e.u32(0); e.u8(0); e.u8(2); e.bytes(nil) }),
+		call(encode, func(e *enc) { e.u32(0); e.u8(0) }),
+		call(pass, func(*enc) {})))
 	f.Add(blockRPCInput(call(alloc, func(e *enc) { e.u16(1); e.u8(0xFF) }), call(seal, func(e *enc) { e.u32(1 << 20) })))
+	f.Add(blockRPCInput(allocA, allocB, markA, markB, sealA, sealB, allocA, allocB, sealA,
+		call(pass, func(*enc) {}), sealB, call(pass, func(*enc) {})))
+
+	check := func(t *testing.T, what string) {
+		t.Helper()
+		units := int(l.Cfg.BlockSize / 64)
+		live := map[int][]bool{} // per COPY block, the units live extents cover
+		for row := 0; row < l.Cfg.StripeRows; row++ {
+			rec := srv.record(row)
+			if rec.Role != layout.RoleData || rec.CopyOff == 0 {
+				continue
+			}
+			cb := l.BlockOfOff(rec.CopyOff)
+			if cb < l.Cfg.StripeRows || srv.record(cb).Role != layout.RoleCopy || (rec.CopyOff-l.BlockOff(cb))%64 != 0 {
+				t.Fatalf("after %s: block %d names the extent [%d,+%d), not one of a COPY block", what, row, rec.CopyOff, rec.CopyLen)
+			}
+			at := int(rec.CopyOff-l.BlockOff(cb)) / 64
+			if end := at*64 + int(rec.CopyLen); end > int(srv.record(cb).CopyLen) {
+				t.Fatalf("after %s: block %d's extent ends at %d, past COPY block %d's prefix %d", what, row, end, cb, srv.record(cb).CopyLen)
+			}
+			if live[cb] == nil {
+				live[cb] = make([]bool, units)
+			}
+			for u := at; u < at+int(rec.CopyLen)/64; u++ {
+				if live[cb][u] {
+					t.Fatalf("after %s: two extents share unit %d of COPY block %d", what, u, cb)
+				}
+				live[cb][u] = true
+			}
+		}
+		for blk := l.Cfg.StripeRows; blk < l.Cfg.BlocksPerMN(); blk++ {
+			switch rec := srv.record(blk); rec.Role {
+			case layout.RoleFree:
+				if !blankBlock(tc, 0, blk) || layout.BitmapCount(srv.bitmap(blk)) != 0 {
+					t.Fatalf("after %s: free pool block %d holds data or marks", what, blk)
+				}
+			case layout.RoleDelta:
+				outside := append([]byte(nil), srv.block(blk)...)
+				for _, r := range appendScope(nil, 0, outside, srv.bitmap(blk), int(rec.SizeClass)*64, l.KVSlotsPerBlock(rec.SizeClass)) {
+					clear(r.B)
+				}
+				if bytes.Count(outside, []byte{0}) != len(outside) {
+					t.Fatalf("after %s: DELTA block %d holds data outside its scope", what, blk)
+				}
+			case layout.RoleCopy:
+				for u := range units {
+					if layout.BitmapGet(srv.bitmap(blk), u) != (live[blk] != nil && live[blk][u]) {
+						t.Fatalf("after %s: COPY block %d's unit %d in use %v, live extents say otherwise", what, blk, u, layout.BitmapGet(srv.bitmap(blk), u))
+					}
+				}
+			}
+		}
+	}
 
 	f.Fuzz(func(t *testing.T, in []byte) {
 		defer func() { // every input starts from the same MN
 			copy(mem, start)
-			srv.encodeQ, srv.allocCur = srv.encodeQ[:0], 0
+			srv.encodeQ, srv.copyDrain, srv.allocCur = srv.encodeQ[:0], srv.copyDrain[:0], 0
 			clear(srv.dirty)
 		}()
 		for len(in) >= 2 {
 			method, n := blockRPCs[int(in[0])%len(blockRPCs)], min(int(in[1]), len(in)-2)
 			req := in[2 : 2+n]
 			in = in[2+n:]
-			if resp, _ := srv.handle(method, req); len(resp) == 0 {
+			if method == 0 {
+				encoderPass(srv)
+				check(t, "an erasure core pass")
+				continue
+			}
+			resp, _ := srv.handle(method, req)
+			if len(resp) == 0 {
 				t.Fatalf("%s: empty response", methodName(method))
 			}
-			for b := l.Cfg.StripeRows; b < l.Cfg.BlocksPerMN(); b++ {
-				switch rec := srv.record(b); rec.Role {
-				case layout.RoleFree:
-					if !blankBlock(tc, 0, b) {
-						t.Fatalf("after %s: free pool block %d holds data", methodName(method), b)
-					}
-				case layout.RoleCopy:
-					if n := layout.BitmapCount(srv.bitmap(b)) * int(rec.SizeClass) * 64; n > int(l.Cfg.BlockSize) {
-						t.Fatalf("after %s: COPY block %d records %d bytes of slots", methodName(method), b, n)
+			if d := (dec{b: resp[1:]}); method == methodAllocDelta && resp[0] == stOK {
+				// The client writes its deltas, in the slots the block scopes.
+				db := int(d.u32())
+				rec := srv.record(db)
+				for _, r := range appendScope(nil, 0, srv.block(db), srv.bitmap(db), int(rec.SizeClass)*64, l.KVSlotsPerBlock(rec.SizeClass)) {
+					for i := range r.B {
+						r.B[i] = byte(i*7) | 1
 					}
 				}
 			}
+			check(t, methodName(method))
 		}
 	})
 }
@@ -383,6 +472,7 @@ func TestHandlerAllocDeltaIdempotent(t *testing.T) {
 		e.u32(uint32(stripe))
 		e.u8(0)
 		e.u8(17)
+		e.bytes(nil)
 		resp := tc.rpc(t, 0, methodAllocDelta, e.b)
 		if resp[0] != stOK {
 			t.Fatalf("alloc delta: status %d", resp[0])
@@ -649,8 +739,8 @@ func wantWrites(l *layout.Layout, mn int, parts ...string) []string {
 // TestMetaSyncShipsOnlyChangedParts pins the traffic of a meta-sync
 // round: a FreeBits mark ships only the block's bitmap, a record write
 // only its record, a reclamation reset both (and the backup copy's
-// record and bitmap), the reused block's seal its record and the freed
-// copy's record and cleared bitmap, each to every replica host, at most
+// record and bitmap), the reused block's seal its record and the copy's
+// cleared bitmap, the copy's release its record, each to every replica host, at most
 // 4 writes to a doorbell; a round with nothing dirty rings nothing.
 func TestMetaSyncShipsOnlyChangedParts(t *testing.T) {
 	tc := newTestCluster(t, func(cfg *Config) {
@@ -680,7 +770,6 @@ func TestMetaSyncShipsOnlyChangedParts(t *testing.T) {
 
 	var seal enc
 	seal.u32(uint32(a))
-	seal.u32(^uint32(0))
 	if resp, _ := srv.handle(methodSealBlock, seal.b); resp[0] != stOK {
 		t.Fatalf("seal: status %d", resp[0])
 	}
@@ -707,18 +796,20 @@ func TestMetaSyncShipsOnlyChangedParts(t *testing.T) {
 		t.Fatalf("no reclamation: %d reclaimed, copy block %d", srv.st.Reclaimed, cp)
 	}
 	// Block order: the copy is a pool block, after every stripe row. Its
-	// bitmap records the slots it backs up.
+	// bitmap records the units its extents use.
 	check("a reclamation reset", wantWrites(l, 0, fmt.Sprintf("rec %d", a), fmt.Sprintf("bm %d", a),
 		fmt.Sprintf("rec %d", cp), fmt.Sprintf("bm %d", cp)))
 
-	// The seal stamps a and frees the copy, clearing its bitmap.
+	// The seal stamps a and releases its extent, the COPY block's last:
+	// its bitmap is cleared, and the erasure core frees the block.
 	seal = enc{}
 	seal.u32(uint32(a))
-	seal.u32(uint32(cp))
 	if resp, _ := srv.handle(methodSealBlock, seal.b); resp[0] != stOK {
 		t.Fatalf("seal of the reused block: status %d", resp[0])
 	}
-	check("a reused block's seal", wantWrites(l, 0, fmt.Sprintf("rec %d", a), fmt.Sprintf("rec %d", cp), fmt.Sprintf("bm %d", cp)))
+	check("a reused block's seal", wantWrites(l, 0, fmt.Sprintf("rec %d", a), fmt.Sprintf("bm %d", cp)))
+	encoderPass(srv)
+	check("the emptied COPY block's release", wantWrites(l, 0, fmt.Sprintf("rec %d", cp)))
 }
 
 // TestSealUnwrittenPutsBlockBack pins SealBlock for a block its client
@@ -732,10 +823,9 @@ func TestSealUnwrittenPutsBlockBack(t *testing.T) {
 	})
 	l := tc.cl.L
 	srv := tc.cl.servers[0]
-	unwritten := func(b int, copyIdx uint32, cliID uint16, oldBits []byte) uint8 {
+	unwritten := func(b int, cliID uint16, oldBits []byte) uint8 {
 		var e enc
 		e.u32(uint32(b))
-		e.u32(copyIdx)
 		e.u16(cliID)
 		e.bytes(oldBits)
 		resp, _ := srv.handle(methodSealBlock, e.b)
@@ -743,7 +833,7 @@ func TestSealUnwrittenPutsBlockBack(t *testing.T) {
 	}
 
 	a := allocData(t, srv, 2)
-	if st := unwritten(a, ^uint32(0), 1, nil); st != stOK {
+	if st := unwritten(a, 1, nil); st != stOK {
 		t.Fatalf("fresh block back: status %d", st)
 	}
 	if rec := srv.record(a); rec != (layout.Record{}) {
@@ -756,7 +846,6 @@ func TestSealUnwrittenPutsBlockBack(t *testing.T) {
 	}
 	var seal enc
 	seal.u32(uint32(b))
-	seal.u32(^uint32(0))
 	if resp, _ := srv.handle(methodSealBlock, seal.b); resp[0] != stOK {
 		t.Fatalf("seal: status %d", resp[0])
 	}
@@ -765,26 +854,28 @@ func TestSealUnwrittenPutsBlockBack(t *testing.T) {
 	e.u8(2)
 	resp, _ := srv.handle(methodAllocBlock, e.b)
 	d := dec{b: resp[1:]}
-	got, _, _, reused, copyIdx, oldBits := int(d.u32()), d.u32(), d.u8(), d.u8(), d.u32(), d.bytes()
+	got, _, _, reused, oldBits := int(d.u32()), d.u32(), d.u8(), d.u8(), d.bytes()
 	if resp[0] != stOK || d.short || got != b || reused != 1 {
 		t.Fatalf("allocation: status %d, block %d reused %d, want block %d reused", resp[0], got, reused, b)
 	}
+	copyBlk := l.BlockOfOff(srv.record(b).CopyOff)
 	// A client overwrites one of b's pairs still live while b is out.
 	if resp, _ := srv.handle(methodFreeBits, freeBitsPayload([]int{b, 6})); resp[0] != stOK {
 		t.Fatalf("FreeBits: status %d", resp[0])
 	}
-	if st := unwritten(b, copyIdx, 2, oldBits); st != stConflict {
+	if st := unwritten(b, 2, oldBits); st != stConflict {
 		t.Fatalf("another client's return: status %d, want stConflict", st)
 	}
-	if srv.record(b).IndexVersion != 0 || srv.record(int(copyIdx)).Role != layout.RoleCopy {
+	if srv.record(b).IndexVersion != 0 || srv.record(copyBlk).Role != layout.RoleCopy {
 		t.Fatal("another client's return changed the block")
 	}
-	if st := unwritten(b, copyIdx, 1, oldBits); st != stOK {
+	if st := unwritten(b, 1, oldBits); st != stOK {
 		t.Fatalf("reused block back: status %d", st)
 	}
 	if rec := srv.record(b); rec.Role != layout.RoleData || rec.IndexVersion == 0 {
 		t.Fatalf("reused block back: record %+v, want a sealed DATA block", rec)
 	}
+	encoderPass(srv)
 	var marked []int
 	for s := 0; s < l.KVSlotsPerBlock(2); s++ {
 		if layout.BitmapGet(srv.bitmap(b), s) {
@@ -794,17 +885,20 @@ func TestSealUnwrittenPutsBlockBack(t *testing.T) {
 	if !reflect.DeepEqual(marked, []int{0, 2, 3}) {
 		t.Fatalf("reused block back: slots %v marked, want [0 2 3]", marked)
 	}
-	if srv.record(int(copyIdx)).Role != layout.RoleFree {
-		t.Fatalf("reused block back: its copy block is %v, want free", srv.record(int(copyIdx)).Role)
+	if srv.record(copyBlk).Role != layout.RoleFree {
+		t.Fatalf("reused block back: its copy block is %v, want free", srv.record(copyBlk).Role)
 	}
 }
 
 // TestReclaimCopiesOnlyMarkedSlots pins what a reclamation's backup
-// costs the MN: AllocBlock copies only the slots it hands out, packed in
-// slot order at the head of the COPY block with the rest of it zero,
-// records them in the COPY block's bitmap, and charges 2 µs plus their
-// copy; SealBlock zeroes and charges only that prefix, leaving the COPY
-// block zero, its bitmap clear and its record free.
+// costs the MN: AllocBlock writes one extent of a COPY block, the bitmap
+// of the slots it hands out and then only those slots, packed in slot
+// order, with the rest of the COPY block zero; the COPY block's bitmap
+// marks the extent's units, the reused block's record names the extent,
+// and the charge is 2 µs plus the extent's copy. SealBlock releases the
+// extent, the COPY block's last, for 1 µs; the erasure core then zeroes
+// and charges the prefix the extents used, leaving the COPY block zero,
+// its bitmap clear and its record free.
 func TestReclaimCopiesOnlyMarkedSlots(t *testing.T) {
 	tc := newTestCluster(t, func(cfg *Config) {
 		cfg.ReclaimObsolete = 0 // any sealed block with a mark qualifies
@@ -831,53 +925,147 @@ func TestReclaimCopiesOnlyMarkedSlots(t *testing.T) {
 	}
 	var seal enc
 	seal.u32(uint32(a))
-	seal.u32(^uint32(0))
 	if resp, _ := srv.handle(methodSealBlock, seal.b); resp[0] != stOK {
 		t.Fatalf("seal: status %d", resp[0])
 	}
-	marks := append([]byte(nil), srv.bitmap(a)...)
+	marks := append([]byte(nil), srv.bitmap(a)[:(l.KVSlotsPerBlock(class)+7)/8]...)
 
 	var e enc
 	e.u16(1)
 	e.u8(class)
 	resp, cpu := srv.handle(methodAllocBlock, e.b)
 	d := dec{b: resp[1:]}
-	got, _, _, reused, copyIdx := int(d.u32()), d.u32(), d.u8(), d.u8(), int(d.u32())
-	if resp[0] != stOK || d.short || got != a || reused != 1 {
-		t.Fatalf("allocation: status %d, block %d reused %d, want block %d reused", resp[0], got, reused, a)
+	got, _, _, reused, handed := int(d.u32()), d.u32(), d.u8(), d.u8(), d.bytes()
+	if resp[0] != stOK || d.short || got != a || reused != 1 || !bytes.Equal(handed, marks) {
+		t.Fatalf("allocation: status %d, block %d reused %d handing out %x, want block %d reused handing out %x",
+			resp[0], got, reused, handed, a, marks)
 	}
-	n := len(marked) * slotSize
+	rec := srv.record(a)
+	copyBlk := l.BlockOfOff(rec.CopyOff)
+	head := copyHead(l, class)
+	n := head + len(marked)*slotSize
+	if copyBlk < l.Cfg.StripeRows || rec.CopyOff != l.BlockOff(copyBlk) || rec.CopyLen != uint32(n) {
+		t.Fatalf("the reused block's record names the extent [%d,+%d), want the head of a pool block, %d bytes", rec.CopyOff, rec.CopyLen, n)
+	}
 	if want := 2*time.Microsecond + cpuTime(n, memcpyRate); cpu != want {
-		t.Errorf("AllocBlock charged %v, want %v (2 µs and a %d-byte copy)", cpu, want, n)
+		t.Errorf("AllocBlock charged %v, want %v (2 µs and a %d-byte extent)", cpu, want, n)
 	}
-	cb := srv.block(copyIdx)
+	cb := srv.block(copyBlk)
+	if !bytes.Equal(cb[:len(marks)], marks) || bytes.Count(cb[len(marks):head], []byte{0}) != head-len(marks) {
+		t.Error("the extent does not start with the bitmap of the slots handed out")
+	}
 	for i, s := range marked {
-		if !bytes.Equal(cb[i*slotSize:][:slotSize], before[s*slotSize:][:slotSize]) {
-			t.Errorf("COPY slot %d does not hold marked slot %d", i, s)
+		if !bytes.Equal(cb[head+i*slotSize:][:slotSize], before[s*slotSize:][:slotSize]) {
+			t.Errorf("extent slot %d does not hold marked slot %d", i, s)
 		}
 	}
 	if bytes.Count(cb[n:], []byte{0}) != len(cb)-n {
-		t.Errorf("the COPY block holds data past its %d packed bytes", n)
+		t.Errorf("the COPY block holds data past its %d-byte extent", n)
 	}
-	if !bytes.Equal(srv.bitmap(copyIdx), marks) {
-		t.Error("the COPY block's bitmap does not record the slots handed out")
+	if got := layout.BitmapCount(srv.bitmap(copyBlk)); got != n/64 || !layout.BitmapGet(srv.bitmap(copyBlk), n/64-1) {
+		t.Errorf("the COPY block's bitmap marks %d units, want the extent's first %d", got, n/64)
 	}
 
 	seal = enc{}
 	seal.u32(uint32(a))
-	seal.u32(uint32(copyIdx))
 	resp, cpu = srv.handle(methodSealBlock, seal.b)
 	if resp[0] != stOK {
 		t.Fatalf("seal of the reused block: status %d", resp[0])
 	}
-	if want := time.Microsecond + cpuTime(n, memcpyRate); cpu != want {
-		t.Errorf("SealBlock charged %v, want %v (1 µs and a %d-byte clear)", cpu, want, n)
+	if cpu != time.Microsecond {
+		t.Errorf("SealBlock charged %v, want 1 µs", cpu)
 	}
-	if !blankBlock(tc, 0, copyIdx) || layout.BitmapCount(srv.bitmap(copyIdx)) != 0 {
+	if rec := srv.record(a); rec.CopyOff != 0 || rec.CopyLen != 0 {
+		t.Errorf("the sealed block still names the extent [%d,+%d)", rec.CopyOff, rec.CopyLen)
+	}
+	if srv.record(copyBlk).Role != layout.RoleCopy || layout.BitmapCount(srv.bitmap(copyBlk)) != 0 {
+		t.Errorf("after the seal the COPY block is %v with %d units in use, want an empty COPY block until the erasure core frees it",
+			srv.record(copyBlk).Role, layout.BitmapCount(srv.bitmap(copyBlk)))
+	}
+	if _, cost := encoderPass(srv); cost != cpuTime(n, memcpyRate) {
+		t.Errorf("the erasure core charged %v for the COPY block, want %v (a %d-byte clear)", cost, cpuTime(n, memcpyRate), n)
+	}
+	if !blankBlock(tc, 0, copyBlk) || layout.BitmapCount(srv.bitmap(copyBlk)) != 0 {
 		t.Error("the freed COPY block holds data or marks")
 	}
-	if role := srv.record(copyIdx).Role; role != layout.RoleFree {
+	if role := srv.record(copyBlk).Role; role != layout.RoleFree {
 		t.Errorf("the COPY block is %v after the seal, want free", role)
+	}
+}
+
+// TestScopedFoldMatchesWholeFold folds a reused block's DELTA block on
+// both parity MNs of its row, scoped by the bitmap the block was handed
+// out with, and checks each parity byte for byte against a whole-block
+// fold of the same delta: under xor (EVENODD: the last data shard's
+// marked slots reach both of the block's segment rows, one of them on
+// the adjuster diagonal, and one run crosses from one row into the
+// other) and under rs. The fold counts only the scoped bytes, and the
+// freed DELTA pool block is all zero.
+func TestScopedFoldMatchesWholeFold(t *testing.T) {
+	for _, code := range []string{"xor", "rs"} {
+		t.Run(code, func(t *testing.T) {
+			tc := newTestCluster(t, func(cfg *Config) { cfg.Code = code })
+			l := tc.cl.L
+			const row, class = 0, 2
+			xid, size, slots := tc.cl.code.K()-1, class*64, l.KVSlotsPerBlock(class)
+			bits := make([]byte, (slots+7)/8)
+			for s := 0; s < slots; s += 5 {
+				layout.BitmapSet(bits, s)
+			}
+			for s := slots/2 - 2; s < slots/2+2; s++ {
+				layout.BitmapSet(bits, s)
+			}
+			n := layout.BitmapCount(bits) * size
+			rng := rand.New(rand.NewSource(1))
+			for j := range l.Cfg.ParityShards {
+				pmn := l.ParityMN(row, j)
+				srv := tc.cl.servers[pmn]
+				var e enc
+				e.u16(1)
+				e.u32(row)
+				e.u8(uint8(xid))
+				e.u8(class)
+				e.bytes(bits)
+				resp, _ := srv.handle(methodAllocDelta, e.b)
+				d := dec{b: resp[1:]}
+				db := int(d.u32())
+				if resp[0] != stOK || d.short {
+					t.Fatalf("AllocDelta on MN %d: status %d", pmn, resp[0])
+				}
+				delta := srv.block(db)
+				for s := range slots {
+					if layout.BitmapGet(bits, s) {
+						rng.Read(delta[s*size : (s+1)*size])
+					}
+				}
+				parity := srv.block(row)
+				rng.Read(parity) // any parity will do: the fold is linear
+				want := append([]byte(nil), parity...)
+				tc.cl.code.ApplyDeltas(int(srv.record(row).ParityIdx), want, []erasure.ShardDelta{{DI: xid, B: append([]byte(nil), delta...)}})
+
+				before := srv.Stats().ECEncodeBytes
+				var ed enc
+				ed.u32(row)
+				ed.u8(uint8(xid))
+				if resp, _ := srv.handle(methodEncodeDelta, ed.b); resp[0] != stOK {
+					t.Fatalf("EncodeDelta on MN %d: status %d", pmn, resp[0])
+				}
+				encoderPass(srv)
+				if !bytes.Equal(parity, want) {
+					i := 0
+					for parity[i] == want[i] {
+						i++
+					}
+					t.Errorf("parity %d: the scoped fold differs from a whole-block fold at byte %d", j, i)
+				}
+				if got := srv.Stats().ECEncodeBytes - before; got != uint64(n) {
+					t.Errorf("parity %d: the fold counted %d bytes, want the %d scoped", j, got, n)
+				}
+				if !blankBlock(tc, pmn, db) || srv.record(db).Role != layout.RoleFree || layout.BitmapCount(srv.bitmap(db)) != 0 {
+					t.Errorf("parity %d: the freed DELTA block is %v and holds data or a bitmap", j, srv.record(db).Role)
+				}
+			}
+		})
 	}
 }
 

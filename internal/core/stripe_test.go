@@ -181,6 +181,7 @@ func TestStripeFoldRereadsMovedRecord(t *testing.T) {
 			e.u32(uint32(row))
 			e.u8(uint8(l.XORIDOf(uint32(row), sib)))
 			e.u8(1)
+			e.bytes(nil)
 			resp, _ := tc.cl.Server(pmn).handle(methodAllocDelta, e.b)
 			if resp[0] != stOK {
 				t.Fatalf("AllocDelta on MN %d: status %d", pmn, resp[0])

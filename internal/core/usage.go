@@ -19,7 +19,8 @@ type MemoryUsage struct {
 	ParityBytes uint64
 	// DeltaBytes is the total size of live DELTA blocks.
 	DeltaBytes uint64
-	// CopyBytes is the total size of reclamation COPY blocks.
+	// CopyBytes is the total size of COPY pool blocks: whole blocks,
+	// however few reclaims' backup extents each holds.
 	CopyBytes uint64
 }
 

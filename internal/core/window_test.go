@@ -145,7 +145,7 @@ func windowReclaim(t *testing.T, off int) {
 	for mn := 0; mn < tc.cl.L.Cfg.NumMNs && victim < 0; mn++ {
 		s := tc.cl.Server(mn)
 		s.mu.Lock()
-		if _, _, ok := s.pickReclaim(uint8(layout.KVClassSize(len(key(0)), len(val(0, 0))) / 64)); ok {
+		if _, ok := s.pickReclaim(uint8(layout.KVClassSize(len(key(0)), len(val(0, 0))) / 64)); ok {
 			victim = mn
 		}
 		s.mu.Unlock()

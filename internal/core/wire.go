@@ -16,12 +16,16 @@ const (
 	methodAllocBlock uint8 = iota + 1
 	// methodAllocDelta allocates a DELTA block on this (parity) MN for
 	// a data block of a stripe and records its address in the parity
-	// record (Figure 6, step ①).
+	// record (Figure 6, step ①). Payload: u16 client, u32 stripe, u8
+	// XOR id, u8 class, then the free bitmap the data block was handed
+	// out with (u32 length, bytes; empty for a fresh block), which
+	// scopes the DELTA block's fold.
 	methodAllocDelta
 	// methodSealBlock stamps the current Index Version into a filled
-	// DATA block's record (§3.2.3). Payload: u32 block, u32 copy block;
-	// for a block its client never wrote, then u16 client and the old
-	// free bitmap (u32 length, bytes), to put the block back as it was.
+	// DATA block's record (§3.2.3) and releases its COPY extent.
+	// Payload: u32 block; for a block its client never wrote, then u16
+	// client and the old free bitmap (u32 length, bytes), to put the
+	// block back as it was.
 	methodSealBlock
 	// methodEncodeDelta asks this (parity) MN to fold the DELTA block
 	// of (stripe, xorID) into its PARITY block in the background

@@ -146,10 +146,11 @@ func TestNextFenceToggles(t *testing.T) {
 }
 
 func TestRecordRoundTrip(t *testing.T) {
-	f := func(role uint8, valid bool, xorID, cls uint8, stripe uint32, iv uint64, cli uint16, pidx uint8, xm uint16, seed int64) bool {
+	f := func(role uint8, valid bool, xorID, cls uint8, stripe uint32, iv uint64, cli uint16, pidx uint8, xm uint16, cOff uint64, cLen uint32, seed int64) bool {
 		r := Record{
 			Role: Role(role % 5), Valid: valid, XORID: xorID, SizeClass: cls,
 			StripeID: stripe, IndexVersion: iv, CliID: cli, ParityIdx: pidx % 2, XORMap: xm,
+			CopyOff: cOff, CopyLen: cLen,
 		}
 		rng := rand.New(rand.NewSource(seed))
 		for i := range r.DeltaAddr {
