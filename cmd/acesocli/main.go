@@ -79,7 +79,7 @@ func main() {
 	done := make(chan struct{})
 	ft.SpawnClient(cn, "acesocli", func(c ftmode.Client) {
 		defer close(done)
-		defer c.Close() // on quit and at the end of input: flush its obsolete marks, give back its spare blocks
+		defer c.Close() // on quit and at the end of input: flush its obsolete marks, seal every block it holds
 		sc := bufio.NewScanner(os.Stdin)
 		fmt.Print("> ")
 		for sc.Scan() {

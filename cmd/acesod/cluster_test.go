@@ -166,10 +166,11 @@ func (ps *procs) cli(addrs []string, lines ...string) (string, error) {
 
 // marksFlushed overwrites a key in one acesocli session and checks, in
 // the next, that `stats <mn>` counts the overwritten pair's obsolete
-// mark on some MN of an aceso cluster: a session that ends closes its
-// client, which flushes the marks it holds. Unflushed, the mark was
-// lost with the process, and its slot never counted toward reclaiming
-// its block.
+// mark on some MN of an aceso cluster, and no DELTA block on any: a
+// session that ends closes its client, which flushes the marks it holds
+// and seals every block it wrote into. Unflushed, the mark was lost with
+// the process, and its slot never counted toward reclaiming its block;
+// unsealed, each session's open block kept its DELTA blocks for good.
 func (ps *procs) marksFlushed(addrs []string) {
 	ps.t.Helper()
 	if out, err := ps.cli(addrs, "set alpha uno"); err != nil || strings.Contains(out, "error") {
@@ -180,18 +181,25 @@ func (ps *procs) marksFlushed(addrs []string) {
 		lines = append(lines, "stats "+strconv.Itoa(mn))
 	}
 	out, err := ps.cli(addrs, lines...)
-	applied, rows := 0, strings.Split(out, "\n")
-	for i := range rows {
-		if strings.Contains(rows[i], "erasure coding / reclamation") && i+2 < len(rows) {
-			head, vals := strings.Fields(rows[i+1]), strings.Fields(rows[i+2])
-			if j := slices.Index(head, "bitsApplied"); j >= 0 && j+1 < len(vals) {
-				n, _ := strconv.Atoi(vals[j+1])
-				applied += n
+	// column sums one column of a table of every MN's stats.
+	column := func(table, name string) (sum, mns int) {
+		rows := strings.Split(out, "\n")
+		for i := range rows {
+			if strings.Contains(rows[i], table) && i+2 < len(rows) {
+				head, vals := strings.Fields(rows[i+1]), strings.Fields(rows[i+2])
+				if j := slices.Index(head, name); j >= 0 && j+1 < len(vals) {
+					n, _ := strconv.Atoi(vals[j+1])
+					sum, mns = sum+n, mns+1
+				}
 			}
 		}
+		return sum, mns
 	}
-	if err != nil || applied == 0 {
+	if applied, _ := column("erasure coding / reclamation", "bitsApplied"); err != nil || applied == 0 {
 		ps.t.Fatalf("after a session overwrote a key: %d obsolete marks applied on the MNs, want at least 1 (exit %v)\n%s", applied, err, out)
+	}
+	if deltas, mns := column("delta/copy pool occupancy", "delta"); deltas != 0 || mns != len(addrs) {
+		ps.t.Fatalf("after two sessions ended: %d DELTA blocks on %d MNs' stats, want 0 on %d\n%s", deltas, mns, len(addrs), out)
 	}
 }
 
@@ -200,7 +208,8 @@ func (ps *procs) marksFlushed(addrs []string) {
 // back keys whatever mode and geometry the daemons were started with,
 // refuse a peer list one address short, and a daemon whose -stripes
 // differs from a running peer's must exit naming the field. On an aceso
-// cluster a session's obsolete marks reach the MNs when it ends.
+// cluster a session's obsolete marks reach the MNs when it ends, and its
+// blocks are sealed.
 func TestClientJoinsWithTheDaemonsConfiguration(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()

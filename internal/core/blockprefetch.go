@@ -117,23 +117,24 @@ func (pf *blockPrefetcher) putBuf(b []byte) {
 	pf.mu.Unlock()
 }
 
-// stop shuts the worker down and returns whatever work it had queued
-// and the blocks it provisioned, in class order, for the caller to
-// drain and give back inline (Close, closed) or drop (SimulateCrash).
-// Once closed, the worker gives back itself a block it was provisioning.
-func (pf *blockPrefetcher) stop(closed bool) (seals []*openBlock, flushes []flushJob, ready []*openBlock) {
+// stop shuts the worker down and returns the blocks it holds — the
+// queued seals, then the blocks it provisioned in class order — and
+// the flushes it had queued, for the caller to seal and send inline
+// (Close, closed) or drop (SimulateCrash). Once closed, the worker
+// seals itself a block it was provisioning.
+func (pf *blockPrefetcher) stop(closed bool) (blocks []*openBlock, flushes []flushJob) {
 	pf.mu.Lock()
 	defer pf.mu.Unlock()
 	pf.stopped, pf.closed = true, closed
-	seals, pf.seal = pf.seal, nil
+	blocks, pf.seal = pf.seal, nil
 	flushes, pf.flush = pf.flush, nil
 	for class := 0; class < 256; class++ {
 		if ob := pf.ready[uint8(class)]; ob != nil {
-			ready = append(ready, ob)
+			blocks = append(blocks, ob)
 		}
 	}
 	clear(pf.ready)
-	return seals, flushes, ready
+	return blocks, flushes
 }
 
 // prefetchLoop is the background worker process spawned next to the
@@ -179,7 +180,7 @@ func (c *Client) prefetchLoop(ctx rdma.Ctx, pf *blockPrefetcher) {
 
 		switch {
 		case ob != nil:
-			c.sealBlockCtx(ctx, ob)
+			c.sealBlock(ctx, ob)
 		case haveFlush:
 			ctx.RPC(fj.node, methodFreeBits, fj.payload) //nolint:errcheck // obsolete hints are advisory
 			pf.putBuf(fj.payload)
@@ -190,7 +191,7 @@ func (c *Client) prefetchLoop(ctx rdma.Ctx, pf *blockPrefetcher) {
 				closed := pf.closed
 				pf.mu.Unlock()
 				if err == nil && closed {
-					c.returnBlock(ctx, nb)
+					c.sealBlock(ctx, nb)
 				}
 				return
 			}

@@ -138,13 +138,16 @@ func (s *scripted) put(t *testing.T, on, id int, v []byte) (blk blockID, open bo
 	return blk, open
 }
 
-// seal seals the client's open block, as filling it would.
+// seal seals the client's open block, as filling it would: naming no
+// slot unwritten, so it stays out of reclamation until a pair in it is
+// overwritten.
 func (s *scripted) seal(t *testing.T) {
 	t.Helper()
 	s.do(t, func(c *Client) {
 		for class, ob := range c.open {
 			delete(c.open, class)
-			c.sealBlock(ob)
+			ob.slots = nil
+			c.sealBlock(c.ctx, ob)
 		}
 	})
 }

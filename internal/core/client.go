@@ -197,36 +197,33 @@ func (c *Client) waitIndexReady(mn int) {
 	}
 }
 
-// Close stops the prefetch worker, draining its queued seals and
-// bitmap flushes inline and giving back the blocks it provisioned that
-// the client never adopted. It seals each open block the client writes
-// into after a reclamation, as Restart would (its writable slots are
-// unknown without the old bitmap), which frees the block's backup COPY
-// block. Then it flushes pending state and returns the cache gauge
-// contributions to the cluster aggregate. A fresh open block stays
-// open, with its DELTA blocks, for a Restart of the client to fill:
-// sealed here, its unwritten slots would never be reclaimed (ROADMAP
-// item 19), and recovery rescans an open block.
+// Close ends the session: it stops the prefetch worker, sending its
+// queued bitmap flushes inline, and seals every block the client holds —
+// the filled ones the worker had queued, the ones it provisioned that
+// the client never adopted, and every open block. Each seal names the
+// slots never written, so no DATA row or DELTA block outlives the
+// session. Then it flushes pending marks and returns the cache gauge
+// contributions to the cluster aggregate.
 func (c *Client) Close() {
+	blocks := c.pendingSeal
 	if c.pf != nil {
-		seals, flushes, ready := c.pf.stop(true)
-		for _, ob := range seals {
-			c.sealBlock(ob)
-		}
+		held, flushes := c.pf.stop(true)
 		for _, fj := range flushes {
 			c.ctx.RPC(fj.node, methodFreeBits, fj.payload) //nolint:errcheck // obsolete hints are advisory
 		}
-		for _, ob := range ready {
-			c.returnBlock(c.ctx, ob)
-		}
+		blocks = append(held, blocks...)
 		c.pf = nil
 	}
 	for class := 0; class < 256; class++ { // class order: deterministic on the sim engine
-		if ob := c.open[uint8(class)]; ob != nil && ob.reused {
-			delete(c.open, uint8(class))
-			c.sealBlock(ob)
+		if ob := c.open[uint8(class)]; ob != nil {
+			blocks = append(blocks, ob)
 		}
 	}
+	for _, ob := range blocks {
+		c.sealBlock(c.ctx, ob)
+	}
+	clear(c.open)
+	c.pendingSeal = nil
 	c.FlushBitmaps()
 	c.cache.Release()
 }

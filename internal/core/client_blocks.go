@@ -11,10 +11,8 @@ import (
 // through many value size classes would otherwise pin one partially
 // filled block (plus, for reused blocks, the old bytes of the slots it
 // has still to rewrite) per class forever. Past the bound the
-// least-recently-used class is sealed early and its unwritten slots are
-// lost: reclamation counts only marked slots, and an unwritten slot is
-// never marked, so a block sealed with fewer than Config.ReclaimObsolete
-// of its slots written is never reclaimed.
+// least-recently-used class is sealed early; its seal names the slots
+// it never wrote, which reclamation counts with the obsolete ones.
 const maxOpenClasses = 16
 
 type pendKey struct {
@@ -29,7 +27,7 @@ type openBlock struct {
 	stripe   uint32
 	xorID    uint8
 	reused   bool
-	oldBits  []byte // the free bitmap it was handed out with; nil for a fresh block
+	handed   []byte // the bitmap of the slots it was handed out with; nil for a fresh block
 	slotSize int
 	slots    []int // writable slot indices remaining
 	// oldData is a reused block's old bytes of the slots still to be
@@ -57,8 +55,7 @@ func (c *Client) consumeSlot(ob *openBlock) {
 		ob.oldData = ob.oldData[ob.slotSize:]
 	}
 	if len(ob.slots) == 0 {
-		c.pendingSeal = append(c.pendingSeal, ob)
-		delete(c.open, ob.class)
+		c.retireBlock(ob)
 	}
 }
 
@@ -209,19 +206,19 @@ func (c *Client) provisionBlock(ctx rdma.Ctx, classUnits uint8, seq *int, st *Cl
 		stripe := d.u32()
 		xorID := d.u8()
 		reused := d.u8() == 1
-		oldBits := d.bytes()
+		handed := d.bytes()
 		if d.short {
 			continue
 		}
 
 		ob := &openBlock{
 			class: classUnits, mn: mn, idx: idx, stripe: stripe, xorID: xorID,
-			reused: reused, oldBits: append([]byte(nil), oldBits...),
+			reused: reused, handed: append([]byte(nil), handed...),
 			slotSize:  int(classUnits) * 64,
 			viewEpoch: c.cl.view.epochNow(),
 		}
 		for s := 0; s < l.KVSlotsPerBlock(classUnits); s++ {
-			if !reused || layout.BitmapGet(oldBits, s) {
+			if !reused || layout.BitmapGet(handed, s) {
 				ob.slots = append(ob.slots, s)
 			}
 		}
@@ -231,10 +228,11 @@ func (c *Client) provisionBlock(ctx rdma.Ctx, classUnits uint8, seq *int, st *Cl
 		// delta targets are placed: placed first, they hold two pool
 		// blocks through it, and fig20's 16 KB UPDATE run exhausts its
 		// pool (DESIGN.md §3). Nothing was written when either fails:
-		// the block goes back as it was, and a parity MN out of pool
-		// blocks costs a try on the next MN, not a row.
+		// the seal names every slot unwritten, which puts the block back
+		// as it was, and a parity MN out of pool blocks costs a try on
+		// the next MN, not a row.
 		if reused && c.readOldSlots(ctx, ob, st) != nil || !c.allocDeltas(ctx, ob) {
-			c.returnBlock(ctx, ob)
+			c.sealBlock(ctx, ob)
 			continue
 		}
 		return ob, nil
@@ -258,18 +256,15 @@ func (c *Client) touchClass(class uint8) {
 // boundOpen enforces maxOpenClasses by sealing the least-recently-used
 // class's partially filled block early. Its unwritten slots are safe to
 // seal over — they are zero in both DATA and DELTA, so the stripe
-// invariant holds — but are lost for good: pickReclaim counts only
-// marked slots, so the block is reclaimed only if enough of the slots
-// that were written turn obsolete (see maxOpenClasses). The seal itself
-// is deferred to finishWrite (post-commit), matching the normal seal
-// ordering.
+// invariant holds — and the seal marks them obsolete, so pickReclaim
+// counts them. The seal itself is deferred to finishWrite
+// (post-commit), matching the normal seal ordering.
 func (c *Client) boundOpen() {
 	for len(c.open) > maxOpenClasses && len(c.openLRU) > 0 {
 		victim := c.openLRU[0]
 		c.openLRU = c.openLRU[1:]
 		if ob, ok := c.open[victim]; ok {
-			delete(c.open, victim)
-			c.pendingSeal = append(c.pendingSeal, ob)
+			c.retireBlock(ob)
 		}
 	}
 }
@@ -296,7 +291,7 @@ func (c *Client) allocDeltas(ctx rdma.Ctx, ob *openBlock) bool {
 		de.u32(ob.stripe)
 		de.u8(ob.xorID)
 		de.u8(ob.class)
-		de.bytes(ob.oldBits)
+		de.bytes(ob.handed)
 		dresp, err := ctx.RPC(pnode, methodAllocDelta, de.b)
 		if err != nil || len(dresp) == 0 || dresp[0] != stOK {
 			if _, alive := c.cl.view.nodeOf(pmn); !alive {
@@ -357,36 +352,14 @@ func (c *Client) readOldSlots(ctx rdma.Ctx, ob *openBlock, st *ClientStats) erro
 	return nil
 }
 
-// sealBlock notifies the data MN (Index Version stamp) and the parity
-// MNs (fold the DELTA into the PARITY block) that the block is full
-// (Figure 6 ②③④).
-func (c *Client) sealBlock(ob *openBlock) { c.sealBlockCtx(c.ctx, ob) }
-
-// sealBlockCtx is sealBlock through an explicit ctx, so the prefetch
-// worker can seal off the critical path. The encodes are queued before
-// the seal: once sealed, the block may be reclaimed, and the parity
-// MNs tell its pending deltas from its next incarnation's by the
-// queued job (handleAllocDelta).
-func (c *Client) sealBlockCtx(ctx rdma.Ctx, ob *openBlock) {
-	var e enc
-	e.u32(uint32(ob.idx))
-	c.closeBlock(ctx, ob, e.b)
-}
-
-// returnBlock gives back a block nobody wrote, with the free bitmap it
-// was handed out with, for its data MN to put back as it was
-// (handleSealBlock).
-func (c *Client) returnBlock(ctx rdma.Ctx, ob *openBlock) {
-	var e enc
-	e.u32(uint32(ob.idx))
-	e.u16(c.id)
-	e.bytes(ob.oldBits)
-	c.closeBlock(ctx, ob, e.b)
-}
-
-// closeBlock queues the encode of ob's deltas on its parity MNs, then
-// sends its data MN the SealBlock request seal.
-func (c *Client) closeBlock(ctx rdma.Ctx, ob *openBlock, seal []byte) {
+// sealBlock closes ob, full or not, through ctx (the client's own, or
+// the prefetch worker's off the critical path): it queues the fold of
+// ob's DELTA blocks on their parity MNs, then asks the data MN to seal
+// ob, naming the slots ob never wrote (Figure 6 ②③④). The encodes are
+// queued before the seal: once sealed, the block may be reclaimed, and
+// the parity MNs tell its pending deltas from its next incarnation's by
+// the queued job (handleAllocDelta).
+func (c *Client) sealBlock(ctx rdma.Ctx, ob *openBlock) {
 	for _, dt := range ob.deltas {
 		if node, alive := c.cl.view.nodeOf(dt.mn); alive {
 			var de enc
@@ -395,8 +368,15 @@ func (c *Client) closeBlock(ctx rdma.Ctx, ob *openBlock, seal []byte) {
 			ctx.RPC(node, methodEncodeDelta, de.b) //nolint:errcheck // delta stays pending, still decodable
 		}
 	}
+	var unwritten []byte
+	if len(ob.slots) > 0 {
+		unwritten = make([]byte, ob.slots[len(ob.slots)-1]/8+1)
+		for _, s := range ob.slots {
+			layout.BitmapSet(unwritten, s)
+		}
+	}
 	if node, alive := c.cl.view.nodeOf(ob.mn); alive {
-		ctx.RPC(node, methodSealBlock, seal) //nolint:errcheck // recovery rescans unsealed blocks
+		ctx.RPC(node, methodSealBlock, sealRequest(ob.idx, c.id, unwritten)) //nolint:errcheck // recovery rescans unsealed blocks
 	}
 }
 

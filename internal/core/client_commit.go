@@ -457,7 +457,7 @@ func (c *Client) finishWrite() {
 			c.pendingSeal = c.pendingSeal[:0]
 		} else {
 			for _, ob := range c.pendingSeal {
-				c.sealBlock(ob)
+				c.sealBlock(c.ctx, ob)
 			}
 			c.pendingSeal = c.pendingSeal[:0]
 		}

@@ -11,51 +11,48 @@ import (
 	"repro/internal/rdma"
 )
 
-// ownedBlock is a block a client is responsible for, as its record on
-// MN mn lists it.
+// ownedBlock is an unfilled DATA block of a client, as its record on MN
+// mn lists it.
 type ownedBlock struct {
-	mn     int
-	idx    int
-	role   layout.Role
-	stripe uint32
-	xorID  uint8
-	class  uint8
-	// copyOff and copyLen name a reused DATA block's COPY extent
-	// (copyOff 0: a fresh block).
-	copyOff uint64
-	copyLen int
+	mn, idx int
+	rec     layout.Record
 }
 
 // deltaCopy is a DELTA block's content read back during client
-// recovery.
+// recovery, and its bitmap entry: the slots its data block was handed
+// out with, or none.
 type deltaCopy struct {
-	mn   int
-	off  uint64
-	data []byte
+	mn    int
+	off   uint64
+	data  []byte
+	scope []byte
 }
 
 // Restart recovers a client identity on a new compute node after a CN
 // crash (§3.4.2). The restarted client:
 //
-//  1. waits until every MN that is up is a source of stripe blocks (an
-//     MN in tier 3 reads back zeros for the rows it has not rebuilt,
-//     and may yet ship a row over a slot settled here), then lists the
-//     blocks recorded under its client id (unfilled DATA blocks and
-//     DELTA blocks) from each MN's records, read one-sided;
-//  2. settles each unfilled DATA block slot by slot (settleSlot): a
-//     torn or uncommitted final write is rolled back to the slot's old
-//     contents (zero for a fresh block; for a reused one, the packed
-//     bytes of a slot it was handed out with in the COPY extent its
-//     record names, the slot itself for a live one), and every delta
-//     copy is made to agree with the slot;
-//  3. re-adopts fresh blocks, resuming fine-grained slot management so
-//     no memory leaks, and seals partially-refilled reclaimed blocks
-//     (their remaining writable slots are unknown without the old free
-//     bitmap).
+//  1. waits out every MN's recovery, from its failure until its Block
+//     Area is complete (Master.recovering; an MN failed with no spare
+//     to take it is skipped): writes skip a replacement in tier 1 or 2,
+//     and one in tier 3 reads back zeros for the rows it has not
+//     rebuilt, and may yet ship a row over a slot settled here; then
+//     lists its unfilled DATA blocks from each MN's records, read
+//     one-sided;
+//  2. settles each block slot by slot (settleSlot) against the DELTA
+//     copies its row's PARITY records name (rowDeltas): a torn or
+//     uncommitted final write is rolled back to the slot's old contents
+//     (zero for a fresh block; for a reused one, the packed bytes of a
+//     slot it was handed out with in the COPY extent its record names,
+//     the slot itself for a live one), and every delta copy is made to
+//     agree with the slot;
+//  3. seals each block, naming the slots it never wrote, and folds
+//     the copies settled (sealBlock).
 //
-// The last in-flight request may have committed or not; either outcome
-// is linearizable because the request never returned to the
-// application (§3.2.2 remark 3).
+// A parity MN that fails after the wait is restored by tier 3 from its
+// sibling's copy, settled here unless tier 3 read it first (the window
+// of ROADMAP item 24). The last in-flight request may have committed or
+// not; either outcome is linearizable because the request never
+// returned to the application (§3.2.2 remark 3).
 func (c *Client) Restart(ctx rdma.Ctx) error {
 	c.Attach(ctx)
 	c.cache = clientcache.New[cacheEnt](c.cl.Cfg.CacheEntries, c.met)
@@ -67,39 +64,24 @@ func (c *Client) Restart(ctx rdma.Ctx) error {
 	c.pendingSeal = nil
 
 	for mn := 0; mn < c.cl.L.Cfg.NumMNs; {
-		if _, failed, _, ready := c.cl.view.snapshotMN(mn); failed || ready {
+		_, failed, _, ready := c.cl.view.snapshotMN(mn)
+		if ready || failed && (c.cl.master == nil || !c.cl.master.recovering(mn)) {
 			mn++
 		} else {
 			c.ctx.Sleep(500 * time.Microsecond)
 		}
 	}
 	sc := newStripeScratch(c.cl)
-	all := ownedBlocks(c.ctx, c.cl, sc, c.id)
-
-	type sx struct {
-		s uint32
-		x uint8
-	}
-	deltas := make(map[sx][]ownedBlock)
-	for _, o := range all {
-		if o.role == layout.RoleDelta {
-			deltas[sx{o.stripe, o.xorID}] = append(deltas[sx{o.stripe, o.xorID}], o)
-		}
-	}
-	for _, o := range all {
-		if o.role != layout.RoleData {
-			continue
-		}
-		if err := c.recoverOwnedBlock(sc, o, deltas[sx{o.stripe, o.xorID}]); err != nil {
+	for _, o := range ownedBlocks(c.ctx, c.cl, sc, c.id) {
+		if err := c.recoverOwnedBlock(sc, o); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// ownedBlocks lists the blocks client id is responsible for — unfilled
-// DATA blocks and DELTA blocks — from the record area of every MN that
-// is a source of stripe blocks.
+// ownedBlocks lists the unfilled DATA blocks of client id from the
+// record area of every MN that is a source of stripe blocks.
 func ownedBlocks(ctx rdma.Ctx, cl *Cluster, sc *stripeScratch, id uint16) []ownedBlock {
 	l := cl.L
 	var all []ownedBlock
@@ -110,22 +92,48 @@ func ownedBlocks(ctx rdma.Ctx, cl *Cluster, sc *stripeScratch, id uint16) []owne
 		}
 		for b := 0; b < l.Cfg.BlocksPerMN(); b++ {
 			rec := layout.DecodeRecord(recArea[uint64(b)*layout.RecordSize:])
-			if rec.CliID == id && (rec.Role == layout.RoleData && rec.IndexVersion == 0 || rec.Role == layout.RoleDelta) {
-				all = append(all, ownedBlock{mn: mn, idx: b, role: rec.Role,
-					stripe: rec.StripeID, xorID: rec.XORID, class: rec.SizeClass,
-					copyOff: rec.CopyOff, copyLen: int(rec.CopyLen)})
+			if rec.CliID == id && rec.Role == layout.RoleData && rec.IndexVersion == 0 {
+				all = append(all, ownedBlock{mn: mn, idx: b, rec: rec})
 			}
 		}
 	}
 	return all
 }
 
+// rowDeltas reads the DELTA copies of data block xorID of row stripe that
+// the row's PARITY records name, whoever placed them, on the parity MNs
+// the stripe keeps delta copies on. A copy counts by the stripe reader's
+// record rule (usableParity): its MN is a blockSource, and its record
+// reads RoleParity and Valid.
+func (c *Client) rowDeltas(sc *stripeScratch, stripe uint32, xorID uint8) []deltaCopy {
+	l := c.cl.L
+	var dcs []deltaCopy
+	buf := make([]byte, layout.RecordSize)
+	for j := 0; j < c.cl.Cfg.deltaCopies(); j++ {
+		pmn := l.ParityMN(stripe, j)
+		if !c.cl.view.blockSource(pmn) || !sc.readBlock(c.ctx, c.cl, pmn, l.RecordOff(int(stripe)), buf) {
+			continue
+		}
+		prec := layout.DecodeRecord(buf)
+		if !usableParity(prec) || prec.DeltaAddr[xorID] == 0 {
+			continue
+		}
+		mn, off := layout.UnpackAddr(prec.DeltaAddr[xorID])
+		dc := deltaCopy{mn: int(mn), off: off, data: make([]byte, l.Cfg.BlockSize), scope: make([]byte, l.BitmapBytes())}
+		if sc.readBlock(c.ctx, c.cl, dc.mn, off, dc.data) && sc.readBlock(c.ctx, c.cl, dc.mn, l.BitmapOff(l.BlockOfOff(off)), dc.scope) {
+			dcs = append(dcs, dc)
+		}
+	}
+	return dcs
+}
+
 // recoverOwnedBlock settles every slot of one unfilled DATA block and
-// either re-adopts it (fresh) or seals it (reused / already full).
-func (c *Client) recoverOwnedBlock(sc *stripeScratch, o ownedBlock, deltaOwners []ownedBlock) error {
+// seals it, naming the slots it never wrote: those it was handed out
+// with (every slot of a fresh block) that hold their old bytes.
+func (c *Client) recoverOwnedBlock(sc *stripeScratch, o ownedBlock) error {
 	l := c.cl.L
 	bs := int(l.Cfg.BlockSize)
-	slotSize := int(o.class) * 64
+	slotSize := int(o.rec.SizeClass) * 64
 	if slotSize == 0 {
 		return nil
 	}
@@ -133,64 +141,55 @@ func (c *Client) recoverOwnedBlock(sc *stripeScratch, o ownedBlock, deltaOwners 
 	if !sc.readBlock(c.ctx, c.cl, o.mn, l.BlockOff(o.idx), data) {
 		return rdma.ErrNodeFailed
 	}
+	dcs := c.rowDeltas(sc, o.rec.StripeID, o.rec.XORID)
 	// A reused block's COPY extent holds the bitmap of the slots it was
-	// handed out with, then their old bytes packed in slot order.
-	reused := o.copyOff != 0
+	// handed out with, then their old bytes packed in slot order. A head
+	// that names no slot (no reclaim writes one) was lost with its COPY
+	// pool block, which tier 3 does not rebuild: the slots handed out are
+	// then the DELTA block's bitmap entry, and a slot's old bytes the slot
+	// XOR its delta copy, zero outside them.
+	reused := o.rec.CopyOff != 0
 	var marks, packed []byte
+	lost := false
 	if reused {
-		head, n := copyHead(l, o.class), min(o.copyLen, bs)
+		head, n := copyHead(l, o.rec.SizeClass), min(int(o.rec.CopyLen), bs)
 		ext := make([]byte, max(n, head))
-		if !sc.readBlock(c.ctx, c.cl, o.mn, o.copyOff, ext[:n]) {
+		if !sc.readBlock(c.ctx, c.cl, o.mn, o.rec.CopyOff, ext[:n]) {
 			return rdma.ErrNodeFailed
 		}
 		marks, packed = ext, ext[head:]
-	}
-	var dcs []deltaCopy
-	for _, dob := range deltaOwners {
-		buf := make([]byte, bs)
-		if sc.readBlock(c.ctx, c.cl, dob.mn, l.BlockOff(dob.idx), buf) {
-			dcs = append(dcs, deltaCopy{mn: dob.mn, off: l.BlockOff(dob.idx), data: buf})
+		if lost = layout.BitmapCount(ext[:head]) == 0; lost && len(dcs) > 0 {
+			marks = dcs[0].scope
 		}
 	}
 
-	// old is a slot's bytes before this client wrote it: zero in a
-	// fresh block; in a reused one, the COPY's for a slot handed out, and
-	// the slot's own for any other — a live pair this client never
-	// wrote, kept, with its delta positions healed to zero.
-	zero := make([]byte, slotSize)
-	var freeSlots []int
-	for s := 0; s < bs/slotSize; s++ {
-		lo := s * slotSize
-		slot := data[lo : lo+slotSize]
-		old := zero
-		switch {
-		case !reused:
-		case layout.BitmapGet(marks, s) && len(packed) >= slotSize:
-			old, packed = packed[:slotSize], packed[slotSize:]
-		default:
-			old = slot
-		}
-		c.settleSlot(o.mn, l.BlockOff(o.idx)+uint64(lo), slot, old, dcs, lo)
-		if !reused && slot[0] == 0 {
-			freeSlots = append(freeSlots, s)
-		}
-	}
-
-	ob := &openBlock{
-		class: o.class, mn: o.mn, idx: o.idx, stripe: o.stripe, xorID: o.xorID,
-		slotSize: slotSize, reused: reused,
-	}
+	ob := &openBlock{class: o.rec.SizeClass, mn: o.mn, idx: o.idx, stripe: o.rec.StripeID, xorID: o.rec.XORID}
 	for _, dc := range dcs {
 		ob.deltas = append(ob.deltas, deltaTarget{mn: dc.mn, blockOff: dc.off})
 	}
-	if reused || len(freeSlots) == 0 {
-		// Reused block (writable slots unknowable) or completely full:
-		// seal it now.
-		c.sealBlock(ob)
-		return nil
+	zero := make([]byte, slotSize)
+	for s := 0; s < bs/slotSize; s++ {
+		lo := s * slotSize
+		slot := data[lo : lo+slotSize]
+		old, handed := zero, !reused
+		switch {
+		case lost:
+			old, handed = append([]byte(nil), slot...), layout.BitmapGet(marks, s)
+			if len(dcs) > 0 {
+				erasure.XorInto(old, dcs[0].data[lo:lo+slotSize])
+			}
+		case !reused:
+		case layout.BitmapGet(marks, s) && len(packed) >= slotSize:
+			old, packed, handed = packed[:slotSize], packed[slotSize:], true
+		default:
+			old = slot // a live pair this client never wrote: kept, its delta positions healed to zero
+		}
+		c.settleSlot(o.mn, l.BlockOff(o.idx)+uint64(lo), slot, old, dcs, lo)
+		if handed && slot[0] == old[0] {
+			ob.slots = append(ob.slots, s)
+		}
 	}
-	ob.slots = freeSlots
-	c.open[o.class] = ob
+	c.sealBlock(c.ctx, ob)
 	return nil
 }
 

@@ -11,12 +11,14 @@ import (
 	"repro/internal/rdma"
 )
 
-// TestClientCleanRestartAdoptsBlocks restarts a client identity and
-// checks that it re-adopts its unfilled blocks (no leaked slots) and
-// can keep writing.
-func TestClientCleanRestartAdoptsBlocks(t *testing.T) {
+// TestClientCleanRestartSealsBlocks restarts a client identity and
+// checks that Restart seals every block the client left open, with the
+// slots it never wrote marked obsolete (so no slot is leaked), and that
+// the client keeps writing.
+func TestClientCleanRestartSealsBlocks(t *testing.T) {
 	tc := newTestCluster(t, nil)
 	cli := tc.cl.NewClient()
+	var open []*openBlock
 	done := false
 	cn := tc.pl.AddComputeNode()
 	tc.pl.Spawn(cn, "life1", func(ctx rdmaCtx) {
@@ -27,12 +29,17 @@ func TestClientCleanRestartAdoptsBlocks(t *testing.T) {
 				return
 			}
 		}
+		for _, ob := range cli.open {
+			open = append(open, ob)
+		}
 		cli.SimulateCrash()
 		done = true
 	})
 	waitDone(t, tc, &done)
+	if len(open) == 0 {
+		t.Fatal("the client left no block open")
+	}
 
-	var adopted int
 	done = false
 	cn2 := tc.pl.AddComputeNode()
 	tc.pl.Spawn(cn2, "life2", func(ctx rdmaCtx) {
@@ -40,8 +47,14 @@ func TestClientCleanRestartAdoptsBlocks(t *testing.T) {
 			t.Errorf("restart: %v", err)
 			return
 		}
-		for _, ob := range cli.open {
-			adopted += len(ob.slots)
+		for _, ob := range open {
+			srv := tc.cl.servers[ob.mn]
+			if rec := srv.record(ob.idx); rec.IndexVersion == 0 {
+				t.Errorf("block %d on MN %d is unsealed after the restart", ob.idx, ob.mn)
+			}
+			if got := layout.BitmapCount(srv.bitmap(ob.idx)); got != len(ob.slots) {
+				t.Errorf("block %d on MN %d has %d slots marked, want its %d unwritten ones", ob.idx, ob.mn, got, len(ob.slots))
+			}
 		}
 		for i := 50; i < 100; i++ {
 			if err := cli.Insert(key(i), val(i, 0)); err != nil {
@@ -59,17 +72,14 @@ func TestClientCleanRestartAdoptsBlocks(t *testing.T) {
 		done = true
 	})
 	waitDone(t, tc, &done)
-	if adopted == 0 {
-		t.Error("restart adopted no free slots (leak)")
-	}
 	tc.run(50 * time.Millisecond)
 	stripeParityInvariant(t, tc)
 }
 
 // TestOwnedBlocksFiltersByClient lists blocks as Restart does, from
 // every MN's records read one-sided: an unknown id owns nothing, the
-// writer owns at least one unfilled block, and none of its sealed
-// blocks is listed.
+// writer owns at least one unfilled DATA block and nothing else, and
+// none of its sealed blocks is listed.
 func TestOwnedBlocksFiltersByClient(t *testing.T) {
 	tc := newTestCluster(t, nil)
 	var id uint16
@@ -88,14 +98,13 @@ func TestOwnedBlocksFiltersByClient(t *testing.T) {
 		t.Fatalf("unknown client owns %d blocks", len(got))
 	}
 	listed := make(map[blockID]bool)
-	unfilled := 0
 	for _, o := range ownedBlocks(ctx, tc.cl, sc, id) {
 		listed[blockID{o.mn, o.idx}] = true
-		if o.role == layout.RoleData {
-			unfilled++
+		if o.rec.Role != layout.RoleData || o.rec.IndexVersion != 0 {
+			t.Errorf("block %d on MN %d listed as owned: %+v", o.idx, o.mn, o.rec)
 		}
 	}
-	if unfilled == 0 {
+	if len(listed) == 0 {
 		t.Fatal("writer owns no unfilled blocks")
 	}
 	sealed := 0
@@ -130,9 +139,11 @@ type slotCase struct {
 
 // runSlotCase crashes a client after 30 inserts, forges its open
 // block's slot as c says, restarts it and checks the slot, its delta
-// copies, the stripe invariant and every acknowledged key.
+// copies, the stripe invariant and every acknowledged key. The restart
+// runs on a directCtx, so the copies are read before the erasure cores
+// fold the ones its seal queued.
 func runSlotCase(t *testing.T, c slotCase) {
-	tc := newTestCluster(t, nil)
+	tc := newTestCluster(t, func(cfg *Config) { cfg.BlockPrefetch = false })
 	cli, ob, acked := crashWithOpenBlock(t, tc, 30)
 	if len(ob.deltas) < 2 {
 		t.Fatalf("open block has %d delta copies, want at least 2", len(ob.deltas))
@@ -152,7 +163,9 @@ func runSlotCase(t *testing.T, c slotCase) {
 	}
 	want := c.forge(data, deltas)
 
-	restartClient(t, tc, cli, nil)
+	if err := cli.Restart(&directCtx{pl: tc.pl}); err != nil {
+		t.Fatalf("restart: %v", err)
+	}
 	if !bytes.Equal(data, want) {
 		t.Errorf("DATA slot %d not settled: %x, want %x", s, data[:16], want[:16])
 	}
@@ -595,6 +608,117 @@ func TestCopyExtentsShareAPoolBlock(t *testing.T) {
 	freePoolBlocksZero(t, tc)
 	a.readAll(t)
 	b.readAll(t)
+}
+
+// TestRestartRecoversALostCopyExtent crashes a client inside a reused
+// block whose data MN fail-stopped, and was rebuilt, after the client
+// rewrote two of the block's marked slots. Tier 3 does not rebuild COPY
+// pool blocks, so the block's COPY extent reads back as zeros. Restart
+// must take the slots handed out from the DELTA block's bitmap entry
+// and their old bytes from the delta copies, and mark the two it never
+// wrote. Read as live pairs the client never wrote, the rewritten slots'
+// delta copies were healed to zero and the parity kept encoding the old
+// pairs: the stripe invariant broke at byte 0.
+func TestRestartRecoversALostCopyExtent(t *testing.T) {
+	r := newReuse(t, func(*testing.T, int, int) []int { return []int{0, 2, 3, 7} })
+	tc := r.tc
+	ob := r.reclaim(t)
+	r.put(t, key(1000), val(1000, 1), true) // slot 0
+	r.put(t, key(1001), val(1001, 1), true) // slot 2
+	tc.run(50 * time.Millisecond)
+	tc.cl.master.AddSpare()
+	tc.cl.FailMN(r.mn)
+	tc.waitBlocksReady(t, r.mn)
+	stripeParityInvariant(t, tc)
+	r.c.SimulateCrash()
+	r.ctx = &directCtx{pl: tc.pl}
+	if err := r.c.Restart(r.ctx); err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	if got := r.markedSlots(); !slices.Equal(got, ob.slots) {
+		t.Errorf("after the restart the block has slots %v marked, want the unwritten %v", got, ob.slots)
+	}
+	tc.run(50 * time.Millisecond)
+	stripeParityInvariant(t, tc)
+	r.readAll(t)
+}
+
+// TestRestartSettlesTheCopiesItsRowNames crashes a client whose last
+// write into its open block tore: the pair's tail never landed, both
+// delta copies did. The P parity MN's copy is a DELTA block recorded as
+// owner 0, as tier 3 places one it restores. The other parity MN fails
+// with the crash, and Restart waits out its recovery, whose tier 3
+// restores that MN's copy from the P parity's. Restart must settle every
+// copy the row's PARITY records name: listed by client id instead, the
+// owner-0 copy kept the torn delta and the P parity broke. The sealed
+// block is then reused.
+func TestRestartSettlesTheCopiesItsRowNames(t *testing.T) {
+	tc := newReuseCluster(t)
+	l := tc.cl.L
+	r := &reuse{tc: tc, c: tc.cl.NewClient(), ctx: &directCtx{pl: tc.pl}, base: 0, want: map[string][]byte{}}
+	r.c.Attach(r.ctx)
+	for i := 0; i < 30; i++ {
+		r.put(t, key(i), val(i, 0), true)
+	}
+	var ob *openBlock
+	for _, b := range r.c.open {
+		ob = b
+	}
+	tc.run(time.Millisecond) // meta sync ships the records
+	if len(ob.deltas) != 2 || ob.deltas[0].mn != l.ParityMN(ob.stripe, 0) {
+		t.Fatalf("the open block's delta targets are %+v, want the row's two parity MNs", ob.deltas)
+	}
+	p, other := ob.deltas[0], ob.deltas[1].mn
+	psrv := tc.cl.servers[p.mn]
+	psrv.mu.Lock()
+	drec := psrv.record(l.BlockOfOff(p.blockOff))
+	drec.CliID = 0
+	psrv.putRecord(l.BlockOfOff(p.blockOff), &drec)
+	psrv.mu.Unlock()
+
+	slot := func(mn int, base uint64) []byte {
+		return tc.pl.DirectMemory(tc.cl.MNNode(mn))[base+uint64(ob.slots[0]*ob.slotSize):][:ob.slotSize]
+	}
+	data := slot(ob.mn, l.BlockOff(ob.idx))
+	layout.EncodeKV(data, []byte("torn-key"), bytes.Repeat([]byte("T"), 40), 7, 1, false)
+	for _, dt := range ob.deltas {
+		copy(slot(dt.mn, dt.blockOff), data)
+	}
+	data[len(data)-1] = 0 // the crash came before the tail landed
+	tc.cl.master.AddSpare()
+	tc.cl.FailMN(other)
+	r.c.SimulateCrash()
+	r.ctx = &directCtx{pl: tc.pl, onSleep: func() { tc.run(100 * time.Microsecond) }}
+	if err := r.c.Restart(r.ctx); err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	if _, _, ready := tc.cl.MNState(other); !ready {
+		t.Fatalf("the restart did not wait out MN %d's recovery", other)
+	}
+	_, restored := layout.UnpackAddr(tc.cl.servers[other].record(int(ob.stripe)).DeltaAddr[ob.xorID])
+	if restored == 0 {
+		t.Fatalf("MN %d's tier 3 restored no copy of the block's delta", other)
+	}
+	if bytes.Count(data, []byte{0}) != len(data) {
+		t.Error("the torn slot is not rolled back")
+	}
+	for mn, off := range map[int]uint64{p.mn: p.blockOff, other: restored} {
+		if c := slot(mn, off); bytes.Count(c, []byte{0}) != len(c) {
+			t.Errorf("the delta copy on MN %d keeps the torn write", mn)
+		}
+	}
+	tc.run(50 * time.Millisecond) // the encoders fold both copies
+	stripeParityInvariant(t, tc)
+	freePoolBlocksZero(t, tc)
+
+	r.mn, r.b, r.class = ob.mn, ob.idx, ob.class
+	reused := r.reclaim(t)
+	for i := 0; len(reused.slots) > 0; i++ {
+		r.put(t, key(1000+i), val(1000+i, 1), true)
+	}
+	tc.run(50 * time.Millisecond)
+	stripeParityInvariant(t, tc)
+	r.readAll(t)
 }
 
 // reclaim provisions the fixture's block again, reused, and adopts it.

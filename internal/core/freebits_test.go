@@ -403,7 +403,7 @@ func TestReuseReadsBackOnlyMarkedSlots(t *testing.T) {
 			if ob.mn == r.mn && ob.idx == r.b {
 				t.Fatalf("block %d on MN %d was handed out with its parity MN's pool full", r.b, r.mn)
 			}
-			r.c.returnBlock(r.c.ctx, ob)
+			r.c.sealBlock(r.c.ctx, ob)
 		}
 		if want := uint64(len(r.marked) * int(r.class) * 64); n != want {
 			t.Errorf("read back %d bytes, want the refused block's %d marked slots' %d", n, len(r.marked), want)

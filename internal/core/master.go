@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -256,6 +257,15 @@ func (m *Master) AbortedRounds() uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.abortedRounds
+}
+
+// recovering reports whether failed MN mn will be re-served: it is
+// queued with a spare to take it, or being recovered onto a live one.
+func (m *Master) recovering(mn int) bool {
+	node, failed, _, _ := m.cl.view.snapshotMN(mn)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return failed && (len(m.spares) > 0 && slices.Contains(m.failQ, mn) || m.cl.pl.Memory(node) != nil)
 }
 
 // MNState reports a logical MN's recovery state (for harnesses).

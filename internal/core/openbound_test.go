@@ -17,7 +17,9 @@ import (
 // maxOpenClasses+1 size classes, on a layout with room for all of them.
 // The write that opens the last class retires the least recently used
 // class's partly filled block, and its finishWrite seals it after the
-// commit. The stripes stay coded and every key reads back.
+// commit. The seal marks the block's unwritten slots, so reclamation
+// counts them: the block is its MN's pick for the class. The stripes stay
+// coded and every key reads back.
 func TestBoundOpenSealsLeastRecentClass(t *testing.T) {
 	tc := newTestCluster(t, func(cfg *Config) {
 		cfg.BlockPrefetch = false
@@ -43,8 +45,10 @@ func TestBoundOpenSealsLeastRecentClass(t *testing.T) {
 		}
 		calls = append(calls, call)
 	}
+	var retired *openBlock
 	for i, v := range vals {
 		calls = calls[:0]
+		retired = c.open[classOf(vals[0])]
 		if err := c.Insert(key(i), v); err != nil {
 			t.Fatalf("insert %d (class %d): %v", i, classOf(v), err)
 		}
@@ -64,6 +68,15 @@ func TestBoundOpenSealsLeastRecentClass(t *testing.T) {
 	if _, open := c.open[classOf(vals[0])]; open || len(c.open) != maxOpenClasses || len(c.pendingSeal) != 0 {
 		t.Errorf("class %d still open %v, %d classes open, %d seals pending; want the least recent class sealed, %d open, none pending",
 			classOf(vals[0]), open, len(c.open), len(c.pendingSeal), maxOpenClasses)
+	}
+	srv := tc.cl.servers[retired.mn]
+	srv.mu.Lock()
+	marks := layout.BitmapCount(srv.bitmap(retired.idx))
+	pick, _ := srv.pickReclaim(retired.class)
+	srv.mu.Unlock()
+	if want := tc.cl.L.KVSlotsPerBlock(retired.class) - 1; marks != want || pick != retired.idx {
+		t.Errorf("the retired block %d has %d slots marked and MN %d picks block %d to reclaim; want its %d unwritten slots marked and it picked",
+			retired.idx, marks, retired.mn, pick, want)
 	}
 	tc.run(20 * time.Millisecond)
 	stripeParityInvariant(t, tc)

@@ -180,28 +180,25 @@ func TestOverwritesFitWhileMarksWait(t *testing.T) {
 	tc.verifyAll(t, expect)
 }
 
-// TestClosedClientKeepsOnlyFreshOpenBlocks runs sessions that each write and close.
-// A closed client gives back the block its prefetch worker provisioned
-// and it never adopted (session 7 holds one when it closes), and seals
-// an open block it writes into after a reclamation, which frees that
-// block's backup COPY block; only its fresh open blocks stay open, with
-// their DELTA blocks, for a Restart of the client to fill. Once the
-// parity MNs' encoders have run, no other DELTA block and no COPY block
-// is left, and every key reads back. When Close did neither, the
-// prefetched block kept ParityShards DELTA blocks for good and the
-// reused one its COPY block.
-func TestClosedClientKeepsOnlyFreshOpenBlocks(t *testing.T) {
-	const sessions, held = 20, 7
+// TestClosedSessionsLeaveNoBlocks runs 40 sessions that each write and
+// close. Close seals every block the client holds: its open blocks, the
+// ones its prefetch worker provisioned and it never adopted (session 7
+// holds one when it closes), and the reused ones it writes into after a
+// reclamation, whose COPY extents go with the seal. Once the parity MNs'
+// encoders have run, no DELTA block and no COPY block is left, no DATA
+// block is open, and every key reads back. When Close left fresh open
+// blocks open, each closed session kept a DATA row and ParityShards
+// DELTA blocks for good.
+func TestClosedSessionsLeaveNoBlocks(t *testing.T) {
+	const sessions, held = 40, 7
 	tc := newTestCluster(t, nil)
 	var keys [][]byte
-	kept, reused := 0, false // DELTA blocks of the fresh open blocks Close leaves
+	reused := false
 	session := func(fn func(c *Client)) {
 		tc.runClients(t, time.Second, func(c *Client) {
 			fn(c)
 			for _, ob := range c.open {
-				if reused = reused || ob.reused; !ob.reused {
-					kept += len(ob.deltas)
-				}
+				reused = reused || ob.reused
 			}
 			c.Close()
 		})
@@ -248,13 +245,15 @@ func TestClosedClientKeepsOnlyFreshOpenBlocks(t *testing.T) {
 		t.Fatal("no session wrote into a reclaimed block")
 	}
 	tc.run(2 * tc.cl.Cfg.CkptInterval)
-	deltas, copies := 0, 0
 	for mn := 0; mn < tc.cl.L.Cfg.NumMNs; mn++ {
-		st := tc.cl.Server(mn).Stats()
-		deltas, copies = deltas+int(st.PoolDelta), copies+int(st.PoolCopy)
-	}
-	if deltas != kept || copies != 0 {
-		t.Errorf("after every session closed: %d DELTA blocks (the open fresh blocks' %d) and %d COPY blocks (want 0)", deltas, kept, copies)
+		if st := tc.cl.Server(mn).Stats(); st.PoolDelta != 0 || st.PoolCopy != 0 {
+			t.Errorf("MN %d after every session closed: %d DELTA blocks and %d COPY blocks, want 0", mn, st.PoolDelta, st.PoolCopy)
+		}
+		for row := 0; row < tc.cl.L.Cfg.StripeRows; row++ {
+			if rec := tc.cl.servers[mn].record(row); rec.Role == layout.RoleData && rec.IndexVersion == 0 {
+				t.Errorf("block %d on MN %d is still open, for client %d", row, mn, rec.CliID)
+			}
+		}
 	}
 	tc.runClients(t, time.Second, func(c *Client) {
 		for i, k := range keys {

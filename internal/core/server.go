@@ -759,24 +759,18 @@ func (s *Server) handleInstallParity(req []byte) ([]byte, time.Duration) {
 	return []byte{stOK}, cpu
 }
 
-// handleSealBlock stamps the current Index Version into a filled DATA
-// block's record (§3.2.3) and releases the COPY extent its record names,
-// if any, zeroing nothing (releaseCopy). A block its client never wrote
-// (its DELTA blocks could not all be allocated) goes back as it was
-// handed out: the request then ends with the client's id and the block's
-// old free bitmap. A fresh block is all zeros still, and its row is free
-// again; a reused one gets its old marks back, beside any set since.
-// Sealed as it stood instead, a fresh row would hold nothing for good
-// and a reused one would have lost the marks that make it reclaimable.
+// handleSealBlock closes client cliID's open DATA block b, full or not:
+// it marks obsolete the slots the request names as never written, so
+// reclamation counts them with the overwritten ones, stamps the current
+// Index Version into the record (§3.2.3) and releases the COPY extent
+// the record names, if any, zeroing nothing (releaseCopy). A fresh block
+// with no slot written is all zeros still, and its row is free again. A
+// block that is not the client's open block any more (a stale seal after
+// another client reclaimed it) is left alone: stConflict.
 func (s *Server) handleSealBlock(req []byte) ([]byte, time.Duration) {
 	d := dec{b: req}
 	b := int(d.u32())
-	unwritten := d.left() > 0
-	var cliID uint16
-	var oldBits []byte
-	if unwritten {
-		cliID, oldBits = d.u16(), d.bytes()
-	}
+	cliID, unwritten := d.u16(), d.bytes()
 	cpu := time.Microsecond
 	if d.short || b >= s.cl.L.Cfg.BlocksPerMN() {
 		return []byte{stBadArg}, cpu
@@ -787,28 +781,38 @@ func (s *Server) handleSealBlock(req []byte) ([]byte, time.Duration) {
 	if rec.Role != layout.RoleData {
 		return []byte{stBadArg}, cpu
 	}
-	switch {
-	case !unwritten:
-		rec.IndexVersion = s.indexVersion()
-	case rec.IndexVersion != 0 || rec.CliID != cliID:
-		return []byte{stConflict}, cpu // not this client's open block
-	case rec.CopyOff == 0:
-		rec = layout.Record{}
-	default:
-		// Only bits that name a slot of the block come back: a reclaim
-		// backs up one slot per mark.
-		bm := s.bitmap(b)
-		for slot := range min(s.cl.L.KVSlotsPerBlock(rec.SizeClass), 8*len(oldBits)) {
-			if layout.BitmapGet(oldBits, slot) {
-				layout.BitmapSet(bm, slot)
-			}
-		}
-		s.dirty[b] |= metaBitmap
-		rec.IndexVersion = s.indexVersion()
+	if rec.IndexVersion != 0 || rec.CliID != cliID {
+		return []byte{stConflict}, cpu
 	}
-	s.releaseCopy(&rec)
+	slots, bm, n := s.cl.L.KVSlotsPerBlock(rec.SizeClass), s.bitmap(b), 0
+	for slot := range min(slots, 8*len(unwritten)) {
+		if layout.BitmapGet(unwritten, slot) {
+			layout.BitmapSet(bm, slot)
+			n++
+		}
+	}
+	if n > 0 {
+		s.dirty[b] |= metaBitmap
+	}
+	if rec.CopyOff == 0 && n == slots {
+		clear(bm)
+		rec = layout.Record{}
+	} else {
+		rec.IndexVersion = s.indexVersion()
+		s.releaseCopy(&rec)
+	}
 	s.putRecord(b, &rec)
 	return []byte{stOK}, cpu
+}
+
+// sealRequest is the SealBlock request that closes block idx of client
+// cliID, whose slots in unwritten it never wrote.
+func sealRequest(idx int, cliID uint16, unwritten []byte) []byte {
+	var e enc
+	e.u32(uint32(idx))
+	e.u16(cliID)
+	e.bytes(unwritten)
+	return e.b
 }
 
 // takeEncodeJob removes every queued copy of job and reports whether

@@ -58,9 +58,7 @@ func TestHandlerBadArgs(t *testing.T) {
 		t.Errorf("absurd stripe accepted: %v", resp)
 	}
 	// Seal of a block that is not DATA.
-	var s1 enc
-	s1.u32(uint32(tc.cl.Cfg.Layout.StripeRows)) // a pool block, role FREE
-	if resp := tc.rpc(t, 0, methodSealBlock, s1.b); resp[0] != stBadArg {
+	if resp := tc.rpc(t, 0, methodSealBlock, sealRequest(tc.cl.Cfg.Layout.StripeRows, 1, nil)); resp[0] != stBadArg { // a pool block, role FREE
 		t.Errorf("seal of FREE block accepted: %v", resp)
 	}
 	// FreeBits on an out-of-range block id.
@@ -69,9 +67,7 @@ func TestHandlerBadArgs(t *testing.T) {
 	}
 	// Ids that name nothing on this MN: a seal's block, an encode's
 	// stripe, a checkpoint frame's owner.
-	var s2 enc
-	s2.u32(1 << 20)
-	if resp := tc.rpc(t, 0, methodSealBlock, s2.b); resp[0] != stBadArg {
+	if resp := tc.rpc(t, 0, methodSealBlock, sealRequest(1<<20, 1, nil)); resp[0] != stBadArg {
 		t.Errorf("seal of an out-of-range block accepted: %v", resp)
 	}
 	var ed enc
@@ -140,7 +136,7 @@ func TestHandlerShortRequests(t *testing.T) {
 	}{
 		{methodAllocBlock, full(func(e *enc) { e.u16(1); e.u8(2) })},
 		{methodAllocDelta, full(func(e *enc) { e.u16(1); e.u32(0); e.u8(0); e.u8(2); e.bytes([]byte{0x0F}) })},
-		{methodSealBlock, full(func(e *enc) { e.u32(blk) })},
+		{methodSealBlock, sealRequest(int(blk), 1, []byte{0x01})},
 		{methodEncodeDelta, full(func(e *enc) { e.u32(0); e.u8(0) })},
 		{methodFreeBits, freeBitsPayload([]int{0, 0, 2}, []int{1, 4})},
 		{methodCkptPrepare, full(func(e *enc) { e.u64(1) })},
@@ -315,8 +311,8 @@ func blockRPCInput(calls ...[]byte) []byte {
 }
 
 // FuzzBlockRPCs sends one MN arbitrary sequences of AllocBlock,
-// AllocDelta (with and without a bitmap), SealBlock (with and without its
-// client/bitmap trailer), EncodeDelta and FreeBits requests and erasure
+// AllocDelta (with and without a bitmap), SealBlock (with and without
+// unwritten slots, from the block's client and from another), EncodeDelta and FreeBits requests and erasure
 // core passes, seeded with the ones clients send. The MN's stripe rows
 // start full of bytes, so a reclamation backs up data, and every DELTA
 // block AllocDelta hands out gets bytes in the slots its bitmap scopes,
@@ -351,19 +347,21 @@ func FuzzBlockRPCs(f *testing.F) {
 	allocB := call(alloc, func(e *enc) { e.u16(2); e.u8(2) })
 	markA := append([]byte{freeBits}, freeBitsPayload([]int{int(a), 0, 4, 6, 18})...)
 	markB := append([]byte{freeBits}, freeBitsPayload([]int{int(b), 2, 8})...)
-	sealA := call(seal, func(e *enc) { e.u32(a) })
-	sealB := call(seal, func(e *enc) { e.u32(b) })
+	sealOf := func(b uint32, cliID uint16, unwritten ...byte) []byte {
+		return append([]byte{seal}, sealRequest(int(b), cliID, unwritten)...)
+	}
+	sealA, sealB := sealOf(a, 1), sealOf(b, 2)
 	f.Add(blockRPCInput(allocA, markA, sealA, allocA, sealA, call(pass, func(*enc) {})))
-	f.Add(blockRPCInput(allocA, markA, sealA, allocA,
-		call(seal, func(e *enc) { e.u32(a); e.u16(1); e.bytes([]byte{0x45, 0, 0xFF}) })))
-	f.Add(blockRPCInput(allocA, call(seal, func(e *enc) { e.u32(a); e.u16(1); e.bytes(nil) })))
+	f.Add(blockRPCInput(allocA, markA, sealA, allocA, sealOf(a, 1, 0x45, 0, 0xFF)))
+	f.Add(blockRPCInput(allocA, sealOf(a, 1, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF)))
+	f.Add(blockRPCInput(allocA, markA, sealA, allocB, sealOf(a, 1, 0x0F)))
 	f.Add(blockRPCInput(
 		call(allocDelta, func(e *enc) { e.u16(1); e.u32(0); e.u8(0); e.u8(2); e.bytes([]byte{0x0B, 0x80}) }),
 		call(encode, func(e *enc) { e.u32(0); e.u8(0) }),
 		call(allocDelta, func(e *enc) { e.u16(2); e.u32(0); e.u8(0); e.u8(2); e.bytes(nil) }),
 		call(encode, func(e *enc) { e.u32(0); e.u8(0) }),
 		call(pass, func(*enc) {})))
-	f.Add(blockRPCInput(call(alloc, func(e *enc) { e.u16(1); e.u8(0xFF) }), call(seal, func(e *enc) { e.u32(1 << 20) })))
+	f.Add(blockRPCInput(call(alloc, func(e *enc) { e.u16(1); e.u8(0xFF) }), sealOf(1<<20, 1)))
 	f.Add(blockRPCInput(allocA, allocB, markA, markB, sealA, sealB, allocA, allocB, sealA,
 		call(pass, func(*enc) {}), sealB, call(pass, func(*enc) {})))
 
@@ -768,9 +766,7 @@ func TestMetaSyncShipsOnlyChangedParts(t *testing.T) {
 	}
 	check("FreeBits only", wantWrites(l, 0, fmt.Sprintf("bm %d", a), fmt.Sprintf("bm %d", b)))
 
-	var seal enc
-	seal.u32(uint32(a))
-	if resp, _ := srv.handle(methodSealBlock, seal.b); resp[0] != stOK {
+	if resp, _ := srv.handle(methodSealBlock, sealRequest(a, 1, nil)); resp[0] != stOK {
 		t.Fatalf("seal: status %d", resp[0])
 	}
 	check("a seal", wantWrites(l, 0, fmt.Sprintf("rec %d", a)))
@@ -802,9 +798,7 @@ func TestMetaSyncShipsOnlyChangedParts(t *testing.T) {
 
 	// The seal stamps a and releases its extent, the COPY block's last:
 	// its bitmap is cleared, and the erasure core frees the block.
-	seal = enc{}
-	seal.u32(uint32(a))
-	if resp, _ := srv.handle(methodSealBlock, seal.b); resp[0] != stOK {
+	if resp, _ := srv.handle(methodSealBlock, sealRequest(a, 1, nil)); resp[0] != stOK {
 		t.Fatalf("seal of the reused block: status %d", resp[0])
 	}
 	check("a reused block's seal", wantWrites(l, 0, fmt.Sprintf("rec %d", a), fmt.Sprintf("bm %d", cp)))
@@ -812,81 +806,87 @@ func TestMetaSyncShipsOnlyChangedParts(t *testing.T) {
 	check("the emptied COPY block's release", wantWrites(l, 0, fmt.Sprintf("rec %d", cp)))
 }
 
-// TestSealUnwrittenPutsBlockBack pins SealBlock for a block its client
-// never wrote (its DELTA blocks could not all be allocated): a fresh one
-// leaves its row free again, a reused one is sealed with its old marks
-// back beside a mark set since the reclamation, and its backup copy is
-// freed; another client's return changes nothing.
-func TestSealUnwrittenPutsBlockBack(t *testing.T) {
+// TestSealMarksUnwrittenSlots pins SealBlock's one request. A fresh
+// block sealed with every slot unwritten leaves its row free; one sealed
+// with some unwritten gets those marked beside the marks set while it was
+// open. A seal from a client whose open block it is not — another
+// client's, or a stale duplicate after another client reclaimed the
+// block — marks nothing: stConflict. A reused block sealed unwritten gets
+// the slots it was handed out back, beside a mark set since the
+// reclamation, and its COPY block is freed.
+func TestSealMarksUnwrittenSlots(t *testing.T) {
 	tc := newTestCluster(t, func(cfg *Config) {
 		cfg.ReclaimObsolete = 0 // any sealed block with a mark qualifies
 	})
 	l := tc.cl.L
 	srv := tc.cl.servers[0]
-	unwritten := func(b int, cliID uint16, oldBits []byte) uint8 {
-		var e enc
-		e.u32(uint32(b))
-		e.u16(cliID)
-		e.bytes(oldBits)
-		resp, _ := srv.handle(methodSealBlock, e.b)
+	seal := func(b int, cliID uint16, unwritten []byte) uint8 {
+		resp, _ := srv.handle(methodSealBlock, sealRequest(b, cliID, unwritten))
 		return resp[0]
+	}
+	marked := func(b int) (slots []int) {
+		for s := 0; s < l.KVSlotsPerBlock(2); s++ {
+			if layout.BitmapGet(srv.bitmap(b), s) {
+				slots = append(slots, s)
+			}
+		}
+		return slots
 	}
 
 	a := allocData(t, srv, 2)
-	if st := unwritten(a, 1, nil); st != stOK {
-		t.Fatalf("fresh block back: status %d", st)
+	all := bytes.Repeat([]byte{0xFF}, (l.KVSlotsPerBlock(2)+7)/8)
+	if st := seal(a, 1, all); st != stOK {
+		t.Fatalf("fresh block unwritten: status %d", st)
 	}
-	if rec := srv.record(a); rec != (layout.Record{}) {
-		t.Fatalf("fresh block back: record %+v, want a free row", rec)
+	if rec := srv.record(a); rec != (layout.Record{}) || layout.BitmapCount(srv.bitmap(a)) != 0 {
+		t.Fatalf("fresh block unwritten: record %+v, %d marks, want a free row", rec, layout.BitmapCount(srv.bitmap(a)))
 	}
 
 	b := allocData(t, srv, 2)
 	if resp, _ := srv.handle(methodFreeBits, freeBitsPayload([]int{b, 0, 4})); resp[0] != stOK {
 		t.Fatalf("FreeBits: status %d", resp[0])
 	}
-	var seal enc
-	seal.u32(uint32(b))
-	if resp, _ := srv.handle(methodSealBlock, seal.b); resp[0] != stOK {
-		t.Fatalf("seal: status %d", resp[0])
+	if st := seal(b, 2, nil); st != stConflict {
+		t.Fatalf("another client's seal: status %d, want stConflict", st)
+	}
+	if st := seal(b, 1, []byte{0x30}); st != stOK {
+		t.Fatalf("seal: status %d", st)
+	}
+	if rec := srv.record(b); rec.IndexVersion == 0 || !reflect.DeepEqual(marked(b), []int{0, 2, 4, 5}) {
+		t.Fatalf("sealed block: record %+v, slots %v marked, want it sealed with [0 2 4 5]", rec, marked(b))
 	}
 	var e enc
-	e.u16(1)
+	e.u16(2)
 	e.u8(2)
 	resp, _ := srv.handle(methodAllocBlock, e.b)
 	d := dec{b: resp[1:]}
-	got, _, _, reused, oldBits := int(d.u32()), d.u32(), d.u8(), d.u8(), d.bytes()
+	got, _, _, reused, handed := int(d.u32()), d.u32(), d.u8(), d.u8(), d.bytes()
 	if resp[0] != stOK || d.short || got != b || reused != 1 {
 		t.Fatalf("allocation: status %d, block %d reused %d, want block %d reused", resp[0], got, reused, b)
 	}
 	copyBlk := l.BlockOfOff(srv.record(b).CopyOff)
+	if st := seal(b, 1, []byte{0x30}); st != stConflict {
+		t.Fatalf("a stale duplicate seal: status %d, want stConflict", st)
+	}
+	if srv.record(b).IndexVersion != 0 || len(marked(b)) != 0 || srv.record(copyBlk).Role != layout.RoleCopy {
+		t.Fatal("a stale duplicate seal changed the reclaimed block")
+	}
 	// A client overwrites one of b's pairs still live while b is out.
 	if resp, _ := srv.handle(methodFreeBits, freeBitsPayload([]int{b, 6})); resp[0] != stOK {
 		t.Fatalf("FreeBits: status %d", resp[0])
 	}
-	if st := unwritten(b, 2, oldBits); st != stConflict {
-		t.Fatalf("another client's return: status %d, want stConflict", st)
-	}
-	if srv.record(b).IndexVersion != 0 || srv.record(copyBlk).Role != layout.RoleCopy {
-		t.Fatal("another client's return changed the block")
-	}
-	if st := unwritten(b, 1, oldBits); st != stOK {
-		t.Fatalf("reused block back: status %d", st)
+	if st := seal(b, 2, handed); st != stOK {
+		t.Fatalf("reused block unwritten: status %d", st)
 	}
 	if rec := srv.record(b); rec.Role != layout.RoleData || rec.IndexVersion == 0 {
-		t.Fatalf("reused block back: record %+v, want a sealed DATA block", rec)
+		t.Fatalf("reused block unwritten: record %+v, want a sealed DATA block", rec)
 	}
 	encoderPass(srv)
-	var marked []int
-	for s := 0; s < l.KVSlotsPerBlock(2); s++ {
-		if layout.BitmapGet(srv.bitmap(b), s) {
-			marked = append(marked, s)
-		}
-	}
-	if !reflect.DeepEqual(marked, []int{0, 2, 3}) {
-		t.Fatalf("reused block back: slots %v marked, want [0 2 3]", marked)
+	if got := marked(b); !reflect.DeepEqual(got, []int{0, 2, 3, 4, 5}) {
+		t.Fatalf("reused block unwritten: slots %v marked, want [0 2 3 4 5]", got)
 	}
 	if srv.record(copyBlk).Role != layout.RoleFree {
-		t.Fatalf("reused block back: its copy block is %v, want free", srv.record(copyBlk).Role)
+		t.Fatalf("reused block unwritten: its copy block is %v, want free", srv.record(copyBlk).Role)
 	}
 }
 
@@ -923,9 +923,7 @@ func TestReclaimCopiesOnlyMarkedSlots(t *testing.T) {
 	if resp, _ := srv.handle(methodFreeBits, freeBitsPayload(units)); resp[0] != stOK {
 		t.Fatalf("FreeBits: status %d", resp[0])
 	}
-	var seal enc
-	seal.u32(uint32(a))
-	if resp, _ := srv.handle(methodSealBlock, seal.b); resp[0] != stOK {
+	if resp, _ := srv.handle(methodSealBlock, sealRequest(a, 1, nil)); resp[0] != stOK {
 		t.Fatalf("seal: status %d", resp[0])
 	}
 	marks := append([]byte(nil), srv.bitmap(a)[:(l.KVSlotsPerBlock(class)+7)/8]...)
@@ -966,9 +964,7 @@ func TestReclaimCopiesOnlyMarkedSlots(t *testing.T) {
 		t.Errorf("the COPY block's bitmap marks %d units, want the extent's first %d", got, n/64)
 	}
 
-	seal = enc{}
-	seal.u32(uint32(a))
-	resp, cpu = srv.handle(methodSealBlock, seal.b)
+	resp, cpu = srv.handle(methodSealBlock, sealRequest(a, 1, nil))
 	if resp[0] != stOK {
 		t.Fatalf("seal of the reused block: status %d", resp[0])
 	}

@@ -205,7 +205,7 @@ func (sc *stripeScratch) records(ctx rdma.Ctx, cl *Cluster, wants []stripeWant, 
 		for i := len(ops) - 1; i >= 0; i-- { // a row's first chosen parity last
 			row, j := &sc.rows[at[i]/m], at[i]%m
 			switch rec := layout.DecodeRecord(ops[i].Buf); {
-			case ops[i].Err != nil || rec.Role != layout.RoleParity || !rec.Valid:
+			case ops[i].Err != nil || !usableParity(rec):
 				row.state, row.src, row.skip = rowChoose, 0, row.skip|1<<j
 			case row.src == 0 || bits.TrailingZeros64(row.src>>k) != j:
 				// ruled out by a later parity, or not the delta map
@@ -334,6 +334,10 @@ func (sc *stripeScratch) decode(ctx rdma.Ctx, cl *Cluster, r int, wants []stripe
 		}
 	}
 }
+
+// usableParity is the record rule: a parity block serves its row only
+// while its record reads RoleParity and Valid.
+func usableParity(rec layout.Record) bool { return rec.Role == layout.RoleParity && rec.Valid }
 
 // batchBy issues ops depth to a doorbell; callers read each Op.Err.
 func batchBy(ctx rdma.Ctx, ops []rdma.Op, depth int) {

@@ -113,6 +113,15 @@ func TestTCPNetTieredRecovery(t *testing.T) {
 		// deployment would use, not a harness shortcut.
 		if err := c.KillMN(1); err != nil {
 			t.Errorf("KillMN: %v", err)
+			return
+		}
+		// Stay open until the recovery is done: Close seals the open
+		// blocks, and a checkpoint round that covered them before tier 2
+		// ran would leave it no post-checkpoint pair to scan.
+		for deadline := time.Now().Add(45 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+			if _, _, ready := cl.MNState(1); ready && len(cl.Master().ReportList()) > 0 {
+				return
+			}
 		}
 	})
 

@@ -243,7 +243,7 @@ func TestWindowEncodeWaitsForParityRow(t *testing.T) {
 					srv.mu.Unlock()
 					if _, parity := tc.cl.L.IsParityMN(ob.stripe, held); parity && !rec.Valid {
 						delete(cli.open, ob.class)
-						cli.sealBlock(ob)
+						cli.sealBlock(cli.ctx, ob)
 						sealed++
 					}
 				}

@@ -21,11 +21,12 @@ const (
 	// out with (u32 length, bytes; empty for a fresh block), which
 	// scopes the DELTA block's fold.
 	methodAllocDelta
-	// methodSealBlock stamps the current Index Version into a filled
-	// DATA block's record (§3.2.3) and releases its COPY extent.
-	// Payload: u32 block; for a block its client never wrote, then u16
-	// client and the old free bitmap (u32 length, bytes), to put the
-	// block back as it was.
+	// methodSealBlock closes a DATA block its client stops writing: it
+	// stamps the current Index Version into the block's record (§3.2.3),
+	// marks the slots the client never wrote obsolete and releases the
+	// block's COPY extent. Payload: u32 block, u16 client, then the
+	// bitmap of the never-written slots (u32 length, bytes; empty for a
+	// full block).
 	methodSealBlock
 	// methodEncodeDelta asks this (parity) MN to fold the DELTA block
 	// of (stripe, xorID) into its PARITY block in the background
