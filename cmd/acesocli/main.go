@@ -403,7 +403,6 @@ func printMNStats(c ftmode.Client, mn int) {
 	pool.Add("free", float64(st.PoolFree))
 	pool.Add("delta", float64(st.PoolDelta))
 	pool.Add("copy", float64(st.PoolCopy))
-	pool.Add("data", float64(st.PoolData))
 	pool.Add("deltaRefused", float64(st.DeltaRefused))
 	fmt.Print(stats.Table(fmt.Sprintf("mn%d delta/copy pool occupancy", st.MN), pool))
 }

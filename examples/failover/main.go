@@ -129,9 +129,9 @@ func main() {
 		fmt.Printf("  %s\n", ev)
 	}
 	st := cluster.MNStats(1)
-	fmt.Printf("\nmn1 counters after recovery: ckptRounds=%d ckptBytes=%d ckptApplies=%d encodeBatches=%d reclaimed=%d pool{free=%d delta=%d copy=%d data=%d}\n",
+	fmt.Printf("\nmn1 counters after recovery: ckptRounds=%d ckptBytes=%d ckptApplies=%d encodeBatches=%d reclaimed=%d pool{free=%d delta=%d copy=%d}\n",
 		st.CkptRounds, st.CkptBytes, st.CkptApplies, st.EncodeJobs, st.Reclaimed,
-		st.PoolFree, st.PoolDelta, st.PoolCopy, st.PoolData)
+		st.PoolFree, st.PoolDelta, st.PoolCopy)
 	fmt.Printf("verifier client: searches=%d cacheMisses=%d degradedReads=%d casRetries=%d\n",
 		vstats.Searches, vstats.CacheMisses, vstats.DegradedReads, vstats.CASRetries)
 	ts := cluster.TransportStats()

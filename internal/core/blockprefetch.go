@@ -8,14 +8,15 @@ import (
 )
 
 // blockPrefetcher is the shared state between a client and its
-// background block-provisioning worker (Config.BlockPrefetch,
-// DESIGN.md §13). The client requests refills as an open block drains
-// below its low-water mark; the worker pre-runs the AllocBlock and
+// background block-provisioning worker (DESIGN.md §13), which Attach
+// spawns for every client. The client requests refills as an open block
+// drains below its low-water mark; the worker pre-runs the AllocBlock and
 // AllocDelta RPCs (and, for reclaimed blocks, the readback of the slots
 // handed out) so block turnover costs the client's critical path one
 // mutex exchange instead of several RPC round trips. The worker also
 // absorbs deferred post-commit work: block seals and free-bitmap
-// flush RPCs.
+// flush RPCs. Once stopped, it turns every request away and the client
+// does that work on its own process.
 //
 // The client owns all KV state; the worker only ever touches this
 // struct (under mu) and the fabric. Handoff of an *openBlock through
@@ -56,6 +57,13 @@ func (pf *blockPrefetcher) requestRefill(class uint8) {
 		pf.want[class] = true
 	}
 	pf.mu.Unlock()
+}
+
+// isStopped reports whether the worker has been stopped.
+func (pf *blockPrefetcher) isStopped() bool {
+	pf.mu.Lock()
+	defer pf.mu.Unlock()
+	return pf.stopped
 }
 
 // takeReady pops the pre-provisioned block for class, if any.
@@ -140,10 +148,12 @@ func (pf *blockPrefetcher) stop(closed bool) (blocks []*openBlock, flushes []flu
 // prefetchLoop is the background worker process spawned next to the
 // client at Attach, with pf its own: a restarted client gets a fresh
 // worker and state. Work priority: seals first (they unblock parity
-// encoding), then bitmap flushes, then provisioning. The worker keeps
-// its own allocation-rotation cursor and never touches c.Stats or the
-// client's open-block state — provisioned blocks cross over only
-// through pf.ready.
+// encoding), then bitmap flushes, then provisioning; a seal that waits
+// for its MN is looked at again on each pass, so with nothing else to
+// do at most once per 100 µs idle poll. The worker keeps its own
+// allocation-rotation cursor and never touches c.Stats or the client's
+// open-block state — provisioned blocks cross over only through
+// pf.ready.
 func (c *Client) prefetchLoop(ctx rdma.Ctx, pf *blockPrefetcher) {
 	seq := int(c.id)
 	for {
@@ -152,11 +162,16 @@ func (c *Client) prefetchLoop(ctx rdma.Ctx, pf *blockPrefetcher) {
 			pf.mu.Unlock()
 			return
 		}
+		// A block whose data MN is down or still recovering keeps its
+		// place in the queue until the MN serves its Block Area again:
+		// its seal would not reach the block before.
 		var ob *openBlock
-		if len(pf.seal) > 0 {
-			ob = pf.seal[0]
-			copy(pf.seal, pf.seal[1:])
-			pf.seal = pf.seal[:len(pf.seal)-1]
+		for i, s := range pf.seal {
+			if c.cl.view.blockSource(s.mn) {
+				ob = s
+				pf.seal = append(pf.seal[:i], pf.seal[i+1:]...)
+				break
+			}
 		}
 		var fj flushJob
 		haveFlush := false

@@ -305,8 +305,8 @@ func TestGetStateTable(t *testing.T) {
 	})
 	rctx := &directCtx{pl: tc.pl}
 	r, w := tc.cl.NewClient(), tc.cl.NewClient()
-	r.Attach(rctx)
-	w.Attach(&directCtx{pl: tc.pl})
+	attachInline(r, rctx)
+	attachInline(w, &directCtx{pl: tc.pl})
 
 	absent := key(100)
 	for _, row := range []struct {
@@ -419,7 +419,7 @@ func degradedGet(t *testing.T, code string, double bool, doorbells, reads int) {
 		}
 	}
 	r := tc.cl.NewClient()
-	r.Attach(rctx)
+	attachInline(r, rctx)
 	dst := make([]byte, 0, 1024)
 	before, ops := snapVerbs(r, rctx), readOps
 	got, err := r.SearchAppend(dst[:0], k)

@@ -80,7 +80,7 @@ func (tc *testCluster) spawnScripted(name string) *scripted {
 	s := &scripted{tc: tc}
 	s.c = tc.cl.SpawnClient(tc.pl.AddComputeNode(), name, func(c *Client) {
 		s.ctx = &countedCtx{Ctx: c.ctx}
-		c.Attach(s.ctx)
+		attachInline(c, s.ctx)
 		for {
 			if s.todo != nil {
 				s.todo(c)
@@ -152,10 +152,10 @@ func (s *scripted) seal(t *testing.T) {
 	})
 }
 
-// coverConfig takes from the client everything that happens on its own
-// schedule: block provisioning ahead of need and free-bitmap flushes.
+// coverConfig takes from the client the free-bitmap flushes, which
+// happen on its own schedule; its scripted clients provision on their
+// own process too (spawnScripted stops their workers).
 func coverConfig(cfg *Config) {
-	cfg.BlockPrefetch = false
 	cfg.BitmapFlushOps = 1 << 20
 }
 

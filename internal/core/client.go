@@ -58,11 +58,11 @@ type Client struct {
 	// pendingSeal holds a just-filled block whose seal must wait until
 	// after the commit CAS of its final KV (§3.2.3 ordering).
 	pendingSeal []*openBlock
-	// pf is the background block-provisioning worker's shared state
-	// (nil unless Config.BlockPrefetch).
+	// pf is the background block-provisioning worker's shared state,
+	// set by Attach. Once the worker is stopped (Close, SimulateCrash)
+	// every request to it falls back to the client's own process.
 	pf        *blockPrefetcher
 	flushKeys []pendKey // FlushBitmaps sort scratch
-	flushEnc  []byte    // sendFreeBits encode scratch (inline path)
 
 	// Stats observable by harnesses.
 	Stats ClientStats
@@ -136,16 +136,17 @@ func (c *Client) CacheStats() (entries, capacity int, bytes, evictions uint64) {
 // Attach binds the client to its process context. It must be called
 // from the client's own process before any operation. The fabric must
 // honour the ordered-batch contract — every commit CAS closes the batch
-// that places its pair. When Config.BlockPrefetch is on, a background
-// worker process is spawned alongside the client to pre-provision DATA
-// blocks and absorb seal/bitmap-flush RPCs.
+// that places its pair. Unless the client's worker is running already,
+// a background worker process is spawned alongside the client to
+// pre-provision DATA blocks and absorb seal/bitmap-flush RPCs
+// (DESIGN.md §13).
 func (c *Client) Attach(ctx rdma.Ctx) {
 	if !rdma.IsOrderedBatch(ctx) {
 		panic("core: Client.Attach needs a fabric whose Batch honours the rdma.OrderedBatcher contract (a tail CAS executes after every op ahead of it): the commit CAS rides the placement batch")
 	}
 	c.ctx = ctx
 	c.ot, _ = ctx.(obs.OpTracer)
-	if c.cl.Cfg.BlockPrefetch && c.pf == nil {
+	if c.pf == nil || c.pf.isStopped() {
 		pf := newBlockPrefetcher()
 		c.pf = pf
 		c.cl.pl.Spawn(ctx.Node(), fmt.Sprintf("prefetch%d", c.id), func(ctx rdma.Ctx) { c.prefetchLoop(ctx, pf) })
@@ -202,22 +203,22 @@ func (c *Client) waitIndexReady(mn int) {
 // the filled ones the worker had queued, the ones it provisioned that
 // the client never adopted, and every open block. Each seal names the
 // slots never written, so no DATA row or DELTA block outlives the
-// session. Then it flushes pending marks and returns the cache gauge
-// contributions to the cluster aggregate.
+// session; a block whose MN is still in recovery is sealed once its
+// Block Area is back (waitRecoveries). Then it flushes pending marks and
+// returns the cache gauge contributions to the cluster aggregate.
 func (c *Client) Close() {
-	blocks := c.pendingSeal
-	if c.pf != nil {
-		held, flushes := c.pf.stop(true)
-		for _, fj := range flushes {
-			c.ctx.RPC(fj.node, methodFreeBits, fj.payload) //nolint:errcheck // obsolete hints are advisory
-		}
-		blocks = append(held, blocks...)
-		c.pf = nil
+	held, flushes := c.pf.stop(true)
+	for _, fj := range flushes {
+		c.ctx.RPC(fj.node, methodFreeBits, fj.payload) //nolint:errcheck // obsolete hints are advisory
 	}
+	blocks := append(held, c.pendingSeal...)
 	for class := 0; class < 256; class++ { // class order: deterministic on the sim engine
 		if ob := c.open[uint8(class)]; ob != nil {
 			blocks = append(blocks, ob)
 		}
+	}
+	if len(blocks) > 0 {
+		c.waitRecoveries()
 	}
 	for _, ob := range blocks {
 		c.sealBlock(c.ctx, ob)

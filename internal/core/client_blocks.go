@@ -81,24 +81,22 @@ func (c *Client) getBlock(classUnits uint8) (*openBlock, error) {
 	if ob, ok := c.open[classUnits]; ok && len(ob.slots) > 0 {
 		if c.deltasCurrent(ob) {
 			c.touchClass(classUnits)
-			if c.pf != nil && len(ob.slots) <= c.lowWater(classUnits) {
+			if len(ob.slots) <= c.lowWater(classUnits) {
 				c.pf.requestRefill(classUnits)
 			}
 			return ob, nil
 		}
 		c.retireBlock(ob)
 	}
-	if c.pf != nil {
-		if ob := c.pf.takeReady(classUnits); ob != nil {
-			c.Stats.BlockPrefetchHits++
-			c.wmet.PrefetchHits.Add(1)
-			if c.adoptBlock(ob) {
-				return ob, nil
-			}
-		} else {
-			c.Stats.BlockPrefetchMisses++
-			c.wmet.PrefetchMisses.Add(1)
+	if ob := c.pf.takeReady(classUnits); ob != nil {
+		c.Stats.BlockPrefetchHits++
+		c.wmet.PrefetchHits.Add(1)
+		if c.adoptBlock(ob) {
+			return ob, nil
 		}
+	} else {
+		c.Stats.BlockPrefetchMisses++
+		c.wmet.PrefetchMisses.Add(1)
 	}
 	seq := c.allocSeq
 	ob, err := c.provisionBlock(c.ctx, classUnits, &seq, &c.Stats)
@@ -459,13 +457,7 @@ func (c *Client) flushBitmaps(queue bool) {
 // through the prefetch worker when it is running and queue is set,
 // inline otherwise.
 func (c *Client) sendFreeBits(node rdma.NodeID, keys []pendKey, queue bool) {
-	var buf []byte
-	if c.pf != nil {
-		buf = c.pf.getBuf()
-	} else {
-		buf = c.flushEnc
-	}
-	e := enc{b: buf[:0]}
+	e := enc{b: c.pf.getBuf()}
 	e.u16(uint16(len(keys)))
 	for _, k := range keys {
 		units := c.pending[k]
@@ -475,13 +467,9 @@ func (c *Client) sendFreeBits(node rdma.NodeID, keys []pendKey, queue bool) {
 			e.u32(u)
 		}
 	}
-	if queue && c.pf != nil && c.pf.enqueueFlush(flushJob{node: node, payload: e.b}) {
+	if queue && c.pf.enqueueFlush(flushJob{node: node, payload: e.b}) {
 		return
 	}
 	c.ctx.RPC(node, methodFreeBits, e.b) //nolint:errcheck // obsolete hints are advisory
-	if c.pf != nil {
-		c.pf.putBuf(e.b)
-	} else {
-		c.flushEnc = e.b[:0]
-	}
+	c.pf.putBuf(e.b)
 }

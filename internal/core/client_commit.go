@@ -449,18 +449,16 @@ func (c *Client) absorbs(loc *slotLoc, mn int, fp uint8, won uint64) bool {
 }
 
 // finishWrite handles deferred post-commit work: sealing filled blocks
-// and flushing batched free-bitmap updates. With the prefetcher
-// running, both move off the critical path to the worker.
+// and flushing batched free-bitmap updates. Both move off the critical
+// path to the prefetch worker; a stopped worker leaves them inline.
 func (c *Client) finishWrite() {
 	if len(c.pendingSeal) > 0 {
-		if c.pf != nil && c.pf.enqueueSeal(c.pendingSeal) {
-			c.pendingSeal = c.pendingSeal[:0]
-		} else {
+		if !c.pf.enqueueSeal(c.pendingSeal) {
 			for _, ob := range c.pendingSeal {
 				c.sealBlock(c.ctx, ob)
 			}
-			c.pendingSeal = c.pendingSeal[:0]
 		}
+		c.pendingSeal = c.pendingSeal[:0]
 	}
 	if c.pendingN >= c.cl.Cfg.BitmapFlushOps {
 		c.FlushBitmaps()
@@ -601,9 +599,10 @@ func (c *Client) placeKV(key, val []byte, slotVersion uint64, tombstone bool, fu
 
 		dataAddr, ok := c.cl.Addr(ob.mn, off)
 		if !ok {
-			// Data MN died: abandon the block and allocate elsewhere
-			// (§3.4.1: bypass failed MNs).
-			delete(c.open, ob.class)
+			// Data MN died: retire the block and allocate elsewhere
+			// (§3.4.1: bypass failed MNs). The worker seals it once the
+			// MN serves its Block Area again.
+			c.retireBlock(ob)
 			continue
 		}
 		// The slot read leads the batch: the index MN's NIC serves it
@@ -674,10 +673,16 @@ func (c *Client) placeKV(key, val []byte, slotVersion uint64, tombstone bool, fu
 			// window without violating the commit.
 			c.repairDataWrite(dataAddr, buf)
 		}
-		if dataErr != nil && !p.committed {
-			delete(c.open, ob.class) // block's MN failing: stop using it
-		} else {
+		if dataErr == nil || p.committed {
 			c.consumeSlot(ob)
+		} else if _, alive := c.cl.view.nodeOf(ob.mn); alive {
+			// The write was lost while its MN stays up: the delta
+			// copies may hold the pair the slot lacks, and a seal
+			// would fold it into parity. Stop using the block, unsealed.
+			delete(c.open, ob.class)
+		} else {
+			// Its MN failed: the rebuilt slot and the copies agree.
+			c.retireBlock(ob)
 		}
 		return p, nil
 	}

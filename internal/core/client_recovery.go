@@ -32,8 +32,8 @@ type deltaCopy struct {
 // crash (§3.4.2). The restarted client:
 //
 //  1. waits out every MN's recovery, from its failure until its Block
-//     Area is complete (Master.recovering; an MN failed with no spare
-//     to take it is skipped): writes skip a replacement in tier 1 or 2,
+//     Area is complete (waitRecoveries; an MN failed with no spare to
+//     take it is skipped): writes skip a replacement in tier 1 or 2,
 //     and one in tier 3 reads back zeros for the rows it has not
 //     rebuilt, and may yet ship a row over a slot settled here; then
 //     lists its unfilled DATA blocks from each MN's records, read
@@ -63,14 +63,7 @@ func (c *Client) Restart(ctx rdma.Ctx) error {
 	c.pendingN = 0
 	c.pendingSeal = nil
 
-	for mn := 0; mn < c.cl.L.Cfg.NumMNs; {
-		_, failed, _, ready := c.cl.view.snapshotMN(mn)
-		if ready || failed && (c.cl.master == nil || !c.cl.master.recovering(mn)) {
-			mn++
-		} else {
-			c.ctx.Sleep(500 * time.Microsecond)
-		}
-	}
+	c.waitRecoveries()
 	sc := newStripeScratch(c.cl)
 	for _, o := range ownedBlocks(c.ctx, c.cl, sc, c.id) {
 		if err := c.recoverOwnedBlock(sc, o); err != nil {
@@ -193,6 +186,22 @@ func (c *Client) recoverOwnedBlock(sc *stripeScratch, o ownedBlock) error {
 	return nil
 }
 
+// waitRecoveries waits out every MN's recovery, from its failure until
+// its Block Area is complete; an MN failed with no spare to take it
+// (Master.recovering false) is skipped. Restart and Close call it before
+// they seal: a seal reaches a block only on its MN, and a replacement
+// has the block's record and slots only from blocksReady on.
+func (c *Client) waitRecoveries() {
+	for mn := 0; mn < c.cl.L.Cfg.NumMNs; {
+		_, failed, _, ready := c.cl.view.snapshotMN(mn)
+		if ready || failed && (c.cl.master == nil || !c.cl.master.recovering(mn)) {
+			mn++
+		} else {
+			c.ctx.Sleep(500 * time.Microsecond)
+		}
+	}
+}
+
 // settleSlot applies the one slot rule to the slot at off on MN mn,
 // whose bytes before this client wrote it are old. The slot is written
 // when its fence is set and differs from old's. A written slot is kept
@@ -259,10 +268,7 @@ func (c *Client) isCommitted(slot []byte, packed uint64) bool {
 // support): the prefetch worker stops with its queued seals and
 // bitmap flushes. Use Restart on a new process to recover the identity.
 func (c *Client) SimulateCrash() {
-	if c.pf != nil {
-		c.pf.stop(false)
-		c.pf = nil
-	}
+	c.pf.stop(false)
 	c.cache.Release()
 	c.cache = nil
 	c.open = nil

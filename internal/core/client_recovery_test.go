@@ -143,8 +143,8 @@ type slotCase struct {
 // runs on a directCtx, so the copies are read before the erasure cores
 // fold the ones its seal queued.
 func runSlotCase(t *testing.T, c slotCase) {
-	tc := newTestCluster(t, func(cfg *Config) { cfg.BlockPrefetch = false })
-	cli, ob, acked := crashWithOpenBlock(t, tc, 30)
+	tc := newTestCluster(t, nil)
+	cli, ob, acked := crashWithOpenBlock(t, tc, 30, attachInline)
 	if len(ob.deltas) < 2 {
 		t.Fatalf("open block has %d delta copies, want at least 2", len(ob.deltas))
 	}
@@ -308,7 +308,7 @@ func TestClientCrashDropsQueuedSeal(t *testing.T) {
 func TestRestartWaitsOutTier3(t *testing.T) {
 	tc := newTestCluster(t, nil)
 	tc.cl.master.AddSpare()
-	cli, ob, acked := crashWithOpenBlock(t, tc, 30)
+	cli, ob, acked := crashWithOpenBlock(t, tc, 30, (*Client).Attach)
 	tc.run(2 * tc.cl.Cfg.CkptInterval)
 	held := ob.deltas[0].mn
 	tc.cl.FailMN(held)
@@ -345,17 +345,17 @@ func TestRestartWaitsOutTier3(t *testing.T) {
 	tc.verifyAll(t, acked)
 }
 
-// crashWithOpenBlock inserts keys 0..n-1 from a new client and crashes
-// it. It returns the client, its open block and the acknowledged
-// values.
-func crashWithOpenBlock(t *testing.T, tc *testCluster, n int) (*Client, *openBlock, map[int][]byte) {
+// crashWithOpenBlock inserts keys 0..n-1 from a new client, attached
+// through attach, and crashes it. It returns the client, its open block
+// and the acknowledged values.
+func crashWithOpenBlock(t *testing.T, tc *testCluster, n int, attach func(*Client, rdma.Ctx)) (*Client, *openBlock, map[int][]byte) {
 	t.Helper()
 	cli := tc.cl.NewClient()
 	acked := make(map[int][]byte)
 	var ob *openBlock
 	done := false
 	tc.pl.Spawn(tc.pl.AddComputeNode(), "life1", func(ctx rdma.Ctx) {
-		cli.Attach(ctx)
+		attach(cli, ctx)
 		for i := 0; i < n; i++ {
 			if err := cli.Insert(key(i), val(i, 0)); err != nil {
 				t.Errorf("insert: %v", err)
@@ -656,7 +656,7 @@ func TestRestartSettlesTheCopiesItsRowNames(t *testing.T) {
 	tc := newReuseCluster(t)
 	l := tc.cl.L
 	r := &reuse{tc: tc, c: tc.cl.NewClient(), ctx: &directCtx{pl: tc.pl}, base: 0, want: map[string][]byte{}}
-	r.c.Attach(r.ctx)
+	attachInline(r.c, r.ctx)
 	for i := 0; i < 30; i++ {
 		r.put(t, key(i), val(i, 0), true)
 	}

@@ -136,8 +136,8 @@ func TestFusedInsertTwoSignaledDoorbells(t *testing.T) {
 		tc = newTestCluster(t, fusedTestConfig)
 		actx = &directCtx{pl: tc.pl}
 		a, b = tc.cl.NewClient(), tc.cl.NewClient()
-		a.Attach(actx)
-		b.Attach(&directCtx{pl: tc.pl})
+		attachInline(a, actx)
+		attachInline(b, &directCtx{pl: tc.pl})
 		for i, c := range []*Client{a, b} { // open each client's block
 			if err := c.Insert(key(900+i), val(900+i, 0)); err != nil {
 				t.Fatal(err)

@@ -44,11 +44,6 @@ type Config struct {
 	// modes share this Config; replication modes derive their own
 	// geometry from Layout (see their configFromCore).
 	FTMode string
-	// Replicas is the replication factor used by replication-based
-	// modes (index replicas and KV copies alike); 0 means 3, the
-	// paper's baseline. The aceso mode ignores it — its redundancy
-	// comes from Layout.ParityShards.
-	Replicas int
 	// Code selects the erasure code: "xor" (default, the paper's
 	// choice) or "rs" (the Table 2 comparator).
 	Code string
@@ -66,15 +61,6 @@ type Config struct {
 	// so the footprint is entries × (96 B + key + value capacity)). 0
 	// means the 16384-entry default; <0 disables the cache entirely.
 	CacheEntries int
-	// BlockPrefetch moves DATA/DELTA block provisioning off the write
-	// hot path: a per-client background worker pre-runs
-	// AllocBlock/AllocDelta when an open block drops below its
-	// low-water mark and absorbs block seals and free-bitmap flushes,
-	// so no UPDATE stalls on an RPC. On everywhere a store is deployed
-	// (no binary has a flag for it); off is a fixture — for fig12's
-	// space measurement, which must not count blocks provisioned ahead
-	// of need, and for tests that script a client's verbs one by one.
-	BlockPrefetch bool
 	// ReclaimObsolete is the obsolete-KV fraction at which a sealed DATA
 	// block is handed out again by the next allocation of its class on
 	// its MN (default 0.2, DESIGN.md §3: a reclaim's MN work, the backup
@@ -126,7 +112,6 @@ func DefaultConfig() Config {
 		Code:            "xor",
 		CkptInterval:    500 * time.Millisecond,
 		CacheSlotAddr:   true,
-		BlockPrefetch:   true,
 		ReclaimObsolete: 0.2,
 		BitmapFlushOps:  64,
 	}
@@ -141,14 +126,11 @@ func (c *Config) FTModeName() string {
 	return c.FTMode
 }
 
-// ReplicaCount resolves the effective replication factor for
-// replication-based modes (0 = 3, the paper's baseline).
-func (c *Config) ReplicaCount() int {
-	if c.Replicas <= 0 {
-		return 3
-	}
-	return c.Replicas
-}
+// ReplicaCount is the replication factor of the replication-based
+// modes, index replicas and KV copies alike: 3, FUSEE's three-way
+// replication and the baseline the paper compares Aceso against. The
+// aceso mode's redundancy comes from Layout.ParityShards instead.
+func (c *Config) ReplicaCount() int { return 3 }
 
 // newCode instantiates the configured erasure code for k data shards.
 func (c *Config) newCode() (erasure.Code, error) {

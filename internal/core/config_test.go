@@ -26,7 +26,7 @@ func settableValues(t reflect.Type) int {
 // with one setting in use is a constant beside its reader (the knob
 // rule of the ROADMAP.md north star).
 func TestConfigFieldBudget(t *testing.T) {
-	if n := settableValues(reflect.TypeOf(Config{})); n != 21 {
-		t.Fatalf("core.Config has %d settable values, budget 21: see the knob rule of the ROADMAP.md north star (\"a knob stays only if measurement shows both settings are needed\") before adding (or, after removing, lower the budget)", n)
+	if n := settableValues(reflect.TypeOf(Config{})); n != 19 {
+		t.Fatalf("core.Config has %d settable values, budget 19: see the knob rule of the ROADMAP.md north star (\"a knob stays only if measurement shows both settings are needed\") before adding (or, after removing, lower the budget)", n)
 	}
 }

@@ -26,6 +26,15 @@ func testConfig() Config {
 	return cfg
 }
 
+// attachInline attaches c to ctx and stops its block worker at once, so
+// c provisions, seals and flushes on its own process: for a test that
+// scripts a client's verbs one by one, or drives it while the engine
+// stands still, where the worker would run late or not at all.
+func attachInline(c *Client, ctx rdma.Ctx) {
+	c.Attach(ctx)
+	c.pf.stop(false)
+}
+
 type testCluster struct {
 	pl *simnet.Platform
 	cl *Cluster

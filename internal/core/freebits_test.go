@@ -443,11 +443,10 @@ func newReuse(t *testing.T, marks func(t *testing.T, slots, slotSize int) []int)
 	return r
 }
 
-// newReuseCluster is a test cluster whose clients provision inline and
-// whose servers reclaim any sealed block with a mark.
+// newReuseCluster is a test cluster whose servers reclaim any sealed
+// block with a mark. Its clients provision inline (attachInline).
 func newReuseCluster(t *testing.T) *testCluster {
 	return newTestCluster(t, func(cfg *Config) {
-		cfg.BlockPrefetch = false
 		cfg.ReclaimObsolete = 0 // any sealed block with a mark qualifies
 	})
 }
@@ -460,7 +459,7 @@ func fillBlock(t *testing.T, tc *testCluster, mn, base int) *reuse {
 	t.Helper()
 	l := tc.cl.L
 	r := &reuse{tc: tc, c: tc.cl.NewClient(), ctx: &directCtx{pl: tc.pl}, mn: -1, base: base, want: map[string][]byte{}}
-	r.c.Attach(r.ctx)
+	attachInline(r.c, r.ctx)
 	if n := l.Cfg.NumMNs; mn >= 0 {
 		r.c.allocSeq = ((mn-int(r.c.ID()))%n + n) % n
 	}

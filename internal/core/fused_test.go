@@ -14,14 +14,13 @@ import (
 )
 
 // fusedTestConfig keeps the whole zero-alloc measurement inside one
-// open DATA block (no mid-measure provisioning) and disables the two
-// features that allocate by design: span sampling, and the prefetch
-// worker (whose queues would grow unbounded while the engine is
-// paused under a direct-driven client).
+// open DATA block (no mid-measure provisioning) and disables span
+// sampling, which allocates by design. Its tests drive their clients
+// while the engine is paused and attach them through attachInline: the
+// worker's queues would only grow.
 func fusedTestConfig(cfg *Config) {
 	cfg.Layout.BlockSize = 256 << 10
 	cfg.TraceSample = -1
-	cfg.BlockPrefetch = false
 	// Defer automatic bitmap flushes; the test flushes explicitly
 	// between phases so the measured window performs no RPCs.
 	cfg.BitmapFlushOps = 1 << 20
@@ -51,7 +50,7 @@ func TestFusedUpdateSingleDoorbellZeroAlloc(t *testing.T) {
 	// paused, so memory is static and RPCs dispatch synchronously.
 	dctx := &directCtx{pl: tc.pl}
 	cli := tc.cl.NewClient()
-	cli.Attach(dctx)
+	attachInline(cli, dctx)
 	keys := make([][]byte, n)
 	for i := range keys {
 		keys[i] = key(i)
@@ -131,7 +130,7 @@ func TestLostKVWriteUnderAWonCommitIsRepaired(t *testing.T) {
 	})
 	dctx := &directCtx{pl: tc.pl}
 	cli := tc.cl.NewClient()
-	cli.Attach(dctx)
+	attachInline(cli, dctx)
 	if err := cli.Update(key(0), val(0, 1)); err != nil { // provisions the open block, caches the slot
 		t.Fatal(err)
 	}
@@ -160,7 +159,7 @@ func TestLostKVWriteUnderAWonCommitIsRepaired(t *testing.T) {
 		t.Errorf("UPDATE issued %d writes, want the batch's %d and one re-issue", got, want-1)
 	}
 	cold := tc.cl.NewClient()
-	cold.Attach(&directCtx{pl: tc.pl})
+	attachInline(cold, &directCtx{pl: tc.pl})
 	if got, err := cold.Search(key(0)); err != nil || !bytes.Equal(got, v) {
 		t.Errorf("cold reader got %q, %v; want the committed value", got, err)
 	}
@@ -173,7 +172,6 @@ func BenchmarkUpdateFused(b *testing.B) {
 	cfg := testConfig()
 	cfg.Layout.BlockSize = 1 << 20
 	cfg.TraceSample = -1
-	cfg.BlockPrefetch = false
 	pl := simnet.New(simnet.DefaultConfig())
 	cl, err := NewCluster(cfg, pl)
 	if err != nil {
@@ -202,7 +200,7 @@ func BenchmarkUpdateFused(b *testing.B) {
 	}
 
 	cli := cl.NewClient()
-	cli.Attach(&directCtx{pl: pl})
+	attachInline(cli, &directCtx{pl: pl})
 	keys := make([][]byte, n)
 	for i := range keys {
 		keys[i] = key(i)

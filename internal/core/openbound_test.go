@@ -22,14 +22,13 @@ import (
 // coded and every key reads back.
 func TestBoundOpenSealsLeastRecentClass(t *testing.T) {
 	tc := newTestCluster(t, func(cfg *Config) {
-		cfg.BlockPrefetch = false
 		cfg.TraceSample = -1
 		cfg.Layout.StripeRows = 24
 		cfg.Layout.PoolBlocks = 24
 	})
 	dctx := &directCtx{pl: tc.pl}
 	c := tc.cl.NewClient()
-	c.Attach(dctx)
+	attachInline(c, dctx)
 	var vals [][]byte // one value per class, smallest class first
 	for n, units := 0, 0; len(vals) < maxOpenClasses+1; n++ {
 		if u := layout.KVClassSize(len(key(0)), n) / 64; u > units {

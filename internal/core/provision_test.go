@@ -52,7 +52,7 @@ func TestRefusedDeltaNeverOpensABlock(t *testing.T) {
 		elsewhere := 0
 		for i := 0; i < tc.cl.Cfg.Layout.NumMNs; i++ { // one client per first-choice MN
 			c := tc.cl.NewClient()
-			c.Attach(&directCtx{pl: tc.pl})
+			attachInline(c, &directCtx{pl: tc.pl})
 			if err := c.Insert(key(i), val(i, 0)); err != nil {
 				t.Fatalf("client %d: %v", c.ID(), err)
 			}
@@ -82,7 +82,7 @@ func TestRefusedDeltaNeverOpensABlock(t *testing.T) {
 			drainPool(tc, mn)
 		}
 		c := tc.cl.NewClient()
-		c.Attach(&directCtx{pl: tc.pl})
+		attachInline(c, &directCtx{pl: tc.pl})
 		if err := c.Insert(key(0), val(0, 0)); !errors.Is(err, ErrNoSpace) {
 			t.Errorf("insert with every parity pool full: %v, want ErrNoSpace", err)
 		}
@@ -109,7 +109,7 @@ func TestRefusedDeltaNeverOpensABlock(t *testing.T) {
 	t.Run("open block that loses a target is retired", func(t *testing.T) {
 		tc := newTestCluster(t, fusedTestConfig)
 		c := tc.cl.NewClient()
-		c.Attach(&directCtx{pl: tc.pl})
+		attachInline(c, &directCtx{pl: tc.pl})
 		k := key(0)
 		if err := c.Insert(k, val(0, 0)); err != nil {
 			t.Fatal(err)
@@ -259,6 +259,82 @@ func TestClosedSessionsLeaveNoBlocks(t *testing.T) {
 		for i, k := range keys {
 			if got, err := c.Search(k); err != nil || !bytes.Equal(got, val(i, 0)) {
 				t.Errorf("%s after its session closed: %q, %v", k, got, err)
+			}
+		}
+	})
+}
+
+// TestBlockOfAFailedDataMNIsSealed fail-stops the data MN of a client's
+// open block under it. The client keeps writing while the MN recovers,
+// then closes. The block it had to leave must still be sealed once MN 1
+// serves again, so its DELTA blocks are folded and freed. Dropped when
+// its MN failed, it kept the block open on MN 1 and one DELTA block on
+// each parity MN for good.
+func TestBlockOfAFailedDataMNIsSealed(t *testing.T) {
+	const failed = 1
+	tc := newTestCluster(t, nil)
+	tc.cl.master.AddSpare()
+	c := tc.cl.NewClient()
+	phase := 0
+	until := func(want int) {
+		t.Helper()
+		for i := 0; phase != want; i++ {
+			if i == 60000 {
+				t.Fatalf("the client never reached phase %d (at %d)", want, phase)
+			}
+			tc.run(time.Millisecond)
+		}
+	}
+	insert := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if err := c.Insert(key(i), val(i, 0)); err != nil {
+				t.Errorf("insert %d: %v", i, err)
+			}
+		}
+	}
+	onFailed := false
+	tc.pl.Spawn(tc.pl.AddComputeNode(), "writer", func(ctx rdmaCtx) {
+		c.Attach(ctx)
+		insert(0, 20)
+		for _, ob := range c.open {
+			onFailed = onFailed || ob.mn == failed
+		}
+		for phase = 1; phase != 2; {
+			ctx.Sleep(100 * time.Microsecond)
+		}
+		insert(20, 200)
+		for phase = 3; phase != 4; {
+			ctx.Sleep(100 * time.Microsecond)
+		}
+		c.Close()
+		phase = 5
+	})
+	until(1)
+	if !onFailed {
+		t.Fatalf("the client holds no open block on MN %d", failed)
+	}
+	tc.cl.FailMN(failed)
+	phase = 2
+	until(3)
+	tc.waitBlocksReady(t, failed)
+	phase = 4
+	until(5)
+	tc.run(4 * tc.cl.Cfg.CkptInterval)
+	for mn := 0; mn < tc.cl.L.Cfg.NumMNs; mn++ {
+		if st := tc.cl.Server(mn).Stats(); st.PoolDelta != 0 {
+			t.Errorf("MN %d after the client closed: %d DELTA blocks, want 0", mn, st.PoolDelta)
+		}
+		for row := 0; row < tc.cl.L.Cfg.StripeRows; row++ {
+			if rec := tc.cl.servers[mn].record(row); rec.Role == layout.RoleData && rec.IndexVersion == 0 && rec.CliID == c.ID() {
+				t.Errorf("block %d on MN %d is still open for the closed client %d", row, mn, c.ID())
+			}
+		}
+	}
+	stripeParityInvariant(t, tc)
+	tc.runClients(t, time.Second, func(r *Client) {
+		for i := 0; i < 200; i++ {
+			if got, err := r.Search(key(i)); err != nil || !bytes.Equal(got, val(i, 0)) {
+				t.Errorf("%s: %q, %v", key(i), got, err)
 			}
 		}
 	})

@@ -225,7 +225,6 @@ type ServerStats struct {
 	PoolFree     uint64 // pool blocks currently FREE
 	PoolDelta    uint64 // pool blocks currently DELTA
 	PoolCopy     uint64 // pool blocks currently COPY, each shared by reclaims' backup extents
-	PoolData     uint64 // pool blocks serving as reclaimed DATA
 
 	CkptShipFailures uint64 // checkpoint frames a host missed (transport or torn apply)
 	CkptSegsShipped  uint64 // images shipped, one per round (kept only for the benchmark)
@@ -275,8 +274,6 @@ func (s *Server) statsLocked() ServerStats {
 			st.PoolDelta++
 		case layout.RoleCopy:
 			st.PoolCopy++
-		case layout.RoleData:
-			st.PoolData++
 		}
 	}
 	return st

@@ -31,8 +31,8 @@ func staleCommitPair(t *testing.T, n int) (tc *testCluster, a, b *Client, actx, 
 	})
 	actx, bctx = &directCtx{pl: tc.pl}, &directCtx{pl: tc.pl}
 	a, b = tc.cl.NewClient(), tc.cl.NewClient()
-	a.Attach(actx)
-	b.Attach(bctx)
+	attachInline(a, actx)
+	attachInline(b, bctx)
 	for _, c := range []*Client{a, b} {
 		for i := 0; i < n; i++ {
 			if err := c.Update(key(i), val(i, 1)); err != nil {
@@ -512,7 +512,7 @@ func TestChaseRefusedAcrossEpochChange(t *testing.T) {
 		t.Error("no index probe after the entry of an older generation lost its CAS")
 	}
 	fresh := tc.cl.NewClient()
-	fresh.Attach(&directCtx{pl: tc.pl})
+	attachInline(fresh, &directCtx{pl: tc.pl})
 	if got, err := fresh.Search(k); err != nil || !bytes.Equal(got, val(0, 9)) {
 		t.Errorf("fresh client reads %q, %v", got, err)
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/layout"
 )
 
@@ -19,6 +21,10 @@ type MemoryUsage struct {
 	ParityBytes uint64
 	// DeltaBytes is the total size of live DELTA blocks.
 	DeltaBytes uint64
+	// SpareDeltaBytes is the part of DeltaBytes in DELTA blocks that
+	// hold nothing yet: those of a block a client's worker provisioned
+	// ahead of need (DESIGN.md §13).
+	SpareDeltaBytes uint64
 	// CopyBytes is the total size of COPY pool blocks: whole blocks,
 	// however few reclaims' backup extents each holds.
 	CopyBytes uint64
@@ -47,6 +53,9 @@ func (cl *Cluster) MemoryUsage() MemoryUsage {
 				u.ParityBytes += bs
 			case layout.RoleDelta:
 				u.DeltaBytes += bs
+				if !slices.ContainsFunc(mem[l.BlockOff(b):l.BlockOff(b)+bs], func(x byte) bool { return x != 0 }) {
+					u.SpareDeltaBytes += bs
+				}
 			case layout.RoleCopy:
 				u.CopyBytes += bs
 			case layout.RoleData:

@@ -63,7 +63,7 @@ type SLOReport struct {
 // still spans a full window instead of starting empty.
 type SLOTracker struct {
 	mu       sync.Mutex
-	targets  [NumSLOClasses]SLOTarget
+	target   SLOTarget // the one objective of every class
 	cur      [NumSLOClasses]*stats.Histogram
 	prev     [NumSLOClasses]*stats.Histogram
 	curErr   [NumSLOClasses]uint64
@@ -82,22 +82,13 @@ type SLOTracker struct {
 }
 
 // NewSLOTracker returns a tracker holding target for every class.
-// Per-class targets can be tightened afterwards with SetTarget.
 func NewSLOTracker(target SLOTarget) *SLOTracker {
-	t := &SLOTracker{}
-	for c := range t.targets {
-		t.targets[c] = target
+	t := &SLOTracker{target: target}
+	for c := range t.cur {
 		t.cur[c] = stats.NewHistogram()
 		t.prev[c] = stats.NewHistogram()
 	}
 	return t
-}
-
-// SetTarget overrides one class's objective.
-func (t *SLOTracker) SetTarget(c SLOClass, target SLOTarget) {
-	t.mu.Lock()
-	t.targets[c] = target
-	t.mu.Unlock()
 }
 
 // Observe records one finished request: its latency and whether it
@@ -111,7 +102,7 @@ func (t *SLOTracker) Observe(c SLOClass, lat time.Duration, failed bool) {
 		t.curErr[c]++
 		t.totErr[c]++
 	}
-	if failed || lat > t.targets[c].P99 {
+	if failed || lat > t.target.P99 {
 		t.curBrch[c]++
 		t.totBrch[c]++
 	}
@@ -155,7 +146,7 @@ func (t *SLOTracker) Report(c SLOClass) SLOReport {
 	merged.Merge(t.cur[c])
 	r := SLOReport{
 		Class:     c,
-		Target:    t.targets[c],
+		Target:    t.target,
 		Count:     merged.Count(),
 		Errors:    t.prevErr[c] + t.curErr[c],
 		Breaches:  t.prevBrch[c] + t.curBrch[c],

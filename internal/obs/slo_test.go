@@ -49,15 +49,15 @@ func TestSLOTrackerWindowedReport(t *testing.T) {
 }
 
 func TestSLOTrackerClassesIndependent(t *testing.T) {
-	tr := NewSLOTracker(SLOTarget{P99: time.Millisecond, Budget: 0.01})
-	tr.SetTarget(SLOUpdate, SLOTarget{P99: time.Microsecond, Budget: 0.01})
-	tr.Observe(SLOGet, 10*time.Microsecond, false)
-	tr.Observe(SLOUpdate, 10*time.Microsecond, false) // over update's 1µs target
-	if r := tr.Report(SLOGet); r.Breaches != 0 {
-		t.Errorf("get breaches = %d", r.Breaches)
+	tr := NewSLOTracker(SLOTarget{P99: 5 * time.Microsecond, Budget: 0.01})
+	tr.Observe(SLOGet, time.Microsecond, false)
+	tr.Observe(SLOUpdate, 10*time.Microsecond, false) // over the 5µs target
+	tr.Observe(SLOUpdate, time.Microsecond, true)     // failed
+	if r := tr.Report(SLOGet); r.Count != 1 || r.Breaches != 0 || r.Errors != 0 {
+		t.Errorf("get count/breaches/errors = %d/%d/%d, want 1/0/0", r.Count, r.Breaches, r.Errors)
 	}
-	if r := tr.Report(SLOUpdate); r.Breaches != 1 {
-		t.Errorf("update breaches = %d, want 1 (tightened target)", r.Breaches)
+	if r := tr.Report(SLOUpdate); r.Count != 2 || r.Breaches != 2 || r.Errors != 1 {
+		t.Errorf("update count/breaches/errors = %d/%d/%d, want 2/2/1", r.Count, r.Breaches, r.Errors)
 	}
 	if r := tr.Report(SLOInsert); r.Count != 0 {
 		t.Errorf("insert count = %d", r.Count)
