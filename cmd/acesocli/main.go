@@ -284,7 +284,8 @@ func execute(c ftmode.Client, fields []string) (quit bool) {
 	case "help":
 		fmt.Println("commands: get <k> | set <k> <v> | del <k> | stats [<mn>] | quit")
 		fmt.Println("  stats        this client's local operation counters")
-		fmt.Println("  stats <mn>   memory node <mn>'s server counters over the admin RPC")
+		fmt.Println("  stats <mn>   memory node <mn>'s server counters over the admin RPC,")
+		fmt.Println("               and its pool: total, free and DELTA blocks, refused AllocDeltas")
 		fmt.Println("  trace <mn> [n] [file]   dump mn's newest n op spans + ring events as")
 		fmt.Println("                          Chrome trace_event JSON (default trace.json; \"-\" = stdout)")
 		fmt.Println("fault injection: kill <mn> | chaos <mn> [<seed> <drop> <delay> <maxDelay> <reset>]")
@@ -402,9 +403,8 @@ func printMNStats(c ftmode.Client, mn int) {
 	pool.Add("total", float64(st.PoolBlocks))
 	pool.Add("free", float64(st.PoolFree))
 	pool.Add("delta", float64(st.PoolDelta))
-	pool.Add("copy", float64(st.PoolCopy))
 	pool.Add("deltaRefused", float64(st.DeltaRefused))
-	fmt.Print(stats.Table(fmt.Sprintf("mn%d delta/copy pool occupancy", st.MN), pool))
+	fmt.Print(stats.Table(fmt.Sprintf("mn%d delta pool occupancy", st.MN), pool))
 }
 
 // parseChaos decodes "<seed> <dropProb> <delayProb> <maxDelay> <resetProb>",

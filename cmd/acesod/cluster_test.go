@@ -198,7 +198,7 @@ func (ps *procs) marksFlushed(addrs []string) {
 	if applied, _ := column("erasure coding / reclamation", "bitsApplied"); err != nil || applied == 0 {
 		ps.t.Fatalf("after a session overwrote a key: %d obsolete marks applied on the MNs, want at least 1 (exit %v)\n%s", applied, err, out)
 	}
-	if deltas, mns := column("delta/copy pool occupancy", "delta"); deltas != 0 || mns != len(addrs) {
+	if deltas, mns := column("delta pool occupancy", "delta"); deltas != 0 || mns != len(addrs) {
 		ps.t.Fatalf("after two sessions ended: %d DELTA blocks on %d MNs' stats, want 0 on %d\n%s", deltas, mns, len(addrs), out)
 	}
 }

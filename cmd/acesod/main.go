@@ -75,7 +75,7 @@ func main() {
 	flag.Uint64Var(&cfg.Layout.IndexBytes, "index-bytes", cfg.Layout.IndexBytes, "index area bytes per MN")
 	flag.Uint64Var(&cfg.Layout.BlockSize, "block-size", cfg.Layout.BlockSize, "memory block size")
 	stripes := flag.Int("stripes", cfg.Layout.StripeRows, "coding stripe rows")
-	pool := flag.Int("pool", cfg.Layout.PoolBlocks, "delta/copy pool blocks per MN")
+	pool := flag.Int("pool", cfg.Layout.PoolBlocks, "delta pool blocks per MN")
 	ckpt := flag.Duration("ckpt", cfg.CkptInterval, "checkpoint interval")
 	flag.IntVar(&cfg.TraceSample, "trace-sample", cfg.TraceSample, "op-span sampling: 1 in N ops records a span tree (0 = default 64, <0 disables)")
 	opt := tcpnet.Options{}.WithDefaults()
@@ -206,7 +206,6 @@ func serverGauges(st core.ServerStats) map[string]float64 {
 		"pool_blocks":              float64(st.PoolBlocks),
 		"pool_blocks_free":         float64(st.PoolFree),
 		"pool_blocks_delta":        float64(st.PoolDelta),
-		"pool_blocks_copy":         float64(st.PoolCopy),
 		"delta_refused_total":      float64(st.DeltaRefused),
 	}
 }

@@ -351,12 +351,14 @@ func TestGetStateTable(t *testing.T) {
 	for _, code := range []string{"xor", "rs"} {
 		// One MN down: the bucket pair (2 reads), the row's parity-0
 		// record, the ranges of parity 0, of the two other data blocks
-		// and of the pair's pending delta, the record again.
-		t.Run("degraded/"+code, func(t *testing.T) { degradedGet(t, code, false, 4, 8) })
+		// and of the pair's pending delta, the open one — the delta —
+		// again for a cut, the record again.
+		t.Run("degraded/"+code, func(t *testing.T) { degradedGet(t, code, false, 5, 9) })
 		// The row's parity-0 MN down too: parity 1's record, the whole
 		// blocks of the two other data blocks, of parity 1 and of the
-		// pending delta, 4 chunks each, the record again.
-		t.Run("double/"+code, func(t *testing.T) { degradedGet(t, code, true, 4, 20) })
+		// pending delta, 4 chunks each, the delta's again for a cut, the
+		// record again.
+		t.Run("double/"+code, func(t *testing.T) { degradedGet(t, code, true, 5, 24) })
 	}
 }
 

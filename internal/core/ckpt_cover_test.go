@@ -602,10 +602,36 @@ func TestTier2ScansOnlyUncoveredBlocks(t *testing.T) {
 // round, so that client's next UPDATE of K, speculating on the word,
 // wins its CAS there: K then has two entries and J's live pair is
 // marked obsolete, for the next reuse of B to overwrite.
+//
+// In "same fingerprint" J's key has K's fingerprint (and its first slot
+// version matches the entry's low byte), but neither of J's buckets is
+// the entry's: read back, J's pair passed for a live entry of J, and
+// tier 2 left K's stale entry beside the one it re-placed K into. So
+// seen in `failover-aceso-live-sim` seed 15: a client's update of K
+// through its cached word marked J's live pair obsolete, and J was lost.
 func TestTier2ClearsEntryOfReusedPair(t *testing.T) {
+	for _, same := range []bool{false, true} {
+		t.Run(map[bool]string{false: "other fingerprint", true: "same fingerprint"}[same], func(t *testing.T) {
+			tier2ClearsEntryOfReusedPair(t, same)
+		})
+	}
+}
+
+func tier2ClearsEntryOfReusedPair(t *testing.T, sameFP bool) {
 	s := newCoverScript(t, 3)
 	k := keysHomedOn(s.tc, coverVictim, 1, true)[0]
 	j := keysHomedOn(s.tc, coverVictim, 1, false)[0]
+	if sameFP {
+		hk := racehash.Hash(key(k))
+		k1, k2 := racehash.BucketPair(hk, s.tc.cl.L.NumBuckets())
+		for j = 0; ; j++ {
+			hj := racehash.Hash(key(j))
+			j1, j2 := racehash.BucketPair(hj, s.tc.cl.L.NumBuckets())
+			if j != k && racehash.Fingerprint(hj) == racehash.Fingerprint(hk) && j1 != k1 && j1 != k2 && j2 != k1 && j2 != k2 {
+				break
+			}
+		}
+	}
 	const onB, onNew = 2, 3
 	b := s.put(0, onB, k) // client 0 caches K's word, which names B
 	s.seal(0)

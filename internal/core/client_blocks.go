@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/layout"
@@ -21,18 +22,21 @@ type pendKey struct {
 }
 
 type openBlock struct {
-	class    uint8
-	mn       int
-	idx      int
-	stripe   uint32
-	xorID    uint8
-	reused   bool
-	handed   []byte // the bitmap of the slots it was handed out with; nil for a fresh block
+	class  uint8
+	mn     int
+	idx    int
+	stripe uint32
+	xorID  uint8
+	handed []byte // the bitmap of the slots it was handed out with: every slot of a fresh block
+	// readback is the AllocBlock reply's bit: the handed slots' old
+	// bytes were read back (a reclaimed block), not known zero (a fresh
+	// one). Only the BlocksAlloc/BlocksReused counters tell them apart.
+	readback bool
 	slotSize int
 	slots    []int // writable slot indices remaining
-	// oldData is a reused block's old bytes of the slots still to be
-	// written, slotSize each in the order of slots: oldData[:slotSize]
-	// is slots[0]'s (readOldSlots, consumeSlot).
+	// oldData is the old bytes of the slots still to be written,
+	// slotSize each in the order of slots: oldData[:slotSize] is
+	// slots[0]'s (readOldSlots, consumeSlot).
 	oldData []byte
 	deltas  []deltaTarget
 	// viewEpoch is the membership epoch the delta targets were
@@ -50,10 +54,7 @@ type deltaTarget struct {
 // the block for sealing when it fills (deferred past the commit CAS,
 // §3.2.3).
 func (c *Client) consumeSlot(ob *openBlock) {
-	ob.slots = ob.slots[1:]
-	if ob.reused {
-		ob.oldData = ob.oldData[ob.slotSize:]
-	}
+	ob.slots, ob.oldData = ob.slots[1:], ob.oldData[ob.slotSize:]
 	if len(ob.slots) == 0 {
 		c.retireBlock(ob)
 	}
@@ -135,7 +136,7 @@ func (c *Client) lowWater(classUnits uint8) int {
 // blocks can sit for a while): a block that can no longer get its delta
 // targets is retired unwritten, and adoptBlock reports false.
 func (c *Client) adoptBlock(ob *openBlock) bool {
-	if ob.reused {
+	if ob.readback {
 		c.Stats.BlocksReused++
 	} else {
 		c.Stats.BlocksAlloc++
@@ -203,7 +204,7 @@ func (c *Client) provisionBlock(ctx rdma.Ctx, classUnits uint8, seq *int, st *Cl
 		idx := int(d.u32())
 		stripe := d.u32()
 		xorID := d.u8()
-		reused := d.u8() == 1
+		readback := d.u8() == 1
 		handed := d.bytes()
 		if d.short {
 			continue
@@ -211,25 +212,27 @@ func (c *Client) provisionBlock(ctx rdma.Ctx, classUnits uint8, seq *int, st *Cl
 
 		ob := &openBlock{
 			class: classUnits, mn: mn, idx: idx, stripe: stripe, xorID: xorID,
-			reused: reused, handed: append([]byte(nil), handed...),
+			readback: readback, handed: append([]byte(nil), handed...),
 			slotSize:  int(classUnits) * 64,
 			viewEpoch: c.cl.view.epochNow(),
 		}
 		for s := 0; s < l.KVSlotsPerBlock(classUnits); s++ {
-			if !reused || layout.BitmapGet(handed, s) {
+			if layout.BitmapGet(handed, s) {
 				ob.slots = append(ob.slots, s)
 			}
 		}
-		// A reused block is written only in its marked slots, and only
-		// their old bytes make the deltas (§3.3.3 ②): read back those,
-		// not the live pairs beside them. The readback comes before the
+		ob.oldData = c.cl.zeros[:len(ob.slots)*ob.slotSize]
+		// A block is written only in the slots it was handed out, and
+		// only their old bytes make the deltas (§3.3.3 ②): a reclaimed
+		// block's are read back, not the live pairs beside them; a fresh
+		// block's are zero. The readback comes before the
 		// delta targets are placed: placed first, they hold two pool
 		// blocks through it, and fig20's 16 KB UPDATE run exhausts its
 		// pool (DESIGN.md §3). Nothing was written when either fails:
 		// the seal names every slot unwritten, which puts the block back
 		// as it was, and a parity MN out of pool blocks costs a try on
 		// the next MN, not a row.
-		if reused && c.readOldSlots(ctx, ob, st) != nil || !c.allocDeltas(ctx, ob) {
+		if readback && c.readOldSlots(ctx, ob, st) != nil || !c.allocDeltas(ctx, ob) {
 			c.sealBlock(ctx, ob)
 			continue
 		}
@@ -277,6 +280,7 @@ func (c *Client) boundOpen() {
 // through it wrong (DESIGN.md §3).
 func (c *Client) allocDeltas(ctx rdma.Ctx, ob *openBlock) bool {
 	l := c.cl.L
+	attached := slices.Clone(ob.deltas)
 	ob.deltas = ob.deltas[:0]
 	for j := 0; j < c.cl.Cfg.deltaCopies(); j++ {
 		pmn := l.ParityMN(ob.stripe, j)
@@ -289,6 +293,11 @@ func (c *Client) allocDeltas(ctx rdma.Ctx, ob *openBlock) bool {
 		de.u32(ob.stripe)
 		de.u8(ob.xorID)
 		de.u8(ob.class)
+		if slices.ContainsFunc(attached, func(dt deltaTarget) bool { return dt.mn == pmn }) {
+			de.u8(0) // a re-attach
+		} else {
+			de.u8(1) // the incarnation's first on this MN
+		}
 		de.bytes(ob.handed)
 		dresp, err := ctx.RPC(pnode, methodAllocDelta, de.b)
 		if err != nil || len(dresp) == 0 || dresp[0] != stOK {
@@ -315,7 +324,7 @@ func (c *Client) allocDeltas(ctx rdma.Ctx, ob *openBlock) bool {
 // 1 KB pieces left the prefetcher behind the writers (DESIGN.md §3).
 const readbackBytes = 4 << 10
 
-// readOldSlots reads the slots of reused block ob that it will rewrite
+// readOldSlots reads the slots of reclaimed block ob that it will rewrite
 // into ob.oldData, packed in slot order: each run of adjacent slots in
 // readbackBytes pieces, through ctx, accounting into st when non-nil
 // (nil from the prefetch worker).

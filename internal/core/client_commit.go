@@ -582,20 +582,12 @@ func (c *Client) placeKV(key, val []byte, slotVersion uint64, tombstone bool, fu
 		slot := ob.slots[0]
 		off := c.cl.L.BlockOff(ob.idx) + uint64(slot*ob.slotSize)
 
-		fence := uint8(1)
-		var oldSlot []byte
-		if ob.reused {
-			oldSlot = ob.oldData[:ob.slotSize]
-			fence = layout.NextFence(oldSlot[0])
-		}
+		oldSlot := ob.oldData[:ob.slotSize]
 		buf := grow(&sc.buf, ob.slotSize)
-		layout.EncodeKV(buf, key, val, slotVersion, fence, tombstone)
-		delta := buf
-		if ob.reused {
-			delta = grow(&sc.delta, ob.slotSize)
-			copy(delta, buf)
-			erasure.XorInto(delta, oldSlot)
-		}
+		layout.EncodeKV(buf, key, val, slotVersion, layout.NextFence(oldSlot[0]), tombstone)
+		delta := grow(&sc.delta, ob.slotSize)
+		copy(delta, buf)
+		erasure.XorInto(delta, oldSlot)
 
 		dataAddr, ok := c.cl.Addr(ob.mn, off)
 		if !ok {
@@ -675,17 +667,37 @@ func (c *Client) placeKV(key, val []byte, slotVersion uint64, tombstone bool, fu
 		}
 		if dataErr == nil || p.committed {
 			c.consumeSlot(ob)
-		} else if _, alive := c.cl.view.nodeOf(ob.mn); alive {
-			// The write was lost while its MN stays up: the delta
-			// copies may hold the pair the slot lacks, and a seal
-			// would fold it into parity. Stop using the block, unsealed.
+		} else if _, alive := c.cl.view.nodeOf(ob.mn); alive && !c.settleLost(ob, slot, dataAddr, oldSlot) {
+			// Not even the slot could be read back: the delta copies may
+			// hold a pair the slot lacks, which a seal would fold into
+			// the parity. Stop using the block, unsealed (ROADMAP item 9).
 			delete(c.open, ob.class)
 		} else {
-			// Its MN failed: the rebuilt slot and the copies agree.
+			// Its MN failed, and the rebuilt slot and the copies agree;
+			// or the slot is settled. The block is retired, and a slot
+			// the settle rolled back is sealed as never written.
 			c.retireBlock(ob)
 		}
 		return p, nil
 	}
+}
+
+// settleLost settles slot of ob, whose KV write at addr was lost while
+// its MN stayed up, as Restart settles a slot (settleSlot) against the
+// old bytes the client holds and the delta copies its row names. A
+// write kept, intact and committed or agreeing with every copy, is taken
+// off ob; anything else is rolled back. It reports false when the slot
+// could not be read.
+func (c *Client) settleLost(ob *openBlock, slot int, addr rdma.GlobalAddr, old []byte) bool {
+	data := make([]byte, ob.slotSize)
+	if c.ctx.Read(data, addr) != nil {
+		return false
+	}
+	c.settleSlot(ob.mn, addr.Off, data, old, c.rowDeltas(newStripeScratch(c.cl), ob.stripe, ob.xorID), slot*ob.slotSize)
+	if data[0] != old[0] {
+		ob.slots, ob.oldData = ob.slots[1:], ob.oldData[ob.slotSize:]
+	}
+	return true
 }
 
 // repairDataWrite re-issues a committed-but-lost KV placement write

@@ -41,16 +41,17 @@ type deltaCopy struct {
 //  2. settles each block slot by slot (settleSlot) against the DELTA
 //     copies its row's PARITY records name (rowDeltas): a torn or
 //     uncommitted final write is rolled back to the slot's old contents
-//     (zero for a fresh block; for a reused one, the packed bytes of a
-//     slot it was handed out with in the COPY extent its record names,
-//     the slot itself for a live one), and every delta copy is made to
-//     agree with the slot;
+//     — the row decode of the block with its pending delta left out,
+//     which is zero for a fresh block, the pre-reuse pair for a reused
+//     one and the slot itself for a live one — and every delta copy is
+//     made to agree with the slot;
 //  3. seals each block, naming the slots it never wrote, and folds
 //     the copies settled (sealBlock).
 //
-// A parity MN that fails after the wait is restored by tier 3 from its
-// sibling's copy, settled here unless tier 3 read it first (the window
-// of ROADMAP item 24). The last in-flight request may have committed or
+// The decode reads the row to a consistent cut of the siblings other
+// clients still write (readBlocks). A parity MN that fails after the
+// wait is restored by tier 3 from its sibling's copy, settled here unless
+// tier 3 read it first. The last in-flight request may have committed or
 // not; either outcome is linearizable because the request never
 // returned to the application (§3.2.2 remark 3).
 func (c *Client) Restart(ctx rdma.Ctx) error {
@@ -121,8 +122,14 @@ func (c *Client) rowDeltas(sc *stripeScratch, stripe uint32, xorID uint8) []delt
 }
 
 // recoverOwnedBlock settles every slot of one unfilled DATA block and
-// seals it, naming the slots it never wrote: those it was handed out
-// with (every slot of a fresh block) that hold their old bytes.
+// seals it, naming the slots it never wrote. A slot's old bytes are the
+// row decode of the block with its pending delta left out: the content
+// last folded into the row's parity — zero for a fresh block, the
+// pre-reuse pairs for a reclaimed one — read from k of the row's k + m
+// blocks, so also after the data MN's loss. The slots it was handed out
+// with are its DELTA block's bitmap entry (every slot of a fresh block);
+// with no DELTA block it wrote nothing, and only its zero slots are
+// named.
 func (c *Client) recoverOwnedBlock(sc *stripeScratch, o ownedBlock) error {
 	l := c.cl.L
 	bs := int(l.Cfg.BlockSize)
@@ -135,50 +142,24 @@ func (c *Client) recoverOwnedBlock(sc *stripeScratch, o ownedBlock) error {
 		return rdma.ErrNodeFailed
 	}
 	dcs := c.rowDeltas(sc, o.rec.StripeID, o.rec.XORID)
-	// A reused block's COPY extent holds the bitmap of the slots it was
-	// handed out with, then their old bytes packed in slot order. A head
-	// that names no slot (no reclaim writes one) was lost with its COPY
-	// pool block, which tier 3 does not rebuild: the slots handed out are
-	// then the DELTA block's bitmap entry, and a slot's old bytes the slot
-	// XOR its delta copy, zero outside them.
-	reused := o.rec.CopyOff != 0
-	var marks, packed []byte
-	lost := false
-	if reused {
-		head, n := copyHead(l, o.rec.SizeClass), min(int(o.rec.CopyLen), bs)
-		ext := make([]byte, max(n, head))
-		if !sc.readBlock(c.ctx, c.cl, o.mn, o.rec.CopyOff, ext[:n]) {
-			return rdma.ErrNodeFailed
-		}
-		marks, packed = ext, ext[head:]
-		if lost = layout.BitmapCount(ext[:head]) == 0; lost && len(dcs) > 0 {
-			marks = dcs[0].scope
-		}
+	decoded, ok := readLostBlock(c.ctx, c.cl, o.mn, o.idx, sc, 0)
+	if !ok {
+		return errStripeUnavailable
+	}
+	old := bytes.Clone(decoded)
+	if own := l.XORIDOf(o.rec.StripeID, o.mn); sc.hasDelta[own] {
+		erasure.XorInto(old, sc.deltas[own])
 	}
 
 	ob := &openBlock{class: o.rec.SizeClass, mn: o.mn, idx: o.idx, stripe: o.rec.StripeID, xorID: o.rec.XORID}
 	for _, dc := range dcs {
 		ob.deltas = append(ob.deltas, deltaTarget{mn: dc.mn, blockOff: dc.off})
 	}
-	zero := make([]byte, slotSize)
 	for s := 0; s < bs/slotSize; s++ {
 		lo := s * slotSize
 		slot := data[lo : lo+slotSize]
-		old, handed := zero, !reused
-		switch {
-		case lost:
-			old, handed = append([]byte(nil), slot...), layout.BitmapGet(marks, s)
-			if len(dcs) > 0 {
-				erasure.XorInto(old, dcs[0].data[lo:lo+slotSize])
-			}
-		case !reused:
-		case layout.BitmapGet(marks, s) && len(packed) >= slotSize:
-			old, packed, handed = packed[:slotSize], packed[slotSize:], true
-		default:
-			old = slot // a live pair this client never wrote: kept, its delta positions healed to zero
-		}
-		c.settleSlot(o.mn, l.BlockOff(o.idx)+uint64(lo), slot, old, dcs, lo)
-		if handed && slot[0] == old[0] {
+		c.settleSlot(o.mn, l.BlockOff(o.idx)+uint64(lo), slot, old[lo:lo+slotSize], dcs, lo)
+		if slot[0] == old[lo] && (slot[0] == 0 || len(dcs) > 0 && layout.BitmapGet(dcs[0].scope, s)) {
 			ob.slots = append(ob.slots, s)
 		}
 	}

@@ -514,133 +514,69 @@ type rdmaCtx = rdma.Ctx
 // TestRestartSettlesReusedBlockBySlot crashes a client inside a reused
 // block whose marked slots, 0, 2–3 and 7, sit between live pairs. The
 // client has rewritten slots 0 and 2, and its write into slot 3 landed
-// with one delta copy but never committed. The block's COPY extent holds
-// only the marked slots' old bytes, packed in slot order. Restart must
+// with one delta copy but never committed. The slots' old bytes are the
+// row decode of the block with its pending delta left out. Restart must
 // roll slot 3 back to its old bytes and keep every other slot bit for
 // bit, with every delta copy agreeing: the stripes keep their parity
 // invariant, every pair reads back, and the seal leaves no free pool
-// block holding data. Settled against the COPY as if it held the whole
-// block, the live slots and the unwritten slot 7 look written and the
-// parity breaks.
+// block holding data. Under both codes.
 func TestRestartSettlesReusedBlockBySlot(t *testing.T) {
-	r := newReuse(t, func(*testing.T, int, int) []int { return []int{0, 2, 3, 7} })
-	tc := r.tc
-	ob := r.reclaim(t)
-	copyBlk := tc.cl.L.BlockOfOff(tc.cl.servers[r.mn].record(r.b).CopyOff)
-	r.put(t, key(1000), val(1000, 1), true) // slot 0
-	r.put(t, key(1001), val(1001, 1), true) // slot 2
-	if len(ob.slots) != 2 || ob.slots[0] != 3 {
-		t.Fatalf("writable slots %v after two writes, want [3 7]", ob.slots)
-	}
-	old, before := r.tear(ob, 3)
-	r.restartSettles(t, 3, old, before)
-	tc.run(50 * time.Millisecond) // the encoders fold the DELTA blocks and free the COPY block
-	if rec := tc.cl.servers[r.mn].record(copyBlk); rec.Role != layout.RoleFree {
-		t.Errorf("its COPY block is %v after the seal, want free", rec.Role)
-	}
-	stripeParityInvariant(t, tc)
-	freePoolBlocksZero(t, tc)
-	r.readAll(t)
-}
-
-// TestCopyExtentsShareAPoolBlock reuses two blocks of one MN for two
-// clients: both reclaims back their slots up into extents of one COPY
-// pool block. Each client rewrites some of its slots and crashes inside
-// a write that landed with one delta copy but never committed. The first
-// Restart settles its block against its own extent, with
-// TestRestartSettlesReusedBlockBySlot's checks, and its seal releases
-// only that extent: the COPY block stays, its units in use exactly the
-// other extent's. The second Restart does the same, and after its seal
-// the erasure core frees the COPY block, all zero.
-func TestCopyExtentsShareAPoolBlock(t *testing.T) {
-	tc := newReuseCluster(t)
-	l := tc.cl.L
-	a := fillBlock(t, tc, -1, 0)
-	b := fillBlock(t, tc, a.mn, 2000)
-	a.mark(t, []int{0, 2, 3, 7})
-	b.mark(t, []int{1, 5, 6})
-	obA, obB := a.reclaim(t), b.reclaim(t) // a's block is the more obsolete: it goes first
-	srv := tc.cl.servers[a.mn]
-	recA, recB := srv.record(a.b), srv.record(b.b)
-	cb := l.BlockOfOff(recA.CopyOff)
-	if cb < l.Cfg.StripeRows || l.BlockOfOff(recB.CopyOff) != cb {
-		t.Fatalf("the two extents [%d,+%d) and [%d,+%d) are not in one COPY pool block", recA.CopyOff, recA.CopyLen, recB.CopyOff, recB.CopyLen)
-	}
-	inUse := func() (units []int) {
-		for u := range int(l.Cfg.BlockSize / 64) {
-			if layout.BitmapGet(srv.bitmap(cb), u) {
-				units = append(units, u)
+	for _, code := range []string{"xor", "rs"} {
+		t.Run(code, func(t *testing.T) {
+			r := newReuse(t, code, func(*testing.T, int, int) []int { return []int{0, 2, 3, 7} })
+			tc := r.tc
+			ob := r.reclaim(t)
+			r.put(t, key(1000), val(1000, 1), true) // slot 0
+			r.put(t, key(1001), val(1001, 1), true) // slot 2
+			if len(ob.slots) != 2 || ob.slots[0] != 3 {
+				t.Fatalf("writable slots %v after two writes, want [3 7]", ob.slots)
 			}
-		}
-		return units
+			old, before := r.tear(ob, 3)
+			r.restartSettles(t, 3, old, before)
+			tc.run(50 * time.Millisecond) // the encoders fold the DELTA blocks
+			stripeParityInvariant(t, tc)
+			freePoolBlocksZero(t, tc)
+			r.readAll(t)
+		})
 	}
-	extent := func(rec layout.Record) (units []int) {
-		for u := range int(rec.CopyLen) / 64 {
-			units = append(units, int(rec.CopyOff-l.BlockOff(cb))/64+u)
-		}
-		return units
-	}
-	if got, want := inUse(), append(extent(recA), extent(recB)...); !slices.Equal(got, want) {
-		t.Fatalf("the COPY block has units %v in use, want the two extents' %v", got, want)
-	}
-
-	a.put(t, key(1000), val(1000, 1), true) // slot 0
-	a.put(t, key(1001), val(1001, 1), true) // slot 2
-	b.put(t, key(3000), val(3000, 1), true) // slot 1
-	oldA, beforeA := a.tear(obA, 3)
-	oldB, beforeB := b.tear(obB, 5)
-
-	a.restartSettles(t, 3, oldA, beforeA)
-	if role := srv.record(cb).Role; role != layout.RoleCopy {
-		t.Fatalf("the COPY block is %v after the first seal, want it kept for the other extent", role)
-	}
-	if got, want := inUse(), extent(recB); !slices.Equal(got, want) {
-		t.Errorf("after the first seal the COPY block has units %v in use, want the other extent's %v", got, want)
-	}
-	b.restartSettles(t, 5, oldB, beforeB)
-	tc.run(time.Millisecond) // the erasure core frees the emptied COPY block
-	if role := srv.record(cb).Role; role != layout.RoleFree || !blankBlock(tc, a.mn, cb) || len(inUse()) != 0 {
-		t.Errorf("after the last seal the COPY block is %v, blank %v, units %v in use; want it free and all zero",
-			role, blankBlock(tc, a.mn, cb), inUse())
-	}
-	tc.run(50 * time.Millisecond) // the encoders fold the DELTA blocks
-	stripeParityInvariant(t, tc)
-	freePoolBlocksZero(t, tc)
-	a.readAll(t)
-	b.readAll(t)
 }
 
-// TestRestartRecoversALostCopyExtent crashes a client inside a reused
-// block whose data MN fail-stopped, and was rebuilt, after the client
-// rewrote two of the block's marked slots. Tier 3 does not rebuild COPY
-// pool blocks, so the block's COPY extent reads back as zeros. Restart
-// must take the slots handed out from the DELTA block's bitmap entry
-// and their old bytes from the delta copies, and mark the two it never
-// wrote. Read as live pairs the client never wrote, the rewritten slots'
-// delta copies were healed to zero and the parity kept encoding the old
-// pairs: the stripe invariant broke at byte 0.
-func TestRestartRecoversALostCopyExtent(t *testing.T) {
-	r := newReuse(t, func(*testing.T, int, int) []int { return []int{0, 2, 3, 7} })
-	tc := r.tc
-	ob := r.reclaim(t)
-	r.put(t, key(1000), val(1000, 1), true) // slot 0
-	r.put(t, key(1001), val(1001, 1), true) // slot 2
-	tc.run(50 * time.Millisecond)
-	tc.cl.master.AddSpare()
-	tc.cl.FailMN(r.mn)
-	tc.waitBlocksReady(t, r.mn)
-	stripeParityInvariant(t, tc)
-	r.c.SimulateCrash()
-	r.ctx = &directCtx{pl: tc.pl}
-	if err := r.c.Restart(r.ctx); err != nil {
-		t.Fatalf("restart: %v", err)
+// TestRestartSettlesAfterItsDataMNIsLost crashes a client inside a
+// reused block whose data MN fail-stopped, and was rebuilt by tier 3,
+// after the client rewrote two of the block's marked slots. Restart
+// decodes the slots' old bytes from the row, with the replacement left
+// out, takes the slots handed out from the DELTA block's bitmap entry,
+// and must mark the two it never wrote. Read as live pairs the client
+// never wrote, the rewritten slots' delta copies would be healed to zero
+// while the parity kept encoding the old pairs: the stripe invariant
+// broke at byte 0 that way when a backup of the old bytes was lost with
+// the MN. Under both codes.
+func TestRestartSettlesAfterItsDataMNIsLost(t *testing.T) {
+	for _, code := range []string{"xor", "rs"} {
+		t.Run(code, func(t *testing.T) {
+			r := newReuse(t, code, func(*testing.T, int, int) []int { return []int{0, 2, 3, 7} })
+			tc := r.tc
+			ob := r.reclaim(t)
+			r.put(t, key(1000), val(1000, 1), true) // slot 0
+			r.put(t, key(1001), val(1001, 1), true) // slot 2
+			tc.run(50 * time.Millisecond)
+			tc.cl.master.AddSpare()
+			tc.cl.FailMN(r.mn)
+			tc.waitBlocksReady(t, r.mn)
+			stripeParityInvariant(t, tc)
+			r.c.SimulateCrash()
+			r.ctx = &directCtx{pl: tc.pl}
+			if err := r.c.Restart(r.ctx); err != nil {
+				t.Fatalf("restart: %v", err)
+			}
+			if got := r.markedSlots(); !slices.Equal(got, ob.slots) {
+				t.Errorf("after the restart the block has slots %v marked, want the unwritten %v", got, ob.slots)
+			}
+			tc.run(50 * time.Millisecond)
+			stripeParityInvariant(t, tc)
+			r.readAll(t)
+		})
 	}
-	if got := r.markedSlots(); !slices.Equal(got, ob.slots) {
-		t.Errorf("after the restart the block has slots %v marked, want the unwritten %v", got, ob.slots)
-	}
-	tc.run(50 * time.Millisecond)
-	stripeParityInvariant(t, tc)
-	r.readAll(t)
 }
 
 // TestRestartSettlesTheCopiesItsRowNames crashes a client whose last
@@ -653,7 +589,7 @@ func TestRestartRecoversALostCopyExtent(t *testing.T) {
 // owner-0 copy kept the torn delta and the P parity broke. The sealed
 // block is then reused.
 func TestRestartSettlesTheCopiesItsRowNames(t *testing.T) {
-	tc := newReuseCluster(t)
+	tc := newReuseCluster(t, "")
 	l := tc.cl.L
 	r := &reuse{tc: tc, c: tc.cl.NewClient(), ctx: &directCtx{pl: tc.pl}, base: 0, want: map[string][]byte{}}
 	attachInline(r.c, r.ctx)
@@ -725,7 +661,7 @@ func TestRestartSettlesTheCopiesItsRowNames(t *testing.T) {
 func (r *reuse) reclaim(t *testing.T) *openBlock {
 	t.Helper()
 	ob, err := r.provision()
-	if err != nil || !ob.reused || ob.mn != r.mn || ob.idx != r.b {
+	if err != nil || !ob.readback || ob.mn != r.mn || ob.idx != r.b {
 		t.Fatalf("provisioned %+v (%v), want block %d on MN %d reused", ob, err, r.b, r.mn)
 	}
 	if !r.c.adoptBlock(ob) {
@@ -777,7 +713,7 @@ func (r *reuse) restartSettles(t *testing.T, torn int, old, before []byte) {
 			t.Errorf("client %d: slot %d changed by the restart", r.c.ID(), s)
 		}
 	}
-	if rec := r.tc.cl.servers[r.mn].record(r.b); rec.IndexVersion == 0 || rec.CopyOff != 0 {
-		t.Errorf("client %d: the reused block is unsealed, or still names its extent, after the restart: %+v", r.c.ID(), rec)
+	if rec := r.tc.cl.servers[r.mn].record(r.b); rec.IndexVersion == 0 {
+		t.Errorf("client %d: the reused block is unsealed after the restart: %+v", r.c.ID(), rec)
 	}
 }

@@ -24,6 +24,9 @@ type Cluster struct {
 	L    *layout.Layout
 	pl   rdma.Platform
 	code erasure.Code
+	// zeros is one block of zero bytes, never written: the old bytes of
+	// a fresh block's slots (provisionBlock).
+	zeros []byte
 
 	view    view
 	servers []*Server
@@ -135,7 +138,7 @@ func NewCluster(cfg Config, pl rdma.Platform) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	cl := &Cluster{Cfg: cfg, L: l, pl: pl, trace: obs.NewRing(1024)}
+	cl := &Cluster{Cfg: cfg, L: l, pl: pl, trace: obs.NewRing(1024), zeros: make([]byte, l.Cfg.BlockSize)}
 	if rate := cfg.traceSample(); rate > 0 {
 		cl.tracer = obs.NewTracer(rate, traceSpans)
 	}

@@ -63,9 +63,9 @@ type Config struct {
 	CacheEntries int
 	// ReclaimObsolete is the obsolete-KV fraction at which a sealed DATA
 	// block is handed out again by the next allocation of its class on
-	// its MN (default 0.2, DESIGN.md §3: a reclaim's MN work, the backup
-	// extent, its release and the DELTA folds, is proportional to the
-	// slots it hands out). Above 1 nothing is ever reclaimed.
+	// its MN (default 0.2, DESIGN.md §3: a reclaim's work, the readback
+	// and the DELTA folds, is proportional to the slots it hands out).
+	// Above 1 nothing is ever reclaimed.
 	ReclaimObsolete float64
 	// BitmapFlushOps is how many obsolete-markings a client batches
 	// before flushing free-bitmap updates to the servers.

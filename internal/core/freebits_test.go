@@ -338,7 +338,7 @@ func TestReuseReadsBackOnlyMarkedSlots(t *testing.T) {
 		}
 		return append(marked, slots-1)
 	}
-	setup := func(t *testing.T) *reuse { return newReuse(t, marks) }
+	setup := func(t *testing.T) *reuse { return newReuse(t, "", marks) }
 	// provision asks for the class's next block, trying the block's MN
 	// first, and returns what it read.
 	provision := func(t *testing.T, r *reuse) (ob *openBlock, err error, pieces [][2]uint64, bytesRead uint64) {
@@ -361,7 +361,7 @@ func TestReuseReadsBackOnlyMarkedSlots(t *testing.T) {
 		l := r.tc.cl.L
 		slotSize := int(r.class) * 64
 		ob, err, pieces, n := provision(t, r)
-		if err != nil || !ob.reused || ob.mn != r.mn || ob.idx != r.b {
+		if err != nil || !ob.readback || ob.mn != r.mn || ob.idx != r.b {
 			t.Fatalf("provisioned %+v (%v), want block %d on MN %d reused", ob, err, r.b, r.mn)
 		}
 		if !slices.Equal(ob.slots, r.marked) {
@@ -436,18 +436,22 @@ type reuse struct {
 // newReuse fills and seals one block b of a client's size class, then
 // rewrites the pairs of the slots marks picks in another class, which
 // marks exactly those slots.
-func newReuse(t *testing.T, marks func(t *testing.T, slots, slotSize int) []int) *reuse {
+func newReuse(t *testing.T, code string, marks func(t *testing.T, slots, slotSize int) []int) *reuse {
 	t.Helper()
-	r := fillBlock(t, newReuseCluster(t), -1, 0)
+	r := fillBlock(t, newReuseCluster(t, code), -1, 0)
 	r.mark(t, marks(t, r.tc.cl.L.KVSlotsPerBlock(r.class), int(r.class)*64))
 	return r
 }
 
-// newReuseCluster is a test cluster whose servers reclaim any sealed
-// block with a mark. Its clients provision inline (attachInline).
-func newReuseCluster(t *testing.T) *testCluster {
+// newReuseCluster is a test cluster of erasure code code ("" for the
+// default) whose servers reclaim any sealed block with a mark. Its
+// clients provision inline (attachInline).
+func newReuseCluster(t *testing.T, code string) *testCluster {
 	return newTestCluster(t, func(cfg *Config) {
 		cfg.ReclaimObsolete = 0 // any sealed block with a mark qualifies
+		if code != "" {
+			cfg.Code = code
+		}
 	})
 }
 

@@ -117,8 +117,8 @@ func (a *acesoMode) Usage() ftmode.Usage {
 	u := a.cl.MemoryUsage()
 	return ftmode.Usage{
 		ValidBytes:     u.ValidBytes,
-		RedundantBytes: u.ParityBytes + u.DeltaBytes + u.CopyBytes,
-		TotalBytes:     u.DataBlockBytes + u.ParityBytes + u.DeltaBytes + u.CopyBytes,
+		RedundantBytes: u.ParityBytes + u.DeltaBytes,
+		TotalBytes:     u.DataBlockBytes + u.ParityBytes + u.DeltaBytes,
 	}
 }
 

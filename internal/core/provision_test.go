@@ -7,20 +7,18 @@ import (
 	"time"
 
 	"repro/internal/layout"
+	"repro/internal/rdma"
 )
 
-// drainPool takes every free DELTA/COPY pool block of mn out of
-// circulation, as a COPY block with every unit in use, so the MN refuses
-// the next AllocDelta it has no block for.
+// drainPool takes every free pool block of mn out of circulation, as a
+// DELTA block no row names, so the MN refuses the next AllocDelta it has
+// no block for.
 func drainPool(tc *testCluster, mn int) {
 	s := tc.cl.Server(mn)
 	s.memMu.Lock()
 	s.mu.Lock()
 	for b := s.freePoolBlock(); b >= 0; b = s.freePoolBlock() {
-		s.putRecord(b, &layout.Record{Role: layout.RoleCopy, Valid: true})
-		for i := range s.bitmap(b) {
-			s.bitmap(b)[i] = 0xFF
-		}
+		s.putRecord(b, &layout.Record{Role: layout.RoleDelta, Valid: true, StripeID: layout.NoStripe})
 	}
 	s.mu.Unlock()
 	s.memMu.Unlock()
@@ -184,9 +182,8 @@ func TestOverwritesFitWhileMarksWait(t *testing.T) {
 // close. Close seals every block the client holds: its open blocks, the
 // ones its prefetch worker provisioned and it never adopted (session 7
 // holds one when it closes), and the reused ones it writes into after a
-// reclamation, whose COPY extents go with the seal. Once the parity MNs'
-// encoders have run, no DELTA block and no COPY block is left, no DATA
-// block is open, and every key reads back. When Close left fresh open
+// reclamation. Once the parity MNs' encoders have run, no DELTA block is
+// left, no DATA block is open, and every key reads back. When Close left fresh open
 // blocks open, each closed session kept a DATA row and ParityShards
 // DELTA blocks for good.
 func TestClosedSessionsLeaveNoBlocks(t *testing.T) {
@@ -198,7 +195,7 @@ func TestClosedSessionsLeaveNoBlocks(t *testing.T) {
 		tc.runClients(t, time.Second, func(c *Client) {
 			fn(c)
 			for _, ob := range c.open {
-				reused = reused || ob.reused
+				reused = reused || ob.readback
 			}
 			c.Close()
 		})
@@ -246,8 +243,8 @@ func TestClosedSessionsLeaveNoBlocks(t *testing.T) {
 	}
 	tc.run(2 * tc.cl.Cfg.CkptInterval)
 	for mn := 0; mn < tc.cl.L.Cfg.NumMNs; mn++ {
-		if st := tc.cl.Server(mn).Stats(); st.PoolDelta != 0 || st.PoolCopy != 0 {
-			t.Errorf("MN %d after every session closed: %d DELTA blocks and %d COPY blocks, want 0", mn, st.PoolDelta, st.PoolCopy)
+		if st := tc.cl.Server(mn).Stats(); st.PoolDelta != 0 {
+			t.Errorf("MN %d after every session closed: %d DELTA blocks, want 0", mn, st.PoolDelta)
 		}
 		for row := 0; row < tc.cl.L.Cfg.StripeRows; row++ {
 			if rec := tc.cl.servers[mn].record(row); rec.Role == layout.RoleData && rec.IndexVersion == 0 {
@@ -338,4 +335,71 @@ func TestBlockOfAFailedDataMNIsSealed(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestLostDataWriteSealsItsBlock loses one fused batch's KV write and
+// its commit CAS while the data MN stays up, as a dropped frame on
+// tcpnet would; the batch's delta writes land. The client must settle
+// the slot against its old bytes — zero, in a fresh block — which heals
+// the delta copies, and retire the block like a full one: once the
+// encoders have run it is sealed, its DELTA blocks are folded and freed,
+// the stripe invariant holds and every pair reads back. Dropped
+// unsealed, the block stayed open on its MN, and a DELTA block on each
+// parity MN held the lost pair for good.
+func TestLostDataWriteSealsItsBlock(t *testing.T) {
+	tc := newTestCluster(t, nil)
+	l := tc.cl.L
+	c := tc.cl.NewClient()
+	ctx := &directCtx{pl: tc.pl}
+	attachInline(c, ctx)
+	want := map[string][]byte{}
+	insert := func(i int) {
+		t.Helper()
+		if err := c.Insert(key(i), val(i, 0)); err != nil {
+			t.Fatalf("insert %d: %v", i, err)
+		}
+		want[string(key(i))] = val(i, 0)
+	}
+	for i := 0; i < 5; i++ {
+		insert(i)
+	}
+	var ob *openBlock
+	for _, b := range c.open {
+		ob = b
+	}
+	node, lo := tc.cl.MNNode(ob.mn), l.BlockOff(ob.idx)
+	lost := 0
+	errLost := errors.New("frame dropped")
+	ctx.opErr = func(op *rdma.Op) error {
+		kv := op.Kind == rdma.OpWrite && op.Addr.Node == node && op.Addr.Off >= lo && op.Addr.Off < lo+l.Cfg.BlockSize
+		if lost == 0 && kv || lost == 1 && op.Kind == rdma.OpCAS {
+			lost++
+			return errLost
+		}
+		return nil
+	}
+	insert(5)
+	if lost != 2 {
+		t.Fatalf("%d ops lost, want the KV write and its CAS", lost)
+	}
+	if c.open[ob.class] == ob {
+		t.Fatal("the client still writes into the block that lost a write")
+	}
+	if rec := tc.cl.servers[ob.mn].record(ob.idx); rec.IndexVersion == 0 {
+		t.Errorf("the block that lost a write is still open: %+v", rec)
+	}
+	tc.run(50 * time.Millisecond) // the encoders fold its DELTA blocks
+	for j := 0; j < l.Cfg.ParityShards; j++ {
+		p := l.ParityMN(ob.stripe, j)
+		if da := tc.cl.servers[p].record(int(ob.stripe)).DeltaAddr[ob.xorID]; da != 0 {
+			t.Errorf("MN %d still holds the block's DELTA block at %#x", p, da)
+		}
+	}
+	stripeParityInvariant(t, tc)
+	freePoolBlocksZero(t, tc)
+	for k, v := range want {
+		if got, err := c.Search([]byte(k)); err != nil || !bytes.Equal(got, v) {
+			t.Errorf("%s: %q, %v", k, got, err)
+		}
+	}
 }

@@ -417,11 +417,14 @@ func (rb *rebuild) rebuildParity(ctx rdma.Ctx, wk *rebuildWorker, sc *stripeScra
 		if !cl.view.blockSource(dm) {
 			return false // the parity cannot be right without it
 		}
+		// A shard pending from this parity's view may take writes under
+		// the read: it and its delta are read to a cut (readBlocks).
 		sc.present[xid] = true
-		sc.reads = append(sc.reads, blockRead{mn: dm, off: l.BlockOff(b), dst: sc.shards[xid], delta: -1})
+		pending := rec.XORMap&bit == 0
+		sc.reads = append(sc.reads, blockRead{mn: dm, off: l.BlockOff(b), dst: sc.shards[xid], delta: -1, open: pending})
 		if (rec.XORMap|sib.XORMap)&bit == 0 && sib.DeltaAddr[xid] != 0 {
 			dmn, dOff := layout.UnpackAddr(sib.DeltaAddr[xid])
-			sc.reads = append(sc.reads, blockRead{mn: int(dmn), off: dOff, dst: sc.deltas[xid], delta: xid})
+			sc.reads = append(sc.reads, blockRead{mn: int(dmn), off: dOff, dst: sc.deltas[xid], delta: xid, open: true})
 		}
 	}
 	if !readBlocks(ctx, cl, sc, 0) {
@@ -488,8 +491,9 @@ func (rb *rebuild) allocDelta(ctx rdma.Ctx, row, xid int) uint64 {
 	e.u16(0)
 	e.u32(uint32(row))
 	e.u8(uint8(xid))
-	e.u8(0)
-	e.bytes(nil) // no bitmap: the restored block is folded whole
+	e.u8(0)                       // no class: the bitmap counts 64-byte units
+	e.u8(0)                       // nothing is pending to fold: tier 3 places only a missing block
+	e.bytes(allSlots(rb.cl.L, 0)) // the restored block is folded whole
 	resp, err := ctx.RPC(rb.node, methodAllocDelta, e.b)
 	if err != nil || len(resp) == 0 || resp[0] != stOK {
 		return 0

@@ -420,11 +420,13 @@ func reconcileDeltaRecords(cl *Cluster, mn int, mem []byte) {
 				continue
 			}
 			// The entry's bitmap may lag its record on the replica: the
-			// block is folded whole (an empty bitmap), which a DELTA
-			// block restored by tier 3, or still all zero, allows.
-			clear(mem[l.BitmapOff(b) : l.BitmapOff(b)+l.BitmapBytes()])
+			// block is folded whole (every slot), which a DELTA block
+			// restored by tier 3, or still all zero, allows.
 			rOff := l.RecordOff(b)
 			drec := layout.DecodeRecord(mem[rOff : rOff+layout.RecordSize])
+			bm := mem[l.BitmapOff(b) : l.BitmapOff(b)+l.BitmapBytes()]
+			clear(bm)
+			copy(bm, allSlots(l, drec.SizeClass))
 			if drec.Role == layout.RoleDelta && drec.StripeID == uint32(row) && int(drec.XORID) == xid {
 				continue
 			}
@@ -542,9 +544,10 @@ func (ek *entryKeys) local(packed uint64) bool {
 // index if it is newer than what the checkpoint holds. Key comparison
 // against an existing entry follows the normal lookup process
 // (Figure 4 ③, entryKeys). An entry whose address no longer holds the
-// pair its word names — the pair's key has another fingerprint, or its
-// slot version another low byte — outlived that pair: the block was
-// reclaimed after the image was taken. It is cleared before the key is
+// pair its word names — the pair's key has another fingerprint, its
+// slot version another low byte, or its buckets are not the entry's —
+// outlived that pair: the block was reclaimed after the image was taken,
+// and another key's pair sits there. It is cleared before the key is
 // re-placed, or a client that cached its word would win a CAS on it and
 // commit over the pair now there (DESIGN.md §3). Every entry a commit or
 // a rebuild wrote names its pair, so no live entry is cleared.
@@ -558,12 +561,15 @@ func reapplyCandidate(ek *entryKeys, key []byte, version, packed uint64, class u
 	}
 
 	found := false
+	kb, _ := ek.buckets(key)
 	ek.eachMatch(key, func(off uint64, m racehash.Match) bool {
 		ex, ok := ek.of(m)
 		if !ok {
 			return false
 		}
-		if racehash.Fingerprint(racehash.Hash(ex.Key)) != m.Atomic.FP || uint8(ex.SlotVersion) != m.Atomic.Ver {
+		hx := racehash.Hash(ex.Key)
+		if x1, x2 := racehash.BucketPair(hx, l.NumBuckets()); racehash.Fingerprint(hx) != m.Atomic.FP ||
+			uint8(ex.SlotVersion) != m.Atomic.Ver || kb[m.Bucket] != x1 && kb[m.Bucket] != x2 {
 			put(off, 0, 0)
 			ek.cleared++
 			return false

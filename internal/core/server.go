@@ -38,9 +38,6 @@ type Server struct {
 	dataRows []int      // stripe rows where this MN holds the data block
 	allocCur int        // rotating allocation cursor into dataRows
 	encodeQ  []encodeJob
-	// copyDrain lists COPY blocks whose last extent went, for the
-	// erasure core to zero and free (drainCopies).
-	copyDrain []int
 	// applyNext is the staged checkpoint frame the ckpt-recv core
 	// applies next (frameLen 0: none). The one staging area holds one
 	// frame, so a newer notify replaces an older pending one, whose
@@ -221,10 +218,9 @@ type ServerStats struct {
 	EncodeJobs   uint64 // DELTA blocks folded into the local parity
 	EncodeDrops  uint64 // always 0: nothing drops a DELTA block unencoded; benchmark/metrics.go still reads it
 	EncodeQueue  uint64 // encode jobs currently queued
-	PoolBlocks   uint64 // delta/copy pool blocks total
+	PoolBlocks   uint64 // DELTA pool blocks total
 	PoolFree     uint64 // pool blocks currently FREE
 	PoolDelta    uint64 // pool blocks currently DELTA
-	PoolCopy     uint64 // pool blocks currently COPY, each shared by reclaims' backup extents
 
 	CkptShipFailures uint64 // checkpoint frames a host missed (transport or torn apply)
 	CkptSegsShipped  uint64 // images shipped, one per round (kept only for the benchmark)
@@ -272,8 +268,6 @@ func (s *Server) statsLocked() ServerStats {
 			st.PoolFree++
 		case layout.RoleDelta:
 			st.PoolDelta++
-		case layout.RoleCopy:
-			st.PoolCopy++
 		}
 	}
 	return st
@@ -385,9 +379,11 @@ func (s *Server) handle(method uint8, req []byte) ([]byte, time.Duration) {
 
 // handleAllocBlock allocates a DATA block: a reclaimed one whenever a
 // sealed block of the class is ReclaimObsolete obsolete (§3.3.3), a
-// fresh one otherwise. A class of 0, or one whose slot does not fit the
-// block, would make a DATA block that never fills or seals: it is
-// refused.
+// fresh one otherwise. Either way the reply names the slots handed out
+// and one bit: whether their old bytes must be read back. A fresh block
+// is a reuse of every slot whose old bytes are known to be zero. A class
+// of 0, or one whose slot does not fit the block, would make a DATA
+// block that never fills or seals: it is refused.
 func (s *Server) handleAllocBlock(req []byte) ([]byte, time.Duration) {
 	d := dec{b: req}
 	cliID := d.u16()
@@ -401,25 +397,26 @@ func (s *Server) handleAllocBlock(req []byte) ([]byte, time.Duration) {
 	source := s.cl.view.blockSource(s.mn)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	reply := func(b int, rec *layout.Record, readback uint8, handed []byte) []byte {
+		var e enc
+		e.u8(stOK)
+		e.u32(uint32(b))
+		e.u32(rec.StripeID)
+		e.u8(rec.XORID)
+		e.u8(readback)
+		e.bytes(handed)
+		return e.b
+	}
 
 	// Delta-based reclamation path: hand out the most-obsolete sealed
 	// block as soon as one qualifies, not once space runs low (the
 	// paper's 25 % free trigger; DESIGN.md §3).
 	if source {
 		if b, ok := s.pickReclaim(class); ok {
-			if handed, n, ok := s.reclaim(b, class, cliID); ok {
-				cpu += cpuTime(n, memcpyRate)
-				s.st.Reclaimed++
-				rec := s.record(b)
-				var e enc
-				e.u8(stOK)
-				e.u32(uint32(b))
-				e.u32(rec.StripeID)
-				e.u8(rec.XORID)
-				e.u8(1) // reused
-				e.bytes(handed)
-				return e.b, cpu
-			}
+			handed := s.reclaim(b, class, cliID)
+			s.st.Reclaimed++
+			rec := s.record(b)
+			return reply(b, &rec, 1, handed), cpu
 		}
 	}
 
@@ -438,168 +435,37 @@ func (s *Server) handleAllocBlock(req []byte) ([]byte, time.Duration) {
 			SizeClass: class, StripeID: stripe, CliID: cliID,
 		}
 		s.putRecord(row, &rec)
-		var e enc
-		e.u8(stOK)
-		e.u32(uint32(row))
-		e.u32(stripe)
-		e.u8(rec.XORID)
-		e.u8(0) // fresh
-		e.bytes(nil)
-		return e.b, cpu
+		return reply(row, &rec, 0, allSlots(s.cl.L, class)), cpu
 	}
 	return []byte{stNoSpace}, cpu
 }
 
-// reclaim hands out the marked slots of sealed block b of class class
-// to client cliID, as many as one extent of a COPY block holds, after
-// backing them up there for client-crash recovery: the extent holds
-// their bitmap (copyHead bytes), then their old bytes packed in slot
-// order, and b's record names it (Restart reads it, the seal releases
-// it). Marks past the extent's room stay set for a later reclaim. It
-// returns the bitmap of the slots handed out and the extent's length,
-// or false when no COPY block has room for it. Caller holds mu.
-func (s *Server) reclaim(b int, class uint8, cliID uint16) (handed []byte, n int, ok bool) {
-	l := s.cl.L
-	slots, size, head := l.KVSlotsPerBlock(class), int(class)*64, copyHead(l, class)
+// reclaim hands out every marked slot of sealed block b to client
+// cliID and returns their bitmap. Their old bytes stay where they are,
+// and stay encoded in the row's parity until the new incarnation's seal
+// folds its deltas: a restarted client decodes them from the row
+// (recoverOwnedBlock). Caller holds mu.
+func (s *Server) reclaim(b int, class uint8, cliID uint16) []byte {
 	bm := s.bitmap(b)
-	handed = make([]byte, (slots+7)/8)
-	count, room := 0, (int(l.Cfg.BlockSize)-head)/size
-	for slot := 0; slot < slots && count < room; slot++ {
-		if layout.BitmapGet(bm, slot) {
-			layout.BitmapSet(handed, slot)
-			count++
-		}
-	}
-	if count == 0 {
-		return nil, 0, false
-	}
-	n = head + count*size
-	cb, at, ok := s.copyExtent(n)
-	if !ok {
-		return nil, 0, false
-	}
-	src, ext := s.block(b), s.block(cb)[at:at+n]
-	clear(ext[copy(ext, handed):head])
-	pos := head
-	for slot := range slots {
-		if layout.BitmapGet(handed, slot) {
-			pos += copy(ext[pos:pos+size], src[slot*size:])
-			layout.BitmapClear(bm, slot)
-		}
-	}
+	handed := bytes.Clone(bm[:(s.cl.L.KVSlotsPerBlock(class)+7)/8])
+	clear(bm)
 	s.dirty[b] |= metaBitmap
 	rec := s.record(b)
 	rec.IndexVersion, rec.CliID = 0, cliID
-	rec.CopyOff, rec.CopyLen = l.BlockOff(cb)+uint64(at), uint32(n)
 	s.putRecord(b, &rec)
-	return handed, n, true
+	return handed
 }
 
-// copyHead is the length of the bitmap at the head of a class-class
-// block's COPY extent, in whole 64-byte units.
-func copyHead(l *layout.Layout, class uint8) int {
-	return ((l.KVSlotsPerBlock(class)+7)/8 + 63) / 64 * 64
-}
-
-// copyExtent finds room for an n-byte extent (a multiple of 64): the
-// first run of free 64-byte units in the first COPY block that has one,
-// whose bitmap entry maps the units in use, or else a free pool block
-// made a COPY block. It marks the units in use, and returns the block
-// and the extent's offset in it. Caller holds mu.
-func (s *Server) copyExtent(n int) (cb, at int, ok bool) {
-	l := s.cl.L
-	units, need := int(l.Cfg.BlockSize/64), n/64
-	cb, free, u := -1, -1, 0
-	for b := l.Cfg.StripeRows; b < l.Cfg.BlocksPerMN() && cb < 0; b++ {
-		switch s.record(b).Role {
-		case layout.RoleFree:
-			if free < 0 {
-				free = b
-			}
-		case layout.RoleCopy:
-			if u = freeRun(s.bitmap(b), units, need); u >= 0 {
-				cb = b
-			}
-		}
-	}
-	if cb < 0 {
-		if free < 0 {
-			return 0, 0, false
-		}
-		cb, u = free, 0
-		s.putRecord(cb, &layout.Record{Role: layout.RoleCopy, Valid: true, StripeID: layout.NoStripe})
-	}
-	bm := s.bitmap(cb)
-	for i := u; i < u+need; i++ {
+// allSlots is the bitmap of every slot of a class-class block; class 0
+// counts the block in 64-byte units. It scopes a fresh block, and a
+// DELTA block placed or re-attached whole (foldBatch).
+func allSlots(l *layout.Layout, class uint8) []byte {
+	n := l.KVSlotsPerBlock(max(class, 1))
+	bm := make([]byte, (n+7)/8)
+	for i := range n {
 		layout.BitmapSet(bm, i)
 	}
-	s.dirty[cb] |= metaBitmap
-	if crec := s.record(cb); uint32((u+need)*64) > crec.CopyLen {
-		crec.CopyLen = uint32((u + need) * 64)
-		s.putRecord(cb, &crec)
-	}
-	return cb, u * 64, true
-}
-
-// freeRun returns the first of need adjacent clear bits among the first
-// units bits of bm, or -1.
-func freeRun(bm []byte, units, need int) int {
-	run := 0
-	for u := range units {
-		if layout.BitmapGet(bm, u) {
-			run = 0
-		} else if run++; run == need {
-			return u + 1 - need
-		}
-	}
-	return -1
-}
-
-// releaseCopy releases the COPY extent that reused block rec names and
-// clears the name. The extent is not zeroed: a later extent over it
-// writes every byte it holds. A COPY block whose last extent goes is
-// queued for the erasure core to zero and free (drainCopies). Caller
-// holds mu.
-func (s *Server) releaseCopy(rec *layout.Record) {
-	l := s.cl.L
-	off, n := rec.CopyOff, int(rec.CopyLen)
-	rec.CopyOff, rec.CopyLen = 0, 0
-	cb := l.BlockOfOff(off)
-	if off == 0 || cb < l.Cfg.StripeRows || s.record(cb).Role != layout.RoleCopy {
-		return
-	}
-	bm, units := s.bitmap(cb), int(l.Cfg.BlockSize/64)
-	for u := int(off-l.BlockOff(cb)) / 64; u < units && n > 0; u, n = u+1, n-64 {
-		layout.BitmapClear(bm, u)
-	}
-	s.dirty[cb] |= metaBitmap
-	if layout.BitmapCount(bm) == 0 && !slices.Contains(s.copyDrain, cb) {
-		s.copyDrain = append(s.copyDrain, cb)
-	}
-}
-
-// drainCopies zeroes each queued COPY block that still holds no extent
-// over the prefix its extents used, and frees it; one that took an
-// extent since stays. It returns the zeroing's modelled cost. A
-// replacement server starts with none queued: an empty COPY block it
-// inherits is freed once an extent placed there goes. Caller holds
-// memMu+mu.
-func (s *Server) drainCopies() time.Duration {
-	l := s.cl.L
-	n := 0
-	for _, cb := range s.copyDrain {
-		crec := s.record(cb)
-		if crec.Role != layout.RoleCopy || layout.BitmapCount(s.bitmap(cb)) > 0 {
-			continue
-		}
-		used := min(int(crec.CopyLen), int(l.Cfg.BlockSize))
-		clear(s.block(cb)[:used])
-		n += used
-		free := layout.Record{}
-		s.putRecord(cb, &free)
-	}
-	s.copyDrain = s.copyDrain[:0]
-	return cpuTime(n, memcpyRate)
+	return bm
 }
 
 // setBitmap makes bits, zero-extended, block b's bitmap entry. Caller
@@ -644,15 +510,16 @@ func (s *Server) pickReclaim(class uint8) (block int, ok bool) {
 
 // handleAllocDelta allocates a DELTA block on this parity MN for
 // (stripe, xorID) and records it in the parity record (Figure 6 ①). The
-// request ends with the free bitmap the data block was handed out with,
-// empty for a fresh block: it becomes the DELTA block's bitmap entry,
-// the slots its fold covers (foldBatch; empty: every slot).
+// request ends with the bitmap of the slots the data block was handed
+// out with (every slot of a fresh block): it becomes the DELTA block's
+// bitmap entry, the slots its fold covers (foldBatch).
 func (s *Server) handleAllocDelta(req []byte) ([]byte, time.Duration) {
 	d := dec{b: req}
 	cliID := d.u16()
 	stripe := d.u32()
 	xorID := d.u8()
 	class := d.u8()
+	first := d.u8() == 1
 	bits := d.bytes()
 	cpu := 2 * time.Microsecond
 	s.mu.Lock()
@@ -679,16 +546,18 @@ func (s *Server) handleAllocDelta(req []byte) ([]byte, time.Duration) {
 	if !prec.Valid && cliID != 0 {
 		return []byte{stConflict}, cpu
 	}
-	// A pending delta with its encode queued belongs to the block's
-	// sealed incarnation, and the client asking is about to refill the
-	// block (a reclamation): fold it now. Re-attached instead, the new
-	// pairs' deltas would land on top of the old ones, and the queued
-	// job would later fold and free the block under the new writer.
-	// Clients send a block's EncodeDelta before its seal, so the job is
-	// queued before the data MN can hand the block out again. The fold
-	// is charged to this RPC, on the RPC core, and counted in the encode
+	// A pending delta with its encode queued, or met by a block's first
+	// AllocDelta on this MN, belongs to an earlier incarnation of the
+	// block: sealed (clients send a block's EncodeDelta before its seal,
+	// so the job is queued before the data MN can hand the block out
+	// again), or restored by tier 3 on a replacement, with no job. The
+	// client asking is about to refill the block: fold it now.
+	// Re-attached instead, the new pairs' deltas would overwrite the old
+	// ones in slots the parity never took them into, and a queued job
+	// would fold and free the block under the new writer. The fold is
+	// charged to this RPC, on the RPC core, and counted in the encode
 	// stats like the erasure core's (DESIGN.md §3, hardening 5).
-	if job := (encodeJob{stripe: stripe, xorID: xorID}); prec.Valid && prec.DeltaAddr[xorID] != 0 && s.takeEncodeJob(job) {
+	if job := (encodeJob{stripe: stripe, xorID: xorID}); prec.Valid && prec.DeltaAddr[xorID] != 0 && (s.takeEncodeJob(job) || first) {
 		var deltas []erasure.ShardDelta
 		var freeBlocks []int
 		encCost, memCost := s.foldBatch(stripe, []encodeJob{job}, &deltas, &freeBlocks)
@@ -704,7 +573,7 @@ func (s *Server) handleAllocDelta(req []byte) ([]byte, time.Duration) {
 		_, off := layout.UnpackAddr(prec.DeltaAddr[xorID])
 		b := s.cl.L.BlockOfOff(off)
 		if !s.bitmapIs(b, bits) {
-			s.setBitmap(b, nil)
+			s.setBitmap(b, allSlots(s.cl.L, s.record(b).SizeClass))
 		}
 		var e enc
 		e.u8(stOK)
@@ -712,12 +581,6 @@ func (s *Server) handleAllocDelta(req []byte) ([]byte, time.Duration) {
 		return e.b, cpu
 	}
 	b := s.freePoolBlock()
-	if b < 0 && len(s.copyDrain) > 0 {
-		// Rather than refuse, release here the emptied COPY blocks the
-		// erasure core has yet to.
-		cpu += s.drainCopies()
-		b = s.freePoolBlock()
-	}
 	if b < 0 {
 		s.st.DeltaRefused++
 		return []byte{stNoSpace}, cpu
@@ -758,11 +621,12 @@ func (s *Server) handleInstallParity(req []byte) ([]byte, time.Duration) {
 
 // handleSealBlock closes client cliID's open DATA block b, full or not:
 // it marks obsolete the slots the request names as never written, so
-// reclamation counts them with the overwritten ones, stamps the current
-// Index Version into the record (§3.2.3) and releases the COPY extent
-// the record names, if any, zeroing nothing (releaseCopy). A fresh block
-// with no slot written is all zeros still, and its row is free again. A
-// block that is not the client's open block any more (a stale seal after
+// reclamation counts them with the overwritten ones, and stamps the
+// current Index Version into the record (§3.2.3). A block with every
+// slot unwritten whose bytes are all zero — a fresh block nobody wrote —
+// has its row free again; a reused one keeps its old bytes, which its
+// row's parity encodes, and is reclaimed like any sealed block. A block
+// that is not the client's open block any more (a stale seal after
 // another client reclaimed it) is left alone: stConflict.
 func (s *Server) handleSealBlock(req []byte) ([]byte, time.Duration) {
 	d := dec{b: req}
@@ -791,12 +655,14 @@ func (s *Server) handleSealBlock(req []byte) ([]byte, time.Duration) {
 	if n > 0 {
 		s.dirty[b] |= metaBitmap
 	}
-	if rec.CopyOff == 0 && n == slots {
+	if n == slots {
+		cpu += cpuTime(int(s.cl.L.Cfg.BlockSize), memcpyRate) // the scan for a non-zero byte
+	}
+	if n == slots && !slices.ContainsFunc(s.block(b), func(x byte) bool { return x != 0 }) {
 		clear(bm)
 		rec = layout.Record{}
 	} else {
 		rec.IndexVersion = s.indexVersion()
-		s.releaseCopy(&rec)
 	}
 	s.putRecord(b, &rec)
 	return []byte{stOK}, cpu
@@ -960,8 +826,7 @@ func (s *Server) handleApplyCkpt(req []byte) ([]byte, time.Duration) {
 // jobs stripe by stripe, folding all of a stripe's queued DELTA blocks
 // into the local PARITY block in one batched pass (the erasure
 // package's ApplyDeltas — one read of the parity for the whole batch
-// instead of one per delta), then freeing the consumed blocks; with no
-// job queued it zeroes and frees the COPY blocks whose last extent went
+// instead of one per delta), then freeing the consumed blocks
 // (encodeNext). Record
 // and parity mutations happen in one critical section so degraded
 // readers never observe a delta both encoded and pending; on simnet
@@ -1011,13 +876,12 @@ func (s *Server) encoderLoop(ctx rdma.Ctx) {
 // of the head stripe (foldBatch), reusing batch, deltas and freeBlocks
 // as scratch: reclamation retires deltas in bursts, and folding them
 // together reads the parity block once instead of once per delta. With
-// no job queued it zeroes and frees the emptied COPY blocks instead
-// (drainCopies) and reports no more work. It returns the modelled costs
+// no job queued it reports no more work. It returns the modelled costs
 // of the fold and of the zeroing, for the caller to charge. Caller holds
 // memMu+mu.
 func (s *Server) encodeNext(batch *[]encodeJob, deltas *[]erasure.ShardDelta, freeBlocks *[]int) (encCost, memCost time.Duration, more bool) {
 	if len(s.encodeQ) == 0 {
-		return 0, s.drainCopies(), false
+		return 0, 0, false
 	}
 	stripe := s.encodeQ[0].stripe
 	*batch = (*batch)[:0]
@@ -1083,8 +947,7 @@ func (s *Server) claimEncodeBatch(stripe uint32, batch []encodeJob, deltas *[]er
 		}
 		_, dOff := layout.UnpackAddr(prec.DeltaAddr[job.xorID])
 		db := l.BlockOfOff(dOff)
-		class := s.record(db).SizeClass
-		*deltas = appendScope(*deltas, int(job.xorID), s.block(db), s.bitmap(db), int(class)*64, l.KVSlotsPerBlock(class))
+		*deltas = appendScope(*deltas, int(job.xorID), s.block(db), s.bitmap(db), l, s.record(db).SizeClass)
 		prec.XORMap |= 1 << job.xorID
 		s.st.EncodeJobs++
 		prec.DeltaAddr[job.xorID] = 0
@@ -1097,13 +960,14 @@ func (s *Server) claimEncodeBatch(stripe uint32, batch []encodeJob, deltas *[]er
 }
 
 // appendScope appends to deltas the ranges of data shard di's DELTA
-// block blk that its bitmap entry scope names, one per run of adjacent
-// size-byte slots among its first slots, or the whole block when it names none:
-// a fresh block's, or one placed without a bitmap (tier 3's, or one
-// recovery re-recorded). A client writes a reused block's deltas only
-// in the slots it was handed out, so the block is zero outside them.
-func appendScope(deltas []erasure.ShardDelta, di int, blk, scope []byte, size, slots int) []erasure.ShardDelta {
-	start := len(deltas)
+// block blk, of size class class, that its bitmap entry scope names, one
+// per run of adjacent slots. A client writes a block's deltas only in
+// the slots it was handed out — every slot of a fresh one — so the block
+// is zero outside them; one placed without a class (tier 3's) counts its
+// slots in 64-byte units (allSlots).
+func appendScope(deltas []erasure.ShardDelta, di int, blk, scope []byte, l *layout.Layout, class uint8) []erasure.ShardDelta {
+	class = max(class, 1)
+	size, slots := int(class)*64, l.KVSlotsPerBlock(class)
 	for lo := 0; lo < slots; {
 		if !layout.BitmapGet(scope, lo) {
 			lo++
@@ -1115,9 +979,6 @@ func appendScope(deltas []erasure.ShardDelta, di int, blk, scope []byte, size, s
 		}
 		deltas = append(deltas, erasure.ShardDelta{DI: di, Off: lo * size, B: blk[lo*size : hi*size]})
 		lo = hi
-	}
-	if len(deltas) == start {
-		deltas = append(deltas, erasure.ShardDelta{DI: di, B: blk})
 	}
 	return deltas
 }

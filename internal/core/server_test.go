@@ -53,6 +53,7 @@ func TestHandlerBadArgs(t *testing.T) {
 	e.u32(1 << 30) // absurd stripe
 	e.u8(0)
 	e.u8(17)
+	e.u8(1)
 	e.bytes(nil)
 	if resp := tc.rpc(t, 0, methodAllocDelta, e.b); resp[0] != stBadArg {
 		t.Errorf("absurd stripe accepted: %v", resp)
@@ -135,7 +136,14 @@ func TestHandlerShortRequests(t *testing.T) {
 		req    []byte
 	}{
 		{methodAllocBlock, full(func(e *enc) { e.u16(1); e.u8(2) })},
-		{methodAllocDelta, full(func(e *enc) { e.u16(1); e.u32(0); e.u8(0); e.u8(2); e.bytes([]byte{0x0F}) })},
+		{methodAllocDelta, full(func(e *enc) {
+			e.u16(1)
+			e.u32(0)
+			e.u8(0)
+			e.u8(2)
+			e.u8(1)
+			e.bytes([]byte{0x0F})
+		})},
 		{methodSealBlock, sealRequest(int(blk), 1, []byte{0x01})},
 		{methodEncodeDelta, full(func(e *enc) { e.u32(0); e.u8(0) })},
 		{methodFreeBits, freeBitsPayload([]int{0, 0, 2}, []int{1, 4})},
@@ -187,6 +195,7 @@ func TestAllocDeltaRefusesUnrebuiltParity(t *testing.T) {
 		e.u32(0)
 		e.u8(0)
 		e.u8(2)
+		e.u8(1)
 		e.bytes(nil)
 		resp, _ := srv.handle(methodAllocDelta, e.b)
 		if len(resp) == 0 {
@@ -223,6 +232,7 @@ func FuzzInstallParity(f *testing.F) {
 	ad.u32(0)
 	ad.u8(1)
 	ad.u8(2)
+	ad.u8(1)
 	ad.bytes(nil)
 	if resp, _ := srv.handle(methodAllocDelta, ad.b); resp[0] != stOK {
 		f.Fatalf("alloc delta: status %d", resp[0])
@@ -314,13 +324,11 @@ func blockRPCInput(calls ...[]byte) []byte {
 // AllocDelta (with and without a bitmap), SealBlock (with and without
 // unwritten slots, from the block's client and from another), EncodeDelta and FreeBits requests and erasure
 // core passes, seeded with the ones clients send. The MN's stripe rows
-// start full of bytes, so a reclamation backs up data, and every DELTA
-// block AllocDelta hands out gets bytes in the slots its bitmap scopes,
-// as a client writes them. No request may panic the MN, and after each
-// one every FREE pool block holds only zeros, every DELTA block only
-// zeros outside its scope, and every COPY block has in use exactly the
-// units of the extents live DATA blocks name, all inside the prefix it
-// zeroes when freed.
+// start full of bytes, so a reclamation hands out slots that hold data,
+// and every DELTA block AllocDelta hands out gets bytes in the slots its
+// bitmap scopes, as a client writes them. No request may panic the MN,
+// and after each one every FREE pool block holds only zeros and every
+// DELTA block only zeros outside its scope.
 func FuzzBlockRPCs(f *testing.F) {
 	tc := newTestCluster(f, func(cfg *Config) {
 		cfg.ReclaimObsolete = 0 // any sealed block with a mark qualifies
@@ -356,9 +364,23 @@ func FuzzBlockRPCs(f *testing.F) {
 	f.Add(blockRPCInput(allocA, sealOf(a, 1, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF)))
 	f.Add(blockRPCInput(allocA, markA, sealA, allocB, sealOf(a, 1, 0x0F)))
 	f.Add(blockRPCInput(
-		call(allocDelta, func(e *enc) { e.u16(1); e.u32(0); e.u8(0); e.u8(2); e.bytes([]byte{0x0B, 0x80}) }),
+		call(allocDelta, func(e *enc) {
+			e.u16(1)
+			e.u32(0)
+			e.u8(0)
+			e.u8(2)
+			e.u8(1)
+			e.bytes([]byte{0x0B, 0x80})
+		}),
 		call(encode, func(e *enc) { e.u32(0); e.u8(0) }),
-		call(allocDelta, func(e *enc) { e.u16(2); e.u32(0); e.u8(0); e.u8(2); e.bytes(nil) }),
+		call(allocDelta, func(e *enc) {
+			e.u16(2)
+			e.u32(0)
+			e.u8(0)
+			e.u8(2)
+			e.u8(1)
+			e.bytes(nil)
+		}),
 		call(encode, func(e *enc) { e.u32(0); e.u8(0) }),
 		call(pass, func(*enc) {})))
 	f.Add(blockRPCInput(call(alloc, func(e *enc) { e.u16(1); e.u8(0xFF) }), sealOf(1<<20, 1)))
@@ -367,31 +389,6 @@ func FuzzBlockRPCs(f *testing.F) {
 
 	check := func(t *testing.T, what string) {
 		t.Helper()
-		units := int(l.Cfg.BlockSize / 64)
-		live := map[int][]bool{} // per COPY block, the units live extents cover
-		for row := 0; row < l.Cfg.StripeRows; row++ {
-			rec := srv.record(row)
-			if rec.Role != layout.RoleData || rec.CopyOff == 0 {
-				continue
-			}
-			cb := l.BlockOfOff(rec.CopyOff)
-			if cb < l.Cfg.StripeRows || srv.record(cb).Role != layout.RoleCopy || (rec.CopyOff-l.BlockOff(cb))%64 != 0 {
-				t.Fatalf("after %s: block %d names the extent [%d,+%d), not one of a COPY block", what, row, rec.CopyOff, rec.CopyLen)
-			}
-			at := int(rec.CopyOff-l.BlockOff(cb)) / 64
-			if end := at*64 + int(rec.CopyLen); end > int(srv.record(cb).CopyLen) {
-				t.Fatalf("after %s: block %d's extent ends at %d, past COPY block %d's prefix %d", what, row, end, cb, srv.record(cb).CopyLen)
-			}
-			if live[cb] == nil {
-				live[cb] = make([]bool, units)
-			}
-			for u := at; u < at+int(rec.CopyLen)/64; u++ {
-				if live[cb][u] {
-					t.Fatalf("after %s: two extents share unit %d of COPY block %d", what, u, cb)
-				}
-				live[cb][u] = true
-			}
-		}
 		for blk := l.Cfg.StripeRows; blk < l.Cfg.BlocksPerMN(); blk++ {
 			switch rec := srv.record(blk); rec.Role {
 			case layout.RoleFree:
@@ -400,17 +397,11 @@ func FuzzBlockRPCs(f *testing.F) {
 				}
 			case layout.RoleDelta:
 				outside := append([]byte(nil), srv.block(blk)...)
-				for _, r := range appendScope(nil, 0, outside, srv.bitmap(blk), int(rec.SizeClass)*64, l.KVSlotsPerBlock(rec.SizeClass)) {
+				for _, r := range appendScope(nil, 0, outside, srv.bitmap(blk), l, rec.SizeClass) {
 					clear(r.B)
 				}
 				if bytes.Count(outside, []byte{0}) != len(outside) {
 					t.Fatalf("after %s: DELTA block %d holds data outside its scope", what, blk)
-				}
-			case layout.RoleCopy:
-				for u := range units {
-					if layout.BitmapGet(srv.bitmap(blk), u) != (live[blk] != nil && live[blk][u]) {
-						t.Fatalf("after %s: COPY block %d's unit %d in use %v, live extents say otherwise", what, blk, u, layout.BitmapGet(srv.bitmap(blk), u))
-					}
 				}
 			}
 		}
@@ -419,7 +410,7 @@ func FuzzBlockRPCs(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in []byte) {
 		defer func() { // every input starts from the same MN
 			copy(mem, start)
-			srv.encodeQ, srv.copyDrain, srv.allocCur = srv.encodeQ[:0], srv.copyDrain[:0], 0
+			srv.encodeQ, srv.allocCur = srv.encodeQ[:0], 0
 			clear(srv.dirty)
 		}()
 		for len(in) >= 2 {
@@ -439,7 +430,7 @@ func FuzzBlockRPCs(f *testing.F) {
 				// The client writes its deltas, in the slots the block scopes.
 				db := int(d.u32())
 				rec := srv.record(db)
-				for _, r := range appendScope(nil, 0, srv.block(db), srv.bitmap(db), int(rec.SizeClass)*64, l.KVSlotsPerBlock(rec.SizeClass)) {
+				for _, r := range appendScope(nil, 0, srv.block(db), srv.bitmap(db), l, rec.SizeClass) {
 					for i := range r.B {
 						r.B[i] = byte(i*7) | 1
 					}
@@ -464,12 +455,13 @@ func TestHandlerAllocDeltaIdempotent(t *testing.T) {
 	if stripe < 0 {
 		t.Fatal("no parity stripe on mn0")
 	}
-	alloc := func() uint32 {
+	alloc := func(first uint8) uint32 {
 		var e enc
 		e.u16(9)
 		e.u32(uint32(stripe))
 		e.u8(0)
 		e.u8(17)
+		e.u8(first)
 		e.bytes(nil)
 		resp := tc.rpc(t, 0, methodAllocDelta, e.b)
 		if resp[0] != stOK {
@@ -478,8 +470,8 @@ func TestHandlerAllocDeltaIdempotent(t *testing.T) {
 		d := dec{b: resp[1:]}
 		return d.u32()
 	}
-	first := alloc()
-	second := alloc()
+	first := alloc(1)
+	second := alloc(0) // a re-attach
 	if first != second {
 		t.Fatalf("AllocDelta not idempotent: %d then %d", first, second)
 	}
@@ -539,13 +531,13 @@ func TestAdminStatsRoundTrip(t *testing.T) {
 
 	ordered := ServerStats{MN: 7, IndexVersion: 1, Reclaimed: 2, BitsApplied: 3, CkptRounds: 4,
 		CkptBytes: 5, CkptApplies: 6, EncodeJobs: 7, EncodeDrops: 8, EncodeQueue: 9, PoolBlocks: 10,
-		PoolFree: 11, PoolDelta: 12, PoolCopy: 13, CkptShipFailures: 14,
-		CkptSegsShipped: 15, CkptRawBytes: 16, CkptCPUNs: 17, ECEncodeBytes: 18, ECEncodeNs: 19,
-		ECEncodeBatches: 20, ECDecodeBytes: 21, ECDecodeNs: 22, MetaSyncWrites: 23, MetaSyncBytes: 24,
-		MetaResyncs: 25, DeltaRefused: 26}
+		PoolFree: 11, PoolDelta: 12, CkptShipFailures: 13,
+		CkptSegsShipped: 14, CkptRawBytes: 15, CkptCPUNs: 16, ECEncodeBytes: 17, ECEncodeNs: 18,
+		ECEncodeBatches: 19, ECDecodeBytes: 20, ECDecodeNs: 21, MetaSyncWrites: 22, MetaSyncBytes: 23,
+		MetaResyncs: 24, DeltaRefused: 25}
 	want := enc{b: []byte{stOK}}
 	want.u16(7)
-	for i := uint64(1); i <= 26; i++ {
+	for i := uint64(1); i <= 25; i++ {
 		want.u64(i)
 	}
 	if got := encodeStats(ordered); !bytes.Equal(got, want.b) {
@@ -736,10 +728,9 @@ func wantWrites(l *layout.Layout, mn int, parts ...string) []string {
 
 // TestMetaSyncShipsOnlyChangedParts pins the traffic of a meta-sync
 // round: a FreeBits mark ships only the block's bitmap, a record write
-// only its record, a reclamation reset both (and the backup copy's
-// record and bitmap), the reused block's seal its record and the copy's
-// cleared bitmap, the copy's release its record, each to every replica host, at most
-// 4 writes to a doorbell; a round with nothing dirty rings nothing.
+// only its record, a reclamation reset both, the reused block's seal its
+// record, each to every replica host, at most 4 writes to a doorbell; a
+// round with nothing dirty rings nothing.
 func TestMetaSyncShipsOnlyChangedParts(t *testing.T) {
 	tc := newTestCluster(t, func(cfg *Config) {
 		cfg.ReclaimObsolete = 0 // any sealed block with a mark qualifies
@@ -777,33 +768,23 @@ func TestMetaSyncShipsOnlyChangedParts(t *testing.T) {
 	}
 	check("five fresh blocks", wantWrites(l, 0, many...))
 
-	// The next block of class 2 reclaims a: its bitmap is reset, its
-	// record restamped, and a pool block records the backup copy.
+	// The next block of class 2 reclaims a: its bitmap is reset and its
+	// record restamped.
 	if got := allocData(t, srv, 2); got != a {
 		t.Fatalf("allocation returned block %d, want the reclaimed block %d", got, a)
 	}
-	cp := -1
-	for blk := l.Cfg.StripeRows; blk < l.Cfg.BlocksPerMN(); blk++ {
-		if srv.record(blk).Role == layout.RoleCopy {
-			cp = blk
-		}
+	if srv.st.Reclaimed != 1 {
+		t.Fatalf("no reclamation: %d reclaimed", srv.st.Reclaimed)
 	}
-	if srv.st.Reclaimed != 1 || cp < 0 {
-		t.Fatalf("no reclamation: %d reclaimed, copy block %d", srv.st.Reclaimed, cp)
-	}
-	// Block order: the copy is a pool block, after every stripe row. Its
-	// bitmap records the units its extents use.
-	check("a reclamation reset", wantWrites(l, 0, fmt.Sprintf("rec %d", a), fmt.Sprintf("bm %d", a),
-		fmt.Sprintf("rec %d", cp), fmt.Sprintf("bm %d", cp)))
+	check("a reclamation reset", wantWrites(l, 0, fmt.Sprintf("rec %d", a), fmt.Sprintf("bm %d", a)))
 
-	// The seal stamps a and releases its extent, the COPY block's last:
-	// its bitmap is cleared, and the erasure core frees the block.
+	// The seal stamps a.
 	if resp, _ := srv.handle(methodSealBlock, sealRequest(a, 1, nil)); resp[0] != stOK {
 		t.Fatalf("seal of the reused block: status %d", resp[0])
 	}
-	check("a reused block's seal", wantWrites(l, 0, fmt.Sprintf("rec %d", a), fmt.Sprintf("bm %d", cp)))
+	check("a reused block's seal", wantWrites(l, 0, fmt.Sprintf("rec %d", a)))
 	encoderPass(srv)
-	check("the emptied COPY block's release", wantWrites(l, 0, fmt.Sprintf("rec %d", cp)))
+	check("an erasure core pass with nothing queued", nil)
 }
 
 // TestSealMarksUnwrittenSlots pins SealBlock's one request. A fresh
@@ -813,7 +794,9 @@ func TestMetaSyncShipsOnlyChangedParts(t *testing.T) {
 // client's, or a stale duplicate after another client reclaimed the
 // block — marks nothing: stConflict. A reused block sealed unwritten gets
 // the slots it was handed out back, beside a mark set since the
-// reclamation, and its COPY block is freed.
+// reclamation; one handed out whole and sealed with every slot unwritten
+// keeps its old bytes, sealed with every slot marked, where a fresh
+// block's row would be free again.
 func TestSealMarksUnwrittenSlots(t *testing.T) {
 	tc := newTestCluster(t, func(cfg *Config) {
 		cfg.ReclaimObsolete = 0 // any sealed block with a mark qualifies
@@ -864,11 +847,10 @@ func TestSealMarksUnwrittenSlots(t *testing.T) {
 	if resp[0] != stOK || d.short || got != b || reused != 1 {
 		t.Fatalf("allocation: status %d, block %d reused %d, want block %d reused", resp[0], got, reused, b)
 	}
-	copyBlk := l.BlockOfOff(srv.record(b).CopyOff)
 	if st := seal(b, 1, []byte{0x30}); st != stConflict {
 		t.Fatalf("a stale duplicate seal: status %d, want stConflict", st)
 	}
-	if srv.record(b).IndexVersion != 0 || len(marked(b)) != 0 || srv.record(copyBlk).Role != layout.RoleCopy {
+	if srv.record(b).IndexVersion != 0 || len(marked(b)) != 0 {
 		t.Fatal("a stale duplicate seal changed the reclaimed block")
 	}
 	// A client overwrites one of b's pairs still live while b is out.
@@ -885,21 +867,34 @@ func TestSealMarksUnwrittenSlots(t *testing.T) {
 	if got := marked(b); !reflect.DeepEqual(got, []int{0, 2, 3, 4, 5}) {
 		t.Fatalf("reused block unwritten: slots %v marked, want [0 2 3 4 5]", got)
 	}
-	if srv.record(copyBlk).Role != layout.RoleFree {
-		t.Fatalf("reused block unwritten: its copy block is %v, want free", srv.record(copyBlk).Role)
+
+	c := allocData(t, srv, 2)
+	srv.block(c)[0] = 1 // a pair in its first slot
+	if st := seal(c, 1, nil); st != stOK {
+		t.Fatalf("seal: status %d", st)
+	}
+	if resp, _ := srv.handle(methodFreeBits, freeBitsPayload([]int{c, 0})); resp[0] != stOK {
+		t.Fatalf("FreeBits: status %d", resp[0])
+	}
+	resp, _ = srv.handle(methodAllocBlock, e.b)
+	if d = (dec{b: resp[1:]}); resp[0] != stOK || int(d.u32()) != c {
+		t.Fatalf("allocation: status %d, want block %d reclaimed", resp[0], c)
+	}
+	if st := seal(c, 2, all); st != stOK {
+		t.Fatalf("reused block wholly unwritten: status %d", st)
+	}
+	if rec := srv.record(c); rec.Role != layout.RoleData || rec.IndexVersion == 0 || len(marked(c)) != l.KVSlotsPerBlock(2) {
+		t.Fatalf("reused block wholly unwritten: record %+v, %d slots marked, want it sealed with every slot marked", rec, len(marked(c)))
 	}
 }
 
-// TestReclaimCopiesOnlyMarkedSlots pins what a reclamation's backup
-// costs the MN: AllocBlock writes one extent of a COPY block, the bitmap
-// of the slots it hands out and then only those slots, packed in slot
-// order, with the rest of the COPY block zero; the COPY block's bitmap
-// marks the extent's units, the reused block's record names the extent,
-// and the charge is 2 µs plus the extent's copy. SealBlock releases the
-// extent, the COPY block's last, for 1 µs; the erasure core then zeroes
-// and charges the prefix the extents used, leaving the COPY block zero,
-// its bitmap clear and its record free.
-func TestReclaimCopiesOnlyMarkedSlots(t *testing.T) {
+// TestReclaimHandsOutEveryMarkedSlot pins what a reclamation costs the
+// MN: AllocBlock hands out exactly the marked slots, all of them, and
+// reads or writes no byte of the block or the pool — the slots' old
+// bytes stay in place, encoded in the row's parity — for 2 µs; the
+// block's bitmap entry is clear and its record names the new client,
+// unsealed. SealBlock costs 1 µs.
+func TestReclaimHandsOutEveryMarkedSlot(t *testing.T) {
 	tc := newTestCluster(t, func(cfg *Config) {
 		cfg.ReclaimObsolete = 0 // any sealed block with a mark qualifies
 	})
@@ -914,10 +909,10 @@ func TestReclaimCopiesOnlyMarkedSlots(t *testing.T) {
 			blk[s*slotSize+i] = byte(s*7 + i + 1)
 		}
 	}
-	before := append([]byte(nil), blk...)
-	marked := []int{1, 4, 5, 9}
+	var marked []int
 	units := []int{a}
-	for _, s := range marked {
+	for s := 1; s < l.KVSlotsPerBlock(class); s += 3 {
+		marked = append(marked, s)
 		units = append(units, s*class)
 	}
 	if resp, _ := srv.handle(methodFreeBits, freeBitsPayload(units)); resp[0] != stOK {
@@ -927,65 +922,34 @@ func TestReclaimCopiesOnlyMarkedSlots(t *testing.T) {
 		t.Fatalf("seal: status %d", resp[0])
 	}
 	marks := append([]byte(nil), srv.bitmap(a)[:(l.KVSlotsPerBlock(class)+7)/8]...)
+	before := append([]byte(nil), tc.pl.DirectMemory(tc.cl.MNNode(0))...)
 
 	var e enc
-	e.u16(1)
+	e.u16(7)
 	e.u8(class)
 	resp, cpu := srv.handle(methodAllocBlock, e.b)
 	d := dec{b: resp[1:]}
-	got, _, _, reused, handed := int(d.u32()), d.u32(), d.u8(), d.u8(), d.bytes()
-	if resp[0] != stOK || d.short || got != a || reused != 1 || !bytes.Equal(handed, marks) {
-		t.Fatalf("allocation: status %d, block %d reused %d handing out %x, want block %d reused handing out %x",
-			resp[0], got, reused, handed, a, marks)
+	got, _, _, readback, handed := int(d.u32()), d.u32(), d.u8(), d.u8(), d.bytes()
+	if resp[0] != stOK || d.short || got != a || readback != 1 || !bytes.Equal(handed, marks) {
+		t.Fatalf("allocation: status %d, block %d read back %d handing out %x, want block %d read back handing out %x",
+			resp[0], got, readback, handed, a, marks)
 	}
-	rec := srv.record(a)
-	copyBlk := l.BlockOfOff(rec.CopyOff)
-	head := copyHead(l, class)
-	n := head + len(marked)*slotSize
-	if copyBlk < l.Cfg.StripeRows || rec.CopyOff != l.BlockOff(copyBlk) || rec.CopyLen != uint32(n) {
-		t.Fatalf("the reused block's record names the extent [%d,+%d), want the head of a pool block, %d bytes", rec.CopyOff, rec.CopyLen, n)
+	if cpu != 2*time.Microsecond {
+		t.Errorf("AllocBlock charged %v, want 2 µs", cpu)
 	}
-	if want := 2*time.Microsecond + cpuTime(n, memcpyRate); cpu != want {
-		t.Errorf("AllocBlock charged %v, want %v (2 µs and a %d-byte extent)", cpu, want, n)
+	after := tc.pl.DirectMemory(tc.cl.MNNode(0))
+	if !bytes.Equal(after[l.BlockOff(0):], before[l.BlockOff(0):]) {
+		t.Error("the reclamation wrote the Block Area")
 	}
-	cb := srv.block(copyBlk)
-	if !bytes.Equal(cb[:len(marks)], marks) || bytes.Count(cb[len(marks):head], []byte{0}) != head-len(marks) {
-		t.Error("the extent does not start with the bitmap of the slots handed out")
+	if rec := srv.record(a); rec.IndexVersion != 0 || rec.CliID != 7 || layout.BitmapCount(srv.bitmap(a)) != 0 {
+		t.Errorf("the reclaimed block's record is %+v with %d marks, want client 7's, unsealed and unmarked", rec, layout.BitmapCount(srv.bitmap(a)))
 	}
-	for i, s := range marked {
-		if !bytes.Equal(cb[head+i*slotSize:][:slotSize], before[s*slotSize:][:slotSize]) {
-			t.Errorf("extent slot %d does not hold marked slot %d", i, s)
-		}
+	if st := srv.Stats(); st.PoolFree != st.PoolBlocks {
+		t.Errorf("%d of %d pool blocks free after the reclamation, want all", st.PoolFree, st.PoolBlocks)
 	}
-	if bytes.Count(cb[n:], []byte{0}) != len(cb)-n {
-		t.Errorf("the COPY block holds data past its %d-byte extent", n)
-	}
-	if got := layout.BitmapCount(srv.bitmap(copyBlk)); got != n/64 || !layout.BitmapGet(srv.bitmap(copyBlk), n/64-1) {
-		t.Errorf("the COPY block's bitmap marks %d units, want the extent's first %d", got, n/64)
-	}
-
-	resp, cpu = srv.handle(methodSealBlock, sealRequest(a, 1, nil))
-	if resp[0] != stOK {
-		t.Fatalf("seal of the reused block: status %d", resp[0])
-	}
-	if cpu != time.Microsecond {
-		t.Errorf("SealBlock charged %v, want 1 µs", cpu)
-	}
-	if rec := srv.record(a); rec.CopyOff != 0 || rec.CopyLen != 0 {
-		t.Errorf("the sealed block still names the extent [%d,+%d)", rec.CopyOff, rec.CopyLen)
-	}
-	if srv.record(copyBlk).Role != layout.RoleCopy || layout.BitmapCount(srv.bitmap(copyBlk)) != 0 {
-		t.Errorf("after the seal the COPY block is %v with %d units in use, want an empty COPY block until the erasure core frees it",
-			srv.record(copyBlk).Role, layout.BitmapCount(srv.bitmap(copyBlk)))
-	}
-	if _, cost := encoderPass(srv); cost != cpuTime(n, memcpyRate) {
-		t.Errorf("the erasure core charged %v for the COPY block, want %v (a %d-byte clear)", cost, cpuTime(n, memcpyRate), n)
-	}
-	if !blankBlock(tc, 0, copyBlk) || layout.BitmapCount(srv.bitmap(copyBlk)) != 0 {
-		t.Error("the freed COPY block holds data or marks")
-	}
-	if role := srv.record(copyBlk).Role; role != layout.RoleFree {
-		t.Errorf("the COPY block is %v after the seal, want free", role)
+	resp, cpu = srv.handle(methodSealBlock, sealRequest(a, 7, nil))
+	if resp[0] != stOK || cpu != time.Microsecond {
+		t.Errorf("seal of the reused block: status %d, charged %v, want stOK for 1 µs", resp[0], cpu)
 	}
 }
 
@@ -1021,6 +985,7 @@ func TestScopedFoldMatchesWholeFold(t *testing.T) {
 				e.u32(row)
 				e.u8(uint8(xid))
 				e.u8(class)
+				e.u8(1)
 				e.bytes(bits)
 				resp, _ := srv.handle(methodAllocDelta, e.b)
 				d := dec{b: resp[1:]}

@@ -16,25 +16,31 @@ import (
 // recoveries have drained every stripe satisfies its parity invariant
 // and no free pool block holds data. The seeds run at the default
 // reclamation threshold and again with every sealed block that has a
-// mark reclaimable. Seeds are fixed so failures reproduce.
+// mark reclaimable, under both codes. Seeds are fixed so failures
+// reproduce.
 func TestChaosSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test")
 	}
-	for _, reclaim := range []float64{DefaultConfig().ReclaimObsolete, 0} {
-		for _, seed := range []int64{1, 7, 23, 1337} {
-			seed, reclaim := seed, reclaim
-			name := fmt.Sprintf("seed=%d", seed)
-			if reclaim == 0 {
-				name += ",reclaim=0"
+	for _, code := range []string{"xor", "rs"} {
+		for _, reclaim := range []float64{DefaultConfig().ReclaimObsolete, 0} {
+			for _, seed := range []int64{1, 7, 23, 1337} {
+				name := fmt.Sprintf("seed=%d", seed)
+				if reclaim == 0 {
+					name += ",reclaim=0"
+				}
+				if code != "xor" {
+					name += "," + code
+				}
+				t.Run(name, func(t *testing.T) { runChaosSoak(t, code, seed, reclaim) })
 			}
-			t.Run(name, func(t *testing.T) { runChaosSoak(t, seed, reclaim) })
 		}
 	}
 }
 
-func runChaosSoak(t *testing.T, seed int64, reclaim float64) {
+func runChaosSoak(t *testing.T, code string, seed int64, reclaim float64) {
 	tc := newTestCluster(t, func(cfg *Config) {
+		cfg.Code = code
 		cfg.Layout.StripeRows = 16
 		cfg.Layout.PoolBlocks = 12
 		cfg.CkptInterval = 15 * time.Millisecond

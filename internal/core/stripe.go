@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"errors"
+	"hash/maphash"
 	"math/bits"
 	"slices"
 
@@ -150,7 +151,8 @@ type stripeRow struct {
 // sources' whole blocks otherwise (read), then the records again, and
 // the row is decoded (decode) only if its sources and its delta map
 // held across the read: a delta allocated or folded in between would
-// otherwise be decoded without.
+// otherwise be decoded without. The read is to a consistent cut of the
+// siblings clients still write (readBlocks).
 func (sc *stripeScratch) readRows(ctx rdma.Ctx, cl *Cluster, wants []stripeWant, core int) {
 	if sc.rowOf = sc.rowOf[:0]; wants != nil {
 		sc.rows = sc.rows[:0]
@@ -252,35 +254,38 @@ func (sc *stripeScratch) read(ctx rdma.Ctx, cl *Cluster, wants []stripeWant) boo
 // sources appends to sc.reads row's reads of [rel, rel+n) of every
 // block its decode takes: the chosen parities and data blocks, and the
 // pending deltas its map names of the chosen data blocks and of the
-// owner's, each delta before its data block. A range lands in a span of
-// its own, parity 0 first; a whole block in sc's shard and delta
-// buffers, the parities last.
+// owner's, each delta before its data block. The deltas, and the data
+// blocks they are pending on, are open: writers may be landing pairs in
+// them (readBlocks reads them to a cut). A range lands in a span of its
+// own, parity 0 first; a whole block in sc's shard and delta buffers,
+// the parities last.
 func (sc *stripeScratch) sources(cl *Cluster, row *stripeRow, rel uint64, n int) {
 	l, k := cl.L, cl.code.K()
 	stripe, off := uint32(row.b), l.BlockOff(row.b)+rel
 	own := l.XORIDOf(stripe, row.owner)
-	add := func(mn int, off uint64, dst []byte, delta int) {
+	add := func(mn int, off uint64, dst []byte, delta int, open bool) {
 		if row.fold {
 			sc.spans = slices.Grow(sc.spans, n)[:len(sc.spans)+n]
 			dst = sc.spans[len(sc.spans)-n:]
 		}
-		sc.reads = append(sc.reads, blockRead{mn: mn, off: off, dst: dst, delta: delta})
+		sc.reads = append(sc.reads, blockRead{mn: mn, off: off, dst: dst, delta: delta, open: open})
 	}
 	if row.fold {
-		add(l.ParityMN(stripe, 0), off, nil, -1)
+		add(l.ParityMN(stripe, 0), off, nil, -1, false)
 	}
 	for xid, dm := range l.DataMNs(stripe) {
-		if da := row.prec.DeltaAddr[xid]; da != 0 && (row.src&(1<<xid) != 0 || xid == own) {
+		da := row.prec.DeltaAddr[xid]
+		if da != 0 && (row.src&(1<<xid) != 0 || xid == own) {
 			dmn, dOff := layout.UnpackAddr(da)
-			add(int(dmn), dOff+rel, sc.deltas[xid], xid)
+			add(int(dmn), dOff+rel, sc.deltas[xid], xid, true)
 		}
 		if row.src&(1<<xid) != 0 {
-			add(dm, off, sc.shards[xid], -1)
+			add(dm, off, sc.shards[xid], -1, da != 0)
 		}
 	}
 	for j := 0; j < cl.code.M() && !row.fold; j++ {
 		if row.src&(1<<(k+j)) != 0 {
-			add(l.ParityMN(stripe, j), off, sc.shards[k+j], -1)
+			add(l.ParityMN(stripe, j), off, sc.shards[k+j], -1, false)
 		}
 	}
 }
@@ -351,7 +356,8 @@ type blockRead struct {
 	mn    int
 	off   uint64
 	dst   []byte
-	delta int // XOR id whose pending DELTA block this reads; -1 for a shard
+	delta int  // XOR id whose pending DELTA block this reads; -1 for a shard
+	open  bool // writers may land pairs in it: read to a cut (readBlocks)
 	fail  bool
 }
 
@@ -378,6 +384,7 @@ type stripeScratch struct {
 
 	srcBytes []uint64 // bytes read, per logical source MN
 	tally    ecTally
+	cut      maphash.Hash // the open reads' bytes, one pass to the next (readBlocks); seeded at first use
 }
 
 func newStripeScratch(cl *Cluster) *stripeScratch {
@@ -451,17 +458,41 @@ func (sc *stripeScratch) plan(code erasure.Code, target int, src uint64) (*erasu
 // doorbell, if depth is not 0 — and all blocks advance together: the
 // source NICs work in parallel instead of in turn. A read whose source
 // cannot be addressed or returns an error is marked failed; the others
-// complete. It reports whether every shard arrived, and notes in
-// sc.hasDelta which DELTA blocks did — an unreadable DELTA block counts
-// as none pending.
+// complete. Then the open reads are read again until two passes in a
+// row agree: a writer lands its pair and its delta on two MNs in one
+// batch, which one pass may see half of (ROADMAP item 24), not a writer
+// paused or dead mid-batch (DESIGN.md §13). It reports whether every
+// shard arrived, and notes in sc.hasDelta which DELTA blocks did — an
+// unreadable DELTA block counts as none pending.
 func readBlocks(ctx rdma.Ctx, cl *Cluster, sc *stripeScratch, depth int) bool {
+	cut, open := sc.readPass(ctx, cl, depth, false)
+	for prev := ^cut; open && cut != prev; {
+		prev = cut
+		cut, open = sc.readPass(ctx, cl, depth, true)
+	}
+	ok := true
+	for i := range sc.reads {
+		r := &sc.reads[i]
+		if r.delta >= 0 {
+			sc.hasDelta[r.delta] = !r.fail
+		} else if r.fail {
+			ok = false
+		}
+	}
+	return ok
+}
+
+// readPass is one pass of readBlocks, over every read or only the open
+// ones. It returns the hash of the bytes of the open reads that have not
+// failed, and whether there are any.
+func (sc *stripeScratch) readPass(ctx rdma.Ctx, cl *Cluster, depth int, onlyOpen bool) (uint64, bool) {
 	chunk, window := chunkBytes, chunkDepth*chunkBytes
 	for base := 0; ; base += window {
 		sc.ops, sc.opRead = sc.ops[:0], sc.opRead[:0]
 		for i := range sc.reads {
 			r := &sc.reads[i]
 			end := min(base+window, len(r.dst))
-			for pos := base; pos < end && !r.fail; pos += chunk {
+			for pos := base; pos < end && !r.fail && (r.open || !onlyOpen); pos += chunk {
 				addr, ok := cl.Addr(r.mn, r.off+uint64(pos))
 				if r.fail = !ok; ok {
 					sc.ops = append(sc.ops, rdma.Op{Kind: rdma.OpRead, Addr: addr, Buf: r.dst[pos:min(pos+chunk, end)]})
@@ -478,19 +509,18 @@ func readBlocks(ctx rdma.Ctx, cl *Cluster, sc *stripeScratch, depth int) bool {
 			r.fail = r.fail || sc.ops[j].Err != nil
 		}
 	}
-	ok := true
-	for i := range sc.reads {
-		r := &sc.reads[i]
-		if !r.fail {
+	sc.cut.Reset()
+	open := false
+	for _, r := range sc.reads {
+		if !r.fail && (r.open || !onlyOpen) {
 			sc.srcBytes[r.mn] += uint64(len(r.dst))
 		}
-		if r.delta >= 0 {
-			sc.hasDelta[r.delta] = !r.fail
-		} else if r.fail {
-			ok = false
+		if r.open && !r.fail {
+			open = true
+			sc.cut.Write(r.dst) //nolint:errcheck // never fails
 		}
 	}
-	return ok
+	return sc.cut.Sum64(), open
 }
 
 // readBlock is readBlocks' one-read form: dst = [off, off+len(dst)) of

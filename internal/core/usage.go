@@ -25,8 +25,9 @@ type MemoryUsage struct {
 	// hold nothing yet: those of a block a client's worker provisioned
 	// ahead of need (DESIGN.md §13).
 	SpareDeltaBytes uint64
-	// CopyBytes is the total size of COPY pool blocks: whole blocks,
-	// however few reclaims' backup extents each holds.
+	// CopyBytes is always 0: a reclaim backs nothing up. It stays only
+	// because benchmark/metrics.go reads it (core.mem_copy_frac), and
+	// goes with the benchmark thaw (ROADMAP item 10).
 	CopyBytes uint64
 }
 
@@ -56,8 +57,6 @@ func (cl *Cluster) MemoryUsage() MemoryUsage {
 				if !slices.ContainsFunc(mem[l.BlockOff(b):l.BlockOff(b)+bs], func(x byte) bool { return x != 0 }) {
 					u.SpareDeltaBytes += bs
 				}
-			case layout.RoleCopy:
-				u.CopyBytes += bs
 			case layout.RoleData:
 				u.DataBlockBytes += bs
 				slotSize := int(rec.SizeClass) * 64

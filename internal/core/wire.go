@@ -13,18 +13,22 @@ import (
 // one-sided).
 const (
 	// methodAllocBlock allocates a DATA block on this MN for a client.
+	// Reply: u32 block, u32 stripe, u8 XOR id, u8 1 when the slots'
+	// old bytes must be read back (a reclaimed block; 0: fresh, zero),
+	// then the bitmap of the slots handed out (u32 length, bytes).
 	methodAllocBlock uint8 = iota + 1
 	// methodAllocDelta allocates a DELTA block on this (parity) MN for
 	// a data block of a stripe and records its address in the parity
 	// record (Figure 6, step ①). Payload: u16 client, u32 stripe, u8
-	// XOR id, u8 class, then the free bitmap the data block was handed
-	// out with (u32 length, bytes; empty for a fresh block), which
-	// scopes the DELTA block's fold.
+	// XOR id, u8 class, u8 1 for the block incarnation's first request
+	// on this MN (it folds a delta left pending), then the bitmap of the
+	// slots the data block was handed out with (u32 length, bytes; every
+	// slot of a fresh block), which scopes the DELTA block's fold.
 	methodAllocDelta
 	// methodSealBlock closes a DATA block its client stops writing: it
-	// stamps the current Index Version into the block's record (§3.2.3),
-	// marks the slots the client never wrote obsolete and releases the
-	// block's COPY extent. Payload: u32 block, u16 client, then the
+	// stamps the current Index Version into the block's record (§3.2.3)
+	// and marks the slots the client never wrote obsolete. Payload: u32
+	// block, u16 client, then the
 	// bitmap of the never-written slots (u32 length, bytes; empty for a
 	// full block).
 	methodSealBlock

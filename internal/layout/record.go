@@ -8,15 +8,14 @@ import (
 // Role is a memory block's type in the Meta Area record (Figure 5).
 type Role uint8
 
-// Block roles. Copy is the server-side backup of a reused DATA block
-// taken during space reclamation (§3.3.3) so a client crash mid-reuse
-// cannot lose the old contents.
+// Block roles. A reused DATA block's old bytes need no backup role: the
+// row's parity still encodes them until its seal folds the new deltas
+// (§3.3.3), so a restarted client decodes them (DESIGN.md §13).
 const (
 	RoleFree Role = iota
 	RoleData
 	RoleParity
 	RoleDelta
-	RoleCopy
 )
 
 func (r Role) String() string {
@@ -29,8 +28,6 @@ func (r Role) String() string {
 		return "PARITY"
 	case RoleDelta:
 		return "DELTA"
-	case RoleCopy:
-		return "COPY"
 	}
 	return "?"
 }
@@ -57,13 +54,6 @@ type Record struct {
 	ParityIdx uint8
 	XORMap    uint16
 	DeltaAddr [MaxStripeData]uint64 // packed global addresses; 0 = none
-	// CopyOff and CopyLen name, on a reused DATA block, the extent of a
-	// COPY block that backs up the slots it was handed out with: its
-	// offset in the MN's memory (0: a fresh block) and its length in
-	// bytes. On a COPY block, CopyLen is the length of the prefix its
-	// extents have used since it was last zeroed.
-	CopyOff uint64
-	CopyLen uint32
 }
 
 // RecordSize is the on-memory size of one block record.
@@ -85,8 +75,6 @@ func EncodeRecord(dst []byte, r *Record) {
 	binary.LittleEndian.PutUint64(dst[8:], r.IndexVersion)
 	binary.LittleEndian.PutUint16(dst[16:], r.CliID)
 	dst[18] = r.ParityIdx
-	binary.LittleEndian.PutUint32(dst[20:], r.CopyLen)
-	binary.LittleEndian.PutUint64(dst[24:], r.CopyOff)
 	binary.LittleEndian.PutUint16(dst[32:], r.XORMap)
 	for i, a := range r.DeltaAddr {
 		binary.LittleEndian.PutUint64(dst[40+8*i:], a)
@@ -105,8 +93,6 @@ func DecodeRecord(src []byte) Record {
 	r.IndexVersion = binary.LittleEndian.Uint64(src[8:])
 	r.CliID = binary.LittleEndian.Uint16(src[16:])
 	r.ParityIdx = src[18]
-	r.CopyLen = binary.LittleEndian.Uint32(src[20:])
-	r.CopyOff = binary.LittleEndian.Uint64(src[24:])
 	r.XORMap = binary.LittleEndian.Uint16(src[32:])
 	for i := range r.DeltaAddr {
 		r.DeltaAddr[i] = binary.LittleEndian.Uint64(src[40+8*i:])

@@ -12,8 +12,9 @@
 //     index replica. A slot's copies are fixed in place at insert; an
 //     update is one CAS on the primary's version word (serializing
 //     writers) followed by ONE doorbell batch of in-place copy
-//     overwrites — a single round trip of data writes regardless of n,
-//     SWARM's "in-place, single-RTT" replicated write.
+//     overwrites, closed by a CAS that lets the next writer in — a
+//     single round trip of data writes regardless of n, SWARM's
+//     "in-place, single-RTT" replicated write.
 //
 // Index slots are 16 bytes: word0 is layout's Atomic word with Ver 0,
 // fingerprint|address (committed by the insert's CAS; rewritten, with a
@@ -43,6 +44,13 @@ import (
 // slotBytes is the fixed index slot width: word0 = fp|addr (atomic),
 // word1 = version, 8 bytes further on.
 const slotBytes = 16
+
+// landing marks the acting primary's version word while its writer's
+// copies land, so the next writer's CAS waits (write): the CAS alone
+// orders writers without excluding them, and an earlier writer's copies
+// could land last, older than the word. Readers see a marked word as a
+// write in flight, being above every copy's version.
+const landing = uint64(1) << 63
 
 // The mode sits behind the same API as Aceso, selected with
 // Config.FTMode = core.FTModeSwarm.
@@ -344,9 +352,15 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 		}
 
 		// In-place update: one CAS on the acting primary's version
-		// word serializes writers...
+		// word serializes writers, once the last one's copies landed.
+		// A writer that died landing them never clears its mark: the
+		// word is taken over after half the op's retries.
+		if l.ver&landing != 0 && attempt < replica.MaxOpRetries/2 {
+			c.Backoff(attempt)
+			continue
+		}
 		_, at := c.At(l.slot, acting)
-		prev, err := c.CAS(at.Add(8), l.ver, l.ver+1)
+		prev, err := c.CAS(at.Add(8), l.ver, (l.ver&^landing+1)|landing)
 		if err != nil {
 			if errors.Is(err, rdma.ErrNodeFailed) {
 				continue
@@ -361,10 +375,10 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 		}
 		// ...then one doorbell batch lands every copy in place (plus
 		// version words on the other replicas, so failover keeps the
-		// version chain). Copies that no longer fit their class, or
-		// whose MN died, are redirected to fresh blocks in the same
-		// batch.
-		l.ver++
+		// version chain), and its tail CAS clears the mark. Copies that
+		// no longer fit their class, or whose MN died, are redirected to
+		// fresh blocks in the same batch.
+		l.ver = l.ver&^landing + 1
 		if err := c.landCopies(&k, val, tombstone, &l, size, live); err != nil {
 			if errors.Is(err, rdma.ErrNodeFailed) {
 				c.RefreshView()
@@ -461,12 +475,11 @@ func (c *Client) insertSlot(k *replica.Key, val []byte, tombstone bool, slot rep
 }
 
 // landCopies performs the in-place replicated write: one batch of copy
-// overwrites stamped l.ver, backup version words, and word0 rewrites
-// for any copy that had to move (class growth or a dead MN). The acting
-// primary's version CAS (already done by the caller) orders the writers
-// of a key; it does not exclude them: these are plain writes, a slower
-// writer's can land after a faster successor's, and a word0 rewritten
-// here is news to every other client's cache (see cacheEnt).
+// overwrites stamped l.ver, backup version words, word0 rewrites for
+// any copy that had to move (class growth or a dead MN), and a tail CAS
+// that clears the caller's landing mark once every op ahead of it
+// completed (rdma.OrderedBatcher). A word0 rewritten here is news to
+// every other client's cache (see cacheEnt).
 func (c *Client) landCopies(k *replica.Key, val []byte, tombstone bool, l *located, size int, live []int) error {
 	// Copies are always encoded at the pair's true class size: readers
 	// recompute it from the header, so a shrinking overwrite inside a
@@ -506,6 +519,8 @@ func (c *Client) landCopies(k *replica.Key, val []byte, tombstone bool, l *locat
 		_, at := c.At(l.slot, ri)
 		b.wordWrite(at.Add(8), l.ver)
 	}
+	_, at := c.At(l.slot, live[0])
+	b.ops = append(b.ops, rdma.Op{Kind: rdma.OpCAS, Addr: at.Add(8), Old: l.ver | landing, New: l.ver})
 	if err := c.Batch(b.ops); err != nil {
 		if nmoved > 0 {
 			// A copy went to an open block whose MN may be the dead one:

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ftmode"
+	"repro/internal/rdma"
 	"repro/internal/rdma/simnet"
 	"repro/internal/replica"
 )
@@ -116,8 +117,10 @@ func TestCRUD(t *testing.T) {
 }
 
 // TestInPlaceUpdateCost pins the mode's claim: a warm update issues
-// exactly one CAS (the version word) regardless of the replication
-// factor, unlike FUSEE's n CASes.
+// two CASes, both on the acting primary's version word — the one that
+// takes it, and the one that closes the copy batch and clears its
+// landing mark — regardless of the replication factor, unlike FUSEE's n
+// CASes.
 func TestInPlaceUpdateCost(t *testing.T) {
 	tc := newTestCluster(t, nil)
 	tc.runClients(t, 10*time.Second, func(c *Client) {
@@ -136,8 +139,8 @@ func TestInPlaceUpdateCost(t *testing.T) {
 			t.Errorf("update: %v", err)
 			return
 		}
-		if got := c.Stats.CASIssued - cas0; got != 1 {
-			t.Errorf("warm update issued %d CASes, want 1", got)
+		if got := c.Stats.CASIssued - cas0; got != 2 {
+			t.Errorf("warm update issued %d CASes, want 2", got)
 		}
 		// r in-place copy writes + (r-1) backup version words.
 		r := uint64(tc.cl.Cfg.Replicas)
@@ -277,6 +280,89 @@ func TestFailoverAfterMNCrash(t *testing.T) {
 				t.Errorf("post-crash re-search %d: err %v", i, err)
 				return
 			}
+		}
+	})
+}
+
+// holdCtx runs hold ahead of its client's first batch that opens with a
+// write — an update's copy batch — and after calls landed once any such
+// batch has returned.
+type holdCtx struct {
+	rdma.Ctx
+	hold, landed func()
+}
+
+func (h *holdCtx) Batch(ops []rdma.Op) error {
+	copies := len(ops) > 0 && ops[0].Kind == rdma.OpWrite
+	if hold := h.hold; copies && hold != nil {
+		h.hold = nil
+		hold()
+	}
+	err := h.Ctx.Batch(ops)
+	if copies && h.landed != nil {
+		h.landed()
+	}
+	return err
+}
+
+// TestInPlaceCopiesLandInVersionOrder holds writer A's copy batch, after
+// A's version CAS won, until writer B's update of the same key has landed
+// its copies, or for 1 ms of virtual time. Its copies landing last, A
+// left copies older than the version word B's CAS set, which every
+// reader takes for a write in flight until it gives up: the lost update
+// behind TestOpenHotKeyRace/swarm-inplace's flake. With the in-place
+// write excluded — a writer's CAS marks the version word landing, and
+// the tail CAS of its copy batch clears the mark, so the next writer's
+// CAS waits for it — B lands after A, and a reader gets B's value from
+// every replica.
+func TestInPlaceCopiesLandInVersionOrder(t *testing.T) {
+	tc := newTestCluster(t, func(cfg *replica.Config) { cfg.CacheEntries = -1 })
+	k := key(7)
+	tc.runClients(t, time.Second, func(c *Client) {
+		if err := c.Insert(k, val(7, 0)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	a, b := tc.cl.NewClient().(*Client), tc.cl.NewClient().(*Client)
+	held, landed, done := false, false, 0
+	tc.pl.Spawn(tc.pl.AddComputeNode(), "a", func(ctx rdma.Ctx) {
+		a.Attach(&holdCtx{Ctx: ctx, hold: func() {
+			held = true
+			for start := ctx.Now(); !landed && ctx.Now()-start < time.Millisecond; {
+				ctx.Sleep(5 * time.Microsecond)
+			}
+		}})
+		if err := a.Update(k, val(7, 1)); err != nil {
+			t.Errorf("A's update: %v", err)
+		}
+		done++
+	})
+	tc.pl.Spawn(tc.pl.AddComputeNode(), "b", func(ctx rdma.Ctx) {
+		for !held {
+			ctx.Sleep(time.Microsecond)
+		}
+		b.Attach(&holdCtx{Ctx: ctx, landed: func() { landed = true }})
+		if err := b.Update(k, val(7, 2)); err != nil {
+			t.Errorf("B's update: %v", err)
+		}
+		done++
+	})
+	for i := 0; done < 2 && i < 1000; i++ {
+		tc.pl.Run(tc.pl.Engine().Now() + time.Millisecond)
+	}
+	if done < 2 {
+		t.Fatal("the writers did not finish")
+	}
+	tc.runClients(t, 10*time.Second, func(c *Client) {
+		got, err := c.Search(k)
+		if err != nil || !bytes.Equal(got, val(7, 2)) {
+			t.Errorf("after A then B: %.12q, %v; want B's value", got, err)
+		}
+	})
+	tc.cl.FailMN(0)
+	tc.runClients(t, 10*time.Second, func(c *Client) {
+		if got, err := c.Search(k); err != nil || !bytes.Equal(got, val(7, 2)) {
+			t.Errorf("after MN 0 failed: %.12q, %v; want B's value", got, err)
 		}
 	})
 }
